@@ -63,6 +63,11 @@ type request struct {
 	inFlight bool
 }
 
+// instance is one sequence number's agreement state. Once executed it
+// keeps only its view and digest (enough to convict a leader that signs a
+// second pre-prepare for the slot): the payload and the encoded
+// pre-prepare carrying it again are released when the payload is handed
+// to Deliver, so the pruning window of decided instances pins no batches.
 type instance struct {
 	view       uint64
 	digest     [32]byte
@@ -620,6 +625,16 @@ func (v *Validator) onPrePrepare(m *Message) {
 	if DigestOf(m.Payload) != m.Digest {
 		return
 	}
+	if m.Seq <= v.lastExec {
+		// Decided: nothing here can change, but a second pre-prepare for
+		// the same (view, seq) with another digest is still conclusive
+		// equivocation (an executed instance always had its leader's
+		// pre-prepare).
+		if inst, ok := v.insts[m.Seq]; ok && inst.executed && inst.view == m.View && inst.digest != m.Digest {
+			v.evict(m.From)
+		}
+		return
+	}
 	inst, ok := v.insts[m.Seq]
 	if ok && inst.view == m.View {
 		if inst.digest != m.Digest && len(inst.prePrepare) > 0 {
@@ -666,8 +681,8 @@ func (v *Validator) newInstance(view, seq uint64, digest [32]byte, payload []byt
 }
 
 func (v *Validator) onPrepare(m *Message) {
-	if m.View != v.view {
-		return
+	if m.View != v.view || m.Seq <= v.lastExec {
+		return // stale view, or a late vote for a decided sequence
 	}
 	v.checkEquivocationEvidence(m)
 	v.applyPrepare(m)
@@ -741,8 +756,8 @@ func (v *Validator) maybeCommitPhase(seq uint64) {
 }
 
 func (v *Validator) onCommit(m *Message) {
-	if m.View != v.view {
-		return
+	if m.View != v.view || m.Seq <= v.lastExec {
+		return // stale view, or a late vote for a decided sequence
 	}
 	inst, ok := v.insts[m.Seq]
 	if !ok {
@@ -774,6 +789,7 @@ func (v *Validator) maybeExecute() {
 		advanced = true
 		digest := inst.digest
 		payload := inst.payload
+		inst.payload, inst.prePrepare = nil, nil
 		if req := v.pending[digest]; req != nil {
 			v.obsDecide.Observe(v.cfg.Clock.Now().Sub(req.arrived))
 		}

@@ -47,6 +47,14 @@ type NodeChannelStatus struct {
 	VerifyCacheMisses  int64   `json:"verify_cache_misses"`
 	VerifyCacheHitRate float64 `json:"verify_cache_hit_rate"`
 	WALSegments        int     `json:"wal_segments"`
+	// Block-file traffic of the peer's ledger (all zero for an in-memory
+	// peer): a restarted peer decodes only the blocks logged above its
+	// state savepoint, so OpenBlocksDecoded stays far below Height.
+	OpenBlocksDecoded int     `json:"ledger_open_blocks_decoded"`
+	OpenSeconds       float64 `json:"peer_open_seconds"`
+	BlockReads        int64   `json:"ledger_block_reads"`
+	BlockCacheHits    int64   `json:"ledger_block_cache_hits"`
+	BlockCacheMisses  int64   `json:"ledger_block_cache_misses"`
 	// LSM state-engine internals; zero/omitted for in-memory peers and
 	// non-LSM engines. Sourced from the world-state store's snapshot.
 	SSTables          int   `json:"sstables,omitempty"`
@@ -61,6 +69,7 @@ type NodeChannelStatus struct {
 // NodeStatus is a peer node's full /statusz report.
 type NodeStatus struct {
 	ID         string                       `json:"id"`
+	HeapAlloc  uint64                       `json:"go_heap_alloc_bytes"`
 	Channels   map[string]NodeChannelStatus `json:"channels"`
 	Transport  TransportStatus              `json:"transport"`
 	SlowTraces []obs.TraceRecord            `json:"slow_traces,omitempty"`
@@ -112,6 +121,7 @@ func (n *Node) Health() *obs.Health { return n.health }
 func (n *Node) statusz() any {
 	st := NodeStatus{
 		ID:         n.id,
+		HeapAlloc:  obs.HeapAlloc(),
 		Channels:   make(map[string]NodeChannelStatus, len(n.order)),
 		Transport:  transportStatus(n.t),
 		SlowTraces: n.traces.Snapshot(),
@@ -127,7 +137,11 @@ func (n *Node) statusz() any {
 			VerifyCacheHits:   ph + vh,
 			VerifyCacheMisses: pm + vm,
 			WALSegments:       walSegments(nc.dataDir),
+			OpenSeconds:       nc.p.OpenTook().Seconds(),
 		}
+		io := nc.p.Ledger().IOStats()
+		cs.OpenBlocksDecoded, cs.BlockReads = io.OpenDecoded, io.BlockReads
+		cs.BlockCacheHits, cs.BlockCacheMisses = io.CacheHits, io.CacheMisses
 		if ss, ok := nc.p.State().StorageStats(); ok {
 			cs.SSTables = ss.SSTables
 			cs.LSMLevels = ss.Levels

@@ -39,8 +39,10 @@ func TestTracePropagationOverWire(t *testing.T) {
 	}
 
 	// The committed transaction on a peer process must carry the same ID.
+	// Genesis is height 1 on every peer from boot; the transaction's block
+	// is height 2, and only the submitting peer is known to have it yet.
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, 1, 10*time.Second) {
+		if !d.waitNodeHeight(n, channel, 2, 10*time.Second) {
 			t.Fatalf("node %s never committed", n.ID())
 		}
 		blocks, err := d.remote.Blocks(channel, n.ID(), 0)
@@ -92,7 +94,7 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 			t.Fatalf("submit %d: %v %v", i, err, res)
 		}
 	}
-	if !d.waitNodeHeight(node, channel, numTx, 10*time.Second) {
+	if !d.waitNodeHeight(node, channel, numTx+1, 10*time.Second) { // genesis + one block per submit
 		t.Fatal("node did not commit the traffic")
 	}
 

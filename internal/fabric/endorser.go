@@ -87,10 +87,8 @@ func (e *localEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationCo
 }
 
 func (e *localEndorser) TxBlock(txID string) (uint64, bool) {
-	if _, _, blockNum, err := e.p.Ledger().GetTx(txID); err == nil {
-		return blockNum, true
-	}
-	return 0, false
+	blockNum, _, _, ok := e.p.Ledger().TxLocation(txID)
+	return blockNum, ok
 }
 
 // Channel's backend implementation.

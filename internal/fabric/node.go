@@ -371,8 +371,9 @@ func (n *Node) syncChannel(name string, nc *nodeChannel) {
 	}
 }
 
-// remoteBlockSource adapts another process's blocks RPC to peer.BlockSource,
-// paging maxSyncBlocks at a time.
+// remoteBlockSource adapts another process's blocks RPC to peer.BlockSource:
+// one RPC, one page (at most maxSyncBlocks, fewer when the serving ledger
+// ends the page early by size).
 type remoteBlockSource struct {
 	rpc     *transport.RPC
 	peer    string
@@ -383,19 +384,10 @@ type remoteBlockSource struct {
 func (s *remoteBlockSource) Height() uint64 { return s.height }
 
 func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
-	var out []*ledger.Block
-	for {
-		var resp blocksResp
-		req := blocksReq{Channel: s.channel, From: from, Max: maxSyncBlocks}
-		if err := s.rpc.CallJSON(s.peer, methodBlocks, req, &resp, 10*time.Second); err != nil {
-			return out, err
-		}
-		out = append(out, resp.Blocks...)
-		if len(resp.Blocks) < maxSyncBlocks {
-			return out, nil
-		}
-		from += uint64(len(resp.Blocks))
-	}
+	var resp blocksResp
+	req := blocksReq{Channel: s.channel, From: from, Max: maxSyncBlocks}
+	err := s.rpc.CallJSON(s.peer, methodBlocks, req, &resp, 10*time.Second)
+	return resp.Blocks, err
 }
 
 // channelPeerDir is where one peer's durable stores live under a channel's
@@ -470,7 +462,7 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	waiter := nc.p.WaitForCommit(r.TxID)
-	if _, flag, blockNum, err := nc.p.Ledger().GetTx(r.TxID); err == nil {
+	if blockNum, _, flag, ok := nc.p.Ledger().TxLocation(r.TxID); ok {
 		nc.p.CancelWait(r.TxID)
 		return json.Marshal(waitCommitResp{Flag: flag, BlockNum: blockNum})
 	}
@@ -481,9 +473,7 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 	select {
 	case flag := <-waiter:
 		resp := waitCommitResp{Flag: flag}
-		if _, _, blockNum, err := nc.p.Ledger().GetTx(r.TxID); err == nil {
-			resp.BlockNum = blockNum
-		}
+		resp.BlockNum, _, _, _ = nc.p.Ledger().TxLocation(r.TxID)
 		return json.Marshal(resp)
 	case <-time.After(timeout):
 		nc.p.CancelWait(r.TxID)
@@ -519,9 +509,9 @@ func (n *Node) handleBlocks(from string, req []byte) ([]byte, error) {
 	if max <= 0 || max > maxSyncBlocks {
 		max = maxSyncBlocks
 	}
-	blocks := nc.p.Ledger().BlocksFrom(r.From)
-	if len(blocks) > max {
-		blocks = blocks[:max]
+	blocks, err := nc.p.Ledger().BlocksFrom(r.From, max)
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(blocksResp{Blocks: blocks})
 }

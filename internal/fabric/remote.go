@@ -170,7 +170,14 @@ func (r *Remote) Blocks(channel, peerID string, from uint64) ([]*ledger.Block, e
 		return nil, err
 	}
 	src := &remoteBlockSource{rpc: r.rpc, peer: peerID, channel: channel, height: h}
-	return src.BlocksFrom(from)
+	var out []*ledger.Block
+	for {
+		page, err := src.BlocksFrom(from + uint64(len(out)))
+		if err != nil || len(page) == 0 {
+			return out, err
+		}
+		out = append(out, page...)
+	}
 }
 
 // RemoteChannel is the client-side handle on one channel of an

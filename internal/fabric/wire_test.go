@@ -208,12 +208,13 @@ func TestRemoteDeploymentLifecycle(t *testing.T) {
 		t.Fatalf("evaluate k3 = %q, want v3", got)
 	}
 
-	// Every process converges to one chain, verified over the wire.
+	// Every process converges to one chain, verified over the wire: genesis
+	// plus one block per (serial) submit.
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, numTx, 15*time.Second) {
+		if !d.waitNodeHeight(n, channel, numTx+1, 15*time.Second) {
 			t.Fatalf("node %s stuck at height %d", n.ID(), n.Peer(channel).Height())
 		}
-		if h, err := d.remote.VerifyChain(channel, n.ID()); err != nil || h < numTx {
+		if h, err := d.remote.VerifyChain(channel, n.ID()); err != nil || h < numTx+1 {
 			t.Fatalf("verifychain %s: height %d err %v", n.ID(), h, err)
 		}
 	}
@@ -297,7 +298,7 @@ func TestNodeRestartCatchUp(t *testing.T) {
 	// find it again and anti-entropy replays the missed blocks.
 	d.nodes[3] = d.startNode(3, victimAddr)
 	d.joinAll()
-	if !d.waitNodeHeight(d.nodes[3], channel, 6, 20*time.Second) {
+	if !d.waitNodeHeight(d.nodes[3], channel, 7, 20*time.Second) { // genesis + six submits
 		t.Fatalf("restarted node stuck at height %d", d.nodes[3].Peer(channel).Height())
 	}
 	ref := d.chainJSON(channel, d.nodes[0].ID())

@@ -9,36 +9,35 @@ import (
 
 // Export writes the chain as one JSON block per line (a portable audit
 // dump: auditors can re-verify the hash chain offline, and lagging peers
-// can bootstrap from it).
+// can bootstrap from it). On a log-backed ledger the blocks stream from
+// the file one at a time.
 func (l *Ledger) Export(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	var exportErr error
-	l.Iterate(func(b *Block) bool {
-		enc, err := json.Marshal(b)
-		if err != nil {
-			exportErr = err
+	var werr error
+	err := l.walk(0, func(b *Block, _ int64) bool {
+		var enc []byte
+		if enc, werr = json.Marshal(b); werr != nil {
 			return false
 		}
-		if _, err := bw.Write(enc); err != nil {
-			exportErr = err
+		if _, werr = bw.Write(enc); werr != nil {
 			return false
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			exportErr = err
-			return false
-		}
-		return true
+		werr = bw.WriteByte('\n')
+		return werr == nil
 	})
-	if exportErr != nil {
-		return fmt.Errorf("ledger: export: %w", exportErr)
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		return fmt.Errorf("ledger: export: %w", err)
 	}
 	return bw.Flush()
 }
 
 // Import reads an Export stream and appends every block, verifying the
 // hash chain as it goes (Append re-checks numbering, prev-hash linkage and
-// data hashes). The ledger must be at the height the dump starts at —
-// usually empty.
+// data hashes). The ledger must be an in-memory one at the height the dump
+// starts at — usually empty.
 func (l *Ledger) Import(r io.Reader) (int, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	n := 0
@@ -56,14 +55,22 @@ func (l *Ledger) Import(r io.Reader) (int, error) {
 	}
 }
 
-// BlocksFrom returns all blocks with number >= from, for peer catch-up.
-func (l *Ledger) BlocksFrom(from uint64) []*Block {
+// syncPageBytes stops a BlocksFrom page on a log-backed ledger once its
+// frames add up to this much, so one catch-up page stays a few MiB of
+// decoded blocks (and of RPC frame) however large the blocks are.
+const syncPageBytes = 4 << 20
+
+// BlocksFrom returns up to max blocks starting at number from (max <= 0:
+// no count limit), for peer catch-up. A caller that wants more asks again
+// from the block after the last one returned; an empty page means from is
+// the height.
+func (l *Ledger) BlocksFrom(from uint64, max int) ([]*Block, error) {
 	var out []*Block
-	l.Iterate(func(b *Block) bool {
-		if b.Header.Number >= from {
-			out = append(out, b)
-		}
-		return true
+	var bytes int64
+	err := l.walk(from, func(b *Block, size int64) bool {
+		out = append(out, b)
+		bytes += size
+		return len(out) != max && bytes < syncPageBytes
 	})
-	return out
+	return out, err
 }

@@ -62,11 +62,14 @@ func TestImportEmptyStream(t *testing.T) {
 
 func TestBlocksFrom(t *testing.T) {
 	l := chainOf(t, 5, 1)
-	got := l.BlocksFrom(3)
-	if len(got) != 2 || got[0].Header.Number != 3 || got[1].Header.Number != 4 {
-		t.Fatalf("BlocksFrom(3) = %d blocks", len(got))
+	got, err := l.BlocksFrom(3, 0)
+	if err != nil || len(got) != 2 || got[0].Header.Number != 3 || got[1].Header.Number != 4 {
+		t.Fatalf("BlocksFrom(3, 0) = %d blocks, err %v", len(got), err)
 	}
-	if len(l.BlocksFrom(99)) != 0 {
+	if got, _ := l.BlocksFrom(1, 2); len(got) != 2 || got[0].Header.Number != 1 || got[1].Header.Number != 2 {
+		t.Fatalf("BlocksFrom(1, 2) = %d blocks", len(got))
+	}
+	if got, _ := l.BlocksFrom(99, 0); len(got) != 0 {
 		t.Fatal("phantom blocks")
 	}
 }

@@ -12,15 +12,22 @@ package ledger
 //
 //	[4B big-endian payload length][4B IEEE CRC32 of payload][payload JSON]
 //
-// A torn tail — a partial record where the process died mid-append — is
-// detected on open and truncated; every fully-appended block is
-// recovered. Corruption before the tail (any CRC-valid record found
-// after the damage) is a hard error: committed blocks are never
-// silently destroyed.
+// Opening never decodes what the opener already trusts: it CRC-scans the
+// frames from a starting offset (0 for a bare OpenLog, the end of the
+// savepoint block for a peer's ledger) to find where the log ends. A torn
+// tail — a partial record where the process died mid-append — is
+// truncated; every fully-appended block survives. Corruption before the
+// tail (any CRC-valid record found after the damage) is a hard error:
+// committed blocks are never silently destroyed. Frames below the
+// starting offset are checked when they are read: every read verifies the
+// frame's CRC and the block number it carries, and a mismatch is an error,
+// never a wrong block.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -29,62 +36,142 @@ import (
 
 // Log is an append-only, crash-tolerant file of committed blocks.
 type Log struct {
-	f      *os.File
+	f      *os.File // never reassigned: readers use it without the appender's lock
 	path   string
-	blocks []*Block // blocks recovered at open, handed out once
-	next   uint64   // number the next appended block must carry
+	end    int64  // one past the last complete frame: where the next append lands
+	next   uint64 // number the next appended block must carry
 	buf    []byte
 	err    error // sticky append failure: a torn frame may be on disk
+	closed bool
 }
 
-// OpenLog opens (or creates) the block log at path, recovering every
-// fully-committed block and truncating a torn tail. The recovered blocks
-// are validated as a chain prefix (contiguous numbering from 0) and
-// retrievable once via Blocks.
+// OpenLog opens (or creates) the block log at path, CRC-checking every
+// frame and truncating a torn tail. It decodes nothing; Blocks does.
 func OpenLog(path string) (*Log, error) {
+	return openLog(path, 0, 0, nil)
+}
+
+// openLog opens the log trusting the bytes below offset from, where block
+// next's frame begins (or the file ends). Each complete frame at or above
+// from is handed to found with its offset; an error from found fails the
+// open without touching the file.
+func openLog(path string, from int64, next uint64, found func(off int64, payload []byte) error) (*Log, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: log dir: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ledger: read log: %w", err)
-	}
-	l := &Log{path: path}
-	good := 0
-	for off := 0; off < len(data); {
-		payload, next, perr := walframe.Next(data, off)
-		if perr != nil {
-			break // torn (or corrupt) record; discriminated below
-		}
-		var b Block
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return nil, fmt.Errorf("ledger: log record %d undecodable: %w", len(l.blocks), err)
-		}
-		if b.Header.Number != l.next {
-			return nil, fmt.Errorf("ledger: log record %d carries block %d, want %d", len(l.blocks), b.Header.Number, l.next)
-		}
-		l.blocks = append(l.blocks, &b)
-		l.next++
-		off = next
-		good = off
-	}
-	if err := walframe.RecoverTail(path, data, good); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: open log: %w", err)
 	}
-	l.f = f
+	l := &Log{f: f, path: path, end: from, next: next}
+	if err := l.recover(found); err != nil {
+		f.Close() // nothing was written through this handle
+		return nil, err
+	}
 	return l, nil
 }
 
-// Blocks returns the blocks recovered at open, in order, releasing the
-// log's reference to them (recovery reads them exactly once).
+// recover walks the frames from l.end to the end of the file.
+func (l *Log) recover(found func(off int64, payload []byte) error) error {
+	st, err := l.f.Stat()
+	if err != nil {
+		return fmt.Errorf("ledger: stat log: %w", err)
+	}
+	size := st.Size()
+	if size < l.end {
+		return fmt.Errorf("ledger: log %s is %d bytes but block %d's frame starts at %d (block log lost committed records)",
+			l.path, size, l.next, l.end)
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(l.f, l.end, size-l.end), 1<<16)
+	for l.end < size {
+		payload, err := walframe.Read(r, l.buf, size-l.end)
+		if err != nil {
+			break // torn (or corrupt) record; discriminated below
+		}
+		l.buf = payload[:0]
+		if found != nil {
+			if err := found(l.end, payload); err != nil {
+				return err
+			}
+		}
+		l.end += walframe.HeaderLen + int64(len(payload))
+		l.next++
+	}
+	if l.end == size {
+		return nil
+	}
+	rest := make([]byte, size-l.end)
+	if _, err := l.f.ReadAt(rest, l.end); err != nil {
+		return fmt.Errorf("ledger: read log tail: %w", err)
+	}
+	if err := walframe.RecoverTail(l.path, rest, l.end); err != nil {
+		return fmt.Errorf("ledger: %w", err)
+	}
+	return nil
+}
+
+// decodeBlock parses one frame payload and checks it carries block want.
+func decodeBlock(payload []byte, want uint64) (*Block, error) {
+	var b Block
+	if err := json.Unmarshal(payload, &b); err != nil {
+		return nil, fmt.Errorf("ledger: log record %d undecodable: %w", want, err)
+	}
+	if b.Header.Number != want {
+		return nil, fmt.Errorf("ledger: log record %d carries block %d", want, b.Header.Number)
+	}
+	return &b, nil
+}
+
+// readBlock reads and decodes block want from the frame at off; limit is
+// the offset the frame must end by.
+func (l *Log) readBlock(off, limit int64, want uint64) (*Block, int64, error) {
+	payload, err := walframe.Read(io.NewSectionReader(l.f, off, limit-off), nil, limit-off)
+	if err != nil {
+		return nil, 0, fmt.Errorf("ledger: log %s block %d at offset %d: %w", l.path, want, off, err)
+	}
+	b, err := decodeBlock(payload, want)
+	return b, int64(len(payload)), err
+}
+
+// stream decodes the frames in [from, to) in order, the first of which
+// holds block first, until fn returns false. size is the frame's payload
+// length.
+func (l *Log) stream(from, to int64, first uint64, fn func(b *Block, size int64) bool) error {
+	r := bufio.NewReaderSize(io.NewSectionReader(l.f, from, to-from), 1<<18)
+	var buf []byte
+	for off, n := from, first; off < to; n++ {
+		payload, err := walframe.Read(r, buf, to-off)
+		if err != nil {
+			return fmt.Errorf("ledger: log %s block %d at offset %d: %w", l.path, n, off, err)
+		}
+		buf = payload[:0]
+		b, err := decodeBlock(payload, n)
+		if err != nil {
+			return err
+		}
+		if !fn(b, int64(len(payload))) {
+			return nil
+		}
+		off += walframe.HeaderLen + int64(len(payload))
+	}
+	return nil
+}
+
+// Blocks reads and decodes the whole log — an explicit full read for
+// audits; opening does not do it. Like the storage engine's serving path,
+// it panics on a frame that fails its CRC or carries the wrong block
+// number: OpenLog already checked every frame, so that is the disk
+// changing underneath the process.
 func (l *Log) Blocks() []*Block {
-	b := l.blocks
-	l.blocks = nil
-	return b
+	out := make([]*Block, 0, l.next)
+	err := l.stream(0, l.end, 0, func(b *Block, _ int64) bool {
+		out = append(out, b)
+		return true
+	})
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // Height returns the number of blocks the log holds.
@@ -117,6 +204,7 @@ func (l *Log) Append(b *Block) error {
 		l.err = fmt.Errorf("ledger: log append block %d: %w", b.Header.Number, err)
 		return l.err
 	}
+	l.end += int64(len(buf))
 	l.next++
 	return nil
 }
@@ -127,7 +215,7 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.f == nil {
+	if l.closed {
 		return nil
 	}
 	return l.f.Sync()
@@ -135,13 +223,13 @@ func (l *Log) Sync() error {
 
 // Close syncs and closes the log. Idempotent.
 func (l *Log) Close() error {
-	if l.f == nil {
+	if l.closed {
 		return nil
 	}
+	l.closed = true
 	err := l.f.Sync()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.f = nil
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"time"
 )
 
@@ -26,6 +27,9 @@ func ServeAdmin(addr string, reg *Registry, health *Health, statusz func() any) 
 	if err != nil {
 		return nil, err
 	}
+	reg.GaugeFunc("go_heap_alloc_bytes", "Bytes of live heap objects (runtime.MemStats.HeapAlloc).", func() float64 {
+		return float64(HeapAlloc())
+	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -80,4 +84,12 @@ func (a *AdminServer) Close() error {
 		return nil
 	}
 	return a.srv.Close()
+}
+
+// HeapAlloc reads the process's live heap bytes — runtime.MemStats.HeapAlloc
+// — without the stop-the-world ReadMemStats costs.
+func HeapAlloc() uint64 {
+	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(sample)
+	return sample[0].Value.Uint64()
 }

@@ -22,18 +22,19 @@ import (
 // the paper's Figure 1 where all endorsement peers act as validators.
 //
 // A peer opened with Config.DataDir is durable: its world state, history
-// and indexes live on WAL-backed persist engines and every committed
-// block lands in a block log before its writes touch state. Reopening the
-// same directory recovers the peer — the block log replays through the
-// same validate-then-commit split a live delivery takes (see recover) —
-// after which SyncFrom catches up any tail the log missed.
+// and indexes live on WAL-backed persist engines, every committed block
+// lands in a block log before its writes touch state, and the ledger is a
+// view over that log (ledger.Open) instead of a copy of it. Reopening the
+// same directory recovers the peer — only the blocks the log holds above
+// the state's savepoint are decoded, and they replay through the same
+// validate-then-commit split a live delivery takes (see recover) — after
+// which SyncFrom catches up any tail the log missed.
 type Peer struct {
 	id        string
 	channelID string
 	signer    *msp.Signer
 
-	ledger   *ledger.Ledger
-	blockLog *ledger.Log // nil for in-memory peers
+	ledger   *ledger.Ledger // over DataDir/blocks.wal, or in memory without a DataDir
 	state    *statedb.DB
 	history  *statedb.HistoryDB
 	registry *chaincode.Registry
@@ -46,7 +47,7 @@ type Peer struct {
 	verifyCache *msp.VerifyCache
 
 	// commitMu serialises the commit pipeline (block log → history →
-	// state → in-memory chain) so the durable artefacts can never record
+	// state → visible chain) so the durable artefacts can never record
 	// two competing blocks at one height.
 	commitMu sync.Mutex
 
@@ -64,6 +65,7 @@ type Peer struct {
 	txInvalid   *metrics.Counter
 	blocks      *metrics.Counter
 	slowTraces  *obs.TraceRing // nil unless the node wires a ring
+	openTook    time.Duration  // how long New took; set before New returns
 }
 
 // Config assembles a peer.
@@ -107,6 +109,7 @@ type Config struct {
 // New creates a peer anchored by a genesis block — or, when cfg.DataDir
 // names a directory with a previous run's data, recovers that peer.
 func New(cfg Config) (*Peer, error) {
+	opened := time.Now()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("peer %s: nil endorsement policy", cfg.ID)
 	}
@@ -128,11 +131,20 @@ func New(cfg Config) (*Peer, error) {
 		state.Close()
 		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
+	chain := ledger.New()
+	if cfg.DataDir != "" {
+		chain, err = ledger.Open(filepath.Join(cfg.DataDir, "blocks.wal"), state)
+		if err != nil {
+			state.Close()
+			history.Close()
+			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
+		}
+	}
 	p := &Peer{
 		id:          cfg.ID,
 		channelID:   cfg.ChannelID,
 		signer:      cfg.Signer,
-		ledger:      ledger.New(),
+		ledger:      chain,
 		state:       state,
 		history:     history,
 		registry:    cfg.Registry,
@@ -161,35 +173,40 @@ func New(cfg Config) (*Peer, error) {
 	// store label splits the world state from the history database.
 	p.state.RegisterStorage(cfg.Obs.With(obs.L("store", "state")))
 	p.history.RegisterStorage(cfg.Obs.With(obs.L("store", "history")))
-	if cfg.DataDir != "" {
-		blockLog, err := ledger.OpenLog(filepath.Join(cfg.DataDir, "blocks.wal"))
-		if err != nil {
-			p.closeStores()
-			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
-		}
-		p.blockLog = blockLog
-		if err := p.recover(); err != nil {
-			p.Close()
-			return nil, err
-		}
-		if p.ledger.Height() > 0 {
-			return p, nil // recovered an existing chain, genesis included
-		}
+	cfg.Obs.CounterFunc("ledger_block_cache_hits_total", "Block lookups served from the ledger's block cache.", func() int64 {
+		return p.ledger.IOStats().CacheHits
+	})
+	cfg.Obs.CounterFunc("ledger_block_cache_misses_total", "Block lookups that read the block file.", func() int64 {
+		return p.ledger.IOStats().CacheMisses
+	})
+	cfg.Obs.CounterFunc("ledger_block_reads_total", "Blocks decoded from the block file since open (lookups and scans).", func() int64 {
+		return p.ledger.IOStats().BlockReads
+	})
+	cfg.Obs.GaugeFunc("ledger_open_blocks_decoded", "Blocks the last open decoded: those logged above the state savepoint.", func() float64 {
+		return float64(p.ledger.IOStats().OpenDecoded)
+	})
+	if err := p.recover(); err != nil {
+		p.Close()
+		return nil, err
 	}
-	// The genesis block is identical on every peer: fixed zero timestamp
-	// (the header hash covers only number, prev-hash and data hash, so the
-	// chain stays consistent regardless).
-	genesis := ledger.NewBlock(0, [32]byte{}, nil, time.Time{})
-	if p.blockLog != nil {
-		if err := p.blockLog.Append(genesis); err != nil {
+	if p.ledger.Height() == 0 {
+		// The genesis block is identical on every peer: fixed zero
+		// timestamp (the header hash covers only number, prev-hash and
+		// data hash, so the chain stays consistent regardless). It writes
+		// no state, so its index entries have no batch to ride and are
+		// dropped: block 0 is the file's first frame.
+		genesis := ledger.NewBlock(0, [32]byte{}, nil, time.Time{})
+		_, err := p.ledger.Stage(genesis)
+		if err == nil {
+			err = p.ledger.Append(genesis)
+		}
+		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("peer %s: genesis: %w", cfg.ID, err)
 		}
 	}
-	if err := p.ledger.Append(genesis); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("peer %s: genesis: %w", cfg.ID, err)
-	}
+	p.openTook = time.Since(opened)
+	cfg.Obs.GaugeFunc("peer_open_seconds", "Time the peer took to open, recovery included.", p.openTook.Seconds)
 	return p, nil
 }
 
@@ -204,40 +221,16 @@ func Open(cfg Config) (*Peer, error) {
 	return New(cfg)
 }
 
-// recover replays the block log against the recovered world state. Blocks
-// at or below the state's savepoint already have their writes applied —
-// the savepoint rides inside each block's state batch, atomically — so
-// they only rebuild the in-memory chain; anything after the savepoint
-// (committed to the log but not yet to state when the process died)
-// re-runs the full validate-then-commit split, with recorded flags
-// cross-checked against re-validation.
+// recover re-commits the blocks the ledger found in the block log above
+// the world state's savepoint: committed to the log but not yet to state
+// when the process died. Blocks at or below the savepoint already have
+// their writes, index entries and chain record applied — all of it rides
+// one atomic state batch — so the ledger neither reads nor decodes them.
+// Each tail block re-runs the full validate-then-commit split, with
+// recorded flags cross-checked against re-validation, which also
+// re-derives its index entries. A peer without a block log has no tail.
 func (p *Peer) recover() error {
-	blocks := p.blockLog.Blocks()
-	sp, hasSP := p.state.Savepoint()
-	if len(blocks) == 0 {
-		if hasSP {
-			// Recovered world state says blocks were applied, but the log
-			// holds none: starting a fresh chain over stale state would be
-			// silent corruption.
-			return fmt.Errorf("peer %s: empty block log but state savepoint %d (block log lost)", p.id, sp)
-		}
-		return nil
-	}
-	if hasSP && sp > blocks[len(blocks)-1].Header.Number {
-		// The commit pipeline logs a block before applying its state, so
-		// under kill/restart the log can trail the savepoint only if the
-		// log file itself lost committed bytes — refuse to run on a state
-		// we cannot re-derive.
-		return fmt.Errorf("peer %s: state savepoint %d is ahead of block log height %d (block log lost committed records)",
-			p.id, sp, blocks[len(blocks)-1].Header.Number+1)
-	}
-	for _, b := range blocks {
-		if b.Header.Number == 0 || (hasSP && b.Header.Number <= sp) {
-			if err := p.ledger.Append(b); err != nil {
-				return fmt.Errorf("peer %s: recover block %d: %w", p.id, b.Header.Number, err)
-			}
-			continue
-		}
+	for _, b := range p.ledger.Tail() {
 		if err := p.replayLoggedBlock(b); err != nil {
 			return fmt.Errorf("peer %s: recover block %d: %w", p.id, b.Header.Number, err)
 		}
@@ -245,25 +238,17 @@ func (p *Peer) recover() error {
 	return nil
 }
 
-// closeStores closes the state-bearing engines (not the block log).
-func (p *Peer) closeStores() error {
-	err := p.state.Close()
-	if herr := p.history.Close(); err == nil {
-		err = herr
-	}
-	return err
-}
-
 // Close flushes and closes the peer's durable resources. In-memory peers
 // close trivially. Idempotent per underlying store.
 func (p *Peer) Close() error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
-	err := p.closeStores()
-	if p.blockLog != nil {
-		if lerr := p.blockLog.Close(); err == nil {
-			err = lerr
-		}
+	err := p.state.Close()
+	if herr := p.history.Close(); err == nil {
+		err = herr
+	}
+	if lerr := p.ledger.Close(); err == nil {
+		err = lerr
 	}
 	return err
 }
@@ -276,10 +261,8 @@ func (p *Peer) Sync() error {
 	if herr := p.history.Sync(); err == nil {
 		err = herr
 	}
-	if p.blockLog != nil {
-		if lerr := p.blockLog.Sync(); err == nil {
-			err = lerr
-		}
+	if lerr := p.ledger.Sync(); err == nil {
+		err = lerr
 	}
 	return err
 }
@@ -301,6 +284,10 @@ func (p *Peer) History() *statedb.HistoryDB { return p.history }
 
 // Watchdog exposes the misbehaviour tracker.
 func (p *Peer) Watchdog() *Watchdog { return p.watchdog }
+
+// OpenTook reports how long New took to assemble the peer, recovery
+// included.
+func (p *Peer) OpenTook() time.Duration { return p.openTook }
 
 // VerifyCacheStats reports the peer's verify-cache hit/miss counters.
 func (p *Peer) VerifyCacheStats() (hits, misses int64) {
@@ -442,9 +429,18 @@ func (p *Peer) SubscribeEvents(buffer int) <-chan chaincode.Event {
 // committing the same ordered batch assembles a byte-identical block, so
 // independently running processes converge on one chain, not merely on
 // equivalent chains.
+//
+// A batch this peer already holds — every transaction on its chain, because
+// SyncFrom copied the block from a faster replica while consensus was
+// still delivering it here — is not committed a second time: that would
+// put this replica one block ahead of the others for good. The block it
+// landed in is returned instead.
 func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
+	if at, ok := p.alreadyCommitted(txs); ok {
+		return p.ledger.GetBlock(at)
+	}
 	number := p.ledger.Height()
 	block := ledger.NewBlock(number, p.ledger.TipHash(), txs, batchTimestamp(txs))
 	vStart := time.Now()
@@ -456,7 +452,7 @@ func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 	p.obsValidate.Observe(vDur)
 	copy(block.Metadata.Flags, flags)
 	cStart := time.Now()
-	if err := p.commitValidated(block, updates, validIdx, true); err != nil {
+	if err := p.commitValidated(block, updates, validIdx); err != nil {
 		return nil, err
 	}
 	cDur := time.Since(cStart)
@@ -480,6 +476,22 @@ func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 		}
 	}
 	return block, nil
+}
+
+// alreadyCommitted reports whether every transaction of a non-empty batch
+// is on the chain, and in which block the first one is. A fresh batch
+// answers after one index miss.
+func (p *Peer) alreadyCommitted(txs []ledger.Transaction) (block uint64, ok bool) {
+	for i := range txs {
+		at, _, _, found := p.ledger.TxLocation(txs[i].ID)
+		if !found {
+			return 0, false
+		}
+		if i == 0 {
+			block = at
+		}
+	}
+	return block, len(txs) > 0
 }
 
 // batchTimestamp returns the latest client timestamp in the batch — a
@@ -547,37 +559,33 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 
 // commitValidated lands a fully-validated block, in recovery-safe order:
 //
-//  1. Structural chain check (ledger.VerifyNext) — a malformed block must
-//     never reach the durable log.
-//  2. Block log append (durable peers, relog=true). From this point the
-//     block is committed: if the process dies before the remaining steps,
-//     recovery replays it from the log.
-//  3. History entries. Keyed by commit version, so a replay after a crash
-//     between 3 and 4 overwrites instead of duplicating.
-//  4. One state-engine pass (statedb.ApplyBlockAt) carrying every
-//     surviving write set AND the savepoint marker — atomic on the
-//     persist engine, which is what makes recovery's "replay strictly
-//     after the savepoint" exact.
-//  5. In-memory chain append + waiter/subscriber notification. The
-//     in-memory height only advances after state is applied, so observers
-//     that wait on height never read pre-block state.
+//  1. ledger.Stage: the structural chain check — a malformed block must
+//     never reach the durable log — then, on a durable peer, the block
+//     log append (skipped for a block recovery is replaying from that
+//     log). From this point the block is committed: if the process dies
+//     before the remaining steps, recovery replays it from the log.
+//  2. History entries. Keyed by commit version, so a replay after a crash
+//     between 2 and 3 overwrites instead of duplicating.
+//  3. One state-engine pass (statedb.ApplyBlockAt) carrying every
+//     surviving write set, the savepoint marker AND the ledger's index
+//     entries for this block — atomic on the persist engine, which is
+//     what makes recovery's "replay strictly after the savepoint" exact
+//     and lets the ledger trust its index without reading a block.
+//  4. ledger.Append + waiter/subscriber notification. The visible height
+//     only advances after state is applied, so observers that wait on
+//     height never read pre-block state.
 //
-// relog=false replays a block that is already in the log (recovery).
 // Caller holds commitMu.
-func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate, validIdx []int, relog bool) error {
+func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate, validIdx []int) error {
 	number := block.Header.Number
-	if err := p.ledger.VerifyNext(block); err != nil {
+	index, err := p.ledger.Stage(block)
+	if err != nil {
 		return fmt.Errorf("peer %s: commit block %d: %w", p.id, number, err)
-	}
-	if p.blockLog != nil && relog {
-		if err := p.blockLog.Append(block); err != nil {
-			return fmt.Errorf("peer %s: log block %d: %w", p.id, number, err)
-		}
 	}
 	for ui, i := range validIdx {
 		p.history.RecordBatch(updates[ui].Batch, block.Txs[i].ID, updates[ui].Version, block.Txs[i].Timestamp)
 	}
-	p.state.ApplyBlockAt(updates, number)
+	p.state.ApplyBlockAt(updates, number, index...)
 	if err := p.ledger.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.id, number, err)
 	}
@@ -610,7 +618,7 @@ func (p *Peer) replayLoggedBlock(b *ledger.Block) error {
 	if err != nil {
 		return err
 	}
-	return p.commitValidated(b, updates, validIdx, false)
+	return p.commitValidated(b, updates, validIdx)
 }
 
 // validateStatelessAll runs the per-transaction signature/policy checks,

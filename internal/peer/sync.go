@@ -25,34 +25,46 @@ var ErrFlagMismatch = fmt.Errorf("peer: synced block flags disagree with local v
 type BlockSource interface {
 	// Height returns the source chain height.
 	Height() uint64
-	// BlocksFrom returns all blocks with number >= from.
+	// BlocksFrom returns a page of consecutive blocks starting at number
+	// from — as many as the source chooses to hold in memory at once, at
+	// least one while it has any. An empty page means from is its height.
 	BlocksFrom(from uint64) ([]*ledger.Block, error)
 }
 
 // Height returns the peer's chain height (BlockSource).
 func (p *Peer) Height() uint64 { return p.ledger.Height() }
 
-// BlocksFrom returns the peer's blocks with number >= from (BlockSource).
+// syncPageBlocks caps one in-process catch-up page; the ledger also ends
+// a page early by size, so a page is a few MiB whatever the blocks hold.
+const syncPageBlocks = 256
+
+// BlocksFrom returns a page of the peer's blocks from number from
+// (BlockSource).
 func (p *Peer) BlocksFrom(from uint64) ([]*ledger.Block, error) {
-	return p.ledger.BlocksFrom(from), nil
+	return p.ledger.BlocksFrom(from, syncPageBlocks)
 }
 
-// SyncFrom copies blocks [local height, source height) from the source,
+// SyncFrom copies blocks [local height, source height) from the source a
+// page at a time — neither side ever holds the whole gap in memory —
 // returning how many blocks were applied.
 func (p *Peer) SyncFrom(src BlockSource) (int, error) {
-	from := p.ledger.Height()
-	blocks, err := src.BlocksFrom(from)
-	if err != nil {
-		return 0, fmt.Errorf("peer %s: sync fetch from height %d: %w", p.id, from, err)
-	}
 	applied := 0
-	for _, b := range blocks {
-		if err := p.applySyncedBlock(b); err != nil {
-			return applied, err
+	for {
+		from := p.ledger.Height()
+		blocks, err := src.BlocksFrom(from)
+		if err != nil {
+			return applied, fmt.Errorf("peer %s: sync fetch from height %d: %w", p.id, from, err)
 		}
-		applied++
+		if len(blocks) == 0 {
+			return applied, nil
+		}
+		for _, b := range blocks {
+			if err := p.applySyncedBlock(b); err != nil {
+				return applied, err
+			}
+			applied++
+		}
 	}
-	return applied, nil
 }
 
 // applySyncedBlock re-validates a remote block and commits it locally —
@@ -84,7 +96,7 @@ func (p *Peer) applySyncedBlock(b *ledger.Block) error {
 	if err != nil {
 		return err
 	}
-	if err := p.commitValidated(b, updates, validIdx, true); err != nil {
+	if err := p.commitValidated(b, updates, validIdx); err != nil {
 		return fmt.Errorf("peer %s: sync: %w", p.id, err)
 	}
 	return nil

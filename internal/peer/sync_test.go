@@ -137,3 +137,42 @@ func TestSyncedPeerCanContinueCommitting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommitBatchSkipsSyncedBatch: a replica that copied a block through
+// SyncFrom and is then handed the same batch by consensus must not commit
+// it again — one duplicate block would leave it a block ahead of every
+// other replica for good.
+func TestCommitBatchSkipsSyncedBatch(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		a, b, client := twinPeers(t)
+		if durable {
+			b.Close()
+			b, _ = durablePeer(t, t.TempDir())
+		}
+		prop := propose(t, client, "incr", []byte("ctr"))
+		resp, err := a.Endorse(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := []ledger.Transaction{envelope(t, client, prop, resp)}
+		want, err := a.CommitBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.SyncFrom(a); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.CommitBatch(batch) // consensus delivers what sync already brought
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Header.Hash() != want.Header.Hash() || b.Ledger().Height() != a.Ledger().Height() {
+			t.Fatalf("durable=%v: redelivered batch moved the replica to height %d (source %d)", durable, b.Ledger().Height(), a.Ledger().Height())
+		}
+		if vv, _ := b.State().GetState("counter", "ctr"); string(vv.Value) != "1" {
+			t.Fatalf("durable=%v: counter = %q after a redelivered batch, want 1", durable, vv.Value)
+		}
+		a.Close()
+		b.Close()
+	}
+}

@@ -37,9 +37,9 @@ func VerifyPayload(rec *contracts.DataRecord, payload []byte) error {
 // transaction must exist, be flagged valid, and verify against its block's
 // Merkle data hash.
 func VerifyInclusion(l *ledger.Ledger, txID string) error {
-	tx, flag, blockNum, err := l.GetTx(txID)
-	if err != nil {
-		return err
+	blockNum, idx, flag, ok := l.TxLocation(txID)
+	if !ok {
+		return fmt.Errorf("%w: tx %s", ledger.ErrNotFound, txID)
 	}
 	if flag != ledger.Valid {
 		return fmt.Errorf("provenance: tx %s committed invalid: %s", txID, flag)
@@ -48,21 +48,14 @@ func VerifyInclusion(l *ledger.Ledger, txID string) error {
 	if err != nil {
 		return err
 	}
-	idx := -1
-	for i := range block.Txs {
-		if block.Txs[i].ID == txID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if idx >= len(block.Txs) || block.Txs[idx].ID != txID {
 		return fmt.Errorf("provenance: tx %s not in block %d", txID, blockNum)
 	}
 	proof, err := block.TxProof(idx)
 	if err != nil {
 		return err
 	}
-	if !block.VerifyTxInclusion(tx, proof) {
+	if !block.VerifyTxInclusion(&block.Txs[idx], proof) {
 		return fmt.Errorf("provenance: merkle proof failed for tx %s", txID)
 	}
 	return nil

@@ -51,9 +51,10 @@ func NewWith(cfg storage.Config) (*DB, error) {
 // NewIndexedWith returns a world state on the engine cfg selects,
 // maintaining the given secondary indexes (held on a second engine of the
 // same configuration, under the "index" sub-directory for durable
-// configs). Indexes are always rebuilt from the recovered state, so a
-// crash between a state batch and its index batch can never leave them
-// permanently out of sync.
+// configs). The index engine carries its own savepoint; an open that finds
+// it behind the state's (a crash between a block's state batch and its
+// index batch) or finds a different spec list rebuilds the indexes from
+// the recovered state, so the two can never stay out of sync.
 func NewIndexedWith(cfg storage.Config, specs ...IndexSpec) (*DB, error) {
 	db, err := NewWith(cfg)
 	if err != nil {
@@ -116,11 +117,28 @@ func stateKey(ns, key string) string {
 	return ns + "\x00" + key
 }
 
-// reservedPrefix marks engine keys that are statedb bookkeeping, not
-// chaincode state: chaincode namespaces are never empty, so no composite
-// state key can start with NUL. Reserved keys are invisible to
-// Namespaces, Snapshot and every namespace iteration.
+// reservedPrefix marks engine keys that are bookkeeping, not chaincode
+// state: chaincode namespaces are never empty, so no composite state key
+// can start with NUL. Reserved keys are invisible to Namespaces, Snapshot
+// and every namespace iteration. Two owners write here: statedb itself
+// (the savepoint) and the committer's ledger, whose block index and
+// chain counters ride each block's batch as ReservedWrites so they are
+// atomic with the state they describe.
 const reservedPrefix = "\x00"
+
+// ReservedWrite is one bookkeeping entry carried in a block's state
+// batch (ApplyBlockAt) and read back with Reserved. Key is the caller's
+// own name inside the reserved keyspace; it must not be "savepoint".
+type ReservedWrite struct {
+	Key   string
+	Value []byte
+}
+
+// Reserved returns the bookkeeping value stored under key by a
+// ReservedWrite.
+func (db *DB) Reserved(key string) ([]byte, bool) {
+	return db.kv.Get(reservedPrefix + key)
+}
 
 // savepointKey stores the number of the last block whose writes were
 // applied, updated atomically with each block's state batch (one engine
@@ -236,7 +254,7 @@ func (db *DB) ApplyBlock(updates []TxUpdate) {
 	}
 	// Same code path as ApplyBlockAt (minus the savepoint) so the two
 	// entry points cannot drift behaviorally.
-	db.applyBlock(updates, nil)
+	db.applyBlock(updates, nil, nil)
 }
 
 // ApplyBlockAt is ApplyBlock for committers that track recovery state: it
@@ -246,16 +264,18 @@ func (db *DB) ApplyBlock(updates []TxUpdate) {
 // reflects the block and the savepoint or neither — the invariant that
 // lets recovery replay the block log from the savepoint without
 // double-applying. Unlike ApplyBlock, an empty update set still commits
-// (the savepoint must advance past blocks that wrote nothing).
-func (db *DB) ApplyBlockAt(updates []TxUpdate, height uint64) {
+// (the savepoint must advance past blocks that wrote nothing). reserved
+// entries land in the same batch, under the reserved prefix.
+func (db *DB) ApplyBlockAt(updates []TxUpdate, height uint64, reserved ...ReservedWrite) {
 	sp := make([]byte, 8)
 	binary.BigEndian.PutUint64(sp, height)
-	db.applyBlock(updates, sp)
+	db.applyBlock(updates, sp, reserved)
 }
 
 // applyBlock merges, versions and lands one block's updates, optionally
-// with a savepoint write riding in the same engine batch.
-func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte) {
+// with a savepoint write (and the committer's reserved entries) riding in
+// the same engine batch.
+func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte, reserved []ReservedWrite) {
 	merged := NewUpdateBatch()
 	versions := make(map[string]Version)
 	for _, u := range updates {
@@ -270,7 +290,7 @@ func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte) {
 	if db.idx != nil && merged.Len() > 0 {
 		idxWrites = db.idx.batchWrites(db, merged)
 	}
-	writes := make([]storage.Write, 0, merged.Len()+1)
+	writes := make([]storage.Write, 0, merged.Len()+1+len(reserved))
 	for ns, kvs := range merged.updates {
 		for key, w := range kvs {
 			sk := stateKey(ns, key)
@@ -281,8 +301,16 @@ func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte) {
 			writes = append(writes, storage.Write{Key: sk, Value: encodeValue(w.Value, versions[sk])})
 		}
 	}
+	for _, r := range reserved {
+		writes = append(writes, storage.Write{Key: reservedPrefix + r.Key, Value: r.Value})
+	}
 	if savepoint != nil {
 		writes = append(writes, storage.Write{Key: savepointKey, Value: savepoint})
+		if db.idx != nil {
+			// The index engine records the same height in its own batch,
+			// so the next open can tell the two stores are in step.
+			idxWrites = append(idxWrites, storage.Write{Key: indexSavepointKey, Value: savepoint})
+		}
 	}
 	db.kv.ApplyBatch(writes)
 	if len(idxWrites) > 0 {

@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -78,11 +79,19 @@ type indexer struct {
 	byName map[string]IndexSpec
 }
 
+// Index-engine bookkeeping keys. Index names are never empty, so no entry
+// key starts with NUL. The savepoint is the height of the last block
+// whose index batch landed; specs is the encoded spec list the entries
+// were built for.
+const (
+	indexSavepointKey = reservedPrefix + "savepoint"
+	indexSpecsKey     = reservedPrefix + "specs"
+)
+
 func newIndexer(cfg storage.Config, specs []IndexSpec) (*indexer, error) {
 	// Durable configs put the index engine beside the world state's "db"
-	// sub-directory. Its contents are advisory: BuildIndexes rebuilds from
-	// state on open, so a crash that split a state batch from its index
-	// batch heals here.
+	// sub-directory. BuildIndexes trusts its contents only when inStep
+	// says they describe exactly the recovered state.
 	kv, err := storage.Open(cfg.Sub("index"))
 	if err != nil {
 		return nil, fmt.Errorf("statedb: index: %w", err)
@@ -240,8 +249,48 @@ func (ix *indexer) batchWrites(db *DB, batch *UpdateBatch) []storage.Write {
 	return out
 }
 
+// specs lists the registered index specs, sorted by name.
+func (ix *indexer) specs() []IndexSpec {
+	out := make([]IndexSpec, 0, len(ix.byName))
+	for _, spec := range ix.byName {
+		out = append(out, spec)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// specBytes encodes the spec list in name order, for comparison across
+// opens.
+func (ix *indexer) specBytes() []byte {
+	enc, err := json.Marshal(ix.specs())
+	if err != nil {
+		panic("statedb: index spec marshal: " + err.Error()) // three string fields
+	}
+	return enc
+}
+
+// inStep reports whether the index engine already holds exactly what
+// rebuild would write: its savepoint equals the state's and it was built
+// for the same spec list. A crash between a block's state batch and its
+// index batch leaves the index savepoint one block behind; a database
+// that never recorded a savepoint (ApplyUpdates-only, or just restored)
+// proves nothing either way.
+func (ix *indexer) inStep(db *DB) bool {
+	stateSP, ok := db.kv.Get(savepointKey)
+	if !ok {
+		return false
+	}
+	idxSP, ok := ix.kv.Get(indexSavepointKey)
+	if !ok || !bytes.Equal(idxSP, stateSP) {
+		return false
+	}
+	specs, ok := ix.kv.Get(indexSpecsKey)
+	return ok && bytes.Equal(specs, ix.specBytes())
+}
+
 // rebuild drops and reconstructs every index from current state, used
-// after Restore and when indexes are added to a populated database.
+// after Restore, when indexes are added to a populated database, and at
+// open whenever inStep fails.
 func (ix *indexer) rebuild(db *DB) {
 	var drop []storage.Write
 	ix.kv.IterPrefix("", func(key string, _ []byte) bool {
@@ -264,13 +313,19 @@ func (ix *indexer) rebuild(db *DB) {
 			return true
 		})
 	}
+	writes = append(writes, storage.Write{Key: indexSpecsKey, Value: ix.specBytes()})
+	if sp, ok := db.kv.Get(savepointKey); ok {
+		writes = append(writes, storage.Write{Key: indexSavepointKey, Value: sp})
+	}
 	ix.kv.ApplyBatch(writes)
 }
 
-// BuildIndexes registers secondary indexes on the database and builds them
-// from the current state. It must not race commits; call it at assembly
-// time (peer construction) or on a quiesced database. Calling it on a DB
-// that already has indexes replaces them.
+// BuildIndexes registers secondary indexes on the database, reusing the
+// index engine's recovered entries when they are in step with the state
+// (see inStep) and rebuilding them from the current state otherwise. It
+// must not race commits; call it at assembly time (peer construction) or
+// on a quiesced database. Calling it on a DB that already has indexes
+// replaces them.
 func (db *DB) BuildIndexes(cfg storage.Config, specs ...IndexSpec) error {
 	if len(specs) == 0 {
 		db.idx = nil
@@ -280,7 +335,9 @@ func (db *DB) BuildIndexes(cfg storage.Config, specs ...IndexSpec) error {
 	if err != nil {
 		return err
 	}
-	ix.rebuild(db)
+	if !ix.inStep(db) {
+		ix.rebuild(db)
+	}
 	db.idx = ix
 	return nil
 }
@@ -290,12 +347,7 @@ func (db *DB) Indexes() []IndexSpec {
 	if db.idx == nil {
 		return nil
 	}
-	out := make([]IndexSpec, 0, len(db.idx.byName))
-	for _, spec := range db.idx.byName {
-		out = append(out, spec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return db.idx.specs()
 }
 
 // encodeIndexToken wraps an entry-key suffix as an opaque printable token.

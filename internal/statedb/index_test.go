@@ -306,3 +306,112 @@ func TestEscapeIndexValueRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// indexSavepointFixture commits three blocks into a durable indexed
+// database, closes it, and plants an entry in the index engine that no
+// state document backs: a rebuild drops it, a reused index still has it.
+func indexSavepointFixture(t *testing.T) storage.Config {
+	t.Helper()
+	cfg := storage.Config{Engine: storage.EnginePersist, Dir: t.TempDir()}
+	db := indexedTestDB(t, cfg)
+	for n := uint64(1); n <= 3; n++ {
+		b := NewUpdateBatch()
+		b.Put("data", fmt.Sprintf("rec/%d", n), []byte(`{"label":"car"}`))
+		db.ApplyBlockAt([]TxUpdate{{Batch: b, Version: Version{BlockNum: n}}}, n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := storage.Open(cfg.Sub("index"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Put(entryKey("label", "planted", "rec/none"), nil)
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+func indexKeys(t *testing.T, db *DB, index, value string) []string {
+	t.Helper()
+	page, err := db.IterIndex(index, value, 0, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range page.Entries {
+		keys = append(keys, e.Key)
+	}
+	return keys
+}
+
+// TestIndexSavepointDecidesRebuild: an open reuses the durable index only
+// when its savepoint equals the state's and the spec list is the one it
+// was built for; a state batch whose index batch never landed (the crash
+// window between the two engines) and a changed spec list both rebuild.
+func TestIndexSavepointDecidesRebuild(t *testing.T) {
+	t.Run("in step: reused", func(t *testing.T) {
+		cfg := indexSavepointFixture(t)
+		db := indexedTestDB(t, cfg)
+		defer db.Close()
+		if got := indexKeys(t, db, "label", "planted"); len(got) != 1 {
+			t.Fatalf("index was rebuilt although in step with the state (planted entry: %v)", got)
+		}
+		if got := indexKeys(t, db, "label", "car"); len(got) != 3 {
+			t.Fatalf("reused index lists %v under car, want 3 records", got)
+		}
+		// A reused index keeps absorbing blocks and stays in step.
+		b := NewUpdateBatch()
+		b.Put("data", "rec/4", []byte(`{"label":"car"}`))
+		db.ApplyBlockAt([]TxUpdate{{Batch: b, Version: Version{BlockNum: 4}}}, 4)
+		if got := indexKeys(t, db, "label", "car"); len(got) != 4 {
+			t.Fatalf("after one more block the index lists %v", got)
+		}
+	})
+	t.Run("state batch without its index batch: rebuilt", func(t *testing.T) {
+		cfg := indexSavepointFixture(t)
+		// Block 4 reaches the state engine only — what a kill between the
+		// two batches leaves on disk.
+		bare, err := NewWith(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewUpdateBatch()
+		b.Put("data", "rec/4", []byte(`{"label":"bus"}`))
+		b.Delete("data", "rec/1")
+		bare.ApplyBlockAt([]TxUpdate{{Batch: b, Version: Version{BlockNum: 4}}}, 4)
+		if err := bare.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db := indexedTestDB(t, cfg)
+		defer db.Close()
+		if got := indexKeys(t, db, "label", "planted"); len(got) != 0 {
+			t.Fatalf("index one block behind the state was reused (planted entry: %v)", got)
+		}
+		if got := indexKeys(t, db, "label", "bus"); !reflect.DeepEqual(got, []string{"rec/4"}) {
+			t.Fatalf("rebuilt index lists %v under bus", got)
+		}
+		if got := indexKeys(t, db, "label", "car"); !reflect.DeepEqual(got, []string{"rec/2", "rec/3"}) {
+			t.Fatalf("rebuilt index lists %v under car", got)
+		}
+		// The rebuild recorded the state's savepoint: the next open reuses.
+		if !db.idx.inStep(db) {
+			t.Fatal("rebuilt index is not in step with the state")
+		}
+	})
+	t.Run("changed specs: rebuilt", func(t *testing.T) {
+		cfg := indexSavepointFixture(t)
+		db, err := NewIndexedWith(cfg, IndexSpec{Name: "label", Namespace: "data", Field: "label"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if got := indexKeys(t, db, "label", "planted"); len(got) != 0 {
+			t.Fatalf("index built for another spec list was reused (planted entry: %v)", got)
+		}
+		if got := indexKeys(t, db, "label", "car"); len(got) != 3 {
+			t.Fatalf("rebuilt index lists %v under car", got)
+		}
+	})
+}

@@ -490,7 +490,7 @@ func (p *Persist) replayWAL(idx uint64, last bool) error {
 		}
 	}
 	if err != nil {
-		if terr := walframe.RecoverTail(path, data, good); terr != nil {
+		if terr := walframe.RecoverTail(path, data[good:], int64(good)); terr != nil {
 			return fmt.Errorf("storage: persist wal: %w", terr)
 		}
 	}

@@ -281,7 +281,7 @@ func (p *MapWAL) replaySegment(idx uint64, last bool) error {
 	if err != nil {
 		// Torn tail vs mid-segment corruption: truncate the former, fail
 		// on the latter (shared decision logic — see walframe.RecoverTail).
-		if terr := walframe.RecoverTail(path, data, good); terr != nil {
+		if terr := walframe.RecoverTail(path, data[good:], int64(good)); terr != nil {
 			return fmt.Errorf("storage: mapwal segment: %w", terr)
 		}
 	}

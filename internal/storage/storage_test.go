@@ -25,6 +25,13 @@ func engines(tb testing.TB) map[string]KV {
 	if err != nil {
 		tb.Fatalf("open mapwal: %v", err)
 	}
+	// Registered after the TempDirs, so it runs before their removal: a
+	// background flush still writing there fails the directory cleanup.
+	tb.Cleanup(func() {
+		persist.Close()
+		persistSmall.Close()
+		mapwal.Close()
+	})
 	return map[string]KV{
 		"single":        NewSingle(),
 		"sharded":       NewSharded(0),

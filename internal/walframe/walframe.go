@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -51,6 +52,36 @@ func Next(data []byte, off int) (payload []byte, next int, err error) {
 	return payload, off + HeaderLen + n, nil
 }
 
+// Read reads the frame r is positioned at into buf (grown when too
+// small) and returns its CRC-checked payload, which aliases the buffer.
+// max is how many bytes r can still supply; a header promising more is a
+// truncated frame, not an allocation. io.EOF means r ended exactly on a
+// frame boundary.
+func Read(r io.Reader, buf []byte, max int64) (payload []byte, err error) {
+	var hdr [HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("walframe: truncated header: %w", err)
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+	if n > max-HeaderLen {
+		return nil, fmt.Errorf("walframe: truncated body: frame of %d bytes with %d left", n, max-HeaderLen)
+	}
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("walframe: truncated body: %w", err)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return nil, fmt.Errorf("walframe: crc mismatch")
+	}
+	return payload, nil
+}
+
 // HasValidFrame reports whether any offset of data parses as a complete
 // CRC-valid frame — the discriminator between a torn tail and mid-log
 // corruption. A false positive needs a 2^-32 CRC coincidence, so a hit
@@ -64,20 +95,22 @@ func HasValidFrame(data []byte) bool {
 	return false
 }
 
-// RecoverTail repairs a log file whose frames parsed cleanly up to good
-// bytes: a genuine torn tail (no complete CRC-valid frame after the
-// failure point) is truncated away; anything else is mid-log corruption
-// and an error — committed frames are never silently destroyed. Both
-// durable logs route their truncate-or-fail decision through here so it
-// cannot drift between them.
-func RecoverTail(path string, data []byte, good int) error {
-	if good >= len(data) {
+// RecoverTail repairs a log file whose frames parsed cleanly up to offset
+// at, given rest, the file's bytes from at to its end: a genuine torn
+// tail (no complete CRC-valid frame after the failure point) is truncated
+// away; anything else is mid-log corruption and an error — committed
+// frames are never silently destroyed. Every durable log routes its
+// truncate-or-fail decision through here so it cannot drift between
+// them; a reader that streams its frames passes only the unparsed
+// remainder.
+func RecoverTail(path string, rest []byte, at int64) error {
+	if len(rest) == 0 {
 		return nil
 	}
-	if HasValidFrame(data[good+1:]) {
-		return fmt.Errorf("walframe: %s corrupt at offset %d with committed frames after it", path, good)
+	if HasValidFrame(rest[1:]) {
+		return fmt.Errorf("walframe: %s corrupt at offset %d with committed frames after it", path, at)
 	}
-	if err := os.Truncate(path, int64(good)); err != nil {
+	if err := os.Truncate(path, at); err != nil {
 		return fmt.Errorf("walframe: truncate torn tail of %s: %w", path, err)
 	}
 	return nil

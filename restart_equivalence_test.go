@@ -161,6 +161,13 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 				if reHeight < 2 {
 					t.Fatalf("recovered chain height %d — nothing was resumed", reHeight)
 				}
+				// A cleanly closed peer reopens at its savepoint: it has
+				// no block-log tail to decode, whatever its height.
+				for _, p := range fw.Net.ChannelAt(0).Peers() {
+					if got := p.Ledger().IOStats().OpenDecoded; got != 0 {
+						t.Fatalf("%s decoded %d blocks reopening a cleanly closed chain of %d", p.ID(), got, reHeight)
+					}
+				}
 				client, cam = restartCamera(t, fw)
 				storeRange(t, client, run.mode, frames, metas, run.split, n)
 			}
@@ -176,6 +183,13 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 			}
 			idx := canonicalIndex(t, fw, contracts.IndexLabel)
 			idxJSON, _ := json.Marshal(idx)
+			// Stores, commits, catch-up waits and state queries never
+			// read a block back: the chain is written, not consulted.
+			for _, p := range fw.Net.ChannelAt(0).Peers() {
+				if got := p.Ledger().IOStats().BlockReads; got != 0 {
+					t.Fatalf("%s read %d blocks from its block file on the store and query paths", p.ID(), got)
+				}
+			}
 			canonical = append(canonical, recJSON)
 			indexCanon = append(indexCanon, string(idxJSON))
 			if len(canonical) > 1 {
