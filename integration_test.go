@@ -6,7 +6,6 @@ package socialchain
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +22,7 @@ import (
 	"socialchain/internal/provenance"
 	"socialchain/internal/query"
 	"socialchain/internal/sim"
+	"socialchain/internal/statedb"
 )
 
 // newIntegrationFramework builds a framework with realistic knobs: LAN
@@ -217,7 +217,7 @@ func buildEnvelopeWithLiar(net *fabric.Network, gw *fabric.Gateway, client, liar
 				Response:  resp.Response,
 				Timestamp: prop.Timestamp,
 			}
-			if err := json.Unmarshal(resp.RWSetJSON, &tx.RWSet); err != nil {
+			if tx.RWSet, err = statedb.DecodeRWSet(resp.RWSet); err != nil {
 				return nil, err
 			}
 		}

@@ -8,7 +8,8 @@ package consensus
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+
+	"socialchain/internal/codec"
 )
 
 // MsgType enumerates protocol messages.
@@ -67,8 +68,8 @@ type Message struct {
 
 	// sigBytes memoises SigningBytes: quorum traffic verifies each message
 	// once but the canonical bytes are also needed for the verify-cache key,
-	// and broadcast signs the same bytes for every recipient. Unexported, so
-	// JSON round-trips drop it (a decoded message recomputes lazily). Any
+	// and broadcast signs the same bytes for every recipient. Not part of
+	// the encoding (a decoded message recomputes lazily). Any
 	// code that mutates a signed-over field after copying a Message must
 	// call invalidate() or the memo goes stale.
 	sigBytes []byte
@@ -107,22 +108,43 @@ func (m *Message) computeSigningBytes() []byte {
 	return buf
 }
 
-// Encode serialises the message for embedding as evidence or proof.
+// Encode serialises the message for the wire and for embedding as
+// evidence or proof (internal/codec): type byte, view, sequence, digest,
+// sender, payload, pre-prepare evidence, proofs behind their count,
+// signature. Embedded messages nest as raw byte strings.
 func (m *Message) Encode() []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic("consensus: message marshal: " + err.Error())
+	b := make([]byte, 0, 128+len(m.From)+len(m.Payload)+len(m.PrePrepareEvidence)+len(m.Signature))
+	b = append(b, byte(m.Type))
+	b = codec.AppendUvarint(b, m.View)
+	b = codec.AppendUvarint(b, m.Seq)
+	b = append(b, m.Digest[:]...)
+	b = codec.AppendString(b, m.From)
+	b = codec.AppendBytes(b, m.Payload)
+	b = codec.AppendBytes(b, m.PrePrepareEvidence)
+	b = codec.AppendUvarint(b, uint64(len(m.Proofs)))
+	for _, p := range m.Proofs {
+		b = codec.AppendBytes(b, p)
 	}
-	return b
+	return codec.AppendBytes(b, m.Signature)
 }
 
 // DecodeMessage parses a message encoded with Encode.
 func DecodeMessage(b []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
+	r := codec.NewReader(b)
+	m := &Message{Type: MsgType(r.Byte()), View: r.Uvarint(), Seq: r.Uvarint(), Digest: r.Hash(), From: r.String()}
+	m.Payload = r.Bytes()
+	m.PrePrepareEvidence = r.Bytes()
+	if n := r.Count(1); n > 0 {
+		m.Proofs = make([][]byte, n)
+	}
+	for i := range m.Proofs {
+		m.Proofs[i] = r.Bytes()
+	}
+	m.Signature = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
 // DigestOf hashes a proposal payload.

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,6 +220,28 @@ func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 	}
 	if _, ok := net.Peer(0).State().GetState("kv", "x"); ok {
 		t.Fatal("under-endorsed write must not be applied")
+	}
+}
+
+// TestNestedBatchEnvelopeRefused: an envelope the encoding cannot carry
+// whole never reaches ordering, so nothing commits under a hash that
+// leaves part of it out.
+func TestNestedBatchEnvelopeRefused(t *testing.T) {
+	net := newTestNetwork(t, Config{NumPeers: 4})
+	gw := net.Gateway(newClient(t))
+	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
+	resp, err := net.Peer(0).Endorse(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := envelopeFrom(t, gw, prop, resp)
+	tx.Payload = ledger.TxPayload{Batch: []ledger.TxPayload{{Batch: []ledger.TxPayload{tx.Payload}}}}
+	height := net.Peer(0).Height()
+	if _, err := gw.SubmitEnvelope(tx); err == nil || !strings.Contains(err.Error(), "batch of its own") {
+		t.Fatalf("submit of a nested batch: %v", err)
+	}
+	if got := net.Peer(0).Height(); got != height {
+		t.Fatalf("height %d → %d after the refusal", height, got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -203,8 +202,8 @@ func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.
 // agreeing endorsement group, carrying the proposal's trace ID into the
 // envelope so peers can attribute commit-side spans to it.
 func assembleSignedEnvelope(client *msp.Signer, txID, channelID, trace string, payload ledger.TxPayload, ts time.Time, group []*peer.ProposalResponse) (*ledger.Transaction, error) {
-	var rw statedb.RWSet
-	if err := json.Unmarshal(group[0].RWSetJSON, &rw); err != nil {
+	rw, err := statedb.DecodeRWSet(group[0].RWSet)
+	if err != nil {
 		return nil, fmt.Errorf("fabric: decode rwset: %w", err)
 	}
 	tx := &ledger.Transaction{
@@ -251,8 +250,12 @@ func (g *Gateway) SubmitEnvelope(tx ledger.Transaction) (*Result, error) {
 
 // orderAsync submits the envelope through a round-robin entry peer, which
 // registers a commit waiter before ordering can reject (see
-// Endorser.Order).
+// Endorser.Order). An envelope the encoding cannot carry whole is refused
+// here, before a remote entry peer would put it on the wire.
 func (g *Gateway) orderAsync(tx ledger.Transaction) (Endorser, <-chan ledger.ValidationCode, error) {
+	if err := tx.CheckFlat(); err != nil {
+		return nil, nil, fmt.Errorf("fabric: order: %w", err)
+	}
 	entries := g.be.entryEndorsers()
 	entry := entries[int(g.be.rrNext())%len(entries)]
 	g.be.clientDelay(entry.ID())

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -24,8 +23,8 @@ func envelopeFrom(t *testing.T, gw *Gateway, prop *peer.Proposal, resps ...*peer
 	if len(resps) == 0 {
 		t.Fatal("envelopeFrom needs at least one response")
 	}
-	var rw statedb.RWSet
-	if err := json.Unmarshal(resps[0].RWSetJSON, &rw); err != nil {
+	rw, err := statedb.DecodeRWSet(resps[0].RWSet)
+	if err != nil {
 		t.Fatalf("decode rwset: %v", err)
 	}
 	tx := ledger.Transaction{

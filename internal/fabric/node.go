@@ -384,9 +384,15 @@ type remoteBlockSource struct {
 func (s *remoteBlockSource) Height() uint64 { return s.height }
 
 func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
-	var resp blocksResp
-	req := blocksReq{Channel: s.channel, From: from, Max: maxSyncBlocks}
-	err := s.rpc.CallJSON(s.peer, methodBlocks, req, &resp, 10*time.Second)
+	req, err := json.Marshal(blocksReq{Channel: s.channel, From: from, Max: maxSyncBlocks})
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.rpc.Call(s.peer, methodBlocks, req, 10*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := decodeBlocksResp(out)
 	return resp.Blocks, err
 }
 
@@ -513,7 +519,7 @@ func (n *Node) handleBlocks(from string, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(blocksResp{Blocks: blocks})
+	return blocksResp{Blocks: blocks}.encode(), nil
 }
 
 func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
@@ -535,8 +541,8 @@ func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
 // ordering node broadcasts each batch to every validator, and consensus
 // deduplicates by digest.
 func (n *Node) handlePropose(from string, req []byte) ([]byte, error) {
-	var r proposeReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	r, err := decodeProposeReq(req)
+	if err != nil {
 		return nil, err
 	}
 	nc, err := n.channel(r.Channel)

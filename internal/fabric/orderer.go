@@ -151,10 +151,10 @@ type rpcProposer struct {
 // this layer — the gateway's commit timeout and MVCC retry own end-to-end
 // delivery, matching the loss model of the in-process path.
 func (p *rpcProposer) Propose(payload []byte) {
-	req := proposeReq{Channel: p.channel, Payload: payload}
+	req := proposeReq{Channel: p.channel, Payload: payload}.encode()
 	for _, id := range p.peers {
 		go func(id string) {
-			_ = p.rpc.CallJSON(id, methodPropose, req, nil, 5*time.Second)
+			_, _ = p.rpc.Call(id, methodPropose, req, 5*time.Second)
 		}(id)
 	}
 }
@@ -162,8 +162,8 @@ func (p *rpcProposer) Propose(payload []byte) {
 // handleSubmit feeds a remote gateway's envelope into the channel's cutter,
 // mapping the typed ordering errors onto wire codes.
 func (o *Orderer) handleSubmit(from string, req []byte) ([]byte, error) {
-	var r submitReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	r, err := decodeSubmitReq(req)
+	if err != nil {
 		return nil, err
 	}
 	svc := o.services[r.Channel]

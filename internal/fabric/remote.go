@@ -269,7 +269,7 @@ func (e *remoteEndorser) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalR
 // is still observed.
 func (e *remoteEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationCode, error) {
 	req := submitReq{Channel: e.rc.name, Tx: tx}
-	if err := e.rc.r.rpc.CallJSON(OrdererID, methodSubmit, req, nil, e.rc.r.cfg.RPCTimeout); err != nil {
+	if _, err := e.rc.r.rpc.Call(OrdererID, methodSubmit, req.encode(), e.rc.r.cfg.RPCTimeout); err != nil {
 		switch transport.ErrCode(err) {
 		case codeBacklog:
 			return nil, fmt.Errorf("%w: %s", ordering.ErrBacklog, err)

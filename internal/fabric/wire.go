@@ -3,6 +3,7 @@ package fabric
 import (
 	"time"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/ledger"
 	"socialchain/internal/peer"
 )
@@ -12,6 +13,12 @@ import (
 // wait and block-fetch methods, the ordering node (orderer.go) serves
 // submit, and remote gateways (remote.go) call both. Every request names
 // its channel, since one process hosts every channel of the deployment.
+//
+// The three bodies that carry chain data — a submit's transaction, a
+// propose's ordering batch, a blocks response — are encoded with
+// internal/codec (the encode/decode pairs below) and travel through
+// RPC.Call as raw bytes. The rest are small control-plane structs that
+// nothing hashes or stores; they stay JSON through RPC.CallJSON.
 const (
 	methodEndorse      = "endorse"
 	methodEndorseBatch = "endorsebatch"
@@ -70,18 +77,65 @@ type blocksReq struct {
 	Max     int    `json:"max"`
 }
 
+// blocksResp is the block count, then each block's canonical encoding.
 type blocksResp struct {
-	Blocks []*ledger.Block `json:"blocks"`
+	Blocks []*ledger.Block
 }
 
+func (m blocksResp) encode() []byte {
+	return codec.Encode(func(b []byte) []byte {
+		b = codec.AppendUvarint(b, uint64(len(m.Blocks)))
+		for _, blk := range m.Blocks {
+			b = blk.AppendTo(b)
+		}
+		return b
+	})
+}
+
+func decodeBlocksResp(p []byte) (blocksResp, error) {
+	var m blocksResp
+	r := codec.NewReader(p)
+	if n := r.Count(ledger.BlockMinLen); n > 0 {
+		m.Blocks = make([]*ledger.Block, n)
+	}
+	for i := range m.Blocks {
+		m.Blocks[i] = new(ledger.Block)
+		m.Blocks[i].DecodeFrom(r)
+	}
+	return m, r.Done()
+}
+
+// proposeReq is the channel name, then the batch payload as raw bytes.
 type proposeReq struct {
-	Channel string `json:"channel"`
-	Payload []byte `json:"payload"`
+	Channel string
+	Payload []byte
 }
 
+func (m proposeReq) encode() []byte {
+	return codec.AppendBytes(codec.AppendString(make([]byte, 0, len(m.Channel)+len(m.Payload)+8), m.Channel), m.Payload)
+}
+
+func decodeProposeReq(p []byte) (proposeReq, error) {
+	r := codec.NewReader(p)
+	m := proposeReq{Channel: r.String(), Payload: r.Bytes()}
+	return m, r.Done()
+}
+
+// submitReq is the channel name, then the transaction's canonical encoding.
 type submitReq struct {
-	Channel string             `json:"channel"`
-	Tx      ledger.Transaction `json:"tx"`
+	Channel string
+	Tx      ledger.Transaction
+}
+
+func (m *submitReq) encode() []byte {
+	return m.Tx.AppendTo(codec.AppendString(nil, m.Channel))
+}
+
+func decodeSubmitReq(p []byte) (*submitReq, error) {
+	r := codec.NewReader(p)
+	m := &submitReq{Channel: r.String()}
+	m.Tx.DecodeFrom(r)
+	return m, r.Done()
 }
 
 type emptyResp struct{}

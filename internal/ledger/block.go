@@ -2,9 +2,9 @@ package ledger
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"time"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/merkle"
 )
 
@@ -17,13 +17,24 @@ type BlockHeader struct {
 	Timestamp time.Time `json:"timestamp"`
 }
 
-// Hash computes the header hash that the next block must reference.
+// appendTo appends the header's canonical encoding: number, previous
+// hash, data hash, timestamp.
+func (h BlockHeader) appendTo(b []byte) []byte {
+	b = codec.AppendUvarint(b, h.Number)
+	b = append(b, h.PrevHash[:]...)
+	b = append(b, h.DataHash[:]...)
+	return codec.AppendTime(b, h.Timestamp)
+}
+
+// headerLen is the shortest (and, above block 127, nearly the only)
+// encoded header size.
+const headerLen = 1 + 32 + 32 + 8
+
+// Hash computes the header hash that the next block must reference: the
+// SHA-256 of the header's canonical encoding, so it covers every field —
+// the timestamp included — by construction.
 func (h BlockHeader) Hash() [32]byte {
-	buf := make([]byte, 8, 8+64)
-	binary.BigEndian.PutUint64(buf, h.Number)
-	buf = append(buf, h.PrevHash[:]...)
-	buf = append(buf, h.DataHash[:]...)
-	return sha256.Sum256(buf)
+	return sha256.Sum256(h.appendTo(make([]byte, 0, headerLen+9)))
 }
 
 // BlockMetadata carries per-transaction validation flags set by committers.
@@ -36,6 +47,45 @@ type Block struct {
 	Header   BlockHeader   `json:"header"`
 	Txs      []Transaction `json:"txs"`
 	Metadata BlockMetadata `json:"metadata"`
+}
+
+// AppendTo appends the block's canonical encoding (internal/codec): the
+// header, the transactions behind their count, the validation flags as one
+// byte string.
+func (b *Block) AppendTo(buf []byte) []byte {
+	buf = AppendTxs(b.Header.appendTo(buf), b.Txs)
+	buf = codec.AppendUvarint(buf, uint64(len(b.Metadata.Flags)))
+	for _, f := range b.Metadata.Flags {
+		buf = append(buf, byte(f))
+	}
+	return buf
+}
+
+// DecodeFrom reads what AppendTo wrote.
+func (b *Block) DecodeFrom(r *codec.Reader) {
+	*b = Block{Header: BlockHeader{Number: r.Uvarint(), PrevHash: r.Hash(), DataHash: r.Hash(), Timestamp: r.Time()}}
+	b.Txs = DecodeTxs(r)
+	if n := r.Count(1); n > 0 {
+		b.Metadata.Flags = make([]ValidationCode, n)
+	}
+	for i := range b.Metadata.Flags {
+		b.Metadata.Flags[i] = ValidationCode(r.Byte())
+	}
+}
+
+// BlockMinLen is the shortest encoded block (an empty one), for the
+// codec.Reader.Count of a list of them.
+const BlockMinLen = headerLen + 2
+
+// DecodeBlock parses a whole block encoded with AppendTo.
+func DecodeBlock(p []byte) (*Block, error) {
+	var b Block
+	r := codec.NewReader(p)
+	b.DecodeFrom(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return &b, nil
 }
 
 // ComputeDataHash returns the Merkle root over the block's transactions.

@@ -7,8 +7,8 @@ import (
 )
 
 // blockCacheBytes bounds the decoded blocks a log-backed ledger keeps in
-// memory, counted by their encoded size (a decoded block is about as
-// large: base64 fields shrink, struct headers grow). Only GetBlock and
+// memory, counted by their encoded size (a decoded block is that plus its
+// struct and slice headers). Only GetBlock and
 // GetTx fill it — committing a block does not, and scans (Iterate,
 // VerifyChain, Export, BlocksFrom) stream past it — so a peer nobody
 // browses holds no blocks at all.

@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -87,18 +86,20 @@ func commitLogged(t *testing.T, l *Ledger, db *statedb.DB, b *Block) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	enc, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
+// enc is a block's canonical encoding as a comparable string.
+func enc(b *Block) string { return string(b.AppendTo(nil)) }
+
+func encAll(blocks []*Block) []string {
+	out := make([]string, len(blocks))
+	for i, b := range blocks {
+		out[i] = enc(b)
 	}
-	return string(enc)
+	return out
 }
 
 // assertSameLedger compares every read a ledger offers across the two
-// backings. Blocks compare by their JSON, the form both replicas and the
-// block file agree on.
+// backings. Blocks compare by their canonical encoding, the form both
+// replicas and the block file agree on.
 func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*Block) {
 	t.Helper()
 	if want.Height() != got.Height() || want.TipHash() != got.TipHash() {
@@ -117,7 +118,7 @@ func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("GetBlock(%d): memory err %v, log err %v", n, werr, gerr)
 		}
-		if werr == nil && mustJSON(t, wb) != mustJSON(t, gb) {
+		if werr == nil && enc(wb) != enc(gb) {
 			t.Fatalf("GetBlock(%d) differs", n)
 		}
 	}
@@ -144,7 +145,7 @@ func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*
 		if werr != nil {
 			continue
 		}
-		if mustJSON(t, wTx) != mustJSON(t, gTx) {
+		if !bytes.Equal(wTx.Bytes(), gTx.Bytes()) {
 			t.Fatalf("GetTx(%s) differs", id)
 		}
 		wBlk, _ := want.GetBlock(wB)
@@ -159,8 +160,8 @@ func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*
 		}
 	}
 	var wSeq, gSeq []string
-	want.Iterate(func(b *Block) bool { wSeq = append(wSeq, mustJSON(t, b)); return true })
-	got.Iterate(func(b *Block) bool { gSeq = append(gSeq, mustJSON(t, b)); return true })
+	want.Iterate(func(b *Block) bool { wSeq = append(wSeq, enc(b)); return true })
+	got.Iterate(func(b *Block) bool { gSeq = append(gSeq, enc(b)); return true })
 	if !reflect.DeepEqual(wSeq, gSeq) {
 		t.Fatal("Iterate differs")
 	}
@@ -173,7 +174,7 @@ func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*
 		from, max := uint64(rng.Intn(int(height)+2)), rng.Intn(5)
 		wPage, werr := want.BlocksFrom(from, max)
 		gPage, gerr := got.BlocksFrom(from, max)
-		if werr != nil || gerr != nil || mustJSON(t, wPage) != mustJSON(t, gPage) {
+		if werr != nil || gerr != nil || !reflect.DeepEqual(encAll(wPage), encAll(gPage)) {
 			t.Fatalf("BlocksFrom(%d, %d) differs (%v, %v)", from, max, werr, gerr)
 		}
 	}

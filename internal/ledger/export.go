@@ -9,12 +9,23 @@ import (
 
 // Export writes the chain as one JSON block per line (a portable audit
 // dump: auditors can re-verify the hash chain offline, and lagging peers
-// can bootstrap from it). On a log-backed ledger the blocks stream from
-// the file one at a time.
+// can bootstrap from it). JSON is the chain's human-readable form only;
+// every other place a block becomes bytes uses its canonical encoding. On
+// a log-backed ledger the blocks stream from the file one at a time. An
+// in-memory ledger holds blocks as they were assembled — empty slices that
+// are not nil, times in a local zone — which JSON would print differently
+// from the same block read back from a file, so those pass through the
+// canonical encoding first: the dump is a function of the chain, not of
+// the backing.
 func (l *Ledger) Export(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var werr error
 	err := l.walk(0, func(b *Block, _ int64) bool {
+		if l.log == nil {
+			if b, werr = DecodeBlock(b.AppendTo(nil)); werr != nil {
+				return false
+			}
+		}
 		var enc []byte
 		if enc, werr = json.Marshal(b); werr != nil {
 			return false

@@ -227,6 +227,16 @@ func TestBlockHeaderHashCoversFields(t *testing.T) {
 	if h4.Hash() == base {
 		t.Fatal("hash ignores data hash")
 	}
+	h5 := h
+	h5.Timestamp = time.Unix(1, 0)
+	if h5.Hash() == base {
+		t.Fatal("hash ignores timestamp")
+	}
+	h6 := h5
+	h6.Timestamp = h5.Timestamp.In(time.FixedZone("east", 3600))
+	if h6.Hash() != h5.Hash() {
+		t.Fatal("hash depends on the timestamp's zone")
+	}
 }
 
 func TestEmptyBlockDataHashStable(t *testing.T) {

@@ -3,29 +3,38 @@ package ledger
 // The block log is the chain's durable spine: every block a peer commits
 // is appended here BEFORE its write sets touch the state engines, so a
 // crash-recovering peer can replay the exact committed sequence through
-// the same validate-then-commit path a live delivery takes. The format is
-// deliberately independent of the state engines — one CRC-framed JSON
-// record per block — so an operator can also audit a chain with nothing
-// but this file.
+// the same validate-then-commit path a live delivery takes. The file is
+// independent of the state engines, but it is not meant to be read by eye:
+// a record is the block's canonical binary encoding (internal/codec, the
+// same bytes the block has on the wire and under its hashes). To audit a
+// chain, open the directory and stream it out as JSON with Ledger.Export,
+// or re-verify a dump offline as examples/chainaudit does.
 //
 // Record framing (internal/walframe, shared with the storage WAL):
 //
-//	[4B big-endian payload length][4B IEEE CRC32 of payload][payload JSON]
+//	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
 //
-// Opening never decodes what the opener already trusts: it CRC-scans the
-// frames from a starting offset (0 for a bare OpenLog, the end of the
-// savepoint block for a peer's ledger) to find where the log ends. A torn
+// and the payload is
+//
+//	[1B format version = logFormat][block: Block.AppendTo]
+//
+// Opening checks the version byte of the first record — a log written
+// before the binary encoding starts with '{' — and refuses a log of any
+// other format without touching the file; there is no migration and no
+// second reader. Beyond that, opening never decodes what the opener already
+// trusts: it CRC-scans the frames from a starting offset (0 for a bare
+// OpenLog, the end of the savepoint block for a peer's ledger) to find
+// where the log ends. A torn
 // tail — a partial record where the process died mid-append — is
 // truncated; every fully-appended block survives. Corruption before the
 // tail (any CRC-valid record found after the damage) is a hard error:
 // committed blocks are never silently destroyed. Frames below the
 // starting offset are checked when they are read: every read verifies the
-// frame's CRC and the block number it carries, and a mismatch is an error,
-// never a wrong block.
+// frame's CRC, the format version and the block number it carries, and a
+// mismatch is an error, never a wrong block.
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -43,6 +52,21 @@ type Log struct {
 	buf    []byte
 	err    error // sticky append failure: a torn frame may be on disk
 	closed bool
+}
+
+// logFormat is the block-log record format this build writes and reads:
+// the first byte of every record's payload.
+const logFormat = 1
+
+// checkFormat rejects a record payload in any format but logFormat.
+func checkFormat(payload []byte) error {
+	if len(payload) > 0 && payload[0] == logFormat {
+		return nil
+	}
+	if len(payload) > 0 && payload[0] == '{' {
+		return fmt.Errorf("ledger: block log holds JSON records, written by an older build; this build reads block-log format %d only (no migration: start from an empty data directory)", logFormat)
+	}
+	return fmt.Errorf("ledger: block-log record is not in format %d", logFormat)
 }
 
 // OpenLog opens (or creates) the block log at path, CRC-checking every
@@ -64,11 +88,43 @@ func openLog(path string, from int64, next uint64, found func(off int64, payload
 		return nil, fmt.Errorf("ledger: open log: %w", err)
 	}
 	l := &Log{f: f, path: path, end: from, next: next}
-	if err := l.recover(found); err != nil {
+	err = l.checkFirst()
+	if err == nil {
+		err = l.recover(found)
+	}
+	if err != nil {
 		f.Close() // nothing was written through this handle
 		return nil, err
 	}
 	return l, nil
+}
+
+// checkFirst tells a log of another format from a damaged one before
+// anything decides to truncate it, wherever the scan starts. It refuses a
+// first record that starts with '{' (a JSON log) or that is CRC-valid
+// under another version byte; anything else — a short file, a first record
+// torn into zeros — is left to recover.
+func (l *Log) checkFirst() error {
+	var head [walframe.HeaderLen + 1]byte
+	if n, _ := l.f.ReadAt(head[:], 0); n < len(head) {
+		return nil
+	}
+	first := head[walframe.HeaderLen:]
+	if first[0] == logFormat {
+		return nil
+	}
+	if first[0] != '{' {
+		st, err := l.f.Stat()
+		if err != nil {
+			return fmt.Errorf("ledger: stat log: %w", err)
+		}
+		payload, err := walframe.Read(io.NewSectionReader(l.f, 0, st.Size()), nil, st.Size())
+		if err != nil || len(payload) == 0 {
+			return nil
+		}
+		first = payload
+	}
+	return fmt.Errorf("%w (%s)", checkFormat(first), l.path)
 }
 
 // recover walks the frames from l.end to the end of the file.
@@ -85,8 +141,10 @@ func (l *Log) recover(found func(off int64, payload []byte) error) error {
 	r := bufio.NewReaderSize(io.NewSectionReader(l.f, l.end, size-l.end), 1<<16)
 	for l.end < size {
 		payload, err := walframe.Read(r, l.buf, size-l.end)
-		if err != nil {
-			break // torn (or corrupt) record; discriminated below
+		if err != nil || len(payload) == 0 {
+			// Torn or corrupt; discriminated below. A record is never
+			// empty, so eight zero bytes of a zero-filled tail are damage.
+			break
 		}
 		l.buf = payload[:0]
 		if found != nil {
@@ -112,14 +170,17 @@ func (l *Log) recover(found func(off int64, payload []byte) error) error {
 
 // decodeBlock parses one frame payload and checks it carries block want.
 func decodeBlock(payload []byte, want uint64) (*Block, error) {
-	var b Block
-	if err := json.Unmarshal(payload, &b); err != nil {
+	if err := checkFormat(payload); err != nil {
+		return nil, err
+	}
+	b, err := DecodeBlock(payload[1:])
+	if err != nil {
 		return nil, fmt.Errorf("ledger: log record %d undecodable: %w", want, err)
 	}
 	if b.Header.Number != want {
 		return nil, fmt.Errorf("ledger: log record %d carries block %d", want, b.Header.Number)
 	}
-	return &b, nil
+	return b, nil
 }
 
 // readBlock reads and decodes block want from the frame at off; limit is
@@ -191,13 +252,8 @@ func (l *Log) Append(b *Block) error {
 	if b.Header.Number != l.next {
 		return fmt.Errorf("ledger: log append block %d at log height %d", b.Header.Number, l.next)
 	}
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("ledger: log marshal block %d: %w", b.Header.Number, err)
-	}
-	buf := l.buf[:0]
-	buf = append(buf, make([]byte, walframe.HeaderLen)...)
-	buf = append(buf, payload...)
+	buf := append(l.buf[:0], make([]byte, walframe.HeaderLen)...)
+	buf = b.AppendTo(append(buf, logFormat))
 	walframe.Seal(buf)
 	l.buf = buf
 	if _, err := l.f.Write(buf); err != nil {

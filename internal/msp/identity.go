@@ -10,9 +10,9 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
+
+	"socialchain/internal/codec"
 )
 
 // Role classifies what an identity is allowed to do on the network.
@@ -58,20 +58,27 @@ func (id Identity) Verify(msg, sig []byte) bool {
 	return ed25519.Verify(id.PubKey, msg, sig)
 }
 
-// Marshal serialises the identity for embedding as a transaction creator.
-func (id Identity) Marshal() ([]byte, error) { return json.Marshal(id) }
-
-// UnmarshalIdentity parses an identity serialised with Marshal.
-func UnmarshalIdentity(b []byte) (Identity, error) {
-	var id Identity
-	if err := json.Unmarshal(b, &id); err != nil {
-		return Identity{}, fmt.Errorf("msp: unmarshal identity: %w", err)
-	}
-	if len(id.PubKey) != ed25519.PublicKeySize {
-		return Identity{}, errors.New("msp: identity has malformed public key")
-	}
-	return id, nil
+// AppendTo appends the identity's canonical encoding: org, name, role,
+// public key.
+func (id Identity) AppendTo(b []byte) []byte {
+	b = codec.AppendString(b, id.Org)
+	b = codec.AppendString(b, id.Name)
+	b = codec.AppendString(b, string(id.Role))
+	return codec.AppendBytes(b, id.PubKey)
 }
+
+// DecodeFrom reads what AppendTo wrote. The key's length is not judged
+// here: Verify rejects a malformed one, so an envelope carrying it decodes
+// and is flagged invalid instead of being undecodable.
+func (id *Identity) DecodeFrom(r *codec.Reader) {
+	id.Org = r.String()
+	id.Name = r.String()
+	id.Role = Role(r.String())
+	id.PubKey = r.Bytes()
+}
+
+// identityMinLen is the shortest encoded identity: four empty fields.
+const identityMinLen = 4
 
 // Signer couples an Identity with its private key.
 type Signer struct {

@@ -1,8 +1,11 @@
 package msp
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"socialchain/internal/codec"
 )
 
 func newTestSigner(t *testing.T, org, name string, role Role) *Signer {
@@ -43,30 +46,46 @@ func TestVerifyRejectsMalformedInputs(t *testing.T) {
 
 func TestIdentityRoundTrip(t *testing.T) {
 	s := newTestSigner(t, "cityorg", "cam-7", RoleTrustedSource)
-	b, err := s.Identity.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalIdentity(b)
-	if err != nil {
+	enc := s.Identity.AppendTo(nil)
+	var got Identity
+	r := codec.NewReader(enc)
+	got.DecodeFrom(r)
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID() != "cityorg/cam-7" || got.Role != RoleTrustedSource {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	// The unmarshalled identity still verifies signatures.
+	if !bytes.Equal(got.AppendTo(nil), enc) {
+		t.Fatal("round-tripped identity encodes differently")
+	}
+	// The decoded identity still verifies signatures.
 	msg := []byte("payload")
 	if !got.Verify(msg, s.Sign(msg)) {
 		t.Fatal("round-tripped identity cannot verify")
 	}
 }
 
-func TestUnmarshalIdentityRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalIdentity([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
+func TestDecodeIdentityRejectsGarbage(t *testing.T) {
+	enc := newTestSigner(t, "a", "b", RoleMember).Identity.AppendTo(nil)
+	for cut := 0; cut < len(enc); cut++ {
+		var id Identity
+		r := codec.NewReader(enc[:cut])
+		id.DecodeFrom(r)
+		if r.Done() == nil {
+			t.Fatalf("identity cut to %d of %d bytes accepted", cut, len(enc))
+		}
 	}
-	if _, err := UnmarshalIdentity([]byte(`{"org":"a","name":"b","pub_key":"AQID"}`)); err == nil {
-		t.Fatal("malformed key length accepted")
+	// A malformed key decodes (the envelope stays readable) and never
+	// verifies.
+	var short Identity
+	r := codec.NewReader(Identity{Org: "a", Name: "b", PubKey: []byte{1, 2, 3}}.AppendTo(nil))
+	short.DecodeFrom(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if short.Verify([]byte("m"), make([]byte, 64)) {
+		t.Fatal("malformed key accepted")
 	}
 }
 

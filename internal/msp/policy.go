@@ -3,6 +3,8 @@ package msp
 import (
 	"errors"
 	"fmt"
+
+	"socialchain/internal/codec"
 )
 
 // Endorsement is a signed statement by a peer that it executed a proposal
@@ -12,6 +14,25 @@ type Endorsement struct {
 	Digest    []byte   `json:"digest"`
 	Signature []byte   `json:"signature"`
 }
+
+// AppendTo appends the endorsement's canonical encoding: endorser, digest,
+// signature.
+func (e Endorsement) AppendTo(b []byte) []byte {
+	b = e.Endorser.AppendTo(b)
+	b = codec.AppendBytes(b, e.Digest)
+	return codec.AppendBytes(b, e.Signature)
+}
+
+// DecodeFrom reads what AppendTo wrote.
+func (e *Endorsement) DecodeFrom(r *codec.Reader) {
+	e.Endorser.DecodeFrom(r)
+	e.Digest = r.Bytes()
+	e.Signature = r.Bytes()
+}
+
+// EndorsementMinLen is the shortest encoded endorsement, for the
+// codec.Reader.Count of a list of them.
+const EndorsementMinLen = identityMinLen + 2
 
 // Verify reports whether the endorsement's signature covers the digest.
 func (e Endorsement) Verify() bool {

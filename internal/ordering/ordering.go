@@ -6,11 +6,11 @@
 package ordering
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 	"time"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/ledger"
 	"socialchain/internal/obs"
 	"socialchain/internal/sim"
@@ -69,20 +69,17 @@ type Batch struct {
 	Txs []ledger.Transaction `json:"txs"`
 }
 
-// Encode serialises a batch for consensus.
+// Encode serialises a batch for consensus: the transaction count, then
+// each transaction's canonical encoding (ledger.AppendTxs).
 func (b Batch) Encode() []byte {
-	enc, err := json.Marshal(b)
-	if err != nil {
-		panic("ordering: batch marshal: " + err.Error())
-	}
-	return enc
+	return codec.Encode(func(enc []byte) []byte { return ledger.AppendTxs(enc, b.Txs) })
 }
 
 // DecodeBatch parses a batch payload.
 func DecodeBatch(p []byte) (Batch, error) {
-	var b Batch
-	err := json.Unmarshal(p, &b)
-	return b, err
+	r := codec.NewReader(p)
+	b := Batch{Txs: ledger.DecodeTxs(r)}
+	return b, r.Done()
 }
 
 // Service accepts transactions, cuts batches and proposes them through the
@@ -139,8 +136,12 @@ func (s *Service) Stop() {
 // Submit enqueues one endorsed transaction for ordering. It rejects
 // transactions after Stop (ErrStopped) and applies the MaxPendingTxs
 // backpressure bound (ErrBacklog) so the pending queue cannot grow
-// without limit while consensus is slow.
+// without limit while consensus is slow. An envelope nested deeper than
+// the encoding goes (Transaction.CheckFlat) is rejected outright.
 func (s *Service) Submit(tx ledger.Transaction) error {
+	if err := tx.CheckFlat(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -150,7 +151,12 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 		s.mu.Unlock()
 		return ErrBacklog
 	}
-	size := len(tx.Bytes())
+	var size int
+	codec.Scratch(func(b []byte) []byte {
+		b = tx.AppendTo(b)
+		size = len(b)
+		return b
+	})
 	if len(s.pending) == 0 {
 		s.oldest = s.clock.Now()
 	}

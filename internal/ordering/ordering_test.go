@@ -1,8 +1,11 @@
 package ordering
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,8 +141,8 @@ func TestCutOnTimeout(t *testing.T) {
 }
 
 func TestCutOnBytes(t *testing.T) {
-	h := newOrderingHarness(t, 4, CutterConfig{MaxMessages: 100, MaxBytes: 700, BatchTimeout: 50 * time.Millisecond})
-	// Each tx is a few hundred bytes once encoded; six must overflow 700 B
+	h := newOrderingHarness(t, 4, CutterConfig{MaxMessages: 100, MaxBytes: 200, BatchTimeout: 50 * time.Millisecond})
+	// Each tx is some 85 bytes once encoded; six must overflow 200 B
 	// repeatedly.
 	for i := 0; i < 6; i++ {
 		h.services[0].Submit(testTx(t, fmt.Sprintf("bytes-%d", i)))
@@ -172,19 +175,57 @@ func TestMultipleEntryPoints(t *testing.T) {
 
 func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 	b := Batch{Txs: []ledger.Transaction{testTx(t, "a"), testTx(t, "b")}}
-	got, err := DecodeBatch(b.Encode())
+	enc := b.Encode()
+	got, err := DecodeBatch(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Txs) != 2 || got.Txs[0].ID != "a" || got.Txs[1].ID != "b" {
 		t.Fatalf("round trip = %+v", got)
 	}
+	if !bytes.Equal(got.Encode(), enc) {
+		t.Fatal("decoded batch encodes differently")
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeBatch(enc[:cut]); err == nil {
+			t.Fatalf("batch cut to %d of %d bytes decoded", cut, len(enc))
+		}
+	}
 }
 
 func TestDecodeBatchRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBatch([]byte("not-json")); err == nil {
+	if _, err := DecodeBatch([]byte("not-a-batch")); err == nil {
 		t.Fatal("garbage batch accepted")
 	}
+	// A transaction count the payload cannot hold fails before allocation.
+	if _, err := DecodeBatch(binary.AppendUvarint(nil, 1<<62)); err == nil {
+		t.Fatal("a count of 2^62 transactions accepted")
+	}
+}
+
+func FuzzDecodeBatch(f *testing.F) {
+	fixed := func(id string) ledger.Transaction {
+		s := msp.NewSignerFromSeed("fuzz", "org", "client", msp.RoleMember)
+		return ledger.Transaction{ID: id, ChannelID: "ch", Creator: s.Identity, Timestamp: time.Unix(1, 2),
+			Payload: ledger.TxPayload{Chaincode: "cc", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}}}
+	}
+	for _, b := range []Batch{{}, {Txs: []ledger.Transaction{fixed("a")}}, {Txs: []ledger.Transaction{fixed("a"), fixed("b")}}} {
+		enc := b.Encode()
+		f.Add(enc)
+		for cut := 1; cut < len(enc); cut += 13 {
+			f.Add(enc[:cut])
+		}
+		for off := 0; off < len(enc); off += 17 {
+			flipped := append([]byte(nil), enc...)
+			flipped[off] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if b, err := DecodeBatch(in); err == nil && !bytes.Equal(b.Encode(), in) {
+			t.Fatalf("decoded without error but re-encodes differently")
+		}
+	})
 }
 
 func TestPendingAndProposedCounters(t *testing.T) {
@@ -215,6 +256,27 @@ func TestSubmitAfterStopRejected(t *testing.T) {
 	}
 	if got := h.services[0].PendingTxs(); got > 1 {
 		t.Fatalf("pending after rejected submit = %d", got)
+	}
+}
+
+// TestSubmitRejectsNestedBatch: the encoding carries an envelope's calls
+// as one flat list, so an envelope whose batched call has a batch of its
+// own would be ordered, hashed and committed without it. It is refused and
+// leaves nothing pending.
+func TestSubmitRejectsNestedBatch(t *testing.T) {
+	svc := NewService(CutterConfig{MaxMessages: 1 << 30, BatchTimeout: time.Hour}, nil, nil)
+	tx := testTx(t, "nested")
+	call := ledger.TxPayload{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}}
+	tx.Payload = ledger.TxPayload{Batch: []ledger.TxPayload{call, {Batch: []ledger.TxPayload{call}}}}
+	if err := svc.Submit(tx); err == nil || !strings.Contains(err.Error(), "batch of its own") {
+		t.Fatalf("submit of a nested batch: %v", err)
+	}
+	if got := svc.PendingTxs(); got != 0 {
+		t.Fatalf("pending = %d after the refusal", got)
+	}
+	tx.Payload.Batch[1] = call
+	if err := svc.Submit(tx); err != nil {
+		t.Fatalf("submit of a flat batch: %v", err)
 	}
 }
 

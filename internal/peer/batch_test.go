@@ -10,6 +10,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/statedb"
 )
 
 func batchPropose(t *testing.T, client *msp.Signer, calls ...chaincode.BatchCall) *BatchProposal {
@@ -37,7 +38,8 @@ func batchEnvelope(t *testing.T, client *msp.Signer, bp *BatchProposal, resps ..
 		Events:    resps[0].Events,
 		Timestamp: bp.Timestamp,
 	}
-	if err := jsonUnmarshal(resps[0].RWSetJSON, &tx.RWSet); err != nil {
+	var err error
+	if tx.RWSet, err = statedb.DecodeRWSet(resps[0].RWSet); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range resps {

@@ -126,19 +126,22 @@ func New(cfg Config) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
-	history, err := statedb.NewHistoryDBWith(st)
-	if err != nil {
-		state.Close()
-		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
-	}
+	// The block log opens before the history store: both refuse a
+	// directory another format wrote, and the log's refusal is the one
+	// that names the format an operator has to match.
 	chain := ledger.New()
 	if cfg.DataDir != "" {
 		chain, err = ledger.Open(filepath.Join(cfg.DataDir, "blocks.wal"), state)
 		if err != nil {
 			state.Close()
-			history.Close()
 			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 		}
+	}
+	history, err := statedb.NewHistoryDBWith(st)
+	if err != nil {
+		state.Close()
+		chain.Close()
+		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
 	p := &Peer{
 		id:          cfg.ID,
@@ -360,20 +363,16 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 // respond signs a finished simulation into a proposal response.
 func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
 	rw := sim.RWSet()
-	rwJSON, err := json.Marshal(rw)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: marshal rwset: %w", p.id, err)
-	}
 	digest := rw.Digest(resp)
 	var events []ledger.Event
 	for _, e := range sim.Events() {
 		events = append(events, ledger.Event{Name: e.Name, Payload: e.Payload})
 	}
 	return &ProposalResponse{
-		TxID:      txID,
-		Response:  resp,
-		RWSetJSON: rwJSON,
-		Events:    events,
+		TxID:     txID,
+		Response: resp,
+		RWSet:    rw.Bytes(),
+		Events:   events,
 		Endorsement: msp.Endorsement{
 			Endorser:  p.signer.Identity,
 			Digest:    digest,
@@ -667,10 +666,6 @@ func (p *Peer) warmVerifyCache(txs []ledger.Transaction) {
 	items := make([]msp.VerifyItem, 0, len(txs)*4)
 	for i := range txs {
 		tx := &txs[i]
-		// Pin the digest before the worker fan-out: every later Digest/
-		// SigningBytes call on this envelope reads the memo instead of
-		// re-serialising the read/write set.
-		tx.PrecomputeDigest()
 		items = append(items, msp.VerifyItem{Identity: tx.Creator, Message: tx.SigningBytes(), Signature: tx.Signature})
 		for _, e := range tx.Endorsements {
 			items = append(items, msp.VerifyItem{Identity: e.Endorser, Message: e.Digest, Signature: e.Signature})
@@ -682,12 +677,10 @@ func (p *Peer) warmVerifyCache(txs []ledger.Transaction) {
 // validateStateless applies the commit-time checks that need no world
 // state, in Fabric's order.
 func (p *Peer) validateStateless(tx *ledger.Transaction) ledger.ValidationCode {
-	// Single-tx blocks skip the warm pass; pin the digest here (this
-	// goroutine owns the transaction's slice slot during fan-out).
-	tx.PrecomputeDigest()
 	// 1. Client envelope signature, through the verify cache: the sync and
 	// recovery paths re-validate envelopes already checked at live commit.
-	if !p.verifyCache.Verify(tx.Creator, tx.SigningBytes(), tx.Signature) {
+	digest := tx.Digest()
+	if !p.verifyCache.Verify(tx.Creator, tx.SigningBytesFor(digest), tx.Signature) {
 		return ledger.BadCreatorSignature
 	}
 	// 2. Endorsement policy over the simulation digest. Each endorsement
@@ -696,7 +689,6 @@ func (p *Peer) validateStateless(tx *ledger.Transaction) ledger.ValidationCode {
 	// signed a different digest endorsed a result that does not match the
 	// agreed outcome) and the policy evaluation — previously the policy
 	// re-verified every endorsement the watchdog scan had just verified.
-	digest := tx.Digest()
 	items := make([]msp.VerifyItem, len(tx.Endorsements))
 	for i, e := range tx.Endorsements {
 		items[i] = msp.VerifyItem{Identity: e.Endorser, Message: e.Digest, Signature: e.Signature}

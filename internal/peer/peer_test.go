@@ -9,6 +9,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/statedb"
 )
 
 // counterCC increments a named counter; used to exercise RWSets and MVCC.
@@ -92,7 +93,8 @@ func envelope(t *testing.T, client *msp.Signer, prop *Proposal, resps ...*Propos
 		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
 	}
-	if err := jsonUnmarshal(resps[0].RWSetJSON, &tx.RWSet); err != nil {
+	var err error
+	if tx.RWSet, err = statedb.DecodeRWSet(resps[0].RWSet); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range resps {

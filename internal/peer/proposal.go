@@ -151,7 +151,7 @@ func (p *BatchProposal) Verify() bool {
 type ProposalResponse struct {
 	TxID        string          `json:"tx_id"`
 	Response    []byte          `json:"response,omitempty"`
-	RWSetJSON   []byte          `json:"rw_set"`
+	RWSet       []byte          `json:"rw_set"` // statedb.RWSet.Bytes
 	Events      []ledger.Event  `json:"events,omitempty"`
 	Endorsement msp.Endorsement `json:"endorsement"`
 	Err         string          `json:"err,omitempty"`

@@ -1,11 +1,11 @@
 package statedb
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/obs"
 	"socialchain/internal/storage"
 )
@@ -19,6 +19,30 @@ type HistEntry struct {
 	IsDelete  bool      `json:"is_delete,omitempty"`
 	Version   Version   `json:"version"`
 	Timestamp time.Time `json:"timestamp"`
+}
+
+// AppendTo appends the entry's canonical encoding (internal/codec): tx ID,
+// value, is-delete, version, timestamp.
+func (e HistEntry) AppendTo(b []byte) []byte {
+	b = codec.AppendString(b, e.TxID)
+	b = codec.AppendBytes(b, e.Value)
+	b = codec.AppendBool(b, e.IsDelete)
+	b = codec.AppendUvarint(b, e.Version.BlockNum)
+	b = codec.AppendUvarint(b, e.Version.TxNum)
+	return codec.AppendTime(b, e.Timestamp)
+}
+
+// histEntryOverhead is what AppendTo adds around the tx ID and a value of
+// up to 2 MiB: two length prefixes, a flag, two varints and the timestamp.
+const histEntryOverhead = 2*3 + 1 + 2*10 + 8
+
+// DecodeHistEntry parses a whole entry encoded with AppendTo.
+func DecodeHistEntry(b []byte) (HistEntry, error) {
+	r := codec.NewReader(b)
+	e := HistEntry{TxID: r.String(), Value: r.Bytes(), IsDelete: r.Bool()}
+	e.Version = Version{BlockNum: r.Uvarint(), TxNum: r.Uvarint()}
+	e.Timestamp = r.Time()
+	return e, r.Done()
 }
 
 // HistoryDB records the full update history of every key. It is an
@@ -48,12 +72,40 @@ func NewHistoryDB() *HistoryDB {
 // Durable configs place it under the "history" sub-directory of cfg.Dir,
 // beside the world state's "db", and reopen whatever it already holds.
 func NewHistoryDBWith(cfg storage.Config) (*HistoryDB, error) {
-	kv, err := storage.Open(cfg.Sub("history"))
+	cfg = cfg.Sub("history")
+	if cfg.MemtableBytes <= 0 && cfg.SegmentBytes <= 0 { // SegmentBytes: the persist engine's alias for it
+		cfg.MemtableBytes = histMemtableBytes
+	}
+	kv, err := storage.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("statedb: history: %w", err)
 	}
+	switch v, ok := kv.Get(histFormatKey); {
+	case ok && len(v) == 1 && v[0] == histFormat:
+	case !ok && kv.Len() == 0:
+		kv.Put(histFormatKey, []byte{histFormat})
+	default:
+		kv.Close() // nothing was written through this handle
+		return nil, fmt.Errorf("statedb: history store under %q is not in entry format %d: written by an older build (no migration; start from an empty data directory)", cfg.Dir, histFormat)
+	}
 	return &HistoryDB{kv: kv}, nil
 }
+
+// histMemtableBytes is the history engine's memtable size unless the
+// config names one (by either of its names): a quarter of the state
+// engine's default. Commits only ever append here and nothing on the
+// commit path reads it back, so a large memtable buys no read hits — it
+// only keeps up to that many bytes of entries per peer on the heap (and in
+// the WAL a reopen replays) until the next flush.
+const histMemtableBytes = 1 << 20
+
+// histFormat is the entry layout AppendTo writes, recorded once per store
+// under histFormatKey — a key no "ns\x00key\x00version" composite equals.
+// Entries themselves carry no tag; a store of JSON entries has no marker.
+const (
+	histFormat    = 1
+	histFormatKey = "\x00format"
+)
 
 // Close releases the underlying engine after a final flush.
 func (h *HistoryDB) Close() error { return h.kv.Close() }
@@ -91,13 +143,9 @@ func histPrefix(ns, key string) string {
 // (key, version) twice overwrites — versions are unique per committed
 // transaction, so this only happens when crash recovery replays a block.
 func (h *HistoryDB) Record(ns, key string, e HistEntry) {
-	enc, err := json.Marshal(e)
-	if err != nil {
-		// HistEntry contains only marshalable fields; treat failure as fatal.
-		panic("statedb: history marshal: " + err.Error())
-	}
 	k := fmt.Sprintf("%s%0*x%0*x", histPrefix(ns, key), histVerLen, e.Version.BlockNum, histVerLen, e.Version.TxNum)
-	h.kv.Put(k, enc)
+	// Sized to fit: the engine keeps the slice, spare capacity included.
+	h.kv.Put(k, e.AppendTo(make([]byte, 0, len(e.TxID)+len(e.Value)+histEntryOverhead)))
 }
 
 // RecordBatch appends history entries for every write in a batch.
@@ -106,7 +154,7 @@ func (h *HistoryDB) RecordBatch(batch *UpdateBatch, txID string, v Version, ts t
 		for key, w := range kvs {
 			h.Record(ns, key, HistEntry{
 				TxID:      txID,
-				Value:     append([]byte(nil), w.Value...),
+				Value:     w.Value,
 				IsDelete:  w.IsDelete,
 				Version:   v,
 				Timestamp: ts,
@@ -119,9 +167,9 @@ func (h *HistoryDB) RecordBatch(batch *UpdateBatch, txID string, v Version, ts t
 func (h *HistoryDB) Get(ns, key string) []HistEntry {
 	var out []HistEntry
 	h.kv.IterPrefix(histPrefix(ns, key), func(_ string, buf []byte) bool {
-		var e HistEntry
-		if err := json.Unmarshal(buf, &e); err != nil {
-			panic("statedb: history unmarshal: " + err.Error())
+		e, err := DecodeHistEntry(buf)
+		if err != nil {
+			panic("statedb: history entry: " + err.Error())
 		}
 		out = append(out, e)
 		return true

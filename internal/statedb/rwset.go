@@ -2,7 +2,8 @@ package statedb
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+
+	"socialchain/internal/codec"
 )
 
 // ReadItem records that a transaction read a key at a particular version
@@ -30,20 +31,74 @@ type RWSet struct {
 	Writes []WriteItem `json:"writes"`
 }
 
+// AppendTo appends the set's canonical encoding: the reads (namespace,
+// key, block, tx, exists) and then the writes (namespace, key, value,
+// is-delete), each list behind its length.
+func (rw RWSet) AppendTo(b []byte) []byte {
+	b = codec.AppendUvarint(b, uint64(len(rw.Reads)))
+	for _, r := range rw.Reads {
+		b = codec.AppendString(b, r.Namespace)
+		b = codec.AppendString(b, r.Key)
+		b = codec.AppendUvarint(b, r.Version.BlockNum)
+		b = codec.AppendUvarint(b, r.Version.TxNum)
+		b = codec.AppendBool(b, r.Exists)
+	}
+	b = codec.AppendUvarint(b, uint64(len(rw.Writes)))
+	for _, w := range rw.Writes {
+		b = codec.AppendString(b, w.Namespace)
+		b = codec.AppendString(b, w.Key)
+		b = codec.AppendBytes(b, w.Value)
+		b = codec.AppendBool(b, w.IsDelete)
+	}
+	return b
+}
+
+// DecodeFrom reads what AppendTo wrote; an empty list reads as nil.
+func (rw *RWSet) DecodeFrom(r *codec.Reader) {
+	rw.Reads, rw.Writes = nil, nil
+	if n := r.Count(5); n > 0 {
+		rw.Reads = make([]ReadItem, n)
+	}
+	for i := range rw.Reads {
+		it := &rw.Reads[i]
+		it.Namespace, it.Key = r.String(), r.String()
+		it.Version = Version{BlockNum: r.Uvarint(), TxNum: r.Uvarint()}
+		it.Exists = r.Bool()
+	}
+	if n := r.Count(4); n > 0 {
+		rw.Writes = make([]WriteItem, n)
+	}
+	for i := range rw.Writes {
+		it := &rw.Writes[i]
+		it.Namespace, it.Key = r.String(), r.String()
+		it.Value = r.Bytes()
+		it.IsDelete = r.Bool()
+	}
+}
+
+// Bytes returns the set's canonical encoding on its own — what an
+// endorser returns beside its signature for the gateway to compare and
+// assemble into the envelope.
+func (rw RWSet) Bytes() []byte { return codec.Encode(rw.AppendTo) }
+
+// DecodeRWSet parses a whole set encoded with Bytes.
+func DecodeRWSet(b []byte) (RWSet, error) {
+	var rw RWSet
+	r := codec.NewReader(b)
+	rw.DecodeFrom(r)
+	return rw, r.Done()
+}
+
 // Digest returns a deterministic hash of the read/write set combined with
 // the chaincode response; endorsers sign this digest.
 func (rw RWSet) Digest(response []byte) []byte {
-	// Slices serialise in order, so JSON here is deterministic.
-	enc, err := json.Marshal(rw)
-	if err != nil {
-		// RWSet contains only marshalable fields; treat failure as fatal.
-		panic("statedb: rwset marshal: " + err.Error())
-	}
-	h := sha256.New()
-	h.Write(enc)
-	h.Write([]byte{0})
-	h.Write(response)
-	return h.Sum(nil)
+	var d [sha256.Size]byte
+	codec.Scratch(func(b []byte) []byte {
+		b = codec.AppendBytes(rw.AppendTo(b), response)
+		d = sha256.Sum256(b)
+		return b
+	})
+	return d[:]
 }
 
 // UpdateBatch accumulates writes to apply atomically at commit.

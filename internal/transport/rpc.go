@@ -1,11 +1,12 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"socialchain/internal/codec"
 )
 
 // RPCStream is the stream all request/response traffic multiplexes over.
@@ -36,14 +37,35 @@ func ErrCode(err error) string {
 	return ""
 }
 
-// rpcWire is one multiplexed request or response frame body.
+// rpcWire is one multiplexed request or response frame body. Its encoding
+// (internal/codec) is: call ID, response flag, method, body, error text,
+// error code — the body rides as raw bytes, whatever the method puts in it.
 type rpcWire struct {
-	ID     uint64 `json:"id"`
-	Method string `json:"m,omitempty"`
-	Body   []byte `json:"b,omitempty"`
-	Resp   bool   `json:"r,omitempty"`
-	Err    string `json:"e,omitempty"`
-	Code   string `json:"c,omitempty"`
+	ID     uint64
+	Method string
+	Body   []byte
+	Resp   bool
+	Err    string
+	Code   string
+}
+
+func (w *rpcWire) encode() []byte {
+	b := make([]byte, 0, 32+len(w.Method)+len(w.Body)+len(w.Err)+len(w.Code))
+	b = codec.AppendUvarint(b, w.ID)
+	b = codec.AppendBool(b, w.Resp)
+	b = codec.AppendString(b, w.Method)
+	b = codec.AppendBytes(b, w.Body)
+	b = codec.AppendString(b, w.Err)
+	return codec.AppendString(b, w.Code)
+}
+
+func decodeRPC(b []byte) (*rpcWire, error) {
+	r := codec.NewReader(b)
+	w := &rpcWire{ID: r.Uvarint(), Resp: r.Bool(), Method: r.String(), Body: r.Bytes(), Err: r.String(), Code: r.String()}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: bad rpc frame: %v", ErrFrameCorrupt, err)
+	}
+	return w, nil
 }
 
 // RPCHandler serves one method; the returned bytes become the response
@@ -99,11 +121,7 @@ func (r *RPC) Call(to, method string, req []byte, timeout time.Duration) ([]byte
 		r.mu.Unlock()
 	}()
 
-	body, err := json.Marshal(rpcWire{ID: id, Method: method, Body: req})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.t.Send(to, RPCStream, body); err != nil {
+	if err := r.t.Send(to, RPCStream, (&rpcWire{ID: id, Method: method, Body: req}).encode()); err != nil {
 		return nil, err
 	}
 	if timeout <= 0 {
@@ -123,27 +141,10 @@ func (r *RPC) Call(to, method string, req []byte, timeout time.Duration) ([]byte
 	}
 }
 
-// CallJSON marshals req, calls, and unmarshals the response into resp
-// (which may be nil for empty responses).
-func (r *RPC) CallJSON(to, method string, req, resp any, timeout time.Duration) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	out, err := r.Call(to, method, body, timeout)
-	if err != nil {
-		return err
-	}
-	if resp == nil || len(out) == 0 {
-		return nil
-	}
-	return json.Unmarshal(out, resp)
-}
-
 func (r *RPC) onFrame(from string, payload []byte) error {
-	var w rpcWire
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return fmt.Errorf("%w: bad rpc frame: %v", ErrFrameCorrupt, err)
+	w, err := decodeRPC(payload)
+	if err != nil {
+		return err
 	}
 	if w.Resp {
 		r.mu.Lock()
@@ -151,7 +152,7 @@ func (r *RPC) onFrame(from string, payload []byte) error {
 		r.mu.Unlock()
 		if ch != nil {
 			select {
-			case ch <- &w:
+			case ch <- w:
 			default:
 			}
 		}
@@ -160,7 +161,7 @@ func (r *RPC) onFrame(from string, payload []byte) error {
 	r.mu.Lock()
 	fn := r.handlers[w.Method]
 	r.mu.Unlock()
-	go r.serve(from, &w, fn)
+	go r.serve(from, w, fn)
 	return nil
 }
 
@@ -178,10 +179,6 @@ func (r *RPC) serve(from string, w *rpcWire, fn RPCHandler) {
 	} else {
 		resp.Body = out
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
 	// Best effort: if the response cannot be queued the caller times out.
-	_ = r.t.Send(from, RPCStream, body)
+	_ = r.t.Send(from, RPCStream, resp.encode())
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,4 +107,73 @@ func TestRPCConcurrentCallsOverTCP(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// rpcFixtures are a request, a response and a coded error response.
+func rpcFixtures() []*rpcWire {
+	return []*rpcWire{
+		{ID: 300, Method: "blocks", Body: []byte(`{"channel":"ch","from":7}`)},
+		{ID: 300, Resp: true, Body: []byte{0, 1, 2, 0xff}},
+		{ID: 1 << 40, Resp: true, Err: "ordering: pending queue full", Code: "backlog"},
+		{},
+	}
+}
+
+func decodeRPCBytes(p []byte) ([]byte, error) {
+	w, err := decodeRPC(p)
+	if err != nil {
+		return nil, err
+	}
+	return w.encode(), nil
+}
+
+// TestRPCWireEveryOffset pins the envelope layout and sweeps cuts and bit
+// flips over it: a cut never decodes, a flip decodes only to an envelope
+// that encodes back to the flipped bytes, and every failure is the
+// connection-fatal ErrFrameCorrupt.
+func TestRPCWireEveryOffset(t *testing.T) {
+	const golden = "ac02" + "00" + "06626c6f636b73" + "197b226368616e6e656c223a226368222c2266726f6d223a377d" + "00" + "00"
+	enc := rpcFixtures()[0].encode()
+	if got := hex.EncodeToString(enc); got != golden {
+		t.Fatalf("rpc envelope layout changed:\n got %s\nwant %s", got, golden)
+	}
+	for _, w := range rpcFixtures() {
+		enc := w.encode()
+		got, err := decodeRPC(enc)
+		if err != nil || got.ID != w.ID || got.Method != w.Method || !bytes.Equal(got.Body, w.Body) || got.Resp != w.Resp || got.Err != w.Err || got.Code != w.Code {
+			t.Fatalf("round trip of %+v = %+v, %v", w, got, err)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := decodeRPC(enc[:cut]); !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("envelope cut to %d of %d bytes: %v", cut, len(enc), err)
+			}
+		}
+		for off := range enc {
+			flipped := append([]byte(nil), enc...)
+			flipped[off] ^= 0x80
+			if out, err := decodeRPCBytes(flipped); err == nil && !bytes.Equal(out, flipped) {
+				t.Fatalf("flip at %d decoded to a different envelope", off)
+			}
+		}
+	}
+}
+
+func FuzzDecodeRPC(f *testing.F) {
+	for _, w := range rpcFixtures() {
+		enc := w.encode()
+		f.Add(enc)
+		for cut := 1; cut < len(enc); cut += 5 {
+			f.Add(enc[:cut])
+		}
+		for off := 0; off < len(enc); off += 7 {
+			flipped := append([]byte(nil), enc...)
+			flipped[off] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if out, err := decodeRPCBytes(in); err == nil && !bytes.Equal(out, in) {
+			t.Fatalf("decoded without error but re-encodes differently")
+		}
+	})
 }

@@ -4,6 +4,12 @@
 //
 //	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
 //
+// An empty payload is a legal frame (the sstable writes one for an absent
+// bloom filter), but it is no evidence of one: eight zero bytes — which
+// binary payloads and zero-filled file tails both contain — parse as
+// length 0 with the CRC32 of nothing. The torn-tail scan therefore counts
+// only non-empty frames, and no log appends an empty record.
+//
 // The framing is what makes crash recovery decidable: a frame either
 // parses completely with a matching CRC or it does not, and HasValidFrame
 // lets a reader discriminate a torn tail (nothing valid after the
@@ -82,13 +88,14 @@ func Read(r io.Reader, buf []byte, max int64) (payload []byte, err error) {
 	return payload, nil
 }
 
-// HasValidFrame reports whether any offset of data parses as a complete
-// CRC-valid frame — the discriminator between a torn tail and mid-log
-// corruption. A false positive needs a 2^-32 CRC coincidence, so a hit
-// is taken as evidence of a once-committed frame.
+// HasValidFrame reports whether any offset of data parses as a complete,
+// non-empty, CRC-valid frame — the discriminator between a torn tail and
+// mid-log corruption. A false positive needs a 2^-32 CRC coincidence, so
+// a hit is taken as evidence of a once-committed frame; an empty frame
+// needs no coincidence at all (eight zero bytes) and is not counted.
 func HasValidFrame(data []byte) bool {
 	for off := 0; off+HeaderLen <= len(data); off++ {
-		if _, _, err := Next(data, off); err == nil {
+		if p, _, err := Next(data, off); err == nil && len(p) > 0 {
 			return true
 		}
 	}
