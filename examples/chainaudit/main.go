@@ -3,10 +3,15 @@
 // explorer, exports the ledger to a portable dump, re-imports and
 // re-verifies it offline, compares world-state snapshots across peers, and
 // catches a peer up via state transfer.
+//
+// With -sizes PATH it instead reads the block log(s) at PATH — one
+// blocks.wal, or a data directory — and prints what a committed record is
+// made of, part by part (see sizes.go).
 package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -23,8 +28,21 @@ import (
 	"socialchain/internal/ordering"
 )
 
+// identitySeed is the deployment's membership: every network built from it
+// derives the same four peer identities, which is what lets the fresh peer
+// of step 4 check the endorsements on the chain it is handed.
+const identitySeed = "chainaudit"
+
 func main() {
-	if err := run(); err != nil {
+	sizes := flag.String("sizes", "", "print bytes per part of the block log(s) at this path instead of running the audit")
+	flag.Parse()
+	var err error
+	if *sizes != "" {
+		err = runSizes(os.Stdout, *sizes)
+	} else {
+		err = run()
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 }
@@ -32,8 +50,9 @@ func main() {
 func run() error {
 	fw, err := core.New(core.Config{
 		Fabric: fabric.Config{
-			NumPeers: 4,
-			Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 5 * time.Millisecond},
+			NumPeers:     4,
+			Cutter:       ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 5 * time.Millisecond},
+			IdentitySeed: identitySeed,
 		},
 		IPFSNodes: 2,
 	})
@@ -96,6 +115,24 @@ func run() error {
 		fmt.Println("  (none)")
 	}
 
+	// The chain names a record's endorsers by key fingerprint; the
+	// deployment's identities say whose keys those are.
+	fmt.Println("\n=== who vouched for the first stored record ===")
+	if stored := exp.Search("data", "", false); len(stored) > 0 {
+		tx, err := exp.Tx(stored[0].ID)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  tx %.16s… %s.%s, %d argument hash(es)\n", tx.ID, tx.Chaincode, tx.Fn, len(tx.Calls[0].ArgHashes))
+		for _, fp := range tx.Endorsers {
+			who := "NOT A MEMBER OF THIS CHANNEL"
+			if id, ok := fw.Net.Identities().Resolve(fp); ok {
+				who = id.ID()
+			}
+			fmt.Printf("  endorsed by %s = %s\n", fp, who)
+		}
+	}
+
 	// 2. Export the ledger and re-verify offline.
 	var dump bytes.Buffer
 	if err := fw.Net.ChannelAt(0).Peer(0).Ledger().Export(&dump); err != nil {
@@ -125,8 +162,9 @@ func run() error {
 		s0.Len(), bytes.Equal(s0.Bytes(), s1.Bytes()))
 
 	// 4. State transfer: a brand-new network's peer bootstraps from our
-	// freshest peer and lands on the same tip.
-	aux, err := fabric.NewNetwork(fabric.Config{NumPeers: 4})
+	// freshest peer and lands on the same tip. It re-validates every block,
+	// so it has to know the channel's members: same identity seed.
+	aux, err := fabric.NewNetwork(fabric.Config{NumPeers: 4, IdentitySeed: identitySeed})
 	if err != nil {
 		return err
 	}

@@ -1,42 +1,10 @@
 package socialchain
 
 import (
-	"errors"
 	"testing"
-	"time"
 
-	"socialchain/internal/chaincode"
 	"socialchain/internal/cid"
-	"socialchain/internal/msp"
-	"socialchain/internal/peer"
 )
-
-// kvChaincode is a tiny contract for integration tests that need raw
-// chaincode behaviour without the framework's validation stack.
-type kvChaincode struct{}
-
-func (kvChaincode) Name() string { return "kv" }
-
-func (kvChaincode) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error) {
-	switch fn {
-	case "put":
-		if len(args) != 2 {
-			return nil, errors.New("put needs key and value")
-		}
-		return []byte("ok"), stub.PutState(string(args[0]), args[1])
-	case "get":
-		if len(args) != 1 {
-			return nil, errors.New("get needs key")
-		}
-		return stub.GetState(string(args[0]))
-	default:
-		return nil, errors.New("unknown fn")
-	}
-}
-
-func newProposal(client *msp.Signer, channel, cc, fn string, args [][]byte) (*peer.Proposal, error) {
-	return peer.NewProposal(client, channel, cc, fn, args, time.Now())
-}
 
 func mustParseCid(t *testing.T, s string) cid.Cid {
 	t.Helper()

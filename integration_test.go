@@ -22,7 +22,6 @@ import (
 	"socialchain/internal/provenance"
 	"socialchain/internal/query"
 	"socialchain/internal/sim"
-	"socialchain/internal/statedb"
 )
 
 // newIntegrationFramework builds a framework with realistic knobs: LAN
@@ -144,93 +143,6 @@ func waitForHeight(t *testing.T, fw *core.Framework, h uint64) {
 	if !fw.Net.ChannelAt(0).WaitHeight(h, 10*time.Second) {
 		t.Fatal("peers did not converge")
 	}
-}
-
-// TestIntegrationEndorserWatchdogExclusion feeds the committers transactions carrying
-// a forged endorsement (valid signature over a wrong digest) until the
-// watchdog flags the liar and the gateway stops using it.
-func TestIntegrationEndorserWatchdogExclusion(t *testing.T) {
-	net, err := fabric.NewNetwork(fabric.Config{
-		NumPeers:          4,
-		Cutter:            ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond},
-		WatchdogThreshold: 3,
-		Policy:            msp.QuorumPolicy{Threshold: 2, Total: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.MustDeploy(kvChaincode{})
-	net.Start()
-	t.Cleanup(net.Stop)
-
-	client, err := msp.NewSigner("clientorg", "carol", msp.RoleMember)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liar, err := msp.NewSigner("org9", "liar", msp.RoleMember)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := net.ChannelAt(0).Gateway(client)
-
-	// Submit transactions whose endorsement set includes a forged
-	// endorsement from the liar; each commit reports the liar once per
-	// validating peer batch.
-	for i := 0; i < 3; i++ {
-		tx, err := buildEnvelopeWithLiar(net, gw, client, liar, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := gw.SubmitEnvelope(*tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Flag != ledger.Valid {
-			t.Fatalf("tx %d flag = %s", i, res.Flag)
-		}
-	}
-	if !net.ChannelAt(0).Watchdog().IsFlagged("org9/liar") {
-		t.Fatalf("liar not flagged after 3 reports (has %d)", net.ChannelAt(0).Watchdog().Reports("org9/liar"))
-	}
-}
-
-// buildEnvelopeWithLiar endorses a put on real peers and appends a forged
-// endorsement.
-func buildEnvelopeWithLiar(net *fabric.Network, gw *fabric.Gateway, client, liar *msp.Signer, i int) (*ledger.Transaction, error) {
-	key := []byte{byte('a' + i)}
-	prop, err := newProposal(client, net.ChannelAt(0).Name(), "kv", "put", [][]byte{key, []byte("v")})
-	if err != nil {
-		return nil, err
-	}
-	var tx *ledger.Transaction
-	for _, p := range net.ChannelAt(0).Peers()[:2] {
-		resp, err := p.Endorse(prop)
-		if err != nil {
-			return nil, err
-		}
-		if tx == nil {
-			tx = &ledger.Transaction{
-				ID:        prop.TxID,
-				ChannelID: prop.ChannelID,
-				Creator:   client.Identity,
-				Payload:   ledger.TxPayload{Chaincode: "kv", Fn: "put", Args: prop.Args},
-				Response:  resp.Response,
-				Timestamp: prop.Timestamp,
-			}
-			if tx.RWSet, err = statedb.DecodeRWSet(resp.RWSet); err != nil {
-				return nil, err
-			}
-		}
-		tx.Endorsements = append(tx.Endorsements, resp.Endorsement)
-	}
-	forgedDigest := []byte("i-saw-something-else-" + string(rune('0'+i)))
-	tx.Endorsements = append(tx.Endorsements, msp.Endorsement{
-		Endorser:  liar.Identity,
-		Digest:    forgedDigest,
-		Signature: liar.Sign(forgedDigest),
-	})
-	tx.Signature = client.Sign(tx.SigningBytes())
-	return tx, nil
 }
 
 // TestIntegrationIPFSGCAfterChainUnpin stores payloads, unpins one on its home node

@@ -16,6 +16,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -53,6 +54,17 @@ func AppendTime(b []byte, t time.Time) []byte {
 		n = t.UnixNano()
 	}
 	return binary.BigEndian.AppendUint64(b, uint64(n))
+}
+
+// DecodeHex fills dst from text, the form fixed-width values (hashes, key
+// fingerprints) take in JSON views of the chain. Anything but exactly
+// len(dst) bytes of hex is an error: a fixed-width value has no short form.
+func DecodeHex(dst, text []byte) error {
+	if hex.DecodedLen(len(text)) != len(dst) {
+		return fmt.Errorf("codec: %q is not %d hex digits", text, 2*len(dst))
+	}
+	_, err := hex.Decode(dst, text)
+	return err
 }
 
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
@@ -168,9 +180,12 @@ func (r *Reader) Bool() bool {
 	return b == 1
 }
 
+// Raw reads len(dst) raw bytes — a fixed-width field — into dst.
+func (r *Reader) Raw(dst []byte) { copy(dst, r.take(uint64(len(dst)))) }
+
 // Hash reads 32 raw bytes.
 func (r *Reader) Hash() (h [32]byte) {
-	copy(h[:], r.take(32))
+	r.Raw(h[:])
 	return h
 }
 

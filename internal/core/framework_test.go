@@ -11,6 +11,7 @@ import (
 	"socialchain/internal/dataset"
 	"socialchain/internal/detect"
 	"socialchain/internal/fabric"
+	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 	"socialchain/internal/ordering"
 	"socialchain/internal/provenance"
@@ -326,5 +327,38 @@ func TestLedgerRecordsEverything(t *testing.T) {
 	}
 	if err := fw.Net.ChannelAt(0).Peer(0).Ledger().VerifyChain(); err != nil {
 		t.Fatalf("chain verify: %v", err)
+	}
+}
+
+// TestArgHashesMatchStoredRecord: the envelope keeps a hash per argument
+// and the record keeps the argument. For what this framework submits —
+// the CID string and json.Marshal's compact form of the metadata — an
+// auditor can check one against the other. (A client that submitted
+// metadata with other spacing would be stored compacted, json.RawMessage
+// being re-marshalled, and its hash would only match its own bytes.)
+func TestArgHashesMatchStoredRecord(t *testing.T) {
+	fw := newFramework(t)
+	cam := newSource(t, fw, "city", "cam-hash", true)
+	frame, meta := sampleFrame(t, 11)
+	receipt, err := fw.Client(cam, 0).StoreFrame(frame, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fw.Net.ChannelAt(0).Peer(0)
+	tx, _, _, err := p.Ledger().GetTx(receipt.TxID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vv, ok := p.State().GetState(contracts.DataCC, "rec/"+receipt.TxID)
+	if !ok {
+		t.Fatal("record not in state")
+	}
+	var rec contracts.DataRecord
+	if err := json.Unmarshal(vv.Value, &rec); err != nil {
+		t.Fatal(err)
+	}
+	want := ledger.HashArgs([][]byte{[]byte(rec.CID), rec.Metadata})
+	if len(tx.Payload.ArgHashes) != 2 || tx.Payload.ArgHashes[0] != want[0] || tx.Payload.ArgHashes[1] != want[1] {
+		t.Fatalf("argument hashes %v do not match the stored CID and metadata %v", tx.Payload.ArgHashes, want)
 	}
 }

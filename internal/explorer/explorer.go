@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"socialchain/internal/ledger"
 	"socialchain/internal/metrics"
+	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 )
 
@@ -82,6 +84,7 @@ func (e *Explorer) Blocks(from, to uint64) ([]BlockSummary, error) {
 func shortHash(h [32]byte) string { return hex.EncodeToString(h[:6]) }
 
 // TxSummary describes one transaction for listings and search results.
+// Calls and Endorsers are filled by Tx only.
 type TxSummary struct {
 	ID        string
 	Block     uint64
@@ -90,6 +93,19 @@ type TxSummary struct {
 	Creator   string
 	Flag      ledger.ValidationCode
 	Timestamp time.Time
+	// Calls is what the envelope records of its invocation: its own call,
+	// or each call of its batch, with the arguments as hex SHA-256 hashes.
+	Calls []Call
+	// Endorsers are the key fingerprints the envelope's endorsement
+	// signatures are attributed to; the channel's msp.Registry says whose
+	// they are.
+	Endorsers []msp.Fingerprint
+}
+
+// Call is one recorded chaincode invocation.
+type Call struct {
+	Chaincode, Fn string
+	ArgHashes     []string
 }
 
 // Tx looks up one transaction by ID.
@@ -98,7 +114,7 @@ func (e *Explorer) Tx(txID string) (TxSummary, error) {
 	if err != nil {
 		return TxSummary{}, err
 	}
-	return TxSummary{
+	s := TxSummary{
 		ID:        tx.ID,
 		Block:     blockNum,
 		Chaincode: tx.Payload.Chaincode,
@@ -106,7 +122,34 @@ func (e *Explorer) Tx(txID string) (TxSummary, error) {
 		Creator:   tx.Creator.ID(),
 		Flag:      flag,
 		Timestamp: tx.Timestamp,
-	}, nil
+	}
+	for _, c := range tx.Payload.Calls() {
+		call := Call{Chaincode: c.Chaincode, Fn: c.Fn}
+		for _, h := range c.ArgHashes {
+			call.ArgHashes = append(call.ArgHashes, h.String())
+		}
+		s.Calls = append(s.Calls, call)
+	}
+	for _, en := range tx.Endorsements {
+		s.Endorsers = append(s.Endorsers, en.Signer)
+	}
+	return s, nil
+}
+
+// RenderTx writes one transaction's record: where it landed, what it
+// invoked (argument hashes, not arguments: the envelope keeps the hashes)
+// and which key fingerprints endorsed it.
+func (e *Explorer) RenderTx(w io.Writer, txID string) error {
+	s, err := e.Tx(txID)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "tx %s  block %d  %s  by %s\n", s.ID, s.Block, s.Flag, s.Creator)
+	for _, c := range s.Calls {
+		fmt.Fprintf(w, "  call %s.%s  arg_hashes %s\n", c.Chaincode, c.Fn, strings.Join(c.ArgHashes, " "))
+	}
+	fmt.Fprintf(w, "  endorsers %v\n", s.Endorsers)
+	return nil
 }
 
 // Search returns all transactions matching the (optional) filters.

@@ -26,8 +26,9 @@ func buildChain(t *testing.T) (*ledger.Ledger, []string) {
 	mk := func(id, cc, fn string, s *msp.Signer) ledger.Transaction {
 		tx := ledger.Transaction{
 			ID: id, ChannelID: "ch", Creator: s.Identity,
-			Payload:   ledger.TxPayload{Chaincode: cc, Fn: fn},
-			Timestamp: time.Now(),
+			Payload:      ledger.TxPayload{Chaincode: cc, Fn: fn, ArgHashes: ledger.HashArgs([][]byte{[]byte(id)})},
+			Endorsements: []msp.EndorsementRef{{Signer: s.Identity.Fingerprint(), Signature: s.Sign([]byte(id))}},
+			Timestamp:    time.Now(),
 		}
 		tx.Signature = s.Sign(tx.SigningBytes())
 		return tx
@@ -86,6 +87,21 @@ func TestTxLookup(t *testing.T) {
 	}
 	if got.Chaincode != "trust" || got.Fn != "observe" || got.Block != 1 || got.Flag != ledger.Valid {
 		t.Fatalf("tx = %+v", got)
+	}
+	if len(got.Calls) != 1 || got.Calls[0].Fn != "observe" || len(got.Calls[0].ArgHashes) != 1 || len(got.Calls[0].ArgHashes[0]) != 64 {
+		t.Fatalf("calls = %+v", got.Calls)
+	}
+	if len(got.Endorsers) != 1 || got.Endorsers[0].String() == "0000000000000000" {
+		t.Fatalf("endorsers = %v", got.Endorsers)
+	}
+	var out strings.Builder
+	if err := e.RenderTx(&out, ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"call trust.observe", "arg_hashes " + got.Calls[0].ArgHashes[0], "endorsers [" + got.Endorsers[0].String() + "]"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("RenderTx lacks %q:\n%s", want, out.String())
+		}
 	}
 	if _, err := e.Tx("missing"); err == nil {
 		t.Fatal("missing tx found")

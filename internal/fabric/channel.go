@@ -30,7 +30,7 @@ type Channel struct {
 	validators []*consensus.Validator
 	orderers   []*ordering.Service
 	consNet    *consensus.InProcNet // nil when consensus rides the TCP transports
-	watchdog   *peer.Watchdog
+	watchdog   *Watchdog
 
 	mu        sync.RWMutex
 	excluded  map[string]bool
@@ -46,7 +46,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 	ch := &Channel{
 		net:      n,
 		name:     name,
-		watchdog: peer.NewWatchdog(cfg.WatchdogThreshold),
+		watchdog: NewWatchdog(cfg.WatchdogThreshold),
 		excluded: make(map[string]bool),
 	}
 	if n.transports == nil {
@@ -70,7 +70,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			Signer:          n.signers[i],
 			Registry:        n.registry,
 			Policy:          n.policy,
-			Watchdog:        ch.watchdog,
+			Identities:      n.members,
 			State:           storage.Config{Engine: cfg.StateEngine, Shards: cfg.StateShards, Durability: cfg.StateDurability},
 			DataDir:         peerDir,
 			Indexes:         cfg.StateIndexes,
@@ -206,7 +206,7 @@ func (ch *Channel) NumPeers() int { return len(ch.peers) }
 func (ch *Channel) Validator(i int) *consensus.Validator { return ch.validators[i] }
 
 // Watchdog returns the channel's misbehaviour tracker.
-func (ch *Channel) Watchdog() *peer.Watchdog { return ch.watchdog }
+func (ch *Channel) Watchdog() *Watchdog { return ch.watchdog }
 
 // CommitErrors returns the number of batches that failed to commit on
 // this channel.

@@ -44,6 +44,11 @@ type Endorser interface {
 type backend interface {
 	chName() string
 	chPolicy() msp.Policy
+	// chMembers returns the identities whose endorsements the policy
+	// counts, or nil when this side does not know them (see checkPolicy).
+	chMembers() *msp.Registry
+	// report records endorser misbehaviour the gateway observed.
+	report(peerID, reason string)
 	commitTimeout() time.Duration
 	now() time.Time
 	// clientDelay simulates (or is, over TCP) the client<->peer hop.
@@ -95,6 +100,8 @@ func (e *localEndorser) TxBlock(txID string) (uint64, bool) {
 
 func (ch *Channel) chName() string               { return ch.name }
 func (ch *Channel) chPolicy() msp.Policy         { return ch.net.policy }
+func (ch *Channel) chMembers() *msp.Registry     { return ch.net.members }
+func (ch *Channel) report(peerID, reason string) { ch.watchdog.Report(peerID, reason) }
 func (ch *Channel) commitTimeout() time.Duration { return ch.net.cfg.CommitTimeout }
 func (ch *Channel) now() time.Time               { return ch.net.cfg.Clock.Now() }
 

@@ -2,12 +2,15 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"socialchain/internal/consensus"
 	"socialchain/internal/ledger"
+	"socialchain/internal/msp"
 	"socialchain/internal/ordering"
+	"socialchain/internal/peer"
 	"socialchain/internal/sim"
 )
 
@@ -98,6 +101,133 @@ func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 		}
 		if string(got) != "1" {
 			t.Fatalf("stale read: %q", got)
+		}
+	}
+}
+
+// TestForgedEndorsersRejected: an envelope whose result is signed — validly
+// — by three freshly generated keys named like the channel's peers is
+// refused by the gateway's policy pre-check and, ordered anyway, is flagged
+// ENDORSEMENT_POLICY_FAILURE by every validator and writes nothing. Before
+// endorsers were resolved against the channel's membership it committed as
+// VALID: the policy counted whoever the envelope said had signed.
+func TestForgedEndorsersRejected(t *testing.T) {
+	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond}})
+	gw := net.Gateway(newClient(t))
+	prop, err := newRawProposal(gw, "kv", "put", [][]byte{[]byte("forged"), []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := net.Peer(0).Endorse(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := envelopeFrom(t, gw, prop, resp)
+	tx.Endorsements = nil
+	for i := 0; i < 3; i++ {
+		real := net.Peer(i).Identity()
+		forger, err := msp.NewSigner(real.Org, real.Name, real.Role)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: forger.Identity, Signature: forger.Sign(tx.Digest())}.Ref())
+	}
+	tx.Signature = gw.client.Sign(tx.SigningBytes())
+
+	if err := gw.checkPolicy(&tx, nil); err == nil {
+		t.Fatal("the gateway's policy pre-check accepted three outsiders")
+	}
+	res, err := gw.SubmitEnvelope(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Flag != ledger.EndorsementPolicyFailure {
+		t.Fatalf("flag = %s, want %s", res.Flag, ledger.EndorsementPolicyFailure)
+	}
+	if !net.WaitHeight(res.BlockNum+1, 5*time.Second) {
+		t.Fatal("peers did not converge")
+	}
+	for i, p := range net.Peers() {
+		if _, flag, _, err := p.Ledger().GetTx(tx.ID); err != nil || flag != ledger.EndorsementPolicyFailure {
+			t.Errorf("peer %d recorded %s (%v)", i, flag, err)
+		}
+		if _, ok := p.State().GetState("kv", "forged"); ok {
+			t.Errorf("peer %d applied the forged envelope's write", i)
+		}
+	}
+}
+
+// contradictingBackend is a channel one of whose endorsers returns honest
+// results but signs some other digest — a valid signature, over a result
+// it did not return.
+type contradictingBackend struct {
+	*Channel
+	liar   string
+	signer *msp.Signer
+}
+
+func (b contradictingBackend) activeEndorsers() []Endorser {
+	out := b.Channel.activeEndorsers()
+	for i, e := range out {
+		if e.ID() == b.liar {
+			out[i] = contradictingEndorser{e, b.signer}
+		}
+	}
+	return out
+}
+
+type contradictingEndorser struct {
+	Endorser
+	signer *msp.Signer
+}
+
+func (e contradictingEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	resp, err := e.Endorser.Endorse(prop)
+	if err == nil {
+		resp.Endorsement.Digest = []byte("i-saw-something-else")
+		resp.Endorsement.Signature = e.signer.Sign(resp.Endorsement.Digest)
+	}
+	return resp, err
+}
+
+// TestGatewayReportsContradictingEndorser: the gateway is where an
+// endorser's signed digest and the result it returned meet, so it is the
+// gateway that reports one signing a digest that is not its result's. The
+// response is left out of the envelope (the other three still make
+// quorum), and at the threshold the channel stops asking that peer.
+func TestGatewayReportsContradictingEndorser(t *testing.T) {
+	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 3})
+	ch := net.DefaultChannel()
+	liar := ch.Peer(2).ID()
+	gw := newGateway(contradictingBackend{ch, liar, net.signers[2]}, ch, newClient(t))
+	for i := 0; i < 3; i++ {
+		if ch.Watchdog().IsFlagged(liar) {
+			t.Fatalf("flagged after %d reports", i)
+		}
+		res, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("w%d", i)), []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Flag != ledger.Valid {
+			t.Fatalf("tx %d flag = %s", i, res.Flag)
+		}
+		if !ch.WaitHeight(res.BlockNum+1, 5*time.Second) {
+			t.Fatal("peers did not converge")
+		}
+		tx, _, _, err := ch.Peer(0).Ledger().GetTx(res.TxID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tx.Endorsements) != 3 {
+			t.Fatalf("tx %d carries %d endorsements, want the three consistent ones", i, len(tx.Endorsements))
+		}
+	}
+	if !ch.Watchdog().IsFlagged(liar) || ch.Watchdog().Reports(liar) != 3 {
+		t.Fatalf("%s has %d reports, flagged %v", liar, ch.Watchdog().Reports(liar), ch.Watchdog().IsFlagged(liar))
+	}
+	for _, e := range ch.activeEndorsers() {
+		if e.ID() == liar {
+			t.Fatal("the flagged endorser is still asked")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -170,32 +171,58 @@ func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.
 	if err != nil {
 		return nil, err
 	}
+	payload := ledger.TxPayload{Chaincode: ccName, Fn: fn, ArgHashes: ledger.HashArgs(args)}
+	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser) (*peer.ProposalResponse, error) {
+		return p.Endorse(prop)
+	})
+}
+
+// endorseRounds runs endorsement rounds for one proposal, single or
+// batched, until the largest agreeing group of a round satisfies the
+// channel policy, and returns the envelope assembled from that group.
+func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Time, payload ledger.TxPayload, endorse func(Endorser) (*peer.ProposalResponse, error)) (*ledger.Transaction, error) {
 	var lastErr error
 	for attempt := 0; attempt < endorseRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
 		}
-		best, err := g.collectEndorsements(func(p Endorser) (*peer.ProposalResponse, error) {
-			return p.Endorse(prop)
-		})
+		best, err := g.collectEndorsements(endorse)
 		if err != nil {
 			return nil, err
 		}
-		payload := ledger.TxPayload{Chaincode: ccName, Fn: fn, Args: args}
-		tx, err := assembleSignedEnvelope(g.client, prop.TxID, prop.ChannelID, prop.Trace, payload, prop.Timestamp, best)
+		tx, err := assembleSignedEnvelope(g.client, txID, g.be.chName(), trace, payload, ts, best)
 		if err != nil {
 			return nil, err
 		}
 		// Pre-check the policy so a transient endorsement split triggers a
 		// retry instead of a doomed submission.
-		if perr := g.be.chPolicy().Evaluate(tx.Digest(), tx.Endorsements); perr != nil {
-			lastErr = perr
-			continue
+		if lastErr = g.checkPolicy(tx, best); lastErr == nil {
+			g.obsEndorse.Observe(time.Since(start))
+			return tx, nil
 		}
-		g.obsEndorse.Observe(time.Since(start))
-		return tx, nil
 	}
 	return nil, fmt.Errorf("fabric: endorsement policy unsatisfiable after %d attempts: %w", endorseRetries, lastErr)
+}
+
+// checkPolicy evaluates the channel policy over tx's endorsements the way
+// a validator will: each must be a channel member's signature over the
+// digest of the envelope's own read/write set and response. A gateway over
+// a remote channel has no membership list (it would take the deployment's
+// identity seed, which is the peers' private keys), so it takes the peers
+// it dialed at their word: the members are whoever answered in group.
+func (g *Gateway) checkPolicy(tx *ledger.Transaction, group []*peer.ProposalResponse) error {
+	members := g.be.chMembers()
+	if members == nil {
+		ids := make([]msp.Identity, len(group))
+		for i, r := range group {
+			ids[i] = r.Endorsement.Endorser
+		}
+		var err error
+		if members, err = msp.NewRegistry(ids...); err != nil {
+			return err
+		}
+	}
+	return g.be.chPolicy().Evaluate(members.Endorsers(tx.Digest(), tx.Endorsements, nil))
 }
 
 // assembleSignedEnvelope builds and signs the transaction envelope from an
@@ -218,7 +245,7 @@ func assembleSignedEnvelope(client *msp.Signer, txID, channelID, trace string, p
 		Trace:     trace,
 	}
 	for _, r := range group {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
+		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
 	}
 	tx.Signature = client.Sign(tx.SigningBytes())
 	return tx, nil
@@ -335,37 +362,21 @@ func (g *Gateway) endorseAndAssembleBatch(calls []chaincode.BatchCall) (*ledger.
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < endorseRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		best, err := g.collectEndorsements(func(p Endorser) (*peer.ProposalResponse, error) {
-			return p.EndorseBatch(prop)
-		})
-		if err != nil {
-			return nil, err
-		}
-		payload := ledger.TxPayload{Batch: make([]ledger.TxPayload, len(calls))}
-		for i, c := range calls {
-			payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, Args: c.Args}
-		}
-		tx, err := assembleSignedEnvelope(g.client, prop.TxID, g.be.chName(), prop.Trace, payload, prop.Timestamp, best)
-		if err != nil {
-			return nil, err
-		}
-		if perr := g.be.chPolicy().Evaluate(tx.Digest(), tx.Endorsements); perr != nil {
-			lastErr = perr
-			continue
-		}
-		g.obsEndorse.Observe(time.Since(start))
-		return tx, nil
+	payload := ledger.TxPayload{Batch: make([]ledger.TxPayload, len(calls))}
+	for i, c := range calls {
+		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
 	}
-	return nil, fmt.Errorf("fabric: endorsement policy unsatisfiable after %d attempts: %w", endorseRetries, lastErr)
+	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser) (*peer.ProposalResponse, error) {
+		return p.EndorseBatch(prop)
+	})
 }
 
 // collectEndorsements runs one parallel endorsement round over the active
-// endorsers and returns the largest digest-agreeing response group.
+// endorsers and returns the largest digest-agreeing response group. This
+// is the one place that sees both the digest an endorser signed and the
+// result it returned, so an endorser whose valid signature is over some
+// other digest — which no lag behind the chain explains — is reported to
+// the channel's watchdog here, and its response is left out.
 func (g *Gateway) collectEndorsements(endorse func(Endorser) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, error) {
 	endorsers := g.be.activeEndorsers()
 	if len(endorsers) == 0 {
@@ -391,9 +402,16 @@ func (g *Gateway) collectEndorsements(endorse func(Endorser) (*peer.ProposalResp
 
 	groups := make(map[string][]*peer.ProposalResponse)
 	var errs []error
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
 			errs = append(errs, r.err)
+			continue
+		}
+		if e := r.resp.Endorsement; !bytes.Equal(e.Digest, statedb.DigestEncoded(r.resp.RWSet, r.resp.Response)) {
+			if e.Verify() {
+				g.be.report(endorsers[i].ID(), "endorsed mismatching digest")
+			}
+			errs = append(errs, fmt.Errorf("endorser %s: signed digest is not its result's", endorsers[i].ID()))
 			continue
 		}
 		groups[string(r.resp.Endorsement.Digest)] = append(groups[string(r.resp.Endorsement.Digest)], r.resp)

@@ -31,14 +31,14 @@ func envelopeFrom(t *testing.T, gw *Gateway, prop *peer.Proposal, resps ...*peer
 		ID:        prop.TxID,
 		ChannelID: prop.ChannelID,
 		Creator:   gw.client.Identity,
-		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, Args: prop.Args},
+		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, ArgHashes: ledger.HashArgs(prop.Args)},
 		Response:  resps[0].Response,
 		RWSet:     rw,
 		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
 	}
 	for _, r := range resps {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
+		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
 	}
 	tx.Signature = gw.client.Sign(tx.SigningBytes())
 	return tx

@@ -14,7 +14,12 @@
 package fabric
 
 import (
+	"crypto/rand"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -197,17 +202,14 @@ func (c *Config) channelDataDir(i int) string {
 // identities, the endorsement policy and the (stateless) chaincode
 // registry.
 type Network struct {
-	cfg        Config
-	channels   []*Channel
-	byName     map[string]*Channel
-	registry   *chaincode.Registry
-	identities *msp.Registry
-	policy     msp.Policy
+	cfg      Config
+	channels []*Channel
+	byName   map[string]*Channel
+	registry *chaincode.Registry
+	policy   msp.Policy
 
 	// Shared peer identity material: the same signers join every channel.
-	ids     []string
-	signers []*msp.Signer
-	idents  map[string]msp.Identity
+	peerSet
 
 	// transports holds the per-peer TCP endpoints when cfg.Transport is
 	// "tcp" (nil for the in-process default). Endpoint i carries peer i's
@@ -226,31 +228,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	n := &Network{
-		cfg:        cfg,
-		registry:   chaincode.NewRegistry(),
-		identities: msp.NewRegistry(),
-		byName:     make(map[string]*Channel, cfg.NumChannels),
+		cfg:      cfg,
+		registry: chaincode.NewRegistry(),
+		byName:   make(map[string]*Channel, cfg.NumChannels),
 	}
 	n.policy = cfg.Policy
 	if n.policy == nil {
 		n.policy = msp.TwoThirds(cfg.NumPeers)
 	}
-
-	n.ids = make([]string, cfg.NumPeers)
-	n.signers = make([]*msp.Signer, cfg.NumPeers)
-	n.idents = make(map[string]msp.Identity, cfg.NumPeers)
-	for i := 0; i < cfg.NumPeers; i++ {
-		s, err := networkSigner(&cfg, i)
-		if err != nil {
+	if cfg.DataDir != "" && cfg.IdentitySeed == "" {
+		// A chain names its endorsers by key fingerprint, so a durable
+		// deployment's peers must come back with the keys they had.
+		if cfg.IdentitySeed, err = durableSeed(filepath.Join(cfg.DataDir, "identity.seed")); err != nil {
 			return nil, err
 		}
-		// Validators address each other by bare peer name.
-		n.ids[i] = s.Name
-		n.signers[i] = s
-		n.idents[s.Name] = s.Identity
-		if err := n.identities.Register(s.Identity); err != nil {
-			return nil, err
-		}
+		n.cfg.IdentitySeed = cfg.IdentitySeed
+	}
+	if n.peerSet, err = newPeerSet(&cfg); err != nil {
+		return nil, err
 	}
 
 	if kind == transport.KindTCP {
@@ -271,6 +266,57 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.byName[ch.name] = ch
 	}
 	return n, nil
+}
+
+// peerSet is a deployment's peer identity material. Every process builds
+// the same one from Config (see networkSigner), which is how separate
+// processes agree on who the validators are and whose endorsements count.
+type peerSet struct {
+	ids     []string                // validators address each other by bare peer name
+	signers []*msp.Signer           // index i is peer i
+	idents  map[string]msp.Identity // by peer name, for consensus messages
+	members *msp.Registry           // by key fingerprint, for endorsements
+}
+
+func newPeerSet(cfg *Config) (peerSet, error) {
+	ps := peerSet{
+		ids:     make([]string, cfg.NumPeers),
+		signers: make([]*msp.Signer, cfg.NumPeers),
+		idents:  make(map[string]msp.Identity, cfg.NumPeers),
+	}
+	all := make([]msp.Identity, cfg.NumPeers)
+	for i := range all {
+		s, err := networkSigner(cfg, i)
+		if err != nil {
+			return peerSet{}, err
+		}
+		ps.ids[i], ps.signers[i], ps.idents[s.Name], all[i] = s.Name, s, s.Identity, s.Identity
+	}
+	var err error
+	ps.members, err = msp.NewRegistry(all...)
+	return ps, err
+}
+
+// durableSeed returns the identity seed kept at path, creating a random one
+// on first use. It is key material: whoever reads it can sign as any peer.
+func durableSeed(path string) (string, error) {
+	if seed, err := os.ReadFile(path); err == nil && len(seed) > 0 {
+		return string(seed), nil
+	} else if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return "", fmt.Errorf("fabric: identity seed: %w", err)
+	}
+	raw := make([]byte, 32)
+	if _, err := rand.Read(raw); err != nil {
+		return "", fmt.Errorf("fabric: identity seed: %w", err)
+	}
+	seed := hex.EncodeToString(raw)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return "", fmt.Errorf("fabric: identity seed: %w", err)
+	}
+	if err := os.WriteFile(path, []byte(seed), 0o600); err != nil {
+		return "", fmt.Errorf("fabric: identity seed: %w", err)
+	}
+	return seed, nil
 }
 
 // networkSigner builds peer i's signing identity for cfg: random keys by
@@ -427,8 +473,9 @@ func (n *Network) ChannelFor(key string) *Channel {
 	return n.channels[RouteKey(key, len(n.channels))]
 }
 
-// Identities returns the network identity registry (shared by channels).
-func (n *Network) Identities() *msp.Registry { return n.identities }
+// Identities returns the peers' identities, the set whose endorsements
+// count (shared by channels).
+func (n *Network) Identities() *msp.Registry { return n.members }
 
 // Policy returns the endorsement policy (shared by channels).
 func (n *Network) Policy() msp.Policy { return n.policy }
@@ -461,7 +508,7 @@ func (n *Network) Validator(i int) *consensus.Validator { return n.channels[0].V
 // Watchdog returns the default channel's misbehaviour tracker.
 //
 // Deprecated: use ChannelAt(i).Watchdog on multi-channel networks.
-func (n *Network) Watchdog() *peer.Watchdog { return n.channels[0].Watchdog() }
+func (n *Network) Watchdog() *Watchdog { return n.channels[0].Watchdog() }
 
 // CommitErrors returns the number of batches that failed to commit,
 // summed over channels.

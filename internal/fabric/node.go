@@ -75,7 +75,7 @@ type Node struct {
 	rpc      *transport.RPC
 	registry *chaincode.Registry
 	policy   msp.Policy
-	ids      []string
+	peerSet
 	channels map[string]*nodeChannel
 	order    []string
 
@@ -124,17 +124,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.policy = msp.TwoThirds(net.NumPeers)
 	}
 
-	n.ids = make([]string, net.NumPeers)
-	signers := make([]*msp.Signer, net.NumPeers)
-	idents := make(map[string]msp.Identity, net.NumPeers)
-	for i := 0; i < net.NumPeers; i++ {
-		s, err := networkSigner(&net, i)
-		if err != nil {
-			return nil, err
-		}
-		n.ids[i] = s.Name
-		signers[i] = s
-		idents[s.Name] = s.Identity
+	var err error
+	if n.peerSet, err = newPeerSet(&net); err != nil {
+		return nil, err
 	}
 	n.id = n.ids[cfg.Index]
 
@@ -157,7 +149,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 	for i := 0; i < net.NumChannels; i++ {
 		name := net.channelName(i)
-		nc, err := n.buildChannel(name, net.channelDataDir(i), signers, idents)
+		nc, err := n.buildChannel(name, net.channelDataDir(i))
 		if err != nil {
 			n.closeChannels()
 			tr.Close()
@@ -172,7 +164,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // buildChannel constructs this peer's slice of one channel.
-func (n *Node) buildChannel(name, dataDir string, signers []*msp.Signer, idents map[string]msp.Identity) (*nodeChannel, error) {
+func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
 	net := &n.net
 	peerDir := ""
 	if dataDir != "" {
@@ -182,10 +174,10 @@ func (n *Node) buildChannel(name, dataDir string, signers []*msp.Signer, idents 
 	p, err := peer.New(peer.Config{
 		ID:              n.id,
 		ChannelID:       name,
-		Signer:          signers[n.cfg.Index],
+		Signer:          n.signers[n.cfg.Index],
 		Registry:        n.registry,
 		Policy:          n.policy,
-		Watchdog:        peer.NewWatchdog(net.WatchdogThreshold),
+		Identities:      n.members,
 		State:           storage.Config{Engine: net.StateEngine, Shards: net.StateShards, Durability: net.StateDurability},
 		DataDir:         peerDir,
 		Indexes:         net.StateIndexes,
@@ -200,8 +192,8 @@ func (n *Node) buildChannel(name, dataDir string, signers []*msp.Signer, idents 
 	nc.v = consensus.NewValidator(consensus.Config{
 		ID:              n.id,
 		Validators:      n.ids,
-		Signer:          signers[n.cfg.Index],
-		Identities:      idents,
+		Signer:          n.signers[n.cfg.Index],
+		Identities:      n.idents,
 		Sender:          consensus.NewBus(n.t, name, n.ids),
 		Clock:           net.Clock,
 		RequestTimeout:  net.ConsensusTimeout,

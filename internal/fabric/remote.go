@@ -199,8 +199,14 @@ func (rc *RemoteChannel) Gateway(client *msp.Signer) *Gateway {
 	return newGateway(rc, nil, client)
 }
 
-func (rc *RemoteChannel) chName() string               { return rc.name }
-func (rc *RemoteChannel) chPolicy() msp.Policy         { return rc.r.policy }
+func (rc *RemoteChannel) chName() string           { return rc.name }
+func (rc *RemoteChannel) chPolicy() msp.Policy     { return rc.r.policy }
+func (rc *RemoteChannel) chMembers() *msp.Registry { return nil }
+
+// report drops the observation: which peers endorse is the deployment's
+// decision, and a client has no watchdog to tell. The gateway has already
+// left the response out of its envelope.
+func (rc *RemoteChannel) report(string, string)        {}
 func (rc *RemoteChannel) commitTimeout() time.Duration { return rc.r.net.CommitTimeout }
 func (rc *RemoteChannel) now() time.Time               { return rc.r.net.Clock.Now() }
 

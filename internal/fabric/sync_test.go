@@ -1,9 +1,14 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"socialchain/internal/peer"
 )
 
 func TestSyncPeerNoopWhenConverged(t *testing.T) {
@@ -38,7 +43,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	// Build a network, commit traffic, then construct a fresh network
 	// sharing nothing and sync one of its peers directly from the first
 	// network's freshest peer (exercising cross-instance catch-up).
-	net := newTestNetwork(t, Config{NumPeers: 4})
+	net := newTestNetwork(t, Config{NumPeers: 4, IdentitySeed: "sync-test"})
 	gw := net.Gateway(newClient(t))
 	for i := 0; i < 4; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("s%d", i)), []byte("v")); err != nil {
@@ -57,12 +62,23 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 
-	// A brand-new network's peer is at genesis; sync it from src. Note the
-	// endorsement policy is TwoThirds(4) in both networks and endorser
-	// identities differ, so re-validation must still agree because the
-	// synced blocks carry the ORIGINAL endorsements, verified against
-	// their embedded identities.
-	net2, err := NewNetwork(Config{NumPeers: 4})
+	// A network that does not know the first one's peers refuses its
+	// chain: the synced blocks name their endorsers by key fingerprint, none
+	// of which resolves there, so re-validation flags what the source
+	// recorded as valid.
+	strangers, err := NewNetwork(Config{NumPeers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strangers.MustDeploy(kvCC{})
+	if _, err := strangers.Peer(0).SyncFrom(src); !errors.Is(err, peer.ErrFlagMismatch) {
+		t.Fatalf("sync into a network with other peer identities: %v", err)
+	}
+
+	// A brand-new network with the same membership (the deployment's
+	// identity seed) is at genesis; its peer syncs from src and re-validates
+	// the ORIGINAL endorsements against the members it derived itself.
+	net2, err := NewNetwork(Config{NumPeers: 4, IdentitySeed: "sync-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,5 +97,51 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	vv, ok := laggard.State().GetState("kv", "s3")
 	if !ok || string(vv.Value) != "v" {
 		t.Fatal("laggard state incomplete")
+	}
+}
+
+// TestDurableNetworkKeepsItsMembership: a chain names its endorsers by key
+// fingerprint, so a durable deployment given no identity seed must come
+// back with the peer keys it had — here, well enough that a peer whose
+// directory was wiped re-validates the whole chain from a neighbour at
+// open.
+func TestDurableNetworkKeepsItsMembership(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{NumPeers: 4, DataDir: dir}
+	net, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.MustDeploy(kvCC{})
+	net.Start()
+	gw := net.Gateway(newClient(t))
+	for i := 0; i < 3; i++ {
+		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("d%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const height = 1 + 3 // genesis and one block per submit
+	if !net.WaitHeight(height, 5*time.Second) {
+		t.Fatal("no convergence")
+	}
+	tip := net.Peer(0).Ledger().TipHash()
+	was := net.Peer(3).Identity().Fingerprint()
+	if err := net.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "peer3")); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatalf("reopen with one peer wiped: %v", err)
+	}
+	defer again.Close()
+	if got := again.Peer(3).Identity().Fingerprint(); got != was {
+		t.Fatalf("peer3 came back with key %s, had %s", got, was)
+	}
+	if again.Peer(3).Ledger().Height() != height || again.Peer(3).Ledger().TipHash() != tip {
+		t.Fatalf("wiped peer at height %d after the reopen's sync, want %d", again.Peer(3).Ledger().Height(), height)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"socialchain/internal/codec/codectest"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 )
@@ -14,7 +15,8 @@ import (
 func bodyFixtures() map[byte][]byte {
 	client := msp.NewSignerFromSeed("wire", "org", "client", msp.RoleMember)
 	tx := ledger.Transaction{ID: "tx1", ChannelID: "ch", Creator: client.Identity, Timestamp: time.Unix(1, 2),
-		Payload: ledger.TxPayload{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}}}
+		Payload:      ledger.TxPayload{Chaincode: "kv", Fn: "put", ArgHashes: ledger.HashArgs([][]byte{[]byte("k"), []byte("v")})},
+		Endorsements: []msp.EndorsementRef{{Signer: client.Identity.Fingerprint(), Signature: client.Sign([]byte("digest"))}}}
 	genesis := ledger.NewBlock(0, [32]byte{}, nil, time.Time{})
 	next := ledger.NewBlock(1, genesis.Header.Hash(), []ledger.Transaction{tx}, tx.Timestamp)
 	return map[byte][]byte{
@@ -87,4 +89,15 @@ func FuzzDecodeBodies(f *testing.F) {
 			t.Fatalf("body %d decoded without error but re-encodes differently", kind%3)
 		}
 	})
+}
+
+// TestFuzzCorpusCurrent: the committed seeds are encodings in this format.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	seeds := map[string][]any{}
+	for kind, name := range map[byte]string{0: "submit", 1: "propose", 2: "blocks"} {
+		enc := bodyFixtures()[kind]
+		seeds[name] = []any{kind, enc}
+		seeds[name+"-cut"] = []any{kind, enc[:len(enc)*2/3]}
+	}
+	codectest.Corpus(t, "FuzzDecodeBodies", seeds)
 }

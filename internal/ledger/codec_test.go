@@ -13,16 +13,18 @@ import (
 	"testing"
 	"time"
 
+	"socialchain/internal/codec/codectest"
 	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 	"socialchain/internal/walframe"
 )
 
 // fixtureTx builds a transaction shaped like the store path's: a client
-// envelope around calls addData-style calls, each with ~0.9 KB of metadata
-// in its arguments and, in the write set, a record, a chain head, three
-// index entries and the trust and audit rows, endorsed by three peers
-// (about 4.3 KB per call, as core.StoreFrame commits). Everything in it is
+// envelope around calls addData-style calls, each with two arguments (a
+// CID and ~0.9 KB of metadata, of which the envelope keeps the hashes) and,
+// in the write set, a record, a chain head, three index entries and the
+// trust and audit rows, endorsed by three peers (about 3.2 KB per call, as
+// core.StoreFrame commits). Everything in it is
 // derived from fixed seeds, so its encoding is the same in every process.
 func fixtureTx(calls int) Transaction {
 	client := msp.NewSignerFromSeed("fixture", "city", "cam-0", msp.RoleTrustedSource)
@@ -45,7 +47,7 @@ func fixtureTx(calls int) Transaction {
 	}
 	for c := 0; c < calls; c++ {
 		id := fmt.Sprintf("%s-%d", tx.ID, c)
-		call := TxPayload{Chaincode: "data", Fn: "addData", Args: [][]byte{[]byte("bafy" + id), blob(900)}}
+		call := TxPayload{Chaincode: "data", Fn: "addData", ArgHashes: HashArgs([][]byte{[]byte("bafy" + id), blob(900)})}
 		if calls == 1 {
 			tx.Payload = call
 		} else {
@@ -68,7 +70,7 @@ func fixtureTx(calls int) Transaction {
 	digest := tx.Digest()
 	for i := 0; i < 3; i++ {
 		peer := msp.NewSignerFromSeed("fixture", "org", fmt.Sprintf("peer%d", i), msp.RoleMember)
-		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: peer.Identity, Digest: digest, Signature: peer.Sign(digest)})
+		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: peer.Identity, Signature: peer.Sign(digest)}.Ref())
 	}
 	tx.Signature = client.Sign(tx.SigningBytes())
 	return tx
@@ -86,14 +88,14 @@ func goldenTx() Transaction {
 		ID:        "tx1",
 		ChannelID: "ch",
 		Creator:   msp.Identity{Org: "o", Name: "n", Role: msp.RoleMember, PubKey: []byte{0xAA, 0xBB}},
-		Payload:   TxPayload{Chaincode: "cc", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}},
+		Payload:   TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
 		Response:  []byte("ok"),
 		RWSet: statedb.RWSet{
 			Reads:  []statedb.ReadItem{{Namespace: "cc", Key: "k", Version: statedb.Version{BlockNum: 300, TxNum: 1}, Exists: true}},
 			Writes: []statedb.WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v")}, {Namespace: "cc", Key: "old", IsDelete: true}},
 		},
 		Events:       []Event{{Name: "e", Payload: []byte("p")}},
-		Endorsements: []msp.Endorsement{{Endorser: msp.Identity{Org: "o", Name: "p0", Role: msp.RoleMember, PubKey: []byte{0xCC}}, Digest: []byte{0xD1}, Signature: []byte{0x51, 0x52}}},
+		Endorsements: []msp.EndorsementRef{{Signer: msp.Fingerprint{0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8}, Signature: []byte{0x51, 0x52}}},
 		Timestamp:    time.Unix(1, 2),
 		Signature:    []byte{0x53},
 		Trace:        "t",
@@ -103,13 +105,15 @@ func goldenTx() Transaction {
 const (
 	goldenTxHex = "03747831" + "026368" + // id, channel
 		"016f" + "016e" + "066d656d626572" + "02aabb" + // creator: org, name, role, key
-		"026363" + "03707574" + "02" + "016b" + "0176" + // call: chaincode, fn, 2 args
+		"026363" + "03707574" + "02" + // call: chaincode, fn, 2 argument hashes
+		"8254c329a92850f6d539dd376f4816ee2764517da5e0235514af433164480d7a" + // SHA-256("k")
+		"4c94485e0c21ae6c41ce1dfe7b6bfaceea5ab68e40a2476f50208e526f506080" + // SHA-256("v")
 		"00" + // no batch
 		"026f6b" + // response
 		"01" + "026363" + "016b" + "ac02" + "01" + "01" + // 1 read: ns, key, block 300, tx 1, exists
 		"02" + "026363" + "016b" + "0176" + "00" + "026363" + "036f6c64" + "00" + "01" + // 2 writes
 		"01" + "0165" + "0170" + // 1 event
-		"01" + "016f" + "027030" + "066d656d626572" + "01cc" + "01d1" + "025152" + // 1 endorsement
+		"01" + "f1f2f3f4f5f6f7f8" + "025152" + // 1 endorsement: key fingerprint, signature
 		"000000003b9aca02" + // timestamp: 1 s + 2 ns
 		"0153" + "0174" // signature, trace
 	goldenBlockHex = "07" + // number
@@ -170,10 +174,10 @@ func randomTx(rng *rand.Rand) Transaction {
 		p := TxPayload{Chaincode: str(), Fn: str()}
 		switch rng.Intn(3) {
 		case 0:
-			p.Args = [][]byte{}
+			p.ArgHashes = []ArgHash{}
 		case 1:
 			for i := rng.Intn(4); i >= 0; i-- {
-				p.Args = append(p.Args, bytesOf())
+				p.ArgHashes = append(p.ArgHashes, HashArgs([][]byte{bytesOf()})[0])
 			}
 		}
 		return p
@@ -194,7 +198,7 @@ func randomTx(rng *rand.Rand) Transaction {
 		tx.RWSet.Reads = append(tx.RWSet.Reads, statedb.ReadItem{Namespace: str(), Key: str(), Version: statedb.Version{BlockNum: rng.Uint64() >> uint(rng.Intn(64)), TxNum: uint64(rng.Intn(300))}, Exists: rng.Intn(2) == 0})
 		tx.RWSet.Writes = append(tx.RWSet.Writes, statedb.WriteItem{Namespace: str(), Key: str(), Value: bytesOf(), IsDelete: rng.Intn(4) == 0})
 		tx.Events = append(tx.Events, Event{Name: str(), Payload: bytesOf()})
-		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: ident(), Digest: bytesOf(), Signature: bytesOf()})
+		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: ident(), Signature: bytesOf()}.Ref())
 	}
 	return tx
 }
@@ -322,6 +326,50 @@ func fuzzSeeds(f *testing.F, encs ...[]byte) {
 	}
 }
 
+// Offsets into goldenTxHex's bytes: the argument-hash count (then two
+// 32-byte hashes) and the endorsement count (then an 8-byte fingerprint).
+const (
+	goldenArgCountOff = 4 + 3 + 2 + 2 + 7 + 3 + 3 + 4
+	goldenEndCountOff = goldenArgCountOff + 1 + 64 + 1 + 3 + 10 + 18 + 5
+)
+
+// malformedTxs are golden transactions damaged in the two fixed-width
+// fields format 2 added and in the list that holds one of them. None may
+// decode: a fixed-width field has no short form to fall back to.
+func malformedTxs() map[string][]byte {
+	golden := goldenTx()
+	enc := golden.Bytes()
+	without := func(off int) []byte {
+		return append(append([]byte(nil), enc[:off]...), enc[off+1:]...)
+	}
+	withCount := func(off int, n uint64) []byte {
+		out := binary.AppendUvarint(append([]byte(nil), enc[:off]...), n)
+		return append(out, enc[off+1:]...)
+	}
+	return map[string][]byte{
+		"arg-hash-31-bytes":     without(goldenArgCountOff + 1 + 5),
+		"fingerprint-7-bytes":   without(goldenEndCountOff + 1 + 3),
+		"endorsements-overlong": withCount(goldenEndCountOff, 200),
+		"arg-hashes-overlong":   withCount(goldenArgCountOff, 1<<40),
+	}
+}
+
+// TestDecodeRefusesMalformedFixedFields: see malformedTxs. The offsets are
+// checked against the golden layout first, so the damage is where it says.
+func TestDecodeRefusesMalformedFixedFields(t *testing.T) {
+	golden := goldenTx()
+	enc := golden.Bytes()
+	if enc[goldenArgCountOff] != 2 || !bytes.Equal(enc[goldenArgCountOff+1:][:32], golden.Payload.ArgHashes[0][:]) ||
+		enc[goldenEndCountOff] != 1 || !bytes.Equal(enc[goldenEndCountOff+1:][:8], golden.Endorsements[0].Signer[:]) {
+		t.Fatal("golden offsets are off")
+	}
+	for name, in := range malformedTxs() {
+		if tx, err := DecodeTransaction(in); err == nil {
+			t.Errorf("%s decoded: %+v", name, tx)
+		}
+	}
+}
+
 func FuzzDecodeBlock(f *testing.F) {
 	fuzzSeeds(f, goldenBlock().AppendTo(nil), fixtureBlock(1).AppendTo(nil), NewBlock(0, [32]byte{}, nil, time.Time{}).AppendTo(nil))
 	f.Fuzz(func(t *testing.T, in []byte) { checkDecode(t, "block", in, decodeBlockBytes) })
@@ -330,36 +378,76 @@ func FuzzDecodeBlock(f *testing.F) {
 func FuzzDecodeTransaction(f *testing.F) {
 	golden, one, batch := goldenTx(), fixtureTx(1), fixtureTx(3)
 	fuzzSeeds(f, golden.Bytes(), one.Bytes(), batch.Bytes())
+	for _, in := range malformedTxs() {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) { checkDecode(t, "transaction", in, decodeTxBytes) })
 }
 
-// TestLogRefusesOlderFormat: a block log whose records are JSON — what
-// every build before format 1 wrote — fails to open, by either door, with
-// an error that names the format, and the file is left as it was.
+// TestFuzzCorpusCurrent: the committed seeds are encodings in this format.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	golden, one, batch := goldenTx(), fixtureTx(1), fixtureTx(3)
+	txs := map[string][]any{"golden": {golden.Bytes()}, "store-record": {one.Bytes()}, "batch-envelope": {batch.Bytes()}}
+	for name, in := range malformedTxs() {
+		txs[name] = []any{in}
+	}
+	codectest.Corpus(t, "FuzzDecodeTransaction", txs)
+
+	gb := goldenBlock().AppendTo(nil)
+	flipped := append([]byte(nil), gb...)
+	flipped[headerLen-6] ^= 0x10 // in the header timestamp
+	codectest.Corpus(t, "FuzzDecodeBlock", map[string][]any{
+		"genesis":      {NewBlock(0, [32]byte{}, nil, time.Time{}).AppendTo(nil)},
+		"golden":       {gb},
+		"golden-cut":   {gb[:len(gb)*2/3]},
+		"golden-flip":  {flipped},
+		"store-record": {fixtureBlock(1).AppendTo(nil)},
+	})
+}
+
+// TestLogRefusesOlderFormat: a block log in an earlier format — format 1,
+// as the commit before format 2 wrote it (testdata/blocks-format1.wal: a
+// genesis block and one transaction with its arguments and full endorser
+// identities), or the JSON records of every build before that — fails to
+// open, by either door, with an error that names the format it found and
+// the one this build reads, and the file is left as it was.
 func TestLogRefusesOlderFormat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "blocks.wal")
-	frame := append(make([]byte, walframe.HeaderLen), `{"header":{"number":0},"txs":null,"metadata":{"flags":[]}}`...)
-	walframe.Seal(frame)
-	old := append(append([]byte(nil), frame...), frame[:20]...) // and a torn tail an open would cut
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	format1, err := os.ReadFile(filepath.Join("testdata", "blocks-format1.wal"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(door string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "older build") || !strings.Contains(err.Error(), "block-log format 1") {
-			t.Fatalf("%s over a JSON block log: %v", door, err)
+	jsonFrame := append(make([]byte, walframe.HeaderLen), `{"header":{"number":0},"txs":null,"metadata":{"flags":[]}}`...)
+	walframe.Seal(jsonFrame)
+	for _, c := range []struct {
+		name, found string
+		log         []byte
+	}{
+		{"format 1", "is in format 1", format1},
+		{"JSON", "holds JSON records", jsonFrame},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "blocks.wal")
+		old := append(append([]byte(nil), c.log...), c.log[:20]...) // and a torn tail an open would cut
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if now, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(now, old) {
-			t.Fatalf("%s touched the refused file (%v)", door, rerr)
+		check := func(door string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), c.found) || !strings.Contains(err.Error(), "older build") ||
+				!strings.Contains(err.Error(), "reads block-log format 2 only") {
+				t.Fatalf("%s over a %s block log: %v", door, c.name, err)
+			}
+			if now, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(now, old) {
+				t.Fatalf("%s touched the refused %s file (%v)", door, c.name, rerr)
+			}
 		}
+		_, err := OpenLog(path)
+		check("OpenLog", err)
+		db := openIndexDB(t, dir)
+		_, err = Open(path, db)
+		check("Open", err)
+		db.Close()
 	}
-	_, err := OpenLog(path)
-	check("OpenLog", err)
-	db := openIndexDB(t, dir)
-	defer db.Close()
-	_, err = Open(path, db)
-	check("Open", err)
 }
 
 // TestLogFirstRecordDamage: only a first record that is whole under
@@ -393,7 +481,7 @@ func TestLogFirstRecordDamage(t *testing.T) {
 	if err := os.WriteFile(path, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLog(path); err == nil || !strings.Contains(err.Error(), "not in format 1") {
+	if _, err := OpenLog(path); err == nil || !strings.Contains(err.Error(), "not in format 2") {
 		t.Fatalf("OpenLog over a format-%d log: %v", logFormat+1, err)
 	}
 	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, other) {

@@ -23,7 +23,7 @@ func randomChain(t *testing.T, rng *rand.Rand, n int) []*Block {
 	t.Helper()
 	signer := msp.NewSignerFromSeed("org", "client", "equivalence", msp.RoleMember)
 	call := func() TxPayload {
-		return TxPayload{Chaincode: "cc", Fn: "put", Args: [][]byte{[]byte(fmt.Sprintf("k%d", rng.Intn(50))), make([]byte, rng.Intn(200))}}
+		return TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte(fmt.Sprintf("k%d", rng.Intn(50))), make([]byte, rng.Intn(200))})}
 	}
 	invalid := []ValidationCode{MVCCConflict, EndorsementPolicyFailure, BadCreatorSignature}
 	var chain []*Block

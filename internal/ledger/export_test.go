@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
@@ -29,6 +30,64 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// Tx index rebuilt.
 	if _, _, _, err := dst.GetTx("tx-5"); err != nil {
 		t.Fatalf("tx lookup after import: %v", err)
+	}
+}
+
+// TestExportPrintsHashesAndFingerprints: the dump shows what an envelope
+// records of its arguments and endorsers — hex SHA-256 hashes and hex key
+// fingerprints — for single and batched envelopes, a re-import reproduces
+// every block byte for byte, and a hash or fingerprint of the wrong length
+// in a dump is an import error, never a shorter value.
+func TestExportPrintsHashesAndFingerprints(t *testing.T) {
+	src := New()
+	for n, calls := range []int{1, 3} {
+		blk := NewBlock(uint64(n), src.TipHash(), []Transaction{fixtureTx(calls)}, time.Unix(int64(n), 0))
+		if err := src.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.String()
+	single, batch := fixtureTx(1), fixtureTx(3)
+	argHash := single.Payload.ArgHashes[1].String()
+	fingerprint := batch.Endorsements[2].Signer.String()
+	for _, want := range []string{
+		`"arg_hashes":["` + single.Payload.ArgHashes[0].String() + `","` + argHash + `"]`,
+		`"arg_hashes":["` + batch.Payload.Batch[2].ArgHashes[0].String(),
+		`"signer":"` + fingerprint + `"`,
+	} {
+		if !strings.Contains(dump, want) {
+			t.Fatalf("dump lacks %s", want)
+		}
+	}
+	if strings.Contains(dump, `"args"`) || strings.Contains(dump, `"endorser"`) {
+		t.Fatal("dump still carries arguments or embedded endorser identities")
+	}
+
+	dst := New()
+	if _, err := dst.Import(strings.NewReader(dump)); err != nil {
+		t.Fatal(err)
+	}
+	for n := uint64(0); n < 2; n++ {
+		a, _ := src.GetBlock(n)
+		b, err := dst.GetBlock(n)
+		if err != nil || !bytes.Equal(a.AppendTo(nil), b.AppendTo(nil)) {
+			t.Fatalf("block %d differs after export and import (%v)", n, err)
+		}
+	}
+
+	for name, bad := range map[string]string{
+		"short hash":        strings.Replace(dump, argHash, argHash[:62], 1),
+		"long hash":         strings.Replace(dump, argHash, argHash+"00", 1),
+		"short fingerprint": strings.Replace(dump, fingerprint, fingerprint[:14], 1),
+		"not hex":           strings.Replace(dump, fingerprint, "zz"+fingerprint[2:], 1),
+	} {
+		if _, err := New().Import(strings.NewReader(bad)); err == nil {
+			t.Errorf("a dump with a %s imported", name)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func testTx(t *testing.T, id string) Transaction {
 		ID:        id,
 		ChannelID: "ch",
 		Creator:   s.Identity,
-		Payload:   TxPayload{Chaincode: "cc", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}},
+		Payload:   TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
 		RWSet: statedb.RWSet{
 			Writes: []statedb.WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v")}},
 		},

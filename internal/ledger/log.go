@@ -18,10 +18,11 @@ package ledger
 //
 //	[1B format version = logFormat][block: Block.AppendTo]
 //
-// Opening checks the version byte of the first record — a log written
-// before the binary encoding starts with '{' — and refuses a log of any
-// other format without touching the file; there is no migration and no
-// second reader. Beyond that, opening never decodes what the opener already
+// Opening checks the version byte of the first record — format 1 held
+// every argument and a full identity and digest per endorsement, a log
+// from before the binary encoding starts with '{' — and refuses a log of
+// any other format without touching the file; there is no migration and
+// no second reader. Beyond that, opening never decodes what the opener already
 // trusts: it CRC-scans the frames from a starting offset (0 for a bare
 // OpenLog, the end of the savepoint block for a peer's ledger) to find
 // where the log ends. A torn
@@ -56,15 +57,18 @@ type Log struct {
 
 // logFormat is the block-log record format this build writes and reads:
 // the first byte of every record's payload.
-const logFormat = 1
+const logFormat = 2
 
 // checkFormat rejects a record payload in any format but logFormat.
 func checkFormat(payload []byte) error {
-	if len(payload) > 0 && payload[0] == logFormat {
+	const only = "this build reads block-log format %d only (no migration: start from an empty data directory)"
+	switch {
+	case len(payload) > 0 && payload[0] == logFormat:
 		return nil
-	}
-	if len(payload) > 0 && payload[0] == '{' {
-		return fmt.Errorf("ledger: block log holds JSON records, written by an older build; this build reads block-log format %d only (no migration: start from an empty data directory)", logFormat)
+	case len(payload) > 0 && payload[0] == '{':
+		return fmt.Errorf("ledger: block log holds JSON records, written by an older build; "+only, logFormat)
+	case len(payload) > 0 && payload[0] < logFormat:
+		return fmt.Errorf("ledger: block log is in format %d, written by an older build; "+only, payload[0], logFormat)
 	}
 	return fmt.Errorf("ledger: block-log record is not in format %d", logFormat)
 }

@@ -15,15 +15,57 @@ import (
 	"socialchain/internal/statedb"
 )
 
-// TxPayload names the chaincode invocation a transaction carries. A
-// batched ingest envelope carries its calls in Batch instead (one entry
-// per call, each with Chaincode/Fn/Args set and Batch empty); the calls
+// ArgHash is the SHA-256 of one chaincode argument; as text it is 64 hex
+// digits.
+type ArgHash [sha256.Size]byte
+
+// HashArgs returns the hash of each argument of an invocation — what the
+// envelope records of them.
+func HashArgs(args [][]byte) []ArgHash {
+	if len(args) == 0 {
+		return nil
+	}
+	out := make([]ArgHash, len(args))
+	for i, a := range args {
+		out[i] = sha256.Sum256(a)
+	}
+	return out
+}
+
+// String returns the hash in hex.
+func (h ArgHash) String() string { return hex.EncodeToString(h[:]) }
+
+// MarshalText implements encoding.TextMarshaler (hex).
+func (h ArgHash) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler; anything but 64 hex
+// digits is an error, never a short hash.
+func (h *ArgHash) UnmarshalText(text []byte) error { return codec.DecodeHex(h[:], text) }
+
+// TxPayload records the chaincode invocation a transaction carried:
+// chaincode, function and one hash per argument. The arguments themselves
+// travel in the proposal, to the endorsers that execute them; what they
+// caused is in the envelope's read/write set, which is what endorsers
+// sign, validators check and queries read, so the envelope does not hold a
+// second copy. The hashes (the ones the proposal's signature is over) let
+// an auditor who has an argument check it was the one submitted. A batched
+// ingest envelope carries its calls in Batch instead (one entry per call,
+// each with Chaincode/Fn/ArgHashes set and Batch empty); the calls
 // executed on one simulator and committed atomically under this envelope.
 type TxPayload struct {
 	Chaincode string      `json:"chaincode"`
 	Fn        string      `json:"fn"`
-	Args      [][]byte    `json:"args"`
+	ArgHashes []ArgHash   `json:"arg_hashes"`
 	Batch     []TxPayload `json:"batch,omitempty"`
+}
+
+// Calls returns the invocations the payload records: the calls of its
+// batch, or its own call when it has none.
+func (p TxPayload) Calls() []TxPayload {
+	if len(p.Batch) > 0 {
+		return p.Batch
+	}
+	return []TxPayload{p}
 }
 
 // Event is a chaincode-emitted application event carried in the
@@ -36,16 +78,16 @@ type Event struct {
 
 // Transaction is a fully endorsed transaction envelope ready for ordering.
 type Transaction struct {
-	ID           string            `json:"id"`
-	ChannelID    string            `json:"channel_id"`
-	Creator      msp.Identity      `json:"creator"`
-	Payload      TxPayload         `json:"payload"`
-	Response     []byte            `json:"response,omitempty"`
-	RWSet        statedb.RWSet     `json:"rw_set"`
-	Events       []Event           `json:"events,omitempty"`
-	Endorsements []msp.Endorsement `json:"endorsements"`
-	Timestamp    time.Time         `json:"timestamp"`
-	Signature    []byte            `json:"signature,omitempty"`
+	ID           string               `json:"id"`
+	ChannelID    string               `json:"channel_id"`
+	Creator      msp.Identity         `json:"creator"`
+	Payload      TxPayload            `json:"payload"`
+	Response     []byte               `json:"response,omitempty"`
+	RWSet        statedb.RWSet        `json:"rw_set"`
+	Events       []Event              `json:"events,omitempty"`
+	Endorsements []msp.EndorsementRef `json:"endorsements"`
+	Timestamp    time.Time            `json:"timestamp"`
+	Signature    []byte               `json:"signature,omitempty"`
 	// Trace is the observability trace ID carried from the proposal into
 	// the committed envelope. Every replica stores the identical value (it
 	// is part of the envelope the orderer replicates), so replica chains
@@ -55,15 +97,17 @@ type Transaction struct {
 }
 
 // SigningBytes returns the canonical bytes the submitting client signs for
-// the envelope: the endorsement digest bound to the transaction ID.
+// the envelope: the endorsement digest, the transaction ID and the
+// recorded invocation (chaincode, function and argument hashes, batched
+// calls included), so whoever orders the envelope can rewrite none of them.
 func (t *Transaction) SigningBytes() []byte { return t.SigningBytesFor(t.Digest()) }
 
 // SigningBytesFor is SigningBytes for a caller that already holds the
 // transaction's Digest, and so need not compute it a second time.
 func (t *Transaction) SigningBytesFor(digest []byte) []byte {
-	out := make([]byte, 0, len(digest)+len(t.ID))
-	out = append(out, digest...)
-	return append(out, t.ID...)
+	out := make([]byte, 0, len(digest)+len(t.ID)+128)
+	out = codec.AppendString(append(out, digest...), t.ID)
+	return t.Payload.appendTo(out)
 }
 
 // NewTxID derives a transaction ID from the creator and a nonce, following
@@ -93,11 +137,7 @@ func (t *Transaction) AppendTo(b []byte) []byte {
 	b = codec.AppendString(b, t.ID)
 	b = codec.AppendString(b, t.ChannelID)
 	b = t.Creator.AppendTo(b)
-	b = t.Payload.appendCall(b)
-	b = codec.AppendUvarint(b, uint64(len(t.Payload.Batch)))
-	for i := range t.Payload.Batch {
-		b = t.Payload.Batch[i].appendCall(b)
-	}
+	b = t.Payload.appendTo(b)
 	b = codec.AppendBytes(b, t.Response)
 	b = t.RWSet.AppendTo(b)
 	b = codec.AppendUvarint(b, uint64(len(t.Events)))
@@ -128,27 +168,48 @@ func (t *Transaction) CheckFlat() error {
 	return nil
 }
 
-// appendCall appends one invocation: chaincode, function, arguments. The
-// calls of a batch follow the envelope's own (empty) call as a flat list;
-// a call inside a batch has no batch of its own (CheckFlat), so nesting
-// deeper than one level has no encoding.
+// appendTo appends the payload: the envelope's own call, then the calls
+// of its batch as a flat list behind their count. A call inside a batch
+// has no batch of its own (CheckFlat), so nesting deeper than one level
+// has no encoding.
+func (p *TxPayload) appendTo(b []byte) []byte {
+	b = p.appendCall(b)
+	b = codec.AppendUvarint(b, uint64(len(p.Batch)))
+	for i := range p.Batch {
+		b = p.Batch[i].appendCall(b)
+	}
+	return b
+}
+
+func (p *TxPayload) decodeFrom(r *codec.Reader) {
+	p.decodeCall(r)
+	if n := r.Count(callMinLen); n > 0 {
+		p.Batch = make([]TxPayload, n)
+	}
+	for i := range p.Batch {
+		p.Batch[i].decodeCall(r)
+	}
+}
+
+// appendCall appends one invocation: chaincode, function, and the
+// argument hashes as their count and then 32 raw bytes each.
 func (p *TxPayload) appendCall(b []byte) []byte {
 	b = codec.AppendString(b, p.Chaincode)
 	b = codec.AppendString(b, p.Fn)
-	b = codec.AppendUvarint(b, uint64(len(p.Args)))
-	for _, a := range p.Args {
-		b = codec.AppendBytes(b, a)
+	b = codec.AppendUvarint(b, uint64(len(p.ArgHashes)))
+	for i := range p.ArgHashes {
+		b = append(b, p.ArgHashes[i][:]...)
 	}
 	return b
 }
 
 func (p *TxPayload) decodeCall(r *codec.Reader) {
 	p.Chaincode, p.Fn = r.String(), r.String()
-	if n := r.Count(1); n > 0 {
-		p.Args = make([][]byte, n)
+	if n := r.Count(len(ArgHash{})); n > 0 {
+		p.ArgHashes = make([]ArgHash, n)
 	}
-	for i := range p.Args {
-		p.Args[i] = r.Bytes()
+	for i := range p.ArgHashes {
+		r.Raw(p.ArgHashes[i][:])
 	}
 }
 
@@ -187,13 +248,7 @@ func DecodeTxs(r *codec.Reader) []Transaction {
 func (t *Transaction) DecodeFrom(r *codec.Reader) {
 	*t = Transaction{ID: r.String(), ChannelID: r.String()}
 	t.Creator.DecodeFrom(r)
-	t.Payload.decodeCall(r)
-	if n := r.Count(callMinLen); n > 0 {
-		t.Payload.Batch = make([]TxPayload, n)
-	}
-	for i := range t.Payload.Batch {
-		t.Payload.Batch[i].decodeCall(r)
-	}
+	t.Payload.decodeFrom(r)
 	t.Response = r.Bytes()
 	t.RWSet.DecodeFrom(r)
 	if n := r.Count(eventMinLen); n > 0 {
@@ -202,8 +257,8 @@ func (t *Transaction) DecodeFrom(r *codec.Reader) {
 	for i := range t.Events {
 		t.Events[i] = Event{Name: r.String(), Payload: r.Bytes()}
 	}
-	if n := r.Count(msp.EndorsementMinLen); n > 0 {
-		t.Endorsements = make([]msp.Endorsement, n)
+	if n := r.Count(msp.EndorsementRefMinLen); n > 0 {
+		t.Endorsements = make([]msp.EndorsementRef, n)
 	}
 	for i := range t.Endorsements {
 		t.Endorsements[i].DecodeFrom(r)

@@ -256,42 +256,3 @@ func TestVerifyCacheKeyCoversTuple(t *testing.T) {
 		t.Fatal("sliding frame boundary verified")
 	}
 }
-
-// TestEvaluateVerifiedMatchesEvaluate checks the pre-verified policy path
-// agrees with full evaluation for every built-in policy, including when
-// verdicts mark endorsements invalid.
-func TestEvaluateVerifiedMatchesEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	digest := []byte("policy-digest")
-	signers := batchSigners(t, 7)
-	policies := []Policy{
-		TwoThirds(7),
-		QuorumPolicy{Threshold: 3, Total: 7},
-		OrgCoveragePolicy{Threshold: 2, MinOrgs: 1},
-		AnyValid{},
-	}
-	for round := 0; round < 40; round++ {
-		var ends []Endorsement
-		for _, s := range signers {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			e := Endorsement{Endorser: s.Identity, Digest: digest, Signature: s.Sign(digest)}
-			if rng.Intn(4) == 0 {
-				e.Signature[0] ^= 0xFF
-			}
-			ends = append(ends, e)
-		}
-		verdicts := make([]bool, len(ends))
-		for i, e := range ends {
-			verdicts[i] = e.Verify()
-		}
-		for _, p := range policies {
-			full := p.Evaluate(digest, ends)
-			pre := EvaluateVerified(p, digest, ends, verdicts)
-			if (full == nil) != (pre == nil) {
-				t.Fatalf("round %d %s: Evaluate=%v EvaluateVerified=%v", round, p.Describe(), full, pre)
-			}
-		}
-	}
-}

@@ -88,20 +88,28 @@ func BenchmarkVerifyCached32(b *testing.B) {
 	}
 }
 
-func BenchmarkQuorumPolicyEvaluate(b *testing.B) {
+// BenchmarkEndorsersResolve is the commit-time endorsement check: resolve
+// seven fingerprints, verify seven signatures, count the members.
+func BenchmarkEndorsersResolve(b *testing.B) {
 	digest := []byte("digest-to-endorse-0123456789abcd")
-	var ends []Endorsement
+	var ends []EndorsementRef
+	var ids []Identity
 	for i := 0; i < 7; i++ {
 		s, err := NewSigner("org", string(rune('a'+i)), RoleMember)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ends = append(ends, Endorsement{Endorser: s.Identity, Digest: digest, Signature: s.Sign(digest)})
+		ids = append(ids, s.Identity)
+		ends = append(ends, Endorsement{Endorser: s.Identity, Signature: s.Sign(digest)}.Ref())
+	}
+	members, err := NewRegistry(ids...)
+	if err != nil {
+		b.Fatal(err)
 	}
 	pol := TwoThirds(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pol.Evaluate(digest, ends); err != nil {
+		if err := pol.Evaluate(members.Endorsers(digest, ends, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

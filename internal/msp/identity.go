@@ -43,11 +43,27 @@ type Identity struct {
 // ID returns a stable textual identifier "org/name".
 func (id Identity) ID() string { return id.Org + "/" + id.Name }
 
-// Fingerprint returns a short hex digest of the public key, used in logs and
-// provenance records.
-func (id Identity) Fingerprint() string {
+// Fingerprint names a public key by the first 8 bytes of its SHA-256: how
+// a committed envelope says which peer signed an endorsement (resolved
+// through the channel's Registry), and a short handle for logs. As text it
+// is 16 hex digits.
+type Fingerprint [8]byte
+
+// String returns the fingerprint in hex.
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// MarshalText implements encoding.TextMarshaler (hex).
+func (f Fingerprint) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler; anything but 16 hex
+// digits is an error, never a short fingerprint.
+func (f *Fingerprint) UnmarshalText(text []byte) error { return codec.DecodeHex(f[:], text) }
+
+// Fingerprint returns the fingerprint of the identity's public key.
+func (id Identity) Fingerprint() (f Fingerprint) {
 	sum := sha256.Sum256(id.PubKey)
-	return hex.EncodeToString(sum[:8])
+	copy(f[:], sum[:])
+	return f
 }
 
 // Verify reports whether sig is a valid signature by this identity over msg.
@@ -76,9 +92,6 @@ func (id *Identity) DecodeFrom(r *codec.Reader) {
 	id.Role = Role(r.String())
 	id.PubKey = r.Bytes()
 }
-
-// identityMinLen is the shortest encoded identity: four empty fields.
-const identityMinLen = 4
 
 // Signer couples an Identity with its private key.
 type Signer struct {

@@ -114,92 +114,135 @@ func TestSignedMessagePropertyAnyPayload(t *testing.T) {
 
 func TestFingerprintStable(t *testing.T) {
 	s := newTestSigner(t, "o", "n", RoleMember)
-	if s.Identity.Fingerprint() != s.Identity.Fingerprint() {
+	f := s.Identity.Fingerprint()
+	if f != s.Identity.Fingerprint() {
 		t.Fatal("fingerprint unstable")
 	}
-	if len(s.Identity.Fingerprint()) != 16 {
-		t.Fatalf("fingerprint length %d", len(s.Identity.Fingerprint()))
+	text, _ := f.MarshalText()
+	if len(text) != 16 || f.String() != string(text) {
+		t.Fatalf("fingerprint text %q", text)
+	}
+	var back Fingerprint
+	if err := back.UnmarshalText(text); err != nil || back != f {
+		t.Fatalf("round trip: %v, %s", err, back)
+	}
+	for _, bad := range []string{"", "abcd", string(text[:14]), string(text) + "00", "zz" + string(text[2:])} {
+		if err := back.UnmarshalText([]byte(bad)); err == nil {
+			t.Fatalf("fingerprint text %q accepted", bad)
+		}
 	}
 }
 
-func TestRegistryRegisterAndLookup(t *testing.T) {
-	r := NewRegistry()
+func TestRegistryResolves(t *testing.T) {
 	a := newTestSigner(t, "org1", "a", RoleMember)
 	b := newTestSigner(t, "org2", "b", RoleAdmin)
-	if err := r.Register(a.Identity); err != nil {
+	r, err := NewRegistry(a.Identity, b.Identity)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(b.Identity); err != nil {
-		t.Fatal(err)
+	if _, err := NewRegistry(a.Identity, b.Identity, a.Identity); err == nil {
+		t.Fatal("one key admitted under two entries")
 	}
-	if err := r.Register(a.Identity); err == nil {
-		t.Fatal("duplicate registration accepted")
+	got, ok := r.Resolve(a.Identity.Fingerprint())
+	if !ok || got.ID() != "org1/a" {
+		t.Fatal("resolve failed")
 	}
-	got, ok := r.Lookup("org1/a")
-	if !ok || got.Name != "a" {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := r.Lookup("org9/zz"); ok {
-		t.Fatal("phantom lookup")
+	// Same name, other key: the name is not what is resolved.
+	if _, ok := r.Resolve(newTestSigner(t, "org1", "a", RoleMember).Identity.Fingerprint()); ok {
+		t.Fatal("an outsider styled org1/a resolved")
 	}
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	orgs := r.Orgs()
-	if len(orgs) != 2 || orgs[0] != "org1" || orgs[1] != "org2" {
-		t.Fatalf("orgs = %v", orgs)
+	var none *Registry
+	if _, ok := none.Resolve(a.Identity.Fingerprint()); ok || none.Len() != 0 {
+		t.Fatal("nil registry knows somebody")
 	}
-	if members := r.Members("org1"); len(members) != 1 || members[0] != "org1/a" {
-		t.Fatalf("members = %v", members)
+	if got := none.Endorsers([]byte("d"), []EndorsementRef{endorse(a, []byte("d"))}, nil); len(got) != 0 {
+		t.Fatalf("nil registry counted %d endorsers", len(got))
 	}
 }
 
-func endorse(t *testing.T, s *Signer, digest []byte) Endorsement {
-	t.Helper()
-	return Endorsement{Endorser: s.Identity, Digest: digest, Signature: s.Sign(digest)}
+func endorse(s *Signer, digest []byte) EndorsementRef {
+	return Endorsement{Endorser: s.Identity, Digest: digest, Signature: s.Sign(digest)}.Ref()
 }
+
+// testMembers returns n signers and the registry admitting them.
+func testMembers(t *testing.T, n int, org func(i int) string) ([]*Signer, *Registry) {
+	t.Helper()
+	signers := make([]*Signer, n)
+	ids := make([]Identity, n)
+	for i := range signers {
+		signers[i] = newTestSigner(t, org(i), string(rune('a'+i)), RoleMember)
+		ids[i] = signers[i].Identity
+	}
+	r, err := NewRegistry(ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return signers, r
+}
+
+func oneOrg(int) string { return "org" }
 
 func TestQuorumPolicy(t *testing.T) {
 	digest := []byte("result-digest")
-	var signers []*Signer
-	for i := 0; i < 4; i++ {
-		signers = append(signers, newTestSigner(t, "org", string(rune('a'+i)), RoleMember))
-	}
+	signers, members := testMembers(t, 4, oneOrg)
 	pol := TwoThirds(4) // threshold 3
 	if pol.Threshold != 3 {
 		t.Fatalf("TwoThirds(4).Threshold = %d", pol.Threshold)
 	}
 
-	var ends []Endorsement
+	var ends []EndorsementRef
 	for i := 0; i < 3; i++ {
-		ends = append(ends, endorse(t, signers[i], digest))
+		ends = append(ends, endorse(signers[i], digest))
 	}
-	if err := pol.Evaluate(digest, ends); err != nil {
+	if err := pol.Evaluate(members.Endorsers(digest, ends, nil)); err != nil {
 		t.Fatalf("3/4 endorsements should satisfy: %v", err)
 	}
-	if err := pol.Evaluate(digest, ends[:2]); err == nil {
+	if err := pol.Evaluate(members.Endorsers(digest, ends[:2], nil)); err == nil {
 		t.Fatal("2/4 endorsements must not satisfy")
 	}
 }
 
-func TestQuorumPolicyIgnoresDuplicatesAndBadSigs(t *testing.T) {
+// TestEndorsersCountsMembersOnce: what does not count — a repeat, a bad
+// signature, a signature over another digest, an outsider, a member's
+// fingerprint over another key's signature — and that none of them cancels
+// a valid endorsement beside it, through a cache or without one.
+func TestEndorsersCountsMembersOnce(t *testing.T) {
 	digest := []byte("d")
-	s := newTestSigner(t, "org", "solo", RoleMember)
-	e := endorse(t, s, digest)
-	pol := QuorumPolicy{Threshold: 2, Total: 4}
-	// Same endorser twice counts once.
-	if err := pol.Evaluate(digest, []Endorsement{e, e}); err == nil {
-		t.Fatal("duplicate endorser satisfied quorum")
+	signers, members := testMembers(t, 2, oneOrg)
+	s, other := signers[0], signers[1]
+	outsider := newTestSigner(t, "org", "a", RoleMember) // named like s
+	e := endorse(s, digest)
+	forged := EndorsementRef{Signer: e.Signer, Signature: make([]byte, 64)}
+	borrowed := EndorsementRef{Signer: e.Signer, Signature: outsider.Sign(digest)}
+	cases := []struct {
+		name string
+		ends []EndorsementRef
+		want int
+	}{
+		{"one", []EndorsementRef{e}, 1},
+		{"repeated three times", []EndorsementRef{e, e, e}, 1},
+		{"forged signature", []EndorsementRef{e, forged}, 1},
+		{"forged first does not cancel", []EndorsementRef{forged, e}, 1},
+		{"wrong digest", []EndorsementRef{e, endorse(other, []byte("other"))}, 1},
+		{"outsider, valid signature", []EndorsementRef{e, endorse(outsider, digest)}, 1},
+		{"member's fingerprint, another key's signature", []EndorsementRef{borrowed}, 0},
+		{"two members", []EndorsementRef{e, endorse(other, digest)}, 2},
+		{"malformed signature", []EndorsementRef{{Signer: e.Signer, Signature: []byte{1, 2}}}, 0},
+		{"none", nil, 0},
 	}
-	// A forged signature never counts.
-	forged := Endorsement{Endorser: s.Identity, Digest: digest, Signature: make([]byte, 64)}
-	if err := pol.Evaluate(digest, []Endorsement{e, forged}); err == nil {
-		t.Fatal("forged endorsement satisfied quorum")
-	}
-	// A wrong-digest endorsement never counts.
-	wrong := endorse(t, s, []byte("other"))
-	if err := pol.Evaluate(digest, []Endorsement{e, wrong}); err == nil {
-		t.Fatal("wrong-digest endorsement satisfied quorum")
+	for _, cache := range []*VerifyCache{nil, NewVerifyCache(16)} {
+		for _, c := range cases {
+			got := members.Endorsers(digest, c.ends, cache)
+			if len(got) != c.want {
+				t.Errorf("%s (cache %v): %d endorsers, want %d", c.name, cache != nil, len(got), c.want)
+			}
+			if c.want > 0 && got[0].ID() != s.Identity.ID() {
+				t.Errorf("%s: first endorser %s", c.name, got[0].ID())
+			}
+		}
 	}
 }
 
@@ -214,28 +257,26 @@ func TestTwoThirdsThresholds(t *testing.T) {
 
 func TestOrgCoveragePolicy(t *testing.T) {
 	digest := []byte("d")
-	a1 := newTestSigner(t, "orgA", "1", RoleMember)
-	a2 := newTestSigner(t, "orgA", "2", RoleMember)
-	b1 := newTestSigner(t, "orgB", "1", RoleMember)
+	signers, members := testMembers(t, 3, func(i int) string { return []string{"orgA", "orgA", "orgB"}[i] })
+	a1, a2, b1 := signers[0], signers[1], signers[2]
 	pol := OrgCoveragePolicy{Threshold: 2, MinOrgs: 2}
-	sameOrg := []Endorsement{endorse(t, a1, digest), endorse(t, a2, digest)}
-	if err := pol.Evaluate(digest, sameOrg); err == nil {
+	sameOrg := []EndorsementRef{endorse(a1, digest), endorse(a2, digest)}
+	if err := pol.Evaluate(members.Endorsers(digest, sameOrg, nil)); err == nil {
 		t.Fatal("single-org endorsements satisfied a 2-org policy")
 	}
-	crossOrg := []Endorsement{endorse(t, a1, digest), endorse(t, b1, digest)}
-	if err := pol.Evaluate(digest, crossOrg); err != nil {
+	crossOrg := []EndorsementRef{endorse(a1, digest), endorse(b1, digest)}
+	if err := pol.Evaluate(members.Endorsers(digest, crossOrg, nil)); err != nil {
 		t.Fatalf("cross-org endorsements rejected: %v", err)
 	}
 }
 
 func TestAnyValidPolicy(t *testing.T) {
-	digest := []byte("d")
 	s := newTestSigner(t, "org", "x", RoleMember)
-	if err := (AnyValid{}).Evaluate(digest, []Endorsement{endorse(t, s, digest)}); err != nil {
+	if err := (AnyValid{}).Evaluate([]Identity{s.Identity}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (AnyValid{}).Evaluate(digest, nil); err == nil {
-		t.Fatal("empty endorsements satisfied AnyValid")
+	if err := (AnyValid{}).Evaluate(nil); err == nil {
+		t.Fatal("no endorsers satisfied AnyValid")
 	}
 }
 

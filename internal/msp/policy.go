@@ -8,122 +8,63 @@ import (
 )
 
 // Endorsement is a signed statement by a peer that it executed a proposal
-// and observed a particular result digest.
+// and observed a particular result digest: the form an endorser returns to
+// the gateway, which compares digests across peers before it assembles an
+// envelope. The envelope itself keeps only Ref.
 type Endorsement struct {
 	Endorser  Identity `json:"endorser"`
 	Digest    []byte   `json:"digest"`
 	Signature []byte   `json:"signature"`
 }
 
-// AppendTo appends the endorsement's canonical encoding: endorser, digest,
-// signature.
-func (e Endorsement) AppendTo(b []byte) []byte {
-	b = e.Endorser.AppendTo(b)
-	b = codec.AppendBytes(b, e.Digest)
-	return codec.AppendBytes(b, e.Signature)
-}
-
-// DecodeFrom reads what AppendTo wrote.
-func (e *Endorsement) DecodeFrom(r *codec.Reader) {
-	e.Endorser.DecodeFrom(r)
-	e.Digest = r.Bytes()
-	e.Signature = r.Bytes()
-}
-
-// EndorsementMinLen is the shortest encoded endorsement, for the
-// codec.Reader.Count of a list of them.
-const EndorsementMinLen = identityMinLen + 2
-
 // Verify reports whether the endorsement's signature covers the digest.
 func (e Endorsement) Verify() bool {
 	return e.Endorser.Verify(e.Digest, e.Signature)
 }
 
-// Policy decides whether a set of endorsements satisfies a channel's
-// endorsement requirement. Implementations must tolerate duplicate and
-// invalid endorsements (they are simply not counted).
+// Ref returns the endorsement as a committed envelope carries it.
+func (e Endorsement) Ref() EndorsementRef {
+	return EndorsementRef{Signer: e.Endorser.Fingerprint(), Signature: e.Signature}
+}
+
+// EndorsementRef is an endorsement inside a committed envelope: the
+// signer's key fingerprint and its signature. Who the signer is comes from
+// the channel's Registry, and what was signed is the digest a validator
+// computes from the envelope's own read/write set and response — so the
+// envelope repeats neither, and a signature over any other result counts
+// for nothing.
+type EndorsementRef struct {
+	Signer    Fingerprint `json:"signer"`
+	Signature []byte      `json:"signature"`
+}
+
+// AppendTo appends the canonical encoding: the 8 fingerprint bytes, then
+// the signature.
+func (e EndorsementRef) AppendTo(b []byte) []byte {
+	return codec.AppendBytes(append(b, e.Signer[:]...), e.Signature)
+}
+
+// DecodeFrom reads what AppendTo wrote. The signature's length is not
+// judged here: Verify rejects a malformed one, so an envelope carrying it
+// decodes and is flagged invalid instead of being undecodable.
+func (e *EndorsementRef) DecodeFrom(r *codec.Reader) {
+	r.Raw(e.Signer[:])
+	e.Signature = r.Bytes()
+}
+
+// EndorsementRefMinLen is the shortest encoded EndorsementRef, for the
+// codec.Reader.Count of a list of them.
+const EndorsementRefMinLen = len(Fingerprint{}) + 1
+
+// Policy decides whether the members that endorsed a transaction satisfy
+// a channel's endorsement requirement. It is handed Registry.Endorsers'
+// result — distinct channel members whose signatures over the
+// transaction's digest verified — so a policy only counts.
 type Policy interface {
-	// Evaluate returns nil when the endorsements satisfy the policy for the
-	// given result digest.
-	Evaluate(digest []byte, endorsements []Endorsement) error
+	// Evaluate returns nil when endorsers satisfy the policy.
+	Evaluate(endorsers []Identity) error
 	// Describe returns a human-readable statement of the requirement.
 	Describe() string
-}
-
-// countValid tallies endorsements that verify, match digest, and come from
-// distinct endorsers.
-func countValid(digest []byte, endorsements []Endorsement) (int, map[string]int) {
-	return countValidWith(digest, endorsements, verifyDirect)
-}
-
-// verifyDirect is countValidWith's default verifier: check the signature.
-func verifyDirect(_ int, e Endorsement) bool { return e.Verify() }
-
-// countValidWith is countValid with the signature check abstracted, so
-// callers that already verified the batch (peer block validation) can
-// supply their verdicts instead of paying ed25519.Verify a second time.
-func countValidWith(digest []byte, endorsements []Endorsement, verify func(int, Endorsement) bool) (int, map[string]int) {
-	seen := make(map[string]bool)
-	perOrg := make(map[string]int)
-	n := 0
-	for i, e := range endorsements {
-		id := e.Endorser.ID()
-		if seen[id] {
-			continue
-		}
-		if !bytesEqual(e.Digest, digest) {
-			continue
-		}
-		if !verify(i, e) {
-			continue
-		}
-		seen[id] = true
-		perOrg[e.Endorser.Org]++
-		n++
-	}
-	return n, perOrg
-}
-
-// verdictFunc adapts a precomputed verdict slice (verified[i] is the
-// outcome of endorsements[i].Verify()) into a countValidWith verifier.
-// Indices beyond the slice fall back to direct verification.
-func verdictFunc(verified []bool) func(int, Endorsement) bool {
-	return func(i int, e Endorsement) bool {
-		if i < len(verified) {
-			return verified[i]
-		}
-		return e.Verify()
-	}
-}
-
-// verifiedPolicy is implemented by the policies in this package to accept
-// caller-supplied signature verdicts.
-type verifiedPolicy interface {
-	evaluateVerified(digest []byte, endorsements []Endorsement, verified []bool) error
-}
-
-// EvaluateVerified evaluates p against endorsements whose signatures the
-// caller has already checked — verified[i] must be the outcome of
-// endorsements[i].Verify(). The built-in policies skip re-verification;
-// third-party Policy implementations fall back to a full Evaluate, which
-// is always sound (merely slower).
-func EvaluateVerified(p Policy, digest []byte, endorsements []Endorsement, verified []bool) error {
-	if vp, ok := p.(verifiedPolicy); ok {
-		return vp.evaluateVerified(digest, endorsements, verified)
-	}
-	return p.Evaluate(digest, endorsements)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // QuorumPolicy requires at least Threshold distinct valid endorsements out
@@ -141,20 +82,11 @@ func TwoThirds(n int) QuorumPolicy {
 }
 
 // Evaluate implements Policy.
-func (p QuorumPolicy) Evaluate(digest []byte, endorsements []Endorsement) error {
-	return p.evaluate(digest, endorsements, verifyDirect)
-}
-
-func (p QuorumPolicy) evaluateVerified(digest []byte, endorsements []Endorsement, verified []bool) error {
-	return p.evaluate(digest, endorsements, verdictFunc(verified))
-}
-
-func (p QuorumPolicy) evaluate(digest []byte, endorsements []Endorsement, verify func(int, Endorsement) bool) error {
+func (p QuorumPolicy) Evaluate(endorsers []Identity) error {
 	if p.Threshold <= 0 {
 		return errors.New("msp: quorum policy with non-positive threshold")
 	}
-	n, _ := countValidWith(digest, endorsements, verify)
-	if n < p.Threshold {
+	if n := len(endorsers); n < p.Threshold {
 		return fmt.Errorf("msp: endorsement policy not satisfied: %d/%d valid endorsements, need %d", n, p.Total, p.Threshold)
 	}
 	return nil
@@ -174,21 +106,16 @@ type OrgCoveragePolicy struct {
 }
 
 // Evaluate implements Policy.
-func (p OrgCoveragePolicy) Evaluate(digest []byte, endorsements []Endorsement) error {
-	return p.evaluate(digest, endorsements, verifyDirect)
-}
-
-func (p OrgCoveragePolicy) evaluateVerified(digest []byte, endorsements []Endorsement, verified []bool) error {
-	return p.evaluate(digest, endorsements, verdictFunc(verified))
-}
-
-func (p OrgCoveragePolicy) evaluate(digest []byte, endorsements []Endorsement, verify func(int, Endorsement) bool) error {
-	n, perOrg := countValidWith(digest, endorsements, verify)
-	if n < p.Threshold {
+func (p OrgCoveragePolicy) Evaluate(endorsers []Identity) error {
+	if n := len(endorsers); n < p.Threshold {
 		return fmt.Errorf("msp: need %d endorsements, have %d", p.Threshold, n)
 	}
-	if len(perOrg) < p.MinOrgs {
-		return fmt.Errorf("msp: need endorsements from %d orgs, have %d", p.MinOrgs, len(perOrg))
+	orgs := make(map[string]bool)
+	for _, id := range endorsers {
+		orgs[id.Org] = true
+	}
+	if len(orgs) < p.MinOrgs {
+		return fmt.Errorf("msp: need endorsements from %d orgs, have %d", p.MinOrgs, len(orgs))
 	}
 	return nil
 }
@@ -202,17 +129,8 @@ func (p OrgCoveragePolicy) Describe() string {
 type AnyValid struct{}
 
 // Evaluate implements Policy.
-func (AnyValid) Evaluate(digest []byte, endorsements []Endorsement) error {
-	n, _ := countValid(digest, endorsements)
-	if n < 1 {
-		return errors.New("msp: no valid endorsement")
-	}
-	return nil
-}
-
-func (AnyValid) evaluateVerified(digest []byte, endorsements []Endorsement, verified []bool) error {
-	n, _ := countValidWith(digest, endorsements, verdictFunc(verified))
-	if n < 1 {
+func (AnyValid) Evaluate(endorsers []Identity) error {
+	if len(endorsers) < 1 {
 		return errors.New("msp: no valid endorsement")
 	}
 	return nil

@@ -1,71 +1,80 @@
 package msp
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// Registry tracks the identities admitted to a channel, by organisation.
-// Peers consult it to authenticate proposal creators and endorsers.
+// Registry is a channel's membership: the fixed set of peer identities
+// whose endorsements count, keyed by public-key fingerprint. A committed
+// envelope names each endorser by fingerprint only; validators and the
+// gateway resolve the name here, so a signature by a key the channel never
+// admitted — however the signer styles itself — endorses nothing. Every
+// process of a deployment builds the same registry from the identities it
+// derives at start-up. It is immutable once built, and a nil *Registry
+// knows nobody.
 type Registry struct {
-	mu    sync.RWMutex
-	byID  map[string]Identity
-	byOrg map[string][]string
+	byKey map[Fingerprint]Identity
 }
 
-// NewRegistry returns an empty identity registry.
-func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]Identity), byOrg: make(map[string][]string)}
-}
-
-// Register admits an identity. Registering the same ID twice is an error so
-// that enrollment contracts can detect duplicates, mirroring the paper's
-// enrollAdmin duplicate check.
-func (r *Registry) Register(id Identity) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := id.ID()
-	if _, ok := r.byID[key]; ok {
-		return fmt.Errorf("msp: identity %s already registered", key)
+// NewRegistry admits ids. Two identities under one fingerprint — the same
+// key twice, or a 64-bit collision — are refused: a fingerprint must name
+// one member.
+func NewRegistry(ids ...Identity) (*Registry, error) {
+	r := &Registry{byKey: make(map[Fingerprint]Identity, len(ids))}
+	for _, id := range ids {
+		f := id.Fingerprint()
+		if prev, ok := r.byKey[f]; ok {
+			return nil, fmt.Errorf("msp: identities %s and %s share key fingerprint %s", prev.ID(), id.ID(), f)
+		}
+		r.byKey[f] = id
 	}
-	r.byID[key] = id
-	r.byOrg[id.Org] = append(r.byOrg[id.Org], key)
-	return nil
+	return r, nil
 }
 
-// Lookup returns the identity registered under id ("org/name").
-func (r *Registry) Lookup(id string) (Identity, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	got, ok := r.byID[id]
-	return got, ok
-}
-
-// Orgs returns the sorted list of organisations with at least one identity.
-func (r *Registry) Orgs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	orgs := make([]string, 0, len(r.byOrg))
-	for org := range r.byOrg {
-		orgs = append(orgs, org)
+// Resolve returns the member whose key has fingerprint f.
+func (r *Registry) Resolve(f Fingerprint) (Identity, bool) {
+	if r == nil {
+		return Identity{}, false
 	}
-	sort.Strings(orgs)
-	return orgs
+	id, ok := r.byKey[f]
+	return id, ok
 }
 
-// Members returns the sorted identity IDs of an organisation.
-func (r *Registry) Members(org string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]string(nil), r.byOrg[org]...)
-	sort.Strings(out)
+// Len returns the number of members.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.byKey)
+}
+
+// Endorsers returns the distinct members that signed digest, in the order
+// their first valid signature appears in ends. An unknown fingerprint, a
+// signature that does not verify under the member's key and a second
+// signature by a member already counted are simply not counted; an invalid
+// entry never cancels a valid one beside it. Signatures are checked in one
+// batch through cache (nil verifies directly).
+func (r *Registry) Endorsers(digest []byte, ends []EndorsementRef, cache *VerifyCache) []Identity {
+	items := make([]VerifyItem, 0, len(ends))
+	for _, e := range ends {
+		if id, ok := r.Resolve(e.Signer); ok {
+			items = append(items, VerifyItem{Identity: id, Message: digest, Signature: e.Signature})
+		}
+	}
+	var out []Identity
+	for i, ok := range cache.VerifyBatchEach(items) {
+		if ok && !containsKey(out, items[i].Identity) {
+			out = append(out, items[i].Identity)
+		}
+	}
 	return out
 }
 
-// Len returns the number of registered identities.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
+// containsKey reports whether ids holds id's public key. Endorser lists
+// are a handful long, so a scan beats a map.
+func containsKey(ids []Identity, id Identity) bool {
+	for _, have := range ids {
+		if have.PubKey.Equal(id.PubKey) {
+			return true
+		}
+	}
+	return false
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"socialchain/internal/codec/codectest"
 	"socialchain/internal/consensus"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
@@ -203,13 +204,20 @@ func TestDecodeBatchRejectsGarbage(t *testing.T) {
 	}
 }
 
-func FuzzDecodeBatch(f *testing.F) {
+// fuzzBatches are the batches the decoder's fuzz corpus grows from: none,
+// one and two endorsed transactions.
+func fuzzBatches() []Batch {
 	fixed := func(id string) ledger.Transaction {
 		s := msp.NewSignerFromSeed("fuzz", "org", "client", msp.RoleMember)
 		return ledger.Transaction{ID: id, ChannelID: "ch", Creator: s.Identity, Timestamp: time.Unix(1, 2),
-			Payload: ledger.TxPayload{Chaincode: "cc", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}}}
+			Payload:      ledger.TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: ledger.HashArgs([][]byte{[]byte("k"), []byte("v")})},
+			Endorsements: []msp.EndorsementRef{{Signer: s.Identity.Fingerprint(), Signature: s.Sign([]byte(id))}}}
 	}
-	for _, b := range []Batch{{}, {Txs: []ledger.Transaction{fixed("a")}}, {Txs: []ledger.Transaction{fixed("a"), fixed("b")}}} {
+	return []Batch{{}, {Txs: []ledger.Transaction{fixed("a")}}, {Txs: []ledger.Transaction{fixed("a"), fixed("b")}}}
+}
+
+func FuzzDecodeBatch(f *testing.F) {
+	for _, b := range fuzzBatches() {
 		enc := b.Encode()
 		f.Add(enc)
 		for cut := 1; cut < len(enc); cut += 13 {
@@ -225,6 +233,20 @@ func FuzzDecodeBatch(f *testing.F) {
 		if b, err := DecodeBatch(in); err == nil && !bytes.Equal(b.Encode(), in) {
 			t.Fatalf("decoded without error but re-encodes differently")
 		}
+	})
+}
+
+// TestFuzzCorpusCurrent: the committed seeds are encodings in this format.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	batches := fuzzBatches()
+	two := batches[2].Encode()
+	flipped := append([]byte(nil), two...)
+	flipped[9] ^= 0x10 // in the creator's organisation
+	codectest.Corpus(t, "FuzzDecodeBatch", map[string][]any{
+		"empty":        {batches[0].Encode()},
+		"two-txs":      {two},
+		"two-txs-cut":  {two[:len(two)/2]},
+		"two-txs-flip": {flipped},
 	})
 }
 
@@ -266,7 +288,7 @@ func TestSubmitAfterStopRejected(t *testing.T) {
 func TestSubmitRejectsNestedBatch(t *testing.T) {
 	svc := NewService(CutterConfig{MaxMessages: 1 << 30, BatchTimeout: time.Hour}, nil, nil)
 	tx := testTx(t, "nested")
-	call := ledger.TxPayload{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}}
+	call := ledger.TxPayload{Chaincode: "kv", Fn: "put", ArgHashes: ledger.HashArgs([][]byte{[]byte("k"), []byte("v")})}
 	tx.Payload = ledger.TxPayload{Batch: []ledger.TxPayload{call, {Batch: []ledger.TxPayload{call}}}}
 	if err := svc.Submit(tx); err == nil || !strings.Contains(err.Error(), "batch of its own") {
 		t.Fatalf("submit of a nested batch: %v", err)

@@ -27,7 +27,7 @@ func batchEnvelope(t *testing.T, client *msp.Signer, bp *BatchProposal, resps ..
 	t.Helper()
 	payload := ledger.TxPayload{Batch: make([]ledger.TxPayload, len(bp.Calls))}
 	for i, c := range bp.Calls {
-		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, Args: c.Args}
+		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
 	}
 	tx := ledger.Transaction{
 		ID:        bp.TxID,
@@ -43,7 +43,7 @@ func batchEnvelope(t *testing.T, client *msp.Signer, bp *BatchProposal, resps ..
 		t.Fatal(err)
 	}
 	for _, r := range resps {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
+		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
 	}
 	tx.Signature = client.Sign(tx.SigningBytes())
 	return tx

@@ -39,7 +39,7 @@ type Peer struct {
 	history  *statedb.HistoryDB
 	registry *chaincode.Registry
 	policy   msp.Policy
-	watchdog *Watchdog
+	members  *msp.Registry // whose endorsements the policy counts
 
 	// verifyCache memoises signature verdicts across the commit, sync and
 	// recovery paths: a synced or replayed block re-validates envelopes and
@@ -76,12 +76,15 @@ type Config struct {
 	// Registry is the deployed chaincode set (shared across peers —
 	// chaincode instances are stateless; all state flows through the stub).
 	Registry *chaincode.Registry
-	// Policy validates endorsements at commit; nil panics (the network
-	// assembly always supplies one).
+	// Policy validates endorsements at commit; nil is refused (the
+	// network assembly always supplies one).
 	Policy msp.Policy
-	// Watchdog records endorsement misbehaviour (may be shared; nil creates
-	// a private one).
-	Watchdog *Watchdog
+	// Identities is the channel's membership: a committed envelope names
+	// its endorsers by key fingerprint, and only a fingerprint that
+	// resolves here is handed to Policy. Every process of a deployment
+	// passes the same set. With nil no endorsement counts, which is enough
+	// to open a cleanly closed directory and serve reads from it.
+	Identities *msp.Registry
 	// State selects the key-value engine backing this peer's world state
 	// and history database (zero value = the sharded default).
 	State storage.Config
@@ -112,10 +115,6 @@ func New(cfg Config) (*Peer, error) {
 	opened := time.Now()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("peer %s: nil endorsement policy", cfg.ID)
-	}
-	wd := cfg.Watchdog
-	if wd == nil {
-		wd = NewWatchdog(3)
 	}
 	st := cfg.State
 	if cfg.DataDir != "" {
@@ -152,7 +151,7 @@ func New(cfg Config) (*Peer, error) {
 		history:     history,
 		registry:    cfg.Registry,
 		policy:      cfg.Policy,
-		watchdog:    wd,
+		members:     cfg.Identities,
 		verifyCache: msp.NewVerifyCache(cfg.VerifyCacheSize),
 		commitWait:  make(map[string][]chan ledger.ValidationCode),
 		slowTraces:  cfg.SlowTraces,
@@ -284,9 +283,6 @@ func (p *Peer) State() *statedb.DB { return p.state }
 
 // History exposes the peer's history database.
 func (p *Peer) History() *statedb.HistoryDB { return p.history }
-
-// Watchdog exposes the misbehaviour tracker.
-func (p *Peer) Watchdog() *Watchdog { return p.watchdog }
 
 // OpenTook reports how long New took to assemble the peer, recovery
 // included.
@@ -666,9 +662,12 @@ func (p *Peer) warmVerifyCache(txs []ledger.Transaction) {
 	items := make([]msp.VerifyItem, 0, len(txs)*4)
 	for i := range txs {
 		tx := &txs[i]
-		items = append(items, msp.VerifyItem{Identity: tx.Creator, Message: tx.SigningBytes(), Signature: tx.Signature})
+		digest := tx.Digest()
+		items = append(items, msp.VerifyItem{Identity: tx.Creator, Message: tx.SigningBytesFor(digest), Signature: tx.Signature})
 		for _, e := range tx.Endorsements {
-			items = append(items, msp.VerifyItem{Identity: e.Endorser, Message: e.Digest, Signature: e.Signature})
+			if id, ok := p.members.Resolve(e.Signer); ok {
+				items = append(items, msp.VerifyItem{Identity: id, Message: digest, Signature: e.Signature})
+			}
 		}
 	}
 	p.verifyCache.VerifyBatchEach(items)
@@ -679,27 +678,16 @@ func (p *Peer) warmVerifyCache(txs []ledger.Transaction) {
 func (p *Peer) validateStateless(tx *ledger.Transaction) ledger.ValidationCode {
 	// 1. Client envelope signature, through the verify cache: the sync and
 	// recovery paths re-validate envelopes already checked at live commit.
+	// It covers the digest, the ID and the recorded invocation.
 	digest := tx.Digest()
 	if !p.verifyCache.Verify(tx.Creator, tx.SigningBytesFor(digest), tx.Signature) {
 		return ledger.BadCreatorSignature
 	}
-	// 2. Endorsement policy over the simulation digest. Each endorsement
-	// signature is checked exactly once, through the cache-aware batch
-	// verifier; the verdicts feed both the watchdog scan (endorsers who
-	// signed a different digest endorsed a result that does not match the
-	// agreed outcome) and the policy evaluation — previously the policy
-	// re-verified every endorsement the watchdog scan had just verified.
-	items := make([]msp.VerifyItem, len(tx.Endorsements))
-	for i, e := range tx.Endorsements {
-		items[i] = msp.VerifyItem{Identity: e.Endorser, Message: e.Digest, Signature: e.Signature}
-	}
-	verdicts := p.verifyCache.VerifyBatchEach(items)
-	for i, e := range tx.Endorsements {
-		if verdicts[i] && !bytesEqual(e.Digest, digest) {
-			p.watchdog.Report(e.Endorser.ID(), "endorsed mismatching digest")
-		}
-	}
-	if err := msp.EvaluateVerified(p.policy, digest, tx.Endorsements, verdicts); err != nil {
+	// 2. Endorsement policy, over the channel members whose signatures
+	// cover the digest just computed from the envelope's own read/write
+	// set and response: the envelope carries no digest to take on trust
+	// and no identity to take at its word.
+	if err := p.policy.Evaluate(p.members.Endorsers(digest, tx.Endorsements, p.verifyCache)); err != nil {
 		return ledger.EndorsementPolicyFailure
 	}
 	return ledger.Valid
@@ -721,18 +709,6 @@ func (p *Peer) validateMVCC(tx *ledger.Transaction, blockWrites map[string]bool)
 		}
 	}
 	return ledger.Valid
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // notify wakes commit waiters and event subscribers for a committed block.

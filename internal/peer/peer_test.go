@@ -45,22 +45,45 @@ func (counterCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, 
 	}
 }
 
+// testSigner derives a test peer's key from its name, so a reopened peer
+// keeps its key and twin peers can name each other.
+func testSigner(id string) *msp.Signer {
+	return msp.NewSignerFromSeed("peer-test", "org1", id, msp.RoleMember)
+}
+
+// testMembers is the channel membership every test peer is built with:
+// all the names these tests give a peer.
+var testMembers = func() *msp.Registry {
+	var all []msp.Identity
+	for _, id := range []string{"peer0", "peerA", "peerB", "peerX"} {
+		all = append(all, testSigner(id).Identity)
+	}
+	r, err := msp.NewRegistry(all...)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}()
+
 func newTestPeer(t *testing.T) (*Peer, *msp.Signer) {
 	t.Helper()
-	signer, err := msp.NewSigner("org1", "peer0", msp.RoleMember)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return newTestPeerWith(t, msp.AnyValid{})
+}
+
+func newTestPeerWith(t *testing.T, policy msp.Policy) (*Peer, *msp.Signer) {
+	t.Helper()
+	signer := testSigner("peer0")
 	reg := chaincode.NewRegistry()
 	if err := reg.Register(counterCC{}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := New(Config{
-		ID:        "peer0",
-		ChannelID: "ch",
-		Signer:    signer,
-		Registry:  reg,
-		Policy:    msp.AnyValid{},
+		ID:         "peer0",
+		ChannelID:  "ch",
+		Signer:     signer,
+		Registry:   reg,
+		Policy:     policy,
+		Identities: testMembers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +111,7 @@ func envelope(t *testing.T, client *msp.Signer, prop *Proposal, resps ...*Propos
 		ID:        prop.TxID,
 		ChannelID: prop.ChannelID,
 		Creator:   client.Identity,
-		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, Args: prop.Args},
+		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, ArgHashes: ledger.HashArgs(prop.Args)},
 		Response:  resps[0].Response,
 		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
@@ -98,7 +121,7 @@ func envelope(t *testing.T, client *msp.Signer, prop *Proposal, resps ...*Propos
 		t.Fatal(err)
 	}
 	for _, r := range resps {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
+		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
 	}
 	tx.Signature = client.Sign(tx.SigningBytes())
 	return tx
@@ -264,11 +287,10 @@ func TestCommitFlagsBadCreatorSignature(t *testing.T) {
 func TestCommitEndorsementPolicy(t *testing.T) {
 	// Build a peer whose policy demands 2 endorsers; a single endorsement
 	// must be flagged.
-	signer, _ := msp.NewSigner("org1", "peerX", msp.RoleMember)
 	reg := chaincode.NewRegistry()
 	_ = reg.Register(counterCC{})
-	p, err := New(Config{ID: "peerX", ChannelID: "ch", Signer: signer, Registry: reg,
-		Policy: msp.QuorumPolicy{Threshold: 2, Total: 2}})
+	p, err := New(Config{ID: "peerX", ChannelID: "ch", Signer: testSigner("peerX"), Registry: reg,
+		Policy: msp.QuorumPolicy{Threshold: 2, Total: 2}, Identities: testMembers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,52 +341,123 @@ func TestEventsOnlyForValidTxs(t *testing.T) {
 	}
 }
 
-func TestWatchdogFlagsAfterThreshold(t *testing.T) {
-	wd := NewWatchdog(2)
-	var flagged []string
-	wd.OnFlag(func(id string) { flagged = append(flagged, id) })
-	wd.Report("peer9", "bad digest")
-	if wd.IsFlagged("peer9") {
-		t.Fatal("flagged below threshold")
+// TestForgedEndorsersRejected: the endorsement policy counts channel
+// members, resolved by key fingerprint, and nothing else. Three freshly
+// generated keys that call themselves org1/peer0, org1/peerA and
+// org1/peerB sign the true digest with valid signatures; so does one real
+// member, three times over; so does an outsider under a real member's
+// fingerprint. None reaches a 3-of-4 quorum — three real members do.
+func TestForgedEndorsersRejected(t *testing.T) {
+	p, client := newTestPeerWith(t, msp.TwoThirds(4))
+	sign := func(digest []byte, signers ...*msp.Signer) (out []msp.EndorsementRef) {
+		for _, s := range signers {
+			out = append(out, msp.Endorsement{Endorser: s.Identity, Signature: s.Sign(digest)}.Ref())
+		}
+		return out
 	}
-	wd.Report("peer9", "bad digest again")
-	if !wd.IsFlagged("peer9") {
-		t.Fatal("not flagged at threshold")
+	outsider := func(name string) *msp.Signer {
+		s, err := msp.NewSigner("org1", name, msp.RoleMember)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Identity.ID() != testSigner(name).Identity.ID() {
+			t.Fatal("the outsider is not named like the member")
+		}
+		return s
 	}
-	if len(flagged) != 1 || flagged[0] != "peer9" {
-		t.Fatalf("callbacks = %v", flagged)
+	real := testSigner("peerA")
+	cases := []struct {
+		name    string
+		endorse func(digest []byte) []msp.EndorsementRef
+		want    ledger.ValidationCode
+	}{
+		{"three outsiders named like members", func(d []byte) []msp.EndorsementRef {
+			return sign(d, outsider("peer0"), outsider("peerA"), outsider("peerB"))
+		}, ledger.EndorsementPolicyFailure},
+		{"one member three times", func(d []byte) []msp.EndorsementRef {
+			return sign(d, real, real, real)
+		}, ledger.EndorsementPolicyFailure},
+		{"members' fingerprints over an outsider's signatures", func(d []byte) []msp.EndorsementRef {
+			forger := outsider("peerX")
+			var out []msp.EndorsementRef
+			for _, id := range []string{"peer0", "peerA", "peerB"} {
+				out = append(out, msp.EndorsementRef{Signer: testSigner(id).Identity.Fingerprint(), Signature: forger.Sign(d)})
+			}
+			return out
+		}, ledger.EndorsementPolicyFailure},
+		{"three members", func(d []byte) []msp.EndorsementRef {
+			return sign(d, testSigner("peer0"), real, testSigner("peerB"))
+		}, ledger.Valid},
 	}
-	// More reports do not re-fire the callback.
-	wd.Report("peer9", "still bad")
-	if len(flagged) != 1 {
-		t.Fatal("callback re-fired")
-	}
-	if wd.Reports("peer9") != 3 {
-		t.Fatalf("reports = %d", wd.Reports("peer9"))
-	}
-	if got := wd.Flagged(); len(got) != 1 || got[0] != "peer9" {
-		t.Fatalf("Flagged() = %v", got)
+	for i, c := range cases {
+		prop := propose(t, client, "incr", []byte(fmt.Sprintf("forged-%d", i)))
+		resp, err := p.Endorse(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := envelope(t, client, prop, resp)
+		tx.Endorsements = c.endorse(tx.Digest())
+		tx.Signature = client.Sign(tx.SigningBytes())
+		block, err := p.CommitBatch([]ledger.Transaction{tx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := block.Metadata.Flags[0]; got != c.want {
+			t.Errorf("%s: flag = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
-func TestCommitReportsMismatchedEndorser(t *testing.T) {
+// TestRecordedInvocationIsSigned: the client's signature covers the
+// chaincode, function and argument hashes the envelope records — its own
+// call and every batched one — so whoever orders the envelope cannot
+// rewrite what the chain says was invoked.
+func TestRecordedInvocationIsSigned(t *testing.T) {
 	p, client := newTestPeer(t)
-	prop := propose(t, client, "incr", []byte("wk"))
-	resp, _ := p.Endorse(prop)
-
-	// A second "endorser" signs a different digest: valid signature, wrong
-	// result — the watchdog must record it.
-	liar, _ := msp.NewSigner("org2", "liar", msp.RoleMember)
-	wrongDigest := []byte("some-other-result")
-	lie := msp.Endorsement{Endorser: liar.Identity, Digest: wrongDigest, Signature: liar.Sign(wrongDigest)}
-
-	tx := envelope(t, client, prop, resp)
-	tx.Endorsements = append(tx.Endorsements, lie)
-	if _, err := p.CommitBatch([]ledger.Transaction{tx}); err != nil {
-		t.Fatal(err)
+	single := func() ledger.Transaction {
+		prop := propose(t, client, "incr", []byte("signed"))
+		resp, err := p.Endorse(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return envelope(t, client, prop, resp)
 	}
-	if p.Watchdog().Reports("org2/liar") != 1 {
-		t.Fatalf("liar reports = %d", p.Watchdog().Reports("org2/liar"))
+	batched := func() ledger.Transaction {
+		bp := batchPropose(t, client,
+			chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("b1")}},
+			chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("b2")}})
+		resp, err := p.EndorseBatch(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batchEnvelope(t, client, bp, resp)
+	}
+	cases := []struct {
+		name   string
+		build  func() ledger.Transaction
+		tamper func(tx *ledger.Transaction)
+		want   ledger.ValidationCode
+	}{
+		{"untouched", single, func(*ledger.Transaction) {}, ledger.Valid},
+		{"one byte of an argument hash", single, func(tx *ledger.Transaction) { tx.Payload.ArgHashes[0][7] ^= 1 }, ledger.BadCreatorSignature},
+		{"the function", single, func(tx *ledger.Transaction) { tx.Payload.Fn = "boom" }, ledger.BadCreatorSignature},
+		{"the chaincode", single, func(tx *ledger.Transaction) { tx.Payload.Chaincode = "other" }, ledger.BadCreatorSignature},
+		{"an argument hash dropped", single, func(tx *ledger.Transaction) { tx.Payload.ArgHashes = nil }, ledger.BadCreatorSignature},
+		{"batch untouched", batched, func(*ledger.Transaction) {}, ledger.Valid},
+		{"a batched call's argument hash", batched, func(tx *ledger.Transaction) { tx.Payload.Batch[1].ArgHashes[0][0] ^= 0x80 }, ledger.BadCreatorSignature},
+		{"a batched call's function", batched, func(tx *ledger.Transaction) { tx.Payload.Batch[0].Fn = "boom" }, ledger.BadCreatorSignature},
+		{"a batched call dropped", batched, func(tx *ledger.Transaction) { tx.Payload.Batch = tx.Payload.Batch[:1] }, ledger.BadCreatorSignature},
+	}
+	for _, c := range cases {
+		tx := c.build()
+		c.tamper(&tx)
+		block, err := p.CommitBatch([]ledger.Transaction{tx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := block.Metadata.Flags[0]; got != c.want {
+			t.Errorf("%s rewritten after signing: flag = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

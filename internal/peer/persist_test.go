@@ -38,22 +38,19 @@ func openDurable(dir string) (*Peer, error) {
 // openDurableWith is openDurable with the state engines' sizing chosen by
 // the caller.
 func openDurableWith(dir string, state storage.Config) (*Peer, error) {
-	signer, err := msp.NewSigner("org1", "peer0", msp.RoleMember)
-	if err != nil {
-		return nil, err
-	}
 	reg := chaincode.NewRegistry()
 	if err := reg.Register(counterCC{}); err != nil {
 		return nil, err
 	}
 	return Open(Config{
-		ID:        "peer0",
-		ChannelID: "ch",
-		Signer:    signer,
-		Registry:  reg,
-		Policy:    msp.AnyValid{},
-		State:     state,
-		DataDir:   dir,
+		ID:         "peer0",
+		ChannelID:  "ch",
+		Signer:     testSigner("peer0"),
+		Registry:   reg,
+		Policy:     msp.AnyValid{},
+		Identities: testMembers,
+		State:      state,
+		DataDir:    dir,
 	})
 }
 

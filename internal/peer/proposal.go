@@ -1,9 +1,7 @@
 // Package peer implements the endorsing peers of the paper's architecture:
 // proposal endorsement (chaincode simulation + signed read/write sets),
 // block validation (creator signatures, endorsement policy, MVCC) and
-// commit (world state + history updates, validation flags, events), plus a
-// watchdog that flags peers who endorse invalid results, as §III-A requires
-// for validators that act against the consensus rules.
+// commit (world state + history updates, validation flags, events).
 package peer
 
 import (

@@ -17,11 +17,8 @@ func twinPeers(t *testing.T) (*Peer, *Peer, *msp.Signer) {
 		t.Fatal(err)
 	}
 	mk := func(id string) *Peer {
-		signer, err := msp.NewSigner("org", id, msp.RoleMember)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{ID: id, ChannelID: "ch", Signer: signer, Registry: reg, Policy: msp.AnyValid{}})
+		p, err := New(Config{ID: id, ChannelID: "ch", Signer: testSigner(id), Registry: reg, Policy: msp.AnyValid{},
+			Identities: testMembers})
 		if err != nil {
 			t.Fatal(err)
 		}

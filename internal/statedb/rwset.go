@@ -101,6 +101,16 @@ func (rw RWSet) Digest(response []byte) []byte {
 	return d[:]
 }
 
+// DigestEncoded is Digest for a set still in its encoding (Bytes), as an
+// endorser returns it.
+func DigestEncoded(rwset, response []byte) []byte {
+	h := sha256.New()
+	h.Write(rwset)
+	h.Write(codec.AppendUvarint(nil, uint64(len(response))))
+	h.Write(response)
+	return h.Sum(nil)
+}
+
 // UpdateBatch accumulates writes to apply atomically at commit.
 type UpdateBatch struct {
 	updates map[string]map[string]WriteItem // ns -> key -> write

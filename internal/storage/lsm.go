@@ -59,6 +59,7 @@ package storage
 // a possibly-wrong value; at open it is a refusal to start.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -1096,9 +1097,28 @@ func (p *Persist) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
+// ErrClosed is what Sync and Close return once a call has reached a
+// closed engine.
+var ErrClosed = errors.New("storage: persist engine is closed")
+
+// refuseClosedLocked reports whether the engine is closed. A write that
+// arrives then is dropped, and — the KV contract gives writes no error
+// return — ErrClosed becomes the sticky error Sync and Close report, the
+// way a failed WAL append does. Caller holds p.mu.
+func (p *Persist) refuseClosedLocked() bool {
+	if p.closed && p.err == nil {
+		p.err = ErrClosed
+	}
+	return p.closed
+}
+
 // Put implements KV.
 func (p *Persist) Put(key string, value []byte) bool {
 	p.mu.Lock()
+	if p.refuseClosedLocked() {
+		p.mu.Unlock()
+		return false
+	}
 	_, existed, err := p.lookupLocked(key)
 	if err != nil {
 		p.mu.Unlock()
@@ -1117,6 +1137,10 @@ func (p *Persist) Put(key string, value []byte) bool {
 // older version left to shadow.
 func (p *Persist) Delete(key string) ([]byte, bool) {
 	p.mu.Lock()
+	if p.refuseClosedLocked() {
+		p.mu.Unlock()
+		return nil, false
+	}
 	val, existed, err := p.lookupLocked(key)
 	if err != nil {
 		p.mu.Unlock()
@@ -1142,6 +1166,10 @@ func (p *Persist) ApplyBatch(writes []Write) {
 		return
 	}
 	p.mu.Lock()
+	if p.refuseClosedLocked() {
+		p.mu.Unlock()
+		return
+	}
 	seq := p.appendLocked(writes)
 	for i := range writes {
 		w := &writes[i]
@@ -1214,7 +1242,7 @@ func (p *Persist) Len() int {
 func (p *Persist) Sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
+	if p.refuseClosedLocked() || p.err != nil {
 		return p.err
 	}
 	if p.wal == nil {
@@ -1226,8 +1254,14 @@ func (p *Persist) Sync() error {
 	return p.err
 }
 
-// Close implements KV: stop the background workers, seal the WAL and
-// release the table set. Idempotent.
+// Close implements KV: stop the background workers, seal the WAL and let
+// go of everything the engine held in memory — both memtables, the table
+// set with its indexes and bloom filters, the append buffer — so a closed
+// engine something still points at costs a struct, not a memtable. What
+// is on disk is what the WAL and the tables already held; nothing is
+// flushed here. A closed engine reads as empty (a fresh memtable over an
+// empty version, so no reader meets a nil) and refuses writes
+// (refuseClosedLocked). Idempotent.
 func (p *Persist) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -1256,9 +1290,13 @@ func (p *Persist) Close() error {
 		p.wal = nil
 	}
 	v := p.version
-	p.version = nil
+	p.version = newVersion(nil)
+	p.mem, p.imm, p.buf, p.base = newMemtable(), nil, nil, 0
 	err := p.err
 	p.mu.Unlock()
+	c.mu.Lock()
+	c.file = nil
+	c.mu.Unlock()
 	if v != nil {
 		v.release()
 	}

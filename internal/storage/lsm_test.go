@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -880,5 +882,81 @@ func TestLSMSealFsyncFailureNotAcknowledged(t *testing.T) {
 	}
 	if p.Close() == nil {
 		t.Fatal("Close returned nil after a seal fsync failure")
+	}
+}
+
+// heapInUse is the live heap after a forced collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestLSMCloseDropsWhatItHeld: a closed engine that something still points
+// at (a benchmark's first deployment, a registry's gauge closure) must not
+// keep its memtables and table indexes alive. Close neither flushes nor
+// rewrites anything, and afterwards the engine reads as empty, drops
+// writes and says ErrClosed from the calls that can say anything.
+func TestLSMCloseDropsWhatItHeld(t *testing.T) {
+	dir := t.TempDir()
+	before := heapInUse()
+	p, err := OpenPersist(Config{Dir: dir, MemtableBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 1<<10)
+	for i := 0; i < 2<<10; i++ { // a 2 MiB memtable
+		p.Put(fmt.Sprintf("key-%06d", i), append([]byte(nil), value...))
+	}
+	filled := heapInUse()
+	if filled-before < 2<<20 {
+		t.Fatalf("a 2 MiB memtable added only %d bytes to the heap", filled-before)
+	}
+	files := dirFiles(t, dir, "", "")
+	flushes := p.Stats().Flushes
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := heapInUse()
+	if held := int64(closed) - int64(before); held > 256<<10 {
+		t.Fatalf("the closed engine still holds %d KiB (open: %d KiB)", held>>10, (filled-before)>>10)
+	}
+	if got := dirFiles(t, dir, "", ""); !reflect.DeepEqual(got, files) || p.Stats().Flushes != flushes {
+		t.Fatalf("Close changed what is on disk: %v -> %v, %d flushes", files, got, p.Stats().Flushes-flushes)
+	}
+
+	if _, ok := p.Get("key-000001"); ok || p.Len() != 0 {
+		t.Fatal("a closed engine served a key")
+	}
+	p.IterPrefix("key-", func(string, []byte) bool { t.Fatal("a closed engine iterated"); return false })
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := p.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync on a closed engine: %v", err)
+	}
+	p.Put("late", []byte("v"))
+	p.ApplyBatch([]Write{{Key: "late2", Value: []byte("v")}})
+	if _, ok := p.Delete("key-000001"); ok {
+		t.Fatal("a closed engine deleted a key")
+	}
+	if _, ok := p.Get("late"); ok {
+		t.Fatal("a closed engine kept a write")
+	}
+	if err := p.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Close after a dropped write: %v", err)
+	}
+	runtime.KeepAlive(p)
+
+	// Nothing was lost: the directory reopens with every key.
+	q, err := OpenPersist(Config{Dir: dir, MemtableBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, ok := q.Get("late"); ok || q.Len() != 2<<10 {
+		t.Fatalf("reopened with %d keys", q.Len())
 	}
 }
