@@ -108,7 +108,7 @@ func TestIntegrationSmartCityScenario(t *testing.T) {
 
 	// Explorer: chain is healthy, data chaincode dominates activity.
 	lgr := fw.Net.ChannelAt(0).Peer(0).Ledger()
-	waitForHeight(t, fw, lgr.Height())
+	waitForHeight(t, fw, receipts[len(receipts)-1].BlockNum+1) // peer 0 may trail the receipt
 	exp := explorer.New(lgr)
 	if err := exp.VerifyIntegrity(); err != nil {
 		t.Fatalf("explorer integrity: %v", err)

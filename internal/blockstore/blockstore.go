@@ -4,12 +4,15 @@
 // flatfs datastore. Blocks live in a pluggable storage.KV engine keyed by
 // the CID's binary form; with the default sharded engine, concurrent Adds
 // and Gets from different clients stripe across independent locks.
+//
+// The store keeps no running byte total: SizeBytes is a scan of every
+// block's value, computed when somebody asks. The one caller outside tests
+// is socialchaind's exit summary; opening a store reads no block.
 package blockstore
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"socialchain/internal/cid"
 	"socialchain/internal/storage"
@@ -48,8 +51,7 @@ type Blockstore interface {
 // engine — in-memory on the default engines, disk-backed (and
 // restart-surviving) on the persist engine.
 type Mem struct {
-	kv    storage.KV
-	bytes atomic.Int64
+	kv storage.KV
 }
 
 // NewMem returns an empty blockstore on the default (sharded) engine. It
@@ -63,23 +65,13 @@ func NewMem() *Mem {
 }
 
 // NewMemWith returns a blockstore on the engine cfg selects, reopening
-// whatever a durable config's directory already holds; the total-bytes
-// counter is rebuilt from the recovered blocks.
+// whatever a durable config's directory already holds.
 func NewMemWith(cfg storage.Config) (*Mem, error) {
 	kv, err := storage.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	m := &Mem{kv: kv}
-	if kv.Len() > 0 {
-		var total int64
-		kv.IterPrefix("", func(_ string, v []byte) bool {
-			total += int64(len(v))
-			return true
-		})
-		m.bytes.Store(total)
-	}
-	return m, nil
+	return &Mem{kv: kv}, nil
 }
 
 // Sync implements Blockstore.
@@ -106,10 +98,7 @@ func (m *Mem) Put(b Block) error {
 	if _, ok := m.kv.Get(key); ok {
 		return nil // duplicate adds are the common case; skip the copy
 	}
-	data := append([]byte(nil), b.Data...)
-	if m.kv.Put(key, data) {
-		m.bytes.Add(int64(len(data)))
-	}
+	m.kv.Put(key, append([]byte(nil), b.Data...))
 	return nil
 }
 
@@ -147,9 +136,7 @@ func (m *Mem) Has(c cid.Cid) bool {
 
 // Delete implements Blockstore. Deleting an absent block is a no-op.
 func (m *Mem) Delete(c cid.Cid) error {
-	if prev, ok := m.kv.Delete(blockKey(c)); ok {
-		m.bytes.Add(-int64(len(prev)))
-	}
+	m.kv.Delete(blockKey(c))
 	return nil
 }
 
@@ -173,11 +160,13 @@ func (m *Mem) Len() int {
 	return m.kv.Len()
 }
 
-// SizeBytes implements Blockstore.
+// SizeBytes implements Blockstore: the stored blocks' total size, read off
+// a scan of the store — O(stored bytes) on a durable engine.
 func (m *Mem) SizeBytes() uint64 {
-	n := m.bytes.Load()
-	if n < 0 {
-		return 0
-	}
-	return uint64(n)
+	var total uint64
+	m.kv.IterPrefix("", func(_ string, v []byte) bool {
+		total += uint64(len(v))
+		return true
+	})
+	return total
 }

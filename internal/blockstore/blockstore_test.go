@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"socialchain/internal/cid"
+	"socialchain/internal/storage"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -212,5 +213,56 @@ func TestGCEmptyPinsetClearsStore(t *testing.T) {
 	}
 	if removed != 5 || m.Len() != 0 {
 		t.Fatalf("removed=%d len=%d", removed, m.Len())
+	}
+}
+
+// TestReopenReadsNoBlock: opening a durable store of N blocks must not
+// read one of them — SizeBytes is computed when asked, not kept — and the
+// figure it then gives is exact across a reopen, a duplicate Put and a
+// Delete.
+func TestReopenReadsNoBlock(t *testing.T) {
+	cfg := storage.Config{Engine: storage.EnginePersist, Dir: t.TempDir()}
+	m, err := NewMemWith(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []Block
+	var want uint64
+	for i := 0; i < 200; i++ {
+		b := NewBlock(bytes.Repeat([]byte{byte(i)}, 100+i))
+		if err := m.Put(b); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+		want += uint64(len(b.Data))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = NewMemWith(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st := m.kv.(*storage.Persist).Stats()
+	if st.SSTables == 0 || st.BlockReads != 0 || st.OpenWALRecords != 0 {
+		t.Fatalf("open of %d blocks in %d tables read %d table blocks and replayed %d records, want 0 and 0",
+			len(blocks), st.SSTables, st.BlockReads, st.OpenWALRecords)
+	}
+	if m.Len() != len(blocks) || m.SizeBytes() != want {
+		t.Fatalf("reopened Len/SizeBytes = %d/%d, want %d/%d", m.Len(), m.SizeBytes(), len(blocks), want)
+	}
+	if err := m.Put(blocks[7]); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SizeBytes(); got != want {
+		t.Fatalf("SizeBytes = %d after a duplicate Put, want %d", got, want)
+	}
+	if err := m.Delete(blocks[7].Cid); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SizeBytes(); got != want-uint64(len(blocks[7].Data)) {
+		t.Fatalf("SizeBytes = %d after Delete, want %d", got, want-uint64(len(blocks[7].Data)))
 	}
 }

@@ -215,6 +215,7 @@ func (v *Validator) Stop() {
 			close(v.execCh) // the event loop — the only sender — has exited
 			<-v.execDoneCh
 		}
+		v.verifyCache.Reset()
 	})
 }
 

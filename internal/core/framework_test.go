@@ -344,7 +344,12 @@ func TestArgHashesMatchStoredRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := fw.Net.ChannelAt(0).Peer(0)
+	// The receipt is the first peer's commit; wait for the one that is read.
+	ch := fw.Net.ChannelAt(0)
+	if !ch.WaitHeight(receipt.BlockNum+1, 5*time.Second) {
+		t.Fatalf("peers did not reach block %d", receipt.BlockNum)
+	}
+	p := ch.Peer(0)
 	tx, _, _, err := p.Ledger().GetTx(receipt.TxID)
 	if err != nil {
 		t.Fatal(err)

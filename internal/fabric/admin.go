@@ -50,7 +50,10 @@ type NodeChannelStatus struct {
 	// Block-file traffic of the peer's ledger (all zero for an in-memory
 	// peer): a restarted peer decodes only the blocks logged above its
 	// state savepoint, so OpenBlocksDecoded stays far below Height.
+	// OpenWALRecords is what its state, index and history engines replayed
+	// at open: 0 after a clean stop, the unflushed writes after a kill.
 	OpenBlocksDecoded int     `json:"ledger_open_blocks_decoded"`
+	OpenWALRecords    int64   `json:"storage_open_wal_records_replayed"`
 	OpenSeconds       float64 `json:"peer_open_seconds"`
 	BlockReads        int64   `json:"ledger_block_reads"`
 	BlockCacheHits    int64   `json:"ledger_block_cache_hits"`
@@ -151,6 +154,8 @@ func (n *Node) statusz() any {
 			cs.MemtableBytes = ss.MemtableBytes
 			cs.StallWaits = ss.StallWaits
 		}
+		hs, _ := nc.p.History().StorageStats()
+		cs.OpenWALRecords = nc.p.State().OpenWALRecords() + hs.OpenWALRecords
 		if total := cs.VerifyCacheHits + cs.VerifyCacheMisses; total > 0 {
 			cs.VerifyCacheHitRate = float64(cs.VerifyCacheHits) / float64(total)
 		}

@@ -160,8 +160,8 @@ func TestVerifyBatchEmptyAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestVerifyCacheBasics covers hit/miss accounting, negative caching and
-// the nil-receiver fallback.
+// TestVerifyCacheBasics covers hit/miss accounting, negative caching,
+// Reset and the nil-receiver fallback.
 func TestVerifyCacheBasics(t *testing.T) {
 	s := batchSigners(t, 1)[0]
 	msg := []byte("cached message")
@@ -190,8 +190,18 @@ func TestVerifyCacheBasics(t *testing.T) {
 	if c.Hits() != 2 {
 		t.Fatalf("negative entry did not hit: hits=%d", c.Hits())
 	}
+	// Reset forgets the verdicts, keeps the counters and leaves the cache
+	// usable: the next sight of a tuple is a miss, the one after a hit.
+	c.Reset()
+	if c.Len() != 0 || c.Hits() != 2 || c.Misses() != 2 {
+		t.Fatalf("after Reset: len=%d hits=%d misses=%d", c.Len(), c.Hits(), c.Misses())
+	}
+	if !c.Verify(s.Identity, msg, sig) || !c.Verify(s.Identity, msg, sig) || c.Misses() != 3 || c.Hits() != 3 {
+		t.Fatalf("cache unusable after Reset: hits=%d misses=%d", c.Hits(), c.Misses())
+	}
 	// Nil receiver falls through to direct verification.
 	var nilCache *VerifyCache
+	nilCache.Reset()
 	if !nilCache.Verify(s.Identity, msg, sig) || nilCache.Verify(s.Identity, msg, bad) {
 		t.Fatal("nil cache verification wrong")
 	}

@@ -43,16 +43,31 @@ type verifyCacheEntry struct {
 }
 
 // NewVerifyCache returns an LRU verify cache bounded to size entries
-// (DefaultVerifyCacheSize when size <= 0).
+// (DefaultVerifyCacheSize when size <= 0). The map grows with use: a
+// deployment builds one cache per peer and per validator, and a cache that
+// has seen no signature costs a struct.
 func NewVerifyCache(size int) *VerifyCache {
 	if size <= 0 {
 		size = DefaultVerifyCacheSize
 	}
 	return &VerifyCache{
 		cap:     size,
-		entries: make(map[[32]byte]*list.Element, size),
+		entries: make(map[[32]byte]*list.Element),
 		order:   list.New(),
 	}
+}
+
+// Reset forgets every cached verdict and keeps the hit/miss counters: the
+// owner calls it when it stops, so a stopped node something still points
+// at does not hold a full cache. The cache stays usable (nil-safe).
+func (c *VerifyCache) Reset() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = make(map[[32]byte]*list.Element)
+	c.order.Init()
 }
 
 // verifyCacheKey collapses the (pubkey, msg, sig) tuple into a fixed key.

@@ -172,8 +172,9 @@ func New(cfg Config) (*Peer, error) {
 	p.verifyCache.Register(cfg.Obs.With(obs.L("component", "peer")))
 	// LSM engine internals (sstables, compaction backlog, bloom hit
 	// rates) for the durable stores; no-ops on in-memory engines. The
-	// store label splits the world state from the history database.
-	p.state.RegisterStorage(cfg.Obs.With(obs.L("store", "state")))
+	// store label splits the world state and its index engine (labelled by
+	// statedb) from the history database.
+	p.state.RegisterStorage(cfg.Obs)
 	p.history.RegisterStorage(cfg.Obs.With(obs.L("store", "history")))
 	cfg.Obs.CounterFunc("ledger_block_cache_hits_total", "Block lookups served from the ledger's block cache.", func() int64 {
 		return p.ledger.IOStats().CacheHits
@@ -252,6 +253,7 @@ func (p *Peer) Close() error {
 	if lerr := p.ledger.Close(); err == nil {
 		err = lerr
 	}
+	p.verifyCache.Reset()
 	return err
 }
 

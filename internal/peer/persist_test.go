@@ -12,6 +12,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/obs"
 	"socialchain/internal/storage"
 )
 
@@ -38,6 +39,11 @@ func openDurable(dir string) (*Peer, error) {
 // openDurableWith is openDurable with the state engines' sizing chosen by
 // the caller.
 func openDurableWith(dir string, state storage.Config) (*Peer, error) {
+	return openObserved(dir, state, nil)
+}
+
+// openObserved is openDurableWith exporting the peer's metrics on metrics.
+func openObserved(dir string, state storage.Config, metrics *obs.Registry) (*Peer, error) {
 	reg := chaincode.NewRegistry()
 	if err := reg.Register(counterCC{}); err != nil {
 		return nil, err
@@ -51,6 +57,7 @@ func openDurableWith(dir string, state storage.Config) (*Peer, error) {
 		Identities: testMembers,
 		State:      state,
 		DataDir:    dir,
+		Obs:        metrics,
 	})
 }
 
@@ -488,5 +495,105 @@ func TestPeerOpenCostSweep(t *testing.T) {
 		small/(1<<20), large/(1<<20), large/small, perBlock)
 	if perBlock >= 64 {
 		t.Fatalf("heap after open grew %.0f B per added block from 2k to 16k blocks, want < 64", perBlock)
+	}
+}
+
+// sumMetric adds up every series of one family as /metrics prints it, the
+// way a scraper would, and reports how many series it found.
+func sumMetric(t *testing.T, reg *obs.Registry, name string) (sum float64, series int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+		series++
+	}
+	return sum, series
+}
+
+// TestPeerCleanStopReplaysNothing: what a restart costs must not depend on
+// how much the peer had written since its engines last flushed. Two peers
+// stop holding 10 and 4 000 unflushed state batches. Closed cleanly, both
+// open with no WAL record replayed on any engine, no block decoded, and
+// the same heap to within 1 MB; killed (the directory copied before
+// Close), the state engine replays exactly the 10 and the 4 000 and the
+// peer still comes back at the same height.
+func TestPeerCleanStopReplaysNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commits 4k blocks")
+	}
+	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type opened struct {
+		replayed, heapMB float64 // replayed: summed over /metrics
+		stateReplayed    int64
+		decoded          int
+		height           uint64
+	}
+	open := func(dir string) opened {
+		metrics := obs.NewRegistry()
+		p, err := openObserved(dir, storage.Config{}, metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		replayed, series := sumMetric(t, metrics, "storage_open_wal_records_replayed")
+		if series < 2 {
+			t.Fatalf("storage_open_wal_records_replayed has %d series, want one per engine", series)
+		}
+		st, _ := p.State().StorageStats()
+		return opened{replayed, float64(m.HeapAlloc) / (1 << 20), st.OpenWALRecords,
+			p.Ledger().IOStats().OpenDecoded, p.Ledger().Height()}
+	}
+	var cleanHeaps []float64
+	for _, writes := range []int{10, 4000} {
+		clean, crashed := t.TempDir(), t.TempDir()
+		p, err := openDurable(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < writes; i++ {
+			commitIncr(t, p, client, fmt.Sprintf("ctr%d", i%64))
+		}
+		if st, _ := p.State().StorageStats(); st.Flushes != 0 {
+			t.Fatalf("test setup: the state engine flushed %d times, the %d writes are not all unflushed", st.Flushes, writes)
+		}
+		height := p.Ledger().Height()
+		copyTree(t, clean, crashed) // kill -9 here
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got := open(clean)
+		if got.replayed != 0 || got.decoded != 0 || got.height != height {
+			t.Fatalf("%d writes, clean stop: replayed %v WAL records, decoded %d blocks, height %d (want 0, 0, %d)",
+				writes, got.replayed, got.decoded, got.height, height)
+		}
+		cleanHeaps = append(cleanHeaps, got.heapMB)
+
+		got = open(crashed)
+		if got.stateReplayed != int64(writes) || got.replayed < float64(writes) || got.height != height {
+			t.Fatalf("%d writes, killed: state engine replayed %d records (%v on all engines), height %d (want %d, at least as many, %d)",
+				writes, got.stateReplayed, got.replayed, got.height, writes, height)
+		}
+	}
+	t.Logf("heap after a clean-stop open: %.2f MB holding 10 writes, %.2f MB holding 4000", cleanHeaps[0], cleanHeaps[1])
+	if d := cleanHeaps[1] - cleanHeaps[0]; d > 1 || d < -1 {
+		t.Fatalf("heap after a clean-stop open differs by %.2f MB between 10 and 4000 unflushed writes, want within 1", d)
 	}
 }

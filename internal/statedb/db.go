@@ -100,13 +100,39 @@ func (db *DB) StorageStats() (storage.PersistStats, bool) {
 	return p.Stats(), true
 }
 
-// RegisterStorage exports the underlying LSM engine's metrics (sstable
-// and level counts, compaction backlog, bloom hit rates, fsync totals)
-// on reg. No-op for engines without internals worth exporting; safe on a
-// nil registry.
+// indexEngine returns the LSM engine beneath the secondary indexes, if the
+// world state maintains any on one.
+func (db *DB) indexEngine() (*storage.Persist, bool) {
+	if db.idx == nil {
+		return nil, false
+	}
+	p, ok := db.idx.kv.(*storage.Persist)
+	return p, ok
+}
+
+// OpenWALRecords reports how many WAL records the state and index engines
+// replayed when they opened: 0 after a clean stop (storage.Persist.Close
+// is a checkpoint) and on engines without a WAL.
+func (db *DB) OpenWALRecords() int64 {
+	st, _ := db.StorageStats()
+	n := st.OpenWALRecords
+	if p, ok := db.indexEngine(); ok {
+		n += p.Stats().OpenWALRecords
+	}
+	return n
+}
+
+// RegisterStorage exports the underlying LSM engines' metrics (sstable
+// and level counts, compaction backlog, bloom hit rates, fsync totals,
+// what the open replayed) on reg, the world state under store="state" and
+// the index engine under store="index". No-op for engines without
+// internals worth exporting; safe on a nil registry.
 func (db *DB) RegisterStorage(reg *obs.Registry) {
 	if p, ok := db.kv.(*storage.Persist); ok {
-		p.Register(reg)
+		p.Register(reg.With(obs.L("store", "state")))
+	}
+	if p, ok := db.indexEngine(); ok {
+		p.Register(reg.With(obs.L("store", "index")))
 	}
 }
 

@@ -9,7 +9,8 @@ package storage
 // versions and tombstones. The previous persist engine (now mapwal.go)
 // kept the whole key space in RAM and replayed the entire history at
 // open; here RAM holds one memtable and reopen replays only the WAL tail
-// over the manifest — O(recent writes), not O(total state).
+// over the manifest — nothing after a clean stop (Close checkpoints),
+// O(unflushed writes) after a crash, never O(total state).
 //
 // On-disk layout inside Config.Dir:
 //
@@ -46,6 +47,22 @@ package storage
 //     the last durable flush/recovery: a sealed WAL whose flush is still
 //     in flight is the only durable copy of those records, and a higher
 //     walMin would let recovery delete it.
+//  6. Close is a checkpoint, and a checkpoint is a flush: Close seals the
+//     active memtable and runs it through doFlush (and the compaction
+//     that flush makes due), so it obeys 2-5 at every step, and marks the
+//     engine closed only afterwards. A crash anywhere inside Close is a
+//     crash inside a flush: recovery lands on the state Close started
+//     from.
+//
+// After a clean stop the directory holds the manifest, the tables it
+// names and one empty WAL; the next open replays nothing, so what a
+// restart costs — time, heap, bytes read — is O(manifest) and does not
+// depend on how full the memtable was. After kill -9 it holds whatever
+// WALs the last durable manifest did not cover, and open replays them:
+// PersistStats.OpenWALRecords tells the two apart. There is no switch to
+// turn the checkpoint off: the only engine that skips it is one with a
+// sticky I/O error, which cannot vouch for a table it would write and
+// leaves the WAL as the truth.
 //
 // Durability modes (Config.Durability): "none" acknowledges at the page
 // cache (kill -9 safe; power loss can lose the tail since the last
@@ -105,6 +122,8 @@ type PersistStats struct {
 	Levels            int        `json:"levels"`
 	MemtableBytes     int64      `json:"memtable_bytes"`
 	WALBytes          int64      `json:"wal_bytes"`
+	OpenWALRecords    int64      `json:"open_wal_records_replayed"`
+	OpenWALBytes      int64      `json:"open_wal_bytes_replayed"`
 	LiveKeys          int64      `json:"live_keys"`
 	CompactionBacklog int        `json:"compaction_backlog"`
 	Flushes           int64      `json:"flushes"`
@@ -200,6 +219,7 @@ type Persist struct {
 	buf       []byte
 	err       error // sticky I/O error, reported by Sync/Close
 	closed    bool
+	closeOnce sync.Once
 	flushCond *sync.Cond // signalled when imm drains (or on error/close)
 
 	// manifestWALMin is the walMin recorded by the last durable manifest
@@ -215,6 +235,14 @@ type Persist struct {
 	// still reflects every previously written one. Lock order:
 	// manifestMu before p.mu, never reversed.
 	manifestMu sync.Mutex
+
+	// compactMu admits one compactOnce at a time: Close runs the compaction
+	// its checkpoint flush made due beside the compactor goroutine.
+	compactMu sync.Mutex
+
+	// openRecords and openBytes are the WAL records and bytes recover
+	// replayed; written before the workers start, constant afterwards.
+	openRecords, openBytes int64
 
 	dir           string
 	memLimit      int64
@@ -475,6 +503,8 @@ func (p *Persist) replayWAL(idx uint64, last bool) error {
 	if err != nil && !last {
 		return fmt.Errorf("storage: persist wal %s corrupt: %w", path, err)
 	}
+	p.openRecords += int64(len(recs))
+	p.openBytes += int64(good)
 	for _, rec := range recs {
 		var aerr error
 		derr := decodeRecord(rec, func(key string, val []byte, del bool) {
@@ -852,6 +882,8 @@ func (p *Persist) compactor() {
 // dropped only when no deeper level holds tables (the shadowed versions
 // are then inside this very merge, so both sides vanish together).
 func (p *Persist) compactOnce() bool {
+	p.compactMu.Lock()
+	defer p.compactMu.Unlock()
 	p.mu.RLock()
 	if p.closed || p.err != nil {
 		p.mu.RUnlock()
@@ -1254,20 +1286,44 @@ func (p *Persist) Sync() error {
 	return p.err
 }
 
-// Close implements KV: stop the background workers, seal the WAL and let
-// go of everything the engine held in memory — both memtables, the table
-// set with its indexes and bloom filters, the append buffer — so a closed
-// engine something still points at costs a struct, not a memtable. What
-// is on disk is what the WAL and the tables already held; nothing is
-// flushed here. A closed engine reads as empty (a fresh memtable over an
-// empty version, so no reader meets a nil) and refuses writes
-// (refuseClosedLocked). Idempotent.
+// Close implements KV. A clean stop is a checkpoint: Close waits for a
+// flush in flight, then seals a non-empty memtable and runs it through
+// doFlush — table fsynced, manifest durable, covered WALs removed — and
+// through any compaction that flush makes due, BEFORE the engine is marked
+// closed. What is left on disk is the tables plus the one empty WAL the
+// manifest names, and the next open replays nothing. An empty memtable
+// writes nothing. A sticky error skips the checkpoint: the WAL stays the
+// truth, exactly as after kill -9, and Close reports the error. A write
+// that races Close is either refused or acknowledged into the new WAL,
+// which the next open replays.
+//
+// Then the workers stop, the WAL is sealed and the engine lets go of
+// everything it held in memory — both memtables, the table set with its
+// indexes and bloom filters, the append buffer — so a closed engine
+// something still points at costs a struct, not a memtable. A closed
+// engine reads as empty (a fresh memtable over an empty version, so no
+// reader meets a nil) and refuses writes (refuseClosedLocked). Idempotent;
+// a concurrent second Close waits for the first.
 func (p *Persist) Close() error {
+	p.closeOnce.Do(p.shutdown)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.err
+}
+
+func (p *Persist) shutdown() {
 	p.mu.Lock()
-	if p.closed {
-		err := p.err
+	for p.imm != nil && p.err == nil {
+		p.flushCond.Wait()
+	}
+	if p.err == nil && len(p.mem.data) > 0 {
+		p.imm, p.mem = p.mem, newMemtable()
+		p.rotateWALLocked()
 		p.mu.Unlock()
-		return err
+		p.doFlush()
+		for p.compactOnce() {
+		}
+		p.mu.Lock()
 	}
 	p.closed = true
 	p.flushCond.Broadcast()
@@ -1292,7 +1348,6 @@ func (p *Persist) Close() error {
 	v := p.version
 	p.version = newVersion(nil)
 	p.mem, p.imm, p.buf, p.base = newMemtable(), nil, nil, 0
-	err := p.err
 	p.mu.Unlock()
 	c.mu.Lock()
 	c.file = nil
@@ -1300,12 +1355,11 @@ func (p *Persist) Close() error {
 	if v != nil {
 		v.release()
 	}
-	return err
 }
 
 // Stats snapshots the engine's shape and counters.
 func (p *Persist) Stats() PersistStats {
-	st := PersistStats{Durability: p.durability}
+	st := PersistStats{Durability: p.durability, OpenWALRecords: p.openRecords, OpenWALBytes: p.openBytes}
 	p.mu.RLock()
 	if p.version != nil {
 		for i, lvl := range p.version.levels {
@@ -1355,6 +1409,10 @@ func (p *Persist) Register(reg *obs.Registry) {
 		func() float64 { return float64(p.Stats().MemtableBytes) })
 	reg.GaugeFunc("storage_wal_bytes", "Bytes in the active WAL file.",
 		func() float64 { return float64(p.Stats().WALBytes) })
+	reg.GaugeFunc("storage_open_wal_records_replayed", "WAL records the engine's open replayed; 0 after a clean stop.",
+		func() float64 { return float64(p.openRecords) })
+	reg.GaugeFunc("storage_open_wal_bytes_replayed", "WAL bytes the engine's open replayed; 0 after a clean stop.",
+		func() float64 { return float64(p.openBytes) })
 	reg.GaugeFunc("storage_compaction_backlog", "Levels at or over the compaction fanout.",
 		func() float64 { return float64(p.Stats().CompactionBacklog) })
 	reg.CounterFunc("storage_flush_total", "Memtable flushes into SSTables.",
