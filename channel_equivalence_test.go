@@ -141,6 +141,7 @@ func TestIntegrationChannelEquivalence(t *testing.T) {
 	type runResult struct {
 		records []byte
 		index   []byte
+		history []byte
 		paged   []string
 		trust   []byte
 	}
@@ -233,6 +234,18 @@ func TestIntegrationChannelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var hist []string
+		for _, ch := range fw.Net.Channels() {
+			hist = append(hist, canonicalHistory(t, ch.Peer(0))...)
+		}
+		if len(hist) != total {
+			t.Fatalf("%d record keys have history across channels, want %d", len(hist), total)
+		}
+		sort.Strings(hist)
+		histJSON, err := json.Marshal(hist)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Per-source provenance and trust live wholly on the home channel.
 		for s, cam := range cams {
@@ -316,7 +329,7 @@ func TestIntegrationChannelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runResult{records: recJSON, index: idxJSON, paged: paged, trust: trustJSON}
+		return runResult{records: recJSON, index: idxJSON, history: histJSON, paged: paged, trust: trustJSON}
 	}
 
 	// The tcp leg reruns the sharded deployment with all consensus and
@@ -345,6 +358,9 @@ func TestIntegrationChannelEquivalence(t *testing.T) {
 			}
 			if !bytes.Equal(base.index, got.index) {
 				t.Fatalf("canonical label index diverged between 1-channel and %s:\n1ch: %s\nnow: %s", leg.name, base.index, got.index)
+			}
+			if !bytes.Equal(base.history, got.history) {
+				t.Fatalf("canonical record history diverged between 1-channel and %s:\n1ch: %s\nnow: %s", leg.name, base.history, got.history)
 			}
 			if strings := fmt.Sprint(got.paged); fmt.Sprint(base.paged) != strings {
 				t.Fatalf("paged record set diverged between 1-channel and %s", leg.name)

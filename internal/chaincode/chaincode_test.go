@@ -20,16 +20,26 @@ func testCtx(t *testing.T) TxContext {
 	return TxContext{TxID: "tx-1", ChannelID: "ch", Creator: s.Identity, Timestamp: time.Unix(1000, 0)}
 }
 
+// seededDB commits one transaction, "genesis-tx", as block 1 — with its
+// history references — and resolves those through a one-entry chain.
 func seededDB(t *testing.T) (*statedb.DB, *statedb.HistoryDB) {
 	t.Helper()
 	db := statedb.New()
-	h := statedb.NewHistoryDB()
+	writes := []statedb.WriteItem{
+		{Namespace: "cc", Key: "existing", Value: []byte("old")},
+		{Namespace: "cc", Key: "scan/a", Value: []byte("1")},
+		{Namespace: "cc", Key: "scan/b", Value: []byte("2")},
+	}
 	b := statedb.NewUpdateBatch()
-	b.Put("cc", "existing", []byte("old"))
-	b.Put("cc", "scan/a", []byte("1"))
-	b.Put("cc", "scan/b", []byte("2"))
-	db.ApplyUpdates(b, statedb.Version{BlockNum: 1, TxNum: 0})
-	h.RecordBatch(b, "genesis-tx", statedb.Version{BlockNum: 1}, time.Unix(500, 0))
+	b.AddRWSetWrites(statedb.RWSet{Writes: writes})
+	updates := []statedb.TxUpdate{{Batch: b, Version: statedb.Version{BlockNum: 1, TxNum: 0}}}
+	db.ApplyBlockAt(updates, 1, statedb.HistoryWrites(updates)...)
+	h := statedb.NewHistoryDB(db, func(n uint64, tx uint32) (string, time.Time, []statedb.WriteItem, error) {
+		if n != 1 || tx != 0 {
+			return "", time.Time{}, nil, statedb.ErrNotVisible
+		}
+		return "genesis-tx", time.Unix(500, 0), writes, nil
+	})
 	return db, h
 }
 
@@ -205,7 +215,7 @@ func TestHistoryThroughStub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 1 || hist[0].TxID != "genesis-tx" {
+	if len(hist) != 1 || hist[0].TxID != "genesis-tx" || string(hist[0].Value) != "old" || !hist[0].Timestamp.Equal(time.Unix(500, 0)) {
 		t.Fatalf("history = %+v", hist)
 	}
 	simNoHist := NewSimulator(testCtx(t), "cc", db, nil)

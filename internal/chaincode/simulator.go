@@ -200,7 +200,7 @@ func (s *Simulator) GetHistoryForKey(key string) ([]statedb.HistEntry, error) {
 	if s.history == nil {
 		return nil, errors.New("chaincode: history database unavailable")
 	}
-	return s.history.Get(s.ns, key), nil
+	return s.history.Get(s.ns, key)
 }
 
 // CreateCompositeKey implements Stub.

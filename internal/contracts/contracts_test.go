@@ -25,6 +25,14 @@ type world struct {
 	history *statedb.HistoryDB
 	reg     *chaincode.Registry
 	height  uint64
+	blocks  map[uint64]worldTx // each committed invocation is its own block
+}
+
+// worldTx is what a history reference resolves to.
+type worldTx struct {
+	id     string
+	ts     time.Time
+	writes []statedb.WriteItem
 }
 
 func newWorld(t *testing.T) *world {
@@ -35,7 +43,14 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{t: t, db: db, history: statedb.NewHistoryDB(), reg: chaincode.NewRegistry(), height: 1}
+	w := &world{t: t, db: db, reg: chaincode.NewRegistry(), height: 1, blocks: make(map[uint64]worldTx)}
+	w.history = statedb.NewHistoryDB(db, func(n uint64, _ uint32) (string, time.Time, []statedb.WriteItem, error) {
+		tx, ok := w.blocks[n]
+		if !ok {
+			return "", time.Time{}, nil, statedb.ErrNotVisible
+		}
+		return tx.id, tx.ts, tx.writes, nil
+	})
 	for _, cc := range All() {
 		if err := w.reg.Register(cc); err != nil {
 			t.Fatal(err)
@@ -62,12 +77,13 @@ func (w *world) invoke(creator msp.Identity, ccName, fn string, args ...string) 
 	if err != nil {
 		return nil, err
 	}
+	rw := sim.RWSet()
 	batch := statedb.NewUpdateBatch()
-	batch.AddRWSetWrites(sim.RWSet())
+	batch.AddRWSetWrites(rw)
 	w.height++
-	v := statedb.Version{BlockNum: w.height}
-	w.db.ApplyUpdates(batch, v)
-	w.history.RecordBatch(batch, txID, v, time.Now())
+	updates := []statedb.TxUpdate{{Batch: batch, Version: statedb.Version{BlockNum: w.height}}}
+	w.db.ApplyBlockAt(updates, w.height, statedb.HistoryWrites(updates)...)
+	w.blocks[w.height] = worldTx{id: txID, ts: time.Now(), writes: rw.Writes}
 	return resp, nil
 }
 

@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"io/fs"
 	"path/filepath"
-	"strings"
 
 	"socialchain/internal/obs"
 	"socialchain/internal/transport"
@@ -50,8 +48,8 @@ type NodeChannelStatus struct {
 	// Block-file traffic of the peer's ledger (all zero for an in-memory
 	// peer): a restarted peer decodes only the blocks logged above its
 	// state savepoint, so OpenBlocksDecoded stays far below Height.
-	// OpenWALRecords is what its state, index and history engines replayed
-	// at open: 0 after a clean stop, the unflushed writes after a kill.
+	// OpenWALRecords is what its state engine replayed at open: 0 after a
+	// clean stop, the unflushed writes after a kill.
 	OpenBlocksDecoded int     `json:"ledger_open_blocks_decoded"`
 	OpenWALRecords    int64   `json:"storage_open_wal_records_replayed"`
 	OpenSeconds       float64 `json:"peer_open_seconds"`
@@ -78,26 +76,16 @@ type NodeStatus struct {
 	SlowTraces []obs.TraceRecord            `json:"slow_traces,omitempty"`
 }
 
-// walSegments counts write-ahead-log files (state/history segments and the
-// block log) under a peer's durable root; 0 for in-memory peers.
+// walSegments counts a durable peer's write-ahead-log files — its state
+// engine's WAL segments under db/ and the block log — and is 0 for an
+// in-memory peer.
 func walSegments(dir string) int {
 	if dir == "" {
 		return 0
 	}
-	n := 0
-	_ = filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			// A file vanishing mid-walk (compaction) just isn't counted.
-			return nil
-		}
-		name := d.Name()
-		if (strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) ||
-			strings.HasSuffix(name, ".wal") {
-			n++
-		}
-		return nil
-	})
-	return n
+	segs, _ := filepath.Glob(filepath.Join(dir, "db", "wal-*.log"))
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	return len(segs) + len(logs)
 }
 
 // ServeAdmin binds the node's admin/debug HTTP surface (metrics, health,
@@ -153,9 +141,8 @@ func (n *Node) statusz() any {
 			cs.CompactedBytes = ss.CompactedBytes
 			cs.MemtableBytes = ss.MemtableBytes
 			cs.StallWaits = ss.StallWaits
+			cs.OpenWALRecords = ss.OpenWALRecords
 		}
-		hs, _ := nc.p.History().StorageStats()
-		cs.OpenWALRecords = nc.p.State().OpenWALRecords() + hs.OpenWALRecords
 		if total := cs.VerifyCacheHits + cs.VerifyCacheMisses; total > 0 {
 			cs.VerifyCacheHitRate = float64(cs.VerifyCacheHits) / float64(total)
 		}

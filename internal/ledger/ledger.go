@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"socialchain/internal/statedb"
+	"socialchain/internal/storage"
 	"socialchain/internal/walframe"
 )
 
@@ -36,11 +37,14 @@ type Ledger struct {
 	blocks  []*Block
 	txIndex map[string]txLoc
 
-	// Log backing. end is one past block height-1's frame.
-	log   *Log
-	index *statedb.DB
-	end   int64
-	cache blockCache
+	// Log backing. end is one past block height-1's frame. syncStage: the
+	// state engine fsyncs every batch (DurabilityAlways), so Stage fsyncs
+	// the block it appends before that block's state batch can land.
+	log       *Log
+	index     *statedb.DB
+	end       int64
+	cache     blockCache
+	syncStage bool
 
 	// wmu orders the committer's Stage/Append pairs and guards staged and
 	// tail; the file append runs under it, not under mu, so readers never
@@ -83,9 +87,13 @@ func New() *Ledger {
 // savepoint, checks the frames above that block's end (truncating a torn
 // tail) and decodes only those: they are blocks logged but not applied
 // when the process died, handed out by Tail for the committer to replay.
-// Nothing at or below the savepoint is read.
+// Nothing at or below the savepoint is read. The log is as durable as
+// db: under storage.DurabilityAlways every staged block is fsynced.
 func Open(path string, db *statedb.DB) (*Ledger, error) {
 	l := &Ledger{index: db, cache: blockCache{max: blockCacheBytes}}
+	if st, ok := db.StorageStats(); ok {
+		l.syncStage = st.Durability == storage.DurabilityAlways
+	}
 	if sp, ok := db.Savepoint(); ok {
 		rec, ok := db.Reserved(chainKey)
 		if !ok || len(rec) != chainRecordLen {
@@ -182,6 +190,9 @@ func (l *Ledger) verifyNextLocked(b *Block) error {
 // ledger appends it to the block file (unless it is the next Tail block,
 // which is already there). From that point the block is committed: a
 // process that dies before Append finds it in the Tail of its next Open.
+// Under DurabilityAlways the block is also fsynced before Stage returns —
+// a tail block too, unless an earlier fsync covered it — so a power loss
+// can never leave the state's savepoint above the log's end.
 // The returned entries — the block's offset, each transaction's location
 // and flag, the chain record — must ride b's state batch
 // (statedb.ApplyBlockAt); an in-memory ledger returns none.
@@ -207,6 +218,11 @@ func (l *Ledger) Stage(b *Block) ([]statedb.ReservedWrite, error) {
 			return nil, err
 		}
 		at.end = l.log.end
+	}
+	if l.syncStage && l.log.synced < at.end {
+		if err := l.log.Sync(); err != nil {
+			return nil, err
+		}
 	}
 	l.staged = &at
 
@@ -479,16 +495,21 @@ type IOStats struct {
 	CacheMisses int64 // GetBlock calls that read the file
 	BlockReads  int64 // blocks decoded from the file since Open
 	OpenDecoded int   // blocks Open decoded: those above the savepoint
+	Fsyncs      int64 // fsyncs of the file since Open: one per staged block under DurabilityAlways
 }
 
 // IOStats snapshots the block file counters.
 func (l *Ledger) IOStats() IOStats {
-	return IOStats{
+	st := IOStats{
 		CacheHits:   l.cache.hits.Load(),
 		CacheMisses: l.cache.misses.Load(),
 		BlockReads:  l.reads.Load(),
 		OpenDecoded: l.openDecoded,
 	}
+	if l.log != nil {
+		st.Fsyncs = l.log.fsyncs.Load()
+	}
+	return st
 }
 
 // Sync flushes the block file to stable storage; a no-op in memory.

@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"socialchain/internal/walframe"
 )
@@ -51,8 +52,10 @@ type Log struct {
 	end    int64  // one past the last complete frame: where the next append lands
 	next   uint64 // number the next appended block must carry
 	buf    []byte
-	err    error // sticky append failure: a torn frame may be on disk
+	err    error // sticky append or fsync failure: a torn frame may be on disk
 	closed bool
+	synced int64        // the offset the last fsync covered
+	fsyncs atomic.Int64 // fsyncs of the file since open
 }
 
 // logFormat is the block-log record format this build writes and reads:
@@ -270,15 +273,19 @@ func (l *Log) Append(b *Block) error {
 }
 
 // Sync flushes appended blocks to stable storage (reporting a sticky
-// append failure first).
+// append failure first). A failed fsync is sticky too: what the page cache
+// still holds of the file is unknown, so nothing may be appended after it.
 func (l *Log) Sync() error {
-	if l.err != nil {
+	if l.err != nil || l.closed {
 		return l.err
 	}
-	if l.closed {
-		return nil
+	if err := l.f.Sync(); err != nil {
+		l.err = fmt.Errorf("ledger: log sync: %w", err)
+		return l.err
 	}
-	return l.f.Sync()
+	l.fsyncs.Add(1)
+	l.synced = l.end
+	return nil
 }
 
 // Close syncs and closes the log. Idempotent.
@@ -286,8 +293,8 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
+	err := l.Sync()
 	l.closed = true
-	err := l.f.Sync()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -21,14 +22,15 @@ import (
 // the ledger and world state and independently validates every block, as in
 // the paper's Figure 1 where all endorsement peers act as validators.
 //
-// A peer opened with Config.DataDir is durable: its world state, history
-// and indexes live on WAL-backed persist engines, every committed block
-// lands in a block log before its writes touch state, and the ledger is a
-// view over that log (ledger.Open) instead of a copy of it. Reopening the
-// same directory recovers the peer — only the blocks the log holds above
-// the state's savepoint are decoded, and they replay through the same
-// validate-then-commit split a live delivery takes (see recover) — after
-// which SyncFrom catches up any tail the log missed.
+// A peer opened with Config.DataDir is durable: the directory holds the
+// block log (blocks.wal) and one WAL-backed persist engine (db/) carrying
+// the world state with its indexes, history references, block index and
+// savepoint. Every committed block lands in the log before its one state
+// batch, and the ledger is a view over that log (ledger.Open) instead of a
+// copy of it. Reopening the same directory recovers the peer — only the
+// blocks the log holds above the state's savepoint are decoded, and they
+// replay through the same validate-then-commit split a live delivery takes
+// (see recover) — after which SyncFrom catches up any tail the log missed.
 type Peer struct {
 	id        string
 	channelID string
@@ -46,9 +48,9 @@ type Peer struct {
 	// endorsements this peer (or its previous incarnation) already checked.
 	verifyCache *msp.VerifyCache
 
-	// commitMu serialises the commit pipeline (block log → history →
-	// state → visible chain) so the durable artefacts can never record
-	// two competing blocks at one height.
+	// commitMu serialises the commit pipeline (block log → state batch →
+	// visible chain) so the durable artefacts can never record two
+	// competing blocks at one height.
 	commitMu sync.Mutex
 
 	mu          sync.Mutex
@@ -85,13 +87,14 @@ type Config struct {
 	// passes the same set. With nil no endorsement counts, which is enough
 	// to open a cleanly closed directory and serve reads from it.
 	Identities *msp.Registry
-	// State selects the key-value engine backing this peer's world state
-	// and history database (zero value = the sharded default).
+	// State selects the key-value engine backing this peer's world state,
+	// which also holds its history and indexes (zero value = the sharded
+	// default).
 	State storage.Config
 	// DataDir, when non-empty, makes the peer durable: it forces the
-	// persist engine rooted at this directory for state/history/indexes
-	// and opens the block log at DataDir/blocks.wal, recovering whatever a
-	// previous run left there. Overrides State.Engine and State.Dir.
+	// persist engine at DataDir/db and opens the block log at
+	// DataDir/blocks.wal, recovering whatever a previous run left there.
+	// Overrides State.Engine and State.Dir.
 	DataDir string
 	// Indexes declares the secondary indexes the world state maintains
 	// (nil = none). Index reads feed endorsement results, so every peer
@@ -125,9 +128,6 @@ func New(cfg Config) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
-	// The block log opens before the history store: both refuse a
-	// directory another format wrote, and the log's refusal is the one
-	// that names the format an operator has to match.
 	chain := ledger.New()
 	if cfg.DataDir != "" {
 		chain, err = ledger.Open(filepath.Join(cfg.DataDir, "blocks.wal"), state)
@@ -136,19 +136,12 @@ func New(cfg Config) (*Peer, error) {
 			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 		}
 	}
-	history, err := statedb.NewHistoryDBWith(st)
-	if err != nil {
-		state.Close()
-		chain.Close()
-		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
-	}
 	p := &Peer{
 		id:          cfg.ID,
 		channelID:   cfg.ChannelID,
 		signer:      cfg.Signer,
 		ledger:      chain,
 		state:       state,
-		history:     history,
 		registry:    cfg.Registry,
 		policy:      cfg.Policy,
 		members:     cfg.Identities,
@@ -156,6 +149,7 @@ func New(cfg Config) (*Peer, error) {
 		commitWait:  make(map[string][]chan ledger.ValidationCode),
 		slowTraces:  cfg.SlowTraces,
 	}
+	p.history = statedb.NewHistoryDB(state, p.historyTx)
 	const stageHelp = "Per-stage transaction pipeline latency."
 	p.obsEndorse = cfg.Obs.Histogram("tx_stage_seconds", stageHelp, nil, obs.L("stage", "endorse_exec"))
 	p.obsValidate = cfg.Obs.Histogram("tx_stage_seconds", stageHelp, nil, obs.L("stage", "validate"))
@@ -171,11 +165,8 @@ func New(cfg Config) (*Peer, error) {
 	// which registers the same family on the same node-scoped registry.
 	p.verifyCache.Register(cfg.Obs.With(obs.L("component", "peer")))
 	// LSM engine internals (sstables, compaction backlog, bloom hit
-	// rates) for the durable stores; no-ops on in-memory engines. The
-	// store label splits the world state and its index engine (labelled by
-	// statedb) from the history database.
+	// rates) of the one durable engine; a no-op on in-memory engines.
 	p.state.RegisterStorage(cfg.Obs)
-	p.history.RegisterStorage(cfg.Obs.With(obs.L("store", "history")))
 	cfg.Obs.CounterFunc("ledger_block_cache_hits_total", "Block lookups served from the ledger's block cache.", func() int64 {
 		return p.ledger.IOStats().CacheHits
 	})
@@ -227,11 +218,11 @@ func Open(cfg Config) (*Peer, error) {
 // recover re-commits the blocks the ledger found in the block log above
 // the world state's savepoint: committed to the log but not yet to state
 // when the process died. Blocks at or below the savepoint already have
-// their writes, index entries and chain record applied — all of it rides
-// one atomic state batch — so the ledger neither reads nor decodes them.
-// Each tail block re-runs the full validate-then-commit split, with
-// recorded flags cross-checked against re-validation, which also
-// re-derives its index entries. A peer without a block log has no tail.
+// their writes, index and history entries and chain record applied — all
+// of it rides one atomic state batch — so the ledger neither reads nor
+// decodes them. Each tail block re-runs the full validate-then-commit
+// split, with recorded flags cross-checked against re-validation, which
+// also re-derives those entries. A peer without a block log has no tail.
 func (p *Peer) recover() error {
 	for _, b := range p.ledger.Tail() {
 		if err := p.replayLoggedBlock(b); err != nil {
@@ -247,9 +238,6 @@ func (p *Peer) Close() error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	err := p.state.Close()
-	if herr := p.history.Close(); err == nil {
-		err = herr
-	}
 	if lerr := p.ledger.Close(); err == nil {
 		err = lerr
 	}
@@ -262,9 +250,6 @@ func (p *Peer) Sync() error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	err := p.state.Sync()
-	if herr := p.history.Sync(); err == nil {
-		err = herr
-	}
 	if lerr := p.ledger.Sync(); err == nil {
 		err = lerr
 	}
@@ -285,6 +270,24 @@ func (p *Peer) State() *statedb.DB { return p.state }
 
 // History exposes the peer's history database.
 func (p *Peer) History() *statedb.HistoryDB { return p.history }
+
+// historyTx resolves a history reference (statedb.TxSource) through the
+// ledger and its block cache. A block staged but not yet appended is not
+// visible, and neither are its entries.
+func (p *Peer) historyTx(n uint64, tx uint32) (string, time.Time, []statedb.WriteItem, error) {
+	b, err := p.ledger.GetBlock(n)
+	if errors.Is(err, ledger.ErrNotFound) {
+		return "", time.Time{}, nil, statedb.ErrNotVisible
+	}
+	if err != nil {
+		return "", time.Time{}, nil, err
+	}
+	if int(tx) >= len(b.Txs) {
+		return "", time.Time{}, nil, fmt.Errorf("peer %s: block %d has %d transactions (block index damaged)", p.id, n, len(b.Txs))
+	}
+	t := &b.Txs[tx]
+	return t.ID, t.Timestamp, t.RWSet.Writes, nil
+}
 
 // OpenTook reports how long New took to assemble the peer, recovery
 // included.
@@ -441,7 +444,7 @@ func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 	number := p.ledger.Height()
 	block := ledger.NewBlock(number, p.ledger.TipHash(), txs, batchTimestamp(txs))
 	vStart := time.Now()
-	flags, updates, validIdx, err := p.validateBlock(number, block.Txs, nil)
+	flags, updates, err := p.validateBlock(number, block.Txs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +452,7 @@ func (p *Peer) CommitBatch(txs []ledger.Transaction) (*ledger.Block, error) {
 	p.obsValidate.Observe(vDur)
 	copy(block.Metadata.Flags, flags)
 	cStart := time.Now()
-	if err := p.commitValidated(block, updates, validIdx); err != nil {
+	if err := p.commitValidated(block, updates); err != nil {
 		return nil, err
 	}
 	cDur := time.Since(cStart)
@@ -516,15 +519,14 @@ func batchTimestamp(txs []ledger.Transaction) time.Time {
 //     the whole block before any state changes — the sync and recovery
 //     paths' flag-mismatch rejection.
 //
-// It returns the per-transaction flags plus the surviving write sets
-// (updates, and the indices of the transactions that produced them) for
+// It returns the per-transaction flags plus the surviving write sets, each
+// versioned by the position of the transaction that produced it, for
 // commitValidated to land.
-func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func(i int, flag ledger.ValidationCode) error) ([]ledger.ValidationCode, []statedb.TxUpdate, []int, error) {
+func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func(i int, flag ledger.ValidationCode) error) ([]ledger.ValidationCode, []statedb.TxUpdate, error) {
 	pre := p.validateStatelessAll(txs)
 	flags := make([]ledger.ValidationCode, len(txs))
 	blockWrites := make(map[string]bool) // ns\x00key written by earlier valid tx
 	updates := make([]statedb.TxUpdate, 0, len(txs))
-	validIdx := make([]int, 0, len(txs))
 	for i := range txs {
 		tx := &txs[i]
 		flag := pre[i]
@@ -533,7 +535,7 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 		}
 		if check != nil {
 			if err := check(i, flag); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 		flags[i] = flag
@@ -546,43 +548,39 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 			Batch:   batch,
 			Version: statedb.Version{BlockNum: number, TxNum: uint64(i)},
 		})
-		validIdx = append(validIdx, i)
 		for _, w := range tx.RWSet.Writes {
 			blockWrites[w.Namespace+"\x00"+w.Key] = true
 		}
 	}
-	return flags, updates, validIdx, nil
+	return flags, updates, nil
 }
 
-// commitValidated lands a fully-validated block, in recovery-safe order:
+// commitValidated lands a fully-validated block — the whole commit
+// protocol is these three steps:
 //
 //  1. ledger.Stage: the structural chain check — a malformed block must
 //     never reach the durable log — then, on a durable peer, the block
 //     log append (skipped for a block recovery is replaying from that
-//     log). From this point the block is committed: if the process dies
-//     before the remaining steps, recovery replays it from the log.
-//  2. History entries. Keyed by commit version, so a replay after a crash
-//     between 2 and 3 overwrites instead of duplicating.
-//  3. One state-engine pass (statedb.ApplyBlockAt) carrying every
-//     surviving write set, the savepoint marker AND the ledger's index
-//     entries for this block — atomic on the persist engine, which is
-//     what makes recovery's "replay strictly after the savepoint" exact
-//     and lets the ledger trust its index without reading a block.
-//  4. ledger.Append + waiter/subscriber notification. The visible height
+//     log; fsynced under durability always). From this point the block is
+//     committed: if the process dies before step 2 lands, recovery
+//     replays it from the log.
+//  2. One state-engine batch (statedb.ApplyBlockAt) carrying every
+//     surviving write set with its index entries, the block's history
+//     references, the ledger's block index and chain record, and the
+//     savepoint — one atomic WAL record on the persist engine, which is
+//     what makes recovery's "replay strictly after the savepoint" exact.
+//  3. ledger.Append + waiter/subscriber notification. The visible height
 //     only advances after state is applied, so observers that wait on
 //     height never read pre-block state.
 //
 // Caller holds commitMu.
-func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate, validIdx []int) error {
+func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate) error {
 	number := block.Header.Number
 	index, err := p.ledger.Stage(block)
 	if err != nil {
 		return fmt.Errorf("peer %s: commit block %d: %w", p.id, number, err)
 	}
-	for ui, i := range validIdx {
-		p.history.RecordBatch(updates[ui].Batch, block.Txs[i].ID, updates[ui].Version, block.Txs[i].Timestamp)
-	}
-	p.state.ApplyBlockAt(updates, number, index...)
+	p.state.ApplyBlockAt(updates, number, append(index, statedb.HistoryWrites(updates)...)...)
 	if err := p.ledger.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.id, number, err)
 	}
@@ -605,7 +603,7 @@ func (p *Peer) replayLoggedBlock(b *ledger.Block) error {
 		// a decodable-but-malformed record must be an error, not a panic.
 		return fmt.Errorf("replay block %d has %d flags for %d txs", b.Header.Number, len(b.Metadata.Flags), len(b.Txs))
 	}
-	_, updates, validIdx, err := p.validateBlock(number, b.Txs, func(i int, flag ledger.ValidationCode) error {
+	_, updates, err := p.validateBlock(number, b.Txs, func(i int, flag ledger.ValidationCode) error {
 		if flag != b.Metadata.Flags[i] {
 			return fmt.Errorf("%w: block %d tx %d: local %s vs recorded %s",
 				ErrFlagMismatch, b.Header.Number, i, flag, b.Metadata.Flags[i])
@@ -615,7 +613,7 @@ func (p *Peer) replayLoggedBlock(b *ledger.Block) error {
 	if err != nil {
 		return err
 	}
-	return p.commitValidated(b, updates, validIdx)
+	return p.commitValidated(b, updates)
 }
 
 // validateStatelessAll runs the per-transaction signature/policy checks,

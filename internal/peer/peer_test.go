@@ -13,6 +13,7 @@ import (
 )
 
 // counterCC increments a named counter; used to exercise RWSets and MVCC.
+// It also sets and deletes keys outright.
 type counterCC struct{}
 
 func (counterCC) Name() string { return "counter" }
@@ -38,11 +39,25 @@ func (counterCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, 
 			return nil, err
 		}
 		return out, nil
+	case "set":
+		return nil, stub.PutState(string(args[0]), args[1])
+	case "del":
+		return nil, stub.DelState(string(args[0]))
 	case "boom":
 		return nil, errors.New("chaincode failure")
 	default:
 		return nil, fmt.Errorf("unknown fn %q", fn)
 	}
+}
+
+// historyOf is p.History().Get failing the test on an error.
+func historyOf(t testing.TB, p *Peer, ns, key string) []statedb.HistEntry {
+	t.Helper()
+	es, err := p.History().Get(ns, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es
 }
 
 // testSigner derives a test peer's key from its name, so a reopened peer
@@ -95,7 +110,7 @@ func newTestPeerWith(t *testing.T, policy msp.Policy) (*Peer, *msp.Signer) {
 	return p, client
 }
 
-func propose(t *testing.T, client *msp.Signer, fn string, args ...[]byte) *Proposal {
+func propose(t testing.TB, client *msp.Signer, fn string, args ...[]byte) *Proposal {
 	t.Helper()
 	prop, err := NewProposal(client, "ch", "counter", fn, args, time.Now())
 	if err != nil {
@@ -105,7 +120,7 @@ func propose(t *testing.T, client *msp.Signer, fn string, args ...[]byte) *Propo
 }
 
 // envelope assembles a signed tx from an endorsement.
-func envelope(t *testing.T, client *msp.Signer, prop *Proposal, resps ...*ProposalResponse) ledger.Transaction {
+func envelope(t testing.TB, client *msp.Signer, prop *Proposal, resps ...*ProposalResponse) ledger.Transaction {
 	t.Helper()
 	tx := ledger.Transaction{
 		ID:        prop.TxID,
@@ -214,9 +229,23 @@ func TestCommitAppliesValidTx(t *testing.T) {
 		t.Fatal("commit waiter not notified")
 	}
 	// History recorded.
-	hist := p.History().Get("counter", "ctr")
+	hist := historyOf(t, p, "counter", "ctr")
 	if len(hist) != 1 || hist[0].TxID != tx.ID {
 		t.Fatalf("history = %+v", hist)
+	}
+}
+
+// TestHistoryKeepsNeighbourKeysApart: chaincode keys may hold NULs, so
+// "a\x00b" is a key of its own, not part of "a"'s history.
+func TestHistoryKeepsNeighbourKeysApart(t *testing.T) {
+	p, client := newTestPeer(t)
+	commitIncr(t, p, client, "a")
+	commitIncr(t, p, client, "a\x00b")
+	if got := historyOf(t, p, "counter", "a"); len(got) != 1 || got[0].Version.BlockNum != 1 {
+		t.Fatalf("history of a = %+v, want its one entry at block 1", got)
+	}
+	if got := historyOf(t, p, "counter", "a\x00b"); len(got) != 1 || got[0].Version.BlockNum != 2 {
+		t.Fatalf("history of a\\x00b = %+v, want its one entry at block 2", got)
 	}
 }
 

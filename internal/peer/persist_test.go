@@ -44,27 +44,33 @@ func openDurableWith(dir string, state storage.Config) (*Peer, error) {
 
 // openObserved is openDurableWith exporting the peer's metrics on metrics.
 func openObserved(dir string, state storage.Config, metrics *obs.Registry) (*Peer, error) {
+	return openConfig(Config{State: state, DataDir: dir, Obs: metrics})
+}
+
+// openConfig opens the durable test peer over cfg.DataDir: peer0 of the
+// test membership running the counter chaincode, with whatever else cfg
+// sets.
+func openConfig(cfg Config) (*Peer, error) {
 	reg := chaincode.NewRegistry()
 	if err := reg.Register(counterCC{}); err != nil {
 		return nil, err
 	}
-	return Open(Config{
-		ID:         "peer0",
-		ChannelID:  "ch",
-		Signer:     testSigner("peer0"),
-		Registry:   reg,
-		Policy:     msp.AnyValid{},
-		Identities: testMembers,
-		State:      state,
-		DataDir:    dir,
-		Obs:        metrics,
-	})
+	cfg.ID, cfg.ChannelID, cfg.Signer, cfg.Registry = "peer0", "ch", testSigner("peer0"), reg
+	cfg.Policy, cfg.Identities = msp.AnyValid{}, testMembers
+	return Open(cfg)
 }
 
 // commitIncr endorses and commits one "incr" transaction as its own block.
-func commitIncr(t *testing.T, p *Peer, client *msp.Signer, key string) *ledger.Block {
+func commitIncr(t testing.TB, p *Peer, client *msp.Signer, key string) *ledger.Block {
 	t.Helper()
-	prop := propose(t, client, "incr", []byte(key))
+	return commitCall(t, p, client, "incr", []byte(key))
+}
+
+// commitCall endorses and commits one counter-chaincode call as its own
+// block.
+func commitCall(t testing.TB, p *Peer, client *msp.Signer, fn string, args ...[]byte) *ledger.Block {
+	t.Helper()
+	prop := propose(t, client, fn, args...)
 	resp, err := p.Endorse(prop)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +93,7 @@ func stateSnapshot(t *testing.T, p *Peer) []byte {
 }
 
 // copyTree copies a directory recursively (small test trees only).
-func copyTree(t *testing.T, src, dst string) {
+func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, werr error) error {
 		if werr != nil {
@@ -132,7 +138,7 @@ func TestPeerReopenRecoversChainAndState(t *testing.T) {
 	wantHeight := p.Ledger().Height()
 	wantTip := p.Ledger().TipHash()
 	wantState := stateSnapshot(t, p)
-	wantHist := len(p.History().Get("counter", "ctr"))
+	wantHist := len(historyOf(t, p, "counter", "ctr"))
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestPeerReopenRecoversChainAndState(t *testing.T) {
 	if got := stateSnapshot(t, re); !bytes.Equal(got, wantState) {
 		t.Fatalf("reopened state differs:\nwant %s\n got %s", wantState, got)
 	}
-	if got := len(re.History().Get("counter", "ctr")); got != wantHist {
+	if got := len(historyOf(t, re, "counter", "ctr")); got != wantHist {
 		t.Fatalf("reopened history has %d entries, want %d", got, wantHist)
 	}
 	if vv, ok := re.State().GetState("counter", "ctr"); !ok || string(vv.Value) != "3" {
@@ -190,7 +196,7 @@ func TestPeerRecoveryReplaysUnappliedTail(t *testing.T) {
 	commitIncr(t, p2, client2, "ctr")
 	wantHeight := p2.Ledger().Height()
 	wantState := stateSnapshot(t, p2)
-	wantHist := len(p2.History().Get("counter", "ctr"))
+	wantHist := len(historyOf(t, p2, "counter", "ctr"))
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestPeerRecoveryReplaysUnappliedTail(t *testing.T) {
 	if got := stateSnapshot(t, re); !bytes.Equal(got, wantState) {
 		t.Fatalf("replayed state differs from crash-free state:\nwant %s\n got %s", wantState, got)
 	}
-	if got := len(re.History().Get("counter", "ctr")); got != wantHist {
+	if got := len(historyOf(t, re, "counter", "ctr")); got != wantHist {
 		t.Fatalf("replayed history has %d entries, want %d (no duplicates, no gaps)", got, wantHist)
 	}
 	if err := re.Ledger().VerifyChain(); err != nil {
@@ -378,6 +384,9 @@ func TestPeerRecoveryRejectsTamperedLog(t *testing.T) {
 	}
 	if _, err := re.BlocksFrom(1); err == nil {
 		t.Fatal("tampered block served to a syncing peer")
+	}
+	if _, err := re.History().Get("counter", "ctr"); err == nil {
+		t.Fatal("history resolved through a tampered block")
 	}
 }
 
@@ -553,8 +562,8 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		replayed, series := sumMetric(t, metrics, "storage_open_wal_records_replayed")
-		if series < 2 {
-			t.Fatalf("storage_open_wal_records_replayed has %d series, want one per engine", series)
+		if series != 1 {
+			t.Fatalf("storage_open_wal_records_replayed has %d series, want the one engine's", series)
 		}
 		st, _ := p.State().StorageStats()
 		return opened{replayed, float64(m.HeapAlloc) / (1 << 20), st.OpenWALRecords,

@@ -86,7 +86,7 @@ func (p *Peer) applySyncedBlock(b *ledger.Block) error {
 	// rules (and the same parallel-stateless/serial-MVCC split) the
 	// original commit used; a flag disagreement aborts before any local
 	// state changes.
-	_, updates, validIdx, err := p.validateBlock(number, b.Txs, func(i int, flag ledger.ValidationCode) error {
+	_, updates, err := p.validateBlock(number, b.Txs, func(i int, flag ledger.ValidationCode) error {
 		if flag != b.Metadata.Flags[i] {
 			return fmt.Errorf("%w: block %d tx %d: local %s vs recorded %s",
 				ErrFlagMismatch, b.Header.Number, i, flag, b.Metadata.Flags[i])
@@ -96,7 +96,7 @@ func (p *Peer) applySyncedBlock(b *ledger.Block) error {
 	if err != nil {
 		return err
 	}
-	if err := p.commitValidated(b, updates, validIdx); err != nil {
+	if err := p.commitValidated(b, updates); err != nil {
 		return fmt.Errorf("peer %s: sync: %w", p.id, err)
 	}
 	return nil

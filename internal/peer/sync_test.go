@@ -68,7 +68,7 @@ func TestSyncFromCatchesUp(t *testing.T) {
 		t.Fatalf("synced state = %v %q", ok, vv.Value)
 	}
 	// History replicated.
-	if got := len(b.History().Get("counter", "ctr")); got != 5 {
+	if got := len(historyOf(t, b, "counter", "ctr")); got != 5 {
 		t.Fatalf("synced history entries = %d", got)
 	}
 }

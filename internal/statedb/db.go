@@ -3,6 +3,8 @@ package statedb
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"socialchain/internal/obs"
@@ -17,11 +19,14 @@ import (
 //
 // Namespacing and versions are encoded into the flat key-value space:
 // composite keys are "ns\x00key", values carry a fixed 16-byte
-// (BlockNum, TxNum) header before the payload.
+// (BlockNum, TxNum) header before the payload. The same engine also holds
+// the bookkeeping that describes that state — savepoint, secondary-index
+// entries, history references, the committer's block index — under the
+// reserved prefix, so one engine batch commits a whole block.
 type DB struct {
 	kv storage.KV
-	// idx maintains the optional secondary indexes on a dedicated engine
-	// (nil when no IndexSpec is configured). See index.go.
+	// idx maintains the optional secondary indexes (nil when no IndexSpec
+	// is configured). See index.go.
 	idx *indexer
 }
 
@@ -36,58 +41,43 @@ func New() *DB {
 	return db
 }
 
-// NewWith returns a world state on the engine cfg selects. Durable
-// configs place the state engine under the "db" sub-directory of
-// cfg.Dir (history and indexes get siblings), and reopen whatever state
-// that directory already holds.
+// NewWith returns a world state without secondary indexes on the engine
+// cfg selects (NewIndexedWith with no specs).
 func NewWith(cfg storage.Config) (*DB, error) {
-	kv, err := storage.Open(cfg.Sub("db"))
-	if err != nil {
-		return nil, fmt.Errorf("statedb: %w", err)
-	}
-	return &DB{kv: kv}, nil
+	return NewIndexedWith(cfg)
 }
 
 // NewIndexedWith returns a world state on the engine cfg selects,
-// maintaining the given secondary indexes (held on a second engine of the
-// same configuration, under the "index" sub-directory for durable
-// configs). The index engine carries its own savepoint; an open that finds
-// it behind the state's (a crash between a block's state batch and its
-// index batch) or finds a different spec list rebuilds the indexes from
-// the recovered state, so the two can never stay out of sync.
+// maintaining the given secondary indexes. Durable configs place the
+// engine under the "db" sub-directory of cfg.Dir and reopen whatever it
+// already holds; a cfg.Dir that holds a history/ or index/ engine — the
+// three-engine layout older builds wrote — is refused and left untouched.
 func NewIndexedWith(cfg storage.Config, specs ...IndexSpec) (*DB, error) {
-	db, err := NewWith(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Dir != "" {
+		for _, old := range []string{"history", "index"} {
+			if _, err := os.Stat(filepath.Join(cfg.Dir, old)); err == nil {
+				return nil, fmt.Errorf("statedb: %s holds a %s/ engine: a data directory in the three-engine layout (db/, history/, index/) an older build wrote; this build keeps history and indexes inside db/ (no migration: start from an empty data directory)", cfg.Dir, old)
+			}
+		}
+		cfg.Dir = filepath.Join(cfg.Dir, "db")
 	}
-	if err := db.BuildIndexes(cfg, specs...); err != nil {
-		db.Close() // release the already-open state engine
+	kv, err := storage.Open(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("statedb: %w", err)
+	}
+	db := &DB{kv: kv}
+	if err := db.BuildIndexes(specs...); err != nil {
+		kv.Close() // release the engine opened above
 		return nil, err
 	}
 	return db, nil
 }
 
-// Close releases the underlying engines after a final flush.
-func (db *DB) Close() error {
-	err := db.kv.Close()
-	if db.idx != nil {
-		if ierr := db.idx.kv.Close(); err == nil {
-			err = ierr
-		}
-	}
-	return err
-}
+// Close releases the underlying engine after a final flush.
+func (db *DB) Close() error { return db.kv.Close() }
 
-// Sync flushes the underlying engines to stable storage.
-func (db *DB) Sync() error {
-	err := db.kv.Sync()
-	if db.idx != nil {
-		if ierr := db.idx.kv.Sync(); err == nil {
-			err = ierr
-		}
-	}
-	return err
-}
+// Sync flushes the underlying engine to stable storage.
+func (db *DB) Sync() error { return db.kv.Sync() }
 
 // StorageStats snapshots the LSM persist engine beneath the state store.
 // ok is false when the state sits on a non-LSM engine (in-memory or the
@@ -100,39 +90,13 @@ func (db *DB) StorageStats() (storage.PersistStats, bool) {
 	return p.Stats(), true
 }
 
-// indexEngine returns the LSM engine beneath the secondary indexes, if the
-// world state maintains any on one.
-func (db *DB) indexEngine() (*storage.Persist, bool) {
-	if db.idx == nil {
-		return nil, false
-	}
-	p, ok := db.idx.kv.(*storage.Persist)
-	return p, ok
-}
-
-// OpenWALRecords reports how many WAL records the state and index engines
-// replayed when they opened: 0 after a clean stop (storage.Persist.Close
-// is a checkpoint) and on engines without a WAL.
-func (db *DB) OpenWALRecords() int64 {
-	st, _ := db.StorageStats()
-	n := st.OpenWALRecords
-	if p, ok := db.indexEngine(); ok {
-		n += p.Stats().OpenWALRecords
-	}
-	return n
-}
-
-// RegisterStorage exports the underlying LSM engines' metrics (sstable
+// RegisterStorage exports the underlying LSM engine's metrics (sstable
 // and level counts, compaction backlog, bloom hit rates, fsync totals,
-// what the open replayed) on reg, the world state under store="state" and
-// the index engine under store="index". No-op for engines without
-// internals worth exporting; safe on a nil registry.
+// what the open replayed) on reg under store="state". No-op for engines
+// without internals worth exporting; safe on a nil registry.
 func (db *DB) RegisterStorage(reg *obs.Registry) {
 	if p, ok := db.kv.(*storage.Persist); ok {
 		p.Register(reg.With(obs.L("store", "state")))
-	}
-	if p, ok := db.indexEngine(); ok {
-		p.Register(reg.With(obs.L("store", "index")))
 	}
 }
 
@@ -146,15 +110,24 @@ func stateKey(ns, key string) string {
 // reservedPrefix marks engine keys that are bookkeeping, not chaincode
 // state: chaincode namespaces are never empty, so no composite state key
 // can start with NUL. Reserved keys are invisible to Namespaces, Snapshot
-// and every namespace iteration. Two owners write here: statedb itself
-// (the savepoint) and the committer's ledger, whose block index and
-// chain counters ride each block's batch as ReservedWrites so they are
-// atomic with the state they describe.
+// and every namespace iteration. After the prefix, the first byte names
+// the owner and the kind:
+//
+//	savepoint  last applied block (this file)
+//	specs      the index spec list the I entries were built for (index.go)
+//	I          secondary-index entries (index.go)
+//	H          history references (history.go)
+//	B, T, L    the ledger's block offsets, transaction locations and chain
+//	           record (internal/ledger)
+//
+// Everything but specs rides each block's one ApplyBlockAt batch, the
+// ledger's and the history entries as ReservedWrites, so it is all atomic
+// with the state it describes.
 const reservedPrefix = "\x00"
 
 // ReservedWrite is one bookkeeping entry carried in a block's state
 // batch (ApplyBlockAt) and read back with Reserved. Key is the caller's
-// own name inside the reserved keyspace; it must not be "savepoint".
+// own name inside the reserved keyspace (see reservedPrefix).
 type ReservedWrite struct {
 	Key   string
 	Value []byte
@@ -230,32 +203,10 @@ func (db *DB) GetVersion(ns, key string) (Version, bool) {
 	return vv.Version, ok
 }
 
-// ApplyUpdates commits a batch at the given block height. TxNum in each
-// write's version is assigned from the batch entries' staged versions; the
-// caller provides the per-transaction version. The engine applies the
-// whole batch with one lock acquisition per touched stripe. Secondary
-// index mutations are derived from the same batch (old values are read
-// before it lands) and applied engine-batch-atomically right after the
-// state writes.
+// ApplyUpdates commits one transaction's batch at version v: ApplyBlock
+// of a one-transaction block.
 func (db *DB) ApplyUpdates(batch *UpdateBatch, v Version) {
-	var idxWrites []storage.Write
-	if db.idx != nil {
-		idxWrites = db.idx.batchWrites(db, batch)
-	}
-	writes := make([]storage.Write, 0, batch.Len())
-	for ns, kvs := range batch.updates {
-		for key, w := range kvs {
-			if w.IsDelete {
-				writes = append(writes, storage.Write{Key: stateKey(ns, key), Delete: true})
-				continue
-			}
-			writes = append(writes, storage.Write{Key: stateKey(ns, key), Value: encodeValue(w.Value, v)})
-		}
-	}
-	db.kv.ApplyBatch(writes)
-	if len(idxWrites) > 0 {
-		db.idx.kv.ApplyBatch(idxWrites)
-	}
+	db.applyBlock([]TxUpdate{{Batch: batch, Version: v}}, nil, nil)
 }
 
 // TxUpdate pairs one transaction's update batch with its commit version,
@@ -272,7 +223,7 @@ type TxUpdate struct {
 // transaction that produced it, and the secondary-index mutations are
 // derived once against pre-block state — intermediate intra-block values
 // never hit the engine, so old-value reads for index maintenance stay
-// correct. One ApplyBatch per engine (state, then indexes) replaces the
+// correct. One ApplyBatch carrying writes and index entries replaces the
 // per-transaction lock round-trips of the serial commit path.
 func (db *DB) ApplyBlock(updates []TxUpdate) {
 	if len(updates) == 0 {
@@ -312,10 +263,6 @@ func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte, reserved []Reserv
 			}
 		}
 	}
-	var idxWrites []storage.Write
-	if db.idx != nil && merged.Len() > 0 {
-		idxWrites = db.idx.batchWrites(db, merged)
-	}
 	writes := make([]storage.Write, 0, merged.Len()+1+len(reserved))
 	for ns, kvs := range merged.updates {
 		for key, w := range kvs {
@@ -327,26 +274,26 @@ func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte, reserved []Reserv
 			writes = append(writes, storage.Write{Key: sk, Value: encodeValue(w.Value, versions[sk])})
 		}
 	}
+	if db.idx != nil && merged.Len() > 0 {
+		// Old values are read here, before the batch below lands.
+		writes = append(writes, db.idx.batchWrites(db, merged)...)
+	}
 	for _, r := range reserved {
 		writes = append(writes, storage.Write{Key: reservedPrefix + r.Key, Value: r.Value})
 	}
 	if savepoint != nil {
 		writes = append(writes, storage.Write{Key: savepointKey, Value: savepoint})
-		if db.idx != nil {
-			// The index engine records the same height in its own batch,
-			// so the next open can tell the two stores are in step.
-			idxWrites = append(idxWrites, storage.Write{Key: indexSavepointKey, Value: savepoint})
-		}
 	}
 	db.kv.ApplyBatch(writes)
-	if len(idxWrites) > 0 {
-		db.idx.kv.ApplyBatch(idxWrites)
-	}
 }
 
 // iterNamespace walks ns in ascending key order, calling fn with the bare
-// (un-prefixed) key; fn returning false stops the walk.
+// (un-prefixed) key; fn returning false stops the walk. The empty
+// namespace holds nothing: its prefix would be the reserved one.
 func (db *DB) iterNamespace(ns, prefix string, fn func(key string, vv VersionedValue) bool) {
+	if ns == "" {
+		return
+	}
 	nsPrefix := stateKey(ns, prefix)
 	skip := len(ns) + 1
 	db.kv.IterPrefix(nsPrefix, func(composite string, buf []byte) bool {

@@ -14,15 +14,15 @@ import (
 // Secondary indexes turn the hot conditional-retrieval queries (by label,
 // source, camera, time window) from O(namespace) JSON-decoding scans into
 // prefix iterations over small composite keys — the CouchDB-index pattern
-// Fabric deployments lean on for read scalability. Indexes live on their
-// own storage.KV engine beside the world state: they never appear in
-// snapshots, range scans or MVCC read sets, and are rebuilt (not copied)
-// when a snapshot is restored, so index configuration can never change the
-// bytes two peers compare for state equality.
+// Fabric deployments lean on for read scalability. Index entries live in
+// the world state's own engine under the reserved prefix: they never
+// appear in snapshots, range scans or MVCC read sets, and are rebuilt (not
+// copied) when a snapshot is restored, so index configuration can never
+// change the bytes two peers compare for state equality.
 //
-// Index entry layout (one entry per indexed key):
+// Index entry layout (one entry per indexed key, empty value):
 //
-//	<index-name> \x00 escape(<field-value>) \x00 <state-key>
+//	\x00 I <index-name> \x00 escape(<field-value>) \x00 <state-key>
 //
 // escape() makes the value NUL-free (\x00 -> \x01\x01, \x01 -> \x01\x02),
 // so the first NUL after the name delimits the value and the state key may
@@ -30,15 +30,16 @@ import (
 // sort by (value, key), which makes an index over a timestamp field a
 // time-ordered index for free.
 //
-// Consistency: ApplyUpdates computes index mutations from the same batch
-// that mutates the world state and applies them engine-batch-atomically
-// right after it. A reader racing a commit can momentarily observe fresh
-// state with a stale index or vice versa — the same read-skew class the
-// sharded engine's cross-stripe iteration already admits (see
-// storage/sharded.go). Consumers tolerate it the same way: the indexed
-// query path re-fetches every candidate record and re-checks the full
-// selector against current state, so stale entries filter out and the
-// MVCC layer above catches anything that mattered to a transaction.
+// Consistency: every commit computes index mutations from the same batch
+// that mutates the world state and lands them in that one engine batch, so
+// on disk the two are never out of step. A reader racing a commit can
+// momentarily observe fresh state with a stale index or vice versa on the
+// sharded engine — the same read-skew class its cross-stripe iteration
+// already admits (see storage/sharded.go). Consumers tolerate it the same
+// way: the indexed query path re-fetches every candidate record and
+// re-checks the full selector against current state, so stale entries
+// filter out and the MVCC layer above catches anything that mattered to a
+// transaction.
 
 // IndexSpec declares one secondary index over a namespace. Only string
 // field values are indexed: JSON object values whose Field (a dotted path,
@@ -72,50 +73,35 @@ type IndexPage struct {
 	Next string
 }
 
-// indexer maintains a DB's secondary indexes on a dedicated engine.
+// indexer maintains a DB's secondary indexes in its state engine.
 type indexer struct {
-	kv     storage.KV
+	kv     storage.KV // the world state's engine
 	byNS   map[string][]IndexSpec
 	byName map[string]IndexSpec
 }
 
-// Index-engine bookkeeping keys. Index names are never empty, so no entry
-// key starts with NUL. The savepoint is the height of the last block
-// whose index batch landed; specs is the encoded spec list the entries
-// were built for.
+// Reserved keys of the indexes: entries under indexEntries, and the
+// encoded spec list they were built for under indexSpecsKey.
 const (
-	indexSavepointKey = reservedPrefix + "savepoint"
-	indexSpecsKey     = reservedPrefix + "specs"
+	indexEntries  = reservedPrefix + "I"
+	indexSpecsKey = reservedPrefix + "specs"
 )
 
-func newIndexer(cfg storage.Config, specs []IndexSpec) (*indexer, error) {
-	// Durable configs put the index engine beside the world state's "db"
-	// sub-directory. BuildIndexes trusts its contents only when inStep
-	// says they describe exactly the recovered state.
-	kv, err := storage.Open(cfg.Sub("index"))
-	if err != nil {
-		return nil, fmt.Errorf("statedb: index: %w", err)
-	}
+func newIndexer(kv storage.KV, specs []IndexSpec) (*indexer, error) {
 	ix := &indexer{
 		kv:     kv,
 		byNS:   make(map[string][]IndexSpec),
 		byName: make(map[string]IndexSpec),
 	}
 	for _, spec := range specs {
-		var serr error
 		switch {
 		case spec.Name == "" || spec.Namespace == "" || spec.Field == "":
-			serr = fmt.Errorf("statedb: index spec %+v: name, namespace and field are all required", spec)
+			return nil, fmt.Errorf("statedb: index spec %+v: name, namespace and field are all required", spec)
 		case strings.IndexByte(spec.Name, 0) >= 0:
-			serr = fmt.Errorf("statedb: index name %q contains reserved NUL", spec.Name)
-		default:
-			if _, dup := ix.byName[spec.Name]; dup {
-				serr = fmt.Errorf("statedb: duplicate index name %q", spec.Name)
-			}
+			return nil, fmt.Errorf("statedb: index name %q contains reserved NUL", spec.Name)
 		}
-		if serr != nil {
-			kv.Close() // release the engine opened above
-			return nil, serr
+		if _, dup := ix.byName[spec.Name]; dup {
+			return nil, fmt.Errorf("statedb: duplicate index name %q", spec.Name)
 		}
 		ix.byName[spec.Name] = spec
 		ix.byNS[spec.Namespace] = append(ix.byNS[spec.Namespace], spec)
@@ -169,13 +155,18 @@ func unescapeIndexValue(s string) string {
 	return b.String()
 }
 
+// indexPrefix is the reserved prefix of every entry of index name.
+func indexPrefix(name string) string {
+	return indexEntries + name + "\x00"
+}
+
 // entryKey builds the composite entry key for one indexed record.
 func entryKey(index, value, stateKey string) string {
-	return index + "\x00" + escapeIndexValue(value) + "\x00" + stateKey
+	return indexPrefix(index) + escapeIndexValue(value) + "\x00" + stateKey
 }
 
 // splitEntry recovers (value, stateKey) from an entry key's suffix after
-// the "name\x00" prefix. The escaped value is NUL-free, so the first NUL
+// its indexPrefix. The escaped value is NUL-free, so the first NUL
 // is the delimiter even when the state key embeds NULs.
 func splitEntry(suffix string) (value, stateKey string, ok bool) {
 	i := strings.IndexByte(suffix, 0)
@@ -269,36 +260,27 @@ func (ix *indexer) specBytes() []byte {
 	return enc
 }
 
-// inStep reports whether the index engine already holds exactly what
-// rebuild would write: its savepoint equals the state's and it was built
-// for the same spec list. A crash between a block's state batch and its
-// index batch leaves the index savepoint one block behind; a database
-// that never recorded a savepoint (ApplyUpdates-only, or just restored)
-// proves nothing either way.
-func (ix *indexer) inStep(db *DB) bool {
-	stateSP, ok := db.kv.Get(savepointKey)
-	if !ok {
-		return false
+// inStep reports whether the engine already holds exactly what rebuild
+// would write: entries built for this spec list (no list stored when none
+// is wanted). Entries land in the same batch as the state they describe,
+// so only a changed spec list can leave them stale.
+func (ix *indexer) inStep() bool {
+	stored, ok := ix.kv.Get(indexSpecsKey)
+	if len(ix.byName) == 0 {
+		return !ok
 	}
-	idxSP, ok := ix.kv.Get(indexSavepointKey)
-	if !ok || !bytes.Equal(idxSP, stateSP) {
-		return false
-	}
-	specs, ok := ix.kv.Get(indexSpecsKey)
-	return ok && bytes.Equal(specs, ix.specBytes())
+	return ok && bytes.Equal(stored, ix.specBytes())
 }
 
-// rebuild drops and reconstructs every index from current state, used
-// after Restore, when indexes are added to a populated database, and at
-// open whenever inStep fails.
+// rebuild drops and reconstructs every index from current state in one
+// batch, used after Restore, when indexes are added to a populated
+// database, and at open whenever inStep fails.
 func (ix *indexer) rebuild(db *DB) {
-	var drop []storage.Write
-	ix.kv.IterPrefix("", func(key string, _ []byte) bool {
-		drop = append(drop, storage.Write{Key: key, Delete: true})
+	var writes []storage.Write
+	ix.kv.IterPrefix(indexEntries, func(key string, _ []byte) bool {
+		writes = append(writes, storage.Write{Key: key, Delete: true})
 		return true
 	})
-	ix.kv.ApplyBatch(drop)
-	var writes []storage.Write
 	for ns, specs := range ix.byNS {
 		db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
 			doc := docOf(vv.Value)
@@ -313,32 +295,31 @@ func (ix *indexer) rebuild(db *DB) {
 			return true
 		})
 	}
-	writes = append(writes, storage.Write{Key: indexSpecsKey, Value: ix.specBytes()})
-	if sp, ok := db.kv.Get(savepointKey); ok {
-		writes = append(writes, storage.Write{Key: indexSavepointKey, Value: sp})
+	if len(ix.byName) > 0 {
+		writes = append(writes, storage.Write{Key: indexSpecsKey, Value: ix.specBytes()})
+	} else {
+		writes = append(writes, storage.Write{Key: indexSpecsKey, Delete: true})
 	}
 	ix.kv.ApplyBatch(writes)
 }
 
-// BuildIndexes registers secondary indexes on the database, reusing the
-// index engine's recovered entries when they are in step with the state
-// (see inStep) and rebuilding them from the current state otherwise. It
-// must not race commits; call it at assembly time (peer construction) or
-// on a quiesced database. Calling it on a DB that already has indexes
-// replaces them.
-func (db *DB) BuildIndexes(cfg storage.Config, specs ...IndexSpec) error {
-	if len(specs) == 0 {
-		db.idx = nil
-		return nil
-	}
-	ix, err := newIndexer(cfg, specs)
+// BuildIndexes registers secondary indexes on the database — none drops
+// any it had — reusing the recovered entries when they were built for
+// this spec list (see inStep) and rebuilding them from the current state
+// otherwise. It must not race commits; call it at assembly time (peer
+// construction) or on a quiesced database.
+func (db *DB) BuildIndexes(specs ...IndexSpec) error {
+	ix, err := newIndexer(db.kv, specs)
 	if err != nil {
 		return err
 	}
-	if !ix.inStep(db) {
+	if !ix.inStep() {
 		ix.rebuild(db)
 	}
-	db.idx = ix
+	db.idx = nil
+	if len(specs) > 0 {
+		db.idx = ix
+	}
 	return nil
 }
 
@@ -383,11 +364,10 @@ func (db *DB) IterIndex(name, valuePrefix string, limit, offset int, token strin
 			return IndexPage{}, err
 		}
 	}
-	prefix := name + "\x00" + escapeIndexValue(valuePrefix)
-	skip := len(name) + 1
+	skip := len(indexPrefix(name))
 	var page IndexPage
 	lastSuffix := ""
-	db.idx.kv.IterPrefix(prefix, func(composite string, _ []byte) bool {
+	db.kv.IterPrefix(indexPrefix(name)+escapeIndexValue(valuePrefix), func(composite string, _ []byte) bool {
 		suffix := composite[skip:]
 		if after != "" && suffix <= after {
 			return true
@@ -453,11 +433,10 @@ func (ix *indexer) exactKeys(index, value string) ([]string, bool) {
 		// can never change equality semantics.
 		return nil, false
 	}
-	prefix := index + "\x00" + escapeIndexValue(value) + "\x00"
-	skip := len(index) + 1
+	prefix := indexPrefix(index)
 	keys := []string{}
-	ix.kv.IterPrefix(prefix, func(composite string, _ []byte) bool {
-		if _, key, ok := splitEntry(composite[skip:]); ok {
+	ix.kv.IterPrefix(prefix+escapeIndexValue(value)+"\x00", func(composite string, _ []byte) bool {
+		if _, key, ok := splitEntry(composite[len(prefix):]); ok {
 			keys = append(keys, key)
 		}
 		return true
@@ -536,10 +515,10 @@ func (ix *indexer) rangeKeys(index string, cond map[string]any) ([]string, bool)
 		}
 		return true
 	}
-	skip := len(index) + 1
+	prefix := indexPrefix(index)
 	keys := []string{}
-	ix.kv.IterPrefix(index+"\x00", func(composite string, _ []byte) bool {
-		value, key, ok := splitEntry(composite[skip:])
+	ix.kv.IterPrefix(prefix, func(composite string, _ []byte) bool {
+		value, key, ok := splitEntry(composite[len(prefix):])
 		if ok && inRange(value) {
 			keys = append(keys, key)
 		}

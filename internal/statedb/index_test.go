@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestBuildIndexesRebuildsFromExistingState(t *testing.T) {
 	db := New()
 	putDoc(db, 1, "rec/1", `{"label":"car"}`)
 	putDoc(db, 2, "rec/2", `{"label":"bus"}`)
-	if err := db.BuildIndexes(storage.Config{}, testIndexes()...); err != nil {
+	if err := db.BuildIndexes(testIndexes()...); err != nil {
 		t.Fatal(err)
 	}
 	page, err := db.IterIndex("label", "car", 0, 0, "")
@@ -308,7 +309,7 @@ func TestEscapeIndexValueRoundTrip(t *testing.T) {
 }
 
 // indexSavepointFixture commits three blocks into a durable indexed
-// database, closes it, and plants an entry in the index engine that no
+// database, closes it, and plants an index entry in its engine that no
 // state document backs: a rebuild drops it, a reused index still has it.
 func indexSavepointFixture(t *testing.T) storage.Config {
 	t.Helper()
@@ -322,12 +323,12 @@ func indexSavepointFixture(t *testing.T) storage.Config {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := storage.Open(cfg.Sub("index"))
+	kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(cfg.Dir, "db")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Put(entryKey("label", "planted", "rec/none"), nil)
-	if err := idx.Close(); err != nil {
+	kv.Put(entryKey("label", "planted", "rec/none"), nil)
+	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return cfg
@@ -346,22 +347,23 @@ func indexKeys(t *testing.T, db *DB, index, value string) []string {
 	return keys
 }
 
-// TestIndexSavepointDecidesRebuild: an open reuses the durable index only
-// when its savepoint equals the state's and the spec list is the one it
-// was built for; a state batch whose index batch never landed (the crash
-// window between the two engines) and a changed spec list both rebuild.
+// TestIndexSavepointDecidesRebuild: index entries ride the state's own
+// batches, so the spec list they were built for alone decides whether an
+// open reuses them. The same list reuses; an open with no indexes (whose
+// state batches carry no index entries) drops them, so the next indexed
+// open rebuilds; a changed list rebuilds.
 func TestIndexSavepointDecidesRebuild(t *testing.T) {
 	t.Run("in step: reused", func(t *testing.T) {
 		cfg := indexSavepointFixture(t)
 		db := indexedTestDB(t, cfg)
 		defer db.Close()
 		if got := indexKeys(t, db, "label", "planted"); len(got) != 1 {
-			t.Fatalf("index was rebuilt although in step with the state (planted entry: %v)", got)
+			t.Fatalf("index was rebuilt although built for this spec list (planted entry: %v)", got)
 		}
 		if got := indexKeys(t, db, "label", "car"); len(got) != 3 {
 			t.Fatalf("reused index lists %v under car, want 3 records", got)
 		}
-		// A reused index keeps absorbing blocks and stays in step.
+		// A reused index keeps absorbing blocks.
 		b := NewUpdateBatch()
 		b.Put("data", "rec/4", []byte(`{"label":"car"}`))
 		db.ApplyBlockAt([]TxUpdate{{Batch: b, Version: Version{BlockNum: 4}}}, 4)
@@ -371,8 +373,8 @@ func TestIndexSavepointDecidesRebuild(t *testing.T) {
 	})
 	t.Run("state batch without its index batch: rebuilt", func(t *testing.T) {
 		cfg := indexSavepointFixture(t)
-		// Block 4 reaches the state engine only — what a kill between the
-		// two batches leaves on disk.
+		// Block 4 lands through an open without indexes: its batch carries
+		// no index entries.
 		bare, err := NewWith(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -387,7 +389,7 @@ func TestIndexSavepointDecidesRebuild(t *testing.T) {
 		db := indexedTestDB(t, cfg)
 		defer db.Close()
 		if got := indexKeys(t, db, "label", "planted"); len(got) != 0 {
-			t.Fatalf("index one block behind the state was reused (planted entry: %v)", got)
+			t.Fatalf("index maintained by nobody for a block was reused (planted entry: %v)", got)
 		}
 		if got := indexKeys(t, db, "label", "bus"); !reflect.DeepEqual(got, []string{"rec/4"}) {
 			t.Fatalf("rebuilt index lists %v under bus", got)
@@ -395,8 +397,8 @@ func TestIndexSavepointDecidesRebuild(t *testing.T) {
 		if got := indexKeys(t, db, "label", "car"); !reflect.DeepEqual(got, []string{"rec/2", "rec/3"}) {
 			t.Fatalf("rebuilt index lists %v under car", got)
 		}
-		// The rebuild recorded the state's savepoint: the next open reuses.
-		if !db.idx.inStep(db) {
+		// The rebuild recorded its spec list: the next open reuses.
+		if !db.idx.inStep() {
 			t.Fatal("rebuilt index is not in step with the state")
 		}
 	})

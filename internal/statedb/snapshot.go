@@ -53,11 +53,11 @@ func (db *DB) Snapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Restore loads a Snapshot stream into an empty database, returning the
-// number of keys loaded. Restoring into a non-empty database is an error
-// (snapshots are bootstrap artefacts, not merges).
+// Restore loads a Snapshot stream into a database without state,
+// returning the number of keys loaded. Restoring into a database that
+// holds state is an error (snapshots are bootstrap artefacts, not merges).
 func (db *DB) Restore(r io.Reader) (int, error) {
-	if db.kv.Len() != 0 {
+	if len(db.Namespaces()) != 0 {
 		return 0, fmt.Errorf("statedb: restore into non-empty database")
 	}
 	dec := json.NewDecoder(bufio.NewReader(r))

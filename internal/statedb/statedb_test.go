@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,34 +247,88 @@ func mustJSON(v any) []byte {
 	return b
 }
 
+// historyChain commits each block's writes (one transaction per block)
+// with their history references, and resolves those references against
+// the same blocks.
+func historyChain(blocks ...[]WriteItem) (*DB, *HistoryDB) {
+	db := New()
+	for i, writes := range blocks {
+		n := uint64(i + 1)
+		b := NewUpdateBatch()
+		b.AddRWSetWrites(RWSet{Writes: writes})
+		ups := []TxUpdate{{Batch: b, Version: Version{BlockNum: n}}}
+		db.ApplyBlockAt(ups, n, HistoryWrites(ups)...)
+	}
+	return db, NewHistoryDB(db, func(n uint64, tx uint32) (string, time.Time, []WriteItem, error) {
+		if n < 1 || n > uint64(len(blocks)) || tx != 0 {
+			return "", time.Time{}, nil, ErrNotVisible
+		}
+		return fmt.Sprint("tx", n), time.Unix(int64(n), 0), blocks[n-1], nil
+	})
+}
+
+// mustGet is h.Get failing the test on an error.
+func mustGet(t *testing.T, h *HistoryDB, ns, key string) []HistEntry {
+	t.Helper()
+	es, err := h.Get(ns, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es
+}
+
 func TestHistoryDB(t *testing.T) {
-	h := NewHistoryDB()
-	now := time.Now()
-	h.Record("cc", "k", HistEntry{TxID: "tx1", Value: []byte("v1"), Version: Version{1, 0}, Timestamp: now})
-	h.Record("cc", "k", HistEntry{TxID: "tx2", Value: []byte("v2"), Version: Version{2, 0}, Timestamp: now})
-	got := h.Get("cc", "k")
-	if len(got) != 2 || got[0].TxID != "tx1" || got[1].TxID != "tx2" {
+	_, h := historyChain(
+		[]WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v1")}},
+		[]WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v2")}},
+	)
+	got := mustGet(t, h, "cc", "k")
+	if len(got) != 2 || got[0].TxID != "tx1" || got[1].TxID != "tx2" ||
+		string(got[0].Value) != "v1" || string(got[1].Value) != "v2" ||
+		got[1].Version != (Version{BlockNum: 2}) || got[1].Timestamp.Unix() != 2 {
 		t.Fatalf("history = %+v", got)
 	}
-	if h.Len("cc") != 1 {
-		t.Fatalf("Len = %d", h.Len("cc"))
-	}
-	if len(h.Get("cc", "other")) != 0 {
+	if len(mustGet(t, h, "cc", "other")) != 0 || len(mustGet(t, h, "other", "k")) != 0 {
 		t.Fatal("phantom history")
+	}
+	if _, ok := h.StorageStats(); ok {
+		t.Fatal("history reports an engine of its own")
+	}
+	// An entry whose transaction cannot be read back is an error.
+	broken := NewHistoryDB(h.db, func(uint64, uint32) (string, time.Time, []WriteItem, error) {
+		return "", time.Time{}, nil, fmt.Errorf("block file damaged")
+	})
+	if got, err := broken.Get("cc", "k"); err == nil || !strings.Contains(err.Error(), "block file damaged") {
+		t.Fatalf("unresolvable history read back as %+v, %v", got, err)
 	}
 }
 
+// TestHistoryRecordBatch: every write of a block's transactions leaves an
+// entry — deletes included — whose value is that transaction's last write
+// to the key; an entry whose block is not visible (staged, not appended)
+// is skipped; and a key's entries never include those of a key extending
+// it past a NUL.
 func TestHistoryRecordBatch(t *testing.T) {
-	h := NewHistoryDB()
-	b := NewUpdateBatch()
-	b.Put("cc", "k1", []byte("v"))
-	b.Delete("cc", "k2")
-	h.RecordBatch(b, "tx9", Version{3, 1}, time.Now())
-	if got := h.Get("cc", "k1"); len(got) != 1 || got[0].TxID != "tx9" {
+	db, h := historyChain(
+		[]WriteItem{{Namespace: "cc", Key: "k1", Value: []byte("old")}, {Namespace: "cc", Key: "k1", Value: []byte("v")}, {Namespace: "cc", Key: "k2", IsDelete: true}},
+		[]WriteItem{{Namespace: "cc", Key: "k1\x00b", Value: []byte("neighbour")}},
+	)
+	if got := mustGet(t, h, "cc", "k1"); len(got) != 1 || got[0].TxID != "tx1" || string(got[0].Value) != "v" || got[0].IsDelete {
 		t.Fatalf("k1 history %+v", got)
 	}
-	if got := h.Get("cc", "k2"); len(got) != 1 || !got[0].IsDelete {
+	if got := mustGet(t, h, "cc", "k2"); len(got) != 1 || !got[0].IsDelete || got[0].Value != nil {
 		t.Fatalf("k2 history %+v", got)
+	}
+	if got := mustGet(t, h, "cc", "k1\x00b"); len(got) != 1 || got[0].TxID != "tx2" {
+		t.Fatalf("k1\\x00b history %+v", got)
+	}
+	// Block 3 lands in state, but the chain does not show it yet.
+	b := NewUpdateBatch()
+	b.Put("cc", "k1", []byte("staged"))
+	ups := []TxUpdate{{Batch: b, Version: Version{BlockNum: 3}}}
+	db.ApplyBlockAt(ups, 3, HistoryWrites(ups)...)
+	if got := mustGet(t, h, "cc", "k1"); len(got) != 1 {
+		t.Fatalf("history shows a block that is not visible: %+v", got)
 	}
 }
 

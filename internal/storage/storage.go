@@ -1,6 +1,6 @@
 // Package storage provides the pluggable key-value engine beneath the
-// repo's stateful layers: the world-state database, the history database
-// and the CID-addressed blockstore all sit on the KV interface instead of
+// repo's stateful layers: the world-state database (with its history and
+// indexes) and the CID-addressed blockstore sit on the KV interface instead of
 // owning a map and a global lock. Four engines implement it: a
 // single-lock map (the seed's behaviour, kept as the determinism
 // baseline), a lock-striped sharded engine whose per-shard locks let
@@ -161,17 +161,6 @@ type Config struct {
 	// DefaultCompactSegments). For the persist engine it is a
 	// compatibility alias for CompactFanout.
 	CompactSegments int
-}
-
-// Sub returns a copy of cfg whose Dir is the named sub-directory of
-// cfg.Dir, so layered stores opening several engines from one config
-// (world state, history, indexes) each get a distinct on-disk home. A
-// no-op for configs without a directory.
-func (c Config) Sub(name string) Config {
-	if c.Dir != "" {
-		c.Dir = c.Dir + string(os.PathSeparator) + name
-	}
-	return c
 }
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a

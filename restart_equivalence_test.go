@@ -106,7 +106,8 @@ func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect
 // stopped/reopened mid-run with overlapped consensus rounds, and
 // stopped/reopened mid-run over the TCP transport — and
 // requires byte-identical canonical records, identical label-index
-// content, an intact provenance chain and identical trust state. The
+// content, identical record history (each peer's history also matching its
+// own chain), an intact provenance chain and identical trust state. The
 // overlap leg proves async execution survives a kill/reopen with no
 // decided-but-unexecuted payload lost or duplicated.
 func TestIntegrationRestartEquivalence(t *testing.T) {
@@ -133,7 +134,7 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 	}
 
 	var canonical [][]byte
-	var indexCanon []string
+	var indexCanon, histCanon []string
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			dataDir := t.TempDir()
@@ -190,14 +191,25 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 					t.Fatalf("%s read %d blocks from its block file on the store and query paths", p.ID(), got)
 				}
 			}
+			// History is read back by reference from the blocks — pre-restart
+			// ones included — so it is checked after the no-reads gate.
+			hist := canonicalHistory(t, fw.Net.ChannelAt(0).Peer(0))
+			if len(hist) != n {
+				t.Fatalf("%d record keys have history, want %d", len(hist), n)
+			}
+			histJSON, _ := json.Marshal(hist)
 			canonical = append(canonical, recJSON)
 			indexCanon = append(indexCanon, string(idxJSON))
+			histCanon = append(histCanon, string(histJSON))
 			if len(canonical) > 1 {
 				if !bytes.Equal(canonical[0], recJSON) {
 					t.Fatalf("canonical state diverged from uninterrupted run:\nfirst: %s\n  now: %s", canonical[0], recJSON)
 				}
 				if indexCanon[0] != string(idxJSON) {
 					t.Fatalf("canonical label index diverged:\nfirst: %s\n  now: %s", indexCanon[0], idxJSON)
+				}
+				if histCanon[0] != string(histJSON) {
+					t.Fatalf("canonical record history diverged from uninterrupted run:\nfirst: %s\n  now: %s", histCanon[0], histJSON)
 				}
 			}
 
@@ -231,6 +243,9 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 			reJSON, _ := json.Marshal(reRecs)
 			if !bytes.Equal(reJSON, recJSON) {
 				t.Fatal("state changed across final close/reopen")
+			}
+			if reHist, _ := json.Marshal(canonicalHistory(t, re.Net.ChannelAt(0).Peer(0))); !bytes.Equal(reHist, histJSON) {
+				t.Fatalf("record history changed across final close/reopen:\nbefore: %s\n after: %s", histJSON, reHist)
 			}
 		})
 	}
