@@ -1228,11 +1228,9 @@ func (h *harness) lsm() error {
 // consensus reproduces the consensus/crypto hot-path ablation in three
 // parts.
 //
-// Part A (micro): the same batch of signed envelopes is verified three
-// ways — one ed25519.Verify call at a time (the pre-overhaul behaviour),
-// through msp.VerifyBatch (parallel fan-out with duplicate dedup) and
-// through a warm msp.VerifyCache (the gossip/re-endorsement steady state
-// where identical envelopes are re-checked).
+// Part A (micro): the same batch of signed envelopes is verified two
+// ways — one ed25519.Verify call at a time (the pre-overhaul behaviour)
+// and through msp.VerifyBatch (parallel fan-out with duplicate dedup).
 //
 // Part B (protocol): a 4-validator PBFT network with LAN-like latency
 // decides a burst of payloads twice — in lockstep (execution blocks the
@@ -1250,9 +1248,9 @@ func (h *harness) lsm() error {
 // consensus_e2e_*_rps and the *_speedup_x ratios) feed the CI regression
 // gate.
 func (h *harness) consensus() error {
-	h.header("Ablation — consensus/crypto hot path (batch verify, verify cache, overlapped rounds)")
+	h.header("Ablation — consensus/crypto hot path (batch verify, overlapped rounds)")
 
-	// --- Part A: serial vs batch vs cached signature verification.
+	// --- Part A: serial vs batch signature verification.
 	const envelopes = 256
 	signers := make([]*msp.Signer, 8)
 	for i := range signers {
@@ -1302,24 +1300,9 @@ func (h *harness) consensus() error {
 	if err != nil {
 		return err
 	}
-	cache := msp.NewVerifyCache(0)
-	if !cache.VerifyBatch(items) { // warm pass: every tuple becomes a cache entry
-		return fmt.Errorf("consensus: cache warm-up failed")
-	}
-	cachedOps, err := opsPerSec(func() error {
-		if !cache.VerifyBatch(items) {
-			return fmt.Errorf("consensus: cached verify failed")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
 	h.record("consensus_verify_serial_ops", serialOps)
 	h.record("consensus_verify_batch_ops", batchOps)
-	h.record("consensus_verify_cached_ops", cachedOps)
 	h.record("consensus_verify_batch_speedup_x", batchOps/serialOps)
-	h.record("consensus_verify_cached_speedup_x", cachedOps/serialOps)
 
 	// --- Part B: lockstep vs overlapped consensus rounds.
 	const (
@@ -1498,10 +1481,9 @@ func (h *harness) consensus() error {
 	h.record("consensus_e2e_overlap_speedup_x", e2eOverlapRPS/e2eLockstepRPS)
 
 	if h.csv {
-		verifyS := &metrics.Series{Label: "verify_ops"} // x: 0=serial 1=batch 2=cached
+		verifyS := &metrics.Series{Label: "verify_ops"} // x: 0=serial 1=batch
 		verifyS.Append(0, serialOps)
 		verifyS.Append(1, batchOps)
-		verifyS.Append(2, cachedOps)
 		roundS := &metrics.Series{Label: "round_rps"} // x: overlap window
 		roundS.Append(0, lockstepRPS)
 		roundS.Append(4, overlapRPS)
@@ -1516,7 +1498,6 @@ func (h *harness) consensus() error {
 	vt := metrics.NewTable(fmt.Sprintf("signature verification (%d envelopes)", envelopes), "ops_per_s", "speedup_vs_serial")
 	vt.AddRow("serial (one ed25519.Verify at a time)", serialOps, 1.0)
 	vt.AddRow("batch (msp.VerifyBatch)", batchOps, batchOps/serialOps)
-	vt.AddRow("cached (warm msp.VerifyCache)", cachedOps, cachedOps/serialOps)
 	vt.Render(os.Stdout)
 	fmt.Println()
 	rt := metrics.NewTable(fmt.Sprintf("consensus rounds (n=4, LAN, %d decisions, %s commit cost)", roundTxs, commitCost), "decisions_per_s", "speedup")

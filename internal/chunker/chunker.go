@@ -39,7 +39,11 @@ func (c *Fixed) Next() ([]byte, error) {
 	if c.done {
 		return nil, io.EOF
 	}
-	buf := make([]byte, c.size)
+	buf := make([]byte, readSize(c.r, c.size))
+	if len(buf) == 0 {
+		c.done = true
+		return nil, io.EOF
+	}
 	n, err := io.ReadFull(c.r, buf)
 	switch {
 	case err == io.EOF:
@@ -98,7 +102,11 @@ func (c *Buzhash) Next() ([]byte, error) {
 	}
 	// Fill the buffer up to max bytes.
 	for !c.done && len(c.buf) < c.max {
-		tmp := make([]byte, c.max-len(c.buf))
+		tmp := make([]byte, readSize(c.r, c.max-len(c.buf)))
+		if len(tmp) == 0 {
+			c.done = true
+			break
+		}
 		n, err := c.r.Read(tmp)
 		c.buf = append(c.buf, tmp[:n]...)
 		if err == io.EOF {
@@ -151,6 +159,17 @@ func (c *Buzhash) findBoundary() int {
 		h = rotl(h, 1) ^ rotl(buzTable[b[i-buzWindow]], buzWindow) ^ buzTable[b[i]]
 	}
 	return end
+}
+
+// readSize is how many bytes to ask r for when up to max are wanted: max,
+// or what r reports it has left when it can tell (a bytes.Reader can), so
+// a 4 KiB payload is not read into — and its chunk does not pin — a buffer
+// sized for the largest chunk.
+func readSize(r io.Reader, max int) int {
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < max {
+		return l.Len()
+	}
+	return max
 }
 
 func rotl(v uint32, n uint) uint32 { return v<<(n%32) | v>>(32-n%32) }

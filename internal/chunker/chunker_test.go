@@ -71,6 +71,26 @@ func TestFixedDefaultSize(t *testing.T) {
 	}
 }
 
+// TestChunkSizedToReader: a reader that reports its remaining length gets
+// a read buffer no larger than that, so a small payload's chunk does not
+// pin a buffer sized for the largest chunk.
+func TestChunkSizedToReader(t *testing.T) {
+	data := bytes.Repeat([]byte("s"), 4096)
+	for name, c := range map[string]Chunker{
+		"fixed":   NewFixed(bytes.NewReader(data), 0),
+		"buzhash": NewBuzhash(bytes.NewReader(data)),
+	} {
+		chunks, err := ChunkAll(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != 1 || len(chunks[0]) != len(data) || cap(chunks[0]) != len(data) {
+			t.Fatalf("%s: %d chunks, first len %d cap %d; want one chunk with len == cap == %d",
+				name, len(chunks), len(chunks[0]), cap(chunks[0]), len(data))
+		}
+	}
+}
+
 func TestFixedEOFAfterDone(t *testing.T) {
 	c := NewFixed(bytes.NewReader([]byte("abc")), 2)
 	if _, err := c.Next(); err != nil {

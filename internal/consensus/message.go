@@ -66,10 +66,9 @@ type Message struct {
 
 	Signature []byte `json:"signature,omitempty"`
 
-	// sigBytes memoises SigningBytes: quorum traffic verifies each message
-	// once but the canonical bytes are also needed for the verify-cache key,
-	// and broadcast signs the same bytes for every recipient. Not part of
-	// the encoding (a decoded message recomputes lazily). Any
+	// sigBytes memoises SigningBytes: broadcast signs the same bytes for
+	// every recipient, and in-process recipients verify the sender's copy.
+	// Not part of the encoding (a decoded message recomputes lazily). Any
 	// code that mutates a signed-over field after copying a Message must
 	// call invalidate() or the memo goes stale.
 	sigBytes []byte

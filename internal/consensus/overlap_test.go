@@ -9,7 +9,7 @@ import (
 )
 
 // newHarnessCfg is newHarness with a hook to adjust each validator's Config
-// (overlap window, verify-cache size) before construction.
+// (overlap window) before construction.
 func newHarnessCfg(t *testing.T, n int, behaviors map[int]Behavior, timeout time.Duration, tweak func(*Config)) *harness {
 	t.Helper()
 	h := &harness{
@@ -174,20 +174,17 @@ func TestOverlapStopDrainsExecutor(t *testing.T) {
 	}
 }
 
-// TestEquivocatorEvictedWithCacheEnabled re-runs the byzantine-equivocator
-// scenario with the verify cache explicitly sized and enabled, proving
-// cached verdicts do not mask equivocation evidence: the conflicting
-// pre-prepares verify (they are validly signed — the fault is semantic,
-// two payloads for one sequence) and the leader is still evicted.
-func TestEquivocatorEvictedWithCacheEnabled(t *testing.T) {
+// TestEquivocatorEvictedWithOverlap re-runs the byzantine-equivocator
+// scenario with the overlap window on: the conflicting pre-prepares verify
+// (they are validly signed — the fault is semantic, two payloads for one
+// sequence) and the leader is still evicted, while evidence byte-identical
+// to a replica's own pre-prepare is accepted without running ed25519.
+func TestEquivocatorEvictedWithOverlap(t *testing.T) {
 	h := newHarnessCfg(t, 4,
 		map[int]Behavior{0: &Equivocator{Half: map[string]bool{"v1": true}}},
 		300*time.Millisecond,
-		func(c *Config) {
-			c.VerifyCacheSize = 1024
-			c.OverlapWindow = 2
-		})
-	h.validators[0].Propose([]byte("tx-equiv-cached"))
+		func(c *Config) { c.OverlapWindow = 2 })
+	h.validators[0].Propose([]byte("tx-equiv-overlap"))
 	deadline := time.Now().Add(10 * time.Second)
 	evicted := false
 	for time.Now().Before(deadline) && !evicted {
@@ -203,26 +200,24 @@ func TestEquivocatorEvictedWithCacheEnabled(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !evicted {
-		t.Fatal("equivocating leader was never evicted with verify cache enabled")
+		t.Fatal("equivocating leader was never evicted with the overlap window on")
 	}
 	for _, i := range []int{1, 2, 3} {
 		if !h.waitDelivered(i, 1, 10*time.Second) {
-			t.Fatalf("validator %d did not deliver after cached eviction", i)
+			t.Fatalf("validator %d did not deliver after eviction", i)
 		}
 	}
-	// The cache must have been exercised: every replica verified messages
-	// through it, and the evidence re-verification path produces hits.
-	var hits, misses int64
+	var skipped, verified int64
 	for _, i := range []int{1, 2, 3} {
-		hi, mi := h.validators[i].VerifyCacheStats()
-		hits += hi
-		misses += mi
+		s, v := h.validators[i].VerifyCacheStats()
+		skipped += s
+		verified += v
 	}
-	if misses == 0 {
-		t.Fatal("verify cache never consulted")
+	if verified == 0 {
+		t.Fatal("no signature was verified")
 	}
-	if hits == 0 {
-		t.Fatal("equivocation evidence re-verification produced no cache hits")
+	if skipped == 0 {
+		t.Fatal("no byte-identical evidence was skipped")
 	}
 }
 

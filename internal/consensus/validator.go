@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -48,11 +49,8 @@ type Config struct {
 	// behaviour exactly: Deliver runs inline in the event loop and
 	// proposing is not window-bounded.
 	OverlapWindow int
-	// VerifyCacheSize bounds this replica's signature verify cache
-	// (0 selects msp.DefaultVerifyCacheSize).
-	VerifyCacheSize int
 	// Obs receives this replica's metrics: decide latency, delivered and
-	// view-change counters, backlog depth, verify-cache hit rates. nil
+	// view-change counters, backlog depth, signature-check counts. nil
 	// leaves the replica fully functional with dangling instruments.
 	Obs *obs.Registry
 }
@@ -96,10 +94,8 @@ type Validator struct {
 	doneCh    chan struct{}
 	stopOnce  sync.Once
 
-	// verifyCache memoises signature checks: pre-prepare evidence arrives
-	// embedded in every prepare (2f+1 copies per sequence) and NewView
-	// proofs repeat view-change votes already verified on arrival.
-	verifyCache *msp.VerifyCache
+	// sigs checks and counts every signature this replica meets.
+	sigs msp.Verifier
 
 	// execCh feeds the overlap executor (nil in lockstep mode). The event
 	// loop is its only sender; Stop closes it after the loop exits and
@@ -157,21 +153,20 @@ func NewValidator(cfg Config) *Validator {
 	}
 	n := len(cfg.Validators)
 	v := &Validator{
-		cfg:         cfg,
-		n:           n,
-		f:           (n - 1) / 3,
-		inbox:       inbox,
-		proposeCh:   make(chan []byte, 1024),
-		stopCh:      make(chan struct{}),
-		doneCh:      make(chan struct{}),
-		verifyCache: msp.NewVerifyCache(cfg.VerifyCacheSize),
-		nextSeq:     1,
-		insts:       make(map[uint64]*instance),
-		pending:     make(map[[32]byte]*request),
-		delivered:   make(map[[32]byte]bool),
-		evicted:     make(map[string]bool),
-		vcVotes:     make(map[uint64]map[string][]byte),
-		future:      make(map[uint64][]*Message),
+		cfg:       cfg,
+		n:         n,
+		f:         (n - 1) / 3,
+		inbox:     inbox,
+		proposeCh: make(chan []byte, 1024),
+		stopCh:    make(chan struct{}),
+		doneCh:    make(chan struct{}),
+		nextSeq:   1,
+		insts:     make(map[uint64]*instance),
+		pending:   make(map[[32]byte]*request),
+		delivered: make(map[[32]byte]bool),
+		evicted:   make(map[string]bool),
+		vcVotes:   make(map[uint64]map[string][]byte),
+		future:    make(map[uint64][]*Message),
 	}
 	if cfg.OverlapWindow > 0 {
 		// The buffer doubles as the execution-backlog bound: once it fills,
@@ -191,7 +186,7 @@ func NewValidator(cfg Config) *Validator {
 	cfg.Obs.GaugeFunc("consensus_backlog", "Pending requests plus undrained executor items.", func() float64 {
 		return float64(v.Backlog())
 	})
-	v.verifyCache.Register(cfg.Obs.With(obs.L("component", "consensus")))
+	v.sigs.Register(cfg.Obs.With(obs.L("component", "consensus")))
 	return v
 }
 
@@ -215,7 +210,6 @@ func (v *Validator) Stop() {
 			close(v.execCh) // the event loop — the only sender — has exited
 			<-v.execDoneCh
 		}
-		v.verifyCache.Reset()
 	})
 }
 
@@ -227,9 +221,13 @@ func (v *Validator) execLoop() {
 	}
 }
 
-// VerifyCacheStats reports the replica's verify-cache hit/miss counters.
-func (v *Validator) VerifyCacheStats() (hits, misses int64) {
-	return v.verifyCache.Hits(), v.verifyCache.Misses()
+// VerifyCacheStats reports the replica's signature checks: skipped ones
+// were answered without running ed25519 (pre-prepare evidence byte-identical
+// to the verified local copy, a tuple repeated within one drained inbox
+// batch), verified ones ran it. Nothing is cached; the name is kept for its
+// callers, which read the skipped share as the hit ratio.
+func (v *Validator) VerifyCacheStats() (skipped, verified int64) {
+	return v.sigs.Stats()
 }
 
 // Propose submits a payload for total ordering. Any replica may be used as
@@ -377,14 +375,13 @@ func (v *Validator) selfSigned(m Message) *Message {
 	return v.signCopy(&m)
 }
 
-// verify checks the origin signature of an incoming message through the
-// verify cache.
+// verify checks the origin signature of a message.
 func (v *Validator) verify(m *Message) bool {
 	id, ok := v.cfg.Identities[m.From]
 	if !ok {
 		return false
 	}
-	return v.verifyCache.Verify(id, m.SigningBytes(), m.Signature)
+	return v.sigs.Verify(id, m.SigningBytes(), m.Signature)
 }
 
 // --- event loop ---
@@ -430,10 +427,11 @@ func (v *Validator) drainInbox(first *Message) []*Message {
 	return msgs
 }
 
-// dispatchBatch verifies a drained batch of messages in one cache-aware
-// parallel pass, then handles them in arrival order. Under quorum load a
-// validator's inbox holds the same round's votes from every peer; checking
-// them together amortises signature cost across cores.
+// dispatchBatch verifies a drained batch of messages in one parallel pass
+// (a message delivered twice is checked once), then handles them in
+// arrival order. Under quorum load a validator's inbox holds the same
+// round's votes from every peer; checking them together amortises
+// signature cost across cores.
 func (v *Validator) dispatchBatch(msgs []*Message) {
 	if len(msgs) == 1 {
 		v.dispatch(msgs[0])
@@ -448,7 +446,7 @@ func (v *Validator) dispatchBatch(msgs []*Message) {
 			idx = append(idx, i)
 		}
 	}
-	for j, ok := range v.verifyCache.VerifyBatchEach(items) {
+	for j, ok := range v.sigs.VerifyBatchEach(items) {
 		verdicts[idx[j]] = ok
 	}
 	v.mu.Lock()
@@ -706,8 +704,23 @@ func (v *Validator) applyPrepare(m *Message) {
 
 // checkEquivocationEvidence inspects the embedded pre-prepare for conflict
 // with what we received from the leader. Caller holds mu.
+//
+// An honest replica embeds the leader's pre-prepare exactly as it arrived,
+// and encodings are canonical, so evidence from an honest leader's round is
+// byte-identical to the local copy — which was verified on arrival, or
+// signed here — and needs no second check. Without a local pre-prepare
+// there is nothing to convict against. Only differing evidence is decoded
+// and verified.
 func (v *Validator) checkEquivocationEvidence(m *Message) {
 	if len(m.PrePrepareEvidence) == 0 {
+		return
+	}
+	own := v.insts[m.Seq]
+	if own == nil || len(own.prePrepare) == 0 {
+		return
+	}
+	if bytes.Equal(own.prePrepare, m.PrePrepareEvidence) {
+		v.sigs.Skip()
 		return
 	}
 	pp, err := DecodeMessage(m.PrePrepareEvidence)
@@ -716,9 +729,7 @@ func (v *Validator) checkEquivocationEvidence(m *Message) {
 	}
 	leader := pp.From
 	id, ok := v.cfg.Identities[leader]
-	// Cached: the same leader-signed evidence arrives embedded in every
-	// replica's prepare, so only the first of 2f+1 copies pays the verify.
-	if !ok || !v.verifyCache.Verify(id, pp.SigningBytes(), pp.Signature) {
+	if !ok || !v.sigs.Verify(id, pp.SigningBytes(), pp.Signature) {
 		return
 	}
 	inst, ok := v.insts[pp.Seq]
@@ -929,9 +940,7 @@ func (v *Validator) onNewView(m *Message) {
 			continue
 		}
 		id, ok := v.cfg.Identities[vm.From]
-		// Cached: each proof is a view-change vote this replica usually
-		// verified already when it arrived directly.
-		if !ok || v.evicted[vm.From] || !v.verifyCache.Verify(id, vm.SigningBytes(), vm.Signature) {
+		if !ok || v.evicted[vm.From] || !v.sigs.Verify(id, vm.SigningBytes(), vm.Signature) {
 			continue
 		}
 		voters[vm.From] = true

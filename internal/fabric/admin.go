@@ -38,13 +38,16 @@ func transportStatus(t *transport.TCP) TransportStatus {
 // NodeChannelStatus is one channel's slice of a peer node's /statusz
 // report.
 type NodeChannelStatus struct {
-	Height             uint64  `json:"height"`
-	ConsensusBacklog   int     `json:"consensus_backlog"`
-	CommitErrors       uint64  `json:"commit_errors"`
-	VerifyCacheHits    int64   `json:"verify_cache_hits"`
-	VerifyCacheMisses  int64   `json:"verify_cache_misses"`
-	VerifyCacheHitRate float64 `json:"verify_cache_hit_rate"`
-	WALSegments        int     `json:"wal_segments"`
+	Height           uint64 `json:"height"`
+	ConsensusBacklog int    `json:"consensus_backlog"`
+	CommitErrors     uint64 `json:"commit_errors"`
+	// Signature checks of the channel's peer and validator: those answered
+	// without running ed25519 (in-batch duplicates, byte-identical
+	// pre-prepare evidence) and those that ran it.
+	SignatureChecksSkipped int64   `json:"signature_checks_skipped"`
+	SignatureVerifications int64   `json:"signature_verifications"`
+	SignatureSkipRate      float64 `json:"signature_skip_rate"`
+	WALSegments            int     `json:"wal_segments"`
 	// Block-file traffic of the peer's ledger (all zero for an in-memory
 	// peer): a restarted peer decodes only the blocks logged above its
 	// state savepoint, so OpenBlocksDecoded stays far below Height.
@@ -119,16 +122,16 @@ func (n *Node) statusz() any {
 	}
 	for _, name := range n.order {
 		nc := n.channels[name]
-		ph, pm := nc.p.VerifyCacheStats()
-		vh, vm := nc.v.VerifyCacheStats()
+		ps, pv := nc.p.VerifyCacheStats()
+		vs, vv := nc.v.VerifyCacheStats()
 		cs := NodeChannelStatus{
-			Height:            nc.p.Height(),
-			ConsensusBacklog:  nc.v.Backlog(),
-			CommitErrors:      nc.commitErr.Load(),
-			VerifyCacheHits:   ph + vh,
-			VerifyCacheMisses: pm + vm,
-			WALSegments:       walSegments(nc.dataDir),
-			OpenSeconds:       nc.p.OpenTook().Seconds(),
+			Height:                 nc.p.Height(),
+			ConsensusBacklog:       nc.v.Backlog(),
+			CommitErrors:           nc.commitErr.Load(),
+			SignatureChecksSkipped: ps + vs,
+			SignatureVerifications: pv + vv,
+			WALSegments:            walSegments(nc.dataDir),
+			OpenSeconds:            nc.p.OpenTook().Seconds(),
 		}
 		io := nc.p.Ledger().IOStats()
 		cs.OpenBlocksDecoded, cs.BlockReads = io.OpenDecoded, io.BlockReads
@@ -143,8 +146,8 @@ func (n *Node) statusz() any {
 			cs.StallWaits = ss.StallWaits
 			cs.OpenWALRecords = ss.OpenWALRecords
 		}
-		if total := cs.VerifyCacheHits + cs.VerifyCacheMisses; total > 0 {
-			cs.VerifyCacheHitRate = float64(cs.VerifyCacheHits) / float64(total)
+		if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {
+			cs.SignatureSkipRate = float64(cs.SignatureChecksSkipped) / float64(total)
 		}
 		st.Channels[name] = cs
 	}

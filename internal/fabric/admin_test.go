@@ -118,7 +118,8 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 	}
 	for _, want := range []string{
 		"transport_bytes_sent_total", "transport_frames_recv_total",
-		"verify_cache_hits_total", "chain_height",
+		"signature_verifications_total", "signature_checks_skipped_total",
+		`component="peer"`, `component="consensus"`, "chain_height",
 		"peer_txs_committed_total", "peer_blocks_committed_total",
 		"tx_stage_seconds_bucket", "tx_commit_e2e_seconds_count",
 		"consensus_delivered_total", "consensus_backlog",
@@ -161,6 +162,9 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 	}
 	if got := status.Channels[channel].Height; got < numTx {
 		t.Fatalf("/statusz height %d, want >= %d", got, numTx)
+	}
+	if got := status.Channels[channel].SignatureVerifications; got == 0 {
+		t.Fatal("/statusz counts no signature verifications after committing traffic")
 	}
 	if status.Transport.BytesSent == 0 || status.Transport.ConnectedPeers == 0 {
 		t.Fatalf("/statusz transport idle: %+v", status.Transport)

@@ -65,18 +65,17 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			peerDir = filepath.Join(dataDir, n.ids[i])
 		}
 		p, err := peer.New(peer.Config{
-			ID:              n.ids[i],
-			ChannelID:       name,
-			Signer:          n.signers[i],
-			Registry:        n.registry,
-			Policy:          n.policy,
-			Identities:      n.members,
-			State:           storage.Config{Engine: cfg.StateEngine, Shards: cfg.StateShards, Durability: cfg.StateDurability},
-			DataDir:         peerDir,
-			Indexes:         cfg.StateIndexes,
-			VerifyCacheSize: cfg.VerifyCacheSize,
-			Obs:             cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),
-			SlowTraces:      cfg.SlowTraces,
+			ID:         n.ids[i],
+			ChannelID:  name,
+			Signer:     n.signers[i],
+			Registry:   n.registry,
+			Policy:     n.policy,
+			Identities: n.members,
+			State:      storage.Config{Engine: cfg.StateEngine, Shards: cfg.StateShards, Durability: cfg.StateDurability},
+			DataDir:    peerDir,
+			Indexes:    cfg.StateIndexes,
+			Obs:        cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),
+			SlowTraces: cfg.SlowTraces,
 		})
 		if err != nil {
 			ch.closePeers()
@@ -104,17 +103,16 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			sender = consensus.NewBus(n.transports[i], name, n.ids)
 		}
 		v := consensus.NewValidator(consensus.Config{
-			ID:              n.ids[i],
-			Validators:      n.ids,
-			Signer:          n.signers[i],
-			Identities:      n.idents,
-			Sender:          sender,
-			Clock:           cfg.Clock,
-			RequestTimeout:  cfg.ConsensusTimeout,
-			Behavior:        cfg.Behaviors[i],
-			OverlapWindow:   cfg.ConsensusOverlap,
-			VerifyCacheSize: cfg.VerifyCacheSize,
-			Obs:             cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),
+			ID:             n.ids[i],
+			Validators:     n.ids,
+			Signer:         n.signers[i],
+			Identities:     n.idents,
+			Sender:         sender,
+			Clock:          cfg.Clock,
+			RequestTimeout: cfg.ConsensusTimeout,
+			Behavior:       cfg.Behaviors[i],
+			OverlapWindow:  cfg.ConsensusOverlap,
+			Obs:            cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),
 			Deliver: func(seq uint64, payload []byte) {
 				batch, err := ordering.DecodeBatch(payload)
 				if err != nil {

@@ -222,7 +222,7 @@ func (g *Gateway) checkPolicy(tx *ledger.Transaction, group []*peer.ProposalResp
 			return err
 		}
 	}
-	return g.be.chPolicy().Evaluate(members.Endorsers(tx.Digest(), tx.Endorsements, nil))
+	return g.be.chPolicy().Evaluate(members.Endorsers(tx.Digest(), tx.Endorsements))
 }
 
 // assembleSignedEnvelope builds and signs the transaction envelope from an

@@ -106,11 +106,6 @@ type Config struct {
 	// lockstep behaviour: a round's block fully commits before the event
 	// loop touches the next round's messages.
 	ConsensusOverlap int
-	// VerifyCacheSize bounds each peer's and validator's signature verify
-	// cache (0 selects msp.DefaultVerifyCacheSize). Caches are per-node,
-	// never shared, so the in-process simulation measures what separate
-	// processes would.
-	VerifyCacheSize int
 	// Transport selects how consensus traffic moves between this network's
 	// validators: "inproc" (default — deterministic function-call delivery
 	// honouring Latency, the test harness) or "tcp" (real localhost sockets:

@@ -172,34 +172,32 @@ func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
 	}
 	chReg := n.obsReg.With(obs.L("channel", name))
 	p, err := peer.New(peer.Config{
-		ID:              n.id,
-		ChannelID:       name,
-		Signer:          n.signers[n.cfg.Index],
-		Registry:        n.registry,
-		Policy:          n.policy,
-		Identities:      n.members,
-		State:           storage.Config{Engine: net.StateEngine, Shards: net.StateShards, Durability: net.StateDurability},
-		DataDir:         peerDir,
-		Indexes:         net.StateIndexes,
-		VerifyCacheSize: net.VerifyCacheSize,
-		Obs:             chReg,
-		SlowTraces:      n.traces,
+		ID:         n.id,
+		ChannelID:  name,
+		Signer:     n.signers[n.cfg.Index],
+		Registry:   n.registry,
+		Policy:     n.policy,
+		Identities: n.members,
+		State:      storage.Config{Engine: net.StateEngine, Shards: net.StateShards, Durability: net.StateDurability},
+		DataDir:    peerDir,
+		Indexes:    net.StateIndexes,
+		Obs:        chReg,
+		SlowTraces: n.traces,
 	})
 	if err != nil {
 		return nil, err
 	}
 	nc := &nodeChannel{p: p, dataDir: peerDir}
 	nc.v = consensus.NewValidator(consensus.Config{
-		ID:              n.id,
-		Validators:      n.ids,
-		Signer:          n.signers[n.cfg.Index],
-		Identities:      n.idents,
-		Sender:          consensus.NewBus(n.t, name, n.ids),
-		Clock:           net.Clock,
-		RequestTimeout:  net.ConsensusTimeout,
-		OverlapWindow:   net.ConsensusOverlap,
-		VerifyCacheSize: net.VerifyCacheSize,
-		Obs:             chReg,
+		ID:             n.id,
+		Validators:     n.ids,
+		Signer:         n.signers[n.cfg.Index],
+		Identities:     n.idents,
+		Sender:         consensus.NewBus(n.t, name, n.ids),
+		Clock:          net.Clock,
+		RequestTimeout: net.ConsensusTimeout,
+		OverlapWindow:  net.ConsensusOverlap,
+		Obs:            chReg,
 		Deliver: func(seq uint64, payload []byte) {
 			batch, err := ordering.DecodeBatch(payload)
 			if err != nil {

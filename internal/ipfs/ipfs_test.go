@@ -268,3 +268,37 @@ func TestGetReassemblesFromFetchedNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestRootCIDsGolden pins the root CID of payloads around the default
+// chunk size, under both chunkers: how a chunker sizes its read buffers
+// must never move a chunk boundary.
+func TestRootCIDsGolden(t *testing.T) {
+	fixed := newTestCluster(t, 1, Options{}).Node(0)
+	buz := newTestCluster(t, 1, Options{Strategy: ChunkBuzhash}).Node(0)
+	for _, g := range []struct {
+		size       int
+		fixed, buz string
+	}{
+		{0, "bafkreihdwdcefgh4dqkjv67uzcmw7ojee6xedzdetojuzjevtenxquvyku", "bafkreihdwdcefgh4dqkjv67uzcmw7ojee6xedzdetojuzjevtenxquvyku"},
+		{1, "bafkreiemev2isidd7gk7352wxtqh6rwbuumt4vgnkkbx5wi6giaizt2bvq", "bafkreiemev2isidd7gk7352wxtqh6rwbuumt4vgnkkbx5wi6giaizt2bvq"},
+		{4 << 10, "bafkreiby5xhqwg7qln6t34uzmzquromvdv33vw3wqcyzn4eqbfwp6pnlka", "bafkreiby5xhqwg7qln6t34uzmzquromvdv33vw3wqcyzn4eqbfwp6pnlka"},
+		{256<<10 - 1, "bafkreihty33nemj5iquuohrtbu73tppg4hvvl3s6smaojeovnkuz6ts7ky", "bafybeifxfjrvdexjbwc7tun6g4h6wh44t747cjat5fvnkuwg4qiz3s36ba"},
+		{256 << 10, "bafkreifxvurgimkfxptvoilcillipzbqvu5p4dg7wtumopeawhgiugnjwm", "bafybeihg37f5pi3fn5ebe55dlsjhljb34vdqzofruexx3ydjs3cz7ouja4"},
+		{256<<10 + 1, "bafybeifs452azwoskhmtge67iyyoibayzxd6u6mxfb6lru6i6s2erfiwha", "bafkreibsl2tck2xzskaor6bmojem6aesip6qyl7tqjmbg7eja6kzkrante"},
+		{1 << 20, "bafybeifejvapahxvjkvf5dq7762m5k3gbggdafpfihzymhtyczoe6uwilm", "bafybeificpgtbtgs7anqmuo35bhayjy4ybjq5l4ixmj6dixrnqwoqmmaqq"},
+	} {
+		data := sim.NewRNG(int64(g.size)).Bytes(g.size)
+		for _, c := range []struct {
+			node *Node
+			want string
+		}{{fixed, g.fixed}, {buz, g.buz}} {
+			root, err := c.node.Add(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.String() != c.want {
+				t.Errorf("%d bytes: root %s, want %s", g.size, root, c.want)
+			}
+		}
+	}
+}

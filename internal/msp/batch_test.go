@@ -49,8 +49,8 @@ func randomItems(t testing.TB, rng *rand.Rand, signers []*Signer, n int, corrupt
 // TestVerifyBatchEquivalenceRandomized is the randomized equivalence fuzz:
 // across many random batches — varying sizes, signer reuse, duplicate
 // tuples, corrupted subsets — VerifyBatchEach must agree item-for-item with
-// per-signature Identity.Verify, and VerifyBatch with the conjunction. The
-// cache-aware paths must agree too, both cold and warm.
+// per-signature Identity.Verify, and VerifyBatch with the conjunction. A
+// Verifier agrees too, and counts each distinct tuple as one ed25519 run.
 func TestVerifyBatchEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	signers := batchSigners(t, 5)
@@ -86,15 +86,18 @@ func TestVerifyBatchEquivalenceRandomized(t *testing.T) {
 				}
 			}
 		}
-		check("uncached", VerifyBatchEach(items))
+		check("batch", VerifyBatchEach(items))
 		if VerifyBatch(items) != allValid {
 			t.Fatalf("round %d: VerifyBatch = %v, want %v", round, !allValid, allValid)
 		}
-		cache := NewVerifyCache(0)
-		check("cache-cold", cache.VerifyBatchEach(items))
-		check("cache-warm", cache.VerifyBatchEach(items))
-		if cache.VerifyBatch(items) != allValid {
-			t.Fatalf("round %d: cached VerifyBatch = %v, want %v", round, !allValid, allValid)
+		var v Verifier
+		check("verifier", v.VerifyBatchEach(items))
+		distinct := map[string]bool{}
+		for _, it := range items {
+			distinct[fmt.Sprintf("%x/%x/%x", it.Identity.PubKey, it.Message, it.Signature)] = true
+		}
+		if skipped, verified := v.Stats(); verified != int64(len(distinct)) || skipped+verified != int64(len(items)) {
+			t.Fatalf("round %d: %d items, %d distinct: verifier counted %d skipped, %d verified", round, len(items), len(distinct), skipped, verified)
 		}
 	}
 }
@@ -160,109 +163,27 @@ func TestVerifyBatchEmptyAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestVerifyCacheBasics covers hit/miss accounting, negative caching,
-// Reset and the nil-receiver fallback.
-func TestVerifyCacheBasics(t *testing.T) {
-	s := batchSigners(t, 1)[0]
-	msg := []byte("cached message")
-	sig := s.Sign(msg)
-	c := NewVerifyCache(8)
-	if !c.Verify(s.Identity, msg, sig) {
-		t.Fatal("valid signature rejected")
-	}
-	if c.Hits() != 0 || c.Misses() != 1 {
-		t.Fatalf("after first verify: hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-	if !c.Verify(s.Identity, msg, sig) {
-		t.Fatal("cached valid signature rejected")
-	}
-	if c.Hits() != 1 {
-		t.Fatalf("second verify did not hit: hits=%d", c.Hits())
-	}
-	// Negative result caches under its own key and stays negative.
-	bad := append([]byte(nil), sig...)
-	bad[3] ^= 0x10
-	for i := 0; i < 2; i++ {
-		if c.Verify(s.Identity, msg, bad) {
-			t.Fatal("bad signature accepted")
-		}
-	}
-	if c.Hits() != 2 {
-		t.Fatalf("negative entry did not hit: hits=%d", c.Hits())
-	}
-	// Reset forgets the verdicts, keeps the counters and leaves the cache
-	// usable: the next sight of a tuple is a miss, the one after a hit.
-	c.Reset()
-	if c.Len() != 0 || c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("after Reset: len=%d hits=%d misses=%d", c.Len(), c.Hits(), c.Misses())
-	}
-	if !c.Verify(s.Identity, msg, sig) || !c.Verify(s.Identity, msg, sig) || c.Misses() != 3 || c.Hits() != 3 {
-		t.Fatalf("cache unusable after Reset: hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-	// Nil receiver falls through to direct verification.
-	var nilCache *VerifyCache
-	nilCache.Reset()
-	if !nilCache.Verify(s.Identity, msg, sig) || nilCache.Verify(s.Identity, msg, bad) {
-		t.Fatal("nil cache verification wrong")
-	}
-	if nilCache.Hits() != 0 || nilCache.Misses() != 0 || nilCache.Len() != 0 {
-		t.Fatal("nil cache stats not zero")
-	}
-}
-
-// TestVerifyCacheEviction checks the LRU bound: capacity is respected and
-// the least recently used entry is the one evicted.
-func TestVerifyCacheEviction(t *testing.T) {
-	s := batchSigners(t, 1)[0]
-	c := NewVerifyCache(4)
-	msgs := make([][]byte, 6)
-	sigs := make([][]byte, 6)
-	for i := range msgs {
-		msgs[i] = []byte(fmt.Sprintf("msg-%d", i))
-		sigs[i] = s.Sign(msgs[i])
-	}
-	for i := 0; i < 4; i++ {
-		c.Verify(s.Identity, msgs[i], sigs[i])
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len=%d, want 4", c.Len())
-	}
-	// Touch entry 0 so entry 1 is the LRU, then insert two more.
-	c.Verify(s.Identity, msgs[0], sigs[0])
-	c.Verify(s.Identity, msgs[4], sigs[4])
-	c.Verify(s.Identity, msgs[5], sigs[5])
-	if c.Len() != 4 {
-		t.Fatalf("len=%d after eviction, want 4", c.Len())
-	}
-	miss := c.Misses()
-	c.Verify(s.Identity, msgs[0], sigs[0]) // touched: still resident
-	if c.Misses() != miss {
-		t.Fatal("recently used entry was evicted")
-	}
-	c.Verify(s.Identity, msgs[1], sigs[1]) // LRU: must have been evicted
-	if c.Misses() != miss+1 {
-		t.Fatal("LRU entry was not evicted")
-	}
-}
-
-// TestVerifyCacheKeyCoversTuple checks that no field of the (pubkey, msg,
-// sig) tuple can be swapped without changing the cache key — a cached
-// verdict must never answer for a different tuple.
-func TestVerifyCacheKeyCoversTuple(t *testing.T) {
+// TestVerifyBatchDedupKeyCoversTuple: the batch verifier runs ed25519 once
+// per distinct (pubkey, msg, sig) and shares that verdict with repeats, so
+// tuples that differ in any field — another identity, or one byte slid
+// across the msg/sig boundary — must never be grouped under one verdict.
+func TestVerifyBatchDedupKeyCoversTuple(t *testing.T) {
 	ss := batchSigners(t, 2)
 	msg := []byte("tuple")
 	sig0 := ss[0].Sign(msg)
-	c := NewVerifyCache(16)
-	if !c.Verify(ss[0].Identity, msg, sig0) {
-		t.Fatal("valid rejected")
-	}
-	// Same msg+sig under the other identity must be a miss and fail.
-	if c.Verify(ss[1].Identity, msg, sig0) {
-		t.Fatal("verdict leaked across identities")
-	}
-	// Length-framing: shifting a byte between msg and sig changes the key.
 	joined := append(append([]byte(nil), msg...), sig0...)
-	if c.Verify(ss[0].Identity, joined[:len(msg)+1], joined[len(msg)+1:]) {
-		t.Fatal("sliding frame boundary verified")
+	items := []VerifyItem{
+		{Identity: ss[0].Identity, Message: msg, Signature: sig0},
+		{Identity: ss[1].Identity, Message: msg, Signature: sig0},
+		{Identity: ss[0].Identity, Message: joined[:len(msg)+1], Signature: joined[len(msg)+1:]},
+		{Identity: ss[0].Identity, Message: msg, Signature: sig0},
+	}
+	var v Verifier
+	got := v.VerifyBatchEach(items)
+	if want := []bool{true, false, false, true}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("verdicts %v, want %v", got, want)
+	}
+	if skipped, verified := v.Stats(); skipped != 1 || verified != 3 {
+		t.Fatalf("skipped %d, verified %d; want the one exact repeat skipped and 3 distinct tuples verified", skipped, verified)
 	}
 }

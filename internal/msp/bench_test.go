@@ -72,22 +72,6 @@ func BenchmarkVerifyBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyCached32 re-verifies a warm batch through the verify
-// cache — the gossip/re-endorsement steady state.
-func BenchmarkVerifyCached32(b *testing.B) {
-	items := benchItems(b, 32)
-	c := NewVerifyCache(0)
-	if !c.VerifyBatch(items) {
-		b.Fatal("warm-up failed")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.VerifyBatch(items) {
-			b.Fatal("cached batch verify failed")
-		}
-	}
-}
-
 // BenchmarkEndorsersResolve is the commit-time endorsement check: resolve
 // seven fingerprints, verify seven signatures, count the members.
 func BenchmarkEndorsersResolve(b *testing.B) {
@@ -109,7 +93,7 @@ func BenchmarkEndorsersResolve(b *testing.B) {
 	pol := TwoThirds(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pol.Evaluate(members.Endorsers(digest, ends, nil)); err != nil {
+		if err := pol.Evaluate(members.Endorsers(digest, ends)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,7 +158,7 @@ func TestRegistryResolves(t *testing.T) {
 	if _, ok := none.Resolve(a.Identity.Fingerprint()); ok || none.Len() != 0 {
 		t.Fatal("nil registry knows somebody")
 	}
-	if got := none.Endorsers([]byte("d"), []EndorsementRef{endorse(a, []byte("d"))}, nil); len(got) != 0 {
+	if got := none.Endorsers([]byte("d"), []EndorsementRef{endorse(a, []byte("d"))}); len(got) != 0 {
 		t.Fatalf("nil registry counted %d endorsers", len(got))
 	}
 }
@@ -197,10 +197,10 @@ func TestQuorumPolicy(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ends = append(ends, endorse(signers[i], digest))
 	}
-	if err := pol.Evaluate(members.Endorsers(digest, ends, nil)); err != nil {
+	if err := pol.Evaluate(members.Endorsers(digest, ends)); err != nil {
 		t.Fatalf("3/4 endorsements should satisfy: %v", err)
 	}
-	if err := pol.Evaluate(members.Endorsers(digest, ends[:2], nil)); err == nil {
+	if err := pol.Evaluate(members.Endorsers(digest, ends[:2])); err == nil {
 		t.Fatal("2/4 endorsements must not satisfy")
 	}
 }
@@ -208,7 +208,8 @@ func TestQuorumPolicy(t *testing.T) {
 // TestEndorsersCountsMembersOnce: what does not count — a repeat, a bad
 // signature, a signature over another digest, an outsider, a member's
 // fingerprint over another key's signature — and that none of them cancels
-// a valid endorsement beside it, through a cache or without one.
+// a valid endorsement beside it, checked alone or with every other case's
+// endorsements in one batch (the way a peer validates a block).
 func TestEndorsersCountsMembersOnce(t *testing.T) {
 	digest := []byte("d")
 	signers, members := testMembers(t, 2, oneOrg)
@@ -233,11 +234,18 @@ func TestEndorsersCountsMembersOnce(t *testing.T) {
 		{"malformed signature", []EndorsementRef{{Signer: e.Signer, Signature: []byte{1, 2}}}, 0},
 		{"none", nil, 0},
 	}
-	for _, cache := range []*VerifyCache{nil, NewVerifyCache(16)} {
-		for _, c := range cases {
-			got := members.Endorsers(digest, c.ends, cache)
+	var items []VerifyItem
+	bounds := make([]int, len(cases)+1)
+	for i, c := range cases {
+		items = members.EndorsementChecks(items, digest, c.ends)
+		bounds[i+1] = len(items)
+	}
+	verdicts := VerifyBatchEach(items)
+	for i, c := range cases {
+		lo, hi := bounds[i], bounds[i+1]
+		for _, got := range [][]Identity{members.Endorsers(digest, c.ends), Signers(items[lo:hi], verdicts[lo:hi])} {
 			if len(got) != c.want {
-				t.Errorf("%s (cache %v): %d endorsers, want %d", c.name, cache != nil, len(got), c.want)
+				t.Errorf("%s: %d endorsers, want %d", c.name, len(got), c.want)
 			}
 			if c.want > 0 && got[0].ID() != s.Identity.ID() {
 				t.Errorf("%s: first endorser %s", c.name, got[0].ID())
@@ -261,11 +269,11 @@ func TestOrgCoveragePolicy(t *testing.T) {
 	a1, a2, b1 := signers[0], signers[1], signers[2]
 	pol := OrgCoveragePolicy{Threshold: 2, MinOrgs: 2}
 	sameOrg := []EndorsementRef{endorse(a1, digest), endorse(a2, digest)}
-	if err := pol.Evaluate(members.Endorsers(digest, sameOrg, nil)); err == nil {
+	if err := pol.Evaluate(members.Endorsers(digest, sameOrg)); err == nil {
 		t.Fatal("single-org endorsements satisfied a 2-org policy")
 	}
 	crossOrg := []EndorsementRef{endorse(a1, digest), endorse(b1, digest)}
-	if err := pol.Evaluate(members.Endorsers(digest, crossOrg, nil)); err != nil {
+	if err := pol.Evaluate(members.Endorsers(digest, crossOrg)); err != nil {
 		t.Fatalf("cross-org endorsements rejected: %v", err)
 	}
 }

@@ -51,16 +51,30 @@ func (r *Registry) Len() int {
 // signature that does not verify under the member's key and a second
 // signature by a member already counted are simply not counted; an invalid
 // entry never cancels a valid one beside it. Signatures are checked in one
-// batch through cache (nil verifies directly).
-func (r *Registry) Endorsers(digest []byte, ends []EndorsementRef, cache *VerifyCache) []Identity {
-	items := make([]VerifyItem, 0, len(ends))
+// batch.
+func (r *Registry) Endorsers(digest []byte, ends []EndorsementRef) []Identity {
+	items := r.EndorsementChecks(nil, digest, ends)
+	return Signers(items, VerifyBatchEach(items))
+}
+
+// EndorsementChecks appends to items one check per endorsement whose
+// fingerprint names a member: did that member sign digest? A caller that
+// verifies several envelopes' checks in one batch hands each envelope's
+// slice of items and verdicts to Signers.
+func (r *Registry) EndorsementChecks(items []VerifyItem, digest []byte, ends []EndorsementRef) []VerifyItem {
 	for _, e := range ends {
 		if id, ok := r.Resolve(e.Signer); ok {
 			items = append(items, VerifyItem{Identity: id, Message: digest, Signature: e.Signature})
 		}
 	}
+	return items
+}
+
+// Signers returns the distinct identities of the items whose verdict holds,
+// in the order of each one's first valid item.
+func Signers(items []VerifyItem, verdicts []bool) []Identity {
 	var out []Identity
-	for i, ok := range cache.VerifyBatchEach(items) {
+	for i, ok := range verdicts {
 		if ok && !containsKey(out, items[i].Identity) {
 			out = append(out, items[i].Identity)
 		}

@@ -111,7 +111,7 @@ func TestEndorseBatchFailingCallAborts(t *testing.T) {
 }
 
 // TestCommitBatchParallelValidation commits a wide block (forcing the
-// worker-pool stateless phase under raised GOMAXPROCS) mixing valid
+// batch verifier's fan-out under raised GOMAXPROCS) mixing valid
 // transactions, a bad creator signature and an intra-block MVCC conflict,
 // and checks flags and final state match the serial rules.
 func TestCommitBatchParallelValidation(t *testing.T) {
@@ -170,5 +170,45 @@ func TestCommitBatchParallelValidation(t *testing.T) {
 	}
 	if _, ok := p.State().GetState("counter", "bad"); ok {
 		t.Fatal("invalid tx wrote state")
+	}
+}
+
+// TestBlockSignaturesCheckedOnceEach: a block's creator signatures and
+// endorsements are checked in one batch. A forged creator signature and a
+// forged endorsement flag exactly their own transactions, the rest commit,
+// and every distinct signature in the block runs ed25519 exactly once — an
+// endorsement carried twice by one envelope is checked once.
+func TestBlockSignaturesCheckedOnceEach(t *testing.T) {
+	p, client := newTestPeer(t)
+	var txs []ledger.Transaction
+	for i := 0; i < 4; i++ {
+		prop := propose(t, client, "incr", []byte(fmt.Sprintf("once-%d", i)))
+		resp, err := p.Endorse(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, envelope(t, client, prop, resp))
+	}
+	txs[1].Signature[0] ^= 0x01
+	forged := &txs[2].Endorsements[0]
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[0] ^= 0x01
+	txs[2].Signature = client.Sign(txs[2].SigningBytes())
+	txs[3].Endorsements = append(txs[3].Endorsements, txs[3].Endorsements[0])
+	txs[3].Signature = client.Sign(txs[3].SigningBytes())
+
+	skipped, verified := p.VerifyCacheStats()
+	block, err := p.CommitBatch(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ledger.ValidationCode{ledger.Valid, ledger.BadCreatorSignature, ledger.EndorsementPolicyFailure, ledger.Valid}
+	if got := block.Metadata.Flags; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("flags %v, want %v", got, want)
+	}
+	s, v := p.VerifyCacheStats()
+	// 4 creator signatures + 5 endorsements, one of them a repeat.
+	if v-verified != 8 || s-skipped != 1 {
+		t.Fatalf("block ran ed25519 %d times and skipped %d checks; want 8 and 1", v-verified, s-skipped)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -43,10 +42,8 @@ type Peer struct {
 	policy   msp.Policy
 	members  *msp.Registry // whose endorsements the policy counts
 
-	// verifyCache memoises signature verdicts across the commit, sync and
-	// recovery paths: a synced or replayed block re-validates envelopes and
-	// endorsements this peer (or its previous incarnation) already checked.
-	verifyCache *msp.VerifyCache
+	// sigs checks and counts every signature this peer meets.
+	sigs msp.Verifier
 
 	// commitMu serialises the commit pipeline (block log → state batch →
 	// visible chain) so the durable artefacts can never record two
@@ -100,11 +97,8 @@ type Config struct {
 	// (nil = none). Index reads feed endorsement results, so every peer
 	// of a channel must run the same list.
 	Indexes []statedb.IndexSpec
-	// VerifyCacheSize bounds the peer's signature verify cache
-	// (0 selects msp.DefaultVerifyCacheSize).
-	VerifyCacheSize int
 	// Obs receives this peer's metrics: per-stage latency histograms,
-	// commit counters, chain height and verify-cache hit rates. nil keeps
+	// commit counters, chain height and signature-check counts. nil keeps
 	// the peer fully functional with unregistered (dangling) instruments.
 	Obs *obs.Registry
 	// SlowTraces, when non-nil, retains recent slow commits (trace ID +
@@ -137,17 +131,16 @@ func New(cfg Config) (*Peer, error) {
 		}
 	}
 	p := &Peer{
-		id:          cfg.ID,
-		channelID:   cfg.ChannelID,
-		signer:      cfg.Signer,
-		ledger:      chain,
-		state:       state,
-		registry:    cfg.Registry,
-		policy:      cfg.Policy,
-		members:     cfg.Identities,
-		verifyCache: msp.NewVerifyCache(cfg.VerifyCacheSize),
-		commitWait:  make(map[string][]chan ledger.ValidationCode),
-		slowTraces:  cfg.SlowTraces,
+		id:         cfg.ID,
+		channelID:  cfg.ChannelID,
+		signer:     cfg.Signer,
+		ledger:     chain,
+		state:      state,
+		registry:   cfg.Registry,
+		policy:     cfg.Policy,
+		members:    cfg.Identities,
+		commitWait: make(map[string][]chan ledger.ValidationCode),
+		slowTraces: cfg.SlowTraces,
 	}
 	p.history = statedb.NewHistoryDB(state, p.historyTx)
 	const stageHelp = "Per-stage transaction pipeline latency."
@@ -161,9 +154,9 @@ func New(cfg Config) (*Peer, error) {
 	cfg.Obs.GaugeFunc("chain_height", "Current chain height (blocks).", func() float64 {
 		return float64(p.ledger.Height())
 	})
-	// component distinguishes this cache from the consensus replica's,
-	// which registers the same family on the same node-scoped registry.
-	p.verifyCache.Register(cfg.Obs.With(obs.L("component", "peer")))
+	// component distinguishes these counts from the consensus replica's,
+	// which registers the same families on the same node-scoped registry.
+	p.sigs.Register(cfg.Obs.With(obs.L("component", "peer")))
 	// LSM engine internals (sstables, compaction backlog, bloom hit
 	// rates) of the one durable engine; a no-op on in-memory engines.
 	p.state.RegisterStorage(cfg.Obs)
@@ -241,7 +234,6 @@ func (p *Peer) Close() error {
 	if lerr := p.ledger.Close(); err == nil {
 		err = lerr
 	}
-	p.verifyCache.Reset()
 	return err
 }
 
@@ -293,20 +285,19 @@ func (p *Peer) historyTx(n uint64, tx uint32) (string, time.Time, []statedb.Writ
 // included.
 func (p *Peer) OpenTook() time.Duration { return p.openTook }
 
-// VerifyCacheStats reports the peer's verify-cache hit/miss counters.
-func (p *Peer) VerifyCacheStats() (hits, misses int64) {
-	return p.verifyCache.Hits(), p.verifyCache.Misses()
+// VerifyCacheStats reports the peer's signature checks: skipped ones were
+// answered without running ed25519 (a tuple repeated within one block's
+// batch), verified ones ran it. Nothing is cached; the name is kept for its
+// callers, which read the skipped share as the hit ratio.
+func (p *Peer) VerifyCacheStats() (skipped, verified int64) {
+	return p.sigs.Stats()
 }
 
 // Endorse simulates a proposal against this peer's current state and signs
 // the resulting read/write set, implementing the paper's "each peer
 // executes the smart contract independently".
 func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
-	// The canonical bytes are recomputed every time (cheap hashing, and
-	// tampering after signing must stay detectable) but the ed25519 check
-	// runs through this peer's verify cache, so a proposal resubmitted
-	// after an ordering backlog rejection verifies only once here.
-	if !p.verifyCache.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
+	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
 		return nil, fmt.Errorf("peer %s: proposal %s: bad client signature", p.id, prop.TxID)
 	}
 	cc, ok := p.registry.Get(prop.Chaincode)
@@ -338,8 +329,7 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 	if len(prop.Calls) == 0 {
 		return nil, fmt.Errorf("peer %s: batch proposal %s: empty call list", p.id, prop.TxID)
 	}
-	// Cached like Endorse: recomputed bytes, memoised ed25519 verdict.
-	if !p.verifyCache.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
+	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
 		return nil, fmt.Errorf("peer %s: batch proposal %s: bad client signature", p.id, prop.TxID)
 	}
 	sim := chaincode.NewSimulator(chaincode.TxContext{
@@ -417,12 +407,11 @@ func (p *Peer) SubscribeEvents(buffer int) <-chan chaincode.Event {
 
 // CommitBatch validates and commits one ordered batch of transactions as
 // the next block, in Fabric's validate-then-commit split. The stateless
-// checks (client signature, endorsement signatures, policy) are
-// independent per transaction and run in parallel over a worker pool; the
-// MVCC read-version pass then runs serially in block order — read/write-
-// set conflict detection is what keeps the parallel validation
-// serializable — and all surviving write sets land in the state engine as
-// one block-level batch. It returns the block.
+// checks (client signature, endorsement signatures, policy) verify every
+// signature of the block in one parallel batch; the MVCC read-version pass
+// then runs serially in block order — read/write-set conflict detection is
+// what keeps the block serializable — and all surviving write sets land in
+// the state engine as one block-level batch. It returns the block.
 //
 // The block timestamp is derived from the batch (the latest transaction
 // timestamp), not from the committing peer's clock: every replica
@@ -509,7 +498,7 @@ func batchTimestamp(txs []ledger.Transaction) time.Time {
 // validateBlock runs the validation half of the validate-then-commit
 // split over one block's transactions, WITHOUT touching state:
 //
-//  1. Stateless checks (signatures, policy) fan out over a worker pool.
+//  1. Stateless checks (signatures, policy), all signatures in one batch.
 //  2. MVCC runs serially in block order against committed state plus the
 //     in-block write set. Nothing mutates until every transaction is
 //     flagged, so each check observes pre-block versions — identical to
@@ -616,81 +605,44 @@ func (p *Peer) replayLoggedBlock(b *ledger.Block) error {
 	return p.commitValidated(b, updates)
 }
 
-// validateStatelessAll runs the per-transaction signature/policy checks,
-// fanning out over a bounded worker pool when the block carries more than
-// one transaction.
+// validateStatelessAll applies the commit-time checks that need no world
+// state to every transaction of a block, in Fabric's order:
+//
+//  1. The client envelope signature, which covers the digest, the ID and
+//     the recorded invocation.
+//  2. The endorsement policy, over the channel members whose signatures
+//     cover the digest just computed from the envelope's own read/write set
+//     and response: the envelope carries no digest to take on trust and no
+//     identity to take at its word.
+//
+// Every signature the block carries is checked in one batch — a tuple that
+// repeats is verified once, the rest across cores — and each transaction's
+// flag is read off its own slice of the verdicts.
 func (p *Peer) validateStatelessAll(txs []ledger.Transaction) []ledger.ValidationCode {
-	if len(txs) > 1 {
-		p.warmVerifyCache(txs)
-	}
-	flags := make([]ledger.ValidationCode, len(txs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers <= 1 {
-		for i := range txs {
-			flags[i] = p.validateStateless(&txs[i])
-		}
-		return flags
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(txs))
-	for i := range txs {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				flags[i] = p.validateStateless(&txs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return flags
-}
-
-// warmVerifyCache batch-verifies every signature a block carries — each
-// transaction's creator envelope and all its endorsements — in one
-// cache-aware parallel pass, so the per-transaction checks that follow are
-// pure cache hits. This amortises ed25519 cost over the whole block and
-// deduplicates repeated tuples across transactions.
-func (p *Peer) warmVerifyCache(txs []ledger.Transaction) {
-	items := make([]msp.VerifyItem, 0, len(txs)*4)
+	items := make([]msp.VerifyItem, 0, 5*len(txs))
+	bounds := make([]int, len(txs)+1) // tx i's checks: items[bounds[i]:bounds[i+1]], creator first
 	for i := range txs {
 		tx := &txs[i]
 		digest := tx.Digest()
+		bounds[i] = len(items)
 		items = append(items, msp.VerifyItem{Identity: tx.Creator, Message: tx.SigningBytesFor(digest), Signature: tx.Signature})
-		for _, e := range tx.Endorsements {
-			if id, ok := p.members.Resolve(e.Signer); ok {
-				items = append(items, msp.VerifyItem{Identity: id, Message: digest, Signature: e.Signature})
-			}
+		items = p.members.EndorsementChecks(items, digest, tx.Endorsements)
+	}
+	bounds[len(txs)] = len(items)
+	ok := p.sigs.VerifyBatchEach(items)
+	flags := make([]ledger.ValidationCode, len(txs))
+	for i := range txs {
+		lo, hi := bounds[i], bounds[i+1]
+		switch {
+		case !ok[lo]:
+			flags[i] = ledger.BadCreatorSignature
+		case p.policy.Evaluate(msp.Signers(items[lo+1:hi], ok[lo+1:hi])) != nil:
+			flags[i] = ledger.EndorsementPolicyFailure
+		default:
+			flags[i] = ledger.Valid
 		}
 	}
-	p.verifyCache.VerifyBatchEach(items)
-}
-
-// validateStateless applies the commit-time checks that need no world
-// state, in Fabric's order.
-func (p *Peer) validateStateless(tx *ledger.Transaction) ledger.ValidationCode {
-	// 1. Client envelope signature, through the verify cache: the sync and
-	// recovery paths re-validate envelopes already checked at live commit.
-	// It covers the digest, the ID and the recorded invocation.
-	digest := tx.Digest()
-	if !p.verifyCache.Verify(tx.Creator, tx.SigningBytesFor(digest), tx.Signature) {
-		return ledger.BadCreatorSignature
-	}
-	// 2. Endorsement policy, over the channel members whose signatures
-	// cover the digest just computed from the envelope's own read/write
-	// set and response: the envelope carries no digest to take on trust
-	// and no identity to take at its word.
-	if err := p.policy.Evaluate(p.members.Endorsers(digest, tx.Endorsements, p.verifyCache)); err != nil {
-		return ledger.EndorsementPolicyFailure
-	}
-	return ledger.Valid
+	return flags
 }
 
 // validateMVCC checks that every read version is still current and that no

@@ -87,6 +87,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/obs"
 	"socialchain/internal/walframe"
 )
@@ -216,8 +217,7 @@ type Persist struct {
 	walBytes  int64
 	nextFile  uint64 // next SSTable file number (persisted in the manifest)
 	base      int64  // live keys in the table-covered state
-	buf       []byte
-	err       error // sticky I/O error, reported by Sync/Close
+	err       error  // sticky I/O error, reported by Sync/Close
 	closed    bool
 	closeOnce sync.Once
 	flushCond *sync.Cond // signalled when imm drains (or on error/close)
@@ -589,17 +589,24 @@ func (p *Persist) setErr(err error) {
 // appendLocked writes one framed WAL record and returns its group-commit
 // sequence (0 when no fsync pipeline runs). Caller holds p.mu. I/O
 // errors are sticky: in-memory state stays authoritative for the life of
-// the process and Sync/Close report the failure.
+// the process and Sync/Close report the failure. The frame is built in a
+// shared scratch buffer, so the engine holds no copy of its largest batch.
 func (p *Persist) appendLocked(writes []Write) uint64 {
 	if p.err != nil || p.wal == nil {
 		return 0
 	}
-	p.buf = appendRecordFrame(p.buf[:0], writes)
-	if _, err := p.wal.Write(p.buf); err != nil {
-		p.err = fmt.Errorf("storage: persist wal append: %w", err)
+	codec.Scratch(func(frame []byte) []byte {
+		frame = appendRecordFrame(frame, writes)
+		if _, err := p.wal.Write(frame); err != nil {
+			p.err = fmt.Errorf("storage: persist wal append: %w", err)
+		} else {
+			p.walBytes += int64(len(frame))
+		}
+		return frame
+	})
+	if p.err != nil {
 		return 0
 	}
-	p.walBytes += int64(len(p.buf))
 	if p.durability == DurabilityNone {
 		return 0
 	}
@@ -1347,7 +1354,7 @@ func (p *Persist) shutdown() {
 	}
 	v := p.version
 	p.version = newVersion(nil)
-	p.mem, p.imm, p.buf, p.base = newMemtable(), nil, nil, 0
+	p.mem, p.imm, p.base = newMemtable(), nil, 0
 	p.mu.Unlock()
 	c.mu.Lock()
 	c.file = nil
