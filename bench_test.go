@@ -1,5 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§IV). One benchmark per
-// figure plus ablations; cmd/benchharness prints the same data as tables.
+// figure plus ablations, run with `go test -bench . -run '^$'`. The
+// regression benchmark the repository's performance claims are made on is
+// a separate program, `go run ./bench` (see BENCHMARK.json).
 //
 //	Figure 3 — detection confidence, static vs drone platforms
 //	Figure 4 — metadata extraction time vs frame size

@@ -55,9 +55,9 @@ func ServeAdmin(addr string, reg *Registry, health *Health, statusz func() any) 
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(body)
 	})
-	// pprof on the same listener closes the live-profiling gap: the
-	// benchharness -cpuprofile/-memprofile flags cover offline runs, this
-	// covers a daemon under real traffic (go tool pprof .../debug/pprof/...).
+	// pprof on the same listener profiles a daemon under real traffic
+	// (go tool pprof .../debug/pprof/...); offline runs use go test's
+	// -cpuprofile/-memprofile.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
