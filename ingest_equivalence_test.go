@@ -49,7 +49,7 @@ func equivalenceSeed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-func newEquivFramework(t *testing.T, engine storage.Engine, overlap int, transport string) (*core.Framework, *core.Client, *msp.Signer) {
+func newEquivFramework(t *testing.T, engine storage.Engine, transport string) (*core.Framework, *core.Client, *msp.Signer) {
 	t.Helper()
 	// The persist engine runs as a fully durable deployment over a fresh
 	// scratch directory, so the cross-engine comparison also proves the
@@ -63,11 +63,10 @@ func newEquivFramework(t *testing.T, engine storage.Engine, overlap int, transpo
 			NumPeers: 4,
 			Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 2 * time.Millisecond},
 		},
-		IPFSNodes:        2,
-		StorageEngine:    engine,
-		DataDir:          dataDir,
-		ConsensusOverlap: overlap,
-		Transport:        transport,
+		IPFSNodes:     2,
+		StorageEngine: engine,
+		DataDir:       dataDir,
+		Transport:     transport,
 	})
 	if err != nil {
 		t.Fatalf("core.New(%s): %v", engine, err)
@@ -281,11 +280,9 @@ func checkProvenanceChain(t *testing.T, fw *core.Framework, gw *fabric.Gateway, 
 
 // TestIntegrationIngestEquivalence is the randomized serial-vs-pipelined
 // equivalence gate, run under all three storage engines (the persist legs
-// as a durable deployment); a third, overlap-enabled mode proves the
-// overlapped consensus rounds (ConsensusOverlap=4) leave the canonical
-// bytes untouched, and a tcp mode (sharded engine only) reruns the
+// as a durable deployment); a tcp mode (sharded engine only) reruns the
 // pipelined workload with every consensus and fabric message crossing
-// real localhost sockets. All ten runs must agree on canonical state.
+// real localhost sockets. All seven runs must agree on canonical state.
 func TestIntegrationIngestEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -295,21 +292,17 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 	var canonical [][]byte
 	var indexCanon, histCanon []string
 	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded, storage.EnginePersist} {
-		modes := []string{"serial-loop", "pipelined", "pipelined-overlap"}
+		modes := []string{"serial-loop", "pipelined"}
 		if engine == storage.EngineSharded {
 			modes = append(modes, "pipelined-tcp")
 		}
 		for _, mode := range modes {
 			t.Run(string(engine)+"/"+mode, func(t *testing.T) {
-				overlap := 0
-				if mode == "pipelined-overlap" {
-					overlap = 4
-				}
 				kind := "inproc"
 				if mode == "pipelined-tcp" {
 					kind = "tcp"
 				}
-				fw, client, cam := newEquivFramework(t, engine, overlap, kind)
+				fw, client, cam := newEquivFramework(t, engine, kind)
 				if mode == "serial-loop" {
 					for i, f := range frames {
 						if _, err := client.StoreFrame(f, metas[i]); err != nil {

@@ -41,14 +41,6 @@ type Config struct {
 	Deliver func(seq uint64, payload []byte)
 	// OnEvict is invoked when this validator evicts a peer (may be nil).
 	OnEvict func(id string)
-	// OverlapWindow > 0 overlaps consensus with execution: decided payloads
-	// are handed to a dedicated executor goroutine (still in strict
-	// sequence order) and the leader keeps proposing up to OverlapWindow
-	// sequences beyond the last decided one, so round N+1's phases run
-	// while round N's block commits. 0 — the default — preserves lockstep
-	// behaviour exactly: Deliver runs inline in the event loop and
-	// proposing is not window-bounded.
-	OverlapWindow int
 	// Obs receives this replica's metrics: decide latency, delivered and
 	// view-change counters, backlog depth, signature-check counts. nil
 	// leaves the replica fully functional with dangling instruments.
@@ -77,12 +69,6 @@ type instance struct {
 	executed   bool
 }
 
-// execItem is one decided payload queued for the overlap executor.
-type execItem struct {
-	seq     uint64
-	payload []byte
-}
-
 // Validator is one PBFT replica.
 type Validator struct {
 	cfg  Config
@@ -96,12 +82,6 @@ type Validator struct {
 
 	// sigs checks and counts every signature this replica meets.
 	sigs msp.Verifier
-
-	// execCh feeds the overlap executor (nil in lockstep mode). The event
-	// loop is its only sender; Stop closes it after the loop exits and
-	// waits for the executor to drain.
-	execCh     chan execItem
-	execDoneCh chan struct{}
 
 	mu              sync.Mutex
 	view            uint64
@@ -117,8 +97,6 @@ type Validator struct {
 	future          map[uint64][]*Message // view -> protocol messages deferred until we enter it
 	deliveredCount  int
 	viewChangeCount int
-	proposeDepth    int  // re-entrancy depth of proposePending
-	proposeAgain    bool // a nested call wants another proposing round
 
 	// obsDecide times request arrival -> execution (the consensus_decide
 	// stage); always non-nil, dangling when Config.Obs is nil.
@@ -168,13 +146,6 @@ func NewValidator(cfg Config) *Validator {
 		vcVotes:   make(map[uint64]map[string][]byte),
 		future:    make(map[uint64][]*Message),
 	}
-	if cfg.OverlapWindow > 0 {
-		// The buffer doubles as the execution-backlog bound: once it fills,
-		// the event loop blocks on the enqueue (outside mu), throttling
-		// consensus to at most OverlapWindow un-executed decisions.
-		v.execCh = make(chan execItem, cfg.OverlapWindow)
-		v.execDoneCh = make(chan struct{})
-	}
 	v.obsDecide = cfg.Obs.Histogram("tx_stage_seconds", "Per-stage transaction pipeline latency.", nil,
 		obs.L("stage", "consensus_decide"))
 	cfg.Obs.CounterFunc("consensus_delivered_total", "Payloads this replica has delivered in decision order.", func() int64 {
@@ -183,42 +154,24 @@ func NewValidator(cfg Config) *Validator {
 	cfg.Obs.CounterFunc("consensus_view_changes_total", "View changes this replica has completed.", func() int64 {
 		return int64(v.ViewChanges())
 	})
-	cfg.Obs.GaugeFunc("consensus_backlog", "Pending requests plus undrained executor items.", func() float64 {
+	cfg.Obs.GaugeFunc("consensus_backlog", "Requests admitted and not yet decided.", func() float64 {
 		return float64(v.Backlog())
 	})
 	v.sigs.Register(cfg.Obs.With(obs.L("component", "consensus")))
 	return v
 }
 
-// Start launches the replica's event loop (and, in overlap mode, its
-// executor).
-func (v *Validator) Start() {
-	if v.execCh != nil {
-		go v.execLoop()
-	}
-	go v.loop()
-}
+// Start launches the replica's event loop.
+func (v *Validator) Start() { go v.loop() }
 
-// Stop terminates the replica and waits for the loop to exit. In overlap
-// mode the executor then drains every already-decided payload before Stop
-// returns, so no decision is lost. Stop is idempotent.
+// Stop terminates the replica and waits for the loop to exit. Deliver runs
+// on the loop, so no delivery is in progress once Stop returns. Stop is
+// idempotent.
 func (v *Validator) Stop() {
 	v.stopOnce.Do(func() {
 		close(v.stopCh)
 		<-v.doneCh
-		if v.execCh != nil {
-			close(v.execCh) // the event loop — the only sender — has exited
-			<-v.execDoneCh
-		}
 	})
-}
-
-// execLoop runs decided payloads in sequence order, off the event loop.
-func (v *Validator) execLoop() {
-	defer close(v.execDoneCh)
-	for it := range v.execCh {
-		v.cfg.Deliver(it.seq, it.payload)
-	}
 }
 
 // VerifyCacheStats reports the replica's signature checks: skipped ones
@@ -261,19 +214,13 @@ func (v *Validator) DeliveredCount() int {
 	return v.deliveredCount
 }
 
-// Backlog reports work awaiting this replica's consensus/execution: the
-// pending (admitted, not yet decided) request count plus, in overlap mode,
-// decided-but-unexecuted items queued on the executor. The /healthz stall
-// probe reads it — a backlog that never drains while the chain height
-// stands still is a wedged channel.
+// Backlog reports the requests this replica has admitted and not yet
+// decided. The /healthz stall probe reads it — a backlog that never drains
+// while the chain height stands still is a wedged channel.
 func (v *Validator) Backlog() int {
 	v.mu.Lock()
-	n := len(v.pending)
-	v.mu.Unlock()
-	if v.execCh != nil {
-		n += len(v.execCh)
-	}
-	return n
+	defer v.mu.Unlock()
+	return len(v.pending)
 }
 
 // ViewChanges returns how many view changes this replica has completed.
@@ -556,31 +503,9 @@ func (v *Validator) onRequest(m *Message) {
 	}
 }
 
-// proposePending assigns sequence numbers to non-in-flight requests and
-// broadcasts pre-prepares — all of them in lockstep mode, at most
-// OverlapWindow beyond the last decided sequence in overlap mode. Caller
-// holds mu. Re-entrant calls (maybeExecute freeing window slots mid-round)
-// are flattened into another iteration of the outer loop instead of
-// recursing, which keeps stack depth constant on single-replica networks
-// where proposing decides immediately.
+// proposePending assigns sequence numbers to every non-in-flight request
+// and broadcasts their pre-prepares. Caller holds mu.
 func (v *Validator) proposePending() {
-	if v.proposeDepth > 0 {
-		v.proposeAgain = true
-		return
-	}
-	v.proposeDepth++
-	defer func() { v.proposeDepth-- }()
-	for {
-		v.proposeAgain = false
-		v.proposeRound()
-		if !v.proposeAgain {
-			return
-		}
-	}
-}
-
-// proposeRound runs one pass over pending requests. Caller holds mu.
-func (v *Validator) proposeRound() {
 	digests := make([][32]byte, 0, len(v.pending))
 	for d := range v.pending {
 		digests = append(digests, d)
@@ -600,9 +525,6 @@ func (v *Validator) proposeRound() {
 			// nil: the snapshot entry was decided (and removed) by an
 			// earlier iteration's self-quorum execution chain.
 			continue
-		}
-		if v.cfg.OverlapWindow > 0 && v.nextSeq > v.lastExec+uint64(v.cfg.OverlapWindow) {
-			return // window full; maybeExecute re-proposes as decisions land
 		}
 		seq := v.nextSeq
 		v.nextSeq++
@@ -782,12 +704,9 @@ func (v *Validator) onCommit(m *Message) {
 	v.maybeExecute()
 }
 
-// maybeExecute delivers committed instances in sequence order. In lockstep
-// mode the payload executes inline; in overlap mode it is queued on the
-// executor so the event loop returns to processing the next round's
-// messages while the block commits. Caller holds mu.
+// maybeExecute delivers committed instances in sequence order, inline on
+// the event loop with mu released. Caller holds mu.
 func (v *Validator) maybeExecute() {
-	advanced := false
 	for {
 		inst, ok := v.insts[v.lastExec+1]
 		if !ok || inst.executed || inst.payload == nil {
@@ -798,7 +717,6 @@ func (v *Validator) maybeExecute() {
 		}
 		inst.executed = true
 		v.lastExec++
-		advanced = true
 		digest := inst.digest
 		payload := inst.payload
 		inst.payload, inst.prePrepare = nil, nil
@@ -815,26 +733,12 @@ func (v *Validator) maybeExecute() {
 			v.deliveredCount++
 			seq := v.lastExec
 			v.mu.Unlock()
-			if v.execCh != nil {
-				// Blocks only when OverlapWindow decisions are already
-				// queued — the bounded in-flight window's backpressure.
-				select {
-				case v.execCh <- execItem{seq: seq, payload: payload}:
-				case <-v.stopCh:
-				}
-			} else {
-				v.cfg.Deliver(seq, payload)
-			}
+			v.cfg.Deliver(seq, payload)
 			v.mu.Lock()
 		}
 		if v.lastExec > 64 {
 			delete(v.insts, v.lastExec-64) // prune old instances
 		}
-	}
-	// Decisions freed window slots; a leader with window-deferred requests
-	// can propose again.
-	if advanced && v.cfg.OverlapWindow > 0 && v.leaderOf(v.view) == v.cfg.ID {
-		v.proposePending()
 	}
 }
 

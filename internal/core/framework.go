@@ -85,12 +85,6 @@ type Config struct {
 	// chain already carries it. A killed and restarted deployment therefore
 	// resumes with its canonical state intact.
 	DataDir string
-	// ConsensusOverlap, when > 0, lets consensus run up to this many rounds
-	// ahead of block execution (copied into Fabric.ConsensusOverlap unless
-	// that field is already set). 0 keeps the lockstep default; the
-	// canonical chain state is identical either way — overlap changes only
-	// when execution happens, never its order.
-	ConsensusOverlap int
 	// Transport selects how consensus traffic moves between the framework's
 	// validators: "inproc" (default — deterministic in-process delivery) or
 	// "tcp" (framed localhost sockets). Copied into Fabric.Transport by
@@ -133,7 +127,7 @@ func (c *Config) fill() {
 }
 
 // Resolve merges the framework-level deployment knobs (StorageEngine,
-// DataDir, ConsensusOverlap, NumChannels) into the fabric configuration
+// StorageDurability, DataDir, NumChannels, Transport) into the fabric configuration
 // and returns the result. It replaces the old silent copy-if-unset chain:
 // setting a knob at both levels to different values is now an error
 // instead of one level quietly winning.
@@ -163,14 +157,6 @@ func (c *Config) Resolve() (fabric.Config, error) {
 				c.DataDir, derived, fc.DataDir)
 		}
 		fc.DataDir = derived
-	}
-	if c.ConsensusOverlap > 0 {
-		if fc.ConsensusOverlap > 0 && fc.ConsensusOverlap != c.ConsensusOverlap {
-			return fabric.Config{}, fmt.Errorf(
-				"core: conflicting consensus overlap: Config.ConsensusOverlap=%d but Config.Fabric.ConsensusOverlap=%d",
-				c.ConsensusOverlap, fc.ConsensusOverlap)
-		}
-		fc.ConsensusOverlap = c.ConsensusOverlap
 	}
 	if c.NumChannels > 0 {
 		if fc.NumChannels > 0 && fc.NumChannels != c.NumChannels {

@@ -12,10 +12,9 @@ import (
 
 func TestResolveDerivesFabricKnobs(t *testing.T) {
 	cfg := Config{
-		StorageEngine:    storage.EnginePersist,
-		DataDir:          "/tmp/deploy",
-		ConsensusOverlap: 4,
-		NumChannels:      3,
+		StorageEngine: storage.EnginePersist,
+		DataDir:       "/tmp/deploy",
+		NumChannels:   3,
 	}
 	fc, err := cfg.Resolve()
 	if err != nil {
@@ -26,9 +25,6 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 	}
 	if want := filepath.Join("/tmp/deploy", "fabric"); fc.DataDir != want {
 		t.Fatalf("DataDir = %q, want %q", fc.DataDir, want)
-	}
-	if fc.ConsensusOverlap != 4 {
-		t.Fatalf("ConsensusOverlap = %d, want 4", fc.ConsensusOverlap)
 	}
 	if fc.NumChannels != 3 {
 		t.Fatalf("NumChannels = %d, want 3", fc.NumChannels)
@@ -41,27 +37,25 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 	// Matching values at both levels are not a conflict.
 	cfg := Config{
-		StorageEngine:    storage.EngineSharded,
-		ConsensusOverlap: 2,
-		NumChannels:      2,
-		DataDir:          "/tmp/d",
+		StorageEngine: storage.EngineSharded,
+		NumChannels:   2,
+		DataDir:       "/tmp/d",
 		Fabric: fabric.Config{
-			StateEngine:      storage.EngineSharded,
-			ConsensusOverlap: 2,
-			NumChannels:      2,
-			DataDir:          filepath.Join("/tmp/d", "fabric"),
+			StateEngine: storage.EngineSharded,
+			NumChannels: 2,
+			DataDir:     filepath.Join("/tmp/d", "fabric"),
 		},
 	}
 	if _, err := cfg.Resolve(); err != nil {
 		t.Fatalf("matching overrides rejected: %v", err)
 	}
 	// Fabric-only settings pass through untouched.
-	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumChannels: 4, ConsensusOverlap: 8}}
+	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumChannels: 4}}
 	fc, err := only.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.StateEngine != storage.EngineSingle || fc.NumChannels != 4 || fc.ConsensusOverlap != 8 {
+	if fc.StateEngine != storage.EngineSingle || fc.NumChannels != 4 {
 		t.Fatalf("fabric-level settings mangled: %+v", fc)
 	}
 }
@@ -87,14 +81,6 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 				Fabric:  fabric.Config{DataDir: "/tmp/elsewhere"},
 			},
 			want: "conflicting data directories",
-		},
-		{
-			name: "consensus overlap",
-			cfg: Config{
-				ConsensusOverlap: 2,
-				Fabric:           fabric.Config{ConsensusOverlap: 8},
-			},
-			want: "conflicting consensus overlap",
 		},
 		{
 			name: "channel count",

@@ -111,7 +111,6 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			Clock:          cfg.Clock,
 			RequestTimeout: cfg.ConsensusTimeout,
 			Behavior:       cfg.Behaviors[i],
-			OverlapWindow:  cfg.ConsensusOverlap,
 			Obs:            cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),
 			Deliver: func(seq uint64, payload []byte) {
 				batch, err := ordering.DecodeBatch(payload)

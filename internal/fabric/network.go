@@ -99,13 +99,6 @@ type Config struct {
 	// maintains (nil = none). All peers get the same list — index reads
 	// feed endorsement results.
 	StateIndexes []statedb.IndexSpec
-	// ConsensusOverlap, when > 0, overlaps consensus rounds with block
-	// execution: each validator hands decided batches to a dedicated
-	// executor goroutine and its leader keeps proposing up to this many
-	// sequences beyond the last decided one. 0 (default) keeps the
-	// lockstep behaviour: a round's block fully commits before the event
-	// loop touches the next round's messages.
-	ConsensusOverlap int
 	// Transport selects how consensus traffic moves between this network's
 	// validators: "inproc" (default — deterministic function-call delivery
 	// honouring Latency, the test harness) or "tcp" (real localhost sockets:

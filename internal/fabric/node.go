@@ -196,7 +196,6 @@ func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
 		Sender:         consensus.NewBus(n.t, name, n.ids),
 		Clock:          net.Clock,
 		RequestTimeout: net.ConsensusTimeout,
-		OverlapWindow:  net.ConsensusOverlap,
 		Obs:            chReg,
 		Deliver: func(seq uint64, payload []byte) {
 			batch, err := ordering.DecodeBatch(payload)

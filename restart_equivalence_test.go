@@ -25,19 +25,17 @@ import (
 
 // openDurableFramework boots (or reopens) a framework over dataDir. The
 // caller owns the Close; reopening requires the previous instance closed.
-// overlap sets the consensus overlap window (0 = lockstep); transport
-// picks the consensus/fabric wire ("" = in-process).
-func openDurableFramework(t *testing.T, dataDir string, overlap int, transport string) *core.Framework {
+// transport picks the consensus/fabric wire ("" = in-process).
+func openDurableFramework(t *testing.T, dataDir string, transport string) *core.Framework {
 	t.Helper()
 	fw, err := core.New(core.Config{
 		Fabric: fabric.Config{
 			NumPeers: 4,
 			Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 2 * time.Millisecond},
 		},
-		IPFSNodes:        2,
-		DataDir:          dataDir,
-		ConsensusOverlap: overlap,
-		Transport:        transport,
+		IPFSNodes: 2,
+		DataDir:   dataDir,
+		Transport: transport,
 	})
 	if err != nil {
 		t.Fatalf("core.New(DataDir=%s): %v", dataDir, err)
@@ -100,16 +98,13 @@ func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect
 	}
 }
 
-// TestIntegrationRestartEquivalence runs the fixed-seed scenario five
+// TestIntegrationRestartEquivalence runs the fixed-seed scenario four
 // ways over durable deployments — uninterrupted, stopped/reopened mid-run
-// on the serial path, stopped/reopened mid-run on the pipelined path,
-// stopped/reopened mid-run with overlapped consensus rounds, and
-// stopped/reopened mid-run over the TCP transport — and
-// requires byte-identical canonical records, identical label-index
-// content, identical record history (each peer's history also matching its
-// own chain), an intact provenance chain and identical trust state. The
-// overlap leg proves async execution survives a kill/reopen with no
-// decided-but-unexecuted payload lost or duplicated.
+// on the serial path, stopped/reopened mid-run on the pipelined path, and
+// stopped/reopened mid-run over the TCP transport — and requires
+// byte-identical canonical records, identical label-index content,
+// identical record history (each peer's history also matching its own
+// chain), an intact provenance chain and identical trust state.
 func TestIntegrationRestartEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("restart equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -120,17 +115,15 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 		name      string
 		mode      string
 		split     int // restart after this many records (n = never)
-		overlap   int // consensus overlap window (0 = lockstep)
 		transport string
 	}{
-		{"uninterrupted", "serial", n, 0, ""},
-		{"restart-serial", "serial", n / 2, 0, ""},
-		{"restart-pipelined", "pipelined", n / 2, 0, ""},
-		{"restart-overlap", "pipelined", n / 2, 4, ""},
+		{"uninterrupted", "serial", n, ""},
+		{"restart-serial", "serial", n / 2, ""},
+		{"restart-pipelined", "pipelined", n / 2, ""},
 		// The tcp leg kills and reopens a deployment whose consensus and
 		// fabric traffic crosses real sockets; recovery must still be
 		// byte-identical to the in-process uninterrupted run.
-		{"restart-tcp", "pipelined", n / 2, 0, "tcp"},
+		{"restart-tcp", "pipelined", n / 2, "tcp"},
 	}
 
 	var canonical [][]byte
@@ -138,7 +131,7 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			dataDir := t.TempDir()
-			fw := openDurableFramework(t, dataDir, run.overlap, run.transport)
+			fw := openDurableFramework(t, dataDir, run.transport)
 			closed := false
 			defer func() {
 				if !closed {
@@ -157,7 +150,7 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 					t.Fatalf("close before restart: %v", err)
 				}
 				// ...and resume from disk alone.
-				fw = openDurableFramework(t, dataDir, run.overlap, run.transport)
+				fw = openDurableFramework(t, dataDir, run.transport)
 				reHeight := fw.Net.ChannelAt(0).Peer(0).Ledger().Height()
 				if reHeight < 2 {
 					t.Fatalf("recovered chain height %d — nothing was resumed", reHeight)
@@ -234,7 +227,7 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 				t.Fatalf("final close: %v", err)
 			}
 			closed = true
-			re := openDurableFramework(t, dataDir, run.overlap, run.transport)
+			re := openDurableFramework(t, dataDir, run.transport)
 			defer re.Close()
 			if got := re.Net.ChannelAt(0).Peer(0).Ledger().Height(); got < height {
 				t.Fatalf("final reopen at height %d, had %d", got, height)
