@@ -7,8 +7,8 @@ import (
 )
 
 // benchEngines pairs each engine constructor with its label so every
-// benchmark compares single-lock vs sharded vs the LSM persist engine vs
-// the map-plus-WAL baseline under identical workloads.
+// benchmark compares single-lock vs sharded vs the LSM persist engine
+// under identical workloads.
 var benchEngines = []struct {
 	name string
 	open func(tb testing.TB) KV
@@ -19,13 +19,6 @@ var benchEngines = []struct {
 		p, err := OpenPersist(Config{Dir: tb.TempDir()})
 		if err != nil {
 			tb.Fatalf("open persist: %v", err)
-		}
-		return p
-	}},
-	{"mapwal", func(tb testing.TB) KV {
-		p, err := OpenMapWAL(Config{Dir: tb.TempDir()})
-		if err != nil {
-			tb.Fatalf("open mapwal: %v", err)
 		}
 		return p
 	}},

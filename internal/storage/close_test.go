@@ -43,7 +43,7 @@ func flushNow(p *Persist) {
 // manifest, its tables, and the one WAL it names, empty.
 func requireCheckpointed(t *testing.T, dir string) {
 	t.Helper()
-	wals := dirFiles(t, dir, segPrefix, segSuffix)
+	wals := dirFiles(t, dir, walPrefix, walSuffix)
 	if len(wals) != 1 {
 		t.Fatalf("a clean stop left wal files %v, want one", wals)
 	}
@@ -327,7 +327,7 @@ func TestLSMCloseCheckpointCrashSweep(t *testing.T) {
 	for _, name := range dirFiles(t, live, "", "") {
 		switch {
 		case had[name]:
-		case filepath.Ext(name) == segSuffix:
+		case filepath.Ext(name) == walSuffix:
 			newWAL = name
 		case filepath.Ext(name) == sstSuffix:
 			newTable = name

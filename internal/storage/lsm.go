@@ -6,11 +6,9 @@ package storage
 // sorted memtable; full memtables flush into immutable SSTables (see
 // sstable.go); a crash-safe manifest (manifest.go) names the live tables;
 // a background compactor merges runs level by level, dropping shadowed
-// versions and tombstones. The previous persist engine (now mapwal.go)
-// kept the whole key space in RAM and replayed the entire history at
-// open; here RAM holds one memtable and reopen replays only the WAL tail
-// over the manifest — nothing after a clean stop (Close checkpoints),
-// O(unflushed writes) after a crash, never O(total state).
+// versions and tombstones. RAM holds one memtable and reopen replays only
+// the WAL tail over the manifest — nothing after a clean stop (Close
+// checkpoints), O(unflushed writes) after a crash, never O(total state).
 //
 // On-disk layout inside Config.Dir:
 //
@@ -22,10 +20,12 @@ package storage
 //
 // WAL files are numbered contiguously (1, 2, 3, ...) so recovery can
 // detect a lost file in the replay range; SSTables draw from a separate
-// monotonic counter persisted in the manifest. The WAL record format is
-// byte-identical to mapwal's (walframe framing, the uvarint op encoding
-// of mapwal.go), including the torn-tail-vs-corrupt recovery
-// discriminator — walframe.RecoverTail.
+// monotonic counter persisted in the manifest. One ApplyBatch is one WAL
+// record, framed by internal/walframe ([4B length][4B CRC32][payload]);
+// the payload is a uvarint write-count, then per write an op byte (0 put,
+// 1 delete), uvarint key length, key bytes and, for puts, uvarint value
+// length plus value bytes. A torn tail on the last WAL is truncated
+// (walframe.RecoverTail); corruption anywhere else refuses the open.
 //
 // Reads merge newest-to-oldest: active memtable, flushing memtable, then
 // level 0 downwards, newest table first within a level; the first
@@ -76,6 +76,7 @@ package storage
 // a possibly-wrong value; at open it is a refusal to start.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -100,6 +101,16 @@ const (
 	DefaultCompactFanout = 4
 	// DefaultFsyncInterval is DurabilityBatch's group-commit period.
 	DefaultFsyncInterval = 5 * time.Millisecond
+
+	walPrefix = "wal-"
+	walSuffix = ".log"
+	// An older build's mapwal engine cut snapshots named snap-<idx>.db
+	// beside its WAL; the persist engine refuses such a directory.
+	snapPrefix = "snap-"
+	snapSuffix = ".db"
+
+	opPut    = 0
+	opDelete = 1
 )
 
 // lsmStats aggregates the engine's observability counters (plain
@@ -319,13 +330,7 @@ func OpenPersist(cfg Config) (*Persist, error) {
 	p.flushCond = sync.NewCond(&p.mu)
 	p.commit.cond = sync.NewCond(&p.commit.mu)
 	if p.memLimit <= 0 {
-		p.memLimit = cfg.SegmentBytes // old-engine knob, same meaning here
-	}
-	if p.memLimit <= 0 {
 		p.memLimit = DefaultMemtableBytes
-	}
-	if p.fanout <= 0 {
-		p.fanout = cfg.CompactSegments
 	}
 	if p.fanout <= 0 {
 		p.fanout = DefaultCompactFanout
@@ -355,12 +360,12 @@ func OpenPersist(cfg Config) (*Persist, error) {
 func (p *Persist) Dir() string { return p.dir }
 
 func (p *Persist) walPath(idx uint64) string {
-	return filepath.Join(p.dir, fmt.Sprintf("%s%016x%s", segPrefix, idx, segSuffix))
+	return filepath.Join(p.dir, fmt.Sprintf("%s%016x%s", walPrefix, idx, walSuffix))
 }
 
 // scanDir inventories the data directory: WAL indices (sorted), table
-// file numbers, whether mapwal snapshots are present; temp files are
-// deleted.
+// file numbers, whether an older build's mapwal snapshots are present;
+// temp files are deleted.
 func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, hasSnaps bool, err error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
@@ -372,8 +377,8 @@ func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, hasSnaps bool,
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			_ = os.Remove(filepath.Join(p.dir, name))
-		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
-			if idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 16, 64); perr == nil {
+		case strings.HasPrefix(name, walPrefix) && strings.HasSuffix(name, walSuffix):
+			if idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 16, 64); perr == nil {
 				wals = append(wals, idx)
 			}
 		case strings.HasPrefix(name, sstPrefix) && strings.HasSuffix(name, sstSuffix):
@@ -403,11 +408,11 @@ func (p *Persist) recover() error {
 	var levels [][]*table
 	if !haveManifest {
 		if hasSnaps {
-			return fmt.Errorf("storage: persist %s holds %s-format data (%s* snapshots); open it with engine %q",
-				p.dir, EngineMapWAL, snapPrefix, EngineMapWAL)
+			return fmt.Errorf("storage: persist %s holds %s* snapshots written by an older build's mapwal engine; no migration",
+				p.dir, snapPrefix)
 		}
-		// Fresh directory, or a snapshot-free mapwal directory (same WAL
-		// format): every sst file is an orphan; replay all WALs below.
+		// Fresh directory, or one holding only WALs: every sst file is an
+		// orphan; replay all WALs below.
 		for no := range ssts {
 			_ = os.Remove(sstPath(p.dir, no))
 		}
@@ -526,6 +531,88 @@ func (p *Persist) replayWAL(idx uint64, last bool) error {
 		}
 	}
 	return nil
+}
+
+// parseRecords splits a WAL image into its CRC-validated record
+// payloads. good is the byte offset just past the last valid record; err
+// is non-nil when framing or CRC validation failed there.
+func parseRecords(data []byte) (recs [][]byte, good int, err error) {
+	off := 0
+	for off < len(data) {
+		payload, next, perr := walframe.Next(data, off)
+		if perr != nil {
+			return recs, off, perr
+		}
+		recs = append(recs, payload)
+		off = next
+	}
+	return recs, off, nil
+}
+
+// decodeRecord walks one WAL record's writes, invoking apply per write
+// (value bytes are copied out of rec).
+func decodeRecord(rec []byte, apply func(key string, val []byte, del bool)) error {
+	count, n := binary.Uvarint(rec)
+	if n <= 0 {
+		return fmt.Errorf("bad record: write count")
+	}
+	rec = rec[n:]
+	for i := uint64(0); i < count; i++ {
+		if len(rec) == 0 {
+			return fmt.Errorf("bad record: short write %d", i)
+		}
+		op := rec[0]
+		rec = rec[1:]
+		klen, n := binary.Uvarint(rec)
+		if n <= 0 || uint64(len(rec)-n) < klen {
+			return fmt.Errorf("bad record: key length")
+		}
+		key := string(rec[n : n+int(klen)])
+		rec = rec[n+int(klen):]
+		switch op {
+		case opDelete:
+			apply(key, nil, true)
+		case opPut:
+			vlen, n := binary.Uvarint(rec)
+			if n <= 0 || uint64(len(rec)-n) < vlen {
+				return fmt.Errorf("bad record: value length")
+			}
+			val := make([]byte, vlen)
+			copy(val, rec[n:n+int(vlen)])
+			rec = rec[n+int(vlen):]
+			apply(key, val, false)
+		default:
+			return fmt.Errorf("bad record: op %d", op)
+		}
+	}
+	if len(rec) != 0 {
+		return fmt.Errorf("bad record: %d trailing bytes", len(rec))
+	}
+	return nil
+}
+
+// appendRecordFrame appends one framed WAL record holding writes to buf
+// and returns the extended slice.
+func appendRecordFrame(buf []byte, writes []Write) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, walframe.HeaderLen)...) // header placeholder
+	buf = binary.AppendUvarint(buf, uint64(len(writes)))
+	for i := range writes {
+		w := &writes[i]
+		if w.Delete {
+			buf = append(buf, opDelete)
+			buf = binary.AppendUvarint(buf, uint64(len(w.Key)))
+			buf = append(buf, w.Key...)
+			continue
+		}
+		buf = append(buf, opPut)
+		buf = binary.AppendUvarint(buf, uint64(len(w.Key)))
+		buf = append(buf, w.Key...)
+		buf = binary.AppendUvarint(buf, uint64(len(w.Value)))
+		buf = append(buf, w.Value...)
+	}
+	walframe.Seal(buf[start:])
+	return buf
 }
 
 // applyReplay re-applies one recovered write through the same
@@ -861,10 +948,10 @@ func (p *Persist) removeWALsBelow(min uint64) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
 			continue
 		}
-		idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 16, 64)
+		idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 16, 64)
 		if perr == nil && idx < min {
 			_ = os.Remove(filepath.Join(p.dir, name))
 		}

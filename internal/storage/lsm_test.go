@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -274,7 +275,7 @@ func lsmState(t *testing.T, dir string) map[string]string {
 func TestLSMWALTornTailRecovery(t *testing.T) {
 	refDir := t.TempDir()
 	buildWALOnly(t, refDir)
-	walName := dirFiles(t, refDir, segPrefix, segSuffix)
+	walName := dirFiles(t, refDir, walPrefix, walSuffix)
 	if len(walName) != 1 {
 		t.Fatalf("reference dir holds %d wal files, want 1", len(walName))
 	}
@@ -345,7 +346,7 @@ func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	p.Put("second", []byte(strings.Repeat("b", 40)))
 	p.Put("third", []byte(strings.Repeat("c", 40)))
 	abandon(p)
-	walName := dirFiles(t, dir, segPrefix, segSuffix)[0]
+	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
 	wal := filepath.Join(dir, walName)
 	data, err := os.ReadFile(wal)
 	if err != nil {
@@ -567,7 +568,7 @@ func TestLSMMissingFilesAreFatal(t *testing.T) {
 	t.Run("wal", func(t *testing.T) {
 		dir := t.TempDir()
 		buildTabled(t, dir)
-		for _, name := range dirFiles(t, dir, segPrefix, segSuffix) {
+		for _, name := range dirFiles(t, dir, walPrefix, walSuffix) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				t.Fatal(err)
 			}
@@ -590,7 +591,7 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 	p.Put("keep", []byte("v1"))
 	p.ApplyBatch([]Write{{Key: "torn", Value: []byte("lost")}})
 	abandon(p)
-	walName := dirFiles(t, dir, segPrefix, segSuffix)[0]
+	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
 	wal := filepath.Join(dir, walName)
 	st, err := os.Stat(wal)
 	if err != nil {
@@ -623,30 +624,40 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 	}
 }
 
-// TestLSMRefusesMapwalDirectory: pointing the LSM at a directory holding
-// mapwal snapshots must be a descriptive error, not a silent partial
-// recovery of the shared-format WAL without the snapshot's contents.
+// TestLSMRefusesMapwalDirectory: pointing the LSM at a directory an older
+// build's mapwal engine wrote — a WAL in the shared record format beside a
+// snap-* snapshot — must be a descriptive error that leaves the directory
+// as it was, not a silent partial recovery of the WAL without the
+// snapshot's contents.
 func TestLSMRefusesMapwalDirectory(t *testing.T) {
 	dir := t.TempDir()
-	mw, err := OpenMapWAL(Config{Dir: dir, SegmentBytes: 512, CompactSegments: 2})
-	if err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{
+		fmt.Sprintf("%s%016x%s", walPrefix, 3, walSuffix):   appendRecordFrame(nil, []Write{{Key: "k", Value: []byte("v")}}),
+		fmt.Sprintf("%s%016x%s", snapPrefix, 3, snapSuffix): appendRecordFrame(nil, []Write{{Key: "old", Value: []byte("state")}}),
 	}
-	for i := 0; i < 60; i++ {
-		mw.Put(fmt.Sprintf("k%02d", i), []byte(strings.Repeat("v", 64)))
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(dirFiles(t, dir, snapPrefix, snapSuffix)) == 0 {
-		t.Fatal("mapwal workload cut no snapshot")
-	}
-	_, err = OpenPersist(Config{Dir: dir})
+	_, err := OpenPersist(Config{Dir: dir})
 	if err == nil {
 		t.Fatal("LSM opened a mapwal directory silently")
 	}
-	if !strings.Contains(err.Error(), string(EngineMapWAL)) {
-		t.Fatalf("error %q does not point at the mapwal engine", err)
+	if !strings.Contains(err.Error(), "older build's mapwal engine; no migration") {
+		t.Fatalf("error %q does not point at the older build's mapwal engine", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("refused open left %d files, want the %d it found", len(entries), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused open changed %s: %v", name, err)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package storage provides the pluggable key-value engine beneath the
 // repo's stateful layers: the world-state database (with its history and
 // indexes) and the CID-addressed blockstore sit on the KV interface instead of
-// owning a map and a global lock. Four engines implement it: a
+// owning a map and a global lock. Three engines implement it: a
 // single-lock map (the seed's behaviour, kept as the determinism
 // baseline), a lock-striped sharded engine whose per-shard locks let
 // concurrent reads and batched commits proceed in parallel — the hot path
-// of the paper's store/retrieve evaluation — an LSM-tree disk engine
+// of the paper's store/retrieve evaluation — and an LSM-tree disk engine
 // whose contents survive process restarts with reopen cost proportional
-// to the WAL tail (see lsm.go), and the previous map-plus-WAL disk
-// engine, retained as the ablation baseline for the LSM (see mapwal.go).
+// to the WAL tail (see lsm.go).
 package storage
 
 import (
@@ -77,11 +76,6 @@ const (
 	// survive restarts; reopen replays only the WAL tail, so recovery cost
 	// is proportional to recent writes, not total state.
 	EnginePersist Engine = "persist"
-	// EngineMapWAL is the previous durable engine: one in-memory map
-	// behind a segmented write-ahead log with periodic full snapshots.
-	// RAM and reopen cost grow with total state; retained as the ablation
-	// baseline the `benchharness -fig lsm` comparison measures against.
-	EngineMapWAL Engine = "mapwal"
 )
 
 // Durability selects the persist engine's fsync policy — the window of
@@ -122,8 +116,8 @@ type Config struct {
 	// Shards sets the sharded engine's stripe count, rounded up to a power
 	// of two (default DefaultShards). Ignored by the other engines.
 	Shards int
-	// Dir is the disk engines' data directory (created if absent). When
-	// empty, they materialise a fresh temporary directory — durable for
+	// Dir is the persist engine's data directory (created if absent). When
+	// empty, it materialises a fresh temporary directory — durable for
 	// the life of the process, discarded by the OS afterwards — so the CI
 	// engine matrix can force EnginePersist through EngineEnvVar without
 	// threading paths into every constructor. Ignored by the in-memory
@@ -131,19 +125,16 @@ type Config struct {
 	Dir string
 	// Durability picks the persist engine's fsync policy (default
 	// DurabilityNone; see the Durability constants for the loss windows).
-	// DurabilityEnvVar overrides an empty value. Ignored by the other
-	// engines — mapwal keeps its page-cache-only behaviour.
+	// DurabilityEnvVar overrides an empty value. Ignored by the in-memory
+	// engines.
 	Durability Durability
 	// MemtableBytes is the persist engine's memtable flush threshold: once
 	// the active memtable holds this many bytes it is flushed to an
-	// SSTable (default DefaultMemtableBytes, or SegmentBytes when that is
-	// set — tests sized for the old engine's rotation keep forcing
-	// flushes).
+	// SSTable (default DefaultMemtableBytes).
 	MemtableBytes int64
 	// CompactFanout is the persist engine's per-level run budget: once a
 	// level accumulates this many SSTables they are merged into one run on
-	// the next level (default DefaultCompactFanout, or CompactSegments
-	// when that is set).
+	// the next level (default DefaultCompactFanout).
 	CompactFanout int
 	// FsyncInterval bounds DurabilityBatch's loss window (default
 	// DefaultFsyncInterval). Ignored by the other durability modes.
@@ -152,15 +143,6 @@ type Config struct {
 	// lookups always touch table blocks. A benchmarking knob for the
 	// `-fig lsm` ablation; leave unset in production.
 	NoBloom bool
-	// SegmentBytes rotates the mapwal engine's active log segment once it
-	// exceeds this size (default DefaultSegmentBytes). For the persist
-	// engine it is a compatibility alias for MemtableBytes.
-	SegmentBytes int64
-	// CompactSegments triggers the mapwal engine's snapshot compaction
-	// once this many sealed segments accumulate (default
-	// DefaultCompactSegments). For the persist engine it is a
-	// compatibility alias for CompactFanout.
-	CompactSegments int
 }
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a
@@ -181,11 +163,11 @@ const DurabilityEnvVar = "SOCIALCHAIN_STORAGE_DURABILITY"
 func envEngine() (Engine, error) {
 	v := os.Getenv(EngineEnvVar)
 	switch e := Engine(v); e {
-	case "", EngineSingle, EngineSharded, EnginePersist, EngineMapWAL:
+	case "", EngineSingle, EngineSharded, EnginePersist:
 		return e, nil
 	default:
-		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s, %s, %s)",
-			EngineEnvVar, v, EngineSingle, EngineSharded, EnginePersist, EngineMapWAL)
+		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s, %s)",
+			EngineEnvVar, v, EngineSingle, EngineSharded, EnginePersist)
 	}
 }
 
@@ -250,11 +232,9 @@ func Open(cfg Config) (KV, error) {
 		return NewSharded(cfg.Shards), nil
 	case EnginePersist:
 		return OpenPersist(cfg)
-	case EngineMapWAL:
-		return OpenMapWAL(cfg)
 	default:
-		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s, %s, %s)",
-			engine, EngineSingle, EngineSharded, EnginePersist, EngineMapWAL)
+		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s, %s)",
+			engine, EngineSingle, EngineSharded, EnginePersist)
 	}
 }
 

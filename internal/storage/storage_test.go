@@ -21,16 +21,11 @@ func engines(tb testing.TB) map[string]KV {
 	if err != nil {
 		tb.Fatalf("open persist-small: %v", err)
 	}
-	mapwal, err := OpenMapWAL(Config{Dir: tb.TempDir()})
-	if err != nil {
-		tb.Fatalf("open mapwal: %v", err)
-	}
 	// Registered after the TempDirs, so it runs before their removal: a
 	// background flush still writing there fails the directory cleanup.
 	tb.Cleanup(func() {
 		persist.Close()
 		persistSmall.Close()
-		mapwal.Close()
 	})
 	return map[string]KV{
 		"single":        NewSingle(),
@@ -38,7 +33,6 @@ func engines(tb testing.TB) map[string]KV {
 		"sharded-1":     NewSharded(1), // degenerate stripe count must still behave
 		"persist":       persist,
 		"persist-small": persistSmall,
-		"mapwal":        mapwal,
 	}
 }
 
@@ -77,6 +71,30 @@ func TestOpenRejectsUnknownEngine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no-such-engine") {
 		t.Fatalf("error %q does not name the offending engine", err)
+	}
+}
+
+// TestOpenRefusesRemovedEngine: the mapwal engine is gone, and naming it —
+// in the config or in the env override — is the unknown-engine error that
+// lists what remains, not a silent fallback to a default engine.
+func TestOpenRefusesRemovedEngine(t *testing.T) {
+	const valid = "(valid: single, sharded, persist)"
+	kv, err := Open(Config{Engine: "mapwal"})
+	if err == nil {
+		kv.Close()
+		t.Fatalf("Open(Engine: mapwal) opened %T, want error", kv)
+	}
+	if !strings.Contains(err.Error(), `unknown engine "mapwal"`) || !strings.Contains(err.Error(), valid) {
+		t.Fatalf("Open(Engine: mapwal) error = %q, want the unknown-engine error listing %s", err, valid)
+	}
+	t.Setenv(EngineEnvVar, "mapwal")
+	kv, err = Open(Config{})
+	if err == nil {
+		kv.Close()
+		t.Fatalf("%s=mapwal opened %T, want error", EngineEnvVar, kv)
+	}
+	if !strings.Contains(err.Error(), EngineEnvVar+` value "mapwal"`) || !strings.Contains(err.Error(), valid) {
+		t.Fatalf("%s=mapwal error = %q, want the unknown-engine error listing %s", EngineEnvVar, err, valid)
 	}
 }
 
@@ -324,10 +342,9 @@ func dump(kv KV) []entry {
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		dir := t.TempDir()
-		mapwalDir := t.TempDir()
 		single := NewSingle()
 		sharded := NewSharded(8)
-		persist, err := OpenPersist(Config{Dir: dir, SegmentBytes: 4 << 10})
+		persist, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,16 +355,11 @@ func TestEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapwal, err := OpenMapWAL(Config{Dir: mapwalDir, SegmentBytes: 4 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, o := range randomOps(seed, 600) {
 			apply(single, o)
 			apply(sharded, o)
 			apply(persist, o)
 			apply(small, o)
-			apply(mapwal, o)
 		}
 		if err := persist.Close(); err != nil {
 			t.Fatalf("seed %d: close persist: %v", seed, err)
@@ -355,10 +367,7 @@ func TestEngineEquivalence(t *testing.T) {
 		if err := small.Close(); err != nil {
 			t.Fatalf("seed %d: close persist-small: %v", seed, err)
 		}
-		if err := mapwal.Close(); err != nil {
-			t.Fatalf("seed %d: close mapwal: %v", seed, err)
-		}
-		reopened, err := OpenPersist(Config{Dir: dir, SegmentBytes: 4 << 10})
+		reopened, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatalf("seed %d: reopen persist: %v", seed, err)
 		}
@@ -366,15 +375,10 @@ func TestEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reopen persist-small: %v", seed, err)
 		}
-		reopenedMapwal, err := OpenMapWAL(Config{Dir: mapwalDir, SegmentBytes: 4 << 10})
-		if err != nil {
-			t.Fatalf("seed %d: reopen mapwal: %v", seed, err)
-		}
 		others := map[string]KV{
 			"sharded":       sharded,
 			"persist":       reopened,
 			"persist-small": reopenedSmall,
-			"mapwal":        reopenedMapwal,
 		}
 		for name, kv := range others {
 			if single.Len() != kv.Len() {
@@ -422,7 +426,7 @@ func TestOpenDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DefaultEngine(): %v", err)
 	}
-	if def != EngineSingle && def != EngineSharded && def != EnginePersist && def != EngineMapWAL {
+	if def != EngineSingle && def != EngineSharded && def != EnginePersist {
 		t.Fatalf("DefaultEngine() = %q", def)
 	}
 	kv, err := Open(Config{})
@@ -437,12 +441,6 @@ func TestOpenDefaultEngine(t *testing.T) {
 		}
 	case EnginePersist:
 		p, ok := kv.(*Persist)
-		if !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
-		defer os.RemoveAll(p.Dir())
-	case EngineMapWAL:
-		p, ok := kv.(*MapWAL)
 		if !ok {
 			t.Fatalf("default engine %q opened %T", def, kv)
 		}
