@@ -55,7 +55,7 @@ func buildBloom(hashes []uint64) bloomFilter {
 // False is definitive; true requires a block read to confirm.
 func (b bloomFilter) mayContain(h uint64) bool {
 	if b.nbits == 0 {
-		return true // absent/disabled filter: cannot rule anything out
+		return true // empty filter block: cannot rule anything out
 	}
 	h1, h2 := h, (h>>17)|1
 	for i := uint64(0); i < bloomProbes; i++ {

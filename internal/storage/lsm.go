@@ -205,10 +205,10 @@ func cloneLevels(levels [][]*table) [][]*table {
 
 // searchVersion looks key up newest-to-oldest across the version's
 // tables. found covers tombstones (tomb true means "deleted, stop").
-func searchVersion(v *lsmVersion, key string, useBloom bool, st *lsmStats) (val []byte, tomb, found bool, err error) {
+func searchVersion(v *lsmVersion, key string, st *lsmStats) (val []byte, tomb, found bool, err error) {
 	for _, lvl := range v.levels {
 		for _, t := range lvl {
-			val, tomb, found, err = t.get(key, useBloom, st)
+			val, tomb, found, err = t.get(key, st)
 			if err != nil || found {
 				return val, tomb, found, err
 			}
@@ -260,7 +260,6 @@ type Persist struct {
 	fanout        int
 	durability    Durability
 	fsyncInterval time.Duration
-	useBloom      bool
 
 	flushC   chan struct{}
 	compactC chan struct{}
@@ -322,7 +321,6 @@ func OpenPersist(cfg Config) (*Persist, error) {
 		fanout:        cfg.CompactFanout,
 		durability:    durability,
 		fsyncInterval: cfg.FsyncInterval,
-		useBloom:      !cfg.NoBloom,
 		flushC:        make(chan struct{}, 1),
 		compactC:      make(chan struct{}, 1),
 		quit:          make(chan struct{}),
@@ -651,7 +649,7 @@ func (p *Persist) lookupLocked(key string) (val []byte, existed bool, err error)
 			return e.value, true, nil
 		}
 	}
-	val, tomb, found, err := searchVersion(p.version, key, p.useBloom, &p.stats)
+	val, tomb, found, err := searchVersion(p.version, key, &p.stats)
 	if err != nil || !found || tomb {
 		return nil, false, err
 	}
@@ -870,13 +868,13 @@ func (p *Persist) doFlush() {
 	var t *table
 	if err == nil {
 		for i := range entries {
-			if err = w.add(entries[i], p.useBloom); err != nil {
+			if err = w.add(entries[i]); err != nil {
 				w.abort()
 				break
 			}
 		}
 		if err == nil {
-			if err = w.finish(p.useBloom); err == nil {
+			if err = w.finish(); err == nil {
 				t, err = openTable(p.dir, fileNo)
 			}
 		}
@@ -1031,7 +1029,7 @@ func (p *Persist) compactOnce() bool {
 	added := 0
 	var addErr error
 	merr := mergeSources(sources, !dropTombs, func(e lsmEntry) bool {
-		if addErr = w.add(e, p.useBloom); addErr != nil {
+		if addErr = w.add(e); addErr != nil {
 			return false
 		}
 		added++
@@ -1050,7 +1048,7 @@ func (p *Persist) compactOnce() bool {
 	if added == 0 {
 		w.abort() // everything annihilated; no output table
 	} else {
-		if err := w.finish(p.useBloom); err != nil {
+		if err := w.finish(); err != nil {
 			unpin()
 			p.setErr(err)
 			return false
@@ -1212,7 +1210,7 @@ func (p *Persist) Get(key string) ([]byte, bool) {
 	v := p.version
 	v.acquire()
 	p.mu.RUnlock()
-	val, tomb, found, err := searchVersion(v, key, p.useBloom, &p.stats)
+	val, tomb, found, err := searchVersion(v, key, &p.stats)
 	v.release()
 	if err != nil {
 		p.corrupt(err)

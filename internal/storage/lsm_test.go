@@ -698,8 +698,7 @@ func TestLSMDurabilityModes(t *testing.T) {
 }
 
 // TestLSMBloomSkipsNegativeLookups checks the bloom fast path: misses on
-// never-written keys should overwhelmingly skip disk, and disabling the
-// filter (NoBloom) must force block reads instead.
+// never-written keys should overwhelmingly skip disk.
 func TestLSMBloomSkipsNegativeLookups(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenPersist(Config{Dir: dir, MemtableBytes: 1 << 10})
@@ -734,34 +733,6 @@ func TestLSMBloomSkipsNegativeLookups(t *testing.T) {
 		t.Fatalf("%d block reads for %d unfiltered probes", st.BlockReads, st.BloomChecks-st.BloomSkips)
 	}
 
-	// NoBloom: tables are flushed with an empty filter frame, load back,
-	// and answer the same misses from their blocks.
-	cfg := Config{Dir: t.TempDir(), MemtableBytes: 1 << 10, NoBloom: true}
-	if p, err = OpenPersist(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		p.Put(fmt.Sprintf("present/%04d", i), []byte(strings.Repeat("v", 32)))
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("close without bloom filters: %v", err)
-	}
-	bare, err := OpenPersist(cfg)
-	if err != nil {
-		t.Fatalf("reopen without bloom filters: %v", err)
-	}
-	defer bare.Close()
-	for i := 0; i < 200; i++ {
-		if v, ok := bare.Get(fmt.Sprintf("present/%04d", i)); !ok || len(v) != 32 {
-			t.Fatalf("present/%04d = %q/%v without bloom filters", i, v, ok)
-		}
-		if _, ok := bare.Get(fmt.Sprintf("present/%04d-missing", i)); ok {
-			t.Fatal("phantom key")
-		}
-	}
-	if st := bare.Stats(); st.BloomSkips != 0 || st.BlockReads == 0 {
-		t.Fatalf("without bloom filters: %d skips, %d block reads", st.BloomSkips, st.BlockReads)
-	}
 }
 
 // copyFlatDir copies every regular file in src into dst (the LSM data

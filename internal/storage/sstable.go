@@ -18,7 +18,8 @@ package storage
 // small and loaded eagerly at open; data blocks are read lazily.
 //
 // Bloom block payload: the serialised filter over every key in the table
-// (see bloom.go), or empty when filters are disabled.
+// (see bloom.go). An empty payload reads as a filter that rules nothing
+// out.
 //
 // Footer: a fixed-size frame closing the file — magic "SST1", a version
 // byte, and the index and bloom block offsets as 8-byte big-endian —
@@ -231,24 +232,22 @@ func (t *table) parseIndex(data []byte) error {
 	return nil
 }
 
-// get looks key up in the table. A bloom-filter miss (useBloom) answers
-// without touching disk. The returned value aliases a freshly read block
+// get looks key up in the table. A bloom-filter miss answers without
+// touching disk. The returned value aliases a freshly read block
 // buffer. A CRC or decode failure is returned as err — the engine
 // escalates it, never serving data past a failed check.
-func (t *table) get(key string, useBloom bool, st *lsmStats) (val []byte, tomb, found bool, err error) {
+func (t *table) get(key string, st *lsmStats) (val []byte, tomb, found bool, err error) {
 	if len(t.blocks) == 0 || key < t.minKey || key > t.maxKey {
 		return nil, false, false, nil
 	}
-	if useBloom {
+	if st != nil {
+		st.bloomChecks.Add(1)
+	}
+	if !t.filter.mayContain(bloomHash(key)) {
 		if st != nil {
-			st.bloomChecks.Add(1)
+			st.bloomSkips.Add(1)
 		}
-		if !t.filter.mayContain(bloomHash(key)) {
-			if st != nil {
-				st.bloomSkips.Add(1)
-			}
-			return nil, false, false, nil
-		}
+		return nil, false, false, nil
 	}
 	// Last block whose first key <= key.
 	i := sort.Search(len(t.blocks), func(i int) bool { return t.blocks[i].firstKey > key }) - 1
@@ -334,15 +333,13 @@ func newSSTWriter(dir string, fileNo uint64) (*sstWriter, error) {
 }
 
 // add appends one entry; keys must arrive in strictly ascending order.
-func (w *sstWriter) add(e lsmEntry, collectHash bool) error {
+func (w *sstWriter) add(e lsmEntry) error {
 	if w.count == 0 {
 		w.minKey = e.key
 	}
 	w.maxKey = e.key
 	w.count++
-	if collectHash {
-		w.hashes = append(w.hashes, bloomHash(e.key))
-	}
+	w.hashes = append(w.hashes, bloomHash(e.key))
 	if len(w.block) == 0 {
 		w.block = append(w.block, make([]byte, walframe.HeaderLen)...)
 		w.first = e.key
@@ -392,8 +389,8 @@ func (w *sstWriter) writeFrame(payload []byte) error {
 
 // finish writes index, bloom and footer, fsyncs and closes the file. The
 // caller opens the result with openTable (re-validating everything) or
-// deletes it. withBloom selects whether a filter is emitted.
-func (w *sstWriter) finish(withBloom bool) error {
+// deletes it.
+func (w *sstWriter) finish() error {
 	if err := w.cutBlock(); err != nil {
 		w.abort()
 		return err
@@ -416,11 +413,7 @@ func (w *sstWriter) finish(withBloom bool) error {
 		return err
 	}
 	bloomOff := w.off
-	var bloom []byte
-	if withBloom {
-		bloom = buildBloom(w.hashes).encode(nil)
-	}
-	if err := w.writeFrame(bloom); err != nil {
+	if err := w.writeFrame(buildBloom(w.hashes).encode(nil)); err != nil {
 		w.abort()
 		return err
 	}

@@ -139,10 +139,6 @@ type Config struct {
 	// FsyncInterval bounds DurabilityBatch's loss window (default
 	// DefaultFsyncInterval). Ignored by the other durability modes.
 	FsyncInterval time.Duration
-	// NoBloom disables the persist engine's bloom filters so negative
-	// lookups always touch table blocks. A benchmarking knob for the
-	// `-fig lsm` ablation; leave unset in production.
-	NoBloom bool
 }
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a
