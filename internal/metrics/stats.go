@@ -1,7 +1,7 @@
-// Package metrics provides the measurement kit used by the benchmark
-// harness: streaming statistics, percentiles, histograms, labelled series
-// and aligned table output. It stands in for the Grafana / Hyperledger
-// Explorer monitoring used in the paper's testbed.
+// Package metrics provides the small measurement kit the commands,
+// benchmarks and explorer report with: sample statistics with exact
+// percentiles, event counters and aligned table output. What a running
+// deployment exports (/metrics, /statusz, traces) lives in internal/obs.
 package metrics
 
 import (

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table renders rows of strings with aligned columns; the benchmark harness
-// uses it to print the per-figure series the paper plots.
+// Table renders rows of strings with aligned columns, as the commands and
+// the explorer print their reports.
 type Table struct {
 	header []string
 	rows   [][]string
@@ -60,25 +60,5 @@ func (t *Table) Render(w io.Writer) {
 	line(sep)
 	for _, r := range t.rows {
 		line(r)
-	}
-}
-
-// Series is a labelled sequence of (x, y) points, e.g. one line of a figure.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Append adds one point to the series.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// WriteCSV emits the series as "label,x,y" lines, convenient for replotting.
-func (s *Series) WriteCSV(w io.Writer) {
-	for i := range s.X {
-		fmt.Fprintf(w, "%s,%g,%g\n", s.Label, s.X[i], s.Y[i])
 	}
 }
