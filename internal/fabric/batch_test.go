@@ -15,7 +15,7 @@ import (
 // commit and the final state on every peer.
 func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 
 	calls := make([]chaincode.BatchCall, 5)
 	for i := range calls {
@@ -38,7 +38,7 @@ func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 	// Wait for the block that carries the batch, not peer 0's current
 	// height: commit confirmation may come from another peer, so peer 0
 	// can still be behind when this line runs.
-	if !net.WaitHeight(res.BlockNum+1, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(res.BlockNum+1, 5*time.Second) {
 		t.Fatal("peers did not converge")
 	}
 	raw, err := gw.Evaluate("kv", "get", []byte("n"))
@@ -49,7 +49,7 @@ func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 		t.Fatalf("n = %s, want 5 (one atomic envelope)", raw)
 	}
 	// The whole batch is one ledger transaction.
-	tx, flag, _, err := net.Peer(0).Ledger().GetTx(res.TxID)
+	tx, flag, _, err := net.ChannelAt(0).Peer(0).Ledger().GetTx(res.TxID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 // failing call aborts endorsement and nothing commits.
 func TestSubmitBatchFailingCallRejectsWhole(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	_, err := gw.SubmitBatch([]chaincode.BatchCall{
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("a"), []byte("1")}},
 		{Chaincode: "kv", Fn: "fail"},
@@ -86,8 +86,8 @@ func TestSubmitBatchFailingCallRejectsWhole(t *testing.T) {
 // delivered to subscribers when the batch envelope commits.
 func TestSubmitBatchEventsDelivered(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.Gateway(newClient(t))
-	events := net.Peer(0).SubscribeEvents(16)
+	gw := net.DefaultChannel().Gateway(newClient(t))
+	events := net.ChannelAt(0).Peer(0).SubscribeEvents(16)
 	calls := []chaincode.BatchCall{
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k0"), []byte("v0")}},
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k1"), []byte("v1")}},

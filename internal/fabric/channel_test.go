@@ -88,22 +88,3 @@ func TestMultiChannelIsolation(t *testing.T) {
 		t.Fatalf("channel 0 carries %d txs, want 1", s.TotalTxs)
 	}
 }
-
-// TestDeprecatedGatewayUsesDefaultChannel keeps the pre-sharding client
-// surface working: Network.Gateway must behave exactly like a gateway on
-// the default channel.
-func TestDeprecatedGatewayUsesDefaultChannel(t *testing.T) {
-	net := newTestNetwork(t, Config{NumPeers: 4, NumChannels: 2})
-	client := newClient(t)
-	gw := net.Gateway(client)
-	if gw.Channel() != net.DefaultChannel() {
-		t.Fatal("Network.Gateway is not bound to the default channel")
-	}
-	if _, err := gw.Submit("kv", "put", []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("submit through deprecated gateway: %v", err)
-	}
-	got, err := net.DefaultChannel().Gateway(client).Evaluate("kv", "get", []byte("k"))
-	if err != nil || string(got) != "v" {
-		t.Fatalf("default-channel read = %q, %v; want v", got, err)
-	}
-}

@@ -79,7 +79,7 @@ func newClient(t *testing.T) *msp.Signer {
 
 func TestSubmitAndEvaluateRoundTrip(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 
 	res, err := gw.Submit("kv", "put", []byte("k1"), []byte("v1"))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestSubmitAndEvaluateRoundTrip(t *testing.T) {
 
 func TestAllPeersConverge(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	const n = 15
 	for i := 0; i < n; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
@@ -110,22 +110,22 @@ func TestAllPeersConverge(t *testing.T) {
 	// submissions are in flight, so everyone converges on the current max.
 	var h uint64
 	for i := 0; i < 4; i++ {
-		if ph := net.Peer(i).Ledger().Height(); ph > h {
+		if ph := net.ChannelAt(0).Peer(i).Ledger().Height(); ph > h {
 			h = ph
 		}
 	}
-	if !net.WaitHeight(h, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(h, 5*time.Second) {
 		t.Fatal("peers did not converge on height")
 	}
-	tip := net.Peer(0).Ledger().TipHash()
+	tip := net.ChannelAt(0).Peer(0).Ledger().TipHash()
 	for i := 1; i < 4; i++ {
-		if net.Peer(i).Ledger().Height() != h {
-			t.Fatalf("peer %d height %d != %d", i, net.Peer(i).Ledger().Height(), h)
+		if net.ChannelAt(0).Peer(i).Ledger().Height() != h {
+			t.Fatalf("peer %d height %d != %d", i, net.ChannelAt(0).Peer(i).Ledger().Height(), h)
 		}
-		if net.Peer(i).Ledger().TipHash() != tip {
+		if net.ChannelAt(0).Peer(i).Ledger().TipHash() != tip {
 			t.Fatalf("peer %d tip hash diverges", i)
 		}
-		if err := net.Peer(i).Ledger().VerifyChain(); err != nil {
+		if err := net.ChannelAt(0).Peer(i).Ledger().VerifyChain(); err != nil {
 			t.Fatalf("peer %d chain: %v", i, err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestAllPeersConverge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%02d", i)
 		for pi := 0; pi < 4; pi++ {
-			vv, ok := net.Peer(pi).State().GetState("kv", key)
+			vv, ok := net.ChannelAt(0).Peer(pi).State().GetState("kv", key)
 			if !ok || string(vv.Value) != "v" {
 				t.Fatalf("peer %d missing %s", pi, key)
 			}
@@ -143,12 +143,12 @@ func TestAllPeersConverge(t *testing.T) {
 
 func TestChaincodeErrorDoesNotCommit(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	_, err := gw.Submit("kv", "fail")
 	if err == nil {
 		t.Fatal("expected endorsement failure")
 	}
-	if net.Peer(0).Ledger().Stats().TotalTxs != 0 {
+	if net.ChannelAt(0).Peer(0).Ledger().Stats().TotalTxs != 0 {
 		t.Fatal("failed proposal must not be ordered")
 	}
 }
@@ -158,7 +158,7 @@ func TestMVCCConflictFlagged(t *testing.T) {
 		NumPeers: 4,
 		Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 200 * time.Millisecond},
 	})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	// Seed the counter.
 	if _, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0")); err != nil {
 		t.Fatalf("seed: %v", err)
@@ -202,11 +202,11 @@ func TestMVCCConflictFlagged(t *testing.T) {
 
 func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 
 	// Build a valid envelope, then strip endorsements below the 2/3 quorum.
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
-	resp, err := net.Peer(0).Endorse(prop)
+	resp, err := net.ChannelAt(0).Peer(0).Endorse(prop)
 	if err != nil {
 		t.Fatalf("endorse: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 	if res.Flag != ledger.EndorsementPolicyFailure {
 		t.Fatalf("flag = %s, want ENDORSEMENT_POLICY_FAILURE", res.Flag)
 	}
-	if _, ok := net.Peer(0).State().GetState("kv", "x"); ok {
+	if _, ok := net.ChannelAt(0).Peer(0).State().GetState("kv", "x"); ok {
 		t.Fatal("under-endorsed write must not be applied")
 	}
 }
@@ -228,30 +228,30 @@ func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 // leaves part of it out.
 func TestNestedBatchEnvelopeRefused(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
-	resp, err := net.Peer(0).Endorse(prop)
+	resp, err := net.ChannelAt(0).Peer(0).Endorse(prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := envelopeFrom(t, gw, prop, resp)
 	tx.Payload = ledger.TxPayload{Batch: []ledger.TxPayload{{Batch: []ledger.TxPayload{tx.Payload}}}}
-	height := net.Peer(0).Height()
+	height := net.ChannelAt(0).Peer(0).Height()
 	if _, err := gw.SubmitEnvelope(tx); err == nil || !strings.Contains(err.Error(), "batch of its own") {
 		t.Fatalf("submit of a nested batch: %v", err)
 	}
-	if got := net.Peer(0).Height(); got != height {
+	if got := net.ChannelAt(0).Peer(0).Height(); got != height {
 		t.Fatalf("height %d → %d after the refusal", height, got)
 	}
 }
 
 func TestBadCreatorSignatureFlagged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
 	var endorsements []*ledger.Transaction
 	_ = endorsements
-	resp0, err := net.Peer(0).Endorse(prop)
+	resp0, err := net.ChannelAt(0).Peer(0).Endorse(prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSubmitWithSilentValidator(t *testing.T) {
 		Behaviors:        map[int]consensus.Behavior{2: consensus.Silent{}},
 		ConsensusTimeout: 500 * time.Millisecond,
 	})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	res, err := gw.Submit("kv", "put", []byte("a"), []byte("b"))
 	if err != nil {
 		t.Fatalf("submit with silent validator: %v", err)
@@ -284,8 +284,8 @@ func TestSubmitWithSilentValidator(t *testing.T) {
 
 func TestEventsDelivered(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
-	events := net.Peer(1).SubscribeEvents(16)
+	gw := net.DefaultChannel().Gateway(newClient(t))
+	events := net.ChannelAt(0).Peer(1).SubscribeEvents(16)
 	if _, err := gw.Submit("kv", "put", []byte("ek"), []byte("ev")); err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	}
 	net.MustDeploy(kvCC{})
 	net.Start()
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 
 	// Endorse while running, then stop the network before ordering.
 	tx, err := gw.endorseAndAssemble("kv", "put", [][]byte{[]byte("k"), []byte("v")})
@@ -40,7 +40,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	}
 	net2.MustDeploy(kvCC{})
 	// net2 is never started: orderers are idle, commits can never happen.
-	gw2 := net2.Gateway(newClient(t))
+	gw2 := net2.DefaultChannel().Gateway(newClient(t))
 	if _, err := gw2.SubmitEnvelope(*tx); !errors.Is(err, ErrCommitTimeout) {
 		t.Fatalf("want ErrCommitTimeout, got %v", err)
 	}
@@ -53,7 +53,7 @@ func TestSubmitUnderLatencyModel(t *testing.T) {
 		Latency:  sim.LANLatency(rng),
 		Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond},
 	})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	start := time.Now()
 	res, err := gw.Submit("kv", "put", []byte("lk"), []byte("lv"))
 	if err != nil {
@@ -75,7 +75,7 @@ func TestWrongDigestValidatorDoesNotAffectCommits(t *testing.T) {
 		Behaviors:        map[int]consensus.Behavior{3: consensus.WrongDigest{}},
 		ConsensusTimeout: 500 * time.Millisecond,
 	})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		res, err := gw.Submit("kv", "put", []byte{byte('a' + i)}, []byte("v"))
 		if err != nil {
@@ -89,7 +89,7 @@ func TestWrongDigestValidatorDoesNotAffectCommits(t *testing.T) {
 
 func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	if _, err := gw.Submit("kv", "put", []byte("fresh"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +113,19 @@ func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 // VALID: the policy counted whoever the envelope said had signed.
 func TestForgedEndorsersRejected(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond}})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	prop, err := newRawProposal(gw, "kv", "put", [][]byte{[]byte("forged"), []byte("v")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := net.Peer(0).Endorse(prop)
+	resp, err := net.ChannelAt(0).Peer(0).Endorse(prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := envelopeFrom(t, gw, prop, resp)
 	tx.Endorsements = nil
 	for i := 0; i < 3; i++ {
-		real := net.Peer(i).Identity()
+		real := net.ChannelAt(0).Peer(i).Identity()
 		forger, err := msp.NewSigner(real.Org, real.Name, real.Role)
 		if err != nil {
 			t.Fatal(err)
@@ -144,10 +144,10 @@ func TestForgedEndorsersRejected(t *testing.T) {
 	if res.Flag != ledger.EndorsementPolicyFailure {
 		t.Fatalf("flag = %s, want %s", res.Flag, ledger.EndorsementPolicyFailure)
 	}
-	if !net.WaitHeight(res.BlockNum+1, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(res.BlockNum+1, 5*time.Second) {
 		t.Fatal("peers did not converge")
 	}
-	for i, p := range net.Peers() {
+	for i, p := range net.ChannelAt(0).Peers() {
 		if _, flag, _, err := p.Ledger().GetTx(tx.ID); err != nil || flag != ledger.EndorsementPolicyFailure {
 			t.Errorf("peer %d recorded %s (%v)", i, flag, err)
 		}
@@ -235,10 +235,10 @@ func TestGatewayReportsContradictingEndorser(t *testing.T) {
 func TestGatewayNoActiveEndorsers(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 1})
 	// Flag every peer.
-	for _, p := range net.Peers() {
-		net.Watchdog().Report(p.ID(), "test")
+	for _, p := range net.ChannelAt(0).Peers() {
+		net.ChannelAt(0).Watchdog().Report(p.ID(), "test")
 	}
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	if _, err := gw.Submit("kv", "put", []byte("x"), []byte("y")); err == nil {
 		t.Fatal("submit succeeded with no active endorsers")
 	}
@@ -249,16 +249,16 @@ func TestGatewayNoActiveEndorsers(t *testing.T) {
 
 func TestActiveEndorsersShrinkOnFlag(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 1})
-	if got := len(net.ActiveEndorsers()); got != 4 {
+	if got := len(net.ChannelAt(0).ActiveEndorsers()); got != 4 {
 		t.Fatalf("active = %d", got)
 	}
-	net.Watchdog().Report(net.Peer(2).ID(), "endorsed mismatching digest")
-	if got := len(net.ActiveEndorsers()); got != 3 {
+	net.ChannelAt(0).Watchdog().Report(net.ChannelAt(0).Peer(2).ID(), "endorsed mismatching digest")
+	if got := len(net.ChannelAt(0).ActiveEndorsers()); got != 3 {
 		t.Fatalf("active after flag = %d", got)
 	}
 	// The flagged peer is specifically the missing one.
-	for _, p := range net.ActiveEndorsers() {
-		if p.ID() == net.Peer(2).ID() {
+	for _, p := range net.ChannelAt(0).ActiveEndorsers() {
+		if p.ID() == net.ChannelAt(0).Peer(2).ID() {
 			t.Fatal("flagged peer still active")
 		}
 	}
@@ -296,8 +296,8 @@ func TestConfigDefaults(t *testing.T) {
 	if net.NumPeers() != 4 {
 		t.Fatalf("default peers = %d", net.NumPeers())
 	}
-	if net.ChannelID() != "traffic-channel" {
-		t.Fatalf("default channel = %s", net.ChannelID())
+	if net.DefaultChannel().Name() != "traffic-channel" {
+		t.Fatalf("default channel = %s", net.DefaultChannel().Name())
 	}
 	if net.Policy().Describe() == "" {
 		t.Fatal("no default policy")

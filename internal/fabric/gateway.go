@@ -78,15 +78,6 @@ func (ch *Channel) Gateway(client *msp.Signer) *Gateway {
 	return newGateway(ch, ch, client)
 }
 
-// Gateway creates a client bound to the network's default channel.
-//
-// Deprecated: use Network.Channel(name).Gateway (or ChannelFor(key) for
-// routed writes) on multi-channel networks. Kept as a thin wrapper over
-// the default channel so single-channel code migrates incrementally.
-func (n *Network) Gateway(client *msp.Signer) *Gateway {
-	return n.DefaultChannel().Gateway(client)
-}
-
 // Client returns the gateway's signing identity.
 func (g *Gateway) Client() msp.Identity { return g.client.Identity }
 

@@ -9,8 +9,7 @@
 // per-peer world state and block log — so aggregate throughput scales with
 // the channel count. Clients obtain channel-scoped gateways through
 // Network.Channel(name).Gateway or route by partition key through
-// Network.ChannelFor; the single-channel Network.Gateway survives as a
-// deprecated wrapper over the default channel.
+// Network.ChannelFor; single-channel code talks to Network.DefaultChannel.
 package fabric
 
 import (
@@ -29,7 +28,6 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
 	"socialchain/internal/ordering"
-	"socialchain/internal/peer"
 	"socialchain/internal/sim"
 	"socialchain/internal/statedb"
 	"socialchain/internal/storage"
@@ -468,35 +466,8 @@ func (n *Network) Identities() *msp.Registry { return n.members }
 // Policy returns the endorsement policy (shared by channels).
 func (n *Network) Policy() msp.Policy { return n.policy }
 
-// ChannelID returns the default channel's name.
-//
-// Deprecated: use Channel/Channels and Channel.Name on multi-channel
-// networks.
-func (n *Network) ChannelID() string { return n.channels[0].name }
-
-// Peer returns the default channel's i-th peer.
-//
-// Deprecated: use ChannelAt(i).Peer on multi-channel networks.
-func (n *Network) Peer(i int) *peer.Peer { return n.channels[0].Peer(i) }
-
-// Peers returns the default channel's peers.
-//
-// Deprecated: use ChannelAt(i).Peers on multi-channel networks.
-func (n *Network) Peers() []*peer.Peer { return n.channels[0].Peers() }
-
 // NumPeers returns the per-channel peer count.
 func (n *Network) NumPeers() int { return n.channels[0].NumPeers() }
-
-// Validator returns the default channel's i-th consensus validator
-// (tests, stats).
-//
-// Deprecated: use ChannelAt(i).Validator on multi-channel networks.
-func (n *Network) Validator(i int) *consensus.Validator { return n.channels[0].Validator(i) }
-
-// Watchdog returns the default channel's misbehaviour tracker.
-//
-// Deprecated: use ChannelAt(i).Watchdog on multi-channel networks.
-func (n *Network) Watchdog() *Watchdog { return n.channels[0].Watchdog() }
 
 // CommitErrors returns the number of batches that failed to commit,
 // summed over channels.
@@ -506,25 +477,4 @@ func (n *Network) CommitErrors() uint64 {
 		total += ch.CommitErrors()
 	}
 	return total
-}
-
-// ActiveEndorsers returns the default channel's peers not excluded by its
-// watchdog.
-//
-// Deprecated: use ChannelAt(i).ActiveEndorsers on multi-channel networks.
-func (n *Network) ActiveEndorsers() []*peer.Peer { return n.channels[0].ActiveEndorsers() }
-
-// SyncPeer catches the default channel's peer i up from the freshest peer
-// of that channel. It returns the number of blocks applied.
-//
-// Deprecated: use ChannelAt(i).SyncPeer on multi-channel networks.
-func (n *Network) SyncPeer(i int) (int, error) { return n.channels[0].SyncPeer(i) }
-
-// WaitHeight blocks until every peer of the default channel reaches
-// height (or timeout), returning whether it was reached. Useful for tests
-// and benchmarks.
-//
-// Deprecated: use ChannelAt(i).WaitHeight on multi-channel networks.
-func (n *Network) WaitHeight(height uint64, timeout time.Duration) bool {
-	return n.channels[0].WaitHeight(height, timeout)
 }

@@ -13,7 +13,7 @@ import (
 
 func TestSyncPeerNoopWhenConverged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		if _, err := gw.Submit("kv", "put", []byte{byte('a' + i)}, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -21,15 +21,15 @@ func TestSyncPeerNoopWhenConverged(t *testing.T) {
 	}
 	var max uint64
 	for i := 0; i < 4; i++ {
-		if h := net.Peer(i).Ledger().Height(); h > max {
+		if h := net.ChannelAt(0).Peer(i).Ledger().Height(); h > max {
 			max = h
 		}
 	}
-	if !net.WaitHeight(max, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(max, 5*time.Second) {
 		t.Fatal("no convergence")
 	}
 	for i := 0; i < 4; i++ {
-		n, err := net.SyncPeer(i)
+		n, err := net.ChannelAt(0).SyncPeer(i)
 		if err != nil {
 			t.Fatalf("sync peer %d: %v", i, err)
 		}
@@ -44,21 +44,21 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	// sharing nothing and sync one of its peers directly from the first
 	// network's freshest peer (exercising cross-instance catch-up).
 	net := newTestNetwork(t, Config{NumPeers: 4, IdentitySeed: "sync-test"})
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	for i := 0; i < 4; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("s%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	src := net.Peer(0)
+	src := net.ChannelAt(0).Peer(0)
 	// Ensure peer 0 is fully caught up first.
 	var max uint64
 	for i := 0; i < 4; i++ {
-		if h := net.Peer(i).Ledger().Height(); h > max {
+		if h := net.ChannelAt(0).Peer(i).Ledger().Height(); h > max {
 			max = h
 		}
 	}
-	if !net.WaitHeight(max, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(max, 5*time.Second) {
 		t.Fatal("no convergence")
 	}
 
@@ -71,7 +71,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 		t.Fatal(err)
 	}
 	strangers.MustDeploy(kvCC{})
-	if _, err := strangers.Peer(0).SyncFrom(src); !errors.Is(err, peer.ErrFlagMismatch) {
+	if _, err := strangers.ChannelAt(0).Peer(0).SyncFrom(src); !errors.Is(err, peer.ErrFlagMismatch) {
 		t.Fatalf("sync into a network with other peer identities: %v", err)
 	}
 
@@ -83,7 +83,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 		t.Fatal(err)
 	}
 	net2.MustDeploy(kvCC{})
-	laggard := net2.Peer(0)
+	laggard := net2.ChannelAt(0).Peer(0)
 	n, err := laggard.SyncFrom(src)
 	if err != nil {
 		t.Fatalf("cross-network sync: %v", err)
@@ -114,18 +114,18 @@ func TestDurableNetworkKeepsItsMembership(t *testing.T) {
 	}
 	net.MustDeploy(kvCC{})
 	net.Start()
-	gw := net.Gateway(newClient(t))
+	gw := net.DefaultChannel().Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("d%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const height = 1 + 3 // genesis and one block per submit
-	if !net.WaitHeight(height, 5*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(height, 5*time.Second) {
 		t.Fatal("no convergence")
 	}
-	tip := net.Peer(0).Ledger().TipHash()
-	was := net.Peer(3).Identity().Fingerprint()
+	tip := net.ChannelAt(0).Peer(0).Ledger().TipHash()
+	was := net.ChannelAt(0).Peer(3).Identity().Fingerprint()
 	if err := net.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +138,10 @@ func TestDurableNetworkKeepsItsMembership(t *testing.T) {
 		t.Fatalf("reopen with one peer wiped: %v", err)
 	}
 	defer again.Close()
-	if got := again.Peer(3).Identity().Fingerprint(); got != was {
+	if got := again.ChannelAt(0).Peer(3).Identity().Fingerprint(); got != was {
 		t.Fatalf("peer3 came back with key %s, had %s", got, was)
 	}
-	if again.Peer(3).Ledger().Height() != height || again.Peer(3).Ledger().TipHash() != tip {
-		t.Fatalf("wiped peer at height %d after the reopen's sync, want %d", again.Peer(3).Ledger().Height(), height)
+	if again.ChannelAt(0).Peer(3).Ledger().Height() != height || again.ChannelAt(0).Peer(3).Ledger().TipHash() != tip {
+		t.Fatalf("wiped peer at height %d after the reopen's sync, want %d", again.ChannelAt(0).Peer(3).Ledger().Height(), height)
 	}
 }

@@ -112,7 +112,7 @@ func TestPagedIndexQuery(t *testing.T) {
 	var got []string
 	token := ""
 	for {
-		page, err := qe.Paged(contracts.IndexSource, fx.client.Identity().ID(), 2, token)
+		page, err := qe.Page(contracts.IndexSource, fx.client.Identity().ID(), 2, token)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestPagedIndexQuery(t *testing.T) {
 		seen[id] = true
 	}
 	// The submitted index pages the whole namespace in time order.
-	page, err := qe.Paged(contracts.IndexSubmitted, "", 100, "")
+	page, err := qe.Page(contracts.IndexSubmitted, "", 100, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPagedIndexQuery(t *testing.T) {
 		}
 	}
 	// Records carry the denormalised label the label index serves.
-	pageL, err := qe.Paged(contracts.IndexLabel, fx.labels[0], 100, "")
+	pageL, err := qe.Page(contracts.IndexLabel, fx.labels[0], 100, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestPagedIndexQuery(t *testing.T) {
 
 func TestPagedUnknownIndex(t *testing.T) {
 	fx := newQueryFixture(t, 1)
-	if _, err := fx.client.Query().Paged("bogus", "", 10, ""); err == nil {
+	if _, err := fx.client.Query().Page("bogus", "", 10, ""); err == nil {
 		t.Fatal("unknown index accepted")
 	}
 }

@@ -432,16 +432,6 @@ func (e *Engine) Page(index, value string, limit int, cursor string) (*PageResul
 	}
 }
 
-// Paged runs one page of a secondary-index query against the data
-// chaincode. It is the pre-sharding name for Page; token is an opaque
-// cursor from a previous page's Next.
-//
-// Deprecated: use Page (or Execute with a ByIndex Request), which this
-// forwards to.
-func (e *Engine) Paged(index, value string, limit int, token string) (*PageResult, error) {
-	return e.Page(index, value, limit, token)
-}
-
 // listQuery runs a list-returning chaincode query, fanning out over every
 // channel and concatenating the per-channel answers in channel order.
 func (e *Engine) listQuery(fn, arg string) (*Result, error) {
