@@ -732,7 +732,21 @@ func TestLSMBloomSkipsNegativeLookups(t *testing.T) {
 	if st.BlockReads > st.BloomChecks-st.BloomSkips+10 {
 		t.Fatalf("%d block reads for %d unfiltered probes", st.BlockReads, st.BloomChecks-st.BloomSkips)
 	}
+}
 
+// TestEmptyBloomBlockRulesNothingOut: the writer always emits a filter, but
+// a table whose bloom block is empty must still open and answer every
+// lookup from its blocks, never skip one.
+func TestEmptyBloomBlockRulesNothingOut(t *testing.T) {
+	f, err := decodeBloom(nil)
+	if err != nil {
+		t.Fatalf("empty bloom block: %v", err)
+	}
+	for _, k := range []string{"", "a", "present/0001"} {
+		if !f.mayContain(bloomHash(k)) {
+			t.Fatalf("empty bloom block ruled out %q", k)
+		}
+	}
 }
 
 // copyFlatDir copies every regular file in src into dst (the LSM data
