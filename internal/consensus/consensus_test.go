@@ -156,11 +156,11 @@ func TestSequentialDecisionsSameOrder(t *testing.T) {
 	}
 }
 
-// TestSingleLeaderBurstSameOrder: one leader receives a burst and
-// pre-prepares every pending request at once, so many sequences are in
-// prepare/commit together. Every payload must land exactly once, in the
-// leader's order, on every replica.
-func TestSingleLeaderBurstSameOrder(t *testing.T) {
+// TestOverlapSingleLeaderBurst: one leader receives a burst and
+// pre-prepares every pending request at once, so many sequences overlap in
+// prepare/commit. Every payload must land exactly once, in the leader's
+// order, on every replica.
+func TestOverlapSingleLeaderBurst(t *testing.T) {
 	h := newHarness(t, 4, nil, time.Second)
 	const numTx = 16
 	for k := 0; k < numTx; k++ {
