@@ -118,48 +118,6 @@ func TestStatsSummaryString(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for _, v := range []float64{0.05, 0.15, 0.15, 0.95, -5, 5} {
-		h.Add(v)
-	}
-	counts := h.Counts()
-	if counts[0] != 2 { // 0.05 and the clamped -5
-		t.Fatalf("bucket 0 = %d", counts[0])
-	}
-	if counts[1] != 2 {
-		t.Fatalf("bucket 1 = %d", counts[1])
-	}
-	if counts[9] != 2 { // 0.95 and the clamped 5
-		t.Fatalf("bucket 9 = %d", counts[9])
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.1)
-	h.Add(0.1)
-	h.Add(0.6)
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Fatal("render lacks bars")
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 4 {
-		t.Fatal("render should have 4 rows")
-	}
-}
-
-func TestHistogramDegenerateConfig(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // hi<=lo and n<=0 must be corrected
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram dropped sample")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("size_kb", "time_s")
 	tbl.AddRow(16.0, 0.001)
@@ -173,18 +131,6 @@ func TestTableRender(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "size_kb") {
 		t.Fatalf("header line %q", lines[0])
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := Series{Label: "ipfs"}
-	s.Append(16, 0.001)
-	s.Append(32, 0.002)
-	var b strings.Builder
-	s.WriteCSV(&b)
-	want := "ipfs,16,0.001\nipfs,32,0.002\n"
-	if b.String() != want {
-		t.Fatalf("csv = %q", b.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package metrics provides the small measurement kit the commands,
 // benchmarks and explorer report with: sample statistics with exact
-// percentiles, event counters, fixed-bucket histograms, labelled (x, y)
-// series and aligned table output. What a running
+// percentiles, event counters and aligned table output. What a running
 // deployment exports (/metrics, /statusz, traces) lives in internal/obs.
 package metrics
 

@@ -62,23 +62,3 @@ func (t *Table) Render(w io.Writer) {
 		line(r)
 	}
 }
-
-// Series is a labelled sequence of (x, y) points, e.g. one line of a figure.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Append adds one point to the series.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// WriteCSV emits the series as "label,x,y" lines, convenient for replotting.
-func (s *Series) WriteCSV(w io.Writer) {
-	for i := range s.X {
-		fmt.Fprintf(w, "%s,%g,%g\n", s.Label, s.X[i], s.Y[i])
-	}
-}
