@@ -418,13 +418,17 @@ func BenchmarkConsensusThroughput(b *testing.B) {
 
 // BenchmarkStorageEngine compares the pluggable world-state engines
 // (internal/storage) end-to-end: the full store pipeline running over the
-// seed's single-lock engine vs the sharded lock-striped engine, driven
-// through the core.Config knob. The microbenchmark comparison lives in
-// internal/storage and internal/statedb; this run proves the selection
-// threads through core -> fabric -> peer.
+// in-memory single-lock engine vs a durable deployment on the LSM persist
+// engine, driven through the core.Config knob. The microbenchmark
+// comparison lives in internal/storage and internal/statedb; this run
+// proves the selection threads through core -> fabric -> peer.
 func BenchmarkStorageEngine(b *testing.B) {
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded} {
+	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
 		b.Run(string(engine), func(b *testing.B) {
+			dataDir := ""
+			if engine == storage.EnginePersist {
+				dataDir = b.TempDir()
+			}
 			fw, err := core.New(core.Config{
 				Fabric: fabric.Config{
 					NumPeers:         4,
@@ -433,6 +437,7 @@ func BenchmarkStorageEngine(b *testing.B) {
 				},
 				IPFSNodes:     2,
 				StorageEngine: engine,
+				DataDir:       dataDir,
 			})
 			if err != nil {
 				b.Fatalf("core.New: %v", err)

@@ -153,7 +153,7 @@ func TestIntegrationChannelEquivalence(t *testing.T) {
 			},
 			NumChannels:   nch,
 			IPFSNodes:     2,
-			StorageEngine: storage.EngineSharded,
+			StorageEngine: storage.EngineSingle,
 			Transport:     transport,
 		})
 		if err != nil {

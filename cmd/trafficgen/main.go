@@ -25,7 +25,7 @@
 // [-dump-metadata] [-limit 5]
 // [-ingest serial|batched|pipelined] [-records 200] [-rate 0]
 // [-concurrency 8] [-batch 32] [-inflight 2] [-peers 4] [-channels 1]
-// [-engine single|sharded|persist] [-data-dir DIR]
+// [-engine single|persist] [-data-dir DIR]
 // [-connect id=host:port,... -orderer host:port]
 // [-stats-out FILE] [-admin-book id=host:port,...]
 package main
@@ -60,7 +60,7 @@ func main() {
 	inflight := flag.Int("inflight", 1, "batches in flight")
 	peers := flag.Int("peers", 4, "blockchain peers per channel (with -ingest)")
 	channels := flag.Int("channels", 1, "shard the ledger across this many channels (with -ingest)")
-	engine := flag.String("engine", "", "world-state storage engine: single, sharded or persist")
+	engine := flag.String("engine", "", "world-state storage engine: single or persist")
 	durability := flag.String("durability", "", "persist-engine fsync policy with -data-dir: none, batch or always")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restarted -ingest run resumes from it")
 	readFrac := flag.Float64("read-frac", 0, "fraction of operations that are reads (with -connect): half probe stored records, half probe absent keys (the bloom-filter negative path); 0 = write-only")

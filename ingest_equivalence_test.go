@@ -279,10 +279,10 @@ func checkProvenanceChain(t *testing.T, fw *core.Framework, gw *fabric.Gateway, 
 }
 
 // TestIntegrationIngestEquivalence is the randomized serial-vs-pipelined
-// equivalence gate, run under all three storage engines (the persist legs
-// as a durable deployment); a tcp mode (sharded engine only) reruns the
+// equivalence gate, run under both storage engines (the persist legs as a
+// durable deployment); a tcp mode (single engine only) reruns the
 // pipelined workload with every consensus and fabric message crossing
-// real localhost sockets. All seven runs must agree on canonical state.
+// real localhost sockets. All five runs must agree on canonical state.
 func TestIntegrationIngestEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -291,9 +291,9 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 
 	var canonical [][]byte
 	var indexCanon, histCanon []string
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded, storage.EnginePersist} {
+	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
 		modes := []string{"serial-loop", "pipelined"}
-		if engine == storage.EngineSharded {
+		if engine == storage.EngineSingle {
 			modes = append(modes, "pipelined-tcp")
 		}
 		for _, mode := range modes {

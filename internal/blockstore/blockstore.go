@@ -2,8 +2,7 @@
 // store, with pin tracking and mark-and-sweep garbage collection. It is the
 // persistence layer beneath the DAG and bitswap, standing in for IPFS's
 // flatfs datastore. Blocks live in a pluggable storage.KV engine keyed by
-// the CID's binary form; with the default sharded engine, concurrent Adds
-// and Gets from different clients stripe across independent locks.
+// the CID's binary form.
 //
 // The store keeps no running byte total: SizeBytes is a scan of every
 // block's value, computed when somebody asks. The one caller outside tests
@@ -42,19 +41,19 @@ type Blockstore interface {
 	Len() int
 	SizeBytes() uint64
 	// Sync flushes to stable storage; Close releases the store. No-ops for
-	// in-memory engines.
+	// the in-memory engine.
 	Sync() error
 	Close() error
 }
 
 // Mem is a Blockstore safe for concurrent use, layered over a storage.KV
-// engine — in-memory on the default engines, disk-backed (and
+// engine — in-memory on the default engine, disk-backed (and
 // restart-surviving) on the persist engine.
 type Mem struct {
 	kv storage.KV
 }
 
-// NewMem returns an empty blockstore on the default (sharded) engine. It
+// NewMem returns an empty blockstore on the default (single) engine. It
 // panics if the default engine cannot open (broken env override).
 func NewMem() *Mem {
 	m, err := NewMemWith(storage.Config{})

@@ -65,7 +65,7 @@ type Config struct {
 	// a global view (TrustView). 0 computes the view on demand only.
 	TrustRollupInterval time.Duration
 	// StorageEngine selects the key-value engine behind every peer's world
-	// state ("single", "sharded" or "persist"; default sharded). It is
+	// state ("single" or "persist"; default single, in memory). It is
 	// copied into Fabric.StateEngine by Resolve; setting both knobs to
 	// different engines is a configuration conflict.
 	StorageEngine storage.Engine

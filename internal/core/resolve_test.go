@@ -37,11 +37,11 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 	// Matching values at both levels are not a conflict.
 	cfg := Config{
-		StorageEngine: storage.EngineSharded,
+		StorageEngine: storage.EnginePersist,
 		NumChannels:   2,
 		DataDir:       "/tmp/d",
 		Fabric: fabric.Config{
-			StateEngine: storage.EngineSharded,
+			StateEngine: storage.EnginePersist,
 			NumChannels: 2,
 			DataDir:     filepath.Join("/tmp/d", "fabric"),
 		},
@@ -70,7 +70,7 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 			name: "storage engine",
 			cfg: Config{
 				StorageEngine: storage.EngineSingle,
-				Fabric:        fabric.Config{StateEngine: storage.EngineSharded},
+				Fabric:        fabric.Config{StateEngine: storage.EnginePersist},
 			},
 			want: "conflicting storage engines",
 		},

@@ -71,7 +71,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 			Registry:   n.registry,
 			Policy:     n.policy,
 			Identities: n.members,
-			State:      storage.Config{Engine: cfg.StateEngine, Shards: cfg.StateShards, Durability: cfg.StateDurability},
+			State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
 			DataDir:    peerDir,
 			Indexes:    cfg.StateIndexes,
 			Obs:        cfg.Obs.With(obs.L("channel", name), obs.L("peer", n.ids[i])),

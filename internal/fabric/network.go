@@ -72,14 +72,10 @@ type Config struct {
 	// CommitTimeout bounds how long a Submit waits for commit (default 30s).
 	CommitTimeout time.Duration
 	// StateEngine selects the key-value engine behind every peer's world
-	// state and history ("single", "sharded" or "persist"; default
-	// sharded). The single-lock engine is the seed's behaviour, kept for
-	// determinism baselines and engine-comparison benchmarks; the persist
-	// engine is WAL-backed and survives restarts. Unknown names fail
-	// network construction.
+	// state and history ("single" or "persist"; default single, the
+	// in-memory map). The persist engine is WAL-backed and survives
+	// restarts. Unknown names fail network construction.
 	StateEngine storage.Engine
-	// StateShards overrides the sharded engine's stripe count (default 16).
-	StateShards int
 	// StateDurability selects the persist engine's fsync policy ("none",
 	// "batch" or "always"; default none). Only meaningful for durable
 	// peers — in-memory engines ignore it. Unknown names fail network

@@ -178,7 +178,7 @@ func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
 		Registry:   n.registry,
 		Policy:     n.policy,
 		Identities: n.members,
-		State:      storage.Config{Engine: net.StateEngine, Shards: net.StateShards, Durability: net.StateDurability},
+		State:      storage.Config{Engine: net.StateEngine, Durability: net.StateDurability},
 		DataDir:    peerDir,
 		Indexes:    net.StateIndexes,
 		Obs:        chReg,

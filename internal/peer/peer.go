@@ -85,8 +85,8 @@ type Config struct {
 	// to open a cleanly closed directory and serve reads from it.
 	Identities *msp.Registry
 	// State selects the key-value engine backing this peer's world state,
-	// which also holds its history and indexes (zero value = the sharded
-	// default).
+	// which also holds its history and indexes (zero value = the in-memory
+	// single engine).
 	State storage.Config
 	// DataDir, when non-empty, makes the peer durable: it forces the
 	// persist engine at DataDir/db and opens the block log at

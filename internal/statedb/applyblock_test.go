@@ -39,18 +39,22 @@ func dumpIndex(t *testing.T, db *DB, name string) []IndexEntry {
 // identical secondary indexes.
 func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 	specs := []IndexSpec{{Name: "by-label", Namespace: "data", Field: "label"}}
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EngineSharded} {
+	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
 		t.Run(string(engine), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			cfg := storage.Config{Engine: engine}
-			seq, err := NewIndexedWith(cfg, specs...)
-			if err != nil {
-				t.Fatal(err)
+			open := func() *DB {
+				cfg := storage.Config{Engine: engine}
+				if engine == storage.EnginePersist {
+					cfg.Dir = t.TempDir()
+				}
+				db, err := NewIndexedWith(cfg, specs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				return db
 			}
-			blk, err := NewIndexedWith(cfg, specs...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			seq, blk := open(), open()
 			keys := make([]string, 24)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("rec/%03d", i)

@@ -16,7 +16,6 @@ var benchEngines = []struct {
 	cfg  func(b *testing.B) storage.Config
 }{
 	{"single", func(*testing.B) storage.Config { return storage.Config{Engine: storage.EngineSingle} }},
-	{"sharded", func(*testing.B) storage.Config { return storage.Config{Engine: storage.EngineSharded} }},
 	{"persist", func(b *testing.B) storage.Config {
 		return storage.Config{Engine: storage.EnginePersist, Dir: b.TempDir()}
 	}},

@@ -11,11 +11,9 @@ import (
 	"socialchain/internal/storage"
 )
 
-// DB is the in-memory versioned world state, layered over a pluggable
-// storage.KV engine. With the default sharded engine, reads from
-// concurrent clients proceed against independent lock stripes while block
-// commits take each stripe lock once — mirroring Fabric's state database
-// semantics (LevelDB/CouchDB) without the seed's single global RWMutex.
+// DB is the versioned world state, layered over a pluggable
+// storage.KV engine (in memory by default, the LSM persist engine for a
+// durable peer), mirroring Fabric's state database (LevelDB/CouchDB).
 //
 // Namespacing and versions are encoded into the flat key-value space:
 // composite keys are "ns\x00key", values carry a fixed 16-byte
@@ -30,7 +28,7 @@ type DB struct {
 	idx *indexer
 }
 
-// New returns an empty world state on the default (sharded) engine. It
+// New returns an empty world state on the default (single) engine. It
 // panics if the default engine cannot open — only possible when the
 // engine env override is broken, a programming/environment error.
 func New() *DB {

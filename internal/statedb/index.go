@@ -31,14 +31,14 @@ import (
 // time-ordered index for free.
 //
 // Consistency: every commit computes index mutations from the same batch
-// that mutates the world state and lands them in that one engine batch, so
-// on disk the two are never out of step. A reader racing a commit can
-// momentarily observe fresh state with a stale index or vice versa on the
-// sharded engine — the same read-skew class its cross-stripe iteration
-// already admits (see storage/sharded.go). Consumers tolerate it the same
-// way: the indexed query path re-fetches every candidate record and
-// re-checks the full selector against current state, so stale entries
-// filter out and the MVCC layer above catches anything that mattered to a
+// that mutates the world state and lands them in that one engine batch,
+// and every engine applies a batch as one step (storage.KV.ApplyBatch):
+// one index-page scan or one state read sees the state after some whole
+// block, never part of one. Two separate reads can still straddle a
+// commit — an index page read before a block, a record fetched after it —
+// so the indexed query path re-fetches every candidate record and
+// re-checks the full selector against current state: stale entries filter
+// out, and the MVCC layer above catches anything that mattered to a
 // transaction.
 
 // IndexSpec declares one secondary index over a namespace. Only string

@@ -208,7 +208,6 @@ func TestRestoreRebuildsIndexes(t *testing.T) {
 func TestExecuteQueryShortCircuitEqualsScan(t *testing.T) {
 	for _, engCfg := range []storage.Config{
 		{Engine: storage.EngineSingle},
-		{Engine: storage.EngineSharded},
 		{Engine: storage.EnginePersist, Dir: t.TempDir()},
 	} {
 		db := indexedTestDB(t, engCfg)

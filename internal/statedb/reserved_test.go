@@ -34,7 +34,7 @@ func (v *visitLog) IterPrefix(prefix string, fn func(key string, value []byte) b
 // the index they use — never other bookkeeping, and the empty namespace
 // (whose prefix would be the reserved one) holds nothing.
 func TestStateReadsNeverVisitReservedKeys(t *testing.T) {
-	kv := &visitLog{KV: storage.NewSharded(0)}
+	kv := &visitLog{KV: storage.NewSingle()}
 	db := &DB{kv: kv}
 	if err := db.BuildIndexes(testIndexes()...); err != nil {
 		t.Fatal(err)

@@ -7,14 +7,13 @@ import (
 )
 
 // benchEngines pairs each engine constructor with its label so every
-// benchmark compares single-lock vs sharded vs the LSM persist engine
-// under identical workloads.
+// benchmark compares the single-lock map with the LSM persist engine under
+// identical workloads.
 var benchEngines = []struct {
 	name string
 	open func(tb testing.TB) KV
 }{
 	{"single", func(testing.TB) KV { return NewSingle() }},
-	{"sharded", func(testing.TB) KV { return NewSharded(0) }},
 	{"persist", func(tb testing.TB) KV {
 		p, err := OpenPersist(Config{Dir: tb.TempDir()})
 		if err != nil {
@@ -99,10 +98,8 @@ func BenchmarkIterPrefix(b *testing.B) {
 }
 
 // BenchmarkParallelGet measures contended point reads: every goroutine
-// reads a shared hot key space. The sharded engine stripes the RLock
-// traffic across independent cache lines; the single engine serialises
-// ownership of one lock word. (On a single-CPU host the engines tie —
-// there is no parallelism for striping to reclaim.)
+// reads a shared hot key space, so each engine's read lock is one
+// contended word.
 func BenchmarkParallelGet(b *testing.B) {
 	for _, e := range benchEngines {
 		b.Run(e.name, func(b *testing.B) {
@@ -125,10 +122,8 @@ func BenchmarkParallelGet(b *testing.B) {
 // storage refactor targets: concurrent clients read the world state while
 // block commits land underneath them — the regime of the paper's
 // multi-client store/retrieve evaluation. One in every 16 operations is a
-// 10-write block commit; the rest are point reads. On a multi-core host
-// the sharded engine's ops/sec pulls well clear of the single lock, whose
-// every commit stalls every reader; on a single-CPU host the run only
-// measures per-op overhead (see EXPERIMENTS.md).
+// 10-write block commit; the rest are point reads, and in both engines a
+// commit holds off every reader for its duration.
 func BenchmarkParallelMixedReadCommit(b *testing.B) {
 	for _, e := range benchEngines {
 		b.Run(e.name, func(b *testing.B) {

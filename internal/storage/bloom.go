@@ -24,9 +24,21 @@ const (
 	bloomProbes     = 7
 )
 
-// bloomHash is the 64-bit key hash every filter operation derives its
-// probe sequence from (computed once per lookup, shared across tables).
-func bloomHash(key string) uint64 { return fnv1a64(key) }
+// bloomHash is the 64-bit FNV-1a key hash every filter operation derives
+// its probe sequence from (computed once per lookup, shared across tables;
+// inlined to avoid a hash.Hash allocation per lookup).
+func bloomHash(key string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
+}
 
 // bloomFilter is an immutable bit set over a table's key hashes.
 type bloomFilter struct {

@@ -1,13 +1,12 @@
 // Package storage provides the pluggable key-value engine beneath the
 // repo's stateful layers: the world-state database (with its history and
 // indexes) and the CID-addressed blockstore sit on the KV interface instead of
-// owning a map and a global lock. Three engines implement it: a
-// single-lock map (the seed's behaviour, kept as the determinism
-// baseline), a lock-striped sharded engine whose per-shard locks let
-// concurrent reads and batched commits proceed in parallel — the hot path
-// of the paper's store/retrieve evaluation — and an LSM-tree disk engine
-// whose contents survive process restarts with reopen cost proportional
-// to the WAL tail (see lsm.go).
+// owning a map and a global lock. Two engines implement it: a single-lock
+// map, the in-memory default and the reference every equivalence test
+// compares against, and an LSM-tree disk engine whose contents survive
+// process restarts with reopen cost proportional to the WAL tail (see
+// lsm.go). Both give IterPrefix a point-in-time view: a concurrent
+// ApplyBatch is seen whole or not at all.
 package storage
 
 import (
@@ -43,15 +42,16 @@ type KV interface {
 	// entries; fn returning false stops the iteration. fn runs without any
 	// engine lock held, so it may call back into the KV.
 	IterPrefix(prefix string, fn func(key string, value []byte) bool)
-	// ApplyBatch applies a block's writes, acquiring each internal lock at
-	// most once; within the batch, later writes to a key win. Durable
-	// engines persist the whole batch as one atomic log record: after a
-	// crash either every write of the batch is recovered or none is.
+	// ApplyBatch applies a block's writes as one step: an IterPrefix sees
+	// all of a batch or none of it. Within the batch, later writes to a
+	// key win. Durable engines persist the whole
+	// batch as one atomic log record: after a crash either every write of
+	// the batch is recovered or none is.
 	ApplyBatch(writes []Write)
 	// Len returns the number of stored keys.
 	Len() int
 	// Sync flushes buffered writes to stable storage. A no-op for the
-	// in-memory engines.
+	// in-memory engine.
 	Sync() error
 	// Close releases the engine's resources after a final Sync. Operations
 	// after Close are undefined; Close is idempotent.
@@ -62,14 +62,10 @@ type KV interface {
 type Engine string
 
 const (
-	// EngineSingle is the seed's one-map, one-RWMutex engine. Every commit
-	// excludes every read; kept for determinism baselines and as the
-	// reference in cross-engine equivalence tests.
+	// EngineSingle is the one-map, one-RWMutex engine: every commit
+	// excludes every read. The in-memory default and the reference in
+	// cross-engine equivalence tests.
 	EngineSingle Engine = "single"
-	// EngineSharded is the lock-striped engine: N shards by key hash, a
-	// RWMutex per shard, batched commits grouped by shard. The production
-	// default.
-	EngineSharded Engine = "sharded"
 	// EnginePersist is the durable disk engine: an LSM tree — WAL-fronted
 	// sorted memtable, immutable block-structured SSTables with bloom
 	// filters, a crash-safe manifest and background compaction. Contents
@@ -105,28 +101,22 @@ const (
 	DurabilityAlways Durability = "always"
 )
 
-// DefaultShards is the sharded engine's default stripe count.
-const DefaultShards = 16
-
-// Config selects and sizes an engine. The zero value opens the sharded
-// engine with DefaultShards stripes.
+// Config selects and sizes an engine. The zero value opens the in-memory
+// single engine.
 type Config struct {
-	// Engine picks the implementation (default EngineSharded).
+	// Engine picks the implementation (default EngineSingle).
 	Engine Engine
-	// Shards sets the sharded engine's stripe count, rounded up to a power
-	// of two (default DefaultShards). Ignored by the other engines.
-	Shards int
 	// Dir is the persist engine's data directory (created if absent). When
 	// empty, it materialises a fresh temporary directory — durable for
 	// the life of the process, discarded by the OS afterwards — so the CI
 	// engine matrix can force EnginePersist through EngineEnvVar without
 	// threading paths into every constructor. Ignored by the in-memory
-	// engines.
+	// engine.
 	Dir string
 	// Durability picks the persist engine's fsync policy (default
 	// DurabilityNone; see the Durability constants for the loss windows).
 	// DurabilityEnvVar overrides an empty value. Ignored by the in-memory
-	// engines.
+	// engine.
 	Durability Durability
 	// MemtableBytes is the persist engine's memtable flush threshold: once
 	// the active memtable holds this many bytes it is flushed to an
@@ -143,8 +133,7 @@ type Config struct {
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a
 // full test run can be pinned to one engine without threading a flag
-// through every constructor (the CI matrix runs the suite under all of
-// them).
+// through every constructor (the CI matrix runs the suite under both).
 const EngineEnvVar = "SOCIALCHAIN_STORAGE_ENGINE"
 
 // DurabilityEnvVar overrides the fsync policy an empty Config.Durability
@@ -159,11 +148,11 @@ const DurabilityEnvVar = "SOCIALCHAIN_STORAGE_DURABILITY"
 func envEngine() (Engine, error) {
 	v := os.Getenv(EngineEnvVar)
 	switch e := Engine(v); e {
-	case "", EngineSingle, EngineSharded, EnginePersist:
+	case "", EngineSingle, EnginePersist:
 		return e, nil
 	default:
-		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s, %s)",
-			EngineEnvVar, v, EngineSingle, EngineSharded, EnginePersist)
+		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s)",
+			EngineEnvVar, v, EngineSingle, EnginePersist)
 	}
 }
 
@@ -193,7 +182,7 @@ func ParseDurability(v string) (Durability, error) {
 }
 
 // DefaultEngine returns the engine an empty Config selects: the
-// EngineEnvVar override when set, otherwise sharded. A malformed override
+// EngineEnvVar override when set, otherwise single. A malformed override
 // is an error — the same error Open reports — so callers that size data
 // structures off the default engine cannot disagree with the engine Open
 // actually refuses to construct.
@@ -203,7 +192,7 @@ func DefaultEngine() (Engine, error) {
 		return "", err
 	}
 	if e == "" {
-		e = EngineSharded
+		e = EngineSingle
 	}
 	return e, nil
 }
@@ -224,13 +213,11 @@ func Open(cfg Config) (KV, error) {
 	switch engine {
 	case EngineSingle:
 		return NewSingle(), nil
-	case EngineSharded:
-		return NewSharded(cfg.Shards), nil
 	case EnginePersist:
 		return OpenPersist(cfg)
 	default:
-		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s, %s)",
-			engine, EngineSingle, EngineSharded, EnginePersist)
+		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s)",
+			engine, EngineSingle, EnginePersist)
 	}
 }
 

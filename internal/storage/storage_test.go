@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // engines returns one fresh instance of every engine under a stable label.
@@ -29,8 +31,6 @@ func engines(tb testing.TB) map[string]KV {
 	})
 	return map[string]KV{
 		"single":        NewSingle(),
-		"sharded":       NewSharded(0),
-		"sharded-1":     NewSharded(1), // degenerate stripe count must still behave
 		"persist":       persist,
 		"persist-small": persistSmall,
 	}
@@ -43,12 +43,6 @@ func TestOpenSelectsEngine(t *testing.T) {
 	}
 	if _, ok := kv.(*Single); !ok {
 		t.Fatal("EngineSingle did not open a Single")
-	}
-	if kv, err = Open(Config{Engine: EngineSharded}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.(*Sharded); !ok {
-		t.Fatal("EngineSharded did not open a Sharded")
 	}
 	if kv, err = Open(Config{Engine: EnginePersist, Dir: t.TempDir()}); err != nil {
 		t.Fatal(err)
@@ -74,27 +68,30 @@ func TestOpenRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRemovedEngine: the mapwal engine is gone, and naming it —
-// in the config or in the env override — is the unknown-engine error that
-// lists what remains, not a silent fallback to a default engine.
+// TestOpenRefusesRemovedEngine: the mapwal and sharded engines are gone,
+// and naming one — in the config or in the env override — is the
+// unknown-engine error that lists what remains, not a silent fallback to a
+// default engine.
 func TestOpenRefusesRemovedEngine(t *testing.T) {
-	const valid = "(valid: single, sharded, persist)"
-	kv, err := Open(Config{Engine: "mapwal"})
-	if err == nil {
-		kv.Close()
-		t.Fatalf("Open(Engine: mapwal) opened %T, want error", kv)
-	}
-	if !strings.Contains(err.Error(), `unknown engine "mapwal"`) || !strings.Contains(err.Error(), valid) {
-		t.Fatalf("Open(Engine: mapwal) error = %q, want the unknown-engine error listing %s", err, valid)
-	}
-	t.Setenv(EngineEnvVar, "mapwal")
-	kv, err = Open(Config{})
-	if err == nil {
-		kv.Close()
-		t.Fatalf("%s=mapwal opened %T, want error", EngineEnvVar, kv)
-	}
-	if !strings.Contains(err.Error(), EngineEnvVar+` value "mapwal"`) || !strings.Contains(err.Error(), valid) {
-		t.Fatalf("%s=mapwal error = %q, want the unknown-engine error listing %s", EngineEnvVar, err, valid)
+	const valid = "(valid: single, persist)"
+	for _, name := range []string{"mapwal", "sharded"} {
+		kv, err := Open(Config{Engine: Engine(name)})
+		if err == nil {
+			kv.Close()
+			t.Fatalf("Open(Engine: %s) opened %T, want error", name, kv)
+		}
+		if !strings.Contains(err.Error(), `unknown engine "`+name+`"`) || !strings.Contains(err.Error(), valid) {
+			t.Fatalf("Open(Engine: %s) error = %q, want the unknown-engine error listing %s", name, err, valid)
+		}
+		t.Setenv(EngineEnvVar, name)
+		kv, err = Open(Config{})
+		if err == nil {
+			kv.Close()
+			t.Fatalf("%s=%s opened %T, want error", EngineEnvVar, name, kv)
+		}
+		if !strings.Contains(err.Error(), EngineEnvVar+` value "`+name+`"`) || !strings.Contains(err.Error(), valid) {
+			t.Fatalf("%s=%s error = %q, want the unknown-engine error listing %s", EngineEnvVar, name, err, valid)
+		}
 	}
 }
 
@@ -115,7 +112,7 @@ func TestOpenRejectsUnknownEnvEngine(t *testing.T) {
 
 func TestDefaultEngineAgreesWithOpenOnBadEnv(t *testing.T) {
 	// DefaultEngine used to swallow EngineEnvVar errors and silently fall
-	// back to sharded, so a caller sizing itself off the default engine
+	// back to the default, so a caller sizing itself off the default engine
 	// could disagree with the engine Open refused to construct. Both must
 	// now report the same typo'd override.
 	t.Setenv(EngineEnvVar, "shraded")
@@ -166,14 +163,6 @@ func TestEnvOverrideSelectsPersist(t *testing.T) {
 	defer os.RemoveAll(p.Dir())
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShardCountRounding(t *testing.T) {
-	for _, c := range []struct{ in, want int }{{0, DefaultShards}, {1, 1}, {3, 4}, {16, 16}, {17, 32}} {
-		if got := len(NewSharded(c.in).shards); got != c.want {
-			t.Errorf("NewSharded(%d) = %d shards, want %d", c.in, got, c.want)
-		}
 	}
 }
 
@@ -273,6 +262,55 @@ func TestIterPrefixAllowsReentrancy(t *testing.T) {
 	}
 }
 
+// TestIterPrefixSeesWholeBatches: IterPrefix is a point-in-time view, so a
+// reader racing a writer that rewrites every key under a prefix in one
+// ApplyBatch sees all of those keys from the same batch, never a mix of two.
+func TestIterPrefixSeesWholeBatches(t *testing.T) {
+	const keys = 32
+	batch := func(gen int) []Write {
+		v := []byte(strconv.Itoa(gen))
+		ws := make([]Write, keys)
+		for i := range ws {
+			ws[i] = Write{Key: fmt.Sprintf("w/%02d", i), Value: v}
+		}
+		return ws
+	}
+	for name, kv := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			kv.ApplyBatch(batch(0))
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for gen := 1; ; gen++ {
+					select {
+					case <-stop:
+						return
+					default:
+						kv.ApplyBatch(batch(gen))
+					}
+				}
+			}()
+			defer func() { close(stop); <-done }()
+			for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+				var seen []string
+				kv.IterPrefix("w/", func(_ string, v []byte) bool {
+					seen = append(seen, string(v))
+					return true
+				})
+				if len(seen) != keys {
+					t.Fatalf("IterPrefix saw %d keys, want %d", len(seen), keys)
+				}
+				for _, v := range seen {
+					if v != seen[0] {
+						t.Fatalf("IterPrefix mixed batches: %v", seen)
+					}
+				}
+			}
+		})
+	}
+}
+
 // op is one step of a generated workload for the equivalence test.
 type op struct {
 	kind  int // 0 put, 1 delete, 2 batch
@@ -335,15 +373,14 @@ func dump(kv KV) []entry {
 
 // TestEngineEquivalence drives every engine through identical op sequences
 // and requires identical final state, iteration order, lengths and point
-// reads — the contract that lets the sharded (and now persist) engine
-// replace the single-lock one under every store. The persist engine is
-// additionally closed and reopened from its directory after the workload:
-// the recovered state must match too.
+// reads — the contract that lets the persist engine replace the
+// single-lock one under every store. Each persist engine is closed and
+// reopened from its directory after the workload: the recovered state
+// must match.
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		dir := t.TempDir()
 		single := NewSingle()
-		sharded := NewSharded(8)
 		persist, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
@@ -357,7 +394,6 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		for _, o := range randomOps(seed, 600) {
 			apply(single, o)
-			apply(sharded, o)
 			apply(persist, o)
 			apply(small, o)
 		}
@@ -376,7 +412,6 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: reopen persist-small: %v", seed, err)
 		}
 		others := map[string]KV{
-			"sharded":       sharded,
 			"persist":       reopened,
 			"persist-small": reopenedSmall,
 		}
@@ -409,9 +444,6 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 		for name, kv := range others {
-			if name == "sharded" {
-				continue
-			}
 			if err := kv.Close(); err != nil {
 				t.Fatalf("seed %d: close reopened %s: %v", seed, name, err)
 			}
@@ -426,7 +458,7 @@ func TestOpenDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DefaultEngine(): %v", err)
 	}
-	if def != EngineSingle && def != EngineSharded && def != EnginePersist {
+	if def != EngineSingle && def != EnginePersist {
 		t.Fatalf("DefaultEngine() = %q", def)
 	}
 	kv, err := Open(Config{})
@@ -434,20 +466,15 @@ func TestOpenDefaultEngine(t *testing.T) {
 		t.Fatalf("Open(Config{}): %v", err)
 	}
 	defer kv.Close()
-	switch def {
-	case EngineSingle:
+	if def == EngineSingle {
 		if _, ok := kv.(*Single); !ok {
 			t.Fatalf("default engine %q opened %T", def, kv)
 		}
-	case EnginePersist:
-		p, ok := kv.(*Persist)
-		if !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
-		defer os.RemoveAll(p.Dir())
-	default:
-		if _, ok := kv.(*Sharded); !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
+		return
 	}
+	p, ok := kv.(*Persist)
+	if !ok {
+		t.Fatalf("default engine %q opened %T", def, kv)
+	}
+	defer os.RemoveAll(p.Dir())
 }
