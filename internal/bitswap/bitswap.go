@@ -20,19 +20,6 @@ import (
 // ErrBlockUnavailable is returned when no provider can serve a wanted block.
 var ErrBlockUnavailable = errors.New("bitswap: block unavailable from all providers")
 
-// Wire is the seam the block-exchange protocol speaks through: one
-// synchronous want request to a named peer. Network implements it with
-// latency-delayed in-process calls (the deterministic default);
-// internal/bitswap's transport backend (wire.go) implements it over
-// framed socket RPCs, so the same engine code runs in-process and across
-// OS processes.
-type Wire interface {
-	// Want asks peer `to` for block c on behalf of `from`. An error means
-	// the peer is unreachable or does not hold the block; the fetcher then
-	// tries the next provider.
-	Want(from, to string, c cid.Cid) (blockstore.Block, error)
-}
-
 // Network registers engines by peer name and simulates the wire with a
 // latency model.
 type Network struct {
@@ -75,7 +62,7 @@ type Stats struct {
 type Engine struct {
 	name  string
 	bs    blockstore.Blockstore
-	wire  Wire
+	net   *Network
 	stats Stats
 
 	mu       sync.Mutex
@@ -84,15 +71,16 @@ type Engine struct {
 
 // NewEngine registers a peer's engine over its blockstore.
 func (n *Network) NewEngine(name string, bs blockstore.Blockstore) *Engine {
-	e := &Engine{name: name, bs: bs, wire: n, wantlist: make(map[cid.Cid]bool)}
+	e := &Engine{name: name, bs: bs, net: n, wantlist: make(map[cid.Cid]bool)}
 	n.mu.Lock()
 	n.engines[name] = e
 	n.mu.Unlock()
 	return e
 }
 
-// Want implements Wire over the in-process network: a latency-delayed
-// round trip to the named engine.
+// Want asks peer to for block c on behalf of from: a latency-delayed round
+// trip to the named engine. An error means the peer is unknown or does not
+// hold the block; the fetcher then tries the next provider.
 func (n *Network) Want(from, to string, c cid.Cid) (blockstore.Block, error) {
 	remote, err := n.lookup(to)
 	if err != nil {
@@ -161,7 +149,7 @@ func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, er
 		if p == e.name {
 			continue
 		}
-		b, err := e.wire.Want(e.name, p, c)
+		b, err := e.net.Want(e.name, p, c)
 		if err != nil {
 			continue
 		}

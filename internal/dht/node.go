@@ -9,19 +9,9 @@ import (
 	"socialchain/internal/sim"
 )
 
-// Wire is the seam the Kademlia protocol speaks through: the three
-// synchronous RPCs of the simplified DHT. Network implements it with
-// latency-delayed in-process calls (the deterministic default); the
-// transport backend (wire.go) implements it over framed socket RPCs, so
-// the same iterative-lookup code runs in-process and across OS processes.
-type Wire interface {
-	FindNode(from PeerInfo, to string, target ID) ([]PeerInfo, error)
-	AddProvider(from PeerInfo, to string, c cid.Cid, provider string) error
-	GetProviders(from PeerInfo, to string, c cid.Cid) ([]string, []PeerInfo, error)
-}
-
-// Network connects DHT nodes in-process. RPCs are synchronous method calls
-// delayed by the latency model, mimicking a request/response wire protocol.
+// Network connects DHT nodes in-process. The simplified DHT's three RPCs
+// are synchronous method calls delayed by the latency model, mimicking a
+// request/response wire protocol.
 type Network struct {
 	mu      sync.RWMutex
 	nodes   map[string]*Node
@@ -60,7 +50,7 @@ func (n *Network) delay(from, to string) {
 type Node struct {
 	name string
 	id   ID
-	wire Wire
+	net  *Network
 	rt   *RoutingTable
 
 	mu        sync.RWMutex
@@ -72,7 +62,7 @@ func (n *Network) NewNode(name string) *Node {
 	node := &Node{
 		name:      name,
 		id:        PeerID(name),
-		wire:      n,
+		net:       n,
 		rt:        NewRoutingTable(PeerID(name)),
 		providers: make(map[cid.Cid]map[string]bool),
 	}
@@ -82,7 +72,7 @@ func (n *Network) NewNode(name string) *Node {
 	return node
 }
 
-// FindNode implements Wire over the in-process network.
+// FindNode asks peer to for its closest known peers to target.
 func (n *Network) FindNode(from PeerInfo, to string, target ID) ([]PeerInfo, error) {
 	remote, err := n.lookup(to)
 	if err != nil {
@@ -94,7 +84,7 @@ func (n *Network) FindNode(from PeerInfo, to string, target ID) ([]PeerInfo, err
 	return res, nil
 }
 
-// AddProvider implements Wire over the in-process network.
+// AddProvider tells peer to that provider holds content c.
 func (n *Network) AddProvider(from PeerInfo, to string, c cid.Cid, provider string) error {
 	remote, err := n.lookup(to)
 	if err != nil {
@@ -105,7 +95,8 @@ func (n *Network) AddProvider(from PeerInfo, to string, c cid.Cid, provider stri
 	return nil
 }
 
-// GetProviders implements Wire over the in-process network.
+// GetProviders asks peer to for the providers of c it knows and for its
+// closest peers to c.
 func (n *Network) GetProviders(from PeerInfo, to string, c cid.Cid) ([]string, []PeerInfo, error) {
 	remote, err := n.lookup(to)
 	if err != nil {
@@ -170,15 +161,15 @@ func (n *Node) handleGetProviders(from PeerInfo, c cid.Cid) ([]string, []PeerInf
 // --- Client-side RPCs ---
 
 func (n *Node) rpcFindNode(peer string, target ID) ([]PeerInfo, error) {
-	return n.wire.FindNode(n.Info(), peer, target)
+	return n.net.FindNode(n.Info(), peer, target)
 }
 
 func (n *Node) rpcAddProvider(peer string, c cid.Cid, provider string) error {
-	return n.wire.AddProvider(n.Info(), peer, c, provider)
+	return n.net.AddProvider(n.Info(), peer, c, provider)
 }
 
 func (n *Node) rpcGetProviders(peer string, c cid.Cid) ([]string, []PeerInfo, error) {
-	return n.wire.GetProviders(n.Info(), peer, c)
+	return n.net.GetProviders(n.Info(), peer, c)
 }
 
 // alpha is Kademlia's lookup concurrency parameter.
