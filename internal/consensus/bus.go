@@ -16,25 +16,21 @@ const busStreamPrefix = "cns/"
 type Bus struct {
 	t      transport.Transport
 	stream string
-	peers  []string
 	inbox  chan *Message
 }
 
-// NewBus attaches a consensus stream for one channel to the endpoint. The
-// peer list is the channel's validator membership (this node included or
-// not — sends to self are skipped).
-func NewBus(t transport.Transport, channel string, peers []string) *Bus {
+// NewBus attaches a consensus stream for one channel to the endpoint.
+func NewBus(t transport.Transport, channel string) *Bus {
 	b := &Bus{
 		t:      t,
 		stream: busStreamPrefix + channel,
-		peers:  append([]string(nil), peers...),
 		inbox:  make(chan *Message, inboxSize),
 	}
 	t.Handle(b.stream, b.onFrame)
 	return b
 }
 
-// Register implements Inboxer: the bus is per-replica, so every id maps to
+// Register implements Sender: the bus is per-replica, so every id maps to
 // its one inbox.
 func (b *Bus) Register(string) <-chan *Message { return b.inbox }
 
@@ -61,15 +57,4 @@ func (b *Bus) Send(from, to string, msg *Message) {
 		return
 	}
 	_ = b.t.Send(to, b.stream, msg.Encode())
-}
-
-// Broadcast implements Sender, encoding once for all recipients.
-func (b *Bus) Broadcast(from string, msg *Message) {
-	enc := msg.Encode()
-	for _, id := range b.peers {
-		if id == b.t.ID() || id == from {
-			continue
-		}
-		_ = b.t.Send(id, b.stream, enc)
-	}
 }

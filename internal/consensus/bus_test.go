@@ -43,7 +43,7 @@ func newBusHarness(t *testing.T, endpoints []transport.Transport, timeout time.D
 			Validators:     ids,
 			Signer:         signers[i],
 			Identities:     idents,
-			Sender:         NewBus(endpoints[i], "main", ids),
+			Sender:         NewBus(endpoints[i], "main"),
 			RequestTimeout: timeout,
 			Deliver: func(seq uint64, payload []byte) {
 				h.mu.Lock()

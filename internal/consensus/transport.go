@@ -11,28 +11,27 @@ const inboxSize = 8192
 
 // Sender carries signed consensus messages between replicas. Two
 // implementations exist: *InProcNet passes message pointers between
-// in-process validators (deterministic, zero serialization — the default
-// test harness) and *Bus encodes messages onto a transport.Transport
-// stream (real sockets between OS processes). Loss is acceptable on either:
+// in-process validators (deterministic, zero serialization — in-process
+// channels and the test harness) and *Bus encodes messages onto a
+// transport.Transport stream (real sockets). Loss is acceptable on either:
 // PBFT tolerates dropped messages by design, so sends do not report errors.
 type Sender interface {
+	// Register provisions replica id's inbound queue; NewValidator calls
+	// it once with its own ID.
+	Register(id string) <-chan *Message
 	// Send transmits msg from -> to.
 	Send(from, to string, msg *Message)
-	// Broadcast transmits msg from -> every other known replica.
-	Broadcast(from string, msg *Message)
-}
-
-// Inboxer is the optional Sender extension that provisions a replica's
-// inbound queue; NewValidator uses it when Config.Inbox is not set
-// explicitly.
-type Inboxer interface {
-	Register(id string) <-chan *Message
 }
 
 // InProcNet is the in-process Sender between validators, with a pluggable
-// latency model and fault injection (partitions, drops). It was formerly
-// named Network; the rename frees that word for the fabric layer and makes
-// room for the wire-backed Bus beside it.
+// latency model and fault injection (partitions, drops).
+//
+// It and a Bus over transport.InProc are two in-process buses, and they
+// stay two while prepares carry the payload: a Bus encodes and decodes
+// every message, and every prepare embeds the encoded pre-prepare —
+// payload included — as evidence, so each one copies the payload on both
+// ends. One 4-validator decision on a 1 MiB payload takes about 26 ms and
+// allocates 43 MB over a Bus, against 11 ms and 5.3 MB here (2-vCPU Xeon).
 type InProcNet struct {
 	mu      sync.RWMutex
 	inboxes map[string]chan *Message
@@ -57,24 +56,13 @@ func NewInProcNet(latency sim.LatencyModel, clock sim.Clock) *InProcNet {
 	}
 }
 
-// Register creates the inbox for a validator id.
+// Register implements Sender: it creates the inbox for a validator id.
 func (n *InProcNet) Register(id string) <-chan *Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ch := make(chan *Message, inboxSize)
 	n.inboxes[id] = ch
 	return ch
-}
-
-// Peers returns the registered validator ids.
-func (n *InProcNet) Peers() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.inboxes))
-	for id := range n.inboxes {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Cut severs the directed link from a to b (messages silently dropped).
@@ -122,13 +110,4 @@ func (n *InProcNet) Send(from, to string, msg *Message) {
 		default:
 		}
 	}()
-}
-
-// Broadcast sends msg from -> every registered validator except the sender.
-func (n *InProcNet) Broadcast(from string, msg *Message) {
-	for _, id := range n.Peers() {
-		if id != from {
-			n.Send(from, id, msg)
-		}
-	}
 }

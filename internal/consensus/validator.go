@@ -24,12 +24,8 @@ type Config struct {
 	// Identities maps validator IDs to their verification identities.
 	Identities map[string]msp.Identity
 	// Sender carries messages to peers (*InProcNet in-process, *Bus over a
-	// transport wire).
+	// transport wire) and provisions this replica's inbound queue.
 	Sender Sender
-	// Inbox delivers inbound messages. Nil is allowed when Sender
-	// implements Inboxer (both built-in senders do): the constructor
-	// registers this replica's ID and uses the provisioned queue.
-	Inbox <-chan *Message
 	// Clock drives timeouts (nil = real clock).
 	Clock sim.Clock
 	// RequestTimeout is how long a pending request may wait before this
@@ -123,18 +119,12 @@ func NewValidator(cfg Config) *Validator {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
 	}
-	inbox := cfg.Inbox
-	if inbox == nil {
-		if ib, ok := cfg.Sender.(Inboxer); ok {
-			inbox = ib.Register(cfg.ID)
-		}
-	}
 	n := len(cfg.Validators)
 	v := &Validator{
 		cfg:       cfg,
 		n:         n,
 		f:         (n - 1) / 3,
-		inbox:     inbox,
+		inbox:     cfg.Sender.Register(cfg.ID),
 		proposeCh: make(chan []byte, 1024),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
@@ -265,15 +255,6 @@ func (v *Validator) IsLeader() bool {
 func (v *Validator) quorum() int { return 2*v.f + 1 }
 
 // --- messaging ---
-
-// send applies the byzantine filter, then signs and transmits.
-func (v *Validator) send(to string, m Message) {
-	out := v.cfg.Behavior.OutboundFilter(to, &m)
-	if out == nil {
-		return
-	}
-	v.cfg.Sender.Send(v.cfg.ID, to, v.signCopy(out))
-}
 
 // signCopy copies out, stamps this replica as origin and signs. The memo
 // is invalidated after the copy (the filter may have mutated signed-over

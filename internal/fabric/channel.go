@@ -100,7 +100,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 		// messages cross real framed sockets.
 		var sender consensus.Sender = ch.consNet
 		if n.transports != nil {
-			sender = consensus.NewBus(n.transports[i], name, n.ids)
+			sender = consensus.NewBus(n.transports[i], name)
 		}
 		v := consensus.NewValidator(consensus.Config{
 			ID:             n.ids[i],

@@ -193,7 +193,7 @@ func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
 		Validators:     n.ids,
 		Signer:         n.signers[n.cfg.Index],
 		Identities:     n.idents,
-		Sender:         consensus.NewBus(n.t, name, n.ids),
+		Sender:         consensus.NewBus(n.t, name),
 		Clock:          net.Clock,
 		RequestTimeout: net.ConsensusTimeout,
 		Obs:            chReg,
