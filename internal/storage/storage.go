@@ -44,9 +44,9 @@ type KV interface {
 	IterPrefix(prefix string, fn func(key string, value []byte) bool)
 	// ApplyBatch applies a block's writes as one step: an IterPrefix sees
 	// all of a batch or none of it. Within the batch, later writes to a
-	// key win. Durable engines persist the whole
-	// batch as one atomic log record: after a crash either every write of
-	// the batch is recovered or none is.
+	// key win. Durable engines persist the whole batch as one atomic log
+	// record: after a crash either every write of the batch is recovered
+	// or none is.
 	ApplyBatch(writes []Write)
 	// Len returns the number of stored keys.
 	Len() int
