@@ -302,12 +302,6 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 		}
 	}
 	fmt.Println("hash chain verified on peer 0 of every channel")
-	if fw.Net.NumChannels() > 1 {
-		if view, err := fw.RollupTrust(); err == nil {
-			fmt.Printf("global trust view: %d sources over %d channels, mean score %.3f, %d flagged\n",
-				view.Sources, view.Channels, view.MeanScore, view.Flagged)
-		}
-	}
 
 	tbl := metrics.NewTable("source", "role", "score", "accepted", "rejected", "flagged")
 	for _, src := range sources {

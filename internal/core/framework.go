@@ -60,10 +60,6 @@ type Config struct {
 	// accordingly. Setting both this and Fabric.NumChannels to different
 	// values is a configuration conflict (see Resolve).
 	NumChannels int
-	// TrustRollupInterval, when > 0, starts a background roll-up that
-	// periodically lists every channel's trust scores and merges them into
-	// a global view (TrustView). 0 computes the view on demand only.
-	TrustRollupInterval time.Duration
 	// StorageEngine selects the key-value engine behind every peer's world
 	// state ("single" or "persist"; default single, in memory). It is
 	// copied into Fabric.StateEngine by Resolve; setting both knobs to
@@ -262,11 +258,6 @@ type Framework struct {
 
 	anomalyMu sync.Mutex
 	anomaly   map[string]*trust.AnomalyDetector
-
-	rollupMu   sync.Mutex
-	rollupView *trust.GlobalView
-	rollupStop chan struct{}
-	rollupDone chan struct{}
 }
 
 // New builds and starts a framework: blockchain network with the five
@@ -357,11 +348,6 @@ func New(cfg Config) (*Framework, error) {
 			return nil, fmt.Errorf("core: init trust params on %s: %w", gw.Channel().Name(), res.Err())
 		}
 	}
-	if cfg.TrustRollupInterval > 0 {
-		fw.rollupStop = make(chan struct{})
-		fw.rollupDone = make(chan struct{})
-		go fw.rollupLoop(cfg.TrustRollupInterval)
-	}
 	return fw, nil
 }
 
@@ -370,11 +356,6 @@ func New(cfg Config) (*Framework, error) {
 // must be closed before its DataDir is reopened; close errors are
 // retrievable via CloseErr.
 func (f *Framework) Close() {
-	if f.rollupStop != nil {
-		close(f.rollupStop)
-		<-f.rollupDone
-		f.rollupStop = nil
-	}
 	err := f.Net.Close()
 	if cerr := f.Cluster.Close(); err == nil {
 		err = cerr
@@ -454,59 +435,6 @@ func (f *Framework) TrustScore(sourceID string) (trust.State, error) {
 		return trust.State{}, err
 	}
 	return trust.UnmarshalState(raw)
-}
-
-// RollupTrust lists every channel's trust scores and merges them into one
-// global view (newest state wins per source). The view is cached for
-// TrustView; with TrustRollupInterval set it also refreshes periodically
-// in the background.
-func (f *Framework) RollupTrust() (trust.GlobalView, error) {
-	perChannel := make([][]trust.State, 0, len(f.adminGWs))
-	for _, gw := range f.adminGWs {
-		raw, err := gw.Evaluate(contracts.TrustCC, "listScores")
-		if err != nil {
-			return trust.GlobalView{}, fmt.Errorf("core: list scores on %s: %w", gw.Channel().Name(), err)
-		}
-		var states []trust.State
-		if err := json.Unmarshal(raw, &states); err != nil {
-			return trust.GlobalView{}, fmt.Errorf("core: corrupt scores on %s: %w", gw.Channel().Name(), err)
-		}
-		perChannel = append(perChannel, states)
-	}
-	view := trust.Rollup(perChannel, time.Now())
-	f.rollupMu.Lock()
-	f.rollupView = &view
-	f.rollupMu.Unlock()
-	return view, nil
-}
-
-// TrustView returns the latest trust roll-up, computing one on demand when
-// no background roll-up has run yet.
-func (f *Framework) TrustView() (trust.GlobalView, error) {
-	f.rollupMu.Lock()
-	cached := f.rollupView
-	f.rollupMu.Unlock()
-	if cached != nil {
-		return *cached, nil
-	}
-	return f.RollupTrust()
-}
-
-// rollupLoop refreshes the global trust view every interval until Close.
-func (f *Framework) rollupLoop(interval time.Duration) {
-	defer close(f.rollupDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.rollupStop:
-			return
-		case <-ticker.C:
-			// Best effort: a roll-up hiccup (e.g. during shutdown) keeps
-			// the previous view.
-			_, _ = f.RollupTrust()
-		}
-	}
 }
 
 // QueryEngine returns a query engine bound to the admin gateways (one per
