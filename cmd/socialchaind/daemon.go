@@ -15,7 +15,7 @@ import (
 )
 
 // daemonConfig carries the -role flags: one socialchaind process hosting
-// either one peer node (every channel's peer + validator) or the ordering
+// either one peer node (the channel's peer + validator) or the ordering
 // service of a networked deployment.
 type daemonConfig struct {
 	role         string // "peer" or "orderer"
@@ -23,7 +23,6 @@ type daemonConfig struct {
 	listen       string // TCP listen address
 	join         string // comma-separated id=addr book of the other processes
 	peers        int
-	channels     int
 	identitySeed string
 	dataDir      string
 	durability   storage.Durability
@@ -55,7 +54,6 @@ func parseJoin(s string) (map[string]string, error) {
 func (d daemonConfig) netConfig() fabric.Config {
 	return fabric.Config{
 		NumPeers:        d.peers,
-		NumChannels:     d.channels,
 		IdentitySeed:    d.identitySeed,
 		Cutter:          ordering.CutterConfig{MaxMessages: d.maxMessages, BatchTimeout: d.batchTimeout},
 		DataDir:         d.dataDir,
@@ -102,8 +100,8 @@ func runDaemon(d daemonConfig) error {
 			fmt.Printf("%s admin surface on http://%s\n", node.ID(), node.AdminAddr())
 		}
 		node.Start()
-		fmt.Printf("%s listening on %s (%d channels, %d peers, data-dir %q)\n",
-			node.ID(), node.Addr(), d.channels, d.peers, d.dataDir)
+		fmt.Printf("%s listening on %s (%d peers, data-dir %q)\n",
+			node.ID(), node.Addr(), d.peers, d.dataDir)
 		<-stop
 		fmt.Printf("%s shutting down\n", node.ID())
 		return node.Close()
@@ -124,7 +122,7 @@ func runDaemon(d daemonConfig) error {
 			fmt.Printf("orderer admin surface on http://%s\n", ord.AdminAddr())
 		}
 		ord.Start()
-		fmt.Printf("orderer listening on %s (%d channels, %d peers)\n", ord.Addr(), d.channels, d.peers)
+		fmt.Printf("orderer listening on %s (%d peers)\n", ord.Addr(), d.peers)
 		<-stop
 		fmt.Println("orderer shutting down")
 		return ord.Close()

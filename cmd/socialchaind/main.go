@@ -16,28 +16,25 @@
 // the same -data-dir, and it resumes from the recovered chain instead of
 // starting empty.
 //
-// With -channels N the ledger is sharded across N independent channels:
-// each source's data and trust state live on its home channel (a stable
-// hash of the source ID) and the printed statistics aggregate across
-// channels. A durable multi-channel deployment recovers every channel
-// independently on restart.
+// The deployment runs one channel, the paper's traffic-channel: every
+// source's data, trust state and provenance live on it.
 //
 // With -role peer|orderer the binary instead runs ONE process of a
-// networked deployment over transport.TCP: a peer process hosts every
+// networked deployment over transport.TCP: a peer process hosts the
 // channel's endorsing peer and consensus validator, the orderer process
-// runs the transaction cutters, and remote clients (trafficgen -connect)
+// runs the transaction cutter, and remote clients (trafficgen -connect)
 // drive the deployment over framed localhost sockets. Every process must
-// share the same -peers/-channels/-identity-seed so seed-derived
-// identities line up. -join lists the other processes' addresses.
+// share the same -peers/-identity-seed so seed-derived identities line
+// up. -join lists the other processes' addresses.
 //
 // With -admin HOST:PORT any role (demo, peer or orderer) additionally
 // serves the admin/debug HTTP surface: /metrics (Prometheus text
-// exposition), /healthz (per-channel liveness: stalled consensus,
-// connectivity floor), /statusz (JSON snapshot: heights, backlogs,
-// cache hit rates, transport queues, slow-trace ring) and /debug/pprof.
-// Off when the flag is absent.
+// exposition), /healthz (liveness: stalled consensus, connectivity
+// floor), /statusz (JSON snapshot: heights, backlogs, cache hit rates,
+// transport queues, slow-trace ring) and /debug/pprof. Off when the flag
+// is absent.
 //
-// Usage: socialchaind [-peers 4] [-channels 1] [-ipfs 2] [-cameras 3]
+// Usage: socialchaind [-peers 4] [-ipfs 2] [-cameras 3]
 // [-crowd 3] [-rounds 10] [-byzantine 0] [-bad-crowd-fraction 0.3]
 // [-bulk 0] [-bulk-mode pipelined] [-bulk-batch 32] [-bulk-workers 8]
 // [-data-dir DIR] [-admin HOST:PORT]
@@ -71,8 +68,7 @@ import (
 )
 
 func main() {
-	peers := flag.Int("peers", 4, "number of blockchain peers (per channel)")
-	channels := flag.Int("channels", 1, "shard the ledger across this many independent channels")
+	peers := flag.Int("peers", 4, "number of blockchain peers")
 	ipfsNodes := flag.Int("ipfs", 2, "number of IPFS nodes")
 	cameras := flag.Int("cameras", 3, "trusted camera sources")
 	crowd := flag.Int("crowd", 3, "untrusted crowd sources")
@@ -108,7 +104,6 @@ func main() {
 			listen:       *listen,
 			join:         *join,
 			peers:        *peers,
-			channels:     *channels,
 			identitySeed: *identitySeed,
 			dataDir:      *dataDir,
 			durability:   dur,
@@ -121,7 +116,7 @@ func main() {
 		return
 	}
 
-	if err := run(*peers, *channels, *ipfsNodes, *cameras, *crowd, *rounds, *byzantine, *badFraction, *seed,
+	if err := run(*peers, *ipfsNodes, *cameras, *crowd, *rounds, *byzantine, *badFraction, *seed,
 		bulkConfig{records: *bulk, mode: *bulkMode, batch: *bulkBatch, workers: *bulkWorkers}, *dataDir, dur, *admin); err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +129,7 @@ type bulkConfig struct {
 	workers int
 }
 
-func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badFraction float64, seed int64, bulk bulkConfig, dataDir string, durability storage.Durability, adminAddr string) error {
+func run(peers, ipfsNodes, cameras, crowd, rounds, byzantine int, badFraction float64, seed int64, bulk bulkConfig, dataDir string, durability storage.Durability, adminAddr string) error {
 	behaviors := map[int]consensus.Behavior{}
 	for i := 0; i < byzantine; i++ {
 		behaviors[i+1] = consensus.Silent{}
@@ -148,7 +143,6 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 			ConsensusTimeout: time.Second,
 			Obs:              reg,
 		},
-		NumChannels:       channels,
 		IPFSNodes:         ipfsNodes,
 		DataDir:           dataDir,
 		StorageDurability: durability,
@@ -158,14 +152,13 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 	}
 	defer fw.Close()
 
+	ch := fw.Net.ChannelAt(0)
 	if adminAddr != "" {
 		health := obs.NewHealth(0, nil)
-		for _, ch := range fw.Net.Channels() {
-			health.Register(ch.Name(), obs.Probe{
-				Height:  ch.Peer(0).Height,
-				Backlog: ch.Validator(0).Backlog,
-			})
-		}
+		health.Register(ch.Name(), obs.Probe{
+			Height:  ch.Peer(0).Height,
+			Backlog: ch.Validator(0).Backlog,
+		})
 		statusz := func() any {
 			return struct {
 				Ledger ledger.Stats `json:"ledger"`
@@ -178,8 +171,8 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 		defer adminSrv.Close()
 		fmt.Printf("admin surface on http://%s (/metrics /healthz /statusz /debug/pprof)\n", adminSrv.Addr())
 	}
-	fmt.Printf("network up: %d channel(s) x %d peers (%d byzantine), %d IPFS nodes, chaincodes deployed\n",
-		fw.Net.NumChannels(), peers, byzantine, ipfsNodes)
+	fmt.Printf("network up: %s, %d peers (%d byzantine), %d IPFS nodes, chaincodes deployed\n",
+		ch.Name(), peers, byzantine, ipfsNodes)
 	if dataDir != "" {
 		boot := fw.LedgerStats()
 		fmt.Printf("durable deployment at %s: recovered chain height %d (%d txs)\n",
@@ -292,16 +285,10 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 	stats := fw.LedgerStats()
 	fmt.Printf("chain height %d, %d txs (%d valid)\n", stats.Height, stats.TotalTxs, stats.ValidTxs)
 	fmt.Printf("store latency: %s\n", storeLat.Summary())
-	for _, ch := range fw.Net.Channels() {
-		if err := ch.Peer(0).Ledger().VerifyChain(); err != nil {
-			return fmt.Errorf("chain verification failed on %s: %w", ch.Name(), err)
-		}
-		if fw.Net.NumChannels() > 1 {
-			s := ch.Peer(0).Ledger().Stats()
-			fmt.Printf("  %s: height=%d txs=%d valid=%d\n", ch.Name(), s.Height, s.TotalTxs, s.ValidTxs)
-		}
+	if err := ch.Peer(0).Ledger().VerifyChain(); err != nil {
+		return fmt.Errorf("chain verification failed: %w", err)
 	}
-	fmt.Println("hash chain verified on peer 0 of every channel")
+	fmt.Println("hash chain verified on peer 0")
 
 	tbl := metrics.NewTable("source", "role", "score", "accepted", "rejected", "flagged")
 	for _, src := range sources {
@@ -321,10 +308,10 @@ func run(peers, channels, ipfsNodes, cameras, crowd, rounds, byzantine int, badF
 
 	// Explorer view of the chain (the paper's Hyperledger Explorer role).
 	fmt.Println("\n--- explorer ---")
-	exp := explorer.New(fw.Net.ChannelAt(0).Peer(0).Ledger()).WithState(fw.Net.ChannelAt(0).Peer(0).State())
+	exp := explorer.New(ch.Peer(0).Ledger()).WithState(ch.Peer(0).State())
 	exp.RenderStats(os.Stdout)
 	fmt.Println("\nlast blocks:")
-	height := fw.Net.ChannelAt(0).Peer(0).Ledger().Height()
+	height := ch.Peer(0).Ledger().Height()
 	from := uint64(0)
 	if height > 6 {
 		from = height - 6

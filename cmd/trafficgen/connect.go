@@ -25,7 +25,6 @@ type connectConfig struct {
 	peers        string // id=addr book of the peer processes
 	orderer      string // orderer dial address
 	numPeers     int
-	channels     int
 	records      int
 	readFrac     float64 // fraction of operations that are reads (0 = write-only)
 	seed         int64
@@ -91,7 +90,6 @@ func runConnect(cfg connectConfig) error {
 	remote, err := fabric.Dial(fabric.RemoteConfig{
 		Net: fabric.Config{
 			NumPeers:      cfg.numPeers,
-			NumChannels:   cfg.channels,
 			CommitTimeout: 30 * time.Second,
 		},
 		Peers:   book,
@@ -121,28 +119,25 @@ func runConnect(cfg connectConfig) error {
 	if err != nil {
 		return err
 	}
-	// Bootstrap every channel: first-admin enrollment, default trust
-	// parameters, camera registration. Re-running against an already
-	// bootstrapped deployment tolerates the duplicate enrollments —
-	// those surface at endorsement time (the chaincode rejects the
-	// proposal, so Submit itself errors), not as committed invalid txs.
-	for i := 0; i < remote.NumChannels(); i++ {
-		agw := remote.ChannelAt(i).Gateway(admin)
-		if err := submitIdempotent(agw, contracts.AdminCC, "enrollAdmin", "already exists", []byte(admin.Identity.ID())); err != nil {
-			return fmt.Errorf("enroll admin on channel %d: %w", i, err)
-		}
-		if err := submitIdempotent(agw, contracts.TrustCC, "initParams", "", params); err != nil {
-			return fmt.Errorf("init trust params on channel %d: %w", i, err)
-		}
-		if err := submitIdempotent(agw, contracts.UsersCC, "registerUser", "already", camUser); err != nil {
-			return fmt.Errorf("register camera on channel %d: %w", i, err)
-		}
+	// Bootstrap: first-admin enrollment, default trust parameters, camera
+	// registration. Re-running against an already bootstrapped deployment
+	// tolerates the duplicate enrollments — those surface at endorsement
+	// time (the chaincode rejects the proposal, so Submit itself errors),
+	// not as committed invalid txs.
+	ch := remote.ChannelAt(0)
+	agw := ch.Gateway(admin)
+	if err := submitIdempotent(agw, contracts.AdminCC, "enrollAdmin", "already exists", []byte(admin.Identity.ID())); err != nil {
+		return fmt.Errorf("enroll admin: %w", err)
 	}
-	fmt.Printf("connected: %d peer processes, %d channel(s); deployment bootstrapped\n",
-		cfg.numPeers, remote.NumChannels())
+	if err := submitIdempotent(agw, contracts.TrustCC, "initParams", "", params); err != nil {
+		return fmt.Errorf("init trust params: %w", err)
+	}
+	if err := submitIdempotent(agw, contracts.UsersCC, "registerUser", "already", camUser); err != nil {
+		return fmt.Errorf("register camera: %w", err)
+	}
+	fmt.Printf("connected: %d peer processes on %s; deployment bootstrapped\n", cfg.numPeers, ch.Name())
 
-	// The camera writes through its home channel, like in-process clients.
-	gw := remote.ChannelFor(cam.Identity.ID()).Gateway(cam)
+	gw := ch.Gateway(cam)
 
 	rng := sim.NewRNG(cfg.seed)
 	det := detect.NewDetector(cfg.seed)
@@ -235,35 +230,30 @@ func runConnect(cfg connectConfig) error {
 			reads.total, reads.hits, reads.misses, reads.wrong, reads.lat.Summary())
 	}
 
-	// Verify every peer process's hash chain on every channel over RPC.
-	for i := 0; i < remote.NumChannels(); i++ {
-		name := remote.ChannelAt(i).Name()
-		for id := range book {
-			h, err := remote.VerifyChain(name, id)
-			if err != nil {
-				return fmt.Errorf("chain verification failed on %s/%s: %w", name, id, err)
-			}
-			fmt.Printf("%s/%s: chain verified to height %d\n", name, id, h)
+	// Verify every peer process's hash chain over RPC.
+	name := ch.Name()
+	for id := range book {
+		h, err := remote.VerifyChain(name, id)
+		if err != nil {
+			return fmt.Errorf("chain verification failed on %s/%s: %w", name, id, err)
 		}
+		fmt.Printf("%s/%s: chain verified to height %d\n", name, id, h)
 	}
 	// Replicas converge through anti-entropy, which is asynchronous: a
 	// peer that just restarted (or lagged the last commit) may still be
 	// pulling blocks. Retry the byte-identity check within a window
 	// instead of failing on the first transient height skew.
 	deadline := time.Now().Add(15 * time.Second)
-	for i := 0; i < remote.NumChannels(); i++ {
-		name := remote.ChannelAt(i).Name()
-		for {
-			err := chainsIdentical(remote, book, name)
-			if err == nil {
-				fmt.Printf("%s: %d peer chains byte-identical\n", name, len(book))
-				break
-			}
-			if time.Now().After(deadline) {
-				return err
-			}
-			time.Sleep(250 * time.Millisecond)
+	for {
+		err := chainsIdentical(remote, book, name)
+		if err == nil {
+			fmt.Printf("%s: %d peer chains byte-identical\n", name, len(book))
+			break
 		}
+		if time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(250 * time.Millisecond)
 	}
 	if cfg.statsOut != "" {
 		if err := writeRunSummary(cfg, obsReg, remote, stored, failed, elapsed, reads); err != nil {

@@ -23,7 +23,6 @@ type ingestConfig struct {
 	batch       int
 	inflight    int
 	peers       int
-	channels    int
 	engine      string
 	durability  string
 	dataDir     string
@@ -49,7 +48,6 @@ func runIngest(cfg ingestConfig) error {
 			NumPeers: cfg.peers,
 			Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond},
 		},
-		NumChannels:       cfg.channels,
 		IPFSNodes:         2,
 		StorageEngine:     storage.Engine(cfg.engine),
 		StorageDurability: durability,
@@ -67,8 +65,8 @@ func runIngest(cfg ingestConfig) error {
 		return err
 	}
 	client := fw.Client(cam, 0)
-	fmt.Printf("network up: %d channel(s) x %d peers, 2 IPFS nodes; ingest mode=%s records=%d batch=%d workers=%d inflight=%d\n",
-		fw.Net.NumChannels(), cfg.peers, mode, cfg.records, cfg.batch, cfg.concurrency, cfg.inflight)
+	fmt.Printf("network up: %d peers, 2 IPFS nodes; ingest mode=%s records=%d batch=%d workers=%d inflight=%d\n",
+		cfg.peers, mode, cfg.records, cfg.batch, cfg.concurrency, cfg.inflight)
 	if cfg.dataDir != "" {
 		boot := fw.LedgerStats()
 		fmt.Printf("durable deployment at %s: recovered chain height %d (%d txs)\n", cfg.dataDir, boot.Height, boot.TotalTxs)
@@ -150,12 +148,10 @@ func runIngest(cfg ingestConfig) error {
 
 	ledgerStats := fw.LedgerStats()
 	fmt.Printf("chain: height=%d txs=%d valid=%d\n", ledgerStats.Height, ledgerStats.TotalTxs, ledgerStats.ValidTxs)
-	for _, ch := range fw.Net.Channels() {
-		if err := ch.Peer(0).Ledger().VerifyChain(); err != nil {
-			return fmt.Errorf("chain verification failed on %s: %w", ch.Name(), err)
-		}
+	if err := fw.Net.ChannelAt(0).Peer(0).Ledger().VerifyChain(); err != nil {
+		return fmt.Errorf("chain verification failed: %w", err)
 	}
-	fmt.Println("hash chain verified on peer 0 of every channel")
+	fmt.Println("hash chain verified on peer 0")
 	if failed > 0 {
 		return fmt.Errorf("%d records failed", failed)
 	}

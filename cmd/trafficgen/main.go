@@ -14,17 +14,17 @@
 // (socialchaind -role peer/orderer processes) over transport.TCP: it
 // bootstraps the chain (admin, trust parameters, camera), submits
 // -records metadata transactions through remote gateways, and verifies
-// every peer process's hash chain over RPC. -peers/-channels must match
-// the deployment's flags. -stats-out FILE writes a JSON run summary on
-// exit: counts, throughput, per-channel client-side stage latency
-// percentiles (endorse / order / commit_wait, read from the gateway
-// histograms) and — with -admin-book id=host:port,... — every listed
+// every peer process's hash chain over RPC. -peers must match the
+// deployment's flag. -stats-out FILE writes a JSON run summary on exit:
+// counts, throughput, client-side stage latency percentiles (endorse /
+// order / commit_wait, read from the gateway histograms, keyed by the
+// channel name) and — with -admin-book id=host:port,... — every listed
 // node's /statusz snapshot.
 //
 // Usage: trafficgen [-videos 52] [-frames 20] [-drones 12] [-seed 1]
 // [-dump-metadata] [-limit 5]
 // [-ingest serial|batched|pipelined] [-records 200] [-rate 0]
-// [-concurrency 8] [-batch 32] [-inflight 2] [-peers 4] [-channels 1]
+// [-concurrency 8] [-batch 32] [-inflight 2] [-peers 4]
 // [-engine single|persist] [-data-dir DIR]
 // [-connect id=host:port,... -orderer host:port]
 // [-stats-out FILE] [-admin-book id=host:port,...]
@@ -58,8 +58,7 @@ func main() {
 	// through the provenance head — a wider window only burns consensus
 	// rounds on MVCC conflicts (see DESIGN.md).
 	inflight := flag.Int("inflight", 1, "batches in flight")
-	peers := flag.Int("peers", 4, "blockchain peers per channel (with -ingest)")
-	channels := flag.Int("channels", 1, "shard the ledger across this many channels (with -ingest)")
+	peers := flag.Int("peers", 4, "blockchain peers (with -ingest or -connect)")
 	engine := flag.String("engine", "", "world-state storage engine: single or persist")
 	durability := flag.String("durability", "", "persist-engine fsync policy with -data-dir: none, batch or always")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restarted -ingest run resumes from it")
@@ -80,7 +79,6 @@ func main() {
 			peers:        *connect,
 			orderer:      *orderer,
 			numPeers:     *peers,
-			channels:     *channels,
 			records:      *records,
 			readFrac:     *readFrac,
 			seed:         *seed,
@@ -102,7 +100,6 @@ func main() {
 			batch:       *batch,
 			inflight:    *inflight,
 			peers:       *peers,
-			channels:    *channels,
 			engine:      *engine,
 			durability:  *durability,
 			dataDir:     *dataDir,

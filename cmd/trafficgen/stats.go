@@ -48,7 +48,7 @@ type readSummary struct {
 }
 
 // bloomSummary is one node's LSM bloom-filter counters, scraped from its
-// /metrics surface after the workload (summed across stores/channels).
+// /metrics surface after the workload (summed across stores).
 type bloomSummary struct {
 	Checks   float64 `json:"checks"`
 	Skips    float64 `json:"skips"`
@@ -56,28 +56,25 @@ type bloomSummary struct {
 }
 
 // clientStages reads the gateway-side stage histograms back out of the
-// client registry (same name+labels returns the same instrument).
+// client registry (same name+labels returns the same instrument), keyed
+// by the channel name.
 func clientStages(reg *obs.Registry, remote *fabric.Remote) map[string]map[string]stageSummary {
-	out := make(map[string]map[string]stageSummary)
-	for i := 0; i < remote.NumChannels(); i++ {
-		name := remote.ChannelAt(i).Name()
-		chReg := reg.With(obs.L("channel", name))
-		stages := make(map[string]stageSummary)
-		for _, stage := range []string{"endorse", "order", "commit_wait"} {
-			h := chReg.Histogram("tx_stage_seconds", "", nil, obs.L("stage", stage))
-			if h.Count() == 0 {
-				continue
-			}
-			stages[stage] = stageSummary{
-				Count: h.Count(),
-				P50ms: h.Quantile(0.5) * 1000,
-				P95ms: h.Quantile(0.95) * 1000,
-				P99ms: h.Quantile(0.99) * 1000,
-			}
+	name := remote.ChannelAt(0).Name()
+	chReg := reg.With(obs.L("channel", name))
+	stages := make(map[string]stageSummary)
+	for _, stage := range []string{"endorse", "order", "commit_wait"} {
+		h := chReg.Histogram("tx_stage_seconds", "", nil, obs.L("stage", stage))
+		if h.Count() == 0 {
+			continue
 		}
-		out[name] = stages
+		stages[stage] = stageSummary{
+			Count: h.Count(),
+			P50ms: h.Quantile(0.5) * 1000,
+			P95ms: h.Quantile(0.95) * 1000,
+			P99ms: h.Quantile(0.99) * 1000,
+		}
 	}
-	return out
+	return map[string]map[string]stageSummary{name: stages}
 }
 
 // scrapeStatusz GETs every admin surface's /statusz into raw JSON; an
@@ -105,7 +102,7 @@ func scrapeStatusz(adminBook string) (map[string]json.RawMessage, error) {
 }
 
 // scrapeBloom GETs every admin surface's /metrics and sums the LSM
-// bloom-filter counters across that node's stores and channels. Nodes
+// bloom-filter counters across that node's stores. Nodes
 // without LSM metrics (in-memory peers, unreachable surfaces) are simply
 // absent from the result.
 func scrapeBloom(adminBook string) (map[string]bloomSummary, error) {
