@@ -53,13 +53,6 @@ type Config struct {
 	// AdminID names the bootstrap administrator (default "gov/admin").
 	AdminOrg  string
 	AdminName string
-	// NumChannels shards the ledger across this many independent fabric
-	// channels (default 1). Each source's data, trust state and provenance
-	// live on its home channel — fabric.RouteKey over the source ID — and
-	// the framework's clients and query engines route and scatter-gather
-	// accordingly. Setting both this and Fabric.NumChannels to different
-	// values is a configuration conflict (see Resolve).
-	NumChannels int
 	// StorageEngine selects the key-value engine behind every peer's world
 	// state ("single" or "persist"; default single, in memory). It is
 	// copied into Fabric.StateEngine by Resolve; setting both knobs to
@@ -123,7 +116,7 @@ func (c *Config) fill() {
 }
 
 // Resolve merges the framework-level deployment knobs (StorageEngine,
-// StorageDurability, DataDir, NumChannels, Transport) into the fabric configuration
+// StorageDurability, DataDir, Transport) into the fabric configuration
 // and returns the result. It replaces the old silent copy-if-unset chain:
 // setting a knob at both levels to different values is now an error
 // instead of one level quietly winning.
@@ -153,14 +146,6 @@ func (c *Config) Resolve() (fabric.Config, error) {
 				c.DataDir, derived, fc.DataDir)
 		}
 		fc.DataDir = derived
-	}
-	if c.NumChannels > 0 {
-		if fc.NumChannels > 0 && fc.NumChannels != c.NumChannels {
-			return fabric.Config{}, fmt.Errorf(
-				"core: conflicting channel counts: Config.NumChannels=%d but Config.Fabric.NumChannels=%d",
-				c.NumChannels, fc.NumChannels)
-		}
-		fc.NumChannels = c.NumChannels
 	}
 	if err := c.resolveTransport(&fc); err != nil {
 		return fabric.Config{}, err
@@ -250,9 +235,6 @@ type Framework struct {
 	Cluster *ipfs.Cluster
 	Admin   *msp.Signer
 
-	// adminGWs holds one admin gateway per channel (channel order);
-	// adminGW aliases adminGWs[0] for the single-channel paths.
-	adminGWs []*fabric.Gateway
 	adminGW  *fabric.Gateway
 	closeErr error
 
@@ -306,49 +288,51 @@ func New(cfg Config) (*Framework, error) {
 		anomaly: make(map[string]*trust.AnomalyDetector),
 	}
 	net.Start()
-	for _, ch := range net.Channels() {
-		fw.adminGWs = append(fw.adminGWs, ch.Gateway(admin))
-	}
-	fw.adminGW = fw.adminGWs[0]
-
-	// Bootstrap every channel: enroll the admin and install trust
-	// parameters. Each channel carries its own admin enrollment and trust
-	// parameters because chaincode state never crosses channels. On a
-	// recovered durable deployment the enrollment is skipped when the
-	// channel's chain already carries it (enrollAdmin rejects duplicates),
-	// but initParams always runs — it is an idempotent overwrite, and
-	// gating it on the *first* bootstrap step would silently leave default
-	// trust parameters if a crash landed between the two transactions.
-	params, err := json.Marshal(cfg.TrustParams)
-	if err != nil {
+	fw.adminGW = net.ChannelAt(0).Gateway(admin)
+	if err := fw.bootstrap(); err != nil {
 		fw.Close()
 		return nil, err
 	}
-	for _, gw := range fw.adminGWs {
-		enrolled := false
-		if cfg.DataDir != "" {
-			if raw, err := gw.Evaluate(contracts.AdminCC, "adminExists", []byte(admin.Identity.ID())); err == nil && string(raw) == "true" {
-				enrolled = true
-			}
-		}
-		if !enrolled {
-			if res, err := gw.Submit(contracts.AdminCC, "enrollAdmin", []byte(admin.Identity.ID())); err != nil {
-				fw.Close()
-				return nil, fmt.Errorf("core: enroll admin on %s: %w", gw.Channel().Name(), err)
-			} else if res.Err() != nil {
-				fw.Close()
-				return nil, fmt.Errorf("core: enroll admin on %s: %w", gw.Channel().Name(), res.Err())
-			}
-		}
-		if res, err := gw.Submit(contracts.TrustCC, "initParams", params); err != nil {
-			fw.Close()
-			return nil, fmt.Errorf("core: init trust params on %s: %w", gw.Channel().Name(), err)
-		} else if res.Err() != nil {
-			fw.Close()
-			return nil, fmt.Errorf("core: init trust params on %s: %w", gw.Channel().Name(), res.Err())
+	return fw, nil
+}
+
+// bootstrap enrolls the admin and installs the trust parameters. On a
+// recovered durable deployment the enrollment is skipped when the chain
+// already carries it (enrollAdmin rejects duplicates), but initParams
+// always runs — it is an idempotent overwrite, and gating it on the
+// *first* bootstrap step would silently leave default trust parameters if
+// a crash landed between the two transactions.
+func (f *Framework) bootstrap() error {
+	params, err := json.Marshal(f.cfg.TrustParams)
+	if err != nil {
+		return err
+	}
+	gw, adminID := f.adminGW, []byte(f.Admin.Identity.ID())
+	enrolled := false
+	if f.cfg.DataDir != "" {
+		if raw, err := gw.Evaluate(contracts.AdminCC, "adminExists", adminID); err == nil && string(raw) == "true" {
+			enrolled = true
 		}
 	}
-	return fw, nil
+	if !enrolled {
+		if err := submitOK(gw, contracts.AdminCC, "enrollAdmin", adminID); err != nil {
+			return fmt.Errorf("core: enroll admin: %w", err)
+		}
+	}
+	if err := submitOK(gw, contracts.TrustCC, "initParams", params); err != nil {
+		return fmt.Errorf("core: init trust params: %w", err)
+	}
+	return nil
+}
+
+// submitOK submits a transaction and folds a committed-but-invalid result
+// into the error.
+func submitOK(gw *fabric.Gateway, cc, fn string, args ...[]byte) error {
+	res, err := gw.Submit(cc, fn, args...)
+	if err != nil {
+		return err
+	}
+	return res.Err()
 }
 
 // Close shuts the framework down, flushing and closing every durable
@@ -367,18 +351,8 @@ func (f *Framework) Close() {
 // Close and after a clean one).
 func (f *Framework) CloseErr() error { return f.closeErr }
 
-// AdminGateway returns the bootstrap admin's gateway on the default
-// channel.
+// AdminGateway returns the bootstrap admin's gateway.
 func (f *Framework) AdminGateway() *fabric.Gateway { return f.adminGW }
-
-// AdminGatewayOn returns the bootstrap admin's gateway on channel i.
-func (f *Framework) AdminGatewayOn(i int) *fabric.Gateway { return f.adminGWs[i] }
-
-// adminGWFor returns the admin gateway on a source's home channel — the
-// channel holding that source's registration, trust state and data.
-func (f *Framework) adminGWFor(sourceID string) *fabric.Gateway {
-	return f.adminGWs[fabric.RouteKey(sourceID, len(f.adminGWs))]
-}
 
 // RegisterSource registers a data source on-chain. Trusted sources (traffic
 // cameras, drones) bypass the trust gate; untrusted sources (mobile users,
@@ -386,7 +360,7 @@ func (f *Framework) adminGWFor(sourceID string) *fabric.Gateway {
 // is a no-op: a restarted durable deployment re-runs its setup and the
 // chain's registration (keyed by source ID) must win.
 func (f *Framework) RegisterSource(id msp.Identity, trusted bool) error {
-	gw := f.adminGWFor(id.ID())
+	gw := f.adminGW
 	if f.cfg.DataDir != "" {
 		if raw, err := gw.Evaluate(contracts.UsersCC, "userExists", []byte(id.ID())); err == nil && string(raw) == "true" {
 			return nil
@@ -412,40 +386,24 @@ func (f *Framework) RegisterSource(id msp.Identity, trusted bool) error {
 	return res.Err()
 }
 
-// EnrollAdmin enrolls an additional administrator on every channel, so the
-// new administrator can act wherever the bootstrap admin can.
+// EnrollAdmin enrolls an additional administrator.
 func (f *Framework) EnrollAdmin(adminID string) error {
-	for _, gw := range f.adminGWs {
-		res, err := gw.Submit(contracts.AdminCC, "enrollAdmin", []byte(adminID))
-		if err != nil {
-			return err
-		}
-		if err := res.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return submitOK(f.adminGW, contracts.AdminCC, "enrollAdmin", []byte(adminID))
 }
 
-// TrustScore reads a source's current on-chain trust state from its home
-// channel.
+// TrustScore reads a source's current on-chain trust state.
 func (f *Framework) TrustScore(sourceID string) (trust.State, error) {
-	raw, err := f.adminGWFor(sourceID).Evaluate(contracts.TrustCC, "getTrust", []byte(sourceID))
+	raw, err := f.adminGW.Evaluate(contracts.TrustCC, "getTrust", []byte(sourceID))
 	if err != nil {
 		return trust.State{}, err
 	}
 	return trust.UnmarshalState(raw)
 }
 
-// QueryEngine returns a query engine bound to the admin gateways (one per
-// channel) and the given IPFS node (0 <= node < cluster size).
+// QueryEngine returns a query engine bound to the admin gateway and the
+// given IPFS node (0 <= node < cluster size).
 func (f *Framework) QueryEngine(node int) *query.Engine {
-	eng, err := query.NewShardedEngine(f.adminGWs, f.Cluster.Node(node))
-	if err != nil {
-		// Unreachable: a framework always has at least one channel.
-		panic(err)
-	}
-	return eng
+	return query.NewEngine(f.adminGW, f.Cluster.Node(node))
 }
 
 // Client binds a source identity to the framework: it talks to the
@@ -458,23 +416,12 @@ type Client struct {
 	qe     *query.Engine
 }
 
-// Client creates a client for a registered source, attached to IPFS node i.
-// The client writes through its home channel's gateway (fabric.RouteKey
-// over its identity ID) and reads through a sharded query engine spanning
-// every channel, so retrieval works no matter which channel holds a record.
+// Client creates a client for a registered source, attached to IPFS node i:
+// it writes and reads through its own gateway.
 func (f *Framework) Client(signer *msp.Signer, ipfsNode int) *Client {
 	store := f.Cluster.Node(ipfsNode)
-	channels := f.Net.Channels()
-	gws := make([]*fabric.Gateway, len(channels))
-	for i, ch := range channels {
-		gws[i] = ch.Gateway(signer)
-	}
-	home := fabric.RouteKey(signer.Identity.ID(), len(channels))
-	qe, err := query.NewShardedEngine(gws, store)
-	if err != nil {
-		panic(err) // unreachable: a network always has at least one channel
-	}
-	return &Client{fw: f, signer: signer, gw: gws[home], store: store, qe: qe}
+	gw := f.Net.ChannelAt(0).Gateway(signer)
+	return &Client{fw: f, signer: signer, gw: gw, store: store, qe: query.NewEngine(gw, store)}
 }
 
 // Identity returns the client's identity.
@@ -640,11 +587,10 @@ func (c *Client) RetrieveData(txID string) (*RetrieveResult, error) {
 // Query exposes the client's query engine for conditional retrieval.
 func (c *Client) Query() *query.Engine { return c.qe }
 
-// reportViolation files a failed-validation observation against a source
-// on its home channel, where its trust state lives.
+// reportViolation files a failed-validation observation against a source.
 func (f *Framework) reportViolation(sourceID string) {
 	// Best effort: a scoring hiccup must not mask the original error.
-	_, _ = f.adminGWFor(sourceID).Submit(contracts.TrustCC, "observe",
+	_, _ = f.adminGW.Submit(contracts.TrustCC, "observe",
 		[]byte(sourceID), []byte("0"), []byte(strconv.FormatFloat(0, 'f', 1, 64)))
 }
 
@@ -677,16 +623,8 @@ func (f *Framework) observeAnomalies(sourceID string, meta detect.MetadataRecord
 	return det.Observe(sub)
 }
 
-// LedgerStats aggregates chain statistics across every channel (peers of
-// one channel agree when the network is healthy; channel heights and
-// transaction counts sum into the deployment-wide totals).
+// LedgerStats returns peer 0's chain statistics (the peers agree when the
+// network is healthy).
 func (f *Framework) LedgerStats() ledger.Stats {
-	var total ledger.Stats
-	for _, ch := range f.Net.Channels() {
-		s := ch.Peer(0).Ledger().Stats()
-		total.Height += s.Height
-		total.TotalTxs += s.TotalTxs
-		total.ValidTxs += s.ValidTxs
-	}
-	return total
+	return f.Net.ChannelAt(0).Peer(0).Ledger().Stats()
 }

@@ -14,7 +14,6 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 	cfg := Config{
 		StorageEngine: storage.EnginePersist,
 		DataDir:       "/tmp/deploy",
-		NumChannels:   3,
 	}
 	fc, err := cfg.Resolve()
 	if err != nil {
@@ -26,9 +25,6 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 	if want := filepath.Join("/tmp/deploy", "fabric"); fc.DataDir != want {
 		t.Fatalf("DataDir = %q, want %q", fc.DataDir, want)
 	}
-	if fc.NumChannels != 3 {
-		t.Fatalf("NumChannels = %d, want 3", fc.NumChannels)
-	}
 	if fc.StateIndexes == nil {
 		t.Fatal("StateIndexes not defaulted to the data indexes")
 	}
@@ -38,11 +34,9 @@ func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 	// Matching values at both levels are not a conflict.
 	cfg := Config{
 		StorageEngine: storage.EnginePersist,
-		NumChannels:   2,
 		DataDir:       "/tmp/d",
 		Fabric: fabric.Config{
 			StateEngine: storage.EnginePersist,
-			NumChannels: 2,
 			DataDir:     filepath.Join("/tmp/d", "fabric"),
 		},
 	}
@@ -50,12 +44,12 @@ func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 		t.Fatalf("matching overrides rejected: %v", err)
 	}
 	// Fabric-only settings pass through untouched.
-	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumChannels: 4}}
+	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumPeers: 7}}
 	fc, err := only.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.StateEngine != storage.EngineSingle || fc.NumChannels != 4 {
+	if fc.StateEngine != storage.EngineSingle || fc.NumPeers != 7 {
 		t.Fatalf("fabric-level settings mangled: %+v", fc)
 	}
 }
@@ -81,14 +75,6 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 				Fabric:  fabric.Config{DataDir: "/tmp/elsewhere"},
 			},
 			want: "conflicting data directories",
-		},
-		{
-			name: "channel count",
-			cfg: Config{
-				NumChannels: 2,
-				Fabric:      fabric.Config{NumChannels: 4},
-			},
-			want: "conflicting channel counts",
 		},
 		{
 			name: "transport kind",
