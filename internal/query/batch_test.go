@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"socialchain/internal/contracts"
@@ -169,5 +170,23 @@ func TestPagedUnknownIndex(t *testing.T) {
 	fx := newQueryFixture(t, 1)
 	if _, err := fx.client.Query().Page("bogus", "", 10, ""); err == nil {
 		t.Fatal("unknown index accepted")
+	}
+}
+
+// TestPageRejectsMalformedCursor: a cursor is the world state's index
+// token, passed through untouched, so one that does not decode as a token
+// is an error, never a silent restart from the first page.
+func TestPageRejectsMalformedCursor(t *testing.T) {
+	fx := newQueryFixture(t, 2)
+	qe := fx.client.Query()
+	for _, cursor := range []string{
+		"not a token!!",
+		"abc", // odd-length hex
+		"MHw", // a cursor of the older channel|token form
+	} {
+		_, err := qe.Page(contracts.IndexSubmitted, "", 1, cursor)
+		if err == nil || !strings.Contains(err.Error(), "bad index page token") {
+			t.Fatalf("Page with cursor %q: err = %v, want a bad-token error", cursor, err)
+		}
 	}
 }

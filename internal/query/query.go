@@ -4,12 +4,9 @@
 // query executor (raw payloads from IPFS by CID), and verifies every
 // retrieved payload against its on-chain hash before returning it.
 //
-// On a multi-channel (sharded) deployment the engine holds one gateway per
-// channel and scatter-gathers: point lookups probe channels until the
-// owning one answers, list queries fan out over every channel and merge,
-// and indexed pagination walks the channels in order behind an opaque
-// Cursor that encodes both the channel and the index position within it.
-// A single-gateway engine reduces exactly to the pre-sharding behaviour.
+// The engine reads through one gateway on the deployment's one channel;
+// indexed pagination hands the world state's index token back to the
+// caller as the cursor.
 package query
 
 import (
@@ -28,9 +25,9 @@ import (
 	"socialchain/internal/statedb"
 )
 
-// Engine couples one blockchain gateway per channel with an IPFS node.
+// Engine couples a blockchain gateway with an IPFS node.
 type Engine struct {
-	gws   []*fabric.Gateway
+	gw    *fabric.Gateway
 	store *ipfs.Node
 	// cache is the optional CID-keyed read-through payload cache.
 	cache *payloadCache
@@ -42,24 +39,10 @@ type Engine struct {
 // was not configured with WithWorkers.
 const DefaultFetchWorkers = 8
 
-// NewEngine builds a single-channel query engine.
+// NewEngine builds a query engine.
 func NewEngine(gw *fabric.Gateway, store *ipfs.Node) *Engine {
-	return &Engine{gws: []*fabric.Gateway{gw}, store: store}
+	return &Engine{gw: gw, store: store}
 }
-
-// NewShardedEngine builds a query engine over one gateway per channel (in
-// channel order — cursors encode positions by that order). Point lookups
-// probe the channels, list queries scatter-gather across all of them.
-// At least one gateway is required.
-func NewShardedEngine(gws []*fabric.Gateway, store *ipfs.Node) (*Engine, error) {
-	if len(gws) == 0 {
-		return nil, errors.New("query: sharded engine needs at least one gateway")
-	}
-	return &Engine{gws: append([]*fabric.Gateway(nil), gws...), store: store}, nil
-}
-
-// Channels returns how many channels the engine spans.
-func (e *Engine) Channels() int { return len(e.gws) }
 
 // WithPayloadCache enables a read-through payload cache bounded to
 // capBytes: retrievals of a CID already fetched and verified skip the
@@ -105,8 +88,7 @@ const (
 	// ProvenanceOf walks a record's source chain.
 	ProvenanceOf
 	// ByIndex pages through a statedb secondary index (Request.Index,
-	// Limit, Cursor); Result.Next resumes the following page across
-	// channel boundaries.
+	// Limit, Cursor); Result.Next resumes the following page.
 	ByIndex
 	// ByTxIDs runs the batch retrieval path (Request.Values) and returns
 	// per-item results in Result.Items.
@@ -129,8 +111,7 @@ type Request struct {
 	// Limit bounds a ByIndex page (default 100).
 	Limit int
 	// Cursor resumes a ByIndex iteration from a previous Result.Next
-	// ("" = start). Cursors are opaque; they encode the channel and the
-	// index position within it.
+	// ("" = start). Cursors are opaque.
 	Cursor string
 }
 
@@ -158,7 +139,7 @@ type Result struct {
 	// Items are the per-transaction results of a ByTxIDs batch request.
 	Items []BatchItem
 	// Next resumes the following page of a ByIndex request; empty when
-	// the iteration is exhausted across every channel.
+	// the iteration is exhausted.
 	Next   string
 	Timing Timing
 }
@@ -213,29 +194,20 @@ func (e *Engine) Metadata(txID string) (contracts.DataRecord, error) {
 	return rec, err
 }
 
-// metadataTimed probes the channels for a record. A record lives on
-// exactly one channel (its writer's home channel), but transaction IDs are
-// random nonces that carry no routing information, so the lookup asks each
-// channel in turn and keeps the first answer. Timing accumulates over the
-// probes — that cost is what the channel-scoped write path avoids.
+// metadataTimed fetches a record from the blockchain executor, timing it.
 func (e *Engine) metadataTimed(txID string) (contracts.DataRecord, Timing, error) {
 	var timing Timing
-	var lastErr error
-	for _, gw := range e.gws {
-		start := time.Now()
-		raw, err := gw.Evaluate(contracts.DataCC, "getData", []byte(txID))
-		timing.Blockchain += time.Since(start)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var rec contracts.DataRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return contracts.DataRecord{}, timing, fmt.Errorf("query: corrupt record: %w", err)
-		}
-		return rec, timing, nil
+	start := time.Now()
+	raw, err := e.gw.Evaluate(contracts.DataCC, "getData", []byte(txID))
+	timing.Blockchain = time.Since(start)
+	if err != nil {
+		return contracts.DataRecord{}, timing, err
 	}
-	return contracts.DataRecord{}, timing, lastErr
+	var rec contracts.DataRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return contracts.DataRecord{}, timing, fmt.Errorf("query: corrupt record: %w", err)
+	}
+	return rec, timing, nil
 }
 
 // Data fetches a record's metadata from the blockchain, its payload from
@@ -301,8 +273,8 @@ type BatchItem struct {
 }
 
 // GetMany runs the full retrieval path for a batch of transaction IDs,
-// fanning metadata lookup (channel probe, on sharded engines), payload
-// fetch and hash verification across a bounded worker pool — the batch
+// fanning metadata lookup, payload fetch and hash verification across a
+// bounded worker pool — the batch
 // counterpart of Data. workers <= 0 uses the engine's configured bound
 // (WithWorkers, default DefaultFetchWorkers); results are positionally
 // aligned with txIDs.
@@ -367,151 +339,80 @@ func (e *Engine) getOne(txID string) BatchItem {
 // PageResult is one page of an indexed metadata query.
 type PageResult struct {
 	Records []contracts.DataRecord
-	// Next resumes the following page; empty when exhausted. On a sharded
-	// engine the cursor carries the iteration across channel boundaries —
-	// callers just keep passing it back.
+	// Next resumes the following page; empty when exhausted.
 	Next   string
 	Timing Timing
 }
 
 // Page runs one page of a secondary-index query (contracts.IndexLabel and
 // friends): records whose indexed value begins with value, in (value, key)
-// order within each channel, at most limit per page (default 100). cursor
-// resumes from a previous page's Next; the empty cursor starts at the
-// first channel. When one channel's index is exhausted the iteration
-// moves to the next channel, so a page near a boundary may come back
-// short with Next still set — only an empty Next ends the iteration.
+// order, at most limit per page (default 100). cursor resumes from a
+// previous page's Next ("" = start); an empty Next ends the iteration.
 func (e *Engine) Page(index, value string, limit int, cursor string) (*PageResult, error) {
 	if limit <= 0 {
 		limit = 100
 	}
-	cur, err := DecodeCursor(cursor)
+	start := time.Now()
+	raw, err := e.gw.Evaluate(contracts.DataCC, "queryPage",
+		[]byte(index), []byte(value), []byte(strconv.Itoa(limit)), []byte(cursor))
+	out := &PageResult{Timing: Timing{Blockchain: time.Since(start)}}
 	if err != nil {
 		return nil, err
 	}
-	if cur.Channel >= len(e.gws) {
-		return nil, fmt.Errorf("query: cursor channel %d out of range (%d channels)", cur.Channel, len(e.gws))
+	var page contracts.RecordPage
+	if err := json.Unmarshal(raw, &page); err != nil {
+		return nil, fmt.Errorf("query: corrupt page: %w", err)
 	}
-	out := &PageResult{}
-	for {
-		start := time.Now()
-		raw, err := e.gws[cur.Channel].Evaluate(contracts.DataCC, "queryPage",
-			[]byte(index), []byte(value), []byte(strconv.Itoa(limit)), []byte(cur.Token))
-		out.Timing.Blockchain += time.Since(start)
-		if err != nil {
-			return nil, err
+	for _, r := range page.Records {
+		var rec contracts.DataRecord
+		if err := json.Unmarshal(r, &rec); err != nil {
+			return nil, fmt.Errorf("query: corrupt record in page: %w", err)
 		}
-		var page contracts.RecordPage
-		if err := json.Unmarshal(raw, &page); err != nil {
-			return nil, fmt.Errorf("query: corrupt page: %w", err)
-		}
-		for _, r := range page.Records {
-			var rec contracts.DataRecord
-			if err := json.Unmarshal(r, &rec); err != nil {
-				return nil, fmt.Errorf("query: corrupt record in page: %w", err)
-			}
-			out.Records = append(out.Records, rec)
-		}
-		if page.Next != "" {
-			// More of this channel's index remains.
-			out.Next = Cursor{Channel: cur.Channel, Token: page.Next}.Encode()
-			return out, nil
-		}
-		// This channel is exhausted; hand the cursor to the next one. An
-		// empty page from an empty channel keeps scanning forward so
-		// callers never see a no-progress page with a non-empty cursor.
-		if cur.Channel+1 >= len(e.gws) {
-			out.Next = ""
-			return out, nil
-		}
-		cur = Cursor{Channel: cur.Channel + 1}
-		if len(out.Records) > 0 {
-			out.Next = cur.Encode()
-			return out, nil
-		}
+		out.Records = append(out.Records, rec)
 	}
+	out.Next = page.Next
+	return out, nil
 }
 
-// listQuery runs a list-returning chaincode query, fanning out over every
-// channel and concatenating the per-channel answers in channel order.
+// listQuery runs a list-returning chaincode query.
 func (e *Engine) listQuery(fn, arg string) (*Result, error) {
-	type chanResult struct {
-		recs []contracts.DataRecord
-		err  error
-	}
 	start := time.Now()
-	results := make([]chanResult, len(e.gws))
-	var wg sync.WaitGroup
-	for i, gw := range e.gws {
-		wg.Add(1)
-		go func(i int, gw *fabric.Gateway) {
-			defer wg.Done()
-			raw, err := gw.Evaluate(contracts.DataCC, fn, []byte(arg))
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			var rawRecs []json.RawMessage
-			if err := json.Unmarshal(raw, &rawRecs); err != nil {
-				results[i].err = fmt.Errorf("query: corrupt list: %w", err)
-				return
-			}
-			recs := make([]contracts.DataRecord, 0, len(rawRecs))
-			for _, r := range rawRecs {
-				var rec contracts.DataRecord
-				if err := json.Unmarshal(r, &rec); err != nil {
-					results[i].err = fmt.Errorf("query: corrupt record in list: %w", err)
-					return
-				}
-				recs = append(recs, rec)
-			}
-			results[i].recs = recs
-		}(i, gw)
+	recs, err := e.records(fn, arg)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var recs []contracts.DataRecord
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	return &Result{Records: recs, Timing: Timing{Blockchain: time.Since(start)}}, nil
+}
+
+// records evaluates a data-chaincode function that answers a JSON list of
+// records and decodes it.
+func (e *Engine) records(fn, arg string) ([]contracts.DataRecord, error) {
+	raw, err := e.gw.Evaluate(contracts.DataCC, fn, []byte(arg))
+	if err != nil {
+		return nil, err
+	}
+	var rawRecs []json.RawMessage
+	if err := json.Unmarshal(raw, &rawRecs); err != nil {
+		return nil, fmt.Errorf("query: corrupt list: %w", err)
+	}
+	recs := make([]contracts.DataRecord, 0, len(rawRecs))
+	for _, r := range rawRecs {
+		var rec contracts.DataRecord
+		if err := json.Unmarshal(r, &rec); err != nil {
+			return nil, fmt.Errorf("query: corrupt record in list: %w", err)
 		}
-		recs = append(recs, r.recs...)
+		recs = append(recs, rec)
 	}
-	if recs == nil {
-		recs = []contracts.DataRecord{}
-	}
-	return &Result{Records: recs, Timing: Timing{Blockchain: elapsed}}, nil
+	return recs, nil
 }
 
 // Provenance fetches and verifies a record's source chain (newest first).
-// A source's whole chain lives on its home channel, so the lookup probes
-// channels like metadataTimed does and verifies the first answer.
 func (e *Engine) Provenance(txID string) ([]contracts.DataRecord, error) {
-	var lastErr error
-	for _, gw := range e.gws {
-		raw, err := gw.Evaluate(contracts.DataCC, "getProvenance", []byte(txID))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var rawRecs []json.RawMessage
-		if err := json.Unmarshal(raw, &rawRecs); err != nil {
-			return nil, err
-		}
-		chain := make([]contracts.DataRecord, 0, len(rawRecs))
-		for _, r := range rawRecs {
-			var rec contracts.DataRecord
-			if err := json.Unmarshal(r, &rec); err != nil {
-				return nil, err
-			}
-			chain = append(chain, rec)
-		}
-		if err := provenance.VerifyChain(chain); err != nil {
-			return chain, err
-		}
-		return chain, nil
+	chain, err := e.records("getProvenance", txID)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return chain, provenance.VerifyChain(chain)
 }
 
 // ErrNotVerified marks retrievals whose payload failed the integrity check.
