@@ -231,13 +231,12 @@ func runConnect(cfg connectConfig) error {
 	}
 
 	// Verify every peer process's hash chain over RPC.
-	name := ch.Name()
 	for id := range book {
-		h, err := remote.VerifyChain(name, id)
+		h, err := remote.VerifyChain(id)
 		if err != nil {
-			return fmt.Errorf("chain verification failed on %s/%s: %w", name, id, err)
+			return fmt.Errorf("chain verification failed on %s: %w", id, err)
 		}
-		fmt.Printf("%s/%s: chain verified to height %d\n", name, id, h)
+		fmt.Printf("%s: chain verified to height %d\n", id, h)
 	}
 	// Replicas converge through anti-entropy, which is asynchronous: a
 	// peer that just restarted (or lagged the last commit) may still be
@@ -245,9 +244,9 @@ func runConnect(cfg connectConfig) error {
 	// instead of failing on the first transient height skew.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		err := chainsIdentical(remote, book, name)
+		err := chainsIdentical(remote, book)
 		if err == nil {
-			fmt.Printf("%s: %d peer chains byte-identical\n", name, len(book))
+			fmt.Printf("%d peer chains byte-identical\n", len(book))
 			break
 		}
 		if time.Now().After(deadline) {
@@ -269,18 +268,17 @@ func runConnect(cfg connectConfig) error {
 	return nil
 }
 
-// chainsIdentical fetches every peer's full chain on one channel and
-// demands the canonical encodings match byte for byte — the strongest
+// chainsIdentical fetches every peer's full chain and demands the canonical encodings match byte for byte — the strongest
 // form of the equivalence gate, run over the real wire. Deterministic
 // block assembly (batch-derived timestamps, canonical tx order from the
 // ordering service) is what makes this hold across OS processes.
-func chainsIdentical(remote *fabric.Remote, book map[string]string, channel string) error {
+func chainsIdentical(remote *fabric.Remote, book map[string]string) error {
 	var refID string
 	var ref []byte
 	for id := range book {
-		blocks, err := remote.Blocks(channel, id, 0)
+		blocks, err := remote.Blocks(id, 0)
 		if err != nil {
-			return fmt.Errorf("fetch blocks on %s/%s: %w", channel, id, err)
+			return fmt.Errorf("fetch blocks from %s: %w", id, err)
 		}
 		enc, err := json.Marshal(blocks)
 		if err != nil {
@@ -291,7 +289,7 @@ func chainsIdentical(remote *fabric.Remote, book map[string]string, channel stri
 			continue
 		}
 		if !bytes.Equal(ref, enc) {
-			return fmt.Errorf("chain divergence on %s: %s and %s hold different blocks", channel, refID, id)
+			return fmt.Errorf("chain divergence: %s and %s hold different blocks", refID, id)
 		}
 	}
 	return nil

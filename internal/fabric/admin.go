@@ -35,13 +35,13 @@ func transportStatus(t *transport.TCP) TransportStatus {
 	}
 }
 
-// NodeChannelStatus is one channel's slice of a peer node's /statusz
+// NodeChannelStatus is the channel's slice of a peer node's /statusz
 // report.
 type NodeChannelStatus struct {
 	Height           uint64 `json:"height"`
 	ConsensusBacklog int    `json:"consensus_backlog"`
 	CommitErrors     uint64 `json:"commit_errors"`
-	// Signature checks of the channel's peer and validator: those answered
+	// Signature checks of the node's peer and validator: those answered
 	// without running ed25519 (in-batch duplicates, byte-identical
 	// pre-prepare evidence) and those that ran it.
 	SignatureChecksSkipped int64   `json:"signature_checks_skipped"`
@@ -70,7 +70,8 @@ type NodeChannelStatus struct {
 	StallWaits        int64 `json:"stall_waits,omitempty"`
 }
 
-// NodeStatus is a peer node's full /statusz report.
+// NodeStatus is a peer node's full /statusz report; Channels holds one
+// entry, keyed by the channel name.
 type NodeStatus struct {
 	ID         string                       `json:"id"`
 	HeapAlloc  uint64                       `json:"go_heap_alloc_bytes"`
@@ -108,60 +109,56 @@ func (n *Node) AdminAddr() string { return n.admin.Addr() }
 // Obs returns the node's metrics registry.
 func (n *Node) Obs() *obs.Registry { return n.obsReg }
 
-// Health returns the node's per-channel health aggregator.
+// Health returns the node's health aggregator.
 func (n *Node) Health() *obs.Health { return n.health }
 
 // statusz assembles the node's /statusz report.
 func (n *Node) statusz() any {
-	st := NodeStatus{
+	ps, pv := n.p.VerifyCacheStats()
+	vs, vv := n.v.VerifyCacheStats()
+	cs := NodeChannelStatus{
+		Height:                 n.p.Height(),
+		ConsensusBacklog:       n.v.Backlog(),
+		CommitErrors:           n.commitErr.Load(),
+		SignatureChecksSkipped: ps + vs,
+		SignatureVerifications: pv + vv,
+		WALSegments:            walSegments(n.dataDir),
+		OpenSeconds:            n.p.OpenTook().Seconds(),
+	}
+	io := n.p.Ledger().IOStats()
+	cs.OpenBlocksDecoded, cs.BlockReads = io.OpenDecoded, io.BlockReads
+	cs.BlockCacheHits, cs.BlockCacheMisses = io.CacheHits, io.CacheMisses
+	if ss, ok := n.p.State().StorageStats(); ok {
+		cs.SSTables = ss.SSTables
+		cs.LSMLevels = ss.Levels
+		cs.CompactionBacklog = ss.CompactionBacklog
+		cs.Compactions = ss.Compactions
+		cs.CompactedBytes = ss.CompactedBytes
+		cs.MemtableBytes = ss.MemtableBytes
+		cs.StallWaits = ss.StallWaits
+		cs.OpenWALRecords = ss.OpenWALRecords
+	}
+	if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {
+		cs.SignatureSkipRate = float64(cs.SignatureChecksSkipped) / float64(total)
+	}
+	return NodeStatus{
 		ID:         n.id,
 		HeapAlloc:  obs.HeapAlloc(),
-		Channels:   make(map[string]NodeChannelStatus, len(n.order)),
+		Channels:   map[string]NodeChannelStatus{n.net.ChannelID: cs},
 		Transport:  transportStatus(n.t),
 		SlowTraces: n.traces.Snapshot(),
 	}
-	for _, name := range n.order {
-		nc := n.channels[name]
-		ps, pv := nc.p.VerifyCacheStats()
-		vs, vv := nc.v.VerifyCacheStats()
-		cs := NodeChannelStatus{
-			Height:                 nc.p.Height(),
-			ConsensusBacklog:       nc.v.Backlog(),
-			CommitErrors:           nc.commitErr.Load(),
-			SignatureChecksSkipped: ps + vs,
-			SignatureVerifications: pv + vv,
-			WALSegments:            walSegments(nc.dataDir),
-			OpenSeconds:            nc.p.OpenTook().Seconds(),
-		}
-		io := nc.p.Ledger().IOStats()
-		cs.OpenBlocksDecoded, cs.BlockReads = io.OpenDecoded, io.BlockReads
-		cs.BlockCacheHits, cs.BlockCacheMisses = io.CacheHits, io.CacheMisses
-		if ss, ok := nc.p.State().StorageStats(); ok {
-			cs.SSTables = ss.SSTables
-			cs.LSMLevels = ss.Levels
-			cs.CompactionBacklog = ss.CompactionBacklog
-			cs.Compactions = ss.Compactions
-			cs.CompactedBytes = ss.CompactedBytes
-			cs.MemtableBytes = ss.MemtableBytes
-			cs.StallWaits = ss.StallWaits
-			cs.OpenWALRecords = ss.OpenWALRecords
-		}
-		if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {
-			cs.SignatureSkipRate = float64(cs.SignatureChecksSkipped) / float64(total)
-		}
-		st.Channels[name] = cs
-	}
-	return st
 }
 
-// OrdererChannelStatus is one channel's slice of the ordering process's
+// OrdererChannelStatus is the channel's slice of the ordering process's
 // /statusz report.
 type OrdererChannelStatus struct {
 	PendingTxs      int `json:"pending_txs"`
 	BatchesProposed int `json:"batches_proposed"`
 }
 
-// OrdererStatus is the ordering process's full /statusz report.
+// OrdererStatus is the ordering process's full /statusz report; Channels
+// holds one entry, keyed by the channel name.
 type OrdererStatus struct {
 	Channels  map[string]OrdererChannelStatus `json:"channels"`
 	Transport TransportStatus                 `json:"transport"`
@@ -185,16 +182,11 @@ func (o *Orderer) Obs() *obs.Registry { return o.obsReg }
 
 // statusz assembles the orderer's /statusz report.
 func (o *Orderer) statusz() any {
-	st := OrdererStatus{
-		Channels:  make(map[string]OrdererChannelStatus, len(o.order)),
+	return OrdererStatus{
+		Channels: map[string]OrdererChannelStatus{o.net.ChannelID: {
+			PendingTxs:      o.svc.PendingTxs(),
+			BatchesProposed: o.svc.Proposed(),
+		}},
 		Transport: transportStatus(o.t),
 	}
-	for _, name := range o.order {
-		svc := o.services[name]
-		st.Channels[name] = OrdererChannelStatus{
-			PendingTxs:      svc.PendingTxs(),
-			BatchesProposed: svc.Proposed(),
-		}
-	}
-	return st
 }

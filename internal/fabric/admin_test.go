@@ -24,7 +24,6 @@ func TestTracePropagationOverWire(t *testing.T) {
 		Cutter:       ordering.CutterConfig{BatchTimeout: 10 * time.Millisecond},
 	}
 	d := startDeployment(t, net)
-	channel := d.remote.ChannelAt(0).Name()
 	gw := d.remote.ChannelAt(0).Gateway(newClient(t))
 
 	res, err := gw.Submit("kv", "put", []byte("traced"), []byte("v"))
@@ -42,10 +41,10 @@ func TestTracePropagationOverWire(t *testing.T) {
 	// Genesis is height 1 on every peer from boot; the transaction's block
 	// is height 2, and only the submitting peer is known to have it yet.
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, 2, 10*time.Second) {
+		if !d.waitNodeHeight(n, 2, 10*time.Second) {
 			t.Fatalf("node %s never committed", n.ID())
 		}
-		blocks, err := d.remote.Blocks(channel, n.ID(), 0)
+		blocks, err := d.remote.Blocks(n.ID(), 0)
 		if err != nil {
 			t.Fatalf("blocks from %s: %v", n.ID(), err)
 		}
@@ -94,7 +93,7 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 			t.Fatalf("submit %d: %v %v", i, err, res)
 		}
 	}
-	if !d.waitNodeHeight(node, channel, numTx+1, 10*time.Second) { // genesis + one block per submit
+	if !d.waitNodeHeight(node, numTx+1, 10*time.Second) { // genesis + one block per submit
 		t.Fatal("node did not commit the traffic")
 	}
 

@@ -14,13 +14,10 @@ import (
 	"socialchain/internal/storage"
 )
 
-// Channel is one independent shard of the network: its own peer set,
-// BFT consensus group, ordering services, endorsement watchdog and — per
-// peer — world state, history, indexes and block log. Channels share the
-// network's identities, endorsement policy and (stateless) chaincode
-// registry but no mutable state: a transaction submitted on one channel
-// is invisible to every other, which is what lets channels commit in
-// parallel. Fabric's own scale-out story works the same way.
+// Channel is the network's one channel: its peer set, BFT consensus
+// group, ordering services, endorsement watchdog and — per peer — world
+// state, history, indexes and block log, over the network's identities,
+// endorsement policy and (stateless) chaincode registry.
 type Channel struct {
 	net  *Network
 	name string
@@ -38,11 +35,11 @@ type Channel struct {
 	commitErr atomic.Uint64
 }
 
-// newChannel builds (but does not start) one channel over the network's
-// shared signers. dataDir, when non-empty, roots this channel's durable
-// peers (peer i under dataDir/peer<i>).
-func newChannel(n *Network, name, dataDir string) (*Channel, error) {
+// newChannel builds (but does not start) the network's channel. A durable
+// network keeps peer i under DataDir/peer<i>.
+func newChannel(n *Network) (*Channel, error) {
 	cfg := n.cfg
+	name, dataDir := cfg.ChannelID, cfg.DataDir
 	ch := &Channel{
 		net:      n,
 		name:     name,
@@ -52,7 +49,7 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 	if n.transports == nil {
 		ch.consNet = consensus.NewInProcNet(cfg.Latency, cfg.Clock)
 	}
-	// Flagged endorsers are removed from this channel's endorser pool.
+	// Flagged endorsers are removed from the endorser pool.
 	ch.watchdog.OnFlag(func(id string) {
 		ch.mu.Lock()
 		ch.excluded[id] = true
@@ -95,9 +92,9 @@ func newChannel(n *Network, name, dataDir string) (*Channel, error) {
 
 	for i := 0; i < cfg.NumPeers; i++ {
 		p := ch.peers[i]
-		// In-process networks share one InProcNet per channel; TCP networks
-		// give each validator a Bus on its peer's endpoint, so consensus
-		// messages cross real framed sockets.
+		// In-process networks share one InProcNet; TCP networks give each
+		// validator a Bus on its peer's endpoint, so consensus messages
+		// cross real framed sockets.
 		var sender consensus.Sender = ch.consNet
 		if n.transports != nil {
 			sender = consensus.NewBus(n.transports[i], name)
@@ -178,7 +175,7 @@ func (ch *Channel) syncRecoveredPeers() error {
 			continue
 		}
 		if _, err := p.SyncFrom(freshest); err != nil {
-			return fmt.Errorf("fabric: recovery sync %s from %s on %s: %w", p.ID(), freshest.ID(), ch.name, err)
+			return fmt.Errorf("fabric: recovery sync %s from %s: %w", p.ID(), freshest.ID(), err)
 		}
 	}
 	return nil
@@ -205,8 +202,7 @@ func (ch *Channel) Validator(i int) *consensus.Validator { return ch.validators[
 // Watchdog returns the channel's misbehaviour tracker.
 func (ch *Channel) Watchdog() *Watchdog { return ch.watchdog }
 
-// CommitErrors returns the number of batches that failed to commit on
-// this channel.
+// CommitErrors returns the number of batches that failed to commit.
 func (ch *Channel) CommitErrors() uint64 { return ch.commitErr.Load() }
 
 // ActiveEndorsers returns the channel's peers not excluded by its
@@ -223,7 +219,7 @@ func (ch *Channel) ActiveEndorsers() []*peer.Peer {
 	return out
 }
 
-// SyncPeer catches peer i up from the freshest peer on the channel (the
+// SyncPeer catches peer i up from the freshest other peer (the
 // state-transfer path for peers that missed deliveries while partitioned).
 // It returns the number of blocks applied.
 func (ch *Channel) SyncPeer(i int) (int, error) {
@@ -243,8 +239,8 @@ func (ch *Channel) SyncPeer(i int) (int, error) {
 	return target.SyncFrom(freshest)
 }
 
-// WaitHeight blocks until every peer's ledger on this channel reaches
-// height (or timeout), returning whether it was reached.
+// WaitHeight blocks until every peer's ledger reaches height (or
+// timeout), returning whether it was reached.
 func (ch *Channel) WaitHeight(height uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -1,90 +1,152 @@
 package fabric
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
-
-	"socialchain/internal/ledger"
 )
 
 func TestSingleChannelKeepsVerbatimName(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	if got := net.NumChannels(); got != 1 {
-		t.Fatalf("NumChannels = %d, want 1", got)
+	if got := len(net.Channels()); got != 1 {
+		t.Fatalf("%d channels, want 1", got)
 	}
-	if got := net.DefaultChannel().Name(); got != "traffic-channel" {
-		t.Fatalf("default channel name = %q, want traffic-channel (verbatim at N=1)", got)
+	if got := net.ChannelAt(0).Name(); got != "traffic-channel" {
+		t.Fatalf("channel name = %q, want traffic-channel", got)
 	}
-	if net.Channel("traffic-channel") != net.DefaultChannel() {
-		t.Fatal("Channel(name) did not resolve the default channel")
-	}
-}
-
-func TestMultiChannelNamesAndLookup(t *testing.T) {
-	net := newTestNetwork(t, Config{NumPeers: 4, NumChannels: 3})
-	if got := net.NumChannels(); got != 3 {
-		t.Fatalf("NumChannels = %d, want 3", got)
-	}
-	want := []string{"traffic-channel-0", "traffic-channel-1", "traffic-channel-2"}
-	for i, name := range want {
-		ch := net.ChannelAt(i)
-		if ch.Name() != name {
-			t.Fatalf("channel %d name = %q, want %q", i, ch.Name(), name)
-		}
-		if net.Channel(name) != ch {
-			t.Fatalf("Channel(%q) did not resolve channel %d", name, i)
-		}
-	}
-	if net.Channel("nope") != nil {
-		t.Fatal("Channel on unknown name should return nil")
-	}
-	for _, key := range []string{"a", "gov/admin", "crowd/user-17"} {
-		if got, want := net.ChannelFor(key), net.ChannelAt(RouteKey(key, 3)); got != want {
-			t.Fatalf("ChannelFor(%q) = %s, want %s", key, got.Name(), want.Name())
-		}
+	named := newTestNetwork(t, Config{NumPeers: 4, ChannelID: "city-channel", NumChannels: 1})
+	if got := named.Channels()[0].Name(); got != "city-channel" {
+		t.Fatalf("channel name = %q, want city-channel (verbatim)", got)
 	}
 }
 
-// TestMultiChannelIsolation proves channels are independent shards: a
-// transaction committed on one channel is invisible to the others — their
-// world state has no key and their chains gain no block.
-func TestMultiChannelIsolation(t *testing.T) {
-	net := newTestNetwork(t, Config{NumPeers: 4, NumChannels: 3})
-	client := newClient(t)
+// TestMoreThanOneChannelRefused: NumChannels survives as a field, but a
+// deployment runs one channel, so every constructor refuses any value but
+// 0 or 1 before it opens a socket or a file.
+func TestMoreThanOneChannelRefused(t *testing.T) {
+	for _, n := range []int{2, 4, -1} {
+		cfg := Config{NumChannels: n, IdentitySeed: "one-channel", DataDir: t.TempDir()}
+		errs := map[string]error{}
+		_, errs["NewNetwork"] = NewNetwork(cfg)
+		_, errs["NewNode"] = NewNode(NodeConfig{Listen: "127.0.0.1:0", Net: cfg})
+		_, errs["NewOrderer"] = NewOrderer(OrdererConfig{Listen: "127.0.0.1:0", Net: cfg})
+		_, errs["Dial"] = Dial(RemoteConfig{Net: cfg})
+		for name, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "one channel") {
+				t.Fatalf("%s with NumChannels %d: err = %v, want a one-channel refusal", name, n, err)
+			}
+		}
+		if entries, _ := os.ReadDir(cfg.DataDir); len(entries) != 0 {
+			t.Fatalf("a refused NumChannels %d wrote %d entries into the data directory", n, len(entries))
+		}
+	}
+}
 
-	gw0 := net.ChannelAt(0).Gateway(client)
-	res, err := gw0.Submit("kv", "put", []byte("only-on-0"), []byte("v"))
-	if err != nil {
-		t.Fatalf("submit on channel 0: %v", err)
-	}
-	if res.Flag != ledger.Valid {
-		t.Fatalf("flag = %s, want VALID", res.Flag)
-	}
-
-	got, err := gw0.Evaluate("kv", "get", []byte("only-on-0"))
-	if err != nil || string(got) != "v" {
-		t.Fatalf("channel 0 get = %q, %v; want v", got, err)
-	}
-	for i := 1; i < 3; i++ {
-		gw := net.ChannelAt(i).Gateway(client)
-		other, err := gw.Evaluate("kv", "get", []byte("only-on-0"))
+// treeListing is every file under dir with its contents, as one string.
+func treeListing(t *testing.T, dir string) string {
+	t.Helper()
+	var out strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("channel %d evaluate: %v", i, err)
+			return err
 		}
-		if len(other) != 0 {
-			t.Fatalf("channel %d sees channel 0's key: %q", i, other)
-		}
-		// Idle channels stay at their genesis block with no transactions.
-		if s := net.ChannelAt(i).Peer(0).Ledger().Stats(); s.TotalTxs != 0 {
-			t.Fatalf("channel %d carries %d txs, want 0 (no cross-channel commits)", i, s.TotalTxs)
-		}
+		fmt.Fprintf(&out, "%s:%x ", path[len(dir):], data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Validators deliver independently, so give the inspected peer a
-	// moment to apply the commit everywhere on channel 0.
-	if !net.ChannelAt(0).WaitHeight(2, 5*time.Second) {
-		t.Fatal("channel 0 peers did not all reach the commit")
+	return out.String()
+}
+
+// plantChannelDir writes what an older multi-channel build left under
+// dir: a peer directory inside <ChannelID>-<n>.
+func plantChannelDir(t *testing.T, dir, channel string) string {
+	t.Helper()
+	old := filepath.Join(dir, channel)
+	if err := os.MkdirAll(filepath.Join(old, "peer0"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if s := net.ChannelAt(0).Peer(0).Ledger().Stats(); s.TotalTxs != 1 {
-		t.Fatalf("channel 0 carries %d txs, want 1", s.TotalTxs)
+	if err := os.WriteFile(filepath.Join(old, "peer0", "blocks.wal"), []byte("older build"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return old
+}
+
+// TestNetworkRefusesMultiChannelLayout: a durable network keeps peer i
+// under DataDir/peer<i>. A directory that also holds the multi-channel
+// layout an older build wrote (<ChannelID>-<n>/peer<i>) fails to open
+// with an error naming the layout, and is left as it was.
+func TestNetworkRefusesMultiChannelLayout(t *testing.T) {
+	dir := t.TempDir()
+	net, err := NewNetwork(Config{NumPeers: 4, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "identity.seed peer0 peer1 peer2 peer3" {
+		t.Fatalf("network directory holds %s, want identity.seed and peer0..peer3", got)
+	}
+
+	old := plantChannelDir(t, dir, "traffic-channel-1")
+	before := treeListing(t, dir)
+	if _, err := NewNetwork(Config{NumPeers: 4, DataDir: dir}); err == nil || !strings.Contains(err.Error(), "multi-channel layout") {
+		t.Fatalf("network opened a directory holding traffic-channel-1/peer0: %v", err)
+	}
+	if after := treeListing(t, dir); after != before {
+		t.Fatal("refused directory was modified")
+	}
+	if err := os.RemoveAll(old); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewNetwork(Config{NumPeers: 4, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
+}
+
+// TestNodeRefusesMultiChannelLayout: a peer process's data directory in
+// the multi-channel layout is refused the same way, before the node opens
+// its listener or its peer.
+func TestNodeRefusesMultiChannelLayout(t *testing.T) {
+	dir := t.TempDir()
+	cfg := NodeConfig{Listen: "127.0.0.1:0", Net: Config{NumPeers: 4, IdentitySeed: "node-layout", DataDir: dir}}
+	old := plantChannelDir(t, dir, "traffic-channel-0")
+	before := treeListing(t, dir)
+	if _, err := NewNode(cfg); err == nil || !strings.Contains(err.Error(), "multi-channel layout") {
+		t.Fatalf("node opened a directory holding traffic-channel-0/peer0: %v", err)
+	}
+	if after := treeListing(t, dir); after != before {
+		t.Fatal("refused directory was modified")
+	}
+	if err := os.RemoveAll(old); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "peer0", "blocks.wal")); err != nil {
+		t.Fatalf("node did not keep its peer under peer0: %v", err)
 	}
 }

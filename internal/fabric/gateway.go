@@ -39,11 +39,11 @@ func (r *Result) Err() error {
 }
 
 // Gateway is the client SDK: it drives the endorse -> order -> commit
-// lifecycle on behalf of one signing identity (the paper's "client"),
-// scoped to one channel — every transaction it submits or evaluates runs
-// against that channel's peers, ordering service and consensus group. The
-// same Gateway serves in-process channels and remote ones reached over the
-// transport layer (RemoteChannel.Gateway); only the backend differs.
+// lifecycle on behalf of one signing identity (the paper's "client") —
+// every transaction it submits or evaluates runs against the channel's
+// peers, ordering service and consensus group. The same Gateway serves an
+// in-process channel and a remote one reached over the transport layer
+// (RemoteChannel.Gateway); only the backend differs.
 type Gateway struct {
 	be     backend
 	ch     *Channel // nil for gateways over a remote channel

@@ -4,12 +4,11 @@
 // transactions. It corresponds to the channel-level wiring of Hyperledger
 // Fabric that the paper's framework builds on.
 //
-// A network hosts one or more channels (Config.NumChannels). Each channel
-// is an independent shard — its own ordering service, consensus group and
-// per-peer world state and block log — so aggregate throughput scales with
-// the channel count. Clients obtain channel-scoped gateways through
-// Network.Channel(name).Gateway or route by partition key through
-// Network.ChannelFor; single-channel code talks to Network.DefaultChannel.
+// A deployment runs one channel, as the paper's does (Config.ChannelID,
+// default "traffic-channel"): in process a Network, across processes one
+// Node per peer, an Orderer and the Remote clients each own exactly that
+// channel. Clients obtain gateways through Network.ChannelAt(0).Gateway
+// or Remote.ChannelAt(0).Gateway.
 package fabric
 
 import (
@@ -20,6 +19,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,20 +37,13 @@ import (
 
 // Config describes a network to build.
 type Config struct {
-	// ChannelID names the channel (default "traffic-channel", the paper's
-	// one-channel deployment). With NumChannels > 1 it becomes the base
-	// name: channels are "<ChannelID>-0" … "<ChannelID>-<N-1>". With one
-	// channel the name is used verbatim, so single-channel deployments are
-	// byte-identical to the pre-sharding behaviour.
+	// ChannelID names the deployment's one channel (default
+	// "traffic-channel", the paper's).
 	ChannelID string
-	// NumChannels partitions the ledger across this many independent
-	// channels, each with its own ordering service, consensus group and
-	// per-peer state and block log (default 1). Keys route to channels
-	// deterministically via RouteKey.
+	// NumChannels must be 0 or 1: a deployment runs one channel. Any other
+	// value is refused by NewNetwork, NewNode, NewOrderer and Dial.
 	NumChannels int
-	// NumPeers is the number of endorsing/validating peers per channel
-	// (default 4). The same peer identities join every channel, as Fabric
-	// peers do; each channel keeps an independent ledger per peer.
+	// NumPeers is the number of endorsing/validating peers (default 4).
 	NumPeers int
 	// NumOrgs spreads peers across organisations (default min(NumPeers,3)).
 	NumOrgs int
@@ -63,8 +57,8 @@ type Config struct {
 	ConsensusTimeout time.Duration
 	// Policy is the endorsement policy (nil = the paper's 2/3 quorum).
 	Policy msp.Policy
-	// Behaviors injects byzantine consensus behaviour per peer index (the
-	// behaviour applies to that peer's validator on every channel).
+	// Behaviors injects byzantine consensus behaviour into the validator of
+	// a peer index.
 	Behaviors map[int]consensus.Behavior
 	// WatchdogThreshold flags an endorser after this many misbehaviour
 	// reports (default 3).
@@ -81,13 +75,12 @@ type Config struct {
 	// peers — in-memory engines ignore it. Unknown names fail network
 	// construction when the peers open their stores.
 	StateDurability storage.Durability
-	// DataDir, when non-empty, makes every peer durable: with one channel
-	// peer i keeps its state engines and block log under DataDir/peer<i>
-	// (the pre-sharding layout); with N > 1 channels each channel's peers
-	// live under DataDir/<channel-name>/peer<i>. Building a network over a
-	// directory with previous data recovers each channel independently —
-	// peers replay their block logs and lagging peers sync from the
-	// freshest recovered peer of their channel — before consensus starts.
+	// DataDir, when non-empty, makes every peer durable: peer i keeps its
+	// state engine and block log under DataDir/peer<i>. Building a network
+	// over a directory with previous data recovers it — peers replay their
+	// block logs and lagging peers sync from the freshest recovered peer —
+	// before consensus starts. A directory in the multi-channel layout an
+	// older build wrote (<ChannelID>-<n>/peer<i>) is refused untouched.
 	DataDir string
 	// StateIndexes declares the secondary indexes every peer's world state
 	// maintains (nil = none). All peers get the same list — index reads
@@ -125,16 +118,13 @@ type Config struct {
 	Obs *obs.Registry
 	// SlowTraces, when non-nil, collects end-to-end trace records for
 	// committed transactions slower than its threshold (see obs.TraceRing),
-	// shared by every peer on every channel.
+	// shared by every peer.
 	SlowTraces *obs.TraceRing
 }
 
 func (c *Config) fill() {
 	if c.ChannelID == "" {
 		c.ChannelID = "traffic-channel"
-	}
-	if c.NumChannels <= 0 {
-		c.NumChannels = 1
 	}
 	if c.NumPeers <= 0 {
 		c.NumPeers = 4
@@ -159,43 +149,62 @@ func (c *Config) fill() {
 	}
 }
 
-// channelName returns the name of channel i under this config.
-func (c *Config) channelName(i int) string {
-	if c.NumChannels == 1 {
-		return c.ChannelID
+// checkChannels refuses a config asking for more than one channel.
+func (c *Config) checkChannels() error {
+	if c.NumChannels != 0 && c.NumChannels != 1 {
+		return fmt.Errorf("fabric: NumChannels %d: a deployment runs one channel (0 or 1)", c.NumChannels)
 	}
-	return fmt.Sprintf("%s-%d", c.ChannelID, i)
+	return nil
 }
 
-// channelDataDir returns channel i's durable root ("" when the network is
-// in-memory). A single-channel network keeps the flat pre-sharding layout
-// so existing data directories recover unchanged.
-func (c *Config) channelDataDir(i int) string {
-	if c.DataDir == "" {
-		return ""
+// refuseChannelDirs refuses a data directory in the multi-channel layout
+// an older build wrote, peers under <ChannelID>-<n>/peer<i>: this build
+// would open an empty chain beside them. It reads the directory and
+// writes nothing.
+func refuseChannelDirs(dataDir, channelID string) error {
+	if dataDir == "" {
+		return nil
 	}
-	if c.NumChannels == 1 {
-		return c.DataDir
+	entries, err := os.ReadDir(dataDir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	return filepath.Join(c.DataDir, c.channelName(i))
+	if err != nil {
+		return fmt.Errorf("fabric: %w", err)
+	}
+	for _, e := range entries {
+		n, ok := strings.CutPrefix(e.Name(), channelID+"-")
+		if !ok || !e.IsDir() {
+			continue
+		}
+		if _, err := strconv.Atoi(n); err != nil {
+			continue
+		}
+		sub, _ := os.ReadDir(filepath.Join(dataDir, e.Name()))
+		for _, p := range sub {
+			if strings.HasPrefix(p.Name(), "peer") {
+				return fmt.Errorf("fabric: %s holds %s: a data directory in the multi-channel layout (<channel>-<n>/peer<i>) an older build wrote; this build runs one channel with peer i under peer<i> (no migration: start from an empty data directory)",
+					dataDir, filepath.Join(e.Name(), p.Name()))
+			}
+		}
+	}
+	return nil
 }
 
-// Network is a running deployment: one or more channels sharing peer
-// identities, the endorsement policy and the (stateless) chaincode
-// registry.
+// Network is a running in-process deployment: one channel's peers,
+// validators and ordering services, their identities, the endorsement
+// policy and the (stateless) chaincode registry.
 type Network struct {
 	cfg      Config
-	channels []*Channel
-	byName   map[string]*Channel
+	ch       *Channel
 	registry *chaincode.Registry
 	policy   msp.Policy
 
-	// Shared peer identity material: the same signers join every channel.
 	peerSet
 
 	// transports holds the per-peer TCP endpoints when cfg.Transport is
 	// "tcp" (nil for the in-process default). Endpoint i carries peer i's
-	// consensus streams for every channel.
+	// consensus stream.
 	transports []*transport.TCP
 
 	mu      sync.Mutex
@@ -205,14 +214,19 @@ type Network struct {
 // NewNetwork builds (but does not start) a network.
 func NewNetwork(cfg Config) (*Network, error) {
 	cfg.fill()
+	if err := cfg.checkChannels(); err != nil {
+		return nil, err
+	}
 	kind, err := transport.ParseKind(cfg.Transport)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
+	if err := refuseChannelDirs(cfg.DataDir, cfg.ChannelID); err != nil {
+		return nil, err
+	}
 	n := &Network{
 		cfg:      cfg,
 		registry: chaincode.NewRegistry(),
-		byName:   make(map[string]*Channel, cfg.NumChannels),
 	}
 	n.policy = cfg.Policy
 	if n.policy == nil {
@@ -237,15 +251,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 	}
 
-	for i := 0; i < cfg.NumChannels; i++ {
-		ch, err := newChannel(n, cfg.channelName(i), cfg.channelDataDir(i))
-		if err != nil {
-			n.closePeers()
-			n.closeTransports()
-			return nil, fmt.Errorf("fabric: channel %s: %w", cfg.channelName(i), err)
-		}
-		n.channels = append(n.channels, ch)
-		n.byName[ch.name] = ch
+	if n.ch, err = newChannel(n); err != nil {
+		n.closeTransports()
+		return nil, fmt.Errorf("fabric: channel %s: %w", cfg.ChannelID, err)
 	}
 	return n, nil
 }
@@ -318,8 +326,8 @@ func networkSigner(cfg *Config, i int) (*msp.Signer, error) {
 }
 
 // buildTransports stands up one localhost TCP endpoint per peer and joins
-// them into a full mesh. All channels of a peer share its endpoint, exactly
-// as a multi-process deployment shares one listener per process.
+// them into a full mesh, as a multi-process deployment has one listener
+// per process.
 func (n *Network) buildTransports() error {
 	cfg := &n.cfg
 	n.transports = make([]*transport.TCP, cfg.NumPeers)
@@ -367,7 +375,7 @@ func (n *Network) closeTransports() {
 // metrics collection.
 func (n *Network) Transports() []*transport.TCP { return n.transports }
 
-// Start launches validators and ordering services on every channel.
+// Start launches the validators and ordering services.
 func (n *Network) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -375,9 +383,7 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
-	for _, ch := range n.channels {
-		ch.start()
-	}
+	n.ch.start()
 }
 
 // Stop shuts the network down (consensus and ordering only; peers'
@@ -390,36 +396,21 @@ func (n *Network) Stop() {
 	}
 	n.started = false
 	n.mu.Unlock()
-	for _, ch := range n.channels {
-		ch.stop()
-	}
+	n.ch.stop()
 }
 
 // Close stops the network and flushes + closes every peer's durable
-// stores on every channel, returning the first close error. A durable
-// deployment must Close (not just Stop) before its data directory is
-// reopened.
+// stores, returning the first close error. A durable deployment must
+// Close (not just Stop) before its data directory is reopened.
 func (n *Network) Close() error {
 	n.Stop()
-	err := n.closePeers()
+	err := n.ch.closePeers()
 	n.closeTransports()
 	return err
 }
 
-// closePeers closes every constructed peer on every channel, returning
-// the first error.
-func (n *Network) closePeers() error {
-	var first error
-	for _, ch := range n.channels {
-		if err := ch.closePeers(); first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Deploy registers a chaincode on every peer of every channel (they share
-// the stateless registry; all state flows through per-channel stubs).
+// Deploy registers a chaincode on every peer (they share the stateless
+// registry; all state flows through each peer's stub).
 func (n *Network) Deploy(cc chaincode.Chaincode) error {
 	return n.registry.Register(cc)
 }
@@ -432,45 +423,24 @@ func (n *Network) MustDeploy(cc chaincode.Chaincode) {
 	}
 }
 
-// Channel returns the named channel, or nil when no such channel exists.
-func (n *Network) Channel(name string) *Channel { return n.byName[name] }
+// ChannelAt returns the network's channel; i must be 0.
+func (n *Network) ChannelAt(i int) *Channel { return n.Channels()[i] }
 
-// ChannelAt returns the i-th channel (0 <= i < NumChannels).
-func (n *Network) ChannelAt(i int) *Channel { return n.channels[i] }
+// Channels returns the network's one channel as a slice.
+func (n *Network) Channels() []*Channel { return []*Channel{n.ch} }
 
-// Channels returns every channel in construction order.
-func (n *Network) Channels() []*Channel { return n.channels }
-
-// NumChannels returns the channel count.
-func (n *Network) NumChannels() int { return len(n.channels) }
-
-// DefaultChannel returns channel 0, the channel single-channel code talks
-// to.
-func (n *Network) DefaultChannel() *Channel { return n.channels[0] }
-
-// ChannelFor routes a partition key (a record's user/source ID) to its
-// home channel via RouteKey. Every writer and reader applying the same
-// rule is what keeps a key's state on exactly one channel.
-func (n *Network) ChannelFor(key string) *Channel {
-	return n.channels[RouteKey(key, len(n.channels))]
-}
+// DefaultChannel returns the network's channel.
+func (n *Network) DefaultChannel() *Channel { return n.ch }
 
 // Identities returns the peers' identities, the set whose endorsements
-// count (shared by channels).
+// count.
 func (n *Network) Identities() *msp.Registry { return n.members }
 
-// Policy returns the endorsement policy (shared by channels).
+// Policy returns the endorsement policy.
 func (n *Network) Policy() msp.Policy { return n.policy }
 
-// NumPeers returns the per-channel peer count.
-func (n *Network) NumPeers() int { return n.channels[0].NumPeers() }
+// NumPeers returns the peer count.
+func (n *Network) NumPeers() int { return n.ch.NumPeers() }
 
-// CommitErrors returns the number of batches that failed to commit,
-// summed over channels.
-func (n *Network) CommitErrors() uint64 {
-	var total uint64
-	for _, ch := range n.channels {
-		total += ch.CommitErrors()
-	}
-	return total
-}
+// CommitErrors returns the number of batches that failed to commit.
+func (n *Network) CommitErrors() uint64 { return n.ch.CommitErrors() }

@@ -31,9 +31,9 @@ const DefaultSyncInterval = 250 * time.Millisecond
 // NodeConfig describes one peer process of a networked deployment: which
 // peer index this process hosts, where it listens and where the other
 // processes are. Net must be the same Config in every process of the
-// deployment (same seed, peer count, channels, cutter...); that is what
-// lets the processes derive identical identities and channel layouts
-// without a coordination service.
+// deployment (same seed, peer count, channel name, cutter...); that is
+// what lets the processes derive identical identities without a
+// coordination service.
 type NodeConfig struct {
 	// Index selects which peer (0-based) this process hosts.
 	Index int
@@ -50,23 +50,14 @@ type NodeConfig struct {
 	SyncInterval time.Duration
 }
 
-// nodeChannel is one channel's slice of a peer process: the peer and its
-// consensus validator.
-type nodeChannel struct {
-	p         *peer.Peer
-	v         *consensus.Validator
-	dataDir   string // this peer's durable root on the channel ("" in-memory)
-	commitErr atomic.Uint64
-}
-
-// Node is one out-of-process peer: it hosts, for every channel of the
-// deployment, this peer's world state, block log and consensus validator,
-// and serves the endorsement/commit/block-fetch RPC methods that remote
-// gateways and lagging peers call. Consensus traffic rides the same TCP
-// endpoint (one consensus.Bus per channel). An anti-entropy loop keeps the
-// peer converging after partitions or restarts: whenever another peer's
-// chain is taller, the gap is fetched over RPC and re-validated through
-// the same SyncFrom path in-process recovery uses.
+// Node is one out-of-process peer: it hosts this peer's world state, block
+// log and consensus validator on the deployment's channel, and serves the
+// endorsement/commit/block-fetch RPC methods that remote gateways and
+// lagging peers call. Consensus traffic rides the same TCP endpoint (a
+// consensus.Bus). An anti-entropy loop keeps the peer converging after
+// partitions or restarts: whenever another peer's chain is taller, the gap
+// is fetched over RPC and re-validated through the same SyncFrom path
+// in-process recovery uses.
 type Node struct {
 	cfg      NodeConfig
 	net      Config
@@ -76,8 +67,11 @@ type Node struct {
 	registry *chaincode.Registry
 	policy   msp.Policy
 	peerSet
-	channels map[string]*nodeChannel
-	order    []string
+
+	p         *peer.Peer
+	v         *consensus.Validator
+	dataDir   string // the peer's durable directory ("" in-memory)
+	commitErr atomic.Uint64
 
 	// Observability: every node carries a registry, health aggregator and
 	// slow-trace ring; the admin HTTP surface over them binds only when
@@ -99,11 +93,17 @@ type Node struct {
 func NewNode(cfg NodeConfig) (*Node, error) {
 	net := cfg.Net
 	net.fill()
+	if err := net.checkChannels(); err != nil {
+		return nil, err
+	}
 	if net.IdentitySeed == "" {
 		return nil, errors.New("fabric: NodeConfig.Net.IdentitySeed must be set so every process derives the same identities")
 	}
 	if cfg.Index < 0 || cfg.Index >= net.NumPeers {
 		return nil, fmt.Errorf("fabric: node index %d out of range (NumPeers %d)", cfg.Index, net.NumPeers)
+	}
+	if err := refuseChannelDirs(net.DataDir, net.ChannelID); err != nil {
+		return nil, err
 	}
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = DefaultSyncInterval
@@ -113,7 +113,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:      cfg,
 		net:      net,
 		registry: chaincode.NewRegistry(),
-		channels: make(map[string]*nodeChannel, net.NumChannels),
 		done:     make(chan struct{}),
 		obsReg:   obs.NewRegistry(),
 		health:   obs.NewHealth(0, nil),
@@ -147,80 +146,72 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.rpc = transport.NewRPC(tr)
 	tr.Counters().Register(n.obsReg)
 
-	for i := 0; i < net.NumChannels; i++ {
-		name := net.channelName(i)
-		nc, err := n.buildChannel(name, net.channelDataDir(i))
-		if err != nil {
-			n.closeChannels()
-			tr.Close()
-			return nil, fmt.Errorf("fabric: node channel %s: %w", name, err)
-		}
-		n.channels[name] = nc
-		n.order = append(n.order, name)
+	if err := n.openPeer(); err != nil {
+		tr.Close()
+		return nil, fmt.Errorf("fabric: node channel %s: %w", net.ChannelID, err)
 	}
-
 	n.registerHandlers()
 	return n, nil
 }
 
-// buildChannel constructs this peer's slice of one channel.
-func (n *Node) buildChannel(name, dataDir string) (*nodeChannel, error) {
+// openPeer opens this process's peer (under DataDir/peer<i> when durable)
+// and builds its consensus validator.
+func (n *Node) openPeer() error {
 	net := &n.net
-	peerDir := ""
-	if dataDir != "" {
-		peerDir = channelPeerDir(dataDir, n.id)
+	if net.DataDir != "" {
+		n.dataDir = filepath.Join(net.DataDir, n.id)
 	}
-	chReg := n.obsReg.With(obs.L("channel", name))
+	chReg := n.obsReg.With(obs.L("channel", net.ChannelID))
 	p, err := peer.New(peer.Config{
 		ID:         n.id,
-		ChannelID:  name,
+		ChannelID:  net.ChannelID,
 		Signer:     n.signers[n.cfg.Index],
 		Registry:   n.registry,
 		Policy:     n.policy,
 		Identities: n.members,
 		State:      storage.Config{Engine: net.StateEngine, Durability: net.StateDurability},
-		DataDir:    peerDir,
+		DataDir:    n.dataDir,
 		Indexes:    net.StateIndexes,
 		Obs:        chReg,
 		SlowTraces: n.traces,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nc := &nodeChannel{p: p, dataDir: peerDir}
-	nc.v = consensus.NewValidator(consensus.Config{
+	n.p = p
+	n.v = consensus.NewValidator(consensus.Config{
 		ID:             n.id,
 		Validators:     n.ids,
 		Signer:         n.signers[n.cfg.Index],
 		Identities:     n.idents,
-		Sender:         consensus.NewBus(n.t, name),
+		Sender:         consensus.NewBus(n.t, net.ChannelID),
 		Clock:          net.Clock,
 		RequestTimeout: net.ConsensusTimeout,
 		Obs:            chReg,
 		Deliver: func(seq uint64, payload []byte) {
 			batch, err := ordering.DecodeBatch(payload)
 			if err != nil {
-				nc.commitErr.Add(1)
+				n.commitErr.Add(1)
 				return
 			}
 			if _, err := p.CommitBatch(batch.Txs); err != nil {
 				// A restarted or lagging peer misses the heights these
 				// batches execute at; the anti-entropy loop closes the gap.
-				nc.commitErr.Add(1)
+				n.commitErr.Add(1)
 			}
 		},
 	})
-	n.health.Register(name, obs.Probe{
+	n.health.Register(net.ChannelID, obs.Probe{
 		Height:   p.Height,
-		Backlog:  nc.v.Backlog,
+		Backlog:  n.v.Backlog,
 		Peers:    n.t.ConnectedPeers,
 		MinPeers: 1,
 	})
-	return nc, nil
+	return nil
 }
 
-// Deploy registers a chaincode on this node (all channels). Every process
-// of a deployment must deploy the same chaincodes.
+// Deploy registers a chaincode on this node. Every process of a
+// deployment must deploy the same chaincodes.
 func (n *Node) Deploy(cc chaincode.Chaincode) error { return n.registry.Register(cc) }
 
 // MustDeploy registers a chaincode, panicking on duplicates.
@@ -239,23 +230,12 @@ func (n *Node) Addr() string { return n.t.Addr() }
 // Transport returns the node's TCP endpoint (metrics, tests).
 func (n *Node) Transport() *transport.TCP { return n.t }
 
-// Peer returns this node's peer on the named channel (nil if unknown).
-func (n *Node) Peer(channel string) *peer.Peer {
-	if nc := n.channels[channel]; nc != nil {
-		return nc.p
-	}
-	return nil
-}
+// Peer returns this node's peer.
+func (n *Node) Peer() *peer.Peer { return n.p }
 
-// CommitErrors sums failed batch commits across channels (restart gaps
-// closed by sync show up here).
-func (n *Node) CommitErrors() uint64 {
-	var total uint64
-	for _, nc := range n.channels {
-		total += nc.commitErr.Load()
-	}
-	return total
-}
+// CommitErrors counts failed batch commits (restart gaps closed by sync
+// show up here).
+func (n *Node) CommitErrors() uint64 { return n.commitErr.Load() }
 
 // Start launches the node's validators and its anti-entropy loop.
 func (n *Node) Start() {
@@ -265,9 +245,7 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	for _, name := range n.order {
-		n.channels[name].v.Start()
-	}
+	n.v.Start()
 	n.wg.Add(1)
 	go n.syncLoop()
 }
@@ -287,25 +265,11 @@ func (n *Node) Close() error {
 	close(n.done)
 	n.wg.Wait()
 	if started {
-		for _, name := range n.order {
-			n.channels[name].v.Stop()
-		}
+		n.v.Stop()
 	}
-	err := n.closeChannels()
+	err := n.p.Close()
 	n.t.Close()
 	return err
-}
-
-func (n *Node) closeChannels() error {
-	var first error
-	for _, name := range n.order {
-		if nc := n.channels[name]; nc != nil {
-			if err := nc.p.Close(); first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }
 
 // syncLoop is the anti-entropy catch-up: whenever another peer's chain is
@@ -321,28 +285,19 @@ func (n *Node) syncLoop() {
 			return
 		case <-ticker.C:
 		}
-		for _, name := range n.order {
-			select {
-			case <-n.done:
-				return
-			default:
-			}
-			n.syncChannel(name, n.channels[name])
-		}
+		n.catchUp()
 	}
 }
 
-// syncChannel catches this peer up on one channel from the tallest other
-// peer, if any is ahead.
-func (n *Node) syncChannel(name string, nc *nodeChannel) {
-	local := nc.p.Height()
-	bestID, bestHeight := "", local
+// catchUp syncs this peer from the tallest other peer, if any is ahead.
+func (n *Node) catchUp() {
+	bestID, bestHeight := "", n.p.Height()
 	for _, id := range n.ids {
 		if id == n.id {
 			continue
 		}
 		var h heightResp
-		if err := n.rpc.CallJSON(id, methodHeight, channelReq{Channel: name}, &h, 2*time.Second); err != nil {
+		if err := n.rpc.CallJSON(id, methodHeight, channelReq{Channel: n.net.ChannelID}, &h, 2*time.Second); err != nil {
 			continue
 		}
 		if h.Height > bestHeight {
@@ -352,12 +307,10 @@ func (n *Node) syncChannel(name string, nc *nodeChannel) {
 	if bestID == "" {
 		return
 	}
-	src := &remoteBlockSource{rpc: n.rpc, peer: bestID, channel: name, height: bestHeight}
-	if _, err := nc.p.SyncFrom(src); err != nil {
-		// A torn fetch or a concurrent live commit aborts this round; the
-		// next tick retries from the new local height.
-		return
-	}
+	src := &remoteBlockSource{rpc: n.rpc, peer: bestID, channel: n.net.ChannelID, height: bestHeight}
+	// A torn fetch or a concurrent live commit aborts this round; the next
+	// tick retries from the new local height.
+	_, _ = n.p.SyncFrom(src)
 }
 
 // remoteBlockSource adapts another process's blocks RPC to peer.BlockSource:
@@ -385,13 +338,6 @@ func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
 	return resp.Blocks, err
 }
 
-// channelPeerDir is where one peer's durable stores live under a channel's
-// data root (matches the in-process layout, so a directory written by an
-// in-process network recovers under a Node and vice versa).
-func channelPeerDir(dataDir, peerID string) string {
-	return filepath.Join(dataDir, peerID)
-}
-
 // registerHandlers wires the node's RPC surface.
 func (n *Node) registerHandlers() {
 	n.rpc.Handle(methodEndorse, n.handleEndorse)
@@ -403,12 +349,13 @@ func (n *Node) registerHandlers() {
 	n.rpc.Handle(methodPropose, n.handlePropose)
 }
 
-// channel resolves a request's channel or returns a coded error.
-func (n *Node) channel(name string) (*nodeChannel, error) {
-	if nc := n.channels[name]; nc != nil {
-		return nc, nil
+// checkChannel answers a request naming another channel with the
+// nochannel code.
+func (n *Node) checkChannel(name string) error {
+	if name != n.net.ChannelID {
+		return &transport.CodedError{Code: "nochannel", Msg: fmt.Sprintf("fabric: node %s hosts no channel %q", n.id, name)}
 	}
-	return nil, &transport.CodedError{Code: "nochannel", Msg: fmt.Sprintf("fabric: node %s hosts no channel %q", n.id, name)}
+	return nil
 }
 
 func (n *Node) handleEndorse(from string, req []byte) ([]byte, error) {
@@ -416,11 +363,10 @@ func (n *Node) handleEndorse(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	resp, err := nc.p.Endorse(r.Proposal)
+	resp, err := n.p.Endorse(r.Proposal)
 	if err != nil {
 		return nil, err
 	}
@@ -432,11 +378,10 @@ func (n *Node) handleEndorseBatch(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	resp, err := nc.p.EndorseBatch(r.Proposal)
+	resp, err := n.p.EndorseBatch(r.Proposal)
 	if err != nil {
 		return nil, err
 	}
@@ -452,13 +397,12 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	waiter := nc.p.WaitForCommit(r.TxID)
-	if blockNum, _, flag, ok := nc.p.Ledger().TxLocation(r.TxID); ok {
-		nc.p.CancelWait(r.TxID)
+	waiter := n.p.WaitForCommit(r.TxID)
+	if blockNum, _, flag, ok := n.p.Ledger().TxLocation(r.TxID); ok {
+		n.p.CancelWait(r.TxID)
 		return json.Marshal(waitCommitResp{Flag: flag, BlockNum: blockNum})
 	}
 	timeout := r.Timeout
@@ -468,13 +412,13 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 	select {
 	case flag := <-waiter:
 		resp := waitCommitResp{Flag: flag}
-		resp.BlockNum, _, _, _ = nc.p.Ledger().TxLocation(r.TxID)
+		resp.BlockNum, _, _, _ = n.p.Ledger().TxLocation(r.TxID)
 		return json.Marshal(resp)
 	case <-time.After(timeout):
-		nc.p.CancelWait(r.TxID)
+		n.p.CancelWait(r.TxID)
 		return nil, &transport.CodedError{Code: codeCommitTimeout, Msg: fmt.Sprintf("fabric: commit timeout: tx %s", r.TxID)}
 	case <-n.done:
-		nc.p.CancelWait(r.TxID)
+		n.p.CancelWait(r.TxID)
 		return nil, &transport.CodedError{Code: codeStopped, Msg: "fabric: node shutting down"}
 	}
 }
@@ -484,11 +428,10 @@ func (n *Node) handleHeight(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	return json.Marshal(heightResp{Height: nc.p.Height()})
+	return json.Marshal(heightResp{Height: n.p.Height()})
 }
 
 func (n *Node) handleBlocks(from string, req []byte) ([]byte, error) {
@@ -496,15 +439,14 @@ func (n *Node) handleBlocks(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
 	max := r.Max
 	if max <= 0 || max > maxSyncBlocks {
 		max = maxSyncBlocks
 	}
-	blocks, err := nc.p.Ledger().BlocksFrom(r.From, max)
+	blocks, err := n.p.Ledger().BlocksFrom(r.From, max)
 	if err != nil {
 		return nil, err
 	}
@@ -516,14 +458,13 @@ func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
 	if err := json.Unmarshal(req, &r); err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	if err := nc.p.Ledger().VerifyChain(); err != nil {
+	if err := n.p.Ledger().VerifyChain(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(heightResp{Height: nc.p.Height()})
+	return json.Marshal(heightResp{Height: n.p.Height()})
 }
 
 // handlePropose feeds an ordering batch into this node's validator; the
@@ -534,10 +475,9 @@ func (n *Node) handlePropose(from string, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nc, err := n.channel(r.Channel)
-	if err != nil {
+	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	nc.v.Propose(r.Payload)
+	n.v.Propose(r.Payload)
 	return json.Marshal(emptyResp{})
 }

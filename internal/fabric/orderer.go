@@ -23,8 +23,8 @@ type OrdererConfig struct {
 	Net Config
 }
 
-// Orderer is the deployment's ordering process: it runs one transaction
-// cutter (ordering.Service) per channel and hands each cut batch to the
+// Orderer is the deployment's ordering process: it runs the channel's
+// transaction cutter (ordering.Service) and hands each cut batch to the
 // peer processes' consensus validators by broadcasting a propose RPC —
 // consensus deduplicates by digest, so the broadcast reaches whichever
 // validator currently leads without the orderer tracking views. Remote
@@ -32,12 +32,11 @@ type OrdererConfig struct {
 // shutdown map onto ordering.ErrBacklog / ordering.ErrStopped across the
 // wire.
 type Orderer struct {
-	net      Config
-	t        *transport.TCP
-	rpc      *transport.RPC
-	services map[string]*ordering.Service
-	order    []string
-	peerIDs  []string
+	net     Config
+	t       *transport.TCP
+	rpc     *transport.RPC
+	svc     *ordering.Service
+	peerIDs []string
 
 	obsReg *obs.Registry
 	health *obs.Health
@@ -52,14 +51,16 @@ type Orderer struct {
 func NewOrderer(cfg OrdererConfig) (*Orderer, error) {
 	net := cfg.Net
 	net.fill()
+	if err := net.checkChannels(); err != nil {
+		return nil, err
+	}
 	if net.IdentitySeed == "" {
 		return nil, errors.New("fabric: OrdererConfig.Net.IdentitySeed must be set so every process derives the same identities")
 	}
 	o := &Orderer{
-		net:      net,
-		services: make(map[string]*ordering.Service, net.NumChannels),
-		obsReg:   obs.NewRegistry(),
-		health:   obs.NewHealth(0, nil),
+		net:    net,
+		obsReg: obs.NewRegistry(),
+		health: obs.NewHealth(0, nil),
 	}
 	for i := 0; i < net.NumPeers; i++ {
 		s, err := networkSigner(&net, i)
@@ -86,17 +87,12 @@ func NewOrderer(cfg OrdererConfig) (*Orderer, error) {
 	o.rpc = transport.NewRPC(tr)
 	tr.Counters().Register(o.obsReg)
 
-	for i := 0; i < net.NumChannels; i++ {
-		name := net.channelName(i)
-		prop := &rpcProposer{rpc: o.rpc, channel: name, peers: o.peerIDs}
-		svc := ordering.NewService(net.Cutter, prop, net.Clock)
-		svc.Observe(o.obsReg.With(obs.L("channel", name)))
-		// The orderer holds no chain, so its health is pure connectivity:
-		// it must reach at least one validator to make progress.
-		o.health.Register(name, obs.Probe{Peers: o.t.ConnectedPeers, MinPeers: 1})
-		o.services[name] = svc
-		o.order = append(o.order, name)
-	}
+	prop := &rpcProposer{rpc: o.rpc, channel: net.ChannelID, peers: o.peerIDs}
+	o.svc = ordering.NewService(net.Cutter, prop, net.Clock)
+	o.svc.Observe(o.obsReg.With(obs.L("channel", net.ChannelID)))
+	// The orderer holds no chain, so its health is pure connectivity: it
+	// must reach at least one validator to make progress.
+	o.health.Register(net.ChannelID, obs.Probe{Peers: o.t.ConnectedPeers, MinPeers: 1})
 	o.rpc.Handle(methodSubmit, o.handleSubmit)
 	return o, nil
 }
@@ -107,7 +103,7 @@ func (o *Orderer) Addr() string { return o.t.Addr() }
 // Transport returns the orderer's TCP endpoint (metrics, tests).
 func (o *Orderer) Transport() *transport.TCP { return o.t }
 
-// Start launches the per-channel ordering services.
+// Start launches the ordering service.
 func (o *Orderer) Start() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -115,9 +111,7 @@ func (o *Orderer) Start() {
 		return
 	}
 	o.started = true
-	for _, name := range o.order {
-		o.services[name].Start()
-	}
+	o.svc.Start()
 }
 
 // Close stops ordering and the transport.
@@ -132,9 +126,7 @@ func (o *Orderer) Close() error {
 	o.mu.Unlock()
 	o.admin.Close()
 	if started {
-		for _, name := range o.order {
-			o.services[name].Stop()
-		}
+		o.svc.Stop()
 	}
 	return o.t.Close()
 }
@@ -159,18 +151,17 @@ func (p *rpcProposer) Propose(payload []byte) {
 	}
 }
 
-// handleSubmit feeds a remote gateway's envelope into the channel's cutter,
-// mapping the typed ordering errors onto wire codes.
+// handleSubmit feeds a remote gateway's envelope into the cutter, mapping
+// the typed ordering errors onto wire codes.
 func (o *Orderer) handleSubmit(from string, req []byte) ([]byte, error) {
 	r, err := decodeSubmitReq(req)
 	if err != nil {
 		return nil, err
 	}
-	svc := o.services[r.Channel]
-	if svc == nil {
+	if r.Channel != o.net.ChannelID {
 		return nil, &transport.CodedError{Code: "nochannel", Msg: fmt.Sprintf("fabric: orderer hosts no channel %q", r.Channel)}
 	}
-	if err := svc.Submit(r.Tx); err != nil {
+	if err := o.svc.Submit(r.Tx); err != nil {
 		code := ""
 		switch {
 		case errors.Is(err, ordering.ErrBacklog):

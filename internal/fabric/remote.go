@@ -20,9 +20,9 @@ import (
 // RemoteConfig describes how a client process reaches a networked
 // deployment.
 type RemoteConfig struct {
-	// Net is the deployment-wide network config (channel names, peer
-	// count, policy, commit timeout). IdentitySeed is not needed — clients
-	// bring their own signers.
+	// Net is the deployment-wide network config (channel name, peer count,
+	// policy, commit timeout). IdentitySeed is not needed — clients bring
+	// their own signers.
 	Net Config
 	// Peers maps peer transport IDs ("peer0"...) to dial addresses.
 	// Endorsement and commit-wait RPCs go only to the peers listed here:
@@ -37,26 +37,27 @@ type RemoteConfig struct {
 	// RPCTimeout bounds non-blocking calls (endorse, height; default 15s).
 	RPCTimeout time.Duration
 	// Obs, when non-nil, receives the client side of the lifecycle spans
-	// (endorse / order / commit_wait histograms, per channel) and the
-	// client endpoint's transport counters. Nil instruments nothing.
+	// (endorse / order / commit_wait histograms, labelled with the channel)
+	// and the client endpoint's transport counters. Nil instruments
+	// nothing.
 	Obs *obs.Registry
 }
 
 // Remote is a client-side connection to an out-of-process deployment. It
 // owns one client TCP endpoint (no listener — replies ride its outbound
-// connections) and hands out channel-scoped gateways whose backend speaks
-// the endorse/submit/waitcommit RPCs instead of calling in-process peers.
+// connections) and hands out gateways on the deployment's channel whose
+// backend speaks the endorse/submit/waitcommit RPCs instead of calling
+// in-process peers.
 // The Gateway logic itself — digest grouping, policy pre-checks, MVCC
 // retries — is byte-for-byte the same code the in-process path runs.
 type Remote struct {
-	cfg      RemoteConfig
-	net      Config
-	t        *transport.TCP
-	rpc      *transport.RPC
-	policy   msp.Policy
-	peerIDs  []string
-	channels map[string]*RemoteChannel
-	order    []string
+	cfg     RemoteConfig
+	net     Config
+	t       *transport.TCP
+	rpc     *transport.RPC
+	policy  msp.Policy
+	peerIDs []string
+	ch      *RemoteChannel
 }
 
 // Dial connects to a deployment. It performs no handshake beyond lazily
@@ -64,6 +65,9 @@ type Remote struct {
 func Dial(cfg RemoteConfig) (*Remote, error) {
 	net := cfg.Net
 	net.fill()
+	if err := net.checkChannels(); err != nil {
+		return nil, err
+	}
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 15 * time.Second
 	}
@@ -96,11 +100,10 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 	}
 	tr.Counters().Register(cfg.Obs.With(obs.L("peer", id)))
 	r := &Remote{
-		cfg:      cfg,
-		net:      net,
-		t:        tr,
-		rpc:      transport.NewRPC(tr),
-		channels: make(map[string]*RemoteChannel, net.NumChannels),
+		cfg: cfg,
+		net: net,
+		t:   tr,
+		rpc: transport.NewRPC(tr),
 	}
 	r.policy = net.Policy
 	if r.policy == nil {
@@ -113,14 +116,9 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 		r.peerIDs = append(r.peerIDs, id)
 	}
 	sort.Strings(r.peerIDs)
-	for i := 0; i < net.NumChannels; i++ {
-		name := net.channelName(i)
-		rc := &RemoteChannel{r: r, name: name}
-		for _, pid := range r.peerIDs {
-			rc.endorsers = append(rc.endorsers, &remoteEndorser{rc: rc, id: pid, committed: make(map[string]uint64)})
-		}
-		r.channels[name] = rc
-		r.order = append(r.order, name)
+	r.ch = &RemoteChannel{r: r, name: net.ChannelID}
+	for _, pid := range r.peerIDs {
+		r.ch.endorsers = append(r.ch.endorsers, &remoteEndorser{rc: r.ch, id: pid, committed: make(map[string]uint64)})
 	}
 	return r, nil
 }
@@ -131,45 +129,32 @@ func (r *Remote) Close() error { return r.t.Close() }
 // Transport returns the client's TCP endpoint (metrics, tests).
 func (r *Remote) Transport() *transport.TCP { return r.t }
 
-// Channel returns the named remote channel, or nil when the deployment
-// has no such channel.
-func (r *Remote) Channel(name string) *RemoteChannel { return r.channels[name] }
+// ChannelAt returns the deployment's channel; i must be 0.
+func (r *Remote) ChannelAt(i int) *RemoteChannel { return []*RemoteChannel{r.ch}[i] }
 
-// ChannelAt returns the i-th remote channel.
-func (r *Remote) ChannelAt(i int) *RemoteChannel { return r.channels[r.order[i]] }
-
-// NumChannels returns the deployment's channel count.
-func (r *Remote) NumChannels() int { return len(r.order) }
-
-// ChannelFor routes a partition key to its home channel with the same
-// rule in-process clients use, so routed writes land identically.
-func (r *Remote) ChannelFor(key string) *RemoteChannel {
-	return r.channels[r.order[RouteKey(key, len(r.order))]]
-}
-
-// ChainHeight returns one peer's chain height on a channel.
-func (r *Remote) ChainHeight(channel, peerID string) (uint64, error) {
+// ChainHeight returns one peer's chain height.
+func (r *Remote) ChainHeight(peerID string) (uint64, error) {
 	var h heightResp
-	err := r.rpc.CallJSON(peerID, methodHeight, channelReq{Channel: channel}, &h, r.cfg.RPCTimeout)
+	err := r.rpc.CallJSON(peerID, methodHeight, channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
 	return h.Height, err
 }
 
-// VerifyChain asks one peer to verify its hash chain on a channel,
-// returning the verified height.
-func (r *Remote) VerifyChain(channel, peerID string) (uint64, error) {
+// VerifyChain asks one peer to verify its hash chain, returning the
+// verified height.
+func (r *Remote) VerifyChain(peerID string) (uint64, error) {
 	var h heightResp
-	err := r.rpc.CallJSON(peerID, methodVerifyChain, channelReq{Channel: channel}, &h, r.cfg.RPCTimeout)
+	err := r.rpc.CallJSON(peerID, methodVerifyChain, channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
 	return h.Height, err
 }
 
-// Blocks fetches one peer's blocks from height `from` on a channel
-// (paged internally), for audits and equivalence checks.
-func (r *Remote) Blocks(channel, peerID string, from uint64) ([]*ledger.Block, error) {
-	h, err := r.ChainHeight(channel, peerID)
+// Blocks fetches one peer's blocks from height `from` (paged internally),
+// for audits and equivalence checks.
+func (r *Remote) Blocks(peerID string, from uint64) ([]*ledger.Block, error) {
+	h, err := r.ChainHeight(peerID)
 	if err != nil {
 		return nil, err
 	}
-	src := &remoteBlockSource{rpc: r.rpc, peer: peerID, channel: channel, height: h}
+	src := &remoteBlockSource{rpc: r.rpc, peer: peerID, channel: r.ch.name, height: h}
 	var out []*ledger.Block
 	for {
 		page, err := src.BlocksFrom(from + uint64(len(out)))
@@ -180,8 +165,8 @@ func (r *Remote) Blocks(channel, peerID string, from uint64) ([]*ledger.Block, e
 	}
 }
 
-// RemoteChannel is the client-side handle on one channel of an
-// out-of-process deployment; it implements the same gateway backend the
+// RemoteChannel is the client-side handle on an out-of-process
+// deployment's channel; it implements the same gateway backend the
 // in-process Channel does.
 type RemoteChannel struct {
 	r         *Remote
@@ -193,7 +178,7 @@ type RemoteChannel struct {
 // Name returns the channel name.
 func (rc *RemoteChannel) Name() string { return rc.name }
 
-// Gateway creates a client bound to this remote channel. Gateway.Channel
+// Gateway creates a client bound to the remote channel. Gateway.Channel
 // returns nil for remote gateways; everything else behaves as in-process.
 func (rc *RemoteChannel) Gateway(client *msp.Signer) *Gateway {
 	return newGateway(rc, nil, client)

@@ -12,7 +12,8 @@ import (
 // networked deployment: peer nodes (node.go) serve the endorsement, commit
 // wait and block-fetch methods, the ordering node (orderer.go) serves
 // submit, and remote gateways (remote.go) call both. Every request names
-// its channel, since one process hosts every channel of the deployment.
+// its channel; a process answers a name other than its own channel's with
+// the nochannel code.
 //
 // The three bodies that carry chain data — a submit's transaction, a
 // propose's ordering batch, a blocks response — are encoded with

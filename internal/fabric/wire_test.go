@@ -10,6 +10,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/ordering"
+	"socialchain/internal/transport"
 )
 
 // TestNetworkOverTCPTransport runs a regular in-process network whose
@@ -147,11 +148,11 @@ func (d *deployment) joinAll() {
 	}
 }
 
-// waitNodeHeight waits for one node's peer to reach height on channel.
-func (d *deployment) waitNodeHeight(n *Node, channel string, height uint64, timeout time.Duration) bool {
+// waitNodeHeight waits for one node's peer to reach height.
+func (d *deployment) waitNodeHeight(n *Node, height uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if p := n.Peer(channel); p != nil && p.Height() >= height {
+		if n.Peer().Height() >= height {
 			return true
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -160,11 +161,11 @@ func (d *deployment) waitNodeHeight(n *Node, channel string, height uint64, time
 }
 
 // chainJSON fetches a peer's full chain over RPC as canonical JSON.
-func (d *deployment) chainJSON(channel, peerID string) []byte {
+func (d *deployment) chainJSON(peerID string) []byte {
 	d.t.Helper()
-	blocks, err := d.remote.Blocks(channel, peerID, 0)
+	blocks, err := d.remote.Blocks(peerID, 0)
 	if err != nil {
-		d.t.Fatalf("blocks %s/%s: %v", channel, peerID, err)
+		d.t.Fatalf("blocks %s: %v", peerID, err)
 	}
 	enc, err := json.Marshal(blocks)
 	if err != nil {
@@ -181,7 +182,6 @@ func TestRemoteDeploymentLifecycle(t *testing.T) {
 		CommitTimeout: 20 * time.Second,
 	}
 	d := startDeployment(t, net)
-	channel := d.remote.ChannelAt(0).Name()
 	gw := d.remote.ChannelAt(0).Gateway(newClient(t))
 
 	const numTx = 8
@@ -211,16 +211,16 @@ func TestRemoteDeploymentLifecycle(t *testing.T) {
 	// Every process converges to one chain, verified over the wire: genesis
 	// plus one block per (serial) submit.
 	for _, n := range d.nodes {
-		if !d.waitNodeHeight(n, channel, numTx+1, 15*time.Second) {
-			t.Fatalf("node %s stuck at height %d", n.ID(), n.Peer(channel).Height())
+		if !d.waitNodeHeight(n, numTx+1, 15*time.Second) {
+			t.Fatalf("node %s stuck at height %d", n.ID(), n.Peer().Height())
 		}
-		if h, err := d.remote.VerifyChain(channel, n.ID()); err != nil || h < numTx+1 {
+		if h, err := d.remote.VerifyChain(n.ID()); err != nil || h < numTx+1 {
 			t.Fatalf("verifychain %s: height %d err %v", n.ID(), h, err)
 		}
 	}
-	ref := d.chainJSON(channel, d.nodes[0].ID())
+	ref := d.chainJSON(d.nodes[0].ID())
 	for _, n := range d.nodes[1:] {
-		if got := d.chainJSON(channel, n.ID()); !bytes.Equal(got, ref) {
+		if got := d.chainJSON(n.ID()); !bytes.Equal(got, ref) {
 			t.Fatalf("chain on %s diverges from %s", n.ID(), d.nodes[0].ID())
 		}
 	}
@@ -266,7 +266,6 @@ func TestNodeRestartCatchUp(t *testing.T) {
 		DataDir:      t.TempDir(),
 	}
 	d := startDeployment(t, net)
-	channel := d.remote.ChannelAt(0).Name()
 	gw := d.remote.ChannelAt(0).Gateway(newClient(t))
 
 	submit := func(i int) {
@@ -298,11 +297,31 @@ func TestNodeRestartCatchUp(t *testing.T) {
 	// find it again and anti-entropy replays the missed blocks.
 	d.nodes[3] = d.startNode(3, victimAddr)
 	d.joinAll()
-	if !d.waitNodeHeight(d.nodes[3], channel, 7, 20*time.Second) { // genesis + six submits
-		t.Fatalf("restarted node stuck at height %d", d.nodes[3].Peer(channel).Height())
+	if !d.waitNodeHeight(d.nodes[3], 7, 20*time.Second) { // genesis + six submits
+		t.Fatalf("restarted node stuck at height %d", d.nodes[3].Peer().Height())
 	}
-	ref := d.chainJSON(channel, d.nodes[0].ID())
-	if got := d.chainJSON(channel, d.nodes[3].ID()); !bytes.Equal(got, ref) {
+	ref := d.chainJSON(d.nodes[0].ID())
+	if got := d.chainJSON(d.nodes[3].ID()); !bytes.Equal(got, ref) {
 		t.Fatal("restarted node's chain diverges after catch-up")
+	}
+}
+
+// TestOtherChannelAnsweredNoChannel: a request body still names its
+// channel, and a node or orderer asked about any channel but its own
+// answers with the nochannel code.
+func TestOtherChannelAnsweredNoChannel(t *testing.T) {
+	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-nochannel"})
+	var h heightResp
+	err := d.remote.rpc.CallJSON(d.nodes[0].ID(), methodHeight, channelReq{Channel: "other-channel"}, &h, 3*time.Second)
+	if code := transport.ErrCode(err); code != "nochannel" {
+		t.Fatalf("node height on another channel: err = %v (code %q), want nochannel", err, code)
+	}
+	req := submitReq{Channel: "other-channel", Tx: ledger.Transaction{ID: "tx-elsewhere"}}
+	_, err = d.remote.rpc.Call(OrdererID, methodSubmit, req.encode(), 3*time.Second)
+	if code := transport.ErrCode(err); code != "nochannel" {
+		t.Fatalf("orderer submit on another channel: err = %v (code %q), want nochannel", err, code)
+	}
+	if h, err := d.remote.ChainHeight(d.nodes[0].ID()); err != nil || h == 0 {
+		t.Fatalf("node height on its own channel: %d, %v", h, err)
 	}
 }
