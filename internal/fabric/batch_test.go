@@ -15,7 +15,7 @@ import (
 // commit and the final state on every peer.
 func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 
 	calls := make([]chaincode.BatchCall, 5)
 	for i := range calls {
@@ -65,7 +65,7 @@ func TestSubmitBatchAtomicLifecycle(t *testing.T) {
 // failing call aborts endorsement and nothing commits.
 func TestSubmitBatchFailingCallRejectsWhole(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	_, err := gw.SubmitBatch([]chaincode.BatchCall{
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("a"), []byte("1")}},
 		{Chaincode: "kv", Fn: "fail"},
@@ -86,7 +86,7 @@ func TestSubmitBatchFailingCallRejectsWhole(t *testing.T) {
 // delivered to subscribers when the batch envelope commits.
 func TestSubmitBatchEventsDelivered(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	events := net.ChannelAt(0).Peer(0).SubscribeEvents(16)
 	calls := []chaincode.BatchCall{
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k0"), []byte("v0")}},

@@ -79,7 +79,7 @@ func newClient(t *testing.T) *msp.Signer {
 
 func TestSubmitAndEvaluateRoundTrip(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 
 	res, err := gw.Submit("kv", "put", []byte("k1"), []byte("v1"))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestSubmitAndEvaluateRoundTrip(t *testing.T) {
 
 func TestAllPeersConverge(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	const n = 15
 	for i := 0; i < n; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
@@ -143,7 +143,7 @@ func TestAllPeersConverge(t *testing.T) {
 
 func TestChaincodeErrorDoesNotCommit(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	_, err := gw.Submit("kv", "fail")
 	if err == nil {
 		t.Fatal("expected endorsement failure")
@@ -158,7 +158,7 @@ func TestMVCCConflictFlagged(t *testing.T) {
 		NumPeers: 4,
 		Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 200 * time.Millisecond},
 	})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	// Seed the counter.
 	if _, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0")); err != nil {
 		t.Fatalf("seed: %v", err)
@@ -166,7 +166,7 @@ func TestMVCCConflictFlagged(t *testing.T) {
 	// The seed is acknowledged once the entry peer commits it; an endorser
 	// still below that height would read the counter's older version and
 	// both increments would conflict. Wait for every peer.
-	ch := net.DefaultChannel()
+	ch := net.ChannelAt(0)
 	var tip uint64
 	for _, p := range ch.Peers() {
 		tip = max(tip, p.Ledger().Height())
@@ -213,7 +213,7 @@ func TestMVCCConflictFlagged(t *testing.T) {
 
 func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 
 	// Build a valid envelope, then strip endorsements below the 2/3 quorum.
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
@@ -239,7 +239,7 @@ func TestEndorsementPolicyFailureFlagged(t *testing.T) {
 // leaves part of it out.
 func TestNestedBatchEnvelopeRefused(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
 	resp, err := net.ChannelAt(0).Peer(0).Endorse(prop)
 	if err != nil {
@@ -258,7 +258,7 @@ func TestNestedBatchEnvelopeRefused(t *testing.T) {
 
 func TestBadCreatorSignatureFlagged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	prop := mustProposal(t, gw, "kv", "put", [][]byte{[]byte("x"), []byte("y")})
 	var endorsements []*ledger.Transaction
 	_ = endorsements
@@ -283,7 +283,7 @@ func TestSubmitWithSilentValidator(t *testing.T) {
 		Behaviors:        map[int]consensus.Behavior{2: consensus.Silent{}},
 		ConsensusTimeout: 500 * time.Millisecond,
 	})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	res, err := gw.Submit("kv", "put", []byte("a"), []byte("b"))
 	if err != nil {
 		t.Fatalf("submit with silent validator: %v", err)
@@ -295,7 +295,7 @@ func TestSubmitWithSilentValidator(t *testing.T) {
 
 func TestEventsDelivered(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	events := net.ChannelAt(0).Peer(1).SubscribeEvents(16)
 	if _, err := gw.Submit("kv", "put", []byte("ek"), []byte("ev")); err != nil {
 		t.Fatalf("submit: %v", err)

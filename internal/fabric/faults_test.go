@@ -24,7 +24,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	}
 	net.MustDeploy(kvCC{})
 	net.Start()
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 
 	// Endorse while running, then stop the network before ordering.
 	tx, err := gw.endorseAndAssemble("kv", "put", [][]byte{[]byte("k"), []byte("v")})
@@ -40,7 +40,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	}
 	net2.MustDeploy(kvCC{})
 	// net2 is never started: orderers are idle, commits can never happen.
-	gw2 := net2.DefaultChannel().Gateway(newClient(t))
+	gw2 := net2.ChannelAt(0).Gateway(newClient(t))
 	if _, err := gw2.SubmitEnvelope(*tx); !errors.Is(err, ErrCommitTimeout) {
 		t.Fatalf("want ErrCommitTimeout, got %v", err)
 	}
@@ -53,7 +53,7 @@ func TestSubmitUnderLatencyModel(t *testing.T) {
 		Latency:  sim.LANLatency(rng),
 		Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond},
 	})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	start := time.Now()
 	res, err := gw.Submit("kv", "put", []byte("lk"), []byte("lv"))
 	if err != nil {
@@ -75,7 +75,7 @@ func TestWrongDigestValidatorDoesNotAffectCommits(t *testing.T) {
 		Behaviors:        map[int]consensus.Behavior{3: consensus.WrongDigest{}},
 		ConsensusTimeout: 500 * time.Millisecond,
 	})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		res, err := gw.Submit("kv", "put", []byte{byte('a' + i)}, []byte("v"))
 		if err != nil {
@@ -89,7 +89,7 @@ func TestWrongDigestValidatorDoesNotAffectCommits(t *testing.T) {
 
 func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	if _, err := gw.Submit("kv", "put", []byte("fresh"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 // VALID: the policy counted whoever the envelope said had signed.
 func TestForgedEndorsersRejected(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 5 * time.Millisecond}})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	prop, err := newRawProposal(gw, "kv", "put", [][]byte{[]byte("forged"), []byte("v")})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func (e contradictingEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalRespo
 // quorum), and at the threshold the channel stops asking that peer.
 func TestGatewayReportsContradictingEndorser(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 3})
-	ch := net.DefaultChannel()
+	ch := net.ChannelAt(0)
 	liar := ch.Peer(2).ID()
 	gw := newGateway(contradictingBackend{ch, liar, net.signers[2]}, ch, newClient(t))
 	for i := 0; i < 3; i++ {
@@ -238,7 +238,7 @@ func TestGatewayNoActiveEndorsers(t *testing.T) {
 	for _, p := range net.ChannelAt(0).Peers() {
 		net.ChannelAt(0).Watchdog().Report(p.ID(), "test")
 	}
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	if _, err := gw.Submit("kv", "put", []byte("x"), []byte("y")); err == nil {
 		t.Fatal("submit succeeded with no active endorsers")
 	}
@@ -296,8 +296,8 @@ func TestConfigDefaults(t *testing.T) {
 	if net.NumPeers() != 4 {
 		t.Fatalf("default peers = %d", net.NumPeers())
 	}
-	if net.DefaultChannel().Name() != "traffic-channel" {
-		t.Fatalf("default channel = %s", net.DefaultChannel().Name())
+	if net.ChannelAt(0).Name() != "traffic-channel" {
+		t.Fatalf("default channel = %s", net.ChannelAt(0).Name())
 	}
 	if net.Policy().Describe() == "" {
 		t.Fatal("no default policy")

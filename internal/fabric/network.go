@@ -429,9 +429,6 @@ func (n *Network) ChannelAt(i int) *Channel { return n.Channels()[i] }
 // Channels returns the network's one channel as a slice.
 func (n *Network) Channels() []*Channel { return []*Channel{n.ch} }
 
-// DefaultChannel returns the network's channel.
-func (n *Network) DefaultChannel() *Channel { return n.ch }
-
 // Identities returns the peers' identities, the set whose endorsements
 // count.
 func (n *Network) Identities() *msp.Registry { return n.members }

@@ -13,7 +13,7 @@ import (
 
 func TestSyncPeerNoopWhenConverged(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		if _, err := gw.Submit("kv", "put", []byte{byte('a' + i)}, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	// sharing nothing and sync one of its peers directly from the first
 	// network's freshest peer (exercising cross-instance catch-up).
 	net := newTestNetwork(t, Config{NumPeers: 4, IdentitySeed: "sync-test"})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	for i := 0; i < 4; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("s%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -114,7 +114,7 @@ func TestDurableNetworkKeepsItsMembership(t *testing.T) {
 	}
 	net.MustDeploy(kvCC{})
 	net.Start()
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	for i := 0; i < 3; i++ {
 		if _, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("d%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)

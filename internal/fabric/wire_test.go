@@ -22,7 +22,7 @@ func TestNetworkOverTCPTransport(t *testing.T) {
 		Transport: "tcp",
 		Cutter:    ordering.CutterConfig{BatchTimeout: 10 * time.Millisecond},
 	})
-	gw := net.DefaultChannel().Gateway(newClient(t))
+	gw := net.ChannelAt(0).Gateway(newClient(t))
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
 		res, err := gw.Submit("kv", "put", []byte(key), []byte("v"))
@@ -33,7 +33,7 @@ func TestNetworkOverTCPTransport(t *testing.T) {
 			t.Fatalf("submit %d flag %s", i, res.Flag)
 		}
 	}
-	if !net.DefaultChannel().WaitHeight(5, 10*time.Second) {
+	if !net.ChannelAt(0).WaitHeight(5, 10*time.Second) {
 		t.Fatal("peers did not all reach height 5")
 	}
 	trs := net.Transports()
