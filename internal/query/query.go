@@ -196,10 +196,9 @@ func (e *Engine) Metadata(txID string) (contracts.DataRecord, error) {
 
 // metadataTimed fetches a record from the blockchain executor, timing it.
 func (e *Engine) metadataTimed(txID string) (contracts.DataRecord, Timing, error) {
-	var timing Timing
 	start := time.Now()
 	raw, err := e.gw.Evaluate(contracts.DataCC, "getData", []byte(txID))
-	timing.Blockchain = time.Since(start)
+	timing := Timing{Blockchain: time.Since(start)}
 	if err != nil {
 		return contracts.DataRecord{}, timing, err
 	}
@@ -274,10 +273,9 @@ type BatchItem struct {
 
 // GetMany runs the full retrieval path for a batch of transaction IDs,
 // fanning metadata lookup, payload fetch and hash verification across a
-// bounded worker pool — the batch
-// counterpart of Data. workers <= 0 uses the engine's configured bound
-// (WithWorkers, default DefaultFetchWorkers); results are positionally
-// aligned with txIDs.
+// bounded worker pool — the batch counterpart of Data. workers <= 0 uses
+// the engine's configured bound (WithWorkers, default
+// DefaultFetchWorkers); results are positionally aligned with txIDs.
 func (e *Engine) GetMany(txIDs []string, workers int) []BatchItem {
 	if workers <= 0 {
 		workers = e.workers
