@@ -4,22 +4,22 @@ import (
 	"socialchain/internal/transport"
 )
 
-// busStreamPrefix namespaces consensus traffic per channel on the shared
-// transport, so one endpoint can host a validator in every channel.
+// busStreamPrefix namespaces consensus traffic by channel name on the
+// transport endpoint the fabric RPC traffic shares.
 const busStreamPrefix = "cns/"
 
 // Bus is the wire-backed Sender: it encodes messages onto a
 // transport.Transport stream and decodes inbound frames into a bounded
 // inbox with the same drop-on-full loss semantics as InProcNet. One Bus
-// serves one validator in one channel; the underlying endpoint is shared
-// across channels (and with the fabric RPC traffic).
+// serves one validator; the underlying endpoint also carries the fabric
+// RPC traffic.
 type Bus struct {
 	t      transport.Transport
 	stream string
 	inbox  chan *Message
 }
 
-// NewBus attaches a consensus stream for one channel to the endpoint.
+// NewBus attaches the channel's consensus stream to the endpoint.
 func NewBus(t transport.Transport, channel string) *Bus {
 	b := &Bus{
 		t:      t,
