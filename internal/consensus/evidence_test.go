@@ -44,19 +44,19 @@ func checkEvidence(v *Validator, seq uint64, evidence []byte) (skipped, verified
 	return s1 - s0, v1 - v0
 }
 
-// TestEvidenceIdenticalToOwnPrePrepareSkipsVerify: the evidence an honest
-// replica embeds equals the local pre-prepare byte for byte and runs no
-// ed25519; evidence with nothing local to compare against is not verified
-// either. Neither convicts anyone.
+// TestEvidenceIdenticalToOwnPrePrepareSkipsVerify: the header an honest
+// replica embeds equals the local pre-prepare's header byte for byte and
+// runs no ed25519; evidence with nothing local to compare against is not
+// verified either. Neither convicts anyone.
 func TestEvidenceIdenticalToOwnPrePrepareSkipsVerify(t *testing.T) {
 	v, signers := evidenceReplica(t)
-	own := prePrepare(signers[0], "batch").Encode()
+	own := prePrepare(signers[0], "batch").encodeHeader()
 	for i := 0; i < 3; i++ {
 		if skipped, verified := checkEvidence(v, 1, own); skipped != 1 || verified != 0 {
 			t.Fatalf("identical evidence: skipped %d, verified %d; want 1, 0", skipped, verified)
 		}
 	}
-	if skipped, verified := checkEvidence(v, 2, prePrepare(signers[0], "other").Encode()); skipped != 0 || verified != 0 {
+	if skipped, verified := checkEvidence(v, 2, prePrepare(signers[0], "other").encodeHeader()); skipped != 0 || verified != 0 {
 		t.Fatalf("evidence without a local pre-prepare: skipped %d, verified %d; want 0, 0", skipped, verified)
 	}
 	if got := v.EvictedPeers(); len(got) != 0 {
@@ -64,20 +64,20 @@ func TestEvidenceIdenticalToOwnPrePrepareSkipsVerify(t *testing.T) {
 	}
 }
 
-// TestConflictingEvidenceVerifiedBeforeEviction: a pre-prepare for the same
-// slot with another payload convicts the leader only when the leader's
-// signature on it holds.
+// TestConflictingEvidenceVerifiedBeforeEviction: a pre-prepare header for
+// the same slot naming another digest convicts the leader only when the
+// leader's signature on it holds.
 func TestConflictingEvidenceVerifiedBeforeEviction(t *testing.T) {
 	v, signers := evidenceReplica(t)
 	forged := prePrepare(signers[0], "other")
 	forged.Signature[0] ^= 0x01
-	if _, verified := checkEvidence(v, 1, forged.Encode()); verified != 1 {
+	if _, verified := checkEvidence(v, 1, forged.encodeHeader()); verified != 1 {
 		t.Fatalf("conflicting evidence ran ed25519 %d times, want 1", verified)
 	}
 	if got := v.EvictedPeers(); len(got) != 0 {
 		t.Fatalf("a badly signed conflict evicted %v", got)
 	}
-	if _, verified := checkEvidence(v, 1, prePrepare(signers[0], "other").Encode()); verified != 1 {
+	if _, verified := checkEvidence(v, 1, prePrepare(signers[0], "other").encodeHeader()); verified != 1 {
 		t.Fatalf("conflicting evidence ran ed25519 %d times, want 1", verified)
 	}
 	if got := fmt.Sprint(v.EvictedPeers()); got != "[v0]" {

@@ -53,12 +53,16 @@ type Message struct {
 	Digest [32]byte `json:"digest"`
 	From   string   `json:"from"`
 
-	// Payload carries the proposed batch (Request, PrePrepare) and, in a
-	// NewView, the re-proposed pending payloads.
+	// Payload carries the proposed batch (Request, PrePrepare). The
+	// signature covers it only through Digest: a replica drops a request or
+	// pre-prepare whose Digest is not SHA-256(Payload) before using either.
 	Payload []byte `json:"payload,omitempty"`
 
-	// PrePrepareEvidence embeds the leader-signed pre-prepare a replica is
-	// preparing, so peers can detect leader equivocation conclusively.
+	// PrePrepareEvidence embeds the header of the leader-signed pre-prepare
+	// a replica is preparing (encodeHeader: the pre-prepare without its
+	// payload, signature intact), so peers can detect leader equivocation
+	// conclusively: two such headers for one (view, seq) naming different
+	// digests.
 	PrePrepareEvidence []byte `json:"pre_prepare_evidence,omitempty"`
 
 	// Proofs carries the 2f+1 view-change messages justifying a NewView.
@@ -67,10 +71,9 @@ type Message struct {
 	Signature []byte `json:"signature,omitempty"`
 
 	// sigBytes memoises SigningBytes: broadcast signs the same bytes for
-	// every recipient, and in-process recipients verify the sender's copy.
-	// Not part of the encoding (a decoded message recomputes lazily). Any
-	// code that mutates a signed-over field after copying a Message must
-	// call invalidate() or the memo goes stale.
+	// every recipient. Not part of the encoding (a decoded message
+	// recomputes lazily). Any code that mutates a signed-over field after
+	// copying a Message must call invalidate() or the memo goes stale.
 	sigBytes []byte
 }
 
@@ -95,9 +98,9 @@ func (m *Message) computeSigningBytes() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	buf = append(buf, m.Digest[:]...)
 	buf = append(buf, []byte(m.From)...)
-	// Payload and evidence are bound via hashes so signatures stay small.
-	ph := sha256.Sum256(m.Payload)
-	buf = append(buf, ph[:]...)
+	// The payload is bound through Digest (see Payload), so a header
+	// without it keeps a verifiable signature. Evidence and proofs are
+	// bound via hashes so signatures stay small.
 	eh := sha256.Sum256(m.PrePrepareEvidence)
 	buf = append(buf, eh[:]...)
 	for _, p := range m.Proofs {
@@ -125,6 +128,16 @@ func (m *Message) Encode() []byte {
 		b = codec.AppendBytes(b, p)
 	}
 	return codec.AppendBytes(b, m.Signature)
+}
+
+// encodeHeader encodes m with its payload left out: the equivocation
+// evidence a prepare carries for a pre-prepare, about 150 bytes whatever
+// the batch size. Its signature still verifies (the signing bytes bind the
+// payload only through Digest).
+func (m *Message) encodeHeader() []byte {
+	h := *m
+	h.Payload = nil
+	return h.Encode()
 }
 
 // DecodeMessage parses a message encoded with Encode.

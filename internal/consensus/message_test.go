@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"socialchain/internal/codec/codectest"
 )
 
 func goldenMessage() *Message {
@@ -55,6 +57,12 @@ func prePrepareWithBatch(size int) *Message {
 	return &Message{Type: MsgPrePrepare, View: 1, Seq: 4242, Digest: DigestOf(payload), From: "peer0", Payload: payload, Signature: sig}
 }
 
+// prepareFor is replica peer2's prepare for pp, carrying pp's header as
+// evidence.
+func prepareFor(pp *Message) *Message {
+	return &Message{Type: MsgPrepare, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, From: "peer2", PrePrepareEvidence: pp.encodeHeader(), Signature: make([]byte, 64)}
+}
+
 func decodeMessageBytes(p []byte) ([]byte, error) {
 	m, err := DecodeMessage(p)
 	if err != nil {
@@ -76,8 +84,8 @@ func checkDecode(t testing.TB, name string, in []byte) {
 // encodes back to the flipped bytes). A prepare with embedded evidence
 // nests one encoded message inside another.
 func TestDecodeMessageEveryOffset(t *testing.T) {
-	pp := prePrepareWithBatch(300)
-	prepare := &Message{Type: MsgPrepare, View: 1, Seq: 4242, Digest: pp.Digest, From: "peer2", PrePrepareEvidence: pp.Encode(), Proofs: [][]byte{{1}, {2, 3}}, Signature: make([]byte, 64)}
+	prepare := prepareFor(prePrepareWithBatch(300))
+	prepare.Proofs = [][]byte{{1}, {2, 3}}
 	enc := prepare.Encode()
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeMessage(enc[:cut]); err == nil {
@@ -114,6 +122,20 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, in []byte) { checkDecode(t, "message", in) })
+}
+
+// TestFuzzCorpusCurrent: the committed seeds are encodings in this format.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	prepare := prepareFor(prePrepareWithBatch(200)).Encode()
+	flipped := append([]byte(nil), prepare...)
+	flipped[40] ^= 0x10 // in the sender's name
+	codectest.Corpus(t, "FuzzDecodeMessage", map[string][]any{
+		"golden-new-view":       {goldenMessage().Encode()},
+		"pre-prepare":           {prePrepareWithBatch(200).Encode()},
+		"prepare-with-evidence": {prepare},
+		"prepare-cut":           {prepare[:len(prepare)*2/3]},
+		"prepare-flip":          {flipped},
+	})
 }
 
 var benchSink int

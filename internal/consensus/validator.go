@@ -51,14 +51,14 @@ type request struct {
 
 // instance is one sequence number's agreement state. Once executed it
 // keeps only its view and digest (enough to convict a leader that signs a
-// second pre-prepare for the slot): the payload and the encoded
-// pre-prepare carrying it again are released when the payload is handed
-// to Deliver, so the pruning window of decided instances pins no batches.
+// second pre-prepare for the slot): the payload and the pre-prepare header
+// are released when the payload is handed to Deliver, so the pruning
+// window of decided instances pins no batches.
 type instance struct {
 	view       uint64
 	digest     [32]byte
 	payload    []byte
-	prePrepare []byte // leader-signed pre-prepare, encoded, for evidence
+	prePrepare []byte // leader-signed pre-prepare header (encodeHeader), the evidence every prepare carries
 	prepares   map[string]bool
 	commits    map[string]bool
 	sentCommit bool
@@ -556,13 +556,14 @@ func (v *Validator) onPrePrepare(m *Message) {
 			inst.prepares = make(map[string]bool)
 			inst.commits = make(map[string]bool)
 		}
-		inst.prePrepare = m.Encode()
+		inst.prePrepare = m.encodeHeader()
 		inst.payload = m.Payload
 		inst.digest = m.Digest
 		// The leader's pre-prepare counts as its prepare vote.
 		inst.prepares[m.From] = true
 	}
-	// Send our prepare, carrying the leader-signed pre-prepare as evidence.
+	// Send our prepare, carrying the leader-signed pre-prepare header as
+	// evidence.
 	prep := Message{Type: MsgPrepare, View: m.View, Seq: m.Seq, Digest: m.Digest, PrePrepareEvidence: inst.prePrepare}
 	self := v.selfSigned(prep)
 	v.applyPrepare(self)
@@ -605,15 +606,16 @@ func (v *Validator) applyPrepare(m *Message) {
 	}
 }
 
-// checkEquivocationEvidence inspects the embedded pre-prepare for conflict
-// with what we received from the leader. Caller holds mu.
+// checkEquivocationEvidence inspects the embedded pre-prepare header for
+// conflict with what we received from the leader. Caller holds mu.
 //
-// An honest replica embeds the leader's pre-prepare exactly as it arrived,
-// and encodings are canonical, so evidence from an honest leader's round is
-// byte-identical to the local copy — which was verified on arrival, or
-// signed here — and needs no second check. Without a local pre-prepare
-// there is nothing to convict against. Only differing evidence is decoded
-// and verified.
+// An honest replica embeds the header of the leader's pre-prepare exactly
+// as it arrived, and encodings are canonical, so evidence from an honest
+// leader's round is byte-identical to the local header — whose pre-prepare
+// was verified on arrival, or signed here — and needs no second check.
+// Without a local pre-prepare there is nothing to convict against. Only
+// differing evidence is decoded and verified; a validly signed header for
+// the slot naming another digest convicts, as in PBFT.
 func (v *Validator) checkEquivocationEvidence(m *Message) {
 	if len(m.PrePrepareEvidence) == 0 {
 		return
