@@ -26,6 +26,7 @@ import (
 	"socialchain/internal/query"
 	"socialchain/internal/sim"
 	"socialchain/internal/storage"
+	"socialchain/internal/transport"
 	"socialchain/internal/workload"
 )
 
@@ -370,11 +371,12 @@ func BenchmarkQuery(b *testing.B) {
 }
 
 // BenchmarkConsensusThroughput measures raw ordering throughput of the BFT
-// core without chaincode work.
+// core without chaincode work, each validator on a Bus over an in-process
+// transport endpoint.
 func BenchmarkConsensusThroughput(b *testing.B) {
 	for _, n := range []int{4, 7} {
 		b.Run(fmt.Sprintf("validators=%d", n), func(b *testing.B) {
-			net := consensus.NewInProcNet(nil, nil)
+			hub := transport.NewInProcNet(nil, nil)
 			ids := make([]string, n)
 			signers := make([]*msp.Signer, n)
 			idents := make(map[string]msp.Identity)
@@ -392,7 +394,7 @@ func BenchmarkConsensusThroughput(b *testing.B) {
 			for i := 0; i < n; i++ {
 				first := i == 0
 				v := consensus.NewValidator(consensus.Config{
-					ID: ids[i], Validators: ids, Signer: signers[i], Identities: idents, Sender: net,
+					ID: ids[i], Validators: ids, Signer: signers[i], Identities: idents, Sender: consensus.NewBus(hub.Node(ids[i]), "bench"),
 					Deliver: func(seq uint64, payload []byte) {
 						if first {
 							done <- struct{}{}

@@ -8,11 +8,17 @@ import (
 // transport endpoint the fabric RPC traffic shares.
 const busStreamPrefix = "cns/"
 
-// Bus is the wire-backed Sender: it encodes messages onto a
-// transport.Transport stream and decodes inbound frames into a bounded
-// inbox with the same drop-on-full loss semantics as InProcNet. One Bus
-// serves one validator; the underlying endpoint also carries the fabric
-// RPC traffic.
+// inboxSize bounds each validator's message queue.
+const inboxSize = 8192
+
+// Bus carries one validator's signed consensus messages: it encodes them
+// onto a transport.Transport stream and decodes inbound frames into a
+// bounded inbox. The endpoint is in-process (transport.InProc, with its
+// latency model and cut/heal switchboard) or a real socket
+// (transport.TCP, which also carries the fabric RPC traffic); the
+// validator cannot tell which. Loss is acceptable: PBFT tolerates dropped
+// messages by design, so sends do not report errors and a full inbox
+// drops what arrives.
 type Bus struct {
 	t      transport.Transport
 	stream string
@@ -30,10 +36,6 @@ func NewBus(t transport.Transport, channel string) *Bus {
 	return b
 }
 
-// Register implements Sender: the bus is per-replica, so every id maps to
-// its one inbox.
-func (b *Bus) Register(string) <-chan *Message { return b.inbox }
-
 func (b *Bus) onFrame(from string, payload []byte) error {
 	m, err := DecodeMessage(payload)
 	if err != nil {
@@ -50,11 +52,12 @@ func (b *Bus) onFrame(from string, payload []byte) error {
 	}
 }
 
-// Send implements Sender. Errors (backpressure, reconnecting peer) are
-// loss, which the protocol tolerates; the transport counts them.
-func (b *Bus) Send(from, to string, msg *Message) {
-	if to == b.t.ID() {
-		return
+// Send encodes msg once and transmits it to every replica in to. Errors
+// (backpressure, reconnecting peer) are loss, which the protocol
+// tolerates; the transport counts them.
+func (b *Bus) Send(msg *Message, to ...string) {
+	enc := msg.Encode()
+	for _, id := range to {
+		_ = b.t.Send(id, b.stream, enc)
 	}
-	_ = b.t.Send(to, b.stream, msg.Encode())
 }

@@ -2,117 +2,20 @@ package consensus
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"socialchain/internal/msp"
 	"socialchain/internal/transport"
 )
 
-// busHarness spins up n validators whose messages cross a real byte
-// transport (encode -> frame -> decode) instead of pointer passing.
-type busHarness struct {
-	t          *testing.T
-	validators []*Validator
-	endpoints  []transport.Transport
-	mu         sync.Mutex
-	delivered  map[string][]string
-}
-
-func newBusHarness(t *testing.T, endpoints []transport.Transport, timeout time.Duration) *busHarness {
-	t.Helper()
-	n := len(endpoints)
-	h := &busHarness{t: t, endpoints: endpoints, delivered: make(map[string][]string)}
-	ids := make([]string, n)
-	signers := make([]*msp.Signer, n)
-	idents := make(map[string]msp.Identity, n)
-	for i := 0; i < n; i++ {
-		ids[i] = endpoints[i].ID()
-		s, err := msp.NewSigner("org", ids[i], msp.RoleMember)
-		if err != nil {
-			t.Fatalf("signer: %v", err)
-		}
-		signers[i] = s
-		idents[ids[i]] = s.Identity
-	}
-	for i := 0; i < n; i++ {
-		id := ids[i]
-		v := NewValidator(Config{
-			ID:             id,
-			Validators:     ids,
-			Signer:         signers[i],
-			Identities:     idents,
-			Sender:         NewBus(endpoints[i], "main"),
-			RequestTimeout: timeout,
-			Deliver: func(seq uint64, payload []byte) {
-				h.mu.Lock()
-				h.delivered[id] = append(h.delivered[id], string(payload))
-				h.mu.Unlock()
-			},
-		})
-		h.validators = append(h.validators, v)
-	}
-	for _, v := range h.validators {
-		v.Start()
-	}
-	t.Cleanup(func() {
-		for _, v := range h.validators {
-			v.Stop()
-		}
-		for _, e := range endpoints {
-			e.Close()
-		}
-	})
-	return h
-}
-
-func (h *busHarness) waitDelivered(i, want int, timeout time.Duration) []string {
-	h.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		h.mu.Lock()
-		got := append([]string(nil), h.delivered[h.endpoints[i].ID()]...)
-		h.mu.Unlock()
-		if len(got) >= want {
-			return got
-		}
-		if time.Now().After(deadline) {
-			h.t.Fatalf("validator %d delivered %v, want %d payloads", i, got, want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestBusConsensusOverInProcTransport(t *testing.T) {
-	hub := transport.NewInProcNet(nil, nil)
-	endpoints := make([]transport.Transport, 4)
-	for i := range endpoints {
-		endpoints[i] = hub.Node(fmt.Sprintf("v%d", i))
-	}
-	h := newBusHarness(t, endpoints, time.Second)
-	h.validators[0].Propose([]byte("tx-1"))
-	h.validators[2].Propose([]byte("tx-2"))
-	var want []string
-	for i := 0; i < 4; i++ {
-		got := h.waitDelivered(i, 2, 5*time.Second)
-		if i == 0 {
-			want = got
-			continue
-		}
-		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("divergent delivery: v0=%v v%d=%v", want, i, got)
-		}
-	}
-}
-
+// TestBusConsensusOverTCP runs the harness over real loopback sockets: every
+// message is encoded, framed, CRC-checked and decoded as it is between
+// separate processes.
 func TestBusConsensusOverTCP(t *testing.T) {
 	const n = 4
-	ids := make([]string, n)
 	tcps := make([]*transport.TCP, n)
 	for i := range tcps {
-		ids[i] = fmt.Sprintf("v%d", i)
-		tr, err := transport.NewTCP(transport.TCPConfig{ID: ids[i], Cluster: "bus-test", Listen: "127.0.0.1:0"})
+		tr, err := transport.NewTCP(transport.TCPConfig{ID: fmt.Sprintf("v%d", i), Cluster: "bus-test", Listen: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatalf("tcp %d: %v", i, err)
 		}
@@ -122,24 +25,24 @@ func TestBusConsensusOverTCP(t *testing.T) {
 	for i, tr := range tcps {
 		for j, other := range tcps {
 			if i != j {
-				tr.AddPeer(ids[j], other.Addr())
+				tr.AddPeer(other.ID(), other.Addr())
 			}
 		}
 		endpoints[i] = tr
 	}
-	h := newBusHarness(t, endpoints, 2*time.Second)
+	h := newHarnessOn(t, endpoints, nil, 2*time.Second, nil)
 	for k := 0; k < 3; k++ {
 		h.validators[k%n].Propose([]byte(fmt.Sprintf("tx-%d", k)))
 	}
-	var want []string
 	for i := 0; i < n; i++ {
-		got := h.waitDelivered(i, 3, 10*time.Second)
-		if i == 0 {
-			want = got
-			continue
+		if !h.waitDelivered(i, 3, 10*time.Second) {
+			t.Fatalf("validator %d delivered %v, want 3 payloads", i, h.deliveredAt(i))
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("divergent delivery over tcp: v0=%v v%d=%v", want, i, got)
+	}
+	want := fmt.Sprint(h.deliveredAt(0))
+	for i := 1; i < n; i++ {
+		if got := fmt.Sprint(h.deliveredAt(i)); got != want {
+			t.Fatalf("divergent delivery over tcp: v0=%s v%d=%s", want, i, got)
 		}
 	}
 }

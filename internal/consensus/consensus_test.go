@@ -7,36 +7,51 @@ import (
 	"time"
 
 	"socialchain/internal/msp"
+	"socialchain/internal/transport"
 )
 
-// harness spins up n validators with per-validator behaviours and a shared
-// delivery log.
+// harness spins up n validators, v0..v<n-1>, each on a Bus over its own
+// transport endpoint, with per-validator behaviours and a shared delivery
+// log.
 type harness struct {
-	t          *testing.T
-	net        *InProcNet
+	net        *transport.InProcNet // nil over TCP
 	validators []*Validator
+	signers    []*msp.Signer
 	mu         sync.Mutex
 	delivered  map[string][]string // validator id -> payloads in order
 	evictions  map[string][]string
 }
 
-func newHarness(t *testing.T, n int, behaviors map[int]Behavior, timeout time.Duration) *harness {
+func newHarness(t testing.TB, n int, behaviors map[int]Behavior, timeout time.Duration) *harness {
 	t.Helper()
 	return newHarnessCfg(t, n, behaviors, timeout, nil)
 }
 
 // newHarnessCfg is newHarness with a hook to adjust each validator's Config
-// before construction.
-func newHarnessCfg(t *testing.T, n int, behaviors map[int]Behavior, timeout time.Duration, tweak func(*Config)) *harness {
+// before construction. The validators share one in-process hub, h.net.
+func newHarnessCfg(t testing.TB, n int, behaviors map[int]Behavior, timeout time.Duration, tweak func(*Config)) *harness {
 	t.Helper()
+	hub := transport.NewInProcNet(nil, nil)
+	endpoints := make([]transport.Transport, n)
+	for i := range endpoints {
+		endpoints[i] = hub.Node(fmt.Sprintf("v%d", i))
+	}
+	h := newHarnessOn(t, endpoints, behaviors, timeout, tweak)
+	h.net = hub
+	return h
+}
+
+// newHarnessOn runs one validator per endpoint, named v<i> for endpoint
+// i, and closes the endpoints when the test ends.
+func newHarnessOn(t testing.TB, endpoints []transport.Transport, behaviors map[int]Behavior, timeout time.Duration, tweak func(*Config)) *harness {
+	t.Helper()
+	n := len(endpoints)
 	h := &harness{
-		t:         t,
-		net:       NewInProcNet(nil, nil),
+		signers:   make([]*msp.Signer, n),
 		delivered: make(map[string][]string),
 		evictions: make(map[string][]string),
 	}
 	ids := make([]string, n)
-	signers := make([]*msp.Signer, n)
 	idents := make(map[string]msp.Identity, n)
 	for i := 0; i < n; i++ {
 		ids[i] = fmt.Sprintf("v%d", i)
@@ -44,7 +59,7 @@ func newHarnessCfg(t *testing.T, n int, behaviors map[int]Behavior, timeout time
 		if err != nil {
 			t.Fatalf("signer: %v", err)
 		}
-		signers[i] = s
+		h.signers[i] = s
 		idents[ids[i]] = s.Identity
 	}
 	for i := 0; i < n; i++ {
@@ -52,9 +67,9 @@ func newHarnessCfg(t *testing.T, n int, behaviors map[int]Behavior, timeout time
 		cfg := Config{
 			ID:             id,
 			Validators:     ids,
-			Signer:         signers[i],
+			Signer:         h.signers[i],
 			Identities:     idents,
-			Sender:         h.net,
+			Sender:         NewBus(endpoints[i], "main"),
 			RequestTimeout: timeout,
 			Behavior:       behaviors[i],
 			Deliver: func(seq uint64, payload []byte) {
@@ -79,6 +94,9 @@ func newHarnessCfg(t *testing.T, n int, behaviors map[int]Behavior, timeout time
 	t.Cleanup(func() {
 		for _, v := range h.validators {
 			v.Stop()
+		}
+		for _, e := range endpoints {
+			e.Close()
 		}
 	})
 	return h

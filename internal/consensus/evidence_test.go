@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"socialchain/internal/msp"
+	"socialchain/internal/transport"
 )
 
 // evidenceReplica builds replica v1 of four, unstarted so the test drives
@@ -19,7 +20,7 @@ func evidenceReplica(t *testing.T) (*Validator, []*msp.Signer) {
 		signers[i] = msp.NewSignerFromSeed("evidence-test", "org", id, msp.RoleMember)
 		idents[id] = signers[i].Identity
 	}
-	v := NewValidator(Config{ID: "v1", Validators: ids, Signer: signers[1], Identities: idents, Sender: NewInProcNet(nil, nil)})
+	v := NewValidator(Config{ID: "v1", Validators: ids, Signer: signers[1], Identities: idents, Sender: NewBus(transport.NewInProcNet(nil, nil).Node("v1"), "main")})
 	v.mu.Lock()
 	v.onPrePrepare(prePrepare(signers[0], "batch"))
 	v.mu.Unlock()

@@ -69,29 +69,12 @@ type Message struct {
 	Proofs [][]byte `json:"proofs,omitempty"`
 
 	Signature []byte `json:"signature,omitempty"`
-
-	// sigBytes memoises SigningBytes: broadcast signs the same bytes for
-	// every recipient. Not part of the encoding (a decoded message
-	// recomputes lazily). Any code that mutates a signed-over field after
-	// copying a Message must call invalidate() or the memo goes stale.
-	sigBytes []byte
 }
 
-// SigningBytes returns the canonical bytes covered by the signature,
-// memoised after the first call. Not safe for concurrent first calls; the
-// sender populates the memo before a message is shared across goroutines,
-// after which all access is read-only.
+// SigningBytes returns the canonical bytes covered by the signature. They
+// hash no payload, so computing them costs the same whatever the batch
+// size.
 func (m *Message) SigningBytes() []byte {
-	if m.sigBytes == nil {
-		m.sigBytes = m.computeSigningBytes()
-	}
-	return m.sigBytes
-}
-
-// invalidate drops the memoised signing bytes after a field mutation.
-func (m *Message) invalidate() { m.sigBytes = nil }
-
-func (m *Message) computeSigningBytes() []byte {
 	buf := make([]byte, 0, 128)
 	buf = append(buf, byte(m.Type))
 	buf = binary.BigEndian.AppendUint64(buf, m.View)

@@ -7,8 +7,8 @@ import (
 )
 
 // retainedPayloadBytes sums the request bytes a validator still pins:
-// instance payloads, the encoded pre-prepares that carry them again, and
-// requests waiting to be decided.
+// instance payloads and pre-prepare headers, and requests waiting to be
+// decided.
 func (v *Validator) retainedPayloadBytes() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -24,8 +24,7 @@ func (v *Validator) retainedPayloadBytes() int {
 
 // TestExecutedInstancesReleasePayloads decides 200 batches of 256 KiB.
 // The pruning window keeps the last 64 instances; if each still held its
-// payload and the encoded pre-prepare that carries it again in base64,
-// every validator would pin 64 * (256 + 342) KiB = 37 MiB of bytes it has
+// payload, every validator would pin 64 * 256 KiB = 16 MiB of bytes it has
 // already delivered.
 func TestExecutedInstancesReleasePayloads(t *testing.T) {
 	const decisions, size = 200, 256 << 10

@@ -23,9 +23,9 @@ type Config struct {
 	Signer *msp.Signer
 	// Identities maps validator IDs to their verification identities.
 	Identities map[string]msp.Identity
-	// Sender carries messages to peers (*InProcNet in-process, *Bus over a
-	// transport wire) and provisions this replica's inbound queue.
-	Sender Sender
+	// Sender carries messages to peers and holds this replica's inbound
+	// queue; one Bus per validator.
+	Sender *Bus
 	// Clock drives timeouts (nil = real clock).
 	Clock sim.Clock
 	// RequestTimeout is how long a pending request may wait before this
@@ -124,7 +124,7 @@ func NewValidator(cfg Config) *Validator {
 		cfg:       cfg,
 		n:         n,
 		f:         (n - 1) / 3,
-		inbox:     cfg.Sender.Register(cfg.ID),
+		inbox:     cfg.Sender.inbox,
 		proposeCh: make(chan []byte, 1024),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
@@ -256,44 +256,36 @@ func (v *Validator) quorum() int { return 2*v.f + 1 }
 
 // --- messaging ---
 
-// signCopy copies out, stamps this replica as origin and signs. The memo
-// is invalidated after the copy (the filter may have mutated signed-over
-// fields) and repopulated by signing, so the shipped message carries its
-// canonical bytes precomputed for the receiver.
+// signCopy copies out, stamps this replica as origin and signs.
 func (v *Validator) signCopy(out *Message) *Message {
 	cp := *out
 	cp.From = v.cfg.ID
-	cp.invalidate()
 	cp.Signature = v.cfg.Signer.Sign(cp.SigningBytes())
 	return &cp
 }
 
 // broadcast sends m to every other replica. Ed25519 signing is
-// deterministic and From is the same for every recipient, so when the
-// behaviour filter passes the message through untouched (the honest case)
-// one signature — the expensive step — serves all n-1 sends; every filter
-// that alters a message returns a fresh copy, which is signed per
+// deterministic and From is the same for every recipient, so the replicas
+// the behaviour filter passes the message to untouched (all of them, in
+// the honest case) get one signed, once-encoded copy; every filter that
+// alters a message returns a fresh copy, which is signed and sent per
 // recipient.
 func (v *Validator) broadcast(m Message) {
-	var signed *Message
+	var same []string
 	for _, id := range v.cfg.Validators {
 		if id == v.cfg.ID {
 			continue
 		}
-		out := v.cfg.Behavior.OutboundFilter(id, &m)
-		if out == nil {
-			continue
+		switch out := v.cfg.Behavior.OutboundFilter(id, &m); out {
+		case nil:
+		case &m:
+			same = append(same, id)
+		default:
+			v.cfg.Sender.Send(v.signCopy(out), id)
 		}
-		if out == &m {
-			if signed == nil {
-				signed = v.signCopy(out)
-			}
-			// Recipients treat inbound messages as read-only and the memo
-			// was populated before this send, so sharing one copy is safe.
-			v.cfg.Sender.Send(v.cfg.ID, id, signed)
-			continue
-		}
-		v.cfg.Sender.Send(v.cfg.ID, id, v.signCopy(out))
+	}
+	if len(same) > 0 {
+		v.cfg.Sender.Send(v.signCopy(&m), same...)
 	}
 }
 

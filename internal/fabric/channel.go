@@ -26,7 +26,6 @@ type Channel struct {
 	endorsers  []*localEndorser
 	validators []*consensus.Validator
 	orderers   []*ordering.Service
-	consNet    *consensus.InProcNet // nil when consensus rides the TCP transports
 	watchdog   *Watchdog
 
 	mu        sync.RWMutex
@@ -45,9 +44,6 @@ func newChannel(n *Network) (*Channel, error) {
 		name:     name,
 		watchdog: NewWatchdog(cfg.WatchdogThreshold),
 		excluded: make(map[string]bool),
-	}
-	if n.transports == nil {
-		ch.consNet = consensus.NewInProcNet(cfg.Latency, cfg.Clock)
 	}
 	// Flagged endorsers are removed from the endorser pool.
 	ch.watchdog.OnFlag(func(id string) {
@@ -92,19 +88,12 @@ func newChannel(n *Network) (*Channel, error) {
 
 	for i := 0; i < cfg.NumPeers; i++ {
 		p := ch.peers[i]
-		// In-process networks share one InProcNet; TCP networks give each
-		// validator a Bus on its peer's endpoint, so consensus messages
-		// cross real framed sockets.
-		var sender consensus.Sender = ch.consNet
-		if n.transports != nil {
-			sender = consensus.NewBus(n.transports[i], name)
-		}
 		v := consensus.NewValidator(consensus.Config{
 			ID:             n.ids[i],
 			Validators:     n.ids,
 			Signer:         n.signers[i],
 			Identities:     n.idents,
-			Sender:         sender,
+			Sender:         consensus.NewBus(n.endpoints[i], name),
 			Clock:          cfg.Clock,
 			RequestTimeout: cfg.ConsensusTimeout,
 			Behavior:       cfg.Behaviors[i],

@@ -87,11 +87,12 @@ type Config struct {
 	// feed endorsement results.
 	StateIndexes []statedb.IndexSpec
 	// Transport selects how consensus traffic moves between this network's
-	// validators: "inproc" (default — deterministic function-call delivery
-	// honouring Latency, the test harness) or "tcp" (real localhost sockets:
-	// the network owns one transport.TCP endpoint per peer and consensus
-	// messages are framed, CRC-checked and decoded exactly as they are
-	// between separate OS processes). Unknown kinds fail construction.
+	// validators: "inproc" (default — one transport.InProc endpoint per peer,
+	// delivery by function call honouring Latency) or "tcp" (real localhost
+	// sockets: the network owns one transport.TCP endpoint per peer and
+	// messages are also framed and CRC-checked exactly as they are between
+	// separate OS processes). Either way each validator encodes and decodes
+	// its messages on a consensus.Bus. Unknown kinds fail construction.
 	Transport string
 	// ListenAddrs optionally pins each peer's TCP listen address (index i is
 	// peer i; default 127.0.0.1:0). Only meaningful with Transport "tcp".
@@ -202,9 +203,11 @@ type Network struct {
 
 	peerSet
 
-	// transports holds the per-peer TCP endpoints when cfg.Transport is
-	// "tcp" (nil for the in-process default). Endpoint i carries peer i's
-	// consensus stream.
+	// endpoints holds each peer's transport endpoint; endpoint i carries
+	// peer i's consensus stream. They are in-process endpoints on one hub
+	// by default, and TCP endpoints, also listed in transports, when
+	// cfg.Transport is "tcp".
+	endpoints  []transport.Transport
 	transports []*transport.TCP
 
 	mu      sync.Mutex
@@ -248,6 +251,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if err := n.buildTransports(); err != nil {
 			n.closeTransports()
 			return nil, err
+		}
+	} else {
+		hub := transport.NewInProcNet(cfg.Latency, cfg.Clock)
+		for _, id := range n.ids {
+			n.endpoints = append(n.endpoints, hub.Node(id))
 		}
 	}
 
@@ -350,6 +358,7 @@ func (n *Network) buildTransports() error {
 		}
 		tr.Counters().Register(cfg.Obs.With(obs.L("peer", n.ids[i])))
 		n.transports[i] = tr
+		n.endpoints = append(n.endpoints, tr)
 	}
 	for i, tr := range n.transports {
 		for j, other := range n.transports {
@@ -361,12 +370,10 @@ func (n *Network) buildTransports() error {
 	return nil
 }
 
-// closeTransports closes the per-peer TCP endpoints, if any.
+// closeTransports closes the per-peer endpoints built so far.
 func (n *Network) closeTransports() {
-	for _, tr := range n.transports {
-		if tr != nil {
-			tr.Close()
-		}
+	for _, e := range n.endpoints {
+		e.Close()
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"socialchain/internal/consensus"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/transport"
 )
 
 // orderingHarness runs n validators, each with an ordering service, and
@@ -27,7 +28,7 @@ type orderingHarness struct {
 func newOrderingHarness(t *testing.T, n int, cfg CutterConfig) *orderingHarness {
 	t.Helper()
 	h := &orderingHarness{}
-	net := consensus.NewInProcNet(nil, nil)
+	hub := transport.NewInProcNet(nil, nil)
 	ids := make([]string, n)
 	signers := make([]*msp.Signer, n)
 	idents := make(map[string]msp.Identity)
@@ -48,7 +49,7 @@ func newOrderingHarness(t *testing.T, n int, cfg CutterConfig) *orderingHarness 
 			Validators: ids,
 			Signer:     signers[i],
 			Identities: idents,
-			Sender:     net,
+			Sender:     consensus.NewBus(hub.Node(ids[i]), "ordering"),
 			Deliver: func(seq uint64, payload []byte) {
 				if !first {
 					return
