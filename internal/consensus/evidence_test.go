@@ -9,9 +9,10 @@ import (
 )
 
 // evidenceReplica builds replica v1 of four, unstarted so the test drives
-// it directly under its lock, holding leader v0's pre-prepare for
-// (view 0, seq 1). It returns the replica and the four signers.
-func evidenceReplica(t *testing.T) (*Validator, []*msp.Signer) {
+// it directly under its lock, holding leader v0's pre-prepare of payload
+// for (view 0, seq 1). It returns the replica, the four signers and the
+// frames v2's endpoint received from it: the prepare it broadcast.
+func evidenceReplica(t *testing.T, payload string) (*Validator, []*msp.Signer, [][]byte) {
 	t.Helper()
 	ids := []string{"v0", "v1", "v2", "v3"}
 	signers := make([]*msp.Signer, len(ids))
@@ -20,11 +21,17 @@ func evidenceReplica(t *testing.T) (*Validator, []*msp.Signer) {
 		signers[i] = msp.NewSignerFromSeed("evidence-test", "org", id, msp.RoleMember)
 		idents[id] = signers[i].Identity
 	}
-	v := NewValidator(Config{ID: "v1", Validators: ids, Signer: signers[1], Identities: idents, Sender: NewBus(transport.NewInProcNet(nil, nil).Node("v1"), "main")})
+	hub := transport.NewInProcNet(nil, nil)
+	var sent [][]byte // zero latency: delivery runs on the sender's goroutine
+	hub.Node("v2").Handle(busStreamPrefix+"main", func(_ string, frame []byte) error {
+		sent = append(sent, frame)
+		return nil
+	})
+	v := NewValidator(Config{ID: "v1", Validators: ids, Signer: signers[1], Identities: idents, Sender: NewBus(hub.Node("v1"), "main")})
 	v.mu.Lock()
-	v.onPrePrepare(prePrepare(signers[0], "batch"))
+	v.onPrePrepare(prePrepare(signers[0], payload))
 	v.mu.Unlock()
-	return v, signers
+	return v, signers, sent
 }
 
 // prePrepare is leader s's signed pre-prepare of payload for (view 0, seq 1).
@@ -50,7 +57,7 @@ func checkEvidence(v *Validator, seq uint64, evidence []byte) (skipped, verified
 // runs no ed25519; evidence with nothing local to compare against is not
 // verified either. Neither convicts anyone.
 func TestEvidenceIdenticalToOwnPrePrepareSkipsVerify(t *testing.T) {
-	v, signers := evidenceReplica(t)
+	v, signers, _ := evidenceReplica(t, "batch")
 	own := prePrepare(signers[0], "batch").encodeHeader()
 	for i := 0; i < 3; i++ {
 		if skipped, verified := checkEvidence(v, 1, own); skipped != 1 || verified != 0 {
@@ -69,7 +76,7 @@ func TestEvidenceIdenticalToOwnPrePrepareSkipsVerify(t *testing.T) {
 // the same slot naming another digest convicts the leader only when the
 // leader's signature on it holds.
 func TestConflictingEvidenceVerifiedBeforeEviction(t *testing.T) {
-	v, signers := evidenceReplica(t)
+	v, signers, _ := evidenceReplica(t, "batch")
 	forged := prePrepare(signers[0], "other")
 	forged.Signature[0] ^= 0x01
 	if _, verified := checkEvidence(v, 1, forged.encodeHeader()); verified != 1 {
@@ -83,5 +90,30 @@ func TestConflictingEvidenceVerifiedBeforeEviction(t *testing.T) {
 	}
 	if got := fmt.Sprint(v.EvictedPeers()); got != "[v0]" {
 		t.Fatalf("evicted %s after a validly signed conflict, want [v0]", got)
+	}
+}
+
+// TestPrepareIsHeaderSized: the prepare a replica broadcasts for a 1 MiB
+// pre-prepare carries the leader's signed header as evidence, not the
+// batch.
+func TestPrepareIsHeaderSized(t *testing.T) {
+	batch := string(make([]byte, 1<<20))
+	_, signers, sent := evidenceReplica(t, batch)
+	if len(sent) != 1 {
+		t.Fatalf("v2 received %d frames, want the one prepare", len(sent))
+	}
+	if n := len(sent[0]); n >= 256 {
+		t.Fatalf("the prepare for a 1 MiB pre-prepare encodes to %d bytes, want < 256", n)
+	}
+	prep, err := DecodeMessage(sent[0])
+	if err != nil || prep.Type != MsgPrepare {
+		t.Fatalf("v2 received %v (%v), want a prepare", prep, err)
+	}
+	hdr, err := DecodeMessage(prep.PrePrepareEvidence)
+	if err != nil || hdr.Type != MsgPrePrepare || hdr.Payload != nil || hdr.Digest != DigestOf([]byte(batch)) {
+		t.Fatalf("evidence decodes to %+v (%v), want the leader's pre-prepare header", hdr, err)
+	}
+	if !signers[0].Identity.Verify(hdr.SigningBytes(), hdr.Signature) {
+		t.Fatal("the leader's signature on the header does not verify")
 	}
 }
