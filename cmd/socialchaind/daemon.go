@@ -15,11 +15,11 @@ import (
 )
 
 // daemonConfig carries the -role flags: one socialchaind process hosting
-// either one peer node (the channel's peer + validator) or the ordering
-// service of a networked deployment.
+// one peer node of a networked deployment (the channel's peer, validator
+// and ordering service).
 type daemonConfig struct {
-	role         string // "peer" or "orderer"
-	index        int    // peer index (with -role peer)
+	role         string // "peer"
+	index        int    // peer index
 	listen       string // TCP listen address
 	join         string // comma-separated id=addr book of the other processes
 	peers        int
@@ -31,7 +31,7 @@ type daemonConfig struct {
 	admin        string // admin/debug HTTP listen address ("" = off)
 }
 
-// parseJoin parses "-join peer0=127.0.0.1:7001,orderer=127.0.0.1:7000"
+// parseJoin parses "-join peer0=127.0.0.1:7001,peer1=127.0.0.1:7002"
 // into a transport address book. Processes absent from the book are
 // adopted when they dial in, so a partial book (or none) is legal.
 func parseJoin(s string) (map[string]string, error) {
@@ -68,6 +68,9 @@ func runDaemon(d daemonConfig) error {
 	if err != nil {
 		return err
 	}
+	if d.role != "peer" {
+		return fmt.Errorf("unknown -role %q (valid: peer)", d.role)
+	}
 	if d.identitySeed == "" {
 		return fmt.Errorf("-role %s requires -identity-seed (same value on every process)", d.role)
 	}
@@ -75,58 +78,32 @@ func runDaemon(d daemonConfig) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 
-	switch d.role {
-	case "peer":
-		node, err := fabric.NewNode(fabric.NodeConfig{
-			Index:  d.index,
-			Listen: d.listen,
-			Peers:  book,
-			Net:    d.netConfig(),
-		})
-		if err != nil {
-			return err
-		}
-		for _, cc := range contracts.All() {
-			if err := node.Deploy(cc); err != nil {
-				node.Close()
-				return err
-			}
-		}
-		if d.admin != "" {
-			if err := node.ServeAdmin(d.admin); err != nil {
-				node.Close()
-				return err
-			}
-			fmt.Printf("%s admin surface on http://%s\n", node.ID(), node.AdminAddr())
-		}
-		node.Start()
-		fmt.Printf("%s listening on %s (%d peers, data-dir %q)\n",
-			node.ID(), node.Addr(), d.peers, d.dataDir)
-		<-stop
-		fmt.Printf("%s shutting down\n", node.ID())
-		return node.Close()
-	case "orderer":
-		ord, err := fabric.NewOrderer(fabric.OrdererConfig{
-			Listen: d.listen,
-			Peers:  book,
-			Net:    d.netConfig(),
-		})
-		if err != nil {
-			return err
-		}
-		if d.admin != "" {
-			if err := ord.ServeAdmin(d.admin); err != nil {
-				ord.Close()
-				return err
-			}
-			fmt.Printf("orderer admin surface on http://%s\n", ord.AdminAddr())
-		}
-		ord.Start()
-		fmt.Printf("orderer listening on %s (%d peers)\n", ord.Addr(), d.peers)
-		<-stop
-		fmt.Println("orderer shutting down")
-		return ord.Close()
-	default:
-		return fmt.Errorf("unknown -role %q (valid: peer, orderer)", d.role)
+	node, err := fabric.NewNode(fabric.NodeConfig{
+		Index:  d.index,
+		Listen: d.listen,
+		Peers:  book,
+		Net:    d.netConfig(),
+	})
+	if err != nil {
+		return err
 	}
+	for _, cc := range contracts.All() {
+		if err := node.Deploy(cc); err != nil {
+			node.Close()
+			return err
+		}
+	}
+	if d.admin != "" {
+		if err := node.ServeAdmin(d.admin); err != nil {
+			node.Close()
+			return err
+		}
+		fmt.Printf("%s admin surface on http://%s\n", node.ID(), node.AdminAddr())
+	}
+	node.Start()
+	fmt.Printf("%s listening on %s (%d peers, data-dir %q)\n",
+		node.ID(), node.Addr(), d.peers, d.dataDir)
+	<-stop
+	fmt.Printf("%s shutting down\n", node.ID())
+	return node.Close()
 }

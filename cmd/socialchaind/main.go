@@ -19,15 +19,17 @@
 // The deployment runs one channel, the paper's traffic-channel: every
 // source's data, trust state and provenance live on it.
 //
-// With -role peer|orderer the binary instead runs ONE process of a
-// networked deployment over transport.TCP: a peer process hosts the
-// channel's endorsing peer and consensus validator, the orderer process
-// runs the transaction cutter, and remote clients (trafficgen -connect)
-// drive the deployment over framed localhost sockets. Every process must
-// share the same -peers/-identity-seed so seed-derived identities line
-// up. -join lists the other processes' addresses.
+// With -role peer the binary instead runs ONE peer process of a networked
+// deployment over transport.TCP: the process hosts the channel's endorsing
+// peer, its consensus validator and its own transaction cutter
+// (-batch-timeout, -max-messages), and remote clients (trafficgen
+// -connect) submit to any peer process over framed localhost sockets.
+// There is no separate ordering process: consensus relays every request to
+// every validator. Every process must share the same
+// -peers/-identity-seed so seed-derived identities line up. -join lists
+// the other processes' addresses.
 //
-// With -admin HOST:PORT any role (demo, peer or orderer) additionally
+// With -admin HOST:PORT either mode (demo or peer) additionally
 // serves the admin/debug HTTP surface: /metrics (Prometheus text
 // exposition), /healthz (liveness: stalled consensus, connectivity
 // floor), /statusz (JSON snapshot: heights, backlogs, cache hit rates,
@@ -38,8 +40,8 @@
 // [-crowd 3] [-rounds 10] [-byzantine 0] [-bad-crowd-fraction 0.3]
 // [-bulk 0] [-bulk-mode pipelined] [-bulk-batch 32] [-bulk-workers 8]
 // [-data-dir DIR] [-admin HOST:PORT]
-// [-role peer|orderer -index N -listen HOST:PORT -join id=HOST:PORT,...
-// -identity-seed SEED]
+// [-role peer -index N -listen HOST:PORT -join id=HOST:PORT,...
+// -identity-seed SEED [-batch-timeout 10ms] [-max-messages 4]]
 package main
 
 import (
@@ -82,13 +84,13 @@ func main() {
 	bulkWorkers := flag.Int("bulk-workers", 8, "bulk-ingest IPFS-add workers")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restart resumes from it")
 	durability := flag.String("durability", "", "persist-engine fsync policy with -data-dir: none (page cache), batch (background group fsync) or always (every commit waits for fsync)")
-	role := flag.String("role", "", "run one process of a networked deployment: peer or orderer (empty = in-process demo)")
+	role := flag.String("role", "", "run one process of a networked deployment: peer (empty = in-process demo)")
 	index := flag.Int("index", 0, "peer index within the deployment (with -role peer)")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address (with -role)")
 	join := flag.String("join", "", "comma-separated id=host:port book of the other processes (with -role)")
 	identitySeed := flag.String("identity-seed", "", "deterministic identity seed shared by every process of one deployment (with -role)")
-	batchTimeout := flag.Duration("batch-timeout", 10*time.Millisecond, "ordering batch timeout (with -role)")
-	maxMessages := flag.Int("max-messages", 4, "ordering batch size cap (with -role)")
+	batchTimeout := flag.Duration("batch-timeout", 10*time.Millisecond, "the peer's ordering batch timeout (with -role)")
+	maxMessages := flag.Int("max-messages", 4, "the peer's ordering batch size cap (with -role)")
 	admin := flag.String("admin", "", "serve the admin/debug HTTP surface (/metrics, /healthz, /statusz, /debug/pprof) on this address, e.g. :7190 (off when empty)")
 	flag.Parse()
 

@@ -23,7 +23,6 @@ import (
 // processes) over the wire instead of booting an in-process framework.
 type connectConfig struct {
 	peers        string // id=addr book of the peer processes
-	orderer      string // orderer dial address
 	numPeers     int
 	records      int
 	readFrac     float64 // fraction of operations that are reads (0 = write-only)
@@ -92,9 +91,8 @@ func runConnect(cfg connectConfig) error {
 			NumPeers:      cfg.numPeers,
 			CommitTimeout: 30 * time.Second,
 		},
-		Peers:   book,
-		Orderer: cfg.orderer,
-		Obs:     obsReg,
+		Peers: book,
+		Obs:   obsReg,
 	})
 	if err != nil {
 		return err

@@ -11,9 +11,10 @@
 // the e2e smoke CI runs on every PR.
 //
 // With -connect it instead drives an OUT-OF-PROCESS deployment
-// (socialchaind -role peer/orderer processes) over transport.TCP: it
-// bootstraps the chain (admin, trust parameters, camera), submits
-// -records metadata transactions through remote gateways, and verifies
+// (socialchaind -role peer processes) over transport.TCP: it bootstraps
+// the chain (admin, trust parameters, camera), submits -records metadata
+// transactions through remote gateways — each to the peer process it then
+// waits on for the commit, round robin — and verifies
 // every peer process's hash chain over RPC. -peers must match the
 // deployment's flag. -stats-out FILE writes a JSON run summary on exit:
 // counts, throughput, client-side stage latency percentiles (endorse /
@@ -26,7 +27,7 @@
 // [-ingest serial|batched|pipelined] [-records 200] [-rate 0]
 // [-concurrency 8] [-batch 32] [-inflight 2] [-peers 4]
 // [-engine single|persist] [-data-dir DIR]
-// [-connect id=host:port,... -orderer host:port]
+// [-connect id=host:port,...]
 // [-stats-out FILE] [-admin-book id=host:port,...]
 package main
 
@@ -64,7 +65,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restarted -ingest run resumes from it")
 	readFrac := flag.Float64("read-frac", 0, "fraction of operations that are reads (with -connect): half probe stored records, half probe absent keys (the bloom-filter negative path); 0 = write-only")
 	connect := flag.String("connect", "", "drive an out-of-process deployment: comma-separated id=host:port book of its peer processes")
-	orderer := flag.String("orderer", "", "orderer process dial address (with -connect)")
 	identitySeed := flag.String("identity-seed", "trafficgen", "derive client identities from this seed (with -connect); reruns against one deployment must reuse it")
 	statsOut := flag.String("stats-out", "", "write a JSON run summary (client-side per-stage latency percentiles + scraped /statusz) to this file on exit (with -connect)")
 	adminBook := flag.String("admin-book", "", "comma-separated id=host:port book of the deployment's admin surfaces, scraped into -stats-out")
@@ -77,7 +77,6 @@ func main() {
 	if *connect != "" {
 		if err := runConnect(connectConfig{
 			peers:        *connect,
-			orderer:      *orderer,
 			numPeers:     *peers,
 			records:      *records,
 			readFrac:     *readFrac,

@@ -41,6 +41,10 @@ type NodeChannelStatus struct {
 	Height           uint64 `json:"height"`
 	ConsensusBacklog int    `json:"consensus_backlog"`
 	CommitErrors     uint64 `json:"commit_errors"`
+	// The node's ordering service: transactions awaiting a cut, and the
+	// batches it has proposed to its validator.
+	PendingTxs      int `json:"pending_txs"`
+	BatchesProposed int `json:"batches_proposed"`
 	// Signature checks of the node's peer and validator: those answered
 	// without running ed25519 (in-batch duplicates, byte-identical
 	// pre-prepare evidence) and those that ran it.
@@ -93,9 +97,17 @@ func walSegments(dir string) int {
 }
 
 // ServeAdmin binds the node's admin/debug HTTP surface (metrics, health,
-// statusz, pprof) on addr. Off unless called; Close tears it down.
+// statusz, pprof) on addr. Off unless called; Close tears it down. It
+// serves a node built by NewNode, whose endpoint is TCP.
 func (n *Node) ServeAdmin(addr string) error {
-	srv, err := obs.ServeAdmin(addr, n.obsReg, n.health, n.statusz)
+	health := obs.NewHealth(0, nil)
+	health.Register(n.net.ChannelID, obs.Probe{
+		Height:   n.p.Height,
+		Backlog:  n.v.Backlog,
+		Peers:    n.Transport().ConnectedPeers,
+		MinPeers: 1,
+	})
+	srv, err := obs.ServeAdmin(addr, n.net.Obs, health, n.statusz)
 	if err != nil {
 		return err
 	}
@@ -106,12 +118,6 @@ func (n *Node) ServeAdmin(addr string) error {
 // AdminAddr returns the bound admin address ("" when not serving).
 func (n *Node) AdminAddr() string { return n.admin.Addr() }
 
-// Obs returns the node's metrics registry.
-func (n *Node) Obs() *obs.Registry { return n.obsReg }
-
-// Health returns the node's health aggregator.
-func (n *Node) Health() *obs.Health { return n.health }
-
 // statusz assembles the node's /statusz report.
 func (n *Node) statusz() any {
 	ps, pv := n.p.VerifyCacheStats()
@@ -120,6 +126,8 @@ func (n *Node) statusz() any {
 		Height:                 n.p.Height(),
 		ConsensusBacklog:       n.v.Backlog(),
 		CommitErrors:           n.commitErr.Load(),
+		PendingTxs:             n.o.PendingTxs(),
+		BatchesProposed:        n.o.Proposed(),
 		SignatureChecksSkipped: ps + vs,
 		SignatureVerifications: pv + vv,
 		WALSegments:            walSegments(n.dataDir),
@@ -145,48 +153,7 @@ func (n *Node) statusz() any {
 		ID:         n.id,
 		HeapAlloc:  obs.HeapAlloc(),
 		Channels:   map[string]NodeChannelStatus{n.net.ChannelID: cs},
-		Transport:  transportStatus(n.t),
-		SlowTraces: n.traces.Snapshot(),
-	}
-}
-
-// OrdererChannelStatus is the channel's slice of the ordering process's
-// /statusz report.
-type OrdererChannelStatus struct {
-	PendingTxs      int `json:"pending_txs"`
-	BatchesProposed int `json:"batches_proposed"`
-}
-
-// OrdererStatus is the ordering process's full /statusz report; Channels
-// holds one entry, keyed by the channel name.
-type OrdererStatus struct {
-	Channels  map[string]OrdererChannelStatus `json:"channels"`
-	Transport TransportStatus                 `json:"transport"`
-}
-
-// ServeAdmin binds the orderer's admin/debug HTTP surface on addr.
-func (o *Orderer) ServeAdmin(addr string) error {
-	srv, err := obs.ServeAdmin(addr, o.obsReg, o.health, o.statusz)
-	if err != nil {
-		return err
-	}
-	o.admin = srv
-	return nil
-}
-
-// AdminAddr returns the bound admin address ("" when not serving).
-func (o *Orderer) AdminAddr() string { return o.admin.Addr() }
-
-// Obs returns the orderer's metrics registry.
-func (o *Orderer) Obs() *obs.Registry { return o.obsReg }
-
-// statusz assembles the orderer's /statusz report.
-func (o *Orderer) statusz() any {
-	return OrdererStatus{
-		Channels: map[string]OrdererChannelStatus{o.net.ChannelID: {
-			PendingTxs:      o.svc.PendingTxs(),
-			BatchesProposed: o.svc.Proposed(),
-		}},
-		Transport: transportStatus(o.t),
+		Transport:  transportStatus(n.Transport()),
+		SlowTraces: n.net.SlowTraces.Snapshot(),
 	}
 }

@@ -31,7 +31,6 @@ func TestMoreThanOneChannelRefused(t *testing.T) {
 		errs := map[string]error{}
 		_, errs["NewNetwork"] = NewNetwork(cfg)
 		_, errs["NewNode"] = NewNode(NodeConfig{Listen: "127.0.0.1:0", Net: cfg})
-		_, errs["NewOrderer"] = NewOrderer(OrdererConfig{Listen: "127.0.0.1:0", Net: cfg})
 		_, errs["Dial"] = Dial(RemoteConfig{Net: cfg})
 		for name, err := range errs {
 			if err == nil || !strings.Contains(err.Error(), "one channel") {

@@ -6,18 +6,16 @@ import (
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
-	"socialchain/internal/ordering"
 	"socialchain/internal/peer"
 )
 
 // Endorser is the Gateway's view of one endorsing peer: somewhere to send
 // proposals, order assembled envelopes and wait for commits. Two
-// implementations exist — *localEndorser wraps an in-process peer and its
-// ordering service (the default), and *remoteEndorser speaks to an
-// out-of-process peer over the transport RPC layer (see remote.go). The
-// Gateway's endorse/order/commit logic is identical over both, which is
-// what keeps the in-process simulation and the networked deployment
-// behaviourally equivalent.
+// implementations exist — an in-process gateway calls its *Node's peer and
+// ordering service directly, and *remoteEndorser speaks to a node over the
+// transport RPC layer (see remote.go). The Gateway's endorse/order/commit
+// logic is identical over both, which is what keeps the in-process
+// simulation and the networked deployment behaviourally equivalent.
 type Endorser interface {
 	// ID returns the peer's identifier.
 	ID() string
@@ -64,42 +62,10 @@ type backend interface {
 	obsReg() *obs.Registry
 }
 
-// localEndorser adapts one in-process peer plus its ordering service to
-// the Endorser interface.
-type localEndorser struct {
-	p *peer.Peer
-	o *ordering.Service
-}
-
-func (e *localEndorser) ID() string     { return e.p.ID() }
-func (e *localEndorser) Height() uint64 { return e.p.Height() }
-func (e *localEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
-	return e.p.Endorse(prop)
-}
-func (e *localEndorser) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error) {
-	return e.p.EndorseBatch(prop)
-}
-
-func (e *localEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationCode, error) {
-	waiter := e.p.WaitForCommit(tx.ID)
-	if err := e.o.Submit(tx); err != nil {
-		// A rejected txID never commits; leaving the waiter registered
-		// would leak wait-map entries.
-		e.p.CancelWait(tx.ID)
-		return nil, err
-	}
-	return waiter, nil
-}
-
-func (e *localEndorser) TxBlock(txID string) (uint64, bool) {
-	blockNum, _, _, ok := e.p.Ledger().TxLocation(txID)
-	return blockNum, ok
-}
-
 // Channel's backend implementation.
 
 func (ch *Channel) chName() string               { return ch.name }
-func (ch *Channel) chPolicy() msp.Policy         { return ch.net.policy }
+func (ch *Channel) chPolicy() msp.Policy         { return ch.net.cfg.Policy }
 func (ch *Channel) chMembers() *msp.Registry     { return ch.net.members }
 func (ch *Channel) report(peerID, reason string) { ch.watchdog.Report(peerID, reason) }
 func (ch *Channel) commitTimeout() time.Duration { return ch.net.cfg.CommitTimeout }
@@ -118,19 +84,19 @@ func (ch *Channel) clientDelay(peerID string) {
 func (ch *Channel) activeEndorsers() []Endorser {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	out := make([]Endorser, 0, len(ch.endorsers))
-	for _, e := range ch.endorsers {
-		if !ch.excluded[e.ID()] {
-			out = append(out, e)
+	out := make([]Endorser, 0, len(ch.nodes))
+	for _, n := range ch.nodes {
+		if !ch.excluded[n.id] {
+			out = append(out, n)
 		}
 	}
 	return out
 }
 
 func (ch *Channel) entryEndorsers() []Endorser {
-	out := make([]Endorser, len(ch.endorsers))
-	for i, e := range ch.endorsers {
-		out[i] = e
+	out := make([]Endorser, len(ch.nodes))
+	for i, n := range ch.nodes {
+		out[i] = n
 	}
 	return out
 }

@@ -5,10 +5,11 @@
 // Fabric that the paper's framework builds on.
 //
 // A deployment runs one channel, as the paper's does (Config.ChannelID,
-// default "traffic-channel"): in process a Network, across processes one
-// Node per peer, an Orderer and the Remote clients each own exactly that
-// channel. Clients obtain gateways through Network.ChannelAt(0).Gateway
-// or Remote.ChannelAt(0).Gateway.
+// default "traffic-channel"). Each peer is one Node: its peer, validator,
+// ordering service, RPC surface and catch-up. In process a Network is N
+// Nodes over one transport medium; across processes each process runs one
+// Node and Remote clients dial them. Clients obtain gateways through
+// Network.ChannelAt(0).Gateway or Remote.ChannelAt(0).Gateway.
 package fabric
 
 import (
@@ -21,7 +22,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"socialchain/internal/chaincode"
@@ -41,7 +41,7 @@ type Config struct {
 	// "traffic-channel", the paper's).
 	ChannelID string
 	// NumChannels must be 0 or 1: a deployment runs one channel. Any other
-	// value is refused by NewNetwork, NewNode, NewOrderer and Dial.
+	// value is refused by NewNetwork, NewNode and Dial.
 	NumChannels int
 	// NumPeers is the number of endorsing/validating peers (default 4).
 	NumPeers int
@@ -51,7 +51,7 @@ type Config struct {
 	Latency sim.LatencyModel
 	// Clock defaults to the real clock.
 	Clock sim.Clock
-	// Cutter configures batching.
+	// Cutter configures every peer's batching.
 	Cutter ordering.CutterConfig
 	// ConsensusTimeout is the view-change timeout (default 2s).
 	ConsensusTimeout time.Duration
@@ -86,13 +86,14 @@ type Config struct {
 	// maintains (nil = none). All peers get the same list — index reads
 	// feed endorsement results.
 	StateIndexes []statedb.IndexSpec
-	// Transport selects how consensus traffic moves between this network's
-	// validators: "inproc" (default — one transport.InProc endpoint per peer,
-	// delivery by function call honouring Latency) or "tcp" (real localhost
-	// sockets: the network owns one transport.TCP endpoint per peer and
-	// messages are also framed and CRC-checked exactly as they are between
-	// separate OS processes). Either way each validator encodes and decodes
-	// its messages on a consensus.Bus. Unknown kinds fail construction.
+	// Transport selects the medium between this network's nodes: "inproc"
+	// (default — one transport.InProc endpoint per peer, delivery by
+	// function call honouring Latency) or "tcp" (real localhost sockets:
+	// the network owns one transport.TCP endpoint per peer, and messages are
+	// framed and CRC-checked exactly as they are between separate OS
+	// processes). Either way consensus rides a consensus.Bus and the nodes
+	// serve their RPC surface on the same endpoint. Unknown kinds fail
+	// construction.
 	Transport string
 	// ListenAddrs optionally pins each peer's TCP listen address (index i is
 	// peer i; default 127.0.0.1:0). Only meaningful with Transport "tcp".
@@ -148,14 +149,43 @@ func (c *Config) fill() {
 	if c.WatchdogThreshold <= 0 {
 		c.WatchdogThreshold = 3
 	}
+	if c.Policy == nil {
+		c.Policy = msp.TwoThirds(c.NumPeers)
+	}
 }
 
-// checkChannels refuses a config asking for more than one channel.
-func (c *Config) checkChannels() error {
+// prepare fills c's defaults and, before anything is opened, refuses what
+// no deployment is built from: more than one channel, a missing
+// IdentitySeed where the processes must derive one identity set (seeded),
+// and a data directory in the multi-channel layout an older build wrote.
+func (c *Config) prepare(seeded bool) error {
+	c.fill()
 	if c.NumChannels != 0 && c.NumChannels != 1 {
 		return fmt.Errorf("fabric: NumChannels %d: a deployment runs one channel (0 or 1)", c.NumChannels)
 	}
-	return nil
+	if seeded && c.IdentitySeed == "" {
+		return errors.New("fabric: Config.IdentitySeed must be set so every process derives the same identities")
+	}
+	return refuseChannelDirs(c.DataDir, c.ChannelID)
+}
+
+// newTCP opens one TCP endpoint of the deployment with the config's queue
+// and dial tunings. An empty listen address makes a client-only endpoint.
+func (c *Config) newTCP(id, listen string, book map[string]string) (*transport.TCP, error) {
+	tr, err := transport.NewTCP(transport.TCPConfig{
+		ID:          id,
+		Cluster:     c.ChannelID,
+		Listen:      listen,
+		Peers:       book,
+		QueueLen:    c.SendQueue,
+		DialTimeout: c.DialTimeout,
+		BackoffBase: c.DialBackoffBase,
+		BackoffMax:  c.DialBackoffMax,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fabric: transport %s: %w", id, err)
+	}
+	return tr, nil
 }
 
 // refuseChannelDirs refuses a data directory in the multi-channel layout
@@ -192,48 +222,31 @@ func refuseChannelDirs(dataDir, channelID string) error {
 	return nil
 }
 
-// Network is a running in-process deployment: one channel's peers,
-// validators and ordering services, their identities, the endorsement
-// policy and the (stateless) chaincode registry.
+// Network is a running in-process deployment: one Node per peer over one
+// transport medium, and the channel's gateway backend over those nodes.
 type Network struct {
-	cfg      Config
-	ch       *Channel
-	registry *chaincode.Registry
-	policy   msp.Policy
+	cfg Config
+	*peerSet
+	nodes []*Node
+	ch    *Channel
 
-	peerSet
-
-	// endpoints holds each peer's transport endpoint; endpoint i carries
-	// peer i's consensus stream. They are in-process endpoints on one hub
-	// by default, and TCP endpoints, also listed in transports, when
-	// cfg.Transport is "tcp".
-	endpoints  []transport.Transport
+	// transports lists the nodes' endpoints when cfg.Transport is "tcp"
+	// (nil for the in-process hub).
 	transports []*transport.TCP
-
-	mu      sync.Mutex
-	started bool
 }
 
-// NewNetwork builds (but does not start) a network.
+// NewNetwork builds (but does not start) a network: it opens one endpoint
+// per peer on one medium, builds a Node over each, and runs every node's
+// catch-up once, so recovered peers whose block log missed the tail
+// (killed before the last blocks were logged) start consensus from the
+// freshest peer's height.
 func NewNetwork(cfg Config) (*Network, error) {
-	cfg.fill()
-	if err := cfg.checkChannels(); err != nil {
+	if err := cfg.prepare(false); err != nil {
 		return nil, err
 	}
 	kind, err := transport.ParseKind(cfg.Transport)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
-	}
-	if err := refuseChannelDirs(cfg.DataDir, cfg.ChannelID); err != nil {
-		return nil, err
-	}
-	n := &Network{
-		cfg:      cfg,
-		registry: chaincode.NewRegistry(),
-	}
-	n.policy = cfg.Policy
-	if n.policy == nil {
-		n.policy = msp.TwoThirds(cfg.NumPeers)
 	}
 	if cfg.DataDir != "" && cfg.IdentitySeed == "" {
 		// A chain names its endorsers by key fingerprint, so a durable
@@ -241,34 +254,80 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if cfg.IdentitySeed, err = durableSeed(filepath.Join(cfg.DataDir, "identity.seed")); err != nil {
 			return nil, err
 		}
-		n.cfg.IdentitySeed = cfg.IdentitySeed
 	}
+	n := &Network{cfg: cfg}
 	if n.peerSet, err = newPeerSet(&cfg); err != nil {
 		return nil, err
 	}
-
-	if kind == transport.KindTCP {
-		if err := n.buildTransports(); err != nil {
-			n.closeTransports()
-			return nil, err
-		}
-	} else {
-		hub := transport.NewInProcNet(cfg.Latency, cfg.Clock)
-		for _, id := range n.ids {
-			n.endpoints = append(n.endpoints, hub.Node(id))
-		}
+	endpoints, err := n.openEndpoints(kind)
+	if err != nil {
+		return nil, err
 	}
-
-	if n.ch, err = newChannel(n); err != nil {
-		n.closeTransports()
+	fail := func(err error) (*Network, error) {
+		n.Close()
+		for _, e := range endpoints[len(n.nodes):] {
+			e.Close()
+		}
 		return nil, fmt.Errorf("fabric: channel %s: %w", cfg.ChannelID, err)
 	}
+	for i, e := range endpoints {
+		node, err := newNode(cfg, n.peerSet, i, e)
+		if err != nil {
+			return fail(err)
+		}
+		n.nodes = append(n.nodes, node)
+	}
+	for _, node := range n.nodes {
+		if _, err := node.catchUp(); err != nil {
+			return fail(err)
+		}
+	}
+	n.ch = newChannel(n)
 	return n, nil
 }
 
-// peerSet is a deployment's peer identity material. Every process builds
-// the same one from Config (see networkSigner), which is how separate
-// processes agree on who the validators are and whose endorsements count.
+// openEndpoints opens one endpoint per peer: on one in-process hub, or as a
+// full mesh of localhost TCP endpoints, one listener per peer as a
+// multi-process deployment has one per process.
+func (n *Network) openEndpoints(kind transport.Kind) ([]transport.Transport, error) {
+	cfg := &n.cfg
+	var endpoints []transport.Transport
+	if kind != transport.KindTCP {
+		hub := transport.NewInProcNet(cfg.Latency, cfg.Clock)
+		for _, id := range n.ids {
+			endpoints = append(endpoints, hub.Node(id))
+		}
+		return endpoints, nil
+	}
+	for i, id := range n.ids {
+		listen := "127.0.0.1:0"
+		if i < len(cfg.ListenAddrs) && cfg.ListenAddrs[i] != "" {
+			listen = cfg.ListenAddrs[i]
+		}
+		tr, err := cfg.newTCP(id, listen, nil)
+		if err != nil {
+			for _, e := range endpoints {
+				e.Close()
+			}
+			return nil, err
+		}
+		n.transports = append(n.transports, tr)
+		endpoints = append(endpoints, tr)
+	}
+	for i, tr := range n.transports {
+		for j, other := range n.transports {
+			if i != j {
+				tr.AddPeer(n.ids[j], other.Addr())
+			}
+		}
+	}
+	return endpoints, nil
+}
+
+// peerSet is a deployment's peer identity material, built once per
+// deployment and handed to every node. Every process builds the same one
+// from Config (see networkSigner), which is how separate processes agree
+// on who the validators are and whose endorsements count.
 type peerSet struct {
 	ids     []string                // validators address each other by bare peer name
 	signers []*msp.Signer           // index i is peer i
@@ -276,8 +335,8 @@ type peerSet struct {
 	members *msp.Registry           // by key fingerprint, for endorsements
 }
 
-func newPeerSet(cfg *Config) (peerSet, error) {
-	ps := peerSet{
+func newPeerSet(cfg *Config) (*peerSet, error) {
+	ps := &peerSet{
 		ids:     make([]string, cfg.NumPeers),
 		signers: make([]*msp.Signer, cfg.NumPeers),
 		idents:  make(map[string]msp.Identity, cfg.NumPeers),
@@ -286,7 +345,7 @@ func newPeerSet(cfg *Config) (peerSet, error) {
 	for i := range all {
 		s, err := networkSigner(cfg, i)
 		if err != nil {
-			return peerSet{}, err
+			return nil, err
 		}
 		ps.ids[i], ps.signers[i], ps.idents[s.Name], all[i] = s.Name, s, s.Identity, s.Identity
 	}
@@ -333,93 +392,53 @@ func networkSigner(cfg *Config, i int) (*msp.Signer, error) {
 	return s, nil
 }
 
-// buildTransports stands up one localhost TCP endpoint per peer and joins
-// them into a full mesh, as a multi-process deployment has one listener
-// per process.
-func (n *Network) buildTransports() error {
-	cfg := &n.cfg
-	n.transports = make([]*transport.TCP, cfg.NumPeers)
-	for i := 0; i < cfg.NumPeers; i++ {
-		listen := "127.0.0.1:0"
-		if i < len(cfg.ListenAddrs) && cfg.ListenAddrs[i] != "" {
-			listen = cfg.ListenAddrs[i]
-		}
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			ID:          n.ids[i],
-			Cluster:     cfg.ChannelID,
-			Listen:      listen,
-			QueueLen:    cfg.SendQueue,
-			DialTimeout: cfg.DialTimeout,
-			BackoffBase: cfg.DialBackoffBase,
-			BackoffMax:  cfg.DialBackoffMax,
-		})
-		if err != nil {
-			return fmt.Errorf("fabric: transport %s: %w", n.ids[i], err)
-		}
-		tr.Counters().Register(cfg.Obs.With(obs.L("peer", n.ids[i])))
-		n.transports[i] = tr
-		n.endpoints = append(n.endpoints, tr)
-	}
-	for i, tr := range n.transports {
-		for j, other := range n.transports {
-			if i != j {
-				tr.AddPeer(n.ids[j], other.Addr())
-			}
-		}
-	}
-	return nil
-}
-
-// closeTransports closes the per-peer endpoints built so far.
-func (n *Network) closeTransports() {
-	for _, e := range n.endpoints {
-		e.Close()
-	}
-}
-
 // Transports returns the per-peer TCP endpoints (nil unless Config.
 // Transport is "tcp"); index i is peer i. Exposed for wire-level tests and
 // metrics collection.
 func (n *Network) Transports() []*transport.TCP { return n.transports }
 
-// Start launches the validators and ordering services.
+// Start launches every node's validator and ordering service. The nodes
+// share one process, so none restarts alone and no anti-entropy loop
+// polls: they catch up when the network opens, and a peer cut off by a
+// partition catches up through Channel.SyncPeer. (A committed block is
+// then never read back from a block file while the network runs.)
 func (n *Network) Start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.started {
-		return
+	for _, node := range n.nodes {
+		node.start(false)
 	}
-	n.started = true
-	n.ch.start()
 }
 
 // Stop shuts the network down (consensus and ordering only; peers'
 // durable stores stay open — see Close).
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.started {
-		n.mu.Unlock()
-		return
+	for _, node := range n.nodes {
+		node.stop()
 	}
-	n.started = false
-	n.mu.Unlock()
-	n.ch.stop()
 }
 
-// Close stops the network and flushes + closes every peer's durable
-// stores, returning the first close error. A durable deployment must
-// Close (not just Stop) before its data directory is reopened.
+// Close stops the network, flushes and closes every peer's durable stores
+// and closes the endpoints, returning the first close error. A durable
+// deployment must Close (not just Stop) before its data directory is
+// reopened.
 func (n *Network) Close() error {
 	n.Stop()
-	err := n.ch.closePeers()
-	n.closeTransports()
-	return err
+	var first error
+	for _, node := range n.nodes {
+		if err := node.Close(); first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// Deploy registers a chaincode on every peer (they share the stateless
-// registry; all state flows through each peer's stub).
+// Deploy registers a chaincode on every node.
 func (n *Network) Deploy(cc chaincode.Chaincode) error {
-	return n.registry.Register(cc)
+	for _, node := range n.nodes {
+		if err := node.Deploy(cc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustDeploy registers a chaincode, panicking on duplicates (setup-time
@@ -441,10 +460,10 @@ func (n *Network) Channels() []*Channel { return []*Channel{n.ch} }
 func (n *Network) Identities() *msp.Registry { return n.members }
 
 // Policy returns the endorsement policy.
-func (n *Network) Policy() msp.Policy { return n.policy }
+func (n *Network) Policy() msp.Policy { return n.cfg.Policy }
 
 // NumPeers returns the peer count.
-func (n *Network) NumPeers() int { return n.ch.NumPeers() }
+func (n *Network) NumPeers() int { return len(n.nodes) }
 
 // CommitErrors returns the number of batches that failed to commit.
 func (n *Network) CommitErrors() uint64 { return n.ch.CommitErrors() }

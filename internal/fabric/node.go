@@ -12,7 +12,6 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/consensus"
 	"socialchain/internal/ledger"
-	"socialchain/internal/msp"
 	"socialchain/internal/obs"
 	"socialchain/internal/ordering"
 	"socialchain/internal/peer"
@@ -20,13 +19,9 @@ import (
 	"socialchain/internal/transport"
 )
 
-// OrdererID is the transport identity of the ordering node of a networked
-// deployment.
-const OrdererID = "orderer"
-
-// DefaultSyncInterval is how often a Node's anti-entropy loop polls the
-// other peers' chain heights.
-const DefaultSyncInterval = 250 * time.Millisecond
+// syncInterval is how often a Node's anti-entropy loop polls the other
+// peers' chain heights.
+const syncInterval = 250 * time.Millisecond
 
 // NodeConfig describes one peer process of a networked deployment: which
 // peer index this process hosts, where it listens and where the other
@@ -39,179 +34,155 @@ type NodeConfig struct {
 	Index int
 	// Listen is the TCP listen address for this node.
 	Listen string
-	// Peers maps the other processes' transport IDs ("peer0".., OrdererID)
-	// to their dial addresses. Entries may be missing: peers that dial in
-	// are adopted dynamically.
+	// Peers maps the other processes' transport IDs ("peer0"...) to their
+	// dial addresses. Entries may be missing: peers that dial in are
+	// adopted dynamically.
 	Peers map[string]string
 	// Net is the deployment-wide network config. IdentitySeed must be set.
 	Net Config
-	// SyncInterval overrides the anti-entropy poll period (default
-	// DefaultSyncInterval).
-	SyncInterval time.Duration
 }
 
-// Node is one out-of-process peer: it hosts this peer's world state, block
-// log and consensus validator on the deployment's channel, and serves the
-// endorsement/commit/block-fetch RPC methods that remote gateways and
-// lagging peers call. Consensus traffic rides the same TCP endpoint (a
-// consensus.Bus). An anti-entropy loop keeps the peer converging after
-// partitions or restarts: whenever another peer's chain is taller, the gap
-// is fetched over RPC and re-validated through the same SyncFrom path
-// in-process recovery uses.
+// Node is one peer of the deployment, the one assembly both deployments
+// are built from: a multi-process deployment runs one per process
+// (NewNode), an in-process Network runs N over one medium. It hosts the
+// peer's world state and block log, its consensus validator and an
+// ordering service that cuts the batches it proposes to that validator —
+// consensus relays each request to every replica, so any node accepts
+// submissions. On its transport endpoint it serves the endorse, submit,
+// commit-wait and block-fetch RPCs that remote gateways and lagging peers
+// call, beside the consensus.Bus. An anti-entropy loop keeps the peer
+// converging after partitions or restarts: whenever another peer's chain is
+// taller, the gap is fetched over RPC and re-validated through SyncFrom.
 type Node struct {
-	cfg      NodeConfig
 	net      Config
+	ps       *peerSet
 	id       string
-	t        *transport.TCP
+	t        transport.Transport
 	rpc      *transport.RPC
 	registry *chaincode.Registry
-	policy   msp.Policy
-	peerSet
 
 	p         *peer.Peer
 	v         *consensus.Validator
+	o         *ordering.Service
 	dataDir   string // the peer's durable directory ("" in-memory)
 	commitErr atomic.Uint64
 
-	// Observability: every node carries a registry, health aggregator and
-	// slow-trace ring; the admin HTTP surface over them binds only when
-	// ServeAdmin is called.
-	obsReg *obs.Registry
-	health *obs.Health
-	traces *obs.TraceRing
-	admin  *obs.AdminServer
+	admin *obs.AdminServer
 
 	done chan struct{}
 	wg   sync.WaitGroup
 
 	mu      sync.Mutex
 	started bool
+	stopped bool
 	closed  bool
 }
 
-// NewNode builds (but does not start) one peer process.
+// NewNode builds (but does not start) one peer process: it opens the
+// node's TCP endpoint and assembles the node over it. The node's metrics
+// go to Net.Obs and its slow traces to Net.SlowTraces, each created when
+// nil; ServeAdmin exposes both.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	net := cfg.Net
-	net.fill()
-	if err := net.checkChannels(); err != nil {
+	if err := net.prepare(true); err != nil {
 		return nil, err
-	}
-	if net.IdentitySeed == "" {
-		return nil, errors.New("fabric: NodeConfig.Net.IdentitySeed must be set so every process derives the same identities")
 	}
 	if cfg.Index < 0 || cfg.Index >= net.NumPeers {
 		return nil, fmt.Errorf("fabric: node index %d out of range (NumPeers %d)", cfg.Index, net.NumPeers)
 	}
-	if err := refuseChannelDirs(net.DataDir, net.ChannelID); err != nil {
-		return nil, err
+	if net.Obs == nil {
+		net.Obs = obs.NewRegistry()
 	}
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = DefaultSyncInterval
+	if net.SlowTraces == nil {
+		net.SlowTraces = obs.NewTraceRing(128, 0)
 	}
-
-	n := &Node{
-		cfg:      cfg,
-		net:      net,
-		registry: chaincode.NewRegistry(),
-		done:     make(chan struct{}),
-		obsReg:   obs.NewRegistry(),
-		health:   obs.NewHealth(0, nil),
-		traces:   obs.NewTraceRing(128, 0),
-	}
-	n.policy = net.Policy
-	if n.policy == nil {
-		n.policy = msp.TwoThirds(net.NumPeers)
-	}
-
-	var err error
-	if n.peerSet, err = newPeerSet(&net); err != nil {
-		return nil, err
-	}
-	n.id = n.ids[cfg.Index]
-
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		ID:          n.id,
-		Cluster:     net.ChannelID,
-		Listen:      cfg.Listen,
-		Peers:       cfg.Peers,
-		QueueLen:    net.SendQueue,
-		DialTimeout: net.DialTimeout,
-		BackoffBase: net.DialBackoffBase,
-		BackoffMax:  net.DialBackoffMax,
-	})
+	ps, err := newPeerSet(&net)
 	if err != nil {
 		return nil, err
 	}
-	n.t = tr
-	n.rpc = transport.NewRPC(tr)
-	tr.Counters().Register(n.obsReg)
-
-	if err := n.openPeer(); err != nil {
+	tr, err := net.newTCP(ps.ids[cfg.Index], cfg.Listen, cfg.Peers)
+	if err != nil {
+		return nil, err
+	}
+	n, err := newNode(net, ps, cfg.Index, tr)
+	if err != nil {
 		tr.Close()
 		return nil, fmt.Errorf("fabric: node channel %s: %w", net.ChannelID, err)
 	}
-	n.registerHandlers()
 	return n, nil
 }
 
-// openPeer opens this process's peer (under DataDir/peer<i> when durable)
-// and builds its consensus validator.
-func (n *Node) openPeer() error {
-	net := &n.net
-	if net.DataDir != "" {
-		n.dataDir = filepath.Join(net.DataDir, n.id)
+// newNode assembles peer i of the deployment cfg (filled) over an open
+// endpoint t, which it owns from here on: the peer (under DataDir/peer<i>
+// when durable), its validator on a consensus.Bus over t, its ordering
+// service and its RPC surface. Its metrics carry the channel and peer
+// labels.
+func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, error) {
+	n := &Node{
+		net:      cfg,
+		ps:       ps,
+		id:       ps.ids[i],
+		t:        t,
+		rpc:      transport.NewRPC(t),
+		registry: chaincode.NewRegistry(),
+		done:     make(chan struct{}),
 	}
-	chReg := n.obsReg.With(obs.L("channel", net.ChannelID))
+	if cfg.DataDir != "" {
+		n.dataDir = filepath.Join(cfg.DataDir, n.id)
+	}
+	peerReg := cfg.Obs.With(obs.L("peer", n.id))
+	reg := peerReg.With(obs.L("channel", cfg.ChannelID))
 	p, err := peer.New(peer.Config{
 		ID:         n.id,
-		ChannelID:  net.ChannelID,
-		Signer:     n.signers[n.cfg.Index],
+		ChannelID:  cfg.ChannelID,
+		Signer:     ps.signers[i],
 		Registry:   n.registry,
-		Policy:     n.policy,
-		Identities: n.members,
-		State:      storage.Config{Engine: net.StateEngine, Durability: net.StateDurability},
+		Policy:     cfg.Policy,
+		Identities: ps.members,
+		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
 		DataDir:    n.dataDir,
-		Indexes:    net.StateIndexes,
-		Obs:        chReg,
-		SlowTraces: n.traces,
+		Indexes:    cfg.StateIndexes,
+		Obs:        reg,
+		SlowTraces: cfg.SlowTraces,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n.p = p
 	n.v = consensus.NewValidator(consensus.Config{
 		ID:             n.id,
-		Validators:     n.ids,
-		Signer:         n.signers[n.cfg.Index],
-		Identities:     n.idents,
-		Sender:         consensus.NewBus(n.t, net.ChannelID),
-		Clock:          net.Clock,
-		RequestTimeout: net.ConsensusTimeout,
-		Obs:            chReg,
-		Deliver: func(seq uint64, payload []byte) {
-			batch, err := ordering.DecodeBatch(payload)
-			if err != nil {
-				n.commitErr.Add(1)
-				return
-			}
-			if _, err := p.CommitBatch(batch.Txs); err != nil {
-				// A restarted or lagging peer misses the heights these
-				// batches execute at; the anti-entropy loop closes the gap.
-				n.commitErr.Add(1)
-			}
-		},
+		Validators:     ps.ids,
+		Signer:         ps.signers[i],
+		Identities:     ps.idents,
+		Sender:         consensus.NewBus(t, cfg.ChannelID),
+		Clock:          cfg.Clock,
+		RequestTimeout: cfg.ConsensusTimeout,
+		Behavior:       cfg.Behaviors[i],
+		Obs:            reg,
+		Deliver:        n.deliver,
 	})
-	n.health.Register(net.ChannelID, obs.Probe{
-		Height:   p.Height,
-		Backlog:  n.v.Backlog,
-		Peers:    n.t.ConnectedPeers,
-		MinPeers: 1,
-	})
-	return nil
+	n.o = ordering.NewService(cfg.Cutter, n.v, cfg.Clock)
+	n.o.Observe(reg)
+	t.Counters().Register(peerReg)
+	n.registerHandlers()
+	return n, nil
 }
 
-// Deploy registers a chaincode on this node. Every process of a
-// deployment must deploy the same chaincodes.
+// deliver commits one decided batch.
+func (n *Node) deliver(_ uint64, payload []byte) {
+	batch, err := ordering.DecodeBatch(payload)
+	if err == nil {
+		_, err = n.p.CommitBatch(batch.Txs)
+	}
+	if err != nil {
+		// A restarted or lagging peer misses the heights these batches
+		// execute at; the anti-entropy loop closes the gap.
+		n.commitErr.Add(1)
+	}
+}
+
+// Deploy registers a chaincode on this node. Every node of a deployment
+// must deploy the same chaincodes.
 func (n *Node) Deploy(cc chaincode.Chaincode) error { return n.registry.Register(cc) }
 
 // MustDeploy registers a chaincode, panicking on duplicates.
@@ -224,11 +195,21 @@ func (n *Node) MustDeploy(cc chaincode.Chaincode) {
 // ID returns the node's transport identity ("peer<Index>").
 func (n *Node) ID() string { return n.id }
 
-// Addr returns the node's bound listen address.
-func (n *Node) Addr() string { return n.t.Addr() }
+// Addr returns the node's bound TCP listen address ("" over an in-process
+// medium).
+func (n *Node) Addr() string {
+	if tr := n.Transport(); tr != nil {
+		return tr.Addr()
+	}
+	return ""
+}
 
-// Transport returns the node's TCP endpoint (metrics, tests).
-func (n *Node) Transport() *transport.TCP { return n.t }
+// Transport returns the node's TCP endpoint (metrics, tests), or nil over an
+// in-process medium.
+func (n *Node) Transport() *transport.TCP {
+	tr, _ := n.t.(*transport.TCP)
+	return tr
+}
 
 // Peer returns this node's peer.
 func (n *Node) Peer() *peer.Peer { return n.p }
@@ -237,20 +218,49 @@ func (n *Node) Peer() *peer.Peer { return n.p }
 // show up here).
 func (n *Node) CommitErrors() uint64 { return n.commitErr.Load() }
 
-// Start launches the node's validators and its anti-entropy loop.
-func (n *Node) Start() {
+// Start launches the node's validator, ordering service and anti-entropy
+// loop, which keeps a peer process converging after partitions and
+// restarts.
+func (n *Node) Start() { n.start(true) }
+
+// start launches the validator and ordering service and, with
+// antiEntropy, the catch-up loop.
+func (n *Node) start(antiEntropy bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.started {
+	if n.started || n.stopped {
 		return
 	}
 	n.started = true
 	n.v.Start()
-	n.wg.Add(1)
-	go n.syncLoop()
+	n.o.Start()
+	if antiEntropy {
+		n.wg.Add(1)
+		go n.syncLoop()
+	}
 }
 
-// Close stops consensus, the sync loop and the transport, and closes the
+// stop halts the anti-entropy loop, ordering and consensus, and fails
+// pending commit waits; the peer's stores stay open. A stopped node does
+// not start again.
+func (n *Node) stop() {
+	n.mu.Lock()
+	if n.stopped {
+		n.mu.Unlock()
+		return
+	}
+	n.stopped = true
+	started := n.started
+	n.mu.Unlock()
+	close(n.done)
+	n.wg.Wait()
+	if started {
+		n.o.Stop()
+		n.v.Stop()
+	}
+}
+
+// Close stops the node, its admin surface and its endpoint, and closes the
 // peer's durable stores.
 func (n *Node) Close() error {
 	n.mu.Lock()
@@ -259,40 +269,35 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	started := n.started
 	n.mu.Unlock()
+	n.stop()
 	n.admin.Close()
-	close(n.done)
-	n.wg.Wait()
-	if started {
-		n.v.Stop()
-	}
 	err := n.p.Close()
 	n.t.Close()
 	return err
 }
 
-// syncLoop is the anti-entropy catch-up: whenever another peer's chain is
-// taller, the missing blocks are fetched over RPC and re-validated through
-// the same SyncFrom path in-process recovery uses.
+// syncLoop runs the catch-up every syncInterval on the deployment's clock.
 func (n *Node) syncLoop() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.SyncInterval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-n.done:
 			return
-		case <-ticker.C:
+		case <-n.net.Clock.After(syncInterval):
 		}
-		n.catchUp()
+		// A torn fetch or a concurrent live commit aborts this round; the
+		// next one retries from the new local height.
+		_, _ = n.catchUp()
 	}
 }
 
-// catchUp syncs this peer from the tallest other peer, if any is ahead.
-func (n *Node) catchUp() {
+// catchUp syncs this node's peer from the tallest other node, if one is
+// ahead, and returns the number of blocks applied. Heights and blocks are
+// fetched over RPC and every block is re-validated through SyncFrom.
+func (n *Node) catchUp() (int, error) {
 	bestID, bestHeight := "", n.p.Height()
-	for _, id := range n.ids {
+	for _, id := range n.ps.ids {
 		if id == n.id {
 			continue
 		}
@@ -305,15 +310,17 @@ func (n *Node) catchUp() {
 		}
 	}
 	if bestID == "" {
-		return
+		return 0, nil
 	}
 	src := &remoteBlockSource{rpc: n.rpc, peer: bestID, channel: n.net.ChannelID, height: bestHeight}
-	// A torn fetch or a concurrent live commit aborts this round; the next
-	// tick retries from the new local height.
-	_, _ = n.p.SyncFrom(src)
+	applied, err := n.p.SyncFrom(src)
+	if err != nil {
+		return applied, fmt.Errorf("fabric: catch-up %s from %s: %w", n.id, bestID, err)
+	}
+	return applied, nil
 }
 
-// remoteBlockSource adapts another process's blocks RPC to peer.BlockSource:
+// remoteBlockSource adapts another node's blocks RPC to peer.BlockSource:
 // one RPC, one page (at most maxSyncBlocks, fewer when the serving ledger
 // ends the page early by size).
 type remoteBlockSource struct {
@@ -338,15 +345,49 @@ func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
 	return resp.Blocks, err
 }
 
+// The Endorser side of a node, which an in-process gateway calls directly.
+
+// Height returns the peer's chain height.
+func (n *Node) Height() uint64 { return n.p.Height() }
+
+// Endorse simulates a proposal on the peer.
+func (n *Node) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	return n.p.Endorse(prop)
+}
+
+// EndorseBatch simulates a batch proposal on the peer.
+func (n *Node) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error) {
+	return n.p.EndorseBatch(prop)
+}
+
+// Order registers a commit waiter on the peer, then submits the envelope to
+// the node's ordering service.
+func (n *Node) Order(tx ledger.Transaction) (<-chan ledger.ValidationCode, error) {
+	waiter := n.p.WaitForCommit(tx.ID)
+	if err := n.o.Submit(tx); err != nil {
+		// A rejected txID never commits; leaving the waiter registered
+		// would leak wait-map entries.
+		n.p.CancelWait(tx.ID)
+		return nil, err
+	}
+	return waiter, nil
+}
+
+// TxBlock reports the block a committed transaction landed in.
+func (n *Node) TxBlock(txID string) (uint64, bool) {
+	blockNum, _, _, ok := n.p.Ledger().TxLocation(txID)
+	return blockNum, ok
+}
+
 // registerHandlers wires the node's RPC surface.
 func (n *Node) registerHandlers() {
 	n.rpc.Handle(methodEndorse, n.handleEndorse)
 	n.rpc.Handle(methodEndorseBatch, n.handleEndorseBatch)
+	n.rpc.Handle(methodSubmit, n.handleSubmit)
 	n.rpc.Handle(methodWaitCommit, n.handleWaitCommit)
 	n.rpc.Handle(methodHeight, n.handleHeight)
 	n.rpc.Handle(methodBlocks, n.handleBlocks)
 	n.rpc.Handle(methodVerifyChain, n.handleVerifyChain)
-	n.rpc.Handle(methodPropose, n.handlePropose)
 }
 
 // checkChannel answers a request naming another channel with the
@@ -386,6 +427,32 @@ func (n *Node) handleEndorseBatch(from string, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(resp)
+}
+
+// handleSubmit feeds a remote gateway's envelope into the node's cutter,
+// mapping the typed ordering errors onto wire codes.
+func (n *Node) handleSubmit(from string, req []byte) ([]byte, error) {
+	r, err := decodeSubmitReq(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.checkChannel(r.Channel); err != nil {
+		return nil, err
+	}
+	if err := n.o.Submit(r.Tx); err != nil {
+		code := ""
+		switch {
+		case errors.Is(err, ordering.ErrBacklog):
+			code = codeBacklog
+		case errors.Is(err, ordering.ErrStopped):
+			code = codeStopped
+		}
+		if code != "" {
+			return nil, &transport.CodedError{Code: code, Msg: err.Error()}
+		}
+		return nil, err
+	}
+	return json.Marshal(emptyResp{})
 }
 
 // handleWaitCommit blocks until the transaction commits on this peer (or
@@ -465,19 +532,4 @@ func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(heightResp{Height: n.p.Height()})
-}
-
-// handlePropose feeds an ordering batch into this node's validator; the
-// ordering node broadcasts each batch to every validator, and consensus
-// deduplicates by digest.
-func (n *Node) handlePropose(from string, req []byte) ([]byte, error) {
-	r, err := decodeProposeReq(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.checkChannel(r.Channel); err != nil {
-		return nil, err
-	}
-	n.v.Propose(r.Payload)
-	return json.Marshal(emptyResp{})
 }

@@ -25,12 +25,11 @@ type RemoteConfig struct {
 	// their own signers.
 	Net Config
 	// Peers maps peer transport IDs ("peer0"...) to dial addresses.
-	// Endorsement and commit-wait RPCs go only to the peers listed here:
-	// a client can drive a deployment through any reachable subset that
-	// still satisfies the endorsement policy (which counts Net.NumPeers).
+	// Endorsement, submit and commit-wait RPCs go only to the peers listed
+	// here: a client can drive a deployment through any reachable subset
+	// that still satisfies the endorsement policy (which counts
+	// Net.NumPeers).
 	Peers map[string]string
-	// Orderer is the ordering process's dial address.
-	Orderer string
 	// ID optionally pins the client's transport identity (default: a
 	// random "client-<hex>", unique per Dial).
 	ID string
@@ -47,7 +46,7 @@ type RemoteConfig struct {
 // owns one client TCP endpoint (no listener — replies ride its outbound
 // connections) and hands out gateways on the deployment's channel whose
 // backend speaks the endorse/submit/waitcommit RPCs instead of calling
-// in-process peers.
+// in-process nodes.
 // The Gateway logic itself — digest grouping, policy pre-checks, MVCC
 // retries — is byte-for-byte the same code the in-process path runs.
 type Remote struct {
@@ -55,7 +54,6 @@ type Remote struct {
 	net     Config
 	t       *transport.TCP
 	rpc     *transport.RPC
-	policy  msp.Policy
 	peerIDs []string
 	ch      *RemoteChannel
 }
@@ -64,8 +62,7 @@ type Remote struct {
 // dialing peers on first use; a dead peer surfaces as RPC timeouts.
 func Dial(cfg RemoteConfig) (*Remote, error) {
 	net := cfg.Net
-	net.fill()
-	if err := net.checkChannels(); err != nil {
+	if err := net.prepare(false); err != nil {
 		return nil, err
 	}
 	if cfg.RPCTimeout <= 0 {
@@ -79,22 +76,7 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 		}
 		id = "client-" + hex.EncodeToString(b[:])
 	}
-	book := make(map[string]string, len(cfg.Peers)+1)
-	for k, v := range cfg.Peers {
-		book[k] = v
-	}
-	if cfg.Orderer != "" {
-		book[OrdererID] = cfg.Orderer
-	}
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		ID:          id,
-		Cluster:     net.ChannelID,
-		Peers:       book,
-		QueueLen:    net.SendQueue,
-		DialTimeout: net.DialTimeout,
-		BackoffBase: net.DialBackoffBase,
-		BackoffMax:  net.DialBackoffMax,
-	})
+	tr, err := net.newTCP(id, "", cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +86,6 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 		net: net,
 		t:   tr,
 		rpc: transport.NewRPC(tr),
-	}
-	r.policy = net.Policy
-	if r.policy == nil {
-		r.policy = msp.TwoThirds(net.NumPeers)
 	}
 	// Endorse through the peers the client holds addresses for, in a
 	// stable order. Routing round-robin entry picks at an unlisted peer
@@ -185,7 +163,7 @@ func (rc *RemoteChannel) Gateway(client *msp.Signer) *Gateway {
 }
 
 func (rc *RemoteChannel) chName() string           { return rc.name }
-func (rc *RemoteChannel) chPolicy() msp.Policy     { return rc.r.policy }
+func (rc *RemoteChannel) chPolicy() msp.Policy     { return rc.r.net.Policy }
 func (rc *RemoteChannel) chMembers() *msp.Registry { return nil }
 
 // report drops the observation: which peers endorse is the deployment's
@@ -214,8 +192,7 @@ func (rc *RemoteChannel) obsReg() *obs.Registry {
 	return rc.r.cfg.Obs.With(obs.L("channel", rc.name))
 }
 
-// remoteEndorser speaks one peer process's RPC surface; the orderer's
-// submit is reached through the channel's shared connection.
+// remoteEndorser speaks one node's RPC surface.
 type remoteEndorser struct {
 	rc *RemoteChannel
 	id string
@@ -254,13 +231,13 @@ func (e *remoteEndorser) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalR
 	return &resp, nil
 }
 
-// Order submits the envelope to the ordering process, then watches this
-// peer for the commit. The peer's waitcommit handler registers its waiter
-// before consulting the ledger, so a commit landing between the two RPCs
-// is still observed.
+// Order submits the envelope to this node's ordering service, then
+// watches the node for the commit. The node's waitcommit handler registers
+// its waiter before consulting the ledger, so a commit landing between the
+// two RPCs is still observed.
 func (e *remoteEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationCode, error) {
 	req := submitReq{Channel: e.rc.name, Tx: tx}
-	if _, err := e.rc.r.rpc.Call(OrdererID, methodSubmit, req.encode(), e.rc.r.cfg.RPCTimeout); err != nil {
+	if _, err := e.rc.r.rpc.Call(e.id, methodSubmit, req.encode(), e.rc.r.cfg.RPCTimeout); err != nil {
 		switch transport.ErrCode(err) {
 		case codeBacklog:
 			return nil, fmt.Errorf("%w: %s", ordering.ErrBacklog, err)

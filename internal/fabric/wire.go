@@ -8,15 +8,14 @@ import (
 	"socialchain/internal/peer"
 )
 
-// RPC method names and payloads spoken between the processes of a
-// networked deployment: peer nodes (node.go) serve the endorsement, commit
-// wait and block-fetch methods, the ordering node (orderer.go) serves
-// submit, and remote gateways (remote.go) call both. Every request names
-// its channel; a process answers a name other than its own channel's with
-// the nochannel code.
+// RPC method names and payloads spoken between the nodes of a deployment
+// and its remote gateways: nodes (node.go) serve the endorsement, submit,
+// commit-wait and block-fetch methods, and remote gateways (remote.go) and
+// lagging nodes call them. Every request names its channel; a node answers
+// a name other than its own channel's with the nochannel code.
 //
-// The three bodies that carry chain data — a submit's transaction, a
-// propose's ordering batch, a blocks response — are encoded with
+// The two bodies that carry chain data — a submit's transaction and a
+// blocks response — are encoded with
 // internal/codec (the encode/decode pairs below) and travel through
 // RPC.Call as raw bytes. The rest are small control-plane structs that
 // nothing hashes or stores; they stay JSON through RPC.CallJSON.
@@ -27,7 +26,6 @@ const (
 	methodHeight       = "height"
 	methodBlocks       = "blocks"
 	methodVerifyChain  = "verifychain"
-	methodPropose      = "propose"
 	methodSubmit       = "submit"
 )
 
@@ -103,22 +101,6 @@ func decodeBlocksResp(p []byte) (blocksResp, error) {
 		m.Blocks[i] = new(ledger.Block)
 		m.Blocks[i].DecodeFrom(r)
 	}
-	return m, r.Done()
-}
-
-// proposeReq is the channel name, then the batch payload as raw bytes.
-type proposeReq struct {
-	Channel string
-	Payload []byte
-}
-
-func (m proposeReq) encode() []byte {
-	return codec.AppendBytes(codec.AppendString(make([]byte, 0, len(m.Channel)+len(m.Payload)+8), m.Channel), m.Payload)
-}
-
-func decodeProposeReq(p []byte) (proposeReq, error) {
-	r := codec.NewReader(p)
-	m := proposeReq{Channel: r.String(), Payload: r.Bytes()}
 	return m, r.Done()
 }
 

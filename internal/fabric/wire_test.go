@@ -49,19 +49,69 @@ func TestNetworkOverTCPTransport(t *testing.T) {
 	}
 }
 
+// TestRemoteDrivesInProcessNetwork: an in-process network is N nodes, each
+// serving the RPC surface a socialchaind peer process serves, so a remote
+// gateway dialed at the network's TCP endpoints drives it the way it
+// drives a multi-process deployment: it submits to the node it waits on.
+func TestRemoteDrivesInProcessNetwork(t *testing.T) {
+	cfg := Config{
+		NumPeers:  4,
+		Transport: "tcp",
+		Cutter:    ordering.CutterConfig{BatchTimeout: 10 * time.Millisecond},
+	}
+	net := newTestNetwork(t, cfg)
+	ch := net.ChannelAt(0)
+	book := make(map[string]string)
+	for i, tr := range net.Transports() {
+		book[ch.Peer(i).ID()] = tr.Addr()
+	}
+	remote, err := Dial(RemoteConfig{Net: cfg, Peers: book, RPCTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	gw := remote.ChannelAt(0).Gateway(newClient(t))
+
+	res, err := gw.Submit("kv", "put", []byte("one"), []byte("1"))
+	if err != nil || res.Flag != ledger.Valid {
+		t.Fatalf("remote submit: %v %+v", err, res)
+	}
+	batch := []chaincode.BatchCall{
+		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("two"), []byte("2")}},
+		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("three"), []byte("3")}},
+	}
+	res, err = gw.SubmitBatch(batch)
+	if err != nil || res.Flag != ledger.Valid {
+		t.Fatalf("remote batch submit: %v %+v", err, res)
+	}
+	if !ch.WaitHeight(res.BlockNum+1, 10*time.Second) {
+		t.Fatal("peers did not all commit the remote batch")
+	}
+	tip := ch.Peer(0).Ledger().TipHash()
+	for i, p := range ch.Peers() {
+		if p.Ledger().TipHash() != tip {
+			t.Fatalf("peer %d tip differs from peer 0's", i)
+		}
+		for key, want := range map[string]string{"one": "1", "two": "2", "three": "3"} {
+			if vv, ok := p.State().GetState("kv", key); !ok || string(vv.Value) != want {
+				t.Fatalf("peer %d holds %s = %q, want %q", i, key, vv.Value, want)
+			}
+		}
+	}
+}
+
 func TestUnknownTransportKindRejected(t *testing.T) {
 	if _, err := NewNetwork(Config{Transport: "carrier-pigeon"}); err == nil {
 		t.Fatal("expected error for unknown transport kind")
 	}
 }
 
-// deployment is a full multi-node test fixture: one ordering process and
-// NumPeers peer processes (in-process goroutines over real TCP sockets —
-// the same code paths cmd/socialchaind runs in separate OS processes).
+// deployment is a full multi-node test fixture: NumPeers peer processes
+// (in-process goroutines over real TCP sockets — the same code paths
+// cmd/socialchaind runs in separate OS processes).
 type deployment struct {
 	t      *testing.T
 	net    Config
-	ord    *Orderer
 	nodes  []*Node
 	addrs  map[string]string
 	remote *Remote
@@ -70,38 +120,25 @@ type deployment struct {
 func startDeployment(t *testing.T, net Config) *deployment {
 	t.Helper()
 	d := &deployment{t: t, net: net}
-	ord, err := NewOrderer(OrdererConfig{Listen: "127.0.0.1:0", Net: net})
-	if err != nil {
-		t.Fatalf("orderer: %v", err)
-	}
-	d.ord = ord
 	filled := net
 	filled.fill()
 	d.nodes = make([]*Node, filled.NumPeers)
 	for i := 0; i < filled.NumPeers; i++ {
 		d.nodes[i] = d.startNode(i, "127.0.0.1:0")
 	}
-	d.addrs = map[string]string{OrdererID: ord.Addr()}
+	d.addrs = map[string]string{}
 	for _, n := range d.nodes {
 		d.addrs[n.ID()] = n.Addr()
 	}
 	d.joinAll()
-	ord.Start()
 
-	peers := make(map[string]string)
-	for id, addr := range d.addrs {
-		if id != OrdererID {
-			peers[id] = addr
-		}
-	}
-	remote, err := Dial(RemoteConfig{Net: net, Peers: peers, Orderer: ord.Addr(), RPCTimeout: 3 * time.Second})
+	remote, err := Dial(RemoteConfig{Net: net, Peers: d.addrs, RPCTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	d.remote = remote
 	t.Cleanup(func() {
 		remote.Close()
-		ord.Close()
 		for _, n := range d.nodes {
 			if n != nil {
 				n.Close()
@@ -114,11 +151,10 @@ func startDeployment(t *testing.T, net Config) *deployment {
 func (d *deployment) startNode(i int, listen string) *Node {
 	d.t.Helper()
 	n, err := NewNode(NodeConfig{
-		Index:        i,
-		Listen:       listen,
-		Net:          d.net,
-		Peers:        d.addrs,
-		SyncInterval: 50 * time.Millisecond,
+		Index:  i,
+		Listen: listen,
+		Net:    d.net,
+		Peers:  d.addrs,
 	})
 	if err != nil {
 		d.t.Fatalf("node %d: %v", i, err)
@@ -139,11 +175,6 @@ func (d *deployment) joinAll() {
 			if id != n.ID() {
 				n.Transport().AddPeer(id, addr)
 			}
-		}
-	}
-	for id, addr := range d.addrs {
-		if id != OrdererID {
-			d.ord.Transport().AddPeer(id, addr)
 		}
 	}
 }
@@ -307,8 +338,8 @@ func TestNodeRestartCatchUp(t *testing.T) {
 }
 
 // TestOtherChannelAnsweredNoChannel: a request body still names its
-// channel, and a node or orderer asked about any channel but its own
-// answers with the nochannel code.
+// channel, and a node asked about any channel but its own answers with the
+// nochannel code.
 func TestOtherChannelAnsweredNoChannel(t *testing.T) {
 	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-nochannel"})
 	var h heightResp
@@ -317,9 +348,9 @@ func TestOtherChannelAnsweredNoChannel(t *testing.T) {
 		t.Fatalf("node height on another channel: err = %v (code %q), want nochannel", err, code)
 	}
 	req := submitReq{Channel: "other-channel", Tx: ledger.Transaction{ID: "tx-elsewhere"}}
-	_, err = d.remote.rpc.Call(OrdererID, methodSubmit, req.encode(), 3*time.Second)
+	_, err = d.remote.rpc.Call(d.nodes[0].ID(), methodSubmit, req.encode(), 3*time.Second)
 	if code := transport.ErrCode(err); code != "nochannel" {
-		t.Fatalf("orderer submit on another channel: err = %v (code %q), want nochannel", err, code)
+		t.Fatalf("node submit on another channel: err = %v (code %q), want nochannel", err, code)
 	}
 	if h, err := d.remote.ChainHeight(d.nodes[0].ID()); err != nil || h == 0 {
 		t.Fatalf("node height on its own channel: %d, %v", h, err)

@@ -21,30 +21,26 @@ func bodyFixtures() map[byte][]byte {
 	next := ledger.NewBlock(1, genesis.Header.Hash(), []ledger.Transaction{tx}, tx.Timestamp)
 	return map[byte][]byte{
 		0: (&submitReq{Channel: "ch", Tx: tx}).encode(),
-		1: proposeReq{Channel: "ch", Payload: []byte("an ordering batch")}.encode(),
-		2: blocksResp{Blocks: []*ledger.Block{genesis, next}}.encode(),
+		1: blocksResp{Blocks: []*ledger.Block{genesis, next}}.encode(),
 	}
 }
 
 // decodeBody decodes body as RPC kind and encodes the result again.
 func decodeBody(kind byte, body []byte) ([]byte, error) {
-	switch kind % 3 {
+	switch kind % 2 {
 	case 0:
 		m, err := decodeSubmitReq(body)
 		if err != nil {
 			return nil, err
 		}
 		return m.encode(), nil
-	case 1:
-		m, err := decodeProposeReq(body)
-		return m.encode(), err
 	default:
 		m, err := decodeBlocksResp(body)
 		return m.encode(), err
 	}
 }
 
-// TestBinaryBodiesEveryOffset: the submit, propose and blocks bodies round
+// TestBinaryBodiesEveryOffset: the submit and blocks bodies round
 // trip; no proper prefix of one decodes; a bit flip decodes only to a body
 // that encodes back to the flipped bytes.
 func TestBinaryBodiesEveryOffset(t *testing.T) {
@@ -86,7 +82,7 @@ func FuzzDecodeBodies(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind byte, in []byte) {
 		if out, err := decodeBody(kind, in); err == nil && !bytes.Equal(out, in) {
-			t.Fatalf("body %d decoded without error but re-encodes differently", kind%3)
+			t.Fatalf("body %d decoded without error but re-encodes differently", kind%2)
 		}
 	})
 }
@@ -94,7 +90,7 @@ func FuzzDecodeBodies(f *testing.F) {
 // TestFuzzCorpusCurrent: the committed seeds are encodings in this format.
 func TestFuzzCorpusCurrent(t *testing.T) {
 	seeds := map[string][]any{}
-	for kind, name := range map[byte]string{0: "submit", 1: "propose", 2: "blocks"} {
+	for kind, name := range map[byte]string{0: "submit", 1: "blocks"} {
 		enc := bodyFixtures()[kind]
 		seeds[name] = []any{kind, enc}
 		seeds[name+"-cut"] = []any{kind, enc[:len(enc)*2/3]}
