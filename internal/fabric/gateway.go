@@ -328,21 +328,6 @@ func (g *Gateway) SubmitBatch(calls []chaincode.BatchCall) (*Result, error) {
 	}
 }
 
-// SubmitBatchAsync orders a batched envelope without waiting for commit;
-// the caller waits on the returned channel. See SubmitAsync for the
-// concurrent-submission caveats — they apply per batch here.
-func (g *Gateway) SubmitBatchAsync(calls []chaincode.BatchCall) (string, <-chan ledger.ValidationCode, error) {
-	tx, err := g.endorseAndAssembleBatch(calls)
-	if err != nil {
-		return "", nil, err
-	}
-	_, waiter, err := g.orderAsync(*tx)
-	if err != nil {
-		return "", nil, err
-	}
-	return tx.ID, waiter, nil
-}
-
 // endorseAndAssembleBatch is endorseAndAssemble for a batch proposal: it
 // collects EndorseBatch responses from all active peers in parallel,
 // groups them by result digest and assembles a signed batch envelope from
