@@ -79,22 +79,9 @@ type Config struct {
 	// "tcp" (framed localhost sockets). Copied into Fabric.Transport by
 	// Resolve; setting both knobs to different kinds is a configuration
 	// conflict, and an unknown kind is rejected here rather than at network
-	// build time.
+	// build time. The TCP tunings (listen addresses, send queue, dial
+	// timeout and backoff) are set on Fabric only.
 	Transport string
-	// TransportListenAddrs optionally pins each peer's TCP listen address
-	// (index i is peer i). Only meaningful with Transport "tcp".
-	TransportListenAddrs []string
-	// TransportSendQueue bounds each TCP link's outbound frame queue; a full
-	// queue surfaces as typed backpressure, never an unbounded buffer.
-	// Must be >= 0 (0 selects the transport default).
-	TransportSendQueue int
-	// TransportDialTimeout, TransportDialBackoffBase and
-	// TransportDialBackoffMax tune the TCP dialer and its reconnect loop.
-	// All must be >= 0, and a non-zero backoff base must not exceed a
-	// non-zero backoff cap.
-	TransportDialTimeout     time.Duration
-	TransportDialBackoffBase time.Duration
-	TransportDialBackoffMax  time.Duration
 }
 
 func (c *Config) fill() {
@@ -156,75 +143,29 @@ func (c *Config) Resolve() (fabric.Config, error) {
 	return fc, nil
 }
 
-// resolveTransport merges and validates the transport knobs. Kind strings
-// are parsed here so a typo'd Transport fails Resolve with the full list of
-// valid kinds instead of surfacing later from fabric.NewNetwork, and
-// nonsensical tunings (negative bounds, backoff base above its cap) are
-// configuration errors rather than latent runtime behaviour.
+// resolveTransport merges the transport kind. The kind string is parsed
+// here so a typo'd Transport fails Resolve with the full list of valid
+// kinds instead of surfacing later from fabric.NewNetwork.
 func (c *Config) resolveTransport(fc *fabric.Config) error {
-	if c.Transport != "" {
-		kind, err := transport.ParseKind(c.Transport)
+	if c.Transport == "" {
+		return nil
+	}
+	kind, err := transport.ParseKind(c.Transport)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if fc.Transport != "" {
+		fk, err := transport.ParseKind(fc.Transport)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if fc.Transport != "" {
-			fk, err := transport.ParseKind(fc.Transport)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if fk != kind {
-				return fmt.Errorf(
-					"core: conflicting transports: Config.Transport=%q but Config.Fabric.Transport=%q",
-					c.Transport, fc.Transport)
-			}
-		}
-		fc.Transport = string(kind)
-	}
-	if len(c.TransportListenAddrs) > 0 {
-		if len(fc.ListenAddrs) > 0 {
+		if fk != kind {
 			return fmt.Errorf(
-				"core: listen addresses set at both levels: Config.TransportListenAddrs and Config.Fabric.ListenAddrs")
-		}
-		fc.ListenAddrs = c.TransportListenAddrs
-	}
-	if c.TransportSendQueue < 0 {
-		return fmt.Errorf("core: Config.TransportSendQueue must be >= 0, got %d", c.TransportSendQueue)
-	}
-	if c.TransportSendQueue > 0 {
-		if fc.SendQueue > 0 && fc.SendQueue != c.TransportSendQueue {
-			return fmt.Errorf(
-				"core: conflicting send queue bounds: Config.TransportSendQueue=%d but Config.Fabric.SendQueue=%d",
-				c.TransportSendQueue, fc.SendQueue)
-		}
-		fc.SendQueue = c.TransportSendQueue
-	}
-	type durKnob struct {
-		name string
-		v    time.Duration
-		dst  *time.Duration
-	}
-	for _, k := range []durKnob{
-		{"TransportDialTimeout", c.TransportDialTimeout, &fc.DialTimeout},
-		{"TransportDialBackoffBase", c.TransportDialBackoffBase, &fc.DialBackoffBase},
-		{"TransportDialBackoffMax", c.TransportDialBackoffMax, &fc.DialBackoffMax},
-	} {
-		if k.v < 0 {
-			return fmt.Errorf("core: Config.%s must be >= 0, got %v", k.name, k.v)
-		}
-		if k.v > 0 {
-			if *k.dst > 0 && *k.dst != k.v {
-				return fmt.Errorf(
-					"core: conflicting dial tunings: Config.%s=%v but Config.Fabric side is %v",
-					k.name, k.v, *k.dst)
-			}
-			*k.dst = k.v
+				"core: conflicting transports: Config.Transport=%q but Config.Fabric.Transport=%q",
+				c.Transport, fc.Transport)
 		}
 	}
-	if fc.DialBackoffBase > 0 && fc.DialBackoffMax > 0 && fc.DialBackoffBase > fc.DialBackoffMax {
-		return fmt.Errorf(
-			"core: dial backoff base %v exceeds its cap %v",
-			fc.DialBackoffBase, fc.DialBackoffMax)
-	}
+	fc.Transport = string(kind)
 	return nil
 }
 

@@ -84,30 +84,6 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 			},
 			want: "conflicting transports",
 		},
-		{
-			name: "send queue",
-			cfg: Config{
-				TransportSendQueue: 64,
-				Fabric:             fabric.Config{SendQueue: 128},
-			},
-			want: "conflicting send queue bounds",
-		},
-		{
-			name: "dial timeout",
-			cfg: Config{
-				TransportDialTimeout: time.Second,
-				Fabric:               fabric.Config{DialTimeout: 2 * time.Second},
-			},
-			want: "conflicting dial tunings",
-		},
-		{
-			name: "listen addrs",
-			cfg: Config{
-				TransportListenAddrs: []string{"127.0.0.1:9001"},
-				Fabric:               fabric.Config{ListenAddrs: []string{"127.0.0.1:9002"}},
-			},
-			want: "listen addresses set at both levels",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,26 +104,12 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 }
 
 func TestResolveTransportKnobs(t *testing.T) {
-	cfg := Config{
-		Transport:                "tcp",
-		TransportListenAddrs:     []string{"127.0.0.1:9101", "127.0.0.1:9102"},
-		TransportSendQueue:       64,
-		TransportDialTimeout:     time.Second,
-		TransportDialBackoffBase: 10 * time.Millisecond,
-		TransportDialBackoffMax:  time.Second,
-	}
-	fc, err := cfg.Resolve()
+	fc, err := (&Config{Transport: "tcp"}).Resolve()
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if fc.Transport != "tcp" || fc.SendQueue != 64 || fc.DialTimeout != time.Second {
-		t.Fatalf("transport knobs not propagated: %+v", fc)
-	}
-	if len(fc.ListenAddrs) != 2 || fc.ListenAddrs[0] != "127.0.0.1:9101" {
-		t.Fatalf("listen addrs not propagated: %v", fc.ListenAddrs)
-	}
-	if fc.DialBackoffBase != 10*time.Millisecond || fc.DialBackoffMax != time.Second {
-		t.Fatalf("backoff knobs not propagated: %+v", fc)
+	if fc.Transport != "tcp" {
+		t.Fatalf("transport kind not propagated: %+v", fc)
 	}
 
 	// Matching values at both levels are not a conflict.
@@ -157,7 +119,11 @@ func TestResolveTransportKnobs(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsBadTransportTunings: an unknown kind fails Resolve; a
+// TCP tuning that means nothing fails when the network opens its first
+// endpoint (transport.NewTCP checks every one), so New refuses both.
 func TestResolveRejectsBadTransportTunings(t *testing.T) {
+	tcp := func(f fabric.Config) Config { return Config{Transport: "tcp", Fabric: f} }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -165,29 +131,17 @@ func TestResolveRejectsBadTransportTunings(t *testing.T) {
 	}{
 		{"unknown kind", Config{Transport: "carrier-pigeon"}, "unknown kind"},
 		{"unknown fabric kind", Config{Transport: "tcp", Fabric: fabric.Config{Transport: "bogus"}}, "unknown kind"},
-		{"negative queue", Config{TransportSendQueue: -1}, "must be >= 0"},
-		{"negative timeout", Config{TransportDialTimeout: -time.Second}, "must be >= 0"},
-		{
-			name: "backoff inversion",
-			cfg: Config{
-				TransportDialBackoffBase: time.Second,
-				TransportDialBackoffMax:  10 * time.Millisecond,
-			},
-			want: "exceeds its cap",
-		},
-		{
-			name: "cross-level backoff inversion",
-			cfg: Config{
-				TransportDialBackoffBase: time.Second,
-				Fabric:                   fabric.Config{DialBackoffMax: 10 * time.Millisecond},
-			},
-			want: "exceeds its cap",
-		},
+		{"negative queue", tcp(fabric.Config{SendQueue: -1}), "must be >= 0"},
+		{"negative timeout", tcp(fabric.Config{DialTimeout: -time.Second}), "must be >= 0"},
+		{"backoff inversion", tcp(fabric.Config{DialBackoffBase: time.Second, DialBackoffMax: 10 * time.Millisecond}), "exceeds its cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Resolve(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Resolve error = %v, want %q", err, tc.want)
+			if fw, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if fw != nil {
+					fw.Close()
+				}
+				t.Fatalf("New error = %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -59,6 +59,26 @@ type TCPConfig struct {
 	MaxFrame int
 }
 
+// check refuses tunings that mean nothing: a negative queue bound or
+// duration, and a backoff base above its cap when both are set.
+func (c *TCPConfig) check() error {
+	if c.QueueLen < 0 {
+		return fmt.Errorf("transport: QueueLen must be >= 0, got %d", c.QueueLen)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"DialTimeout", c.DialTimeout}, {"BackoffBase", c.BackoffBase}, {"BackoffMax", c.BackoffMax}} {
+		if d.v < 0 {
+			return fmt.Errorf("transport: %s must be >= 0, got %v", d.name, d.v)
+		}
+	}
+	if c.BackoffBase > 0 && c.BackoffMax > 0 && c.BackoffBase > c.BackoffMax {
+		return fmt.Errorf("transport: backoff base %v exceeds its cap %v", c.BackoffBase, c.BackoffMax)
+	}
+	return nil
+}
+
 func (c *TCPConfig) fill() {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = DefaultDialTimeout
@@ -111,8 +131,12 @@ type tcpPeer struct {
 }
 
 // NewTCP creates the endpoint, binds the listener (if any) and starts the
-// write pumps for the configured peer book.
+// write pumps for the configured peer book. A negative bound or an inverted
+// backoff is refused before anything is bound.
 func NewTCP(cfg TCPConfig) (*TCP, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	cfg.fill()
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("transport: tcp endpoint needs an ID")

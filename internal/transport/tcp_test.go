@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -306,4 +307,34 @@ func TestTCPSendToUnknownAndClosed(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
+}
+
+// TestNewTCPRejectsBadTunings: every endpoint goes through NewTCP, so it
+// refuses the tunings that mean nothing — a negative queue bound or
+// duration, a backoff base above its cap — and zero still selects the
+// defaults.
+func TestNewTCPRejectsBadTunings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  TCPConfig
+		want string
+	}{
+		{"negative queue", TCPConfig{QueueLen: -1}, "QueueLen must be >= 0"},
+		{"negative timeout", TCPConfig{DialTimeout: -time.Second}, "DialTimeout must be >= 0"},
+		{"negative backoff", TCPConfig{BackoffMax: -time.Second}, "BackoffMax must be >= 0"},
+		{"backoff inversion", TCPConfig{BackoffBase: time.Second, BackoffMax: 10 * time.Millisecond}, "exceeds its cap"},
+	} {
+		tc.cfg.ID, tc.cfg.Listen = "a", "127.0.0.1:0"
+		if tr, err := NewTCP(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if tr != nil {
+				tr.Close()
+			}
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	tr, err := NewTCP(TCPConfig{ID: "a", Listen: "127.0.0.1:0", BackoffBase: time.Second})
+	if err != nil {
+		t.Fatalf("a backoff base above the default cap: %v", err)
+	}
+	tr.Close()
 }
