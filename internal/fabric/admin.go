@@ -116,7 +116,12 @@ func (n *Node) ServeAdmin(addr string) error {
 }
 
 // AdminAddr returns the bound admin address ("" when not serving).
-func (n *Node) AdminAddr() string { return n.admin.Addr() }
+func (n *Node) AdminAddr() string {
+	if n.admin == nil {
+		return ""
+	}
+	return n.admin.Addr()
+}
 
 // statusz assembles the node's /statusz report.
 func (n *Node) statusz() any {

@@ -67,7 +67,13 @@ type Node struct {
 	dataDir   string // the peer's durable directory ("" in-memory)
 	commitErr atomic.Uint64
 
-	admin *obs.AdminServer
+	// admin is the surface ServeAdmin binds, nil until then. It is held
+	// as an interface so that binaries whose nodes never serve one (every
+	// in-process network) do not link the HTTP server.
+	admin interface {
+		Addr() string
+		Close() error
+	}
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -271,7 +277,9 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 	n.stop()
-	n.admin.Close()
+	if n.admin != nil {
+		n.admin.Close()
+	}
 	err := n.p.Close()
 	n.t.Close()
 	return err
