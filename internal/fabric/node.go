@@ -119,10 +119,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // newNode assembles peer i of the deployment cfg (filled) over an open
-// endpoint t, which it owns from here on: the peer (under DataDir/peer<i>
-// when durable), its validator on a consensus.Bus over t, its ordering
-// service and its RPC surface. Its metrics carry the channel and peer
-// labels.
+// endpoint t: the peer (under DataDir/peer<i> when durable), its validator
+// on a consensus.Bus over t, its ordering service and its RPC surface. The
+// node closes t; on error the caller still owns it. Its metrics carry the
+// channel and peer labels.
 func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, error) {
 	n := &Node{
 		net:      cfg,
