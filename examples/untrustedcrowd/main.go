@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -27,9 +29,26 @@ func main() {
 }
 
 func run() error {
-	// One silent byzantine validator out of four: below the BFT threshold,
-	// so the network keeps committing.
-	fw, err := core.New(core.Config{
+	fw, err := newFramework()
+	if err != nil {
+		return err
+	}
+	defer fw.Close()
+	fmt.Println("network up with 1 silent byzantine validator out of 4 (tolerated: f=1)")
+	if err := scoreCrowd(fw, os.Stdout); err != nil {
+		return err
+	}
+	stats := fw.LedgerStats()
+	fmt.Printf("\nledger: height=%d txs=%d valid=%d (byzantine validator never blocked commits)\n",
+		stats.Height, stats.TotalTxs, stats.ValidTxs)
+	return nil
+}
+
+// newFramework builds the scenario's deployment: one silent byzantine
+// validator out of four, below the BFT threshold, so the network keeps
+// committing.
+func newFramework() (*core.Framework, error) {
+	return core.New(core.Config{
 		Fabric: fabric.Config{
 			NumPeers:         4,
 			Behaviors:        map[int]consensus.Behavior{2: consensus.Silent{}},
@@ -38,12 +57,12 @@ func run() error {
 		},
 		IPFSNodes: 2,
 	})
-	if err != nil {
-		return err
-	}
-	defer fw.Close()
-	fmt.Println("network up with 1 silent byzantine validator out of 4 (tolerated: f=1)")
+}
 
+// scoreCrowd runs the scenario's eight rounds on fw and writes the score
+// table and the final verdicts to w. Everything it writes is a function of
+// committed state, so it is the same on every run.
+func scoreCrowd(fw *core.Framework, w io.Writer) error {
 	// Sources: a trusted camera, an honest citizen, a dishonest troll.
 	camera, err := msp.NewSigner("city", "cam-42", msp.RoleTrustedSource)
 	if err != nil {
@@ -74,8 +93,8 @@ func run() error {
 	corpus := dataset.Generate(dataset.Config{Seed: 11, NumVideos: 1, FramesPerVideo: 24, NumDroneFlights: 1, FramesPerFlight: 1, MeanFrameKB: 8})
 	frames := corpus.Static[0].Frames
 
-	fmt.Println("\nround | citizen score | troll score | troll accepted?")
-	fmt.Println("------+---------------+-------------+----------------")
+	fmt.Fprintln(w, "\nround | citizen score | troll score | troll accepted?")
+	fmt.Fprintln(w, "------+---------------+-------------+----------------")
 	for round := 0; round < 8; round++ {
 		// The camera reports the scene (seeds cross-validation references).
 		camFrame := frames[round*3]
@@ -109,26 +128,22 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%5d | %13.3f | %11.3f | %v\n", round+1, cs.Score, ts.Score, trollErr == nil)
+		fmt.Fprintf(w, "%5d | %13.3f | %11.3f | %v\n", round+1, cs.Score, ts.Score, trollErr == nil)
 	}
 
 	cs, _ := fw.TrustScore(citizen.Identity.ID())
 	ts, _ := fw.TrustScore(troll.Identity.ID())
-	fmt.Printf("\ncitizen: %d accepted, %d rejected, score %.3f (trusted)\n", cs.Accepted, cs.Rejected, cs.Score)
-	fmt.Printf("troll:   %d accepted, %d rejected, score %.3f, flagged=%v\n", ts.Accepted, ts.Rejected, ts.Score, ts.Flagged)
+	fmt.Fprintf(w, "\ncitizen: %d accepted, %d rejected, score %.3f (trusted)\n", cs.Accepted, cs.Rejected, cs.Score)
+	fmt.Fprintf(w, "troll:   %d accepted, %d rejected, score %.3f, flagged=%v\n", ts.Accepted, ts.Rejected, ts.Score, ts.Flagged)
 
 	// Even a now-honest submission from the troll is gated.
 	f := frames[0]
 	m, _ := det.ExtractMetadata(&f)
 	m.CameraID = "troll-phone"
 	if _, err := trollClient.StoreFrame(&f, m); err != nil {
-		fmt.Println("troll's well-formed submission rejected by the trust gate, as designed")
+		fmt.Fprintln(w, "troll's well-formed submission rejected by the trust gate, as designed")
 	} else {
-		fmt.Println("WARNING: troll regained access unexpectedly")
+		fmt.Fprintln(w, "WARNING: troll regained access unexpectedly")
 	}
-
-	stats := fw.LedgerStats()
-	fmt.Printf("\nledger: height=%d txs=%d valid=%d (byzantine validator never blocked commits)\n",
-		stats.Height, stats.TotalTxs, stats.ValidTxs)
 	return nil
 }
