@@ -118,6 +118,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
+// stateMemtableBytes is the flush threshold of a peer's state engine. What
+// a peer's memtable holds is mostly written once and not read again soon
+// (records, their history and index entries), so it flushes small and
+// gives the heap back; every peer of a process fills and flushes in step,
+// so the process's heap swings by about NumPeers times this. The IPFS
+// blockstore keeps storage.DefaultMemtableBytes: at 1 MiB it would flush
+// once per 1 MiB payload.
+const stateMemtableBytes = 256 << 10
+
 // newNode assembles peer i of the deployment cfg (filled) over an open
 // endpoint t: the peer (under DataDir/peer<i> when durable), its validator
 // on a consensus.Bus over t, its ordering service and its RPC surface. The
@@ -145,7 +154,7 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 		Registry:   n.registry,
 		Policy:     cfg.Policy,
 		Identities: ps.members,
-		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
+		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability, MemtableBytes: stateMemtableBytes},
 		DataDir:    n.dataDir,
 		Indexes:    cfg.StateIndexes,
 		Obs:        reg,

@@ -144,6 +144,34 @@ func TestLSMCompactionBoundsTables(t *testing.T) {
 	}
 }
 
+// TestLSMMemtableCountsBytesHeld overwrites one key until five times the
+// flush threshold has been written: the memtable still holds one entry, so
+// it counts one entry's bytes and never flushes. A tombstone gives the
+// value's bytes back.
+func TestLSMMemtableCountsBytesHeld(t *testing.T) {
+	const key = "ns\x00hot"
+	value := bytes.Repeat([]byte("v"), 100)
+	p, err := OpenPersist(Config{Dir: t.TempDir(), MemtableBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 5*(4<<10)/len(value); i++ {
+		p.Put(key, value)
+	}
+	st := p.Stats()
+	if want := int64(len(key) + 48 + len(value)); st.MemtableBytes != want {
+		t.Fatalf("memtable counts %d bytes for one %d-byte entry", st.MemtableBytes, want)
+	}
+	if st.Flushes != 0 || st.SSTables != 0 {
+		t.Fatalf("%d flushes, %d tables: overwrites of one key crossed the threshold", st.Flushes, st.SSTables)
+	}
+	p.Delete(key)
+	if st, want := p.Stats(), int64(len(key)+48); st.MemtableBytes != want {
+		t.Fatalf("memtable counts %d bytes for one tombstone, want %d", st.MemtableBytes, want)
+	}
+}
+
 // TestLSMIterPrefixPointInTime starts an iteration, then mutates the
 // engine from inside fn — overwrites, deletes, new keys, enough bytes to
 // force a memtable flush and compactions mid-iteration. The iteration

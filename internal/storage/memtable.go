@@ -18,8 +18,10 @@ type lsmEntry struct {
 // memtable buffers writes between flushes.
 type memtable struct {
 	data map[string]lsmEntry
-	// bytes approximates the heap held by data; crossing the flush
-	// threshold is a heuristic, so over-counting updates is fine.
+	// bytes approximates the heap held by data: each entry's key, value
+	// and a fixed per-entry overhead. An overwrite or a tombstone replaces
+	// the old value's bytes, so the flush threshold bounds what the
+	// memtable holds, not what was written to it.
 	bytes int64
 	// delta is the live-key count change this memtable represents against
 	// the state beneath it (imm + tables at the time of each write); the
@@ -40,9 +42,7 @@ func (m *memtable) get(key string) (lsmEntry, bool) {
 // setPut records a put. existed reports whether the key was live in the
 // full logical state before this write.
 func (m *memtable) setPut(key string, value []byte, existed bool) {
-	if _, had := m.data[key]; !had {
-		m.bytes += int64(len(key)) + 48
-	}
+	m.replace(key)
 	m.data[key] = lsmEntry{key: key, value: value}
 	m.bytes += int64(len(value))
 	if !existed {
@@ -53,11 +53,20 @@ func (m *memtable) setPut(key string, value []byte, existed bool) {
 // setDelete records a tombstone for a key that was live before this
 // write (no-op deletes never reach the memtable).
 func (m *memtable) setDelete(key string) {
-	if _, had := m.data[key]; !had {
-		m.bytes += int64(len(key)) + 48
-	}
+	m.replace(key)
 	m.data[key] = lsmEntry{key: key, tomb: true}
 	m.delta--
+}
+
+// replace accounts for key's entry about to be overwritten: a new entry
+// costs its key and the per-entry overhead, an existing one gives back its
+// old value.
+func (m *memtable) replace(key string) {
+	if old, had := m.data[key]; had {
+		m.bytes -= int64(len(old.value))
+	} else {
+		m.bytes += int64(len(key)) + 48
+	}
 }
 
 // sortedPrefix returns the memtable's entries with the given prefix
