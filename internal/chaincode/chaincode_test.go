@@ -149,65 +149,6 @@ func TestRangeMergesPendingWrites(t *testing.T) {
 	}
 }
 
-func TestCompositeKeys(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
-	key, err := sim.CreateCompositeKey("label~txid", []string{"truck", "tx9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, attrs, err := sim.SplitCompositeKey(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obj != "label~txid" || len(attrs) != 2 || attrs[0] != "truck" || attrs[1] != "tx9" {
-		t.Fatalf("split = %q %v", obj, attrs)
-	}
-}
-
-func TestCompositeKeyRejectsSeparator(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
-	if _, err := sim.CreateCompositeKey("bad\x00type", nil); err == nil {
-		t.Fatal("separator in object type accepted")
-	}
-	if _, err := sim.CreateCompositeKey("t", []string{"a\x00b"}); err == nil {
-		t.Fatal("separator in attribute accepted")
-	}
-	if _, _, err := sim.SplitCompositeKey("plainkey"); err == nil {
-		t.Fatal("non-composite key split accepted")
-	}
-}
-
-func TestPartialCompositeKeyScan(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
-	for _, attrs := range [][]string{{"truck", "tx1"}, {"truck", "tx2"}, {"car", "tx3"}} {
-		key, err := sim.CreateCompositeKey("label~txid", attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.PutState(key, []byte{0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kvs, err := sim.GetStateByPartialCompositeKey("label~txid", []string{"truck"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 2 {
-		t.Fatalf("partial scan = %d entries", len(kvs))
-	}
-	// "tr" must not match "truck" (whole-attribute matching).
-	kvs, err = sim.GetStateByPartialCompositeKey("label~txid", []string{"tr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 0 {
-		t.Fatalf("prefix attribute matched %d entries", len(kvs))
-	}
-}
-
 func TestHistoryThroughStub(t *testing.T) {
 	db, h := seededDB(t)
 	sim := NewSimulator(testCtx(t), "cc", db, h)

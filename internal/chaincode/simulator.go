@@ -133,18 +133,6 @@ func (s *Simulator) GetStateByRange(start, end string) ([]statedb.KV, error) {
 	}), nil
 }
 
-// GetStateByPartialCompositeKey implements Stub.
-func (s *Simulator) GetStateByPartialCompositeKey(objectType string, attrs []string) ([]statedb.KV, error) {
-	prefix, err := BuildCompositeKey(objectType, attrs)
-	if err != nil {
-		return nil, err
-	}
-	committed := s.db.GetStateByPrefix(s.ns, prefix)
-	return s.mergeScan(committed, func(k string) bool {
-		return strings.HasPrefix(k, prefix)
-	}), nil
-}
-
 // mergeScan layers this namespace's pending writes over committed results.
 func (s *Simulator) mergeScan(committed []statedb.KV, inRange func(string) bool) []statedb.KV {
 	out := make([]statedb.KV, 0, len(committed))
@@ -201,16 +189,6 @@ func (s *Simulator) GetHistoryForKey(key string) ([]statedb.HistEntry, error) {
 		return nil, errors.New("chaincode: history database unavailable")
 	}
 	return s.history.Get(s.ns, key)
-}
-
-// CreateCompositeKey implements Stub.
-func (s *Simulator) CreateCompositeKey(objectType string, attrs []string) (string, error) {
-	return BuildCompositeKey(objectType, attrs)
-}
-
-// SplitCompositeKey implements Stub.
-func (s *Simulator) SplitCompositeKey(key string) (string, []string, error) {
-	return SplitCompositeKeyString(key)
 }
 
 // GetTxID implements Stub. Inside InvokeBatch it returns the current

@@ -1,24 +1,17 @@
 // Package chaincode implements the smart-contract runtime of the
 // permissioned blockchain: the stub API contracts program against (state
-// access, composite keys, events, transaction context) and the transaction
-// simulator that captures read/write sets for endorsement, mirroring
-// Hyperledger Fabric's shim/chaincode model that the paper's contracts
-// (§III-B) are written against.
+// access, secondary-index pages, events, transaction context) and the
+// transaction simulator that captures read/write sets for endorsement,
+// mirroring Hyperledger Fabric's shim/chaincode model that the paper's
+// contracts (§III-B) are written against.
 package chaincode
 
 import (
-	"errors"
-	"fmt"
-	"strings"
 	"time"
 
 	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 )
-
-// compositeKeyNamespace separates composite keys from simple keys, as in
-// Fabric (a leading U+0000).
-const compositeKeySep = "\x00"
 
 // Event is an application event emitted by a chaincode during execution;
 // committers deliver events of valid transactions to subscribers.
@@ -40,19 +33,12 @@ type Stub interface {
 	// GetStateByRange returns committed keys in [start, end), merged with
 	// this simulation's own writes.
 	GetStateByRange(start, end string) ([]statedb.KV, error)
-	// GetStateByPartialCompositeKey scans composite keys by prefix.
-	GetStateByPartialCompositeKey(objectType string, attrs []string) ([]statedb.KV, error)
-	// CreateCompositeKey builds a composite key from an object type and
-	// attribute list.
-	CreateCompositeKey(objectType string, attrs []string) (string, error)
-	// SplitCompositeKey reverses CreateCompositeKey.
-	SplitCompositeKey(key string) (string, []string, error)
 	// GetQueryResult runs a rich selector query over committed state.
 	GetQueryResult(sel statedb.Selector) ([]statedb.KV, error)
 	// GetIndexPage pages through a secondary index of this chaincode's
 	// namespace over committed state (no phantom-read protection, like
 	// GetQueryResult). valuePrefix narrows by indexed value; limit bounds
-	// the page; token resumes a previous page.
+	// the page (<= 0: no bound); token resumes a previous page.
 	GetIndexPage(index, valuePrefix string, limit int, token string) (statedb.IndexPage, error)
 	// GetHistoryForKey returns the committed update history of key.
 	GetHistoryForKey(key string) ([]statedb.HistEntry, error)
@@ -80,37 +66,4 @@ type Chaincode interface {
 	// Invoke dispatches a function call. Returning an error marks the
 	// proposal as failed; no writes are applied.
 	Invoke(stub Stub, fn string, args [][]byte) ([]byte, error)
-}
-
-// BuildCompositeKey is the package-level composite key constructor used by
-// both the stub and query helpers.
-func BuildCompositeKey(objectType string, attrs []string) (string, error) {
-	if strings.Contains(objectType, compositeKeySep) {
-		return "", errors.New("chaincode: object type contains reserved separator")
-	}
-	var b strings.Builder
-	b.WriteString(compositeKeySep)
-	b.WriteString(objectType)
-	b.WriteString(compositeKeySep)
-	for _, a := range attrs {
-		if strings.Contains(a, compositeKeySep) {
-			return "", errors.New("chaincode: attribute contains reserved separator")
-		}
-		b.WriteString(a)
-		b.WriteString(compositeKeySep)
-	}
-	return b.String(), nil
-}
-
-// SplitCompositeKeyString reverses BuildCompositeKey.
-func SplitCompositeKeyString(key string) (string, []string, error) {
-	if !strings.HasPrefix(key, compositeKeySep) {
-		return "", nil, fmt.Errorf("chaincode: %q is not a composite key", key)
-	}
-	parts := strings.Split(key, compositeKeySep)
-	// parts[0] is empty (leading sep); last is empty (trailing sep).
-	if len(parts) < 3 {
-		return "", nil, fmt.Errorf("chaincode: malformed composite key %q", key)
-	}
-	return parts[1], parts[2 : len(parts)-1], nil
 }

@@ -3,6 +3,7 @@ package contracts
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -645,5 +646,167 @@ func TestAddDataDenormalisesLabel(t *testing.T) {
 	}
 	if rec.Label != meta.PrimaryLabel() {
 		t.Fatalf("record label %q, want %q", rec.Label, meta.PrimaryLabel())
+	}
+}
+
+// observation returns a schema-valid metadata record whose one detection
+// carries label, captured at the given place and time.
+func observation(t *testing.T, label string, lat float64, at time.Time) string {
+	t.Helper()
+	meta, _ := sampleMeta(t, 41)
+	meta.Detections = meta.Detections[:1]
+	meta.Detections[0].Label = label
+	meta.Location.Latitude = lat
+	meta.CapturedAt = at
+	b, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestTrustedRefRingWrapsAround stores 40 trusted observations, each a
+// degree, an hour and a label apart from the others. The ring keeps the
+// newest 32: a crowd observation of the first scene finds nothing that
+// corroborates it (cross-validation 0), one of the 40th matches exactly
+// (cross-validation 1). The trust EWMA moves from 0.5 by a fifth of the
+// difference.
+func TestTrustedRefRingWrapsAround(t *testing.T) {
+	w := newWorld(t)
+	admin := w.admin()
+	cam := w.user(admin, "city", "ring-cam", true)
+	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	scene := func(i int) string {
+		return observation(t, fmt.Sprintf("ref-%02d", i), float64(i), base.Add(time.Duration(i)*time.Hour))
+	}
+	for i := 1; i <= 40; i++ {
+		if _, err := w.invoke(cam, DataCC, "addData", "cid", scene(i)); err != nil {
+			t.Fatalf("trusted store %d: %v", i, err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		scene int
+		cross float64
+	}{
+		{"evicted-1st", 1, 0.4},
+		{"kept-40th", 40, 0.6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			crowd := w.user(admin, "crowd", c.name, false)
+			if _, err := w.invoke(crowd, DataCC, "addData", "cid", scene(c.scene)); err != nil {
+				t.Fatal(err)
+			}
+			out, err := w.invoke(admin, TrustCC, "getTrust", crowd.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := trust.UnmarshalState(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(st.Cross-c.cross) > 1e-9 {
+				t.Fatalf("cross = %f after observing scene %d, want %f", st.Cross, c.scene, c.cross)
+			}
+		})
+	}
+}
+
+// TestRingSlotsAreNotRecords requires every entry of every data index,
+// and every selector match on a source, to be a record. A ring slot
+// carries label and source fields too; only its array encoding keeps it
+// out of the indexes and the selector queries.
+func TestRingSlotsAreNotRecords(t *testing.T) {
+	w := newWorld(t)
+	admin := w.admin()
+	cam := w.user(admin, "city", "slot-cam", true)
+	const stored = 3
+	for i := 0; i < stored; i++ {
+		_, metaJSON := sampleMeta(t, int64(110+i))
+		if _, err := w.invoke(cam, DataCC, "addData", "cid", metaJSON); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range DataIndexes() {
+		page, err := w.db.IterIndex(spec.Name, "", 0, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Entries) != stored {
+			t.Errorf("index %s holds %d entries for %d records", spec.Name, len(page.Entries), stored)
+		}
+		for _, e := range page.Entries {
+			if !strings.HasPrefix(e.Key, recKeyPrefix) {
+				t.Errorf("index %s names %q, not a record", spec.Name, e.Key)
+			}
+		}
+	}
+	sel := statedb.Selector{"source": cam.ID()}
+	for name, query := range map[string]func(string, statedb.Selector) ([]statedb.KV, error){
+		"indexed": w.db.ExecuteQuery,
+		"scan":    w.db.ScanQuery,
+	} {
+		kvs, err := query(DataCC, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kvs) != stored {
+			t.Errorf("%s selector matched %d entries for %d records", name, len(kvs), stored)
+		}
+		for _, kv := range kvs {
+			if !strings.HasPrefix(kv.Key, recKeyPrefix) {
+				t.Errorf("%s selector matched %q, not a record", name, kv.Key)
+			}
+		}
+	}
+}
+
+// TestQueryByLabelMatchesExactly stores a "car" and a "cargo" record: the
+// label index matches by prefix, the query by whole value.
+func TestQueryByLabelMatchesExactly(t *testing.T) {
+	w := newWorld(t)
+	admin := w.admin()
+	cam := w.user(admin, "city", "exact-cam", true)
+	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, label := range []string{"car", "cargo"} {
+		if _, err := w.invoke(cam, DataCC, "addData", "cid-"+label, observation(t, label, 10, at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := w.invoke(cam, DataCC, "queryByLabel", "car")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []DataRecord
+	if err := json.Unmarshal(out, &recs); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, r := range recs {
+		labels = append(labels, r.Label)
+	}
+	if len(labels) != 1 || labels[0] != "car" {
+		t.Fatalf("queryByLabel(car) returned labels %q", labels)
+	}
+}
+
+// TestAddDataRefusesRetiredRingLayout puts the single-key ring older builds
+// wrote into the world state: every store is refused, naming the layout,
+// rather than read or migrated.
+func TestAddDataRefusesRetiredRingLayout(t *testing.T) {
+	w := newWorld(t)
+	admin := w.admin()
+	cam := w.user(admin, "city", "old-cam", true)
+	crowd := w.user(admin, "crowd", "old-crowd", false)
+	batch := statedb.NewUpdateBatch()
+	batch.Put(DataCC, retiredRefsKey, []byte(`[]`))
+	w.height++
+	w.db.ApplyBlockAt([]statedb.TxUpdate{{Batch: batch, Version: statedb.Version{BlockNum: w.height}}}, w.height)
+	_, metaJSON := sampleMeta(t, 121)
+	for _, source := range []msp.Identity{cam, crowd} {
+		_, err := w.invoke(source, DataCC, "addData", "cid", metaJSON)
+		if err == nil || !strings.Contains(err.Error(), "retired single-key trusted-reference ring layout") {
+			t.Fatalf("addData by %s over the retired ring = %v", source.ID(), err)
+		}
 	}
 }

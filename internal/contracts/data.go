@@ -13,9 +13,10 @@ import (
 
 // Data is the Data Upload / Data Retrieval chaincode: it records the IPFS
 // CID and extracted metadata on-chain (the paper's addDataToIPFS /
-// getDataFromIPFS pair), maintains secondary indexes for conditional
-// queries, links records into per-source provenance chains, and feeds the
-// trust engine with validation outcomes and cross-validation scores.
+// getDataFromIPFS pair), answers conditional queries from the world
+// state's secondary indexes (DataIndexes), links records into per-source
+// provenance chains, and feeds the trust engine with validation outcomes
+// and cross-validation scores.
 type Data struct{}
 
 // Name implements chaincode.Chaincode.
@@ -29,11 +30,11 @@ func (Data) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error
 	case "getData":
 		return getData(stub, args)
 	case "queryByLabel":
-		return queryByIndex(stub, idxLabel, args)
+		return queryByIndex(stub, IndexLabel, args)
 	case "queryBySource":
-		return queryByIndex(stub, idxSource, args)
+		return queryByIndex(stub, IndexSource, args)
 	case "queryByCamera":
-		return queryByIndex(stub, idxCamera, args)
+		return queryByIndex(stub, IndexCamera, args)
 	case "querySelector":
 		return querySelector(stub, args)
 	case "queryPage":
@@ -138,58 +139,35 @@ func addData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 		return nil, err
 	}
 
-	// Composite-key secondary indexes for conditional retrieval.
-	for _, idx := range []struct{ objType, attr string }{
-		{idxLabel, label},
-		{idxSource, source},
-		{idxCamera, meta.CameraID},
-	} {
-		if idx.attr == "" {
-			continue
-		}
-		key, err := stub.CreateCompositeKey(idx.objType, []string{idx.attr, txID})
-		if err != nil {
-			return nil, err
-		}
-		if err := stub.PutState(key, []byte{0}); err != nil {
-			return nil, err
-		}
-	}
-
 	// Cross-validation and trust feedback.
 	cv := 0.5
-	refs, err := loadTrustedRefs(stub)
+	next, err := loadRefsNext(stub)
 	if err != nil {
 		return nil, err
 	}
-	candidate := trust.Comparable{
-		Label:     label,
-		Latitude:  meta.Location.Latitude,
-		Longitude: meta.Location.Longitude,
-		At:        meta.CapturedAt,
-	}
 	if user.Trusted {
 		// Trusted observations join the reference ring for future
-		// cross-validation of crowd-sourced data.
-		refs = append(refs, TrustedRef{
+		// cross-validation of crowd-sourced data, overwriting the oldest.
+		if err := storeTrustedRef(stub, next, TrustedRef{
 			Label:     label,
 			Latitude:  meta.Location.Latitude,
 			Longitude: meta.Location.Longitude,
 			At:        meta.CapturedAt,
 			Source:    source,
-		})
-		if len(refs) > maxTrustedRefs {
-			refs = refs[len(refs)-maxTrustedRefs:]
-		}
-		if err := storeTrustedRefs(stub, refs); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	} else {
-		comparables := make([]trust.Comparable, len(refs))
-		for i, r := range refs {
-			comparables[i] = trust.Comparable{Label: r.Label, Latitude: r.Latitude, Longitude: r.Longitude, At: r.At}
+		refs, err := loadTrustedRefs(stub)
+		if err != nil {
+			return nil, err
 		}
-		cv = trust.CrossValidate(candidate, comparables)
+		cv = trust.CrossValidate(trust.Comparable{
+			Label:     label,
+			Latitude:  meta.Location.Latitude,
+			Longitude: meta.Location.Longitude,
+			At:        meta.CapturedAt,
+		}, refs)
 	}
 	cvStr := strconv.FormatFloat(cv, 'f', 6, 64)
 	if _, err := stub.InvokeChaincode(TrustCC, "observe",
@@ -203,27 +181,63 @@ func addData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	return []byte(cidStr), nil
 }
 
-func loadTrustedRefs(stub chaincode.Stub) ([]TrustedRef, error) {
-	raw, err := stub.GetState(refsKey)
+// loadRefsNext reads how many trusted observations the reference ring has
+// taken. Every trusted store writes this counter, so its recorded read is
+// the MVCC guard for the whole ring: a store that read the ring conflicts
+// with any trusted store committed after it. A world state still holding
+// the single-key ring of older builds is refused.
+func loadRefsNext(stub chaincode.Stub) (int, error) {
+	raw, err := stub.GetState(refsNextKey)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if raw == nil {
-		return nil, nil
+	if raw != nil {
+		n, err := strconv.Atoi(string(raw))
+		if err != nil {
+			return 0, fmt.Errorf("data: corrupt %s: %w", refsNextKey, err)
+		}
+		return n, nil
 	}
-	var refs []TrustedRef
-	if err := json.Unmarshal(raw, &refs); err != nil {
-		return nil, fmt.Errorf("data: corrupt trusted refs: %w", err)
+	if old, err := stub.GetState(retiredRefsKey); err != nil {
+		return 0, err
+	} else if old != nil {
+		return 0, fmt.Errorf("data: the world state holds %s, the retired single-key trusted-reference ring layout; start from an empty data directory", retiredRefsKey)
 	}
-	return refs, nil
+	return 0, nil
 }
 
-func storeTrustedRefs(stub chaincode.Stub, refs []TrustedRef) error {
-	b, err := json.Marshal(refs)
+// storeTrustedRef writes trusted observation next into its ring slot and
+// advances the counter. A slot holds a one-element JSON array, not an
+// object: the statedb indexes and selector queries read JSON objects only,
+// so a reference never shows up as a record.
+func storeTrustedRef(stub chaincode.Stub, next int, ref TrustedRef) error {
+	b, err := json.Marshal([]TrustedRef{ref})
 	if err != nil {
 		return err
 	}
-	return stub.PutState(refsKey, b)
+	if err := stub.PutState(fmt.Sprintf("%s%02d", refsSlotPrefix, next%maxTrustedRefs), b); err != nil {
+		return err
+	}
+	return stub.PutState(refsNextKey, []byte(strconv.Itoa(next+1)))
+}
+
+// loadTrustedRefs reads every filled slot of the reference ring.
+func loadTrustedRefs(stub chaincode.Stub) ([]trust.Comparable, error) {
+	kvs, err := stub.GetStateByRange(refsSlotPrefix, refsSlotPrefix+"\xff")
+	if err != nil {
+		return nil, err
+	}
+	refs := make([]trust.Comparable, 0, len(kvs))
+	for _, kv := range kvs {
+		var slot []TrustedRef
+		if err := json.Unmarshal(kv.Value, &slot); err != nil {
+			return nil, fmt.Errorf("data: corrupt trusted ref %s: %w", kv.Key, err)
+		}
+		for _, r := range slot {
+			refs = append(refs, trust.Comparable{Label: r.Label, Latitude: r.Latitude, Longitude: r.Longitude, At: r.At})
+		}
+	}
+	return refs, nil
 }
 
 // getData returns the on-chain record for a transaction ID — the paper's
@@ -243,22 +257,24 @@ func getData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	return rec, nil
 }
 
-// queryByIndex resolves a composite index into full records.
-func queryByIndex(stub chaincode.Stub, objType string, args [][]byte) ([]byte, error) {
+// queryByIndex resolves every record whose indexed value equals the one
+// argument into full records. The index matches by value prefix, so
+// entries whose value merely begins with the argument are skipped.
+func queryByIndex(stub chaincode.Stub, index string, args [][]byte) ([]byte, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("data: index query expects one attribute")
 	}
-	kvs, err := stub.GetStateByPartialCompositeKey(objType, []string{string(args[0])})
+	value := string(args[0])
+	page, err := stub.GetIndexPage(index, value, 0, "")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]json.RawMessage, 0, len(kvs))
-	for _, kv := range kvs {
-		_, attrs, err := stub.SplitCompositeKey(kv.Key)
-		if err != nil || len(attrs) != 2 {
+	out := make([]json.RawMessage, 0, len(page.Entries))
+	for _, e := range page.Entries {
+		if e.Value != value {
 			continue
 		}
-		rec, err := stub.GetState(recKeyPrefix + attrs[1])
+		rec, err := stub.GetState(e.Key)
 		if err != nil {
 			return nil, err
 		}

@@ -76,8 +76,8 @@ type DataRecord struct {
 	Seq int `json:"seq"`
 }
 
-// TrustedRef is a compact reference observation kept in the cross-
-// validation ring buffer.
+// TrustedRef is a compact reference observation kept in one slot of the
+// cross-validation ring.
 type TrustedRef struct {
 	Label     string    `json:"label"`
 	Latitude  float64   `json:"latitude"`
@@ -93,20 +93,18 @@ const (
 	scoreKeyPrefix = "score/"
 	recKeyPrefix   = "rec/"
 	headKeyPrefix  = "head/"
-	refsKey        = "refs/recent"
 	paramsKey      = "params"
-	auditKeyPrefix = "audit/"
+	// The trusted-reference ring: refsNextKey counts the trusted
+	// observations taken, and observation n lives in slot n%maxTrustedRefs
+	// under refsSlotPrefix.
+	refsNextKey    = "refs/next"
+	refsSlotPrefix = "refs/slot/"
+	// retiredRefsKey held the whole ring as one value in older builds.
+	retiredRefsKey = "refs/recent"
 )
 
-// Composite index object types in the data namespace.
-const (
-	idxLabel  = "label~txid"
-	idxSource = "source~txid"
-	idxCamera = "camera~txid"
-)
-
-// Statedb secondary-index names over the data namespace (the paged
-// retrieval path; the composite keys above are the in-band Fabric idiom).
+// Statedb secondary-index names over the data namespace: the conditional
+// retrieval dimensions the query functions and queryPage serve.
 const (
 	IndexLabel     = "label"
 	IndexSource    = "source"
@@ -128,5 +126,5 @@ func DataIndexes() []statedb.IndexSpec {
 	}
 }
 
-// maxTrustedRefs bounds the cross-validation ring buffer.
+// maxTrustedRefs is the number of slots in the cross-validation ring.
 const maxTrustedRefs = 32

@@ -24,28 +24,19 @@ func (Validation) Name() string { return ValidationCC }
 // Invoke implements chaincode.Chaincode.
 func (Validation) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error) {
 	switch fn {
-	case "validateTransaction":
-		return validateTransaction(stub, args, true)
-	case "checkTransaction":
-		// Read-only variant used by clients to pre-validate before paying
-		// for IPFS storage; writes no audit record.
-		return validateTransaction(stub, args, false)
+	case "validateTransaction", "checkTransaction":
+		// checkTransaction is the name clients pre-validate under before
+		// paying for IPFS storage; neither writes anything.
+		return validateTransaction(stub, args)
 	default:
 		return nil, fmt.Errorf("validation: unknown function %q", fn)
 	}
 }
 
-// AuditRecord is the persisted outcome of a validation.
-type AuditRecord struct {
-	TxID     string `json:"tx_id"`
-	Source   string `json:"source"`
-	Outcome  string `json:"outcome"`
-	DataHash string `json:"data_hash"`
-}
-
 // validateTransaction checks (metadataJSON, payloadHashHex) for the calling
-// transaction.
-func validateTransaction(stub chaincode.Stub, args [][]byte, writeAudit bool) ([]byte, error) {
+// transaction. The outcome is the transaction's own: a record is on chain
+// only if it validated.
+func validateTransaction(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("validation: expects metadata JSON and payload hash")
 	}
@@ -79,17 +70,6 @@ func validateTransaction(stub chaincode.Stub, args [][]byte, writeAudit bool) ([
 	// --- Schema verification ---
 	if err := VerifySchema(metadataJSON, payloadHash); err != nil {
 		return nil, fmt.Errorf("validation: Invalid schema for transaction %s: %w", txID, err)
-	}
-
-	if writeAudit {
-		audit := AuditRecord{TxID: txID, Source: source, Outcome: "valid", DataHash: payloadHash}
-		b, err := json.Marshal(audit)
-		if err != nil {
-			return nil, err
-		}
-		if err := stub.PutState(auditKeyPrefix+txID, b); err != nil {
-			return nil, err
-		}
 	}
 	return []byte("valid"), nil
 }

@@ -26,7 +26,7 @@ import (
 //
 // escape() makes the value NUL-free (\x00 -> \x01\x01, \x01 -> \x01\x02),
 // so the first NUL after the name delimits the value and the state key may
-// contain anything (composite keys legally embed NULs). Entries therefore
+// contain anything, NULs included. Entries therefore
 // sort by (value, key), which makes an index over a timestamp field a
 // time-ordered index for free.
 //
