@@ -26,6 +26,13 @@ import (
 // chaincode argument: a 32-byte hash and its share of the list's count.
 const maxArgBytes = 40
 
+// maxSingleRecordBytes is the budget -sizes enforces on a single-record
+// envelope, on average: the record with its metadata and CID, the
+// provenance head, the trust update, a trusted-reference slot and the
+// endorsements take about 3 KB, so a second copy of the metadata, or
+// any other kilobyte written once per record, breaks it.
+const maxSingleRecordBytes = 3500
+
 // frameOverhead is what the log adds to a block's encoding: the 8-byte
 // frame header and the format byte.
 const frameOverhead = 8 + 1
@@ -116,8 +123,8 @@ func isStore(tx *ledger.Transaction) bool {
 
 // runSizes accounts for every byte of the block logs under path (one
 // blocks.wal, or a data directory holding any number of them) and fails
-// when the parts do not add up to the files or an argument costs more than
-// a hash.
+// when the parts do not add up to the files, an argument costs more than a
+// hash or a single-record envelope more than maxSingleRecordBytes.
 func runSizes(w io.Writer, path string) error {
 	var logs []string
 	err := filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
@@ -208,6 +215,9 @@ func runSizes(w io.Writer, path string) error {
 	}
 	if argBytes > maxArgBytes*args {
 		return fmt.Errorf("%d bytes for %d arguments: more than %d per argument, so something other than a hash is recorded", argBytes, args, maxArgBytes)
+	}
+	if sums[0] > maxSingleRecordBytes*single.records {
+		return fmt.Errorf("a single-record envelope averages %s bytes, more than the %d budget", per(sums[0], single.records), maxSingleRecordBytes)
 	}
 	return nil
 }
