@@ -1,14 +1,15 @@
 // Package bitswap implements the block-exchange protocol of the off-chain
-// store: peers request wanted blocks from providers discovered via the DHT
-// and serve blocks from their local stores, with per-peer transfer
-// statistics. It is a faithful, simplified analogue of IPFS bitswap:
-// wantlists, provider sessions and parallel fetches.
+// store: peers ask each other for the blocks they want and serve blocks from
+// their local stores, with per-peer transfer statistics. It is a simplified
+// analogue of IPFS bitswap: every engine on a Network is connected to every
+// other, so a fetch asks the connected peers directly (no provider routing),
+// and a Session asks first whichever peer last served it a block.
 package bitswap
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,20 +59,31 @@ type Stats struct {
 	BytesReceived  atomic.Uint64
 }
 
+// peersOf returns the name of every engine but self, in name order.
+func (n *Network) peersOf(self string) []string {
+	n.mu.RLock()
+	peers := make([]string, 0, len(n.engines))
+	for name := range n.engines {
+		if name != self {
+			peers = append(peers, name)
+		}
+	}
+	n.mu.RUnlock()
+	slices.Sort(peers)
+	return peers
+}
+
 // Engine serves and fetches blocks for one peer.
 type Engine struct {
 	name  string
 	bs    blockstore.Blockstore
 	net   *Network
 	stats Stats
-
-	mu       sync.Mutex
-	wantlist map[cid.Cid]bool
 }
 
 // NewEngine registers a peer's engine over its blockstore.
 func (n *Network) NewEngine(name string, bs blockstore.Blockstore) *Engine {
-	e := &Engine{name: name, bs: bs, net: n, wantlist: make(map[cid.Cid]bool)}
+	e := &Engine{name: name, bs: bs, net: n}
 	n.mu.Lock()
 	n.engines[name] = e
 	n.mu.Unlock()
@@ -101,30 +113,6 @@ func (e *Engine) Name() string { return e.name }
 // Stats exposes transfer counters.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Wantlist returns the currently wanted CIDs in deterministic order.
-func (e *Engine) Wantlist() []cid.Cid {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]cid.Cid, 0, len(e.wantlist))
-	for c := range e.wantlist {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-func (e *Engine) want(c cid.Cid) {
-	e.mu.Lock()
-	e.wantlist[c] = true
-	e.mu.Unlock()
-}
-
-func (e *Engine) unwant(c cid.Cid) {
-	e.mu.Lock()
-	delete(e.wantlist, c)
-	e.mu.Unlock()
-}
-
 // handleWant is the server side: return the block if held locally.
 func (e *Engine) handleWant(c cid.Cid) (blockstore.Block, bool) {
 	b, err := e.bs.Get(c)
@@ -137,14 +125,13 @@ func (e *Engine) handleWant(c cid.Cid) (blockstore.Block, bool) {
 }
 
 // FetchBlock retrieves one block from the given providers, trying each in
-// order. The fetched block is verified (content addressing) and stored in
-// the local blockstore.
-func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, error) {
+// order, and returns it with the name of the provider that served it (empty
+// when the block was already local). The fetched block is verified (content
+// addressing) and stored in the local blockstore.
+func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, string, error) {
 	if b, err := e.bs.Get(c); err == nil {
-		return b, nil
+		return b, "", nil
 	}
-	e.want(c)
-	defer e.unwant(c)
 	for _, p := range providers {
 		if p == e.name {
 			continue
@@ -160,9 +147,9 @@ func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, er
 		}
 		e.stats.BlocksReceived.Add(1)
 		e.stats.BytesReceived.Add(uint64(len(b.Data)))
-		return b, nil
+		return b, p, nil
 	}
-	return blockstore.Block{}, fmt.Errorf("%w: %s", ErrBlockUnavailable, c)
+	return blockstore.Block{}, "", fmt.Errorf("%w: %s", ErrBlockUnavailable, c)
 }
 
 func (n *Network) clockDelay(from, to string) {
@@ -171,12 +158,47 @@ func (n *Network) clockDelay(from, to string) {
 	}
 }
 
+// Session fetches the blocks of one DAG from every other engine on the
+// network. It asks them in name order until one serves a block and from then
+// on asks that one first, as an IPFS bitswap session does: the peer that
+// served the root most likely holds the rest, so on a network of more than
+// two engines the non-holders cost a failed round trip for the root only,
+// not for every block.
+type Session struct {
+	e *Engine
+
+	mu    sync.Mutex
+	peers []string
+}
+
+// NewSession starts a session over the engines on e's network.
+func (e *Engine) NewSession() *Session {
+	return &Session{e: e, peers: e.net.peersOf(e.name)}
+}
+
+// order returns the peers in the order the next fetch asks them.
+func (s *Session) order() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.peers)
+}
+
+// servedBy moves p to the front of the order.
+func (s *Session) servedBy(p string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.peers, p); i > 0 {
+		copy(s.peers[1:i+1], s.peers[:i])
+		s.peers[0] = p
+	}
+}
+
 // fetchConcurrency bounds parallel block fetches in FetchMany.
 const fetchConcurrency = 8
 
-// FetchMany retrieves a set of blocks in parallel from the providers,
-// storing them locally. It fails fast on the first unavailable block.
-func (e *Engine) FetchMany(cids []cid.Cid, providers []string) error {
+// FetchMany retrieves a set of blocks in parallel, storing them locally. It
+// returns the first fetch error once every fetch has finished.
+func (s *Session) FetchMany(cids []cid.Cid) error {
 	if len(cids) == 0 {
 		return nil
 	}
@@ -190,13 +212,16 @@ func (e *Engine) FetchMany(cids []cid.Cid, providers []string) error {
 		go func(c cid.Cid) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := e.FetchBlock(c, providers); err != nil {
+			_, p, err := s.e.FetchBlock(c, s.order())
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
+				return
 			}
+			s.servedBy(p)
 		}(c)
 	}
 	wg.Wait()

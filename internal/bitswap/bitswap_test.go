@@ -25,12 +25,12 @@ func TestFetchBlockFromPeer(t *testing.T) {
 	if err := b.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.FetchBlock(blk.Cid, []string{"b"})
+	got, from, err := a.FetchBlock(blk.Cid, []string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, blk.Data) {
-		t.Fatal("fetched data mismatch")
+	if !bytes.Equal(got.Data, blk.Data) || from != "b" {
+		t.Fatalf("fetched %q from %q", got.Data, from)
 	}
 	// The block is now cached locally.
 	if !a.bs.Has(blk.Cid) {
@@ -48,7 +48,7 @@ func TestFetchBlockLocalShortCircuit(t *testing.T) {
 	if err := a.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.FetchBlock(blk.Cid, nil); err != nil {
+	if _, _, err := a.FetchBlock(blk.Cid, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats().BlocksSent.Load() != 0 {
@@ -58,7 +58,7 @@ func TestFetchBlockLocalShortCircuit(t *testing.T) {
 
 func TestFetchBlockUnavailable(t *testing.T) {
 	a, _ := twoEngines(t)
-	_, err := a.FetchBlock(cid.SumRaw([]byte("missing")), []string{"b"})
+	_, _, err := a.FetchBlock(cid.SumRaw([]byte("missing")), []string{"b"})
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("want ErrBlockUnavailable, got %v", err)
 	}
@@ -71,7 +71,7 @@ func TestFetchBlockSkipsDeadProviders(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "ghost" is not registered; "a" is self and skipped; "b" has it.
-	got, err := a.FetchBlock(blk.Cid, []string{"ghost", "a", "b"})
+	got, _, err := a.FetchBlock(blk.Cid, []string{"ghost", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFetchManyParallel(t *testing.T) {
 		}
 		cids = append(cids, blk.Cid)
 	}
-	if err := dst.FetchMany(cids, []string{"src"}); err != nil {
+	if err := dst.NewSession().FetchMany(cids); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cids {
@@ -115,7 +115,7 @@ func TestFetchManyPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := cid.SumRaw([]byte("absent"))
-	err := dst.FetchMany([]cid.Cid{have.Cid, missing}, []string{"src"})
+	err := dst.NewSession().FetchMany([]cid.Cid{have.Cid, missing})
 	if err == nil {
 		t.Fatal("FetchMany must fail when a block is unavailable")
 	}
@@ -123,22 +123,8 @@ func TestFetchManyPartialFailure(t *testing.T) {
 
 func TestFetchManyEmpty(t *testing.T) {
 	a, _ := twoEngines(t)
-	if err := a.FetchMany(nil, nil); err != nil {
+	if err := a.NewSession().FetchMany(nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWantlistLifecycle(t *testing.T) {
-	a, _ := twoEngines(t)
-	c := cid.SumRaw([]byte("wanted"))
-	a.want(c)
-	wl := a.Wantlist()
-	if len(wl) != 1 || !wl[0].Equals(c) {
-		t.Fatalf("wantlist = %v", wl)
-	}
-	a.unwant(c)
-	if len(a.Wantlist()) != 0 {
-		t.Fatal("unwant did not clear")
 	}
 }
 
@@ -149,7 +135,7 @@ func TestCorruptProviderCannotPoison(t *testing.T) {
 	_ = evil
 	honest := net.NewEngine("honest", blockstore.NewMem())
 	want := cid.SumRaw([]byte("the-truth"))
-	_, err := honest.FetchBlock(want, []string{"evil"})
+	_, _, err := honest.FetchBlock(want, []string{"evil"})
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("poisoned block accepted: %v", err)
 	}
@@ -186,10 +172,10 @@ func TestManyEnginesChain(t *testing.T) {
 	if err := src.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mid.FetchBlock(blk.Cid, []string{"src"}); err != nil {
+	if _, _, err := mid.FetchBlock(blk.Cid, []string{"src"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.FetchBlock(blk.Cid, []string{"mid"}); err != nil {
+	if _, _, err := dst.FetchBlock(blk.Cid, []string{"mid"}); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.bs.Has(blk.Cid) {

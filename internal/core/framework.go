@@ -68,11 +68,10 @@ type Config struct {
 	// persist under DataDir/fabric (world state + block logs) and the IPFS
 	// cluster's blockstores and pin sets under DataDir/ipfs. Building a
 	// framework over a directory with previous data recovers it — peers
-	// replay their block logs, lagging peers sync from the freshest, IPFS
-	// nodes re-announce recovered content — and the bootstrap
-	// (admin enrollment, trust parameters) is skipped when the recovered
-	// chain already carries it. A killed and restarted deployment therefore
-	// resumes with its canonical state intact.
+	// replay their block logs, lagging peers sync from the freshest — and
+	// the bootstrap (admin enrollment, trust parameters) is skipped when
+	// the recovered chain already carries it. A killed and restarted
+	// deployment therefore resumes with its canonical state intact.
 	DataDir string
 	// Transport selects how consensus traffic moves between the framework's
 	// validators: "inproc" (default — deterministic in-process delivery) or

@@ -32,7 +32,7 @@ func BenchmarkAddLocal(b *testing.B) {
 
 func BenchmarkGetCrossNodeCold(b *testing.B) {
 	// Every iteration adds fresh content on node 0 and fetches it cold on
-	// node 1, measuring DHT lookup + bitswap transfer.
+	// node 1, measuring the bitswap transfer.
 	c, err := NewCluster(ClusterConfig{Nodes: 2})
 	if err != nil {
 		b.Fatal(err)

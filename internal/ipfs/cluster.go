@@ -6,25 +6,22 @@ import (
 
 	"socialchain/internal/bitswap"
 	"socialchain/internal/blockstore"
-	"socialchain/internal/dht"
 	"socialchain/internal/sim"
 	"socialchain/internal/storage"
 )
 
-// Cluster is a set of IPFS nodes sharing one DHT and bitswap network. The
-// paper's testbed ran two IPFS nodes; benchmarks construct clusters of
-// configurable size.
+// Cluster is a set of IPFS nodes on one bitswap network, each connected to
+// every other. The paper's testbed ran two IPFS nodes; benchmarks construct
+// clusters of configurable size.
 type Cluster struct {
-	nodes   []*Node
-	dhtNet  *dht.Network
-	swapNet *bitswap.Network
+	nodes []*Node
 }
 
 // ClusterConfig configures cluster construction.
 type ClusterConfig struct {
 	// Nodes is the number of peers (>= 1).
 	Nodes int
-	// Latency applies to both DHT and bitswap traffic (nil = zero).
+	// Latency applies to every bitswap want and reply (nil = zero).
 	Latency sim.LatencyModel
 	// Clock defaults to the real clock.
 	Clock sim.Clock
@@ -33,21 +30,18 @@ type ClusterConfig struct {
 	// DataDir, when non-empty, makes every node's blockstore and pin set
 	// durable: node i persists under DataDir/ipfs-<i> (blocks + pins
 	// sub-directories). Reopening the same directory recovers the stored
-	// blocks, and each node re-announces its pinned roots to the DHT so
-	// recovered content is discoverable again (provider records are
-	// in-memory network state, not storage).
+	// blocks and pins and nothing else: the other nodes find recovered
+	// content by asking, so reopening announces nothing.
 	DataDir string
 }
 
-// NewCluster builds and bootstraps a connected cluster.
+// NewCluster builds a connected cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("ipfs: cluster needs at least one node, got %d", cfg.Nodes)
 	}
-	c := &Cluster{
-		dhtNet:  dht.NewNetwork(cfg.Latency, cfg.Clock),
-		swapNet: bitswap.NewNetwork(cfg.Latency, cfg.Clock),
-	}
+	c := &Cluster{}
+	swapNet := bitswap.NewNetwork(cfg.Latency, cfg.Clock)
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("ipfs-%d", i)
 		blockCfg, pinCfg := storage.Config{}, storage.Config{}
@@ -72,28 +66,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			opts: cfg.NodeOptions,
 			bs:   bs,
 			pin:  pin,
-			dht:  c.dhtNet.NewNode(name),
-			bw:   c.swapNet.NewEngine(name, bs),
+			bw:   swapNet.NewEngine(name, bs),
 		}
 		c.nodes = append(c.nodes, node)
-	}
-	// Bootstrap everyone off node 0.
-	seed := c.nodes[0].dht.Info()
-	for _, n := range c.nodes[1:] {
-		n.dht.Bootstrap(seed)
-	}
-	// A second pass back-fills routing tables now that all peers exist.
-	for _, n := range c.nodes {
-		n.dht.IterativeFindNode(n.dht.ID())
-	}
-	if cfg.DataDir != "" {
-		// Recovered nodes re-announce what they already hold.
-		for _, n := range c.nodes {
-			if err := n.Reprovide(); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("ipfs: %s reprovide: %w", n.name, err)
-			}
-		}
 	}
 	return c, nil
 }

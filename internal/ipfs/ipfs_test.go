@@ -3,8 +3,10 @@ package ipfs
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"socialchain/internal/sim"
 )
@@ -95,16 +97,97 @@ func TestFetchFromThirdNodeAfterPropagation(t *testing.T) {
 	}
 }
 
+// TestReopenedClusterServesOtherNode: content one node added before a
+// restart is served to the other node after it, with no announce step.
+func TestReopenedClusterServesOtherNode(t *testing.T) {
+	cfg := ClusterConfig{Nodes: 2, DataDir: t.TempDir(), NodeOptions: Options{ChunkSize: 4096}}
+	data := sim.NewRNG(12).Bytes(64 * 1024)
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Node(0).Add(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Node(1).Get(root)
+	if err != nil {
+		t.Fatalf("node 1 get after reopen: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("node 1 got different bytes after reopen")
+	}
+}
+
+// messageLog is a sim.LatencyModel that records every message it delays,
+// in order, and delays none.
+type messageLog struct {
+	mu   sync.Mutex
+	msgs [][2]string // from, to
+}
+
+func (l *messageLog) Delay(from, to string) time.Duration {
+	l.mu.Lock()
+	l.msgs = append(l.msgs, [2]string{from, to})
+	l.mu.Unlock()
+	return 0
+}
+
+// TestFetchAsksRootHolderFirst: when only one node of four holds a DAG, a
+// fetch costs the non-holders one failed want each for the root and none
+// for the rest, because the node that served the root is asked first.
+func TestFetchAsksRootHolderFirst(t *testing.T) {
+	log := &messageLog{}
+	c, err := NewCluster(ClusterConfig{Nodes: 4, Latency: log, NodeOptions: Options{ChunkSize: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sim.NewRNG(13).Bytes(64 * 1024) // 16 leaves under one root
+	root, err := c.Node(3).Add(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Node(0).Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("payload mismatch")
+	}
+	holder, fetcher := c.Node(3).Name(), c.Node(0).Name()
+	missed, firstReply := 0, -1
+	for i, m := range log.msgs {
+		switch {
+		case m == [2]string{holder, fetcher} && firstReply < 0:
+			firstReply = i
+		case m[0] == fetcher && m[1] != holder:
+			missed++
+			if firstReply >= 0 {
+				t.Errorf("message %d: a want to non-holder %s after the root arrived", i, m[1])
+			}
+		}
+	}
+	if missed > 2 {
+		t.Fatalf("%d wants to non-holders, want at most 2", missed)
+	}
+}
+
 func TestGetMissingContent(t *testing.T) {
 	c := newTestCluster(t, 2, Options{})
 	data := sim.NewRNG(5).Bytes(1024)
-	// Build a CID that nothing provides by hashing directly.
 	phantomRoot, err := c.Node(0).Add(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wipe node 0's store and provider records are stale; node 1 may still
-	// reach node 0 but the block is gone.
+	// Wipe node 0's store: node 1 still asks node 0, but the block is gone.
 	for _, k := range c.Node(0).Blockstore().AllKeys() {
 		if err := c.Node(0).Blockstore().Delete(k); err != nil {
 			t.Fatal(err)

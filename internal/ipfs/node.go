@@ -1,8 +1,13 @@
 // Package ipfs assembles the off-chain content-addressed store from its
-// substrates: chunking, Merkle-DAG construction, block storage, DHT provider
-// routing and bitswap block exchange. A Node exposes the familiar
-// Add/Get/Pin/GC surface; a Cluster wires several nodes into one network,
-// standing in for the paper's two-node IPFS deployment.
+// substrates: chunking, Merkle-DAG construction, block storage and bitswap
+// block exchange. A Node exposes the familiar Add/Get/Pin/GC surface; a
+// Cluster wires several nodes into one network, standing in for the paper's
+// two-node IPFS deployment. Every node of a Cluster is connected to every
+// other, so a node missing a block asks its peers for it, as IPFS bitswap
+// does before it consults a DHT. Who serves a block is only a hint: a block
+// is trusted because it hashes to its CID, and the blockstore checks that
+// before it stores the block. A node therefore keeps no per-record state
+// outside its blockstore and pin set.
 package ipfs
 
 import (
@@ -16,7 +21,6 @@ import (
 	"socialchain/internal/chunker"
 	"socialchain/internal/cid"
 	"socialchain/internal/dag"
-	"socialchain/internal/dht"
 )
 
 // ChunkStrategy selects how payloads are split into blocks.
@@ -46,7 +50,6 @@ type Node struct {
 
 	bs  blockstore.Blockstore
 	pin *blockstore.Pinner
-	dht *dht.Node
 	bw  *bitswap.Engine
 }
 
@@ -96,9 +99,6 @@ func (n *Node) Name() string { return n.name }
 // Blockstore exposes the underlying store (stats, tests).
 func (n *Node) Blockstore() blockstore.Blockstore { return n.bs }
 
-// DHT exposes the routing node (tests, stats).
-func (n *Node) DHT() *dht.Node { return n.dht }
-
 // Bitswap exposes the exchange engine (stats).
 func (n *Node) Bitswap() *bitswap.Engine { return n.bw }
 
@@ -112,8 +112,8 @@ func (n *Node) newChunker(r io.Reader) chunker.Chunker {
 	}
 }
 
-// Add imports data: chunk, build the Merkle DAG, store blocks, pin the root
-// and announce this node as a provider. It returns the root CID.
+// Add imports data: chunk, build the Merkle DAG, store blocks and pin the
+// root. It returns the root CID.
 func (n *Node) Add(data []byte) (cid.Cid, error) {
 	return n.AddReader(bytes.NewReader(data))
 }
@@ -133,9 +133,6 @@ func (n *Node) AddReader(r io.Reader) (cid.Cid, error) {
 		return cid.Undef, fmt.Errorf("ipfs: build dag: %w", err)
 	}
 	n.pin.Pin(root)
-	if err := n.dht.Provide(root); err != nil {
-		return cid.Undef, fmt.Errorf("ipfs: provide: %w", err)
-	}
 	return root, nil
 }
 
@@ -143,7 +140,7 @@ func (n *Node) AddReader(r io.Reader) (cid.Cid, error) {
 var ErrNotFound = errors.New("ipfs: content not found")
 
 // Get retrieves the full payload addressed by root. Missing blocks are
-// located via the DHT and fetched over bitswap; every fetched block is
+// fetched over bitswap from the other nodes; every fetched block is
 // hash-verified before use. Reassembly reuses the node set the fetch
 // already decoded, so the DAG is walked (and each block decoded) once,
 // not once to fetch and again to concatenate.
@@ -204,10 +201,11 @@ func (n *Node) Has(root cid.Cid) bool {
 
 // fetchDAG ensures every block of the DAG under root is in the local
 // store, fetching missing blocks level by level with parallel bitswap
-// requests, and returns the decoded node set so callers reuse it instead
+// requests in one session (the node that served the root is asked first for
+// the rest), and returns the decoded node set so callers reuse it instead
 // of re-walking the DAG.
 func (n *Node) fetchDAG(root cid.Cid) (map[cid.Cid]*dag.Node, error) {
-	var providers []string
+	var session *bitswap.Session
 	ensure := func(cids []cid.Cid) error {
 		var missing []cid.Cid
 		for _, c := range cids {
@@ -218,13 +216,10 @@ func (n *Node) fetchDAG(root cid.Cid) (map[cid.Cid]*dag.Node, error) {
 		if len(missing) == 0 {
 			return nil
 		}
-		if providers == nil {
-			providers = n.dht.FindProviders(root, 8)
-			if len(providers) == 0 {
-				return fmt.Errorf("%w: no providers for %s", ErrNotFound, root)
-			}
+		if session == nil {
+			session = n.bw.NewSession()
 		}
-		if err := n.bw.FetchMany(missing, providers); err != nil {
+		if err := session.FetchMany(missing); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotFound, err)
 		}
 		return nil
@@ -256,18 +251,6 @@ func (n *Node) fetchDAG(root cid.Cid) (map[cid.Cid]*dag.Node, error) {
 		frontier = next
 	}
 	return nodes, nil
-}
-
-// Reprovide announces every pinned root to the DHT — the recovery step
-// after reopening a durable blockstore, whose provider records (in-memory
-// network state) died with the previous process.
-func (n *Node) Reprovide() error {
-	for _, root := range n.pin.Roots() {
-		if err := n.dht.Provide(root); err != nil {
-			return fmt.Errorf("ipfs: provide %s: %w", root, err)
-		}
-	}
-	return nil
 }
 
 // Close flushes and closes the node's blockstore and pin set.

@@ -10,7 +10,7 @@ import (
 
 // payloadCache is a size-bounded, CID-keyed LRU over verified payloads.
 // The retrieval pipeline reads through it: a hit skips the whole IPFS
-// executor (DHT lookup, bitswap, DAG reassembly); only payloads that
+// executor (bitswap fetch, DAG reassembly); only payloads that
 // passed hash verification are admitted, so a hit can serve bytes without
 // re-fetching while the caller still re-verifies against the on-chain
 // hash it resolved for this transaction. Payloads larger than the cache

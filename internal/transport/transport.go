@@ -1,7 +1,7 @@
 // Package transport is the message-passing seam of the deployment: every
 // byte that crosses between peers — consensus votes, ordering delivery,
-// endorsement/gateway RPC, bitswap and DHT traffic — moves through the
-// Transport interface. Two implementations exist:
+// endorsement/gateway RPC — moves through the Transport interface. Two
+// implementations exist:
 //
 //   - InProc: deterministic in-process delivery over sim latency injection,
 //     the default test harness. Function calls, no serialization beyond the
