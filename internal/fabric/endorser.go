@@ -93,10 +93,25 @@ func (ch *Channel) activeEndorsers() []Endorser {
 	return out
 }
 
+// entryEndorsers returns the peers a submission may enter through: every
+// peer whose validator no replica has evicted. A node orders what it is
+// handed through its own validator, and every honest replica drops an
+// evicted validator's messages, so a transaction entered there would never
+// be ordered and its client would wait out the commit timeout. An eviction
+// rests on two conflicting pre-prepares signed by the evicted leader, so
+// one replica's is enough.
 func (ch *Channel) entryEndorsers() []Endorser {
-	out := make([]Endorser, len(ch.nodes))
-	for i, n := range ch.nodes {
-		out[i] = n
+	evicted := make(map[string]bool)
+	for _, n := range ch.nodes {
+		for _, id := range n.v.EvictedPeers() {
+			evicted[id] = true
+		}
+	}
+	out := make([]Endorser, 0, len(ch.nodes))
+	for _, n := range ch.nodes {
+		if !evicted[n.id] {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -87,6 +87,37 @@ func TestWrongDigestValidatorDoesNotAffectCommits(t *testing.T) {
 	}
 }
 
+// TestSubmitAvoidsEvictedEntryPeer: once the replicas evict an
+// equivocating leader, no submission enters through its node. Honest
+// replicas drop everything that node's validator gossips, so a transaction
+// handed to it would never be ordered; the gateway's round robin used to
+// reach it once every four submissions.
+func TestSubmitAvoidsEvictedEntryPeer(t *testing.T) {
+	net := newTestNetwork(t, Config{
+		NumPeers:         4,
+		Behaviors:        map[int]consensus.Behavior{0: &consensus.Equivocator{Half: map[string]bool{"peer1": true}}},
+		ConsensusTimeout: 500 * time.Millisecond,
+		CommitTimeout:    5 * time.Second,
+	})
+	gw := net.ChannelAt(0).Gateway(newClient(t))
+	for i := 0; i < 8; i++ {
+		res, err := gw.Submit("kv", "put", []byte{byte('a' + i)}, []byte("v"))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if res.Flag != ledger.Valid {
+			t.Fatalf("submit %d flag = %s", i, res.Flag)
+		}
+	}
+	// The run is only a test of the rule if some replica convicted peer0.
+	for i := 1; i < 4; i++ {
+		if ev := net.ChannelAt(0).Validator(i).EvictedPeers(); len(ev) == 1 && ev[0] == "peer0" {
+			return
+		}
+	}
+	t.Fatal("no replica evicted the equivocating peer0")
+}
+
 func TestEvaluatePrefersFreshestPeer(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4})
 	gw := net.ChannelAt(0).Gateway(newClient(t))

@@ -275,6 +275,9 @@ func (g *Gateway) orderAsync(tx ledger.Transaction) (Endorser, <-chan ledger.Val
 		return nil, nil, fmt.Errorf("fabric: order: %w", err)
 	}
 	entries := g.be.entryEndorsers()
+	if len(entries) == 0 {
+		return nil, nil, errors.New("fabric: no entry peers")
+	}
 	entry := entries[int(g.be.rrNext())%len(entries)]
 	g.be.clientDelay(entry.ID())
 	start := time.Now()
