@@ -87,12 +87,6 @@ func TestIntegrationSmartCityScenario(t *testing.T) {
 				t.Fatalf("store %s: %v", frame.ID, err)
 			}
 			receipts = append(receipts, receipt)
-			// The receipt means the entry peer committed the record. An
-			// endorser still below that height would endorse the next store
-			// against the previous data/refs/next version, and the gateway's
-			// MVCC retry of that store would put a tenth, invalid data
-			// transaction on the chain the explorer counts below.
-			waitForHeight(t, fw, receipt.BlockNum+1)
 		}
 	}
 	if len(receipts) != 9 {

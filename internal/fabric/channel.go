@@ -23,6 +23,7 @@ type Channel struct {
 	mu       sync.RWMutex
 	excluded map[string]bool
 	rr       atomic.Uint64
+	tip      heightMark
 }
 
 // newChannel puts the gateway backend over the network's nodes.
@@ -99,21 +100,14 @@ func (ch *Channel) ActiveEndorsers() []*peer.Peer {
 func (ch *Channel) SyncPeer(i int) (int, error) { return ch.nodes[i].catchUp() }
 
 // WaitHeight blocks until every peer's ledger reaches height (or
-// timeout), returning whether it was reached.
+// timeout), returning whether it was reached. It waits on each peer's
+// commit notification.
 func (ch *Channel) WaitHeight(height uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		all := true
-		for _, n := range ch.nodes {
-			if n.p.Height() < height {
-				all = false
-				break
-			}
+	deadline := ch.net.cfg.Clock.After(timeout)
+	for _, n := range ch.nodes {
+		if !waitHeight(n.p, height, deadline, nil) {
+			return false
 		}
-		if all {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return false
+	return true
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"sync/atomic"
 	"time"
 
 	"socialchain/internal/ledger"
@@ -19,11 +20,12 @@ import (
 type Endorser interface {
 	// ID returns the peer's identifier.
 	ID() string
-	// Height returns the peer's current chain height (freshest-peer reads).
-	Height() uint64
-	// Endorse simulates a proposal and returns the signed response.
+	// Endorse simulates a proposal once the peer's chain has reached the
+	// proposal's MinHeight, and returns the signed response. A peer that
+	// does not reach it in time refuses with ErrBehind.
 	Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error)
-	// EndorseBatch simulates a batch proposal on one simulator.
+	// EndorseBatch is Endorse for a batch proposal, simulated on one
+	// simulator.
 	EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error)
 	// Order submits an assembled envelope for ordering and returns a
 	// channel that yields the commit validation flag. The commit waiter is
@@ -49,6 +51,10 @@ type backend interface {
 	report(peerID, reason string)
 	commitTimeout() time.Duration
 	now() time.Time
+	after(d time.Duration) <-chan time.Time
+	// seen is the client height shared by every gateway over this
+	// backend; see heightMark.
+	seen() *heightMark
 	// clientDelay simulates (or is, over TCP) the client<->peer hop.
 	clientDelay(peerID string)
 	// activeEndorsers returns the endorsers not excluded by misbehaviour.
@@ -62,14 +68,31 @@ type backend interface {
 	obsReg() *obs.Registry
 }
 
+// heightMark is the highest chain height (block number + 1) reached by a
+// result handed to any gateway over one backend. Every proposal carries it
+// as its MinHeight, so a client reads its own writes whichever peers
+// endorse. It is shared by the backend's gateways so that, say, an admin
+// gateway's registration is visible to a source's first store.
+type heightMark struct{ h atomic.Uint64 }
+
+func (m *heightMark) load() uint64 { return m.h.Load() }
+
+// raise lifts the mark to h unless it is already higher.
+func (m *heightMark) raise(h uint64) {
+	for cur := m.h.Load(); h > cur && !m.h.CompareAndSwap(cur, h); cur = m.h.Load() {
+	}
+}
+
 // Channel's backend implementation.
 
-func (ch *Channel) chName() string               { return ch.name }
-func (ch *Channel) chPolicy() msp.Policy         { return ch.net.cfg.Policy }
-func (ch *Channel) chMembers() *msp.Registry     { return ch.net.members }
-func (ch *Channel) report(peerID, reason string) { ch.watchdog.Report(peerID, reason) }
-func (ch *Channel) commitTimeout() time.Duration { return ch.net.cfg.CommitTimeout }
-func (ch *Channel) now() time.Time               { return ch.net.cfg.Clock.Now() }
+func (ch *Channel) chName() string                         { return ch.name }
+func (ch *Channel) chPolicy() msp.Policy                   { return ch.net.cfg.Policy }
+func (ch *Channel) chMembers() *msp.Registry               { return ch.net.members }
+func (ch *Channel) report(peerID, reason string)           { ch.watchdog.Report(peerID, reason) }
+func (ch *Channel) commitTimeout() time.Duration           { return ch.net.cfg.CommitTimeout }
+func (ch *Channel) now() time.Time                         { return ch.net.cfg.Clock.Now() }
+func (ch *Channel) after(d time.Duration) <-chan time.Time { return ch.net.cfg.Clock.After(d) }
+func (ch *Channel) seen() *heightMark                      { return &ch.tip }
 
 func (ch *Channel) clientDelay(peerID string) {
 	cfg := &ch.net.cfg

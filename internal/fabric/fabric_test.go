@@ -163,19 +163,9 @@ func TestMVCCConflictFlagged(t *testing.T) {
 	if _, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0")); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	// The seed is acknowledged once the entry peer commits it; an endorser
-	// still below that height would read the counter's older version and
-	// both increments would conflict. Wait for every peer.
-	ch := net.ChannelAt(0)
-	var tip uint64
-	for _, p := range ch.Peers() {
-		tip = max(tip, p.Ledger().Height())
-	}
-	if !ch.WaitHeight(tip, 10*time.Second) {
-		t.Fatalf("peers did not reach height %d", tip)
-	}
-	// Two concurrent increments read the same version; batched together,
-	// the second must be invalidated with an MVCC conflict.
+	// Two concurrent increments read the same version — both are endorsed
+	// at or above the seed's block — and, batched together, the second
+	// must be invalidated with an MVCC conflict.
 	id1, w1, err := gw.SubmitAsync("kv", "increment", []byte("ctr"))
 	if err != nil {
 		t.Fatalf("async1: %v", err)

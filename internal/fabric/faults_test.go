@@ -118,13 +118,16 @@ func TestSubmitAvoidsEvictedEntryPeer(t *testing.T) {
 	t.Fatal("no replica evicted the equivocating peer0")
 }
 
+// TestEvaluatePrefersFreshestPeer: a read right after a store sees the
+// store's write, even through the peers that commit it after the client's
+// receipt: the read is served at or above the client's height.
 func TestEvaluatePrefersFreshestPeer(t *testing.T) {
-	net := newTestNetwork(t, Config{NumPeers: 4})
+	net := newLaggingNetwork(t)
 	gw := net.ChannelAt(0).Gateway(newClient(t))
 	if _, err := gw.Submit("kv", "put", []byte("fresh"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	// Immediately evaluating must see the write even if some peers lag.
+	// The round robin reaches every peer, the lagging three included.
 	for i := 0; i < 5; i++ {
 		got, err := gw.Evaluate("kv", "get", []byte("fresh"))
 		if err != nil {
@@ -230,6 +233,10 @@ func TestGatewayReportsContradictingEndorser(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 3})
 	ch := net.ChannelAt(0)
 	liar := ch.Peer(2).ID()
+	// The liar's report is filed by its own endorsement goroutine, which
+	// may answer after the store has returned on the other three.
+	flagged := make(chan string, 1)
+	ch.Watchdog().OnFlag(func(id string) { flagged <- id })
 	gw := newGateway(contradictingBackend{ch, liar, net.signers[2]}, ch, newClient(t))
 	for i := 0; i < 3; i++ {
 		if ch.Watchdog().IsFlagged(liar) {
@@ -252,6 +259,14 @@ func TestGatewayReportsContradictingEndorser(t *testing.T) {
 		if len(tx.Endorsements) != 3 {
 			t.Fatalf("tx %d carries %d endorsements, want the three consistent ones", i, len(tx.Endorsements))
 		}
+	}
+	select {
+	case id := <-flagged:
+		if id != liar {
+			t.Fatalf("flagged %s, want %s", id, liar)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was not flagged after three stores", liar)
 	}
 	if !ch.Watchdog().IsFlagged(liar) || ch.Watchdog().Reports(liar) != 3 {
 		t.Fatalf("%s has %d reports, flagged %v", liar, ch.Watchdog().Reports(liar), ch.Watchdog().IsFlagged(liar))

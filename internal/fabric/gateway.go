@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"socialchain/internal/chaincode"
@@ -13,6 +12,7 @@ import (
 	"socialchain/internal/obs"
 	"socialchain/internal/peer"
 	"socialchain/internal/statedb"
+	"socialchain/internal/transport"
 )
 
 // ErrCommitTimeout is returned when a submitted transaction does not commit
@@ -88,74 +88,62 @@ func (g *Gateway) Channel() *Channel { return g.ch }
 // Evaluate executes a read-only query against a single peer and returns the
 // chaincode response without ordering or committing anything, like Fabric's
 // EvaluateTransaction. This is the paper's gas-free blockchain read path.
-// Among active endorsers it prefers the freshest peer (highest ledger
-// height) so reads observe the client's own committed writes.
+// The proposal carries the client's height as its MinHeight, so whichever
+// peer serves it, the read observes the client's own committed writes. It
+// goes to one active endorser, picked round robin, and moves to the next
+// when that one cannot serve it: it is behind (ErrBehind) or does not
+// answer. A chaincode error is the endorser's answer and returns at once,
+// so a read of an absent key asks one peer, not each in turn.
 func (g *Gateway) Evaluate(ccName, fn string, args ...[]byte) ([]byte, error) {
 	endorsers := g.be.activeEndorsers()
 	if len(endorsers) == 0 {
 		return nil, errors.New("fabric: no active endorsers")
 	}
-	p := endorsers[int(g.be.rrNext())%len(endorsers)]
-	best := p.Height()
-	for _, cand := range endorsers {
-		if h := cand.Height(); h > best {
-			best = h
-			p = cand
-		}
-	}
 	prop, err := peer.NewProposal(g.client, g.be.chName(), ccName, fn, args, g.be.now())
 	if err != nil {
 		return nil, err
 	}
-	g.be.clientDelay(p.ID())
-	resp, err := p.Endorse(prop)
-	g.be.clientDelay(p.ID())
+	prop.MinHeight = g.be.seen().load()
+	first := int(g.be.rrNext())
+	for i := range endorsers {
+		p := endorsers[(first+i)%len(endorsers)]
+		g.be.clientDelay(p.ID())
+		var resp *peer.ProposalResponse
+		resp, err = p.Endorse(prop)
+		g.be.clientDelay(p.ID())
+		if err == nil {
+			return resp.Response, nil
+		}
+		if !errors.Is(err, ErrBehind) && !errors.Is(err, transport.ErrRPCTimeout) {
+			return nil, err
+		}
+	}
+	return nil, err
+}
+
+// Submit runs the full transaction lifecycle: endorse on the active peers
+// until one digest group satisfies the channel policy, assemble and sign
+// the envelope, order it through BFT consensus, and wait for commit. The
+// proposal is endorsed at or above the client's height, so it reads the
+// client's own writes; an MVCC flag on the result is a real conflict with
+// another writer, and it is the caller's to handle.
+func (g *Gateway) Submit(ccName, fn string, args ...[]byte) (*Result, error) {
+	tx, err := g.endorseAndAssemble(ccName, fn, args)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Response, nil
+	return g.SubmitEnvelope(*tx)
 }
 
-// mvccRetries bounds automatic resubmission after an MVCC invalidation.
-// A transaction endorsed against peers that had not yet caught up on a
-// recent block reads stale versions and is invalidated at commit; as in
-// Fabric applications, the client re-endorses against fresh state and
-// resubmits.
-const mvccRetries = 4
-
-// Submit runs the full transaction lifecycle: endorse on all active peers,
-// assemble and sign the envelope, order through BFT consensus, and wait for
-// commit. MVCC invalidations caused by stale endorsement state are retried
-// with a fresh proposal; other invalidation flags are returned to the
-// caller. The returned result may still carry an invalidation flag (e.g. a
-// genuine concurrent-writer conflict that persists across retries).
-func (g *Gateway) Submit(ccName, fn string, args ...[]byte) (*Result, error) {
-	var res *Result
-	for attempt := 0; ; attempt++ {
-		tx, err := g.endorseAndAssemble(ccName, fn, args)
-		if err != nil {
-			return nil, err
-		}
-		res, err = g.SubmitEnvelope(*tx)
-		if err != nil {
-			return nil, err
-		}
-		if res.Flag != ledger.MVCCConflict || attempt >= mvccRetries {
-			return res, nil
-		}
-		time.Sleep(time.Duration(attempt+1) * 5 * time.Millisecond)
-	}
-}
-
-// endorseRetries bounds re-endorsement attempts when peers are momentarily
-// out of sync (some have not yet committed a recent block) and split the
-// endorsement set across digests.
+// endorseRetries bounds the endorsement rounds of one proposal. A round
+// falls short (errNoQuorum) when its peers simulated at different heights
+// — another client's block landed between them — and split across digests.
 const endorseRetries = 5
 
-// endorseAndAssemble collects endorsements in parallel, groups them by
-// result digest, and assembles a signed envelope from the largest agreeing
-// group. If that group cannot satisfy the channel policy it retries after a
-// short delay, letting lagging peers catch up.
+var errNoQuorum = errors.New("no digest group satisfies the policy")
+
+// endorseAndAssemble endorses a proposal for one invocation and assembles
+// a signed envelope from the first digest group that satisfies the policy.
 func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.Transaction, error) {
 	start := time.Now()
 	prop, err := peer.NewProposal(g.client, g.be.chName(), ccName, fn, args, g.be.now())
@@ -163,36 +151,44 @@ func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.
 		return nil, err
 	}
 	payload := ledger.TxPayload{Chaincode: ccName, Fn: fn, ArgHashes: ledger.HashArgs(args)}
-	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser) (*peer.ProposalResponse, error) {
-		return p.Endorse(prop)
+	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser, minHeight uint64) (*peer.ProposalResponse, error) {
+		at := *prop
+		at.MinHeight = minHeight
+		return p.Endorse(&at)
 	})
 }
 
 // endorseRounds runs endorsement rounds for one proposal, single or
-// batched, until the largest agreeing group of a round satisfies the
-// channel policy, and returns the envelope assembled from that group.
-func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Time, payload ledger.TxPayload, endorse func(Endorser) (*peer.ProposalResponse, error)) (*ledger.Transaction, error) {
+// batched, until a digest group satisfies the channel policy, and returns
+// the envelope assembled from that group. The first round asks for the
+// client's height. A round that falls short asks again, at once, at the
+// highest height any of its endorsers simulated at, so that every endorser
+// of the next round has read the same blocks.
+func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Time, payload ledger.TxPayload, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) (*ledger.Transaction, error) {
+	minHeight := g.be.seen().load()
 	var lastErr error
-	for attempt := 0; attempt < endorseRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
+	for round := 0; round < endorseRetries; round++ {
+		group, top, err := g.collectEndorsements(minHeight, endorse)
+		minHeight = max(minHeight, top)
+		if errors.Is(err, errNoQuorum) {
+			lastErr = err
+			continue
 		}
-		best, err := g.collectEndorsements(endorse)
 		if err != nil {
 			return nil, err
 		}
-		tx, err := assembleSignedEnvelope(g.client, txID, g.be.chName(), trace, payload, ts, best)
+		tx, err := assembleSignedEnvelope(g.client, txID, g.be.chName(), trace, payload, ts, group)
 		if err != nil {
 			return nil, err
 		}
-		// Pre-check the policy so a transient endorsement split triggers a
-		// retry instead of a doomed submission.
-		if lastErr = g.checkPolicy(tx, best); lastErr == nil {
+		// The group was counted by the identities its endorsers name;
+		// check it the way a validator will before it is ordered.
+		if lastErr = g.checkPolicy(tx, group); lastErr == nil {
 			g.obsEndorse.Observe(time.Since(start))
 			return tx, nil
 		}
 	}
-	return nil, fmt.Errorf("fabric: endorsement policy unsatisfiable after %d attempts: %w", endorseRetries, lastErr)
+	return nil, fmt.Errorf("fabric: endorsement policy unsatisfiable after %d rounds: %w", endorseRetries, lastErr)
 }
 
 // checkPolicy evaluates the channel policy over tx's endorsements the way
@@ -251,7 +247,13 @@ func (g *Gateway) SubmitEnvelope(tx ledger.Transaction) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.awaitCommit(&tx, entry, waiter)
+}
 
+// awaitCommit waits for the entry peer to commit tx, within the commit
+// timeout. The block it landed in, valid or not, raises the backend's
+// height, which every later proposal over it carries.
+func (g *Gateway) awaitCommit(tx *ledger.Transaction, entry Endorser, waiter <-chan ledger.ValidationCode) (*Result, error) {
 	waitStart := time.Now()
 	select {
 	case flag := <-waiter:
@@ -259,9 +261,10 @@ func (g *Gateway) SubmitEnvelope(tx ledger.Transaction) (*Result, error) {
 		res := &Result{TxID: tx.ID, Response: tx.Response, Flag: flag, Trace: tx.Trace}
 		if blockNum, ok := entry.TxBlock(tx.ID); ok {
 			res.BlockNum = blockNum
+			g.be.seen().raise(blockNum + 1)
 		}
 		return res, nil
-	case <-time.After(g.be.commitTimeout()):
+	case <-g.be.after(g.be.commitTimeout()):
 		return nil, fmt.Errorf("%w: tx %s", ErrCommitTimeout, tx.ID)
 	}
 }
@@ -289,20 +292,27 @@ func (g *Gateway) orderAsync(tx ledger.Transaction) (Endorser, <-chan ledger.Val
 	return entry, waiter, nil
 }
 
-// SubmitAsync orders a transaction without waiting for commit; the caller
-// can wait on the returned channel. Because it returns before commit, two
-// SubmitAsync calls reading the same key race and MVCC validation will
-// invalidate the loser.
+// SubmitAsync orders a transaction without waiting for commit. The
+// returned channel yields the entry peer's commit flag, or nothing if the
+// commit timeout passes first; the commit raises the client's height as a
+// Submit's does. Because it returns before commit, two SubmitAsync calls
+// reading the same key race and MVCC validation will invalidate the loser.
 func (g *Gateway) SubmitAsync(ccName, fn string, args ...[]byte) (string, <-chan ledger.ValidationCode, error) {
 	tx, err := g.endorseAndAssemble(ccName, fn, args)
 	if err != nil {
 		return "", nil, err
 	}
-	_, waiter, err := g.orderAsync(*tx)
+	entry, waiter, err := g.orderAsync(*tx)
 	if err != nil {
 		return "", nil, err
 	}
-	return tx.ID, waiter, nil
+	flag := make(chan ledger.ValidationCode, 1)
+	go func() {
+		if res, err := g.awaitCommit(tx, entry, waiter); err == nil {
+			flag <- res.Flag
+		}
+	}()
+	return tx.ID, flag, nil
 }
 
 // SubmitBatch runs the batched transaction lifecycle: every call executes
@@ -311,30 +321,17 @@ func (g *Gateway) SubmitAsync(ccName, fn string, args ...[]byte) (string, <-chan
 // atomically as a single envelope. Call i's effects (e.g. the record a
 // batched addData stores) live under sub-transaction ID
 // chaincode.SubTxID(txID, i); Result.Response is the JSON array of
-// per-call responses. MVCC invalidations from stale endorsement state are
-// re-endorsed and resubmitted, as in Submit.
+// per-call responses. An MVCC flag is a real conflict, as in Submit.
 func (g *Gateway) SubmitBatch(calls []chaincode.BatchCall) (*Result, error) {
-	var res *Result
-	for attempt := 0; ; attempt++ {
-		tx, err := g.endorseAndAssembleBatch(calls)
-		if err != nil {
-			return nil, err
-		}
-		res, err = g.SubmitEnvelope(*tx)
-		if err != nil {
-			return nil, err
-		}
-		if res.Flag != ledger.MVCCConflict || attempt >= mvccRetries {
-			return res, nil
-		}
-		time.Sleep(time.Duration(attempt+1) * 5 * time.Millisecond)
+	tx, err := g.endorseAndAssembleBatch(calls)
+	if err != nil {
+		return nil, err
 	}
+	return g.SubmitEnvelope(*tx)
 }
 
-// endorseAndAssembleBatch is endorseAndAssemble for a batch proposal: it
-// collects EndorseBatch responses from all active peers in parallel,
-// groups them by result digest and assembles a signed batch envelope from
-// the largest agreeing group, retrying while lagging peers catch up.
+// endorseAndAssembleBatch is endorseAndAssemble for a batch proposal,
+// endorsed through EndorseBatch.
 func (g *Gateway) endorseAndAssembleBatch(calls []chaincode.BatchCall) (*ledger.Transaction, error) {
 	start := time.Now()
 	prop, err := peer.NewBatchProposal(g.client, g.be.chName(), calls, g.be.now())
@@ -345,67 +342,81 @@ func (g *Gateway) endorseAndAssembleBatch(calls []chaincode.BatchCall) (*ledger.
 	for i, c := range calls {
 		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
 	}
-	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser) (*peer.ProposalResponse, error) {
-		return p.EndorseBatch(prop)
+	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser, minHeight uint64) (*peer.ProposalResponse, error) {
+		at := *prop
+		at.MinHeight = minHeight
+		return p.EndorseBatch(&at)
 	})
 }
 
-// collectEndorsements runs one parallel endorsement round over the active
-// endorsers and returns the largest digest-agreeing response group. This
-// is the one place that sees both the digest an endorser signed and the
-// result it returned, so an endorser whose valid signature is over some
-// other digest — which no lag behind the chain explains — is reported to
-// the channel's watchdog here, and its response is left out.
-func (g *Gateway) collectEndorsements(endorse func(Endorser) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, error) {
+// collectEndorsements runs one endorsement round, at minHeight, over the
+// active endorsers in parallel. It returns as soon as one digest group
+// satisfies the channel policy, counted over the identities its endorsers
+// name, so a lagging peer does not gate the round. If every endorser has
+// answered and no group qualifies, it returns errNoQuorum and the highest
+// height any endorser simulated at.
+//
+// Each endorser's goroutine checks its own response. This is the one
+// place that sees both the digest an endorser signed and the result it
+// returned, so an endorser whose valid signature is over some other digest
+// — which no lag behind the chain explains — is reported to the channel's
+// watchdog there, even when it answers after the round has returned, and
+// its response is left out.
+func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, uint64, error) {
 	endorsers := g.be.activeEndorsers()
 	if len(endorsers) == 0 {
-		return nil, errors.New("fabric: no active endorsers")
+		return nil, 0, errors.New("fabric: no active endorsers")
 	}
 	type endorsement struct {
 		resp *peer.ProposalResponse
 		err  error
 	}
-	results := make([]endorsement, len(endorsers))
-	var wg sync.WaitGroup
-	for i, p := range endorsers {
-		wg.Add(1)
-		go func(i int, p Endorser) {
-			defer wg.Done()
+	// Buffered for every endorser: the ones still answering when the
+	// round returns never block.
+	results := make(chan endorsement, len(endorsers))
+	for _, p := range endorsers {
+		go func(p Endorser) {
 			g.be.clientDelay(p.ID())
-			resp, err := endorse(p)
+			resp, err := endorse(p, minHeight)
 			g.be.clientDelay(p.ID())
-			results[i] = endorsement{resp: resp, err: err}
-		}(i, p)
-	}
-	wg.Wait()
-
-	groups := make(map[string][]*peer.ProposalResponse)
-	var errs []error
-	for i, r := range results {
-		if r.err != nil {
-			errs = append(errs, r.err)
-			continue
-		}
-		if e := r.resp.Endorsement; !bytes.Equal(e.Digest, statedb.DigestEncoded(r.resp.RWSet, r.resp.Response)) {
-			if e.Verify() {
-				g.be.report(endorsers[i].ID(), "endorsed mismatching digest")
+			if err == nil && !bytes.Equal(resp.Endorsement.Digest, statedb.DigestEncoded(resp.RWSet, resp.Response)) {
+				if resp.Endorsement.Verify() {
+					g.be.report(p.ID(), "endorsed mismatching digest")
+				}
+				resp, err = nil, fmt.Errorf("endorser %s: signed digest is not its result's", p.ID())
 			}
-			errs = append(errs, fmt.Errorf("endorser %s: signed digest is not its result's", endorsers[i].ID()))
+			results <- endorsement{resp: resp, err: err}
+		}(p)
+	}
+
+	policy := g.be.chPolicy()
+	groups := make(map[string][]*peer.ProposalResponse)
+	var top uint64
+	var firstErr error
+	answered := 0
+	for range endorsers {
+		r := <-results
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
 			continue
 		}
-		groups[string(r.resp.Endorsement.Digest)] = append(groups[string(r.resp.Endorsement.Digest)], r.resp)
-	}
-	var best []*peer.ProposalResponse
-	for _, grp := range groups {
-		if len(grp) > len(best) {
-			best = grp
+		answered++
+		top = max(top, r.resp.Height)
+		digest := string(r.resp.Endorsement.Digest)
+		group := append(groups[digest], r.resp)
+		groups[digest] = group
+		ids := make([]msp.Identity, len(group))
+		for i, resp := range group {
+			ids[i] = resp.Endorsement.Endorser
+		}
+		if policy.Evaluate(ids) == nil {
+			return group, top, nil
 		}
 	}
-	if len(best) == 0 {
-		if len(errs) > 0 {
-			return nil, fmt.Errorf("fabric: all endorsements failed: %w", errs[0])
-		}
-		return nil, errors.New("fabric: no endorsements")
+	if answered == 0 {
+		return nil, 0, fmt.Errorf("fabric: all endorsements failed: %w", firstErr)
 	}
-	return best, nil
+	return nil, top, fmt.Errorf("%w (%d of %d endorsers answered)", errNoQuorum, answered, len(endorsers))
 }

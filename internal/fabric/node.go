@@ -362,19 +362,65 @@ func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
 	return resp.Blocks, err
 }
 
-// The Endorser side of a node, which an in-process gateway calls directly.
+// The Endorser side of a node, which an in-process gateway calls directly
+// and the endorse RPCs call for a remote one.
 
-// Height returns the peer's chain height.
-func (n *Node) Height() uint64 { return n.p.Height() }
+// ErrBehind is returned by an endorser whose chain did not reach a
+// proposal's MinHeight within behindWait.
+var ErrBehind = errors.New("fabric: endorser behind the proposal's height")
 
-// Endorse simulates a proposal on the peer.
+// behindWait bounds how long an endorser waits for a proposal's MinHeight.
+// A live peer is a block or so behind its fastest replica; one further
+// behind is catching up, and the gateway's quorum does without it.
+const behindWait = time.Second
+
+// Endorse simulates a proposal on the peer once its chain reaches the
+// proposal's MinHeight.
 func (n *Node) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	if err := n.reach(prop.MinHeight); err != nil {
+		return nil, err
+	}
 	return n.p.Endorse(prop)
 }
 
-// EndorseBatch simulates a batch proposal on the peer.
+// EndorseBatch is Endorse for a batch proposal.
 func (n *Node) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error) {
+	if err := n.reach(prop.MinHeight); err != nil {
+		return nil, err
+	}
 	return n.p.EndorseBatch(prop)
+}
+
+// reach waits until the peer's chain is at least h blocks tall. It gives
+// up with ErrBehind after behindWait on the deployment's clock, or at once
+// when the node stops.
+func (n *Node) reach(h uint64) error {
+	if n.p.Height() >= h {
+		return nil
+	}
+	if !waitHeight(n.p, h, n.net.Clock.After(behindWait), n.done) {
+		return fmt.Errorf("%w: %s is at %d, the proposal needs %d", ErrBehind, n.id, n.p.Height(), h)
+	}
+	return nil
+}
+
+// waitHeight blocks on p's commit notification until its chain is at
+// least h blocks tall and reports true, or reports false once timeout
+// fires or done closes.
+func waitHeight(p *peer.Peer, h uint64, timeout <-chan time.Time, done <-chan struct{}) bool {
+	for {
+		next := p.Committed()
+		if p.Height() >= h {
+			return true
+		}
+		select {
+		case <-next:
+		case <-timeout:
+			return false
+		case <-done:
+			return false
+		}
+	}
 }
 
 // Order registers a commit waiter on the peer, then submits the envelope to
@@ -424,7 +470,12 @@ func (n *Node) handleEndorse(from string, req []byte) ([]byte, error) {
 	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	resp, err := n.p.Endorse(r.Proposal)
+	resp, err := n.Endorse(r.Proposal)
+	if errors.Is(err, ErrBehind) {
+		// A remote Evaluate moves past a peer that is behind, and needs
+		// to tell that from the chaincode's answer.
+		err = &transport.CodedError{Code: codeBehind, Msg: err.Error()}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +490,7 @@ func (n *Node) handleEndorseBatch(from string, req []byte) ([]byte, error) {
 	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	resp, err := n.p.EndorseBatch(r.Proposal)
+	resp, err := n.EndorseBatch(r.Proposal)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +549,7 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 		resp := waitCommitResp{Flag: flag}
 		resp.BlockNum, _, _, _ = n.p.Ledger().TxLocation(r.TxID)
 		return json.Marshal(resp)
-	case <-time.After(timeout):
+	case <-n.net.Clock.After(timeout):
 		n.p.CancelWait(r.TxID)
 		return nil, &transport.CodedError{Code: codeCommitTimeout, Msg: fmt.Sprintf("fabric: commit timeout: tx %s", r.TxID)}
 	case <-n.done:

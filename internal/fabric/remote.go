@@ -47,8 +47,10 @@ type RemoteConfig struct {
 // connections) and hands out gateways on the deployment's channel whose
 // backend speaks the endorse/submit/waitcommit RPCs instead of calling
 // in-process nodes.
-// The Gateway logic itself — digest grouping, policy pre-checks, MVCC
-// retries — is byte-for-byte the same code the in-process path runs.
+// The Gateway logic itself — the client height every proposal carries,
+// the quorum over digest groups, the policy pre-check — is the same code
+// the in-process path runs, and a node's endorse RPC waits for a
+// proposal's MinHeight exactly as an in-process endorsement does.
 type Remote struct {
 	cfg     RemoteConfig
 	net     Config
@@ -151,6 +153,7 @@ type RemoteChannel struct {
 	name      string
 	endorsers []*remoteEndorser
 	rr        atomic.Uint64
+	tip       heightMark
 }
 
 // Name returns the channel name.
@@ -169,9 +172,11 @@ func (rc *RemoteChannel) chMembers() *msp.Registry { return nil }
 // report drops the observation: which peers endorse is the deployment's
 // decision, and a client has no watchdog to tell. The gateway has already
 // left the response out of its envelope.
-func (rc *RemoteChannel) report(string, string)        {}
-func (rc *RemoteChannel) commitTimeout() time.Duration { return rc.r.net.CommitTimeout }
-func (rc *RemoteChannel) now() time.Time               { return rc.r.net.Clock.Now() }
+func (rc *RemoteChannel) report(string, string)                  {}
+func (rc *RemoteChannel) commitTimeout() time.Duration           { return rc.r.net.CommitTimeout }
+func (rc *RemoteChannel) now() time.Time                         { return rc.r.net.Clock.Now() }
+func (rc *RemoteChannel) after(d time.Duration) <-chan time.Time { return rc.r.net.Clock.After(d) }
+func (rc *RemoteChannel) seen() *heightMark                      { return &rc.tip }
 
 // clientDelay is a no-op: over TCP the network hop is real, not simulated.
 func (rc *RemoteChannel) clientDelay(string) {}
@@ -203,20 +208,13 @@ type remoteEndorser struct {
 
 func (e *remoteEndorser) ID() string { return e.id }
 
-// Height returns the peer's chain height, or 0 when the peer is
-// unreachable (it then simply never looks freshest).
-func (e *remoteEndorser) Height() uint64 {
-	var h heightResp
-	if err := e.rc.r.rpc.CallJSON(e.id, methodHeight, channelReq{Channel: e.rc.name}, &h, e.rc.r.cfg.RPCTimeout); err != nil {
-		return 0
-	}
-	return h.Height
-}
-
 func (e *remoteEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
 	var resp peer.ProposalResponse
 	req := endorseReq{Channel: e.rc.name, Proposal: prop}
 	if err := e.rc.r.rpc.CallJSON(e.id, methodEndorse, req, &resp, e.rc.r.cfg.RPCTimeout); err != nil {
+		if transport.ErrCode(err) == codeBehind {
+			return nil, fmt.Errorf("%w: %s", ErrBehind, err)
+		}
 		return nil, err
 	}
 	return &resp, nil

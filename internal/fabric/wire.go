@@ -35,6 +35,7 @@ const (
 	codeBacklog       = "backlog"
 	codeStopped       = "stopped"
 	codeCommitTimeout = "committimeout"
+	codeBehind        = "behind"
 )
 
 // maxSyncBlocks caps how many blocks one blocks RPC returns; remote

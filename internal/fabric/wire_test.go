@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/ordering"
+	"socialchain/internal/peer"
 	"socialchain/internal/transport"
 )
 
@@ -86,6 +88,16 @@ func TestRemoteDrivesInProcessNetwork(t *testing.T) {
 	}
 	if !ch.WaitHeight(res.BlockNum+1, 10*time.Second) {
 		t.Fatal("peers did not all commit the remote batch")
+	}
+	// A node that does not reach a proposal's MinHeight says so over the
+	// wire as ErrBehind, which a remote read moves past.
+	prop, err := peer.NewProposal(newClient(t), ch.Name(), "kv", "get", [][]byte{[]byte("one")}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop.MinHeight = res.BlockNum + 100
+	if _, err := remote.ChannelAt(0).endorsers[0].Endorse(prop); !errors.Is(err, ErrBehind) {
+		t.Fatalf("remote endorse below MinHeight: %v, want ErrBehind", err)
 	}
 	tip := ch.Peer(0).Ledger().TipHash()
 	for i, p := range ch.Peers() {

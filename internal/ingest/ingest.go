@@ -407,8 +407,9 @@ const backlogRetries = 20
 // MVCC invalidation. Consecutive batches from one source both read the
 // provenance head, so with MaxInFlight > 1 the loser of each commit round
 // must re-endorse against fresh state; commit rounds always admit one
-// winner, so a handful of rounds clears any in-flight window. The
-// gateway's own mvccRetries sit inside each attempt.
+// winner, so a handful of rounds clears any in-flight window. A retry
+// needs no pause: the gateway's next proposal carries the height of the
+// block the batch lost to, so every endorser reads the winner's writes.
 const conflictRetries = 12
 
 // commit is stage 3: endorse the batch as one envelope, order it and wait
@@ -427,7 +428,6 @@ func (p *Pipeline) commit(items []staged) {
 			p.mu.Lock()
 			p.stats.ConflictRetries++
 			p.mu.Unlock()
-			time.Sleep(time.Duration(attempt+1) * 2 * time.Millisecond)
 			continue
 		}
 		break

@@ -53,6 +53,7 @@ type Peer struct {
 	mu          sync.Mutex
 	commitWait  map[string][]chan ledger.ValidationCode
 	subscribers []chan chaincode.Event
+	committed   chan struct{} // closed and replaced at every block commit
 
 	// Observability instruments (always non-nil: a nil Config.Obs hands
 	// back dangling atomics, so the hot path never branches).
@@ -140,6 +141,7 @@ func New(cfg Config) (*Peer, error) {
 		policy:     cfg.Policy,
 		members:    cfg.Identities,
 		commitWait: make(map[string][]chan ledger.ValidationCode),
+		committed:  make(chan struct{}),
 		slowTraces: cfg.SlowTraces,
 	}
 	p.history = statedb.NewHistoryDB(state, p.historyTx)
@@ -304,6 +306,7 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 	if !ok {
 		return nil, fmt.Errorf("peer %s: unknown chaincode %q", p.id, prop.Chaincode)
 	}
+	height := p.ledger.Height()
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID:      prop.TxID,
 		ChannelID: prop.ChannelID,
@@ -316,7 +319,7 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 		return nil, fmt.Errorf("peer %s: chaincode %s.%s: %w", p.id, prop.Chaincode, prop.Fn, err)
 	}
 	p.obsEndorse.Observe(time.Since(start))
-	return p.respond(prop.TxID, sim, resp)
+	return p.respond(prop.TxID, height, sim, resp)
 }
 
 // EndorseBatch is the batch endorsement entrypoint: every call of the
@@ -332,6 +335,7 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
 		return nil, fmt.Errorf("peer %s: batch proposal %s: bad client signature", p.id, prop.TxID)
 	}
+	height := p.ledger.Height()
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID:      prop.TxID,
 		ChannelID: prop.ChannelID,
@@ -348,11 +352,12 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: marshal batch responses: %w", p.id, err)
 	}
-	return p.respond(prop.TxID, sim, resp)
+	return p.respond(prop.TxID, height, sim, resp)
 }
 
-// respond signs a finished simulation into a proposal response.
-func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
+// respond signs a finished simulation, begun at chain height height, into
+// a proposal response.
+func (p *Peer) respond(txID string, height uint64, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
 	rw := sim.RWSet()
 	digest := rw.Digest(resp)
 	var events []ledger.Event
@@ -369,6 +374,7 @@ func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*Pro
 			Digest:    digest,
 			Signature: p.signer.Sign(digest),
 		},
+		Height: height,
 	}, nil
 }
 
@@ -390,6 +396,15 @@ func (p *Peer) CancelWait(txID string) {
 	p.mu.Lock()
 	delete(p.commitWait, txID)
 	p.mu.Unlock()
+}
+
+// Committed returns a channel closed when the next block commits on this
+// peer. Take it before reading Height: a commit between the two then
+// still closes the channel in hand.
+func (p *Peer) Committed() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.committed
 }
 
 // SubscribeEvents returns a channel receiving chaincode events of valid
@@ -663,10 +678,13 @@ func (p *Peer) validateMVCC(tx *ledger.Transaction, blockWrites map[string]bool)
 	return ledger.Valid
 }
 
-// notify wakes commit waiters and event subscribers for a committed block.
+// notify wakes height waiters, commit waiters and event subscribers for a
+// committed block.
 func (p *Peer) notify(block *ledger.Block) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	close(p.committed)
+	p.committed = make(chan struct{})
 	for i := range block.Txs {
 		tx := &block.Txs[i]
 		flag := block.Metadata.Flags[i]

@@ -32,6 +32,11 @@ type Proposal struct {
 	// the proposal across RPC hops but stays outside SigningBytes, so
 	// tracing never perturbs signatures.
 	Trace string `json:"trace,omitempty"`
+	// MinHeight is the chain height the endorser must have reached before
+	// it simulates: the client's last receipt, so it reads its own writes.
+	// It only schedules, so it stays outside SigningBytes too: a forged
+	// value can delay nothing but this proposal.
+	MinHeight uint64 `json:"min_height,omitempty"`
 }
 
 // SigningBytes returns the canonical bytes a client signs.
@@ -94,6 +99,8 @@ type BatchProposal struct {
 	// Trace is the observability trace ID for the whole batch envelope,
 	// outside SigningBytes like the single-proposal one.
 	Trace string `json:"trace,omitempty"`
+	// MinHeight is the single proposal's read-your-writes floor.
+	MinHeight uint64 `json:"min_height,omitempty"`
 }
 
 // SigningBytes returns the canonical bytes a client signs for a batch.
@@ -153,4 +160,7 @@ type ProposalResponse struct {
 	Events      []ledger.Event  `json:"events,omitempty"`
 	Endorsement msp.Endorsement `json:"endorsement"`
 	Err         string          `json:"err,omitempty"`
+	// Height is the endorser's chain height when it simulated: its result
+	// reflects at least the blocks below it.
+	Height uint64 `json:"height,omitempty"`
 }
