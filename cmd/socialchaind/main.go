@@ -216,11 +216,6 @@ func run(peers, ipfsNodes, cameras, crowd, rounds, byzantine int, badFraction fl
 		sources = append(sources, source{client: fw.Client(s, i%ipfsNodes), signer: s, video: &corpus.Static[i%cameras]})
 	}
 	fmt.Printf("registered %d trusted + %d untrusted sources\n\n", cameras, crowd)
-	if len(sources) > 0 {
-		// The first client's retrieval cache joins the registry, so payload
-		// cache hit rates show up at /metrics beside the write-path series.
-		sources[0].client.Query().RegisterObs(reg)
-	}
 
 	storeLat := metrics.NewStats()
 	stored, rejected := 0, 0

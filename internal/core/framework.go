@@ -37,8 +37,6 @@ type Config struct {
 	Fabric fabric.Config
 	// IPFSNodes sizes the off-chain cluster (default 2, as in §IV).
 	IPFSNodes int
-	// IPFSOptions configure chunking/DAG construction.
-	IPFSOptions ipfs.Options
 	// IPFSLatency models the off-chain network (nil = zero).
 	IPFSLatency sim.LatencyModel
 	// TrustParams tune the trust engine (zero value = defaults).
@@ -205,10 +203,9 @@ func New(cfg Config) (*Framework, error) {
 		ipfsDir = filepath.Join(cfg.DataDir, "ipfs")
 	}
 	cluster, err := ipfs.NewCluster(ipfs.ClusterConfig{
-		Nodes:       cfg.IPFSNodes,
-		Latency:     cfg.IPFSLatency,
-		NodeOptions: cfg.IPFSOptions,
-		DataDir:     ipfsDir,
+		Nodes:   cfg.IPFSNodes,
+		Latency: cfg.IPFSLatency,
+		DataDir: ipfsDir,
 	})
 	if err != nil {
 		net.Close()

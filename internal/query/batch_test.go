@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"socialchain/internal/contracts"
-	"socialchain/internal/query"
 )
 
 func TestGetManyMatchesSerialData(t *testing.T) {
@@ -52,58 +51,6 @@ func TestGetManyEmpty(t *testing.T) {
 	fx := newQueryFixture(t, 1)
 	if items := fx.client.Query().GetMany(nil, 4); len(items) != 0 {
 		t.Fatalf("empty batch returned %d items", len(items))
-	}
-}
-
-func TestPayloadCacheReadThrough(t *testing.T) {
-	fx := newQueryFixture(t, 3)
-	qe := query.NewEngine(fx.fw.AdminGateway(), fx.fw.Cluster.Node(0)).WithPayloadCache(1 << 20)
-
-	first := qe.GetMany(fx.txIDs, 2)
-	for i, item := range first {
-		if item.Err != nil {
-			t.Fatalf("first pass item %d: %v", i, item.Err)
-		}
-		if item.FromCache {
-			t.Fatalf("first pass item %d served from cold cache", i)
-		}
-	}
-	second := qe.GetMany(fx.txIDs, 2)
-	for i, item := range second {
-		if item.Err != nil {
-			t.Fatalf("second pass item %d: %v", i, item.Err)
-		}
-		if !item.FromCache {
-			t.Fatalf("second pass item %d missed the cache", i)
-		}
-		if !item.Verified || !bytes.Equal(item.Payload, fx.frames[i].Data) {
-			t.Fatalf("cached item %d wrong payload", i)
-		}
-	}
-	stats := qe.CacheStats()
-	if stats.Hits != int64(len(fx.txIDs)) || stats.Misses != int64(len(fx.txIDs)) {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", stats.HitRate())
-	}
-	if stats.Entries != len(fx.txIDs) || stats.Bytes <= 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestPayloadCacheEvictsUnderPressure(t *testing.T) {
-	fx := newQueryFixture(t, 3)
-	// Capacity fits roughly one 4KB-ish payload: pass three through and
-	// the cache must evict rather than grow.
-	qe := query.NewEngine(fx.fw.AdminGateway(), fx.fw.Cluster.Node(0)).WithPayloadCache(len(fx.frames[0].Data) + 1)
-	qe.GetMany(fx.txIDs, 1)
-	stats := qe.CacheStats()
-	if stats.Bytes > len(fx.frames[0].Data)+1 {
-		t.Fatalf("cache over capacity: %+v", stats)
-	}
-	if stats.Evictions == 0 {
-		t.Fatalf("no evictions recorded: %+v", stats)
 	}
 }
 

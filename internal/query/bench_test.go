@@ -84,20 +84,3 @@ func BenchmarkGetMany(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkGetManyCached measures the payload-cache hit path.
-func BenchmarkGetManyCached(b *testing.B) {
-	fw, txIDs := benchFixture(b, 8)
-	defer fw.Close()
-	eng := query.NewEngine(fw.AdminGateway(), fw.Cluster.Node(1)).WithPayloadCache(64 << 20)
-	eng.GetMany(txIDs, 8) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items := eng.GetMany(txIDs, 8)
-		for _, item := range items {
-			if item.Err != nil {
-				b.Fatal(item.Err)
-			}
-		}
-	}
-}

@@ -29,45 +29,15 @@ import (
 type Engine struct {
 	gw    *fabric.Gateway
 	store *ipfs.Node
-	// cache is the optional CID-keyed read-through payload cache.
-	cache *payloadCache
-	// workers bounds GetMany's fan-out (DefaultFetchWorkers when 0).
-	workers int
 }
 
-// DefaultFetchWorkers bounds GetMany's concurrent fetches when the engine
-// was not configured with WithWorkers.
+// DefaultFetchWorkers bounds GetMany's concurrent fetches when the caller
+// passes no bound.
 const DefaultFetchWorkers = 8
 
 // NewEngine builds a query engine.
 func NewEngine(gw *fabric.Gateway, store *ipfs.Node) *Engine {
 	return &Engine{gw: gw, store: store}
-}
-
-// WithPayloadCache enables a read-through payload cache bounded to
-// capBytes: retrievals of a CID already fetched and verified skip the
-// IPFS executor entirely. Returns the engine for chaining.
-func (e *Engine) WithPayloadCache(capBytes int) *Engine {
-	if capBytes > 0 {
-		e.cache = newPayloadCache(capBytes)
-	}
-	return e
-}
-
-// WithWorkers sets the GetMany worker-pool bound. Returns the engine for
-// chaining.
-func (e *Engine) WithWorkers(n int) *Engine {
-	e.workers = n
-	return e
-}
-
-// CacheStats reports payload-cache effectiveness (zero value when no
-// cache is configured).
-func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
 }
 
 // Kind routes a Request.
@@ -217,7 +187,7 @@ func (e *Engine) Data(txID string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, _, verr, err := e.fetchVerified(&rec, &timing)
+	payload, verr, err := e.fetchVerified(&rec, &timing)
 	if err != nil {
 		return nil, err
 	}
@@ -227,34 +197,24 @@ func (e *Engine) Data(txID string) (*Result, error) {
 	return &Result{Records: []contracts.DataRecord{rec}, Payload: payload, Verified: true, Timing: timing}, nil
 }
 
-// fetchVerified runs the database (IPFS) executor for one record through
-// the payload cache: a hit serves the bytes without touching IPFS; a miss
-// fetches and, when the hash checks out, admits the payload. Verification
-// against the record's on-chain hash always runs. verr reports a hash
-// mismatch (payload still returned); err reports fetch failure.
-func (e *Engine) fetchVerified(rec *contracts.DataRecord, timing *Timing) (payload []byte, cached bool, verr, err error) {
+// fetchVerified runs the database (IPFS) executor for one record and
+// verifies the payload against the record's on-chain hash. verr reports a
+// hash mismatch (payload still returned); err reports fetch failure.
+func (e *Engine) fetchVerified(rec *contracts.DataRecord, timing *Timing) (payload []byte, verr, err error) {
 	c, err := cid.Parse(rec.CID)
 	if err != nil {
-		return nil, false, nil, fmt.Errorf("query: record %s carries bad cid: %w", rec.TxID, err)
+		return nil, nil, fmt.Errorf("query: record %s carries bad cid: %w", rec.TxID, err)
 	}
 	start := time.Now()
-	if e.cache != nil {
-		payload, cached = e.cache.get(rec.CID)
-	}
-	if !cached {
-		payload, err = e.store.Get(c)
-	}
+	payload, err = e.store.Get(c)
 	timing.IPFS = time.Since(start)
 	if err != nil {
-		return nil, false, nil, fmt.Errorf("query: ipfs fetch for %s: %w", rec.TxID, err)
+		return nil, nil, fmt.Errorf("query: ipfs fetch for %s: %w", rec.TxID, err)
 	}
 	start = time.Now()
 	verr = provenance.VerifyPayload(rec, payload)
 	timing.Verify = time.Since(start)
-	if verr == nil && !cached && e.cache != nil {
-		e.cache.put(rec.CID, payload)
-	}
-	return payload, cached, verr, nil
+	return payload, verr, nil
 }
 
 // BatchItem is one element of a GetMany response. Err carries the item's
@@ -265,21 +225,15 @@ type BatchItem struct {
 	Record   contracts.DataRecord
 	Payload  []byte
 	Verified bool
-	// FromCache marks payloads served by the read-through cache.
-	FromCache bool
-	Timing    Timing
-	Err       error
+	Timing   Timing
+	Err      error
 }
 
 // GetMany runs the full retrieval path for a batch of transaction IDs,
 // fanning metadata lookup, payload fetch and hash verification across a
 // bounded worker pool — the batch counterpart of Data. workers <= 0 uses
-// the engine's configured bound (WithWorkers, default
-// DefaultFetchWorkers); results are positionally aligned with txIDs.
+// DefaultFetchWorkers; results are positionally aligned with txIDs.
 func (e *Engine) GetMany(txIDs []string, workers int) []BatchItem {
-	if workers <= 0 {
-		workers = e.workers
-	}
 	if workers <= 0 {
 		workers = DefaultFetchWorkers
 	}
@@ -319,13 +273,12 @@ func (e *Engine) getOne(txID string) BatchItem {
 		return item
 	}
 	item.Record = rec
-	payload, cached, verr, err := e.fetchVerified(&rec, &item.Timing)
+	payload, verr, err := e.fetchVerified(&rec, &item.Timing)
 	if err != nil {
 		item.Err = err
 		return item
 	}
 	item.Payload = payload
-	item.FromCache = cached
 	if verr != nil {
 		item.Err = fmt.Errorf("%w: %v", ErrNotVerified, verr)
 		return item
