@@ -278,6 +278,92 @@ func TestGatewayReportsContradictingEndorser(t *testing.T) {
 	}
 }
 
+// forgingEndorser returns its peer's honest result under an endorsement
+// forge rewrites, and then tells answered. A waitingEndorser starts each
+// endorsement only after that, so the forged response reaches the gateway
+// before the last honest one does.
+type forgingEndorser struct {
+	Endorser
+	forge    func(*msp.Endorsement)
+	answered chan struct{}
+}
+
+func (e forgingEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	defer func() { e.answered <- struct{}{} }()
+	resp, err := e.Endorser.Endorse(prop)
+	if err == nil {
+		e.forge(&resp.Endorsement)
+	}
+	return resp, err
+}
+
+type waitingEndorser struct {
+	Endorser
+	answered chan struct{}
+}
+
+func (e waitingEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	<-e.answered
+	return e.Endorser.Endorse(prop)
+}
+
+// TestQuorumCountsOnlyMembersSignatures: an endorser that answers first
+// with the right digest under a signature a validator will not count — one
+// that does not verify, another member's, or a stranger's — does not
+// complete a group. The three honest endorsements still make quorum, and
+// every store commits.
+func TestQuorumCountsOnlyMembersSignatures(t *testing.T) {
+	stranger, err := msp.NewSigner("elsewhere", "mallory", msp.RoleMember)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgeries := map[string]func(*Network) func(*msp.Endorsement){
+		"bad signature": func(*Network) func(*msp.Endorsement) {
+			return func(e *msp.Endorsement) {
+				e.Signature = append([]byte(nil), e.Signature...)
+				e.Signature[0] ^= 0xff
+			}
+		},
+		"another member's signature": func(net *Network) func(*msp.Endorsement) {
+			return func(e *msp.Endorsement) {
+				e.Endorser, e.Signature = net.signers[0].Identity, net.signers[0].Sign(e.Digest)
+			}
+		},
+		"a stranger's signature": func(*Network) func(*msp.Endorsement) {
+			return func(e *msp.Endorsement) {
+				e.Endorser, e.Signature = stranger.Identity, stranger.Sign(e.Digest)
+			}
+		},
+	}
+	for name, forgery := range forgeries {
+		t.Run(name, func(t *testing.T) {
+			net := newTestNetwork(t, Config{NumPeers: 4})
+			ch := net.ChannelAt(0)
+			forger, last := ch.Peer(1).ID(), ch.Peer(3).ID()
+			answered := make(chan struct{}, 16)
+			forge := forgery(net)
+			gw := newGateway(stubBackend{ch, func(e Endorser) Endorser {
+				switch e.ID() {
+				case forger:
+					return forgingEndorser{e, forge, answered}
+				case last:
+					return waitingEndorser{e, answered}
+				}
+				return e
+			}}, ch, newClient(t))
+			for i := 0; i < 3; i++ {
+				res, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("f%d", i)), []byte("v"))
+				if err != nil {
+					t.Fatalf("store %d: %v", i, err)
+				}
+				if res.Flag != ledger.Valid {
+					t.Fatalf("store %d committed %s", i, res.Flag)
+				}
+			}
+		})
+	}
+}
+
 func TestGatewayNoActiveEndorsers(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, WatchdogThreshold: 1})
 	// Flag every peer.

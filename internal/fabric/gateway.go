@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"socialchain/internal/chaincode"
@@ -160,16 +161,13 @@ func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.
 
 // endorseRounds runs endorsement rounds for one proposal, single or
 // batched, until a digest group satisfies the channel policy, and returns
-// the envelope assembled from that group. The first round asks for the
-// client's height. A round that falls short asks again, at once, at the
-// highest height any of its endorsers simulated at, so that every endorser
-// of the next round has read the same blocks.
+// the envelope assembled from that group. Each round asks for the client's
+// height. A round that falls short asks again at once: its endorsers have
+// had the round's time to commit the block that split them.
 func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Time, payload ledger.TxPayload, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) (*ledger.Transaction, error) {
-	minHeight := g.be.seen().load()
 	var lastErr error
 	for round := 0; round < endorseRetries; round++ {
-		group, top, err := g.collectEndorsements(minHeight, endorse)
-		minHeight = max(minHeight, top)
+		group, err := g.collectEndorsements(g.be.seen().load(), endorse)
 		if errors.Is(err, errNoQuorum) {
 			lastErr = err
 			continue
@@ -181,8 +179,8 @@ func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Tim
 		if err != nil {
 			return nil, err
 		}
-		// The group was counted by the identities its endorsers name;
-		// check it the way a validator will before it is ordered.
+		// Every signature in the group was checked as it arrived; check
+		// the envelope the way a validator will before it is ordered.
 		if lastErr = g.checkPolicy(tx, group); lastErr == nil {
 			g.obsEndorse.Observe(time.Since(start))
 			return tx, nil
@@ -351,26 +349,24 @@ func (g *Gateway) endorseAndAssembleBatch(calls []chaincode.BatchCall) (*ledger.
 
 // collectEndorsements runs one endorsement round, at minHeight, over the
 // active endorsers in parallel. It returns as soon as one digest group
-// satisfies the channel policy, counted over the identities its endorsers
-// name, so a lagging peer does not gate the round. If every endorser has
-// answered and no group qualifies, it returns errNoQuorum and the highest
-// height any endorser simulated at.
+// satisfies the channel policy, so a lagging peer does not gate the round.
+// A group counts each identity once. If every endorser has answered and no
+// group qualifies, it returns errNoQuorum.
 //
-// Each endorser's goroutine checks its own response. This is the one
-// place that sees both the digest an endorser signed and the result it
-// returned, so an endorser whose valid signature is over some other digest
-// — which no lag behind the chain explains — is reported to the channel's
-// watchdog there, even when it answers after the round has returned, and
-// its response is left out.
-func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, uint64, error) {
+// Each endorser's goroutine admits its own response (admit), so a response
+// counts toward a group only once its signature is known to be a member's
+// over the result it returned: the group that satisfies the policy here is
+// the group a validator will count.
+func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, error) {
 	endorsers := g.be.activeEndorsers()
 	if len(endorsers) == 0 {
-		return nil, 0, errors.New("fabric: no active endorsers")
+		return nil, errors.New("fabric: no active endorsers")
 	}
 	type endorsement struct {
 		resp *peer.ProposalResponse
 		err  error
 	}
+	members := g.be.chMembers()
 	// Buffered for every endorser: the ones still answering when the
 	// round returns never block.
 	results := make(chan endorsement, len(endorsers))
@@ -379,11 +375,8 @@ func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, u
 			g.be.clientDelay(p.ID())
 			resp, err := endorse(p, minHeight)
 			g.be.clientDelay(p.ID())
-			if err == nil && !bytes.Equal(resp.Endorsement.Digest, statedb.DigestEncoded(resp.RWSet, resp.Response)) {
-				if resp.Endorsement.Verify() {
-					g.be.report(p.ID(), "endorsed mismatching digest")
-				}
-				resp, err = nil, fmt.Errorf("endorser %s: signed digest is not its result's", p.ID())
+			if err == nil {
+				err = g.admit(p, resp, members)
 			}
 			results <- endorsement{resp: resp, err: err}
 		}(p)
@@ -391,32 +384,63 @@ func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, u
 
 	policy := g.be.chPolicy()
 	groups := make(map[string][]*peer.ProposalResponse)
-	var top uint64
 	var firstErr error
 	answered := 0
 	for range endorsers {
 		r := <-results
 		if r.err != nil {
-			if firstErr == nil {
+			// A peer that is behind refused without simulating; report
+			// an answer, such as the chaincode's error, over that refusal.
+			if firstErr == nil || errors.Is(firstErr, ErrBehind) {
 				firstErr = r.err
 			}
 			continue
 		}
 		answered++
-		top = max(top, r.resp.Height)
+		signer := r.resp.Endorsement.Endorser
 		digest := string(r.resp.Endorsement.Digest)
-		group := append(groups[digest], r.resp)
+		group := groups[digest]
+		if slices.ContainsFunc(group, func(o *peer.ProposalResponse) bool { return o.Endorsement.Endorser.PubKey.Equal(signer.PubKey) }) {
+			continue
+		}
+		group = append(group, r.resp)
 		groups[digest] = group
 		ids := make([]msp.Identity, len(group))
 		for i, resp := range group {
 			ids[i] = resp.Endorsement.Endorser
 		}
 		if policy.Evaluate(ids) == nil {
-			return group, top, nil
+			return group, nil
 		}
 	}
 	if answered == 0 {
-		return nil, 0, fmt.Errorf("fabric: all endorsements failed: %w", firstErr)
+		return nil, fmt.Errorf("fabric: all endorsements failed: %w", firstErr)
 	}
-	return nil, top, fmt.Errorf("%w (%d of %d endorsers answered)", errNoQuorum, answered, len(endorsers))
+	return nil, fmt.Errorf("%w (%d of %d endorsers answered)", errNoQuorum, answered, len(endorsers))
+}
+
+// admit checks endorser p's response before it may count toward a digest
+// group: the signature must verify, over the digest of the result p
+// returned, under a channel member's key (members is nil over a remote
+// channel, which takes its peers at their word; see checkPolicy). This is
+// the one place that sees both the digest an endorser signed and the
+// result it returned, so an endorser whose valid signature is over some
+// other digest — which no lag behind the chain explains — is reported to
+// the channel's watchdog here, even when it answers after the round has
+// returned.
+func (g *Gateway) admit(p Endorser, resp *peer.ProposalResponse, members *msp.Registry) error {
+	e := resp.Endorsement
+	if !e.Verify() {
+		return fmt.Errorf("endorser %s: endorsement signature does not verify", p.ID())
+	}
+	if !bytes.Equal(e.Digest, statedb.DigestEncoded(resp.RWSet, resp.Response)) {
+		g.be.report(p.ID(), "endorsed mismatching digest")
+		return fmt.Errorf("endorser %s: signed digest is not its result's", p.ID())
+	}
+	if members != nil {
+		if m, ok := members.Resolve(e.Endorser.Fingerprint()); !ok || !m.PubKey.Equal(e.Endorser.PubKey) {
+			return fmt.Errorf("endorser %s: signer %s is not a channel member", p.ID(), e.Endorser.ID())
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,8 +155,8 @@ func TestQuorumDoesNotWaitForSilentEndorser(t *testing.T) {
 // TestEndorseWaitsForMinHeight drives the endorser's wait on a fake
 // clock. A MinHeight the chain never reaches is refused as behind once the
 // clock passes the wait bound, with no real sleep. A MinHeight one block
-// ahead is endorsed once that block commits, at a height at least that
-// high.
+// ahead is endorsed once that block commits, and the endorsement reads
+// that block's write.
 func TestEndorseWaitsForMinHeight(t *testing.T) {
 	clk := sim.NewFakeClock(time.Unix(1_700_000_000, 0))
 	net, err := NewNetwork(Config{
@@ -215,11 +216,72 @@ func TestEndorseWaitsForMinHeight(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.resp.Height < ahead.MinHeight {
-		t.Fatalf("endorsed at height %d, below MinHeight %d", r.resp.Height, ahead.MinHeight)
-	}
 	if string(r.resp.Response) != "v" {
 		t.Fatalf("endorsed read %q, want the committed write", r.resp.Response)
+	}
+}
+
+// TestCatchingUpEndorserRefusesAtOnce: a peer out of live delivery — here
+// a decided batch failed to commit on it — refuses a proposal above its
+// height at once instead of waiting behindWait for a commit that the
+// anti-entropy loop, not consensus, will bring. A store meanwhile makes
+// quorum without it, and the next batch it commits live puts it back to
+// waiting.
+func TestCatchingUpEndorserRefusesAtOnce(t *testing.T) {
+	clk := sim.NewFakeClock(time.Unix(1_700_000_000, 0))
+	net, err := NewNetwork(Config{
+		NumPeers: 4,
+		Clock:    clk,
+		Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.MustDeploy(kvCC{})
+	t.Cleanup(net.Stop)
+	ch := net.ChannelAt(0)
+	gw := ch.Gateway(newClient(t))
+	node := net.nodes[1]
+	node.deliver(0, []byte("not a batch"))
+
+	endorse := func(minHeight uint64) chan error {
+		prop, err := newRawProposal(gw, "kv", "get", [][]byte{[]byte("k")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prop.MinHeight = minHeight
+		done := make(chan error, 1)
+		go func() {
+			_, err := node.Endorse(prop)
+			done <- err
+		}()
+		return done
+	}
+	// The clock never moves here, so only a refusal that does not wait
+	// for it can return.
+	select {
+	case err := <-endorse(node.Peer().Height() + 1):
+		if !errors.Is(err, ErrBehind) {
+			t.Fatalf("catching-up endorser: %v, want ErrBehind", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the catching-up endorser waited for a height it was not going to reach live")
+	}
+
+	net.Start()
+	res, err := gw.Submit("kv", "put", []byte("k"), []byte("v"))
+	if err != nil || res.Flag != ledger.Valid {
+		t.Fatalf("submit past the catching-up endorser: %v %v", res, err)
+	}
+	if !ch.WaitHeight(res.BlockNum+1, 5*time.Second) {
+		t.Fatal("peers did not converge")
+	}
+	waiting := endorse(node.Peer().Height() + 1)
+	if res, err := gw.Submit("kv", "put", []byte("k"), []byte("w")); err != nil || res.Flag != ledger.Valid {
+		t.Fatalf("second submit: %v %v", res, err)
+	}
+	if err := <-waiting; err != nil {
+		t.Fatalf("after a live commit the endorser refused: %v", err)
 	}
 }
 
@@ -269,5 +331,49 @@ func TestEvaluateMovesOnOnlyWhenBehind(t *testing.T) {
 	}
 	if n := asked.Load(); n != 1 {
 		t.Fatalf("a chaincode error asked %d peers, want 1", n)
+	}
+}
+
+// refusedFirst refuses a proposal as behind, then closes refused, so the
+// endorsers wrapped in afterRefusal answer after it. It serves one
+// proposal.
+type refusedFirst struct {
+	Endorser
+	refused chan struct{}
+}
+
+func (e refusedFirst) Endorse(*peer.Proposal) (*peer.ProposalResponse, error) {
+	defer close(e.refused)
+	return nil, fmt.Errorf("%w: stub", ErrBehind)
+}
+
+type afterRefusal struct {
+	Endorser
+	refused chan struct{}
+}
+
+func (e afterRefusal) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
+	<-e.refused
+	return e.Endorser.Endorse(prop)
+}
+
+// TestSubmitReportsAnAnswerOverABehindRefusal: when no endorser endorses,
+// Submit returns the chaincode's error, not the refusal of a peer that is
+// behind, even when that refusal comes first. Callers match on it:
+// trafficgen's bootstrap tolerates an "already registered" user.
+func TestSubmitReportsAnAnswerOverABehindRefusal(t *testing.T) {
+	net := newTestNetwork(t, Config{NumPeers: 4})
+	ch := net.ChannelAt(0)
+	behind := ch.Peer(1).ID()
+	refused := make(chan struct{})
+	gw := newGateway(stubBackend{ch, func(e Endorser) Endorser {
+		if e.ID() == behind {
+			return refusedFirst{e, refused}
+		}
+		return afterRefusal{e, refused}
+	}}, ch, newClient(t))
+	_, err := gw.Submit("kv", "fail")
+	if err == nil || errors.Is(err, ErrBehind) || !strings.Contains(err.Error(), "deliberate failure") {
+		t.Fatalf("submit of a failing call: %v, want the chaincode's error", err)
 	}
 }

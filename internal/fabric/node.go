@@ -66,6 +66,11 @@ type Node struct {
 	o         *ordering.Service
 	dataDir   string // the peer's durable directory ("" in-memory)
 	commitErr atomic.Uint64
+	// catchingUp is set while the peer is out of live delivery: a decided
+	// batch failed to commit here, or the anti-entropy loop had to copy
+	// blocks from another node. The next batch that commits live clears
+	// it. See reach.
+	catchingUp atomic.Bool
 
 	// admin is the surface ServeAdmin binds, nil until then. It is held
 	// as an interface so that binaries whose nodes never serve one (every
@@ -122,10 +127,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // a peer's memtable holds is mostly written once and not read again soon
 // (records, their history and index entries), so it flushes small and
 // gives the heap back; every peer of a process fills and flushes in step,
-// so the process's heap swings by about NumPeers times this. The IPFS
-// blockstore keeps storage.DefaultMemtableBytes: at 1 MiB it would flush
-// once per 1 MiB payload.
-const stateMemtableBytes = 256 << 10
+// so the process's heap swings by about NumPeers times this. The swing
+// must stay small beside the rest of the heap, or where in the cycle a
+// process stands decides its heap: at 64 KiB it is about 0.35 MB for four
+// peers, against about 6.5 MB for an idle deployment of 4 KiB records. The
+// IPFS blockstore keeps storage.DefaultMemtableBytes: at 1 MiB it would
+// flush once per 1 MiB payload.
+const stateMemtableBytes = 64 << 10
 
 // newNode assembles peer i of the deployment cfg (filled) over an open
 // endpoint t: the peer (under DataDir/peer<i> when durable), its validator
@@ -194,6 +202,7 @@ func (n *Node) deliver(_ uint64, payload []byte) {
 		// execute at; the anti-entropy loop closes the gap.
 		n.commitErr.Add(1)
 	}
+	n.catchingUp.Store(err != nil)
 }
 
 // Deploy registers a chaincode on this node. Every node of a deployment
@@ -331,6 +340,9 @@ func (n *Node) catchUp() (int, error) {
 	}
 	src := &remoteBlockSource{rpc: n.rpc, peer: bestID, channel: n.net.ChannelID, height: bestHeight}
 	applied, err := n.p.SyncFrom(src)
+	if applied > 0 {
+		n.catchingUp.Store(true)
+	}
 	if err != nil {
 		return applied, fmt.Errorf("fabric: catch-up %s from %s: %w", n.id, bestID, err)
 	}
@@ -393,12 +405,14 @@ func (n *Node) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, e
 
 // reach waits until the peer's chain is at least h blocks tall. It gives
 // up with ErrBehind after behindWait on the deployment's clock, or at once
-// when the node stops.
+// when the node stops. A peer that is catching up refuses at once: the
+// anti-entropy loop, not the next live commit, closes its gap, and the
+// gateway does better asking a peer that has the height.
 func (n *Node) reach(h uint64) error {
 	if n.p.Height() >= h {
 		return nil
 	}
-	if !waitHeight(n.p, h, n.net.Clock.After(behindWait), n.done) {
+	if n.catchingUp.Load() || !waitHeight(n.p, h, n.net.Clock.After(behindWait), n.done) {
 		return fmt.Errorf("%w: %s is at %d, the proposal needs %d", ErrBehind, n.id, n.p.Height(), h)
 	}
 	return nil

@@ -306,7 +306,6 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 	if !ok {
 		return nil, fmt.Errorf("peer %s: unknown chaincode %q", p.id, prop.Chaincode)
 	}
-	height := p.ledger.Height()
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID:      prop.TxID,
 		ChannelID: prop.ChannelID,
@@ -319,7 +318,7 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 		return nil, fmt.Errorf("peer %s: chaincode %s.%s: %w", p.id, prop.Chaincode, prop.Fn, err)
 	}
 	p.obsEndorse.Observe(time.Since(start))
-	return p.respond(prop.TxID, height, sim, resp)
+	return p.respond(prop.TxID, sim, resp)
 }
 
 // EndorseBatch is the batch endorsement entrypoint: every call of the
@@ -335,7 +334,6 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
 		return nil, fmt.Errorf("peer %s: batch proposal %s: bad client signature", p.id, prop.TxID)
 	}
-	height := p.ledger.Height()
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID:      prop.TxID,
 		ChannelID: prop.ChannelID,
@@ -352,12 +350,11 @@ func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: marshal batch responses: %w", p.id, err)
 	}
-	return p.respond(prop.TxID, height, sim, resp)
+	return p.respond(prop.TxID, sim, resp)
 }
 
-// respond signs a finished simulation, begun at chain height height, into
-// a proposal response.
-func (p *Peer) respond(txID string, height uint64, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
+// respond signs a finished simulation into a proposal response.
+func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
 	rw := sim.RWSet()
 	digest := rw.Digest(resp)
 	var events []ledger.Event
@@ -374,7 +371,6 @@ func (p *Peer) respond(txID string, height uint64, sim *chaincode.Simulator, res
 			Digest:    digest,
 			Signature: p.signer.Sign(digest),
 		},
-		Height: height,
 	}, nil
 }
 

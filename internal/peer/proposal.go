@@ -160,7 +160,4 @@ type ProposalResponse struct {
 	Events      []ledger.Event  `json:"events,omitempty"`
 	Endorsement msp.Endorsement `json:"endorsement"`
 	Err         string          `json:"err,omitempty"`
-	// Height is the endorser's chain height when it simulated: its result
-	// reflects at least the blocks below it.
-	Height uint64 `json:"height,omitempty"`
 }
