@@ -79,8 +79,9 @@ func (m *Mem) Sync() error { return m.kv.Sync() }
 // Close implements Blockstore.
 func (m *Mem) Close() error { return m.kv.Close() }
 
-// blockKey is the engine key of a block: the CID's binary form, whose
-// lexical order equals cid.Cid.Less order, keeping AllKeys deterministic.
+// blockKey is the engine key of a block: the CID's binary form, so the
+// engine's lexical order is the CIDs' binary order and AllKeys is
+// deterministic.
 func blockKey(c cid.Cid) string { return string(c.Bytes()) }
 
 // Put implements Blockstore. It verifies the block's CID matches its bytes,

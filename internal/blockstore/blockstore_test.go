@@ -99,7 +99,7 @@ func TestAllKeysSorted(t *testing.T) {
 		t.Fatalf("got %d keys", len(keys))
 	}
 	for i := 1; i < len(keys); i++ {
-		if !keys[i-1].Less(keys[i]) {
+		if bytes.Compare(keys[i-1].Bytes(), keys[i].Bytes()) >= 0 {
 			t.Fatal("keys not sorted")
 		}
 	}
@@ -162,7 +162,7 @@ func TestPinnerRootsSorted(t *testing.T) {
 	if len(roots) != 2 {
 		t.Fatalf("roots = %d", len(roots))
 	}
-	if !roots[0].Less(roots[1]) {
+	if bytes.Compare(roots[0].Bytes(), roots[1].Bytes()) >= 0 {
 		t.Fatal("roots not sorted")
 	}
 }

@@ -85,7 +85,7 @@ func (p *Pinner) IsPinned(root cid.Cid) bool {
 }
 
 // Roots returns the pinned roots in deterministic order (the engine
-// iterates CID binary keys in cid.Less order).
+// iterates keys, the CIDs' binary forms, in lexical order).
 func (p *Pinner) Roots() []cid.Cid {
 	var out []cid.Cid
 	p.kv.IterPrefix("", func(key string, _ []byte) bool {

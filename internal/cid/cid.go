@@ -1,7 +1,6 @@
 package cid
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -118,9 +117,6 @@ func Parse(s string) (Cid, error) {
 
 // Equals reports CID equality.
 func (c Cid) Equals(o Cid) bool { return c == o }
-
-// Less orders CIDs by binary form; used for deterministic iteration.
-func (c Cid) Less(o Cid) bool { return bytes.Compare(c.Bytes(), o.Bytes()) < 0 }
 
 // MarshalJSON encodes the CID as its canonical string.
 func (c Cid) MarshalJSON() ([]byte, error) {

@@ -117,17 +117,6 @@ func TestCidJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCidOrdering(t *testing.T) {
-	a := SumRaw([]byte("a"))
-	b := SumRaw([]byte("b"))
-	if a.Less(b) == b.Less(a) {
-		t.Fatal("Less is not a strict order")
-	}
-	if a.Less(a) {
-		t.Fatal("Less is not irreflexive")
-	}
-}
-
 func TestDigestLength(t *testing.T) {
 	c := SumRaw([]byte("digest me"))
 	if len(c.Digest()) != Sha256Len {

@@ -453,7 +453,8 @@ func TestLogRefusesOlderFormat(t *testing.T) {
 // TestLogFirstRecordDamage: only a first record that is whole under
 // another version byte is a log of another format. One torn into a
 // zero-filled tail — a crash during the first append on a file system that
-// extends before it writes — is a torn tail like any other and is cut.
+// extends before it writes — is a torn tail like any other and is cut;
+// zeros with a whole record after them are corruption and refused.
 func TestLogFirstRecordDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.wal")
 	frame := goldenBlock().AppendTo(append(make([]byte, walframe.HeaderLen), logFormat))
@@ -472,6 +473,19 @@ func TestLogFirstRecordDamage(t *testing.T) {
 			t.Fatalf("torn after %d bytes: height %d, %d bytes left; want an empty log", keep, l.Height(), st.Size())
 		}
 		l.Close()
+	}
+
+	// Zeros in place of the first record, with a committed record after
+	// them, are corruption: refused, and the file left as it was.
+	zeroed := append(make([]byte, len(frame)), frame...)
+	if err := os.WriteFile(path, zeroed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(path); err == nil || !strings.Contains(err.Error(), "committed frames after it") {
+		t.Fatalf("OpenLog over a zeroed first record before a whole one: %v", err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, zeroed) {
+		t.Fatalf("OpenLog touched the corrupt file (%v)", err)
 	}
 
 	other := append([]byte(nil), frame...)

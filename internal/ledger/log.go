@@ -25,17 +25,19 @@ package ledger
 // no second reader. Beyond that, opening never decodes what the opener already
 // trusts: it CRC-scans the frames from a starting offset (0 for a bare
 // OpenLog, the end of the savepoint block for a peer's ledger) to find
-// where the log ends. A torn
-// tail — a partial record where the process died mid-append — is
-// truncated; every fully-appended block survives. Corruption before the
-// tail (any CRC-valid record found after the damage) is a hard error:
-// committed blocks are never silently destroyed. Frames below the
+// where the log ends, through walframe.Recover, the scan the storage WAL
+// uses too. A torn tail — a partial record where the process died
+// mid-append, or zeros where it was to go — is truncated; every
+// fully-appended block survives. Corruption before the tail (any
+// CRC-valid record found after the damage) is a hard error: committed
+// blocks are never silently destroyed. Frames below the
 // starting offset are checked when they are read: every read verifies the
 // frame's CRC, the format version and the block number it carries, and a
 // mismatch is an error, never a wrong block.
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -79,11 +81,12 @@ func checkFormat(payload []byte) error {
 // OpenLog opens (or creates) the block log at path, CRC-checking every
 // frame and truncating a torn tail. It decodes nothing; Blocks does.
 func OpenLog(path string) (*Log, error) {
-	return openLog(path, 0, 0, nil)
+	return openLog(path, 0, 0, func(int64, []byte) error { return nil })
 }
 
 // openLog opens the log trusting the bytes below offset from, where block
-// next's frame begins (or the file ends). Each complete frame at or above
+// next's frame begins (or the file ends), and finds where it ends with
+// walframe.Recover, cutting a torn tail. Each complete frame at or above
 // from is handed to found with its offset; an error from found fails the
 // open without touching the file.
 func openLog(path string, from int64, next uint64, found func(off int64, payload []byte) error) (*Log, error) {
@@ -94,10 +97,16 @@ func openLog(path string, from int64, next uint64, found func(off int64, payload
 	if err != nil {
 		return nil, fmt.Errorf("ledger: open log: %w", err)
 	}
-	l := &Log{f: f, path: path, end: from, next: next}
+	l := &Log{f: f, path: path, next: next}
 	err = l.checkFirst()
 	if err == nil {
-		err = l.recover(found)
+		l.end, err = walframe.Recover(f, from, true, func(off int64, payload []byte) error {
+			l.next++
+			return found(off, payload)
+		})
+	}
+	if errors.Is(err, walframe.ErrLost) {
+		err = fmt.Errorf("ledger: block log lost committed records from block %d: %w", next, err)
 	}
 	if err != nil {
 		f.Close() // nothing was written through this handle
@@ -132,47 +141,6 @@ func (l *Log) checkFirst() error {
 		first = payload
 	}
 	return fmt.Errorf("%w (%s)", checkFormat(first), l.path)
-}
-
-// recover walks the frames from l.end to the end of the file.
-func (l *Log) recover(found func(off int64, payload []byte) error) error {
-	st, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("ledger: stat log: %w", err)
-	}
-	size := st.Size()
-	if size < l.end {
-		return fmt.Errorf("ledger: log %s is %d bytes but block %d's frame starts at %d (block log lost committed records)",
-			l.path, size, l.next, l.end)
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(l.f, l.end, size-l.end), 1<<16)
-	for l.end < size {
-		payload, err := walframe.Read(r, l.buf, size-l.end)
-		if err != nil || len(payload) == 0 {
-			// Torn or corrupt; discriminated below. A record is never
-			// empty, so eight zero bytes of a zero-filled tail are damage.
-			break
-		}
-		l.buf = payload[:0]
-		if found != nil {
-			if err := found(l.end, payload); err != nil {
-				return err
-			}
-		}
-		l.end += walframe.HeaderLen + int64(len(payload))
-		l.next++
-	}
-	if l.end == size {
-		return nil
-	}
-	rest := make([]byte, size-l.end)
-	if _, err := l.f.ReadAt(rest, l.end); err != nil {
-		return fmt.Errorf("ledger: read log tail: %w", err)
-	}
-	if err := walframe.RecoverTail(l.path, rest, l.end); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	return nil
 }
 
 // decodeBlock parses one frame payload and checks it carries block want.

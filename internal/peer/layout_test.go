@@ -246,8 +246,8 @@ func TestHistoryMatchesChain(t *testing.T) {
 
 // TestPeerLastStateRecordCutOrFlipped cuts the state WAL's last record —
 // the batch of the last block — at every offset (its end included, which
-// leaves it whole), and flips every byte of it, on a copy of a killed
-// peer's directory. Each copy reopens with that block's state, index
+// leaves it whole), flips every byte of it, and overwrites it with zeros,
+// on a copy of a killed peer's directory. Each copy reopens with that block's state, index
 // entry, history reference and ledger entries either all present or all
 // absent; when absent, the peer replays the block from its log and ends
 // with all of them.
@@ -360,6 +360,7 @@ func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
 		flipped[off] ^= 0x01
 		try(fmt.Sprintf("flip at %d", off), flipped)
 	}
+	try("zeroed", append(bytes.Clone(wal[:start]), make([]byte, len(wal)-start)...))
 	t.Logf("last record: %d bytes at offset %d", len(wal)-start, start)
 }
 

@@ -90,7 +90,8 @@ func fuzzKeyPair(in []byte) (a, b string, ok bool) {
 	if len(in) < 1 || int(in[0]) >= len(in) {
 		return "", "", false
 	}
-	a, b = string(in[1:1+in[0]]), string(in[1+in[0]:])
+	n := 1 + int(in[0]) // in int: 1+in[0] wraps to 0 at 0xff
+	a, b = string(in[1:n]), string(in[n:])
 	return a, b, a != "" && b != "" && a != b
 }
 

@@ -24,8 +24,9 @@ package storage
 // record, framed by internal/walframe ([4B length][4B CRC32][payload]);
 // the payload is a uvarint write-count, then per write an op byte (0 put,
 // 1 delete), uvarint key length, key bytes and, for puts, uvarint value
-// length plus value bytes. A torn tail on the last WAL is truncated
-// (walframe.RecoverTail); corruption anywhere else refuses the open.
+// length plus value bytes. Open replays each WAL through
+// walframe.Recover, the scan every log shares: a torn tail on the last
+// WAL is truncated; any other damage refuses the open.
 //
 // Reads merge newest-to-oldest: active memtable, flushing memtable, then
 // level 0 downwards, newest table first within a level; the first
@@ -494,57 +495,34 @@ func (p *Persist) recover() error {
 	return nil
 }
 
-// replayWAL applies wal-<idx> to the memtable. For the last file a torn
-// tail is truncated; anywhere else corruption is fatal.
+// replayWAL applies wal-<idx> to the memtable, streaming its records
+// through walframe.Recover. A torn tail is truncated on the last file and
+// fatal on any other; mid-log corruption is fatal on every file.
 func (p *Persist) replayWAL(idx uint64, last bool) error {
 	path := p.walPath(idx)
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("storage: persist wal: %w", err)
 	}
-	recs, good, err := parseRecords(data)
-	if err != nil && !last {
-		return fmt.Errorf("storage: persist wal %s corrupt: %w", path, err)
-	}
-	p.openRecords += int64(len(recs))
-	p.openBytes += int64(good)
-	for _, rec := range recs {
+	defer f.Close()
+	end, err := walframe.Recover(f, 0, last, func(_ int64, rec []byte) error {
+		p.openRecords++
 		var aerr error
 		derr := decodeRecord(rec, func(key string, val []byte, del bool) {
-			if aerr != nil {
-				return
+			if aerr == nil {
+				aerr = p.applyReplay(key, val, del)
 			}
-			aerr = p.applyReplay(key, val, del)
 		})
-		if derr == nil {
-			derr = aerr
-		}
 		if derr != nil {
-			return fmt.Errorf("storage: persist wal %s: %w", path, derr)
+			return derr
 		}
-	}
+		return aerr
+	})
+	p.openBytes += end
 	if err != nil {
-		if terr := walframe.RecoverTail(path, data[good:], int64(good)); terr != nil {
-			return fmt.Errorf("storage: persist wal: %w", terr)
-		}
+		return fmt.Errorf("storage: persist wal %s: %w", path, err)
 	}
 	return nil
-}
-
-// parseRecords splits a WAL image into its CRC-validated record
-// payloads. good is the byte offset just past the last valid record; err
-// is non-nil when framing or CRC validation failed there.
-func parseRecords(data []byte) (recs [][]byte, good int, err error) {
-	off := 0
-	for off < len(data) {
-		payload, next, perr := walframe.Next(data, off)
-		if perr != nil {
-			return recs, off, perr
-		}
-		recs = append(recs, payload)
-		off = next
-	}
-	return recs, off, nil
 }
 
 // decodeRecord walks one WAL record's writes, invoking apply per write

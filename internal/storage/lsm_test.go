@@ -298,8 +298,10 @@ func lsmState(t *testing.T, dir string) map[string]string {
 }
 
 // TestLSMWALTornTailRecovery sweeps every truncation point and every
-// corrupted byte of the WAL's final record: recovery must land exactly on
-// the last fully-committed record — never an error, never a partial batch.
+// corrupted byte of the WAL's final record, and zero-filled tails (the
+// record overwritten with zeros, or zeros appended after it): recovery
+// must land exactly on the last fully-committed record — never an error,
+// never a partial batch — and cut the file there.
 func TestLSMWALTornTailRecovery(t *testing.T) {
 	refDir := t.TempDir()
 	buildWALOnly(t, refDir)
@@ -311,11 +313,18 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := parseRecords(refWAL)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("reference wal has %d records (err %v), want 3", len(recs), err)
+	var starts []int
+	for off := 0; off < len(refWAL); {
+		_, next, err := walframe.Next(refWAL, off)
+		if err != nil {
+			t.Fatalf("reference wal frame at %d: %v", off, err)
+		}
+		starts, off = append(starts, off), next
 	}
-	batchStart := len(refWAL) - walframe.HeaderLen - len(recs[2])
+	if len(starts) != 3 {
+		t.Fatalf("reference wal has %d records, want 3", len(starts))
+	}
+	batchStart := starts[2]
 	wantWithoutBatch := map[string]string{"a": "alpha", "b": "beta"}
 	wantWithBatch := map[string]string{"b": "beta", "c": "gamma", "d": "delta-" + strings.Repeat("z", 40)}
 
@@ -359,11 +368,50 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 			t.Fatalf("recovered %v, want %v", got, wantWithBatch)
 		}
 	})
+	// A file system that extends a file before it writes the data leaves
+	// zeros where a record was to go. Eight zero bytes parse as an empty
+	// frame; no record is empty, so they are a torn tail like any other.
+	type zeroCase struct {
+		name string
+		data []byte
+		want map[string]string
+		end  int // the file's size after recovery
+	}
+	zeroed := []zeroCase{{"zeroed-last", append(bytes.Clone(refWAL[:batchStart]), make([]byte, len(refWAL)-batchStart)...), wantWithoutBatch, batchStart}}
+	for _, k := range []int{1, 7, 8, 9, 64, 4096} {
+		zeroed = append(zeroed, zeroCase{fmt.Sprintf("zeros+%d", k), append(bytes.Clone(refWAL), make([]byte, k)...), wantWithBatch, len(refWAL)})
+	}
+	for _, c := range zeroed {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildWALOnly(t, dir)
+			wal := filepath.Join(dir, walName[0])
+			if err := os.WriteFile(wal, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, err := OpenPersist(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			st, err := os.Stat(wal)
+			abandon(p) // keep the WAL as the engine's only copy for lsmState
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(c.end) {
+				t.Fatalf("wal is %d bytes after recovery, want %d", st.Size(), c.end)
+			}
+			if got := lsmState(t, dir); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("recovered %v, want %v", got, c.want)
+			}
+		})
+	}
 }
 
-// TestLSMWALMidLogCorruptionIsFatal flips a byte in an early record while
-// committed records follow: recovery must refuse — and leave the file
-// untruncated — instead of silently dropping the committed suffix.
+// TestLSMWALMidLogCorruptionIsFatal damages an early record — one byte
+// flipped, or zeros in place of it or before the next — while committed
+// records follow: recovery must refuse — and leave the file byte-identical
+// — instead of silently dropping the committed suffix.
 func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenPersist(Config{Dir: dir})
@@ -380,20 +428,37 @@ func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := append([]byte(nil), data...)
-	corrupted[walframe.HeaderLen+4] ^= 0xff // inside the first record's payload
-	if err := os.WriteFile(wal, corrupted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPersist(Config{Dir: dir}); err == nil {
-		t.Fatal("mid-log corruption recovered silently")
-	}
-	after, err := os.ReadFile(wal)
+	_, second, err := walframe.Next(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != len(data) {
-		t.Fatalf("failed open truncated the wal: %d -> %d bytes", len(data), len(after))
+	flipped := bytes.Clone(data)
+	flipped[walframe.HeaderLen+4] ^= 0xff // inside the first record's payload
+	// Zeros are damage, never a record: committed records after them make
+	// them mid-log corruption, whether they replace the first record or
+	// sit between two.
+	zeroedFirst := append(make([]byte, second), data[second:]...)
+	zerosBetween := append(append(bytes.Clone(data[:second]), make([]byte, walframe.HeaderLen)...), data[second:]...)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"flipped", flipped}, {"zeroed first", zeroedFirst}, {"zeros between", zerosBetween}} {
+		if err := os.WriteFile(wal, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenPersist(Config{Dir: dir}); err == nil {
+			t.Fatalf("%s: mid-log corruption recovered silently", c.name)
+		}
+		after, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(c.data) {
+			t.Fatalf("%s: failed open truncated the wal: %d -> %d bytes", c.name, len(c.data), len(after))
+		}
+		if !bytes.Equal(after, c.data) {
+			t.Fatalf("%s: failed open rewrote the wal", c.name)
+		}
 	}
 }
 

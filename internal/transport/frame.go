@@ -1,13 +1,14 @@
 package transport
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"socialchain/internal/walframe"
 )
 
-// Wire framing: one message is one frame in the walframe layout,
+// Wire framing: one message is one walframe frame,
 //
 //	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
 //
@@ -17,12 +18,9 @@ import (
 //
 // The CRC covers the whole envelope, so a torn or bit-flipped frame fails
 // closed: the reader rejects it and tears down the connection rather than
-// dispatching a damaged message. The layout is deliberately the same as the
-// durable logs' (internal/walframe) so there is exactly one framing format
-// in the system.
-
-// frameHeaderLen is the fixed length+CRC header size.
-const frameHeaderLen = 8
+// dispatching a damaged message. Sealing and parsing are walframe's, the
+// code the durable logs use, so there is one framing format and one parser
+// in the system; this file holds only the envelope.
 
 // DefaultMaxFrame bounds one wire message (header + envelope). Large enough
 // for a full ordering batch (2 MiB cutter default plus JSON overhead) with
@@ -35,13 +33,11 @@ func EncodeFrame(stream string, body []byte) ([]byte, error) {
 	if len(stream) > 255 {
 		return nil, fmt.Errorf("%w: stream name %d bytes (max 255)", ErrFrameCorrupt, len(stream))
 	}
-	frame := make([]byte, frameHeaderLen+1+len(stream)+len(body))
-	frame[frameHeaderLen] = byte(len(stream))
-	copy(frame[frameHeaderLen+1:], stream)
-	copy(frame[frameHeaderLen+1+len(stream):], body)
-	payload := frame[frameHeaderLen:]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	frame := make([]byte, walframe.HeaderLen+1+len(stream)+len(body))
+	frame[walframe.HeaderLen] = byte(len(stream))
+	copy(frame[walframe.HeaderLen+1:], stream)
+	copy(frame[walframe.HeaderLen+1+len(stream):], body)
+	walframe.Seal(frame)
 	return frame, nil
 }
 
@@ -57,61 +53,54 @@ func decodeEnvelope(payload []byte) (stream string, body []byte, err error) {
 	return string(payload[1 : 1+n]), payload[1+n:], nil
 }
 
+// wireError maps a walframe parse failure onto the connection's errors.
+func wireError(err error) error {
+	switch {
+	case errors.Is(err, walframe.ErrTooLong):
+		return fmt.Errorf("%w: %v", ErrFrameTooLarge, err)
+	case errors.Is(err, walframe.ErrChecksum):
+		return fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
+	case errors.Is(err, walframe.ErrTruncated):
+		return fmt.Errorf("transport: %v: %w", err, io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
 // ReadFrame reads and verifies one frame from r, returning the stream name
-// and message body. Errors are terminal for the connection: io.EOF at a
-// frame boundary is a clean shutdown, io.ErrUnexpectedEOF a truncation,
-// ErrFrameTooLarge / ErrFrameCorrupt a protocol violation.
+// and message body, which is the caller's to keep. Errors are terminal for
+// the connection: io.EOF at a frame boundary is a clean shutdown,
+// io.ErrUnexpectedEOF a truncation, ErrFrameTooLarge / ErrFrameCorrupt a
+// protocol violation.
 func ReadFrame(r io.Reader, maxFrame int) (stream string, body []byte, err error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return "", nil, fmt.Errorf("transport: truncated frame header: %w", err)
-		}
-		return "", nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[0:4]))
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n > maxFrame-frameHeaderLen {
-		return "", nil, fmt.Errorf("%w: payload %d bytes (max %d)", ErrFrameTooLarge, n, maxFrame-frameHeaderLen)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("transport: truncated frame body: %w", io.ErrUnexpectedEOF)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return "", nil, fmt.Errorf("%w: crc mismatch", ErrFrameCorrupt)
+	payload, err := walframe.Read(r, nil, int64(maxFrame))
+	if err != nil {
+		return "", nil, wireError(err)
 	}
 	return decodeEnvelope(payload)
 }
 
 // DecodeFrame parses one frame from the front of data, returning the stream
 // name, body, and the offset just past the frame. It is the slice-oriented
-// twin of ReadFrame used by tests to sweep corruption offsets.
+// twin of ReadFrame used by tests to sweep corruption offsets. A whole
+// frame over maxFrame is ErrFrameTooLarge; a frame cut short is a
+// truncation, whatever length its header claims.
 func DecodeFrame(data []byte, maxFrame int) (stream string, body []byte, next int, err error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	if len(data) < frameHeaderLen {
-		return "", nil, 0, fmt.Errorf("transport: truncated frame header: %w", io.ErrUnexpectedEOF)
+	payload, next, err := walframe.Next(data, 0)
+	if err != nil {
+		return "", nil, 0, wireError(err)
 	}
-	n := int(binary.BigEndian.Uint32(data[0:4]))
-	sum := binary.BigEndian.Uint32(data[4:8])
-	if n > maxFrame-frameHeaderLen {
-		return "", nil, 0, fmt.Errorf("%w: payload %d bytes (max %d)", ErrFrameTooLarge, n, maxFrame-frameHeaderLen)
-	}
-	if len(data)-frameHeaderLen < n {
-		return "", nil, 0, fmt.Errorf("transport: truncated frame body: %w", io.ErrUnexpectedEOF)
-	}
-	payload := data[frameHeaderLen : frameHeaderLen+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return "", nil, 0, fmt.Errorf("%w: crc mismatch", ErrFrameCorrupt)
+	if next > maxFrame {
+		return "", nil, 0, fmt.Errorf("%w: frame %d bytes (max %d)", ErrFrameTooLarge, next, maxFrame)
 	}
 	stream, body, err = decodeEnvelope(payload)
 	if err != nil {
 		return "", nil, 0, err
 	}
-	return stream, body, frameHeaderLen + n, nil
+	return stream, body, next, nil
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"socialchain/internal/walframe"
 )
 
 // TCP transport defaults.
@@ -54,9 +56,6 @@ type TCPConfig struct {
 	// QueueLen bounds each peer's send queue in frames; a full queue
 	// returns ErrBackpressure from Send.
 	QueueLen int
-	// MaxFrame bounds one wire message; oversized or corrupt frames tear
-	// down the connection that carried them.
-	MaxFrame int
 }
 
 // check refuses tunings that mean nothing: a negative queue bound or
@@ -94,9 +93,6 @@ func (c *TCPConfig) fill() {
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = DefaultQueueLen
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 }
 
@@ -410,7 +406,7 @@ func (t *TCP) sendHello(conn net.Conn) error {
 }
 
 func (t *TCP) readHello(conn net.Conn) (string, error) {
-	stream, body, err := ReadFrame(conn, t.cfg.MaxFrame)
+	stream, body, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		return "", err
 	}
@@ -510,12 +506,12 @@ func (t *TCP) readLoop(conn net.Conn, p *tcpPeer) {
 	defer t.wg.Done()
 	defer t.dropConn(p, conn)
 	for {
-		stream, body, err := ReadFrame(conn, t.cfg.MaxFrame)
+		stream, body, err := ReadFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			return
 		}
 		t.ctr.FramesRecv.Inc()
-		t.ctr.BytesRecv.Add(int64(frameHeaderLen + 1 + len(stream) + len(body)))
+		t.ctr.BytesRecv.Add(int64(walframe.HeaderLen + 1 + len(stream) + len(body)))
 		t.mu.RLock()
 		h := t.handlers[stream]
 		t.mu.RUnlock()
