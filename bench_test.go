@@ -27,7 +27,6 @@ import (
 	"socialchain/internal/sim"
 	"socialchain/internal/storage"
 	"socialchain/internal/transport"
-	"socialchain/internal/workload"
 )
 
 // benchFramework builds a small framework for storage benchmarks.
@@ -131,7 +130,7 @@ func BenchmarkFigure4_MetadataExtraction(b *testing.B) {
 // with-blockchain series runs the full store pipeline (validation,
 // IPFS add, metadata+CID committed through BFT).
 func BenchmarkFigure5_Storage(b *testing.B) {
-	sizes := workload.SizeSweepKB(16, 4096, 5)
+	sizes := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 	b.Run("ipfs-only", func(b *testing.B) {
 		for _, size := range sizes {
@@ -182,7 +181,7 @@ func BenchmarkFigure5_Storage(b *testing.B) {
 // runs the full query-engine path (metadata from the chain, payload from
 // IPFS, hash verification).
 func BenchmarkFigure6_Retrieval(b *testing.B) {
-	sizes := workload.SizeSweepKB(16, 4096, 5)
+	sizes := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 	b.Run("ipfs-only", func(b *testing.B) {
 		for _, size := range sizes {

@@ -17,14 +17,3 @@ func BenchmarkFixedChunker(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBuzhashChunker(b *testing.B) {
-	data := sim.NewRNG(1).Bytes(4 << 20)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ChunkAll(NewBuzhash(bytes.NewReader(data))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

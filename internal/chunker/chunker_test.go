@@ -5,8 +5,6 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
-
-	"socialchain/internal/sim"
 )
 
 func reassemble(chunks [][]byte) []byte {
@@ -76,18 +74,13 @@ func TestFixedDefaultSize(t *testing.T) {
 // pin a buffer sized for the largest chunk.
 func TestChunkSizedToReader(t *testing.T) {
 	data := bytes.Repeat([]byte("s"), 4096)
-	for name, c := range map[string]Chunker{
-		"fixed":   NewFixed(bytes.NewReader(data), 0),
-		"buzhash": NewBuzhash(bytes.NewReader(data)),
-	} {
-		chunks, err := ChunkAll(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunks) != 1 || len(chunks[0]) != len(data) || cap(chunks[0]) != len(data) {
-			t.Fatalf("%s: %d chunks, first len %d cap %d; want one chunk with len == cap == %d",
-				name, len(chunks), len(chunks[0]), cap(chunks[0]), len(data))
-		}
+	chunks, err := ChunkAll(NewFixed(bytes.NewReader(data), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) != 1 || len(chunks[0]) != len(data) || cap(chunks[0]) != len(data) {
+		t.Fatalf("%d chunks, first len %d cap %d; want one chunk with len == cap == %d",
+			len(chunks), len(chunks[0]), cap(chunks[0]), len(data))
 	}
 }
 
@@ -116,100 +109,6 @@ func TestFixedPropertyReassembly(t *testing.T) {
 		}
 		return bytes.Equal(reassemble(chunks), data)
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuzhashReassembly(t *testing.T) {
-	rng := sim.NewRNG(42)
-	data := rng.Bytes(3 << 20) // 3 MiB
-	chunks, err := ChunkAll(NewBuzhash(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) < 2 {
-		t.Fatalf("3 MiB produced only %d chunks", len(chunks))
-	}
-	if !bytes.Equal(reassemble(chunks), data) {
-		t.Fatal("buzhash reassembly mismatch")
-	}
-}
-
-func TestBuzhashRespectsBounds(t *testing.T) {
-	rng := sim.NewRNG(7)
-	data := rng.Bytes(4 << 20)
-	min, max := 16*1024, 64*1024
-	chunks, err := ChunkAll(NewBuzhashParams(bytes.NewReader(data), min, max, 1<<13-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range chunks {
-		if i < len(chunks)-1 && len(c) < min {
-			t.Fatalf("chunk %d below min: %d", i, len(c))
-		}
-		if len(c) > max {
-			t.Fatalf("chunk %d above max: %d", i, len(c))
-		}
-	}
-}
-
-func TestBuzhashDeterministic(t *testing.T) {
-	rng := sim.NewRNG(1)
-	data := rng.Bytes(1 << 20)
-	a, _ := ChunkAll(NewBuzhash(bytes.NewReader(data)))
-	b, _ := ChunkAll(NewBuzhash(bytes.NewReader(data)))
-	if len(a) != len(b) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("chunk %d differs", i)
-		}
-	}
-}
-
-func TestBuzhashBoundaryStability(t *testing.T) {
-	// Content-defined chunking: appending data must not change earlier
-	// chunk boundaries (the property fixed-size chunking lacks).
-	rng := sim.NewRNG(3)
-	base := rng.Bytes(2 << 20)
-	extended := append(append([]byte(nil), base...), rng.Bytes(512*1024)...)
-	a, _ := ChunkAll(NewBuzhash(bytes.NewReader(base)))
-	b, _ := ChunkAll(NewBuzhash(bytes.NewReader(extended)))
-	if len(a) < 3 {
-		t.Skip("not enough chunks to compare")
-	}
-	// All but the last chunk of the base should reappear unchanged.
-	for i := 0; i < len(a)-1; i++ {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("boundary %d shifted after append", i)
-		}
-	}
-}
-
-func TestBuzhashSmallInput(t *testing.T) {
-	data := []byte("tiny")
-	chunks, err := ChunkAll(NewBuzhash(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 1 || !bytes.Equal(chunks[0], data) {
-		t.Fatalf("small input mangled: %v", chunks)
-	}
-}
-
-func TestBuzhashPropertyReassembly(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 20}
-	err := quick.Check(func(seed int64, sizeSeed uint32) bool {
-		size := int(sizeSeed % (1 << 20))
-		data := sim.NewRNG(seed).Bytes(size)
-		chunks, err := ChunkAll(NewBuzhashParams(bytes.NewReader(data), 4096, 16384, 1<<11-1))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(reassemble(chunks), data)
-	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -741,22 +741,16 @@ func TestRingSlotsAreNotRecords(t *testing.T) {
 			}
 		}
 	}
-	sel := statedb.Selector{"source": cam.ID()}
-	for name, query := range map[string]func(string, statedb.Selector) ([]statedb.KV, error){
-		"indexed": w.db.ExecuteQuery,
-		"scan":    w.db.ScanQuery,
-	} {
-		kvs, err := query(DataCC, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(kvs) != stored {
-			t.Errorf("%s selector matched %d entries for %d records", name, len(kvs), stored)
-		}
-		for _, kv := range kvs {
-			if !strings.HasPrefix(kv.Key, recKeyPrefix) {
-				t.Errorf("%s selector matched %q, not a record", name, kv.Key)
-			}
+	kvs, err := w.db.ExecuteQuery(DataCC, statedb.Selector{"source": cam.ID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != stored {
+		t.Errorf("selector matched %d entries for %d records", len(kvs), stored)
+	}
+	for _, kv := range kvs {
+		if !strings.HasPrefix(kv.Key, recKeyPrefix) {
+			t.Errorf("selector matched %q, not a record", kv.Key)
 		}
 	}
 }

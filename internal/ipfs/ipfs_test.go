@@ -261,22 +261,6 @@ func TestGCPreservesPinnedContent(t *testing.T) {
 	}
 }
 
-func TestBuzhashStrategyRoundTrip(t *testing.T) {
-	c := newTestCluster(t, 2, Options{Strategy: ChunkBuzhash})
-	data := sim.NewRNG(9).Bytes(2 << 20)
-	root, err := c.Node(0).Add(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Node(1).Get(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("buzhash cross-node mismatch")
-	}
-}
-
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 0}); err == nil {
 		t.Fatal("zero-node cluster accepted")
@@ -353,35 +337,28 @@ func TestGetReassemblesFromFetchedNodes(t *testing.T) {
 }
 
 // TestRootCIDsGolden pins the root CID of payloads around the default
-// chunk size, under both chunkers: how a chunker sizes its read buffers
-// must never move a chunk boundary.
+// chunk size: how the chunker sizes its read buffers must never move a
+// chunk boundary.
 func TestRootCIDsGolden(t *testing.T) {
-	fixed := newTestCluster(t, 1, Options{}).Node(0)
-	buz := newTestCluster(t, 1, Options{Strategy: ChunkBuzhash}).Node(0)
+	node := newTestCluster(t, 1, Options{}).Node(0)
 	for _, g := range []struct {
-		size       int
-		fixed, buz string
+		size int
+		want string
 	}{
-		{0, "bafkreihdwdcefgh4dqkjv67uzcmw7ojee6xedzdetojuzjevtenxquvyku", "bafkreihdwdcefgh4dqkjv67uzcmw7ojee6xedzdetojuzjevtenxquvyku"},
-		{1, "bafkreiemev2isidd7gk7352wxtqh6rwbuumt4vgnkkbx5wi6giaizt2bvq", "bafkreiemev2isidd7gk7352wxtqh6rwbuumt4vgnkkbx5wi6giaizt2bvq"},
-		{4 << 10, "bafkreiby5xhqwg7qln6t34uzmzquromvdv33vw3wqcyzn4eqbfwp6pnlka", "bafkreiby5xhqwg7qln6t34uzmzquromvdv33vw3wqcyzn4eqbfwp6pnlka"},
-		{256<<10 - 1, "bafkreihty33nemj5iquuohrtbu73tppg4hvvl3s6smaojeovnkuz6ts7ky", "bafybeifxfjrvdexjbwc7tun6g4h6wh44t747cjat5fvnkuwg4qiz3s36ba"},
-		{256 << 10, "bafkreifxvurgimkfxptvoilcillipzbqvu5p4dg7wtumopeawhgiugnjwm", "bafybeihg37f5pi3fn5ebe55dlsjhljb34vdqzofruexx3ydjs3cz7ouja4"},
-		{256<<10 + 1, "bafybeifs452azwoskhmtge67iyyoibayzxd6u6mxfb6lru6i6s2erfiwha", "bafkreibsl2tck2xzskaor6bmojem6aesip6qyl7tqjmbg7eja6kzkrante"},
-		{1 << 20, "bafybeifejvapahxvjkvf5dq7762m5k3gbggdafpfihzymhtyczoe6uwilm", "bafybeificpgtbtgs7anqmuo35bhayjy4ybjq5l4ixmj6dixrnqwoqmmaqq"},
+		{0, "bafkreihdwdcefgh4dqkjv67uzcmw7ojee6xedzdetojuzjevtenxquvyku"},
+		{1, "bafkreiemev2isidd7gk7352wxtqh6rwbuumt4vgnkkbx5wi6giaizt2bvq"},
+		{4 << 10, "bafkreiby5xhqwg7qln6t34uzmzquromvdv33vw3wqcyzn4eqbfwp6pnlka"},
+		{256<<10 - 1, "bafkreihty33nemj5iquuohrtbu73tppg4hvvl3s6smaojeovnkuz6ts7ky"},
+		{256 << 10, "bafkreifxvurgimkfxptvoilcillipzbqvu5p4dg7wtumopeawhgiugnjwm"},
+		{256<<10 + 1, "bafybeifs452azwoskhmtge67iyyoibayzxd6u6mxfb6lru6i6s2erfiwha"},
+		{1 << 20, "bafybeifejvapahxvjkvf5dq7762m5k3gbggdafpfihzymhtyczoe6uwilm"},
 	} {
-		data := sim.NewRNG(int64(g.size)).Bytes(g.size)
-		for _, c := range []struct {
-			node *Node
-			want string
-		}{{fixed, g.fixed}, {buz, g.buz}} {
-			root, err := c.node.Add(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if root.String() != c.want {
-				t.Errorf("%d bytes: root %s, want %s", g.size, root, c.want)
-			}
+		root, err := node.Add(sim.NewRNG(int64(g.size)).Bytes(g.size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.String() != g.want {
+			t.Errorf("%d bytes: root %s, want %s", g.size, root, g.want)
 		}
 	}
 }

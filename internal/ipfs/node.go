@@ -1,13 +1,13 @@
 // Package ipfs assembles the off-chain content-addressed store from its
-// substrates: chunking, Merkle-DAG construction, block storage and bitswap
-// block exchange. A Node exposes the familiar Add/Get/Pin/GC surface; a
-// Cluster wires several nodes into one network, standing in for the paper's
-// two-node IPFS deployment. Every node of a Cluster is connected to every
-// other, so a node missing a block asks its peers for it, as IPFS bitswap
-// does before it consults a DHT. Who serves a block is only a hint: a block
-// is trusted because it hashes to its CID, and the blockstore checks that
-// before it stores the block. A node therefore keeps no per-record state
-// outside its blockstore and pin set.
+// substrates: fixed-size chunking, Merkle-DAG construction, block storage
+// and bitswap block exchange. A Node exposes the familiar Add/Get/Pin/GC
+// surface; a Cluster wires several nodes into one network, standing in for
+// the paper's two-node IPFS deployment. Every node of a Cluster is
+// connected to every other, so a node missing a block asks its peers for
+// it, as IPFS bitswap does before it consults a DHT. Who serves a block is
+// only a hint: a block is trusted because it hashes to its CID, and the
+// blockstore checks that before it stores the block. A node therefore
+// keeps no per-record state outside its blockstore and pin set.
 package ipfs
 
 import (
@@ -23,22 +23,10 @@ import (
 	"socialchain/internal/dag"
 )
 
-// ChunkStrategy selects how payloads are split into blocks.
-type ChunkStrategy int
-
-const (
-	// ChunkFixed uses fixed-size chunks (IPFS default).
-	ChunkFixed ChunkStrategy = iota
-	// ChunkBuzhash uses content-defined chunking.
-	ChunkBuzhash
-)
-
 // Options configure a Node.
 type Options struct {
-	// ChunkSize for ChunkFixed; 0 means chunker.DefaultChunkSize.
+	// ChunkSize is the fixed chunk size; 0 means chunker.DefaultChunkSize.
 	ChunkSize int
-	// Strategy selects the chunker.
-	Strategy ChunkStrategy
 	// Fanout is the DAG interior-node width; 0 means dag.DefaultFanout.
 	Fanout int
 }
@@ -102,16 +90,6 @@ func (n *Node) Blockstore() blockstore.Blockstore { return n.bs }
 // Bitswap exposes the exchange engine (stats).
 func (n *Node) Bitswap() *bitswap.Engine { return n.bw }
 
-// newChunker builds the configured chunker over r.
-func (n *Node) newChunker(r io.Reader) chunker.Chunker {
-	switch n.opts.Strategy {
-	case ChunkBuzhash:
-		return chunker.NewBuzhash(r)
-	default:
-		return chunker.NewFixed(r, n.opts.ChunkSize)
-	}
-}
-
 // Add imports data: chunk, build the Merkle DAG, store blocks and pin the
 // root. It returns the root CID.
 func (n *Node) Add(data []byte) (cid.Cid, error) {
@@ -120,7 +98,7 @@ func (n *Node) Add(data []byte) (cid.Cid, error) {
 
 // AddReader is Add over a stream.
 func (n *Node) AddReader(r io.Reader) (cid.Cid, error) {
-	chunks, err := chunker.ChunkAll(n.newChunker(r))
+	chunks, err := chunker.ChunkAll(chunker.NewFixed(r, n.opts.ChunkSize))
 	if err != nil {
 		return cid.Undef, fmt.Errorf("ipfs: chunk: %w", err)
 	}

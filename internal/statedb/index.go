@@ -36,17 +36,15 @@ import (
 // one index-page scan or one state read sees the state after some whole
 // block, never part of one. Two separate reads can still straddle a
 // commit — an index page read before a block, a record fetched after it —
-// so the indexed query path re-fetches every candidate record and
-// re-checks the full selector against current state: stale entries filter
-// out, and the MVCC layer above catches anything that mattered to a
-// transaction.
+// so a page's reader fetches each named record from current state and
+// skips one that is gone, and the MVCC layer above catches anything that
+// mattered to a transaction. Selectors (ExecuteQuery) never read the
+// indexes: they scan the namespace.
 
 // IndexSpec declares one secondary index over a namespace. Only string
 // field values are indexed: JSON object values whose Field (a dotted path,
 // e.g. "metadata.camera_id") resolves to a string get one entry; numbers,
-// booleans, nested objects and non-object values are skipped, which keeps
-// index lookups exactly equivalent to the selector scan for string
-// equality (cross-type numeric equality falls back to the scan path).
+// booleans, nested objects and non-object values are skipped.
 type IndexSpec struct {
 	// Name identifies the index; unique across all specs of a DB.
 	Name string
@@ -389,140 +387,4 @@ func (db *DB) IterIndex(name, valuePrefix string, limit, offset int, token strin
 		return true
 	})
 	return page, nil
-}
-
-// indexedCandidates returns the state keys an index names for one of the
-// supported selector shapes, or ok=false when the selector cannot be
-// served from an index (not a string pin, NUL bytes, unsupported ops).
-func (ix *indexer) indexedCandidates(ns string, sel Selector) ([]string, bool) {
-	for _, spec := range ix.byNS[ns] {
-		cond, present := sel[spec.Field]
-		if !present {
-			continue
-		}
-		switch c := cond.(type) {
-		case string:
-			if keys, ok := ix.exactKeys(spec.Name, c); ok {
-				return keys, true
-			}
-		case map[string]any:
-			if eq, ok := c["$eq"].(string); ok {
-				if keys, ok := ix.exactKeys(spec.Name, eq); ok {
-					return keys, true
-				}
-				continue
-			}
-			if list, ok := c["$in"].([]any); ok {
-				if keys, ok := ix.inKeys(spec.Name, list); ok {
-					return keys, true
-				}
-				continue
-			}
-			if keys, ok := ix.rangeKeys(spec.Name, c); ok {
-				return keys, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// exactKeys lists keys indexed under exactly value.
-func (ix *indexer) exactKeys(index, value string) ([]string, bool) {
-	if strings.IndexByte(value, 0) >= 0 {
-		// NUL-bearing selector values fall back to the scan so escaping
-		// can never change equality semantics.
-		return nil, false
-	}
-	prefix := indexPrefix(index)
-	keys := []string{}
-	ix.kv.IterPrefix(prefix+escapeIndexValue(value)+"\x00", func(composite string, _ []byte) bool {
-		if _, key, ok := splitEntry(composite[len(prefix):]); ok {
-			keys = append(keys, key)
-		}
-		return true
-	})
-	return keys, true
-}
-
-// inKeys unions exact lookups for an all-string $in list.
-func (ix *indexer) inKeys(index string, list []any) ([]string, bool) {
-	var keys []string
-	seen := make(map[string]bool)
-	for _, item := range list {
-		s, ok := item.(string)
-		if !ok {
-			// A numeric list item could loose-match numeric field values
-			// the index never sees; only pure string lists short-circuit.
-			return nil, false
-		}
-		ks, ok := ix.exactKeys(index, s)
-		if !ok {
-			return nil, false
-		}
-		for _, k := range ks {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	if keys == nil {
-		keys = []string{}
-	}
-	return keys, true
-}
-
-// rangeOps are the operators rangeKeys can serve from an ordered index.
-var rangeOps = map[string]bool{"$gt": true, "$gte": true, "$lt": true, "$lte": true}
-
-// rangeKeys serves a pure string-range condition ({"$gte": lo, "$lt": hi}
-// and friends) from the index: candidates are entries whose decoded value
-// satisfies every bound. Any non-range operator or non-string operand
-// falls back to the scan.
-func (ix *indexer) rangeKeys(index string, cond map[string]any) ([]string, bool) {
-	if len(cond) == 0 {
-		return nil, false
-	}
-	for op, operand := range cond {
-		if !rangeOps[op] {
-			return nil, false
-		}
-		if _, ok := operand.(string); !ok {
-			return nil, false
-		}
-	}
-	inRange := func(v string) bool {
-		for op, operand := range cond {
-			bound := operand.(string)
-			switch op {
-			case "$gt":
-				if !(v > bound) {
-					return false
-				}
-			case "$gte":
-				if !(v >= bound) {
-					return false
-				}
-			case "$lt":
-				if !(v < bound) {
-					return false
-				}
-			default: // $lte
-				if !(v <= bound) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	prefix := indexPrefix(index)
-	keys := []string{}
-	ix.kv.IterPrefix(prefix, func(composite string, _ []byte) bool {
-		value, key, ok := splitEntry(composite[len(prefix):])
-		if ok && inRange(value) {
-			keys = append(keys, key)
-		}
-		return true
-	})
-	return keys, true
 }

@@ -90,7 +90,7 @@ func TestMatchesUnknownOperatorErrors(t *testing.T) {
 			t.Fatalf("operator %q accepted", op)
 		}
 	}
-	// The error surfaces through both query paths.
+	// The error surfaces through the query.
 	db := New()
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte(`{"n":5}`))
@@ -98,28 +98,38 @@ func TestMatchesUnknownOperatorErrors(t *testing.T) {
 	if _, err := db.ExecuteQuery("cc", Selector{"n": map[string]any{"$foo": float64(1)}}); err == nil {
 		t.Fatal("ExecuteQuery swallowed unknown operator")
 	}
-	if _, err := db.ScanQuery("cc", Selector{"n": map[string]any{"$foo": float64(1)}}); err == nil {
-		t.Fatal("ScanQuery swallowed unknown operator")
-	}
 }
 
-func TestIndexedPathRejectsUnknownOperatorWithoutCandidates(t *testing.T) {
-	// The index short-circuit may evaluate zero records (no candidates for
-	// the pinned value); malformed operators elsewhere in the selector
-	// must still surface instead of silently returning an empty result.
-	db, err := NewIndexedWith(storage.Config{}, IndexSpec{Name: "label", Namespace: "data", Field: "label"})
+// TestExecuteQueryRejectsMalformedSelector: a malformed operator fails the
+// query even when no record reaches it — the record fails another field
+// first (Go's map order is random, so only some calls would evaluate the
+// bad one), or the namespace is empty — instead of returning an empty
+// result.
+func TestExecuteQueryRejectsMalformedSelector(t *testing.T) {
+	indexed, err := NewIndexedWith(storage.Config{}, IndexSpec{Name: "label", Namespace: "data", Field: "label"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := New()
 	b := NewUpdateBatch()
 	b.Put("data", "rec/1", []byte(`{"label":"car","x":1}`))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
-	for _, sel := range []Selector{
-		{"label": "no-such-label", "x": map[string]any{"$regex": "a"}},
-		{"label": "no-such-label", "x": map[string]any{"$in": "not-a-list"}},
+	indexed.ApplyUpdates(b, Version{BlockNum: 1})
+	plain.ApplyUpdates(b, Version{BlockNum: 1})
+	for _, c := range []struct {
+		db    *DB
+		ns    string
+		sel   Selector
+		calls int
+	}{
+		{indexed, "data", Selector{"label": "no-such-label", "x": map[string]any{"$regex": "a"}}, 1},
+		{indexed, "data", Selector{"label": "no-such-label", "x": map[string]any{"$in": "not-a-list"}}, 1},
+		{plain, "data", Selector{"label": "nope", "x": map[string]any{"$regex": "a"}}, 50},
+		{plain, "empty", Selector{"x": map[string]any{"$regex": "a"}}, 1},
 	} {
-		if _, err := db.ExecuteQuery("data", sel); err == nil {
-			t.Fatalf("indexed path accepted malformed selector %v", sel)
+		for i := 0; i < c.calls; i++ {
+			if out, err := c.db.ExecuteQuery(c.ns, c.sel); err == nil {
+				t.Fatalf("call %d: ExecuteQuery(%q, %v) = %v with no error", i, c.ns, c.sel, out)
+			}
 		}
 	}
 }

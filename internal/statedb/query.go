@@ -3,7 +3,6 @@ package statedb
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Selector is a CouchDB-style rich query over JSON values stored in the
@@ -15,27 +14,37 @@ import (
 type Selector map[string]any
 
 // ExecuteQuery returns entries of ns whose JSON value matches the
-// selector. Non-JSON values never match. Results are sorted by key.
-//
-// When the selector pins a secondary-indexed field — string equality,
-// an all-string $in, or a pure string-range condition — the query is
-// served from the index: candidate keys come from an O(index) prefix
-// iteration and only candidates are decoded and re-checked against the
-// full selector, instead of JSON-decoding the whole namespace. Arbitrary
-// selectors fall back to ScanQuery.
+// selector, sorted by key. Non-JSON values never match. The selector is
+// checked before any record is read, so a malformed one fails the query
+// even when no record would reach the bad operator. The namespace is
+// scanned off the engine iterator: every value is JSON-decoded, and
+// non-matching values are never copied out of the store. Secondary
+// indexes serve IterIndex pages, not selectors.
 func (db *DB) ExecuteQuery(ns string, sel Selector) ([]KV, error) {
-	if db.idx != nil {
-		if candidates, ok := db.idx.indexedCandidates(ns, sel); ok {
-			// The scan surfaces operator errors while evaluating records;
-			// the index path may evaluate none (zero candidates), so reject
-			// malformed selectors up front rather than silently succeeding.
-			if err := checkSelector(sel); err != nil {
-				return nil, err
-			}
-			return db.matchCandidates(ns, candidates, sel)
-		}
+	if err := checkSelector(sel); err != nil {
+		return nil, err
 	}
-	return db.ScanQuery(ns, sel)
+	var out []KV
+	var ierr error
+	db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
+		var doc map[string]any
+		if err := json.Unmarshal(vv.Value, &doc); err != nil {
+			return true
+		}
+		ok, err := Matches(doc, sel)
+		if err != nil {
+			ierr = err
+			return false
+		}
+		if ok {
+			out = append(out, KV{Namespace: ns, Key: key, Value: append([]byte(nil), vv.Value...), Version: vv.Version})
+		}
+		return true
+	})
+	if ierr != nil {
+		return nil, ierr
+	}
+	return out, nil
 }
 
 // checkSelector statically validates a selector's operators and operand
@@ -59,60 +68,6 @@ func checkSelector(sel Selector) error {
 		}
 	}
 	return nil
-}
-
-// matchCandidates fetches each candidate key and keeps those whose current
-// value still matches the full selector (stale index entries filter out
-// here), returning results in key order as the scan path does.
-func (db *DB) matchCandidates(ns string, keys []string, sel Selector) ([]KV, error) {
-	sort.Strings(keys)
-	var out []KV
-	for _, key := range keys {
-		vv, ok := db.GetState(ns, key)
-		if !ok {
-			continue
-		}
-		var doc map[string]any
-		if err := json.Unmarshal(vv.Value, &doc); err != nil {
-			continue
-		}
-		ok, err := Matches(doc, sel)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, KV{Namespace: ns, Key: key, Value: append([]byte(nil), vv.Value...), Version: vv.Version})
-		}
-	}
-	return out, nil
-}
-
-// ScanQuery is the index-free query path: a full namespace scan that
-// JSON-decodes every value. It streams off the engine iterator, so
-// non-matching values are never copied out of the store. Kept exported as
-// the reference implementation for index-equivalence tests and benchmarks.
-func (db *DB) ScanQuery(ns string, sel Selector) ([]KV, error) {
-	var out []KV
-	var ierr error
-	db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
-		var doc map[string]any
-		if err := json.Unmarshal(vv.Value, &doc); err != nil {
-			return true
-		}
-		ok, err := Matches(doc, sel)
-		if err != nil {
-			ierr = err
-			return false
-		}
-		if ok {
-			out = append(out, KV{Namespace: ns, Key: key, Value: append([]byte(nil), vv.Value...), Version: vv.Version})
-		}
-		return true
-	})
-	if ierr != nil {
-		return nil, ierr
-	}
-	return out, nil
 }
 
 // Matches reports whether doc satisfies the selector.

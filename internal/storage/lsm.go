@@ -67,7 +67,7 @@ package storage
 //
 // Durability modes (Config.Durability): "none" acknowledges at the page
 // cache (kill -9 safe; power loss can lose the tail since the last
-// flush). "batch" adds a background group fsync every FsyncInterval —
+// flush). "batch" adds a background group fsync every batchFsyncPeriod —
 // writers never wait, loss window is one interval. "always" makes every
 // mutation wait for an fsync covering it; concurrent waiters coalesce
 // onto one fsync (group commit), so the cost amortises under load.
@@ -100,8 +100,8 @@ const (
 	// DefaultCompactFanout is how many tables a level accumulates before
 	// they merge into the next level.
 	DefaultCompactFanout = 4
-	// DefaultFsyncInterval is DurabilityBatch's group-commit period.
-	DefaultFsyncInterval = 5 * time.Millisecond
+	// batchFsyncPeriod is DurabilityBatch's group-commit period.
+	batchFsyncPeriod = 5 * time.Millisecond
 
 	walPrefix = "wal-"
 	walSuffix = ".log"
@@ -256,11 +256,10 @@ type Persist struct {
 	// replayed; written before the workers start, constant afterwards.
 	openRecords, openBytes int64
 
-	dir           string
-	memLimit      int64
-	fanout        int
-	durability    Durability
-	fsyncInterval time.Duration
+	dir        string
+	memLimit   int64
+	fanout     int
+	durability Durability
 
 	flushC   chan struct{}
 	compactC chan struct{}
@@ -316,15 +315,14 @@ func OpenPersist(cfg Config) (*Persist, error) {
 		durability = DurabilityNone
 	}
 	p := &Persist{
-		mem:           newMemtable(),
-		dir:           dir,
-		memLimit:      cfg.MemtableBytes,
-		fanout:        cfg.CompactFanout,
-		durability:    durability,
-		fsyncInterval: cfg.FsyncInterval,
-		flushC:        make(chan struct{}, 1),
-		compactC:      make(chan struct{}, 1),
-		quit:          make(chan struct{}),
+		mem:        newMemtable(),
+		dir:        dir,
+		memLimit:   cfg.MemtableBytes,
+		fanout:     cfg.CompactFanout,
+		durability: durability,
+		flushC:     make(chan struct{}, 1),
+		compactC:   make(chan struct{}, 1),
+		quit:       make(chan struct{}),
 	}
 	p.flushCond = sync.NewCond(&p.mu)
 	p.commit.cond = sync.NewCond(&p.commit.mu)
@@ -333,9 +331,6 @@ func OpenPersist(cfg Config) (*Persist, error) {
 	}
 	if p.fanout <= 0 {
 		p.fanout = DefaultCompactFanout
-	}
-	if p.fsyncInterval <= 0 {
-		p.fsyncInterval = DefaultFsyncInterval
 	}
 	if err := p.recover(); err != nil {
 		return nil, err
@@ -724,7 +719,7 @@ func (p *Persist) syncer() {
 		}
 		c.mu.Unlock()
 		if p.durability == DurabilityBatch {
-			time.Sleep(p.fsyncInterval)
+			time.Sleep(batchFsyncPeriod)
 		}
 		c.mu.Lock()
 		target, f, gen := c.appended, c.file, c.gen

@@ -12,7 +12,6 @@ package storage
 import (
 	"fmt"
 	"os"
-	"time"
 )
 
 // Write is one staged mutation inside an ApplyBatch call.
@@ -86,8 +85,8 @@ const (
 	// last flush/Sync. Survives kill -9. The default.
 	DurabilityNone Durability = "none"
 	// DurabilityBatch runs a background group-commit loop that fsyncs the
-	// WAL at most every FsyncInterval; writers never wait. Loss window on
-	// power failure: about one FsyncInterval of acknowledged writes.
+	// WAL every 5 ms; writers never wait. Loss window on power failure:
+	// about 5 ms of acknowledged writes.
 	// Because writers never wait, an fsync failure surfaces
 	// asynchronously: the error is sticky and reported at the next
 	// Sync/Close, and background syncing stops.
@@ -126,9 +125,6 @@ type Config struct {
 	// level accumulates this many SSTables they are merged into one run on
 	// the next level (default DefaultCompactFanout).
 	CompactFanout int
-	// FsyncInterval bounds DurabilityBatch's loss window (default
-	// DefaultFsyncInterval). Ignored by the other durability modes.
-	FsyncInterval time.Duration
 }
 
 // EngineEnvVar overrides the engine an empty Config.Engine selects, so a
