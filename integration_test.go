@@ -5,7 +5,6 @@
 package socialchain
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -142,47 +141,6 @@ func waitForHeight(t *testing.T, fw *core.Framework, h uint64) {
 	t.Helper()
 	if !fw.Net.ChannelAt(0).WaitHeight(h, 10*time.Second) {
 		t.Fatal("peers did not converge")
-	}
-}
-
-// TestIntegrationIPFSGCAfterChainUnpin stores payloads, unpins one on its home node
-// and garbage-collects; the unpinned payload survives on the OTHER node
-// that fetched it, demonstrating replication.
-func TestIntegrationIPFSGCAfterChainUnpin(t *testing.T) {
-	fw := newIntegrationFramework(t, 4, nil)
-	cam := registerSource(t, fw, "city", "gc-cam", true)
-	client := fw.Client(cam, 0)
-	det := detect.NewDetector(77)
-	corpus := dataset.Generate(dataset.Config{Seed: 77, NumVideos: 1, FramesPerVideo: 2, NumDroneFlights: 1, FramesPerFlight: 1, MeanFrameKB: 8})
-
-	frame := &corpus.Static[0].Frames[0]
-	meta, _ := det.ExtractMetadata(frame)
-	receipt, err := client.StoreFrame(frame, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replicate to node 1 by retrieving there.
-	reader := fw.Client(cam, 1)
-	if _, err := reader.RetrieveData(receipt.TxID); err != nil {
-		t.Fatal(err)
-	}
-	// Pin on node 1 (retrieval does not pin), then GC node 0 after unpin.
-	c := mustParseCid(t, receipt.CID)
-	fw.Cluster.Node(1).Pin(c)
-	fw.Cluster.Node(0).Unpin(c)
-	if _, err := fw.Cluster.Node(0).GC(); err != nil {
-		t.Fatal(err)
-	}
-	if fw.Cluster.Node(0).Has(c) {
-		t.Fatal("GC kept unpinned content")
-	}
-	// The payload is still retrievable from the cluster via node 1.
-	res, err := reader.RetrieveData(receipt.TxID)
-	if err != nil {
-		t.Fatalf("retrieval after GC: %v", err)
-	}
-	if !res.Verified || !bytes.Equal(res.Payload, frame.Data) {
-		t.Fatal("replica corrupted")
 	}
 }
 

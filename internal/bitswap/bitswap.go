@@ -25,7 +25,7 @@ var ErrBlockUnavailable = errors.New("bitswap: block unavailable from all provid
 // latency model.
 type Network struct {
 	mu      sync.RWMutex
-	engines map[string]*Engine
+	engines map[string]server
 	latency sim.LatencyModel
 	clock   sim.Clock
 }
@@ -38,10 +38,17 @@ func NewNetwork(latency sim.LatencyModel, clock sim.Clock) *Network {
 	if clock == nil {
 		clock = sim.RealClock{}
 	}
-	return &Network{engines: make(map[string]*Engine), latency: latency, clock: clock}
+	return &Network{engines: make(map[string]server), latency: latency, clock: clock}
 }
 
-func (n *Network) lookup(name string) (*Engine, error) {
+// server is what the network sees of a peer: it answers wants with bytes,
+// which the wanting side trusts only once they hash to the CID it asked
+// for. An Engine answers from its blockstore.
+type server interface {
+	serve(c cid.Cid) ([]byte, bool)
+}
+
+func (n *Network) lookup(name string) (server, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	e, ok := n.engines[name]
@@ -76,13 +83,13 @@ func (n *Network) peersOf(self string) []string {
 // Engine serves and fetches blocks for one peer.
 type Engine struct {
 	name  string
-	bs    blockstore.Blockstore
+	bs    *blockstore.Store
 	net   *Network
 	stats Stats
 }
 
 // NewEngine registers a peer's engine over its blockstore.
-func (n *Network) NewEngine(name string, bs blockstore.Blockstore) *Engine {
+func (n *Network) NewEngine(name string, bs *blockstore.Store) *Engine {
 	e := &Engine{name: name, bs: bs, net: n}
 	n.mu.Lock()
 	n.engines[name] = e
@@ -91,43 +98,42 @@ func (n *Network) NewEngine(name string, bs blockstore.Blockstore) *Engine {
 }
 
 // Want asks peer to for block c on behalf of from: a latency-delayed round
-// trip to the named engine. An error means the peer is unknown or does not
-// hold the block; the fetcher then tries the next provider.
-func (n *Network) Want(from, to string, c cid.Cid) (blockstore.Block, error) {
+// trip to the named engine, returning the bytes it replied with, unchecked.
+// An error means the peer is unknown or does not hold the block; the
+// fetcher then tries the next provider.
+func (n *Network) Want(from, to string, c cid.Cid) ([]byte, error) {
 	remote, err := n.lookup(to)
 	if err != nil {
-		return blockstore.Block{}, err
+		return nil, err
 	}
 	n.clockDelay(from, to)
-	b, ok := remote.handleWant(c)
+	data, ok := remote.serve(c)
 	if !ok {
-		return blockstore.Block{}, fmt.Errorf("bitswap: %s does not hold %s", to, c)
+		return nil, fmt.Errorf("bitswap: %s does not hold %s", to, c)
 	}
 	n.clockDelay(to, from)
-	return b, nil
+	return data, nil
 }
-
-// Name returns the engine's peer name.
-func (e *Engine) Name() string { return e.name }
 
 // Stats exposes transfer counters.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// handleWant is the server side: return the block if held locally.
-func (e *Engine) handleWant(c cid.Cid) (blockstore.Block, bool) {
+// serve is the server side: the block's bytes, if held locally.
+func (e *Engine) serve(c cid.Cid) ([]byte, bool) {
 	b, err := e.bs.Get(c)
 	if err != nil {
-		return blockstore.Block{}, false
+		return nil, false
 	}
 	e.stats.BlocksSent.Add(1)
-	e.stats.BytesSent.Add(uint64(len(b.Data)))
-	return b, true
+	e.stats.BytesSent.Add(uint64(len(b.Data())))
+	return b.Data(), true
 }
 
 // FetchBlock retrieves one block from the given providers, trying each in
 // order, and returns it with the name of the provider that served it (empty
-// when the block was already local). The fetched block is verified (content
-// addressing) and stored in the local blockstore.
+// when the block was already local). A reply is hashed once, against c, and
+// stored only if it matches: a corrupt or dishonest provider cannot poison
+// the store.
 func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, string, error) {
 	if b, err := e.bs.Get(c); err == nil {
 		return b, "", nil
@@ -136,17 +142,19 @@ func (e *Engine) FetchBlock(c cid.Cid, providers []string) (blockstore.Block, st
 		if p == e.name {
 			continue
 		}
-		b, err := e.net.Want(e.name, p, c)
+		data, err := e.net.Want(e.name, p, c)
 		if err != nil {
 			continue
 		}
-		// Put verifies the block's hash, so a corrupt or dishonest provider
-		// cannot poison the store.
-		if err := e.bs.Put(b); err != nil {
+		b, err := blockstore.Check(c, data)
+		if err != nil {
 			continue
 		}
+		if err := e.bs.Put(b); err != nil {
+			return blockstore.Block{}, "", err
+		}
 		e.stats.BlocksReceived.Add(1)
-		e.stats.BytesReceived.Add(uint64(len(b.Data)))
+		e.stats.BytesReceived.Add(uint64(len(data)))
 		return b, p, nil
 	}
 	return blockstore.Block{}, "", fmt.Errorf("%w: %s", ErrBlockUnavailable, c)

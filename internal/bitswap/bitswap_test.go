@@ -11,11 +11,22 @@ import (
 	"socialchain/internal/sim"
 )
 
+// newStore opens a blockstore on a temporary file, closed with the test.
+func newStore(t *testing.T) *blockstore.Store {
+	t.Helper()
+	s, err := blockstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func twoEngines(t *testing.T) (*Engine, *Engine) {
 	t.Helper()
 	net := NewNetwork(nil, nil)
-	a := net.NewEngine("a", blockstore.NewMem())
-	b := net.NewEngine("b", blockstore.NewMem())
+	a := net.NewEngine("a", newStore(t))
+	b := net.NewEngine("b", newStore(t))
 	return a, b
 }
 
@@ -25,15 +36,15 @@ func TestFetchBlockFromPeer(t *testing.T) {
 	if err := b.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	got, from, err := a.FetchBlock(blk.Cid, []string{"b"})
+	got, from, err := a.FetchBlock(blk.Cid(), []string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, blk.Data) || from != "b" {
-		t.Fatalf("fetched %q from %q", got.Data, from)
+	if !bytes.Equal(got.Data(), blk.Data()) || from != "b" {
+		t.Fatalf("fetched %q from %q", got.Data(), from)
 	}
 	// The block is now cached locally.
-	if !a.bs.Has(blk.Cid) {
+	if !a.bs.Has(blk.Cid()) {
 		t.Fatal("fetched block not stored locally")
 	}
 	// Stats moved.
@@ -48,7 +59,7 @@ func TestFetchBlockLocalShortCircuit(t *testing.T) {
 	if err := a.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.FetchBlock(blk.Cid, nil); err != nil {
+	if _, _, err := a.FetchBlock(blk.Cid(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats().BlocksSent.Load() != 0 {
@@ -71,19 +82,19 @@ func TestFetchBlockSkipsDeadProviders(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "ghost" is not registered; "a" is self and skipped; "b" has it.
-	got, _, err := a.FetchBlock(blk.Cid, []string{"ghost", "a", "b"})
+	got, _, err := a.FetchBlock(blk.Cid(), []string{"ghost", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, blk.Data) {
+	if !bytes.Equal(got.Data(), blk.Data()) {
 		t.Fatal("data mismatch")
 	}
 }
 
 func TestFetchManyParallel(t *testing.T) {
 	net := NewNetwork(nil, nil)
-	src := net.NewEngine("src", blockstore.NewMem())
-	dst := net.NewEngine("dst", blockstore.NewMem())
+	src := net.NewEngine("src", newStore(t))
+	dst := net.NewEngine("dst", newStore(t))
 	rng := sim.NewRNG(2)
 	var cids []cid.Cid
 	for i := 0; i < 50; i++ {
@@ -91,7 +102,7 @@ func TestFetchManyParallel(t *testing.T) {
 		if err := src.bs.Put(blk); err != nil {
 			t.Fatal(err)
 		}
-		cids = append(cids, blk.Cid)
+		cids = append(cids, blk.Cid())
 	}
 	if err := dst.NewSession().FetchMany(cids); err != nil {
 		t.Fatal(err)
@@ -108,14 +119,14 @@ func TestFetchManyParallel(t *testing.T) {
 
 func TestFetchManyPartialFailure(t *testing.T) {
 	net := NewNetwork(nil, nil)
-	src := net.NewEngine("src", blockstore.NewMem())
-	dst := net.NewEngine("dst", blockstore.NewMem())
+	src := net.NewEngine("src", newStore(t))
+	dst := net.NewEngine("dst", newStore(t))
 	have := blockstore.NewBlock([]byte("present"))
 	if err := src.bs.Put(have); err != nil {
 		t.Fatal(err)
 	}
 	missing := cid.SumRaw([]byte("absent"))
-	err := dst.NewSession().FetchMany([]cid.Cid{have.Cid, missing})
+	err := dst.NewSession().FetchMany([]cid.Cid{have.Cid(), missing})
 	if err == nil {
 		t.Fatal("FetchMany must fail when a block is unavailable")
 	}
@@ -131,54 +142,41 @@ func TestFetchManyEmpty(t *testing.T) {
 func TestCorruptProviderCannotPoison(t *testing.T) {
 	// A provider returning bytes that do not match the CID must be ignored.
 	net := NewNetwork(nil, nil)
-	evil := net.NewEngine("evil", &lyingStore{})
-	_ = evil
-	honest := net.NewEngine("honest", blockstore.NewMem())
+	net.engines["evil"] = liar{}
+	honest := net.NewEngine("honest", newStore(t))
 	want := cid.SumRaw([]byte("the-truth"))
 	_, _, err := honest.FetchBlock(want, []string{"evil"})
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("poisoned block accepted: %v", err)
 	}
-	if honest.bs.Has(want) {
+	if honest.bs.Has(want) || honest.bs.Len() != 0 {
 		t.Fatal("corrupt block stored")
 	}
 }
 
-// lyingStore claims to hold every block but returns wrong bytes.
-type lyingStore struct{}
+// liar claims to hold every block but replies with wrong bytes.
+type liar struct{}
 
-func (*lyingStore) Put(b blockstore.Block) error { return nil }
-func (*lyingStore) Get(c cid.Cid) (blockstore.Block, error) {
-	return blockstore.Block{Cid: c, Data: []byte("lies")}, nil
-}
-func (*lyingStore) Has(cid.Cid) bool     { return true }
-func (*lyingStore) Delete(cid.Cid) error { return nil }
-func (*lyingStore) AllKeys() []cid.Cid   { return nil }
-func (*lyingStore) Len() int             { return 0 }
-func (*lyingStore) SizeBytes() uint64    { return 0 }
-func (*lyingStore) Sync() error          { return nil }
-func (*lyingStore) Close() error         { return nil }
-
-var _ blockstore.Blockstore = (*lyingStore)(nil)
+func (liar) serve(cid.Cid) ([]byte, bool) { return []byte("lies"), true }
 
 func TestManyEnginesChain(t *testing.T) {
 	// dst fetches from mid, which already fetched from src: content flows
 	// through the swarm.
 	net := NewNetwork(nil, nil)
-	src := net.NewEngine("src", blockstore.NewMem())
-	mid := net.NewEngine("mid", blockstore.NewMem())
-	dst := net.NewEngine("dst", blockstore.NewMem())
+	src := net.NewEngine("src", newStore(t))
+	mid := net.NewEngine("mid", newStore(t))
+	dst := net.NewEngine("dst", newStore(t))
 	blk := blockstore.NewBlock([]byte("chained"))
 	if err := src.bs.Put(blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mid.FetchBlock(blk.Cid, []string{"src"}); err != nil {
+	if _, _, err := mid.FetchBlock(blk.Cid(), []string{"src"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dst.FetchBlock(blk.Cid, []string{"mid"}); err != nil {
+	if _, _, err := dst.FetchBlock(blk.Cid(), []string{"mid"}); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.bs.Has(blk.Cid) {
+	if !dst.bs.Has(blk.Cid()) {
 		t.Fatal("content did not propagate")
 	}
 }

@@ -1,172 +1,267 @@
 // Package blockstore provides CID-addressed block storage for the off-chain
-// store, with pin tracking and mark-and-sweep garbage collection. It is the
-// persistence layer beneath the DAG and bitswap, standing in for IPFS's
-// flatfs datastore. Blocks live in a pluggable storage.KV engine keyed by
-// the CID's binary form.
+// store, beneath the DAG and bitswap, in the shape a peer keeps its chain
+// (internal/ledger): each block written once to an append-only log, found
+// through an index in one storage engine. A durable store is
 //
-// The store keeps no running byte total: SizeBytes is a scan of every
-// block's value, computed when somebody asks. The one caller outside tests
-// is socialchaind's exit summary; opening a store reads no block.
+//	blocks.log   one walframe frame per block: [uvarint cid length][cid][bytes]
+//	db/          persist engine: cid bytes -> frame offset and length, and the
+//	             savepoint "\x00end" -> the log offset indexed frames end by
+//
+// A block's entry and the savepoint are one ApplyBatch after the frame's
+// append, so the index never names a frame the log lacks. Open recovers
+// the log from the savepoint: whole frames past it are indexed, a torn
+// tail is cut, a log shorter than its savepoint (walframe.ErrLost) refuses
+// to open. The log is fsynced before each batch when the engine fsyncs
+// every batch (storage.DurabilityAlways), else only by Close. Without a
+// directory the log is an unlinked temporary file and the index runs on
+// the single engine: one Put and Get path for every store.
 package blockstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 
 	"socialchain/internal/cid"
+	"socialchain/internal/codec"
 	"socialchain/internal/storage"
+	"socialchain/internal/walframe"
 )
 
 // ErrNotFound is returned when a block is absent.
 var ErrNotFound = errors.New("blockstore: block not found")
 
-// Block is a unit of stored content, addressed by the CID of its bytes.
+// Block is a unit of stored content: bytes and the CID they hash to. Only
+// the hashing constructors (NewBlock, NewDagBlock, Check) and a Store's
+// reads make one, so a Put never hashes again.
 type Block struct {
-	Cid  cid.Cid
-	Data []byte
+	cid  cid.Cid
+	data []byte
 }
 
-// NewBlock constructs a raw block, hashing data.
-func NewBlock(data []byte) Block {
-	return Block{Cid: cid.SumRaw(data), Data: data}
+// Cid returns the block's content identifier.
+func (b Block) Cid() cid.Cid { return b.cid }
+
+// Data returns the block's bytes.
+func (b Block) Data() []byte { return b.data }
+
+// NewBlock names data as a raw leaf block, hashing it.
+func NewBlock(data []byte) Block { return Block{cid: cid.SumRaw(data), data: data} }
+
+// NewDagBlock names an encoded DAG node, hashing it.
+func NewDagBlock(encoded []byte) Block {
+	return Block{cid: cid.SumDagNode(encoded), data: encoded}
 }
 
-// Blockstore is the storage interface used throughout the off-chain store.
-type Blockstore interface {
-	Put(b Block) error
-	Get(c cid.Cid) (Block, error)
-	Has(c cid.Cid) bool
-	Delete(c cid.Cid) error
-	AllKeys() []cid.Cid
-	Len() int
-	SizeBytes() uint64
-	// Sync flushes to stable storage; Close releases the store. No-ops for
-	// the in-memory engine.
-	Sync() error
-	Close() error
-}
-
-// Mem is a Blockstore safe for concurrent use, layered over a storage.KV
-// engine — in-memory on the default engine, disk-backed (and
-// restart-surviving) on the persist engine.
-type Mem struct {
-	kv storage.KV
-}
-
-// NewMem returns an empty blockstore on the default (single) engine. It
-// panics if the default engine cannot open (broken env override).
-func NewMem() *Mem {
-	m, err := NewMemWith(storage.Config{})
-	if err != nil {
-		panic(err)
+// Check returns data as the block c names if it hashes to c under c's
+// codec: the constructor for bytes someone else claims are c (a bitswap
+// reply).
+func Check(c cid.Cid, data []byte) (Block, error) {
+	var got cid.Cid
+	switch c.Codec() {
+	case cid.CodecRaw:
+		got = cid.SumRaw(data)
+	case cid.CodecDagNode:
+		got = cid.SumDagNode(data)
+	default:
+		return Block{}, fmt.Errorf("blockstore: unknown codec %#x", c.Codec())
 	}
-	return m
+	if !got.Equals(c) {
+		return Block{}, fmt.Errorf("blockstore: block bytes do not match cid %s", c)
+	}
+	return Block{cid: c, data: data}, nil
 }
 
-// NewMemWith returns a blockstore on the engine cfg selects, reopening
-// whatever a durable config's directory already holds.
-func NewMemWith(cfg storage.Config) (*Mem, error) {
+const (
+	logName = "blocks.log"
+	dbName  = "db"
+	endKey  = "\x00end" // CID keys start with their version varint (1)
+	locLen  = 8 + 4     // frame offset, frame length
+)
+
+// Store is a node's blocks: one log, indexed by CID. Safe for concurrent
+// use.
+type Store struct {
+	mu         sync.Mutex // orders an append with its index batch
+	log        *walframe.Log
+	kv         storage.KV
+	path       string
+	syncAppend bool // the index fsyncs every batch: fsync the frame first
+}
+
+// Open opens the store in dir (created if absent); with dir empty, on an
+// unlinked temporary file and the in-memory engine. A directory in the
+// blocks/+pins/ layout older builds wrote is refused and left untouched:
+// there is no migration.
+func Open(dir string) (*Store, error) {
+	cfg := storage.Config{Engine: storage.EngineSingle}
+	var path string
+	if dir == "" {
+		f, err := os.CreateTemp("", "socialchain-blocks-*.log")
+		if err != nil {
+			return nil, fmt.Errorf("blockstore: temp log: %w", err)
+		}
+		path = f.Name()
+		f.Close()
+		defer os.Remove(path) // the open handle keeps the file
+	} else {
+		for _, old := range []string{"blocks", "pins"} {
+			if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+				return nil, fmt.Errorf("blockstore: %s holds %s/, the blocks/+pins/ layout older builds wrote; this build reads %s + %s/ only (no migration: start from an empty data directory)", dir, old, logName, dbName)
+			}
+		}
+		path = filepath.Join(dir, logName) // the engine creates dir with db/
+		cfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, dbName)}
+	}
 	kv, err := storage.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	return &Mem{kv: kv}, nil
+	s := &Store{kv: kv, path: path}
+	if p, ok := kv.(*storage.Persist); ok {
+		s.syncAppend = p.Stats().Durability == storage.DurabilityAlways
+	}
+	var from int64
+	if v, ok := kv.Get(endKey); ok {
+		from = int64(binary.BigEndian.Uint64(v))
+	}
+	var found []storage.Write
+	s.log, err = walframe.OpenLog(path, from, func(off int64, payload []byte) error {
+		key, _, err := splitFrame(payload)
+		if err != nil {
+			return fmt.Errorf("blockstore: %s frame at offset %d: %w", path, off, err)
+		}
+		found = append(found, storage.Write{Key: string(key), Value: loc(off, walframe.HeaderLen+len(payload))})
+		return nil
+	})
+	if err != nil {
+		kv.Close()
+		return nil, err
+	}
+	if len(found) > 0 {
+		kv.ApplyBatch(append(found, s.savepoint()))
+	}
+	return s, nil
 }
 
-// Sync implements Blockstore.
-func (m *Mem) Sync() error { return m.kv.Sync() }
+// loc encodes an index entry.
+func loc(off int64, n int) []byte {
+	v := make([]byte, locLen)
+	binary.BigEndian.PutUint64(v, uint64(off))
+	binary.BigEndian.PutUint32(v[8:], uint32(n))
+	return v
+}
 
-// Close implements Blockstore.
-func (m *Mem) Close() error { return m.kv.Close() }
+// savepoint is the index write recording the log's end.
+func (s *Store) savepoint() storage.Write {
+	return storage.Write{Key: endKey, Value: binary.BigEndian.AppendUint64(nil, uint64(s.log.End()))}
+}
 
-// blockKey is the engine key of a block: the CID's binary form, so the
-// engine's lexical order is the CIDs' binary order and AllKeys is
-// deterministic.
-func blockKey(c cid.Cid) string { return string(c.Bytes()) }
+// splitFrame splits a frame payload into its CID bytes and block bytes.
+func splitFrame(payload []byte) (key, data []byte, err error) {
+	n, w := binary.Uvarint(payload)
+	if w <= 0 || n > uint64(len(payload)-w) {
+		return nil, nil, errors.New("undecodable cid length")
+	}
+	return payload[w : w+int(n)], payload[w+int(n):], nil
+}
 
-// Put implements Blockstore. It verifies the block's CID matches its bytes,
-// preserving the content-addressing invariant. Re-putting an existing
-// block is idempotent.
-func (m *Mem) Put(b Block) error {
-	if !b.Cid.Defined() {
+// Put stores b unless its CID is already stored, appending and indexing
+// the frame under one lock.
+func (s *Store) Put(b Block) error {
+	if !b.cid.Defined() {
 		return errors.New("blockstore: undefined cid")
 	}
-	if err := verifyBlock(b); err != nil {
-		return err
+	key := b.cid.Bytes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.kv.Get(string(key)); ok {
+		return nil // duplicate adds are the common case
 	}
-	key := blockKey(b.Cid)
-	if _, ok := m.kv.Get(key); ok {
-		return nil // duplicate adds are the common case; skip the copy
+	var off int64
+	var n int
+	var err error
+	codec.Scratch(func(frame []byte) []byte {
+		frame = append(frame, make([]byte, walframe.HeaderLen)...)
+		frame = binary.AppendUvarint(frame, uint64(len(key)))
+		frame = append(append(frame, key...), b.data...)
+		walframe.Seal(frame)
+		off, err = s.log.Append(frame)
+		n = len(frame)
+		return frame
+	})
+	if err == nil && s.syncAppend {
+		err = s.log.Sync()
 	}
-	m.kv.Put(key, append([]byte(nil), b.Data...))
+	if err != nil {
+		return fmt.Errorf("blockstore: %w", err)
+	}
+	s.kv.ApplyBatch([]storage.Write{{Key: string(key), Value: loc(off, n)}, s.savepoint()})
 	return nil
 }
 
-// verifyBlock recomputes the hash under the block's own codec.
-func verifyBlock(b Block) error {
-	var want cid.Cid
-	switch b.Cid.Codec() {
-	case cid.CodecRaw:
-		want = cid.SumRaw(b.Data)
-	case cid.CodecDagNode:
-		want = cid.SumDagNode(b.Data)
-	default:
-		return fmt.Errorf("blockstore: unknown codec %#x", b.Cid.Codec())
-	}
-	if !want.Equals(b.Cid) {
-		return fmt.Errorf("blockstore: block bytes do not match cid %s", b.Cid)
-	}
-	return nil
-}
-
-// Get implements Blockstore.
-func (m *Mem) Get(c cid.Cid) (Block, error) {
-	d, ok := m.kv.Get(blockKey(c))
-	if !ok {
+// Get reads block c: one index lookup and one read of its frame. A frame
+// that fails its CRC or names another CID is the disk changing under the
+// process, and Get panics rather than serve possibly-wrong bytes, as the
+// storage engine does on its own reads.
+func (s *Store) Get(c cid.Cid) (Block, error) {
+	key := c.Bytes()
+	v, ok := s.kv.Get(string(key))
+	if !ok || len(v) != locLen {
 		return Block{}, fmt.Errorf("%w: %s", ErrNotFound, c)
 	}
-	return Block{Cid: c, Data: append([]byte(nil), d...)}, nil
+	off := int64(binary.BigEndian.Uint64(v))
+	frame := make([]byte, binary.BigEndian.Uint32(v[8:]))
+	_, err := s.log.ReadAt(frame, off)
+	if errors.Is(err, os.ErrClosed) {
+		return Block{}, fmt.Errorf("blockstore: get %s after Close", c)
+	}
+	var payload, got, data []byte
+	if err == nil {
+		payload, _, err = walframe.Next(frame, 0)
+	}
+	if err == nil {
+		got, data, err = splitFrame(payload)
+	}
+	if err == nil && !bytes.Equal(got, key) {
+		err = errors.New("frame holds another cid")
+	}
+	if err != nil {
+		panic(fmt.Sprintf("blockstore: %s block %s at offset %d: %v (data integrity failure; refusing to serve possibly-wrong bytes)", s.path, c, off, err))
+	}
+	return Block{cid: c, data: data}, nil
 }
 
-// Has implements Blockstore.
-func (m *Mem) Has(c cid.Cid) bool {
-	_, ok := m.kv.Get(blockKey(c))
+// Has reports whether block c is stored: an index lookup.
+func (s *Store) Has(c cid.Cid) bool {
+	_, ok := s.kv.Get(string(c.Bytes()))
 	return ok
 }
 
-// Delete implements Blockstore. Deleting an absent block is a no-op.
-func (m *Mem) Delete(c cid.Cid) error {
-	m.kv.Delete(blockKey(c))
-	return nil
+// Len returns the number of stored blocks.
+func (s *Store) Len() int {
+	n := s.kv.Len()
+	if n > 0 {
+		n-- // the savepoint, written with the first block
+	}
+	return n
 }
 
-// AllKeys implements Blockstore, returning keys in deterministic order.
-func (m *Mem) AllKeys() []cid.Cid {
-	var keys []cid.Cid
-	m.kv.IterPrefix("", func(key string, _ []byte) bool {
-		c, err := cid.Cast([]byte(key))
-		if err != nil {
-			// Keys are only ever written by Put from a defined CID.
-			panic("blockstore: undecodable block key: " + err.Error())
-		}
-		keys = append(keys, c)
-		return true
-	})
-	return keys
+// SizeBytes returns the size of the log: the stored blocks with their
+// frame headers and CIDs.
+func (s *Store) SizeBytes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return uint64(s.log.End())
 }
 
-// Len implements Blockstore.
-func (m *Mem) Len() int {
-	return m.kv.Len()
-}
-
-// SizeBytes implements Blockstore: the stored blocks' total size, read off
-// a scan of the store — O(stored bytes) on a durable engine.
-func (m *Mem) SizeBytes() uint64 {
-	var total uint64
-	m.kv.IterPrefix("", func(_ string, v []byte) bool {
-		total += uint64(len(v))
-		return true
-	})
-	return total
+// Close syncs and closes the log, then the index. Idempotent.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return errors.Join(s.log.Close(), s.kv.Close())
 }

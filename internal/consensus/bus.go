@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"sync"
+
 	"socialchain/internal/transport"
 )
 
@@ -22,6 +24,7 @@ const inboxSize = 8192
 type Bus struct {
 	t      transport.Transport
 	stream string
+	mu     sync.Mutex // guards inbox against dropInbox
 	inbox  chan *Message
 }
 
@@ -44,12 +47,22 @@ func (b *Bus) onFrame(from string, payload []byte) error {
 	if m.From != from {
 		return nil // transport identity must match the claimed origin
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	select {
 	case b.inbox <- m:
 		return nil
 	default:
 		return transport.ErrBackpressure
 	}
+}
+
+// dropInbox lets go of the inbox and what is queued in it once the
+// validator has stopped: a later frame finds no room, as in a full inbox.
+func (b *Bus) dropInbox() {
+	b.mu.Lock()
+	b.inbox = nil
+	b.mu.Unlock()
 }
 
 // Send encodes msg once and transmits it to every replica in to. Errors

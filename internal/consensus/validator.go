@@ -70,7 +70,6 @@ type Validator struct {
 	cfg  Config
 	n, f int
 
-	inbox     <-chan *Message
 	proposeCh chan []byte
 	stopCh    chan struct{}
 	doneCh    chan struct{}
@@ -124,7 +123,6 @@ func NewValidator(cfg Config) *Validator {
 		cfg:       cfg,
 		n:         n,
 		f:         (n - 1) / 3,
-		inbox:     cfg.Sender.inbox,
 		proposeCh: make(chan []byte, 1024),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
@@ -155,12 +153,19 @@ func NewValidator(cfg Config) *Validator {
 func (v *Validator) Start() { go v.loop() }
 
 // Stop terminates the replica and waits for the loop to exit. Deliver runs
-// on the loop, so no delivery is in progress once Stop returns. Stop is
-// idempotent.
+// on the loop, so no delivery is in progress once Stop returns. Nor is any
+// other writer of the instance log and request sets, which Stop then
+// empties, and the bus's inbox is dropped, so a stopped replica pins no
+// payloads or messages. Idempotent.
 func (v *Validator) Stop() {
 	v.stopOnce.Do(func() {
 		close(v.stopCh)
 		<-v.doneCh
+		v.mu.Lock()
+		v.insts, v.pending, v.delivered = map[uint64]*instance{}, map[[32]byte]*request{}, map[[32]byte]bool{}
+		v.future, v.vcVotes = map[uint64][]*Message{}, map[uint64]map[string][]byte{}
+		v.mu.Unlock()
+		v.cfg.Sender.dropInbox()
 	})
 }
 
@@ -319,7 +324,7 @@ func (v *Validator) loop() {
 			return
 		case payload := <-v.proposeCh:
 			v.handleRequestPayload(payload, true)
-		case m := <-v.inbox:
+		case m := <-v.cfg.Sender.inbox:
 			v.dispatchBatch(v.drainInbox(m))
 		case <-timer:
 			v.checkTimeouts()
@@ -338,7 +343,7 @@ func (v *Validator) drainInbox(first *Message) []*Message {
 	msgs := []*Message{first}
 	for len(msgs) < maxInboxDrain {
 		select {
-		case m := <-v.inbox:
+		case m := <-v.cfg.Sender.inbox:
 			msgs = append(msgs, m)
 		default:
 			return msgs

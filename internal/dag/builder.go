@@ -108,13 +108,3 @@ func Walk(get NodeGetter, c cid.Cid, fn func(cid.Cid, *Node) error) error {
 	}
 	return nil
 }
-
-// AllCids collects every CID reachable from root, including root itself.
-func AllCids(get NodeGetter, root cid.Cid) ([]cid.Cid, error) {
-	var out []cid.Cid
-	err := Walk(get, root, func(c cid.Cid, _ *Node) error {
-		out = append(out, c)
-		return nil
-	})
-	return out, err
-}

@@ -181,7 +181,11 @@ func TestWalkVisitsAllNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cids, err := AllCids(store, root)
+	var cids []cid.Cid
+	err = Walk(store, root, func(c cid.Cid, _ *Node) error {
+		cids = append(cids, c)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"socialchain/internal/bitswap"
 	"socialchain/internal/blockstore"
 	"socialchain/internal/sim"
-	"socialchain/internal/storage"
 )
 
 // Cluster is a set of IPFS nodes on one bitswap network, each connected to
@@ -27,11 +26,11 @@ type ClusterConfig struct {
 	Clock sim.Clock
 	// NodeOptions apply to every node.
 	NodeOptions Options
-	// DataDir, when non-empty, makes every node's blockstore and pin set
-	// durable: node i persists under DataDir/ipfs-<i> (blocks + pins
-	// sub-directories). Reopening the same directory recovers the stored
-	// blocks and pins and nothing else: the other nodes find recovered
-	// content by asking, so reopening announces nothing.
+	// DataDir, when non-empty, makes every node's blockstore durable:
+	// node i persists under DataDir/ipfs-<i> (blocks.log + db/, see
+	// blockstore). Reopening the same directory recovers the stored blocks
+	// and nothing else: the other nodes find recovered content by asking,
+	// so reopening announces nothing.
 	DataDir string
 }
 
@@ -44,28 +43,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	swapNet := bitswap.NewNetwork(cfg.Latency, cfg.Clock)
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("ipfs-%d", i)
-		blockCfg, pinCfg := storage.Config{}, storage.Config{}
+		dir := ""
 		if cfg.DataDir != "" {
-			nodeDir := filepath.Join(cfg.DataDir, name)
-			blockCfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(nodeDir, "blocks")}
-			pinCfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(nodeDir, "pins")}
+			dir = filepath.Join(cfg.DataDir, name)
 		}
-		bs, err := blockstore.NewMemWith(blockCfg)
+		bs, err := blockstore.Open(dir)
 		if err != nil {
 			c.Close() // release the nodes already constructed
-			return nil, fmt.Errorf("ipfs: node %s: %w", name, err)
-		}
-		pin, err := blockstore.NewPinnerWith(pinCfg)
-		if err != nil {
-			bs.Close()
-			c.Close()
 			return nil, fmt.Errorf("ipfs: node %s: %w", name, err)
 		}
 		node := &Node{
 			name: name,
 			opts: cfg.NodeOptions,
 			bs:   bs,
-			pin:  pin,
 			bw:   swapNet.NewEngine(name, bs),
 		}
 		c.nodes = append(c.nodes, node)
@@ -75,12 +65,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 // Node returns the i-th node.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
-
-// Nodes returns all nodes.
-func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
 
 // Close flushes and closes every node's stores (no-ops for in-memory
 // clusters), returning the first error.

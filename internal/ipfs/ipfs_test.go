@@ -17,6 +17,7 @@ func newTestCluster(t *testing.T, n int, opts Options) *Cluster {
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -182,16 +183,12 @@ func TestFetchAsksRootHolderFirst(t *testing.T) {
 
 func TestGetMissingContent(t *testing.T) {
 	c := newTestCluster(t, 2, Options{})
+	// Content added to a node outside the cluster: node 1 asks node 0,
+	// which does not hold it.
 	data := sim.NewRNG(5).Bytes(1024)
-	phantomRoot, err := c.Node(0).Add(data)
+	phantomRoot, err := newTestCluster(t, 1, Options{}).Node(0).Add(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Wipe node 0's store: node 1 still asks node 0, but the block is gone.
-	for _, k := range c.Node(0).Blockstore().AllKeys() {
-		if err := c.Node(0).Blockstore().Delete(k); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if _, err := c.Node(1).Get(phantomRoot); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
@@ -232,35 +229,6 @@ func TestStat(t *testing.T) {
 	}
 }
 
-func TestGCPreservesPinnedContent(t *testing.T) {
-	c := newTestCluster(t, 1, Options{ChunkSize: 1024})
-	node := c.Node(0)
-	keep := sim.NewRNG(7).Bytes(8 * 1024)
-	drop := sim.NewRNG(8).Bytes(8 * 1024)
-	keepRoot, err := node.Add(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropRoot, err := node.Add(drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Unpin(dropRoot)
-	removed, err := node.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 {
-		t.Fatal("GC removed nothing")
-	}
-	if got, err := node.Get(keepRoot); err != nil || !bytes.Equal(got, keep) {
-		t.Fatalf("pinned content lost: %v", err)
-	}
-	if node.Has(dropRoot) {
-		t.Fatal("unpinned content survived GC")
-	}
-}
-
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 0}); err == nil {
 		t.Fatal("zero-node cluster accepted")
@@ -290,25 +258,39 @@ func TestPropertyAddGetRoundTrip(t *testing.T) {
 // missing, the walk aborted with a lookup error before the presence check
 // ran and Has wrongly reported true.
 func TestHasDetectsMissingChildBlock(t *testing.T) {
-	c := newTestCluster(t, 1, Options{ChunkSize: 1024})
-	node := c.Node(0)
+	c := newTestCluster(t, 2, Options{ChunkSize: 1024})
+	full, node := c.Node(0), c.Node(1)
 	data := sim.NewRNG(11).Bytes(16 * 1024) // 16 leaf chunks + interior root
-	root, err := node.Add(data)
+	root, err := full.Add(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !node.Has(root) {
+	if !full.Has(root) {
 		t.Fatal("complete DAG reported missing")
 	}
-	// Delete one non-root block: the root is still present, the DAG is not.
-	for _, k := range node.Blockstore().AllKeys() {
-		if k.Equals(root) {
-			continue
-		}
-		if err := node.Blockstore().Delete(k); err != nil {
+	// Node 1 holds the root and all but one leaf: the root is present, the
+	// DAG is not.
+	top, err := full.Blockstore().Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootNode, err := decodeBlock(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range rootNode.Links {
+		b, err := full.Blockstore().Get(l.Cid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		break
+		if i != 7 {
+			if err := node.Blockstore().Put(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := node.Blockstore().Put(top); err != nil {
+		t.Fatal(err)
 	}
 	if node.Has(root) {
 		t.Fatal("Has reported a gapped DAG as complete")

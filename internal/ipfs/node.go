@@ -1,13 +1,13 @@
 // Package ipfs assembles the off-chain content-addressed store from its
 // substrates: fixed-size chunking, Merkle-DAG construction, block storage
-// and bitswap block exchange. A Node exposes the familiar Add/Get/Pin/GC
+// and bitswap block exchange. A Node exposes the familiar Add/Get/Stat
 // surface; a Cluster wires several nodes into one network, standing in for
 // the paper's two-node IPFS deployment. Every node of a Cluster is
 // connected to every other, so a node missing a block asks its peers for
 // it, as IPFS bitswap does before it consults a DHT. Who serves a block is
-// only a hint: a block is trusted because it hashes to its CID, and the
-// blockstore checks that before it stores the block. A node therefore
-// keeps no per-record state outside its blockstore and pin set.
+// only a hint: a block is trusted because it hashes to its CID, which is
+// checked once, when the reply arrives, before the block is stored. A node
+// therefore keeps no per-record state outside its blockstore.
 package ipfs
 
 import (
@@ -36,41 +36,39 @@ type Node struct {
 	name string
 	opts Options
 
-	bs  blockstore.Blockstore
-	pin *blockstore.Pinner
-	bw  *bitswap.Engine
+	bs *blockstore.Store
+	bw *bitswap.Engine
 }
 
-// blockOf encodes a DAG node into its stored block form.
+// blockOf encodes a DAG node into its stored block form: its one hash.
 func blockOf(n *dag.Node) blockstore.Block {
 	if len(n.Links) == 0 {
-		return blockstore.Block{Cid: cid.SumRaw(n.Data), Data: n.Data}
+		return blockstore.NewBlock(n.Data)
 	}
-	enc := n.Encode()
-	return blockstore.Block{Cid: cid.SumDagNode(enc), Data: enc}
+	return blockstore.NewDagBlock(n.Encode())
 }
 
 // decodeBlock reverses blockOf based on the CID codec.
 func decodeBlock(b blockstore.Block) (*dag.Node, error) {
-	switch b.Cid.Codec() {
+	switch b.Cid().Codec() {
 	case cid.CodecRaw:
-		return &dag.Node{Data: b.Data}, nil
+		return &dag.Node{Data: b.Data()}, nil
 	case cid.CodecDagNode:
-		return dag.Decode(b.Data)
+		return dag.Decode(b.Data())
 	default:
-		return nil, fmt.Errorf("ipfs: unknown codec %#x", b.Cid.Codec())
+		return nil, fmt.Errorf("ipfs: unknown codec %#x", b.Cid().Codec())
 	}
 }
 
 // localStore adapts the blockstore to the dag builder/walker interfaces.
-type localStore struct{ bs blockstore.Blockstore }
+type localStore struct{ bs *blockstore.Store }
 
 func (s localStore) PutNode(n *dag.Node) (cid.Cid, error) {
 	b := blockOf(n)
 	if err := s.bs.Put(b); err != nil {
 		return cid.Undef, err
 	}
-	return b.Cid, nil
+	return b.Cid(), nil
 }
 
 func (s localStore) GetNode(c cid.Cid) (*dag.Node, error) {
@@ -85,13 +83,13 @@ func (s localStore) GetNode(c cid.Cid) (*dag.Node, error) {
 func (n *Node) Name() string { return n.name }
 
 // Blockstore exposes the underlying store (stats, tests).
-func (n *Node) Blockstore() blockstore.Blockstore { return n.bs }
+func (n *Node) Blockstore() *blockstore.Store { return n.bs }
 
 // Bitswap exposes the exchange engine (stats).
 func (n *Node) Bitswap() *bitswap.Engine { return n.bw }
 
-// Add imports data: chunk, build the Merkle DAG, store blocks and pin the
-// root. It returns the root CID.
+// Add imports data: chunk, build the Merkle DAG and store its blocks. It
+// returns the root CID.
 func (n *Node) Add(data []byte) (cid.Cid, error) {
 	return n.AddReader(bytes.NewReader(data))
 }
@@ -110,7 +108,6 @@ func (n *Node) AddReader(r io.Reader) (cid.Cid, error) {
 	if err != nil {
 		return cid.Undef, fmt.Errorf("ipfs: build dag: %w", err)
 	}
-	n.pin.Pin(root)
 	return root, nil
 }
 
@@ -130,21 +127,18 @@ func (n *Node) Get(root cid.Cid) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dag.Reassemble(fetchedNodes{nodes: nodes, fallback: localStore{n.bs}}, root)
+	return dag.Reassemble(fetchedNodes(nodes), root)
 }
 
-// fetchedNodes serves reassembly from the node set fetchDAG decoded,
-// falling back to the blockstore for anything evicted in between.
-type fetchedNodes struct {
-	nodes    map[cid.Cid]*dag.Node
-	fallback localStore
-}
+// fetchedNodes serves reassembly from the node set fetchDAG decoded: the
+// whole DAG under the root.
+type fetchedNodes map[cid.Cid]*dag.Node
 
 func (f fetchedNodes) GetNode(c cid.Cid) (*dag.Node, error) {
-	if node, ok := f.nodes[c]; ok {
+	if node, ok := f[c]; ok {
 		return node, nil
 	}
-	return f.fallback.GetNode(c)
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, c)
 }
 
 // Has reports whether the complete DAG under root is present locally. The
@@ -231,28 +225,8 @@ func (n *Node) fetchDAG(root cid.Cid) (map[cid.Cid]*dag.Node, error) {
 	return nodes, nil
 }
 
-// Close flushes and closes the node's blockstore and pin set.
-func (n *Node) Close() error {
-	err := n.bs.Close()
-	if perr := n.pin.Close(); err == nil {
-		err = perr
-	}
-	return err
-}
-
-// Pin marks root as protected from GC.
-func (n *Node) Pin(root cid.Cid) { n.pin.Pin(root) }
-
-// Unpin releases one pin reference on root.
-func (n *Node) Unpin(root cid.Cid) { n.pin.Unpin(root) }
-
-// GC removes all blocks not reachable from a pinned root, returning the
-// number of blocks deleted.
-func (n *Node) GC() (int, error) {
-	return blockstore.GC(n.bs, n.pin, func(root cid.Cid) ([]cid.Cid, error) {
-		return dag.AllCids(localStore{n.bs}, root)
-	})
-}
+// Close flushes and closes the node's blockstore.
+func (n *Node) Close() error { return n.bs.Close() }
 
 // Stat describes a stored object.
 type Stat struct {

@@ -43,6 +43,14 @@ func (c *blockCache) get(n uint64) *Block {
 	return el.Value.(cachedBlock).b
 }
 
+// clear drops every cached block.
+func (c *blockCache) clear() {
+	c.mu.Lock()
+	c.order.Init()
+	c.byNum, c.used = nil, 0
+	c.mu.Unlock()
+}
+
 // add caches b, evicting from the cold end. A block larger than the whole
 // budget is not kept: it would evict everything and then be evicted by
 // the next add.

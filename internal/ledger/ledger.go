@@ -213,14 +213,14 @@ func (l *Ledger) Stage(b *Block) ([]statedb.ReservedWrite, error) {
 		}
 		at = l.tail[0]
 	} else {
-		at = logged{b: b, off: l.log.end}
+		at = logged{b: b, off: l.log.w.End()}
 		if err := l.log.Append(b); err != nil {
 			return nil, err
 		}
-		at.end = l.log.end
+		at.end = l.log.w.End()
 	}
-	if l.syncStage && l.log.synced < at.end {
-		if err := l.log.Sync(); err != nil {
+	if l.syncStage {
+		if err := l.log.w.SyncTo(at.end); err != nil {
 			return nil, err
 		}
 	}
@@ -507,7 +507,7 @@ func (l *Ledger) IOStats() IOStats {
 		OpenDecoded: l.openDecoded,
 	}
 	if l.log != nil {
-		st.Fsyncs = l.log.fsyncs.Load()
+		st.Fsyncs = l.log.w.Fsyncs()
 	}
 	return st
 }
@@ -519,16 +519,17 @@ func (l *Ledger) Sync() error {
 	if l.log == nil {
 		return nil
 	}
-	return l.log.Sync()
+	return l.log.w.Sync()
 }
 
-// Close syncs and closes the block file; a no-op in memory. Reads after
-// Close fail.
+// Close syncs and closes the block file and empties the block cache; a
+// no-op in memory. Reads after Close fail.
 func (l *Ledger) Close() error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if l.log == nil {
 		return nil
 	}
+	l.cache.clear()
 	return l.log.Close()
 }

@@ -10,11 +10,8 @@ package ledger
 // chain, open the directory and stream it out as JSON with Ledger.Export,
 // or re-verify a dump offline as examples/chainaudit does.
 //
-// Record framing (internal/walframe, shared with the storage WAL):
-//
-//	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
-//
-// and the payload is
+// The file is a walframe.Log, the core an IPFS node's block log shares; a
+// frame's payload is
 //
 //	[1B format version = logFormat][block: Block.AppendTo]
 //
@@ -22,18 +19,13 @@ package ledger
 // every argument and a full identity and digest per endorsement, a log
 // from before the binary encoding starts with '{' — and refuses a log of
 // any other format without touching the file; there is no migration and
-// no second reader. Beyond that, opening never decodes what the opener already
-// trusts: it CRC-scans the frames from a starting offset (0 for a bare
-// OpenLog, the end of the savepoint block for a peer's ledger) to find
-// where the log ends, through walframe.Recover, the scan the storage WAL
-// uses too. A torn tail — a partial record where the process died
-// mid-append, or zeros where it was to go — is truncated; every
-// fully-appended block survives. Corruption before the tail (any
-// CRC-valid record found after the damage) is a hard error: committed
-// blocks are never silently destroyed. Frames below the
-// starting offset are checked when they are read: every read verifies the
-// frame's CRC, the format version and the block number it carries, and a
-// mismatch is an error, never a wrong block.
+// no second reader. Beyond that, opening never decodes what the opener
+// already trusts: walframe.Recover scans the frames from a starting offset
+// (0 for a bare OpenLog, the end of the savepoint block for a peer's
+// ledger), cutting a torn tail and refusing mid-log corruption. Frames
+// below the starting offset are checked when they are read: every read
+// verifies the frame's CRC, the format version and the block number it
+// carries, and a mismatch is an error, never a wrong block.
 
 import (
 	"bufio"
@@ -42,22 +34,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"socialchain/internal/walframe"
 )
 
-// Log is an append-only, crash-tolerant file of committed blocks.
+// Log is an append-only, crash-tolerant file of committed blocks: a
+// walframe.Log whose frames carry blocks in chain order.
 type Log struct {
-	f      *os.File // never reassigned: readers use it without the appender's lock
-	path   string
-	end    int64  // one past the last complete frame: where the next append lands
-	next   uint64 // number the next appended block must carry
-	buf    []byte
-	err    error // sticky append or fsync failure: a torn frame may be on disk
-	closed bool
-	synced int64        // the offset the last fsync covered
-	fsyncs atomic.Int64 // fsyncs of the file since open
+	w    *walframe.Log
+	path string
+	next uint64 // number the next appended block must carry
+	buf  []byte
 }
 
 // logFormat is the block-log record format this build writes and reads:
@@ -85,44 +72,46 @@ func OpenLog(path string) (*Log, error) {
 }
 
 // openLog opens the log trusting the bytes below offset from, where block
-// next's frame begins (or the file ends), and finds where it ends with
-// walframe.Recover, cutting a torn tail. Each complete frame at or above
-// from is handed to found with its offset; an error from found fails the
-// open without touching the file.
+// next's frame begins (or the file ends); found sees each frame above it
+// (see walframe.OpenLog).
 func openLog(path string, from int64, next uint64, found func(off int64, payload []byte) error) (*Log, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: log dir: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open log: %w", err)
+	if err := checkFirst(path); err != nil {
+		return nil, err
 	}
-	l := &Log{f: f, path: path, next: next}
-	err = l.checkFirst()
-	if err == nil {
-		l.end, err = walframe.Recover(f, from, true, func(off int64, payload []byte) error {
-			l.next++
-			return found(off, payload)
-		})
-	}
+	l := &Log{path: path, next: next}
+	w, err := walframe.OpenLog(path, from, func(off int64, payload []byte) error {
+		l.next++
+		return found(off, payload)
+	})
 	if errors.Is(err, walframe.ErrLost) {
 		err = fmt.Errorf("ledger: block log lost committed records from block %d: %w", next, err)
 	}
 	if err != nil {
-		f.Close() // nothing was written through this handle
 		return nil, err
 	}
+	l.w = w
 	return l, nil
 }
 
 // checkFirst tells a log of another format from a damaged one before
 // anything decides to truncate it, wherever the scan starts. It refuses a
 // first record that starts with '{' (a JSON log) or that is CRC-valid
-// under another version byte; anything else — a short file, a first record
-// torn into zeros — is left to recover.
-func (l *Log) checkFirst() error {
+// under another version byte; anything else — no file, a short one, a
+// first record torn into zeros — is left to recover.
+func checkFirst(path string) error {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("ledger: open log: %w", err)
+	}
+	defer f.Close()
 	var head [walframe.HeaderLen + 1]byte
-	if n, _ := l.f.ReadAt(head[:], 0); n < len(head) {
+	if n, _ := f.ReadAt(head[:], 0); n < len(head) {
 		return nil
 	}
 	first := head[walframe.HeaderLen:]
@@ -130,17 +119,17 @@ func (l *Log) checkFirst() error {
 		return nil
 	}
 	if first[0] != '{' {
-		st, err := l.f.Stat()
+		st, err := f.Stat()
 		if err != nil {
 			return fmt.Errorf("ledger: stat log: %w", err)
 		}
-		payload, err := walframe.Read(io.NewSectionReader(l.f, 0, st.Size()), nil, st.Size())
+		payload, err := walframe.Read(io.NewSectionReader(f, 0, st.Size()), nil, st.Size())
 		if err != nil || len(payload) == 0 {
 			return nil
 		}
 		first = payload
 	}
-	return fmt.Errorf("%w (%s)", checkFormat(first), l.path)
+	return fmt.Errorf("%w (%s)", checkFormat(first), path)
 }
 
 // decodeBlock parses one frame payload and checks it carries block want.
@@ -161,7 +150,7 @@ func decodeBlock(payload []byte, want uint64) (*Block, error) {
 // readBlock reads and decodes block want from the frame at off; limit is
 // the offset the frame must end by.
 func (l *Log) readBlock(off, limit int64, want uint64) (*Block, int64, error) {
-	payload, err := walframe.Read(io.NewSectionReader(l.f, off, limit-off), nil, limit-off)
+	payload, err := walframe.Read(io.NewSectionReader(l.w, off, limit-off), nil, limit-off)
 	if err != nil {
 		return nil, 0, fmt.Errorf("ledger: log %s block %d at offset %d: %w", l.path, want, off, err)
 	}
@@ -173,7 +162,7 @@ func (l *Log) readBlock(off, limit int64, want uint64) (*Block, int64, error) {
 // holds block first, until fn returns false. size is the frame's payload
 // length.
 func (l *Log) stream(from, to int64, first uint64, fn func(b *Block, size int64) bool) error {
-	r := bufio.NewReaderSize(io.NewSectionReader(l.f, from, to-from), 1<<18)
+	r := bufio.NewReaderSize(io.NewSectionReader(l.w, from, to-from), 1<<18)
 	var buf []byte
 	for off, n := from, first; off < to; n++ {
 		payload, err := walframe.Read(r, buf, to-off)
@@ -200,7 +189,7 @@ func (l *Log) stream(from, to int64, first uint64, fn func(b *Block, size int64)
 // changing underneath the process.
 func (l *Log) Blocks() []*Block {
 	out := make([]*Block, 0, l.next)
-	err := l.stream(0, l.end, 0, func(b *Block, _ int64) bool {
+	err := l.stream(0, l.w.End(), 0, func(b *Block, _ int64) bool {
 		out = append(out, b)
 		return true
 	})
@@ -218,12 +207,6 @@ func (l *Log) Height() uint64 { return l.next }
 // between the two is repaired by replaying the log over the state's
 // savepoint.
 func (l *Log) Append(b *Block) error {
-	if l.err != nil {
-		// A failed write may have left a torn frame on disk; appending a
-		// later complete frame after it would turn a recoverable torn
-		// tail into unrecoverable mid-log corruption. Fail-stop instead.
-		return l.err
-	}
 	if b.Header.Number != l.next {
 		return fmt.Errorf("ledger: log append block %d at log height %d", b.Header.Number, l.next)
 	}
@@ -231,40 +214,16 @@ func (l *Log) Append(b *Block) error {
 	buf = b.AppendTo(append(buf, logFormat))
 	walframe.Seal(buf)
 	l.buf = buf
-	if _, err := l.f.Write(buf); err != nil {
-		l.err = fmt.Errorf("ledger: log append block %d: %w", b.Header.Number, err)
-		return l.err
+	if _, err := l.w.Append(buf); err != nil {
+		return fmt.Errorf("ledger: log append block %d: %w", b.Header.Number, err)
 	}
-	l.end += int64(len(buf))
 	l.next++
 	return nil
 }
 
-// Sync flushes appended blocks to stable storage (reporting a sticky
-// append failure first). A failed fsync is sticky too: what the page cache
-// still holds of the file is unknown, so nothing may be appended after it.
-func (l *Log) Sync() error {
-	if l.err != nil || l.closed {
-		return l.err
-	}
-	if err := l.f.Sync(); err != nil {
-		l.err = fmt.Errorf("ledger: log sync: %w", err)
-		return l.err
-	}
-	l.fsyncs.Add(1)
-	l.synced = l.end
-	return nil
-}
-
-// Close syncs and closes the log. Idempotent.
+// Close syncs and closes the log and drops its append buffer, which holds
+// the largest block appended. Idempotent.
 func (l *Log) Close() error {
-	if l.closed {
-		return nil
-	}
-	err := l.Sync()
-	l.closed = true
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	l.buf = nil
+	return l.w.Close()
 }

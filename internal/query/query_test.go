@@ -10,6 +10,7 @@ import (
 	"socialchain/internal/dataset"
 	"socialchain/internal/detect"
 	"socialchain/internal/fabric"
+	"socialchain/internal/ipfs"
 	"socialchain/internal/msp"
 	"socialchain/internal/ordering"
 	"socialchain/internal/query"
@@ -153,22 +154,14 @@ func TestUnknownTxID(t *testing.T) {
 
 func TestTamperedPayloadDetected(t *testing.T) {
 	fx := newQueryFixture(t, 1)
-	// Corrupt the payload in every IPFS node's blockstore by deleting the
-	// content, then re-adding different bytes under a different CID; the
-	// on-chain CID now points at missing content.
-	node := fx.fw.Cluster.Node(0)
-	for _, k := range node.Blockstore().AllKeys() {
-		if err := node.Blockstore().Delete(k); err != nil {
-			t.Fatal(err)
-		}
+	// Read through a node of a fresh cluster: the on-chain CID points at
+	// content no node it can ask holds.
+	empty, err := ipfs.NewCluster(ipfs.ClusterConfig{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	node1 := fx.fw.Cluster.Node(1)
-	for _, k := range node1.Blockstore().AllKeys() {
-		if err := node1.Blockstore().Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := fx.client.Query().Data(fx.txIDs[0]); err == nil {
+	defer empty.Close()
+	if _, err := query.NewEngine(fx.client.Gateway(), empty.Node(0)).Data(fx.txIDs[0]); err == nil {
 		t.Fatal("retrieval succeeded with destroyed content")
 	}
 }

@@ -216,14 +216,3 @@ func Open(cfg Config) (KV, error) {
 			engine, EngineSingle, EnginePersist)
 	}
 }
-
-// MustOpen is Open for zero-or-known configs whose failure is a
-// programming or environment error the caller cannot meaningfully handle
-// (the in-memory default constructors). It panics on error.
-func MustOpen(cfg Config) KV {
-	kv, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return kv
-}

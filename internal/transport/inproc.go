@@ -107,11 +107,12 @@ func (p *InProc) Peers() []string {
 	return out
 }
 
-// Close implements Transport. The endpoint deregisters from the hub;
-// messages in flight to it are dropped.
+// Close implements Transport. The endpoint deregisters from the hub and
+// drops its handlers; messages in flight to it are dropped.
 func (p *InProc) Close() error {
 	p.mu.Lock()
 	p.closed = true
+	clear(p.handlers)
 	p.mu.Unlock()
 	p.net.mu.Lock()
 	if p.net.nodes[p.id] == p {

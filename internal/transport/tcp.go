@@ -249,6 +249,7 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
+	clear(t.handlers) // what arrives from here on is dropped
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)

@@ -72,9 +72,11 @@ func convergePeers(t *testing.T, fw *core.Framework) {
 	}
 }
 
-// storeRange pushes frames[from:to] through the chosen write path.
-func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect.Frame, metas []detect.MetadataRecord, from, to int) {
+// storeRange pushes frames[from:to] through the chosen write path and
+// returns the record IDs, in frame order.
+func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect.Frame, metas []detect.MetadataRecord, from, to int) []string {
 	t.Helper()
+	ids := make([]string, to-from)
 	if mode == "pipelined" {
 		results, err := client.StoreFrames(frames[from:to], metas[from:to], ingest.Config{
 			Mode:       ingest.ModePipelined,
@@ -88,14 +90,18 @@ func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect
 			if r.Err != nil {
 				t.Fatalf("pipelined store %d: %v", from+r.Index, r.Err)
 			}
+			ids[r.Index] = r.RecordID
 		}
-		return
+		return ids
 	}
 	for i := from; i < to; i++ {
-		if _, err := client.StoreFrame(frames[i], metas[i]); err != nil {
+		receipt, err := client.StoreFrame(frames[i], metas[i])
+		if err != nil {
 			t.Fatalf("serial store %d: %v", i, err)
 		}
+		ids[i-from] = receipt.TxID
 	}
+	return ids
 }
 
 // TestIntegrationRestartEquivalence runs the fixed-seed scenario four
@@ -104,7 +110,10 @@ func storeRange(t *testing.T, client *core.Client, mode string, frames []*detect
 // stopped/reopened mid-run over the TCP transport — and requires
 // byte-identical canonical records, identical label-index content,
 // identical record history (each peer's history also matching its own
-// chain), an intact provenance chain and identical trust state.
+// chain), an intact provenance chain and identical trust state. After a
+// restart every record stored before it is retrieved through both IPFS
+// nodes — one recovered the payload from its log, the other fetches it
+// from that one — and must come back verified and byte-identical.
 func TestIntegrationRestartEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("restart equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -139,7 +148,7 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 				}
 			}()
 			client, cam := restartCamera(t, fw)
-			storeRange(t, client, run.mode, frames, metas, 0, run.split)
+			stored := storeRange(t, client, run.mode, frames, metas, 0, run.split)
 
 			if run.split < n {
 				// "Kill" the process: flush, close every durable store,
@@ -163,6 +172,19 @@ func TestIntegrationRestartEquivalence(t *testing.T) {
 					}
 				}
 				client, cam = restartCamera(t, fw)
+				for node := 0; node < 2; node++ {
+					reader := fw.Client(cam, node)
+					for i, id := range stored {
+						res, err := reader.RetrieveData(id)
+						if err != nil {
+							t.Fatalf("retrieve record %d through IPFS node %d after restart: %v", i, node, err)
+						}
+						if !res.Verified || !bytes.Equal(res.Payload, frames[i].Data) {
+							t.Fatalf("record %d through IPFS node %d after restart: verified %v, payload equal %v",
+								i, node, res.Verified, bytes.Equal(res.Payload, frames[i].Data))
+						}
+					}
+				}
 				storeRange(t, client, run.mode, frames, metas, run.split, n)
 			}
 
