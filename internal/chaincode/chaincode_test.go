@@ -95,6 +95,64 @@ func TestReadYourOwnWrites(t *testing.T) {
 	}
 }
 
+// commitCC commits key=value in namespace "cc" at block n, as another
+// peer's block landing mid-simulation would.
+func commitCC(db *statedb.DB, n uint64, key, value string) {
+	b := statedb.NewUpdateBatch()
+	b.Put("cc", key, []byte(value))
+	db.ApplyUpdates(b, statedb.Version{BlockNum: n})
+}
+
+// TestGetStateRepeatsWithinSimulation: a key read, then committed at a new
+// version, reads back its first value, and the read set keeps the first
+// version; a caller mutating a returned slice changes nothing.
+func TestGetStateRepeatsWithinSimulation(t *testing.T) {
+	db, h := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db, h)
+	first, err := sim.GetState("existing")
+	if err != nil || string(first) != "old" {
+		t.Fatalf("first read %q, %v", first, err)
+	}
+	first[0] = 'X'
+	commitCC(db, 2, "existing", "new")
+	for i := 0; i < 2; i++ {
+		if v, err := sim.GetState("existing"); err != nil || string(v) != "old" {
+			t.Fatalf("read %d after the commit: %q, %v", i, v, err)
+		}
+	}
+	absent, _ := sim.GetState("ghost")
+	commitCC(db, 3, "ghost", "boo")
+	if v, _ := sim.GetState("ghost"); absent != nil || v != nil {
+		t.Fatalf("absent key read %q, then %q", absent, v)
+	}
+	rw := sim.RWSet()
+	if len(rw.Reads) != 2 || rw.Reads[0] != (statedb.ReadItem{Namespace: "cc", Key: "existing", Version: statedb.Version{BlockNum: 1}, Exists: true}) ||
+		rw.Reads[1] != (statedb.ReadItem{Namespace: "cc", Key: "ghost"}) {
+		t.Fatalf("reads = %+v", rw.Reads)
+	}
+}
+
+// TestGetStateAfterRangeReadsThrough: a key first recorded by a range scan
+// is not kept; GetState returns its committed value, and the read set
+// keeps the version the scan saw.
+func TestGetStateAfterRangeReadsThrough(t *testing.T) {
+	db, h := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db, h)
+	if _, err := sim.GetStateByRange("scan/", "scan/\xff"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sim.GetState("scan/a"); err != nil || string(v) != "1" {
+		t.Fatalf("scan/a = %q, %v", v, err)
+	}
+	commitCC(db, 2, "scan/a", "9")
+	if v, err := sim.GetState("scan/a"); err != nil || string(v) != "9" {
+		t.Fatalf("scan/a after a commit = %q, %v", v, err)
+	}
+	if r := sim.RWSet().Reads[0]; r.Key != "scan/a" || r.Version != (statedb.Version{BlockNum: 1}) {
+		t.Fatalf("read = %+v", r)
+	}
+}
+
 func TestDeleteVisibleInSimulation(t *testing.T) {
 	db, h := seededDB(t)
 	sim := NewSimulator(testCtx(t), "cc", db, h)

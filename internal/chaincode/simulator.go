@@ -32,11 +32,12 @@ type Simulator struct {
 	ns       string
 	depth    int
 	sub      int // current batch call index, -1 outside InvokeBatch
-	db       *statedb.DB
+	db       State
 	history  *statedb.HistoryDB
 	registry *Registry
 
 	reads   map[string]statedb.ReadItem  // keyed by ns\x00key
+	values  map[string][]byte            // committed value of each key GetState read first
 	writes  map[string]statedb.WriteItem // keyed by ns\x00key
 	events  []Event
 	ordered []string // write nsKeys in first-write order
@@ -44,9 +45,18 @@ type Simulator struct {
 
 var _ Stub = (*Simulator)(nil)
 
+// State is the committed world state a simulation reads (a *statedb.DB).
+type State interface {
+	GetState(ns, key string) (statedb.VersionedValue, bool)
+	GetStateRange(ns, start, end string) []statedb.KV
+	ExecuteQuery(ns string, sel statedb.Selector) ([]statedb.KV, error)
+	Indexes() []statedb.IndexSpec
+	IterIndex(name, valuePrefix string, limit, offset int, token string) (statedb.IndexPage, error)
+}
+
 // NewSimulator creates a simulator for one invocation of chaincode ns.
 // registry enables InvokeChaincode and may be nil for isolated tests.
-func NewSimulator(ctx TxContext, ns string, db *statedb.DB, history *statedb.HistoryDB) *Simulator {
+func NewSimulator(ctx TxContext, ns string, db State, history *statedb.HistoryDB) *Simulator {
 	return &Simulator{
 		ctx:     ctx,
 		ns:      ns,
@@ -54,6 +64,7 @@ func NewSimulator(ctx TxContext, ns string, db *statedb.DB, history *statedb.His
 		db:      db,
 		history: history,
 		reads:   make(map[string]statedb.ReadItem),
+		values:  make(map[string][]byte),
 		writes:  make(map[string]statedb.WriteItem),
 	}
 }
@@ -67,7 +78,10 @@ func (s *Simulator) WithRegistry(r *Registry) *Simulator {
 func (s *Simulator) nsKey(key string) string { return s.ns + "\x00" + key }
 
 // GetState implements Stub: reads observe this simulation's own writes
-// first, then committed state (recording the version for MVCC).
+// first, then committed state (recording the version for MVCC). The value
+// a key's first GetState reads is kept, so reads repeat within a
+// simulation and hit the engine once per key; a key first recorded by a
+// range scan reads through.
 func (s *Simulator) GetState(key string) ([]byte, error) {
 	nk := s.nsKey(key)
 	if w, ok := s.writes[nk]; ok {
@@ -76,12 +90,17 @@ func (s *Simulator) GetState(key string) ([]byte, error) {
 		}
 		return append([]byte(nil), w.Value...), nil
 	}
-	vv, ok := s.db.GetState(s.ns, key)
-	s.recordRead(key, vv.Version, ok)
-	if !ok {
-		return nil, nil
+	v, kept := s.values[nk]
+	if !kept {
+		vv, ok := s.db.GetState(s.ns, key)
+		if _, seen := s.reads[nk]; seen {
+			return append([]byte(nil), vv.Value...), nil
+		}
+		s.recordRead(key, vv.Version, ok)
+		v = vv.Value // the engine never mutates a stored buffer
+		s.values[nk] = v
 	}
-	return append([]byte(nil), vv.Value...), nil
+	return append([]byte(nil), v...), nil
 }
 
 func (s *Simulator) recordRead(key string, v statedb.Version, exists bool) {

@@ -21,7 +21,7 @@ import (
 // simulators against a shared state, committing writes immediately —
 // endorsement and consensus are exercised elsewhere.
 type world struct {
-	t       *testing.T
+	t       testing.TB
 	db      *statedb.DB
 	history *statedb.HistoryDB
 	reg     *chaincode.Registry
@@ -36,11 +36,14 @@ type worldTx struct {
 	writes []statedb.WriteItem
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world { return newWorldOn(t, storage.Config{}) }
+
+// newWorldOn is newWorld on the engine cfg selects.
+func newWorldOn(t testing.TB, cfg storage.Config) *world {
 	t.Helper()
 	// The world state runs with the production secondary-index set, as
 	// peers do, so contract-level index queries are exercised here.
-	db, err := statedb.NewIndexedWith(storage.Config{}, DataIndexes()...)
+	db, err := statedb.NewIndexedWith(cfg, DataIndexes()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func (w *world) user(admin msp.Identity, org, name string, trusted bool) msp.Ide
 	return s.Identity
 }
 
-func sampleMeta(t *testing.T, seed int64) (detect.MetadataRecord, string) {
+func sampleMeta(t testing.TB, seed int64) (detect.MetadataRecord, string) {
 	t.Helper()
 	corpus := dataset.Generate(dataset.Config{Seed: seed, NumVideos: 1, FramesPerVideo: 1, NumDroneFlights: 1, FramesPerFlight: 1, MeanFrameKB: 2})
 	frame := &corpus.Static[0].Frames[0]

@@ -66,10 +66,10 @@ func addData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("data: bad metadata: %w", err)
 	}
 
-	// Run the validation chaincode inside this transaction so every
-	// endorser re-checks source authentication and schema (§III-A).
-	if _, err := stub.InvokeChaincode(ValidationCC, "validateTransaction",
-		[][]byte{metadataJSON, []byte(meta.DataHash)}); err != nil {
+	// Every endorser re-checks source authentication and schema (§III-A)
+	// on the record decoded above, as the validation chaincode does.
+	user, err := validateRecord(stub, &meta, "")
+	if err != nil {
 		return nil, err
 	}
 
@@ -99,15 +99,6 @@ func addData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 		}
 		prevTxID = head.TxID
 		seq = head.Seq + 1
-	}
-
-	userRaw, err := stub.InvokeChaincode(UsersCC, "getUser", [][]byte{[]byte(source)})
-	if err != nil {
-		return nil, err
-	}
-	var user UserRecord
-	if err := json.Unmarshal(userRaw, &user); err != nil {
-		return nil, err
 	}
 
 	label := meta.PrimaryLabel()

@@ -40,48 +40,58 @@ func validateTransaction(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("validation: expects metadata JSON and payload hash")
 	}
-	metadataJSON, payloadHash := args[0], string(args[1])
+	var meta detect.MetadataRecord
+	if err := json.Unmarshal(args[0], &meta); err != nil {
+		return nil, fmt.Errorf("validation: Invalid schema for transaction %s: metadata is not valid JSON: %w", stub.GetTxID(), err)
+	}
+	if _, err := validateRecord(stub, &meta, string(args[1])); err != nil {
+		return nil, err
+	}
+	return []byte("valid"), nil
+}
+
+// validateRecord runs both checks on a decoded record and returns the
+// source's user record; addData calls it in-process on its own decode.
+func validateRecord(stub chaincode.Stub, meta *detect.MetadataRecord, payloadHash string) (UserRecord, error) {
 	txID := stub.GetTxID()
 	source := stub.GetCreator().ID()
 
 	// --- Source authentication ---
 	userRaw, err := stub.InvokeChaincode(UsersCC, "getUser", [][]byte{[]byte(source)})
 	if err != nil {
-		return nil, fmt.Errorf("validation: Invalid source for transaction %s: %w", txID, err)
+		return UserRecord{}, fmt.Errorf("validation: Invalid source for transaction %s: %w", txID, err)
 	}
 	var user UserRecord
 	if err := json.Unmarshal(userRaw, &user); err != nil {
-		return nil, fmt.Errorf("validation: corrupt user record: %w", err)
+		return UserRecord{}, fmt.Errorf("validation: corrupt user record: %w", err)
 	}
 	if !user.Active {
-		return nil, fmt.Errorf("validation: Invalid source for transaction %s: user %s deactivated", txID, source)
+		return UserRecord{}, fmt.Errorf("validation: Invalid source for transaction %s: user %s deactivated", txID, source)
 	}
 	if !user.Trusted {
 		// Untrusted sources must clear the on-chain trust gate.
 		ok, err := stub.InvokeChaincode(TrustCC, "isTrusted", [][]byte{[]byte(source)})
 		if err != nil {
-			return nil, err
+			return UserRecord{}, err
 		}
 		if string(ok) != "true" {
-			return nil, fmt.Errorf("validation: Invalid source for transaction %s: trust score below threshold", txID)
+			return UserRecord{}, fmt.Errorf("validation: Invalid source for transaction %s: trust score below threshold", txID)
 		}
 	}
 
 	// --- Schema verification ---
-	if err := VerifySchema(metadataJSON, payloadHash); err != nil {
-		return nil, fmt.Errorf("validation: Invalid schema for transaction %s: %w", txID, err)
+	if err := checkSchema(meta, payloadHash); err != nil {
+		return UserRecord{}, fmt.Errorf("validation: Invalid schema for transaction %s: %w", txID, err)
 	}
-	return []byte("valid"), nil
+	return user, nil
 }
 
-// VerifySchema performs the paper's schema check over a metadata record:
-// required fields, type sanity and hash integrity. Exported so the client
-// SDK (core) can pre-validate before shipping payloads to IPFS.
-func VerifySchema(metadataJSON []byte, payloadHash string) error {
-	var rec detect.MetadataRecord
-	if err := json.Unmarshal(metadataJSON, &rec); err != nil {
-		return fmt.Errorf("metadata is not valid JSON: %w", err)
-	}
+// checkSchema performs the paper's schema check over a metadata record:
+// required fields, type sanity and hash integrity. The data_hash must be a
+// well-formed SHA-256 equal to a non-empty payloadHash: the client
+// pre-check passes the payload's hash, endorsement passes "" and checks
+// the form only (the CID and the retrieve-side verify bind the payload).
+func checkSchema(rec *detect.MetadataRecord, payloadHash string) error {
 	if rec.FrameID == "" {
 		return fmt.Errorf("missing frame_id")
 	}
@@ -121,8 +131,7 @@ func VerifySchema(metadataJSON []byte, payloadHash string) error {
 			return fmt.Errorf("detection %d missing timestamp", i)
 		}
 	}
-	// Cryptographic hash integrity: the metadata's data_hash must be a
-	// well-formed SHA-256 and match the payload hash presented.
+	// Cryptographic hash integrity.
 	if len(rec.DataHash) != 64 {
 		return fmt.Errorf("data_hash must be 64 hex chars, got %d", len(rec.DataHash))
 	}

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"socialchain/internal/storage"
 )
@@ -174,24 +176,114 @@ func splitEntry(suffix string) (value, stateKey string, ok bool) {
 	return unescapeIndexValue(suffix[:i]), suffix[i+1:], true
 }
 
-// extractString resolves a dotted path in doc to a string value.
-func extractString(doc map[string]any, path string) (string, bool) {
-	v, ok := lookupField(doc, path)
-	if !ok {
-		return "", false
-	}
-	s, ok := v.(string)
-	return s, ok
+// indexed is one spec's field in a value: ok when it is a JSON string.
+type indexed struct {
+	v  string
+	ok bool
 }
 
-// docOf decodes a stored value into a JSON object, or nil when the value
-// is not one (non-JSON, scalar, array — all unindexable).
-func docOf(value []byte) map[string]any {
-	var doc map[string]any
-	if err := json.Unmarshal(value, &doc); err != nil {
-		return nil
+// indexFields finds each spec's field in a stored value as json.Unmarshal
+// into a map[string]any and lookupField would, without the map: one
+// json.Valid pass, then fieldsOf. A value that is not an object, or that
+// encoding/json refuses (a number beyond float64), has no fields.
+func indexFields(value []byte, specs []IndexSpec) []indexed {
+	out := make([]indexed, len(specs))
+	if json.Valid(value) {
+		fieldsOf(value[skipSep(value, 0):], specs, out)
 	}
-	return doc
+	return out
+}
+
+// fieldsOf sets out[i] to spec i's field in obj, part of a valid JSON
+// value, unless obj is not an object or holds a number ParseFloat refuses.
+// One walk over obj's members serves every spec, and one walk into the
+// member a further path segment names; the last duplicate key wins, and
+// keys compare decoded.
+func fieldsOf(obj []byte, specs []IndexSpec, out []indexed) {
+	if len(obj) == 0 || obj[0] != '{' {
+		return
+	}
+	raws := make([][]byte, len(specs))
+	for i := skipSep(obj, 1); obj[i] != '}'; {
+		keyEnd, _ := skipValue(obj, i)
+		start := skipSep(obj, keyEnd)
+		end, ok := skipValue(obj, start)
+		if !ok {
+			return
+		}
+		key := unquote(obj[i:keyEnd])
+		for k, spec := range specs {
+			if seg, _, _ := strings.Cut(spec.Field, "."); string(key) == seg {
+				raws[k] = obj[start:end]
+			}
+		}
+		i = skipSep(obj, end)
+	}
+	for i, spec := range specs {
+		if _, rest, nested := strings.Cut(spec.Field, "."); nested {
+			fieldsOf(raws[i], []IndexSpec{{Field: rest}}, out[i:i+1])
+		} else if raws[i] != nil && raws[i][0] == '"' {
+			out[i] = indexed{string(unquote(raws[i])), true}
+		}
+	}
+}
+
+// skipValue returns the end of the JSON value at b[i] (b is valid JSON),
+// or false when it holds a number ParseFloat refuses.
+func skipValue(b []byte, i int) (int, bool) {
+	for depth := 0; ; {
+		switch c := b[i]; {
+		case c == '"':
+			for i++; b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+			i++
+		case c == '{' || c == '[':
+			depth++
+			i++
+		case c == '}' || c == ']':
+			depth--
+			i++
+		case c == ',' || c == ':' || c <= ' ': // between a container's values
+			i++
+		default: // a number, true, false or null
+			j := i + 1
+			for j < len(b) && b[j] > ' ' && b[j] != ',' && b[j] != ']' && b[j] != '}' {
+				j++
+			}
+			// Only an exponent or 309 digits take a number past float64.
+			if c <= '9' && (j-i > 308 || bytes.ContainsAny(b[i:j], "Ee")) {
+				if _, err := strconv.ParseFloat(string(b[i:j]), 64); err != nil {
+					return 0, false
+				}
+			}
+			i = j
+		}
+		if depth == 0 {
+			return i, true
+		}
+	}
+}
+
+// skipSep skips whitespace and the ':' or ',' between an object's tokens.
+func skipSep(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r' || b[i] == ':' || b[i] == ',') {
+		i++
+	}
+	return i
+}
+
+// unquote decodes a JSON string token as encoding/json does, returning
+// the token's own inner bytes when it has no escape and is valid UTF-8.
+func unquote(tok []byte) []byte {
+	if inner := tok[1 : len(tok)-1]; bytes.IndexByte(inner, '\\') < 0 && utf8.Valid(inner) {
+		return inner
+	}
+	var s string
+	_ = json.Unmarshal(tok, &s) // a valid token: cannot fail
+	return []byte(s)
 }
 
 // batchWrites computes the index mutations for one update batch against
@@ -204,33 +296,22 @@ func (ix *indexer) batchWrites(db *DB, batch *UpdateBatch) []storage.Write {
 			continue
 		}
 		for key, w := range kvs {
-			var oldDoc, newDoc map[string]any
-			if vv, ok := db.GetState(ns, key); ok {
-				oldDoc = docOf(vv.Value)
+			vv, _ := db.GetState(ns, key) // an absent key has no value
+			newValue := w.Value
+			if w.IsDelete {
+				newValue = nil
 			}
-			if !w.IsDelete {
-				newDoc = docOf(w.Value)
-			}
-			if oldDoc == nil && newDoc == nil {
-				continue
-			}
-			for _, spec := range specs {
-				oldV, oldOK := "", false
-				if oldDoc != nil {
-					oldV, oldOK = extractString(oldDoc, spec.Field)
-				}
-				newV, newOK := "", false
-				if newDoc != nil {
-					newV, newOK = extractString(newDoc, spec.Field)
-				}
-				if oldOK && newOK && oldV == newV {
+			olds, news := indexFields(vv.Value, specs), indexFields(newValue, specs)
+			for i, spec := range specs {
+				old, cur := olds[i], news[i]
+				if old.ok && cur.ok && old.v == cur.v {
 					continue // unchanged: avoid a same-key delete+put race in one batch
 				}
-				if oldOK {
-					out = append(out, storage.Write{Key: entryKey(spec.Name, oldV, key), Delete: true})
+				if old.ok {
+					out = append(out, storage.Write{Key: entryKey(spec.Name, old.v, key), Delete: true})
 				}
-				if newOK {
-					out = append(out, storage.Write{Key: entryKey(spec.Name, newV, key)})
+				if cur.ok {
+					out = append(out, storage.Write{Key: entryKey(spec.Name, cur.v, key)})
 				}
 			}
 		}
@@ -281,13 +362,9 @@ func (ix *indexer) rebuild(db *DB) {
 	})
 	for ns, specs := range ix.byNS {
 		db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
-			doc := docOf(vv.Value)
-			if doc == nil {
-				return true
-			}
-			for _, spec := range specs {
-				if v, ok := extractString(doc, spec.Field); ok {
-					writes = append(writes, storage.Write{Key: entryKey(spec.Name, v, key)})
+			for i, f := range indexFields(vv.Value, specs) {
+				if f.ok {
+					writes = append(writes, storage.Write{Key: entryKey(specs[i].Name, f.v, key)})
 				}
 			}
 			return true

@@ -415,3 +415,56 @@ func TestIndexSavepointDecidesRebuild(t *testing.T) {
 		}
 	})
 }
+
+// dataIndexPaths are the four Field paths of contracts.DataIndexes (the
+// contracts package imports this one, so they are spelled out here).
+func dataIndexPaths() []IndexSpec {
+	return []IndexSpec{
+		{Name: "label", Namespace: "data", Field: "label"},
+		{Name: "source", Namespace: "data", Field: "source"},
+		{Name: "camera", Namespace: "data", Field: "metadata.camera_id"},
+		{Name: "submitted", Namespace: "data", Field: "submitted"},
+	}
+}
+
+// FuzzIndexField holds indexFields to the decoder it replaced: whatever
+// the bytes, each path yields the string json.Unmarshal into a
+// map[string]any, lookupField and a string assertion would, or nothing
+// where they find none.
+func FuzzIndexField(f *testing.F) {
+	for _, seed := range []string{
+		benchRecord(0),
+		`{"label":"car","label":"bus"}`,
+		`{"label":"car","label":7}`,
+		`{"metadata":{"camera_id":"c1"},"metadata":{"camera_id":"c2","camera_id":"c3"}}`,
+		`{"metadata":{"camera_id":"c1"},"metadata":"flat"}`,
+		`{"label":"car","source":"s\"1\\","metadata":{"camera_id":"🚗"}}`,
+		`{"\u006cabel":"car","lab\u0065l":"bus","\u0073ource":"\u0073\ud800\n","metadata":{"camera\u005fid":"c"}}`,
+		" \t\r\n{ \"label\" :\n\"car\" , \"submitted\":\t\"2024\" } \n",
+		`["label","car"]`, `"car"`, `7`, `null`, `true`, `{}`,
+		`{"label":null,"source":{"x":"y"},"metadata":[{"camera_id":"c"}]}`,
+		`{"metadata":null}`, `{"metadata":7}`,
+		"{\"label\":\"ca\xffr\",\"\xfesource\":\"s\",\"source\":\"\xc3\"}",
+		`{"label":"car","size":1e999}`, `{"label":"car","x":[-1.5E-400,2e308,0.5]}`,
+		`{"label":"car"`, `{"label":"car"}x`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	specs := dataIndexPaths()
+	f.Fuzz(func(t *testing.T, value []byte) {
+		got := indexFields(value, specs)
+		var doc map[string]any
+		if json.Unmarshal(value, &doc) != nil {
+			doc = nil
+		}
+		for i, spec := range specs {
+			var want indexed
+			if v, ok := lookupField(doc, spec.Field); ok {
+				want.v, want.ok = v.(string)
+			}
+			if got[i] != want {
+				t.Fatalf("%s in %q: got %+v, the decoder finds %+v", spec.Field, value, got[i], want)
+			}
+		}
+	})
+}
