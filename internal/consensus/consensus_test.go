@@ -390,3 +390,27 @@ func BenchmarkDecide(b *testing.B) {
 		})
 	}
 }
+
+// TestEachMessageSignedOnce: a decided instance at n = 4 costs ten
+// signatures — the entry replica's request gossip, the leader's
+// pre-prepare, and one prepare and one commit per replica — because the
+// message a replica processes locally is the one it broadcasts.
+func TestEachMessageSignedOnce(t *testing.T) {
+	h := newHarness(t, 4, nil, 5*time.Second)
+	const instances = 3
+	for k := 1; k <= instances; k++ {
+		h.validators[0].Propose([]byte(fmt.Sprintf("tx-%d", k)))
+		for i := range h.validators {
+			if !h.waitDelivered(i, k, 3*time.Second) {
+				t.Fatalf("validator %d did not deliver instance %d", i, k)
+			}
+		}
+	}
+	var signs int64
+	for _, v := range h.validators {
+		signs += v.signs.Load()
+	}
+	if signs != 10*instances {
+		t.Fatalf("%d signatures for %d instances, want %d", signs, instances, 10*instances)
+	}
+}

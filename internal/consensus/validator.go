@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socialchain/internal/msp"
@@ -75,8 +76,10 @@ type Validator struct {
 	doneCh    chan struct{}
 	stopOnce  sync.Once
 
-	// sigs checks and counts every signature this replica meets.
-	sigs msp.Verifier
+	// sigs checks and counts every signature this replica meets; signs
+	// counts the ones it makes (signCopy).
+	sigs  msp.Verifier
+	signs atomic.Int64
 
 	mu              sync.Mutex
 	view            uint64
@@ -145,7 +148,9 @@ func NewValidator(cfg Config) *Validator {
 	cfg.Obs.GaugeFunc("consensus_backlog", "Requests admitted and not yet decided.", func() float64 {
 		return float64(v.Backlog())
 	})
-	v.sigs.Register(cfg.Obs.With(obs.L("component", "consensus")))
+	reg := cfg.Obs.With(obs.L("component", "consensus"))
+	v.sigs.Register(reg)
+	reg.CounterFunc("signatures_made_total", "Signatures made: one per message originated, one more per recipient a behaviour filter alters it for.", v.signs.Load)
 	return v
 }
 
@@ -261,43 +266,39 @@ func (v *Validator) quorum() int { return 2*v.f + 1 }
 
 // --- messaging ---
 
-// signCopy copies out, stamps this replica as origin and signs.
+// signCopy copies out, stamps this replica as origin and signs, counting
+// the signature.
 func (v *Validator) signCopy(out *Message) *Message {
 	cp := *out
 	cp.From = v.cfg.ID
 	cp.Signature = v.cfg.Signer.Sign(cp.SigningBytes())
+	v.signs.Add(1)
 	return &cp
 }
 
-// broadcast sends m to every other replica. Ed25519 signing is
-// deterministic and From is the same for every recipient, so the replicas
-// the behaviour filter passes the message to untouched (all of them, in
-// the honest case) get one signed, once-encoded copy; every filter that
-// alters a message returns a fresh copy, which is signed and sent per
-// recipient.
-func (v *Validator) broadcast(m Message) {
+// broadcast sends m, which signCopy signed, to every other replica. The
+// replicas the behaviour filter passes it to untouched (all of them, in
+// the honest case) get m itself, encoded once: the message the sender
+// processes locally is the one they receive, so each message a replica
+// originates is signed once. A filter that alters a message returns a
+// fresh copy, which is signed and sent for its recipient alone.
+func (v *Validator) broadcast(m *Message) {
 	var same []string
 	for _, id := range v.cfg.Validators {
 		if id == v.cfg.ID {
 			continue
 		}
-		switch out := v.cfg.Behavior.OutboundFilter(id, &m); out {
+		switch out := v.cfg.Behavior.OutboundFilter(id, m); out {
 		case nil:
-		case &m:
+		case m:
 			same = append(same, id)
 		default:
 			v.cfg.Sender.Send(v.signCopy(out), id)
 		}
 	}
 	if len(same) > 0 {
-		v.cfg.Sender.Send(v.signCopy(&m), same...)
+		v.cfg.Sender.Send(m, same...)
 	}
-}
-
-// selfSigned returns a copy of m signed by this replica, for local
-// processing alongside the broadcast.
-func (v *Validator) selfSigned(m Message) *Message {
-	return v.signCopy(&m)
 }
 
 // verify checks the origin signature of a message.
@@ -449,7 +450,7 @@ func (v *Validator) handleRequestPayload(payload []byte, gossip bool) {
 	v.mu.Unlock()
 
 	if gossip && fresh {
-		v.broadcast(Message{Type: MsgRequest, Digest: digest, Payload: payload})
+		v.broadcast(v.signCopy(&Message{Type: MsgRequest, Digest: digest, Payload: payload}))
 	}
 	if isLeader {
 		v.mu.Lock()
@@ -507,10 +508,9 @@ func (v *Validator) proposePending() {
 		seq := v.nextSeq
 		v.nextSeq++
 		req.inFlight = true
-		pp := Message{Type: MsgPrePrepare, View: v.view, Seq: seq, Digest: d, Payload: req.payload}
+		pp := v.signCopy(&Message{Type: MsgPrePrepare, View: v.view, Seq: seq, Digest: d, Payload: req.payload})
 		// Process our own pre-prepare before broadcasting.
-		self := v.selfSigned(pp)
-		v.onPrePrepare(self)
+		v.onPrePrepare(pp)
 		v.mu.Unlock()
 		v.broadcast(pp)
 		v.mu.Lock()
@@ -561,9 +561,8 @@ func (v *Validator) onPrePrepare(m *Message) {
 	}
 	// Send our prepare, carrying the leader-signed pre-prepare header as
 	// evidence.
-	prep := Message{Type: MsgPrepare, View: m.View, Seq: m.Seq, Digest: m.Digest, PrePrepareEvidence: inst.prePrepare}
-	self := v.selfSigned(prep)
-	v.applyPrepare(self)
+	prep := v.signCopy(&Message{Type: MsgPrepare, View: m.View, Seq: m.Seq, Digest: m.Digest, PrePrepareEvidence: inst.prePrepare})
+	v.applyPrepare(prep)
 	v.mu.Unlock()
 	v.broadcast(prep)
 	v.mu.Lock()
@@ -660,9 +659,8 @@ func (v *Validator) maybeCommitPhase(seq uint64) {
 		return
 	}
 	inst.sentCommit = true
-	cm := Message{Type: MsgCommit, View: inst.view, Seq: seq, Digest: inst.digest}
-	self := v.selfSigned(cm)
-	inst.commits[self.From] = true
+	cm := v.signCopy(&Message{Type: MsgCommit, View: inst.view, Seq: seq, Digest: inst.digest})
+	inst.commits[cm.From] = true
 	v.mu.Unlock()
 	v.broadcast(cm)
 	v.mu.Lock()
@@ -752,9 +750,8 @@ func (v *Validator) voteViewChange(target uint64) {
 	}
 	v.vcTarget = target
 	v.vcStarted = v.cfg.Clock.Now()
-	vc := Message{Type: MsgViewChange, View: target, Seq: v.lastExec}
-	self := v.selfSigned(vc)
-	v.recordViewChangeVote(self)
+	vc := v.signCopy(&Message{Type: MsgViewChange, View: target, Seq: v.lastExec})
+	v.recordViewChangeVote(vc)
 	v.mu.Unlock()
 	v.broadcast(vc)
 	v.mu.Lock()
@@ -807,7 +804,7 @@ func (v *Validator) maybeNewView(target uint64) {
 	nv := Message{Type: MsgNewView, View: target, Seq: maxExec + 1, Proofs: proofs}
 	v.enterView(target, maxExec+1)
 	v.mu.Unlock()
-	v.broadcast(nv)
+	v.broadcast(v.signCopy(&nv))
 	v.mu.Lock()
 	v.proposePending()
 }

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"socialchain/internal/fabric"
 	"socialchain/internal/storage"
@@ -119,11 +118,10 @@ func TestResolveTransportKnobs(t *testing.T) {
 	}
 }
 
-// TestResolveRejectsBadTransportTunings: an unknown kind fails Resolve; a
-// TCP tuning that means nothing fails when the network opens its first
-// endpoint (transport.NewTCP checks every one), so New refuses both.
+// TestResolveRejectsBadTransportTunings: an unknown transport kind, at
+// either level, fails New. (The TCP tunings are the transport's own;
+// transport.NewTCP's test checks them.)
 func TestResolveRejectsBadTransportTunings(t *testing.T) {
-	tcp := func(f fabric.Config) Config { return Config{Transport: "tcp", Fabric: f} }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -131,9 +129,6 @@ func TestResolveRejectsBadTransportTunings(t *testing.T) {
 	}{
 		{"unknown kind", Config{Transport: "carrier-pigeon"}, "unknown kind"},
 		{"unknown fabric kind", Config{Transport: "tcp", Fabric: fabric.Config{Transport: "bogus"}}, "unknown kind"},
-		{"negative queue", tcp(fabric.Config{SendQueue: -1}), "must be >= 0"},
-		{"negative timeout", tcp(fabric.Config{DialTimeout: -time.Second}), "must be >= 0"},
-		{"backoff inversion", tcp(fabric.Config{DialBackoffBase: time.Second, DialBackoffMax: 10 * time.Millisecond}), "exceeds its cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -115,7 +115,7 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 	}
 	for _, want := range []string{
 		"transport_bytes_sent_total", "transport_frames_recv_total",
-		"signature_verifications_total", "signature_checks_skipped_total",
+		"signature_verifications_total", "signature_checks_skipped_total", "signatures_made_total",
 		`component="peer"`, `component="consensus"`, "chain_height",
 		"peer_txs_committed_total", "peer_blocks_committed_total",
 		"tx_stage_seconds_bucket", "tx_commit_e2e_seconds_count",

@@ -24,9 +24,6 @@ type Endorser interface {
 	// proposal's MinHeight, and returns the signed response. A peer that
 	// does not reach it in time refuses with ErrBehind.
 	Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error)
-	// EndorseBatch is Endorse for a batch proposal, simulated on one
-	// simulator.
-	EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error)
 	// Order submits an assembled envelope for ordering and returns a
 	// channel that yields the commit validation flag. The commit waiter is
 	// registered before ordering can reject, so a fast commit is never

@@ -27,7 +27,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	gw := net.ChannelAt(0).Gateway(newClient(t))
 
 	// Endorse while running, then stop the network before ordering.
-	tx, err := gw.endorseAndAssemble("kv", "put", [][]byte{[]byte("k"), []byte("v")})
+	tx, err := gw.endorseAndAssemble(&peer.Proposal{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k"), []byte("v")}})
 	if err != nil {
 		t.Fatal(err)
 	}

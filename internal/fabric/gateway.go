@@ -129,7 +129,7 @@ func (g *Gateway) Evaluate(ccName, fn string, args ...[]byte) ([]byte, error) {
 // client's own writes; an MVCC flag on the result is a real conflict with
 // another writer, and it is the caller's to handle.
 func (g *Gateway) Submit(ccName, fn string, args ...[]byte) (*Result, error) {
-	tx, err := g.endorseAndAssemble(ccName, fn, args)
+	tx, err := g.endorseAndAssemble(&peer.Proposal{Chaincode: ccName, Fn: fn, Args: args})
 	if err != nil {
 		return nil, err
 	}
@@ -143,31 +143,24 @@ const endorseRetries = 5
 
 var errNoQuorum = errors.New("no digest group satisfies the policy")
 
-// endorseAndAssemble endorses a proposal for one invocation and assembles
-// a signed envelope from the first digest group that satisfies the policy.
-func (g *Gateway) endorseAndAssemble(ccName, fn string, args [][]byte) (*ledger.Transaction, error) {
+// endorseAndAssemble signs prop, a single or a batch proposal, for the
+// gateway's channel and client, runs endorsement rounds for it until a
+// digest group satisfies the channel policy, and returns the envelope
+// assembled from that group. Each round asks for the client's height. A
+// round that falls short asks again at once: its endorsers have had the
+// round's time to commit the block that split them.
+func (g *Gateway) endorseAndAssemble(prop *peer.Proposal) (*ledger.Transaction, error) {
 	start := time.Now()
-	prop, err := peer.NewProposal(g.client, g.be.chName(), ccName, fn, args, g.be.now())
+	prop.ChannelID, prop.Timestamp = g.be.chName(), g.be.now()
+	payload, err := prop.Sign(g.client)
 	if err != nil {
 		return nil, err
 	}
-	payload := ledger.TxPayload{Chaincode: ccName, Fn: fn, ArgHashes: ledger.HashArgs(args)}
-	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser, minHeight uint64) (*peer.ProposalResponse, error) {
-		at := *prop
-		at.MinHeight = minHeight
-		return p.Endorse(&at)
-	})
-}
-
-// endorseRounds runs endorsement rounds for one proposal, single or
-// batched, until a digest group satisfies the channel policy, and returns
-// the envelope assembled from that group. Each round asks for the client's
-// height. A round that falls short asks again at once: its endorsers have
-// had the round's time to commit the block that split them.
-func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Time, payload ledger.TxPayload, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) (*ledger.Transaction, error) {
 	var lastErr error
 	for round := 0; round < endorseRetries; round++ {
-		group, err := g.collectEndorsements(g.be.seen().load(), endorse)
+		at := *prop
+		at.MinHeight = g.be.seen().load()
+		group, err := g.collectEndorsements(&at)
 		if errors.Is(err, errNoQuorum) {
 			lastErr = err
 			continue
@@ -175,7 +168,7 @@ func (g *Gateway) endorseRounds(start time.Time, txID, trace string, ts time.Tim
 		if err != nil {
 			return nil, err
 		}
-		tx, err := assembleSignedEnvelope(g.client, txID, g.be.chName(), trace, payload, ts, group)
+		tx, err := assembleSignedEnvelope(g.client, prop, payload, group)
 		if err != nil {
 			return nil, err
 		}
@@ -210,24 +203,25 @@ func (g *Gateway) checkPolicy(tx *ledger.Transaction, group []*peer.ProposalResp
 	return g.be.chPolicy().Evaluate(members.Endorsers(tx.Digest(), tx.Endorsements))
 }
 
-// assembleSignedEnvelope builds and signs the transaction envelope from an
-// agreeing endorsement group, carrying the proposal's trace ID into the
-// envelope so peers can attribute commit-side spans to it.
-func assembleSignedEnvelope(client *msp.Signer, txID, channelID, trace string, payload ledger.TxPayload, ts time.Time, group []*peer.ProposalResponse) (*ledger.Transaction, error) {
+// assembleSignedEnvelope builds and signs the transaction envelope for
+// prop, which recorded payload, from an agreeing endorsement group,
+// carrying the proposal's trace ID into the envelope so peers can
+// attribute commit-side spans to it.
+func assembleSignedEnvelope(client *msp.Signer, prop *peer.Proposal, payload ledger.TxPayload, group []*peer.ProposalResponse) (*ledger.Transaction, error) {
 	rw, err := statedb.DecodeRWSet(group[0].RWSet)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: decode rwset: %w", err)
 	}
 	tx := &ledger.Transaction{
-		ID:        txID,
-		ChannelID: channelID,
+		ID:        prop.TxID,
+		ChannelID: prop.ChannelID,
 		Creator:   client.Identity,
 		Payload:   payload,
 		Response:  group[0].Response,
 		RWSet:     rw,
 		Events:    group[0].Events,
-		Timestamp: ts,
-		Trace:     trace,
+		Timestamp: prop.Timestamp,
+		Trace:     prop.Trace,
 	}
 	for _, r := range group {
 		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
@@ -296,7 +290,7 @@ func (g *Gateway) orderAsync(tx ledger.Transaction) (Endorser, <-chan ledger.Val
 // Submit's does. Because it returns before commit, two SubmitAsync calls
 // reading the same key race and MVCC validation will invalidate the loser.
 func (g *Gateway) SubmitAsync(ccName, fn string, args ...[]byte) (string, <-chan ledger.ValidationCode, error) {
-	tx, err := g.endorseAndAssemble(ccName, fn, args)
+	tx, err := g.endorseAndAssemble(&peer.Proposal{Chaincode: ccName, Fn: fn, Args: args})
 	if err != nil {
 		return "", nil, err
 	}
@@ -314,50 +308,32 @@ func (g *Gateway) SubmitAsync(ccName, fn string, args ...[]byte) (string, <-chan
 }
 
 // SubmitBatch runs the batched transaction lifecycle: every call executes
-// on one simulator per endorsing peer (peer.EndorseBatch), the merged
-// read/write set is signed once, and the whole batch orders and commits
-// atomically as a single envelope. Call i's effects (e.g. the record a
-// batched addData stores) live under sub-transaction ID
-// chaincode.SubTxID(txID, i); Result.Response is the JSON array of
-// per-call responses. An MVCC flag is a real conflict, as in Submit.
+// on one simulator per endorsing peer (a batch proposal, see
+// peer.Proposal), the merged read/write set is signed once, and the whole
+// batch orders and commits atomically as a single envelope. Call i's
+// effects (e.g. the record a batched addData stores) live under
+// sub-transaction ID chaincode.SubTxID(txID, i); Result.Response is the
+// JSON array of per-call responses. An MVCC flag is a real conflict, as
+// in Submit.
 func (g *Gateway) SubmitBatch(calls []chaincode.BatchCall) (*Result, error) {
-	tx, err := g.endorseAndAssembleBatch(calls)
+	tx, err := g.endorseAndAssemble(&peer.Proposal{Batch: calls})
 	if err != nil {
 		return nil, err
 	}
 	return g.SubmitEnvelope(*tx)
 }
 
-// endorseAndAssembleBatch is endorseAndAssemble for a batch proposal,
-// endorsed through EndorseBatch.
-func (g *Gateway) endorseAndAssembleBatch(calls []chaincode.BatchCall) (*ledger.Transaction, error) {
-	start := time.Now()
-	prop, err := peer.NewBatchProposal(g.client, g.be.chName(), calls, g.be.now())
-	if err != nil {
-		return nil, err
-	}
-	payload := ledger.TxPayload{Batch: make([]ledger.TxPayload, len(calls))}
-	for i, c := range calls {
-		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
-	}
-	return g.endorseRounds(start, prop.TxID, prop.Trace, prop.Timestamp, payload, func(p Endorser, minHeight uint64) (*peer.ProposalResponse, error) {
-		at := *prop
-		at.MinHeight = minHeight
-		return p.EndorseBatch(&at)
-	})
-}
-
-// collectEndorsements runs one endorsement round, at minHeight, over the
-// active endorsers in parallel. It returns as soon as one digest group
-// satisfies the channel policy, so a lagging peer does not gate the round.
-// A group counts each identity once. If every endorser has answered and no
+// collectEndorsements runs one endorsement round of prop, at its
+// MinHeight, over the active endorsers in parallel. It returns as soon as
+// one digest group satisfies the channel policy, so a lagging peer does
+// not gate the round. A group counts each identity once. If every endorser has answered and no
 // group qualifies, it returns errNoQuorum.
 //
 // Each endorser's goroutine admits its own response (admit), so a response
 // counts toward a group only once its signature is known to be a member's
 // over the result it returned: the group that satisfies the policy here is
 // the group a validator will count.
-func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, uint64) (*peer.ProposalResponse, error)) ([]*peer.ProposalResponse, error) {
+func (g *Gateway) collectEndorsements(prop *peer.Proposal) ([]*peer.ProposalResponse, error) {
 	endorsers := g.be.activeEndorsers()
 	if len(endorsers) == 0 {
 		return nil, errors.New("fabric: no active endorsers")
@@ -373,7 +349,7 @@ func (g *Gateway) collectEndorsements(minHeight uint64, endorse func(Endorser, u
 	for _, p := range endorsers {
 		go func(p Endorser) {
 			g.be.clientDelay(p.ID())
-			resp, err := endorse(p, minHeight)
+			resp, err := p.Endorse(prop)
 			g.be.clientDelay(p.ID())
 			if err == nil {
 				err = g.admit(p, resp, members)

@@ -45,8 +45,6 @@ type Config struct {
 	NumChannels int
 	// NumPeers is the number of endorsing/validating peers (default 4).
 	NumPeers int
-	// NumOrgs spreads peers across organisations (default min(NumPeers,3)).
-	NumOrgs int
 	// Latency models the message delay between nodes (nil = zero).
 	Latency sim.LatencyModel
 	// Clock defaults to the real clock.
@@ -95,18 +93,6 @@ type Config struct {
 	// serve their RPC surface on the same endpoint. Unknown kinds fail
 	// construction.
 	Transport string
-	// ListenAddrs optionally pins each peer's TCP listen address (index i is
-	// peer i; default 127.0.0.1:0). Only meaningful with Transport "tcp".
-	ListenAddrs []string
-	// SendQueue bounds each TCP peer link's outbound queue (0 selects
-	// transport.DefaultQueueLen). A full queue surfaces as message loss to
-	// consensus, which BFT tolerates by design.
-	SendQueue int
-	// DialTimeout, DialBackoffBase and DialBackoffMax tune the TCP dialer
-	// and its reconnect backoff (0 selects the transport defaults).
-	DialTimeout     time.Duration
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
 	// IdentitySeed, when non-empty, derives every peer's signing key
 	// deterministically from the seed (msp.NewSignerFromSeed), so separate
 	// OS processes of one deployment construct identical identities. Empty
@@ -130,12 +116,6 @@ func (c *Config) fill() {
 	}
 	if c.NumPeers <= 0 {
 		c.NumPeers = 4
-	}
-	if c.NumOrgs <= 0 {
-		c.NumOrgs = c.NumPeers
-		if c.NumOrgs > 3 {
-			c.NumOrgs = 3
-		}
 	}
 	if c.Clock == nil {
 		c.Clock = sim.RealClock{}
@@ -169,19 +149,11 @@ func (c *Config) prepare(seeded bool) error {
 	return refuseChannelDirs(c.DataDir, c.ChannelID)
 }
 
-// newTCP opens one TCP endpoint of the deployment with the config's queue
-// and dial tunings. An empty listen address makes a client-only endpoint.
+// newTCP opens one TCP endpoint of the deployment, with the transport's
+// default queue and dial tunings. An empty listen address makes a
+// client-only endpoint.
 func (c *Config) newTCP(id, listen string, book map[string]string) (*transport.TCP, error) {
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		ID:          id,
-		Cluster:     c.ChannelID,
-		Listen:      listen,
-		Peers:       book,
-		QueueLen:    c.SendQueue,
-		DialTimeout: c.DialTimeout,
-		BackoffBase: c.DialBackoffBase,
-		BackoffMax:  c.DialBackoffMax,
-	})
+	tr, err := transport.NewTCP(transport.TCPConfig{ID: id, Cluster: c.ChannelID, Listen: listen, Peers: book})
 	if err != nil {
 		return nil, fmt.Errorf("fabric: transport %s: %w", id, err)
 	}
@@ -299,12 +271,8 @@ func (n *Network) openEndpoints(kind transport.Kind) ([]transport.Transport, err
 		}
 		return endpoints, nil
 	}
-	for i, id := range n.ids {
-		listen := "127.0.0.1:0"
-		if i < len(cfg.ListenAddrs) && cfg.ListenAddrs[i] != "" {
-			listen = cfg.ListenAddrs[i]
-		}
-		tr, err := cfg.newTCP(id, listen, nil)
+	for _, id := range n.ids {
+		tr, err := cfg.newTCP(id, "127.0.0.1:0", nil)
 		if err != nil {
 			for _, e := range endpoints {
 				e.Close()
@@ -376,11 +344,12 @@ func durableSeed(path string) (string, error) {
 	return seed, nil
 }
 
-// networkSigner builds peer i's signing identity for cfg: random keys by
-// default, seed-derived when IdentitySeed is set (separate processes of one
-// deployment derive identical keys — see NewNode).
+// networkSigner builds peer i's signing identity for cfg, in organisation
+// org<i mod 3>: random keys by default, seed-derived when IdentitySeed is
+// set (separate processes of one deployment derive identical keys — see
+// NewNode).
 func networkSigner(cfg *Config, i int) (*msp.Signer, error) {
-	org := fmt.Sprintf("org%d", i%cfg.NumOrgs)
+	org := fmt.Sprintf("org%d", i%3)
 	name := fmt.Sprintf("peer%d", i)
 	if cfg.IdentitySeed != "" {
 		return msp.NewSignerFromSeed(cfg.IdentitySeed, org, name, msp.RoleMember), nil

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -328,7 +327,7 @@ func (n *Node) catchUp() (int, error) {
 			continue
 		}
 		var h heightResp
-		if err := n.rpc.CallJSON(id, methodHeight, channelReq{Channel: n.net.ChannelID}, &h, 2*time.Second); err != nil {
+		if err := call(n.rpc, id, methodHeight, &channelReq{Channel: n.net.ChannelID}, &h, 2*time.Second); err != nil {
 			continue
 		}
 		if h.Height > bestHeight {
@@ -362,20 +361,13 @@ type remoteBlockSource struct {
 func (s *remoteBlockSource) Height() uint64 { return s.height }
 
 func (s *remoteBlockSource) BlocksFrom(from uint64) ([]*ledger.Block, error) {
-	req, err := json.Marshal(blocksReq{Channel: s.channel, From: from, Max: maxSyncBlocks})
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.rpc.Call(s.peer, methodBlocks, req, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := decodeBlocksResp(out)
+	var resp blocksResp
+	err := call(s.rpc, s.peer, methodBlocks, &blocksReq{Channel: s.channel, From: from}, &resp, 10*time.Second)
 	return resp.Blocks, err
 }
 
 // The Endorser side of a node, which an in-process gateway calls directly
-// and the endorse RPCs call for a remote one.
+// and the endorse RPC calls for a remote one.
 
 // ErrBehind is returned by an endorser whose chain did not reach a
 // proposal's MinHeight within behindWait.
@@ -393,14 +385,6 @@ func (n *Node) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
 		return nil, err
 	}
 	return n.p.Endorse(prop)
-}
-
-// EndorseBatch is Endorse for a batch proposal.
-func (n *Node) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error) {
-	if err := n.reach(prop.MinHeight); err != nil {
-		return nil, err
-	}
-	return n.p.EndorseBatch(prop)
 }
 
 // reach waits until the peer's chain is at least h blocks tall. It gives
@@ -459,7 +443,6 @@ func (n *Node) TxBlock(txID string) (uint64, bool) {
 // registerHandlers wires the node's RPC surface.
 func (n *Node) registerHandlers() {
 	n.rpc.Handle(methodEndorse, n.handleEndorse)
-	n.rpc.Handle(methodEndorseBatch, n.handleEndorseBatch)
 	n.rpc.Handle(methodSubmit, n.handleSubmit)
 	n.rpc.Handle(methodWaitCommit, n.handleWaitCommit)
 	n.rpc.Handle(methodHeight, n.handleHeight)
@@ -478,44 +461,29 @@ func (n *Node) checkChannel(name string) error {
 
 func (n *Node) handleEndorse(from string, req []byte) ([]byte, error) {
 	var r endorseReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	resp, err := n.Endorse(r.Proposal)
+	resp, err := n.Endorse(&r.Proposal)
 	if errors.Is(err, ErrBehind) {
-		// A remote Evaluate moves past a peer that is behind, and needs
-		// to tell that from the chaincode's answer.
+		// A remote gateway moves past a peer that is behind, and needs to
+		// tell that from the chaincode's answer.
 		err = &transport.CodedError{Code: codeBehind, Msg: err.Error()}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(resp)
-}
-
-func (n *Node) handleEndorseBatch(from string, req []byte) ([]byte, error) {
-	var r endorseBatchReq
-	if err := json.Unmarshal(req, &r); err != nil {
-		return nil, err
-	}
-	if err := n.checkChannel(r.Channel); err != nil {
-		return nil, err
-	}
-	resp, err := n.EndorseBatch(r.Proposal)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(resp)
+	return encode(resp), nil
 }
 
 // handleSubmit feeds a remote gateway's envelope into the node's cutter,
 // mapping the typed ordering errors onto wire codes.
 func (n *Node) handleSubmit(from string, req []byte) ([]byte, error) {
-	r, err := decodeSubmitReq(req)
-	if err != nil {
+	var r submitReq
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
@@ -534,16 +502,18 @@ func (n *Node) handleSubmit(from string, req []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	return json.Marshal(emptyResp{})
+	return nil, nil
 }
 
-// handleWaitCommit blocks until the transaction commits on this peer (or
-// the timeout passes). The waiter is registered first and the ledger
-// checked second, so a commit that lands between a client's submit and its
-// waitcommit call is never missed.
+// handleWaitCommit blocks until the transaction commits on this peer, for
+// as long as the client asks but no longer than the node's CommitTimeout:
+// a client cannot pin a waiter and its goroutine beyond the node's own
+// bound. The waiter is registered first and the ledger checked second, so
+// a commit that lands between a client's submit and its waitcommit call
+// is never missed.
 func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 	var r waitCommitReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
@@ -552,17 +522,17 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 	waiter := n.p.WaitForCommit(r.TxID)
 	if blockNum, _, flag, ok := n.p.Ledger().TxLocation(r.TxID); ok {
 		n.p.CancelWait(r.TxID)
-		return json.Marshal(waitCommitResp{Flag: flag, BlockNum: blockNum})
+		return encode(&waitCommitResp{Flag: flag, BlockNum: blockNum}), nil
 	}
-	timeout := r.Timeout
-	if timeout <= 0 {
-		timeout = n.net.CommitTimeout
+	timeout := n.net.CommitTimeout
+	if r.Timeout > 0 && r.Timeout < timeout {
+		timeout = r.Timeout
 	}
 	select {
 	case flag := <-waiter:
 		resp := waitCommitResp{Flag: flag}
 		resp.BlockNum, _, _, _ = n.p.Ledger().TxLocation(r.TxID)
-		return json.Marshal(resp)
+		return encode(&resp), nil
 	case <-n.net.Clock.After(timeout):
 		n.p.CancelWait(r.TxID)
 		return nil, &transport.CodedError{Code: codeCommitTimeout, Msg: fmt.Sprintf("fabric: commit timeout: tx %s", r.TxID)}
@@ -574,37 +544,33 @@ func (n *Node) handleWaitCommit(from string, req []byte) ([]byte, error) {
 
 func (n *Node) handleHeight(from string, req []byte) ([]byte, error) {
 	var r channelReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	return json.Marshal(heightResp{Height: n.p.Height()})
+	return encode(&heightResp{Height: n.p.Height()}), nil
 }
 
 func (n *Node) handleBlocks(from string, req []byte) ([]byte, error) {
 	var r blocksReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
 		return nil, err
 	}
-	max := r.Max
-	if max <= 0 || max > maxSyncBlocks {
-		max = maxSyncBlocks
-	}
-	blocks, err := n.p.Ledger().BlocksFrom(r.From, max)
+	blocks, err := n.p.Ledger().BlocksFrom(r.From, maxSyncBlocks)
 	if err != nil {
 		return nil, err
 	}
-	return blocksResp{Blocks: blocks}.encode(), nil
+	return encode(&blocksResp{Blocks: blocks}), nil
 }
 
 func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
 	var r channelReq
-	if err := json.Unmarshal(req, &r); err != nil {
+	if err := decode(req, &r); err != nil {
 		return nil, err
 	}
 	if err := n.checkChannel(r.Channel); err != nil {
@@ -613,5 +579,5 @@ func (n *Node) handleVerifyChain(from string, req []byte) ([]byte, error) {
 	if err := n.p.Ledger().VerifyChain(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(heightResp{Height: n.p.Height()})
+	return encode(&heightResp{Height: n.p.Height()}), nil
 }

@@ -115,7 +115,7 @@ func (r *Remote) ChannelAt(i int) *RemoteChannel { return []*RemoteChannel{r.ch}
 // ChainHeight returns one peer's chain height.
 func (r *Remote) ChainHeight(peerID string) (uint64, error) {
 	var h heightResp
-	err := r.rpc.CallJSON(peerID, methodHeight, channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
+	err := call(r.rpc, peerID, methodHeight, &channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
 	return h.Height, err
 }
 
@@ -123,7 +123,7 @@ func (r *Remote) ChainHeight(peerID string) (uint64, error) {
 // verified height.
 func (r *Remote) VerifyChain(peerID string) (uint64, error) {
 	var h heightResp
-	err := r.rpc.CallJSON(peerID, methodVerifyChain, channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
+	err := call(r.rpc, peerID, methodVerifyChain, &channelReq{Channel: r.ch.name}, &h, r.cfg.RPCTimeout)
 	return h.Height, err
 }
 
@@ -210,20 +210,11 @@ func (e *remoteEndorser) ID() string { return e.id }
 
 func (e *remoteEndorser) Endorse(prop *peer.Proposal) (*peer.ProposalResponse, error) {
 	var resp peer.ProposalResponse
-	req := endorseReq{Channel: e.rc.name, Proposal: prop}
-	if err := e.rc.r.rpc.CallJSON(e.id, methodEndorse, req, &resp, e.rc.r.cfg.RPCTimeout); err != nil {
+	req := endorseReq{Channel: e.rc.name, Proposal: *prop}
+	if err := call(e.rc.r.rpc, e.id, methodEndorse, &req, &resp, e.rc.r.cfg.RPCTimeout); err != nil {
 		if transport.ErrCode(err) == codeBehind {
 			return nil, fmt.Errorf("%w: %s", ErrBehind, err)
 		}
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (e *remoteEndorser) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalResponse, error) {
-	var resp peer.ProposalResponse
-	req := endorseBatchReq{Channel: e.rc.name, Proposal: prop}
-	if err := e.rc.r.rpc.CallJSON(e.id, methodEndorseBatch, req, &resp, e.rc.r.cfg.RPCTimeout); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -235,7 +226,7 @@ func (e *remoteEndorser) EndorseBatch(prop *peer.BatchProposal) (*peer.ProposalR
 // two RPCs is still observed.
 func (e *remoteEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationCode, error) {
 	req := submitReq{Channel: e.rc.name, Tx: tx}
-	if _, err := e.rc.r.rpc.Call(e.id, methodSubmit, req.encode(), e.rc.r.cfg.RPCTimeout); err != nil {
+	if _, err := e.rc.r.rpc.Call(e.id, methodSubmit, encode(&req), e.rc.r.cfg.RPCTimeout); err != nil {
 		switch transport.ErrCode(err) {
 		case codeBacklog:
 			return nil, fmt.Errorf("%w: %s", ordering.ErrBacklog, err)
@@ -249,7 +240,7 @@ func (e *remoteEndorser) Order(tx ledger.Transaction) (<-chan ledger.ValidationC
 	go func() {
 		var resp waitCommitResp
 		wreq := waitCommitReq{Channel: e.rc.name, TxID: tx.ID, Timeout: timeout}
-		if err := e.rc.r.rpc.CallJSON(e.id, methodWaitCommit, wreq, &resp, timeout+5*time.Second); err != nil {
+		if err := call(e.rc.r.rpc, e.id, methodWaitCommit, &wreq, &resp, timeout+5*time.Second); err != nil {
 			return // the gateway's own commit timeout fires
 		}
 		e.mu.Lock()

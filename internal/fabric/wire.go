@@ -6,6 +6,7 @@ import (
 	"socialchain/internal/codec"
 	"socialchain/internal/ledger"
 	"socialchain/internal/peer"
+	"socialchain/internal/transport"
 )
 
 // RPC method names and payloads spoken between the nodes of a deployment
@@ -14,19 +15,19 @@ import (
 // lagging nodes call them. Every request names its channel; a node answers
 // a name other than its own channel's with the nochannel code.
 //
-// The two bodies that carry chain data — a submit's transaction and a
-// blocks response — are encoded with
-// internal/codec (the encode/decode pairs below) and travel through
-// RPC.Call as raw bytes. The rest are small control-plane structs that
-// nothing hashes or stores; they stay JSON through RPC.CallJSON.
+// Every body is encoded with internal/codec: each type below lays out its
+// fields with an AppendTo/DecodeFrom pair, reusing the encodings of the
+// chain data it carries (a proposal, a transaction, a block), and travels
+// through RPC.Call as raw bytes. A body that is not one whole encoding —
+// a JSON body from an older build among them — is refused with
+// codec.ErrCorrupt.
 const (
-	methodEndorse      = "endorse"
-	methodEndorseBatch = "endorsebatch"
-	methodWaitCommit   = "waitcommit"
-	methodHeight       = "height"
-	methodBlocks       = "blocks"
-	methodVerifyChain  = "verifychain"
-	methodSubmit       = "submit"
+	methodEndorse     = "endorse"
+	methodWaitCommit  = "waitcommit"
+	methodHeight      = "height"
+	methodBlocks      = "blocks"
+	methodVerifyChain = "verifychain"
+	methodSubmit      = "submit"
 )
 
 // Error codes carried across the wire as transport.CodedError, mapped back
@@ -42,59 +43,117 @@ const (
 // sources page through taller gaps.
 const maxSyncBlocks = 512
 
+// body is an RPC request or response body.
+type body interface {
+	AppendTo(b []byte) []byte
+	DecodeFrom(r *codec.Reader)
+}
+
+func encode(m body) []byte { return codec.Encode(m.AppendTo) }
+
+// decode reads a whole body into m; bytes left over are an error.
+func decode(p []byte, m body) error {
+	r := codec.NewReader(p)
+	m.DecodeFrom(r)
+	return r.Done()
+}
+
+// call sends req to peer `to` and decodes the response into resp.
+func call(rpc *transport.RPC, to, method string, req, resp body, timeout time.Duration) error {
+	out, err := rpc.Call(to, method, encode(req), timeout)
+	if err != nil {
+		return err
+	}
+	return decode(out, resp)
+}
+
+// endorseReq is the channel name, then the proposal's encoding. The
+// response is the peer.ProposalResponse's.
 type endorseReq struct {
-	Channel  string         `json:"channel"`
-	Proposal *peer.Proposal `json:"proposal"`
+	Channel  string
+	Proposal peer.Proposal
 }
 
-type endorseBatchReq struct {
-	Channel  string              `json:"channel"`
-	Proposal *peer.BatchProposal `json:"proposal"`
+func (m *endorseReq) AppendTo(b []byte) []byte {
+	return m.Proposal.AppendTo(codec.AppendString(b, m.Channel))
 }
 
+func (m *endorseReq) DecodeFrom(r *codec.Reader) {
+	m.Channel = r.String()
+	m.Proposal.DecodeFrom(r)
+}
+
+// waitCommitReq is the channel name, the transaction ID and how long the
+// client will wait, in nanoseconds.
 type waitCommitReq struct {
-	Channel string        `json:"channel"`
-	TxID    string        `json:"tx_id"`
-	Timeout time.Duration `json:"timeout"`
+	Channel string
+	TxID    string
+	Timeout time.Duration
 }
 
+func (m *waitCommitReq) AppendTo(b []byte) []byte {
+	b = codec.AppendString(codec.AppendString(b, m.Channel), m.TxID)
+	return codec.AppendUvarint(b, uint64(m.Timeout))
+}
+
+func (m *waitCommitReq) DecodeFrom(r *codec.Reader) {
+	m.Channel, m.TxID, m.Timeout = r.String(), r.String(), time.Duration(r.Uvarint())
+}
+
+// waitCommitResp is the validation flag byte, then the block number.
 type waitCommitResp struct {
-	Flag     ledger.ValidationCode `json:"flag"`
-	BlockNum uint64                `json:"block_num"`
+	Flag     ledger.ValidationCode
+	BlockNum uint64
 }
 
-type channelReq struct {
-	Channel string `json:"channel"`
+func (m *waitCommitResp) AppendTo(b []byte) []byte {
+	return codec.AppendUvarint(append(b, byte(m.Flag)), m.BlockNum)
 }
 
-type heightResp struct {
-	Height uint64 `json:"height"`
+func (m *waitCommitResp) DecodeFrom(r *codec.Reader) {
+	m.Flag, m.BlockNum = ledger.ValidationCode(r.Byte()), r.Uvarint()
 }
 
+// channelReq, the height and verifychain request, is the channel name.
+type channelReq struct{ Channel string }
+
+func (m *channelReq) AppendTo(b []byte) []byte   { return codec.AppendString(b, m.Channel) }
+func (m *channelReq) DecodeFrom(r *codec.Reader) { m.Channel = r.String() }
+
+// heightResp, the height and verifychain response, is the chain height.
+type heightResp struct{ Height uint64 }
+
+func (m *heightResp) AppendTo(b []byte) []byte   { return codec.AppendUvarint(b, m.Height) }
+func (m *heightResp) DecodeFrom(r *codec.Reader) { m.Height = r.Uvarint() }
+
+// blocksReq is the channel name, then the first height wanted; the node
+// answers with at most maxSyncBlocks blocks from there.
 type blocksReq struct {
-	Channel string `json:"channel"`
-	From    uint64 `json:"from"`
-	Max     int    `json:"max"`
+	Channel string
+	From    uint64
 }
+
+func (m *blocksReq) AppendTo(b []byte) []byte {
+	return codec.AppendUvarint(codec.AppendString(b, m.Channel), m.From)
+}
+
+func (m *blocksReq) DecodeFrom(r *codec.Reader) { m.Channel, m.From = r.String(), r.Uvarint() }
 
 // blocksResp is the block count, then each block's canonical encoding.
 type blocksResp struct {
 	Blocks []*ledger.Block
 }
 
-func (m blocksResp) encode() []byte {
-	return codec.Encode(func(b []byte) []byte {
-		b = codec.AppendUvarint(b, uint64(len(m.Blocks)))
-		for _, blk := range m.Blocks {
-			b = blk.AppendTo(b)
-		}
-		return b
-	})
+func (m *blocksResp) AppendTo(b []byte) []byte {
+	b = codec.AppendUvarint(b, uint64(len(m.Blocks)))
+	for _, blk := range m.Blocks {
+		b = blk.AppendTo(b)
+	}
+	return b
 }
 
-func decodeBlocksResp(p []byte) (blocksResp, error) {
-	var m blocksResp
-	r := codec.NewReader(p)
+func (m *blocksResp) DecodeFrom(r *codec.Reader) {
+	m.Blocks = nil
 	if n := r.Count(ledger.BlockMinLen); n > 0 {
 		m.Blocks = make([]*ledger.Block, n)
 	}
@@ -102,24 +161,20 @@ func decodeBlocksResp(p []byte) (blocksResp, error) {
 		m.Blocks[i] = new(ledger.Block)
 		m.Blocks[i].DecodeFrom(r)
 	}
-	return m, r.Done()
 }
 
-// submitReq is the channel name, then the transaction's canonical encoding.
+// submitReq is the channel name, then the transaction's canonical
+// encoding. The response is empty.
 type submitReq struct {
 	Channel string
 	Tx      ledger.Transaction
 }
 
-func (m *submitReq) encode() []byte {
-	return m.Tx.AppendTo(codec.AppendString(nil, m.Channel))
+func (m *submitReq) AppendTo(b []byte) []byte {
+	return m.Tx.AppendTo(codec.AppendString(b, m.Channel))
 }
 
-func decodeSubmitReq(p []byte) (*submitReq, error) {
-	r := codec.NewReader(p)
-	m := &submitReq{Channel: r.String()}
+func (m *submitReq) DecodeFrom(r *codec.Reader) {
+	m.Channel = r.String()
 	m.Tx.DecodeFrom(r)
-	return m, r.Done()
 }
-
-type emptyResp struct{}

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"socialchain/internal/chaincode"
+	"socialchain/internal/codec"
 	"socialchain/internal/ledger"
 	"socialchain/internal/ordering"
 	"socialchain/internal/peer"
@@ -355,16 +357,76 @@ func TestNodeRestartCatchUp(t *testing.T) {
 func TestOtherChannelAnsweredNoChannel(t *testing.T) {
 	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-nochannel"})
 	var h heightResp
-	err := d.remote.rpc.CallJSON(d.nodes[0].ID(), methodHeight, channelReq{Channel: "other-channel"}, &h, 3*time.Second)
+	err := call(d.remote.rpc, d.nodes[0].ID(), methodHeight, &channelReq{Channel: "other-channel"}, &h, 3*time.Second)
 	if code := transport.ErrCode(err); code != "nochannel" {
 		t.Fatalf("node height on another channel: err = %v (code %q), want nochannel", err, code)
 	}
 	req := submitReq{Channel: "other-channel", Tx: ledger.Transaction{ID: "tx-elsewhere"}}
-	_, err = d.remote.rpc.Call(d.nodes[0].ID(), methodSubmit, req.encode(), 3*time.Second)
+	_, err = d.remote.rpc.Call(d.nodes[0].ID(), methodSubmit, encode(&req), 3*time.Second)
 	if code := transport.ErrCode(err); code != "nochannel" {
 		t.Fatalf("node submit on another channel: err = %v (code %q), want nochannel", err, code)
 	}
 	if h, err := d.remote.ChainHeight(d.nodes[0].ID()); err != nil || h == 0 {
 		t.Fatalf("node height on its own channel: %d, %v", h, err)
+	}
+}
+
+// TestRemoteEndorseRefusedAsBehind: a node that does not reach a
+// proposal's MinHeight says so over the wire as ErrBehind, for a single
+// call and for a batch alike, so a remote gateway reports an endorser's
+// real answer over a behind refusal whichever it submits.
+func TestRemoteEndorseRefusedAsBehind(t *testing.T) {
+	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-behind"})
+	client := newClient(t)
+	args := [][]byte{[]byte("k"), []byte("v")}
+	for name, prop := range map[string]*peer.Proposal{
+		"single": {Chaincode: "kv", Fn: "put", Args: args},
+		"batch":  {Batch: []chaincode.BatchCall{{Chaincode: "kv", Fn: "put", Args: args}}},
+	} {
+		prop.ChannelID, prop.Timestamp = d.remote.ChannelAt(0).Name(), time.Now()
+		if _, err := prop.Sign(client); err != nil {
+			t.Fatal(err)
+		}
+		prop.MinHeight = 1 << 40
+		if _, err := d.remote.ChannelAt(0).endorsers[0].Endorse(prop); !errors.Is(err, ErrBehind) {
+			t.Fatalf("%s proposal below MinHeight: %v, want ErrBehind", name, err)
+		}
+	}
+}
+
+// TestEndorseRefusesJSONBody: the endorse body is the codec encoding, and
+// a JSON body — what an older build's client sends — is refused with a
+// decode error rather than misread.
+func TestEndorseRefusesJSONBody(t *testing.T) {
+	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-json"})
+	prop, err := peer.NewProposal(newClient(t), d.remote.ChannelAt(0).Name(), "kv", "put", [][]byte{[]byte("k"), []byte("v")}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"channel": d.remote.ChannelAt(0).Name(), "proposal": prop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.remote.rpc.Call(d.nodes[0].ID(), methodEndorse, body, 3*time.Second)
+	if err == nil || !strings.Contains(err.Error(), codec.ErrCorrupt.Error()) {
+		t.Fatalf("JSON endorse body: err = %v, want a decode error", err)
+	}
+}
+
+// TestWaitCommitCappedAtCommitTimeout: a client's waitcommit for a
+// transaction that never commits asks for an hour, and the node answers
+// committimeout after its own CommitTimeout instead of pinning a waiter
+// until the client's RPC gives up.
+func TestWaitCommitCappedAtCommitTimeout(t *testing.T) {
+	d := startDeployment(t, Config{NumPeers: 4, IdentitySeed: "wire-waitcap", CommitTimeout: 200 * time.Millisecond})
+	start := time.Now()
+	req := waitCommitReq{Channel: d.remote.ChannelAt(0).Name(), TxID: "never-submitted", Timeout: time.Hour}
+	var resp waitCommitResp
+	err := call(d.remote.rpc, d.nodes[0].ID(), methodWaitCommit, &req, &resp, 10*time.Second)
+	if code := transport.ErrCode(err); code != codeCommitTimeout {
+		t.Fatalf("waitcommit for an hour: err = %v (code %q), want %s", err, code, codeCommitTimeout)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("waitcommit answered after %s, want about the node's 200ms CommitTimeout", took)
 	}
 }

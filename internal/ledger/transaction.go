@@ -107,7 +107,7 @@ func (t *Transaction) SigningBytes() []byte { return t.SigningBytesFor(t.Digest(
 func (t *Transaction) SigningBytesFor(digest []byte) []byte {
 	out := make([]byte, 0, len(digest)+len(t.ID)+128)
 	out = codec.AppendString(append(out, digest...), t.ID)
-	return t.Payload.appendTo(out)
+	return t.Payload.AppendTo(out)
 }
 
 // NewTxID derives a transaction ID from the creator and a nonce, following
@@ -137,14 +137,10 @@ func (t *Transaction) AppendTo(b []byte) []byte {
 	b = codec.AppendString(b, t.ID)
 	b = codec.AppendString(b, t.ChannelID)
 	b = t.Creator.AppendTo(b)
-	b = t.Payload.appendTo(b)
+	b = t.Payload.AppendTo(b)
 	b = codec.AppendBytes(b, t.Response)
 	b = t.RWSet.AppendTo(b)
-	b = codec.AppendUvarint(b, uint64(len(t.Events)))
-	for _, e := range t.Events {
-		b = codec.AppendString(b, e.Name)
-		b = codec.AppendBytes(b, e.Payload)
-	}
+	b = AppendEvents(b, t.Events)
 	b = codec.AppendUvarint(b, uint64(len(t.Endorsements)))
 	for _, e := range t.Endorsements {
 		b = e.AppendTo(b)
@@ -168,11 +164,12 @@ func (t *Transaction) CheckFlat() error {
 	return nil
 }
 
-// appendTo appends the payload: the envelope's own call, then the calls
+// AppendTo appends the payload: the envelope's own call, then the calls
 // of its batch as a flat list behind their count. A call inside a batch
 // has no batch of its own (CheckFlat), so nesting deeper than one level
-// has no encoding.
-func (p *TxPayload) appendTo(b []byte) []byte {
+// has no encoding. A proposal's signing bytes carry the same encoding
+// (peer.Proposal.SigningBytes).
+func (p *TxPayload) AppendTo(b []byte) []byte {
 	b = p.appendCall(b)
 	b = codec.AppendUvarint(b, uint64(len(p.Batch)))
 	for i := range p.Batch {
@@ -213,6 +210,30 @@ func (p *TxPayload) decodeCall(r *codec.Reader) {
 	}
 }
 
+// AppendEvents appends a list of chaincode events — a transaction's, an
+// endorsement's — as their count and then each one's name and payload.
+func AppendEvents(b []byte, events []Event) []byte {
+	b = codec.AppendUvarint(b, uint64(len(events)))
+	for _, e := range events {
+		b = codec.AppendString(b, e.Name)
+		b = codec.AppendBytes(b, e.Payload)
+	}
+	return b
+}
+
+// DecodeEvents reads what AppendEvents wrote; an empty list reads as nil.
+func DecodeEvents(r *codec.Reader) []Event {
+	n := r.Count(eventMinLen)
+	if n == 0 {
+		return nil
+	}
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{Name: r.String(), Payload: r.Bytes()}
+	}
+	return events
+}
+
 // Shortest encodings of the list items below, for codec.Reader.Count.
 const (
 	callMinLen  = 3  // two empty strings and an empty argument list
@@ -251,12 +272,7 @@ func (t *Transaction) DecodeFrom(r *codec.Reader) {
 	t.Payload.decodeFrom(r)
 	t.Response = r.Bytes()
 	t.RWSet.DecodeFrom(r)
-	if n := r.Count(eventMinLen); n > 0 {
-		t.Events = make([]Event, n)
-	}
-	for i := range t.Events {
-		t.Events[i] = Event{Name: r.String(), Payload: r.Bytes()}
-	}
+	t.Events = DecodeEvents(r)
 	if n := r.Count(msp.EndorsementRefMinLen); n > 0 {
 		t.Endorsements = make([]msp.EndorsementRef, n)
 	}

@@ -10,43 +10,15 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
-	"socialchain/internal/statedb"
 )
 
-func batchPropose(t *testing.T, client *msp.Signer, calls ...chaincode.BatchCall) *BatchProposal {
+func batchPropose(t *testing.T, client *msp.Signer, calls ...chaincode.BatchCall) *Proposal {
 	t.Helper()
-	bp, err := NewBatchProposal(client, "ch", calls, time.Now())
-	if err != nil {
+	bp := &Proposal{ChannelID: "ch", Batch: calls, Timestamp: time.Now()}
+	if _, err := bp.Sign(client); err != nil {
 		t.Fatal(err)
 	}
 	return bp
-}
-
-// batchEnvelope assembles a signed tx from a batch endorsement.
-func batchEnvelope(t *testing.T, client *msp.Signer, bp *BatchProposal, resps ...*ProposalResponse) ledger.Transaction {
-	t.Helper()
-	payload := ledger.TxPayload{Batch: make([]ledger.TxPayload, len(bp.Calls))}
-	for i, c := range bp.Calls {
-		payload.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
-	}
-	tx := ledger.Transaction{
-		ID:        bp.TxID,
-		ChannelID: bp.ChannelID,
-		Creator:   client.Identity,
-		Payload:   payload,
-		Response:  resps[0].Response,
-		Events:    resps[0].Events,
-		Timestamp: bp.Timestamp,
-	}
-	var err error
-	if tx.RWSet, err = statedb.DecodeRWSet(resps[0].RWSet); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range resps {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement.Ref())
-	}
-	tx.Signature = client.Sign(tx.SigningBytes())
-	return tx
 }
 
 // TestEndorseBatchMergedRWSetCommits endorses three incr calls on one key
@@ -59,9 +31,9 @@ func TestEndorseBatchMergedRWSetCommits(t *testing.T) {
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("k")}},
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("k")}},
 	)
-	resp, err := p.EndorseBatch(bp)
+	resp, err := p.Endorse(bp)
 	if err != nil {
-		t.Fatalf("EndorseBatch: %v", err)
+		t.Fatalf("Endorse: %v", err)
 	}
 	var responses [][]byte
 	if err := json.Unmarshal(resp.Response, &responses); err != nil {
@@ -70,7 +42,7 @@ func TestEndorseBatchMergedRWSetCommits(t *testing.T) {
 	if len(responses) != 3 || string(responses[2]) != "3" {
 		t.Fatalf("responses = %q", responses)
 	}
-	block, err := p.CommitBatch([]ledger.Transaction{batchEnvelope(t, client, bp, resp)})
+	block, err := p.CommitBatch([]ledger.Transaction{envelope(t, client, bp, resp)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +60,8 @@ func TestEndorseBatchMergedRWSetCommits(t *testing.T) {
 func TestEndorseBatchRejectsBadSignature(t *testing.T) {
 	p, client := newTestPeer(t)
 	bp := batchPropose(t, client, chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("k")}})
-	bp.Calls = append(bp.Calls, chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("other")}})
-	if _, err := p.EndorseBatch(bp); err == nil {
+	bp.Batch = append(bp.Batch, chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("other")}})
+	if _, err := p.Endorse(bp); err == nil {
 		t.Fatal("tampered batch proposal endorsed")
 	}
 }
@@ -102,7 +74,7 @@ func TestEndorseBatchFailingCallAborts(t *testing.T) {
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("k")}},
 		chaincode.BatchCall{Chaincode: "counter", Fn: "boom"},
 	)
-	if _, err := p.EndorseBatch(bp); err == nil {
+	if _, err := p.Endorse(bp); err == nil {
 		t.Fatal("poisoned batch endorsed")
 	}
 	if _, ok := p.State().GetState("counter", "k"); ok {

@@ -116,11 +116,11 @@ func TestCommitFsyncsOncePerBlock(t *testing.T) {
 		calls = append(calls, chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte(fmt.Sprintf("k%d", i))}})
 	}
 	bp := batchPropose(t, client, calls...)
-	resp, err := p.EndorseBatch(bp)
+	resp, err := p.Endorse(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CommitBatch([]ledger.Transaction{batchEnvelope(t, client, bp, resp)}); err != nil {
+	if _, err := p.CommitBatch([]ledger.Transaction{envelope(t, client, bp, resp)}); err != nil {
 		t.Fatal(err)
 	}
 	const blocks = 4
@@ -203,7 +203,7 @@ func TestHistoryMatchesChain(t *testing.T) {
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("other")}},
 		chaincode.BatchCall{Chaincode: "counter", Fn: "set", Args: [][]byte{[]byte("doc"), []byte(`{"label":"car"}`)}},
 	)
-	bresp, err := p.EndorseBatch(bp)
+	bresp, err := p.Endorse(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestHistoryMatchesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := p.CommitBatch([]ledger.Transaction{batchEnvelope(t, client, bp, bresp), envelope(t, client, lone, lresp)})
+	block, err := p.CommitBatch([]ledger.Transaction{envelope(t, client, bp, bresp), envelope(t, client, lone, lresp)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,59 +297,49 @@ func (p *Peer) VerifyCacheStats() (skipped, verified int64) {
 
 // Endorse simulates a proposal against this peer's current state and signs
 // the resulting read/write set, implementing the paper's "each peer
-// executes the smart contract independently".
+// executes the smart contract independently". A batch proposal's calls
+// execute on one simulator (chaincode.InvokeBatch), yielding one merged
+// read/write set that the peer signs once, so one endorsement round-trip
+// and one signature cover an entire ingest batch; its response is the JSON
+// array of per-call responses.
 func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
+	if err := prop.check(); err != nil {
+		return nil, fmt.Errorf("peer %s: %w", p.id, err)
+	}
 	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
 		return nil, fmt.Errorf("peer %s: proposal %s: bad client signature", p.id, prop.TxID)
 	}
-	cc, ok := p.registry.Get(prop.Chaincode)
-	if !ok {
-		return nil, fmt.Errorf("peer %s: unknown chaincode %q", p.id, prop.Chaincode)
+	ccName := prop.Chaincode
+	if len(prop.Batch) > 0 {
+		ccName = prop.Batch[0].Chaincode
 	}
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID:      prop.TxID,
 		ChannelID: prop.ChannelID,
 		Creator:   prop.Creator,
 		Timestamp: prop.Timestamp,
-	}, prop.Chaincode, p.state, p.history).WithRegistry(p.registry)
+	}, ccName, p.state, p.history).WithRegistry(p.registry)
 	start := time.Now()
-	resp, err := cc.Invoke(sim, prop.Fn, prop.Args)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: chaincode %s.%s: %w", p.id, prop.Chaincode, prop.Fn, err)
+	var resp []byte
+	if len(prop.Batch) > 0 {
+		responses, err := sim.InvokeBatch(prop.Batch)
+		if err != nil {
+			return nil, fmt.Errorf("peer %s: %w", p.id, err)
+		}
+		if resp, err = json.Marshal(responses); err != nil {
+			return nil, fmt.Errorf("peer %s: marshal batch responses: %w", p.id, err)
+		}
+	} else {
+		cc, ok := p.registry.Get(prop.Chaincode)
+		if !ok {
+			return nil, fmt.Errorf("peer %s: unknown chaincode %q", p.id, prop.Chaincode)
+		}
+		var err error
+		if resp, err = cc.Invoke(sim, prop.Fn, prop.Args); err != nil {
+			return nil, fmt.Errorf("peer %s: chaincode %s.%s: %w", p.id, prop.Chaincode, prop.Fn, err)
+		}
 	}
 	p.obsEndorse.Observe(time.Since(start))
-	return p.respond(prop.TxID, sim, resp)
-}
-
-// EndorseBatch is the batch endorsement entrypoint: every call of the
-// proposal executes on one simulator (chaincode.InvokeBatch), yielding a
-// single merged read/write set that the peer signs once. One endorsement
-// round-trip and one signature therefore cover an entire ingest batch,
-// instead of one of each per record. The response is the JSON array of
-// per-call responses.
-func (p *Peer) EndorseBatch(prop *BatchProposal) (*ProposalResponse, error) {
-	if len(prop.Calls) == 0 {
-		return nil, fmt.Errorf("peer %s: batch proposal %s: empty call list", p.id, prop.TxID)
-	}
-	if !p.sigs.Verify(prop.Creator, prop.SigningBytes(), prop.Signature) {
-		return nil, fmt.Errorf("peer %s: batch proposal %s: bad client signature", p.id, prop.TxID)
-	}
-	sim := chaincode.NewSimulator(chaincode.TxContext{
-		TxID:      prop.TxID,
-		ChannelID: prop.ChannelID,
-		Creator:   prop.Creator,
-		Timestamp: prop.Timestamp,
-	}, prop.Calls[0].Chaincode, p.state, p.history).WithRegistry(p.registry)
-	start := time.Now()
-	responses, err := sim.InvokeBatch(prop.Calls)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: %w", p.id, err)
-	}
-	p.obsEndorse.Observe(time.Since(start))
-	resp, err := json.Marshal(responses)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: marshal batch responses: %w", p.id, err)
-	}
 	return p.respond(prop.TxID, sim, resp)
 }
 

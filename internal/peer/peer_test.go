@@ -126,7 +126,7 @@ func envelope(t testing.TB, client *msp.Signer, prop *Proposal, resps ...*Propos
 		ID:        prop.TxID,
 		ChannelID: prop.ChannelID,
 		Creator:   client.Identity,
-		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, ArgHashes: ledger.HashArgs(prop.Args)},
+		Payload:   prop.Payload(),
 		Response:  resps[0].Response,
 		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
@@ -455,11 +455,11 @@ func TestRecordedInvocationIsSigned(t *testing.T) {
 		bp := batchPropose(t, client,
 			chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("b1")}},
 			chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("b2")}})
-		resp, err := p.EndorseBatch(bp)
+		resp, err := p.Endorse(bp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return batchEnvelope(t, client, bp, resp)
+		return envelope(t, client, bp, resp)
 	}
 	cases := []struct {
 		name   string

@@ -6,158 +6,197 @@ package peer
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"fmt"
 	"time"
 
 	"socialchain/internal/chaincode"
+	"socialchain/internal/codec"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
 )
 
-// Proposal is a client's request that a chaincode function be executed and
-// endorsed.
+// Proposal is a client's request that chaincode be executed and endorsed.
+// It names either one call of its own (Chaincode, Fn, Args) or a batch of
+// calls (Batch), the coalesced endorsement unit of the ingest pipeline:
+// every call of a batch executes on one simulator and the calls commit
+// atomically under one envelope, call i under sub-transaction ID
+// chaincode.SubTxID(TxID, i). A proposal naming both, or neither, is
+// refused. The envelope records what it names as Payload.
 type Proposal struct {
-	TxID      string       `json:"tx_id"`
-	ChannelID string       `json:"channel_id"`
-	Chaincode string       `json:"chaincode"`
-	Fn        string       `json:"fn"`
-	Args      [][]byte     `json:"args"`
-	Creator   msp.Identity `json:"creator"`
-	Nonce     []byte       `json:"nonce"`
-	Timestamp time.Time    `json:"timestamp"`
-	Signature []byte       `json:"signature"`
+	TxID      string
+	ChannelID string
+	Chaincode string
+	Fn        string
+	Args      [][]byte
+	Batch     []chaincode.BatchCall
+	Creator   msp.Identity
+	Nonce     []byte
+	Timestamp time.Time
+	Signature []byte
 	// Trace is the observability trace ID minted at submission. It rides
 	// the proposal across RPC hops but stays outside SigningBytes, so
 	// tracing never perturbs signatures.
-	Trace string `json:"trace,omitempty"`
+	Trace string
 	// MinHeight is the chain height the endorser must have reached before
 	// it simulates: the client's last receipt, so it reads its own writes.
 	// It only schedules, so it stays outside SigningBytes too: a forged
 	// value can delay nothing but this proposal.
-	MinHeight uint64 `json:"min_height,omitempty"`
+	MinHeight uint64
 }
 
-// SigningBytes returns the canonical bytes a client signs.
-func (p *Proposal) SigningBytes() []byte {
-	h := sha256.New()
-	h.Write([]byte(p.TxID))
-	h.Write([]byte{0})
-	h.Write([]byte(p.ChannelID))
-	h.Write([]byte{0})
-	h.Write([]byte(p.Chaincode))
-	h.Write([]byte{0})
-	h.Write([]byte(p.Fn))
-	h.Write([]byte{0})
-	for _, a := range p.Args {
-		ah := sha256.Sum256(a)
-		h.Write(ah[:])
+// Payload returns the invocation the proposal names as the envelope
+// records it: chaincode, function and argument hashes, of its own call or
+// of each call of its batch.
+func (p *Proposal) Payload() ledger.TxPayload {
+	out := ledger.TxPayload{Chaincode: p.Chaincode, Fn: p.Fn, ArgHashes: ledger.HashArgs(p.Args)}
+	if len(p.Batch) > 0 {
+		out.Batch = make([]ledger.TxPayload, len(p.Batch))
 	}
-	h.Write(p.Nonce)
-	return h.Sum(nil)
+	for i, c := range p.Batch {
+		out.Batch[i] = ledger.TxPayload{Chaincode: c.Chaincode, Fn: c.Fn, ArgHashes: ledger.HashArgs(c.Args)}
+	}
+	return out
+}
+
+// SigningBytes returns the bytes a client signs: the canonical encoding
+// of the transaction ID, the channel, the payload (ledger.TxPayload's
+// encoding, the one the envelope carries) and the nonce.
+func (p *Proposal) SigningBytes() []byte { return p.signingBytes(p.Payload()) }
+
+func (p *Proposal) signingBytes(payload ledger.TxPayload) []byte {
+	b := codec.AppendString(codec.AppendString(nil, p.TxID), p.ChannelID)
+	return codec.AppendBytes(payload.AppendTo(b), p.Nonce)
+}
+
+// check refuses a proposal that names both a call of its own and a batch,
+// or neither.
+func (p *Proposal) check() error {
+	own := p.Chaincode != "" || p.Fn != "" || len(p.Args) > 0
+	if own == (len(p.Batch) > 0) {
+		return fmt.Errorf("peer: proposal %s must name one call or one batch of calls", p.TxID)
+	}
+	return nil
+}
+
+// Sign stamps the proposal with client's identity, a fresh nonce, the
+// transaction ID they derive and a trace ID, and signs it. It returns the
+// payload the signature covers (Payload), for the envelope.
+func (p *Proposal) Sign(client *msp.Signer) (ledger.TxPayload, error) {
+	if err := p.check(); err != nil {
+		return ledger.TxPayload{}, err
+	}
+	nonce := make([]byte, 24)
+	if _, err := rand.Read(nonce); err != nil {
+		return ledger.TxPayload{}, fmt.Errorf("peer: nonce: %w", err)
+	}
+	p.Creator, p.Nonce, p.Trace = client.Identity, nonce, obs.NewTraceID()
+	p.TxID = ledger.NewTxID(client.Identity, nonce)
+	payload := p.Payload()
+	p.Signature = client.Sign(p.signingBytes(payload))
+	return payload, nil
 }
 
 // NewProposal builds and signs a proposal for the given invocation.
 func NewProposal(client *msp.Signer, channelID, ccName, fn string, args [][]byte, now time.Time) (*Proposal, error) {
-	nonce := make([]byte, 24)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("peer: nonce: %w", err)
+	p := &Proposal{ChannelID: channelID, Chaincode: ccName, Fn: fn, Args: args, Timestamp: now}
+	if _, err := p.Sign(client); err != nil {
+		return nil, err
 	}
-	p := &Proposal{
-		TxID:      ledger.NewTxID(client.Identity, nonce),
-		ChannelID: channelID,
-		Chaincode: ccName,
-		Fn:        fn,
-		Args:      args,
-		Creator:   client.Identity,
-		Nonce:     nonce,
-		Timestamp: now,
-		Trace:     obs.NewTraceID(),
-	}
-	p.Signature = client.Sign(p.SigningBytes())
 	return p, nil
 }
 
-// Verify checks the proposal's client signature.
-func (p *Proposal) Verify() bool {
-	return p.Creator.Verify(p.SigningBytes(), p.Signature)
+// AppendTo appends the proposal's canonical encoding, the body of the
+// endorse RPC: every field in declaration order, a call as its chaincode,
+// function and arguments, the batch as its count and then each call.
+func (p *Proposal) AppendTo(b []byte) []byte {
+	b = codec.AppendString(b, p.TxID)
+	b = codec.AppendString(b, p.ChannelID)
+	b = appendCall(b, p.Chaincode, p.Fn, p.Args)
+	b = codec.AppendUvarint(b, uint64(len(p.Batch)))
+	for _, c := range p.Batch {
+		b = appendCall(b, c.Chaincode, c.Fn, c.Args)
+	}
+	b = p.Creator.AppendTo(b)
+	b = codec.AppendBytes(b, p.Nonce)
+	b = codec.AppendTime(b, p.Timestamp)
+	b = codec.AppendBytes(b, p.Signature)
+	b = codec.AppendString(b, p.Trace)
+	return codec.AppendUvarint(b, p.MinHeight)
 }
 
-// BatchProposal is a client's request that several chaincode calls be
-// executed on one simulator and endorsed as a single atomic envelope — the
-// coalesced endorsement unit of the ingest pipeline. Call i runs under
-// sub-transaction ID chaincode.SubTxID(TxID, i).
-type BatchProposal struct {
-	TxID      string                `json:"tx_id"`
-	ChannelID string                `json:"channel_id"`
-	Calls     []chaincode.BatchCall `json:"calls"`
-	Creator   msp.Identity          `json:"creator"`
-	Nonce     []byte                `json:"nonce"`
-	Timestamp time.Time             `json:"timestamp"`
-	Signature []byte                `json:"signature"`
-	// Trace is the observability trace ID for the whole batch envelope,
-	// outside SigningBytes like the single-proposal one.
-	Trace string `json:"trace,omitempty"`
-	// MinHeight is the single proposal's read-your-writes floor.
-	MinHeight uint64 `json:"min_height,omitempty"`
+// DecodeFrom reads what AppendTo wrote; empty lists and byte strings read
+// as nil and the timestamp comes back in UTC.
+func (p *Proposal) DecodeFrom(r *codec.Reader) {
+	*p = Proposal{TxID: r.String(), ChannelID: r.String()}
+	p.Chaincode, p.Fn, p.Args = decodeCall(r)
+	if n := r.Count(callMinLen); n > 0 {
+		p.Batch = make([]chaincode.BatchCall, n)
+	}
+	for i := range p.Batch {
+		c := &p.Batch[i]
+		c.Chaincode, c.Fn, c.Args = decodeCall(r)
+	}
+	p.Creator.DecodeFrom(r)
+	p.Nonce = r.Bytes()
+	p.Timestamp = r.Time()
+	p.Signature = r.Bytes()
+	p.Trace = r.String()
+	p.MinHeight = r.Uvarint()
 }
 
-// SigningBytes returns the canonical bytes a client signs for a batch.
-func (p *BatchProposal) SigningBytes() []byte {
-	h := sha256.New()
-	h.Write([]byte(p.TxID))
-	h.Write([]byte{0})
-	h.Write([]byte(p.ChannelID))
-	h.Write([]byte{0})
-	for _, c := range p.Calls {
-		h.Write([]byte(c.Chaincode))
-		h.Write([]byte{0})
-		h.Write([]byte(c.Fn))
-		h.Write([]byte{0})
-		for _, a := range c.Args {
-			ah := sha256.Sum256(a)
-			h.Write(ah[:])
-		}
-		h.Write([]byte{0xff})
+// callMinLen is the shortest encoded call: two empty strings and an empty
+// argument list.
+const callMinLen = 3
+
+func appendCall(b []byte, cc, fn string, args [][]byte) []byte {
+	b = codec.AppendString(codec.AppendString(b, cc), fn)
+	b = codec.AppendUvarint(b, uint64(len(args)))
+	for _, a := range args {
+		b = codec.AppendBytes(b, a)
 	}
-	h.Write(p.Nonce)
-	return h.Sum(nil)
+	return b
 }
 
-// NewBatchProposal builds and signs a batch proposal.
-func NewBatchProposal(client *msp.Signer, channelID string, calls []chaincode.BatchCall, now time.Time) (*BatchProposal, error) {
-	if len(calls) == 0 {
-		return nil, fmt.Errorf("peer: empty batch proposal")
+func decodeCall(r *codec.Reader) (cc, fn string, args [][]byte) {
+	cc, fn = r.String(), r.String()
+	if n := r.Count(1); n > 0 {
+		args = make([][]byte, n)
 	}
-	nonce := make([]byte, 24)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("peer: nonce: %w", err)
+	for i := range args {
+		args[i] = r.Bytes()
 	}
-	p := &BatchProposal{
-		TxID:      ledger.NewTxID(client.Identity, nonce),
-		ChannelID: channelID,
-		Calls:     calls,
-		Creator:   client.Identity,
-		Nonce:     nonce,
-		Timestamp: now,
-		Trace:     obs.NewTraceID(),
-	}
-	p.Signature = client.Sign(p.SigningBytes())
-	return p, nil
-}
-
-// Verify checks the batch proposal's client signature.
-func (p *BatchProposal) Verify() bool {
-	return p.Creator.Verify(p.SigningBytes(), p.Signature)
+	return cc, fn, args
 }
 
 // ProposalResponse is a peer's endorsement of a simulated proposal.
 type ProposalResponse struct {
-	TxID        string          `json:"tx_id"`
-	Response    []byte          `json:"response,omitempty"`
-	RWSet       []byte          `json:"rw_set"` // statedb.RWSet.Bytes
-	Events      []ledger.Event  `json:"events,omitempty"`
-	Endorsement msp.Endorsement `json:"endorsement"`
-	Err         string          `json:"err,omitempty"`
+	TxID        string
+	Response    []byte
+	RWSet       []byte // statedb.RWSet.Bytes
+	Events      []ledger.Event
+	Endorsement msp.Endorsement
+}
+
+// AppendTo appends the response's canonical encoding, the endorse RPC's
+// answer: the fields in declaration order, the events as a transaction
+// carries them (ledger.AppendEvents), the endorsement as the endorser's
+// identity, the digest and the signature.
+func (r *ProposalResponse) AppendTo(b []byte) []byte {
+	b = codec.AppendString(b, r.TxID)
+	b = codec.AppendBytes(b, r.Response)
+	b = codec.AppendBytes(b, r.RWSet)
+	b = ledger.AppendEvents(b, r.Events)
+	b = r.Endorsement.Endorser.AppendTo(b)
+	b = codec.AppendBytes(b, r.Endorsement.Digest)
+	return codec.AppendBytes(b, r.Endorsement.Signature)
+}
+
+// DecodeFrom reads what AppendTo wrote; empty lists and byte strings read
+// as nil.
+func (r *ProposalResponse) DecodeFrom(rd *codec.Reader) {
+	*r = ProposalResponse{TxID: rd.String(), Response: rd.Bytes(), RWSet: rd.Bytes(), Events: ledger.DecodeEvents(rd)}
+	r.Endorsement.Endorser.DecodeFrom(rd)
+	r.Endorsement.Digest = rd.Bytes()
+	r.Endorsement.Signature = rd.Bytes()
 }

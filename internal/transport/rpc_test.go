@@ -93,7 +93,12 @@ func TestRPCConcurrentCallsOverTCP(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			var out int
-			if err := rc.CallJSON("srv", "double", n, &out, 5*time.Second); err != nil {
+			req, _ := json.Marshal(n)
+			resp, err := rc.Call("srv", "double", req, 5*time.Second)
+			if err == nil {
+				err = json.Unmarshal(resp, &out)
+			}
+			if err != nil {
 				errs <- err
 				return
 			}
