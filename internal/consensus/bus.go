@@ -1,10 +1,6 @@
 package consensus
 
-import (
-	"sync"
-
-	"socialchain/internal/transport"
-)
+import "socialchain/internal/transport"
 
 // busStreamPrefix namespaces consensus traffic by channel name on the
 // transport endpoint the fabric RPC traffic shares.
@@ -19,13 +15,14 @@ const inboxSize = 8192
 // latency model and cut/heal switchboard) or a real socket
 // (transport.TCP, which also carries the fabric RPC traffic); the
 // validator cannot tell which. Loss is acceptable: PBFT tolerates dropped
-// messages by design, so sends do not report errors and a full inbox
-// drops what arrives.
+// messages by design, so sends do not report errors, and a frame that
+// arrives at an inbox holding inboxSize messages is refused with
+// transport.ErrBackpressure, which the transport counts as a drop. The
+// inbox holds what is queued, not its bound.
 type Bus struct {
 	t      transport.Transport
 	stream string
-	mu     sync.Mutex // guards inbox against dropInbox
-	inbox  chan *Message
+	inbox  *transport.Queue[*Message]
 }
 
 // NewBus attaches the channel's consensus stream to the endpoint.
@@ -33,7 +30,7 @@ func NewBus(t transport.Transport, channel string) *Bus {
 	b := &Bus{
 		t:      t,
 		stream: busStreamPrefix + channel,
-		inbox:  make(chan *Message, inboxSize),
+		inbox:  transport.NewQueue[*Message](inboxSize),
 	}
 	t.Handle(b.stream, b.onFrame)
 	return b
@@ -47,22 +44,10 @@ func (b *Bus) onFrame(from string, payload []byte) error {
 	if m.From != from {
 		return nil // transport identity must match the claimed origin
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	select {
-	case b.inbox <- m:
-		return nil
-	default:
+	if !b.inbox.Push(m) {
 		return transport.ErrBackpressure
 	}
-}
-
-// dropInbox lets go of the inbox and what is queued in it once the
-// validator has stopped: a later frame finds no room, as in a full inbox.
-func (b *Bus) dropInbox() {
-	b.mu.Lock()
-	b.inbox = nil
-	b.mu.Unlock()
+	return nil
 }
 
 // Send encodes msg once and transmits it to every replica in to. Errors

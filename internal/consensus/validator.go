@@ -11,6 +11,7 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
 	"socialchain/internal/sim"
+	"socialchain/internal/transport"
 )
 
 // Config assembles a validator.
@@ -71,7 +72,7 @@ type Validator struct {
 	cfg  Config
 	n, f int
 
-	proposeCh chan []byte
+	proposals *transport.Queue[[]byte]
 	stopCh    chan struct{}
 	doneCh    chan struct{}
 	stopOnce  sync.Once
@@ -126,7 +127,7 @@ func NewValidator(cfg Config) *Validator {
 		cfg:       cfg,
 		n:         n,
 		f:         (n - 1) / 3,
-		proposeCh: make(chan []byte, 1024),
+		proposals: transport.NewQueue[[]byte](maxProposals),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		nextSeq:   1,
@@ -148,6 +149,9 @@ func NewValidator(cfg Config) *Validator {
 	cfg.Obs.GaugeFunc("consensus_backlog", "Requests admitted and not yet decided.", func() float64 {
 		return float64(v.Backlog())
 	})
+	cfg.Obs.GaugeFunc("consensus_inbox_messages", "Messages received and not yet taken by the replica: a replica falling behind holds more.", func() float64 {
+		return float64(cfg.Sender.inbox.Len())
+	})
 	reg := cfg.Obs.With(obs.L("component", "consensus"))
 	v.sigs.Register(reg)
 	reg.CounterFunc("signatures_made_total", "Signatures made: one per message originated, one more per recipient a behaviour filter alters it for.", v.signs.Load)
@@ -160,8 +164,9 @@ func (v *Validator) Start() { go v.loop() }
 // Stop terminates the replica and waits for the loop to exit. Deliver runs
 // on the loop, so no delivery is in progress once Stop returns. Nor is any
 // other writer of the instance log and request sets, which Stop then
-// empties, and the bus's inbox is dropped, so a stopped replica pins no
-// payloads or messages. Idempotent.
+// empties, and the bus's inbox and the propose queue are closed, so a
+// stopped replica pins no payloads or messages and accepts none.
+// Idempotent.
 func (v *Validator) Stop() {
 	v.stopOnce.Do(func() {
 		close(v.stopCh)
@@ -170,7 +175,8 @@ func (v *Validator) Stop() {
 		v.insts, v.pending, v.delivered = map[uint64]*instance{}, map[[32]byte]*request{}, map[[32]byte]bool{}
 		v.future, v.vcVotes = map[uint64][]*Message{}, map[uint64]map[string][]byte{}
 		v.mu.Unlock()
-		v.cfg.Sender.dropInbox()
+		v.cfg.Sender.inbox.Close()
+		v.proposals.Close()
 	})
 }
 
@@ -183,14 +189,17 @@ func (v *Validator) VerifyCacheStats() (skipped, verified int64) {
 	return v.sigs.Stats()
 }
 
+// maxProposals bounds the payloads queued for the event loop; Propose
+// waits while it is reached.
+const maxProposals = 1024
+
 // Propose submits a payload for total ordering. Any replica may be used as
 // the entry point; the request is broadcast to all replicas so a future
-// leader can still propose it after a view change.
+// leader can still propose it after a view change. It waits while
+// maxProposals payloads are queued, and returns at once on a stopped
+// replica.
 func (v *Validator) Propose(payload []byte) {
-	select {
-	case v.proposeCh <- payload:
-	case <-v.stopCh:
-	}
+	v.proposals.PushWait(payload, v.stopCh)
 }
 
 // View returns the replica's current view.
@@ -319,14 +328,21 @@ func (v *Validator) loop() {
 		tick = 50 * time.Millisecond
 	}
 	timer := v.cfg.Clock.After(tick)
+	inbox := v.cfg.Sender.inbox
+	var batch []*Message
 	for {
 		select {
 		case <-v.stopCh:
 			return
-		case payload := <-v.proposeCh:
-			v.handleRequestPayload(payload, true)
-		case m := <-v.cfg.Sender.inbox:
-			v.dispatchBatch(v.drainInbox(m))
+		case <-v.proposals.Ready():
+			if payload, ok := v.proposals.Pop(); ok {
+				v.handleRequestPayload(payload, true)
+			}
+		case <-inbox.Ready():
+			if batch = inbox.Drain(batch[:0], maxInboxDrain); len(batch) > 0 {
+				v.dispatchBatch(batch)
+				clear(batch) // pin no message past its handling
+			}
 		case <-timer:
 			v.checkTimeouts()
 			timer = v.cfg.Clock.After(tick)
@@ -334,24 +350,10 @@ func (v *Validator) loop() {
 	}
 }
 
-// maxInboxDrain caps how many queued messages one loop iteration pulls, so
-// a full inbox cannot starve the propose and timeout channels.
+// maxInboxDrain caps how many queued messages one loop iteration takes,
+// so verification is amortised across a batch and a full inbox cannot
+// starve the proposals and the timer.
 const maxInboxDrain = 64
-
-// drainInbox collects the first message plus whatever else is already
-// queued, so verification can be amortised across the batch.
-func (v *Validator) drainInbox(first *Message) []*Message {
-	msgs := []*Message{first}
-	for len(msgs) < maxInboxDrain {
-		select {
-		case m := <-v.cfg.Sender.inbox:
-			msgs = append(msgs, m)
-		default:
-			return msgs
-		}
-	}
-	return msgs
-}
 
 // dispatchBatch verifies a drained batch of messages in one parallel pass
 // (a message delivered twice is checked once), then handles them in

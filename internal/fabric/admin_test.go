@@ -120,6 +120,7 @@ func TestNodeAdminSurfaceLive(t *testing.T) {
 		"peer_txs_committed_total", "peer_blocks_committed_total",
 		"tx_stage_seconds_bucket", "tx_commit_e2e_seconds_count",
 		"consensus_delivered_total", "consensus_backlog",
+		"consensus_inbox_messages", "transport_send_queue_frames",
 		"ordering_batches_proposed_total",
 	} {
 		if !strings.Contains(metricsBody, want) {

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"socialchain/internal/consensus"
+	"socialchain/internal/msp"
+	"socialchain/internal/obs"
 	"socialchain/internal/peer"
 )
 
@@ -24,6 +26,7 @@ type Channel struct {
 	excluded map[string]bool
 	rr       atomic.Uint64
 	tip      heightMark
+	sigs     msp.Verifier // the gateways' admit checks
 }
 
 // newChannel puts the gateway backend over the network's nodes.
@@ -35,6 +38,7 @@ func newChannel(n *Network) *Channel {
 		watchdog: NewWatchdog(n.cfg.WatchdogThreshold),
 		excluded: make(map[string]bool),
 	}
+	ch.sigs.Register(ch.obsReg().With(obs.L("component", "gateway")))
 	// Flagged endorsers are removed from the endorser pool.
 	ch.watchdog.OnFlag(func(id string) {
 		ch.mu.Lock()

@@ -63,6 +63,9 @@ type backend interface {
 	// obsReg returns the registry client-side gateway spans record into
 	// (nil when the deployment is not instrumented).
 	obsReg() *obs.Registry
+	// verifier checks and counts the endorsement signatures every gateway
+	// over this backend admits.
+	verifier() *msp.Verifier
 }
 
 // heightMark is the highest chain height (block number + 1) reached by a
@@ -90,6 +93,7 @@ func (ch *Channel) commitTimeout() time.Duration           { return ch.net.cfg.C
 func (ch *Channel) now() time.Time                         { return ch.net.cfg.Clock.Now() }
 func (ch *Channel) after(d time.Duration) <-chan time.Time { return ch.net.cfg.Clock.After(d) }
 func (ch *Channel) seen() *heightMark                      { return &ch.tip }
+func (ch *Channel) verifier() *msp.Verifier                { return &ch.sigs }
 
 func (ch *Channel) clientDelay(peerID string) {
 	cfg := &ch.net.cfg

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"socialchain/internal/consensus"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/obs"
 	"socialchain/internal/ordering"
 )
 
@@ -309,4 +311,55 @@ func mustProposal(t *testing.T, gw *Gateway, cc, fn string, args [][]byte) *prop
 		t.Fatalf("proposal: %v", err)
 	}
 	return p
+}
+
+// TestSignaturesPerSerialRecord counts the endorsement sites per serially
+// stored record on four peers: every peer simulates the proposal and signs
+// one endorsement (signatures_made_total{component="peer"}), and the
+// gateway checks each of the four (signature_verifications_total
+// {component="gateway"}), the ones answering after the quorum included.
+func TestSignaturesPerSerialRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	net := newTestNetwork(t, Config{NumPeers: 4, Obs: reg})
+	gw := net.ChannelAt(0).Gateway(newClient(t))
+	sum := func(name, component string) int {
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, name+"{") && strings.Contains(line, `component="`+component+`"`) {
+				v, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+				if err != nil {
+					t.Fatalf("bad sample %q: %v", line, err)
+				}
+				total += v
+			}
+		}
+		return total
+	}
+	settled := func(name, component string, want int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		for sum(name, component) < want && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // let an over-count show
+		return sum(name, component)
+	}
+	signs0, checks0 := sum("signatures_made_total", "peer"), sum("signature_verifications_total", "gateway")
+	const records = 5
+	for i := 0; i < records; i++ {
+		res, err := gw.Submit("kv", "put", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		if err != nil || res.Flag != ledger.Valid {
+			t.Fatalf("submit %d: %v %v", i, err, res)
+		}
+	}
+	const perRecord = 4
+	if got := settled("signatures_made_total", "peer", signs0+perRecord*records) - signs0; got != perRecord*records {
+		t.Errorf("peers signed %d endorsements for %d records, want %d", got, records, perRecord*records)
+	}
+	if got := settled("signature_verifications_total", "gateway", checks0+perRecord*records) - checks0; got != perRecord*records {
+		t.Errorf("the gateway checked %d endorsements for %d records, want %d", got, records, perRecord*records)
+	}
 }

@@ -406,7 +406,7 @@ func (g *Gateway) collectEndorsements(prop *peer.Proposal) ([]*peer.ProposalResp
 // returned.
 func (g *Gateway) admit(p Endorser, resp *peer.ProposalResponse, members *msp.Registry) error {
 	e := resp.Endorsement
-	if !e.Verify() {
+	if !g.be.verifier().Verify(e.Endorser, e.Digest, e.Signature) {
 		return fmt.Errorf("endorser %s: endorsement signature does not verify", p.ID())
 	}
 	if !bytes.Equal(e.Digest, statedb.DigestEncoded(resp.RWSet, resp.Response)) {

@@ -122,18 +122,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// stateMemtableBytes is the flush threshold of a peer's state engine. What
-// a peer's memtable holds is mostly written once and not read again soon
-// (records, their history and index entries), so it flushes small and
-// gives the heap back; every peer of a process fills and flushes in step,
-// so the process's heap swings by about NumPeers times this. The swing
-// must stay small beside the rest of the heap, or where in the cycle a
-// process stands decides its heap: at 64 KiB it is about 0.35 MB for four
-// peers, against about 6.5 MB for an idle deployment of 4 KiB records. The
-// IPFS blockstore keeps storage.DefaultMemtableBytes: at 1 MiB it would
-// flush once per 1 MiB payload.
-const stateMemtableBytes = 64 << 10
-
 // newNode assembles peer i of the deployment cfg (filled) over an open
 // endpoint t: the peer (under DataDir/peer<i> when durable), its validator
 // on a consensus.Bus over t, its ordering service and its RPC surface. The
@@ -161,7 +149,7 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 		Registry:   n.registry,
 		Policy:     cfg.Policy,
 		Identities: ps.members,
-		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability, MemtableBytes: stateMemtableBytes},
+		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
 		DataDir:    n.dataDir,
 		Indexes:    cfg.StateIndexes,
 		Obs:        reg,
@@ -185,7 +173,7 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 	})
 	n.o = ordering.NewService(cfg.Cutter, n.v, cfg.Clock)
 	n.o.Observe(reg)
-	t.Counters().Register(peerReg)
+	transport.Register(t, peerReg)
 	n.registerHandlers()
 	return n, nil
 }

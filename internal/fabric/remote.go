@@ -82,7 +82,7 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr.Counters().Register(cfg.Obs.With(obs.L("peer", id)))
+	transport.Register(tr, cfg.Obs.With(obs.L("peer", id)))
 	r := &Remote{
 		cfg: cfg,
 		net: net,
@@ -97,6 +97,7 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 	}
 	sort.Strings(r.peerIDs)
 	r.ch = &RemoteChannel{r: r, name: net.ChannelID}
+	r.ch.sigs.Register(r.ch.obsReg().With(obs.L("component", "gateway")))
 	for _, pid := range r.peerIDs {
 		r.ch.endorsers = append(r.ch.endorsers, &remoteEndorser{rc: r.ch, id: pid, committed: make(map[string]uint64)})
 	}
@@ -154,6 +155,7 @@ type RemoteChannel struct {
 	endorsers []*remoteEndorser
 	rr        atomic.Uint64
 	tip       heightMark
+	sigs      msp.Verifier // the gateways' admit checks
 }
 
 // Name returns the channel name.
@@ -168,6 +170,7 @@ func (rc *RemoteChannel) Gateway(client *msp.Signer) *Gateway {
 func (rc *RemoteChannel) chName() string           { return rc.name }
 func (rc *RemoteChannel) chPolicy() msp.Policy     { return rc.r.net.Policy }
 func (rc *RemoteChannel) chMembers() *msp.Registry { return nil }
+func (rc *RemoteChannel) verifier() *msp.Verifier  { return &rc.sigs }
 
 // report drops the observation: which peers endorse is the deployment's
 // decision, and a client has no watchdog to tell. The gateway has already

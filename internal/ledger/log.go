@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/walframe"
 )
 
@@ -44,7 +45,6 @@ type Log struct {
 	w    *walframe.Log
 	path string
 	next uint64 // number the next appended block must carry
-	buf  []byte
 }
 
 // logFormat is the block-log record format this build writes and reads:
@@ -210,20 +210,19 @@ func (l *Log) Append(b *Block) error {
 	if b.Header.Number != l.next {
 		return fmt.Errorf("ledger: log append block %d at log height %d", b.Header.Number, l.next)
 	}
-	buf := append(l.buf[:0], make([]byte, walframe.HeaderLen)...)
-	buf = b.AppendTo(append(buf, logFormat))
-	walframe.Seal(buf)
-	l.buf = buf
-	if _, err := l.w.Append(buf); err != nil {
+	var err error
+	codec.Scratch(func(frame []byte) []byte {
+		frame = b.AppendTo(append(append(frame, make([]byte, walframe.HeaderLen)...), logFormat))
+		walframe.Seal(frame)
+		_, err = l.w.Append(frame)
+		return frame
+	})
+	if err != nil {
 		return fmt.Errorf("ledger: log append block %d: %w", b.Header.Number, err)
 	}
 	l.next++
 	return nil
 }
 
-// Close syncs and closes the log and drops its append buffer, which holds
-// the largest block appended. Idempotent.
-func (l *Log) Close() error {
-	l.buf = nil
-	return l.w.Close()
-}
+// Close syncs and closes the log. Idempotent.
+func (l *Log) Close() error { return l.w.Close() }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socialchain/internal/chaincode"
@@ -42,8 +43,10 @@ type Peer struct {
 	policy   msp.Policy
 	members  *msp.Registry // whose endorsements the policy counts
 
-	// sigs checks and counts every signature this peer meets.
-	sigs msp.Verifier
+	// sigs checks and counts every signature this peer meets; signs
+	// counts the endorsements it signs (respond).
+	sigs  msp.Verifier
+	signs atomic.Int64
 
 	// commitMu serialises the commit pipeline (block log → state batch →
 	// visible chain) so the durable artefacts can never record two
@@ -158,7 +161,9 @@ func New(cfg Config) (*Peer, error) {
 	})
 	// component distinguishes these counts from the consensus replica's,
 	// which registers the same families on the same node-scoped registry.
-	p.sigs.Register(cfg.Obs.With(obs.L("component", "peer")))
+	sigReg := cfg.Obs.With(obs.L("component", "peer"))
+	p.sigs.Register(sigReg)
+	sigReg.CounterFunc("signatures_made_total", "Endorsements signed: one per proposal simulated.", p.signs.Load)
 	// LSM engine internals (sstables, compaction backlog, bloom hit
 	// rates) of the one durable engine; a no-op on in-memory engines.
 	p.state.RegisterStorage(cfg.Obs)
@@ -351,6 +356,7 @@ func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*Pro
 	for _, e := range sim.Events() {
 		events = append(events, ledger.Event{Name: e.Name, Payload: e.Payload})
 	}
+	p.signs.Add(1)
 	return &ProposalResponse{
 		TxID:     txID,
 		Response: resp,

@@ -544,6 +544,8 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A memtable that holds all 4 000 writes unflushed, above the default.
+	state := storage.Config{MemtableBytes: 4 << 20}
 	type opened struct {
 		replayed, heapMB float64 // replayed: summed over /metrics
 		stateReplayed    int64
@@ -552,7 +554,7 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 	}
 	open := func(dir string) opened {
 		metrics := obs.NewRegistry()
-		p, err := openObserved(dir, storage.Config{}, metrics)
+		p, err := openObserved(dir, state, metrics)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,7 +574,7 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 	var cleanHeaps []float64
 	for _, writes := range []int{10, 4000} {
 		clean, crashed := t.TempDir(), t.TempDir()
-		p, err := openDurable(clean)
+		p, err := openDurableWith(clean, state)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,8 +118,8 @@ type TCP struct {
 
 type tcpPeer struct {
 	id    string
-	queue chan []byte
-	kick  chan struct{} // signaled when an inbound conn is adopted
+	queue *Queue[[]byte] // encoded frames, at most QueueLen
+	kick  chan struct{}  // signaled when an inbound conn is adopted
 
 	mu   sync.Mutex
 	addr string
@@ -209,10 +209,16 @@ func (t *TCP) AddPeer(id, addr string) {
 		p.mu.Unlock()
 		return
 	}
-	p := &tcpPeer{id: id, addr: addr, queue: make(chan []byte, t.cfg.QueueLen), kick: make(chan struct{}, 1)}
+	t.addPeer(id, addr)
+}
+
+// addPeer registers a new peer and starts its write pump. Caller holds mu.
+func (t *TCP) addPeer(id, addr string) *tcpPeer {
+	p := &tcpPeer{id: id, addr: addr, queue: NewQueue[[]byte](t.cfg.QueueLen), kick: make(chan struct{}, 1)}
 	t.peers[id] = p
 	t.wg.Add(1)
 	go t.writePump(p)
+	return p
 }
 
 // Send implements Transport.
@@ -231,13 +237,11 @@ func (t *TCP) Send(to, stream string, payload []byte) error {
 	if !ok {
 		return ErrUnknownPeer
 	}
-	select {
-	case p.queue <- frame:
-		return nil
-	default:
+	if !p.queue.Push(frame) {
 		t.ctr.Drops.Inc()
 		return fmt.Errorf("%w (peer %s)", ErrBackpressure, to)
 	}
+	return nil
 }
 
 // Close implements Transport. It stops the listener, the pumps and every
@@ -290,11 +294,14 @@ func (t *TCP) trackConn(conn net.Conn) bool {
 func (t *TCP) writePump(p *tcpPeer) {
 	defer t.wg.Done()
 	for {
-		var frame []byte
 		select {
 		case <-t.done:
 			return
-		case frame = <-p.queue:
+		case <-p.queue.Ready():
+		}
+		frame, ok := p.queue.Pop()
+		if !ok {
+			continue
 		}
 		for {
 			conn := t.acquire(p)
@@ -473,10 +480,7 @@ func (t *TCP) acceptLoop() {
 		}
 		p, ok := t.peers[peerID]
 		if !ok {
-			p = &tcpPeer{id: peerID, queue: make(chan []byte, t.cfg.QueueLen), kick: make(chan struct{}, 1)}
-			t.peers[peerID] = p
-			t.wg.Add(1)
-			go t.writePump(p)
+			p = t.addPeer(peerID, "")
 		}
 		t.mu.Unlock()
 
