@@ -84,6 +84,11 @@ func run() error {
 	fmt.Printf("on-chain metadata: frame=%s camera=%s platform=%s hash=%s...\n",
 		gotMeta.FrameID, gotMeta.CameraID, gotMeta.Platform, gotMeta.DataHash[:12])
 
+	// The receipt may come from another peer's commit; the stats are
+	// peer 0's, so wait for its ledger to hold the block.
+	if !fw.Net.ChannelAt(0).WaitHeight(receipt.BlockNum+1, 10*time.Second) {
+		return fmt.Errorf("peers did not reach block %d", receipt.BlockNum)
+	}
 	stats := fw.LedgerStats()
 	fmt.Printf("chain: height=%d txs=%d valid=%d\n", stats.Height, stats.TotalTxs, stats.ValidTxs)
 	return nil

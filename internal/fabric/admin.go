@@ -72,6 +72,10 @@ type NodeChannelStatus struct {
 	CompactedBytes    int64 `json:"compacted_bytes,omitempty"`
 	MemtableBytes     int64 `json:"memtable_bytes,omitempty"`
 	StallWaits        int64 `json:"stall_waits,omitempty"`
+	// IndexBytes is what the live tables hold in memory to find a key
+	// (index blocks, fences and bloom filters): an idle engine's heap
+	// per table byte on disk.
+	IndexBytes int64 `json:"index_bytes,omitempty"`
 }
 
 // NodeStatus is a peer node's full /statusz report; Channels holds one
@@ -149,6 +153,7 @@ func (n *Node) statusz() any {
 		cs.CompactedBytes = ss.CompactedBytes
 		cs.MemtableBytes = ss.MemtableBytes
 		cs.StallWaits = ss.StallWaits
+		cs.IndexBytes = ss.IndexBytes
 		cs.OpenWALRecords = ss.OpenWALRecords
 	}
 	if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {

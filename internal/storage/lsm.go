@@ -158,6 +158,9 @@ type PersistStats struct {
 	BlockReads        int64      `json:"block_reads"`
 	WALFsyncs         int64      `json:"wal_fsyncs"`
 	Durability        Durability `json:"durability"`
+	// IndexBytes is what the live tables keep in memory to find a key:
+	// their index blocks, key-range fences and bloom filters.
+	IndexBytes int64 `json:"index_bytes"`
 }
 
 // lsmVersion is an immutable snapshot of the table set. Readers pin a
@@ -1318,7 +1321,7 @@ func (p *Persist) IterPrefix(prefix string, fn func(key string, value []byte) bo
 	}
 	for _, lvl := range v.levels {
 		for _, t := range lvl {
-			if len(t.blocks) == 0 || t.maxKey < prefix {
+			if t.nblocks == 0 || t.maxKey < prefix {
 				continue
 			}
 			sources = append(sources, newTableIter(t, prefix, prefix))
@@ -1443,6 +1446,9 @@ func (p *Persist) Stats() PersistStats {
 			}
 			if len(lvl) >= p.fanout {
 				st.CompactionBacklog++
+			}
+			for _, t := range lvl {
+				st.IndexBytes += t.indexBytes() + int64(len(t.filter.bits))
 			}
 		}
 	}
