@@ -242,12 +242,15 @@ func (s *Store) Has(c cid.Cid) bool {
 	return ok
 }
 
-// Len returns the number of stored blocks.
+// Len returns the number of stored blocks: one scan of the index.
 func (s *Store) Len() int {
-	n := s.kv.Len()
-	if n > 0 {
-		n-- // the savepoint, written with the first block
-	}
+	n := 0
+	s.kv.IterPrefix("", func(key string, _ []byte) bool {
+		if key != endKey {
+			n++
+		}
+		return true
+	})
 	return n
 }
 

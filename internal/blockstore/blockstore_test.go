@@ -400,7 +400,7 @@ func TestStoreRefusesOldLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kv.Put(string(NewBlock([]byte(sub)).Cid().Bytes()), []byte(sub))
+		kv.ApplyBatch([]storage.Write{{Key: string(NewBlock([]byte(sub)).Cid().Bytes()), Value: []byte(sub)}})
 		if err := kv.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,8 @@ type Config struct {
 	// MaxInFlight bounds batches submitted but not yet committed.
 	// Consecutive batches from one source read the provenance head the
 	// previous batch wrote, so a second in-flight batch typically pays an
-	// MVCC re-endorsement; the gateway retries it automatically.
+	// MVCC re-endorsement, which the pipeline's own commit stage retries
+	// (up to conflictRetries times).
 	MaxInFlight int
 	// FlushInterval cuts a partial batch after this delay (default 25ms).
 	FlushInterval time.Duration

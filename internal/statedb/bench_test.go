@@ -27,6 +27,7 @@ func seededBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { _ = db.Close() })
 	batch := NewUpdateBatch()
 	for i := 0; i < keys; i++ {
 		doc := fmt.Sprintf(`{"label":"car","confidence":%f,"idx":%d}`, float64(i%100)/100, i)
@@ -64,6 +65,7 @@ func BenchmarkApplyUpdates(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { _ = db.Close() })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batch := NewUpdateBatch()
@@ -115,6 +117,7 @@ func seededIndexedBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { _ = db.Close() })
 	batch := NewUpdateBatch()
 	for i := 0; i < keys; i++ {
 		doc := fmt.Sprintf(`{"label":"label-%02d","meta":{"camera":"cam-%d"},"at":"2026-07-%02dT10:00:00Z","idx":%d}`,

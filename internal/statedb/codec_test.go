@@ -168,7 +168,7 @@ func TestHistoryRefusesOlderFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kv.Put("cc\x00k", []byte("v"))
+		kv.ApplyBatch([]storage.Write{{Key: "cc\x00k", Value: []byte("v")}})
 		if err := kv.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -325,7 +325,7 @@ func indexSavepointFixture(t *testing.T) storage.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv.Put(entryKey("label", "planted", "rec/none"), nil)
+	kv.ApplyBatch([]storage.Write{{Key: entryKey("label", "planted", "rec/none")}})
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"socialchain/internal/storage"
 )
 
 // snapshotEntry is one key's row in a snapshot stream.
@@ -74,7 +76,7 @@ func (db *DB) Restore(r io.Reader) (int, error) {
 		} else if err != nil {
 			return n, fmt.Errorf("statedb: restore entry %d: %w", n, err)
 		}
-		db.kv.Put(stateKey(e.Namespace, e.Key), encodeValue(e.Value, e.Version))
+		db.kv.ApplyBatch([]storage.Write{{Key: stateKey(e.Namespace, e.Key), Value: encodeValue(e.Value, e.Version)}})
 		n++
 	}
 }

@@ -19,6 +19,9 @@ var benchEngines = []struct {
 		if err != nil {
 			tb.Fatalf("open persist: %v", err)
 		}
+		// Registered after TempDir, so it runs first: a background flush
+		// still writing there would fail the directory's removal.
+		tb.Cleanup(func() { _ = p.Close() })
 		return p
 	}},
 }

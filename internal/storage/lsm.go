@@ -13,7 +13,7 @@ package storage
 // On-disk layout inside Config.Dir:
 //
 //	MANIFEST        root pointer: live tables per level, lowest live WAL,
-//	                next file number, live-key count (atomic rewrite)
+//	                next file number (atomic rewrite)
 //	wal-<n>.log     write-ahead log, one file per memtable generation
 //	sst-<n>.sst     immutable sorted runs (see sstable.go)
 //	*.tmp           in-progress manifest writes (cleaned on open)
@@ -27,6 +27,12 @@ package storage
 // length plus value bytes. Open replays each WAL through
 // walframe.Recover, the scan every log shares: a torn tail on the last
 // WAL is truncated; any other damage refuses the open.
+//
+// Writes are blind, as in LevelDB: ApplyBatch and WAL replay put each
+// entry straight into the memtable without reading what lies beneath it,
+// so a write never waits on a table read and never holds the engine lock
+// across one. A delete always writes a tombstone, and the compaction that
+// merges into the bottom level drops it.
 //
 // Reads merge newest-to-oldest: active memtable, flushing memtable, then
 // level 0 downwards, newest table first within a level; the first
@@ -102,10 +108,13 @@ const (
 	// small and give the heap back; the peers and nodes of a process fill
 	// and flush in step, so its heap swings by about their number times
 	// this. The swing must stay small beside the rest of the heap, or where
-	// in the cycle a process stands decides its heap: at 64 KiB it is
-	// about 0.35 MB for four peers, against about 6.5 MB for an idle
-	// deployment of 4 KiB records.
-	DefaultMemtableBytes int64 = 64 << 10
+	// in the cycle a process stands decides its heap. At 64 KiB it was
+	// about 0.35 MB for four peers, a third of an idle deployment of
+	// 1 MiB records (about 1 MB: their payloads live in the IPFS logs),
+	// whose heap then read anywhere from 1.03 to 1.31 MB depending on how
+	// many bytes the timing-dependent block cuts had written; at 16 KiB it
+	// is about 0.09 MB.
+	DefaultMemtableBytes int64 = 16 << 10
 	// DefaultCompactFanout is how many tables a level accumulates before
 	// they merge into the next level.
 	DefaultCompactFanout = 4
@@ -146,7 +155,6 @@ type PersistStats struct {
 	WALBytes          int64      `json:"wal_bytes"`
 	OpenWALRecords    int64      `json:"open_wal_records_replayed"`
 	OpenWALBytes      int64      `json:"open_wal_bytes_replayed"`
-	LiveKeys          int64      `json:"live_keys"`
 	CompactionBacklog int        `json:"compaction_backlog"`
 	Flushes           int64      `json:"flushes"`
 	FlushedBytes      int64      `json:"flushed_bytes"`
@@ -240,7 +248,6 @@ type Persist struct {
 	walIdx    uint64 // active WAL index; WAL numbering is contiguous
 	walBytes  int64
 	nextFile  uint64 // next SSTable file number (persisted in the manifest)
-	base      int64  // live keys in the table-covered state
 	err       error  // sticky I/O error, reported by Sync/Close
 	closed    bool
 	closeOnce sync.Once
@@ -403,11 +410,13 @@ func (p *Persist) scanDir() (wals []uint64, ssts map[uint64]bool, hasSnaps bool,
 // interrupted flushes/compactions, and replays the WAL tail into the
 // memtable. Reopen cost is O(tables + WAL tail), not O(total state).
 func (p *Persist) recover() error {
-	wals, ssts, hasSnaps, err := p.scanDir()
+	// The manifest is read before scanDir deletes anything, so a refused
+	// manifest leaves the directory as it found it.
+	m, haveManifest, err := readManifest(p.dir)
 	if err != nil {
 		return err
 	}
-	m, haveManifest, err := readManifest(p.dir)
+	wals, ssts, hasSnaps, err := p.scanDir()
 	if err != nil {
 		return err
 	}
@@ -450,7 +459,6 @@ func (p *Persist) recover() error {
 			}
 		}
 	}
-	p.base = int64(m.base)
 	p.nextFile = m.nextFile
 	if p.nextFile == 0 {
 		p.nextFile = 1
@@ -514,16 +522,7 @@ func (p *Persist) replayWAL(idx uint64, last bool) error {
 	defer f.Close()
 	end, err := walframe.Recover(f, 0, last, func(_ int64, rec []byte) error {
 		p.openRecords++
-		var aerr error
-		derr := decodeRecord(rec, func(key string, val []byte, del bool) {
-			if aerr == nil {
-				aerr = p.applyReplay(key, val, del)
-			}
-		})
-		if derr != nil {
-			return derr
-		}
-		return aerr
+		return decodeRecord(rec, p.mem.set)
 	})
 	p.openBytes += end
 	if err != nil {
@@ -596,49 +595,6 @@ func appendRecordFrame(buf []byte, writes []Write) []byte {
 	}
 	walframe.Seal(buf[start:])
 	return buf
-}
-
-// applyReplay re-applies one recovered write through the same
-// existence-checked path live writes take, so the live-key delta and
-// no-op-delete elision replay deterministically.
-func (p *Persist) applyReplay(key string, val []byte, del bool) error {
-	_, existed, err := p.lookupLocked(key)
-	if err != nil {
-		return err
-	}
-	if del {
-		if existed {
-			p.mem.setDelete(key)
-		}
-		return nil
-	}
-	p.mem.setPut(key, val, existed)
-	return nil
-}
-
-// lookupLocked resolves key against the full logical state (memtables
-// then tables). Caller holds p.mu (read or write — tables are immutable
-// and the version cannot be swapped while any mu is held).
-func (p *Persist) lookupLocked(key string) (val []byte, existed bool, err error) {
-	if e, ok := p.mem.get(key); ok {
-		if e.tomb {
-			return nil, false, nil
-		}
-		return e.value, true, nil
-	}
-	if p.imm != nil {
-		if e, ok := p.imm.get(key); ok {
-			if e.tomb {
-				return nil, false, nil
-			}
-			return e.value, true, nil
-		}
-	}
-	val, tomb, found, err := searchVersion(p.version, key, &p.stats)
-	if err != nil || !found || tomb {
-		return nil, false, err
-	}
-	return val, true, nil
 }
 
 // corrupt escalates a CRC/decode failure on the read path: with no error
@@ -886,12 +842,10 @@ func (p *Persist) doFlush() {
 	data := manifestData{
 		nextFile: p.nextFile,
 		walMin:   walMin,
-		base:     uint64(p.base + int64(imm.delta)),
 		levels:   newV.fileNos(),
 	}
 	old := p.version
 	p.version = newV
-	p.base += int64(imm.delta)
 	p.imm = nil
 	p.flushCond.Broadcast()
 	needCompact := len(newLevels[0]) >= p.fanout
@@ -1084,7 +1038,6 @@ func (p *Persist) compactOnce() bool {
 		// the only durable copy of those records; naming the live walIdx
 		// here would let recovery delete it and lose acknowledged writes.
 		walMin: p.manifestWALMin,
-		base:   uint64(p.base), // compaction preserves logical content
 		levels: newV.fileNos(),
 	}
 	old := p.version
@@ -1221,55 +1174,8 @@ func (p *Persist) refuseClosedLocked() bool {
 	return p.closed
 }
 
-// Put implements KV.
-func (p *Persist) Put(key string, value []byte) bool {
-	p.mu.Lock()
-	if p.refuseClosedLocked() {
-		p.mu.Unlock()
-		return false
-	}
-	_, existed, err := p.lookupLocked(key)
-	if err != nil {
-		p.mu.Unlock()
-		p.corrupt(err)
-	}
-	seq := p.appendLocked([]Write{{Key: key, Value: value}})
-	p.mem.setPut(key, value, existed)
-	p.maybeFlushLocked()
-	p.mu.Unlock()
-	p.waitDurable(seq)
-	return !existed
-}
-
-// Delete implements KV. Deleting an absent key writes nothing — not even
-// a tombstone: the existence check is authoritative, so there is no
-// older version left to shadow.
-func (p *Persist) Delete(key string) ([]byte, bool) {
-	p.mu.Lock()
-	if p.refuseClosedLocked() {
-		p.mu.Unlock()
-		return nil, false
-	}
-	val, existed, err := p.lookupLocked(key)
-	if err != nil {
-		p.mu.Unlock()
-		p.corrupt(err)
-	}
-	if !existed {
-		p.mu.Unlock()
-		return nil, false
-	}
-	seq := p.appendLocked([]Write{{Key: key, Delete: true}})
-	p.mem.setDelete(key)
-	p.maybeFlushLocked()
-	p.mu.Unlock()
-	p.waitDurable(seq)
-	return val, true
-}
-
-// ApplyBatch implements KV: one atomic WAL record, then every write
-// applied through the existence-checked path (bloom filters keep the
-// fresh-key common case off disk).
+// ApplyBatch implements KV: one atomic WAL record, then every write put
+// blindly into the memtable.
 func (p *Persist) ApplyBatch(writes []Write) {
 	if len(writes) == 0 {
 		return
@@ -1281,19 +1187,7 @@ func (p *Persist) ApplyBatch(writes []Write) {
 	}
 	seq := p.appendLocked(writes)
 	for i := range writes {
-		w := &writes[i]
-		_, existed, err := p.lookupLocked(w.Key)
-		if err != nil {
-			p.mu.Unlock()
-			p.corrupt(err)
-		}
-		if w.Delete {
-			if existed {
-				p.mem.setDelete(w.Key)
-			}
-			continue
-		}
-		p.mem.setPut(w.Key, w.Value, existed)
+		p.mem.set(writes[i].Key, writes[i].Value, writes[i].Delete)
 	}
 	p.maybeFlushLocked()
 	p.mu.Unlock()
@@ -1333,18 +1227,6 @@ func (p *Persist) IterPrefix(prefix string, fn func(key string, value []byte) bo
 	if err != nil {
 		p.corrupt(err)
 	}
-}
-
-// Len implements KV: the persisted base count plus the memtables' live
-// deltas — exact, without merging runs.
-func (p *Persist) Len() int {
-	p.mu.RLock()
-	n := p.base + int64(p.mem.delta)
-	if p.imm != nil {
-		n += int64(p.imm.delta)
-	}
-	p.mu.RUnlock()
-	return int(n)
 }
 
 // Sync implements KV: flush the active WAL to stable storage.
@@ -1424,7 +1306,7 @@ func (p *Persist) shutdown() {
 	}
 	v := p.version
 	p.version = newVersion(nil)
-	p.mem, p.imm, p.base = newMemtable(), nil, 0
+	p.mem, p.imm = newMemtable(), nil
 	p.mu.Unlock()
 	c.mu.Lock()
 	c.file = nil
@@ -1454,11 +1336,9 @@ func (p *Persist) Stats() PersistStats {
 	}
 	if p.mem != nil {
 		st.MemtableBytes = p.mem.bytes
-		st.LiveKeys = p.base + int64(p.mem.delta)
 	}
 	if p.imm != nil {
 		st.MemtableBytes += p.imm.bytes
-		st.LiveKeys += int64(p.imm.delta)
 	}
 	st.WALBytes = p.walBytes
 	p.mu.RUnlock()

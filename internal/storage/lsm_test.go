@@ -63,12 +63,12 @@ func TestLSMReopenRecoversState(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		k := fmt.Sprintf("ns\x00key/%03d", i%150)
 		v := fmt.Sprintf("value-%d-%s", i, strings.Repeat("x", 64))
-		p.Put(k, []byte(v))
+		put(p, k, []byte(v))
 		want[k] = v
 	}
 	for i := 0; i < 150; i += 3 {
 		k := fmt.Sprintf("ns\x00key/%03d", i)
-		p.Delete(k)
+		del(p, k)
 		delete(want, k)
 	}
 	p.ApplyBatch([]Write{
@@ -86,9 +86,6 @@ func TestLSMReopenRecoversState(t *testing.T) {
 
 	re := openLSM(t, dir)
 	defer re.Close()
-	if re.Len() != len(want) {
-		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(want))
-	}
 	for k, v := range want {
 		got, ok := re.Get(k)
 		if !ok || string(got) != v {
@@ -115,7 +112,7 @@ func TestLSMCompactionBoundsTables(t *testing.T) {
 	p := openLSM(t, dir)
 	big := strings.Repeat("v", 256)
 	for i := 0; i < 400; i++ {
-		p.Put(fmt.Sprintf("k%03d", i%40), []byte(big))
+		put(p, fmt.Sprintf("k%03d", i%40), []byte(big))
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -139,8 +136,8 @@ func TestLSMCompactionBoundsTables(t *testing.T) {
 	if total > 1<<20 {
 		t.Fatalf("tables hold %d bytes for ~12 KiB of live data; compaction is not reclaiming", total)
 	}
-	if re.Len() != 40 {
-		t.Fatalf("recovered %d keys, want 40", re.Len())
+	if n := keyCount(re); n != 40 {
+		t.Fatalf("recovered %d keys, want 40", n)
 	}
 }
 
@@ -157,7 +154,7 @@ func TestLSMMemtableCountsBytesHeld(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 5*(4<<10)/len(value); i++ {
-		p.Put(key, value)
+		put(p, key, value)
 	}
 	st := p.Stats()
 	if want := int64(len(key) + 48 + len(value)); st.MemtableBytes != want {
@@ -166,7 +163,7 @@ func TestLSMMemtableCountsBytesHeld(t *testing.T) {
 	if st.Flushes != 0 || st.SSTables != 0 {
 		t.Fatalf("%d flushes, %d tables: overwrites of one key crossed the threshold", st.Flushes, st.SSTables)
 	}
-	p.Delete(key)
+	del(p, key)
 	if st, want := p.Stats(), int64(len(key)+48); st.MemtableBytes != want {
 		t.Fatalf("memtable counts %d bytes for one tombstone, want %d", st.MemtableBytes, want)
 	}
@@ -183,7 +180,7 @@ func TestLSMIterPrefixPointInTime(t *testing.T) {
 	want := make([]string, 0, 120)
 	for i := 0; i < 120; i++ {
 		k := fmt.Sprintf("pit/%03d", i)
-		p.Put(k, []byte("v-"+k))
+		put(p, k, []byte("v-"+k))
 		want = append(want, k)
 	}
 	filler := strings.Repeat("f", 128)
@@ -198,9 +195,9 @@ func TestLSMIterPrefixPointInTime(t *testing.T) {
 		// push enough bytes through to force flushes (1 KiB memtable) and
 		// compactions while the iteration is live.
 		i := len(got) - 1
-		p.Delete(fmt.Sprintf("pit/%03d", (i+7)%120))
-		p.Put(fmt.Sprintf("pit/%03d-new", (i+3)%120), []byte(filler))
-		p.Put(fmt.Sprintf("churn/%03d", i), []byte(filler))
+		del(p, fmt.Sprintf("pit/%03d", (i+7)%120))
+		put(p, fmt.Sprintf("pit/%03d-new", (i+3)%120), []byte(filler))
+		put(p, fmt.Sprintf("churn/%03d", i), []byte(filler))
 		// fn may re-enter the KV for reads too.
 		p.Get(fmt.Sprintf("pit/%03d", (i+1)%120))
 		return true
@@ -223,7 +220,7 @@ func TestLSMIterPrefixUnderConcurrentFlushAndCompaction(t *testing.T) {
 	want := make([]string, 0, 64)
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("stable/%02d", i)
-		p.Put(k, []byte(k))
+		put(p, k, []byte(k))
 		want = append(want, k)
 	}
 	stop := make(chan struct{})
@@ -238,9 +235,9 @@ func TestLSMIterPrefixUnderConcurrentFlushAndCompaction(t *testing.T) {
 				return
 			default:
 			}
-			p.Put(fmt.Sprintf("hot/%03d", i%50), []byte(filler))
+			put(p, fmt.Sprintf("hot/%03d", i%50), []byte(filler))
 			if i%7 == 0 {
-				p.Delete(fmt.Sprintf("hot/%03d", (i+3)%50))
+				del(p, fmt.Sprintf("hot/%03d", (i+3)%50))
 			}
 		}
 	}()
@@ -271,8 +268,8 @@ func buildWALOnly(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put("a", []byte("alpha"))
-	p.Put("b", []byte("beta"))
+	put(p, "a", []byte("alpha"))
+	put(p, "b", []byte("beta"))
 	p.ApplyBatch([]Write{
 		{Key: "c", Value: []byte("gamma")},
 		{Key: "a", Delete: true},
@@ -418,9 +415,9 @@ func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put("first", []byte(strings.Repeat("a", 40)))
-	p.Put("second", []byte(strings.Repeat("b", 40)))
-	p.Put("third", []byte(strings.Repeat("c", 40)))
+	put(p, "first", []byte(strings.Repeat("a", 40)))
+	put(p, "second", []byte(strings.Repeat("b", 40)))
+	put(p, "third", []byte(strings.Repeat("c", 40)))
 	abandon(p)
 	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
 	wal := filepath.Join(dir, walName)
@@ -474,7 +471,7 @@ func buildTabled(t *testing.T, dir string) map[string]string {
 	for i := 0; i < 120; i++ {
 		k := fmt.Sprintf("key/%03d", i)
 		v := fmt.Sprintf("val-%d-%s", i, strings.Repeat("s", 24))
-		p.Put(k, []byte(v))
+		put(p, k, []byte(v))
 		want[k] = v
 	}
 	if err := p.Close(); err != nil {
@@ -681,7 +678,7 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put("keep", []byte("v1"))
+	put(p, "keep", []byte("v1"))
 	p.ApplyBatch([]Write{{Key: "torn", Value: []byte("lost")}})
 	abandon(p)
 	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
@@ -700,7 +697,7 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 	if _, ok := re.Get("torn"); ok {
 		t.Fatal("torn batch survived")
 	}
-	re.Put("after", []byte("v2"))
+	put(re, "after", []byte("v2"))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +763,7 @@ func TestLSMDurabilityModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 100; i++ {
-				p.Put(fmt.Sprintf("k%03d", i), []byte(strings.Repeat("v", 32)))
+				put(p, fmt.Sprintf("k%03d", i), []byte(strings.Repeat("v", 32)))
 			}
 			p.ApplyBatch([]Write{{Key: "k000", Delete: true}, {Key: "extra", Value: []byte("e")}})
 			if err := p.Close(); err != nil {
@@ -777,8 +774,8 @@ func TestLSMDurabilityModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if re.Len() != 100 {
-				t.Fatalf("Len = %d, want 100", re.Len())
+			if n := keyCount(re); n != 100 {
+				t.Fatalf("%d keys, want 100", n)
 			}
 			if _, ok := re.Get("k000"); ok {
 				t.Fatal("deleted key survived")
@@ -799,7 +796,7 @@ func TestLSMBloomSkipsNegativeLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		p.Put(fmt.Sprintf("present/%04d", i), []byte(strings.Repeat("v", 32)))
+		put(p, fmt.Sprintf("present/%04d", i), []byte(strings.Repeat("v", 32)))
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -881,9 +878,9 @@ func TestLSMCompactionPreservesInFlightFlushWAL(t *testing.T) {
 	defer p.Close()
 
 	// Two flushed L0 tables.
-	p.Put("t1", []byte("one"))
+	put(p, "t1", []byte("one"))
 	flushNow(p)
-	p.Put("t2", []byte("two"))
+	put(p, "t2", []byte("two"))
 	flushNow(p)
 
 	// A third memtable sealed but NOT yet flushed: its records exist only
@@ -932,7 +929,7 @@ func TestLSMSealFsyncFailureNotAcknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put("a", []byte("durable")) // healthy group commit first
+	put(p, "a", []byte("durable")) // healthy group commit first
 
 	// Append a record without waking the syncer, then fail the seal fsync
 	// by closing the WAL file under the rotation.
@@ -988,7 +985,7 @@ func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 	}
 	value := make([]byte, 1<<10)
 	for i := 0; i < 2<<10; i++ { // a 2 MiB memtable
-		p.Put(fmt.Sprintf("key-%06d", i), append([]byte(nil), value...))
+		put(p, fmt.Sprintf("key-%06d", i), append([]byte(nil), value...))
 	}
 	filled := heapInUse()
 	if filled-before < 2<<20 {
@@ -1002,7 +999,7 @@ func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 		t.Fatalf("the closed engine still holds %d KiB (open: %d KiB)", held>>10, (filled-before)>>10)
 	}
 
-	if _, ok := p.Get("key-000001"); ok || p.Len() != 0 {
+	if _, ok := p.Get("key-000001"); ok || keyCount(p) != 0 {
 		t.Fatal("a closed engine served a key")
 	}
 	p.IterPrefix("key-", func(string, []byte) bool { t.Fatal("a closed engine iterated"); return false })
@@ -1012,11 +1009,9 @@ func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 	if err := p.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync on a closed engine: %v", err)
 	}
-	p.Put("late", []byte("v"))
+	put(p, "late", []byte("v"))
 	p.ApplyBatch([]Write{{Key: "late2", Value: []byte("v")}})
-	if _, ok := p.Delete("key-000001"); ok {
-		t.Fatal("a closed engine deleted a key")
-	}
+	del(p, "key-000001")
 	if _, ok := p.Get("late"); ok {
 		t.Fatal("a closed engine kept a write")
 	}
@@ -1031,7 +1026,96 @@ func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if _, ok := q.Get("late"); ok || q.Len() != 2<<10 {
-		t.Fatalf("reopened with %d keys", q.Len())
+	if _, ok := q.Get("late"); ok || keyCount(q) != 2<<10 {
+		t.Fatalf("reopened with %d keys", keyCount(q))
 	}
+}
+
+// TestApplyBatchReadsNothing: writes are blind. Overwriting and deleting
+// keys that only SSTables hold — and deleting one nothing holds — probes
+// no bloom filter and reads no block.
+func TestApplyBatchReadsNothing(t *testing.T) {
+	p := openQuiet(t, t.TempDir())
+	defer p.Close()
+	for i := 0; i < 40; i++ {
+		put(p, fmt.Sprintf("key/%02d", i), []byte("tabled"))
+	}
+	flushNow(p)
+	var batch []Write
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("key/%02d", i)
+		if i%2 == 0 {
+			batch = append(batch, Write{Key: k, Value: []byte("overwritten")})
+		} else {
+			batch = append(batch, Write{Key: k, Delete: true})
+		}
+	}
+	batch = append(batch, Write{Key: "key/never", Delete: true})
+	before := p.Stats()
+	p.ApplyBatch(batch)
+	if after := p.Stats(); after.BloomChecks != before.BloomChecks || after.BlockReads != before.BlockReads {
+		t.Fatalf("a batch of %d writes probed %d bloom filters and read %d blocks", len(batch),
+			after.BloomChecks-before.BloomChecks, after.BlockReads-before.BlockReads)
+	}
+	for i := 0; i < 40; i++ {
+		v, ok := p.Get(fmt.Sprintf("key/%02d", i))
+		if i%2 == 0 && (!ok || string(v) != "overwritten") || i%2 == 1 && ok {
+			t.Fatalf("key/%02d = %q/%v after the batch", i, v, ok)
+		}
+	}
+}
+
+// TestBlindDeleteOfAbsentKey: a delete of a key that was never written is
+// a tombstone like any other. The key stays invisible to Get and
+// IterPrefix in the memtable, after a reopen from tables, and after the
+// compaction into the bottom level, which drops the tombstone.
+func TestBlindDeleteOfAbsentKey(t *testing.T) {
+	dir := t.TempDir()
+	p := openQuiet(t, dir)
+	put(p, "a", []byte("alpha"))
+	flushNow(p)
+	del(p, "ghost")
+	put(p, "z", []byte("zeta"))
+	want := map[string]string{"a": "alpha", "z": "zeta"}
+	check := func(when string, kv KV) {
+		t.Helper()
+		if v, ok := kv.Get("ghost"); ok {
+			t.Fatalf("%s: a never-written key reads %q", when, v)
+		}
+		got := map[string]string{}
+		kv.IterPrefix("", func(k string, v []byte) bool { got[k] = string(v); return true })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: state %v, want %v", when, got, want)
+		}
+	}
+	check("in the memtable", p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenPersist(Config{Dir: dir, MemtableBytes: 1 << 30, CompactFanout: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", re)
+	if !re.compactOnce() {
+		t.Fatal("test setup: two level-0 tables did not compact")
+	}
+	if st := re.Stats(); st.Levels != 2 || st.SSTables != 1 {
+		t.Fatalf("test setup: compaction left %d tables on %d levels, want 1 at the bottom", st.SSTables, st.Levels)
+	}
+	for _, tb := range re.version.levels[1] {
+		for it := newTableIter(tb, "", ""); it.valid(); it.next() {
+			if e := it.entry(); e.tomb {
+				t.Fatalf("the bottom-level compaction kept the tombstone of %q", e.key)
+			}
+		}
+	}
+	check("compacted", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := openQuiet(t, dir)
+	defer final.Close()
+	check("reopened after compaction", final)
 }

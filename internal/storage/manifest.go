@@ -2,27 +2,37 @@ package storage
 
 // The manifest is the LSM engine's root pointer: a single walframe-framed
 // file naming the live SSTables level by level, the lowest WAL file whose
-// writes are not yet covered by a table, the next file number, and the
-// persisted live-key count. It is rewritten atomically (temp file, fsync,
-// rename, directory fsync) on every flush and compaction, so a crash at
-// any instant leaves either the old manifest or the new one — never a
-// torn root. Files on disk that the manifest does not reference are
-// orphans of an interrupted flush/compaction and are deleted at open;
-// files it references but that are missing or corrupt are a hard error.
+// writes are not yet covered by a table, and the next file number. It is
+// rewritten atomically (temp file, fsync, rename, directory fsync) on every
+// flush and compaction, so a crash at any instant leaves either the old
+// manifest or the new one — never a torn root. Files on disk that the
+// manifest does not reference are orphans of an interrupted
+// flush/compaction and are deleted at open; files it references but that
+// are missing or corrupt are a hard error.
+//
+// The payload is the magic "LSM2", then uvarints: next file number, lowest
+// live WAL, level count, and per level its table count and table file
+// numbers. An "LSM1" manifest, which older builds wrote with a live-key
+// count after the WAL index, is refused at open: there is no migration.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"socialchain/internal/codec"
 	"socialchain/internal/walframe"
 )
 
 const (
-	manifestName  = "MANIFEST"
-	manifestMagic = "LSM1"
+	manifestName     = "MANIFEST"
+	manifestMagic    = "LSM2"
+	oldManifestMagic = "LSM1"
 )
+
+// errOldManifest is the refusal of a manifest an older build wrote.
+var errOldManifest = errors.New("is in format " + oldManifestMagic + ", written by an older build; no migration")
 
 // manifestData is the decoded manifest.
 type manifestData struct {
@@ -32,9 +42,6 @@ type manifestData struct {
 	// walMin is the lowest WAL file index whose records are NOT covered by
 	// the tables below; recovery replays wal files with idx >= walMin.
 	walMin uint64
-	// base is the live-key count of the state the tables represent, so
-	// Len() is exact after reopen without merging every run.
-	base uint64
 	// levels lists table file numbers per level, newest first within a
 	// level — the search order.
 	levels [][]uint64
@@ -42,20 +49,53 @@ type manifestData struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestName) }
 
-// writeManifest atomically replaces dir's manifest.
-func writeManifest(dir string, m manifestData) error {
+// encodeManifest returns m's manifest payload.
+func encodeManifest(m manifestData) []byte {
 	payload := make([]byte, 0, 64)
 	payload = append(payload, manifestMagic...)
-	payload = binary.AppendUvarint(payload, m.nextFile)
-	payload = binary.AppendUvarint(payload, m.walMin)
-	payload = binary.AppendUvarint(payload, m.base)
-	payload = binary.AppendUvarint(payload, uint64(len(m.levels)))
+	payload = codec.AppendUvarint(payload, m.nextFile)
+	payload = codec.AppendUvarint(payload, m.walMin)
+	payload = codec.AppendUvarint(payload, uint64(len(m.levels)))
 	for _, lvl := range m.levels {
-		payload = binary.AppendUvarint(payload, uint64(len(lvl)))
+		payload = codec.AppendUvarint(payload, uint64(len(lvl)))
 		for _, fileNo := range lvl {
-			payload = binary.AppendUvarint(payload, fileNo)
+			payload = codec.AppendUvarint(payload, fileNo)
 		}
 	}
+	return payload
+}
+
+// decodeManifest parses a manifest payload. Every count is bounded by the
+// bytes left before anything is allocated for it: a level and a table
+// number each take at least one byte.
+func decodeManifest(payload []byte) (manifestData, error) {
+	var m manifestData
+	switch string(payload[:min(len(payload), len(manifestMagic))]) {
+	case manifestMagic:
+	case oldManifestMagic:
+		return m, errOldManifest
+	default:
+		return m, errors.New("bad magic")
+	}
+	r := codec.NewReader(payload[len(manifestMagic):])
+	m.nextFile = r.Uvarint()
+	m.walMin = r.Uvarint()
+	m.levels = make([][]uint64, r.Count(1))
+	for i := range m.levels {
+		m.levels[i] = make([]uint64, r.Count(1))
+		for j := range m.levels[i] {
+			m.levels[i][j] = r.Uvarint()
+		}
+	}
+	if err := r.Done(); err != nil {
+		return manifestData{}, err
+	}
+	return m, nil
+}
+
+// writeManifest atomically replaces dir's manifest.
+func writeManifest(dir string, m manifestData) error {
+	payload := encodeManifest(m)
 	frame := make([]byte, walframe.HeaderLen, walframe.HeaderLen+len(payload))
 	frame = append(frame, payload...)
 	walframe.Seal(frame)
@@ -102,51 +142,12 @@ func readManifest(dir string) (m manifestData, ok bool, err error) {
 	if perr != nil || next != len(data) {
 		return manifestData{}, false, fmt.Errorf("storage: manifest %s corrupt: %v", manifestPath(dir), perr)
 	}
-	bad := func(what string) error {
-		return fmt.Errorf("storage: manifest %s corrupt: %s", manifestPath(dir), what)
+	m, err = decodeManifest(payload)
+	if errors.Is(err, errOldManifest) {
+		return manifestData{}, false, fmt.Errorf("storage: manifest %s %w", manifestPath(dir), err)
 	}
-	if len(payload) < 4 || string(payload[:4]) != manifestMagic {
-		return manifestData{}, false, bad("bad magic")
-	}
-	payload = payload[4:]
-	read := func() (uint64, bool) {
-		v, w := binary.Uvarint(payload)
-		if w <= 0 {
-			return 0, false
-		}
-		payload = payload[w:]
-		return v, true
-	}
-	var v uint64
-	if m.nextFile, ok = read(); !ok {
-		return manifestData{}, false, bad("next file")
-	}
-	if m.walMin, ok = read(); !ok {
-		return manifestData{}, false, bad("wal min")
-	}
-	if m.base, ok = read(); !ok {
-		return manifestData{}, false, bad("base count")
-	}
-	nlevels, ok := read()
-	if !ok {
-		return manifestData{}, false, bad("level count")
-	}
-	m.levels = make([][]uint64, nlevels)
-	for i := range m.levels {
-		ntables, ok := read()
-		if !ok {
-			return manifestData{}, false, bad("table count")
-		}
-		m.levels[i] = make([]uint64, 0, ntables)
-		for j := uint64(0); j < ntables; j++ {
-			if v, ok = read(); !ok {
-				return manifestData{}, false, bad("table file number")
-			}
-			m.levels[i] = append(m.levels[i], v)
-		}
-	}
-	if len(payload) != 0 {
-		return manifestData{}, false, bad("trailing bytes")
+	if err != nil {
+		return manifestData{}, false, fmt.Errorf("storage: manifest %s corrupt: %w", manifestPath(dir), err)
 	}
 	return m, true, nil
 }

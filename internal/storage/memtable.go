@@ -4,6 +4,7 @@ package storage
 // writes at in-memory speed, dumped in sorted order when it is flushed
 // into an SSTable. Tombstones live in the same map — a deletion must
 // shadow older table versions of the key until compaction reclaims both.
+// A write never reads what lies beneath it, as in LevelDB.
 
 import "sort"
 
@@ -23,10 +24,6 @@ type memtable struct {
 	// the old value's bytes, so the flush threshold bounds what the
 	// memtable holds, not what was written to it.
 	bytes int64
-	// delta is the live-key count change this memtable represents against
-	// the state beneath it (imm + tables at the time of each write); the
-	// engine folds it into its persistent base count at flush.
-	delta int
 }
 
 func newMemtable() *memtable {
@@ -39,34 +36,20 @@ func (m *memtable) get(key string) (lsmEntry, bool) {
 	return e, ok
 }
 
-// setPut records a put. existed reports whether the key was live in the
-// full logical state before this write.
-func (m *memtable) setPut(key string, value []byte, existed bool) {
-	m.replace(key)
-	m.data[key] = lsmEntry{key: key, value: value}
-	m.bytes += int64(len(value))
-	if !existed {
-		m.delta++
+// set records a put, or with tomb a tombstone, without looking beneath
+// the memtable: a tombstone for a key no table holds shadows nothing and
+// is dropped by the compaction that reaches the bottom level.
+func (m *memtable) set(key string, value []byte, tomb bool) {
+	if tomb {
+		value = nil
 	}
-}
-
-// setDelete records a tombstone for a key that was live before this
-// write (no-op deletes never reach the memtable).
-func (m *memtable) setDelete(key string) {
-	m.replace(key)
-	m.data[key] = lsmEntry{key: key, tomb: true}
-	m.delta--
-}
-
-// replace accounts for key's entry about to be overwritten: a new entry
-// costs its key and the per-entry overhead, an existing one gives back its
-// old value.
-func (m *memtable) replace(key string) {
 	if old, had := m.data[key]; had {
 		m.bytes -= int64(len(old.value))
 	} else {
 		m.bytes += int64(len(key)) + 48
 	}
+	m.data[key] = lsmEntry{key: key, value: value, tomb: tomb}
+	m.bytes += int64(len(value))
 }
 
 // sortedPrefix returns the memtable's entries with the given prefix

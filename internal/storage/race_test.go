@@ -69,7 +69,6 @@ func TestConcurrentReadCommitStress(t *testing.T) {
 							prev = k
 							return true
 						})
-						kv.Len()
 					}
 				}(r)
 			}

@@ -27,26 +27,6 @@ func (s *Single) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put implements KV.
-func (s *Single) Put(key string, value []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, existed := s.data[key]
-	s.data[key] = value
-	return !existed
-}
-
-// Delete implements KV.
-func (s *Single) Delete(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.data[key]
-	if ok {
-		delete(s.data, key)
-	}
-	return v, ok
-}
-
 // IterPrefix implements KV: entries are collected under the read lock,
 // sorted, and fn runs lock-free on the collected view.
 func (s *Single) IterPrefix(prefix string, fn func(key string, value []byte) bool) {
@@ -72,13 +52,6 @@ func (s *Single) ApplyBatch(writes []Write) {
 		}
 		s.data[w.Key] = w.Value
 	}
-}
-
-// Len implements KV.
-func (s *Single) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
 }
 
 // Sync implements KV; the in-memory engine has nothing to flush.

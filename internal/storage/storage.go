@@ -5,8 +5,11 @@
 // map, the in-memory default and the reference every equivalence test
 // compares against, and an LSM-tree disk engine whose contents survive
 // process restarts with reopen cost proportional to the WAL tail (see
-// lsm.go). Both give IterPrefix a point-in-time view: a concurrent
-// ApplyBatch is seen whole or not at all.
+// lsm.go). The contract is LevelDB's: point reads, ordered prefix scans,
+// and writes that arrive only as batches and are blind — a write reads
+// nothing first, so a delete of a key that was never written is a write
+// like any other. Both engines give IterPrefix a point-in-time view: a
+// concurrent ApplyBatch is seen whole or not at all.
 package storage
 
 import (
@@ -23,19 +26,13 @@ type Write struct {
 
 // KV is the engine contract. Keys are ordered byte strings; layered stores
 // encode structure (namespaces, versions, sequence numbers) into keys and
-// values. Engines neither copy values on Put nor on Get: callers own the
-// aliasing discipline, exactly as the seed's map-based stores did.
+// values. Engines copy values neither on ApplyBatch nor on Get: callers own
+// the aliasing discipline, exactly as the seed's map-based stores did.
 //
 // All methods are safe for concurrent use.
 type KV interface {
 	// Get returns the stored value for key.
 	Get(key string) ([]byte, bool)
-	// Put stores value under key, reporting whether the key was newly
-	// inserted (false means an existing value was replaced).
-	Put(key string, value []byte) bool
-	// Delete removes key, returning the removed value. Deleting an absent
-	// key is a no-op returning (nil, false).
-	Delete(key string) ([]byte, bool)
 	// IterPrefix invokes fn for every key beginning with prefix, in
 	// ascending key order, over a point-in-time collection of matching
 	// entries; fn returning false stops the iteration. fn runs without any
@@ -43,12 +40,11 @@ type KV interface {
 	IterPrefix(prefix string, fn func(key string, value []byte) bool)
 	// ApplyBatch applies a block's writes as one step: an IterPrefix sees
 	// all of a batch or none of it. Within the batch, later writes to a
-	// key win. Durable engines persist the whole batch as one atomic log
-	// record: after a crash either every write of the batch is recovered
-	// or none is.
+	// key win. Writes are blind: nothing is read first, and deleting an
+	// absent key is not an error. Durable engines persist the whole batch
+	// as one atomic log record: after a crash either every write of the
+	// batch is recovered or none is.
 	ApplyBatch(writes []Write)
-	// Len returns the number of stored keys.
-	Len() int
 	// Sync flushes buffered writes to stable storage. A no-op for the
 	// in-memory engine.
 	Sync() error

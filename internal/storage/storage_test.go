@@ -11,6 +11,17 @@ import (
 	"time"
 )
 
+// put and del write one key through ApplyBatch, the engine's only write.
+func put(kv KV, key string, value []byte) { kv.ApplyBatch([]Write{{Key: key, Value: value}}) }
+func del(kv KV, key string)               { kv.ApplyBatch([]Write{{Key: key, Delete: true}}) }
+
+// keyCount counts kv's keys by iteration.
+func keyCount(kv KV) int {
+	n := 0
+	kv.IterPrefix("", func(string, []byte) bool { n++; return true })
+	return n
+}
+
 // engines returns one fresh instance of every engine under a stable label.
 func engines(tb testing.TB) map[string]KV {
 	persist, err := OpenPersist(Config{Dir: tb.TempDir()})
@@ -172,26 +183,21 @@ func TestBasicOps(t *testing.T) {
 			if _, ok := kv.Get("missing"); ok {
 				t.Fatal("phantom key")
 			}
-			if !kv.Put("a", []byte("1")) {
-				t.Fatal("first Put must report an insert")
-			}
-			if kv.Put("a", []byte("2")) {
-				t.Fatal("overwrite must not report an insert")
-			}
+			put(kv, "a", []byte("1"))
+			put(kv, "a", []byte("2"))
 			if v, ok := kv.Get("a"); !ok || string(v) != "2" {
 				t.Fatalf("Get = %q %v", v, ok)
 			}
-			if kv.Len() != 1 {
-				t.Fatalf("Len = %d", kv.Len())
+			if n := keyCount(kv); n != 1 {
+				t.Fatalf("%d keys, want 1", n)
 			}
-			if prev, ok := kv.Delete("a"); !ok || string(prev) != "2" {
-				t.Fatalf("Delete = %q %v", prev, ok)
+			del(kv, "a")
+			if v, ok := kv.Get("a"); ok {
+				t.Fatalf("deleted key reads %q", v)
 			}
-			if prev, ok := kv.Delete("a"); ok || prev != nil {
-				t.Fatalf("double Delete = %q %v", prev, ok)
-			}
-			if kv.Len() != 0 {
-				t.Fatalf("Len after delete = %d", kv.Len())
+			del(kv, "a") // blind: deleting an absent key is a write like any other
+			if n := keyCount(kv); n != 0 {
+				t.Fatalf("%d keys after delete, want 0", n)
 			}
 		})
 	}
@@ -220,7 +226,7 @@ func TestIterPrefixSortedAndStoppable(t *testing.T) {
 	for name, kv := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, k := range []string{"b/2", "a/1", "b/1", "c/9", "b/3"} {
-				kv.Put(k, []byte(k))
+				put(kv, k, []byte(k))
 			}
 			var got []string
 			kv.IterPrefix("b/", func(k string, v []byte) bool {
@@ -249,14 +255,14 @@ func TestIterPrefixSortedAndStoppable(t *testing.T) {
 func TestIterPrefixAllowsReentrancy(t *testing.T) {
 	for name, kv := range engines(t) {
 		t.Run(name, func(t *testing.T) {
-			kv.Put("a", []byte("1"))
-			kv.Put("b", []byte("2"))
+			put(kv, "a", []byte("1"))
+			put(kv, "b", []byte("2"))
 			kv.IterPrefix("", func(k string, _ []byte) bool {
-				kv.Put("nested/"+k, []byte("x")) // must not deadlock
+				put(kv, "nested/"+k, []byte("x")) // must not deadlock
 				return true
 			})
-			if kv.Len() != 4 {
-				t.Fatalf("Len = %d after reentrant puts", kv.Len())
+			if n := keyCount(kv); n != 4 {
+				t.Fatalf("%d keys after reentrant puts, want 4", n)
 			}
 		})
 	}
@@ -353,9 +359,9 @@ func randomOps(seed int64, n int) []op {
 func apply(kv KV, o op) {
 	switch o.kind {
 	case 0:
-		kv.Put(o.key, o.value)
+		put(kv, o.key, o.value)
 	case 1:
-		kv.Delete(o.key)
+		del(kv, o.key)
 	default:
 		kv.ApplyBatch(o.batch)
 	}
@@ -416,8 +422,8 @@ func TestEngineEquivalence(t *testing.T) {
 			"persist-small": reopenedSmall,
 		}
 		for name, kv := range others {
-			if single.Len() != kv.Len() {
-				t.Fatalf("seed %d: Len single=%d %s=%d", seed, single.Len(), name, kv.Len())
+			if keyCount(single) != keyCount(kv) {
+				t.Fatalf("seed %d: key count single=%d %s=%d", seed, keyCount(single), name, keyCount(kv))
 			}
 		}
 		ds := dump(single)
