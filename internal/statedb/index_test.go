@@ -28,6 +28,9 @@ func indexedTestDB(t *testing.T, cfg storage.Config) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after the caller's TempDir, so it runs before the
+	// directory's removal: no flush outlives the test.
+	t.Cleanup(func() { db.Close() })
 	return db
 }
 

@@ -382,6 +382,7 @@ func TestEnginesProduceIdenticalSnapshots(t *testing.T) {
 			}
 			db.ApplyUpdates(b, Version{BlockNum: blk})
 		}
+		t.Cleanup(func() { db.Close() })
 		return db
 	}
 	var single, persist bytes.Buffer
