@@ -8,13 +8,16 @@
 //	             savepoint "\x00end" -> the log offset indexed frames end by
 //
 // A block's entry and the savepoint are one ApplyBatch after the frame's
-// append, so the index never names a frame the log lacks. Open recovers
+// append, so the index never names a frame the log lacks; the log is the
+// index engine's front log, fsynced by each of its flushes before a table
+// can name a savepoint in it (storage.Config.SyncFront). Open recovers
 // the log from the savepoint: whole frames past it are indexed, a torn
 // tail is cut, a log shorter than its savepoint (walframe.ErrLost) refuses
-// to open. The log is fsynced before each batch when the engine fsyncs
-// every batch (storage.DurabilityAlways), else only by Close. Without a
-// directory the log is an unlinked temporary file and the index runs on
-// the single engine: one Put and Get path for every store.
+// to open. Beyond the flushes, the log fsyncs under the policy the
+// engine's resolved durability selects: each frame before its batch under
+// storage.DurabilityAlways. Without a directory the log is an unlinked
+// temporary file and the index runs on the single engine: one Put and Get
+// path for every store.
 package blockstore
 
 import (
@@ -86,11 +89,10 @@ const (
 // Store is a node's blocks: one log, indexed by CID. Safe for concurrent
 // use.
 type Store struct {
-	mu         sync.Mutex // orders an append with its index batch
-	log        *walframe.Log
-	kv         storage.KV
-	path       string
-	syncAppend bool // the index fsyncs every batch: fsync the frame first
+	mu   sync.Mutex // orders an append with its index batch
+	log  *walframe.Log
+	kv   storage.KV
+	path string
 }
 
 // Open opens the store in dir (created if absent); with dir empty, on an
@@ -117,20 +119,24 @@ func Open(dir string) (*Store, error) {
 		path = filepath.Join(dir, logName) // the engine creates dir with db/
 		cfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, dbName)}
 	}
+	s := &Store{path: path}
+	// s.log is set before the first ApplyBatch, so before any flush.
+	cfg.SyncFront = func() error { return s.log.Sync() }
 	kv, err := storage.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	s := &Store{kv: kv, path: path}
+	s.kv = kv
+	policy := walframe.SyncNone
 	if p, ok := kv.(*storage.Persist); ok {
-		s.syncAppend = p.Stats().Durability == storage.DurabilityAlways
+		policy = p.Stats().Durability.LogPolicy()
 	}
 	var from int64
 	if v, ok := kv.Get(endKey); ok {
 		from = int64(binary.BigEndian.Uint64(v))
 	}
 	var found []storage.Write
-	s.log, err = walframe.OpenLog(path, from, func(off int64, payload []byte) error {
+	s.log, err = walframe.OpenLog(path, from, policy, func(off int64, payload []byte) error {
 		key, _, err := splitFrame(payload)
 		if err != nil {
 			return fmt.Errorf("blockstore: %s frame at offset %d: %w", path, off, err)
@@ -194,9 +200,6 @@ func (s *Store) Put(b Block) error {
 		n = len(frame)
 		return frame
 	})
-	if err == nil && s.syncAppend {
-		err = s.log.Sync()
-	}
 	if err != nil {
 		return fmt.Errorf("blockstore: %w", err)
 	}
@@ -262,9 +265,11 @@ func (s *Store) SizeBytes() uint64 {
 	return uint64(s.log.End())
 }
 
-// Close syncs and closes the log, then the index. Idempotent.
+// Close closes the index, whose checkpoint syncs the log, then the log.
+// Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return errors.Join(s.log.Close(), s.kv.Close())
+	kerr := s.kv.Close()
+	return errors.Join(kerr, s.log.Close())
 }

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"socialchain/internal/cid"
 	"socialchain/internal/storage"
@@ -150,9 +152,9 @@ func putBlocks(t *testing.T, s *Store, seed, n, size int) []Block {
 }
 
 // TestReopenReadsNoBlock: opening a durable store of N blocks reads no
-// block — after a clean stop its index engine replays no WAL record and
-// reads one table block, the savepoint's — and every block reads back
-// after it.
+// block — after a clean stop the log holds nothing past the savepoint, so
+// its index engine takes no write and reads one table block, the
+// savepoint's — and every block reads back after it.
 func TestReopenReadsNoBlock(t *testing.T) {
 	dir := t.TempDir()
 	m := openDir(t, dir)
@@ -165,9 +167,9 @@ func TestReopenReadsNoBlock(t *testing.T) {
 	m = openDir(t, dir)
 	defer m.Close()
 	st := m.kv.(*storage.Persist).Stats()
-	if st.SSTables == 0 || st.BlockReads != 1 || st.OpenWALRecords != 0 {
-		t.Fatalf("open of %d blocks in %d tables read %d table blocks and replayed %d records, want 1 and 0",
-			len(blocks), st.SSTables, st.BlockReads, st.OpenWALRecords)
+	if st.SSTables == 0 || st.BlockReads != 1 || st.MemtableBytes != 0 {
+		t.Fatalf("open of %d blocks in %d tables read %d table blocks and wrote %d memtable bytes, want 1 and 0",
+			len(blocks), st.SSTables, st.BlockReads, st.MemtableBytes)
 	}
 	if m.Len() != len(blocks) || m.SizeBytes() != size {
 		t.Fatalf("reopened Len/SizeBytes = %d/%d, want %d/%d", m.Len(), m.SizeBytes(), len(blocks), size)
@@ -265,7 +267,7 @@ func killedAfterAppend(t *testing.T, last int) (dir string, before []Block, last
 	s := openDir(t, live)
 	before = putBlocks(t, s, 3, 4, 64)
 	dir = t.TempDir()
-	copyTree(t, live, dir) // kill -9 here: the index WAL holds every batch
+	copyTree(t, live, dir) // kill -9 here: the log holds every block, the index none
 	start = int64(s.SizeBytes())
 	lastBlock = putBlocks(t, s, 4, last+1, 64)[last]
 	if err := s.Close(); err != nil {
@@ -476,5 +478,142 @@ func TestGetAfterClose(t *testing.T) {
 	}
 	if _, err := s.Get(b.Cid()); err == nil {
 		t.Fatal("Get after Close succeeded")
+	}
+}
+
+// killCopy copies a running store's directory the way kill -9 leaves it:
+// the index engine's files first, again until its manifest held still
+// across the copy (a flush or compaction in flight replaces tables under
+// it), then the log, which only grows.
+func killCopy(t *testing.T, src, dst string) {
+	t.Helper()
+	manifest := filepath.Join(src, dbName, "MANIFEST")
+	for {
+		before, _ := os.ReadFile(manifest)
+		if err := os.RemoveAll(dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dst, dbName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(filepath.Join(src, dbName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, dbName, e.Name()))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // replaced under the copy: the manifest check tells
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, dbName, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after, _ := os.ReadFile(manifest); bytes.Equal(before, after) {
+			break
+		}
+	}
+	log, err := os.ReadFile(filepath.Join(src, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStorePowerLossUnderEachDurability: under each durability mode (set
+// the way a deployment sets it, through storage.DurabilityEnvVar) a
+// running store's directory, its index holding unflushed entries, is
+// copied and its log cut back the way a power loss can leave it — to any
+// offset from the savepoint the index's tables name up to the file's end.
+// The index fsyncs the log before it publishes a table, so its last fsync
+// covered at least that savepoint; under always every Put fsyncs its
+// frame, so the whole file survives. Each copy opens, never refuses, and
+// holds exactly the blocks whose frames survived. The log fsyncs as the
+// mode says: once per Put under always, only from the index's flushes
+// under none.
+func TestStorePowerLossUnderEachDurability(t *testing.T) {
+	for _, mode := range []storage.Durability{storage.DurabilityNone, storage.DurabilityBatch, storage.DurabilityAlways} {
+		t.Run(string(mode), func(t *testing.T) {
+			t.Setenv(storage.DurabilityEnvVar, string(mode))
+			live, killed := t.TempDir(), t.TempDir()
+			s := openDir(t, live)
+			blocks := putBlocks(t, s, 6, 450, 32)
+			for deadline := time.Now().Add(10 * time.Second); s.kv.(*storage.Persist).Stats().Flushes == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond) // the flush the puts made due
+			}
+			killCopy(t, live, killed)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, fsyncs := s.kv.(*storage.Persist).Stats(), s.log.Fsyncs()
+			switch {
+			case st.Flushes < 2: // one of them Close's
+				t.Fatal("test setup: the index never flushed before Close")
+			case mode == storage.DurabilityAlways && fsyncs < int64(len(blocks)):
+				t.Fatalf("always: %d log fsyncs for %d blocks", fsyncs, len(blocks))
+			case mode == storage.DurabilityNone && (fsyncs == 0 || fsyncs > st.WALFsyncs):
+				t.Fatalf("none: %d log fsyncs beside %d the index's flushes asked for", fsyncs, st.WALFsyncs)
+			}
+
+			kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(killed, dbName)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ok := kv.Get(endKey)
+			kv.Close()
+			if !ok {
+				t.Fatal("test setup: the killed copy's index holds no savepoint")
+			}
+			log, err := os.ReadFile(filepath.Join(killed, logName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Block i's frame is log[starts[i]:ends[i]].
+			var starts, ends []int
+			for off := 0; off < len(log); {
+				_, next, err := walframe.Next(log, off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				starts, ends, off = append(starts, off), append(ends, next), next
+			}
+			cuts := []int{len(log)}
+			if mode != storage.DurabilityAlways {
+				sp := int(binary.BigEndian.Uint64(v))
+				cuts = []int{sp}
+				for i := range ends {
+					if starts[i] >= sp {
+						cuts = append(cuts, (starts[i]+ends[i])/2, ends[i])
+					}
+				}
+			}
+			work := filepath.Join(t.TempDir(), "node")
+			for _, cut := range cuts {
+				if err := os.RemoveAll(work); err != nil {
+					t.Fatal(err)
+				}
+				copyTree(t, killed, work)
+				if err := os.Truncate(filepath.Join(work, logName), int64(cut)); err != nil {
+					t.Fatal(err)
+				}
+				re, err := Open(work)
+				if err != nil {
+					t.Fatalf("log cut to %d of %d bytes: %v", cut, len(log), err)
+				}
+				for i, b := range blocks {
+					got, err := re.Get(b.Cid())
+					if survived := ends[i] <= cut; survived != (err == nil) || err == nil && !bytes.Equal(got.Data(), b.Data()) {
+						t.Fatalf("log cut to %d: block %d (frame ends at %d) reads %v", cut, i, ends[i], err)
+					}
+				}
+				re.Close()
+			}
+			t.Logf("%d flushes; %d cuts of %d log bytes", st.Flushes, len(cuts), len(log))
+		})
 	}
 }

@@ -54,11 +54,9 @@ type NodeChannelStatus struct {
 	WALSegments            int     `json:"wal_segments"`
 	// Block-file traffic of the peer's ledger (all zero for an in-memory
 	// peer): a restarted peer decodes only the blocks logged above its
-	// state savepoint, so OpenBlocksDecoded stays far below Height.
-	// OpenWALRecords is what its state engine replayed at open: 0 after a
-	// clean stop, the unflushed writes after a kill.
+	// state savepoint, so OpenBlocksDecoded stays far below Height: 0
+	// after a clean stop, the blocks above the last flush after a kill.
 	OpenBlocksDecoded int     `json:"ledger_open_blocks_decoded"`
-	OpenWALRecords    int64   `json:"storage_open_wal_records_replayed"`
 	OpenSeconds       float64 `json:"peer_open_seconds"`
 	BlockReads        int64   `json:"ledger_block_reads"`
 	BlockCacheHits    int64   `json:"ledger_block_cache_hits"`
@@ -88,16 +86,14 @@ type NodeStatus struct {
 	SlowTraces []obs.TraceRecord            `json:"slow_traces,omitempty"`
 }
 
-// walSegments counts a durable peer's write-ahead-log files — its state
-// engine's WAL segments under db/ and the block log — and is 0 for an
-// in-memory peer.
+// walSegments counts a durable peer's write-ahead-log files — the block
+// log, which is also its state engine's — and is 0 for an in-memory peer.
 func walSegments(dir string) int {
 	if dir == "" {
 		return 0
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "db", "wal-*.log"))
 	logs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
-	return len(segs) + len(logs)
+	return len(logs)
 }
 
 // ServeAdmin binds the node's admin/debug HTTP surface (metrics, health,
@@ -154,7 +150,6 @@ func (n *Node) statusz() any {
 		cs.MemtableBytes = ss.MemtableBytes
 		cs.StallWaits = ss.StallWaits
 		cs.IndexBytes = ss.IndexBytes
-		cs.OpenWALRecords = ss.OpenWALRecords
 	}
 	if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {
 		cs.SignatureSkipRate = float64(cs.SignatureChecksSkipped) / float64(total)

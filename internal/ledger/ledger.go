@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"socialchain/internal/statedb"
-	"socialchain/internal/storage"
 	"socialchain/internal/walframe"
 )
 
@@ -37,14 +36,11 @@ type Ledger struct {
 	blocks  []*Block
 	txIndex map[string]txLoc
 
-	// Log backing. end is one past block height-1's frame. syncStage: the
-	// state engine fsyncs every batch (DurabilityAlways), so Stage fsyncs
-	// the block it appends before that block's state batch can land.
-	log       *Log
-	index     *statedb.DB
-	end       int64
-	cache     blockCache
-	syncStage bool
+	// Log backing. end is one past block height-1's frame.
+	log   *Log
+	index *statedb.DB
+	end   int64
+	cache blockCache
 
 	// wmu orders the committer's Stage/Append pairs and guards staged and
 	// tail; the file append runs under it, not under mu, so readers never
@@ -87,12 +83,15 @@ func New() *Ledger {
 // savepoint, checks the frames above that block's end (truncating a torn
 // tail) and decodes only those: they are blocks logged but not applied
 // when the process died, handed out by Tail for the committer to replay.
-// Nothing at or below the savepoint is read. The log is as durable as
-// db: under storage.DurabilityAlways every staged block is fsynced.
+// Nothing at or below the savepoint is read. The log is db's front log:
+// it fsyncs under the policy db's durability selects (under
+// storage.DurabilityAlways every staged block), and db's flushes fsync it
+// through Sync.
 func Open(path string, db *statedb.DB) (*Ledger, error) {
 	l := &Ledger{index: db, cache: blockCache{max: blockCacheBytes}}
+	policy := walframe.SyncNone
 	if st, ok := db.StorageStats(); ok {
-		l.syncStage = st.Durability == storage.DurabilityAlways
+		policy = st.Durability.LogPolicy()
 	}
 	if sp, ok := db.Savepoint(); ok {
 		rec, ok := db.Reserved(chainKey)
@@ -108,7 +107,7 @@ func Open(path string, db *statedb.DB) (*Ledger, error) {
 			return nil, fmt.Errorf("ledger: chain record at height %d beside state savepoint %d", l.height, sp)
 		}
 	}
-	log, err := openLog(path, l.end, l.height, func(off int64, payload []byte) error {
+	log, err := openLog(path, l.end, l.height, policy, func(off int64, payload []byte) error {
 		b, err := decodeBlock(payload, l.height+uint64(len(l.tail)))
 		if err != nil {
 			return err
@@ -190,9 +189,11 @@ func (l *Ledger) verifyNextLocked(b *Block) error {
 // ledger appends it to the block file (unless it is the next Tail block,
 // which is already there). From that point the block is committed: a
 // process that dies before Append finds it in the Tail of its next Open.
-// Under DurabilityAlways the block is also fsynced before Stage returns —
-// a tail block too, unless an earlier fsync covered it — so a power loss
-// can never leave the state's savepoint above the log's end.
+// Under DurabilityAlways the block is also fsynced before Stage returns
+// (a tail block was fsynced by Open). Whatever the policy, the state
+// engine fsyncs the log before it publishes a table holding the block's
+// savepoint, so a power loss can never leave the savepoint above the
+// log's end.
 // The returned entries — the block's offset, each transaction's location
 // and flag, the chain record — must ride b's state batch
 // (statedb.ApplyBlockAt); an in-memory ledger returns none.
@@ -218,11 +219,6 @@ func (l *Ledger) Stage(b *Block) ([]statedb.ReservedWrite, error) {
 			return nil, err
 		}
 		at.end = l.log.w.End()
-	}
-	if l.syncStage {
-		if err := l.log.w.SyncTo(at.end); err != nil {
-			return nil, err
-		}
 	}
 	l.staged = &at
 
@@ -495,7 +491,7 @@ type IOStats struct {
 	CacheMisses int64 // GetBlock calls that read the file
 	BlockReads  int64 // blocks decoded from the file since Open
 	OpenDecoded int   // blocks Open decoded: those above the savepoint
-	Fsyncs      int64 // fsyncs of the file since Open: one per staged block under DurabilityAlways
+	Fsyncs      int64 // fsyncs of the file since Open: one per staged block under DurabilityAlways, plus the state engine's flushes
 }
 
 // IOStats snapshots the block file counters.
@@ -512,10 +508,11 @@ func (l *Ledger) IOStats() IOStats {
 	return st
 }
 
-// Sync flushes the block file to stable storage; a no-op in memory.
+// Sync makes the block file durable up to its end; a no-op in memory. It
+// is the state engine's flush hook (storage.Config.SyncFront), so it takes
+// none of the ledger's locks: a commit may be stalled inside its state
+// batch, waiting for the very flush that calls it.
 func (l *Ledger) Sync() error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
 	if l.log == nil {
 		return nil
 	}

@@ -68,13 +68,13 @@ func checkFormat(payload []byte) error {
 // OpenLog opens (or creates) the block log at path, CRC-checking every
 // frame and truncating a torn tail. It decodes nothing; Blocks does.
 func OpenLog(path string) (*Log, error) {
-	return openLog(path, 0, 0, func(int64, []byte) error { return nil })
+	return openLog(path, 0, 0, walframe.SyncNone, func(int64, []byte) error { return nil })
 }
 
 // openLog opens the log trusting the bytes below offset from, where block
-// next's frame begins (or the file ends); found sees each frame above it
-// (see walframe.OpenLog).
-func openLog(path string, from int64, next uint64, found func(off int64, payload []byte) error) (*Log, error) {
+// next's frame begins (or the file ends), fsyncing under policy; found
+// sees each frame above it (see walframe.OpenLog).
+func openLog(path string, from int64, next uint64, policy walframe.Policy, found func(off int64, payload []byte) error) (*Log, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: log dir: %w", err)
 	}
@@ -82,7 +82,7 @@ func openLog(path string, from int64, next uint64, found func(off int64, payload
 		return nil, err
 	}
 	l := &Log{path: path, next: next}
-	w, err := walframe.OpenLog(path, from, func(off int64, payload []byte) error {
+	w, err := walframe.OpenLog(path, from, policy, func(off int64, payload []byte) error {
 		l.next++
 		return found(off, payload)
 	})
@@ -202,10 +202,10 @@ func (l *Log) Blocks() []*Block {
 // Height returns the number of blocks the log holds.
 func (l *Log) Height() uint64 { return l.next }
 
-// Append writes one block. Blocks must arrive in chain order; the caller
-// (the peer's commit path) appends here before applying state, so a crash
-// between the two is repaired by replaying the log over the state's
-// savepoint.
+// Append writes one block, fsyncing it as the log's policy says. Blocks
+// must arrive in chain order; the caller (the peer's commit path) appends
+// here before applying state, so a crash between the two is repaired by
+// replaying the log over the state's savepoint.
 func (l *Log) Append(b *Block) error {
 	if b.Header.Number != l.next {
 		return fmt.Errorf("ledger: log append block %d at log height %d", b.Header.Number, l.next)

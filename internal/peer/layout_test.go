@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
@@ -87,9 +86,10 @@ func TestPeerRefusesThreeEngineLayout(t *testing.T) {
 }
 
 // TestCommitFsyncsOncePerBlock: under durability always a committed block
-// costs exactly one storage-WAL fsync — its state, index and history
-// entries, block index and savepoint are one batch — and one block-log
-// fsync, whether it writes one key or a batched envelope's eight.
+// costs one fsync — the block log's, before the block's state batch — and
+// none of the state engine's, which keeps no log: its state, index and
+// history entries, block index and savepoint are one memtable batch
+// whether it writes one key or a batched envelope's eight.
 func TestCommitFsyncsOncePerBlock(t *testing.T) {
 	p, err := openConfig(Config{DataDir: t.TempDir(), State: storage.Config{Durability: storage.DurabilityAlways}})
 	if err != nil {
@@ -100,14 +100,14 @@ func TestCommitFsyncsOncePerBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsyncs := func() (wal, log int64) {
+	fsyncs := func() (engine, log int64) {
 		st, ok := p.State().StorageStats()
 		if !ok || st.Durability != storage.DurabilityAlways {
 			t.Fatalf("state engine stats %+v, want the persist engine under always", st)
 		}
 		return st.WALFsyncs, p.Ledger().IOStats().Fsyncs
 	}
-	wal0, log0 := fsyncs()
+	engine0, log0 := fsyncs()
 	commitIncr(t, p, client, "ctr")
 	commitCall(t, p, client, "set", []byte("doc"), []byte(`{"label":"car"}`))
 	commitCall(t, p, client, "del", []byte("ctr"))
@@ -124,8 +124,8 @@ func TestCommitFsyncsOncePerBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	const blocks = 4
-	if wal, log := fsyncs(); wal-wal0 != blocks || log-log0 != blocks {
-		t.Fatalf("%d blocks cost %d storage-WAL and %d block-log fsyncs, want %d of each", blocks, wal-wal0, log-log0, blocks)
+	if engine, log := fsyncs(); engine-engine0 != 0 || log-log0 != blocks {
+		t.Fatalf("%d blocks cost %d state-engine and %d block-log fsyncs, want 0 and %d", blocks, engine-engine0, log-log0, blocks)
 	}
 }
 
@@ -244,13 +244,15 @@ func TestHistoryMatchesChain(t *testing.T) {
 	}
 }
 
-// TestPeerLastStateRecordCutOrFlipped cuts the state WAL's last record —
-// the batch of the last block — at every offset (its end included, which
-// leaves it whole), flips every byte of it, and overwrites it with zeros,
-// on a copy of a killed peer's directory. Each copy reopens with that block's state, index
-// entry, history reference and ledger entries either all present or all
-// absent; when absent, the peer replays the block from its log and ends
-// with all of them.
+// TestPeerLastStateRecordCutOrFlipped: the block log is the state
+// engine's write-ahead log, so the last state record is the block log's
+// last frame above the engine's last flushed savepoint. On a copy of a
+// killed peer's directory that frame is cut at every offset (its end
+// included, which leaves it whole), has every byte flipped, and is
+// overwritten with zeros. Each copy reopens with that block's state,
+// index entry, history reference and ledger entries either all present —
+// the frame was whole and the open replayed it — or all absent, at the
+// height below it; an absent block comes back whole from a neighbour.
 func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
 	specs := []statedb.IndexSpec{{Name: "label", Namespace: "counter", Field: "label"}}
 	open := func(dir string) *Peer {
@@ -267,101 +269,84 @@ func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitCall(t, p, client, "set", []byte("d1"), []byte(`{"label":"a"}`))
+	if err := p.Close(); err != nil { // a checkpoint: savepoint 1 is in a table
+		t.Fatal(err)
+	}
+	p = open(dir)
+	start := fileSize(t, filepath.Join(dir, "blocks.wal"))
 	last := commitCall(t, p, client, "set", []byte("d2"), []byte(`{"label":"b"}`))
 	txID := last.Txs[0].ID
 	killed := t.TempDir()
-	copyTree(t, dir, killed) // kill -9: the engine's WAL holds every batch
+	copyTree(t, dir, killed) // kill -9: block 2 is in the log, its batch in no table
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wals, err := filepath.Glob(filepath.Join(killed, "db", "wal-*.log"))
-	if err != nil || len(wals) != 1 {
-		t.Fatalf("killed peer's engine has WAL files %v (%v), want one", wals, err)
-	}
-	wal, err := os.ReadFile(wals[0])
+	src := open(dir)
+	defer src.Close()
+	wal, err := os.ReadFile(filepath.Join(killed, "blocks.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := 0
-	for off := 0; off < len(wal); {
-		_, next, err := walframe.Next(wal, off)
-		if err != nil {
-			t.Fatalf("WAL frame at %d: %v", off, err)
-		}
-		start, off = off, next
+	if _, next, err := walframe.Next(wal, int(start)); err != nil || next != len(wal) {
+		t.Fatalf("block 2's frame at %d: %v (ends at %d of %d)", start, err, next, len(wal))
 	}
 
-	// What the engine alone recovered, before any replay: all of block 2's
-	// entries, or none.
-	recovered := func(dir string) bool {
-		db, err := statedb.NewIndexedWith(storage.Config{Engine: storage.EnginePersist, Dir: dir}, specs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		sp, _ := db.Savepoint()
-		_, state := db.GetState("counter", "d2")
-		page, err := db.IterIndex("label", "b", 0, 0, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, err := statedb.NewHistoryDB(db, func(uint64, uint32) (string, time.Time, []statedb.WriteItem, error) {
-			return "", time.Time{}, nil, nil
-		}).Get("counter", "d2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, located := db.Reserved("T" + txID)
-		all := sp == 2 && state && len(page.Entries) == 1 && len(hist) == 1 && located
-		none := sp == 1 && !state && len(page.Entries) == 0 && len(hist) == 0 && !located
-		if all == none {
-			t.Fatalf("engine recovered savepoint %d, state %v, index %d, history %d, tx location %v: neither all of block 2 nor none",
-				sp, state, len(page.Entries), len(hist), located)
-		}
-		return all
-	}
 	work := filepath.Join(t.TempDir(), "peer")
+	resynced := false
 	try := func(what string, damaged []byte) {
 		if err := os.RemoveAll(work); err != nil {
 			t.Fatal(err)
 		}
 		copyTree(t, killed, work)
-		if err := os.WriteFile(filepath.Join(work, "db", filepath.Base(wals[0])), damaged, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(work, "blocks.wal"), damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		present := recovered(work)
 		re := open(work)
 		defer re.Close()
-		decoded := re.Ledger().IOStats().OpenDecoded
-		if (present && decoded != 0) || (!present && decoded != 1) {
-			t.Fatalf("%s: block 2 recovered %v, yet the open decoded %d blocks", what, present, decoded)
+		height := re.Ledger().Height()
+		vv, state := re.State().GetState("counter", "d2")
+		keys := indexKeysOf(t, re.State(), "label", "b")
+		at, _, _, located := re.Ledger().TxLocation(txID)
+		hist := historyOf(t, re, "counter", "d2")
+		all := height == 3 && state && string(vv.Value) == `{"label":"b"}` && strings.Join(keys, " ") == "d2" &&
+			located && at == 2 && len(hist) == 1 && hist[0].TxID == txID
+		none := height == 2 && !state && len(keys) == 0 && !located && len(hist) == 0
+		if all == none {
+			t.Fatalf("%s: height %d, state %v, index %v, tx location %d/%v, history %s: neither all of block 2 nor none",
+				what, height, state, keys, at, located, histString(hist))
 		}
-		if re.Ledger().Height() != 3 {
-			t.Fatalf("%s: reopened at height %d, want 3", what, re.Ledger().Height())
+		if decoded := re.Ledger().IOStats().OpenDecoded; all != (decoded == 1) {
+			t.Fatalf("%s: block 2 present %v, yet the open decoded %d blocks", what, all, decoded)
 		}
-		if vv, ok := re.State().GetState("counter", "d2"); !ok || string(vv.Value) != `{"label":"b"}` {
-			t.Fatalf("%s: d2 = %q/%v after reopen", what, vv.Value, ok)
-		}
-		if keys := indexKeysOf(t, re.State(), "label", "b"); strings.Join(keys, " ") != "d2" {
-			t.Fatalf("%s: index lists %v under b", what, keys)
-		}
-		if at, _, _, ok := re.Ledger().TxLocation(txID); !ok || at != 2 {
-			t.Fatalf("%s: block 2's transaction located at %d/%v", what, at, ok)
-		}
-		if got := historyOf(t, re, "counter", "d2"); len(got) != 1 || got[0].TxID != txID {
-			t.Fatalf("%s: d2 history %s", what, histString(got))
+		if none && !resynced {
+			resynced = true
+			if _, err := re.SyncFrom(src); err != nil {
+				t.Fatalf("%s: catch-up: %v", what, err)
+			}
+			if got := historyOf(t, re, "counter", "d2"); re.Ledger().Height() != 3 || len(got) != 1 || got[0].TxID != txID {
+				t.Fatalf("%s: after catch-up height %d, d2 history %s", what, re.Ledger().Height(), histString(got))
+			}
 		}
 	}
-	for cut := start; cut <= len(wal); cut++ {
+	for cut := int(start); cut <= len(wal); cut++ {
 		try(fmt.Sprintf("cut at %d", cut), wal[:cut])
 	}
-	for off := start; off < len(wal); off++ {
+	for off := int(start); off < len(wal); off++ {
 		flipped := bytes.Clone(wal)
 		flipped[off] ^= 0x01
 		try(fmt.Sprintf("flip at %d", off), flipped)
 	}
-	try("zeroed", append(bytes.Clone(wal[:start]), make([]byte, len(wal)-start)...))
-	t.Logf("last record: %d bytes at offset %d", len(wal)-start, start)
+	try("zeroed", append(bytes.Clone(wal[:start]), make([]byte, len(wal)-int(start))...))
+	t.Logf("last frame: %d bytes at offset %d", len(wal)-int(start), start)
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // indexKeysOf lists the keys index name holds under value.

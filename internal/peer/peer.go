@@ -23,11 +23,11 @@ import (
 // the paper's Figure 1 where all endorsement peers act as validators.
 //
 // A peer opened with Config.DataDir is durable: the directory holds the
-// block log (blocks.wal) and one WAL-backed persist engine (db/) carrying
-// the world state with its indexes, history references, block index and
-// savepoint. Every committed block lands in the log before its one state
-// batch, and the ledger is a view over that log (ledger.Open) instead of a
-// copy of it. Reopening the same directory recovers the peer — only the
+// block log (blocks.wal) and one persist engine (db/) carrying the world
+// state with its indexes, history references, block index and savepoint.
+// Every committed block lands in the log before its one state batch; the
+// log is the engine's write-ahead log (each flush fsyncs it first), and
+// the ledger is a view over it (ledger.Open) instead of a copy of it. Reopening the same directory recovers the peer — only the
 // blocks the log holds above the state's savepoint are decoded, and they
 // replay through the same validate-then-commit split a live delivery takes
 // (see recover) — after which SyncFrom catches up any tail the log missed.
@@ -118,9 +118,18 @@ func New(cfg Config) (*Peer, error) {
 		return nil, fmt.Errorf("peer %s: nil endorsement policy", cfg.ID)
 	}
 	st := cfg.State
+	var front atomic.Pointer[ledger.Ledger]
 	if cfg.DataDir != "" {
 		st.Engine = storage.EnginePersist
 		st.Dir = cfg.DataDir
+		// The block log is the state engine's front log. Before it opens
+		// only BuildIndexes' rebuild writes, and open recomputes that.
+		st.SyncFront = func() error {
+			if l := front.Load(); l != nil {
+				return l.Sync()
+			}
+			return nil
+		}
 	}
 	state, err := statedb.NewIndexedWith(st, cfg.Indexes...)
 	if err != nil {
@@ -133,6 +142,7 @@ func New(cfg Config) (*Peer, error) {
 			state.Close()
 			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 		}
+		front.Store(chain)
 	}
 	p := &Peer{
 		id:         cfg.ID,
@@ -232,24 +242,14 @@ func (p *Peer) recover() error {
 	return nil
 }
 
-// Close flushes and closes the peer's durable resources. In-memory peers
-// close trivially. Idempotent per underlying store.
+// Close flushes and closes the peer's durable resources: the state engine
+// first, whose checkpoint syncs the block log, then the log. In-memory
+// peers close trivially. Idempotent per underlying store.
 func (p *Peer) Close() error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	err := p.state.Close()
 	if lerr := p.ledger.Close(); err == nil {
-		err = lerr
-	}
-	return err
-}
-
-// Sync flushes the peer's durable state to stable storage.
-func (p *Peer) Sync() error {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	err := p.state.Sync()
-	if lerr := p.ledger.Sync(); err == nil {
 		err = lerr
 	}
 	return err
@@ -558,12 +558,12 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 //     never reach the durable log — then, on a durable peer, the block
 //     log append (skipped for a block recovery is replaying from that
 //     log; fsynced under durability always). From this point the block is
-//     committed: if the process dies before step 2 lands, recovery
-//     replays it from the log.
+//     committed: if the process dies before the state engine flushes
+//     step 2, recovery replays it from the log.
 //  2. One state-engine batch (statedb.ApplyBlockAt) carrying every
 //     surviving write set with its index entries, the block's history
 //     references, the ledger's block index and chain record, and the
-//     savepoint — one atomic WAL record on the persist engine, which is
+//     savepoint — always in one table on the persist engine, which is
 //     what makes recovery's "replay strictly after the savepoint" exact.
 //  3. ledger.Append + waiter/subscriber notification. The visible height
 //     only advances after state is applied, so observers that wait on

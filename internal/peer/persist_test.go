@@ -2,18 +2,24 @@ package peer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
+	"socialchain/internal/statedb"
 	"socialchain/internal/storage"
+	"socialchain/internal/walframe"
 )
 
 // durablePeer opens (or reopens) a durable peer over dir. Signer and
@@ -436,8 +442,8 @@ func TestPeerOpenCostSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an 18k-block chain")
 	}
-	// Small memtables: what an open replays from the state engines' WALs
-	// is a sawtooth in chain length and would drown the comparison.
+	// Small memtables: what an open holds in its memtable is a sawtooth in
+	// chain length and would drown the comparison.
 	state := storage.Config{MemtableBytes: 64 << 10}
 	const unapplied = 3
 	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
@@ -530,12 +536,12 @@ func sumMetric(t *testing.T, reg *obs.Registry, name string) (sum float64, serie
 }
 
 // TestPeerCleanStopReplaysNothing: what a restart costs must not depend on
-// how much the peer had written since its engines last flushed. Two peers
+// how much the peer had written since its engine last flushed. Two peers
 // stop holding 10 and 4 000 unflushed state batches. Closed cleanly, both
-// open with no WAL record replayed on any engine, no block decoded, and
-// the same heap to within 1 MB; killed (the directory copied before
-// Close), the state engine replays exactly the 10 and the 4 000 and the
-// peer still comes back at the same height.
+// open with no block decoded and the same heap to within 1 MB; killed (the
+// directory copied before Close), the open decodes and replays every block
+// the log holds above the savepoint — all of them, genesis included, since
+// the engine never flushed — and the peer comes back at the same height.
 func TestPeerCleanStopReplaysNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commits 4k blocks")
@@ -547,10 +553,8 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 	// A memtable that holds all 4 000 writes unflushed, above the default.
 	state := storage.Config{MemtableBytes: 4 << 20}
 	type opened struct {
-		replayed, heapMB float64 // replayed: summed over /metrics
-		stateReplayed    int64
-		decoded          int
-		height           uint64
+		decoded, heapMB float64 // decoded: as /metrics prints it
+		height          uint64
 	}
 	open := func(dir string) opened {
 		metrics := obs.NewRegistry()
@@ -563,13 +567,14 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		replayed, series := sumMetric(t, metrics, "storage_open_wal_records_replayed")
+		decoded, series := sumMetric(t, metrics, "ledger_open_blocks_decoded")
 		if series != 1 {
-			t.Fatalf("storage_open_wal_records_replayed has %d series, want the one engine's", series)
+			t.Fatalf("ledger_open_blocks_decoded has %d series, want the one ledger's", series)
 		}
-		st, _ := p.State().StorageStats()
-		return opened{replayed, float64(m.HeapAlloc) / (1 << 20), st.OpenWALRecords,
-			p.Ledger().IOStats().OpenDecoded, p.Ledger().Height()}
+		if int(decoded) != p.Ledger().IOStats().OpenDecoded {
+			t.Fatalf("/metrics says %v blocks decoded, the ledger %d", decoded, p.Ledger().IOStats().OpenDecoded)
+		}
+		return opened{decoded, float64(m.HeapAlloc) / (1 << 20), p.Ledger().Height()}
 	}
 	var cleanHeaps []float64
 	for _, writes := range []int{10, 4000} {
@@ -591,20 +596,178 @@ func TestPeerCleanStopReplaysNothing(t *testing.T) {
 		}
 
 		got := open(clean)
-		if got.replayed != 0 || got.decoded != 0 || got.height != height {
-			t.Fatalf("%d writes, clean stop: replayed %v WAL records, decoded %d blocks, height %d (want 0, 0, %d)",
-				writes, got.replayed, got.decoded, got.height, height)
+		if got.decoded != 0 || got.height != height {
+			t.Fatalf("%d writes, clean stop: decoded %v blocks, height %d (want 0, %d)", writes, got.decoded, got.height, height)
 		}
 		cleanHeaps = append(cleanHeaps, got.heapMB)
 
 		got = open(crashed)
-		if got.stateReplayed != int64(writes) || got.replayed < float64(writes) || got.height != height {
-			t.Fatalf("%d writes, killed: state engine replayed %d records (%v on all engines), height %d (want %d, at least as many, %d)",
-				writes, got.stateReplayed, got.replayed, got.height, writes, height)
+		if got.decoded != float64(writes+1) || got.height != height {
+			t.Fatalf("%d writes, killed: decoded %v blocks, height %d (want %d, %d)", writes, got.decoded, got.height, writes+1, height)
 		}
 	}
 	t.Logf("heap after a clean-stop open: %.2f MB holding 10 writes, %.2f MB holding 4000", cleanHeaps[0], cleanHeaps[1])
 	if d := cleanHeaps[1] - cleanHeaps[0]; d > 1 || d < -1 {
 		t.Fatalf("heap after a clean-stop open differs by %.2f MB between 10 and 4000 unflushed writes, want within 1", d)
 	}
+}
+
+// killCopy copies a running peer's directory the way kill -9 leaves it:
+// the state engine's files first, again until its manifest held still
+// across the copy (a flush or compaction in flight replaces tables under
+// it), then the block log, which only grows.
+func killCopy(t *testing.T, src, dst string) {
+	t.Helper()
+	copyFiles := func(from, to string) {
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(to, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(from, e.Name()))
+			if errors.Is(err, fs.ErrNotExist) || e.IsDir() {
+				continue // replaced under the copy: the manifest check tells
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	manifest := filepath.Join(src, "db", "MANIFEST")
+	for {
+		before, _ := os.ReadFile(manifest)
+		if err := os.RemoveAll(dst); err != nil {
+			t.Fatal(err)
+		}
+		copyFiles(filepath.Join(src, "db"), filepath.Join(dst, "db"))
+		if after, _ := os.ReadFile(manifest); bytes.Equal(before, after) {
+			break
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(src, "blocks.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, "blocks.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPeerPowerLossUnderEachDurability: under each durability mode a
+// running peer's directory, its state engine holding unflushed blocks, is
+// copied and its block log cut back the way a power loss can leave it —
+// to any offset from the end of the savepoint block the engine's tables
+// name up to the file's end. The engine fsyncs the log before it
+// publishes a table, so its last fsync covered at least that savepoint;
+// under always every block is fsynced before its state batch, so the
+// whole file survives. Each copy opens, never refuses, at or above its
+// savepoint, and holds exactly the blocks whose frames survived, with
+// their state. The block log fsyncs as the mode says: once per block
+// under always, only from the state engine's flushes under none.
+func TestPeerPowerLossUnderEachDurability(t *testing.T) {
+	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []storage.Durability{storage.DurabilityNone, storage.DurabilityBatch, storage.DurabilityAlways} {
+		t.Run(string(mode), func(t *testing.T) {
+			state := storage.Config{Durability: mode, MemtableBytes: 8 << 10}
+			dir, killed := t.TempDir(), t.TempDir()
+			p, err := openDurableWith(dir, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const blocks = 67
+			for i := 0; i < blocks; i++ {
+				commitIncr(t, p, client, "ctr")
+			}
+			flushed := func() bool { st, _ := p.State().StorageStats(); return st.Flushes > 0 }
+			for deadline := time.Now().Add(10 * time.Second); !flushed() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond) // the flush the commits made due
+			}
+			killCopy(t, dir, killed)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := p.State().StorageStats()
+			fsyncs := p.Ledger().IOStats().Fsyncs
+			switch {
+			case st.Flushes < 2: // one of them Close's
+				t.Fatal("test setup: the state engine never flushed before Close")
+			case mode == storage.DurabilityAlways && fsyncs < blocks:
+				t.Fatalf("always: %d block-log fsyncs for %d blocks", fsyncs, blocks)
+			case mode == storage.DurabilityNone && (fsyncs == 0 || fsyncs > st.WALFsyncs):
+				t.Fatalf("none: %d block-log fsyncs beside %d the state engine's flushes asked for", fsyncs, st.WALFsyncs)
+			}
+
+			// The savepoint the copy's tables name, and where its block ends.
+			db, err := statedb.NewWith(storage.Config{Engine: storage.EnginePersist, Dir: cloneTree(t, killed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, ok := db.Savepoint()
+			rec, _ := db.Reserved("L")
+			db.Close()
+			if !ok || len(rec) < 32 {
+				t.Fatal("test setup: the killed copy's tables hold no savepoint")
+			}
+			log, err := os.ReadFile(filepath.Join(killed, "blocks.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			type cut struct {
+				at     int
+				height uint64
+			}
+			cuts := []cut{{len(log), blocks + 1}}
+			if mode != storage.DurabilityAlways {
+				cuts = cuts[:0]
+				height := sp + 1
+				for off := int(binary.BigEndian.Uint64(rec[24:])); ; height++ {
+					cuts = append(cuts, cut{off, height})
+					_, next, err := walframe.Next(log, off)
+					if err != nil {
+						break
+					}
+					cuts = append(cuts, cut{off + (next-off)/2, height})
+					off = next
+				}
+			}
+			work := filepath.Join(t.TempDir(), "peer")
+			for _, c := range cuts {
+				if err := os.RemoveAll(work); err != nil {
+					t.Fatal(err)
+				}
+				copyTree(t, killed, work)
+				if err := os.Truncate(filepath.Join(work, "blocks.wal"), int64(c.at)); err != nil {
+					t.Fatal(err)
+				}
+				re, err := openDurableWith(work, state)
+				if err != nil {
+					t.Fatalf("log cut to %d of %d bytes (savepoint %d): %v", c.at, len(log), sp, err)
+				}
+				vv, _ := re.State().GetState("counter", "ctr")
+				height := re.Ledger().Height()
+				verr := re.Ledger().VerifyChain()
+				re.Close()
+				if height != c.height || string(vv.Value) != fmt.Sprint(height-1) || verr != nil {
+					t.Fatalf("log cut to %d: height %d with ctr %q (%v), want height %d", c.at, height, vv.Value, verr, c.height)
+				}
+			}
+		})
+	}
+}
+
+// cloneTree copies dir into a fresh temp dir.
+func cloneTree(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	copyTree(t, dir, out)
+	return out
 }

@@ -74,12 +74,9 @@ func NewIndexedWith(cfg storage.Config, specs ...IndexSpec) (*DB, error) {
 // Close releases the underlying engine after a final flush.
 func (db *DB) Close() error { return db.kv.Close() }
 
-// Sync flushes the underlying engine to stable storage.
-func (db *DB) Sync() error { return db.kv.Sync() }
-
 // StorageStats snapshots the LSM persist engine beneath the state store.
-// ok is false when the state sits on a non-LSM engine (in-memory or the
-// map-plus-WAL baseline), which expose no comparable internals.
+// ok is false when the state sits on the in-memory engine, which exposes
+// no comparable internals.
 func (db *DB) StorageStats() (storage.PersistStats, bool) {
 	p, ok := db.kv.(*storage.Persist)
 	if !ok {
@@ -89,8 +86,8 @@ func (db *DB) StorageStats() (storage.PersistStats, bool) {
 }
 
 // RegisterStorage exports the underlying LSM engine's metrics (sstable
-// and level counts, compaction backlog, bloom hit rates, fsync totals,
-// what the open replayed) on reg under store="state". No-op for engines
+// and level counts, compaction backlog, bloom hit rates, front-log fsync
+// requests) on reg under store="state". No-op for engines
 // without internals worth exporting; safe on a nil registry.
 func (db *DB) RegisterStorage(reg *obs.Registry) {
 	if p, ok := db.kv.(*storage.Persist); ok {
@@ -139,7 +136,7 @@ func (db *DB) Reserved(key string) ([]byte, bool) {
 
 // savepointKey stores the number of the last block whose writes were
 // applied, updated atomically with each block's state batch (one engine
-// ApplyBatch — on the persist engine, one WAL record). Recovery replays
+// ApplyBatch — on the persist engine, always in one table). Recovery replays
 // the durable block log strictly after this height.
 const savepointKey = reservedPrefix + "savepoint"
 
@@ -235,7 +232,7 @@ func (db *DB) ApplyBlock(updates []TxUpdate) {
 // ApplyBlockAt is ApplyBlock for committers that track recovery state: it
 // additionally records height under the reserved savepoint key, INSIDE
 // the same engine batch as the block's writes. On a durable engine the
-// whole batch is one atomic WAL record, so after a crash the state either
+// whole batch lands in one table, so after a crash the state either
 // reflects the block and the savepoint or neither — the invariant that
 // lets recovery replay the block log from the savepoint without
 // double-applying. Unlike ApplyBlock, an empty update set still commits

@@ -23,12 +23,12 @@ func openQuiet(t *testing.T, dir string) *Persist {
 }
 
 // sealMemtable makes the active memtable the flushing one, as a full
-// memtable would, without waking the flusher: its records are then only in
-// the sealed WAL until somebody calls doFlush.
+// memtable would, without waking the flusher: its records are then in
+// memory (and in a front log, if the test keeps one) until somebody calls
+// doFlush.
 func sealMemtable(p *Persist) {
 	p.mu.Lock()
 	p.imm, p.mem = p.mem, newMemtable()
-	p.rotateWALLocked()
 	p.mu.Unlock()
 }
 
@@ -48,24 +48,20 @@ func refused(p *Persist) bool {
 }
 
 // requireCheckpointed fails unless dir is what a clean stop leaves: a
-// manifest, its tables, and the one WAL it names, empty.
+// manifest and its tables, no temp file.
 func requireCheckpointed(t *testing.T, dir string) {
 	t.Helper()
-	wals := dirFiles(t, dir, walPrefix, walSuffix)
-	if len(wals) != 1 {
-		t.Fatalf("a clean stop left wal files %v, want one", wals)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, wals[0])); err != nil || fi.Size() != 0 {
-		t.Fatalf("a clean stop left %s with %d bytes (err %v), want empty", wals[0], fi.Size(), err)
+	if _, err := os.Stat(manifestPath(dir)); err != nil {
+		t.Fatalf("a clean stop left no manifest: %v", err)
 	}
 	if tmp := dirFiles(t, dir, "", ".tmp"); len(tmp) != 0 {
 		t.Fatalf("a clean stop left temp files %v", tmp)
 	}
 }
 
-// TestLSMCloseIsACheckpoint: after Close the directory holds tables and
-// one empty WAL; the next open replays nothing, starts with an empty
-// memtable and serves every key — deletions of table-held keys included.
+// TestLSMCloseIsACheckpoint: after Close the directory holds the manifest
+// and its tables; the next open starts with an empty memtable and serves
+// every key — deletions of table-held keys included.
 func TestLSMCloseIsACheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	p := openQuiet(t, dir)
@@ -102,10 +98,8 @@ func TestLSMCloseIsACheckpoint(t *testing.T) {
 
 	re := openQuiet(t, dir)
 	defer re.Close()
-	st := re.Stats()
-	if st.MemtableBytes != 0 || st.WALBytes != 0 || st.OpenWALRecords != 0 || st.OpenWALBytes != 0 {
-		t.Fatalf("reopen after a clean stop: memtable %d B, wal %d B, replayed %d records / %d B; want all 0",
-			st.MemtableBytes, st.WALBytes, st.OpenWALRecords, st.OpenWALBytes)
+	if st := re.Stats(); st.MemtableBytes != 0 {
+		t.Fatalf("reopen after a clean stop holds a %d B memtable, want 0", st.MemtableBytes)
 	}
 	got := map[string]string{}
 	re.IterPrefix("", func(k string, v []byte) bool { got[k] = string(v); return true })
@@ -205,8 +199,8 @@ func TestLSMCloseWaitsForFlushInFlight(t *testing.T) {
 	requireCheckpointed(t, dir)
 	re := openQuiet(t, dir)
 	defer re.Close()
-	if st := re.Stats(); st.OpenWALRecords != 0 || st.SSTables != 2 {
-		t.Fatalf("reopen replayed %d records over %d tables, want 0 over 2", st.OpenWALRecords, st.SSTables)
+	if st := re.Stats(); st.SSTables != 2 {
+		t.Fatalf("reopen found %d tables, want 2", st.SSTables)
 	}
 	for k, v := range map[string]string{"sealed": "one", "active": "two"} {
 		if got, ok := re.Get(k); !ok || string(got) != v {
@@ -275,45 +269,46 @@ func TestLSMCloseRacingWriters(t *testing.T) {
 }
 
 // TestLSMCloseWithStickyErrorLeavesTheWAL: an engine that has seen an I/O
-// error does not checkpoint — it cannot vouch for a table it would write —
-// so Close reports the error, writes nothing, and the WAL replays.
+// error does not checkpoint — it cannot vouch for a table it would write
+// — so Close reports the error, writes nothing, and the front log, the
+// engine's write-ahead log, replays.
 func TestLSMCloseWithStickyErrorLeavesTheWAL(t *testing.T) {
 	dir := t.TempDir()
-	p := openQuiet(t, dir)
+	s := mustOpenFront(t, dir, Config{MemtableBytes: 1 << 30, CompactFanout: 1 << 30})
 	for i := 0; i < 10; i++ {
-		put(p, fmt.Sprintf("k%d", i), []byte("v"))
+		put(s, fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	files := dirFiles(t, dir, "", "")
+	files := dirImage(t, dir)
 	boom := errors.New("injected I/O error")
-	p.setErr(boom)
-	if err := p.Close(); !errors.Is(err, boom) {
+	s.setErr(boom)
+	if err := s.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close = %v, want the sticky error", err)
 	}
-	if got := dirFiles(t, dir, "", ""); !reflect.DeepEqual(got, files) || p.Stats().Flushes != 0 {
-		t.Fatalf("Close with a sticky error wrote to the directory: %v -> %v", files, got)
+	if got := dirImage(t, dir); !reflect.DeepEqual(got, files) || s.Stats().Flushes != 0 {
+		t.Fatal("Close with a sticky error wrote to the directory")
 	}
-	re := openQuiet(t, dir)
+	re := mustOpenFront(t, dir, Config{MemtableBytes: 1 << 30})
 	defer re.Close()
-	if st := re.Stats(); st.OpenWALRecords != 10 || st.OpenWALBytes == 0 || keyCount(re) != 10 {
-		t.Fatalf("reopen replayed %d records (%d B) into %d keys, want 10", st.OpenWALRecords, st.OpenWALBytes, keyCount(re))
+	if st := re.Stats(); st.SSTables != 0 || keyCount(re) != 10 {
+		t.Fatalf("reopen found %d tables and %d keys, want the 10 keys from the front log alone", st.SSTables, keyCount(re))
 	}
 }
 
 // TestLSMCloseCheckpointCrashSweep cuts the process at every byte a
 // close-time flush writes — the table, the manifest's temp file — and at
-// the two steps after them (manifest renamed, sealed WAL not yet removed;
-// everything done). Every image reopens to the logical state Close
+// the steps after them (manifest renamed; everything done). Every image
+// reopens, with its front log replayed, to the logical state Close
 // started from, and reopens to it again after that open's own clean stop.
 // Flipped bytes in the unfinished files are swept too: until the manifest
 // names them they are orphans. (Damage to a NAMED table or manifest is
 // TestLSMSSTableCorruptionSweep's and TestLSMManifestDamageIsFatal's.)
 func TestLSMCloseCheckpointCrashSweep(t *testing.T) {
 	live := t.TempDir()
-	p := openQuiet(t, live)
+	p := mustOpenFront(t, live, Config{MemtableBytes: 1 << 30, CompactFanout: 1 << 30})
 	for i := 0; i < 12; i++ {
 		put(p, fmt.Sprintf("key/%02d", i), []byte(fmt.Sprintf("tabled-%d", i)))
 	}
-	flushNow(p)
+	flushNow(p.Persist)
 	del(p, "key/03")
 	put(p, "key/04", []byte("overwritten"))
 	put(p, "late", []byte("only-in-wal"))
@@ -332,18 +327,14 @@ func TestLSMCloseCheckpointCrashSweep(t *testing.T) {
 	for _, name := range dirFiles(t, pre, "", "") {
 		had[name] = true
 	}
-	var newWAL, newTable string
+	var newTable string
 	for _, name := range dirFiles(t, live, "", "") {
-		switch {
-		case had[name]:
-		case filepath.Ext(name) == walSuffix:
-			newWAL = name
-		case filepath.Ext(name) == sstSuffix:
+		if !had[name] && filepath.Ext(name) == sstSuffix {
 			newTable = name
 		}
 	}
-	if newWAL == "" || newTable == "" {
-		t.Fatalf("test setup: Close added wal %q, table %q", newWAL, newTable)
+	if newTable == "" {
+		t.Fatal("test setup: Close added no table")
 	}
 	table := readFile(t, filepath.Join(live, newTable))
 	manifest := readFile(t, manifestPath(live))
@@ -373,15 +364,15 @@ func TestLSMCloseCheckpointCrashSweep(t *testing.T) {
 	for _, flip := range []bool{false, true} {
 		for at := 0; at < len(table); at++ {
 			check(fmt.Sprintf("table at %d (flip %v)", at, flip), map[string][]byte{
-				newWAL: nil, newTable: damaged(table, at, flip)})
+				newTable: damaged(table, at, flip)})
 		}
 		for at := 0; at < len(manifest); at++ {
 			check(fmt.Sprintf("manifest tmp at %d (flip %v)", at, flip), map[string][]byte{
-				newWAL: nil, newTable: table, filepath.Base(manifestPath(live)) + ".tmp": damaged(manifest, at, flip)})
+				newTable: table, filepath.Base(manifestPath(live)) + ".tmp": damaged(manifest, at, flip)})
 		}
 	}
-	check("manifest renamed, sealed wal still there", map[string][]byte{
-		newWAL: nil, newTable: table, filepath.Base(manifestPath(live)): manifest})
+	check("manifest renamed", map[string][]byte{
+		newTable: table, filepath.Base(manifestPath(live)): manifest})
 	if got := lsmState(t, live); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the whole checkpoint: recovered %v, want %v", got, want)
 	}

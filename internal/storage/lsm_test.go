@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"socialchain/internal/walframe"
@@ -28,9 +29,9 @@ func openLSM(t *testing.T, dir string) *Persist {
 }
 
 // abandon stops p the way kill -9 leaves a directory: whatever the
-// memtable held stays in the WAL for the next open to replay. A sticky
-// error is what makes Close skip its checkpoint, so the crash-style stop
-// needs no switch on the engine.
+// memtable held is gone from the engine, and only a front log (see
+// front_test.go) can replay it. A sticky error is what makes Close skip
+// its checkpoint, so the crash-style stop needs no switch on the engine.
 func abandon(p *Persist) {
 	p.setErr(errors.New("abandoned by the test"))
 	_ = p.Close()
@@ -55,7 +56,7 @@ func dirFiles(t *testing.T, dir, prefix, suffix string) []string {
 
 // TestLSMReopenRecoversState drives writes through flushes and
 // compactions, closes, reopens, and requires identical contents — with the
-// reopened state actually spread across SSTables, not just the WAL.
+// reopened state actually spread across SSTables.
 func TestLSMReopenRecoversState(t *testing.T) {
 	dir := t.TempDir()
 	p := openLSM(t, dir)
@@ -260,34 +261,30 @@ func TestLSMIterPrefixUnderConcurrentFlushAndCompaction(t *testing.T) {
 	}
 }
 
-// buildWALOnly creates an LSM dir whose state lives purely in the WAL, as
-// a crash leaves it: two committed puts, then one final batch record.
+// buildWALOnly creates a front-store dir whose state lives purely in the
+// front log, as a crash leaves it: two committed puts, then one final
+// batch record.
 func buildWALOnly(t *testing.T, dir string) {
 	t.Helper()
-	p, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(p, "a", []byte("alpha"))
-	put(p, "b", []byte("beta"))
-	p.ApplyBatch([]Write{
+	s := mustOpenFront(t, dir, Config{})
+	put(s, "a", []byte("alpha"))
+	put(s, "b", []byte("beta"))
+	s.ApplyBatch([]Write{
 		{Key: "c", Value: []byte("gamma")},
 		{Key: "a", Delete: true},
 		{Key: "d", Value: []byte("delta-" + strings.Repeat("z", 40))},
 	})
-	abandon(p)
+	s.abandon()
 }
 
-// lsmState opens dir and dumps its full contents (recovery must succeed).
+// lsmState opens dir as a front store — the engine plus the replay of its
+// front log — and dumps its full contents (recovery must succeed).
 func lsmState(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	p, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	defer p.Close()
+	s := mustOpenFront(t, dir, Config{})
+	defer s.Close()
 	got := map[string]string{}
-	p.IterPrefix("", func(k string, v []byte) bool {
+	s.IterPrefix("", func(k string, v []byte) bool {
 		got[k] = string(v)
 		return true
 	})
@@ -295,18 +292,18 @@ func lsmState(t *testing.T, dir string) map[string]string {
 }
 
 // TestLSMWALTornTailRecovery sweeps every truncation point and every
-// corrupted byte of the WAL's final record, and zero-filled tails (the
-// record overwritten with zeros, or zeros appended after it): recovery
-// must land exactly on the last fully-committed record — never an error,
-// never a partial batch — and cut the file there.
+// corrupted byte of the front log's final record, and zero-filled tails
+// (the record overwritten with zeros, or zeros appended after it): the
+// front log is the engine's write-ahead log, and recovery must land
+// exactly on the last fully-committed record — never an error, never a
+// partial batch — and cut the file there.
 func TestLSMWALTornTailRecovery(t *testing.T) {
 	refDir := t.TempDir()
 	buildWALOnly(t, refDir)
-	walName := dirFiles(t, refDir, walPrefix, walSuffix)
-	if len(walName) != 1 {
-		t.Fatalf("reference dir holds %d wal files, want 1", len(walName))
+	if tables := dirFiles(t, refDir, sstPrefix, sstSuffix); len(tables) != 0 {
+		t.Fatalf("reference dir holds tables %v, want its state in the front log only", tables)
 	}
-	refWAL, err := os.ReadFile(filepath.Join(refDir, walName[0]))
+	refWAL, err := os.ReadFile(filepath.Join(refDir, frontName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +326,7 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("truncate@%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			buildWALOnly(t, dir)
-			wal := filepath.Join(dir, walName[0])
+			wal := filepath.Join(dir, frontName)
 			if err := os.Truncate(wal, int64(cut)); err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +344,7 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("corrupt@%d", off), func(t *testing.T) {
 			dir := t.TempDir()
 			buildWALOnly(t, dir)
-			wal := filepath.Join(dir, walName[0])
+			wal := filepath.Join(dir, frontName)
 			data := append([]byte(nil), refWAL...)
 			data[off] ^= 0xff
 			if err := os.WriteFile(wal, data, 0o644); err != nil {
@@ -382,16 +379,16 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			buildWALOnly(t, dir)
-			wal := filepath.Join(dir, walName[0])
+			wal := filepath.Join(dir, frontName)
 			if err := os.WriteFile(wal, c.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			p, err := OpenPersist(Config{Dir: dir})
+			s, err := openFront(dir, Config{}, nil)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			st, err := os.Stat(wal)
-			abandon(p) // keep the WAL as the engine's only copy for lsmState
+			s.abandon() // keep the front log as the only copy for lsmState
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,22 +402,18 @@ func TestLSMWALTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestLSMWALMidLogCorruptionIsFatal damages an early record — one byte
-// flipped, or zeros in place of it or before the next — while committed
-// records follow: recovery must refuse — and leave the file byte-identical
-// — instead of silently dropping the committed suffix.
+// TestLSMWALMidLogCorruptionIsFatal damages an early front-log record —
+// one byte flipped, or zeros in place of it or before the next — while
+// committed records follow: recovery must refuse — and leave the file
+// byte-identical — instead of silently dropping the committed suffix.
 func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(p, "first", []byte(strings.Repeat("a", 40)))
-	put(p, "second", []byte(strings.Repeat("b", 40)))
-	put(p, "third", []byte(strings.Repeat("c", 40)))
-	abandon(p)
-	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
-	wal := filepath.Join(dir, walName)
+	s := mustOpenFront(t, dir, Config{})
+	put(s, "first", []byte(strings.Repeat("a", 40)))
+	put(s, "second", []byte(strings.Repeat("b", 40)))
+	put(s, "third", []byte(strings.Repeat("c", 40)))
+	s.abandon()
+	wal := filepath.Join(dir, frontName)
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +436,7 @@ func TestLSMWALMidLogCorruptionIsFatal(t *testing.T) {
 		if err := os.WriteFile(wal, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenPersist(Config{Dir: dir}); err == nil {
+		if _, err := openFront(dir, Config{}, nil); err == nil {
 			t.Fatalf("%s: mid-log corruption recovered silently", c.name)
 		}
 		after, err := os.ReadFile(wal)
@@ -640,8 +633,8 @@ func TestLSMManifestDamageIsFatal(t *testing.T) {
 }
 
 // TestLSMMissingFilesAreFatal removes a live SSTable and, separately, the
-// WAL file the manifest names: both must refuse recovery rather than
-// silently lose committed writes.
+// front log whose end the tables' savepoint names: both must refuse
+// recovery rather than silently lose committed writes.
 func TestLSMMissingFilesAreFatal(t *testing.T) {
 	t.Run("sstable", func(t *testing.T) {
 		dir := t.TempDir()
@@ -657,32 +650,34 @@ func TestLSMMissingFilesAreFatal(t *testing.T) {
 	})
 	t.Run("wal", func(t *testing.T) {
 		dir := t.TempDir()
-		buildTabled(t, dir)
-		for _, name := range dirFiles(t, dir, walPrefix, walSuffix) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				t.Fatal(err)
-			}
+		s := mustOpenFront(t, dir, Config{MemtableBytes: 1 << 10})
+		for i := 0; i < 40; i++ {
+			put(s, fmt.Sprintf("key/%03d", i), []byte(strings.Repeat("v", 32)))
 		}
-		if p, err := OpenPersist(Config{Dir: dir}); err == nil {
-			p.Close()
-			t.Fatal("missing manifest-named WAL recovered silently")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, frontName)); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := openFront(dir, Config{}, nil); err == nil {
+			s.Close()
+			t.Fatal("missing front log recovered silently")
+		} else if !errors.Is(err, walframe.ErrLost) {
+			t.Fatalf("missing front log: %v, want walframe.ErrLost", err)
 		}
 	})
 }
 
 // TestLSMAppendAfterTornTail proves writes continue cleanly after a
-// torn-tail recovery.
+// torn-tail recovery of the front log.
 func TestLSMAppendAfterTornTail(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(p, "keep", []byte("v1"))
-	p.ApplyBatch([]Write{{Key: "torn", Value: []byte("lost")}})
-	abandon(p)
-	walName := dirFiles(t, dir, walPrefix, walSuffix)[0]
-	wal := filepath.Join(dir, walName)
+	s := mustOpenFront(t, dir, Config{})
+	put(s, "keep", []byte("v1"))
+	s.ApplyBatch([]Write{{Key: "torn", Value: []byte("lost")}})
+	s.abandon()
+	wal := filepath.Join(dir, frontName)
 	st, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -690,21 +685,13 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 	if err := os.Truncate(wal, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpenFront(t, dir, Config{})
 	if _, ok := re.Get("torn"); ok {
 		t.Fatal("torn batch survived")
 	}
 	put(re, "after", []byte("v2"))
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := OpenPersist(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re.abandon() // "after" is in the front log only
+	final := mustOpenFront(t, dir, Config{})
 	defer final.Close()
 	if v, ok := final.Get("keep"); !ok || string(v) != "v1" {
 		t.Fatalf("keep = %q/%v", v, ok)
@@ -715,15 +702,14 @@ func TestLSMAppendAfterTornTail(t *testing.T) {
 }
 
 // TestLSMRefusesMapwalDirectory: pointing the LSM at a directory an older
-// build's mapwal engine wrote — a WAL in the shared record format beside a
-// snap-* snapshot — must be a descriptive error that leaves the directory
-// as it was, not a silent partial recovery of the WAL without the
-// snapshot's contents.
+// build's mapwal engine wrote — a WAL beside a snap-* snapshot — must be a
+// descriptive error that leaves the directory as it was, not a silent
+// open that ignores both.
 func TestLSMRefusesMapwalDirectory(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string][]byte{
-		fmt.Sprintf("%s%016x%s", walPrefix, 3, walSuffix):   appendRecordFrame(nil, []Write{{Key: "k", Value: []byte("v")}}),
-		fmt.Sprintf("%s%016x%s", snapPrefix, 3, snapSuffix): appendRecordFrame(nil, []Write{{Key: "old", Value: []byte("state")}}),
+		fmt.Sprintf("%s%016x%s", walPrefix, 3, walSuffix):   appendFrontRecord(nil, []Write{{Key: "k", Value: []byte("v")}}),
+		fmt.Sprintf("%s%016x%s", snapPrefix, 3, snapSuffix): appendFrontRecord(nil, []Write{{Key: "old", Value: []byte("state")}}),
 	}
 	for name, data := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -752,27 +738,26 @@ func TestLSMRefusesMapwalDirectory(t *testing.T) {
 }
 
 // TestLSMDurabilityModes runs the same workload under every durability
-// mode and requires identical recovered state — the modes differ in loss
-// windows under power failure, never in logical behaviour.
+// mode and requires identical recovered state — the modes differ in when
+// the front log fsyncs, never in logical behaviour. Under always every
+// append fsyncs; under none only the flushes and Close do.
 func TestLSMDurabilityModes(t *testing.T) {
 	for _, d := range []Durability{DurabilityNone, DurabilityBatch, DurabilityAlways} {
 		t.Run(string(d), func(t *testing.T) {
 			dir := t.TempDir()
-			p, err := OpenPersist(Config{Dir: dir, Durability: d, MemtableBytes: 1 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustOpenFront(t, dir, Config{Durability: d, MemtableBytes: 1 << 10})
 			for i := 0; i < 100; i++ {
-				put(p, fmt.Sprintf("k%03d", i), []byte(strings.Repeat("v", 32)))
+				put(s, fmt.Sprintf("k%03d", i), []byte(strings.Repeat("v", 32)))
 			}
-			p.ApplyBatch([]Write{{Key: "k000", Delete: true}, {Key: "extra", Value: []byte("e")}})
-			if err := p.Close(); err != nil {
+			s.ApplyBatch([]Write{{Key: "k000", Delete: true}, {Key: "extra", Value: []byte("e")}})
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenPersist(Config{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
+			fsyncs, st := s.log.Fsyncs(), s.Stats()
+			if d == DurabilityAlways && fsyncs < 101 || d == DurabilityNone && fsyncs > st.Flushes {
+				t.Fatalf("%d front-log fsyncs for 101 appends and %d flushes", fsyncs, st.Flushes)
 			}
+			re := mustOpenFront(t, dir, Config{})
 			defer re.Close()
 			if n := keyCount(re); n != 100 {
 				t.Fatalf("%d keys, want 100", n)
@@ -863,35 +848,33 @@ func copyFlatDir(t *testing.T, src, dst string) {
 }
 
 // TestLSMCompactionPreservesInFlightFlushWAL pins crash-safety invariant
-// 5: a compaction manifest never advances walMin. While a flush is in
-// flight the sealed WAL is the only durable copy of the flushing
+// 5: a compaction rewrites flushed tables only. While a flush is in
+// flight the front log is the only durable copy of the flushing
 // memtable's records, so if the compaction manifest becomes the durable
-// root in that window it must keep that WAL alive for recovery.
+// root in that window, its savepoint must still lie below them for
+// recovery to replay them.
 func TestLSMCompactionPreservesInFlightFlushWAL(t *testing.T) {
 	dir := t.TempDir()
 	// Oversized thresholds: nothing flushes or compacts except by the
 	// test's explicit synchronous calls, so the background workers idle.
-	p, err := OpenPersist(Config{Dir: dir, MemtableBytes: 1 << 30, CompactFanout: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	s := mustOpenFront(t, dir, Config{MemtableBytes: 1 << 30, CompactFanout: 1 << 30})
+	defer s.Close()
+	p := s.Persist
 
 	// Two flushed L0 tables.
-	put(p, "t1", []byte("one"))
+	put(s, "t1", []byte("one"))
 	flushNow(p)
-	put(p, "t2", []byte("two"))
+	put(s, "t2", []byte("two"))
 	flushNow(p)
 
-	// A third memtable sealed but NOT yet flushed: its records exist only
-	// in the sealed WAL.
-	p.ApplyBatch([]Write{{Key: "inflight", Value: []byte("only-in-wal")}})
+	// A third memtable sealed but NOT yet flushed: its record exists only
+	// in the front log.
+	s.ApplyBatch([]Write{{Key: "inflight", Value: []byte("only-in-wal")}})
 	sealMemtable(p)
 
 	// Compact L0 while that flush is in flight (p.imm != nil).
 	p.mu.Lock()
 	p.fanout = 2
-	sealed := p.walIdx - 1 // the in-flight memtable's WAL
 	p.mu.Unlock()
 	if !p.compactOnce() {
 		t.Fatal("compaction did no work")
@@ -902,63 +885,65 @@ func TestLSMCompactionPreservesInFlightFlushWAL(t *testing.T) {
 	if !inFlight {
 		t.Fatal("test setup: no flush in flight during compaction")
 	}
-
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after compaction: ok=%v err=%v", ok, err)
-	}
-	if m.walMin > sealed {
-		t.Fatalf("compaction manifest walMin %x dooms sealed WAL %x holding un-flushed records", m.walMin, sealed)
+	if m, ok, err := readManifest(dir); err != nil || !ok || len(m.levels) != 2 || len(m.levels[0]) != 0 {
+		t.Fatalf("manifest after compaction: %+v ok=%v err=%v", m, ok, err)
 	}
 
 	// kill -9 in that window: recovery must still see the record.
 	crash := t.TempDir()
 	copyFlatDir(t, dir, crash)
-	if got := lsmState(t, crash); got["inflight"] != "only-in-wal" {
+	if got := lsmState(t, crash); got["inflight"] != "only-in-wal" || got["t1"] != "one" || got["t2"] != "two" {
 		t.Fatalf("recovery lost the in-flight flush's records: %v", got)
 	}
 	p.doFlush() // the flusher's part: Close waits for a flush in flight
 }
 
-// TestLSMSealFsyncFailureNotAcknowledged: a DurabilityAlways writer whose
-// WAL record cannot be fsynced (here: the seal fsync at rotation fails)
-// must not be released as success — it observes the commit error and
-// panics, and the failure stays sticky through Close.
+// TestLSMSealFsyncFailureNotAcknowledged: a flush whose front-log fsync
+// fails must not publish its table — a manifest naming the table's
+// savepoint could outlive the log bytes it covers. The failure is sticky:
+// no manifest is written after it, flushing and compaction stop, Close
+// reports it, and the front log replays everything the failed flush held.
 func TestLSMSealFsyncFailureNotAcknowledged(t *testing.T) {
-	p, err := OpenPersist(Config{Dir: t.TempDir(), Durability: DurabilityAlways})
+	dir := t.TempDir()
+	boom := errors.New("injected fsync failure")
+	var fail atomic.Bool
+	s, err := openFront(dir, Config{MemtableBytes: 1 << 30, CompactFanout: 1 << 30}, func(sync func() error) error {
+		if fail.Load() {
+			return boom
+		}
+		return sync()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	put(p, "a", []byte("durable")) // healthy group commit first
+	p := s.Persist
+	put(s, "a", []byte("durable"))
+	flushNow(p) // a healthy flush first
+	manifest := readFile(t, manifestPath(dir))
 
-	// Append a record without waking the syncer, then fail the seal fsync
-	// by closing the WAL file under the rotation.
-	c := &p.commit
+	put(s, "b", []byte("in the front log"))
+	fail.Store(true)
+	flushNow(p)
+	if !errors.Is(p.err, boom) {
+		t.Fatalf("sticky error %v, want the injected failure", p.err)
+	}
+	if got := readFile(t, manifestPath(dir)); !bytes.Equal(got, manifest) {
+		t.Fatal("a flush whose front-log fsync failed published a manifest")
+	}
 	p.mu.Lock()
-	c.mu.Lock()
-	c.appended++
-	seq := c.appended
-	c.mu.Unlock()
-	_ = p.wal.Close()
-	p.imm = p.mem
-	p.mem = newMemtable()
-	p.rotateWALLocked() // seal fsync fails on the closed file
-	sealErr := p.err
+	p.fanout = 1
 	p.mu.Unlock()
-	if sealErr == nil {
-		t.Fatal("seal fsync on a closed file did not error")
+	if p.compactOnce() {
+		t.Fatal("compaction ran after a sticky front-log failure")
 	}
-
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		p.waitDurable(seq)
-	}()
-	if pv := <-done; pv == nil {
-		t.Fatal("waitDurable acknowledged a write whose seal fsync failed")
+	if v, ok := s.Get("b"); !ok || string(v) != "in the front log" {
+		t.Fatalf("the unflushed memtable stopped serving: b = %q/%v", v, ok)
 	}
-	if p.Close() == nil {
-		t.Fatal("Close returned nil after a seal fsync failure")
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the injected failure", err)
+	}
+	if got := lsmState(t, dir); !reflect.DeepEqual(got, map[string]string{"a": "durable", "b": "in the front log"}) {
+		t.Fatalf("reopened state %v", got)
 	}
 }
 
@@ -975,7 +960,7 @@ func heapInUse() uint64 {
 // at (a benchmark's first deployment, a registry's gauge closure) must not
 // keep its memtables and table indexes alive. After the checkpoint (see
 // close_test.go) the engine reads as empty, drops writes and says
-// ErrClosed from the calls that can say anything.
+// ErrClosed from Close once it has dropped one.
 func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 	dir := t.TempDir()
 	before := heapInUse()
@@ -1005,9 +990,6 @@ func TestLSMCloseDropsWhatItHeld(t *testing.T) {
 	p.IterPrefix("key-", func(string, []byte) bool { t.Fatal("a closed engine iterated"); return false })
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-	if err := p.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync on a closed engine: %v", err)
 	}
 	put(p, "late", []byte("v"))
 	p.ApplyBatch([]Write{{Key: "late2", Value: []byte("v")}})

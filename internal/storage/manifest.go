@@ -1,8 +1,8 @@
 package storage
 
 // The manifest is the LSM engine's root pointer: a single walframe-framed
-// file naming the live SSTables level by level, the lowest WAL file whose
-// writes are not yet covered by a table, and the next file number. It is
+// file naming the live SSTables level by level and the next file number.
+// It is
 // rewritten atomically (temp file, fsync, rename, directory fsync) on every
 // flush and compaction, so a crash at any instant leaves either the old
 // manifest or the new one — never a torn root. Files on disk that the
@@ -10,10 +10,11 @@ package storage
 // flush/compaction and are deleted at open; files it references but that
 // are missing or corrupt are a hard error.
 //
-// The payload is the magic "LSM2", then uvarints: next file number, lowest
-// live WAL, level count, and per level its table count and table file
-// numbers. An "LSM1" manifest, which older builds wrote with a live-key
-// count after the WAL index, is refused at open: there is no migration.
+// The payload is the magic "LSM3", then uvarints: next file number, level
+// count, and per level its table count and table file numbers. Older
+// builds wrote "LSM2", with the lowest live write-ahead log after the file
+// number, and "LSM1", with a live-key count after that; either is refused
+// at open, with the directory left as it was: there is no migration.
 
 import (
 	"errors"
@@ -26,22 +27,17 @@ import (
 )
 
 const (
-	manifestName     = "MANIFEST"
-	manifestMagic    = "LSM2"
-	oldManifestMagic = "LSM1"
+	manifestName  = "MANIFEST"
+	manifestMagic = "LSM3"
 )
 
 // errOldManifest is the refusal of a manifest an older build wrote.
-var errOldManifest = errors.New("is in format " + oldManifestMagic + ", written by an older build; no migration")
+var errOldManifest = errors.New("written by an older build; no migration")
 
 // manifestData is the decoded manifest.
 type manifestData struct {
-	// nextFile is the next SSTable file number (WAL files number
-	// contiguously on their own counter).
+	// nextFile is the next SSTable file number.
 	nextFile uint64
-	// walMin is the lowest WAL file index whose records are NOT covered by
-	// the tables below; recovery replays wal files with idx >= walMin.
-	walMin uint64
 	// levels lists table file numbers per level, newest first within a
 	// level — the search order.
 	levels [][]uint64
@@ -54,7 +50,6 @@ func encodeManifest(m manifestData) []byte {
 	payload := make([]byte, 0, 64)
 	payload = append(payload, manifestMagic...)
 	payload = codec.AppendUvarint(payload, m.nextFile)
-	payload = codec.AppendUvarint(payload, m.walMin)
 	payload = codec.AppendUvarint(payload, uint64(len(m.levels)))
 	for _, lvl := range m.levels {
 		payload = codec.AppendUvarint(payload, uint64(len(lvl)))
@@ -70,16 +65,15 @@ func encodeManifest(m manifestData) []byte {
 // number each take at least one byte.
 func decodeManifest(payload []byte) (manifestData, error) {
 	var m manifestData
-	switch string(payload[:min(len(payload), len(manifestMagic))]) {
+	switch magic := string(payload[:min(len(payload), len(manifestMagic))]); magic {
 	case manifestMagic:
-	case oldManifestMagic:
-		return m, errOldManifest
+	case "LSM1", "LSM2":
+		return m, fmt.Errorf("is in format %s, %w", magic, errOldManifest)
 	default:
 		return m, errors.New("bad magic")
 	}
 	r := codec.NewReader(payload[len(manifestMagic):])
 	m.nextFile = r.Uvarint()
-	m.walMin = r.Uvarint()
 	m.levels = make([][]uint64, r.Count(1))
 	for i := range m.levels {
 		m.levels[i] = make([]uint64, r.Count(1))

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,11 +34,15 @@ func dirImage(t *testing.T, dir string) map[string]string {
 	return image
 }
 
-// oldManifest is m as an older build wrote it: magic LSM1 and a live-key
-// count after the WAL index.
-func oldManifest(m manifestData, liveKeys uint64) []byte {
-	payload := []byte(oldManifestMagic)
-	for _, v := range []uint64{m.nextFile, m.walMin, liveKeys, uint64(len(m.levels))} {
+// oldManifest is m as an older build wrote it: magic LSM2 and the lowest
+// live WAL after the file number, or LSM1 and a live-key count after that.
+func oldManifest(magic string, m manifestData) []byte {
+	fields := []uint64{m.nextFile, 12}
+	if magic == "LSM1" {
+		fields = append(fields, 4096)
+	}
+	payload := []byte(magic)
+	for _, v := range append(fields, uint64(len(m.levels))) {
 		payload = binary.AppendUvarint(payload, v)
 	}
 	for _, lvl := range m.levels {
@@ -50,31 +55,45 @@ func oldManifest(m manifestData, liveKeys uint64) []byte {
 }
 
 // TestLSMRefusesOldManifest: a directory whose manifest an older build
-// wrote (format LSM1) fails to open with an error naming the format, and
-// is left byte-identical — a stray manifest temp file included.
+// wrote (format LSM1 or LSM2) fails to open with an error naming the
+// format, and so does one an older build's engine wrote but never flushed
+// (its write-ahead log alone); each is left byte-identical — a stray
+// manifest temp file included.
 func TestLSMRefusesOldManifest(t *testing.T) {
-	dir := t.TempDir()
-	want := buildTabled(t, dir)
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest: ok=%v err=%v", ok, err)
+	refuses := func(dir, what, want string) {
+		t.Helper()
+		if err := os.WriteFile(manifestPath(dir)+".tmp", []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirImage(t, dir)
+		p, err := OpenPersist(Config{Dir: dir})
+		if err == nil {
+			p.Close()
+			t.Fatalf("%s opened", what)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not say %q", what, err, want)
+		}
+		if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the refused open changed the directory", what)
+		}
 	}
-	writeManifestPayload(t, dir, oldManifest(m, uint64(len(want))))
-	if err := os.WriteFile(manifestPath(dir)+".tmp", []byte("torn"), 0o644); err != nil {
+	for _, magic := range []string{"LSM1", "LSM2"} {
+		dir := t.TempDir()
+		buildTabled(t, dir)
+		m, ok, err := readManifest(dir)
+		if err != nil || !ok {
+			t.Fatalf("manifest: ok=%v err=%v", ok, err)
+		}
+		writeManifestPayload(t, dir, oldManifest(magic, m))
+		refuses(dir, "an "+magic+" manifest", "is in format "+magic+", written by an older build")
+	}
+	dir := t.TempDir()
+	wal := fmt.Sprintf("%s%016x%s", walPrefix, 1, walSuffix)
+	if err := os.WriteFile(filepath.Join(dir, wal), appendFrontRecord(nil, []Write{{Key: "k", Value: []byte("v")}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := dirImage(t, dir)
-	p, err := OpenPersist(Config{Dir: dir})
-	if err == nil {
-		p.Close()
-		t.Fatal("an LSM1 manifest opened")
-	}
-	if !strings.Contains(err.Error(), "is in format LSM1, written by an older build") {
-		t.Fatalf("error %q does not name the old manifest format", err)
-	}
-	if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("the refused open changed the directory")
-	}
+	refuses(dir, "an older build's unflushed engine", "the write-ahead log an older build wrote; no migration")
 }
 
 // TestLSMManifestCountsBoundedByPayload: a CRC-valid manifest whose level
@@ -83,8 +102,8 @@ func TestLSMRefusesOldManifest(t *testing.T) {
 func TestLSMManifestCountsBoundedByPayload(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	for name, payload := range map[string][]byte{
-		"levels": append([]byte(manifestMagic+"\x01\x01"), huge...),
-		"tables": append([]byte(manifestMagic+"\x01\x01\x01"), huge...),
+		"levels": append([]byte(manifestMagic+"\x01"), huge...),
+		"tables": append([]byte(manifestMagic+"\x01\x01"), huge...),
 	} {
 		dir := t.TempDir()
 		writeManifestPayload(t, dir, payload)
@@ -120,18 +139,18 @@ func FuzzManifest(f *testing.F) {
 
 // manifestSeeds are FuzzManifest's committed seeds: a manifest with an
 // empty level between two full ones, cut and flipped copies of it, and
-// the same manifest as an older build wrote it.
+// the same manifest as older builds wrote it, whole, cut and flipped.
 func manifestSeeds() map[string][]any {
-	m := manifestData{nextFile: 300, walMin: 12, levels: [][]uint64{{299, 297}, {}, {250, 128, 7}}}
-	payload := encodeManifest(m)
-	flip := append([]byte(nil), payload...)
-	flip[len(flip)/2] ^= 0x10
-	return map[string][]any{
-		"lsm2":      {payload},
-		"lsm2-cut":  {payload[:len(payload)-2]},
-		"lsm2-flip": {flip},
-		"lsm1":      {oldManifest(m, 4096)},
+	m := manifestData{nextFile: 300, levels: [][]uint64{{299, 297}, {}, {250, 128, 7}}}
+	seeds := map[string][]any{"lsm1": {oldManifest("LSM1", m)}}
+	for name, payload := range map[string][]byte{"lsm3": encodeManifest(m), "lsm2": oldManifest("LSM2", m)} {
+		flip := append([]byte(nil), payload...)
+		flip[len(flip)/2] ^= 0x10
+		seeds[name] = []any{payload}
+		seeds[name+"-cut"] = []any{payload[:len(payload)-2]}
+		seeds[name+"-flip"] = []any{flip}
 	}
+	return seeds
 }
 
 // TestManifestFuzzCorpusCurrent: the committed seeds are this format's

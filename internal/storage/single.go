@@ -54,9 +54,6 @@ func (s *Single) ApplyBatch(writes []Write) {
 	}
 }
 
-// Sync implements KV; the in-memory engine has nothing to flush.
-func (s *Single) Sync() error { return nil }
-
 // Close implements KV; the in-memory engine holds no resources.
 func (s *Single) Close() error { return nil }
 

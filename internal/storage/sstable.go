@@ -85,6 +85,10 @@ const (
 	// grown past it by one large value is read once and left to the
 	// collector.
 	maxPooledBlock = 64 << 10
+
+	// A block entry's first byte: a value or a tombstone.
+	opPut    = 0
+	opDelete = 1
 )
 
 func sstPath(dir string, fileNo uint64) string {

@@ -3,18 +3,23 @@
 // indexes) and the CID-addressed blockstore sit on the KV interface instead of
 // owning a map and a global lock. Two engines implement it: a single-lock
 // map, the in-memory default and the reference every equivalence test
-// compares against, and an LSM-tree disk engine whose contents survive
-// process restarts with reopen cost proportional to the WAL tail (see
-// lsm.go). The contract is LevelDB's: point reads, ordered prefix scans,
-// and writes that arrive only as batches and are blind — a write reads
-// nothing first, so a delete of a key that was never written is a write
-// like any other. Both engines give IterPrefix a point-in-time view: a
-// concurrent ApplyBatch is seen whole or not at all.
+// compares against, and an LSM-tree disk engine whose tables survive
+// process restarts and whose open cost is its manifest's (see lsm.go). The
+// disk engine keeps no log: its owner's own append-only log — a peer's
+// block log, an IPFS node's blocks.log — is the write-ahead log, replayed
+// above a savepoint the owner keeps in the engine. The contract is
+// LevelDB's: point reads, ordered prefix scans, and writes that arrive
+// only as batches and are blind — a write reads nothing first, so a delete
+// of a key that was never written is a write like any other. Both engines
+// give IterPrefix a point-in-time view: a concurrent ApplyBatch is seen
+// whole or not at all.
 package storage
 
 import (
 	"fmt"
 	"os"
+
+	"socialchain/internal/walframe"
 )
 
 // Write is one staged mutation inside an ApplyBatch call.
@@ -41,15 +46,12 @@ type KV interface {
 	// ApplyBatch applies a block's writes as one step: an IterPrefix sees
 	// all of a batch or none of it. Within the batch, later writes to a
 	// key win. Writes are blind: nothing is read first, and deleting an
-	// absent key is not an error. Durable engines persist the whole batch
-	// as one atomic log record: after a crash either every write of the
-	// batch is recovered or none is.
+	// absent key is not an error. The disk engine writes a batch into one
+	// table: after a crash every write of the batch is on disk or none is.
 	ApplyBatch(writes []Write)
-	// Sync flushes buffered writes to stable storage. A no-op for the
-	// in-memory engine.
-	Sync() error
-	// Close releases the engine's resources after a final Sync. Operations
-	// after Close are undefined; Close is idempotent.
+	// Close releases the engine's resources; the disk engine first flushes
+	// what it holds. Operations after Close are undefined; Close is
+	// idempotent.
 	Close() error
 }
 
@@ -61,40 +63,50 @@ const (
 	// excludes every read. The in-memory default and the reference in
 	// cross-engine equivalence tests.
 	EngineSingle Engine = "single"
-	// EnginePersist is the durable disk engine: an LSM tree — WAL-fronted
-	// sorted memtable, immutable block-structured SSTables with bloom
-	// filters, a crash-safe manifest and background compaction. Contents
-	// survive restarts; reopen replays only the WAL tail, so recovery cost
-	// is proportional to recent writes, not total state.
+	// EnginePersist is the durable disk engine: an LSM tree — sorted
+	// memtable, immutable block-structured SSTables with bloom filters, a
+	// crash-safe manifest and background compaction. Tables survive
+	// restarts; what the memtable held is replayed by the owner from its
+	// front log (Config.SyncFront), so recovery cost is proportional to
+	// recent writes, not total state.
 	EnginePersist Engine = "persist"
 )
 
-// Durability selects the persist engine's fsync policy — the window of
-// acknowledged writes a power failure (not a mere process kill: appends
-// always reach the OS page cache synchronously) can lose.
+// Durability is the front-log fsync policy: the window of acknowledged
+// writes a power failure (not a mere process kill: appends always reach
+// the OS page cache synchronously) can lose from the log a persist engine's
+// owner keeps in front of it. The engine resolves it and reports it in
+// Stats; the owner applies it to its log through LogPolicy. In every mode
+// a flush fsyncs the front log before its table is published, so the
+// engine never names a savepoint a power loss can take from the log.
 type Durability string
 
 const (
-	// DurabilityNone never fsyncs on the write path (flush, compaction and
-	// rotation still fsync the artefacts they produce before deleting what
-	// those replace). Loss window on power failure: everything since the
-	// last flush/Sync. Survives kill -9. The default.
+	// DurabilityNone leaves the front log to the page cache; only the
+	// engine's flushes and Close fsync it. Loss window on power failure:
+	// everything since the last flush. Survives kill -9. The default.
 	DurabilityNone Durability = "none"
-	// DurabilityBatch runs a background group-commit loop that fsyncs the
-	// WAL every 5 ms; writers never wait. Loss window on power failure:
-	// about 5 ms of acknowledged writes.
-	// Because writers never wait, an fsync failure surfaces
-	// asynchronously: the error is sticky and reported at the next
-	// Sync/Close, and background syncing stops.
+	// DurabilityBatch fsyncs the front log within walframe.BatchPeriod
+	// (5 ms) of the first unsynced append, on a timer; writers never
+	// wait. Loss window on power failure: about 5 ms of acknowledged
+	// writes. A failed fsync is sticky and fails the next append.
 	DurabilityBatch Durability = "batch"
-	// DurabilityAlways makes every mutation wait until the WAL is fsynced
-	// past it before returning; concurrent waiters coalesce onto one fsync
-	// (group commit). Loss window: none for acknowledged writes — which is
-	// why an fsync failure panics the waiting writer: with no error return
-	// in the KV contract, a write that cannot be made durable must not
-	// return at all.
+	// DurabilityAlways fsyncs each front-log append before the owner
+	// writes the engine: one fsync per block. Loss window: none for
+	// acknowledged writes; a failed fsync fails the append.
 	DurabilityAlways Durability = "always"
 )
+
+// LogPolicy is the front-log fsync policy d selects.
+func (d Durability) LogPolicy() walframe.Policy {
+	switch d {
+	case DurabilityAlways:
+		return walframe.SyncAlways
+	case DurabilityBatch:
+		return walframe.SyncBatch
+	}
+	return walframe.SyncNone
+}
 
 // Config selects and sizes an engine. The zero value opens the in-memory
 // single engine.
@@ -108,11 +120,19 @@ type Config struct {
 	// threading paths into every constructor. Ignored by the in-memory
 	// engine.
 	Dir string
-	// Durability picks the persist engine's fsync policy (default
-	// DurabilityNone; see the Durability constants for the loss windows).
-	// DurabilityEnvVar overrides an empty value. Ignored by the in-memory
-	// engine.
+	// Durability picks the front-log fsync policy the persist engine
+	// reports to its owner (default DurabilityNone; see the Durability
+	// constants for the loss windows). DurabilityEnvVar overrides an empty
+	// value. Ignored by the in-memory engine.
 	Durability Durability
+	// SyncFront makes the owner's front log durable up to its end. The
+	// persist engine calls it on each flush, after the table is fsynced
+	// and before the manifest names it; an error is sticky and stops
+	// flushing. It runs on the flusher (or on Close), so it must take no
+	// lock a writer holds across ApplyBatch: a writer can stall there
+	// waiting for this very flush. nil for an engine no log stands in
+	// front of. Ignored by the in-memory engine.
+	SyncFront func() error
 	// MemtableBytes is the persist engine's memtable flush threshold: once
 	// the active memtable holds this many bytes it is flushed to an
 	// SSTable (default DefaultMemtableBytes).
@@ -128,9 +148,10 @@ type Config struct {
 // through every constructor (the CI matrix runs the suite under both).
 const EngineEnvVar = "SOCIALCHAIN_STORAGE_ENGINE"
 
-// DurabilityEnvVar overrides the fsync policy an empty Config.Durability
-// selects, so the CI persist leg can run the whole suite under
-// Durability=always without threading a flag through every constructor.
+// DurabilityEnvVar overrides the front-log fsync policy an empty
+// Config.Durability selects, so the CI persist leg can run the whole suite
+// under Durability=always without threading a flag through every
+// constructor.
 const DurabilityEnvVar = "SOCIALCHAIN_STORAGE_DURABILITY"
 
 // envEngine reads EngineEnvVar; empty means "no override", unknown values

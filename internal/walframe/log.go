@@ -3,27 +3,61 @@ package walframe
 import (
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
+// Policy is when a Log fsyncs on its own. Whatever the policy, the
+// storage engine that indexes a log asks for one fsync before it
+// publishes a table (storage.Config.SyncFront), so the index never names
+// a frame a power loss can take.
+type Policy uint8
+
+const (
+	// SyncNone leaves appended frames to the page cache until the
+	// engine's next flush or Close.
+	SyncNone Policy = iota
+	// SyncBatch fsyncs within BatchPeriod of the first unsynced append,
+	// on a timer: appenders never wait.
+	SyncBatch
+	// SyncAlways fsyncs every append before Append returns.
+	SyncAlways
+)
+
+// BatchPeriod bounds how long SyncBatch leaves an append unsynced.
+const BatchPeriod = 5 * time.Millisecond
+
 // Log is an append-only file of frames, the core of the ledger's block log
-// and an IPFS node's. Readers use ReadAt lock-free; the caller serialises
-// the rest. A failed write or fsync is sticky: a frame appended after a
-// torn one would turn a recoverable torn tail into mid-log corruption.
+// and an IPFS node's: the front log of the storage engine that indexes
+// it. Readers use ReadAt lock-free; Append, Sync and Close are safe from
+// any goroutine, and Sync never holds up an Append while it fsyncs. A
+// failed write or fsync is sticky: a frame appended after a torn one
+// would turn a recoverable torn tail into mid-log corruption.
 type Log struct {
-	f      *os.File // never reassigned: readers use it without the appender's lock
-	end    int64    // where the next append lands
+	f      *os.File // never reassigned: readers use it without a lock
+	policy Policy
+	fsyncs atomic.Int64
+
+	// syncMu admits one fsync at a time, and Close waits for it. Lock
+	// order: syncMu before mu.
+	syncMu sync.Mutex
+
+	mu     sync.Mutex
+	end    int64 // where the next append lands
+	synced int64 // the offset the last fsync covered
 	err    error
 	closed bool
-	synced int64 // the offset the last fsync covered
-	fsyncs atomic.Int64
+	timer  *time.Timer // SyncBatch's pending fsync
 }
 
 // OpenLog opens (or creates) the log at path, trusting the bytes below
 // offset from, and finds its end with Recover, cutting a torn tail. found
 // sees each frame at or above from; its error, or a file shorter than from
-// (ErrLost), fails the open with the file untouched.
-func OpenLog(path string, from int64, found func(off int64, payload []byte) error) (*Log, error) {
+// (ErrLost), fails the open with the file untouched. Under SyncAlways the
+// frames found are fsynced before OpenLog returns: their appender may have
+// died before its own fsync.
+func OpenLog(path string, from int64, policy Policy, found func(off int64, payload []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("walframe: open log: %w", err)
@@ -33,17 +67,40 @@ func OpenLog(path string, from int64, found func(off int64, payload []byte) erro
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f, end: end}, nil
+	l := &Log{f: f, policy: policy, end: end, synced: from}
+	if policy == SyncAlways {
+		if err := l.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return l, nil
 }
 
 // End returns the offset the next append lands at.
-func (l *Log) End() int64 { return l.end }
+func (l *Log) End() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.end
+}
 
 // ReadAt reads the file at off.
 func (l *Log) ReadAt(p []byte, off int64) (int, error) { return l.f.ReadAt(p, off) }
 
-// Append writes one sealed frame at the end and returns its offset.
+// Append writes one sealed frame at the end and returns its offset, then
+// applies the log's Policy.
 func (l *Log) Append(frame []byte) (int64, error) {
+	off, err := l.write(frame)
+	if err == nil && l.policy == SyncAlways {
+		err = l.Sync()
+	}
+	return off, err
+}
+
+// write appends frame and, under SyncBatch, arms the timer.
+func (l *Log) write(frame []byte) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err != nil {
 		return 0, l.err
 	}
@@ -51,31 +108,52 @@ func (l *Log) Append(frame []byte) (int64, error) {
 		l.err = fmt.Errorf("walframe: append to %s: %w", l.f.Name(), err)
 		return 0, l.err
 	}
+	off := l.end
 	l.end += int64(len(frame))
-	return l.end - int64(len(frame)), nil
+	if l.policy == SyncBatch && l.timer == nil {
+		l.timer = time.AfterFunc(BatchPeriod, l.batchSync)
+	}
+	return off, nil
 }
 
-// Sync flushes appended frames to stable storage, reporting a sticky
-// failure first.
+// batchSync is SyncBatch's timer. A failure stays sticky for the next
+// Append to report.
+func (l *Log) batchSync() {
+	l.mu.Lock()
+	l.timer = nil
+	l.mu.Unlock()
+	_ = l.Sync()
+}
+
+// Sync makes every frame appended so far durable, reporting a sticky
+// failure first. It fsyncs only when something was appended since the
+// last fsync.
 func (l *Log) Sync() error {
-	if l.err != nil || l.closed {
-		return l.err
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	return l.syncHeld()
+}
+
+// syncHeld is Sync with syncMu held.
+func (l *Log) syncHeld() error {
+	l.mu.Lock()
+	end, err, done := l.end, l.err, l.closed || l.synced >= l.end
+	l.mu.Unlock()
+	if err != nil || done {
+		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		l.err = fmt.Errorf("walframe: sync %s: %w", l.f.Name(), err)
+	serr := l.f.Sync()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if serr != nil {
+		if l.err == nil {
+			l.err = fmt.Errorf("walframe: sync %s: %w", l.f.Name(), serr)
+		}
 		return l.err
 	}
 	l.fsyncs.Add(1)
-	l.synced = l.end
+	l.synced = end
 	return nil
-}
-
-// SyncTo fsyncs unless an earlier fsync already covered offset off.
-func (l *Log) SyncTo(off int64) error {
-	if l.synced >= off && l.err == nil {
-		return nil
-	}
-	return l.Sync()
 }
 
 // Fsyncs counts the file's fsyncs since open.
@@ -83,11 +161,19 @@ func (l *Log) Fsyncs() int64 { return l.fsyncs.Load() }
 
 // Close syncs and closes the log. Idempotent.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	err := l.syncHeld()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	err := l.Sync()
 	l.closed = true
+	if l.timer != nil {
+		l.timer.Stop()
+		l.timer = nil
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
