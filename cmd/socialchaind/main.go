@@ -10,11 +10,11 @@
 // overlapped commit) and the daemon reports the achieved write
 // throughput beside the round-based statistics.
 //
-// With -data-dir DIR the deployment is durable: peers keep WAL-backed
-// world state and a block log under DIR, and the IPFS cluster's
-// blockstores persist beside them. Kill the process, run it again with
-// the same -data-dir, and it resumes from the recovered chain instead of
-// starting empty.
+// With -data-dir DIR the deployment is durable: peers keep their world
+// state and a block log, which is its write-ahead log, under DIR, and the
+// IPFS cluster's blockstores persist beside them. Kill the process, run
+// it again with the same -data-dir, and it resumes from the recovered
+// chain instead of starting empty.
 //
 // The deployment runs one channel, the paper's traffic-channel: every
 // source's data, trust state and provenance live on it.
@@ -83,7 +83,7 @@ func main() {
 	bulkBatch := flag.Int("bulk-batch", 32, "records per bulk-ingest envelope")
 	bulkWorkers := flag.Int("bulk-workers", 8, "bulk-ingest IPFS-add workers")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restart resumes from it")
-	durability := flag.String("durability", "", "persist-engine fsync policy with -data-dir: none (page cache), batch (background group fsync) or always (every commit waits for fsync)")
+	durability := flag.String("durability", "", "front-log fsync policy with -data-dir (the block logs the state engines replay): none (page cache and engine flushes), batch (a timer fsync within 5 ms of an append) or always (each block fsynced before its state batch)")
 	role := flag.String("role", "", "run one process of a networked deployment: peer (empty = in-process demo)")
 	index := flag.Int("index", 0, "peer index within the deployment (with -role peer)")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address (with -role)")

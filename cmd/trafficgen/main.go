@@ -61,7 +61,7 @@ func main() {
 	inflight := flag.Int("inflight", 1, "batches in flight")
 	peers := flag.Int("peers", 4, "blockchain peers (with -ingest or -connect)")
 	engine := flag.String("engine", "", "world-state storage engine: single or persist")
-	durability := flag.String("durability", "", "persist-engine fsync policy with -data-dir: none, batch or always")
+	durability := flag.String("durability", "", "front-log fsync policy with -data-dir (the block logs the state engines replay): none, batch or always")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restarted -ingest run resumes from it")
 	readFrac := flag.Float64("read-frac", 0, "fraction of operations that are reads (with -connect): half probe stored records, half probe absent keys (the bloom-filter negative path); 0 = write-only")
 	connect := flag.String("connect", "", "drive an out-of-process deployment: comma-separated id=host:port book of its peer processes")

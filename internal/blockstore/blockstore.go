@@ -270,6 +270,5 @@ func (s *Store) SizeBytes() uint64 {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kerr := s.kv.Close()
-	return errors.Join(kerr, s.log.Close())
+	return errors.Join(s.kv.Close(), s.log.Close())
 }

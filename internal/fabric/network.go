@@ -65,11 +65,12 @@ type Config struct {
 	CommitTimeout time.Duration
 	// StateEngine selects the key-value engine behind every peer's world
 	// state and history ("single" or "persist"; default single, the
-	// in-memory map). The persist engine is WAL-backed and survives
-	// restarts. Unknown names fail network construction.
+	// in-memory map). The persist engine survives restarts, replaying
+	// the peer's block log above its savepoint. Unknown names fail network
+	// construction.
 	StateEngine storage.Engine
-	// StateDurability selects the persist engine's fsync policy ("none",
-	// "batch" or "always"; default none). Only meaningful for durable
+	// StateDurability selects the front-log fsync policy of the peers'
+	// block logs ("none", "batch" or "always"; default none). Only meaningful for durable
 	// peers — in-memory engines ignore it. Unknown names fail network
 	// construction when the peers open their stores.
 	StateDurability storage.Durability

@@ -81,8 +81,8 @@ package storage
 // the engine resolves it (DurabilityEnvVar overrides an empty value) and
 // reports it in Stats, and each owner applies it to its front log
 // (walframe.Policy): "none" leaves the log to the page cache and the next
-// flush, "batch" fsyncs it within walframe.BatchPeriod of an append, and
-// "always" fsyncs each append before the owner writes the engine.
+// flush, "batch" fsyncs it within 5 ms of an append, and "always" fsyncs
+// each append before the owner writes the engine.
 //
 // Integrity: every byte read back — manifest, table blocks — is CRC
 // validated. On the read path a failed check panics rather than serving

@@ -2,8 +2,8 @@ package storage
 
 // SSTables are the LSM engine's immutable sorted runs, in LevelDB's table
 // layout. One file is a sequence of walframe-framed blocks — the same
-// [len][CRC][payload] framing as the WAL, so every byte read back from
-// disk is checksummed:
+// [len][CRC][payload] framing as the block logs, so every byte read back
+// from disk is checksummed:
 //
 //	[data block]...[data block][index block][bloom block][footer]
 //

@@ -86,10 +86,10 @@ const (
 	// engine's flushes and Close fsync it. Loss window on power failure:
 	// everything since the last flush. Survives kill -9. The default.
 	DurabilityNone Durability = "none"
-	// DurabilityBatch fsyncs the front log within walframe.BatchPeriod
-	// (5 ms) of the first unsynced append, on a timer; writers never
-	// wait. Loss window on power failure: about 5 ms of acknowledged
-	// writes. A failed fsync is sticky and fails the next append.
+	// DurabilityBatch fsyncs the front log within 5 ms of the first
+	// unsynced append, on a timer; writers never wait. Loss window on
+	// power failure: about 5 ms of acknowledged writes. A failed fsync is
+	// sticky and fails the next append.
 	DurabilityBatch Durability = "batch"
 	// DurabilityAlways fsyncs each front-log append before the owner
 	// writes the engine: one fsync per block. Loss window: none for

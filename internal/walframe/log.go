@@ -18,15 +18,15 @@ const (
 	// SyncNone leaves appended frames to the page cache until the
 	// engine's next flush or Close.
 	SyncNone Policy = iota
-	// SyncBatch fsyncs within BatchPeriod of the first unsynced append,
+	// SyncBatch fsyncs within batchPeriod of the first unsynced append,
 	// on a timer: appenders never wait.
 	SyncBatch
 	// SyncAlways fsyncs every append before Append returns.
 	SyncAlways
 )
 
-// BatchPeriod bounds how long SyncBatch leaves an append unsynced.
-const BatchPeriod = 5 * time.Millisecond
+// batchPeriod bounds how long SyncBatch leaves an append unsynced.
+const batchPeriod = 5 * time.Millisecond
 
 // Log is an append-only file of frames, the core of the ledger's block log
 // and an IPFS node's: the front log of the storage engine that indexes
@@ -111,7 +111,7 @@ func (l *Log) write(frame []byte) (int64, error) {
 	off := l.end
 	l.end += int64(len(frame))
 	if l.policy == SyncBatch && l.timer == nil {
-		l.timer = time.AfterFunc(BatchPeriod, l.batchSync)
+		l.timer = time.AfterFunc(batchPeriod, l.batchSync)
 	}
 	return off, nil
 }

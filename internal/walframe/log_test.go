@@ -19,7 +19,7 @@ func openTestLog(t *testing.T, policy Policy) *Log {
 }
 
 // TestLogPolicies: SyncAlways fsyncs every append before it returns,
-// SyncNone never on its own, SyncBatch within BatchPeriod of the first
+// SyncNone never on its own, SyncBatch within batchPeriod of the first
 // unsynced append; a Sync with nothing new appended fsyncs nothing.
 func TestLogPolicies(t *testing.T) {
 	always := openTestLog(t, SyncAlways)
@@ -54,7 +54,7 @@ func TestLogPolicies(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second) // a loaded machine may run the timer late
 	for batch.Fsyncs() == 0 && time.Now().Before(deadline) {
-		time.Sleep(BatchPeriod)
+		time.Sleep(batchPeriod)
 	}
 	if got := batch.Fsyncs(); got != 1 {
 		t.Fatalf("SyncBatch: %d fsyncs for three appends inside one period, want 1", got)

@@ -1,6 +1,7 @@
 // Package walframe is the one record framing of the repo — the storage
-// engine's WAL and tables, the ledger's block log and the TCP wire — and
-// the one scan that tells where a log ends. One frame is:
+// engine's tables and manifest, the block logs in front of it (the
+// ledger's and an IPFS node's: Log) and the TCP wire — and the one scan
+// that tells where a log ends. One frame is:
 //
 //	[4B big-endian payload length][4B IEEE CRC32 of payload][payload]
 //
