@@ -17,7 +17,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -26,10 +25,8 @@ import (
 	"socialchain/internal/detect"
 	"socialchain/internal/fabric"
 	"socialchain/internal/ingest"
-	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 	"socialchain/internal/ordering"
-	"socialchain/internal/peer"
 	"socialchain/internal/sim"
 	"socialchain/internal/statedb"
 	"socialchain/internal/storage"
@@ -137,77 +134,6 @@ func canonicalRecord(t *testing.T, value []byte) contracts.DataRecord {
 	return rec
 }
 
-// canonicalHistory checks p's history of every data/rec, data/head and
-// trust/score key against p's own chain — every field of every entry,
-// one entry per valid transaction that wrote the key (batched envelopes
-// included) and none for an invalid one — and returns the run-independent
-// view of the record keys' history: per record, each entry's is-delete
-// flag and canonicalised value, sorted.
-func canonicalHistory(t *testing.T, p *peer.Peer) []string {
-	t.Helper()
-	render := func(es []statedb.HistEntry) string {
-		var out []string
-		for _, e := range es {
-			out = append(out, fmt.Sprintf("%s/%q/%v/%s/%d", e.TxID, e.Value, e.IsDelete, e.Version, e.Timestamp.UnixNano()))
-		}
-		return strings.Join(out, " ")
-	}
-	want := make(map[string][]statedb.HistEntry)
-	p.Ledger().Iterate(func(b *ledger.Block) bool {
-		for i := range b.Txs {
-			if b.Metadata.Flags[i] != ledger.Valid {
-				continue
-			}
-			tx := &b.Txs[i]
-			last := make(map[string]statedb.WriteItem)
-			for _, w := range tx.RWSet.Writes {
-				last[w.Namespace+"\x00"+w.Key] = w
-			}
-			for nk, w := range last {
-				want[nk] = append(want[nk], statedb.HistEntry{
-					TxID: tx.ID, Value: w.Value, IsDelete: w.IsDelete,
-					Version: statedb.Version{BlockNum: b.Header.Number, TxNum: uint64(i)}, Timestamp: tx.Timestamp,
-				})
-			}
-		}
-		return true
-	})
-	var out []string
-	checked := 0
-	for nk, entries := range want {
-		ns, key, _ := strings.Cut(nk, "\x00")
-		rec := ns == contracts.DataCC && strings.HasPrefix(key, "rec/")
-		if !rec && !(ns == contracts.DataCC && strings.HasPrefix(key, "head/")) && !(ns == contracts.TrustCC && strings.HasPrefix(key, "score/")) {
-			continue
-		}
-		got, err := p.History().Get(ns, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if render(got) != render(entries) {
-			t.Fatalf("%s: history of %s/%s:\n got %s\nwant %s", p.ID(), ns, key, render(got), render(entries))
-		}
-		checked++
-		if !rec {
-			continue
-		}
-		var view []string
-		for _, e := range got {
-			recJSON, err := json.Marshal(canonicalRecord(t, e.Value))
-			if err != nil {
-				t.Fatal(err)
-			}
-			view = append(view, fmt.Sprintf("%v:%s", e.IsDelete, recJSON))
-		}
-		out = append(out, strings.Join(view, " "))
-	}
-	if len(out) > 0 && checked == len(out) {
-		t.Fatalf("%s: records have history, but no data/head or trust/score key does", p.ID())
-	}
-	sort.Strings(out)
-	return out
-}
-
 // canonicalIndex maps every entry of a statedb secondary index to
 // (indexed value, CID of the record the entry points at), sorted — the
 // record-ID-free view of the index.
@@ -290,7 +216,7 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 	frames, metas := equivFrames(t, seed, n)
 
 	var canonical [][]byte
-	var indexCanon, histCanon []string
+	var indexCanon []string
 	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
 		modes := []string{"serial-loop", "pipelined"}
 		if engine == storage.EngineSingle {
@@ -349,23 +275,14 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 				}
 				idx := canonicalIndex(t, fw, contracts.IndexLabel)
 				idxJSON, _ := json.Marshal(idx)
-				hist := canonicalHistory(t, fw.Net.ChannelAt(0).Peer(0))
-				if len(hist) != n {
-					t.Fatalf("%d record keys have history, want %d", len(hist), n)
-				}
-				histJSON, _ := json.Marshal(hist)
 				canonical = append(canonical, recJSON)
 				indexCanon = append(indexCanon, string(idxJSON))
-				histCanon = append(histCanon, string(histJSON))
 				if len(canonical) > 1 {
 					if !bytes.Equal(canonical[0], recJSON) {
 						t.Fatalf("canonical state diverged from first run:\nfirst: %s\n  now: %s", canonical[0], recJSON)
 					}
 					if indexCanon[0] != string(idxJSON) {
 						t.Fatalf("canonical label index diverged:\nfirst: %s\n  now: %s", indexCanon[0], idxJSON)
-					}
-					if histCanon[0] != string(histJSON) {
-						t.Fatalf("canonical record history diverged:\nfirst: %s\n  now: %s", histCanon[0], histJSON)
 					}
 				}
 

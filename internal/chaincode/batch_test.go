@@ -54,8 +54,8 @@ func batchSim(t *testing.T) *Simulator {
 	if err := reg.Register(batchCC{}); err != nil {
 		t.Fatal(err)
 	}
-	db, h := seededDB(t)
-	return NewSimulator(testCtx(t), "bcc", db, h).WithRegistry(reg)
+	db := seededDB(t)
+	return NewSimulator(testCtx(t), "bcc", db).WithRegistry(reg)
 }
 
 // TestInvokeBatchSubTxIDs checks each call runs under its own
@@ -172,8 +172,8 @@ func TestInvokeBatchValidation(t *testing.T) {
 	if _, err := sim.InvokeBatch([]BatchCall{{Chaincode: "nope", Fn: "x"}}); err == nil {
 		t.Fatal("unknown chaincode accepted")
 	}
-	db, h := seededDB(t)
-	bare := NewSimulator(testCtx(t), "bcc", db, h)
+	db := seededDB(t)
+	bare := NewSimulator(testCtx(t), "bcc", db)
 	if _, err := bare.InvokeBatch([]BatchCall{{Chaincode: "bcc", Fn: "incr"}}); err == nil {
 		t.Fatal("registry-less batch accepted")
 	}

@@ -20,32 +20,23 @@ func testCtx(t *testing.T) TxContext {
 	return TxContext{TxID: "tx-1", ChannelID: "ch", Creator: s.Identity, Timestamp: time.Unix(1000, 0)}
 }
 
-// seededDB commits one transaction, "genesis-tx", as block 1 — with its
-// history references — and resolves those through a one-entry chain.
-func seededDB(t *testing.T) (*statedb.DB, *statedb.HistoryDB) {
+// seededDB commits one transaction as block 1.
+func seededDB(t *testing.T) *statedb.DB {
 	t.Helper()
 	db := statedb.New()
-	writes := []statedb.WriteItem{
+	b := statedb.NewUpdateBatch()
+	b.AddRWSetWrites(statedb.RWSet{Writes: []statedb.WriteItem{
 		{Namespace: "cc", Key: "existing", Value: []byte("old")},
 		{Namespace: "cc", Key: "scan/a", Value: []byte("1")},
 		{Namespace: "cc", Key: "scan/b", Value: []byte("2")},
-	}
-	b := statedb.NewUpdateBatch()
-	b.AddRWSetWrites(statedb.RWSet{Writes: writes})
-	updates := []statedb.TxUpdate{{Batch: b, Version: statedb.Version{BlockNum: 1, TxNum: 0}}}
-	db.ApplyBlockAt(updates, 1, statedb.HistoryWrites(updates)...)
-	h := statedb.NewHistoryDB(db, func(n uint64, tx uint32) (string, time.Time, []statedb.WriteItem, error) {
-		if n != 1 || tx != 0 {
-			return "", time.Time{}, nil, statedb.ErrNotVisible
-		}
-		return "genesis-tx", time.Unix(500, 0), writes, nil
-	})
-	return db, h
+	}})
+	db.ApplyBlockAt([]statedb.TxUpdate{{Batch: b, Version: statedb.Version{BlockNum: 1, TxNum: 0}}}, 1)
+	return db
 }
 
 func TestGetStateRecordsRead(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	v, err := sim.GetState("existing")
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +54,8 @@ func TestGetStateRecordsRead(t *testing.T) {
 }
 
 func TestGetStateAbsentRecordsNonExistence(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	v, err := sim.GetState("ghost")
 	if err != nil || v != nil {
 		t.Fatalf("v=%v err=%v", v, err)
@@ -76,8 +67,8 @@ func TestGetStateAbsentRecordsNonExistence(t *testing.T) {
 }
 
 func TestReadYourOwnWrites(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if err := sim.PutState("k", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +98,8 @@ func commitCC(db *statedb.DB, n uint64, key, value string) {
 // version, reads back its first value, and the read set keeps the first
 // version; a caller mutating a returned slice changes nothing.
 func TestGetStateRepeatsWithinSimulation(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	first, err := sim.GetState("existing")
 	if err != nil || string(first) != "old" {
 		t.Fatalf("first read %q, %v", first, err)
@@ -136,8 +127,8 @@ func TestGetStateRepeatsWithinSimulation(t *testing.T) {
 // is not kept; GetState returns its committed value, and the read set
 // keeps the version the scan saw.
 func TestGetStateAfterRangeReadsThrough(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if _, err := sim.GetStateByRange("scan/", "scan/\xff"); err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +145,8 @@ func TestGetStateAfterRangeReadsThrough(t *testing.T) {
 }
 
 func TestDeleteVisibleInSimulation(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if err := sim.DelState("existing"); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +161,8 @@ func TestDeleteVisibleInSimulation(t *testing.T) {
 }
 
 func TestEmptyKeyRejected(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if err := sim.PutState("", []byte("v")); err == nil {
 		t.Fatal("empty key accepted")
 	}
@@ -181,8 +172,8 @@ func TestEmptyKeyRejected(t *testing.T) {
 }
 
 func TestRangeMergesPendingWrites(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if err := sim.PutState("scan/c", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
@@ -207,25 +198,9 @@ func TestRangeMergesPendingWrites(t *testing.T) {
 	}
 }
 
-func TestHistoryThroughStub(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
-	hist, err := sim.GetHistoryForKey("existing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 1 || hist[0].TxID != "genesis-tx" || string(hist[0].Value) != "old" || !hist[0].Timestamp.Equal(time.Unix(500, 0)) {
-		t.Fatalf("history = %+v", hist)
-	}
-	simNoHist := NewSimulator(testCtx(t), "cc", db, nil)
-	if _, err := simNoHist.GetHistoryForKey("existing"); err == nil {
-		t.Fatal("nil history db accepted")
-	}
-}
-
 func TestEvents(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if err := sim.SetEvent("", nil); err == nil {
 		t.Fatal("empty event name accepted")
 	}
@@ -239,9 +214,9 @@ func TestEvents(t *testing.T) {
 }
 
 func TestContextAccessors(t *testing.T) {
-	db, h := seededDB(t)
+	db := seededDB(t)
 	ctx := testCtx(t)
-	sim := NewSimulator(ctx, "cc", db, h)
+	sim := NewSimulator(ctx, "cc", db)
 	if sim.GetTxID() != "tx-1" || sim.GetChannelID() != "ch" {
 		t.Fatal("context accessors wrong")
 	}
@@ -254,9 +229,9 @@ func TestContextAccessors(t *testing.T) {
 }
 
 func TestRWSetDeterministicOrder(t *testing.T) {
-	db, h := seededDB(t)
+	db := seededDB(t)
 	build := func(order []string) statedb.RWSet {
-		sim := NewSimulator(testCtx(t), "cc", db, h)
+		sim := NewSimulator(testCtx(t), "cc", db)
 		for _, k := range order {
 			_, _ = sim.GetState(k)
 			_ = sim.PutState(k, []byte("v"))
@@ -299,7 +274,7 @@ func (callee) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 }
 
 func TestInvokeChaincodeCrossNamespace(t *testing.T) {
-	db, h := seededDB(t)
+	db := seededDB(t)
 	reg := NewRegistry()
 	if err := reg.Register(crossCaller{}); err != nil {
 		t.Fatal(err)
@@ -307,7 +282,7 @@ func TestInvokeChaincodeCrossNamespace(t *testing.T) {
 	if err := reg.Register(callee{}); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulator(testCtx(t), "caller", db, h).WithRegistry(reg)
+	sim := NewSimulator(testCtx(t), "caller", db).WithRegistry(reg)
 	cc, _ := reg.Get("caller")
 	if _, err := cc.Invoke(sim, "callPut", [][]byte{[]byte("ck"), []byte("cv")}); err != nil {
 		t.Fatal(err)
@@ -327,12 +302,12 @@ func TestInvokeChaincodeCrossNamespace(t *testing.T) {
 }
 
 func TestInvokeChaincodeDepthLimit(t *testing.T) {
-	db, h := seededDB(t)
+	db := seededDB(t)
 	reg := NewRegistry()
 	if err := reg.Register(crossCaller{}); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulator(testCtx(t), "caller", db, h).WithRegistry(reg)
+	sim := NewSimulator(testCtx(t), "caller", db).WithRegistry(reg)
 	cc, _ := reg.Get("caller")
 	_, err := cc.Invoke(sim, "recurse", nil)
 	if err == nil || !strings.Contains(err.Error(), "depth") {
@@ -341,16 +316,16 @@ func TestInvokeChaincodeDepthLimit(t *testing.T) {
 }
 
 func TestInvokeChaincodeNoRegistry(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	if _, err := sim.InvokeChaincode("x", "y", nil); err == nil {
 		t.Fatal("nil registry accepted")
 	}
 }
 
 func TestInvokeChaincodeUnknown(t *testing.T) {
-	db, h := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db, h).WithRegistry(NewRegistry())
+	db := seededDB(t)
+	sim := NewSimulator(testCtx(t), "cc", db).WithRegistry(NewRegistry())
 	if _, err := sim.InvokeChaincode("ghost", "fn", nil); err == nil {
 		t.Fatal("unknown chaincode accepted")
 	}
@@ -371,12 +346,12 @@ func TestRegistryDuplicate(t *testing.T) {
 }
 
 func TestGetQueryResult(t *testing.T) {
-	db, h := seededDB(t)
+	db := seededDB(t)
 	b := statedb.NewUpdateBatch()
 	b.Put("cc", "doc1", []byte(`{"kind":"a"}`))
 	b.Put("cc", "doc2", []byte(`{"kind":"b"}`))
 	db.ApplyUpdates(b, statedb.Version{BlockNum: 2})
-	sim := NewSimulator(testCtx(t), "cc", db, h)
+	sim := NewSimulator(testCtx(t), "cc", db)
 	got, err := sim.GetQueryResult(statedb.Selector{"kind": "a"})
 	if err != nil {
 		t.Fatal(err)

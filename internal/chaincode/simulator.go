@@ -33,7 +33,6 @@ type Simulator struct {
 	depth    int
 	sub      int // current batch call index, -1 outside InvokeBatch
 	db       State
-	history  *statedb.HistoryDB
 	registry *Registry
 
 	reads   map[string]statedb.ReadItem  // keyed by ns\x00key
@@ -56,16 +55,15 @@ type State interface {
 
 // NewSimulator creates a simulator for one invocation of chaincode ns.
 // registry enables InvokeChaincode and may be nil for isolated tests.
-func NewSimulator(ctx TxContext, ns string, db State, history *statedb.HistoryDB) *Simulator {
+func NewSimulator(ctx TxContext, ns string, db State) *Simulator {
 	return &Simulator{
-		ctx:     ctx,
-		ns:      ns,
-		sub:     -1,
-		db:      db,
-		history: history,
-		reads:   make(map[string]statedb.ReadItem),
-		values:  make(map[string][]byte),
-		writes:  make(map[string]statedb.WriteItem),
+		ctx:    ctx,
+		ns:     ns,
+		sub:    -1,
+		db:     db,
+		reads:  make(map[string]statedb.ReadItem),
+		values: make(map[string][]byte),
+		writes: make(map[string]statedb.WriteItem),
 	}
 }
 
@@ -200,14 +198,6 @@ func (s *Simulator) GetIndexPage(index, valuePrefix string, limit int, token str
 		}
 	}
 	return statedb.IndexPage{}, fmt.Errorf("chaincode: no index %q in namespace %q", index, s.ns)
-}
-
-// GetHistoryForKey implements Stub.
-func (s *Simulator) GetHistoryForKey(key string) ([]statedb.HistEntry, error) {
-	if s.history == nil {
-		return nil, errors.New("chaincode: history database unavailable")
-	}
-	return s.history.Get(s.ns, key)
 }
 
 // GetTxID implements Stub. Inside InvokeBatch it returns the current

@@ -40,8 +40,6 @@ type Stub interface {
 	// GetQueryResult). valuePrefix narrows by indexed value; limit bounds
 	// the page (<= 0: no bound); token resumes a previous page.
 	GetIndexPage(index, valuePrefix string, limit int, token string) (statedb.IndexPage, error)
-	// GetHistoryForKey returns the committed update history of key.
-	GetHistoryForKey(key string) ([]statedb.HistEntry, error)
 	// GetTxID returns the executing transaction's ID.
 	GetTxID() string
 	// GetChannelID returns the channel name.

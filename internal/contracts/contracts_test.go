@@ -21,19 +21,10 @@ import (
 // simulators against a shared state, committing writes immediately —
 // endorsement and consensus are exercised elsewhere.
 type world struct {
-	t       testing.TB
-	db      *statedb.DB
-	history *statedb.HistoryDB
-	reg     *chaincode.Registry
-	height  uint64
-	blocks  map[uint64]worldTx // each committed invocation is its own block
-}
-
-// worldTx is what a history reference resolves to.
-type worldTx struct {
-	id     string
-	ts     time.Time
-	writes []statedb.WriteItem
+	t      testing.TB
+	db     *statedb.DB
+	reg    *chaincode.Registry
+	height uint64 // each committed invocation is its own block
 }
 
 func newWorld(t testing.TB) *world { return newWorldOn(t, storage.Config{}) }
@@ -47,14 +38,7 @@ func newWorldOn(t testing.TB, cfg storage.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{t: t, db: db, reg: chaincode.NewRegistry(), height: 1, blocks: make(map[uint64]worldTx)}
-	w.history = statedb.NewHistoryDB(db, func(n uint64, _ uint32) (string, time.Time, []statedb.WriteItem, error) {
-		tx, ok := w.blocks[n]
-		if !ok {
-			return "", time.Time{}, nil, statedb.ErrNotVisible
-		}
-		return tx.id, tx.ts, tx.writes, nil
-	})
+	w := &world{t: t, db: db, reg: chaincode.NewRegistry(), height: 1}
 	for _, cc := range All() {
 		if err := w.reg.Register(cc); err != nil {
 			t.Fatal(err)
@@ -72,7 +56,7 @@ func (w *world) invoke(creator msp.Identity, ccName, fn string, args ...string) 
 	txID := ccName + "-" + fn + "-" + time.Now().Format("150405.000000000")
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID: txID, ChannelID: "ch", Creator: creator, Timestamp: time.Now(),
-	}, ccName, w.db, w.history).WithRegistry(w.reg)
+	}, ccName, w.db).WithRegistry(w.reg)
 	cc, ok := w.reg.Get(ccName)
 	if !ok {
 		w.t.Fatalf("unknown chaincode %s", ccName)
@@ -81,13 +65,10 @@ func (w *world) invoke(creator msp.Identity, ccName, fn string, args ...string) 
 	if err != nil {
 		return nil, err
 	}
-	rw := sim.RWSet()
 	batch := statedb.NewUpdateBatch()
-	batch.AddRWSetWrites(rw)
+	batch.AddRWSetWrites(sim.RWSet())
 	w.height++
-	updates := []statedb.TxUpdate{{Batch: batch, Version: statedb.Version{BlockNum: w.height}}}
-	w.db.ApplyBlockAt(updates, w.height, statedb.HistoryWrites(updates)...)
-	w.blocks[w.height] = worldTx{id: txID, ts: time.Now(), writes: rw.Writes}
+	w.db.ApplyBlockAt([]statedb.TxUpdate{{Batch: batch, Version: statedb.Version{BlockNum: w.height}}}, w.height)
 	return resp, nil
 }
 
@@ -506,30 +487,6 @@ func TestQuerySelectorOverRecords(t *testing.T) {
 	}
 }
 
-func TestGetHistoryThroughContract(t *testing.T) {
-	w := newWorld(t)
-	admin := w.admin()
-	cam := w.user(admin, "city", "hist-cam", true)
-	_, metaJSON := sampleMeta(t, 99)
-	if _, err := w.invoke(cam, DataCC, "addData", "cid", metaJSON); err != nil {
-		t.Fatal(err)
-	}
-	recsRaw, _ := w.invoke(cam, DataCC, "queryBySource", cam.ID())
-	var recs []DataRecord
-	_ = json.Unmarshal(recsRaw, &recs)
-	out, err := w.invoke(cam, DataCC, "getHistory", recs[0].TxID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist []statedb.HistEntry
-	if err := json.Unmarshal(out, &hist); err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 1 {
-		t.Fatalf("history = %d entries", len(hist))
-	}
-}
-
 func TestUnknownFunctions(t *testing.T) {
 	w := newWorld(t)
 	admin := w.admin()
@@ -537,6 +494,11 @@ func TestUnknownFunctions(t *testing.T) {
 		if _, err := w.invoke(admin, cc, "noSuchFunction"); err == nil {
 			t.Errorf("%s accepted unknown function", cc)
 		}
+	}
+	// getHistory is gone: a record's provenance is getData, getProvenance
+	// and the chain.
+	if _, err := w.invoke(admin, DataCC, "getHistory", "tx"); err == nil || !strings.Contains(err.Error(), "unknown function") {
+		t.Errorf("getHistory answered %v, want unknown function", err)
 	}
 }
 

@@ -41,8 +41,6 @@ func (Data) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error
 		return queryPage(stub, args)
 	case "getProvenance":
 		return getProvenance(stub, args)
-	case "getHistory":
-		return getHistory(stub, args)
 	case "count":
 		return countRecords(stub)
 	default:
@@ -366,18 +364,6 @@ func getProvenance(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 		txID = rec.PrevTxID
 	}
 	return json.Marshal(chain)
-}
-
-// getHistory returns the committed update history of a record key.
-func getHistory(stub chaincode.Stub, args [][]byte) ([]byte, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("data: getHistory expects txId")
-	}
-	hist, err := stub.GetHistoryForKey(recKeyPrefix + string(args[0]))
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(hist)
 }
 
 func countRecords(stub chaincode.Stub) ([]byte, error) {

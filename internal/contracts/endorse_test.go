@@ -30,7 +30,7 @@ func (w *world) simulate(state chaincode.State, creator msp.Identity, txID strin
 	w.t.Helper()
 	sim := chaincode.NewSimulator(chaincode.TxContext{
 		TxID: txID, ChannelID: "ch", Creator: creator, Timestamp: time.Unix(1700000000, 0),
-	}, DataCC, state, w.history).WithRegistry(w.reg)
+	}, DataCC, state).WithRegistry(w.reg)
 	if _, err := sim.InvokeBatch(calls); err != nil {
 		w.t.Fatal(err)
 	}

@@ -64,10 +64,9 @@ type Config struct {
 	// CommitTimeout bounds how long a Submit waits for commit (default 30s).
 	CommitTimeout time.Duration
 	// StateEngine selects the key-value engine behind every peer's world
-	// state and history ("single" or "persist"; default single, the
-	// in-memory map). The persist engine survives restarts, replaying
-	// the peer's block log above its savepoint. Unknown names fail network
-	// construction.
+	// state ("single" or "persist"; default single, the in-memory map).
+	// The persist engine survives restarts, replaying the peer's block log
+	// above its savepoint. Unknown names fail network construction.
 	StateEngine storage.Engine
 	// StateDurability selects the front-log fsync policy of the peers'
 	// block logs ("none", "batch" or "always"; default none). Only meaningful for durable

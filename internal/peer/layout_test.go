@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -87,8 +86,8 @@ func TestPeerRefusesThreeEngineLayout(t *testing.T) {
 
 // TestCommitFsyncsOncePerBlock: under durability always a committed block
 // costs one fsync — the block log's, before the block's state batch — and
-// none of the state engine's, which keeps no log: its state, index and
-// history entries, block index and savepoint are one memtable batch
+// none of the state engine's, which keeps no log: its state and index
+// entries, block index and savepoint are one memtable batch
 // whether it writes one key or a batched envelope's eight.
 func TestCommitFsyncsOncePerBlock(t *testing.T) {
 	p, err := openConfig(Config{DataDir: t.TempDir(), State: storage.Config{Durability: storage.DurabilityAlways}})
@@ -129,79 +128,26 @@ func TestCommitFsyncsOncePerBlock(t *testing.T) {
 	}
 }
 
-// chainHistory derives what every key's history must be from the chain
-// itself: one entry per valid transaction that wrote the key, carrying
-// that transaction's last write to it.
-func chainHistory(t *testing.T, l *ledger.Ledger) map[string][]statedb.HistEntry {
-	t.Helper()
-	want := make(map[string][]statedb.HistEntry)
-	l.Iterate(func(b *ledger.Block) bool {
-		for i := range b.Txs {
-			if b.Metadata.Flags[i] != ledger.Valid {
-				continue
-			}
-			tx := &b.Txs[i]
-			last := make(map[string]statedb.WriteItem)
-			for _, w := range tx.RWSet.Writes {
-				last[w.Namespace+"\x00"+w.Key] = w
-			}
-			for nk, w := range last {
-				want[nk] = append(want[nk], statedb.HistEntry{
-					TxID: tx.ID, Value: w.Value, IsDelete: w.IsDelete,
-					Version: statedb.Version{BlockNum: b.Header.Number, TxNum: uint64(i)}, Timestamp: tx.Timestamp,
-				})
-			}
-		}
-		return true
-	})
-	return want
-}
-
-// histString renders entries with every field compared.
-func histString(es []statedb.HistEntry) string {
-	var out []string
-	for _, e := range es {
-		out = append(out, fmt.Sprintf("%s/%q/%v/%s/%d", e.TxID, e.Value, e.IsDelete, e.Version, e.Timestamp.UnixNano()))
-	}
-	return strings.Join(out, " ")
-}
-
-// checkHistory requires p's history of every key the chain wrote to be
-// exactly what the chain says, and returns how many keys it checked.
-func checkHistory(t *testing.T, p *Peer) int {
-	t.Helper()
-	want := chainHistory(t, p.Ledger())
-	keys := make([]string, 0, len(want))
-	for nk := range want {
-		keys = append(keys, nk)
-	}
-	sort.Strings(keys)
-	for _, nk := range keys {
-		ns, key, _ := strings.Cut(nk, "\x00")
-		if got := histString(historyOf(t, p, ns, key)); got != histString(want[nk]) {
-			t.Fatalf("history of %s/%q:\n got %s\nwant %s", ns, key, got, histString(want[nk]))
-		}
-	}
-	return len(keys)
-}
-
-// TestHistoryMatchesChain: every valid transaction leaves one history
-// entry per key it wrote — a batched envelope's writes and a delete
-// included — with the transaction ID, value, version and timestamp the
-// chain holds, and an MVCC-invalid transaction leaves none. The same holds
-// after a clean reopen and after a kill.
-func TestHistoryMatchesChain(t *testing.T) {
+// TestPeerEngineHoldsNoHistoryKeys: a peer keeps no history index — a
+// record's provenance is the chain and its PrevTxID links — so after
+// stores of every kind (a single write, a batched envelope, an indexed
+// document, a delete, an MVCC-invalid transaction) its state engine holds
+// index and ledger entries under the reserved prefix, and no \x00H key.
+func TestPeerEngineHoldsNoHistoryKeys(t *testing.T) {
 	dir := t.TempDir()
-	p, client := durablePeer(t, dir)
+	p, err := openConfig(Config{DataDir: dir, Indexes: []statedb.IndexSpec{{Name: "label", Namespace: "counter", Field: "label"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
+	if err != nil {
+		t.Fatal(err)
+	}
 	commitIncr(t, p, client, "ctr")
-	commitIncr(t, p, client, "gone")
-	// One block: a batched envelope, and a lone incr of ctr endorsed at the
-	// same height, which MVCC then invalidates.
+	commitCall(t, p, client, "set", []byte("doc"), []byte(`{"label":"car"}`))
 	bp := batchPropose(t, client,
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("ctr")}},
-		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("ctr")}},
 		chaincode.BatchCall{Chaincode: "counter", Fn: "incr", Args: [][]byte{[]byte("other")}},
-		chaincode.BatchCall{Chaincode: "counter", Fn: "set", Args: [][]byte{[]byte("doc"), []byte(`{"label":"car"}`)}},
 	)
 	bresp, err := p.Endorse(bp)
 	if err != nil {
@@ -219,28 +165,27 @@ func TestHistoryMatchesChain(t *testing.T) {
 	if f := block.Metadata.Flags; f[0] != ledger.Valid || f[1] != ledger.MVCCConflict {
 		t.Fatalf("flags %v, want the batch valid and the lone incr an MVCC conflict", f)
 	}
-	commitCall(t, p, client, "del", []byte("gone"))
-
-	if n := checkHistory(t, p); n != 4 {
-		t.Fatalf("the chain wrote %d keys, want 4", n)
-	}
-	if got := historyOf(t, p, "counter", "ctr"); len(got) != 2 || string(got[1].Value) != "3" {
-		t.Fatalf("ctr history %s, want block 1's 1 and the batch's 3", histString(got))
-	}
-	if got := historyOf(t, p, "counter", "gone"); len(got) != 2 || !got[1].IsDelete {
-		t.Fatalf("gone history %s, want a write then a delete", histString(got))
-	}
-	killed := t.TempDir()
-	copyTree(t, dir, killed)
+	commitCall(t, p, client, "del", []byte("ctr"))
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []string{dir, killed} {
-		re, _ := durablePeer(t, d)
-		checkHistory(t, re)
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
+	kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, "db")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	kinds := map[byte]int{}
+	kv.IterPrefix("\x00", func(k string, _ []byte) bool {
+		if len(k) > 1 {
+			kinds[k[1]]++
 		}
+		return true
+	})
+	if kinds['H'] != 0 {
+		t.Fatalf("the state engine holds %d \\x00H keys after 4 blocks", kinds['H'])
+	}
+	if kinds['I'] == 0 || kinds['T'] == 0 || kinds['B'] == 0 {
+		t.Fatalf("reserved keys by kind %q: want index and ledger entries", kinds)
 	}
 }
 
@@ -250,7 +195,7 @@ func TestHistoryMatchesChain(t *testing.T) {
 // killed peer's directory that frame is cut at every offset (its end
 // included, which leaves it whole), has every byte flipped, and is
 // overwritten with zeros. Each copy reopens with that block's state,
-// index entry, history reference and ledger entries either all present —
+// index entry and ledger entries either all present —
 // the frame was whole and the open replayed it — or all absent, at the
 // height below it; an absent block comes back whole from a neighbour.
 func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
@@ -307,13 +252,12 @@ func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
 		vv, state := re.State().GetState("counter", "d2")
 		keys := indexKeysOf(t, re.State(), "label", "b")
 		at, _, _, located := re.Ledger().TxLocation(txID)
-		hist := historyOf(t, re, "counter", "d2")
 		all := height == 3 && state && string(vv.Value) == `{"label":"b"}` && strings.Join(keys, " ") == "d2" &&
-			located && at == 2 && len(hist) == 1 && hist[0].TxID == txID
-		none := height == 2 && !state && len(keys) == 0 && !located && len(hist) == 0
+			located && at == 2
+		none := height == 2 && !state && len(keys) == 0 && !located
 		if all == none {
-			t.Fatalf("%s: height %d, state %v, index %v, tx location %d/%v, history %s: neither all of block 2 nor none",
-				what, height, state, keys, at, located, histString(hist))
+			t.Fatalf("%s: height %d, state %v, index %v, tx location %d/%v: neither all of block 2 nor none",
+				what, height, state, keys, at, located)
 		}
 		if decoded := re.Ledger().IOStats().OpenDecoded; all != (decoded == 1) {
 			t.Fatalf("%s: block 2 present %v, yet the open decoded %d blocks", what, all, decoded)
@@ -323,8 +267,9 @@ func TestPeerLastStateRecordCutOrFlipped(t *testing.T) {
 			if _, err := re.SyncFrom(src); err != nil {
 				t.Fatalf("%s: catch-up: %v", what, err)
 			}
-			if got := historyOf(t, re, "counter", "d2"); re.Ledger().Height() != 3 || len(got) != 1 || got[0].TxID != txID {
-				t.Fatalf("%s: after catch-up height %d, d2 history %s", what, re.Ledger().Height(), histString(got))
+			vv, state := re.State().GetState("counter", "d2")
+			if at, _, _, located := re.Ledger().TxLocation(txID); re.Ledger().Height() != 3 || !state || vv.Version.BlockNum != 2 || !located || at != 2 {
+				t.Fatalf("%s: after catch-up height %d, d2 state %v at %+v, tx location %d/%v", what, re.Ledger().Height(), state, vv.Version, at, located)
 			}
 		}
 	}

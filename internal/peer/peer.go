@@ -2,7 +2,6 @@ package peer
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -24,7 +23,7 @@ import (
 //
 // A peer opened with Config.DataDir is durable: the directory holds the
 // block log (blocks.wal) and one persist engine (db/) carrying the world
-// state with its indexes, history references, block index and savepoint.
+// state with its indexes, block index and savepoint.
 // Every committed block lands in the log before its one state batch; the
 // log is the engine's write-ahead log (each flush fsyncs it first), and
 // the ledger is a view over it (ledger.Open) instead of a copy of it. Reopening the same directory recovers the peer — only the
@@ -38,7 +37,6 @@ type Peer struct {
 
 	ledger   *ledger.Ledger // over DataDir/blocks.wal, or in memory without a DataDir
 	state    *statedb.DB
-	history  *statedb.HistoryDB
 	registry *chaincode.Registry
 	policy   msp.Policy
 	members  *msp.Registry // whose endorsements the policy counts
@@ -89,8 +87,8 @@ type Config struct {
 	// to open a cleanly closed directory and serve reads from it.
 	Identities *msp.Registry
 	// State selects the key-value engine backing this peer's world state,
-	// which also holds its history and indexes (zero value = the in-memory
-	// single engine).
+	// which also holds its indexes (zero value = the in-memory single
+	// engine).
 	State storage.Config
 	// DataDir, when non-empty, makes the peer durable: it forces the
 	// persist engine at DataDir/db and opens the block log at
@@ -157,7 +155,6 @@ func New(cfg Config) (*Peer, error) {
 		committed:  make(chan struct{}),
 		slowTraces: cfg.SlowTraces,
 	}
-	p.history = statedb.NewHistoryDB(state, p.historyTx)
 	const stageHelp = "Per-stage transaction pipeline latency."
 	p.obsEndorse = cfg.Obs.Histogram("tx_stage_seconds", stageHelp, nil, obs.L("stage", "endorse_exec"))
 	p.obsValidate = cfg.Obs.Histogram("tx_stage_seconds", stageHelp, nil, obs.L("stage", "validate"))
@@ -228,7 +225,7 @@ func Open(cfg Config) (*Peer, error) {
 // recover re-commits the blocks the ledger found in the block log above
 // the world state's savepoint: committed to the log but not yet to state
 // when the process died. Blocks at or below the savepoint already have
-// their writes, index and history entries and chain record applied — all
+// their writes, index entries and chain record applied — all
 // of it rides one atomic state batch — so the ledger neither reads nor
 // decodes them. Each tail block re-runs the full validate-then-commit
 // split, with recorded flags cross-checked against re-validation, which
@@ -267,26 +264,19 @@ func (p *Peer) Ledger() *ledger.Ledger { return p.ledger }
 // State exposes the peer's world state.
 func (p *Peer) State() *statedb.DB { return p.state }
 
-// History exposes the peer's history database.
-func (p *Peer) History() *statedb.HistoryDB { return p.history }
+// History stands in for the history database a peer no longer keeps: a
+// record's provenance is the chain and its PrevTxID links.
+type History struct{}
 
-// historyTx resolves a history reference (statedb.TxSource) through the
-// ledger and its block cache. A block staged but not yet appended is not
-// visible, and neither are its entries.
-func (p *Peer) historyTx(n uint64, tx uint32) (string, time.Time, []statedb.WriteItem, error) {
-	b, err := p.ledger.GetBlock(n)
-	if errors.Is(err, ledger.ErrNotFound) {
-		return "", time.Time{}, nil, statedb.ErrNotVisible
-	}
-	if err != nil {
-		return "", time.Time{}, nil, err
-	}
-	if int(tx) >= len(b.Txs) {
-		return "", time.Time{}, nil, fmt.Errorf("peer %s: block %d has %d transactions (block index damaged)", p.id, n, len(b.Txs))
-	}
-	t := &b.Txs[tx]
-	return t.ID, t.Timestamp, t.RWSet.Writes, nil
+// StorageStats reports ok=false: no engine stands behind History.
+func (History) StorageStats() (storage.PersistStats, bool) {
+	return storage.PersistStats{}, false
 }
+
+// History is kept only because the benchmark harness reads its
+// StorageStats. It goes with ROADMAP item 4(a), which moves the harness
+// off it.
+func (p *Peer) History() History { return History{} }
 
 // OpenTook reports how long New took to assemble the peer, recovery
 // included.
@@ -323,7 +313,7 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 		ChannelID: prop.ChannelID,
 		Creator:   prop.Creator,
 		Timestamp: prop.Timestamp,
-	}, ccName, p.state, p.history).WithRegistry(p.registry)
+	}, ccName, p.state).WithRegistry(p.registry)
 	start := time.Now()
 	var resp []byte
 	if len(prop.Batch) > 0 {
@@ -561,8 +551,8 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 //     committed: if the process dies before the state engine flushes
 //     step 2, recovery replays it from the log.
 //  2. One state-engine batch (statedb.ApplyBlockAt) carrying every
-//     surviving write set with its index entries, the block's history
-//     references, the ledger's block index and chain record, and the
+//     surviving write set with its index entries, the ledger's block
+//     index and chain record, and the
 //     savepoint — always in one table on the persist engine, which is
 //     what makes recovery's "replay strictly after the savepoint" exact.
 //  3. ledger.Append + waiter/subscriber notification. The visible height
@@ -576,7 +566,7 @@ func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate) 
 	if err != nil {
 		return fmt.Errorf("peer %s: commit block %d: %w", p.id, number, err)
 	}
-	p.state.ApplyBlockAt(updates, number, append(index, statedb.HistoryWrites(updates)...)...)
+	p.state.ApplyBlockAt(updates, number, index...)
 	if err := p.ledger.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.id, number, err)
 	}

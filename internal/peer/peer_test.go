@@ -50,16 +50,6 @@ func (counterCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, 
 	}
 }
 
-// historyOf is p.History().Get failing the test on an error.
-func historyOf(t testing.TB, p *Peer, ns, key string) []statedb.HistEntry {
-	t.Helper()
-	es, err := p.History().Get(ns, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return es
-}
-
 // testSigner derives a test peer's key from its name, so a reopened peer
 // keeps its key and twin peers can name each other.
 func testSigner(id string) *msp.Signer {
@@ -228,24 +218,12 @@ func TestCommitAppliesValidTx(t *testing.T) {
 	default:
 		t.Fatal("commit waiter not notified")
 	}
-	// History recorded.
-	hist := historyOf(t, p, "counter", "ctr")
-	if len(hist) != 1 || hist[0].TxID != tx.ID {
-		t.Fatalf("history = %+v", hist)
+	// The write's version names the transaction the chain holds.
+	if vv.Version != (statedb.Version{BlockNum: 1}) {
+		t.Fatalf("state version = %+v", vv.Version)
 	}
-}
-
-// TestHistoryKeepsNeighbourKeysApart: chaincode keys may hold NULs, so
-// "a\x00b" is a key of its own, not part of "a"'s history.
-func TestHistoryKeepsNeighbourKeysApart(t *testing.T) {
-	p, client := newTestPeer(t)
-	commitIncr(t, p, client, "a")
-	commitIncr(t, p, client, "a\x00b")
-	if got := historyOf(t, p, "counter", "a"); len(got) != 1 || got[0].Version.BlockNum != 1 {
-		t.Fatalf("history of a = %+v, want its one entry at block 1", got)
-	}
-	if got := historyOf(t, p, "counter", "a\x00b"); len(got) != 1 || got[0].Version.BlockNum != 2 {
-		t.Fatalf("history of a\\x00b = %+v, want its one entry at block 2", got)
+	if got, flag, n, err := p.Ledger().GetTx(tx.ID); err != nil || got.ID != tx.ID || flag != ledger.Valid || n != 1 {
+		t.Fatalf("GetTx = %v, %s, %d, %v", got, flag, n, err)
 	}
 }
 

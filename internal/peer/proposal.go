@@ -1,7 +1,7 @@
 // Package peer implements the endorsing peers of the paper's architecture:
 // proposal endorsement (chaincode simulation + signed read/write sets),
 // block validation (creator signatures, endorsement policy, MVCC) and
-// commit (world state + history updates, validation flags, events).
+// commit (world state updates, validation flags, events).
 package peer
 
 import (

@@ -7,6 +7,7 @@ import (
 	"socialchain/internal/chaincode"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/statedb"
 )
 
 // twinPeers builds two peers with identical config sharing nothing.
@@ -67,9 +68,8 @@ func TestSyncFromCatchesUp(t *testing.T) {
 	if !ok || string(vv.Value) != "5" {
 		t.Fatalf("synced state = %v %q", ok, vv.Value)
 	}
-	// History replicated.
-	if got := len(historyOf(t, b, "counter", "ctr")); got != 5 {
-		t.Fatalf("synced history entries = %d", got)
+	if vv.Version != (statedb.Version{BlockNum: 5}) {
+		t.Fatalf("synced state version = %+v, want block 5's", vv.Version)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"socialchain/internal/storage"
 )
@@ -21,11 +19,9 @@ func fixtureRWSet() RWSet {
 	}
 }
 
-// TestGoldenRWSetAndHistEntry pins the read/write-set layout and the
-// digest built on it — endorsers sign it, so a layout change splits a
-// deployment — and the history entry's reserved key, whose byte order is
-// the commit order Get returns.
-func TestGoldenRWSetAndHistEntry(t *testing.T) {
+// TestGoldenRWSet pins the read/write-set layout and the digest built on
+// it: endorsers sign it, so a layout change splits a deployment.
+func TestGoldenRWSet(t *testing.T) {
 	const rwHex = "02" + "026363" + "016b" + "ac02" + "01" + "01" + "026363" + "06616273656e74" + "00" + "00" + "00" +
 		"02" + "026363" + "016b" + "0176" + "00" + "026363" + "036f6c64" + "00" + "01"
 	rw := fixtureRWSet()
@@ -42,22 +38,6 @@ func TestGoldenRWSetAndHistEntry(t *testing.T) {
 	}
 	if bytes.Equal(rw.Digest([]byte("a")), rw.Digest([]byte("b"))) {
 		t.Fatal("digest ignores the response")
-	}
-
-	// "H", namespace, NUL, key, NUL, then block 300 and tx 1 big-endian;
-	// the value is one byte, 1 for a delete.
-	b := NewUpdateBatch()
-	b.AddRWSetWrites(fixtureRWSet())
-	got := map[string]string{}
-	for _, w := range HistoryWrites([]TxUpdate{{Batch: b, Version: Version{BlockNum: 300, TxNum: 1}}}) {
-		got[hex.EncodeToString([]byte(w.Key))] = hex.EncodeToString(w.Value)
-	}
-	want := map[string]string{
-		"48" + "6363" + "00" + "6b" + "00" + "000000000000012c" + "00000001":     "00",
-		"48" + "6363" + "00" + "6f6c64" + "00" + "000000000000012c" + "00000001": "01",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("history entry layout changed:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -80,68 +60,6 @@ func FuzzDecodeRWSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if rw, err := DecodeRWSet(in); err == nil && !bytes.Equal(rw.Bytes(), in) {
 			t.Fatal("decoded without error but re-encodes differently")
-		}
-	})
-}
-
-// fuzzKeyPair splits a fuzz input into two distinct non-empty keys: the
-// first byte is the first key's length.
-func fuzzKeyPair(in []byte) (a, b string, ok bool) {
-	if len(in) < 1 || int(in[0]) >= len(in) {
-		return "", "", false
-	}
-	n := 1 + int(in[0]) // in int: 1+in[0] wraps to 0 at 0xff
-	a, b = string(in[1:n]), string(in[n:])
-	return a, b, a != "" && b != "" && a != b
-}
-
-// FuzzDecodeHistEntry: whatever bytes two keys hold — one extending the
-// other past a NUL included — the entries Get decodes for a key are that
-// key's own, in commit order, each resolved to the write its reference
-// names. Key a is written at block 1 and deleted at block 3, key b
-// written at block 2.
-func FuzzDecodeHistEntry(f *testing.F) {
-	seedsOf(f, append([]byte{1}, "aa\x00b"...))
-	seedsOf(f, append([]byte{10}, "data/rec/xdata/rec/x\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"...))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		a, b, ok := fuzzKeyPair(in)
-		if !ok {
-			return
-		}
-		db := New()
-		chain := map[uint64]WriteItem{
-			1: {Namespace: "cc", Key: a, Value: []byte("a1")},
-			2: {Namespace: "cc", Key: b, Value: []byte("b2")},
-			3: {Namespace: "cc", Key: a, IsDelete: true},
-		}
-		for n := uint64(1); n <= 3; n++ {
-			ub := NewUpdateBatch()
-			ub.AddRWSetWrites(RWSet{Writes: []WriteItem{chain[n]}})
-			ups := []TxUpdate{{Batch: ub, Version: Version{BlockNum: n}}}
-			db.ApplyBlockAt(ups, n, HistoryWrites(ups)...)
-		}
-		h := NewHistoryDB(db, func(n uint64, tx uint32) (string, time.Time, []WriteItem, error) {
-			w, ok := chain[n]
-			if !ok || tx != 0 {
-				return "", time.Time{}, nil, fmt.Errorf("no transaction %d of block %d", tx, n)
-			}
-			return fmt.Sprint("tx", n), time.Unix(int64(n), 0), []WriteItem{w}, nil
-		})
-		for key, want := range map[string]string{a: "1:a1 3:del", b: "2:b2"} {
-			var got []string
-			for _, e := range mustGet(t, h, "cc", key) {
-				if e.TxID != fmt.Sprint("tx", e.Version.BlockNum) || e.Timestamp.Unix() != int64(e.Version.BlockNum) {
-					t.Fatalf("key %q: entry %+v resolved to another transaction", key, e)
-				}
-				if e.IsDelete {
-					got = append(got, fmt.Sprintf("%d:del", e.Version.BlockNum))
-				} else {
-					got = append(got, fmt.Sprintf("%d:%s", e.Version.BlockNum, e.Value))
-				}
-			}
-			if strings.Join(got, " ") != want {
-				t.Fatalf("key %q: history %v, want %s", key, got, want)
-			}
 		}
 	})
 }

@@ -19,8 +19,8 @@ import (
 // composite keys are "ns\x00key", values carry a fixed 16-byte
 // (BlockNum, TxNum) header before the payload. The same engine also holds
 // the bookkeeping that describes that state — savepoint, secondary-index
-// entries, history references, the committer's block index — under the
-// reserved prefix, so one engine batch commits a whole block.
+// entries, the committer's block index — under the reserved prefix, so
+// one engine batch commits a whole block.
 type DB struct {
 	kv storage.KV
 	// idx maintains the optional secondary indexes (nil when no IndexSpec
@@ -111,13 +111,12 @@ func stateKey(ns, key string) string {
 //	savepoint  last applied block (this file)
 //	specs      the index spec list the I entries were built for (index.go)
 //	I          secondary-index entries (index.go)
-//	H          history references (history.go)
 //	B, T, L    the ledger's block offsets, transaction locations and chain
 //	           record (internal/ledger)
 //
 // Everything but specs rides each block's one ApplyBlockAt batch, the
-// ledger's and the history entries as ReservedWrites, so it is all atomic
-// with the state it describes.
+// ledger's entries as ReservedWrites, so it is all atomic with the state
+// it describes.
 const reservedPrefix = "\x00"
 
 // ReservedWrite is one bookkeeping entry carried in a block's state

@@ -28,7 +28,7 @@ func (v *visitLog) IterPrefix(prefix string, fn func(key string, value []byte) b
 }
 
 // TestStateReadsNeverVisitReservedKeys: the state engine also holds the
-// savepoint, index entries, history references and the ledger's entries,
+// savepoint, index entries and the ledger's entries,
 // but range and prefix scans, index pages and selector queries visit only
 // the keys of what they read — state keys of their namespace, entries of
 // the index they use — never other bookkeeping, and the empty namespace
@@ -48,7 +48,7 @@ func TestStateReadsNeverVisitReservedKeys(t *testing.T) {
 		b.Put("trust", "score", []byte(`{"label":"car"}`))
 		ups := []TxUpdate{{Batch: b, Version: Version{BlockNum: n}}}
 		ledgerLike := []ReservedWrite{{Key: "T" + "data\x00rec/1", Value: []byte{1}}, {Key: "L", Value: []byte{2}}}
-		db.ApplyBlockAt(ups, n, append(HistoryWrites(ups), ledgerLike...)...)
+		db.ApplyBlockAt(ups, n, ledgerLike...)
 	}
 	state := func(ns string) func(string) bool {
 		return func(k string) bool { return strings.HasPrefix(k, stateKey(ns, "")) }

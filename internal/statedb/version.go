@@ -1,8 +1,8 @@
 // Package statedb implements the world-state database of the permissioned
 // blockchain: a versioned key-value store (versions are block/tx heights,
 // as in Fabric) with range scans, JSON selector queries in the style of
-// CouchDB rich queries, per-key history, and read/write sets for MVCC
-// validation of transactions.
+// CouchDB rich queries, and read/write sets for MVCC validation of
+// transactions.
 package statedb
 
 import "fmt"

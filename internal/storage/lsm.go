@@ -105,7 +105,7 @@ const (
 	// DefaultMemtableBytes is the memtable flush threshold of every engine
 	// a deployment opens: a peer's state and an IPFS node's CID index. What
 	// they hold is mostly written once and not read again soon (records,
-	// their history and index entries, block locations), so they flush
+	// their index entries, block locations), so they flush
 	// small and give the heap back; the peers and nodes of a process fill
 	// and flush in step, so its heap swings by about their number times
 	// this. The swing must stay small beside the rest of the heap, or where

@@ -1,7 +1,7 @@
 // Package storage provides the pluggable key-value engine beneath the
-// repo's stateful layers: the world-state database (with its history and
-// indexes) and the CID-addressed blockstore sit on the KV interface instead of
-// owning a map and a global lock. Two engines implement it: a single-lock
+// repo's stateful layers: the world-state database (with its indexes) and
+// the CID-addressed blockstore sit on the KV interface instead of owning a
+// map and a global lock. Two engines implement it: a single-lock
 // map, the in-memory default and the reference every equivalence test
 // compares against, and an LSM-tree disk engine whose tables survive
 // process restarts and whose open cost is its manifest's (see lsm.go). The
