@@ -393,6 +393,33 @@ func TestStoreRefusesSavepointPastLogEnd(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesMissingLog: a deleted log under an index that names its
+// blocks is refused with ErrLost, and the directory is left as it was,
+// with no empty log created in the deleted one's place.
+func TestStoreRefusesMissingLog(t *testing.T) {
+	dir := t.TempDir()
+	s := openDir(t, dir)
+	putBlocks(t, s, 7, 3, 64)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, logName)); err != nil {
+		t.Fatal(err)
+	}
+	before := listing(t, dir, true)
+	for try := 0; try < 2; try++ {
+		if _, err := Open(dir); !errors.Is(err, walframe.ErrLost) {
+			t.Fatalf("open over a deleted log returned %v, want ErrLost", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused open left a log behind: %v", err)
+		}
+		if listing(t, dir, true) != before {
+			t.Fatal("refused directory was modified")
+		}
+	}
+}
+
 // TestStoreRefusesOldLayout: a node directory in the blocks/+pins/ layout
 // older builds wrote is refused and left byte-identical.
 func TestStoreRefusesOldLayout(t *testing.T) {

@@ -327,8 +327,10 @@ func TestPeerRecoveryGuardsSavepointAheadOfLog(t *testing.T) {
 }
 
 // TestPeerRecoveryGuardsMissingLog: deleting the block log outright while
-// the state WAL survives must refuse to open — a fresh genesis over stale
-// recovered world state would be silent corruption.
+// the state survives must refuse to open — a fresh genesis over stale
+// recovered world state would be silent corruption — and leave the
+// directory as it was, with no empty log created in the deleted one's
+// place, however often it is retried.
 func TestPeerRecoveryGuardsMissingLog(t *testing.T) {
 	dir := t.TempDir()
 	p, client := durablePeer(t, dir)
@@ -336,13 +338,23 @@ func TestPeerRecoveryGuardsMissingLog(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "blocks.wal")); err != nil {
+	logPath := filepath.Join(dir, "blocks.wal")
+	if err := os.Remove(logPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openDurable(dir); err == nil {
-		t.Fatal("peer opened with a deleted block log over surviving state")
-	} else if !strings.Contains(err.Error(), "block log lost") {
-		t.Fatalf("unexpected error: %v", err)
+	before := dirListing(t, dir)
+	for try := 0; try < 2; try++ {
+		if _, err := openDurable(dir); err == nil {
+			t.Fatal("peer opened with a deleted block log over surviving state")
+		} else if !strings.Contains(err.Error(), "block log lost") || !errors.Is(err, walframe.ErrLost) {
+			t.Fatalf("unexpected error: %v", err)
+		}
+		if _, err := os.Stat(logPath); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused open left a block log behind: %v", err)
+		}
+		if dirListing(t, dir) != before {
+			t.Fatal("refused directory was modified")
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package walframe
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -51,14 +52,22 @@ type Log struct {
 	timer  *time.Timer // SyncBatch's pending fsync
 }
 
-// OpenLog opens (or creates) the log at path, trusting the bytes below
-// offset from, and finds its end with Recover, cutting a torn tail. found
-// sees each frame at or above from; its error, or a file shorter than from
+// OpenLog opens the log at path, trusting the bytes below offset from,
+// and finds its end with Recover, cutting a torn tail. Only a log trusted
+// with nothing (from 0) is created when missing. found sees each frame at
+// or above from; its error, or a file missing or shorter than from
 // (ErrLost), fails the open with the file untouched. Under SyncAlways the
 // frames found are fsynced before OpenLog returns: their appender may have
 // died before its own fsync.
 func OpenLog(path string, from int64, policy Policy, found func(off int64, payload []byte) error) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	flags := os.O_RDWR | os.O_APPEND
+	if from == 0 {
+		flags |= os.O_CREATE
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s is missing but its frames reach offset %d", ErrLost, path, from)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("walframe: open log: %w", err)
 	}
