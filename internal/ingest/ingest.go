@@ -107,11 +107,15 @@ type Config struct {
 	AddWorkers int
 	// BatchSize is the number of records coalesced into one envelope.
 	BatchSize int
-	// MaxInFlight bounds batches submitted but not yet committed.
-	// Consecutive batches from one source read the provenance head the
-	// previous batch wrote, so a second in-flight batch typically pays an
-	// MVCC re-endorsement, which the pipeline's own commit stage retries
-	// (up to conflictRetries times).
+	// MaxInFlight bounds batches submitted but not yet committed (default
+	// 1: IPFS adds still overlap the commit of the batch before). Every
+	// batch from one source reads and rewrites the source's provenance
+	// head and trust state, so each batch beyond the first in flight is
+	// endorsed against state the one ahead of it is about to replace,
+	// commits as an MVCC conflict and re-endorses. A wider window buys no
+	// overlap for one source; it costs a consensus round and a batch
+	// re-simulation per conflict, and a batch that keeps losing to newer
+	// ones fails after conflictRetries re-endorsements.
 	MaxInFlight int
 	// FlushInterval cuts a partial batch after this delay (default 25ms).
 	FlushInterval time.Duration
@@ -140,7 +144,7 @@ func (c *Config) fill() {
 			c.BatchSize = 64
 		}
 		if c.MaxInFlight <= 0 {
-			c.MaxInFlight = 2
+			c.MaxInFlight = 1
 		}
 	}
 	if c.FlushInterval <= 0 {
@@ -407,8 +411,9 @@ const backlogRetries = 20
 // conflictRetries bounds whole-batch re-endorsement after a committed
 // MVCC invalidation. Consecutive batches from one source both read the
 // provenance head, so with MaxInFlight > 1 the loser of each commit round
-// must re-endorse against fresh state; commit rounds always admit one
-// winner, so a handful of rounds clears any in-flight window. A retry
+// must re-endorse against fresh state. Each round admits one winner, but
+// not necessarily the oldest batch: a re-endorsed batch races the newer
+// batch that took the freed slot, and can lose every round. A retry
 // needs no pause: the gateway's next proposal carries the height of the
 // block the batch lost to, so every endorser reads the winner's writes.
 const conflictRetries = 12

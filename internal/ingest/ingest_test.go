@@ -121,6 +121,29 @@ func TestIntegrationPipelineModes(t *testing.T) {
 	}
 }
 
+// TestIntegrationPipelineDefaultNeverConflicts: at the pipelined preset's
+// default window one batch is in flight, so no batch is endorsed against
+// the provenance head and trust state the batch ahead of it is about to
+// replace: over 40 batches from one source nothing fails and nothing is
+// re-endorsed.
+func TestIntegrationPipelineDefaultNeverConflicts(t *testing.T) {
+	_, client, cam := newTestFramework(t)
+	const batches, size = 40, 2
+	pipe := client.Pipeline(ingest.Config{BatchSize: size})
+	if cfg := pipe.Config(); cfg.Mode != ingest.ModePipelined || cfg.MaxInFlight != 1 {
+		t.Fatalf("default config %+v, want the pipelined preset with one batch in flight", cfg)
+	}
+	for _, r := range pipe.Run(testRecords(t, cam, 17, batches*size, 256)) {
+		if r.Err != nil {
+			t.Fatalf("record %d: %v", r.Index, r.Err)
+		}
+	}
+	st := pipe.Stats()
+	if st.Stored != batches*size || st.Failed != 0 || st.ConflictRetries != 0 || st.Batches < batches {
+		t.Fatalf("stats %+v: want %d stored in at least %d batches, none failed or re-endorsed", st, batches*size, batches)
+	}
+}
+
 // TestIntegrationPipelineRejectsInvalid checks client-side validation:
 // hash mismatches and foreign signatures are rejected before IPFS.
 func TestIntegrationPipelineRejectsInvalid(t *testing.T) {
