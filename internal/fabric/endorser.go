@@ -40,7 +40,7 @@ type Endorser interface {
 // over the wire.
 type backend interface {
 	chName() string
-	chPolicy() msp.Policy
+	chPolicy() msp.QuorumPolicy
 	// chMembers returns the identities whose endorsements the policy
 	// counts, or nil when this side does not know them (see checkPolicy).
 	chMembers() *msp.Registry
@@ -86,7 +86,7 @@ func (m *heightMark) raise(h uint64) {
 // Channel's backend implementation.
 
 func (ch *Channel) chName() string                         { return ch.name }
-func (ch *Channel) chPolicy() msp.Policy                   { return ch.net.cfg.Policy }
+func (ch *Channel) chPolicy() msp.QuorumPolicy             { return ch.net.cfg.Policy }
 func (ch *Channel) chMembers() *msp.Registry               { return ch.net.members }
 func (ch *Channel) report(peerID, reason string)           { ch.watchdog.Report(peerID, reason) }
 func (ch *Channel) commitTimeout() time.Duration           { return ch.net.cfg.CommitTimeout }

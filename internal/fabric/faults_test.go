@@ -431,7 +431,7 @@ func TestConfigDefaults(t *testing.T) {
 	if net.ChannelAt(0).Name() != "traffic-channel" {
 		t.Fatalf("default channel = %s", net.ChannelAt(0).Name())
 	}
-	if net.Policy().Describe() == "" {
-		t.Fatal("no default policy")
+	if got := net.Policy(); got != msp.TwoThirds(4) {
+		t.Fatalf("default policy %+v, want two-thirds of 4", got)
 	}
 }

@@ -53,8 +53,9 @@ type Config struct {
 	Cutter ordering.CutterConfig
 	// ConsensusTimeout is the view-change timeout (default 2s).
 	ConsensusTimeout time.Duration
-	// Policy is the endorsement policy (nil = the paper's 2/3 quorum).
-	Policy msp.Policy
+	// Policy is the endorsement policy (zero = the paper's 2/3 quorum,
+	// msp.TwoThirds(NumPeers)).
+	Policy msp.QuorumPolicy
 	// Behaviors injects byzantine consensus behaviour into the validator of
 	// a peer index.
 	Behaviors map[int]consensus.Behavior
@@ -129,7 +130,7 @@ func (c *Config) fill() {
 	if c.WatchdogThreshold <= 0 {
 		c.WatchdogThreshold = 3
 	}
-	if c.Policy == nil {
+	if c.Policy == (msp.QuorumPolicy{}) {
 		c.Policy = msp.TwoThirds(c.NumPeers)
 	}
 }
@@ -429,7 +430,7 @@ func (n *Network) Channels() []*Channel { return []*Channel{n.ch} }
 func (n *Network) Identities() *msp.Registry { return n.members }
 
 // Policy returns the endorsement policy.
-func (n *Network) Policy() msp.Policy { return n.cfg.Policy }
+func (n *Network) Policy() msp.QuorumPolicy { return n.cfg.Policy }
 
 // NumPeers returns the peer count.
 func (n *Network) NumPeers() int { return len(n.nodes) }

@@ -167,10 +167,10 @@ func (rc *RemoteChannel) Gateway(client *msp.Signer) *Gateway {
 	return newGateway(rc, nil, client)
 }
 
-func (rc *RemoteChannel) chName() string           { return rc.name }
-func (rc *RemoteChannel) chPolicy() msp.Policy     { return rc.r.net.Policy }
-func (rc *RemoteChannel) chMembers() *msp.Registry { return nil }
-func (rc *RemoteChannel) verifier() *msp.Verifier  { return &rc.sigs }
+func (rc *RemoteChannel) chName() string             { return rc.name }
+func (rc *RemoteChannel) chPolicy() msp.QuorumPolicy { return rc.r.net.Policy }
+func (rc *RemoteChannel) chMembers() *msp.Registry   { return nil }
+func (rc *RemoteChannel) verifier() *msp.Verifier    { return &rc.sigs }
 
 // report drops the observation: which peers endorse is the deployment's
 // decision, and a client has no watchdog to tell. The gateway has already

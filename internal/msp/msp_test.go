@@ -203,6 +203,16 @@ func TestQuorumPolicy(t *testing.T) {
 	if err := pol.Evaluate(members.Endorsers(digest, ends[:2])); err == nil {
 		t.Fatal("2/4 endorsements must not satisfy")
 	}
+	one := QuorumPolicy{Threshold: 1, Total: 4}
+	if err := one.Evaluate(members.Endorsers(digest, ends[:1])); err != nil {
+		t.Fatalf("1 endorsement should satisfy a threshold of 1: %v", err)
+	}
+	if err := one.Evaluate(nil); err == nil {
+		t.Fatal("no endorsement satisfied a threshold of 1")
+	}
+	if err := (QuorumPolicy{}).Evaluate(members.Endorsers(digest, ends)); err == nil {
+		t.Fatal("a zero policy was satisfied")
+	}
 }
 
 // TestEndorsersCountsMembersOnce: what does not count — a repeat, a bad
@@ -259,39 +269,6 @@ func TestTwoThirdsThresholds(t *testing.T) {
 	for _, c := range cases {
 		if got := TwoThirds(c.n).Threshold; got != c.want {
 			t.Errorf("TwoThirds(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-func TestOrgCoveragePolicy(t *testing.T) {
-	digest := []byte("d")
-	signers, members := testMembers(t, 3, func(i int) string { return []string{"orgA", "orgA", "orgB"}[i] })
-	a1, a2, b1 := signers[0], signers[1], signers[2]
-	pol := OrgCoveragePolicy{Threshold: 2, MinOrgs: 2}
-	sameOrg := []EndorsementRef{endorse(a1, digest), endorse(a2, digest)}
-	if err := pol.Evaluate(members.Endorsers(digest, sameOrg)); err == nil {
-		t.Fatal("single-org endorsements satisfied a 2-org policy")
-	}
-	crossOrg := []EndorsementRef{endorse(a1, digest), endorse(b1, digest)}
-	if err := pol.Evaluate(members.Endorsers(digest, crossOrg)); err != nil {
-		t.Fatalf("cross-org endorsements rejected: %v", err)
-	}
-}
-
-func TestAnyValidPolicy(t *testing.T) {
-	s := newTestSigner(t, "org", "x", RoleMember)
-	if err := (AnyValid{}).Evaluate([]Identity{s.Identity}); err != nil {
-		t.Fatal(err)
-	}
-	if err := (AnyValid{}).Evaluate(nil); err == nil {
-		t.Fatal("no endorsers satisfied AnyValid")
-	}
-}
-
-func TestPolicyDescribe(t *testing.T) {
-	for _, p := range []Policy{TwoThirds(4), OrgCoveragePolicy{Threshold: 2, MinOrgs: 2}, AnyValid{}} {
-		if p.Describe() == "" {
-			t.Fatalf("%T has empty description", p)
 		}
 	}
 }

@@ -56,19 +56,11 @@ func (e *EndorsementRef) DecodeFrom(r *codec.Reader) {
 // codec.Reader.Count of a list of them.
 const EndorsementRefMinLen = len(Fingerprint{}) + 1
 
-// Policy decides whether the members that endorsed a transaction satisfy
-// a channel's endorsement requirement. It is handed Registry.Endorsers'
-// result — distinct channel members whose signatures over the
-// transaction's digest verified — so a policy only counts.
-type Policy interface {
-	// Evaluate returns nil when endorsers satisfy the policy.
-	Evaluate(endorsers []Identity) error
-	// Describe returns a human-readable statement of the requirement.
-	Describe() string
-}
-
-// QuorumPolicy requires at least Threshold distinct valid endorsements out
-// of Total known endorsers. TwoThirds constructs the paper's ≥2/3 rule.
+// QuorumPolicy is a channel's endorsement requirement: at least Threshold
+// distinct valid endorsements out of Total known endorsers. It is handed
+// Registry.Endorsers' result — distinct channel members whose signatures
+// over the transaction's digest verified — so it only counts. TwoThirds
+// constructs the paper's ≥2/3 rule.
 type QuorumPolicy struct {
 	Threshold int
 	Total     int
@@ -81,7 +73,7 @@ func TwoThirds(n int) QuorumPolicy {
 	return QuorumPolicy{Threshold: (2*n + 2) / 3, Total: n}
 }
 
-// Evaluate implements Policy.
+// Evaluate returns nil when endorsers satisfy the policy.
 func (p QuorumPolicy) Evaluate(endorsers []Identity) error {
 	if p.Threshold <= 0 {
 		return errors.New("msp: quorum policy with non-positive threshold")
@@ -91,50 +83,3 @@ func (p QuorumPolicy) Evaluate(endorsers []Identity) error {
 	}
 	return nil
 }
-
-// Describe implements Policy.
-func (p QuorumPolicy) Describe() string {
-	return fmt.Sprintf("%d of %d endorsers", p.Threshold, p.Total)
-}
-
-// OrgCoveragePolicy additionally requires endorsements from at least
-// MinOrgs distinct organisations, modelling Fabric's AND(Org1, Org2, ...)
-// policies for multi-stakeholder channels.
-type OrgCoveragePolicy struct {
-	Threshold int
-	MinOrgs   int
-}
-
-// Evaluate implements Policy.
-func (p OrgCoveragePolicy) Evaluate(endorsers []Identity) error {
-	if n := len(endorsers); n < p.Threshold {
-		return fmt.Errorf("msp: need %d endorsements, have %d", p.Threshold, n)
-	}
-	orgs := make(map[string]bool)
-	for _, id := range endorsers {
-		orgs[id.Org] = true
-	}
-	if len(orgs) < p.MinOrgs {
-		return fmt.Errorf("msp: need endorsements from %d orgs, have %d", p.MinOrgs, len(orgs))
-	}
-	return nil
-}
-
-// Describe implements Policy.
-func (p OrgCoveragePolicy) Describe() string {
-	return fmt.Sprintf("%d endorsers across >=%d orgs", p.Threshold, p.MinOrgs)
-}
-
-// AnyValid accepts a single valid endorsement; used for read-only queries.
-type AnyValid struct{}
-
-// Evaluate implements Policy.
-func (AnyValid) Evaluate(endorsers []Identity) error {
-	if len(endorsers) < 1 {
-		return errors.New("msp: no valid endorsement")
-	}
-	return nil
-}
-
-// Describe implements Policy.
-func (AnyValid) Describe() string { return "any single endorser" }

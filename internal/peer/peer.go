@@ -38,7 +38,7 @@ type Peer struct {
 	ledger   *ledger.Ledger // over DataDir/blocks.wal, or in memory without a DataDir
 	state    *statedb.DB
 	registry *chaincode.Registry
-	policy   msp.Policy
+	policy   msp.QuorumPolicy
 	members  *msp.Registry // whose endorsements the policy counts
 
 	// sigs checks and counts every signature this peer meets; signs
@@ -77,9 +77,9 @@ type Config struct {
 	// Registry is the deployed chaincode set (shared across peers —
 	// chaincode instances are stateless; all state flows through the stub).
 	Registry *chaincode.Registry
-	// Policy validates endorsements at commit; nil is refused (the
-	// network assembly always supplies one).
-	Policy msp.Policy
+	// Policy validates endorsements at commit; a zero threshold is refused
+	// (the network assembly always supplies one).
+	Policy msp.QuorumPolicy
 	// Identities is the channel's membership: a committed envelope names
 	// its endorsers by key fingerprint, and only a fingerprint that
 	// resolves here is handed to Policy. Every process of a deployment
@@ -112,8 +112,8 @@ type Config struct {
 // names a directory with a previous run's data, recovers that peer.
 func New(cfg Config) (*Peer, error) {
 	opened := time.Now()
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("peer %s: nil endorsement policy", cfg.ID)
+	if cfg.Policy.Threshold <= 0 {
+		return nil, fmt.Errorf("peer %s: endorsement policy %+v counts no endorsement", cfg.ID, cfg.Policy)
 	}
 	st := cfg.State
 	var front atomic.Pointer[ledger.Ledger]

@@ -70,12 +70,16 @@ var testMembers = func() *msp.Registry {
 	return r
 }()
 
+// anyOne is the policy most tests run under: one valid endorsement by a
+// member counts.
+var anyOne = msp.QuorumPolicy{Threshold: 1, Total: 4}
+
 func newTestPeer(t *testing.T) (*Peer, *msp.Signer) {
 	t.Helper()
-	return newTestPeerWith(t, msp.AnyValid{})
+	return newTestPeerWith(t, anyOne)
 }
 
-func newTestPeerWith(t *testing.T, policy msp.Policy) (*Peer, *msp.Signer) {
+func newTestPeerWith(t *testing.T, policy msp.QuorumPolicy) (*Peer, *msp.Signer) {
 	t.Helper()
 	signer := testSigner("peer0")
 	reg := chaincode.NewRegistry()
@@ -468,9 +472,11 @@ func TestRecordedInvocationIsSigned(t *testing.T) {
 	}
 }
 
+// TestNilPolicyRejected: a peer configured with no policy, the zero
+// QuorumPolicy, would count no endorsement, so it is refused.
 func TestNilPolicyRejected(t *testing.T) {
 	signer, _ := msp.NewSigner("o", "p", msp.RoleMember)
 	if _, err := New(Config{ID: "p", Signer: signer, Registry: chaincode.NewRegistry()}); err == nil {
-		t.Fatal("nil policy accepted")
+		t.Fatal("zero policy accepted")
 	}
 }

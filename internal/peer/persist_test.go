@@ -62,7 +62,7 @@ func openConfig(cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	cfg.ID, cfg.ChannelID, cfg.Signer, cfg.Registry = "peer0", "ch", testSigner("peer0"), reg
-	cfg.Policy, cfg.Identities = msp.AnyValid{}, testMembers
+	cfg.Policy, cfg.Identities = anyOne, testMembers
 	return Open(cfg)
 }
 
@@ -125,7 +125,7 @@ func copyTree(t testing.TB, src, dst string) {
 }
 
 func TestOpenRequiresDataDir(t *testing.T) {
-	if _, err := Open(Config{ID: "p", Policy: msp.AnyValid{}}); err == nil {
+	if _, err := Open(Config{ID: "p", Policy: anyOne}); err == nil {
 		t.Fatal("Open without DataDir succeeded")
 	}
 }

@@ -18,7 +18,7 @@ func twinPeers(t *testing.T) (*Peer, *Peer, *msp.Signer) {
 		t.Fatal(err)
 	}
 	mk := func(id string) *Peer {
-		p, err := New(Config{ID: id, ChannelID: "ch", Signer: testSigner(id), Registry: reg, Policy: msp.AnyValid{},
+		p, err := New(Config{ID: id, ChannelID: "ch", Signer: testSigner(id), Registry: reg, Policy: anyOne,
 			Identities: testMembers})
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestSyncFromNothingToDo(t *testing.T) {
 func TestSyncRejectsForgedFlags(t *testing.T) {
 	a, b, client := twinPeers(t)
 	// Commit an under-endorsed transaction on a peer whose policy demands
-	// nothing (AnyValid passes); then forge the recorded flag so the
+	// nothing (anyOne passes); then forge the recorded flag so the
 	// syncing peer's re-validation disagrees.
 	commitOn(t, a, client, "y")
 	blk, err := a.Ledger().GetBlock(1)
