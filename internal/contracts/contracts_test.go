@@ -495,8 +495,8 @@ func TestUnknownFunctions(t *testing.T) {
 			t.Errorf("%s accepted unknown function", cc)
 		}
 	}
-	// getHistory is gone: a record's provenance is getData, getProvenance
-	// and the chain.
+	// The data chaincode keeps no history function: a record's provenance
+	// is getData, getProvenance and the chain.
 	if _, err := w.invoke(admin, DataCC, "getHistory", "tx"); err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Errorf("getHistory answered %v, want unknown function", err)
 	}
