@@ -487,6 +487,39 @@ func TestQuerySelectorOverRecords(t *testing.T) {
 	}
 }
 
+// TestGetHistoryThroughContract: the data chaincode keeps no history
+// function. A committed record's provenance is answered by getProvenance,
+// and getHistory on the same tx id is refused as an unknown function.
+func TestGetHistoryThroughContract(t *testing.T) {
+	w := newWorld(t)
+	admin := w.admin()
+	cam := w.user(admin, "city", "hist-cam", true)
+	_, metaJSON := sampleMeta(t, 99)
+	if _, err := w.invoke(cam, DataCC, "addData", "cid", metaJSON); err != nil {
+		t.Fatal(err)
+	}
+	recsRaw, _ := w.invoke(cam, DataCC, "queryBySource", cam.ID())
+	var recs []DataRecord
+	_ = json.Unmarshal(recsRaw, &recs)
+	if len(recs) != 1 {
+		t.Fatalf("source query = %d records", len(recs))
+	}
+	chainRaw, err := w.invoke(cam, DataCC, "getProvenance", recs[0].TxID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []DataRecord
+	if err := json.Unmarshal(chainRaw, &chain); err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 1 || chain[0].TxID != recs[0].TxID {
+		t.Fatalf("provenance = %+v", chain)
+	}
+	if _, err := w.invoke(cam, DataCC, "getHistory", recs[0].TxID); err == nil || !strings.Contains(err.Error(), "unknown function") {
+		t.Errorf("getHistory answered %v, want unknown function", err)
+	}
+}
+
 func TestUnknownFunctions(t *testing.T) {
 	w := newWorld(t)
 	admin := w.admin()
@@ -494,11 +527,6 @@ func TestUnknownFunctions(t *testing.T) {
 		if _, err := w.invoke(admin, cc, "noSuchFunction"); err == nil {
 			t.Errorf("%s accepted unknown function", cc)
 		}
-	}
-	// The data chaincode keeps no history function: a record's provenance
-	// is getData, getProvenance and the chain.
-	if _, err := w.invoke(admin, DataCC, "getHistory", "tx"); err == nil || !strings.Contains(err.Error(), "unknown function") {
-		t.Errorf("getHistory answered %v, want unknown function", err)
 	}
 }
 

@@ -203,15 +203,22 @@ func TestQuorumPolicy(t *testing.T) {
 	if err := pol.Evaluate(members.Endorsers(digest, ends[:2])); err == nil {
 		t.Fatal("2/4 endorsements must not satisfy")
 	}
+	if err := (QuorumPolicy{}).Evaluate(members.Endorsers(digest, ends)); err == nil {
+		t.Fatal("a zero policy was satisfied")
+	}
+}
+
+// TestAnyValidPolicy: "any one valid endorser" is a QuorumPolicy with a
+// threshold of one. One valid endorsement satisfies it; none does not.
+func TestAnyValidPolicy(t *testing.T) {
+	digest := []byte("result-digest")
+	signers, members := testMembers(t, 4, oneOrg)
 	one := QuorumPolicy{Threshold: 1, Total: 4}
-	if err := one.Evaluate(members.Endorsers(digest, ends[:1])); err != nil {
+	if err := one.Evaluate(members.Endorsers(digest, []EndorsementRef{endorse(signers[0], digest)})); err != nil {
 		t.Fatalf("1 endorsement should satisfy a threshold of 1: %v", err)
 	}
 	if err := one.Evaluate(nil); err == nil {
 		t.Fatal("no endorsement satisfied a threshold of 1")
-	}
-	if err := (QuorumPolicy{}).Evaluate(members.Endorsers(digest, ends)); err == nil {
-		t.Fatal("a zero policy was satisfied")
 	}
 }
 
