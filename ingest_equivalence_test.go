@@ -113,7 +113,7 @@ func equivFrames(t *testing.T, seed int64, n int) ([]*detect.Frame, []detect.Met
 // state and strips the nondeterministic fields.
 func canonicalRecords(t *testing.T, fw *core.Framework) []contracts.DataRecord {
 	t.Helper()
-	kvs := fw.Net.ChannelAt(0).Peer(0).State().GetStateByPrefix(contracts.DataCC, "rec/")
+	kvs := fw.Net.ChannelAt(0).Peer(0).State().GetStateRange(contracts.DataCC, "rec/", "rec0") // '0' follows '/'
 	out := make([]contracts.DataRecord, 0, len(kvs))
 	for _, kv := range kvs {
 		out = append(out, canonicalRecord(t, kv.Value))

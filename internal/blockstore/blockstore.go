@@ -101,25 +101,15 @@ type Store struct {
 // there is no migration.
 func Open(dir string) (*Store, error) {
 	cfg := storage.Config{Engine: storage.EngineSingle}
-	var path string
-	if dir == "" {
-		f, err := os.CreateTemp("", "socialchain-blocks-*.log")
-		if err != nil {
-			return nil, fmt.Errorf("blockstore: temp log: %w", err)
-		}
-		path = f.Name()
-		f.Close()
-		defer os.Remove(path) // the open handle keeps the file
-	} else {
+	if dir != "" {
 		for _, old := range []string{"blocks", "pins"} {
 			if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
 				return nil, fmt.Errorf("blockstore: %s holds %s/, the blocks/+pins/ layout older builds wrote; this build reads %s + %s/ only (no migration: start from an empty data directory)", dir, old, logName, dbName)
 			}
 		}
-		path = filepath.Join(dir, logName) // the engine creates dir with db/
 		cfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, dbName)}
 	}
-	s := &Store{path: path}
+	s := &Store{}
 	// s.log is set before the first ApplyBatch, so before any flush.
 	cfg.SyncFront = func() error { return s.log.Sync() }
 	kv, err := storage.Open(cfg)
@@ -136,14 +126,23 @@ func Open(dir string) (*Store, error) {
 		from = int64(binary.BigEndian.Uint64(v))
 	}
 	var found []storage.Write
-	s.log, err = walframe.OpenLog(path, from, policy, func(off int64, payload []byte) error {
-		key, _, err := splitFrame(payload)
-		if err != nil {
-			return fmt.Errorf("blockstore: %s frame at offset %d: %w", path, off, err)
-		}
-		found = append(found, storage.Write{Key: string(key), Value: loc(off, walframe.HeaderLen+len(payload))})
-		return nil
-	})
+	open := func(path string) (err error) {
+		s.path = path
+		s.log, err = walframe.OpenLog(path, from, policy, func(off int64, payload []byte) error {
+			key, _, err := splitFrame(payload)
+			if err != nil {
+				return fmt.Errorf("blockstore: %s frame at offset %d: %w", path, off, err)
+			}
+			found = append(found, storage.Write{Key: string(key), Value: loc(off, walframe.HeaderLen+len(payload))})
+			return nil
+		})
+		return err
+	}
+	if dir == "" {
+		err = walframe.OpenTemp("socialchain-blocks-*.log", open)
+	} else {
+		err = open(filepath.Join(dir, logName)) // the engine created dir with db/
+	}
 	if err != nil {
 		kv.Close()
 		return nil, err

@@ -91,7 +91,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 func commitCC(db *statedb.DB, n uint64, key, value string) {
 	b := statedb.NewUpdateBatch()
 	b.Put("cc", key, []byte(value))
-	db.ApplyUpdates(b, statedb.Version{BlockNum: n})
+	db.ApplyBlockAt([]statedb.TxUpdate{{Batch: b, Version: statedb.Version{BlockNum: n}}}, n)
 }
 
 // TestGetStateRepeatsWithinSimulation: a key read, then committed at a new
@@ -350,7 +350,7 @@ func TestGetQueryResult(t *testing.T) {
 	b := statedb.NewUpdateBatch()
 	b.Put("cc", "doc1", []byte(`{"kind":"a"}`))
 	b.Put("cc", "doc2", []byte(`{"kind":"b"}`))
-	db.ApplyUpdates(b, statedb.Version{BlockNum: 2})
+	db.ApplyBlockAt([]statedb.TxUpdate{{Batch: b, Version: statedb.Version{BlockNum: 2}}}, 2)
 	sim := NewSimulator(testCtx(t), "cc", db)
 	got, err := sim.GetQueryResult(statedb.Selector{"kind": "a"})
 	if err != nil {

@@ -1,7 +1,12 @@
 package explorer
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,9 +15,40 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 	"socialchain/internal/storage"
+	"socialchain/internal/walframe"
 )
 
-func buildChain(t *testing.T) (*ledger.Ledger, []string) {
+// openChain opens a ledger on the block log at path ("" for an unlinked
+// temporary one) over a fresh in-memory world state, commits blocks the
+// way a peer does — Stage, the state batch carrying the ledger's index
+// entries, Append — and closes both when the test ends.
+func openChain(t *testing.T, path string, blocks ...*ledger.Block) *ledger.Ledger {
+	t.Helper()
+	db := statedb.New()
+	l, err := ledger.Open(path, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		l.Close()
+		db.Close()
+	})
+	for _, b := range blocks {
+		index, err := l.Stage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.ApplyBlockAt(nil, b.Header.Number, index...)
+		if err := l.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
+}
+
+// buildChain commits the fixture chain to a ledger on the block log at
+// path ("" for an unlinked temporary one).
+func buildChain(t *testing.T, path string) (*ledger.Ledger, []string) {
 	t.Helper()
 	alice, err := msp.NewSigner("org1", "alice", msp.RoleMember)
 	if err != nil {
@@ -22,7 +58,6 @@ func buildChain(t *testing.T) (*ledger.Ledger, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := ledger.New()
 	mk := func(id, cc, fn string, s *msp.Signer) ledger.Transaction {
 		tx := ledger.Transaction{
 			ID: id, ChannelID: "ch", Creator: s.Identity,
@@ -36,25 +71,19 @@ func buildChain(t *testing.T) (*ledger.Ledger, []string) {
 	var ids []string
 	// Block 0: two valid data txs.
 	b0txs := []ledger.Transaction{mk("tx-a", "data", "addData", alice), mk("tx-b", "data", "addData", bob)}
-	b0 := ledger.NewBlock(0, l.TipHash(), b0txs, time.Now())
-	if err := l.Append(b0); err != nil {
-		t.Fatal(err)
-	}
+	b0 := ledger.NewBlock(0, [32]byte{}, b0txs, time.Now())
 	// Block 1: one valid trust tx, one MVCC-invalid data tx.
 	b1txs := []ledger.Transaction{mk("tx-c", "trust", "observe", alice), mk("tx-d", "data", "addData", alice)}
-	b1 := ledger.NewBlock(1, l.TipHash(), b1txs, time.Now())
+	b1 := ledger.NewBlock(1, b0.Header.Hash(), b1txs, time.Now())
 	b1.Metadata.Flags[1] = ledger.MVCCConflict
-	if err := l.Append(b1); err != nil {
-		t.Fatal(err)
-	}
 	for _, tx := range append(b0txs, b1txs...) {
 		ids = append(ids, tx.ID)
 	}
-	return l, ids
+	return openChain(t, path, b0, b1), ids
 }
 
 func TestBlocksListing(t *testing.T) {
-	l, _ := buildChain(t)
+	l, _ := buildChain(t, "")
 	e := New(l)
 	blocks, err := e.Blocks(0, 0)
 	if err != nil {
@@ -79,7 +108,7 @@ func TestBlocksListing(t *testing.T) {
 }
 
 func TestTxLookup(t *testing.T) {
-	l, ids := buildChain(t)
+	l, ids := buildChain(t, "")
 	e := New(l)
 	got, err := e.Tx(ids[2])
 	if err != nil {
@@ -109,7 +138,7 @@ func TestTxLookup(t *testing.T) {
 }
 
 func TestSearchFilters(t *testing.T) {
-	l, _ := buildChain(t)
+	l, _ := buildChain(t, "")
 	e := New(l)
 	if got := e.Search("data", "", false); len(got) != 3 {
 		t.Fatalf("by chaincode = %d", len(got))
@@ -126,7 +155,7 @@ func TestSearchFilters(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	l, _ := buildChain(t)
+	l, _ := buildChain(t, "")
 	e := New(l)
 	s := e.Stats()
 	if s.Height != 2 || s.TotalTxs != 4 {
@@ -144,7 +173,7 @@ func TestStatsAggregation(t *testing.T) {
 }
 
 func TestRendering(t *testing.T) {
-	l, _ := buildChain(t)
+	l, _ := buildChain(t, "")
 	e := New(l)
 	var b strings.Builder
 	if err := e.RenderBlocks(&b, 0, 0); err != nil {
@@ -165,20 +194,35 @@ func TestRendering(t *testing.T) {
 }
 
 func TestVerifyIntegrity(t *testing.T) {
-	l, _ := buildChain(t)
+	path := filepath.Join(t.TempDir(), "blocks.wal")
+	l, _ := buildChain(t, path)
 	e := New(l)
 	if err := e.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	blk, _ := l.GetBlock(0)
-	blk.Txs[0].Response = []byte("tampered")
-	if err := e.VerifyIntegrity(); err == nil {
-		t.Fatal("tamper not detected")
+	// Rename a committed transaction in block 0's frame, the file's first,
+	// and reseal the frame's CRC: only the data hash can tell.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := walframe.HeaderLen + int(binary.BigEndian.Uint32(data))
+	at := bytes.Index(data[:end], []byte("tx-a"))
+	if at < 0 {
+		t.Fatal("fixture: tx-a not in block 0's frame")
+	}
+	data[at+3] = 'X'
+	binary.BigEndian.PutUint32(data[4:], crc32.ChecksumIEEE(data[walframe.HeaderLen:end]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "block 0 data hash") {
+		t.Fatalf("tamper not detected: %v", err)
 	}
 }
 
 func TestIndexPageThroughExplorer(t *testing.T) {
-	l, _ := buildChain(t)
+	l, _ := buildChain(t, "")
 	db, err := statedb.NewIndexedWith(storage.Config{},
 		statedb.IndexSpec{Name: "label", Namespace: "data", Field: "label"})
 	if err != nil {
@@ -188,7 +232,7 @@ func TestIndexPageThroughExplorer(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		batch.Put("data", fmt.Sprintf("rec/%d", i), []byte(fmt.Sprintf(`{"label":"car","i":%d}`, i)))
 	}
-	db.ApplyUpdates(batch, statedb.Version{BlockNum: 1})
+	db.ApplyBlockAt([]statedb.TxUpdate{{Batch: batch, Version: statedb.Version{BlockNum: 1}}}, 1)
 
 	e := New(l)
 	if _, err := e.IndexPage("label", "car", 10, ""); err == nil {

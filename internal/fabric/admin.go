@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"path/filepath"
-
 	"socialchain/internal/obs"
 	"socialchain/internal/transport"
 )
@@ -51,11 +49,10 @@ type NodeChannelStatus struct {
 	SignatureChecksSkipped int64   `json:"signature_checks_skipped"`
 	SignatureVerifications int64   `json:"signature_verifications"`
 	SignatureSkipRate      float64 `json:"signature_skip_rate"`
-	WALSegments            int     `json:"wal_segments"`
-	// Block-file traffic of the peer's ledger (all zero for an in-memory
-	// peer): a restarted peer decodes only the blocks logged above its
-	// state savepoint, so OpenBlocksDecoded stays far below Height: 0
-	// after a clean stop, the blocks above the last flush after a kill.
+	// Block-file traffic of the peer's ledger: a restarted peer decodes
+	// only the blocks logged above its state savepoint, so
+	// OpenBlocksDecoded stays far below Height: 0 after a clean stop, the
+	// blocks above the last flush after a kill.
 	OpenBlocksDecoded int     `json:"ledger_open_blocks_decoded"`
 	OpenSeconds       float64 `json:"peer_open_seconds"`
 	BlockReads        int64   `json:"ledger_block_reads"`
@@ -84,16 +81,6 @@ type NodeStatus struct {
 	Channels   map[string]NodeChannelStatus `json:"channels"`
 	Transport  TransportStatus              `json:"transport"`
 	SlowTraces []obs.TraceRecord            `json:"slow_traces,omitempty"`
-}
-
-// walSegments counts a durable peer's write-ahead-log files — the block
-// log, which is also its state engine's — and is 0 for an in-memory peer.
-func walSegments(dir string) int {
-	if dir == "" {
-		return 0
-	}
-	logs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
-	return len(logs)
 }
 
 // ServeAdmin binds the node's admin/debug HTTP surface (metrics, health,
@@ -135,7 +122,6 @@ func (n *Node) statusz() any {
 		BatchesProposed:        n.o.Proposed(),
 		SignatureChecksSkipped: ps + vs,
 		SignatureVerifications: pv + vv,
-		WALSegments:            walSegments(n.dataDir),
 		OpenSeconds:            n.p.OpenTook().Seconds(),
 	}
 	io := n.p.Ledger().IOStats()

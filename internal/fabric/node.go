@@ -63,7 +63,6 @@ type Node struct {
 	p         *peer.Peer
 	v         *consensus.Validator
 	o         *ordering.Service
-	dataDir   string // the peer's durable directory ("" in-memory)
 	commitErr atomic.Uint64
 	// catchingUp is set while the peer is out of live delivery: a decided
 	// batch failed to commit here, or the anti-entropy loop had to copy
@@ -137,8 +136,9 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 		registry: chaincode.NewRegistry(),
 		done:     make(chan struct{}),
 	}
+	var dataDir string
 	if cfg.DataDir != "" {
-		n.dataDir = filepath.Join(cfg.DataDir, n.id)
+		dataDir = filepath.Join(cfg.DataDir, n.id)
 	}
 	peerReg := cfg.Obs.With(obs.L("peer", n.id))
 	reg := peerReg.With(obs.L("channel", cfg.ChannelID))
@@ -150,7 +150,7 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 		Policy:     cfg.Policy,
 		Identities: ps.members,
 		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
-		DataDir:    n.dataDir,
+		DataDir:    dataDir,
 		Indexes:    cfg.StateIndexes,
 		Obs:        reg,
 		SlowTraces: cfg.SlowTraces,

@@ -2,6 +2,9 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,6 +17,7 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 	"socialchain/internal/storage"
+	"socialchain/internal/walframe"
 )
 
 // randomChain builds a hash-linked chain of n blocks: genesis, then blocks
@@ -71,15 +75,17 @@ func openIndexDB(t *testing.T, dir string) *statedb.DB {
 }
 
 // commitLogged runs the committer's Stage / state batch / Append sequence
-// with an empty write set.
-func commitLogged(t *testing.T, l *Ledger, db *statedb.DB, b *Block) {
+// with an empty write set, in the world state the ledger is indexed in.
+// Like a peer's genesis, block 0 writes no state when it has no
+// transactions, so a reopen adopts it from the file.
+func commitLogged(t *testing.T, l *Ledger, b *Block) {
 	t.Helper()
 	index, err := l.Stage(b)
 	if err != nil {
 		t.Fatalf("stage block %d: %v", b.Header.Number, err)
 	}
-	if b.Header.Number > 0 { // genesis writes no state
-		db.ApplyBlockAt(nil, b.Header.Number, index...)
+	if b.Header.Number > 0 || len(b.Txs) > 0 {
+		l.index.ApplyBlockAt(nil, b.Header.Number, index...)
 	}
 	if err := l.Append(b); err != nil {
 		t.Fatalf("append block %d: %v", b.Header.Number, err)
@@ -97,72 +103,94 @@ func encAll(blocks []*Block) []string {
 	return out
 }
 
-// assertSameLedger compares every read a ledger offers across the two
-// backings. Blocks compare by their canonical encoding, the form both
-// replicas and the block file agree on.
-func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*Block) {
-	t.Helper()
-	if want.Height() != got.Height() || want.TipHash() != got.TipHash() {
-		t.Fatalf("height/tip: memory %d %x, log %d %x", want.Height(), want.TipHash(), got.Height(), got.TipHash())
+// txAt is where the model puts a transaction: block, index, flag.
+type txAt struct {
+	block uint64
+	idx   int
+	flag  ValidationCode
+}
+
+// modelStats is what Stats must report for chain.
+func modelStats(chain []*Block) Stats {
+	s := Stats{Height: uint64(len(chain))}
+	for _, b := range chain {
+		s.TotalTxs += len(b.Txs)
+		s.ValidTxs += countValid(b)
 	}
-	if want.Stats() != got.Stats() {
-		t.Fatalf("stats: memory %+v, log %+v", want.Stats(), got.Stats())
+	return s
+}
+
+// modelTip is the tip hash of chain.
+func modelTip(chain []*Block) [32]byte {
+	if len(chain) == 0 {
+		return [32]byte{}
+	}
+	return chain[len(chain)-1].Header.Hash()
+}
+
+// assertMatchesModel compares every read the ledger offers with a model
+// derived from the chain committed to it: block n is chain[n], a
+// transaction sits where the chain puts it, and the export is the JSON of
+// each block's canonical round-trip. Blocks compare by their canonical
+// encoding, the form replicas and the block file agree on.
+func assertMatchesModel(t *testing.T, rng *rand.Rand, got *Ledger, chain []*Block) {
+	t.Helper()
+	height := uint64(len(chain))
+	if got.Height() != height || got.TipHash() != modelTip(chain) {
+		t.Fatalf("height/tip: %d %x, want %d %x", got.Height(), got.TipHash(), height, modelTip(chain))
+	}
+	if got.Stats() != modelStats(chain) {
+		t.Fatalf("stats: %+v, want %+v", got.Stats(), modelStats(chain))
 	}
 	if err := got.VerifyChain(); err != nil {
-		t.Fatalf("log-backed VerifyChain: %v", err)
+		t.Fatalf("VerifyChain: %v", err)
 	}
-	height := want.Height()
-	for n := uint64(0); n <= height; n++ {
-		wb, werr := want.GetBlock(n)
-		gb, gerr := got.GetBlock(n)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("GetBlock(%d): memory err %v, log err %v", n, werr, gerr)
-		}
-		if werr == nil && enc(wb) != enc(gb) {
-			t.Fatalf("GetBlock(%d) differs", n)
+	for n := uint64(0); n < height; n++ {
+		b, err := got.GetBlock(n)
+		if err != nil || enc(b) != enc(chain[n]) {
+			t.Fatalf("GetBlock(%d) differs (%v)", n, err)
 		}
 	}
-	ids := []string{"no-such-tx"}
-	for _, b := range chain {
+	if _, err := got.GetBlock(height); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetBlock(%d) at the height: %v", height, err)
+	}
+	where := map[string]txAt{}
+	for n, b := range chain {
 		for i := range b.Txs {
-			ids = append(ids, b.Txs[i].ID)
+			where[b.Txs[i].ID] = txAt{block: uint64(n), idx: i, flag: b.Metadata.Flags[i]}
 		}
 	}
-	for _, id := range ids {
-		wBlock, wIdx, wFlag, wOK := want.TxLocation(id)
-		gBlock, gIdx, gFlag, gOK := got.TxLocation(id)
-		if wBlock != gBlock || wIdx != gIdx || wFlag != gFlag || wOK != gOK {
-			t.Fatalf("TxLocation(%s): memory %d/%d/%s/%v, log %d/%d/%s/%v", id, wBlock, wIdx, wFlag, wOK, gBlock, gIdx, gFlag, gOK)
+	if _, _, _, ok := got.TxLocation("no-such-tx"); ok || got.HasTx("no-such-tx") {
+		t.Fatal("found a transaction that was never committed")
+	}
+	if _, _, _, err := got.GetTx("no-such-tx"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetTx of an unknown transaction: %v", err)
+	}
+	for id, want := range where {
+		block, idx, flag, ok := got.TxLocation(id)
+		if !ok || (txAt{block, idx, flag}) != want || !got.HasTx(id) {
+			t.Fatalf("TxLocation(%s): %d/%d/%s/%v, want %+v", id, block, idx, flag, ok, want)
 		}
-		if want.HasTx(id) != got.HasTx(id) {
-			t.Fatalf("HasTx(%s) differs", id)
+		tx, flag, block, err := got.GetTx(id)
+		if err != nil || flag != want.flag || block != want.block {
+			t.Fatalf("GetTx(%s): %s/%d/%v, want %+v", id, flag, block, err, want)
 		}
-		wTx, wF, wB, werr := want.GetTx(id)
-		gTx, gF, gB, gerr := got.GetTx(id)
-		if (werr == nil) != (gerr == nil) || wF != gF || wB != gB {
-			t.Fatalf("GetTx(%s): memory %s/%d/%v, log %s/%d/%v", id, wF, wB, werr, gF, gB, gerr)
-		}
-		if werr != nil {
-			continue
-		}
-		if !bytes.Equal(wTx.Bytes(), gTx.Bytes()) {
+		if !bytes.Equal(tx.Bytes(), chain[block].Txs[want.idx].Bytes()) {
 			t.Fatalf("GetTx(%s) differs", id)
 		}
-		wBlk, _ := want.GetBlock(wB)
-		gBlk, _ := got.GetBlock(gB)
-		wProof, werr := wBlk.TxProof(wIdx)
-		gProof, gerr := gBlk.TxProof(gIdx)
+		gBlk, _ := got.GetBlock(block)
+		wProof, werr := chain[block].TxProof(want.idx)
+		gProof, gerr := gBlk.TxProof(idx)
 		if werr != nil || gerr != nil || !reflect.DeepEqual(wProof, gProof) {
 			t.Fatalf("TxProof(%s) differs (%v, %v)", id, werr, gerr)
 		}
-		if !gBlk.VerifyTxInclusion(gTx, gProof) {
+		if !gBlk.VerifyTxInclusion(tx, gProof) {
 			t.Fatalf("TxProof(%s) from the log does not verify", id)
 		}
 	}
-	var wSeq, gSeq []string
-	want.Iterate(func(b *Block) bool { wSeq = append(wSeq, enc(b)); return true })
-	got.Iterate(func(b *Block) bool { gSeq = append(gSeq, enc(b)); return true })
-	if !reflect.DeepEqual(wSeq, gSeq) {
+	var seq []string
+	got.Iterate(func(b *Block) bool { seq = append(seq, enc(b)); return true })
+	if !reflect.DeepEqual(seq, encAll(chain)) {
 		t.Fatal("Iterate differs")
 	}
 	stop := 0
@@ -172,27 +200,38 @@ func assertSameLedger(t *testing.T, rng *rand.Rand, want, got *Ledger, chain []*
 	}
 	for k := 0; k < 8; k++ {
 		from, max := uint64(rng.Intn(int(height)+2)), rng.Intn(5)
-		wPage, werr := want.BlocksFrom(from, max)
-		gPage, gerr := got.BlocksFrom(from, max)
-		if werr != nil || gerr != nil || !reflect.DeepEqual(encAll(wPage), encAll(gPage)) {
-			t.Fatalf("BlocksFrom(%d, %d) differs (%v, %v)", from, max, werr, gerr)
+		want := chain[min(from, height):]
+		if max > 0 && len(want) > max {
+			want = want[:max]
+		}
+		page, err := got.BlocksFrom(from, max)
+		if err != nil || !reflect.DeepEqual(encAll(page), encAll(want)) {
+			t.Fatalf("BlocksFrom(%d, %d) differs (%v)", from, max, err)
 		}
 	}
-	var wDump, gDump bytes.Buffer
-	if err := want.Export(&wDump); err != nil {
+	var wantDump, dump bytes.Buffer
+	for _, b := range chain {
+		rt, err := DecodeBlock(b.AppendTo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDump.Write(append(line, '\n'))
+	}
+	if err := got.Export(&dump); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Export(&gDump); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wDump.Bytes(), gDump.Bytes()) {
-		t.Fatal("Export bytes differ")
+	if !bytes.Equal(wantDump.Bytes(), dump.Bytes()) {
+		t.Fatal("Export bytes differ from the canonical round-trip's JSON")
 	}
 }
 
-// TestLogBackedEquivalence drives random chains into an in-memory ledger
-// and a log-backed one, closing and reopening the latter (state engine
-// included) at every block boundary, and requires every read to agree.
+// TestLogBackedEquivalence drives random chains into a log-backed ledger,
+// closing and reopening it (state engine included) at every block
+// boundary, and requires every read to agree with the chain itself.
 func TestLogBackedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -200,7 +239,6 @@ func TestLogBackedEquivalence(t *testing.T) {
 			chain := randomChain(t, rng, 10+rng.Intn(10))
 			dir := t.TempDir()
 			path := filepath.Join(dir, "blocks.wal")
-			ram := New()
 			for i, b := range chain {
 				db := openIndexDB(t, dir)
 				logged, err := Open(path, db)
@@ -210,15 +248,12 @@ func TestLogBackedEquivalence(t *testing.T) {
 				if io := logged.IOStats(); len(logged.Tail()) != 0 || (i > 1 && io.OpenDecoded != 0) {
 					t.Fatalf("clean reopen before block %d decoded %d blocks, %d await replay", i, io.OpenDecoded, len(logged.Tail()))
 				}
-				if logged.Height() != ram.Height() || logged.TipHash() != ram.TipHash() || logged.Stats() != ram.Stats() {
-					t.Fatalf("reopen before block %d: height %d stats %+v, want %d %+v", i, logged.Height(), logged.Stats(), ram.Height(), ram.Stats())
+				if logged.Height() != uint64(i) || logged.TipHash() != modelTip(chain[:i]) || logged.Stats() != modelStats(chain[:i]) {
+					t.Fatalf("reopen before block %d: height %d stats %+v, want %+v", i, logged.Height(), logged.Stats(), modelStats(chain[:i]))
 				}
-				if err := ram.Append(b); err != nil {
-					t.Fatal(err)
-				}
-				commitLogged(t, logged, db, b)
+				commitLogged(t, logged, b)
 				if i%4 == 3 || i == len(chain)-1 {
-					assertSameLedger(t, rng, ram, logged, chain[:i+1])
+					assertMatchesModel(t, rng, logged, chain[:i+1])
 				}
 				if err := logged.Close(); err != nil {
 					t.Fatal(err)
@@ -244,7 +279,7 @@ func TestLogBackedCacheCountsReads(t *testing.T) {
 	}
 	defer l.Close()
 	for _, b := range chain {
-		commitLogged(t, l, db, b)
+		commitLogged(t, l, b)
 	}
 	// Fsyncs count the write side (one per block under DurabilityAlways);
 	// every other counter is read-path I/O and must still be zero.
@@ -284,7 +319,7 @@ func loggedFixture(t *testing.T, dir string, chain []*Block, crashLast bool) {
 			}
 			break
 		}
-		commitLogged(t, l, db, b)
+		commitLogged(t, l, b)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -426,6 +461,99 @@ func TestLogBackedDamageBelowSavepoint(t *testing.T) {
 	}()
 }
 
+// rewriteBlock replaces block n's frame in the block log at path with the
+// block mutate makes of it, sealed under a fresh CRC, and moves the
+// offsets db's index holds for the frames after it and the log's end: the
+// files a writer that logged the mutated block would have left. The
+// ledger over them must be closed.
+func rewriteBlock(t *testing.T, path string, db *statedb.DB, n uint64, mutate func(*Block)) {
+	t.Helper()
+	rec, ok := db.Reserved(chainKey)
+	if !ok {
+		t.Fatal("no chain record")
+	}
+	height := binary.BigEndian.Uint64(rec)
+	l := &Ledger{index: db} // offsetOf reads only the index
+	off, err := l.offsetOf(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := walframe.Read(bytes.NewReader(data[off:]), nil, int64(len(data))-off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBlock(payload[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(b)
+	frame := b.AppendTo(append(make([]byte, walframe.HeaderLen), logFormat))
+	walframe.Seal(frame)
+	rest := data[off+walframe.HeaderLen+int64(len(payload)):]
+	delta := int64(len(frame)) - walframe.HeaderLen - int64(len(payload))
+	if err := os.WriteFile(path, append(append(data[:off:off], frame...), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var moved []statedb.ReservedWrite
+	for m := n + 1; m < height; m++ {
+		o, err := l.offsetOf(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved = append(moved, statedb.ReservedWrite{Key: blockKey(m), Value: binary.BigEndian.AppendUint64(nil, uint64(o+delta))})
+	}
+	rec = bytes.Clone(rec)
+	binary.BigEndian.PutUint64(rec[24:], uint64(int64(binary.BigEndian.Uint64(rec[24:]))+delta))
+	db.ApplyBlockAt(nil, height-1, append(moved, statedb.ReservedWrite{Key: chainKey, Value: rec})...)
+}
+
+// TestLogBackedShortFlagListBelowSavepoint rewrites a frame the savepoint
+// covers with one flag dropped and its CRC recomputed. The header hash
+// does not cover the flags, so only the read's own check keeps a reader
+// that indexes flags by transaction (the explorer) from running off the
+// list: GetBlock and VerifyChain must fail naming the block, and the
+// blocks around it stay readable.
+func TestLogBackedShortFlagListBelowSavepoint(t *testing.T) {
+	chain := randomChain(t, rand.New(rand.NewSource(6)), 8)
+	victim := uint64(0)
+	for n := 1; n < len(chain)-1 && victim == 0; n++ {
+		if len(chain[n].Txs) > 0 {
+			victim = uint64(n)
+		}
+	}
+	if victim == 0 {
+		t.Fatal("fixture: no block with transactions below the last")
+	}
+	dir := t.TempDir()
+	loggedFixture(t, dir, chain, false)
+	path := filepath.Join(dir, "blocks.wal")
+	db := openIndexDB(t, dir)
+	defer db.Close()
+	rewriteBlock(t, path, db, victim, func(b *Block) { b.Metadata.Flags = b.Metadata.Flags[1:] })
+
+	l, err := Open(path, db)
+	if err != nil {
+		t.Fatalf("open over a short flag list below the savepoint: %v", err)
+	}
+	defer l.Close()
+	want := fmt.Sprintf("block %d has %d flags for %d txs", victim, len(chain[victim].Txs)-1, len(chain[victim].Txs))
+	if _, err := l.GetBlock(victim); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("GetBlock(%d): %v, want an error containing %q", victim, err, want)
+	}
+	if err := l.VerifyChain(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("VerifyChain: %v, want an error containing %q", err, want)
+	}
+	for n := uint64(0); n < l.Height(); n++ {
+		if b, err := l.GetBlock(n); n != victim && (err != nil || enc(b) != enc(chain[n])) {
+			t.Fatalf("GetBlock(%d) beside the damage: %v", n, err)
+		}
+	}
+}
+
 // TestLogBackedStageOrder: the log-backed commit protocol refuses to skip
 // a step.
 func TestLogBackedStageOrder(t *testing.T) {
@@ -450,7 +578,7 @@ func TestLogBackedStageOrder(t *testing.T) {
 	if _, err := l.Stage(other); err == nil {
 		t.Fatal("staged a fresh block over a logged one awaiting replay")
 	}
-	commitLogged(t, l, db, tail[0])
+	commitLogged(t, l, tail[0])
 	if l.Height() != uint64(len(chain)) || len(l.Tail()) != 0 {
 		t.Fatalf("after replay: height %d, %d await replay", l.Height(), len(l.Tail()))
 	}
@@ -472,7 +600,7 @@ func TestLogBackedConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	commitLogged(t, l, db, chain[0])
+	commitLogged(t, l, chain[0])
 
 	done := make(chan struct{})
 	errs := make(chan error, 4)
@@ -517,7 +645,7 @@ func TestLogBackedConcurrentReaders(t *testing.T) {
 		}(r)
 	}
 	for _, b := range chain[1:] {
-		commitLogged(t, l, db, b)
+		commitLogged(t, l, b)
 	}
 	close(done)
 	for r := 0; r < 4; r++ {

@@ -7,33 +7,17 @@ import (
 	"io"
 )
 
-// Export writes the chain as one JSON block per line (a portable audit
-// dump: auditors can re-verify the hash chain offline, and lagging peers
-// can bootstrap from it). JSON is the chain's human-readable form only;
-// every other place a block becomes bytes uses its canonical encoding. On
-// a log-backed ledger the blocks stream from the file one at a time. An
-// in-memory ledger holds blocks as they were assembled — empty slices that
-// are not nil, times in a local zone — which JSON would print differently
-// from the same block read back from a file, so those pass through the
-// canonical encoding first: the dump is a function of the chain, not of
-// the backing.
+// Export writes the chain as one JSON block per line, streamed from the
+// block file one block at a time: a portable audit dump that VerifyExport
+// re-checks offline. JSON is the chain's human-readable form only; every
+// other place a block becomes bytes uses its canonical encoding, and a
+// block read back from the file prints the same on every replica.
 func (l *Ledger) Export(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	var werr error
 	err := l.walk(0, func(b *Block, _ int64) bool {
-		if l.log == nil {
-			if b, werr = DecodeBlock(b.AppendTo(nil)); werr != nil {
-				return false
-			}
-		}
-		var enc []byte
-		if enc, werr = json.Marshal(b); werr != nil {
-			return false
-		}
-		if _, werr = bw.Write(enc); werr != nil {
-			return false
-		}
-		werr = bw.WriteByte('\n')
+		werr = enc.Encode(b)
 		return werr == nil
 	})
 	if err == nil {
@@ -45,30 +29,31 @@ func (l *Ledger) Export(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Import reads an Export stream and appends every block, verifying the
-// hash chain as it goes (Append re-checks numbering, prev-hash linkage and
-// data hashes). The ledger must be an in-memory one at the height the dump
-// starts at — usually empty.
-func (l *Ledger) Import(r io.Reader) (int, error) {
+// VerifyExport re-checks an Export stream offline, block by block, with
+// the check VerifyChain runs: numbering from 0, prev-hash linkage, data
+// hashes and one flag per transaction. It returns the number of blocks
+// the stream holds and the hash of the last one's header, to compare with
+// the tip of the ledger the dump came from; an empty stream is an empty
+// chain.
+func VerifyExport(r io.Reader) (blocks int, tip [32]byte, err error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
-	n := 0
+	var c linker
 	for {
 		var b Block
 		if err := dec.Decode(&b); err == io.EOF {
-			return n, nil
+			return int(c.n), c.tip, nil
 		} else if err != nil {
-			return n, fmt.Errorf("ledger: import block %d: %w", n, err)
+			return int(c.n), c.tip, fmt.Errorf("ledger: export block %d: %w", c.n, err)
 		}
-		if err := l.Append(&b); err != nil {
-			return n, fmt.Errorf("ledger: import: %w", err)
+		if err := c.next(&b); err != nil {
+			return int(c.n), c.tip, fmt.Errorf("ledger: export: %w", err)
 		}
-		n++
 	}
 }
 
-// syncPageBytes stops a BlocksFrom page on a log-backed ledger once its
-// frames add up to this much, so one catch-up page stays a few MiB of
-// decoded blocks (and of RPC frame) however large the blocks are.
+// syncPageBytes stops a BlocksFrom page once its frames add up to this
+// much, so one catch-up page stays a few MiB of decoded blocks (and of RPC
+// frame) however large the blocks are.
 const syncPageBytes = 4 << 20
 
 // BlocksFrom returns up to max blocks starting at number from (max <= 0:

@@ -2,50 +2,43 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestExportImportRoundTrip: an export verifies offline block for block,
+// ending at the tip of the ledger it came from.
 func TestExportImportRoundTrip(t *testing.T) {
 	src := chainOf(t, 4, 3)
 	var buf bytes.Buffer
 	if err := src.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := New()
-	n, err := dst.Import(&buf)
+	n, tip, err := VerifyExport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("imported %d blocks", n)
-	}
-	if dst.Height() != src.Height() || dst.TipHash() != src.TipHash() {
-		t.Fatal("import diverged from source")
-	}
-	if err := dst.VerifyChain(); err != nil {
-		t.Fatal(err)
-	}
-	// Tx index rebuilt.
-	if _, _, _, err := dst.GetTx("tx-5"); err != nil {
-		t.Fatalf("tx lookup after import: %v", err)
+	if n != 4 || tip != src.TipHash() {
+		t.Fatalf("verified %d blocks ending at %x, want 4 ending at %x", n, tip, src.TipHash())
 	}
 }
 
 // TestExportPrintsHashesAndFingerprints: the dump shows what an envelope
 // records of its arguments and endorsers — hex SHA-256 hashes and hex key
-// fingerprints — for single and batched envelopes, a re-import reproduces
-// every block byte for byte, and a hash or fingerprint of the wrong length
-// in a dump is an import error, never a shorter value.
+// fingerprints — for single and batched envelopes, each line decodes back
+// to its block byte for byte, and a hash or fingerprint of the wrong
+// length in a dump fails the offline check, never reads as a shorter
+// value.
 func TestExportPrintsHashesAndFingerprints(t *testing.T) {
-	src := New()
+	var chain []*Block
+	var prev [32]byte
 	for n, calls := range []int{1, 3} {
-		blk := NewBlock(uint64(n), src.TipHash(), []Transaction{fixtureTx(calls)}, time.Unix(int64(n), 0))
-		if err := src.Append(blk); err != nil {
-			t.Fatal(err)
-		}
+		blk := NewBlock(uint64(n), prev, []Transaction{fixtureTx(calls)}, time.Unix(int64(n), 0))
+		chain, prev = append(chain, blk), blk.Header.Hash()
 	}
+	src := openChain(t, "", chain...)
 	var buf bytes.Buffer
 	if err := src.Export(&buf); err != nil {
 		t.Fatal(err)
@@ -67,15 +60,13 @@ func TestExportPrintsHashesAndFingerprints(t *testing.T) {
 		t.Fatal("dump still carries arguments or embedded endorser identities")
 	}
 
-	dst := New()
-	if _, err := dst.Import(strings.NewReader(dump)); err != nil {
-		t.Fatal(err)
+	if n, tip, err := VerifyExport(strings.NewReader(dump)); err != nil || n != 2 || tip != src.TipHash() {
+		t.Fatalf("the dump verified %d blocks ending at %x: %v", n, tip, err)
 	}
-	for n := uint64(0); n < 2; n++ {
-		a, _ := src.GetBlock(n)
-		b, err := dst.GetBlock(n)
-		if err != nil || !bytes.Equal(a.AppendTo(nil), b.AppendTo(nil)) {
-			t.Fatalf("block %d differs after export and import (%v)", n, err)
+	for n, line := range strings.Split(strings.TrimSuffix(dump, "\n"), "\n") {
+		var b Block
+		if err := json.Unmarshal([]byte(line), &b); err != nil || !bytes.Equal(b.AppendTo(nil), chain[n].AppendTo(nil)) {
+			t.Fatalf("block %d differs after export (%v)", n, err)
 		}
 	}
 
@@ -85,8 +76,8 @@ func TestExportPrintsHashesAndFingerprints(t *testing.T) {
 		"short fingerprint": strings.Replace(dump, fingerprint, fingerprint[:14], 1),
 		"not hex":           strings.Replace(dump, fingerprint, "zz"+fingerprint[2:], 1),
 	} {
-		if _, err := New().Import(strings.NewReader(bad)); err == nil {
-			t.Errorf("a dump with a %s imported", name)
+		if _, _, err := VerifyExport(strings.NewReader(bad)); err == nil {
+			t.Errorf("a dump with a %s verified", name)
 		}
 	}
 }
@@ -98,24 +89,46 @@ func TestImportRejectsTamperedDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	dump := strings.Replace(buf.String(), `"id":"tx-0"`, `"id":"tx-X"`, 1)
-	dst := New()
-	if _, err := dst.Import(strings.NewReader(dump)); err == nil {
-		t.Fatal("tampered dump imported")
+	if _, _, err := VerifyExport(strings.NewReader(dump)); err == nil || !strings.Contains(err.Error(), "block 0 data hash") {
+		t.Fatalf("tampered dump verified: %v", err)
 	}
 }
 
 func TestImportRejectsGarbage(t *testing.T) {
-	dst := New()
-	if _, err := dst.Import(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage imported")
+	if _, _, err := VerifyExport(strings.NewReader("not json\n")); err == nil {
+		t.Fatal("garbage verified")
 	}
 }
 
 func TestImportEmptyStream(t *testing.T) {
-	dst := New()
-	n, err := dst.Import(strings.NewReader(""))
-	if err != nil || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
+	n, tip, err := VerifyExport(strings.NewReader(""))
+	if err != nil || n != 0 || tip != ([32]byte{}) {
+		t.Fatalf("n=%d tip=%x err=%v", n, tip, err)
+	}
+}
+
+// TestImportRejectsShortFlagList: a dump line whose flag list is shorter
+// than its transaction list fails the offline check; the header hash does
+// not cover the flags, so nothing else would.
+func TestImportRejectsShortFlagList(t *testing.T) {
+	src := chainOf(t, 2, 2)
+	var buf bytes.Buffer
+	if err := src.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	var b Block
+	if err := json.Unmarshal([]byte(lines[1]), &b); err != nil {
+		t.Fatal(err)
+	}
+	b.Metadata.Flags = b.Metadata.Flags[1:]
+	short, err := json.Marshal(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := lines[0] + string(short) + "\n"
+	if _, _, err := VerifyExport(strings.NewReader(dump)); err == nil || !strings.Contains(err.Error(), "block 1 has 1 flags for 2 txs") {
+		t.Fatalf("a short flag list verified: %v", err)
 	}
 }
 

@@ -14,32 +14,24 @@ import (
 // ErrNotFound is returned for unknown blocks or transactions.
 var ErrNotFound = errors.New("ledger: not found")
 
-// Ledger is an append-only chain of blocks with a transaction index. It
-// has two backings behind one set of methods, chosen by how it is made:
-//
-//   - New keeps every block and the index in memory (peers without a data
-//     directory, offline audits of an imported dump).
-//   - Open is a view over a block log: memory holds the height, the tip
-//     hash, the chain counters and a small cache of decoded blocks; blocks
-//     are read from the file by offset, and the block→offset and
-//     txID→location entries live in the world-state engine's reserved
-//     keyspace, written in the same batch as the block's state (see
-//     Stage), so they are atomic with the savepoint recovery starts from.
+// Ledger is an append-only chain of blocks with a transaction index: a
+// view over a block log, the only way a chain is kept. Memory holds the
+// height, the tip hash, the chain counters and a small cache of decoded
+// blocks; blocks are read from the file by offset, and the block→offset
+// and txID→location entries live in the world-state engine's reserved
+// keyspace, written in the same batch as the block's state (see Stage), so
+// they are atomic with the savepoint recovery starts from. A peer without
+// a data directory keeps the same log in an unlinked temporary file.
 type Ledger struct {
 	mu     sync.RWMutex
 	height uint64
 	tip    [32]byte // hash of block height-1's header
 	txs    int      // transactions in blocks below height
 	valid  int      // of which flagged Valid
+	end    int64    // one past block height-1's frame
 
-	// Memory backing (log == nil).
-	blocks  []*Block
-	txIndex map[string]txLoc
-
-	// Log backing. end is one past block height-1's frame.
 	log   *Log
 	index *statedb.DB
-	end   int64
 	cache blockCache
 
 	// wmu orders the committer's Stage/Append pairs and guards staged and
@@ -51,11 +43,6 @@ type Ledger struct {
 
 	reads       atomic.Int64 // blocks decoded from the file after open
 	openDecoded int          // blocks decoded by Open
-}
-
-type txLoc struct {
-	block uint64
-	idx   int
 }
 
 // logged is one block with the extent of its frame in the block file.
@@ -73,20 +60,16 @@ const (
 	chainKey       = "L" // height, txs, valid, end offset, tip hash
 )
 
-// New returns an empty in-memory ledger (height 0, no genesis yet).
-func New() *Ledger {
-	return &Ledger{txIndex: make(map[string]txLoc)}
-}
-
 // Open returns a ledger over the block log at path, indexed in db's
-// reserved keyspace. It reads the chain record written with db's
-// savepoint, checks the frames above that block's end (truncating a torn
-// tail) and decodes only those: they are blocks logged but not applied
-// when the process died, handed out by Tail for the committer to replay.
-// Nothing at or below the savepoint is read. The log is db's front log:
-// it fsyncs under the policy db's durability selects (under
-// storage.DurabilityAlways every staged block), and db's flushes fsync it
-// through Sync.
+// reserved keyspace; with path empty, over a new log in an unlinked
+// temporary file (walframe.OpenTemp), gone when the ledger closes. It
+// reads the chain record written with db's savepoint, checks the frames
+// above that block's end (truncating a torn tail) and decodes only those:
+// they are blocks logged but not applied when the process died, handed out
+// by Tail for the committer to replay. Nothing at or below the savepoint
+// is read. The log is db's front log: it fsyncs under the policy db's
+// durability selects (under storage.DurabilityAlways every staged block),
+// and db's flushes fsync it through Sync.
 func Open(path string, db *statedb.DB) (*Ledger, error) {
 	l := &Ledger{index: db, cache: blockCache{max: blockCacheBytes}}
 	policy := walframe.SyncNone
@@ -107,25 +90,33 @@ func Open(path string, db *statedb.DB) (*Ledger, error) {
 			return nil, fmt.Errorf("ledger: chain record at height %d beside state savepoint %d", l.height, sp)
 		}
 	}
-	log, err := openLog(path, l.end, l.height, policy, func(off int64, payload []byte) error {
-		b, err := decodeBlock(payload, l.height+uint64(len(l.tail)))
-		if err != nil {
-			return err
-		}
-		l.tail = append(l.tail, logged{b: b, off: off, end: off + walframe.HeaderLen + int64(len(payload))})
-		return nil
-	})
+	open := func(path string) (err error) {
+		l.log, err = openLog(path, l.end, l.height, policy, func(off int64, payload []byte) error {
+			b, err := decodeBlock(payload, l.height+uint64(len(l.tail)))
+			if err != nil {
+				return err
+			}
+			l.tail = append(l.tail, logged{b: b, off: off, end: off + walframe.HeaderLen + int64(len(payload))})
+			return nil
+		})
+		return err
+	}
+	var err error
+	if path == "" {
+		err = walframe.OpenTemp("socialchain-ledger-*.wal", open)
+	} else {
+		err = open(path)
+	}
 	if err != nil {
 		return nil, err
 	}
-	l.log = log
 	l.openDecoded = len(l.tail)
 	if l.height == 0 && len(l.tail) > 0 {
 		// Genesis writes no state, so no savepoint covers it: adopt it
 		// from the file.
 		g := l.tail[0]
-		if err := l.verifyNextLocked(g.b); err != nil {
-			log.Close()
+		if err := checkLink(g.b, 0, l.tip); err != nil {
+			l.log.Close()
 			return nil, err
 		}
 		l.tail = l.tail[1:]
@@ -165,30 +156,54 @@ func (l *Ledger) TipHash() [32]byte {
 	return l.tip
 }
 
-// verifyNextLocked runs the structural checks Append enforces. Caller
-// holds at least a read lock.
-func (l *Ledger) verifyNextLocked(b *Block) error {
-	if b.Header.Number != l.height {
-		return fmt.Errorf("ledger: block number %d != expected height %d", b.Header.Number, l.height)
+// checkLink checks that b is block n of a chain whose last header hashes
+// to prev: its number, its prev-hash link, its data hash and one flag per
+// transaction. Stage runs it on every block before the log sees it;
+// VerifyChain and VerifyExport, through a linker, on every block they
+// read back.
+func checkLink(b *Block, n uint64, prev [32]byte) error {
+	switch {
+	case b.Header.Number != n:
+		return fmt.Errorf("ledger: block %d has number %d", n, b.Header.Number)
+	case b.Header.PrevHash != prev:
+		return fmt.Errorf("ledger: block %d prev-hash broken", n)
+	case ComputeDataHash(b.Txs) != b.Header.DataHash:
+		return fmt.Errorf("ledger: block %d data hash broken", n)
 	}
-	if b.Header.PrevHash != l.tip {
-		return fmt.Errorf("ledger: block %d prev hash mismatch", b.Header.Number)
-	}
-	if got, want := ComputeDataHash(b.Txs), b.Header.DataHash; got != want {
-		return fmt.Errorf("ledger: block %d data hash mismatch", b.Header.Number)
-	}
+	return checkFlags(b)
+}
+
+// checkFlags refuses a block whose flag count differs from its
+// transaction count: the header hash does not cover the flags, and every
+// reader indexes them by transaction.
+func checkFlags(b *Block) error {
 	if len(b.Metadata.Flags) != len(b.Txs) {
 		return fmt.Errorf("ledger: block %d has %d flags for %d txs", b.Header.Number, len(b.Metadata.Flags), len(b.Txs))
 	}
 	return nil
 }
 
+// linker checks a chain read back from its first block, one block at a
+// time: the step VerifyChain and VerifyExport share.
+type linker struct {
+	n   uint64   // blocks checked
+	tip [32]byte // hash of the last one's header
+}
+
+func (c *linker) next(b *Block) error {
+	if err := checkLink(b, c.n, c.tip); err != nil {
+		return err
+	}
+	c.n++
+	c.tip = b.Header.Hash()
+	return nil
+}
+
 // Stage is the first half of a commit. It checks that b is the next block
-// — correct number, prev-hash linkage, data hash, flag count — so a
-// malformed block can never reach the durable log, and on a log-backed
-// ledger appends it to the block file (unless it is the next Tail block,
-// which is already there). From that point the block is committed: a
-// process that dies before Append finds it in the Tail of its next Open.
+// (checkLink), so a malformed block can never reach the durable log, and
+// appends it to the block file unless it is the next Tail block, which is
+// already there. From that point the block is committed: a process that
+// dies before Append finds it in the Tail of its next Open.
 // Under DurabilityAlways the block is also fsynced before Stage returns
 // (a tail block was fsynced by Open). Whatever the policy, the state
 // engine fsyncs the log before it publishes a table holding the block's
@@ -196,15 +211,15 @@ func (l *Ledger) verifyNextLocked(b *Block) error {
 // log's end.
 // The returned entries — the block's offset, each transaction's location
 // and flag, the chain record — must ride b's state batch
-// (statedb.ApplyBlockAt); an in-memory ledger returns none.
+// (statedb.ApplyBlockAt).
 func (l *Ledger) Stage(b *Block) ([]statedb.ReservedWrite, error) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.RLock()
-	err := l.verifyNextLocked(b)
+	err := checkLink(b, l.height, l.tip)
 	txs, valid := l.txs, l.valid
 	l.mu.RUnlock()
-	if err != nil || l.log == nil {
+	if err != nil {
 		return nil, err
 	}
 	var at logged
@@ -261,25 +276,13 @@ func countValid(b *Block) int {
 }
 
 // Append makes a block visible: height, tip and counters advance and
-// readers can find it. On an in-memory ledger it is the whole commit
-// (with Stage's structural checks); on a log-backed one b must be the
-// block just staged, whose state batch has landed.
+// readers can find it. b must be the block just staged, whose state batch
+// has landed.
 func (l *Ledger) Append(b *Block) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.log == nil {
-		if err := l.verifyNextLocked(b); err != nil {
-			return err
-		}
-		l.blocks = append(l.blocks, b)
-		for i := range b.Txs {
-			l.txIndex[b.Txs[i].ID] = txLoc{block: b.Header.Number, idx: i}
-		}
-		l.advance(logged{b: b})
-		return nil
-	}
 	if l.staged == nil || l.staged.b != b {
 		return fmt.Errorf("ledger: append block %d that was not staged", b.Header.Number)
 	}
@@ -300,8 +303,8 @@ func (l *Ledger) advance(at logged) {
 	l.end = at.end
 }
 
-// view snapshots what a reader needs: the visible height and, on a log, the
-// offset its last frame ends at.
+// view snapshots what a reader needs: the visible height and the offset
+// its last frame ends at.
 func (l *Ledger) view() (height uint64, end int64) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -326,11 +329,6 @@ func (l *Ledger) GetBlock(n uint64) (*Block, error) {
 	if n >= height {
 		return nil, fmt.Errorf("%w: block %d (height %d)", ErrNotFound, n, height)
 	}
-	if l.log == nil {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		return l.blocks[n], nil
-	}
 	if b := l.cache.get(n); b != nil {
 		return b, nil
 	}
@@ -349,17 +347,8 @@ func (l *Ledger) GetBlock(n uint64) (*Block, error) {
 
 // TxLocation reports where a committed transaction sits — block number,
 // index in the block — and its validation flag, without reading the block:
-// a map lookup in memory, one point read of the state engine on a log.
+// one point read of the state engine.
 func (l *Ledger) TxLocation(txID string) (block uint64, idx int, flag ValidationCode, ok bool) {
-	if l.log == nil {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		loc, ok := l.txIndex[txID]
-		if !ok {
-			return 0, 0, InvalidOther, false
-		}
-		return loc.block, loc.idx, l.blocks[loc.block].Metadata.Flags[loc.idx], true
-	}
 	v, ok := l.index.Reserved(txKeyPrefix + txID)
 	if !ok || len(v) != txRecordLen {
 		return 0, 0, InvalidOther, false
@@ -396,22 +385,11 @@ func (l *Ledger) HasTx(txID string) bool {
 }
 
 // walk calls fn for blocks [from, height) in order until it returns
-// false. On a log it streams the file and keeps nothing; a frame that
-// fails its CRC or carries the wrong number ends the walk with an error.
+// false. It streams the file and keeps nothing; a frame that fails its
+// CRC or its decode checks ends the walk with an error.
 func (l *Ledger) walk(from uint64, fn func(b *Block, size int64) bool) error {
 	height, end := l.view()
 	if from >= height {
-		return nil
-	}
-	if l.log == nil {
-		l.mu.RLock()
-		blocks := l.blocks[from:height:height]
-		l.mu.RUnlock()
-		for _, b := range blocks {
-			if !fn(b, 0) {
-				return nil
-			}
-		}
 		return nil
 	}
 	off, err := l.offsetOf(from)
@@ -433,27 +411,17 @@ func (l *Ledger) Iterate(fn func(*Block) bool) {
 	}
 }
 
-// VerifyChain re-checks the whole hash chain and every data hash, returning
-// the first inconsistency. This is the tamper-evidence property the paper
-// relies on for provenance. On a log it also proves the file readable end
-// to end, and that its last block is the tip memory holds.
+// VerifyChain re-checks the whole hash chain, every data hash and every
+// flag count, returning the first inconsistency. This is the
+// tamper-evidence property the paper relies on for provenance. It also
+// proves the file readable end to end, and that its last block is the tip
+// memory holds.
 func (l *Ledger) VerifyChain() error {
-	height := l.Height()
-	var prev [32]byte
-	var n uint64
+	var c linker
 	var bad error
 	err := l.walk(0, func(b *Block, _ int64) bool {
-		switch {
-		case b.Header.Number != n:
-			bad = fmt.Errorf("ledger: block %d has number %d", n, b.Header.Number)
-		case b.Header.PrevHash != prev:
-			bad = fmt.Errorf("ledger: block %d prev-hash broken", n)
-		case ComputeDataHash(b.Txs) != b.Header.DataHash:
-			bad = fmt.Errorf("ledger: block %d data hash broken", n)
-		}
-		prev = b.Header.Hash()
-		n++
-		return bad == nil && n < height
+		bad = c.next(b)
+		return bad == nil
 	})
 	if err == nil {
 		err = bad
@@ -463,8 +431,8 @@ func (l *Ledger) VerifyChain() error {
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if l.height == height && prev != l.tip {
-		return fmt.Errorf("ledger: chain of %d blocks ends in a different tip than the ledger holds", height)
+	if l.height == c.n && c.tip != l.tip {
+		return fmt.Errorf("ledger: chain of %d blocks ends in a different tip than the ledger holds", c.n)
 	}
 	return nil
 }
@@ -476,16 +444,15 @@ type Stats struct {
 	ValidTxs int
 }
 
-// Stats returns the chain counters, kept current by Append (and, on a
-// log, restored by Open from the chain record): no block is read.
+// Stats returns the chain counters, kept current by Append and restored
+// by Open from the chain record: no block is read.
 func (l *Ledger) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return Stats{Height: l.height, TotalTxs: l.txs, ValidTxs: l.valid}
 }
 
-// IOStats counts the block file's traffic; all zero on an in-memory
-// ledger.
+// IOStats counts the block file's traffic.
 type IOStats struct {
 	CacheHits   int64 // GetBlock calls served from the block cache
 	CacheMisses int64 // GetBlock calls that read the file
@@ -496,37 +463,26 @@ type IOStats struct {
 
 // IOStats snapshots the block file counters.
 func (l *Ledger) IOStats() IOStats {
-	st := IOStats{
+	return IOStats{
 		CacheHits:   l.cache.hits.Load(),
 		CacheMisses: l.cache.misses.Load(),
 		BlockReads:  l.reads.Load(),
 		OpenDecoded: l.openDecoded,
+		Fsyncs:      l.log.w.Fsyncs(),
 	}
-	if l.log != nil {
-		st.Fsyncs = l.log.w.Fsyncs()
-	}
-	return st
 }
 
-// Sync makes the block file durable up to its end; a no-op in memory. It
-// is the state engine's flush hook (storage.Config.SyncFront), so it takes
+// Sync makes the block file durable up to its end. It is the state
+// engine's flush hook (storage.Config.SyncFront), so it takes
 // none of the ledger's locks: a commit may be stalled inside its state
 // batch, waiting for the very flush that calls it.
-func (l *Ledger) Sync() error {
-	if l.log == nil {
-		return nil
-	}
-	return l.log.w.Sync()
-}
+func (l *Ledger) Sync() error { return l.log.w.Sync() }
 
-// Close syncs and closes the block file and empties the block cache; a
-// no-op in memory. Reads after Close fail.
+// Close syncs and closes the block file and empties the block cache. Reads
+// after Close fail.
 func (l *Ledger) Close() error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	if l.log == nil {
-		return nil
-	}
 	l.cache.clear()
 	return l.log.Close()
 }

@@ -3,6 +3,8 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,9 +32,30 @@ func testTx(t *testing.T, id string) Transaction {
 	return tx
 }
 
+// openChain opens a ledger on the block log at path ("" for an unlinked
+// temporary one) over a fresh in-memory world state, commits chain through
+// commitLogged, and closes both when the test ends.
+func openChain(t *testing.T, path string, chain ...*Block) *Ledger {
+	t.Helper()
+	db := statedb.New()
+	l, err := Open(path, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		l.Close()
+		db.Close()
+	})
+	for _, b := range chain {
+		commitLogged(t, l, b)
+	}
+	return l
+}
+
+// chainOf commits nBlocks blocks of txPerBlock transactions, tx-0 onwards.
 func chainOf(t *testing.T, nBlocks, txPerBlock int) *Ledger {
 	t.Helper()
-	l := New()
+	l := openChain(t, "")
 	seq := 0
 	for b := 0; b < nBlocks; b++ {
 		var txs []Transaction
@@ -40,10 +63,7 @@ func chainOf(t *testing.T, nBlocks, txPerBlock int) *Ledger {
 			txs = append(txs, testTx(t, fmt.Sprintf("tx-%d", seq)))
 			seq++
 		}
-		blk := NewBlock(uint64(b), l.TipHash(), txs, time.Now())
-		if err := l.Append(blk); err != nil {
-			t.Fatalf("append block %d: %v", b, err)
-		}
+		commitLogged(t, l, NewBlock(uint64(b), l.TipHash(), txs, time.Now()))
 	}
 	return l
 }
@@ -61,7 +81,7 @@ func TestAppendAndHeight(t *testing.T) {
 func TestAppendRejectsWrongNumber(t *testing.T) {
 	l := chainOf(t, 1, 1)
 	blk := NewBlock(5, l.TipHash(), nil, time.Now())
-	if err := l.Append(blk); err == nil {
+	if _, err := l.Stage(blk); err == nil {
 		t.Fatal("wrong block number accepted")
 	}
 }
@@ -69,7 +89,7 @@ func TestAppendRejectsWrongNumber(t *testing.T) {
 func TestAppendRejectsWrongPrevHash(t *testing.T) {
 	l := chainOf(t, 1, 1)
 	blk := NewBlock(1, [32]byte{0xde, 0xad}, nil, time.Now())
-	if err := l.Append(blk); err == nil {
+	if _, err := l.Stage(blk); err == nil {
 		t.Fatal("wrong prev hash accepted")
 	}
 }
@@ -79,7 +99,7 @@ func TestAppendRejectsTamperedData(t *testing.T) {
 	txs := []Transaction{testTx(t, "tampered")}
 	blk := NewBlock(1, l.TipHash(), txs, time.Now())
 	blk.Txs[0].Response = []byte("changed-after-hashing")
-	if err := l.Append(blk); err == nil {
+	if _, err := l.Stage(blk); err == nil {
 		t.Fatal("tampered block data accepted")
 	}
 }
@@ -89,8 +109,11 @@ func TestAppendRejectsFlagMismatch(t *testing.T) {
 	txs := []Transaction{testTx(t, "x")}
 	blk := NewBlock(1, l.TipHash(), txs, time.Now())
 	blk.Metadata.Flags = nil
-	if err := l.Append(blk); err == nil {
+	if _, err := l.Stage(blk); err == nil {
 		t.Fatal("flag/tx count mismatch accepted")
+	}
+	if err := l.Append(blk); err == nil {
+		t.Fatal("appended a block that was not staged")
 	}
 }
 
@@ -119,12 +142,27 @@ func TestGetBlockOutOfRange(t *testing.T) {
 }
 
 func TestVerifyChainDetectsTamper(t *testing.T) {
-	l := chainOf(t, 4, 2)
-	// Reach in and tamper with a committed transaction.
-	blk, _ := l.GetBlock(2)
-	blk.Txs[0].Response = []byte("evil")
-	if err := l.VerifyChain(); err == nil {
-		t.Fatal("tamper not detected")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blocks.wal")
+	var chain []*Block
+	var prev [32]byte
+	for n := 0; n < 4; n++ {
+		b := NewBlock(uint64(n), prev, []Transaction{testTx(t, fmt.Sprintf("tx-%d", n))}, time.Now())
+		chain, prev = append(chain, b), b.Header.Hash()
+	}
+	loggedFixture(t, dir, chain, false)
+	// Rewrite a committed transaction on disk, CRC and offsets kept
+	// consistent: only the data hash can tell.
+	db := openIndexDB(t, dir)
+	defer db.Close()
+	rewriteBlock(t, path, db, 2, func(b *Block) { b.Txs[0].Response = []byte("evil") })
+	l, err := Open(path, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.VerifyChain(); err == nil || !strings.Contains(err.Error(), "block 2 data hash") {
+		t.Fatalf("tamper not detected: %v", err)
 	}
 }
 
@@ -161,14 +199,10 @@ func TestIterateStops(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	l := New()
 	txs := []Transaction{testTx(t, "a"), testTx(t, "b"), testTx(t, "c")}
-	blk := NewBlock(0, l.TipHash(), txs, time.Now())
+	blk := NewBlock(0, [32]byte{}, txs, time.Now())
 	blk.Metadata.Flags[1] = MVCCConflict
-	if err := l.Append(blk); err != nil {
-		t.Fatal(err)
-	}
-	s := l.Stats()
+	s := openChain(t, "", blk).Stats()
 	if s.Height != 1 || s.TotalTxs != 3 || s.ValidTxs != 2 {
 		t.Fatalf("stats = %+v", s)
 	}

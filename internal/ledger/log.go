@@ -24,8 +24,9 @@ package ledger
 // (0 for a bare OpenLog, the end of the savepoint block for a peer's
 // ledger), cutting a torn tail and refusing mid-log corruption. Frames
 // below the starting offset are checked when they are read: every read
-// verifies the frame's CRC, the format version and the block number it
-// carries, and a mismatch is an error, never a wrong block.
+// verifies the frame's CRC, the format version, the block number it
+// carries and its one flag per transaction, and a mismatch is an error,
+// never a wrong block.
 
 import (
 	"bufio"
@@ -132,7 +133,8 @@ func checkFirst(path string) error {
 	return fmt.Errorf("%w (%s)", checkFormat(first), path)
 }
 
-// decodeBlock parses one frame payload and checks it carries block want.
+// decodeBlock parses one frame payload and checks it carries block want,
+// with a flag for each transaction.
 func decodeBlock(payload []byte, want uint64) (*Block, error) {
 	if err := checkFormat(payload); err != nil {
 		return nil, err
@@ -143,6 +145,9 @@ func decodeBlock(payload []byte, want uint64) (*Block, error) {
 	}
 	if b.Header.Number != want {
 		return nil, fmt.Errorf("ledger: log record %d carries block %d", want, b.Header.Number)
+	}
+	if err := checkFlags(b); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

@@ -21,21 +21,24 @@ import (
 // the ledger and world state and independently validates every block, as in
 // the paper's Figure 1 where all endorsement peers act as validators.
 //
-// A peer opened with Config.DataDir is durable: the directory holds the
-// block log (blocks.wal) and one persist engine (db/) carrying the world
-// state with its indexes, block index and savepoint.
-// Every committed block lands in the log before its one state batch; the
-// log is the engine's write-ahead log (each flush fsyncs it first), and
-// the ledger is a view over it (ledger.Open) instead of a copy of it. Reopening the same directory recovers the peer — only the
-// blocks the log holds above the state's savepoint are decoded, and they
-// replay through the same validate-then-commit split a live delivery takes
-// (see recover) — after which SyncFrom catches up any tail the log missed.
+// Every peer keeps its chain the same way: every committed block lands in
+// a block log before its one state batch, the log is the state engine's
+// write-ahead log (each flush fsyncs it first), and the ledger is a view
+// over it (ledger.Open) instead of a copy of it. A peer opened with
+// Config.DataDir is durable: the directory holds the block log
+// (blocks.wal) and one persist engine (db/) carrying the world state with
+// its indexes, block index and savepoint. Reopening the same directory
+// recovers the peer — only the blocks the log holds above the state's
+// savepoint are decoded, and they replay through the same
+// validate-then-commit split a live delivery takes (see recover) — after
+// which SyncFrom catches up any tail the log missed. Without a DataDir the
+// log is an unlinked temporary file, gone when the peer closes.
 type Peer struct {
 	id        string
 	channelID string
 	signer    *msp.Signer
 
-	ledger   *ledger.Ledger // over DataDir/blocks.wal, or in memory without a DataDir
+	ledger   *ledger.Ledger // over DataDir/blocks.wal, or an unlinked temporary log without a DataDir
 	state    *statedb.DB
 	registry *chaincode.Registry
 	policy   msp.QuorumPolicy
@@ -116,32 +119,31 @@ func New(cfg Config) (*Peer, error) {
 		return nil, fmt.Errorf("peer %s: endorsement policy %+v counts no endorsement", cfg.ID, cfg.Policy)
 	}
 	st := cfg.State
-	var front atomic.Pointer[ledger.Ledger]
+	var logPath string // "": an unlinked temporary block log
 	if cfg.DataDir != "" {
 		st.Engine = storage.EnginePersist
 		st.Dir = cfg.DataDir
-		// The block log is the state engine's front log. Before it opens
-		// only BuildIndexes' rebuild writes, and open recomputes that.
-		st.SyncFront = func() error {
-			if l := front.Load(); l != nil {
-				return l.Sync()
-			}
-			return nil
+		logPath = filepath.Join(cfg.DataDir, "blocks.wal")
+	}
+	// The block log is the state engine's front log. Before it opens only
+	// BuildIndexes' rebuild writes, and open recomputes that.
+	var front atomic.Pointer[ledger.Ledger]
+	st.SyncFront = func() error {
+		if l := front.Load(); l != nil {
+			return l.Sync()
 		}
+		return nil
 	}
 	state, err := statedb.NewIndexedWith(st, cfg.Indexes...)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
-	chain := ledger.New()
-	if cfg.DataDir != "" {
-		chain, err = ledger.Open(filepath.Join(cfg.DataDir, "blocks.wal"), state)
-		if err != nil {
-			state.Close()
-			return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
-		}
-		front.Store(chain)
+	chain, err := ledger.Open(logPath, state)
+	if err != nil {
+		state.Close()
+		return nil, fmt.Errorf("peer %s: %w", cfg.ID, err)
 	}
+	front.Store(chain)
 	p := &Peer{
 		id:         cfg.ID,
 		channelID:  cfg.ChannelID,
@@ -214,7 +216,7 @@ func New(cfg Config) (*Peer, error) {
 // Open opens (or creates) a durable peer rooted at cfg.DataDir. It is
 // New with the data directory required: use it where resuming from disk
 // is the point, so a missing directory configuration fails loudly instead
-// of silently building a RAM-only peer.
+// of silently building a peer that keeps nothing across restarts.
 func Open(cfg Config) (*Peer, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("peer %s: Open requires Config.DataDir", cfg.ID)
@@ -229,7 +231,7 @@ func Open(cfg Config) (*Peer, error) {
 // of it rides one atomic state batch — so the ledger neither reads nor
 // decodes them. Each tail block re-runs the full validate-then-commit
 // split, with recorded flags cross-checked against re-validation, which
-// also re-derives those entries. A peer without a block log has no tail.
+// also re-derives those entries. A peer without a DataDir has no tail.
 func (p *Peer) recover() error {
 	for _, b := range p.ledger.Tail() {
 		if err := p.replayLoggedBlock(b); err != nil {
@@ -239,9 +241,9 @@ func (p *Peer) recover() error {
 	return nil
 }
 
-// Close flushes and closes the peer's durable resources: the state engine
-// first, whose checkpoint syncs the block log, then the log. In-memory
-// peers close trivially. Idempotent per underlying store.
+// Close flushes and closes the peer's state engine first, whose checkpoint
+// syncs the block log, then the log; the peer's reads fail after it.
+// Idempotent per underlying store.
 func (p *Peer) Close() error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
@@ -545,9 +547,9 @@ func (p *Peer) validateBlock(number uint64, txs []ledger.Transaction, check func
 // protocol is these three steps:
 //
 //  1. ledger.Stage: the structural chain check — a malformed block must
-//     never reach the durable log — then, on a durable peer, the block
-//     log append (skipped for a block recovery is replaying from that
-//     log; fsynced under durability always). From this point the block is
+//     never reach the durable log — then the block log append (skipped
+//     for a block recovery is replaying from that log; fsynced under
+//     durability always). From this point the block is
 //     committed: if the process dies before the state engine flushes
 //     step 2, recovery replays it from the log.
 //  2. One state-engine batch (statedb.ApplyBlockAt) carrying every
@@ -576,18 +578,14 @@ func (p *Peer) commitValidated(block *ledger.Block, updates []statedb.TxUpdate) 
 
 // replayLoggedBlock re-commits one block read back from the block log,
 // re-validating everything and requiring the recorded flags to match —
-// recovery must never trust what validation can recompute.
+// recovery must never trust what validation can recompute. The log's read
+// already refused a block whose flags do not pair with its transactions.
 func (p *Peer) replayLoggedBlock(b *ledger.Block) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	number := p.ledger.Height()
 	if b.Header.Number != number {
 		return fmt.Errorf("replay gap: got block %d at height %d", b.Header.Number, number)
-	}
-	if len(b.Metadata.Flags) != len(b.Txs) {
-		// The flag-check callback below indexes Flags[i]; a short list in
-		// a decodable-but-malformed record must be an error, not a panic.
-		return fmt.Errorf("replay block %d has %d flags for %d txs", b.Header.Number, len(b.Metadata.Flags), len(b.Txs))
 	}
 	_, updates, err := p.validateBlock(number, b.Txs, func(i int, flag ledger.ValidationCode) error {
 		if flag != b.Metadata.Flags[i] {

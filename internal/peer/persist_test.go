@@ -130,6 +130,54 @@ func TestOpenRequiresDataDir(t *testing.T) {
 	}
 }
 
+// TestPeerWithoutDataDirKeepsAnUnlinkedLog: a peer without a DataDir keeps
+// its chain in a block log like every other peer, in a temporary file
+// unlinked at open. The temporary directory stays empty while the peer
+// commits, a scan decodes its blocks from the file, and reads fail once
+// the peer is closed.
+func TestPeerWithoutDataDirKeepsAnUnlinkedLog(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	reg := chaincode.NewRegistry()
+	if err := reg.Register(counterCC{}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		ID: "peer0", ChannelID: "ch", Signer: testSigner("peer0"), Registry: reg,
+		Policy: anyOne, Identities: testMembers,
+		// A persist engine without a directory would make one under TMPDIR.
+		State: storage.Config{Engine: storage.EngineSingle},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		commitIncr(t, p, client, fmt.Sprintf("k%d", i))
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Fatalf("the temporary directory holds %d entries (%v), want none", len(entries), err)
+	}
+	before := p.Ledger().IOStats().BlockReads
+	seen := 0
+	p.Ledger().Iterate(func(*ledger.Block) bool { seen++; return true })
+	if reads := p.Ledger().IOStats().BlockReads - before; seen != 4 || reads != 4 {
+		t.Fatalf("a scan of %d blocks decoded %d from the block log, want 4 and 4", seen, reads)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Ledger().GetBlock(1); err == nil {
+		t.Fatal("GetBlock succeeded after Close")
+	}
+	if _, err := p.Ledger().BlocksFrom(0, 0); err == nil {
+		t.Fatal("BlocksFrom succeeded after Close")
+	}
+}
+
 // TestPeerReopenRecoversChainAndState commits blocks on a durable peer,
 // closes it, reopens the directory and requires the identical chain
 // (height, tip hash, verified linkage), identical canonical state bytes —

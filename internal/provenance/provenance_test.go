@@ -10,6 +10,7 @@ import (
 	"socialchain/internal/contracts"
 	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
+	"socialchain/internal/statedb"
 )
 
 func record(txID, prev, source string, seq int, payload []byte) contracts.DataRecord {
@@ -127,9 +128,24 @@ func buildLedger(t *testing.T, flag ledger.ValidationCode) (*ledger.Ledger, stri
 	other := ledger.Transaction{ID: "other-tx", ChannelID: "ch", Creator: s.Identity, Timestamp: time.Now()}
 	other.Signature = s.Sign(other.SigningBytes())
 
-	l := ledger.New()
-	blk := ledger.NewBlock(0, l.TipHash(), []ledger.Transaction{other, tx}, time.Now())
+	blk := ledger.NewBlock(0, [32]byte{}, []ledger.Transaction{other, tx}, time.Now())
 	blk.Metadata.Flags[1] = flag
+	db := statedb.New()
+	l, err := ledger.Open("", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		l.Close()
+		db.Close()
+	})
+	// Commit as a peer does: Stage, the state batch carrying the ledger's
+	// index entries, Append.
+	index, err := l.Stage(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.ApplyBlockAt(nil, 0, index...)
 	if err := l.Append(blk); err != nil {
 		t.Fatal(err)
 	}

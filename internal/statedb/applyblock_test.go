@@ -9,6 +9,12 @@ import (
 	"socialchain/internal/storage"
 )
 
+// applyTx commits one transaction's batch at version v as a block of its
+// own.
+func applyTx(db *DB, b *UpdateBatch, v Version) {
+	db.ApplyBlockAt([]TxUpdate{{Batch: b, Version: v}}, v.BlockNum)
+}
+
 // dumpState captures every (key, value, version) of a namespace.
 func dumpState(db *DB, ns string) []KV {
 	return db.GetStateRange(ns, "", "")
@@ -34,8 +40,8 @@ func dumpIndex(t *testing.T, db *DB, name string) []IndexEntry {
 
 // TestApplyBlockEquivalentToSequentialApplies drives randomized blocks of
 // per-transaction batches (with intra-block same-key collisions and
-// deletes) through ApplyBlock on one DB and sequential ApplyUpdates on
-// another, across both storage engines, and requires identical state and
+// deletes) through one ApplyBlockAt per block on one DB and one per
+// transaction on another, across both storage engines, and requires identical state and
 // identical secondary indexes.
 func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 	specs := []IndexSpec{{Name: "by-label", Namespace: "data", Field: "label"}}
@@ -79,9 +85,9 @@ func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 					})
 				}
 				for _, u := range updates {
-					seq.ApplyUpdates(u.Batch, u.Version)
+					applyTx(seq, u.Batch, u.Version)
 				}
-				blk.ApplyBlock(updates)
+				blk.ApplyBlockAt(updates, block)
 
 				if got, want := dumpState(blk, "data"), dumpState(seq, "data"); !reflect.DeepEqual(got, want) {
 					t.Fatalf("block %d: state diverged:\n got %v\nwant %v", block, got, want)
@@ -97,13 +103,13 @@ func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 // TestApplyBlockEmptyAndSingle covers the fast paths.
 func TestApplyBlockEmptyAndSingle(t *testing.T) {
 	db := New()
-	db.ApplyBlock(nil) // must not panic
+	db.ApplyBlockAt(nil, 2) // must not panic
 	b := NewUpdateBatch()
 	b.Put("ns", "k", []byte("v"))
-	db.ApplyBlock([]TxUpdate{{Batch: b, Version: Version{BlockNum: 3, TxNum: 7}}})
+	db.ApplyBlockAt([]TxUpdate{{Batch: b, Version: Version{BlockNum: 3, TxNum: 7}}}, 3)
 	vv, ok := db.GetState("ns", "k")
 	if !ok || string(vv.Value) != "v" {
-		t.Fatalf("GetState after single-update ApplyBlock: %v %v", vv, ok)
+		t.Fatalf("GetState after a single-update block: %v %v", vv, ok)
 	}
 	if vv.Version != (Version{BlockNum: 3, TxNum: 7}) {
 		t.Fatalf("version = %+v", vv.Version)
@@ -121,10 +127,10 @@ func TestApplyBlockKeepsPerTxVersions(t *testing.T) {
 	b1 := NewUpdateBatch()
 	b1.Put("ns", "b", []byte("b1"))
 	b1.Put("ns", "shared", []byte("second"))
-	db.ApplyBlock([]TxUpdate{
+	db.ApplyBlockAt([]TxUpdate{
 		{Batch: b0, Version: Version{BlockNum: 5, TxNum: 0}},
 		{Batch: b1, Version: Version{BlockNum: 5, TxNum: 1}},
-	})
+	}, 5)
 	for _, tc := range []struct {
 		key, val string
 		txn      uint64

@@ -33,7 +33,7 @@ func seededBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 		doc := fmt.Sprintf(`{"label":"car","confidence":%f,"idx":%d}`, float64(i%100)/100, i)
 		batch.Put("data", fmt.Sprintf("rec/%06d", i), []byte(doc))
 	}
-	db.ApplyUpdates(batch, Version{BlockNum: 1})
+	applyTx(db, batch, Version{BlockNum: 1})
 	return db
 }
 
@@ -58,7 +58,7 @@ func BenchmarkGetState(b *testing.B) {
 	}
 }
 
-func BenchmarkApplyUpdates(b *testing.B) {
+func BenchmarkApplyOneTxBlock(b *testing.B) {
 	for _, e := range benchEngines {
 		b.Run(e.name, func(b *testing.B) {
 			db, err := NewWith(e.cfg(b))
@@ -72,7 +72,7 @@ func BenchmarkApplyUpdates(b *testing.B) {
 				for j := 0; j < 10; j++ {
 					batch.Put("data", fmt.Sprintf("k%d-%d", i, j), []byte("value"))
 				}
-				db.ApplyUpdates(batch, Version{BlockNum: uint64(i)})
+				applyTx(db, batch, Version{BlockNum: uint64(i)})
 			}
 		})
 	}
@@ -124,7 +124,7 @@ func seededIndexedBenchDB(b *testing.B, cfg storage.Config, keys int) *DB {
 			i%25, i%10, 1+i%28, i)
 		batch.Put("data", fmt.Sprintf("rec/%06d", i), []byte(doc))
 	}
-	db.ApplyUpdates(batch, Version{BlockNum: 1})
+	applyTx(db, batch, Version{BlockNum: 1})
 	return db
 }
 
@@ -172,7 +172,7 @@ func BenchmarkIterIndexPage(b *testing.B) {
 
 // BenchmarkParallelMixedReadCommit compares engines under the paper's
 // concurrent-clients regime at the world-state level: parallel GetState
-// traffic with block commits (ApplyUpdates) landing underneath. One in 16
+// traffic with block commits (applyTx) landing underneath. One in 16
 // operations commits a 10-write block.
 func BenchmarkParallelMixedReadCommit(b *testing.B) {
 	for _, e := range benchEngines {
@@ -190,7 +190,7 @@ func BenchmarkParallelMixedReadCommit(b *testing.B) {
 						for j := 0; j < 10; j++ {
 							batch.Put("data", keys[(int(n)*10+j)%len(keys)], []byte(`{"label":"car"}`))
 						}
-						db.ApplyUpdates(batch, Version{BlockNum: n})
+						applyTx(db, batch, Version{BlockNum: n})
 					} else {
 						db.GetState("data", keys[(i*31)%len(keys)])
 					}

@@ -197,12 +197,6 @@ func (db *DB) GetVersion(ns, key string) (Version, bool) {
 	return vv.Version, ok
 }
 
-// ApplyUpdates commits one transaction's batch at version v: ApplyBlock
-// of a one-transaction block.
-func (db *DB) ApplyUpdates(batch *UpdateBatch, v Version) {
-	db.applyBlock([]TxUpdate{{Batch: batch, Version: v}}, nil, nil)
-}
-
 // TxUpdate pairs one transaction's update batch with its commit version,
 // the unit of the block-level apply below.
 type TxUpdate struct {
@@ -210,43 +204,21 @@ type TxUpdate struct {
 	Version Version
 }
 
-// ApplyBlock commits every valid transaction of one block in a single
-// engine pass: per-transaction batches are merged in block order (a later
-// transaction's write to the same key wins, matching sequential
-// ApplyUpdates), each surviving write keeps the version of the
-// transaction that produced it, and the secondary-index mutations are
-// derived once against pre-block state — intermediate intra-block values
-// never hit the engine, so old-value reads for index maintenance stay
-// correct. One ApplyBatch carrying writes and index entries replaces the
-// per-transaction lock round-trips of the serial commit path.
-func (db *DB) ApplyBlock(updates []TxUpdate) {
-	if len(updates) == 0 {
-		return
-	}
-	// Same code path as ApplyBlockAt (minus the savepoint) so the two
-	// entry points cannot drift behaviorally.
-	db.applyBlock(updates, nil, nil)
-}
-
-// ApplyBlockAt is ApplyBlock for committers that track recovery state: it
-// additionally records height under the reserved savepoint key, INSIDE
-// the same engine batch as the block's writes. On a durable engine the
-// whole batch lands in one table, so after a crash the state either
-// reflects the block and the savepoint or neither — the invariant that
-// lets recovery replay the block log from the savepoint without
-// double-applying. Unlike ApplyBlock, an empty update set still commits
-// (the savepoint must advance past blocks that wrote nothing). reserved
-// entries land in the same batch, under the reserved prefix.
+// ApplyBlockAt commits every valid transaction of one block in a single
+// engine batch, the world state's one write entry point. Per-transaction
+// batches merge in block order (a later transaction's write to the same
+// key wins), each surviving write keeps the version of the transaction
+// that produced it, and the secondary-index mutations are derived once
+// against pre-block state — intermediate intra-block values never hit the
+// engine, so old-value reads for index maintenance stay correct. The same
+// batch records height under the reserved savepoint key and carries the
+// committer's reserved entries: on a durable engine it lands in one table,
+// so after a crash the state reflects the block, its bookkeeping and the
+// savepoint, or none of them — the invariant that lets recovery replay the
+// block log from the savepoint without double-applying. An empty update
+// set still commits: the savepoint must advance past blocks that wrote
+// nothing.
 func (db *DB) ApplyBlockAt(updates []TxUpdate, height uint64, reserved ...ReservedWrite) {
-	sp := make([]byte, 8)
-	binary.BigEndian.PutUint64(sp, height)
-	db.applyBlock(updates, sp, reserved)
-}
-
-// applyBlock merges, versions and lands one block's updates, optionally
-// with a savepoint write (and the committer's reserved entries) riding in
-// the same engine batch.
-func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte, reserved []ReservedWrite) {
 	merged := NewUpdateBatch()
 	versions := make(map[string]Version)
 	for _, u := range updates {
@@ -275,22 +247,19 @@ func (db *DB) applyBlock(updates []TxUpdate, savepoint []byte, reserved []Reserv
 	for _, r := range reserved {
 		writes = append(writes, storage.Write{Key: reservedPrefix + r.Key, Value: r.Value})
 	}
-	if savepoint != nil {
-		writes = append(writes, storage.Write{Key: savepointKey, Value: savepoint})
-	}
+	writes = append(writes, storage.Write{Key: savepointKey, Value: binary.BigEndian.AppendUint64(nil, height)})
 	db.kv.ApplyBatch(writes)
 }
 
 // iterNamespace walks ns in ascending key order, calling fn with the bare
 // (un-prefixed) key; fn returning false stops the walk. The empty
 // namespace holds nothing: its prefix would be the reserved one.
-func (db *DB) iterNamespace(ns, prefix string, fn func(key string, vv VersionedValue) bool) {
+func (db *DB) iterNamespace(ns string, fn func(key string, vv VersionedValue) bool) {
 	if ns == "" {
 		return
 	}
-	nsPrefix := stateKey(ns, prefix)
 	skip := len(ns) + 1
-	db.kv.IterPrefix(nsPrefix, func(composite string, buf []byte) bool {
+	db.kv.IterPrefix(stateKey(ns, ""), func(composite string, buf []byte) bool {
 		return fn(composite[skip:], decodeValue(buf))
 	})
 }
@@ -299,7 +268,7 @@ func (db *DB) iterNamespace(ns, prefix string, fn func(key string, vv VersionedV
 // Empty startKey means from the beginning; empty endKey means to the end.
 func (db *DB) GetStateRange(ns, startKey, endKey string) []KV {
 	var out []KV
-	db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
+	db.iterNamespace(ns, func(key string, vv VersionedValue) bool {
 		if key < startKey {
 			return true
 		}
@@ -310,26 +279,6 @@ func (db *DB) GetStateRange(ns, startKey, endKey string) []KV {
 		return true
 	})
 	return out
-}
-
-// GetStateByPrefix returns all keys of ns beginning with prefix, sorted.
-func (db *DB) GetStateByPrefix(ns, prefix string) []KV {
-	var out []KV
-	db.iterNamespace(ns, prefix, func(key string, vv VersionedValue) bool {
-		out = append(out, KV{Namespace: ns, Key: key, Value: append([]byte(nil), vv.Value...), Version: vv.Version})
-		return true
-	})
-	return out
-}
-
-// Keys returns the number of keys stored in ns.
-func (db *DB) Keys(ns string) int {
-	n := 0
-	db.iterNamespace(ns, "", func(string, VersionedValue) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 // Namespaces lists the namespaces present, sorted. Reserved bookkeeping

@@ -361,7 +361,7 @@ func (ix *indexer) rebuild(db *DB) {
 		return true
 	})
 	for ns, specs := range ix.byNS {
-		db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
+		db.iterNamespace(ns, func(key string, vv VersionedValue) bool {
 			for i, f := range indexFields(vv.Value, specs) {
 				if f.ok {
 					writes = append(writes, storage.Write{Key: entryKey(specs[i].Name, f.v, key)})

@@ -37,7 +37,7 @@ func indexedTestDB(t *testing.T, cfg storage.Config) *DB {
 func putDoc(db *DB, block uint64, key, doc string) {
 	b := NewUpdateBatch()
 	b.Put("data", key, []byte(doc))
-	db.ApplyUpdates(b, Version{BlockNum: block})
+	applyTx(db, b, Version{BlockNum: block})
 }
 
 func TestIndexSpecValidation(t *testing.T) {
@@ -75,7 +75,7 @@ func TestIndexMaintenance(t *testing.T) {
 	putDoc(db, 4, "rec/1", `{"label":"bus","meta":{"camera":"c2"}}`)
 	b := NewUpdateBatch()
 	b.Delete("data", "rec/3")
-	db.ApplyUpdates(b, Version{BlockNum: 5})
+	applyTx(db, b, Version{BlockNum: 5})
 
 	page, _ = db.IterIndex("label", "car", 0, 0, "")
 	if len(page.Entries) != 1 || page.Entries[0].Key != "rec/2" {
@@ -249,8 +249,8 @@ func TestExecuteQueryShortCircuitEqualsScan(t *testing.T) {
 					b.Put("data", key, doc)
 				}
 			}
-			db.ApplyUpdates(b, Version{BlockNum: blk})
-			plain.ApplyUpdates(b, Version{BlockNum: blk})
+			applyTx(db, b, Version{BlockNum: blk})
+			applyTx(plain, b, Version{BlockNum: blk})
 		}
 		selectors := []Selector{
 			{"label": "car"},

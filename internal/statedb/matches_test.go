@@ -94,7 +94,7 @@ func TestMatchesUnknownOperatorErrors(t *testing.T) {
 	db := New()
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte(`{"n":5}`))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	if _, err := db.ExecuteQuery("cc", Selector{"n": map[string]any{"$foo": float64(1)}}); err == nil {
 		t.Fatal("ExecuteQuery swallowed unknown operator")
 	}
@@ -113,8 +113,8 @@ func TestExecuteQueryRejectsMalformedSelector(t *testing.T) {
 	plain := New()
 	b := NewUpdateBatch()
 	b.Put("data", "rec/1", []byte(`{"label":"car","x":1}`))
-	indexed.ApplyUpdates(b, Version{BlockNum: 1})
-	plain.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(indexed, b, Version{BlockNum: 1})
+	applyTx(plain, b, Version{BlockNum: 1})
 	for _, c := range []struct {
 		db    *DB
 		ns    string

@@ -26,7 +26,7 @@ func (db *DB) ExecuteQuery(ns string, sel Selector) ([]KV, error) {
 	}
 	var out []KV
 	var ierr error
-	db.iterNamespace(ns, "", func(key string, vv VersionedValue) bool {
+	db.iterNamespace(ns, func(key string, vv VersionedValue) bool {
 		var doc map[string]any
 		if err := json.Unmarshal(vv.Value, &doc); err != nil {
 			return true

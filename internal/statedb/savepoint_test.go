@@ -30,34 +30,29 @@ func TestSavepointTracksApplyBlockAt(t *testing.T) {
 	if sp, ok := db.Savepoint(); !ok || sp != 2 {
 		t.Fatalf("savepoint after empty block = %d/%v, want 2", sp, ok)
 	}
-	// Plain ApplyBlock (no height) leaves it untouched.
-	db.ApplyBlock(savepointUpdates("v2"))
-	if sp, _ := db.Savepoint(); sp != 2 {
-		t.Fatalf("ApplyBlock moved savepoint to %d", sp)
-	}
 }
 
 // TestSavepointInvisibleToStateAPIs: the reserved key never shows up in
-// namespaces, scans or snapshots — a peer that tracks recovery state and
-// one that does not must stay byte-identical.
+// namespaces, scans or snapshots — two states that differ only in their
+// savepoints must stay byte-identical.
 func TestSavepointInvisibleToStateAPIs(t *testing.T) {
-	with := New()
-	with.ApplyBlockAt(savepointUpdates("v"), 1)
-	without := New()
-	without.ApplyBlock(savepointUpdates("v"))
+	at1 := New()
+	at1.ApplyBlockAt(savepointUpdates("v"), 1)
+	at9 := New()
+	at9.ApplyBlockAt(savepointUpdates("v"), 9)
 
-	if ns := with.Namespaces(); len(ns) != 1 || ns[0] != "cc" {
+	if ns := at1.Namespaces(); len(ns) != 1 || ns[0] != "cc" {
 		t.Fatalf("namespaces = %v", ns)
 	}
 	var a, b bytes.Buffer
-	if err := with.Snapshot(&a); err != nil {
+	if err := at1.Snapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := without.Snapshot(&b); err != nil {
+	if err := at9.Snapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("savepoint leaked into snapshot:\nwith:    %s\nwithout: %s", a.Bytes(), b.Bytes())
+		t.Fatalf("savepoint leaked into snapshot:\nat 1: %s\nat 9: %s", a.Bytes(), b.Bytes())
 	}
 }
 

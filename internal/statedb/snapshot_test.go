@@ -12,7 +12,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	b.Put("data", "rec/1", []byte(`{"a":1}`))
 	b.Put("data", "rec/2", []byte(`{"a":2}`))
 	b.Put("trust", "score/x", []byte(`{"s":0.5}`))
-	src.ApplyUpdates(b, Version{BlockNum: 3, TxNum: 1})
+	applyTx(src, b, Version{BlockNum: 3, TxNum: 1})
 
 	var buf bytes.Buffer
 	if err := src.Snapshot(&buf); err != nil {
@@ -42,7 +42,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		b.Put("z", "k2", []byte("v2"))
 		b.Put("a", "k1", []byte("v1"))
 		b.Put("a", "k0", []byte("v0"))
-		db.ApplyUpdates(b, Version{BlockNum: 1})
+		applyTx(db, b, Version{BlockNum: 1})
 		return db
 	}
 	var s1, s2 bytes.Buffer
@@ -61,7 +61,7 @@ func TestRestoreIntoNonEmpty(t *testing.T) {
 	db := New()
 	b := NewUpdateBatch()
 	b.Put("x", "k", []byte("v"))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	if _, err := db.Restore(strings.NewReader("")); err == nil {
 		t.Fatal("restore into non-empty db accepted")
 	}

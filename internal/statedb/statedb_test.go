@@ -15,7 +15,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	db := New()
 	batch := NewUpdateBatch()
 	batch.Put("cc", "k1", []byte("v1"))
-	db.ApplyUpdates(batch, Version{BlockNum: 1, TxNum: 0})
+	applyTx(db, batch, Version{BlockNum: 1, TxNum: 0})
 
 	vv, ok := db.GetState("cc", "k1")
 	if !ok || string(vv.Value) != "v1" {
@@ -31,7 +31,7 @@ func TestNamespaceIsolation(t *testing.T) {
 	b := NewUpdateBatch()
 	b.Put("ns1", "k", []byte("a"))
 	b.Put("ns2", "k", []byte("b"))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	v1, _ := db.GetState("ns1", "k")
 	v2, _ := db.GetState("ns2", "k")
 	if string(v1.Value) != "a" || string(v2.Value) != "b" {
@@ -46,10 +46,10 @@ func TestDeleteRemovesKey(t *testing.T) {
 	db := New()
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte("v"))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	b2 := NewUpdateBatch()
 	b2.Delete("cc", "k")
-	db.ApplyUpdates(b2, Version{BlockNum: 2})
+	applyTx(db, b2, Version{BlockNum: 2})
 	if _, ok := db.GetState("cc", "k"); ok {
 		t.Fatal("deleted key still present")
 	}
@@ -63,7 +63,7 @@ func TestBatchLastWriteWins(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("batch len %d", b.Len())
 	}
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	vv, _ := db.GetState("cc", "k")
 	if string(vv.Value) != "second" {
 		t.Fatalf("value %q", vv.Value)
@@ -76,7 +76,7 @@ func TestRangeScan(t *testing.T) {
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		b.Put("cc", k, []byte(k))
 	}
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 
 	got := db.GetStateRange("cc", "b", "d")
 	if len(got) != 2 || got[0].Key != "b" || got[1].Key != "c" {
@@ -102,7 +102,7 @@ func TestRangeScanSortedProperty(t *testing.T) {
 			}
 			b.Put("cc", k, []byte("v"))
 		}
-		db.ApplyUpdates(b, Version{BlockNum: 1})
+		applyTx(db, b, Version{BlockNum: 1})
 		got := db.GetStateRange("cc", "", "")
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 	}, nil)
@@ -117,8 +117,9 @@ func TestPrefixScan(t *testing.T) {
 	for _, k := range []string{"user/alice", "user/bob", "admin/root"} {
 		b.Put("cc", k, []byte("v"))
 	}
-	db.ApplyUpdates(b, Version{BlockNum: 1})
-	got := db.GetStateByPrefix("cc", "user/")
+	applyTx(db, b, Version{BlockNum: 1})
+	got := db.GetStateRange("cc", "user/", "user0") // '0' follows '/'
+
 	if len(got) != 2 {
 		t.Fatalf("prefix scan = %d entries", len(got))
 	}
@@ -214,7 +215,7 @@ func TestSelectorSkipsNonJSON(t *testing.T) {
 	b := NewUpdateBatch()
 	b.Put("cc", "binary", []byte{0xff, 0xfe})
 	b.Put("cc", "doc", mustJSON(map[string]any{"label": "x"}))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	got, err := db.ExecuteQuery("cc", Selector{"label": "x"})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("got %d err %v", len(got), err)
@@ -233,7 +234,7 @@ func seedDocs(t *testing.T) *DB {
 	for i, d := range docs {
 		b.Put("cc", fmt.Sprintf("doc%d", i), mustJSON(d))
 	}
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	return db
 }
 
@@ -250,13 +251,13 @@ func TestNamespacesListing(t *testing.T) {
 	b := NewUpdateBatch()
 	b.Put("zz", "k", []byte("v"))
 	b.Put("aa", "k", []byte("v"))
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	ns := db.Namespaces()
 	if len(ns) != 2 || ns[0] != "aa" || ns[1] != "zz" {
 		t.Fatalf("namespaces = %v", ns)
 	}
-	if db.Keys("aa") != 1 {
-		t.Fatalf("Keys = %d", db.Keys("aa"))
+	if got := len(db.GetStateRange("aa", "", "")); got != 1 {
+		t.Fatalf("namespace aa holds %d keys", got)
 	}
 }
 
@@ -265,7 +266,7 @@ func TestValueCopiedOnWrite(t *testing.T) {
 	val := []byte("mutable")
 	b := NewUpdateBatch()
 	b.Put("cc", "k", val)
-	db.ApplyUpdates(b, Version{BlockNum: 1})
+	applyTx(db, b, Version{BlockNum: 1})
 	val[0] = 'X'
 	vv, _ := db.GetState("cc", "k")
 	if vv.Value[0] == 'X' {
@@ -293,7 +294,7 @@ func TestEnginesProduceIdenticalSnapshots(t *testing.T) {
 				}
 				b.Put(fmt.Sprintf("ns%d", i%3), key, []byte("x"))
 			}
-			db.ApplyUpdates(b, Version{BlockNum: blk})
+			applyTx(db, b, Version{BlockNum: blk})
 		}
 		t.Cleanup(func() { db.Close() })
 		return db
@@ -309,7 +310,7 @@ func TestEnginesProduceIdenticalSnapshots(t *testing.T) {
 		t.Fatal("snapshot streams differ between engines")
 	}
 	db := build(storage.Config{})
-	if got := db.Keys("cc"); got == 0 {
+	if got := len(db.GetStateRange("cc", "", "")); got == 0 {
 		t.Fatal("no keys survived")
 	}
 	if ns := db.Namespaces(); len(ns) != 4 {

@@ -86,6 +86,21 @@ func OpenLog(path string, from int64, policy Policy, found func(off int64, paylo
 	return l, nil
 }
 
+// OpenTemp creates an empty file in the temporary directory, named after
+// pattern (os.CreateTemp), hands its path to open and unlinks it when open
+// returns: a log opened there lives on its handle until Close and leaves
+// nothing behind. A store without a data directory opens its log this way,
+// through the same open as a durable one.
+func OpenTemp(pattern string, open func(path string) error) error {
+	f, err := os.CreateTemp("", pattern)
+	if err != nil {
+		return fmt.Errorf("walframe: temp log: %w", err)
+	}
+	f.Close()
+	defer os.Remove(f.Name())
+	return open(f.Name())
+}
+
 // End returns the offset the next append lands at.
 func (l *Log) End() int64 {
 	l.mu.Lock()
