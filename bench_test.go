@@ -25,7 +25,6 @@ import (
 	"socialchain/internal/ordering"
 	"socialchain/internal/query"
 	"socialchain/internal/sim"
-	"socialchain/internal/storage"
 	"socialchain/internal/transport"
 )
 
@@ -412,56 +411,6 @@ func BenchmarkConsensusThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				validators[0].Propose([]byte(fmt.Sprintf("payload-%d", i)))
 				<-done
-			}
-		})
-	}
-}
-
-// BenchmarkStorageEngine compares the pluggable world-state engines
-// (internal/storage) end-to-end: the full store pipeline running over the
-// in-memory single-lock engine vs a durable deployment on the LSM persist
-// engine, driven through the core.Config knob. The microbenchmark
-// comparison lives in internal/storage and internal/statedb; this run
-// proves the selection threads through core -> fabric -> peer.
-func BenchmarkStorageEngine(b *testing.B) {
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
-		b.Run(string(engine), func(b *testing.B) {
-			dataDir := ""
-			if engine == storage.EnginePersist {
-				dataDir = b.TempDir()
-			}
-			fw, err := core.New(core.Config{
-				Fabric: fabric.Config{
-					NumPeers:         4,
-					Cutter:           ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond},
-					ConsensusTimeout: 500 * time.Millisecond,
-				},
-				IPFSNodes:     2,
-				StorageEngine: engine,
-				DataDir:       dataDir,
-			})
-			if err != nil {
-				b.Fatalf("core.New: %v", err)
-			}
-			b.Cleanup(fw.Close)
-			cam, err := msp.NewSigner("city", "engine-cam", msp.RoleTrustedSource)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := fw.RegisterSource(cam.Identity, true); err != nil {
-				b.Fatal(err)
-			}
-			client := fw.Client(cam, 0)
-			rng := sim.NewRNG(11)
-			det := detect.NewDetector(11)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				frame, meta := frameOfSize(rng, det, 4096, i)
-				b.StartTimer()
-				if _, err := client.StoreFrame(frame, meta); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

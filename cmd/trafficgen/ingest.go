@@ -23,7 +23,6 @@ type ingestConfig struct {
 	batch       int
 	inflight    int
 	peers       int
-	engine      string
 	durability  string
 	dataDir     string
 	seed        int64
@@ -49,7 +48,6 @@ func runIngest(cfg ingestConfig) error {
 			Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond},
 		},
 		IPFSNodes:         2,
-		StorageEngine:     storage.Engine(cfg.engine),
 		StorageDurability: durability,
 		DataDir:           cfg.dataDir,
 	})

@@ -26,7 +26,7 @@
 // [-dump-metadata] [-limit 5]
 // [-ingest serial|batched|pipelined] [-records 200] [-rate 0]
 // [-concurrency 8] [-batch 32] [-inflight 2] [-peers 4]
-// [-engine single|persist] [-data-dir DIR]
+// [-durability none|batch|always] [-data-dir DIR]
 // [-connect id=host:port,...]
 // [-stats-out FILE] [-admin-book id=host:port,...]
 package main
@@ -60,7 +60,6 @@ func main() {
 	// rounds on MVCC conflicts (see DESIGN.md).
 	inflight := flag.Int("inflight", 1, "batches in flight")
 	peers := flag.Int("peers", 4, "blockchain peers (with -ingest or -connect)")
-	engine := flag.String("engine", "", "world-state storage engine: single or persist")
 	durability := flag.String("durability", "", "front-log fsync policy with -data-dir (the block logs the state engines replay): none, batch or always")
 	dataDir := flag.String("data-dir", "", "persist peers, block logs and IPFS stores under this directory; a restarted -ingest run resumes from it")
 	readFrac := flag.Float64("read-frac", 0, "fraction of operations that are reads (with -connect): half probe stored records, half probe absent keys (the bloom-filter negative path); 0 = write-only")
@@ -99,7 +98,6 @@ func main() {
 			batch:       *batch,
 			inflight:    *inflight,
 			peers:       *peers,
-			engine:      *engine,
 			durability:  *durability,
 			dataDir:     *dataDir,
 			seed:        *seed,

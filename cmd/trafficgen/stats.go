@@ -102,9 +102,8 @@ func scrapeStatusz(adminBook string) (map[string]json.RawMessage, error) {
 }
 
 // scrapeBloom GETs every admin surface's /metrics and sums the LSM
-// bloom-filter counters across that node's stores. Nodes
-// without LSM metrics (in-memory peers, unreachable surfaces) are simply
-// absent from the result.
+// bloom-filter counters across that node's stores. Unreachable surfaces
+// are simply absent from the result.
 func scrapeBloom(adminBook string) (map[string]bloomSummary, error) {
 	if adminBook == "" {
 		return nil, nil

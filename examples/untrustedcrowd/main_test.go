@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"socialchain/internal/storage/storagetest"
 )
+
+func TestMain(m *testing.M) { storagetest.Main(m) }
 
 // TestScoresMatchGolden pins the scenario's trust scores and verdicts: they
 // are a deterministic function of committed state, so a change to how the

@@ -1,7 +1,8 @@
 // Randomized equivalence between the write paths: the pipelined, batched
 // ingest subsystem must produce the same canonical ledger state and the
 // same statedb secondary indexes as the serial one-record-at-a-time
-// StoreData loop, across both storage engines. Transaction IDs, commit
+// StoreData loop, in a deployment without a data directory and in a
+// durable one. Transaction IDs, commit
 // timestamps and provenance sequence assignments are nondeterministic by
 // construction (random nonces; batches may commit out of submit order),
 // so records are canonicalised — TxID/PrevTxID/Submitted/Seq cleared,
@@ -29,7 +30,6 @@ import (
 	"socialchain/internal/ordering"
 	"socialchain/internal/sim"
 	"socialchain/internal/statedb"
-	"socialchain/internal/storage"
 )
 
 // equivalenceSeed is time-randomized per run (logged for reproduction);
@@ -46,13 +46,13 @@ func equivalenceSeed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-func newEquivFramework(t *testing.T, engine storage.Engine, transport string) (*core.Framework, *core.Client, *msp.Signer) {
+// newEquivFramework builds a deployment; durable puts it over a fresh
+// data directory, so the comparison also proves that where the logs and
+// engines live changes nothing observable.
+func newEquivFramework(t *testing.T, durable bool, transport string) (*core.Framework, *core.Client, *msp.Signer) {
 	t.Helper()
-	// The persist engine runs as a fully durable deployment over a fresh
-	// scratch directory, so the cross-engine comparison also proves the
-	// WAL-backed write path changes nothing observable.
 	dataDir := ""
-	if engine == storage.EnginePersist {
+	if durable {
 		dataDir = t.TempDir()
 	}
 	fw, err := core.New(core.Config{
@@ -60,13 +60,12 @@ func newEquivFramework(t *testing.T, engine storage.Engine, transport string) (*
 			NumPeers: 4,
 			Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 2 * time.Millisecond},
 		},
-		IPFSNodes:     2,
-		StorageEngine: engine,
-		DataDir:       dataDir,
-		Transport:     transport,
+		IPFSNodes: 2,
+		DataDir:   dataDir,
+		Transport: transport,
 	})
 	if err != nil {
-		t.Fatalf("core.New(%s): %v", engine, err)
+		t.Fatalf("core.New(data dir %q): %v", dataDir, err)
 	}
 	t.Cleanup(fw.Close)
 	cam, err := msp.NewSigner("city", "equiv-cam", msp.RoleTrustedSource)
@@ -205,10 +204,11 @@ func checkProvenanceChain(t *testing.T, fw *core.Framework, gw *fabric.Gateway, 
 }
 
 // TestIntegrationIngestEquivalence is the randomized serial-vs-pipelined
-// equivalence gate, run under both storage engines (the persist legs as a
-// durable deployment); a tcp mode (single engine only) reruns the
-// pipelined workload with every consensus and fabric message crossing
-// real localhost sockets. All five runs must agree on canonical state.
+// equivalence gate, run in a deployment without a data directory ("temp":
+// its logs and engines live in temporary files and directories) and in a
+// durable one ("persist"); a tcp mode (temp only) reruns the pipelined
+// workload with every consensus and fabric message crossing real localhost
+// sockets. All five runs must agree on canonical state.
 func TestIntegrationIngestEquivalence(t *testing.T) {
 	seed := equivalenceSeed(t)
 	t.Logf("equivalence seed %d (pin with SOCIALCHAIN_EQUIV_SEED)", seed)
@@ -217,18 +217,18 @@ func TestIntegrationIngestEquivalence(t *testing.T) {
 
 	var canonical [][]byte
 	var indexCanon []string
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
+	for _, deployment := range []string{"temp", "persist"} {
 		modes := []string{"serial-loop", "pipelined"}
-		if engine == storage.EngineSingle {
+		if deployment == "temp" {
 			modes = append(modes, "pipelined-tcp")
 		}
 		for _, mode := range modes {
-			t.Run(string(engine)+"/"+mode, func(t *testing.T) {
+			t.Run(deployment+"/"+mode, func(t *testing.T) {
 				kind := "inproc"
 				if mode == "pipelined-tcp" {
 					kind = "tcp"
 				}
-				fw, client, cam := newEquivFramework(t, engine, kind)
+				fw, client, cam := newEquivFramework(t, deployment == "persist", kind)
 				if mode == "serial-loop" {
 					for i, f := range frames {
 						if _, err := client.StoreFrame(f, metas[i]); err != nil {

@@ -16,8 +16,8 @@
 // to open. Beyond the flushes, the log fsyncs under the policy the
 // engine's resolved durability selects: each frame before its batch under
 // storage.DurabilityAlways. Without a directory the log is an unlinked
-// temporary file and the index runs on the single engine: one Put and Get
-// path for every store.
+// temporary file and the index engine runs on a temporary directory its
+// Close removes: one Put and Get path for every store.
 package blockstore
 
 import (
@@ -91,36 +91,33 @@ const (
 type Store struct {
 	mu   sync.Mutex // orders an append with its index batch
 	log  *walframe.Log
-	kv   storage.KV
+	kv   *storage.Persist
 	path string
 }
 
 // Open opens the store in dir (created if absent); with dir empty, on an
-// unlinked temporary file and the in-memory engine. A directory in the
-// blocks/+pins/ layout older builds wrote is refused and left untouched:
-// there is no migration.
+// unlinked temporary file and an engine on a temporary directory. A
+// directory in the blocks/+pins/ layout older builds wrote is refused and
+// left untouched: there is no migration.
 func Open(dir string) (*Store, error) {
-	cfg := storage.Config{Engine: storage.EngineSingle}
+	var cfg storage.Config
 	if dir != "" {
 		for _, old := range []string{"blocks", "pins"} {
 			if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
 				return nil, fmt.Errorf("blockstore: %s holds %s/, the blocks/+pins/ layout older builds wrote; this build reads %s + %s/ only (no migration: start from an empty data directory)", dir, old, logName, dbName)
 			}
 		}
-		cfg = storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, dbName)}
+		cfg.Dir = filepath.Join(dir, dbName)
 	}
 	s := &Store{}
 	// s.log is set before the first ApplyBatch, so before any flush.
 	cfg.SyncFront = func() error { return s.log.Sync() }
-	kv, err := storage.Open(cfg)
+	kv, err := storage.OpenPersist(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
 	s.kv = kv
-	policy := walframe.SyncNone
-	if p, ok := kv.(*storage.Persist); ok {
-		policy = p.Stats().Durability.LogPolicy()
-	}
+	policy := kv.Stats().Durability.LogPolicy()
 	var from int64
 	if v, ok := kv.Get(endKey); ok {
 		from = int64(binary.BigEndian.Uint64(v))

@@ -166,7 +166,7 @@ func TestReopenReadsNoBlock(t *testing.T) {
 
 	m = openDir(t, dir)
 	defer m.Close()
-	st := m.kv.(*storage.Persist).Stats()
+	st := m.kv.Stats()
 	if st.SSTables == 0 || st.BlockReads != 1 || st.MemtableBytes != 0 {
 		t.Fatalf("open of %d blocks in %d tables read %d table blocks and wrote %d memtable bytes, want 1 and 0",
 			len(blocks), st.SSTables, st.BlockReads, st.MemtableBytes)
@@ -425,7 +425,7 @@ func TestStoreRefusesMissingLog(t *testing.T) {
 func TestStoreRefusesOldLayout(t *testing.T) {
 	dir := t.TempDir()
 	for _, sub := range []string{"blocks", "pins"} {
-		kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, sub)})
+		kv, err := storage.Open(storage.Config{Dir: filepath.Join(dir, sub)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -570,14 +570,14 @@ func TestStorePowerLossUnderEachDurability(t *testing.T) {
 			live, killed := t.TempDir(), t.TempDir()
 			s := openDir(t, live)
 			blocks := putBlocks(t, s, 6, 450, 32)
-			for deadline := time.Now().Add(10 * time.Second); s.kv.(*storage.Persist).Stats().Flushes == 0 && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(10 * time.Second); s.kv.Stats().Flushes == 0 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond) // the flush the puts made due
 			}
 			killCopy(t, live, killed)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st, fsyncs := s.kv.(*storage.Persist).Stats(), s.log.Fsyncs()
+			st, fsyncs := s.kv.Stats(), s.log.Fsyncs()
 			switch {
 			case st.Flushes < 2: // one of them Close's
 				t.Fatal("test setup: the index never flushed before Close")
@@ -587,7 +587,7 @@ func TestStorePowerLossUnderEachDurability(t *testing.T) {
 				t.Fatalf("none: %d log fsyncs beside %d the index's flushes asked for", fsyncs, st.WALFsyncs)
 			}
 
-			kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(killed, dbName)})
+			kv, err := storage.Open(storage.Config{Dir: filepath.Join(killed, dbName)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,6 +24,7 @@ func testCtx(t *testing.T) TxContext {
 func seededDB(t *testing.T) *statedb.DB {
 	t.Helper()
 	db := statedb.New()
+	t.Cleanup(func() { db.Close() })
 	b := statedb.NewUpdateBatch()
 	b.AddRWSetWrites(statedb.RWSet{Writes: []statedb.WriteItem{
 		{Namespace: "cc", Key: "existing", Value: []byte("old")},

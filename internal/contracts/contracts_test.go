@@ -29,7 +29,8 @@ type world struct {
 
 func newWorld(t testing.TB) *world { return newWorldOn(t, storage.Config{}) }
 
-// newWorldOn is newWorld on the engine cfg selects.
+// newWorldOn is newWorld on the engine cfg describes; the world state
+// closes when the test ends.
 func newWorldOn(t testing.TB, cfg storage.Config) *world {
 	t.Helper()
 	// The world state runs with the production secondary-index set, as
@@ -38,6 +39,7 @@ func newWorldOn(t testing.TB, cfg storage.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	w := &world{t: t, db: db, reg: chaincode.NewRegistry(), height: 1}
 	for _, cc := range All() {
 		if err := w.reg.Register(cc); err != nil {

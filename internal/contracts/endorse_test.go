@@ -124,8 +124,7 @@ func TestAddDataBatchReadsEachKeyOnce(t *testing.T) {
 // trusted source on one simulator over a persist world state, as a peer
 // endorses an ingest batch.
 func BenchmarkAddDataBatch(b *testing.B) {
-	w, cam, _, metaJSON := endorseWorld(b, storage.Config{Engine: storage.EnginePersist, Dir: b.TempDir()})
-	defer w.db.Close()
+	w, cam, _, metaJSON := endorseWorld(b, storage.Config{Dir: b.TempDir()})
 	calls := addDataCalls(100, metaJSON)
 	b.ReportAllocs()
 	b.ResetTimer()

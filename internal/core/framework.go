@@ -51,10 +51,9 @@ type Config struct {
 	// AdminID names the bootstrap administrator (default "gov/admin").
 	AdminOrg  string
 	AdminName string
-	// StorageEngine selects the key-value engine behind every peer's world
-	// state ("single" or "persist"; default single, in memory). It is
-	// copied into Fabric.StateEngine by Resolve; setting both knobs to
-	// different engines is a configuration conflict.
+	// StorageEngine must be "" or "persist", the one storage engine; any
+	// other name is refused by Resolve. It stays only because bench/ sets
+	// it, and goes with ROADMAP item 4.
 	StorageEngine storage.Engine
 	// StorageDurability selects the persist engine's fsync policy ("none",
 	// "batch" or "always"; default none — page-cache writes, process-crash
@@ -99,20 +98,16 @@ func (c *Config) fill() {
 	}
 }
 
-// Resolve merges the framework-level deployment knobs (StorageEngine,
-// StorageDurability, DataDir, Transport) into the fabric configuration
-// and returns the result. It replaces the old silent copy-if-unset chain:
-// setting a knob at both levels to different values is now an error
-// instead of one level quietly winning.
+// Resolve merges the framework-level deployment knobs (StorageDurability,
+// DataDir, Transport) into the fabric configuration and returns the
+// result; it refuses a StorageEngine other than "" or "persist". It
+// replaces the old silent copy-if-unset chain: setting a knob at both
+// levels to different values is now an error instead of one level quietly
+// winning.
 func (c *Config) Resolve() (fabric.Config, error) {
 	fc := c.Fabric
-	if c.StorageEngine != "" {
-		if fc.StateEngine != "" && fc.StateEngine != c.StorageEngine {
-			return fabric.Config{}, fmt.Errorf(
-				"core: conflicting storage engines: Config.StorageEngine=%q but Config.Fabric.StateEngine=%q",
-				c.StorageEngine, fc.StateEngine)
-		}
-		fc.StateEngine = c.StorageEngine
+	if err := c.StorageEngine.Validate(); err != nil {
+		return fabric.Config{}, fmt.Errorf("core: %w", err)
 	}
 	if c.StorageDurability != "" {
 		if fc.StateDurability != "" && fc.StateDurability != c.StorageDurability {

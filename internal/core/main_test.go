@@ -1,0 +1,9 @@
+package core
+
+import (
+	"testing"
+
+	"socialchain/internal/storage/storagetest"
+)
+
+func TestMain(m *testing.M) { storagetest.Main(m) }

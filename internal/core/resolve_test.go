@@ -18,9 +18,6 @@ func TestResolveDerivesFabricKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if fc.StateEngine != storage.EnginePersist {
-		t.Fatalf("StateEngine = %q, want persist", fc.StateEngine)
-	}
 	if want := filepath.Join("/tmp/deploy", "fabric"); fc.DataDir != want {
 		t.Fatalf("DataDir = %q, want %q", fc.DataDir, want)
 	}
@@ -35,20 +32,19 @@ func TestResolveKeepsExplicitFabricValues(t *testing.T) {
 		StorageEngine: storage.EnginePersist,
 		DataDir:       "/tmp/d",
 		Fabric: fabric.Config{
-			StateEngine: storage.EnginePersist,
-			DataDir:     filepath.Join("/tmp/d", "fabric"),
+			DataDir: filepath.Join("/tmp/d", "fabric"),
 		},
 	}
 	if _, err := cfg.Resolve(); err != nil {
 		t.Fatalf("matching overrides rejected: %v", err)
 	}
 	// Fabric-only settings pass through untouched.
-	only := Config{Fabric: fabric.Config{StateEngine: storage.EngineSingle, NumPeers: 7}}
+	only := Config{Fabric: fabric.Config{StateDurability: storage.DurabilityBatch, NumPeers: 7}}
 	fc, err := only.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.StateEngine != storage.EngineSingle || fc.NumPeers != 7 {
+	if fc.StateDurability != storage.DurabilityBatch || fc.NumPeers != 7 {
 		t.Fatalf("fabric-level settings mangled: %+v", fc)
 	}
 }
@@ -60,12 +56,11 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 		want string
 	}{
 		{
+			// One engine is left: any other name, the removed in-memory
+			// one included, is refused rather than ignored.
 			name: "storage engine",
-			cfg: Config{
-				StorageEngine: storage.EngineSingle,
-				Fabric:        fabric.Config{StateEngine: storage.EnginePersist},
-			},
-			want: "conflicting storage engines",
+			cfg:  Config{StorageEngine: "single"},
+			want: `unknown engine "single"`,
 		},
 		{
 			name: "data dir",
@@ -88,15 +83,15 @@ func TestResolveRejectsConflictingOverrides(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.cfg.Resolve()
 			if err == nil {
-				t.Fatalf("Resolve accepted conflicting %s overrides", tc.name)
+				t.Fatalf("Resolve accepted the %s override", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// core.New must surface the same conflict instead of building
+			// core.New must surface the same error instead of building
 			// a network over ambiguous knobs.
 			if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("New error = %v, want %q conflict", err, tc.want)
+				t.Fatalf("New error = %v, want %q", err, tc.want)
 			}
 		})
 	}

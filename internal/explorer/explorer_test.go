@@ -228,6 +228,7 @@ func TestIndexPageThroughExplorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	batch := statedb.NewUpdateBatch()
 	for i := 0; i < 5; i++ {
 		batch.Put("data", fmt.Sprintf("rec/%d", i), []byte(fmt.Sprintf(`{"label":"car","i":%d}`, i)))

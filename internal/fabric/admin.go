@@ -58,8 +58,8 @@ type NodeChannelStatus struct {
 	BlockReads        int64   `json:"ledger_block_reads"`
 	BlockCacheHits    int64   `json:"ledger_block_cache_hits"`
 	BlockCacheMisses  int64   `json:"ledger_block_cache_misses"`
-	// LSM state-engine internals; zero/omitted for in-memory peers and
-	// non-LSM engines. Sourced from the world-state store's snapshot.
+	// LSM state-engine internals, from the world-state store's snapshot;
+	// a zero reading is omitted.
 	SSTables          int   `json:"sstables,omitempty"`
 	LSMLevels         int   `json:"lsm_levels,omitempty"`
 	CompactionBacklog int   `json:"compaction_backlog,omitempty"`
@@ -127,16 +127,15 @@ func (n *Node) statusz() any {
 	io := n.p.Ledger().IOStats()
 	cs.OpenBlocksDecoded, cs.BlockReads = io.OpenDecoded, io.BlockReads
 	cs.BlockCacheHits, cs.BlockCacheMisses = io.CacheHits, io.CacheMisses
-	if ss, ok := n.p.State().StorageStats(); ok {
-		cs.SSTables = ss.SSTables
-		cs.LSMLevels = ss.Levels
-		cs.CompactionBacklog = ss.CompactionBacklog
-		cs.Compactions = ss.Compactions
-		cs.CompactedBytes = ss.CompactedBytes
-		cs.MemtableBytes = ss.MemtableBytes
-		cs.StallWaits = ss.StallWaits
-		cs.IndexBytes = ss.IndexBytes
-	}
+	ss, _ := n.p.State().StorageStats()
+	cs.SSTables = ss.SSTables
+	cs.LSMLevels = ss.Levels
+	cs.CompactionBacklog = ss.CompactionBacklog
+	cs.Compactions = ss.Compactions
+	cs.CompactedBytes = ss.CompactedBytes
+	cs.MemtableBytes = ss.MemtableBytes
+	cs.StallWaits = ss.StallWaits
+	cs.IndexBytes = ss.IndexBytes
 	if total := cs.SignatureChecksSkipped + cs.SignatureVerifications; total > 0 {
 		cs.SignatureSkipRate = float64(cs.SignatureChecksSkipped) / float64(total)
 	}

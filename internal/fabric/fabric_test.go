@@ -60,13 +60,25 @@ func (kvCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error
 
 func newTestNetwork(t *testing.T, cfg Config) *Network {
 	t.Helper()
+	net := openTestNetwork(t, cfg)
+	net.MustDeploy(kvCC{})
+	net.Start()
+	return net
+}
+
+// openTestNetwork builds a network, not started, that closes when the
+// test ends.
+func openTestNetwork(t *testing.T, cfg Config) *Network {
+	t.Helper()
 	net, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
-	net.MustDeploy(kvCC{})
-	net.Start()
-	t.Cleanup(net.Stop)
+	t.Cleanup(func() {
+		if err := net.Close(); err != nil {
+			t.Errorf("close network: %v", err)
+		}
+	})
 	return net
 }
 

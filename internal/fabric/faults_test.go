@@ -15,13 +15,10 @@ import (
 )
 
 func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
-	net, err := NewNetwork(Config{
+	net := openTestNetwork(t, Config{
 		NumPeers:      4,
 		CommitTimeout: 200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	net.MustDeploy(kvCC{})
 	net.Start()
 	gw := net.ChannelAt(0).Gateway(newClient(t))
@@ -34,10 +31,7 @@ func TestCommitTimeoutWhenOrderingStopped(t *testing.T) {
 	net.Stop()
 	// Re-start only the peers' endorsement side is gone; submit the
 	// envelope into a stopped ordering pipeline: the waiter must time out.
-	net2, err := NewNetwork(Config{NumPeers: 4, CommitTimeout: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net2 := openTestNetwork(t, Config{NumPeers: 4, CommitTimeout: 200 * time.Millisecond})
 	net2.MustDeploy(kvCC{})
 	// net2 is never started: orderers are idle, commits can never happen.
 	gw2 := net2.ChannelAt(0).Gateway(newClient(t))
@@ -397,10 +391,7 @@ func TestActiveEndorsersShrinkOnFlag(t *testing.T) {
 }
 
 func TestNetworkStartStopIdempotent(t *testing.T) {
-	net, err := NewNetwork(Config{NumPeers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := openTestNetwork(t, Config{NumPeers: 4})
 	net.Start()
 	net.Start() // no-op
 	net.Stop()
@@ -408,10 +399,7 @@ func TestNetworkStartStopIdempotent(t *testing.T) {
 }
 
 func TestDeployDuplicateChaincode(t *testing.T) {
-	net, err := NewNetwork(Config{NumPeers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := openTestNetwork(t, Config{NumPeers: 4})
 	if err := net.Deploy(kvCC{}); err != nil {
 		t.Fatal(err)
 	}
@@ -421,10 +409,7 @@ func TestDeployDuplicateChaincode(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	net, err := NewNetwork(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := openTestNetwork(t, Config{})
 	if net.NumPeers() != 4 {
 		t.Fatalf("default peers = %d", net.NumPeers())
 	}

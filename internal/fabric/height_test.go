@@ -159,16 +159,12 @@ func TestQuorumDoesNotWaitForSilentEndorser(t *testing.T) {
 // that block's write.
 func TestEndorseWaitsForMinHeight(t *testing.T) {
 	clk := sim.NewFakeClock(time.Unix(1_700_000_000, 0))
-	net, err := NewNetwork(Config{
+	net := openTestNetwork(t, Config{
 		NumPeers: 4,
 		Clock:    clk,
 		Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	net.MustDeploy(kvCC{})
-	t.Cleanup(net.Stop)
 	ch := net.ChannelAt(0)
 	gw := ch.Gateway(newClient(t))
 	node := net.nodes[0]
@@ -229,16 +225,12 @@ func TestEndorseWaitsForMinHeight(t *testing.T) {
 // waiting.
 func TestCatchingUpEndorserRefusesAtOnce(t *testing.T) {
 	clk := sim.NewFakeClock(time.Unix(1_700_000_000, 0))
-	net, err := NewNetwork(Config{
+	net := openTestNetwork(t, Config{
 		NumPeers: 4,
 		Clock:    clk,
 		Cutter:   ordering.CutterConfig{MaxMessages: 1, BatchTimeout: time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	net.MustDeploy(kvCC{})
-	t.Cleanup(net.Stop)
 	ch := net.ChannelAt(0)
 	gw := ch.Gateway(newClient(t))
 	node := net.nodes[1]

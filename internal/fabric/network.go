@@ -64,15 +64,9 @@ type Config struct {
 	WatchdogThreshold int
 	// CommitTimeout bounds how long a Submit waits for commit (default 30s).
 	CommitTimeout time.Duration
-	// StateEngine selects the key-value engine behind every peer's world
-	// state ("single" or "persist"; default single, the in-memory map).
-	// The persist engine survives restarts, replaying the peer's block log
-	// above its savepoint. Unknown names fail network construction.
-	StateEngine storage.Engine
 	// StateDurability selects the front-log fsync policy of the peers'
-	// block logs ("none", "batch" or "always"; default none). Only meaningful for durable
-	// peers — in-memory engines ignore it. Unknown names fail network
-	// construction when the peers open their stores.
+	// block logs ("none", "batch" or "always"; default none). Unknown
+	// names fail network construction when the peers open their stores.
 	StateDurability storage.Durability
 	// DataDir, when non-empty, makes every peer durable: peer i keeps its
 	// state engine and block log under DataDir/peer<i>. Building a network

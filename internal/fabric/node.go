@@ -149,7 +149,7 @@ func newNode(cfg Config, ps *peerSet, i int, t transport.Transport) (*Node, erro
 		Registry:   n.registry,
 		Policy:     cfg.Policy,
 		Identities: ps.members,
-		State:      storage.Config{Engine: cfg.StateEngine, Durability: cfg.StateDurability},
+		State:      storage.Config{Durability: cfg.StateDurability},
 		DataDir:    dataDir,
 		Indexes:    cfg.StateIndexes,
 		Obs:        reg,

@@ -66,10 +66,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	// chain: the synced blocks name their endorsers by key fingerprint, none
 	// of which resolves there, so re-validation flags what the source
 	// recorded as valid.
-	strangers, err := NewNetwork(Config{NumPeers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	strangers := openTestNetwork(t, Config{NumPeers: 4})
 	strangers.MustDeploy(kvCC{})
 	if _, err := strangers.ChannelAt(0).Peer(0).SyncFrom(src); !errors.Is(err, peer.ErrFlagMismatch) {
 		t.Fatalf("sync into a network with other peer identities: %v", err)
@@ -78,10 +75,7 @@ func TestSyncPeerCatchesUpManualLaggard(t *testing.T) {
 	// A brand-new network with the same membership (the deployment's
 	// identity seed) is at genesis; its peer syncs from src and re-validates
 	// the ORIGINAL endorsements against the members it derived itself.
-	net2, err := NewNetwork(Config{NumPeers: 4, IdentitySeed: "sync-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net2 := openTestNetwork(t, Config{NumPeers: 4, IdentitySeed: "sync-test"})
 	net2.MustDeploy(kvCC{})
 	laggard := net2.ChannelAt(0).Peer(0)
 	n, err := laggard.SyncFrom(src)

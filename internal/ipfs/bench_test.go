@@ -14,6 +14,7 @@ func BenchmarkAddLocal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { c.Close() })
 			rng := sim.NewRNG(1)
 			payloads := make([][]byte, 8)
 			for i := range payloads {
@@ -37,6 +38,7 @@ func BenchmarkGetCrossNodeCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { c.Close() })
 	rng := sim.NewRNG(2)
 	const size = 256 * 1024
 	b.SetBytes(size)

@@ -66,8 +66,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // Node returns the i-th node.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
-// Close flushes and closes every node's stores (no-ops for in-memory
-// clusters), returning the first error.
+// Close flushes and closes every node's stores, returning the first
+// error.
 func (c *Cluster) Close() error {
 	var first error
 	for _, n := range c.nodes {

@@ -151,6 +151,7 @@ func TestFetchAsksRootHolderFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	data := sim.NewRNG(13).Bytes(64 * 1024) // 16 leaves under one root
 	root, err := c.Node(3).Add(data)
 	if err != nil {

@@ -67,7 +67,7 @@ func randomChain(t *testing.T, rng *rand.Rand, n int) []*Block {
 // in, as a peer's world state would be.
 func openIndexDB(t *testing.T, dir string) *statedb.DB {
 	t.Helper()
-	db, err := statedb.NewWith(storage.Config{Engine: storage.EnginePersist, Dir: dir})
+	db, err := statedb.NewWith(storage.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

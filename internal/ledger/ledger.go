@@ -72,10 +72,8 @@ const (
 // and db's flushes fsync it through Sync.
 func Open(path string, db *statedb.DB) (*Ledger, error) {
 	l := &Ledger{index: db, cache: blockCache{max: blockCacheBytes}}
-	policy := walframe.SyncNone
-	if st, ok := db.StorageStats(); ok {
-		policy = st.Durability.LogPolicy()
-	}
+	st, _ := db.StorageStats()
+	policy := st.Durability.LogPolicy()
 	if sp, ok := db.Savepoint(); ok {
 		rec, ok := db.Reserved(chainKey)
 		if !ok || len(rec) != chainRecordLen {

@@ -169,7 +169,7 @@ func TestPeerEngineHoldsNoHistoryKeys(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, "db")})
+	kv, err := storage.Open(storage.Config{Dir: filepath.Join(dir, "db")})
 	if err != nil {
 		t.Fatal(err)
 	}

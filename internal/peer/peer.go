@@ -89,14 +89,13 @@ type Config struct {
 	// passes the same set. With nil no endorsement counts, which is enough
 	// to open a cleanly closed directory and serve reads from it.
 	Identities *msp.Registry
-	// State selects the key-value engine backing this peer's world state,
-	// which also holds its indexes (zero value = the in-memory single
-	// engine).
+	// State sizes the storage engine backing this peer's world state,
+	// which also holds its indexes (zero value = the defaults, on a
+	// temporary directory the peer's Close removes).
 	State storage.Config
-	// DataDir, when non-empty, makes the peer durable: it forces the
-	// persist engine at DataDir/db and opens the block log at
-	// DataDir/blocks.wal, recovering whatever a previous run left there.
-	// Overrides State.Engine and State.Dir.
+	// DataDir, when non-empty, makes the peer durable: it puts the state
+	// engine at DataDir/db and opens the block log at DataDir/blocks.wal,
+	// recovering whatever a previous run left there. Overrides State.Dir.
 	DataDir string
 	// Indexes declares the secondary indexes the world state maintains
 	// (nil = none). Index reads feed endorsement results, so every peer
@@ -121,7 +120,6 @@ func New(cfg Config) (*Peer, error) {
 	st := cfg.State
 	var logPath string // "": an unlinked temporary block log
 	if cfg.DataDir != "" {
-		st.Engine = storage.EnginePersist
 		st.Dir = cfg.DataDir
 		logPath = filepath.Join(cfg.DataDir, "blocks.wal")
 	}
@@ -174,7 +172,7 @@ func New(cfg Config) (*Peer, error) {
 	p.sigs.Register(sigReg)
 	sigReg.CounterFunc("signatures_made_total", "Endorsements signed: one per proposal simulated.", p.signs.Load)
 	// LSM engine internals (sstables, compaction backlog, bloom hit
-	// rates) of the one durable engine; a no-op on in-memory engines.
+	// rates) of the peer's one state engine.
 	p.state.RegisterStorage(cfg.Obs)
 	cfg.Obs.CounterFunc("ledger_block_cache_hits_total", "Block lookups served from the ledger's block cache.", func() int64 {
 		return p.ledger.IOStats().CacheHits

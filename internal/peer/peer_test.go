@@ -97,6 +97,7 @@ func newTestPeerWith(t *testing.T, policy msp.QuorumPolicy) (*Peer, *msp.Signer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
 	client, err := msp.NewSigner("clientorg", "alice", msp.RoleMember)
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +306,7 @@ func TestCommitEndorsementPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	client, _ := msp.NewSigner("c", "c", msp.RoleMember)
 	prop, _ := NewProposal(client, "ch", "counter", "incr", [][]byte{[]byte("k")}, time.Now())
 	resp, err := p.Endorse(prop)

@@ -132,9 +132,10 @@ func TestOpenRequiresDataDir(t *testing.T) {
 
 // TestPeerWithoutDataDirKeepsAnUnlinkedLog: a peer without a DataDir keeps
 // its chain in a block log like every other peer, in a temporary file
-// unlinked at open. The temporary directory stays empty while the peer
-// commits, a scan decodes its blocks from the file, and reads fail once
-// the peer is closed.
+// unlinked at open. While the peer commits the temporary directory holds
+// only its state engine's directory, a scan decodes its blocks from the
+// file, and once the peer is closed reads fail and the temporary
+// directory is empty.
 func TestPeerWithoutDataDirKeepsAnUnlinkedLog(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
@@ -145,8 +146,6 @@ func TestPeerWithoutDataDirKeepsAnUnlinkedLog(t *testing.T) {
 	p, err := New(Config{
 		ID: "peer0", ChannelID: "ch", Signer: testSigner("peer0"), Registry: reg,
 		Policy: anyOne, Identities: testMembers,
-		// A persist engine without a directory would make one under TMPDIR.
-		State: storage.Config{Engine: storage.EngineSingle},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +157,9 @@ func TestPeerWithoutDataDirKeepsAnUnlinkedLog(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		commitIncr(t, p, client, fmt.Sprintf("k%d", i))
 	}
-	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
-		t.Fatalf("the temporary directory holds %d entries (%v), want none", len(entries), err)
+	entries, err := os.ReadDir(tmp)
+	if err != nil || len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "socialchain-persist-") {
+		t.Fatalf("the temporary directory holds %v (%v), want only the state engine's directory", entries, err)
 	}
 	before := p.Ledger().IOStats().BlockReads
 	seen := 0
@@ -169,6 +169,9 @@ func TestPeerWithoutDataDirKeepsAnUnlinkedLog(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Fatalf("after Close the temporary directory holds %v (%v), want nothing", entries, err)
 	}
 	if _, err := p.Ledger().GetBlock(1); err == nil {
 		t.Fatal("GetBlock succeeded after Close")
@@ -759,7 +762,7 @@ func TestPeerPowerLossUnderEachDurability(t *testing.T) {
 			}
 
 			// The savepoint the copy's tables name, and where its block ends.
-			db, err := statedb.NewWith(storage.Config{Engine: storage.EnginePersist, Dir: cloneTree(t, killed)})
+			db, err := statedb.NewWith(storage.Config{Dir: cloneTree(t, killed)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,6 +23,7 @@ func twinPeers(t *testing.T) (*Peer, *Peer, *msp.Signer) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { p.Close() })
 		return p
 	}
 	client, err := msp.NewSigner("c", "client", msp.RoleMember)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"socialchain/internal/storage"
 )
 
 // applyTx commits one transaction's batch at version v as a block of its
@@ -41,19 +39,15 @@ func dumpIndex(t *testing.T, db *DB, name string) []IndexEntry {
 // TestApplyBlockEquivalentToSequentialApplies drives randomized blocks of
 // per-transaction batches (with intra-block same-key collisions and
 // deletes) through one ApplyBlockAt per block on one DB and one per
-// transaction on another, across both storage engines, and requires identical state and
-// identical secondary indexes.
+// transaction on another, under each engine configuration, and requires
+// identical state and identical secondary indexes.
 func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 	specs := []IndexSpec{{Name: "by-label", Namespace: "data", Field: "label"}}
-	for _, engine := range []storage.Engine{storage.EngineSingle, storage.EnginePersist} {
-		t.Run(string(engine), func(t *testing.T) {
+	for _, e := range engineConfigs {
+		t.Run(e.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			open := func() *DB {
-				cfg := storage.Config{Engine: engine}
-				if engine == storage.EnginePersist {
-					cfg.Dir = t.TempDir()
-				}
-				db, err := NewIndexedWith(cfg, specs...)
+				db, err := NewIndexedWith(e.cfg, specs...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +96,7 @@ func TestApplyBlockEquivalentToSequentialApplies(t *testing.T) {
 
 // TestApplyBlockEmptyAndSingle covers the fast paths.
 func TestApplyBlockEmptyAndSingle(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	db.ApplyBlockAt(nil, 2) // must not panic
 	b := NewUpdateBatch()
 	b.Put("ns", "k", []byte("v"))
@@ -120,7 +114,7 @@ func TestApplyBlockEmptyAndSingle(t *testing.T) {
 // carries the version of the transaction that produced it, and that a
 // later transaction's write to the same key wins with its own version.
 func TestApplyBlockKeepsPerTxVersions(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b0 := NewUpdateBatch()
 	b0.Put("ns", "a", []byte("a0"))
 	b0.Put("ns", "shared", []byte("first"))

@@ -8,16 +8,16 @@ import (
 	"socialchain/internal/storage"
 )
 
-// benchEngines lists the engine configs every statedb benchmark compares.
-// The persist config gets a per-run temp directory so WAL writes land in
-// the benchmark's own scratch space.
+// benchEngines labels the engine configs the statedb benchmarks run; the
+// label stays in the sub-benchmark name so readings compare across
+// versions. The config gets a per-run temp directory so table writes land
+// in the benchmark's own scratch space.
 var benchEngines = []struct {
 	name string
 	cfg  func(b *testing.B) storage.Config
 }{
-	{"single", func(*testing.B) storage.Config { return storage.Config{Engine: storage.EngineSingle} }},
 	{"persist", func(b *testing.B) storage.Config {
-		return storage.Config{Engine: storage.EnginePersist, Dir: b.TempDir()}
+		return storage.Config{Dir: b.TempDir()}
 	}},
 }
 
@@ -223,7 +223,7 @@ func benchRecord(i int) string {
 // under the data contract's four indexes: index upkeep reads each
 // written key's old value and extracts the indexed fields of both.
 func BenchmarkIndexUpkeep(b *testing.B) {
-	db, err := NewIndexedWith(storage.Config{Engine: storage.EnginePersist, Dir: b.TempDir()}, dataIndexPaths()...)
+	db, err := NewIndexedWith(storage.Config{Dir: b.TempDir()}, dataIndexPaths()...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestDecodeEveryCut(t *testing.T) {
 func TestHistoryRefusesOlderFormat(t *testing.T) {
 	for _, old := range []string{"history", "index"} {
 		dir := t.TempDir()
-		kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(dir, old)})
+		kv, err := storage.Open(storage.Config{Dir: filepath.Join(dir, old)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestHistoryRefusesOlderFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := treeListing(t, dir)
-		_, err = NewIndexedWith(storage.Config{Engine: storage.EnginePersist, Dir: dir}, testIndexes()...)
+		_, err = NewIndexedWith(storage.Config{Dir: dir}, testIndexes()...)
 		if err == nil || !strings.Contains(err.Error(), "three-engine layout") || !strings.Contains(err.Error(), old+"/") {
 			t.Fatalf("directory with %s/ opened: %v", old, err)
 		}
@@ -101,7 +101,7 @@ func TestHistoryRefusesOlderFormat(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	db, err := NewIndexedWith(storage.Config{Engine: storage.EnginePersist, Dir: dir}, testIndexes()...)
+	db, err := NewIndexedWith(storage.Config{Dir: dir}, testIndexes()...)
 	if err != nil {
 		t.Fatal(err)
 	}

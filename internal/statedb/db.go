@@ -11,9 +11,9 @@ import (
 	"socialchain/internal/storage"
 )
 
-// DB is the versioned world state, layered over a pluggable
-// storage.KV engine (in memory by default, the LSM persist engine for a
-// durable peer), mirroring Fabric's state database (LevelDB/CouchDB).
+// DB is the versioned world state, layered over the LSM storage engine
+// (on the peer's data directory, or on a temporary one its Close removes),
+// mirroring Fabric's state database (LevelDB/CouchDB).
 //
 // Namespacing and versions are encoded into the flat key-value space:
 // composite keys are "ns\x00key", values carry a fixed 16-byte
@@ -22,15 +22,16 @@ import (
 // entries, the committer's block index — under the reserved prefix, so
 // one engine batch commits a whole block.
 type DB struct {
-	kv storage.KV
+	kv storage.KV // a *storage.Persist; a test may wrap it
 	// idx maintains the optional secondary indexes (nil when no IndexSpec
 	// is configured). See index.go.
 	idx *indexer
 }
 
-// New returns an empty world state on the default (single) engine. It
-// panics if the default engine cannot open — only possible when the
-// engine env override is broken, a programming/environment error.
+// New returns an empty world state on an engine in a temporary directory,
+// which Close removes: the caller closes it. It panics if the engine
+// cannot open — only possible when no temporary directory can be made or
+// the durability env override is broken, an environment error.
 func New() *DB {
 	db, err := NewWith(storage.Config{})
 	if err != nil {
@@ -40,16 +41,17 @@ func New() *DB {
 }
 
 // NewWith returns a world state without secondary indexes on the engine
-// cfg selects (NewIndexedWith with no specs).
+// cfg describes (NewIndexedWith with no specs).
 func NewWith(cfg storage.Config) (*DB, error) {
 	return NewIndexedWith(cfg)
 }
 
-// NewIndexedWith returns a world state on the engine cfg selects,
-// maintaining the given secondary indexes. Durable configs place the
-// engine under the "db" sub-directory of cfg.Dir and reopen whatever it
-// already holds; a cfg.Dir that holds a history/ or index/ engine — the
-// three-engine layout older builds wrote — is refused and left untouched.
+// NewIndexedWith returns a world state on the engine cfg describes,
+// maintaining the given secondary indexes. A cfg.Dir places the engine
+// under its "db" sub-directory and reopens whatever that already holds
+// (without one the engine runs on a temporary directory); a cfg.Dir that
+// holds a history/ or index/ engine — the three-engine layout older builds
+// wrote — is refused and left untouched.
 func NewIndexedWith(cfg storage.Config, specs ...IndexSpec) (*DB, error) {
 	if cfg.Dir != "" {
 		for _, old := range []string{"history", "index"} {
@@ -74,25 +76,18 @@ func NewIndexedWith(cfg storage.Config, specs ...IndexSpec) (*DB, error) {
 // Close releases the underlying engine after a final flush.
 func (db *DB) Close() error { return db.kv.Close() }
 
-// StorageStats snapshots the LSM persist engine beneath the state store.
-// ok is false when the state sits on the in-memory engine, which exposes
-// no comparable internals.
+// StorageStats snapshots the LSM engine beneath the state store. ok is
+// always true; it stays because bench/ reads it, and goes with ROADMAP
+// item 4.
 func (db *DB) StorageStats() (storage.PersistStats, bool) {
-	p, ok := db.kv.(*storage.Persist)
-	if !ok {
-		return storage.PersistStats{}, false
-	}
-	return p.Stats(), true
+	return db.kv.(*storage.Persist).Stats(), true
 }
 
 // RegisterStorage exports the underlying LSM engine's metrics (sstable
 // and level counts, compaction backlog, bloom hit rates, front-log fsync
-// requests) on reg under store="state". No-op for engines
-// without internals worth exporting; safe on a nil registry.
+// requests) on reg under store="state". Safe on a nil registry.
 func (db *DB) RegisterStorage(reg *obs.Registry) {
-	if p, ok := db.kv.(*storage.Persist); ok {
-		p.Register(reg.With(obs.L("store", "state")))
-	}
+	db.kv.(*storage.Persist).Register(reg.With(obs.L("store", "state")))
 }
 
 // stateKey builds the composite engine key for ns/key. The NUL separator

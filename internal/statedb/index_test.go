@@ -171,7 +171,7 @@ func TestIterIndexTimeOrdered(t *testing.T) {
 }
 
 func TestBuildIndexesRebuildsFromExistingState(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	putDoc(db, 1, "rec/1", `{"label":"car"}`)
 	putDoc(db, 2, "rec/2", `{"label":"bus"}`)
 	if err := db.BuildIndexes(testIndexes()...); err != nil {
@@ -209,18 +209,17 @@ func TestRestoreRebuildsIndexes(t *testing.T) {
 }
 
 // TestExecuteQueryShortCircuitEqualsScan: an indexed database answers
-// every selector exactly as its index-free twin does, on both engines —
-// index upkeep under the reserved prefix never shows in a query.
+// every selector exactly as its index-free twin does, the two on different
+// engine configurations — index upkeep under the reserved prefix never
+// shows in a query, and neither does where a key lies.
 func TestExecuteQueryShortCircuitEqualsScan(t *testing.T) {
-	for _, engCfg := range []storage.Config{
-		{Engine: storage.EngineSingle},
-		{Engine: storage.EnginePersist, Dir: t.TempDir()},
-	} {
-		db := indexedTestDB(t, engCfg)
-		plain, err := NewWith(storage.Config{Engine: storage.EngineSingle}) // index-free twin
+	for i, e := range engineConfigs {
+		db := indexedTestDB(t, e.cfg)
+		plain, err := NewWith(engineConfigs[1-i].cfg) // index-free twin
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { plain.Close() })
 		rng := rand.New(rand.NewSource(42))
 		labels := []string{"car", "bus", "truck", "bike", "x\x00nul", ""}
 		cameras := []string{"c1", "c2", "c3"}
@@ -269,15 +268,15 @@ func TestExecuteQueryShortCircuitEqualsScan(t *testing.T) {
 		for _, sel := range selectors {
 			indexed, err := db.ExecuteQuery("data", sel)
 			if err != nil {
-				t.Fatalf("engine %s sel %v: indexed: %v", engCfg.Engine, sel, err)
+				t.Fatalf("engine %s sel %v: indexed: %v", e.name, sel, err)
 			}
 			scanned, err := plain.ExecuteQuery("data", sel)
 			if err != nil {
-				t.Fatalf("engine %s sel %v: index-free: %v", engCfg.Engine, sel, err)
+				t.Fatalf("engine %s sel %v: index-free: %v", e.name, sel, err)
 			}
 			if !sameKVs(indexed, scanned) {
 				t.Fatalf("engine %s sel %v: indexed %d results, index-free %d",
-					engCfg.Engine, sel, len(indexed), len(scanned))
+					e.name, sel, len(indexed), len(scanned))
 			}
 		}
 	}
@@ -314,7 +313,7 @@ func TestEscapeIndexValueRoundTrip(t *testing.T) {
 // state document backs: a rebuild drops it, a reused index still has it.
 func indexSavepointFixture(t *testing.T) storage.Config {
 	t.Helper()
-	cfg := storage.Config{Engine: storage.EnginePersist, Dir: t.TempDir()}
+	cfg := storage.Config{Dir: t.TempDir()}
 	db := indexedTestDB(t, cfg)
 	for n := uint64(1); n <= 3; n++ {
 		b := NewUpdateBatch()
@@ -324,7 +323,7 @@ func indexSavepointFixture(t *testing.T) storage.Config {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kv, err := storage.Open(storage.Config{Engine: storage.EnginePersist, Dir: filepath.Join(cfg.Dir, "db")})
+	kv, err := storage.Open(storage.Config{Dir: filepath.Join(cfg.Dir, "db")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestMatchesUnknownOperatorErrors(t *testing.T) {
 		}
 	}
 	// The error surfaces through the query.
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte(`{"n":5}`))
 	applyTx(db, b, Version{BlockNum: 1})
@@ -110,7 +110,8 @@ func TestExecuteQueryRejectsMalformedSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := New()
+	defer indexed.Close()
+	plain := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("data", "rec/1", []byte(`{"label":"car","x":1}`))
 	applyTx(indexed, b, Version{BlockNum: 1})

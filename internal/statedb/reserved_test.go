@@ -34,8 +34,13 @@ func (v *visitLog) IterPrefix(prefix string, fn func(key string, value []byte) b
 // the index they use — never other bookkeeping, and the empty namespace
 // (whose prefix would be the reserved one) holds nothing.
 func TestStateReadsNeverVisitReservedKeys(t *testing.T) {
-	kv := &visitLog{KV: storage.NewSingle()}
+	engine, err := storage.Open(storage.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := &visitLog{KV: engine}
 	db := &DB{kv: kv}
+	defer db.Close()
 	if err := db.BuildIndexes(testIndexes()...); err != nil {
 		t.Fatal(err)
 	}

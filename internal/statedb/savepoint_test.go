@@ -17,7 +17,7 @@ func savepointUpdates(val string) []TxUpdate {
 // ApplyBlockAt — including blocks with no writes — and is absent on a
 // fresh database.
 func TestSavepointTracksApplyBlockAt(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	if _, ok := db.Savepoint(); ok {
 		t.Fatal("fresh db has a savepoint")
 	}
@@ -36,9 +36,9 @@ func TestSavepointTracksApplyBlockAt(t *testing.T) {
 // namespaces, scans or snapshots — two states that differ only in their
 // savepoints must stay byte-identical.
 func TestSavepointInvisibleToStateAPIs(t *testing.T) {
-	at1 := New()
+	at1 := newDB(t)
 	at1.ApplyBlockAt(savepointUpdates("v"), 1)
-	at9 := New()
+	at9 := newDB(t)
 	at9.ApplyBlockAt(savepointUpdates("v"), 9)
 
 	if ns := at1.Namespaces(); len(ns) != 1 || ns[0] != "cc" {
@@ -61,7 +61,7 @@ func TestSavepointInvisibleToStateAPIs(t *testing.T) {
 // database either has both or neither.
 func TestSavepointAtomicWithBlockBatch(t *testing.T) {
 	dir := t.TempDir()
-	cfg := storage.Config{Engine: storage.EnginePersist, Dir: dir}
+	cfg := storage.Config{Dir: dir}
 	db, err := NewWith(cfg)
 	if err != nil {
 		t.Fatal(err)

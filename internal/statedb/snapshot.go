@@ -22,7 +22,7 @@ type snapshotEntry struct {
 // deterministic (namespace, key) order, so two peers at the same height
 // produce byte-identical snapshots — a cheap state-equality check and a
 // bootstrap artefact. The engine's sorted composite-key iteration IS
-// (namespace, key) order, so both engines emit identical streams.
+// (namespace, key) order, whatever memtable or table level a key lies in.
 func (db *DB) Snapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var ierr error

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	src := New()
+	src := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("data", "rec/1", []byte(`{"a":1}`))
 	b.Put("data", "rec/2", []byte(`{"a":2}`))
@@ -18,7 +18,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := src.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := New()
+	dst := newDB(t)
 	n, err := dst.Restore(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestSnapshotDeterministic(t *testing.T) {
 	build := func() *DB {
-		db := New()
+		db := newDB(t)
 		b := NewUpdateBatch()
 		b.Put("z", "k2", []byte("v2"))
 		b.Put("a", "k1", []byte("v1"))
@@ -58,7 +58,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestRestoreIntoNonEmpty(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("x", "k", []byte("v"))
 	applyTx(db, b, Version{BlockNum: 1})
@@ -68,7 +68,7 @@ func TestRestoreIntoNonEmpty(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	if _, err := db.Restore(strings.NewReader("garbage\n")); err == nil {
 		t.Fatal("garbage restored")
 	}
@@ -76,13 +76,13 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 
 func TestSnapshotEmptyDB(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().Snapshot(&buf); err != nil {
+	if err := newDB(t).Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty snapshot has %d bytes", buf.Len())
 	}
-	n, err := New().Restore(&buf)
+	n, err := newDB(t).Restore(&buf)
 	if err != nil || n != 0 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}

@@ -7,12 +7,37 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"socialchain/internal/storage"
 )
 
-func TestGetPutRoundTrip(t *testing.T) {
+// newDB is New for a test: the DB closes, and its temporary directory
+// goes, when the test ends.
+func newDB(t testing.TB) *DB {
+	t.Helper()
 	db := New()
+	t.Cleanup(func() {
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return db
+}
+
+// engineConfigs are the engine configurations equivalence tests compare:
+// the defaults, and a 256-byte memtable with fanout 2, whose writes cross
+// flushes and compactions within a few blocks.
+var engineConfigs = []struct {
+	name string
+	cfg  storage.Config
+}{
+	{"persist", storage.Config{}},
+	{"persist-small", storage.Config{MemtableBytes: 256, CompactFanout: 2}},
+}
+
+func TestGetPutRoundTrip(t *testing.T) {
+	db := newDB(t)
 	batch := NewUpdateBatch()
 	batch.Put("cc", "k1", []byte("v1"))
 	applyTx(db, batch, Version{BlockNum: 1, TxNum: 0})
@@ -27,7 +52,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestNamespaceIsolation(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("ns1", "k", []byte("a"))
 	b.Put("ns2", "k", []byte("b"))
@@ -43,7 +68,7 @@ func TestNamespaceIsolation(t *testing.T) {
 }
 
 func TestDeleteRemovesKey(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte("v"))
 	applyTx(db, b, Version{BlockNum: 1})
@@ -56,7 +81,7 @@ func TestDeleteRemovesKey(t *testing.T) {
 }
 
 func TestBatchLastWriteWins(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte("first"))
 	b.Put("cc", "k", []byte("second"))
@@ -71,7 +96,7 @@ func TestBatchLastWriteWins(t *testing.T) {
 }
 
 func TestRangeScan(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		b.Put("cc", k, []byte(k))
@@ -94,7 +119,7 @@ func TestRangeScan(t *testing.T) {
 
 func TestRangeScanSortedProperty(t *testing.T) {
 	err := quick.Check(func(keys []string) bool {
-		db := New()
+		db := newDB(t)
 		b := NewUpdateBatch()
 		for _, k := range keys {
 			if k == "" {
@@ -112,7 +137,7 @@ func TestRangeScanSortedProperty(t *testing.T) {
 }
 
 func TestPrefixScan(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	for _, k := range []string{"user/alice", "user/bob", "admin/root"} {
 		b.Put("cc", k, []byte("v"))
@@ -211,7 +236,7 @@ func TestSelectorBadOperator(t *testing.T) {
 }
 
 func TestSelectorSkipsNonJSON(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("cc", "binary", []byte{0xff, 0xfe})
 	b.Put("cc", "doc", mustJSON(map[string]any{"label": "x"}))
@@ -224,7 +249,7 @@ func TestSelectorSkipsNonJSON(t *testing.T) {
 
 func seedDocs(t *testing.T) *DB {
 	t.Helper()
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	docs := []map[string]any{
 		{"label": "truck", "confidence": 0.41, "location": map[string]any{"latitude": 12.97, "longitude": 77.59}},
@@ -247,7 +272,7 @@ func mustJSON(v any) []byte {
 }
 
 func TestNamespacesListing(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	b := NewUpdateBatch()
 	b.Put("zz", "k", []byte("v"))
 	b.Put("aa", "k", []byte("v"))
@@ -262,7 +287,7 @@ func TestNamespacesListing(t *testing.T) {
 }
 
 func TestValueCopiedOnWrite(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	val := []byte("mutable")
 	b := NewUpdateBatch()
 	b.Put("cc", "k", val)
@@ -275,8 +300,9 @@ func TestValueCopiedOnWrite(t *testing.T) {
 }
 
 // TestEnginesProduceIdenticalSnapshots commits the same batches through
-// both storage engines and requires byte-identical snapshot streams —
-// engine choice must never change observable state or iteration order.
+// both engine configurations and requires byte-identical snapshot streams
+// — where a key lies, memtable or which table level, must never change
+// observable state or iteration order.
 func TestEnginesProduceIdenticalSnapshots(t *testing.T) {
 	build := func(cfg storage.Config) *DB {
 		db, err := NewWith(cfg)
@@ -299,17 +325,31 @@ func TestEnginesProduceIdenticalSnapshots(t *testing.T) {
 		t.Cleanup(func() { db.Close() })
 		return db
 	}
-	var single, persist bytes.Buffer
-	if err := build(storage.Config{Engine: storage.EngineSingle}).Snapshot(&single); err != nil {
-		t.Fatal(err)
+	var dbs [2]*DB
+	for i, e := range engineConfigs {
+		dbs[i] = build(e.cfg)
 	}
-	if err := build(storage.Config{Engine: storage.EnginePersist, Dir: t.TempDir()}).Snapshot(&persist); err != nil {
-		t.Fatal(err)
+	// The small engine's flushes make a compaction due; the compactor
+	// runs it in the background.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, _ := dbs[1].StorageStats()
+		if st.Flushes > 0 && st.Compactions > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("test setup: the small engine made %d flushes and %d compactions, want both", st.Flushes, st.Compactions)
+		}
 	}
-	if !bytes.Equal(single.Bytes(), persist.Bytes()) {
-		t.Fatal("snapshot streams differ between engines")
+	var snaps [2]bytes.Buffer
+	for i, db := range dbs {
+		if err := db.Snapshot(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db := build(storage.Config{})
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Fatal("snapshot streams differ between engine configurations")
+	}
+	db := dbs[0]
 	if got := len(db.GetStateRange("cc", "", "")); got == 0 {
 		t.Fatal("no keys survived")
 	}

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// benchEngines pairs each engine constructor with its label so every
-// benchmark compares the single-lock map with the LSM persist engine under
-// identical workloads.
+// benchEngines labels each engine configuration a benchmark runs; the
+// label stays in the sub-benchmark name so readings compare across
+// versions.
 var benchEngines = []struct {
 	name string
 	open func(tb testing.TB) KV
 }{
-	{"single", func(testing.TB) KV { return NewSingle() }},
 	{"persist", func(tb testing.TB) KV {
 		p, err := OpenPersist(Config{Dir: tb.TempDir()})
 		if err != nil {
@@ -101,7 +100,7 @@ func BenchmarkIterPrefix(b *testing.B) {
 }
 
 // BenchmarkParallelGet measures contended point reads: every goroutine
-// reads a shared hot key space, so each engine's read lock is one
+// reads a shared hot key space, so the engine's read lock is one
 // contended word.
 func BenchmarkParallelGet(b *testing.B) {
 	for _, e := range benchEngines {
@@ -121,12 +120,11 @@ func BenchmarkParallelGet(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelMixedReadCommit is the engine-comparison workload the
+// BenchmarkParallelMixedReadCommit is the workload the
 // storage refactor targets: concurrent clients read the world state while
 // block commits land underneath them — the regime of the paper's
 // multi-client store/retrieve evaluation. One in every 16 operations is a
-// 10-write block commit; the rest are point reads, and in both engines a
-// commit holds off every reader for its duration.
+// 10-write block commit; the rest are point reads.
 func BenchmarkParallelMixedReadCommit(b *testing.B) {
 	for _, e := range benchEngines {
 		b.Run(e.name, func(b *testing.B) {

@@ -258,6 +258,7 @@ type Persist struct {
 	compactMu sync.Mutex
 
 	dir        string
+	temp       bool // dir was made by OpenPersist: Close removes it
 	memLimit   int64
 	fanout     int
 	durability Durability
@@ -272,18 +273,11 @@ type Persist struct {
 }
 
 // OpenPersist opens (or creates) an LSM persist engine in cfg.Dir from its
-// manifest. An empty Dir materialises a fresh temporary directory (see
-// Config.Dir).
+// manifest. An empty Dir makes a fresh temporary directory that Close
+// removes (see Config.Dir).
 func OpenPersist(cfg Config) (*Persist, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "socialchain-persist-"); err != nil {
-			return nil, fmt.Errorf("storage: persist temp dir: %w", err)
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: persist dir %s: %w", dir, err)
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, err
 	}
 	durability, err := ParseDurability(string(cfg.Durability))
 	if err != nil {
@@ -297,9 +291,18 @@ func OpenPersist(cfg Config) (*Persist, error) {
 	if durability == "" {
 		durability = DurabilityNone
 	}
+	dir, temp := cfg.Dir, cfg.Dir == ""
+	if temp {
+		if dir, err = os.MkdirTemp("", "socialchain-persist-"); err != nil {
+			return nil, fmt.Errorf("storage: persist temp dir: %w", err)
+		}
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("storage: persist dir %s: %w", dir, err)
+	}
 	p := &Persist{
 		mem:        newMemtable(),
 		dir:        dir,
+		temp:       temp,
 		memLimit:   cfg.MemtableBytes,
 		fanout:     cfg.CompactFanout,
 		durability: durability,
@@ -316,6 +319,9 @@ func OpenPersist(cfg Config) (*Persist, error) {
 		p.fanout = DefaultCompactFanout
 	}
 	if err := p.recover(); err != nil {
+		if temp {
+			_ = os.RemoveAll(dir)
+		}
 		return nil, err
 	}
 	p.wg.Add(2)
@@ -867,7 +873,9 @@ func (p *Persist) IterPrefix(prefix string, fn func(key string, value []byte) bo
 // memtable. A closed engine reads as empty (a fresh memtable over an
 // empty version, so no reader meets a nil). Idempotent; a concurrent
 // second Close waits for the first. The owner closes its front log after
-// the engine: the checkpoint syncs it.
+// the engine: the checkpoint syncs it. Last, an engine on a directory
+// OpenPersist made removes that directory; a directory the caller named
+// is never removed.
 func (p *Persist) Close() error {
 	p.closeOnce.Do(p.shutdown)
 	p.mu.RLock()
@@ -901,6 +909,11 @@ func (p *Persist) shutdown() {
 	p.mem, p.imm = newMemtable(), nil
 	p.mu.Unlock()
 	v.release()
+	if p.temp {
+		if err := os.RemoveAll(p.dir); err != nil {
+			p.setErr(fmt.Errorf("storage: persist remove temp dir: %w", err))
+		}
+	}
 }
 
 // Stats snapshots the engine's shape and counters.

@@ -1,18 +1,17 @@
-// Package storage provides the pluggable key-value engine beneath the
-// repo's stateful layers: the world-state database (with its indexes) and
-// the CID-addressed blockstore sit on the KV interface instead of owning a
-// map and a global lock. Two engines implement it: a single-lock
-// map, the in-memory default and the reference every equivalence test
-// compares against, and an LSM-tree disk engine whose tables survive
-// process restarts and whose open cost is its manifest's (see lsm.go). The
-// disk engine keeps no log: its owner's own append-only log — a peer's
-// block log, an IPFS node's blocks.log — is the write-ahead log, replayed
-// above a savepoint the owner keeps in the engine. The contract is
-// LevelDB's: point reads, ordered prefix scans, and writes that arrive
-// only as batches and are blind — a write reads nothing first, so a delete
-// of a key that was never written is a write like any other. Both engines
-// give IterPrefix a point-in-time view: a concurrent ApplyBatch is seen
-// whole or not at all.
+// Package storage provides the key-value engine beneath the repo's
+// stateful layers: the world-state database (with its indexes) and the
+// CID-addressed blockstore sit on the KV interface instead of owning a map
+// and a global lock. One engine implements it, an LSM tree whose tables
+// survive process restarts and whose open cost is its manifest's (see
+// lsm.go); a store that needs nothing to survive runs it on a temporary
+// directory its Close removes. The engine keeps no log: its owner's own
+// append-only log — a peer's block log, an IPFS node's blocks.log — is the
+// write-ahead log, replayed above a savepoint the owner keeps in the
+// engine. The contract is LevelDB's: point reads, ordered prefix scans,
+// and writes that arrive only as batches and are blind — a write reads
+// nothing first, so a delete of a key that was never written is a write
+// like any other. IterPrefix gives a point-in-time view: a concurrent
+// ApplyBatch is seen whole or not at all.
 package storage
 
 import (
@@ -31,8 +30,10 @@ type Write struct {
 
 // KV is the engine contract. Keys are ordered byte strings; layered stores
 // encode structure (namespaces, versions, sequence numbers) into keys and
-// values. Engines copy values neither on ApplyBatch nor on Get: callers own
-// the aliasing discipline, exactly as the seed's map-based stores did.
+// values. The engine copies values neither on ApplyBatch nor on Get:
+// callers own the aliasing discipline, exactly as the seed's map-based
+// stores did. *Persist is the one implementation; the interface stays so a
+// test can wrap the engine beneath a store.
 //
 // All methods are safe for concurrent use.
 type KV interface {
@@ -46,31 +47,35 @@ type KV interface {
 	// ApplyBatch applies a block's writes as one step: an IterPrefix sees
 	// all of a batch or none of it. Within the batch, later writes to a
 	// key win. Writes are blind: nothing is read first, and deleting an
-	// absent key is not an error. The disk engine writes a batch into one
-	// table: after a crash every write of the batch is on disk or none is.
+	// absent key is not an error. The engine writes a batch into one table:
+	// after a crash every write of the batch is on disk or none is.
 	ApplyBatch(writes []Write)
-	// Close releases the engine's resources; the disk engine first flushes
-	// what it holds. Operations after Close are undefined; Close is
-	// idempotent.
+	// Close flushes what the engine holds and releases its resources.
+	// Operations after Close are undefined; Close is idempotent.
 	Close() error
 }
 
-// Engine names a KV implementation.
+// Engine names a KV implementation. Only EnginePersist is left; the type,
+// the constant and Config.Engine stay because bench/ sets them, and they go
+// with ROADMAP item 4.
 type Engine string
 
-const (
-	// EngineSingle is the one-map, one-RWMutex engine: every commit
-	// excludes every read. The in-memory default and the reference in
-	// cross-engine equivalence tests.
-	EngineSingle Engine = "single"
-	// EnginePersist is the durable disk engine: an LSM tree — sorted
-	// memtable, immutable block-structured SSTables with bloom filters, a
-	// crash-safe manifest and background compaction. Tables survive
-	// restarts; what the memtable held is replayed by the owner from its
-	// front log (Config.SyncFront), so recovery cost is proportional to
-	// recent writes, not total state.
-	EnginePersist Engine = "persist"
-)
+// EnginePersist is the LSM engine: sorted memtable, immutable
+// block-structured SSTables with bloom filters, a crash-safe manifest and
+// background compaction. Tables survive restarts; what the memtable held is
+// replayed by the owner from its front log (Config.SyncFront), so recovery
+// cost is proportional to recent writes, not total state.
+const EnginePersist Engine = "persist"
+
+// Validate refuses every engine name but "" and EnginePersist, as Open
+// does: a name that selected a removed engine must fail loudly, not open
+// another one. It goes with Engine.
+func (e Engine) Validate() error {
+	if e != "" && e != EnginePersist {
+		return fmt.Errorf("storage: unknown engine %q (valid: %s)", e, EnginePersist)
+	}
+	return nil
+}
 
 // Durability is the front-log fsync policy: the window of acknowledged
 // writes a power failure (not a mere process kill: appends always reach
@@ -108,69 +113,50 @@ func (d Durability) LogPolicy() walframe.Policy {
 	return walframe.SyncNone
 }
 
-// Config selects and sizes an engine. The zero value opens the in-memory
-// single engine.
+// Config sizes an engine. The zero value opens one on a fresh temporary
+// directory.
 type Config struct {
-	// Engine picks the implementation (default EngineSingle).
+	// Engine must be "" or EnginePersist; any other name is refused. It
+	// stays only because bench/ sets it, and goes with ROADMAP item 4.
 	Engine Engine
-	// Dir is the persist engine's data directory (created if absent). When
-	// empty, it materialises a fresh temporary directory — durable for
-	// the life of the process, discarded by the OS afterwards — so the CI
-	// engine matrix can force EnginePersist through EngineEnvVar without
-	// threading paths into every constructor. Ignored by the in-memory
-	// engine.
+	// Dir is the engine's data directory (created if absent), never
+	// removed by the engine. When empty, the engine makes a fresh
+	// temporary directory, and the last step of its Close removes it: a
+	// store that needs nothing to survive the process takes the durable
+	// path all the same.
 	Dir string
-	// Durability picks the front-log fsync policy the persist engine
-	// reports to its owner (default DurabilityNone; see the Durability
-	// constants for the loss windows). DurabilityEnvVar overrides an empty
-	// value. Ignored by the in-memory engine.
+	// Durability picks the front-log fsync policy the engine reports to
+	// its owner (default DurabilityNone; see the Durability constants for
+	// the loss windows). DurabilityEnvVar overrides an empty value.
 	Durability Durability
 	// SyncFront makes the owner's front log durable up to its end. The
-	// persist engine calls it on each flush, after the table is fsynced
+	// engine calls it on each flush, after the table is fsynced
 	// and before the manifest names it; an error is sticky and stops
 	// flushing. It runs on the flusher (or on Close), so it must take no
 	// lock a writer holds across ApplyBatch: a writer can stall there
 	// waiting for this very flush. nil for an engine no log stands in
-	// front of. Ignored by the in-memory engine.
+	// front of.
 	SyncFront func() error
-	// MemtableBytes is the persist engine's memtable flush threshold: once
+	// MemtableBytes is the engine's memtable flush threshold: once
 	// the active memtable holds this many bytes it is flushed to an
 	// SSTable (default DefaultMemtableBytes).
 	MemtableBytes int64
-	// CompactFanout is the persist engine's per-level run budget: once a
+	// CompactFanout is the engine's per-level run budget: once a
 	// level accumulates this many SSTables they are merged into one run on
 	// the next level (default DefaultCompactFanout).
 	CompactFanout int
 }
 
-// EngineEnvVar overrides the engine an empty Config.Engine selects, so a
-// full test run can be pinned to one engine without threading a flag
-// through every constructor (the CI matrix runs the suite under both).
-const EngineEnvVar = "SOCIALCHAIN_STORAGE_ENGINE"
-
 // DurabilityEnvVar overrides the front-log fsync policy an empty
-// Config.Durability selects, so the CI persist leg can run the whole suite
-// under Durability=always without threading a flag through every
+// Config.Durability selects, so CI can run the whole suite under
+// Durability=always without threading a flag through every
 // constructor.
 const DurabilityEnvVar = "SOCIALCHAIN_STORAGE_DURABILITY"
 
-// envEngine reads EngineEnvVar; empty means "no override", unknown values
-// are an error (a typo in the CI matrix must not silently change the
-// engine under test). Read per call, not cached, so tests can flip it
+// envDurability reads DurabilityEnvVar; empty means "no override", unknown
+// values are an error (a typo in the CI matrix must not silently change
+// the policy under test). Read per call, not cached, so tests can flip it
 // with t.Setenv.
-func envEngine() (Engine, error) {
-	v := os.Getenv(EngineEnvVar)
-	switch e := Engine(v); e {
-	case "", EngineSingle, EnginePersist:
-		return e, nil
-	default:
-		return "", fmt.Errorf("storage: unknown %s value %q (valid: %s, %s)",
-			EngineEnvVar, v, EngineSingle, EnginePersist)
-	}
-}
-
-// envDurability reads DurabilityEnvVar with the same contract as
-// envEngine: empty means "no override", unknown values are an error.
 func envDurability() (Durability, error) {
 	v := os.Getenv(DurabilityEnvVar)
 	switch d := Durability(v); d {
@@ -194,42 +180,11 @@ func ParseDurability(v string) (Durability, error) {
 	}
 }
 
-// DefaultEngine returns the engine an empty Config selects: the
-// EngineEnvVar override when set, otherwise single. A malformed override
-// is an error — the same error Open reports — so callers that size data
-// structures off the default engine cannot disagree with the engine Open
-// actually refuses to construct.
-func DefaultEngine() (Engine, error) {
-	e, err := envEngine()
-	if err != nil {
-		return "", err
-	}
-	if e == "" {
-		e = EngineSingle
-	}
-	return e, nil
-}
-
-// Open constructs the engine described by cfg. Unknown engine names — in
-// the config or in the EngineEnvVar override — are an error: silently
-// falling back to a default engine would lose data behind a peer that
-// thought it was durable.
+// Open opens the engine cfg describes (see OpenPersist).
 func Open(cfg Config) (KV, error) {
-	engine := cfg.Engine
-	if engine == "" {
-		e, err := DefaultEngine()
-		if err != nil {
-			return nil, err
-		}
-		engine = e
+	p, err := OpenPersist(cfg)
+	if err != nil {
+		return nil, err
 	}
-	switch engine {
-	case EngineSingle:
-		return NewSingle(), nil
-	case EnginePersist:
-		return OpenPersist(cfg)
-	default:
-		return nil, fmt.Errorf("storage: unknown engine %q (valid: %s, %s)",
-			engine, EngineSingle, EnginePersist)
-	}
+	return p, nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,7 +24,8 @@ func keyCount(kv KV) int {
 	return n
 }
 
-// engines returns one fresh instance of every engine under a stable label.
+// engines returns one fresh instance of every engine configuration under
+// a stable label.
 func engines(tb testing.TB) map[string]KV {
 	persist, err := OpenPersist(Config{Dir: tb.TempDir()})
 	if err != nil {
@@ -41,28 +44,25 @@ func engines(tb testing.TB) map[string]KV {
 		persistSmall.Close()
 	})
 	return map[string]KV{
-		"single":        NewSingle(),
 		"persist":       persist,
 		"persist-small": persistSmall,
 	}
 }
 
+// TestOpenSelectsEngine: the empty engine name and EnginePersist both
+// open the persist engine.
 func TestOpenSelectsEngine(t *testing.T) {
-	kv, err := Open(Config{Engine: EngineSingle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.(*Single); !ok {
-		t.Fatal("EngineSingle did not open a Single")
-	}
-	if kv, err = Open(Config{Engine: EnginePersist, Dir: t.TempDir()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.(*Persist); !ok {
-		t.Fatal("EnginePersist did not open a Persist")
-	}
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
+	for _, e := range []Engine{"", EnginePersist} {
+		kv, err := Open(Config{Engine: e, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := kv.(*Persist); !ok {
+			t.Fatalf("Engine %q opened %T, want *Persist", e, kv)
+		}
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -79,13 +79,12 @@ func TestOpenRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRemovedEngine: the mapwal and sharded engines are gone,
-// and naming one — in the config or in the env override — is the
-// unknown-engine error that lists what remains, not a silent fallback to a
-// default engine.
+// TestOpenRefusesRemovedEngine: the single, mapwal and sharded engines are
+// gone, and naming one is the unknown-engine error that lists what
+// remains, not a silent fallback to the one engine left.
 func TestOpenRefusesRemovedEngine(t *testing.T) {
-	const valid = "(valid: single, persist)"
-	for _, name := range []string{"mapwal", "sharded"} {
+	const valid = "(valid: persist)"
+	for _, name := range []string{"single", "mapwal", "sharded"} {
 		kv, err := Open(Config{Engine: Engine(name)})
 		if err == nil {
 			kv.Close()
@@ -94,52 +93,9 @@ func TestOpenRefusesRemovedEngine(t *testing.T) {
 		if !strings.Contains(err.Error(), `unknown engine "`+name+`"`) || !strings.Contains(err.Error(), valid) {
 			t.Fatalf("Open(Engine: %s) error = %q, want the unknown-engine error listing %s", name, err, valid)
 		}
-		t.Setenv(EngineEnvVar, name)
-		kv, err = Open(Config{})
-		if err == nil {
-			kv.Close()
-			t.Fatalf("%s=%s opened %T, want error", EngineEnvVar, name, kv)
+		if verr := Engine(name).Validate(); verr == nil || verr.Error() != err.Error() {
+			t.Fatalf("Validate(%s) = %v, want Open's error %q", name, verr, err)
 		}
-		if !strings.Contains(err.Error(), EngineEnvVar+` value "`+name+`"`) || !strings.Contains(err.Error(), valid) {
-			t.Fatalf("%s=%s error = %q, want the unknown-engine error listing %s", EngineEnvVar, name, err, valid)
-		}
-	}
-}
-
-func TestOpenRejectsUnknownEnvEngine(t *testing.T) {
-	t.Setenv(EngineEnvVar, "no-such-engine")
-	kv, err := Open(Config{})
-	if err == nil {
-		t.Fatalf("unknown %s opened %T, want error", EngineEnvVar, kv)
-	}
-	if !strings.Contains(err.Error(), EngineEnvVar) {
-		t.Fatalf("error %q does not name the env var", err)
-	}
-	// Explicit configs are never affected by the override.
-	if _, err := Open(Config{Engine: EngineSingle}); err != nil {
-		t.Fatalf("explicit engine rejected under bad env override: %v", err)
-	}
-}
-
-func TestDefaultEngineAgreesWithOpenOnBadEnv(t *testing.T) {
-	// DefaultEngine used to swallow EngineEnvVar errors and silently fall
-	// back to the default, so a caller sizing itself off the default engine
-	// could disagree with the engine Open refused to construct. Both must
-	// now report the same typo'd override.
-	t.Setenv(EngineEnvVar, "shraded")
-	def, derr := DefaultEngine()
-	if derr == nil {
-		t.Fatalf("DefaultEngine() = %q under bad env, want error", def)
-	}
-	_, oerr := Open(Config{})
-	if oerr == nil {
-		t.Fatal("Open(Config{}) succeeded under bad env")
-	}
-	if derr.Error() != oerr.Error() {
-		t.Fatalf("DefaultEngine and Open disagree:\n %v\n %v", derr, oerr)
-	}
-	if !strings.Contains(derr.Error(), "shraded") {
-		t.Fatalf("error %q does not name the offending value", derr)
 	}
 }
 
@@ -157,23 +113,73 @@ func TestOpenRejectsUnknownEnvDurability(t *testing.T) {
 	p.Close()
 }
 
-func TestEnvOverrideSelectsPersist(t *testing.T) {
-	t.Setenv(EngineEnvVar, string(EnginePersist))
+// fillPastFlush writes until p has flushed a table to its directory.
+func fillPastFlush(t *testing.T, p *Persist) {
+	t.Helper()
+	value := make([]byte, 1<<10)
+	for i := 0; p.Stats().Flushes == 0; i++ {
+		if i > 10000 {
+			t.Fatal("no flush after 10 MiB of writes")
+		}
+		put(p, fmt.Sprintf("k/%06d", i), value)
+		if i%64 == 63 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestOpenDefaultEngine: the empty config opens the persist engine on a
+// temporary directory of its own, and its Close removes that directory
+// with the tables a flush wrote there.
+func TestOpenDefaultEngine(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	kv, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, ok := kv.(*Persist)
 	if !ok {
-		t.Fatalf("env override opened %T, want *Persist", kv)
+		t.Fatalf("Open(Config{}) opened %T, want *Persist", kv)
 	}
-	// No Dir was configured: the engine must have materialised its own.
-	if p.Dir() == "" {
-		t.Fatal("persist engine without a directory")
+	if filepath.Dir(p.Dir()) != tmp {
+		t.Fatalf("engine directory %s is not under TMPDIR %s", p.Dir(), tmp)
 	}
-	defer os.RemoveAll(p.Dir())
+	fillPastFlush(t, p)
+	if ssts, _ := filepath.Glob(filepath.Join(p.Dir(), sstPrefix+"*")); len(ssts) == 0 {
+		t.Fatal("a flush left no table in the engine directory")
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("Close left %d entries in TMPDIR, want none (first: %s)", len(left), left[0].Name())
+	}
+}
+
+// TestCloseKeepsGivenDir: an engine never removes a directory its caller
+// named; the tables there reopen with everything written.
+func TestCloseKeepsGivenDir(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenPersist(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPastFlush(t, p)
+	n := keyCount(p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatalf("Close removed the caller's directory: %v", err)
+	}
+	re, err := OpenPersist(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := keyCount(re); got != n {
+		t.Fatalf("reopened engine holds %d keys, want %d", got, n)
 	}
 }
 
@@ -367,6 +373,12 @@ func apply(kv KV, o op) {
 	}
 }
 
+// entry is one (key, value) pair of a dump.
+type entry struct {
+	key   string
+	value []byte
+}
+
 // dump captures the full sorted contents of an engine.
 func dump(kv KV) []entry {
 	var out []entry
@@ -377,16 +389,49 @@ func dump(kv KV) []entry {
 	return out
 }
 
-// TestEngineEquivalence drives every engine through identical op sequences
-// and requires identical final state, iteration order, lengths and point
-// reads — the contract that lets the persist engine replace the
-// single-lock one under every store. Each persist engine is closed and
-// reopened from its directory after the workload: the recovered state
+// model is the reference TestEngineEquivalence holds the engine to: one
+// map, sorted on every scan, with the KV contract's semantics and nothing
+// else.
+type model map[string][]byte
+
+func (m model) Get(key string) ([]byte, bool) { v, ok := m[key]; return v, ok }
+
+func (m model) IterPrefix(prefix string, fn func(key string, value []byte) bool) {
+	var keys []string
+	for k := range m {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !fn(k, m[k]) {
+			return
+		}
+	}
+}
+
+func (m model) ApplyBatch(writes []Write) {
+	for _, w := range writes {
+		if w.Delete {
+			delete(m, w.Key)
+		} else {
+			m[w.Key] = w.Value
+		}
+	}
+}
+
+func (m model) Close() error { return nil }
+
+// TestEngineEquivalence drives the engine, in two configurations, and a
+// map model through identical op sequences and requires identical final
+// state, iteration order, lengths and point reads. Each engine is closed
+// and reopened from its directory after the workload: the recovered state
 // must match.
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		dir := t.TempDir()
-		single := NewSingle()
+		ref := model{}
 		persist, err := OpenPersist(Config{Dir: dir, MemtableBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
@@ -399,7 +444,7 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range randomOps(seed, 600) {
-			apply(single, o)
+			apply(ref, o)
 			apply(persist, o)
 			apply(small, o)
 		}
@@ -422,30 +467,30 @@ func TestEngineEquivalence(t *testing.T) {
 			"persist-small": reopenedSmall,
 		}
 		for name, kv := range others {
-			if keyCount(single) != keyCount(kv) {
-				t.Fatalf("seed %d: key count single=%d %s=%d", seed, keyCount(single), name, keyCount(kv))
+			if keyCount(ref) != keyCount(kv) {
+				t.Fatalf("seed %d: key count model=%d %s=%d", seed, keyCount(ref), name, keyCount(kv))
 			}
 		}
-		ds := dump(single)
+		ds := dump(ref)
 		for name, kv := range others {
 			dh := dump(kv)
 			if !reflect.DeepEqual(ds, dh) {
-				t.Fatalf("seed %d: state diverged:\nsingle: %v\n%s: %v", seed, ds, name, dh)
+				t.Fatalf("seed %d: state diverged:\nmodel: %v\n%s: %v", seed, ds, name, dh)
 			}
 			for _, e := range ds {
-				sv, sok := single.Get(e.key)
+				sv, sok := ref.Get(e.key)
 				hv, hok := kv.Get(e.key)
 				if sok != hok || string(sv) != string(hv) {
-					t.Fatalf("seed %d: Get(%q) single=%q/%v %s=%q/%v", seed, e.key, sv, sok, name, hv, hok)
+					t.Fatalf("seed %d: Get(%q) model=%q/%v %s=%q/%v", seed, e.key, sv, sok, name, hv, hok)
 				}
 			}
 			// Prefix iteration must agree too, not just the full dump.
 			for _, prefix := range []string{"ns0\x00", "ns1\x00key/0", "ns2\x00key/11"} {
 				var ks, kh []string
-				single.IterPrefix(prefix, func(k string, _ []byte) bool { ks = append(ks, k); return true })
+				ref.IterPrefix(prefix, func(k string, _ []byte) bool { ks = append(ks, k); return true })
 				kv.IterPrefix(prefix, func(k string, _ []byte) bool { kh = append(kh, k); return true })
 				if !reflect.DeepEqual(ks, kh) {
-					t.Fatalf("seed %d: IterPrefix(%q) single=%v %s=%v", seed, prefix, ks, name, kh)
+					t.Fatalf("seed %d: IterPrefix(%q) model=%v %s=%v", seed, prefix, ks, name, kh)
 				}
 			}
 		}
@@ -455,32 +500,4 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestOpenDefaultEngine(t *testing.T) {
-	// The empty config resolves through DefaultEngine (env-overridable for
-	// the CI engine matrix) and must name a real engine.
-	def, err := DefaultEngine()
-	if err != nil {
-		t.Fatalf("DefaultEngine(): %v", err)
-	}
-	if def != EngineSingle && def != EnginePersist {
-		t.Fatalf("DefaultEngine() = %q", def)
-	}
-	kv, err := Open(Config{})
-	if err != nil {
-		t.Fatalf("Open(Config{}): %v", err)
-	}
-	defer kv.Close()
-	if def == EngineSingle {
-		if _, ok := kv.(*Single); !ok {
-			t.Fatalf("default engine %q opened %T", def, kv)
-		}
-		return
-	}
-	p, ok := kv.(*Persist)
-	if !ok {
-		t.Fatalf("default engine %q opened %T", def, kv)
-	}
-	defer os.RemoveAll(p.Dir())
 }
