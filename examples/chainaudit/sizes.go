@@ -107,7 +107,6 @@ func (c *envelopeClass) account(tx *ledger.Transaction) {
 		}))
 	}
 	part("reads", without(tx, func(t *ledger.Transaction) { t.RWSet.Reads = nil }))
-	part("events", without(tx, func(t *ledger.Transaction) { t.Events = nil }))
 	c.add("the rest (ids, creator, response, signature, counts)", rest)
 }
 

@@ -25,9 +25,6 @@ func (batchCC) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 		if err := stub.PutState(key, args[0]); err != nil {
 			return nil, err
 		}
-		if err := stub.SetEvent("owned", []byte(key)); err != nil {
-			return nil, err
-		}
 		return []byte(stub.GetTxID()), nil
 	case "incr":
 		raw, err := stub.GetState("counter")
@@ -85,16 +82,6 @@ func TestInvokeBatchSubTxIDs(t *testing.T) {
 	for i := range calls {
 		if !wrote["rec/"+SubTxID("tx-1", i)] {
 			t.Fatalf("missing write for call %d; writes: %v", i, wrote)
-		}
-	}
-	// Events carry sub-transaction IDs.
-	events := sim.Events()
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
-	}
-	for i, e := range events {
-		if e.TxID != SubTxID("tx-1", i) {
-			t.Fatalf("event %d TxID = %s", i, e.TxID)
 		}
 	}
 	// Outside the batch, GetTxID reverts to the envelope ID.

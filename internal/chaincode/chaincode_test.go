@@ -199,21 +199,6 @@ func TestRangeMergesPendingWrites(t *testing.T) {
 	}
 }
 
-func TestEvents(t *testing.T) {
-	db := seededDB(t)
-	sim := NewSimulator(testCtx(t), "cc", db)
-	if err := sim.SetEvent("", nil); err == nil {
-		t.Fatal("empty event name accepted")
-	}
-	if err := sim.SetEvent("created", []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	ev := sim.Events()
-	if len(ev) != 1 || ev[0].Name != "created" || ev[0].TxID != "tx-1" {
-		t.Fatalf("events = %+v", ev)
-	}
-}
-
 func TestContextAccessors(t *testing.T) {
 	db := seededDB(t)
 	ctx := testCtx(t)

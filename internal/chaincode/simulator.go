@@ -38,8 +38,7 @@ type Simulator struct {
 	reads   map[string]statedb.ReadItem  // keyed by ns\x00key
 	values  map[string][]byte            // committed value of each key GetState read first
 	writes  map[string]statedb.WriteItem // keyed by ns\x00key
-	events  []Event
-	ordered []string // write nsKeys in first-write order
+	ordered []string                     // write nsKeys in first-write order
 }
 
 var _ Stub = (*Simulator)(nil)
@@ -220,16 +219,6 @@ func (s *Simulator) GetCreator() msp.Identity { return s.ctx.Creator }
 // GetTxTimestamp implements Stub.
 func (s *Simulator) GetTxTimestamp() time.Time { return s.ctx.Timestamp }
 
-// SetEvent implements Stub. Events raised during InvokeBatch carry the
-// sub-transaction ID of the call that set them.
-func (s *Simulator) SetEvent(name string, payload []byte) error {
-	if name == "" {
-		return errors.New("chaincode: empty event name")
-	}
-	s.events = append(s.events, Event{TxID: s.GetTxID(), Name: name, Payload: append([]byte(nil), payload...)})
-	return nil
-}
-
 // InvokeChaincode implements Stub.
 func (s *Simulator) InvokeChaincode(name, fn string, args [][]byte) ([]byte, error) {
 	if s.registry == nil {
@@ -267,12 +256,12 @@ func SubTxID(txID string, i int) string {
 
 // InvokeBatch is the batch endorsement entrypoint: it executes calls
 // sequentially on this one simulator, producing a single merged read/write
-// set, response list and event stream. Later calls observe earlier calls'
-// uncommitted writes (a per-source provenance head updated by call i is
-// read back by call i+1), which is what lets a batch of writes that would
-// MVCC-conflict as individual envelopes commit atomically as one
-// transaction. A failing call aborts the whole batch — the endorsement is
-// all-or-nothing, exactly like a single invocation.
+// set and response list. Later calls observe earlier calls' uncommitted
+// writes (a per-source provenance head updated by call i is read back by
+// call i+1), which is what lets a batch of writes that would MVCC-conflict
+// as individual envelopes commit atomically as one transaction. A failing
+// call aborts the whole batch — the endorsement is all-or-nothing, exactly
+// like a single invocation.
 func (s *Simulator) InvokeBatch(calls []BatchCall) ([][]byte, error) {
 	if s.registry == nil {
 		return nil, errors.New("chaincode: no registry for batch invocation")
@@ -301,9 +290,6 @@ func (s *Simulator) InvokeBatch(calls []BatchCall) ([][]byte, error) {
 	}
 	return responses, nil
 }
-
-// Events returns events set during simulation.
-func (s *Simulator) Events() []Event { return s.events }
 
 // RWSet finalises the simulation into a deterministic read/write set.
 func (s *Simulator) RWSet() statedb.RWSet {

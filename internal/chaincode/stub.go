@@ -1,6 +1,6 @@
 // Package chaincode implements the smart-contract runtime of the
 // permissioned blockchain: the stub API contracts program against (state
-// access, secondary-index pages, events, transaction context) and the
+// access, secondary-index pages, transaction context) and the
 // transaction simulator that captures read/write sets for endorsement,
 // mirroring Hyperledger Fabric's shim/chaincode model that the paper's
 // contracts (§III-B) are written against.
@@ -12,14 +12,6 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/statedb"
 )
-
-// Event is an application event emitted by a chaincode during execution;
-// committers deliver events of valid transactions to subscribers.
-type Event struct {
-	TxID    string
-	Name    string
-	Payload []byte
-}
 
 // Stub is the interface chaincodes use to interact with the ledger world
 // state and transaction context.
@@ -48,8 +40,6 @@ type Stub interface {
 	GetCreator() msp.Identity
 	// GetTxTimestamp returns the client-asserted proposal time.
 	GetTxTimestamp() time.Time
-	// SetEvent attaches a named event to the transaction.
-	SetEvent(name string, payload []byte) error
 	// InvokeChaincode calls another deployed chaincode within the same
 	// transaction; its reads and writes merge into this transaction's
 	// read/write set under the callee's namespace (as in Fabric's

@@ -76,9 +76,6 @@ func enrollAdmin(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	if err := stub.PutState(adminKeyPrefix+adminID, b); err != nil {
 		return nil, err
 	}
-	if err := stub.SetEvent("admin.enrolled", []byte(adminID)); err != nil {
-		return nil, err
-	}
 	return []byte(fmt.Sprintf("Admin %s enrolled successfully", adminID)), nil
 }
 

@@ -163,10 +163,6 @@ func addData(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 		[][]byte{[]byte(source), []byte("1"), []byte(cvStr)}); err != nil {
 		return nil, err
 	}
-
-	if err := stub.SetEvent("data.added", []byte(txID)); err != nil {
-		return nil, err
-	}
 	return []byte(cidStr), nil
 }
 

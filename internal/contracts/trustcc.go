@@ -96,11 +96,6 @@ func observeTrust(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	if err := stub.PutState(key, st.Marshal()); err != nil {
 		return nil, err
 	}
-	if st.Flagged {
-		if err := stub.SetEvent("trust.flagged", []byte(sourceID)); err != nil {
-			return nil, err
-		}
-	}
 	return st.Marshal(), nil
 }
 

@@ -84,9 +84,6 @@ func registerUser(stub chaincode.Stub, args [][]byte) ([]byte, error) {
 	if err := stub.PutState(userKeyPrefix+rec.UserID, b); err != nil {
 		return nil, err
 	}
-	if err := stub.SetEvent("user.registered", []byte(rec.UserID)); err != nil {
-		return nil, err
-	}
 	return []byte(fmt.Sprintf("user %s registered", rec.UserID)), nil
 }
 

@@ -60,7 +60,7 @@ func buildChain(t *testing.T, path string) (*ledger.Ledger, []string) {
 	}
 	mk := func(id, cc, fn string, s *msp.Signer) ledger.Transaction {
 		tx := ledger.Transaction{
-			ID: id, ChannelID: "ch", Creator: s.Identity,
+			ID: id, Creator: s.Identity,
 			Payload:      ledger.TxPayload{Chaincode: cc, Fn: fn, ArgHashes: ledger.HashArgs([][]byte{[]byte(id)})},
 			Endorsements: []msp.EndorsementRef{{Signer: s.Identity.Fingerprint(), Signature: s.Sign([]byte(id))}},
 			Timestamp:    time.Now(),

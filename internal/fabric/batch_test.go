@@ -82,12 +82,11 @@ func TestSubmitBatchFailingCallRejectsWhole(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchEventsDelivered checks each call's chaincode event is
-// delivered to subscribers when the batch envelope commits.
-func TestSubmitBatchEventsDelivered(t *testing.T) {
+// TestSubmitBatchWritesEveryCall checks each call of a batch envelope
+// lands its own write on every peer when the envelope commits.
+func TestSubmitBatchWritesEveryCall(t *testing.T) {
 	net := newTestNetwork(t, Config{NumPeers: 4, Cutter: ordering.CutterConfig{MaxMessages: 1, BatchTimeout: 2 * time.Millisecond}})
 	gw := net.ChannelAt(0).Gateway(newClient(t))
-	events := net.ChannelAt(0).Peer(0).SubscribeEvents(16)
 	calls := []chaincode.BatchCall{
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k0"), []byte("v0")}},
 		{Chaincode: "kv", Fn: "put", Args: [][]byte{[]byte("k1"), []byte("v1")}},
@@ -96,19 +95,18 @@ func TestSubmitBatchEventsDelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case e := <-events:
-			if e.Name != "put" {
-				t.Fatalf("event name %q", e.Name)
-			}
-			got[string(e.Payload)] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for event %d of batch %s", i, res.TxID)
-		}
+	if res.Flag != ledger.Valid {
+		t.Fatalf("batch flagged %s", res.Flag)
 	}
-	if !got["k0"] || !got["k1"] {
-		t.Fatalf("events delivered for %v, want k0 and k1", got)
+	if !net.ChannelAt(0).WaitHeight(res.BlockNum+1, 5*time.Second) {
+		t.Fatal("peers did not converge")
+	}
+	for i := 0; i < 4; i++ {
+		for _, c := range calls {
+			vv, ok := net.ChannelAt(0).Peer(i).State().GetState("kv", string(c.Args[0]))
+			if !ok || string(vv.Value) != string(c.Args[1]) {
+				t.Fatalf("peer %d: %s = %q, want %q", i, c.Args[0], vv.Value, c.Args[1])
+			}
+		}
 	}
 }

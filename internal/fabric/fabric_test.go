@@ -3,8 +3,11 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"socialchain/internal/msp"
 	"socialchain/internal/obs"
 	"socialchain/internal/ordering"
+	"socialchain/internal/peer"
 )
 
 // kvCC is a minimal chaincode for lifecycle tests.
@@ -28,9 +32,6 @@ func (kvCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, error
 			return nil, errors.New("put needs key and value")
 		}
 		if err := stub.PutState(string(args[0]), args[1]); err != nil {
-			return nil, err
-		}
-		if err := stub.SetEvent("put", args[0]); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil
@@ -167,45 +168,58 @@ func TestChaincodeErrorDoesNotCommit(t *testing.T) {
 	}
 }
 
+// oneEntry pins a gateway's entry peer, so every envelope it orders
+// meets the others in one ordering service's batches.
+type oneEntry struct{ backend }
+
+func (b oneEntry) entryEndorsers() []Endorser { return b.backend.entryEndorsers()[:1] }
+
+// TestMVCCConflictFlagged: two increments of one counter, both endorsed
+// before either is ordered, read the seed's version by construction.
+// Ordered into one two-envelope block, the first commits and the second
+// is flagged.
 func TestMVCCConflictFlagged(t *testing.T) {
 	net := newTestNetwork(t, Config{
 		NumPeers: 4,
-		Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: 200 * time.Millisecond},
+		Cutter:   ordering.CutterConfig{MaxMessages: 2, BatchTimeout: time.Second},
 	})
 	gw := net.ChannelAt(0).Gateway(newClient(t))
-	// Seed the counter.
+	gw.be = oneEntry{gw.be}
 	if _, err := gw.Submit("kv", "put", []byte("ctr"), []byte("0")); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	// Two concurrent increments read the same version — both are endorsed
-	// at or above the seed's block — and, batched together, the second
-	// must be invalidated with an MVCC conflict.
-	id1, w1, err := gw.SubmitAsync("kv", "increment", []byte("ctr"))
-	if err != nil {
-		t.Fatalf("async1: %v", err)
-	}
-	id2, w2, err := gw.SubmitAsync("kv", "increment", []byte("ctr"))
-	if err != nil {
-		t.Fatalf("async2: %v", err)
-	}
-	if id1 == id2 {
-		t.Fatal("duplicate tx ids")
-	}
-	f1 := <-w1
-	f2 := <-w2
-	valid, conflict := 0, 0
-	for _, f := range []ledger.ValidationCode{f1, f2} {
-		switch f {
-		case ledger.Valid:
-			valid++
-		case ledger.MVCCConflict:
-			conflict++
+	var txs [2]*ledger.Transaction
+	for i := range txs {
+		tx, err := gw.endorseAndAssemble(&peer.Proposal{Chaincode: "kv", Fn: "increment", Args: [][]byte{[]byte("ctr")}})
+		if err != nil {
+			t.Fatalf("endorse %d: %v", i, err)
 		}
+		txs[i] = tx
 	}
-	if valid != 1 || conflict != 1 {
-		t.Fatalf("flags = %s,%s; want one VALID one MVCC_READ_CONFLICT", f1, f2)
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = gw.SubmitEnvelope(*txs[i])
+		}()
 	}
-	// Counter must have been incremented exactly once.
+	wg.Wait()
+	flags := map[ledger.ValidationCode]int{}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("submit %d: %v", i, errs[i])
+		}
+		flags[res.Flag]++
+	}
+	if flags[ledger.Valid] != 1 || flags[ledger.MVCCConflict] != 1 {
+		t.Fatalf("flags = %v; want one VALID and one MVCC_READ_CONFLICT", flags)
+	}
+	if results[0].BlockNum != results[1].BlockNum {
+		t.Fatalf("the increments landed in blocks %d and %d, not in one", results[0].BlockNum, results[1].BlockNum)
+	}
 	got, err := gw.Evaluate("kv", "get", []byte("ctr"))
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
@@ -281,6 +295,60 @@ func TestBadCreatorSignatureFlagged(t *testing.T) {
 	}
 }
 
+// TestEnvelopeFieldsAreSigned rewrites each field of an endorsed, signed
+// envelope after signing and submits it: every rewrite but one commits
+// flagged, never VALID. The exception is Trace, documented as outside the
+// signatures, whose rewrite commits VALID and shows the harness can see
+// an envelope go through. A field added to the envelope fails the test
+// until it has a case here.
+func TestEnvelopeFieldsAreSigned(t *testing.T) {
+	net := newTestNetwork(t, Config{NumPeers: 4})
+	gw := net.ChannelAt(0).Gateway(newClient(t))
+	flip := func(b []byte) []byte {
+		out := append([]byte(nil), b...)
+		out[len(out)/2] ^= 0x01
+		return out
+	}
+	rewrites := map[string]func(tx *ledger.Transaction){
+		"ID":       func(tx *ledger.Transaction) { tx.ID = string(flip([]byte(tx.ID))) },
+		"Creator":  func(tx *ledger.Transaction) { tx.Creator = net.ChannelAt(0).Peer(0).Identity() },
+		"Payload":  func(tx *ledger.Transaction) { tx.Payload.Fn = "get" },
+		"Response": func(tx *ledger.Transaction) { tx.Response = []byte("forged") },
+		"RWSet":    func(tx *ledger.Transaction) { tx.RWSet.Writes[0].Value = []byte("forged") },
+		"Endorsements": func(tx *ledger.Transaction) {
+			refs := slices.Clone(tx.Endorsements)
+			for i := range refs {
+				refs[i].Signature = flip(refs[i].Signature)
+			}
+			tx.Endorsements = refs
+		},
+		"Timestamp": func(tx *ledger.Transaction) { tx.Timestamp = time.Date(2099, 1, 1, 0, 0, 0, 0, time.UTC) },
+		"Signature": func(tx *ledger.Transaction) { tx.Signature = flip(tx.Signature) },
+		"Trace":     func(tx *ledger.Transaction) { tx.Trace = "forged" },
+	}
+	fields := reflect.TypeFor[ledger.Transaction]()
+	for i := 0; i < fields.NumField(); i++ {
+		if rewrites[fields.Field(i).Name] == nil {
+			t.Fatalf("no rewrite of ledger.Transaction.%s", fields.Field(i).Name)
+		}
+	}
+	for name, rewrite := range rewrites {
+		key := []byte("signed-" + name)
+		tx, err := gw.endorseAndAssemble(&peer.Proposal{Chaincode: "kv", Fn: "put", Args: [][]byte{key, []byte("v")}})
+		if err != nil {
+			t.Fatalf("%s: endorse: %v", name, err)
+		}
+		rewrite(tx)
+		res, err := gw.SubmitEnvelope(*tx)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", name, err)
+		}
+		if (res.Flag == ledger.Valid) != (name == "Trace") {
+			t.Errorf("envelope with a rewritten %s committed %s", name, res.Flag)
+		}
+	}
+}
+
 func TestSubmitWithSilentValidator(t *testing.T) {
 	net := newTestNetwork(t, Config{
 		NumPeers:         4,
@@ -294,23 +362,6 @@ func TestSubmitWithSilentValidator(t *testing.T) {
 	}
 	if res.Flag != ledger.Valid {
 		t.Fatalf("flag = %s", res.Flag)
-	}
-}
-
-func TestEventsDelivered(t *testing.T) {
-	net := newTestNetwork(t, Config{NumPeers: 4})
-	gw := net.ChannelAt(0).Gateway(newClient(t))
-	events := net.ChannelAt(0).Peer(1).SubscribeEvents(16)
-	if _, err := gw.Submit("kv", "put", []byte("ek"), []byte("ev")); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	select {
-	case e := <-events:
-		if e.Name != "put" || string(e.Payload) != "ek" {
-			t.Fatalf("event = %+v", e)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no event delivered")
 	}
 }
 

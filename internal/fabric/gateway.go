@@ -214,12 +214,10 @@ func assembleSignedEnvelope(client *msp.Signer, prop *peer.Proposal, payload led
 	}
 	tx := &ledger.Transaction{
 		ID:        prop.TxID,
-		ChannelID: prop.ChannelID,
 		Creator:   client.Identity,
 		Payload:   payload,
 		Response:  group[0].Response,
 		RWSet:     rw,
-		Events:    group[0].Events,
 		Timestamp: prop.Timestamp,
 		Trace:     prop.Trace,
 	}
@@ -231,21 +229,30 @@ func assembleSignedEnvelope(client *msp.Signer, prop *peer.Proposal, payload led
 }
 
 // SubmitEnvelope orders a pre-assembled transaction envelope and waits for
-// commit. Exposed so tests can inject malformed envelopes. Ordering
-// backpressure (ordering.ErrBacklog) and post-stop rejection
-// (ordering.ErrStopped) surface as errors for the caller to react to.
+// commit. Exposed so tests can inject malformed envelopes. An envelope the
+// encoding cannot carry whole is refused before a remote entry peer would
+// put it on the wire. The round-robin entry peer registers a commit waiter
+// before ordering can reject (see Endorser.Order); ordering backpressure
+// (ordering.ErrBacklog) and post-stop rejection (ordering.ErrStopped)
+// surface as errors for the caller to react to. The wait is bounded by the
+// commit timeout, and the block the envelope landed in, valid or not,
+// raises the backend's height, which every later proposal over it carries.
 func (g *Gateway) SubmitEnvelope(tx ledger.Transaction) (*Result, error) {
-	entry, waiter, err := g.orderAsync(tx)
-	if err != nil {
-		return nil, err
+	if err := tx.CheckFlat(); err != nil {
+		return nil, fmt.Errorf("fabric: order: %w", err)
 	}
-	return g.awaitCommit(&tx, entry, waiter)
-}
-
-// awaitCommit waits for the entry peer to commit tx, within the commit
-// timeout. The block it landed in, valid or not, raises the backend's
-// height, which every later proposal over it carries.
-func (g *Gateway) awaitCommit(tx *ledger.Transaction, entry Endorser, waiter <-chan ledger.ValidationCode) (*Result, error) {
+	entries := g.be.entryEndorsers()
+	if len(entries) == 0 {
+		return nil, errors.New("fabric: no entry peers")
+	}
+	entry := entries[int(g.be.rrNext())%len(entries)]
+	g.be.clientDelay(entry.ID())
+	start := time.Now()
+	waiter, err := entry.Order(tx)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: order tx %s: %w", tx.ID, err)
+	}
+	g.obsOrder.Observe(time.Since(start))
 	waitStart := time.Now()
 	select {
 	case flag := <-waiter:
@@ -259,52 +266,6 @@ func (g *Gateway) awaitCommit(tx *ledger.Transaction, entry Endorser, waiter <-c
 	case <-g.be.after(g.be.commitTimeout()):
 		return nil, fmt.Errorf("%w: tx %s", ErrCommitTimeout, tx.ID)
 	}
-}
-
-// orderAsync submits the envelope through a round-robin entry peer, which
-// registers a commit waiter before ordering can reject (see
-// Endorser.Order). An envelope the encoding cannot carry whole is refused
-// here, before a remote entry peer would put it on the wire.
-func (g *Gateway) orderAsync(tx ledger.Transaction) (Endorser, <-chan ledger.ValidationCode, error) {
-	if err := tx.CheckFlat(); err != nil {
-		return nil, nil, fmt.Errorf("fabric: order: %w", err)
-	}
-	entries := g.be.entryEndorsers()
-	if len(entries) == 0 {
-		return nil, nil, errors.New("fabric: no entry peers")
-	}
-	entry := entries[int(g.be.rrNext())%len(entries)]
-	g.be.clientDelay(entry.ID())
-	start := time.Now()
-	waiter, err := entry.Order(tx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: order tx %s: %w", tx.ID, err)
-	}
-	g.obsOrder.Observe(time.Since(start))
-	return entry, waiter, nil
-}
-
-// SubmitAsync orders a transaction without waiting for commit. The
-// returned channel yields the entry peer's commit flag, or nothing if the
-// commit timeout passes first; the commit raises the client's height as a
-// Submit's does. Because it returns before commit, two SubmitAsync calls
-// reading the same key race and MVCC validation will invalidate the loser.
-func (g *Gateway) SubmitAsync(ccName, fn string, args ...[]byte) (string, <-chan ledger.ValidationCode, error) {
-	tx, err := g.endorseAndAssemble(&peer.Proposal{Chaincode: ccName, Fn: fn, Args: args})
-	if err != nil {
-		return "", nil, err
-	}
-	entry, waiter, err := g.orderAsync(*tx)
-	if err != nil {
-		return "", nil, err
-	}
-	flag := make(chan ledger.ValidationCode, 1)
-	go func() {
-		if res, err := g.awaitCommit(tx, entry, waiter); err == nil {
-			flag <- res.Flag
-		}
-	}()
-	return tx.ID, flag, nil
 }
 
 // SubmitBatch runs the batched transaction lifecycle: every call executes

@@ -29,12 +29,10 @@ func envelopeFrom(t *testing.T, gw *Gateway, prop *peer.Proposal, resps ...*peer
 	}
 	tx := ledger.Transaction{
 		ID:        prop.TxID,
-		ChannelID: prop.ChannelID,
 		Creator:   gw.client.Identity,
 		Payload:   ledger.TxPayload{Chaincode: prop.Chaincode, Fn: prop.Fn, ArgHashes: ledger.HashArgs(prop.Args)},
 		Response:  resps[0].Response,
 		RWSet:     rw,
-		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
 	}
 	for _, r := range resps {

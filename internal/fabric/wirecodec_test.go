@@ -32,7 +32,7 @@ var bodyKinds = []struct {
 // bodyFixtures returns one encoded body per RPC body kind.
 func bodyFixtures() map[byte][]byte {
 	client := msp.NewSignerFromSeed("wire", "org", "client", msp.RoleMember)
-	tx := ledger.Transaction{ID: "tx1", ChannelID: "ch", Creator: client.Identity, Timestamp: time.Unix(1, 2),
+	tx := ledger.Transaction{ID: "tx1", Creator: client.Identity, Timestamp: time.Unix(1, 2),
 		Payload:      ledger.TxPayload{Chaincode: "kv", Fn: "put", ArgHashes: ledger.HashArgs([][]byte{[]byte("k"), []byte("v")})},
 		Endorsements: []msp.EndorsementRef{{Signer: client.Identity.Fingerprint(), Signature: client.Sign([]byte("digest"))}}}
 	genesis := ledger.NewBlock(0, [32]byte{}, nil, time.Time{})
@@ -45,7 +45,6 @@ func bodyFixtures() map[byte][]byte {
 		}}
 	prop.Signature = client.Sign(prop.SigningBytes())
 	resp := peer.ProposalResponse{TxID: "tx2", Response: []byte("ok"), RWSet: []byte{1, 2, 3},
-		Events:      []ledger.Event{{Name: "e", Payload: []byte("p")}},
 		Endorsement: msp.Endorsement{Endorser: client.Identity, Digest: []byte("digest"), Signature: client.Sign([]byte("digest"))}}
 	return map[byte][]byte{
 		0: encode(&submitReq{Channel: "ch", Tx: tx}),

@@ -39,7 +39,6 @@ func fixtureTx(calls int) Transaction {
 	}
 	tx := Transaction{
 		ID:        fmt.Sprintf("%064x", 0xabcdef00+calls),
-		ChannelID: "traffic-channel",
 		Creator:   client.Identity,
 		Response:  blob(60 * calls),
 		Timestamp: time.Unix(1_700_000_000, 123456789).UTC(),
@@ -65,7 +64,6 @@ func fixtureTx(calls int) Transaction {
 			statedb.WriteItem{Namespace: "data", Key: "refs/recent", Value: blob(140)},
 			statedb.WriteItem{Namespace: "trust", Key: "score/city/cam-0", Value: blob(190)},
 			statedb.WriteItem{Namespace: "validation", Key: "audit/" + id, Value: blob(200)})
-		tx.Events = append(tx.Events, Event{Name: "data.added", Payload: []byte(id)})
 	}
 	digest := tx.Digest()
 	for i := 0; i < 3; i++ {
@@ -85,16 +83,14 @@ func fixtureBlock(calls int) *Block {
 // for byte. A change to it is a format break and needs a new logFormat.
 func goldenTx() Transaction {
 	return Transaction{
-		ID:        "tx1",
-		ChannelID: "ch",
-		Creator:   msp.Identity{Org: "o", Name: "n", Role: msp.RoleMember, PubKey: []byte{0xAA, 0xBB}},
-		Payload:   TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
-		Response:  []byte("ok"),
+		ID:       "tx1",
+		Creator:  msp.Identity{Org: "o", Name: "n", Role: msp.RoleMember, PubKey: []byte{0xAA, 0xBB}},
+		Payload:  TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
+		Response: []byte("ok"),
 		RWSet: statedb.RWSet{
 			Reads:  []statedb.ReadItem{{Namespace: "cc", Key: "k", Version: statedb.Version{BlockNum: 300, TxNum: 1}, Exists: true}},
 			Writes: []statedb.WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v")}, {Namespace: "cc", Key: "old", IsDelete: true}},
 		},
-		Events:       []Event{{Name: "e", Payload: []byte("p")}},
 		Endorsements: []msp.EndorsementRef{{Signer: msp.Fingerprint{0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8}, Signature: []byte{0x51, 0x52}}},
 		Timestamp:    time.Unix(1, 2),
 		Signature:    []byte{0x53},
@@ -103,7 +99,7 @@ func goldenTx() Transaction {
 }
 
 const (
-	goldenTxHex = "03747831" + "026368" + // id, channel
+	goldenTxHex = "03747831" + // id
 		"016f" + "016e" + "066d656d626572" + "02aabb" + // creator: org, name, role, key
 		"026363" + "03707574" + "02" + // call: chaincode, fn, 2 argument hashes
 		"8254c329a92850f6d539dd376f4816ee2764517da5e0235514af433164480d7a" + // SHA-256("k")
@@ -112,7 +108,6 @@ const (
 		"026f6b" + // response
 		"01" + "026363" + "016b" + "ac02" + "01" + "01" + // 1 read: ns, key, block 300, tx 1, exists
 		"02" + "026363" + "016b" + "0176" + "00" + "026363" + "036f6c64" + "00" + "01" + // 2 writes
-		"01" + "0165" + "0170" + // 1 event
 		"01" + "f1f2f3f4f5f6f7f8" + "025152" + // 1 endorsement: key fingerprint, signature
 		"000000003b9aca02" + // timestamp: 1 s + 2 ns
 		"0153" + "0174" // signature, trace
@@ -183,7 +178,7 @@ func randomTx(rng *rand.Rand) Transaction {
 		return p
 	}
 	zones := []*time.Location{time.UTC, time.FixedZone("east", 5*3600+1800), time.FixedZone("west", -8*3600)}
-	tx := Transaction{ID: str(), ChannelID: str(), Creator: ident(), Payload: call(), Response: bytesOf(), Signature: bytesOf(), Trace: str()}
+	tx := Transaction{ID: str(), Creator: ident(), Payload: call(), Response: bytesOf(), Signature: bytesOf(), Trace: str()}
 	if rng.Intn(5) > 0 {
 		tx.Timestamp = time.Unix(rng.Int63n(1<<33), rng.Int63n(1e9)).In(zones[rng.Intn(len(zones))])
 	}
@@ -192,12 +187,10 @@ func randomTx(rng *rand.Rand) Transaction {
 	}
 	if rng.Intn(2) == 0 {
 		tx.RWSet.Reads = []statedb.ReadItem{}
-		tx.Events = []Event{}
 	}
 	for i := rng.Intn(4); i > 0; i-- {
 		tx.RWSet.Reads = append(tx.RWSet.Reads, statedb.ReadItem{Namespace: str(), Key: str(), Version: statedb.Version{BlockNum: rng.Uint64() >> uint(rng.Intn(64)), TxNum: uint64(rng.Intn(300))}, Exists: rng.Intn(2) == 0})
 		tx.RWSet.Writes = append(tx.RWSet.Writes, statedb.WriteItem{Namespace: str(), Key: str(), Value: bytesOf(), IsDelete: rng.Intn(4) == 0})
-		tx.Events = append(tx.Events, Event{Name: str(), Payload: bytesOf()})
 		tx.Endorsements = append(tx.Endorsements, msp.Endorsement{Endorser: ident(), Signature: bytesOf()}.Ref())
 	}
 	return tx
@@ -329,8 +322,8 @@ func fuzzSeeds(f *testing.F, encs ...[]byte) {
 // Offsets into goldenTxHex's bytes: the argument-hash count (then two
 // 32-byte hashes) and the endorsement count (then an 8-byte fingerprint).
 const (
-	goldenArgCountOff = 4 + 3 + 2 + 2 + 7 + 3 + 3 + 4
-	goldenEndCountOff = goldenArgCountOff + 1 + 64 + 1 + 3 + 10 + 18 + 5
+	goldenArgCountOff = 4 + 2 + 2 + 7 + 3 + 3 + 4
+	goldenEndCountOff = goldenArgCountOff + 1 + 64 + 1 + 3 + 10 + 18
 )
 
 // malformedTxs are golden transactions damaged in the two fixed-width
@@ -370,8 +363,41 @@ func TestDecodeRefusesMalformedFixedFields(t *testing.T) {
 	}
 }
 
+// olderFormatRecords returns the blocks of the logs older builds wrote
+// (testdata/blocks-format{2,1}.wal), without their version byte, and the
+// transaction of each block that holds one: what a decoder meets when it
+// is handed an older build's bytes.
+func olderFormatRecords(tb testing.TB) (blocks, txs [][]byte) {
+	for _, name := range []string{"blocks-format2.wal", "blocks-format1.wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			payload, next, err := walframe.Next(data, off)
+			if err != nil {
+				tb.Fatalf("%s at %d: %v", name, off, err)
+			}
+			block := payload[1:]
+			blocks = append(blocks, block)
+			// The header is a one-byte number and 72 fixed-width bytes; a
+			// block of one transaction holds it between a count of 1 and a
+			// list of one flag.
+			if block[73] == 1 {
+				txs = append(txs, block[74:len(block)-2])
+			}
+			off = next
+		}
+	}
+	return blocks, txs
+}
+
 func FuzzDecodeBlock(f *testing.F) {
 	fuzzSeeds(f, goldenBlock().AppendTo(nil), fixtureBlock(1).AppendTo(nil), NewBlock(0, [32]byte{}, nil, time.Time{}).AppendTo(nil))
+	old, _ := olderFormatRecords(f)
+	for _, in := range old {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) { checkDecode(t, "block", in, decodeBlockBytes) })
 }
 
@@ -381,6 +407,8 @@ func FuzzDecodeTransaction(f *testing.F) {
 	for _, in := range malformedTxs() {
 		f.Add(in)
 	}
+	_, old := olderFormatRecords(f)
+	fuzzSeeds(f, old...)
 	f.Fuzz(func(t *testing.T, in []byte) { checkDecode(t, "transaction", in, decodeTxBytes) })
 }
 
@@ -405,14 +433,21 @@ func TestFuzzCorpusCurrent(t *testing.T) {
 	})
 }
 
-// TestLogRefusesOlderFormat: a block log in an earlier format — format 1,
-// as the commit before format 2 wrote it (testdata/blocks-format1.wal: a
-// genesis block and one transaction with its arguments and full endorser
-// identities), or the JSON records of every build before that — fails to
-// open, by either door, with an error that names the format it found and
-// the one this build reads, and the file is left as it was.
+// TestLogRefusesOlderFormat: a block log in an earlier format — format 2,
+// as the commit before format 3 wrote it (testdata/blocks-format2.wal: a
+// genesis block and goldenTx with a channel ID and one chaincode event),
+// format 1, as the commit before format 2 wrote it
+// (testdata/blocks-format1.wal: a genesis block and one transaction with
+// its arguments and full endorser identities), or the JSON records of
+// every build before that — fails to open, by either door, with an error
+// that names the format it found and the one this build reads, and the
+// file is left as it was.
 func TestLogRefusesOlderFormat(t *testing.T) {
 	format1, err := os.ReadFile(filepath.Join("testdata", "blocks-format1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	format2, err := os.ReadFile(filepath.Join("testdata", "blocks-format2.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,6 +457,7 @@ func TestLogRefusesOlderFormat(t *testing.T) {
 		name, found string
 		log         []byte
 	}{
+		{"format 2", "is in format 2", format2},
 		{"format 1", "is in format 1", format1},
 		{"JSON", "holds JSON records", jsonFrame},
 	} {
@@ -434,7 +470,7 @@ func TestLogRefusesOlderFormat(t *testing.T) {
 		check := func(door string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), c.found) || !strings.Contains(err.Error(), "older build") ||
-				!strings.Contains(err.Error(), "reads block-log format 2 only") {
+				!strings.Contains(err.Error(), "reads block-log format 3 only") {
 				t.Fatalf("%s over a %s block log: %v", door, c.name, err)
 			}
 			if now, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(now, old) {
@@ -495,7 +531,7 @@ func TestLogFirstRecordDamage(t *testing.T) {
 	if err := os.WriteFile(path, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLog(path); err == nil || !strings.Contains(err.Error(), "not in format 2") {
+	if _, err := OpenLog(path); err == nil || !strings.Contains(err.Error(), "not in format 3") {
 		t.Fatalf("OpenLog over a format-%d log: %v", logFormat+1, err)
 	}
 	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, other) {

@@ -36,11 +36,10 @@ func randomChain(t *testing.T, rng *rand.Rand, n int) []*Block {
 		var txs []Transaction
 		for i := 0; num > 0 && i < rng.Intn(4); i++ {
 			tx := Transaction{
-				ID:        fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64()),
-				ChannelID: "ch",
-				Creator:   signer.Identity,
-				Payload:   call(),
-				Response:  []byte("ok"),
+				ID:       fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64()),
+				Creator:  signer.Identity,
+				Payload:  call(),
+				Response: []byte("ok"),
 				RWSet: statedb.RWSet{
 					Writes: []statedb.WriteItem{{Namespace: "cc", Key: fmt.Sprintf("k%d", rng.Intn(50)), Value: []byte("v")}},
 				},

@@ -19,10 +19,9 @@ func testTx(t *testing.T, id string) Transaction {
 		t.Fatal(err)
 	}
 	tx := Transaction{
-		ID:        id,
-		ChannelID: "ch",
-		Creator:   s.Identity,
-		Payload:   TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
+		ID:      id,
+		Creator: s.Identity,
+		Payload: TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: HashArgs([][]byte{[]byte("k"), []byte("v")})},
 		RWSet: statedb.RWSet{
 			Writes: []statedb.WriteItem{{Namespace: "cc", Key: "k", Value: []byte("v")}},
 		},

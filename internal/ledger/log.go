@@ -15,18 +15,19 @@ package ledger
 //
 //	[1B format version = logFormat][block: Block.AppendTo]
 //
-// Opening checks the version byte of the first record — format 1 held
-// every argument and a full identity and digest per endorsement, a log
-// from before the binary encoding starts with '{' — and refuses a log of
-// any other format without touching the file; there is no migration and
-// no second reader. Beyond that, opening never decodes what the opener
-// already trusts: walframe.Recover scans the frames from a starting offset
-// (0 for a bare OpenLog, the end of the savepoint block for a peer's
-// ledger), cutting a torn tail and refusing mid-log corruption. Frames
-// below the starting offset are checked when they are read: every read
-// verifies the frame's CRC, the format version, the block number it
-// carries and its one flag per transaction, and a mismatch is an error,
-// never a wrong block.
+// Opening checks the version byte of the first record — format 2 held
+// chaincode events and a channel ID in every transaction and left the
+// timestamp unsigned, format 1 held every argument and a full identity and
+// digest per endorsement, a log from before the binary encoding starts
+// with '{' — and refuses a log of any other format without touching the
+// file; there is no migration and no second reader. Beyond that, opening
+// never decodes what the opener already trusts: walframe.Recover scans the
+// frames from a starting offset (0 for a bare OpenLog, the end of the
+// savepoint block for a peer's ledger), cutting a torn tail and refusing
+// mid-log corruption. Frames below the starting offset are checked when
+// they are read: every read verifies the frame's CRC, the format version,
+// the block number it carries and its one flag per transaction, and a
+// mismatch is an error, never a wrong block.
 
 import (
 	"bufio"
@@ -50,7 +51,7 @@ type Log struct {
 
 // logFormat is the block-log record format this build writes and reads:
 // the first byte of every record's payload.
-const logFormat = 2
+const logFormat = 3
 
 // checkFormat rejects a record payload in any format but logFormat.
 func checkFormat(payload []byte) error {

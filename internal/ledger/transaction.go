@@ -68,23 +68,13 @@ func (p TxPayload) Calls() []TxPayload {
 	return []TxPayload{p}
 }
 
-// Event is a chaincode-emitted application event carried in the
-// transaction and delivered to subscribers when the transaction commits as
-// valid.
-type Event struct {
-	Name    string `json:"name"`
-	Payload []byte `json:"payload,omitempty"`
-}
-
 // Transaction is a fully endorsed transaction envelope ready for ordering.
 type Transaction struct {
 	ID           string               `json:"id"`
-	ChannelID    string               `json:"channel_id"`
 	Creator      msp.Identity         `json:"creator"`
 	Payload      TxPayload            `json:"payload"`
 	Response     []byte               `json:"response,omitempty"`
 	RWSet        statedb.RWSet        `json:"rw_set"`
-	Events       []Event              `json:"events,omitempty"`
 	Endorsements []msp.EndorsementRef `json:"endorsements"`
 	Timestamp    time.Time            `json:"timestamp"`
 	Signature    []byte               `json:"signature,omitempty"`
@@ -97,9 +87,10 @@ type Transaction struct {
 }
 
 // SigningBytes returns the canonical bytes the submitting client signs for
-// the envelope: the endorsement digest, the transaction ID and the
-// recorded invocation (chaincode, function and argument hashes, batched
-// calls included), so whoever orders the envelope can rewrite none of them.
+// the envelope: the endorsement digest, the transaction ID, the recorded
+// invocation (chaincode, function and argument hashes, batched calls
+// included) and the timestamp, which becomes the block header's time, so
+// whoever orders the envelope can rewrite none of them.
 func (t *Transaction) SigningBytes() []byte { return t.SigningBytesFor(t.Digest()) }
 
 // SigningBytesFor is SigningBytes for a caller that already holds the
@@ -107,7 +98,7 @@ func (t *Transaction) SigningBytes() []byte { return t.SigningBytesFor(t.Digest(
 func (t *Transaction) SigningBytesFor(digest []byte) []byte {
 	out := make([]byte, 0, len(digest)+len(t.ID)+128)
 	out = codec.AppendString(append(out, digest...), t.ID)
-	return t.Payload.AppendTo(out)
+	return codec.AppendTime(t.Payload.AppendTo(out), t.Timestamp)
 }
 
 // NewTxID derives a transaction ID from the creator and a nonce, following
@@ -135,12 +126,10 @@ func (t *Transaction) Bytes() []byte { return codec.Encode(t.AppendTo) }
 // field in declaration order.
 func (t *Transaction) AppendTo(b []byte) []byte {
 	b = codec.AppendString(b, t.ID)
-	b = codec.AppendString(b, t.ChannelID)
 	b = t.Creator.AppendTo(b)
 	b = t.Payload.AppendTo(b)
 	b = codec.AppendBytes(b, t.Response)
 	b = t.RWSet.AppendTo(b)
-	b = AppendEvents(b, t.Events)
 	b = codec.AppendUvarint(b, uint64(len(t.Endorsements)))
 	for _, e := range t.Endorsements {
 		b = e.AppendTo(b)
@@ -210,35 +199,10 @@ func (p *TxPayload) decodeCall(r *codec.Reader) {
 	}
 }
 
-// AppendEvents appends a list of chaincode events — a transaction's, an
-// endorsement's — as their count and then each one's name and payload.
-func AppendEvents(b []byte, events []Event) []byte {
-	b = codec.AppendUvarint(b, uint64(len(events)))
-	for _, e := range events {
-		b = codec.AppendString(b, e.Name)
-		b = codec.AppendBytes(b, e.Payload)
-	}
-	return b
-}
-
-// DecodeEvents reads what AppendEvents wrote; an empty list reads as nil.
-func DecodeEvents(r *codec.Reader) []Event {
-	n := r.Count(eventMinLen)
-	if n == 0 {
-		return nil
-	}
-	events := make([]Event, n)
-	for i := range events {
-		events[i] = Event{Name: r.String(), Payload: r.Bytes()}
-	}
-	return events
-}
-
 // Shortest encodings of the list items below, for codec.Reader.Count.
 const (
-	callMinLen  = 3  // two empty strings and an empty argument list
-	eventMinLen = 2  // an empty name and an empty payload
-	txMinLen    = 25 // empty fields, an 8-byte timestamp
+	callMinLen = 3  // two empty strings and an empty argument list
+	txMinLen   = 23 // empty fields, an 8-byte timestamp
 )
 
 // AppendTxs appends a list of transactions — a block's, an ordering
@@ -267,12 +231,11 @@ func DecodeTxs(r *codec.Reader) []Transaction {
 // DecodeFrom reads what AppendTo wrote; empty lists and byte strings read
 // as nil and the timestamp comes back in UTC.
 func (t *Transaction) DecodeFrom(r *codec.Reader) {
-	*t = Transaction{ID: r.String(), ChannelID: r.String()}
+	*t = Transaction{ID: r.String()}
 	t.Creator.DecodeFrom(r)
 	t.Payload.decodeFrom(r)
 	t.Response = r.Bytes()
 	t.RWSet.DecodeFrom(r)
-	t.Events = DecodeEvents(r)
 	if n := r.Count(msp.EndorsementRefMinLen); n > 0 {
 		t.Endorsements = make([]msp.EndorsementRef, n)
 	}

@@ -103,7 +103,7 @@ func testTx(t *testing.T, id string) ledger.Transaction {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ledger.Transaction{ID: id, ChannelID: "ch", Creator: s.Identity, Timestamp: time.Now()}
+	return ledger.Transaction{ID: id, Creator: s.Identity, Timestamp: time.Now()}
 }
 
 func waitFor(t *testing.T, cond func() bool, timeout time.Duration, what string) {
@@ -210,7 +210,7 @@ func TestDecodeBatchRejectsGarbage(t *testing.T) {
 func fuzzBatches() []Batch {
 	fixed := func(id string) ledger.Transaction {
 		s := msp.NewSignerFromSeed("fuzz", "org", "client", msp.RoleMember)
-		return ledger.Transaction{ID: id, ChannelID: "ch", Creator: s.Identity, Timestamp: time.Unix(1, 2),
+		return ledger.Transaction{ID: id, Creator: s.Identity, Timestamp: time.Unix(1, 2),
 			Payload:      ledger.TxPayload{Chaincode: "cc", Fn: "put", ArgHashes: ledger.HashArgs([][]byte{[]byte("k"), []byte("v")})},
 			Endorsements: []msp.EndorsementRef{{Signer: s.Identity.Fingerprint(), Signature: s.Sign([]byte(id))}}}
 	}

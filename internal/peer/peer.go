@@ -54,10 +54,9 @@ type Peer struct {
 	// competing blocks at one height.
 	commitMu sync.Mutex
 
-	mu          sync.Mutex
-	commitWait  map[string][]chan ledger.ValidationCode
-	subscribers []chan chaincode.Event
-	committed   chan struct{} // closed and replaced at every block commit
+	mu         sync.Mutex
+	commitWait map[string][]chan ledger.ValidationCode
+	committed  chan struct{} // closed and replaced at every block commit
 
 	// Observability instruments (always non-nil: a nil Config.Obs hands
 	// back dangling atomics, so the hot path never branches).
@@ -342,16 +341,11 @@ func (p *Peer) Endorse(prop *Proposal) (*ProposalResponse, error) {
 func (p *Peer) respond(txID string, sim *chaincode.Simulator, resp []byte) (*ProposalResponse, error) {
 	rw := sim.RWSet()
 	digest := rw.Digest(resp)
-	var events []ledger.Event
-	for _, e := range sim.Events() {
-		events = append(events, ledger.Event{Name: e.Name, Payload: e.Payload})
-	}
 	p.signs.Add(1)
 	return &ProposalResponse{
 		TxID:     txID,
 		Response: resp,
 		RWSet:    rw.Bytes(),
-		Events:   events,
 		Endorsement: msp.Endorsement{
 			Endorser:  p.signer.Identity,
 			Digest:    digest,
@@ -387,19 +381,6 @@ func (p *Peer) Committed() <-chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.committed
-}
-
-// SubscribeEvents returns a channel receiving chaincode events of valid
-// committed transactions.
-func (p *Peer) SubscribeEvents(buffer int) <-chan chaincode.Event {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	ch := make(chan chaincode.Event, buffer)
-	p.mu.Lock()
-	p.subscribers = append(p.subscribers, ch)
-	p.mu.Unlock()
-	return ch
 }
 
 // CommitBatch validates and commits one ordered batch of transactions as
@@ -656,33 +637,20 @@ func (p *Peer) validateMVCC(tx *ledger.Transaction, blockWrites map[string]bool)
 	return ledger.Valid
 }
 
-// notify wakes height waiters, commit waiters and event subscribers for a
-// committed block.
+// notify wakes height waiters and commit waiters for a committed block.
 func (p *Peer) notify(block *ledger.Block) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	close(p.committed)
 	p.committed = make(chan struct{})
 	for i := range block.Txs {
-		tx := &block.Txs[i]
-		flag := block.Metadata.Flags[i]
-		for _, ch := range p.commitWait[tx.ID] {
+		id := block.Txs[i].ID
+		for _, ch := range p.commitWait[id] {
 			select {
-			case ch <- flag:
+			case ch <- block.Metadata.Flags[i]:
 			default:
 			}
 		}
-		delete(p.commitWait, tx.ID)
-		if flag != ledger.Valid {
-			continue
-		}
-		for _, e := range tx.Events {
-			for _, sub := range p.subscribers {
-				select {
-				case sub <- chaincode.Event{TxID: tx.ID, Name: e.Name, Payload: e.Payload}:
-				default:
-				}
-			}
-		}
+		delete(p.commitWait, id)
 	}
 }

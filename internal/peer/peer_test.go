@@ -35,9 +35,6 @@ func (counterCC) Invoke(stub chaincode.Stub, fn string, args [][]byte) ([]byte, 
 		if err := stub.PutState(key, out); err != nil {
 			return nil, err
 		}
-		if err := stub.SetEvent("incremented", []byte(key)); err != nil {
-			return nil, err
-		}
 		return out, nil
 	case "set":
 		return nil, stub.PutState(string(args[0]), args[1])
@@ -119,11 +116,9 @@ func envelope(t testing.TB, client *msp.Signer, prop *Proposal, resps ...*Propos
 	t.Helper()
 	tx := ledger.Transaction{
 		ID:        prop.TxID,
-		ChannelID: prop.ChannelID,
 		Creator:   client.Identity,
 		Payload:   prop.Payload(),
 		Response:  resps[0].Response,
-		Events:    resps[0].Events,
 		Timestamp: prop.Timestamp,
 	}
 	var err error
@@ -158,9 +153,6 @@ func TestEndorseProducesVerifiableEndorsement(t *testing.T) {
 	}
 	if !resp.Endorsement.Verify() {
 		t.Fatal("endorsement signature invalid")
-	}
-	if len(resp.Events) != 1 || resp.Events[0].Name != "incremented" {
-		t.Fatalf("events = %+v", resp.Events)
 	}
 	// Simulation must not touch committed state.
 	if _, ok := p.State().GetState("counter", "ctr"); ok {
@@ -320,37 +312,6 @@ func TestCommitEndorsementPolicy(t *testing.T) {
 	}
 	if block.Metadata.Flags[0] != ledger.EndorsementPolicyFailure {
 		t.Fatalf("flag = %s", block.Metadata.Flags[0])
-	}
-}
-
-func TestEventsOnlyForValidTxs(t *testing.T) {
-	p, client := newTestPeer(t)
-	events := p.SubscribeEvents(8)
-	prop := propose(t, client, "incr", []byte("ek"))
-	resp, _ := p.Endorse(prop)
-	tx := envelope(t, client, prop, resp)
-	tx.Signature = []byte("broken") // will be invalidated
-	if _, err := p.CommitBatch([]ledger.Transaction{tx}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-events:
-		t.Fatalf("event %v delivered for invalid tx", e)
-	default:
-	}
-	// Now a valid one.
-	prop2 := propose(t, client, "incr", []byte("ek"))
-	resp2, _ := p.Endorse(prop2)
-	if _, err := p.CommitBatch([]ledger.Transaction{envelope(t, client, prop2, resp2)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-events:
-		if e.Name != "incremented" {
-			t.Fatalf("event = %+v", e)
-		}
-	default:
-		t.Fatal("no event for valid tx")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package peer implements the endorsing peers of the paper's architecture:
 // proposal endorsement (chaincode simulation + signed read/write sets),
 // block validation (creator signatures, endorsement policy, MVCC) and
-// commit (world state updates, validation flags, events).
+// commit (world state updates, validation flags).
 package peer
 
 import (
@@ -174,19 +174,16 @@ type ProposalResponse struct {
 	TxID        string
 	Response    []byte
 	RWSet       []byte // statedb.RWSet.Bytes
-	Events      []ledger.Event
 	Endorsement msp.Endorsement
 }
 
 // AppendTo appends the response's canonical encoding, the endorse RPC's
-// answer: the fields in declaration order, the events as a transaction
-// carries them (ledger.AppendEvents), the endorsement as the endorser's
-// identity, the digest and the signature.
+// answer: the fields in declaration order, the endorsement as the
+// endorser's identity, the digest and the signature.
 func (r *ProposalResponse) AppendTo(b []byte) []byte {
 	b = codec.AppendString(b, r.TxID)
 	b = codec.AppendBytes(b, r.Response)
 	b = codec.AppendBytes(b, r.RWSet)
-	b = ledger.AppendEvents(b, r.Events)
 	b = r.Endorsement.Endorser.AppendTo(b)
 	b = codec.AppendBytes(b, r.Endorsement.Digest)
 	return codec.AppendBytes(b, r.Endorsement.Signature)
@@ -195,7 +192,7 @@ func (r *ProposalResponse) AppendTo(b []byte) []byte {
 // DecodeFrom reads what AppendTo wrote; empty lists and byte strings read
 // as nil.
 func (r *ProposalResponse) DecodeFrom(rd *codec.Reader) {
-	*r = ProposalResponse{TxID: rd.String(), Response: rd.Bytes(), RWSet: rd.Bytes(), Events: ledger.DecodeEvents(rd)}
+	*r = ProposalResponse{TxID: rd.String(), Response: rd.Bytes(), RWSet: rd.Bytes()}
 	r.Endorsement.Endorser.DecodeFrom(rd)
 	r.Endorsement.Digest = rd.Bytes()
 	r.Endorsement.Signature = rd.Bytes()

@@ -9,7 +9,6 @@ import (
 
 	"socialchain/internal/chaincode"
 	"socialchain/internal/codec"
-	"socialchain/internal/ledger"
 	"socialchain/internal/msp"
 )
 
@@ -28,7 +27,6 @@ func goldenProposal() Proposal {
 func goldenResponse() ProposalResponse {
 	return ProposalResponse{
 		TxID: "tx1", Response: []byte("ok"), RWSet: []byte{0x01},
-		Events:      []ledger.Event{{Name: "e", Payload: []byte("p")}},
 		Endorsement: msp.Endorsement{Endorser: goldenIdentity, Digest: []byte{0xD1}, Signature: []byte{0x51, 0x52}},
 	}
 }
@@ -52,7 +50,6 @@ const (
 		"00" + // no batch
 		"014e" // nonce
 	goldenResponseHex = "03747831" + "026f6b" + "0101" + // tx ID, response, read/write set
-		"01" + "0165" + "0170" + // 1 event
 		goldenCreatorHex + "01d1" + "025152" // endorsement: endorser, digest, signature
 )
 

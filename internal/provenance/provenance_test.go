@@ -123,9 +123,9 @@ func buildLedger(t *testing.T, flag ledger.ValidationCode) (*ledger.Ledger, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := ledger.Transaction{ID: "target-tx", ChannelID: "ch", Creator: s.Identity, Timestamp: time.Now()}
+	tx := ledger.Transaction{ID: "target-tx", Creator: s.Identity, Timestamp: time.Now()}
 	tx.Signature = s.Sign(tx.SigningBytes())
-	other := ledger.Transaction{ID: "other-tx", ChannelID: "ch", Creator: s.Identity, Timestamp: time.Now()}
+	other := ledger.Transaction{ID: "other-tx", Creator: s.Identity, Timestamp: time.Now()}
 	other.Signature = s.Sign(other.SigningBytes())
 
 	blk := ledger.NewBlock(0, [32]byte{}, []ledger.Transaction{other, tx}, time.Now())

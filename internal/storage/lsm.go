@@ -865,7 +865,9 @@ func (p *Persist) IterPrefix(prefix string, fn func(key string, value []byte) bo
 // its owner replays nothing. An empty memtable writes nothing. A sticky
 // error skips the checkpoint: the front log stays the truth, exactly as
 // after kill -9, and Close reports the error. A write that races Close is
-// either in the checkpoint or refused.
+// either in the checkpoint or refused. An engine on a directory
+// OpenPersist made skips the checkpoint (it still waits for a flush in
+// flight): nothing reopens a directory Close removes next.
 //
 // Then the engine lets go of everything it held in memory — both
 // memtables, the table set with its indexes and bloom filters — so a
@@ -892,7 +894,7 @@ func (p *Persist) shutdown() {
 	for p.imm != nil && p.err == nil {
 		p.flushCond.Wait()
 	}
-	if p.err == nil && len(p.mem.data) > 0 {
+	if p.err == nil && len(p.mem.data) > 0 && !p.temp {
 		p.imm, p.mem = p.mem, newMemtable()
 	}
 	p.flushCond.Broadcast()
@@ -900,8 +902,10 @@ func (p *Persist) shutdown() {
 	close(p.quit)
 	p.wg.Wait()
 	// The workers are stopped; the checkpoint runs alone.
-	p.doFlush()
-	for p.compactOnce() {
+	if !p.temp {
+		p.doFlush()
+		for p.compactOnce() {
+		}
 	}
 	p.mu.Lock()
 	v := p.version

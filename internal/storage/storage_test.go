@@ -157,6 +157,30 @@ func TestOpenDefaultEngine(t *testing.T) {
 	}
 }
 
+// TestTempEngineCloseSkipsCheckpoint: an engine on a directory OpenPersist
+// made writes no table at Close, since the directory goes next, and
+// leaves TMPDIR empty.
+func TestTempEngineCloseSkipsCheckpoint(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	p, err := OpenPersist(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		put(p, fmt.Sprintf("k/%d", i), []byte("v"))
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Stats().Flushes; n != 0 {
+		t.Fatalf("Close of a temporary engine ran %d flushes, want 0", n)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("Close left %d entries in TMPDIR, want none (first: %s)", len(left), left[0].Name())
+	}
+}
+
 // TestCloseKeepsGivenDir: an engine never removes a directory its caller
 // named; the tables there reopen with everything written.
 func TestCloseKeepsGivenDir(t *testing.T) {
